@@ -47,7 +47,10 @@ vet:
 # tiers (LargeField/10k-par{2,4}: statistically equivalent engine;
 # parity with serial on this single-CPU host — the window protocol's
 # speedup needs cores).
-BENCH_STEADY = ^(BenchmarkSchedulerStep|BenchmarkSchedulerChurn|BenchmarkBroadcastFanout|BenchmarkAppendNodesNear)$$
+# BenchmarkSenseSweep (one mote scan per op, run in whole 10k-mote sweep
+# ticks) joins the steady pass so the zero-alloc gate covers the sensing
+# sweep once a snapshot records it.
+BENCH_STEADY = ^(BenchmarkSchedulerStep|BenchmarkSchedulerChurn|BenchmarkBroadcastFanout|BenchmarkAppendNodesNear|BenchmarkSenseSweep)$$
 
 bench:
 	@set -e; \

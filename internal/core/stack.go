@@ -168,7 +168,8 @@ func (s *Stack) Runtime(name string) (*ctxRuntime, bool) {
 }
 
 // onScan drives every context runtime from the mote's periodic sensing.
-func (s *Stack) onScan(rd sensor.Reading) {
+// The reading is the sensing sweep's scratch, valid for this call only.
+func (s *Stack) onScan(rd *sensor.Reading) {
 	for _, rt := range s.runtimes {
 		rt.onScan(rd)
 	}
@@ -281,10 +282,12 @@ func (rt *ctxRuntime) Leading() bool { return rt.ctx != nil }
 // Ctx returns the object context while leading (nil otherwise).
 func (rt *ctxRuntime) Ctx() *Ctx { return rt.ctx }
 
-func (rt *ctxRuntime) onScan(rd sensor.Reading) {
-	sensing := rt.spec.Activation(rd)
+// onScan evaluates the type's sensee() conditions on one scan. Only the
+// user's Activation/Deactivation predicates receive a copy of the reading.
+func (rt *ctxRuntime) onScan(rd *sensor.Reading) {
+	sensing := rt.spec.Activation(*rd)
 	if rt.be.Sensing() && rt.spec.Deactivation != nil {
-		sensing = !rt.spec.Deactivation(rd)
+		sensing = !rt.spec.Deactivation(*rd)
 	}
 	rt.be.SetSensing(sensing)
 
@@ -313,7 +316,7 @@ func (rt *ctxRuntime) onScan(rd sensor.Reading) {
 	}
 }
 
-func (rt *ctxRuntime) refreshSamples(rd sensor.Reading) {
+func (rt *ctxRuntime) refreshSamples(rd *sensor.Reading) {
 	if rt.samples == nil {
 		rt.samples = make(map[string]aggregate.Sample, len(rt.spec.Vars))
 	}

@@ -68,11 +68,13 @@ func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *se
 }
 
 func (w *world) start() {
-	// Deterministic start order (map iteration order would leak into the
+	// Deterministic scan order (map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering).
+	sw := mote.NewSweep(w.sched, w.field)
 	for _, id := range w.medium.NodeIDs() {
-		w.motes[id].Start()
+		sw.Add(w.motes[id])
 	}
+	sw.Start()
 }
 
 func (w *world) run(t *testing.T, until time.Duration) {

@@ -57,8 +57,10 @@ func (c Config) withDefaults() Config {
 // was recognized; dispatch stops at the first handler that consumes it.
 type FrameHandler func(radio.Frame) bool
 
-// SenseListener observes each periodic sensor scan.
-type SenseListener func(sensor.Reading)
+// SenseListener observes each periodic sensor scan. The reading is the
+// sweep's scratch: it is valid only for the duration of the call, so
+// listeners extract what they need synchronously and never retain it.
+type SenseListener func(*sensor.Reading)
 
 // Mote is one simulated sensor node. It is driven by the simulation
 // scheduler and is not safe for concurrent use.
@@ -91,13 +93,6 @@ type Mote struct {
 	// one block.
 	taskFree  *cpuTask
 	taskArena arena.Arena[cpuTask]
-
-	// senseVals is the scratch buffer periodic scans sample into, reused
-	// every tick so steady-state sensing allocates nothing.
-	senseVals []float64
-
-	senseTicker *simtime.Ticker
-	started     bool
 
 	// corrSeq numbers correlated messages originated by this mote. All
 	// layers mint from this one counter, so (origin, seq) identifies a
@@ -191,10 +186,6 @@ func (m *Mote) Obs() *obs.Bus { return m.bus }
 // probe for the cpu_queue column).
 func (m *Mote) Queued() int { return m.hot.Queued(m.hotIdx) }
 
-// HasModel reports whether the mote has a sensing model (pure relay nodes
-// do not and are skipped by the network's sensing sweep).
-func (m *Mote) HasModel() bool { return m.model != nil }
-
 // AddFrameHandler appends a frame handler; handlers run in registration
 // order until one consumes the frame.
 func (m *Mote) AddFrameHandler(h FrameHandler) {
@@ -204,42 +195,6 @@ func (m *Mote) AddFrameHandler(h FrameHandler) {
 // AddSenseListener appends a listener invoked on every periodic scan.
 func (m *Mote) AddSenseListener(l SenseListener) {
 	m.listeners = append(m.listeners, l)
-}
-
-// Start begins the periodic sensing scan with a mote-owned ticker. It is
-// idempotent. Networks use StartManaged plus a single shared sweep ticker
-// instead; Start remains for standalone motes (tests, ad-hoc topologies).
-func (m *Mote) Start() {
-	if m.started || m.model == nil {
-		m.started = true
-		return
-	}
-	m.started = true
-	m.senseTicker = simtime.NewTickerOwned(m.sched, m.cfg.SensePeriod, simtime.OwnerSense, m.scan)
-}
-
-// StartManaged marks the mote started without arming a sensing ticker; the
-// owner drives scans through ScanOnce from a single consolidated sweep.
-// All motes in a sweep share one scheduler event per sense period instead
-// of one ticker re-arm each, and the sweep reads positions and failure
-// flags from the shared HotState slices.
-func (m *Mote) StartManaged() { m.started = true }
-
-// ScanOnce runs one sensing scan on behalf of a managed sweep. It is a
-// no-op before StartManaged/Start or after Stop.
-func (m *Mote) ScanOnce() {
-	if !m.started || m.model == nil {
-		return
-	}
-	m.scan()
-}
-
-// Stop halts the sensing scan.
-func (m *Mote) Stop() {
-	if m.senseTicker != nil {
-		m.senseTicker.Stop()
-	}
-	m.started = false
 }
 
 // Fail kills the mote: it stops sensing, processing, and transmitting until
@@ -272,13 +227,16 @@ func (m *Mote) Restore() {
 // Failed reports whether the mote is currently failed.
 func (m *Mote) Failed() bool { return m.hot.failed[m.hotIdx] }
 
-// Sense samples the sensing model immediately and returns the reading.
-// It returns a zero reading when the mote has no sensing model.
+// Sense samples the sensing model immediately, against a snapshot of the
+// field resolved for this call, and returns the reading. It returns a zero
+// reading when the mote has no sensing model.
 func (m *Mote) Sense() sensor.Reading {
 	if m.model == nil {
 		return sensor.Reading{At: m.sched.Now(), MoteID: int(m.id), Position: m.pos}
 	}
-	return m.model.Sample(m.field, int(m.id), m.pos, m.sched.Now())
+	var env phenomena.Snapshot
+	m.field.Resolve(m.sched.Now(), &env)
+	return m.model.Sample(&env, int(m.id), m.pos)
 }
 
 // Send transmits a frame from this mote. Failed motes transmit nothing.
@@ -304,20 +262,6 @@ func (m *Mote) Broadcast(kind trace.Kind, bits int, payload any) {
 // BroadcastTraced is Broadcast with a causal-correlation header.
 func (m *Mote) BroadcastTraced(kind trace.Kind, bits int, payload any, corr radio.Corr) {
 	m.SendTraced(kind, radio.Broadcast, bits, payload, corr)
-}
-
-// scan runs one sensing tick. It samples into the mote's reusable scratch
-// buffer; the reading handed to listeners is therefore valid only for the
-// duration of the callback (listeners extract values synchronously).
-func (m *Mote) scan() {
-	if m.hot.failed[m.hotIdx] {
-		return
-	}
-	rd, buf := m.model.SampleInto(m.field, int(m.id), m.pos, m.sched.Now(), m.senseVals[:0])
-	m.senseVals = buf
-	for _, l := range m.listeners {
-		l(rd)
-	}
 }
 
 // onFrame is the radio reception callback: it feeds the CPU queue.

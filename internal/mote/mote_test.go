@@ -207,6 +207,16 @@ func TestFailedMoteDoesNotSendProcessOrSense(t *testing.T) {
 	}
 }
 
+// sweep returns a started sweep over the given motes.
+func (h *harness) sweep(motes ...*Mote) *Sweep {
+	sw := NewSweep(h.sched, h.field)
+	for _, m := range motes {
+		sw.Add(m)
+	}
+	sw.Start()
+	return sw
+}
+
 func TestSensingScanInvokesListeners(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	h.field.Add(&phenomena.Target{
@@ -216,25 +226,58 @@ func TestSensingScanInvokesListeners(t *testing.T) {
 	})
 	model := sensor.VehicleModel("vehicle")
 	m := h.mote(t, 1, geom.Pt(0.5, 0), model, Config{SensePeriod: time.Second})
-	var readings []sensor.Reading
-	m.AddSenseListener(func(rd sensor.Reading) { readings = append(readings, rd) })
-	m.Start()
+	type scan struct {
+		at     time.Duration
+		detect float64
+	}
+	var scans []scan
+	m.AddSenseListener(func(rd *sensor.Reading) {
+		v, _ := rd.Value("magnetic_detect")
+		scans = append(scans, scan{rd.At, v})
+	})
+	sw := h.sweep(m)
 	if err := h.sched.RunUntil(3500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(readings) != 3 {
-		t.Fatalf("scans = %d, want 3", len(readings))
+	if len(scans) != 3 {
+		t.Fatalf("scans = %d, want 3", len(scans))
 	}
-	if v, _ := readings[0].Value("magnetic_detect"); v != 1 {
-		t.Errorf("detection = %v, want 1", v)
+	for i, sc := range scans {
+		if want := time.Duration(i+1) * time.Second; sc.at != want {
+			t.Errorf("scan %d at %v, want %v", i, sc.at, want)
+		}
+		if sc.detect != 1 {
+			t.Errorf("scan %d detection = %v, want 1", i, sc.detect)
+		}
 	}
-	m.Stop()
-	before := len(readings)
+	sw.Stop()
+	before := len(scans)
 	if err := h.sched.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(readings) != before {
+	if len(scans) != before {
 		t.Error("scans continued after Stop")
+	}
+}
+
+func TestSweepScansInAddOrder(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	model := sensor.NewModel()
+	model.SetChannel("x", sensor.ConstantChannel(1))
+	var order []int
+	var motes []*Mote
+	for _, id := range []radio.NodeID{3, 1, 2} {
+		m := h.mote(t, id, geom.Pt(float64(id), 0), model, Config{SensePeriod: time.Second})
+		m.AddSenseListener(func(rd *sensor.Reading) { order = append(order, rd.MoteID) })
+		motes = append(motes, m)
+	}
+	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{SensePeriod: time.Second})
+	h.sweep(append(motes, relay)...)
+	if err := h.sched.RunUntil(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != 3 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("scan order = %v, want [3 1 2] (add order, relay skipped)", order)
 	}
 }
 
@@ -244,14 +287,21 @@ func TestFailedMoteSkipsScan(t *testing.T) {
 	model.SetChannel("x", sensor.ConstantChannel(1))
 	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
 	scans := 0
-	m.AddSenseListener(func(sensor.Reading) { scans++ })
-	m.Start()
+	m.AddSenseListener(func(*sensor.Reading) { scans++ })
+	h.sweep(m)
 	m.Fail()
 	if err := h.sched.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if scans != 0 {
 		t.Errorf("failed mote scanned %d times", scans)
+	}
+	m.Restore()
+	if err := h.sched.RunUntil(7500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if scans != 2 {
+		t.Errorf("restored mote scanned %d times, want 2", scans)
 	}
 }
 
@@ -262,12 +312,35 @@ func TestSenseWithoutModel(t *testing.T) {
 	if rd.MoteID != 7 || rd.Position != geom.Pt(2, 3) {
 		t.Errorf("reading = %+v", rd)
 	}
-	if len(rd.Values) != 0 {
-		t.Errorf("model-less reading has values: %v", rd.Values)
+	if rd.Channels() != 0 {
+		t.Errorf("model-less reading has %d channels", rd.Channels())
 	}
-	m.Start() // should not panic or schedule a ticker
+	h.sweep(m) // should not panic or schedule a ticker
+	if h.sched.Len() != 0 {
+		t.Errorf("a sweep of relay motes scheduled %d events", h.sched.Len())
+	}
 	if err := h.sched.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSenseResolvesField(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	h.field.Add(&phenomena.Target{
+		Kind:            "vehicle",
+		Traj:            phenomena.Line{Start: geom.Pt(0, 0), Dir: geom.Vec(1, 0), Speed: 1},
+		SignatureRadius: 1,
+	})
+	m := h.mote(t, 1, geom.Pt(5, 0), sensor.VehicleModel("vehicle"), Config{})
+	if v, _ := m.Sense().Value("magnetic_detect"); v != 0 {
+		t.Errorf("detection at t=0 = %v, want 0 (target 5 away)", v)
+	}
+	if err := h.sched.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rd := m.Sense()
+	if v, _ := rd.Value("magnetic_detect"); v != 1 || rd.At != 5*time.Second {
+		t.Errorf("detection at %v = %v, want 1 at 5s", rd.At, v)
 	}
 }
 
@@ -277,9 +350,9 @@ func TestStartIdempotent(t *testing.T) {
 	model.SetChannel("x", sensor.ConstantChannel(1))
 	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
 	scans := 0
-	m.AddSenseListener(func(sensor.Reading) { scans++ })
-	m.Start()
-	m.Start()
+	m.AddSenseListener(func(*sensor.Reading) { scans++ })
+	sw := h.sweep(m)
+	sw.Start()
 	if err := h.sched.RunUntil(2500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

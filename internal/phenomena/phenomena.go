@@ -55,7 +55,8 @@ type Waypoints struct {
 	Points []geom.Point
 	Speed  float64 // grid units per second
 
-	// legs caches cumulative leg start times; built lazily.
+	// legs caches cumulative leg start times; built by NewWaypoints or
+	// when the trajectory is added to a Field, else on first use.
 	legs []time.Duration
 }
 
@@ -73,6 +74,13 @@ func NewWaypoints(pts []geom.Point, speed float64) (*Waypoints, error) {
 	return w, nil
 }
 
+// prepare builds the leg table unless it is already built.
+func (w *Waypoints) prepare() {
+	if len(w.legs) == 0 {
+		w.buildLegs()
+	}
+}
+
 func (w *Waypoints) buildLegs() {
 	w.legs = make([]time.Duration, len(w.Points))
 	var elapsed time.Duration
@@ -85,17 +93,13 @@ func (w *Waypoints) buildLegs() {
 
 // EndTime returns when the final waypoint is reached.
 func (w *Waypoints) EndTime() time.Duration {
-	if len(w.legs) == 0 {
-		w.buildLegs()
-	}
+	w.prepare()
 	return w.legs[len(w.legs)-1]
 }
 
 // PositionAt implements Trajectory.
 func (w *Waypoints) PositionAt(t time.Duration) geom.Point {
-	if len(w.legs) == 0 {
-		w.buildLegs()
-	}
+	w.prepare()
 	if t <= 0 || len(w.Points) == 1 {
 		return w.Points[0]
 	}
@@ -163,18 +167,29 @@ func (tg *Target) amplitude() float64 {
 	return tg.Amplitude
 }
 
-// Field is the collection of targets in the environment.
+// Field is the collection of targets in the environment. It is read-only
+// while a simulation runs: targets are added between runs, and every
+// per-instant query goes through a Snapshot resolved from it.
 type Field struct {
 	targets []*Target
 }
 
 // NewField creates a field with the given targets.
 func NewField(targets ...*Target) *Field {
-	return &Field{targets: append([]*Target(nil), targets...)}
+	f := &Field{}
+	for _, tg := range targets {
+		f.Add(tg)
+	}
+	return f
 }
 
-// Add appends a target to the field.
+// Add appends a target to the field. A waypoint trajectory's leg table is
+// built here rather than on first use, so that concurrent Resolve calls
+// (one per parallel shard sweep) only ever read the trajectory.
 func (f *Field) Add(tg *Target) {
+	if w, ok := tg.Traj.(*Waypoints); ok {
+		w.prepare()
+	}
 	f.targets = append(f.targets, tg)
 }
 
@@ -183,41 +198,50 @@ func (f *Field) Targets() []*Target {
 	return f.targets
 }
 
-// TargetsOfKind returns the active targets of the given kind at time t.
-func (f *Field) TargetsOfKind(kind string, t time.Duration) []*Target {
-	var out []*Target
+// Resolve fills s with the field as it stands at time t: one row per
+// target active at t, in field order, holding its kind, position,
+// signature radius and effective amplitude. It reuses s's storage, so a
+// snapshot resolved every sensing period allocates only when the number of
+// active targets exceeds every earlier resolve's.
+func (f *Field) Resolve(t time.Duration, s *Snapshot) {
+	s.At = t
+	s.rows = s.rows[:0]
 	for _, tg := range f.targets {
-		if tg.Kind == kind && tg.Active(t) {
-			out = append(out, tg)
-		}
-	}
-	return out
-}
-
-// Detections returns the active targets of the given kind within their
-// signature radius of position pos at time t.
-func (f *Field) Detections(kind string, pos geom.Point, t time.Duration) []*Target {
-	var out []*Target
-	for _, tg := range f.targets {
-		if tg.Kind != kind || !tg.Active(t) {
+		if !tg.Active(t) {
 			continue
 		}
-		if tg.PositionAt(t).Within(pos, tg.SignatureRadius) {
-			out = append(out, tg)
-		}
+		s.rows = append(s.rows, snapRow{
+			kind:   tg.Kind,
+			pos:    tg.PositionAt(t),
+			radius: tg.SignatureRadius,
+			amp:    tg.amplitude(),
+		})
 	}
-	return out
 }
 
-// DetectsAny reports whether any active kind-k target covers position pos
-// at time t. It is the allocation-free form of len(Detections(...)) > 0,
-// which the periodic sensing scan evaluates on every mote every tick.
-func (f *Field) DetectsAny(kind string, pos geom.Point, t time.Duration) bool {
-	for _, tg := range f.targets {
-		if tg.Kind != kind || !tg.Active(t) {
-			continue
-		}
-		if tg.PositionAt(t).Within(pos, tg.SignatureRadius) {
+// Snapshot is a Field resolved at one instant (see Field.Resolve): the
+// active targets' positions are computed once, and every mote's sensing
+// channels read them. The zero value is an empty field at time 0.
+type Snapshot struct {
+	// At is the instant the snapshot was resolved at.
+	At   time.Duration
+	rows []snapRow
+}
+
+// snapRow is one active target at the snapshot's instant.
+type snapRow struct {
+	kind   string
+	pos    geom.Point
+	radius float64
+	amp    float64
+}
+
+// DetectsAny reports whether any kind-k target's signature covers position
+// pos.
+func (s *Snapshot) DetectsAny(kind string, pos geom.Point) bool {
+	for i := range s.rows {
+		r := &s.rows[i]
+		if r.kind == kind && r.pos.Within(pos, r.radius) {
 			return true
 		}
 	}
@@ -225,20 +249,21 @@ func (f *Field) DetectsAny(kind string, pos geom.Point, t time.Duration) bool {
 }
 
 // Intensity returns the summed sensory intensity of kind-k targets at
-// position pos and time t, using an inverse-cube law (the attenuation of
-// magnetic disturbances cited in Section 6.1). Intensity at distances below
-// 1 grid unit is clamped to the amplitude to avoid singularities.
-func (f *Field) Intensity(kind string, pos geom.Point, t time.Duration) float64 {
+// position pos, using an inverse-cube law (the attenuation of magnetic
+// disturbances cited in Section 6.1). Intensity at distances below 1 grid
+// unit is clamped to the amplitude to avoid singularities.
+func (s *Snapshot) Intensity(kind string, pos geom.Point) float64 {
 	var total float64
-	for _, tg := range f.targets {
-		if tg.Kind != kind || !tg.Active(t) {
+	for i := range s.rows {
+		r := &s.rows[i]
+		if r.kind != kind {
 			continue
 		}
-		d := tg.PositionAt(t).Dist(pos)
+		d := r.pos.Dist(pos)
 		if d < 1 {
 			d = 1
 		}
-		total += tg.amplitude() / (d * d * d)
+		total += r.amp / (d * d * d)
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package phenomena
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,6 +155,13 @@ func TestTargetAlwaysActiveByDefault(t *testing.T) {
 	}
 }
 
+// resolve returns f resolved at t.
+func resolve(f *Field, t time.Duration) *Snapshot {
+	var s Snapshot
+	f.Resolve(t, &s)
+	return &s
+}
+
 func TestFieldDetections(t *testing.T) {
 	tank := &Target{
 		Name:            "tank",
@@ -170,24 +178,28 @@ func TestFieldDetections(t *testing.T) {
 	f := NewField(tank, fire)
 
 	// At t=0 the tank is at (0,0): a sensor at (0.5, 0) detects it.
-	dets := f.Detections("vehicle", geom.Pt(0.5, 0), 0)
-	if len(dets) != 1 || dets[0] != tank {
-		t.Errorf("Detections = %v, want tank", dets)
+	now := resolve(f, 0)
+	if !now.DetectsAny("vehicle", geom.Pt(0.5, 0)) {
+		t.Error("tank not detected at (0.5, 0)")
 	}
 	// The fire sensor sees nothing of kind vehicle.
-	if dets := f.Detections("vehicle", geom.Pt(5, 5), 0); len(dets) != 0 {
-		t.Errorf("unexpected vehicle detection at fire location: %v", dets)
-	}
-	// After 10 s the tank has moved to (10, 0).
-	if dets := f.Detections("vehicle", geom.Pt(0.5, 0), 10*time.Second); len(dets) != 0 {
-		t.Errorf("tank should be out of range after moving: %v", dets)
-	}
-	if dets := f.Detections("vehicle", geom.Pt(10.5, 0), 10*time.Second); len(dets) != 1 {
-		t.Errorf("tank should be detected at new position: %v", dets)
+	if now.DetectsAny("vehicle", geom.Pt(5, 5)) {
+		t.Error("unexpected vehicle detection at fire location")
 	}
 	// Fire detection within its larger signature.
-	if dets := f.Detections("fire", geom.Pt(6.5, 5), 0); len(dets) != 1 {
-		t.Errorf("fire not detected: %v", dets)
+	if !now.DetectsAny("fire", geom.Pt(6.5, 5)) {
+		t.Error("fire not detected")
+	}
+	// After 10 s the tank has moved to (10, 0).
+	later := resolve(f, 10*time.Second)
+	if later.At != 10*time.Second {
+		t.Errorf("snapshot At = %v, want 10s", later.At)
+	}
+	if later.DetectsAny("vehicle", geom.Pt(0.5, 0)) {
+		t.Error("tank should be out of range after moving")
+	}
+	if !later.DetectsAny("vehicle", geom.Pt(10.5, 0)) {
+		t.Error("tank should be detected at new position")
 	}
 }
 
@@ -196,13 +208,28 @@ func TestFieldTargetsOfKind(t *testing.T) {
 	b := &Target{Kind: "x", Traj: Stationary{}, AppearsAt: time.Minute}
 	c := &Target{Kind: "y", Traj: Stationary{}}
 	f := NewField(a, b, c)
-	got := f.TargetsOfKind("x", 0)
-	if len(got) != 1 || got[0] != a {
-		t.Errorf("TargetsOfKind(x, 0) = %v, want [a]", got)
+	ofKind := func(s *Snapshot, kind string) int {
+		n := 0
+		for _, r := range s.rows {
+			if r.kind == kind {
+				n++
+			}
+		}
+		return n
 	}
-	got = f.TargetsOfKind("x", 2*time.Minute)
-	if len(got) != 2 {
-		t.Errorf("TargetsOfKind(x, 2m) = %d targets, want 2", len(got))
+	if got := ofKind(resolve(f, 0), "x"); got != 1 {
+		t.Errorf("kind-x rows at 0 = %d, want 1", got)
+	}
+	if got := ofKind(resolve(f, 2*time.Minute), "x"); got != 2 {
+		t.Errorf("kind-x rows at 2m = %d, want 2", got)
+	}
+}
+
+func TestFieldAddPreparesWaypoints(t *testing.T) {
+	w := &Waypoints{Points: []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0)}, Speed: 2}
+	NewField().Add(&Target{Kind: "v", Traj: w})
+	if len(w.legs) != 2 || w.legs[1] != 2*time.Second {
+		t.Errorf("legs after Field.Add = %v, want [0 2s]", w.legs)
 	}
 }
 
@@ -219,27 +246,27 @@ func TestFieldAdd(t *testing.T) {
 
 func TestIntensityInverseCube(t *testing.T) {
 	tg := &Target{Kind: "vehicle", Traj: Stationary{At: geom.Pt(0, 0)}, Amplitude: 8}
-	f := NewField(tg)
+	s := resolve(NewField(tg), 0)
 	// At distance 2: 8/8 = 1.
-	if got := f.Intensity("vehicle", geom.Pt(2, 0), 0); math.Abs(got-1) > 1e-9 {
+	if got := s.Intensity("vehicle", geom.Pt(2, 0)); math.Abs(got-1) > 1e-9 {
 		t.Errorf("Intensity at d=2 = %v, want 1", got)
 	}
 	// Distance below 1 clamps to amplitude.
-	if got := f.Intensity("vehicle", geom.Pt(0.1, 0), 0); math.Abs(got-8) > 1e-9 {
+	if got := s.Intensity("vehicle", geom.Pt(0.1, 0)); math.Abs(got-8) > 1e-9 {
 		t.Errorf("Intensity at d<1 = %v, want 8 (clamped)", got)
 	}
 	// Wrong kind contributes nothing.
-	if got := f.Intensity("fire", geom.Pt(2, 0), 0); got != 0 {
+	if got := s.Intensity("fire", geom.Pt(2, 0)); got != 0 {
 		t.Errorf("Intensity for absent kind = %v, want 0", got)
 	}
 }
 
 func TestIntensityMonotoneDecreasing(t *testing.T) {
 	tg := &Target{Kind: "v", Traj: Stationary{At: geom.Pt(0, 0)}}
-	f := NewField(tg)
+	s := resolve(NewField(tg), 0)
 	prev := math.Inf(1)
 	for d := 1.0; d < 20; d += 0.5 {
-		cur := f.Intensity("v", geom.Pt(d, 0), 0)
+		cur := s.Intensity("v", geom.Pt(d, 0))
 		if cur > prev {
 			t.Fatalf("intensity increased with distance at d=%v", d)
 		}
@@ -250,10 +277,120 @@ func TestIntensityMonotoneDecreasing(t *testing.T) {
 func TestIntensitySumsMultipleTargets(t *testing.T) {
 	a := &Target{Kind: "v", Traj: Stationary{At: geom.Pt(-2, 0)}}
 	b := &Target{Kind: "v", Traj: Stationary{At: geom.Pt(2, 0)}}
-	f := NewField(a, b)
-	got := f.Intensity("v", geom.Pt(0, 0), 0)
+	got := resolve(NewField(a, b), 0).Intensity("v", geom.Pt(0, 0))
 	want := 2.0 / 8.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("summed intensity = %v, want %v", got, want)
+	}
+}
+
+// refDetectsAny and refIntensity are the per-target formulas the field
+// evaluated before snapshots existed: every query walked the targets,
+// checked kind and activity, and positioned each target itself.
+func refDetectsAny(targets []*Target, kind string, pos geom.Point, t time.Duration) bool {
+	for _, tg := range targets {
+		if tg.Kind != kind || !tg.Active(t) {
+			continue
+		}
+		if tg.PositionAt(t).Within(pos, tg.SignatureRadius) {
+			return true
+		}
+	}
+	return false
+}
+
+func refIntensity(targets []*Target, kind string, pos geom.Point, t time.Duration) float64 {
+	var total float64
+	for _, tg := range targets {
+		if tg.Kind != kind || !tg.Active(t) {
+			continue
+		}
+		d := tg.PositionAt(t).Dist(pos)
+		if d < 1 {
+			d = 1
+		}
+		amp := tg.Amplitude
+		if amp <= 0 {
+			amp = 1
+		}
+		total += amp / (d * d * d)
+	}
+	return total
+}
+
+// TestSnapshotMatchesPerTargetReference checks, on random fields, that a
+// resolved snapshot answers every query bit-for-bit as the per-target
+// reference does: the sweep's readings, and so every simulated output,
+// cannot drift by resolving the field once per tick.
+func TestSnapshotMatchesPerTargetReference(t *testing.T) {
+	kinds := []string{"vehicle", "fire", "person"}
+	pt := func(rng *rand.Rand) geom.Point {
+		return geom.Pt(rng.Float64()*20-2, rng.Float64()*20-2)
+	}
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		at := time.Duration(rng.Int63n(int64(30 * time.Second)))
+		f := NewField()
+		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+			tg := &Target{
+				Kind:            kinds[rng.Intn(len(kinds))],
+				SignatureRadius: rng.Float64() * 4,
+			}
+			switch rng.Intn(3) {
+			case 0:
+				tg.Traj = Stationary{At: pt(rng)}
+			case 1:
+				tg.Traj = Line{Start: pt(rng), Dir: geom.Vec(rng.NormFloat64(), rng.NormFloat64()), Speed: rng.Float64() * 3}
+			default:
+				pts := make([]geom.Point, 1+rng.Intn(4))
+				for j := range pts {
+					pts[j] = pt(rng)
+				}
+				tg.Traj = &Waypoints{Points: pts, Speed: 0.1 + rng.Float64()*3}
+			}
+			if rng.Intn(3) > 0 {
+				tg.Amplitude = rng.Float64() * 10
+			} // else zero, which defaults to 1
+			// Presence windows, some starting or ending exactly at the
+			// resolve instant.
+			switch rng.Intn(5) {
+			case 0:
+				tg.AppearsAt = at
+			case 1:
+				tg.DisappearsAt = at
+			case 2:
+				tg.AppearsAt = time.Duration(rng.Int63n(int64(40 * time.Second)))
+				tg.DisappearsAt = tg.AppearsAt + time.Duration(rng.Int63n(int64(20*time.Second)))
+			}
+			f.Add(tg)
+		}
+		var s Snapshot
+		f.Resolve(at, &s)
+		if s.At != at {
+			return false
+		}
+		for q := 0; q < 40; q++ {
+			pos := pt(rng)
+			if q%4 == 0 {
+				// Closer than one grid unit to some target: the clamp.
+				tg := f.Targets()[rng.Intn(len(f.Targets()))]
+				p := tg.PositionAt(at)
+				pos = geom.Pt(p.X+rng.Float64()-0.5, p.Y+rng.Float64()-0.5)
+			}
+			for _, kind := range kinds {
+				if s.DetectsAny(kind, pos) != refDetectsAny(f.Targets(), kind, pos, at) {
+					t.Logf("seed %d: DetectsAny(%s, %v) differs", seed, kind, pos)
+					return false
+				}
+				if got, want := s.Intensity(kind, pos), refIntensity(f.Targets(), kind, pos, at); got != want {
+					t.Logf("seed %d: Intensity(%s, %v) = %v, reference %v", seed, kind, pos, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

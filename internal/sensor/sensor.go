@@ -56,16 +56,18 @@ func (r Reading) Channels() int {
 	return len(r.names)
 }
 
-// ChannelFunc computes a scalar channel value at a position and time from
-// the environment.
-type ChannelFunc func(f *phenomena.Field, pos geom.Point, t time.Duration) float64
+// ChannelFunc computes a scalar channel value at a position from the
+// environment resolved at one instant. Channels are evaluated for every
+// mote every sensing period, against the snapshot the sweep resolved for
+// that tick.
+type ChannelFunc func(env *phenomena.Snapshot, pos geom.Point) float64
 
 // DetectionChannel returns 1 when a kind-k target's signature covers the
 // position and 0 otherwise — the idealized threshold detector used in the
 // paper's testbed.
 func DetectionChannel(kind string) ChannelFunc {
-	return func(f *phenomena.Field, pos geom.Point, t time.Duration) float64 {
-		if f.DetectsAny(kind, pos, t) {
+	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
+		if env.DetectsAny(kind, pos) {
 			return 1
 		}
 		return 0
@@ -75,23 +77,23 @@ func DetectionChannel(kind string) ChannelFunc {
 // IntensityChannel returns the inverse-cube intensity of kind-k targets,
 // scaled by scale (e.g. a magnetometer's gain).
 func IntensityChannel(kind string, scale float64) ChannelFunc {
-	return func(f *phenomena.Field, pos geom.Point, t time.Duration) float64 {
-		return f.Intensity(kind, pos, t) * scale
+	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
+		return env.Intensity(kind, pos) * scale
 	}
 }
 
 // ConstantChannel returns a fixed ambient value (e.g. background
 // temperature).
 func ConstantChannel(v float64) ChannelFunc {
-	return func(*phenomena.Field, geom.Point, time.Duration) float64 { return v }
+	return func(*phenomena.Snapshot, geom.Point) float64 { return v }
 }
 
 // SumChannels returns the sum of the given channels.
 func SumChannels(fns ...ChannelFunc) ChannelFunc {
-	return func(f *phenomena.Field, pos geom.Point, t time.Duration) float64 {
+	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
 		var total float64
 		for _, fn := range fns {
-			total += fn(f, pos, t)
+			total += fn(env, pos)
 		}
 		return total
 	}
@@ -100,8 +102,8 @@ func SumChannels(fns ...ChannelFunc) ChannelFunc {
 // WithNoise adds zero-mean Gaussian noise with the given standard deviation
 // to a channel, drawn from rng.
 func WithNoise(fn ChannelFunc, stddev float64, rng *rand.Rand) ChannelFunc {
-	return func(f *phenomena.Field, pos geom.Point, t time.Duration) float64 {
-		return fn(f, pos, t) + rng.NormFloat64()*stddev
+	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
+		return fn(env, pos) + rng.NormFloat64()*stddev
 	}
 }
 
@@ -146,24 +148,24 @@ func (m *Model) Channels() []string {
 // SampleInto scratch buffer needs).
 func (m *Model) NumChannels() int { return len(m.names) }
 
-// Sample evaluates every channel at the given position and time into a
-// freshly allocated reading.
-func (m *Model) Sample(f *phenomena.Field, moteID int, pos geom.Point, t time.Duration) Reading {
-	rd, _ := m.SampleInto(f, moteID, pos, t, nil)
+// Sample evaluates every channel at the given position against env into
+// a freshly allocated reading.
+func (m *Model) Sample(env *phenomena.Snapshot, moteID int, pos geom.Point) Reading {
+	rd, _ := m.SampleInto(env, moteID, pos, nil)
 	return rd
 }
 
-// SampleInto evaluates every channel at the given position and time,
+// SampleInto evaluates every channel at the given position against env,
 // appending the values to buf (typically the previous scan's buffer
 // re-sliced to [:0]) so steady-state sampling allocates nothing. It
 // returns the reading and the extended buffer for reuse; the reading
-// aliases the buffer and is valid until the buffer's next reuse. Channels
-// are evaluated in sorted name order.
-func (m *Model) SampleInto(f *phenomena.Field, moteID int, pos geom.Point, t time.Duration, buf []float64) (Reading, []float64) {
+// aliases the buffer and is valid until the buffer's next reuse; its At is
+// env.At. Channels are evaluated in sorted name order.
+func (m *Model) SampleInto(env *phenomena.Snapshot, moteID int, pos geom.Point, buf []float64) (Reading, []float64) {
 	for _, fn := range m.fns {
-		buf = append(buf, fn(f, pos, t))
+		buf = append(buf, fn(env, pos))
 	}
-	return Reading{At: t, MoteID: moteID, Position: pos, names: m.names, vals: buf}, buf
+	return Reading{At: env.At, MoteID: moteID, Position: pos, names: m.names, vals: buf}, buf
 }
 
 // VehicleModel is a convenience preset: a magnetometer suite detecting

@@ -10,8 +10,16 @@ import (
 	"envirotrack/internal/phenomena"
 )
 
-func vehicleField(pos geom.Point, radius float64) *phenomena.Field {
-	return phenomena.NewField(&phenomena.Target{
+// snapshot returns the field of the given targets resolved at t.
+func snapshot(t time.Duration, targets ...*phenomena.Target) *phenomena.Snapshot {
+	var env phenomena.Snapshot
+	phenomena.NewField(targets...).Resolve(t, &env)
+	return &env
+}
+
+// vehicleField is a stationary vehicle at pos, resolved at time 0.
+func vehicleField(pos geom.Point, radius float64) *phenomena.Snapshot {
+	return snapshot(0, &phenomena.Target{
 		Name:            "tank",
 		Kind:            "vehicle",
 		Traj:            phenomena.Stationary{At: pos},
@@ -22,17 +30,17 @@ func vehicleField(pos geom.Point, radius float64) *phenomena.Field {
 func TestDetectionChannel(t *testing.T) {
 	f := vehicleField(geom.Pt(0, 0), 2)
 	ch := DetectionChannel("vehicle")
-	if got := ch(f, geom.Pt(1, 0), 0); got != 1 {
+	if got := ch(f, geom.Pt(1, 0)); got != 1 {
 		t.Errorf("in-range detection = %v, want 1", got)
 	}
-	if got := ch(f, geom.Pt(3, 0), 0); got != 0 {
+	if got := ch(f, geom.Pt(3, 0)); got != 0 {
 		t.Errorf("out-of-range detection = %v, want 0", got)
 	}
-	if got := ch(f, geom.Pt(1, 0), 0); got != 1 {
+	if got := ch(f, geom.Pt(1, 0)); got != 1 {
 		t.Errorf("repeat detection = %v, want 1", got)
 	}
 	wrong := DetectionChannel("fire")
-	if got := wrong(f, geom.Pt(1, 0), 0); got != 0 {
+	if got := wrong(f, geom.Pt(1, 0)); got != 0 {
 		t.Errorf("wrong-kind detection = %v, want 0", got)
 	}
 }
@@ -41,27 +49,27 @@ func TestIntensityChannelScale(t *testing.T) {
 	f := vehicleField(geom.Pt(0, 0), 2)
 	ch := IntensityChannel("vehicle", 10)
 	// distance 2 => 1/8 * 10.
-	if got := ch(f, geom.Pt(2, 0), 0); math.Abs(got-1.25) > 1e-9 {
+	if got := ch(f, geom.Pt(2, 0)); math.Abs(got-1.25) > 1e-9 {
 		t.Errorf("scaled intensity = %v, want 1.25", got)
 	}
 }
 
 func TestConstantAndSumChannels(t *testing.T) {
-	f := phenomena.NewField()
+	f := snapshot(0)
 	c := SumChannels(ConstantChannel(20), ConstantChannel(5))
-	if got := c(f, geom.Pt(0, 0), 0); got != 25 {
+	if got := c(f, geom.Pt(0, 0)); got != 25 {
 		t.Errorf("sum of constants = %v, want 25", got)
 	}
 }
 
 func TestWithNoiseIsZeroMean(t *testing.T) {
-	f := phenomena.NewField()
+	f := snapshot(0)
 	rng := rand.New(rand.NewSource(7))
 	ch := WithNoise(ConstantChannel(100), 1, rng)
 	var sum float64
 	const n = 10000
 	for i := 0; i < n; i++ {
-		sum += ch(f, geom.Pt(0, 0), 0)
+		sum += ch(f, geom.Pt(0, 0))
 	}
 	mean := sum / n
 	if math.Abs(mean-100) > 0.1 {
@@ -70,11 +78,15 @@ func TestWithNoiseIsZeroMean(t *testing.T) {
 }
 
 func TestModelSample(t *testing.T) {
-	f := vehicleField(geom.Pt(0, 0), 2)
+	f := snapshot(3*time.Second, &phenomena.Target{
+		Kind:            "vehicle",
+		Traj:            phenomena.Stationary{At: geom.Pt(0, 0)},
+		SignatureRadius: 2,
+	})
 	m := NewModel()
 	m.SetChannel("magnetic_detect", DetectionChannel("vehicle"))
 	m.SetChannel("ambient", ConstantChannel(20))
-	rd := m.Sample(f, 7, geom.Pt(1, 0), 3*time.Second)
+	rd := m.Sample(f, 7, geom.Pt(1, 0))
 	if rd.MoteID != 7 || rd.At != 3*time.Second || rd.Position != geom.Pt(1, 0) {
 		t.Errorf("reading metadata = %+v", rd)
 	}
@@ -96,7 +108,7 @@ func TestModelSetChannelReplaces(t *testing.T) {
 	if got := len(m.Channels()); got != 1 {
 		t.Fatalf("channels = %d, want 1", got)
 	}
-	rd := m.Sample(phenomena.NewField(), 0, geom.Pt(0, 0), 0)
+	rd := m.Sample(snapshot(0), 0, geom.Pt(0, 0))
 	if v, _ := rd.Value("x"); v != 2 {
 		t.Errorf("replaced channel value = %v, want 2", v)
 	}
@@ -115,7 +127,7 @@ func TestModelChannelsSorted(t *testing.T) {
 func TestVehicleModelPreset(t *testing.T) {
 	f := vehicleField(geom.Pt(0, 0), 2)
 	m := VehicleModel("vehicle")
-	rd := m.Sample(f, 0, geom.Pt(1, 0), 0)
+	rd := m.Sample(f, 0, geom.Pt(1, 0))
 	if v, _ := rd.Value("magnetic_detect"); v != 1 {
 		t.Errorf("magnetic_detect = %v, want 1", v)
 	}
@@ -125,20 +137,20 @@ func TestVehicleModelPreset(t *testing.T) {
 }
 
 func TestFireModelPreset(t *testing.T) {
-	f := phenomena.NewField(&phenomena.Target{
+	f := snapshot(0, &phenomena.Target{
 		Kind:            "fire",
 		Traj:            phenomena.Stationary{At: geom.Pt(0, 0)},
 		SignatureRadius: 2,
 	})
 	m := FireModel("fire", 20)
-	near := m.Sample(f, 0, geom.Pt(1, 0), 0)
+	near := m.Sample(f, 0, geom.Pt(1, 0))
 	if v, _ := near.Value("temperature"); v <= 180 {
 		t.Errorf("temperature near fire = %v, want > 180", v)
 	}
 	if v, _ := near.Value("light"); v != 1 {
 		t.Errorf("light near fire = %v, want 1", v)
 	}
-	far := m.Sample(f, 0, geom.Pt(20, 0), 0)
+	far := m.Sample(f, 0, geom.Pt(20, 0))
 	if v, _ := far.Value("temperature"); v > 180 {
 		t.Errorf("temperature far from fire = %v, want ambient", v)
 	}

@@ -629,63 +629,38 @@ func (n *Network) chaosSchedFor(node int) *simtime.Scheduler {
 
 // start launches the sensing scans once. All sensing motes share the one
 // SensePeriod from the network config, so instead of one ticker per mote
-// the network arms a single sweep ticker that scans every sensing mote in
-// ascending id order — the same scan order and timestamps the per-mote
-// tickers produced (motes started in id order fire back-to-back each
-// period), at one scheduler event per period instead of one per mote.
+// the network arms one mote.Sweep per scheduler: a single sweep in serial
+// runs, one per shard in parallel runs so every scan runs on the goroutine
+// that owns the mote's state. Each sweep scans its motes in ascending id
+// order and resolves the field once per tick into its own snapshot.
 func (n *Network) start() {
 	if n.started {
 		return
 	}
 	n.started = true
-	// Deterministic sweep order: map iteration order would leak into the
-	// scheduler's same-instant FIFO ordering.
-	var sweep []*mote.Mote
-	var period time.Duration
-	for _, id := range n.medium.NodeIDs() {
-		m := n.nodes[id].mote
-		m.StartManaged()
-		if m.HasModel() {
-			sweep = append(sweep, m)
-			period = m.Config().SensePeriod
+	sweeps := []*mote.Sweep{mote.NewSweep(n.sched, n.field)}
+	if n.parallel() {
+		sweeps = make([]*mote.Sweep, n.group.Shards())
+		for i := range sweeps {
+			sweeps[i] = mote.NewSweep(n.group.Shard(i), n.field)
 		}
 	}
-	if len(sweep) > 0 && n.parallel() {
-		// One sweep ticker per shard over that shard's sensing motes (still
-		// in ascending id order), so every scan runs on the goroutine that
-		// owns the mote's state.
-		byShard := make([][]*mote.Mote, n.group.Shards())
-		for _, m := range sweep {
-			s := int(n.medium.NodeShard(m.ID()))
-			byShard[s] = append(byShard[s], m)
+	// Deterministic sweep order: map iteration order would leak into the
+	// scheduler's same-instant FIFO ordering.
+	for _, id := range n.medium.NodeIDs() {
+		s := 0
+		if n.parallel() {
+			s = int(n.medium.NodeShard(id))
 		}
-		for i, motes := range byShard {
-			if len(motes) == 0 {
-				continue
-			}
-			motes := motes
-			simtime.NewTickerOwned(n.group.Shard(i), period, simtime.OwnerSense, func() {
-				for _, m := range motes {
-					m.ScanOnce()
-				}
-			})
-		}
-	} else if len(sweep) > 0 {
-		simtime.NewTickerOwned(n.sched, period, simtime.OwnerSense, func() {
-			for _, m := range sweep {
-				m.ScanOnce()
-			}
-		})
+		sweeps[s].Add(n.nodes[id].mote)
+	}
+	for _, sw := range sweeps {
+		sw.Start()
 	}
 	if n.parallel() {
 		// Topology is frozen now: resolve every neighbor list so spatial
-		// lookups are pure map reads while shard goroutines execute, and
-		// force any lazily-built trajectory tables (waypoint legs) so field
-		// reads from shard goroutines are pure.
+		// lookups are pure map reads while shard goroutines execute.
 		n.medium.PrebuildNeighbors()
-		for _, tg := range n.field.Targets() {
-			tg.PositionAt(0)
-		}
 	}
 }
 

@@ -110,6 +110,33 @@ func TestRunIsIncremental(t *testing.T) {
 	}
 }
 
+// TestAddWaypointTargetBetweenParallelRuns adds a Waypoints literal, whose
+// leg table is otherwise built on first use, between two runs of a
+// 2-shard parallel network. Both shards' sensing sweeps resolve the field
+// concurrently, so the table must be built when the target joins the
+// field; under -race a lazy build on first resolve is reported as a data
+// race.
+func TestAddWaypointTargetBetweenParallelRuns(t *testing.T) {
+	n := buildNet(t, WithParallelShards(2))
+	if err := n.AttachContextAll(trackerContext(0, new([]Point))); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	n.AddTarget(&Target{
+		Name: "tank", Kind: "vehicle",
+		Traj:            &Waypoints{Points: []Point{Pt(0, 1), Pt(7, 1)}, Speed: 1},
+		SignatureRadius: 1.6,
+	})
+	if err := n.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(n.Ledger().LiveLabels("tracker")) == 0 {
+		t.Error("the waypoint target added between runs was never tracked")
+	}
+}
+
 func TestAddMoteAfterStartFails(t *testing.T) {
 	n := buildNet(t)
 	if err := n.Run(time.Second); err != nil {
