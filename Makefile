@@ -40,10 +40,10 @@ vet:
 # BENCH_5.json adds causal span correlation plus the machine-calibration
 # benchmark (recorded on a ~20% slower host than BENCH_4; interleaved
 # same-host A/B showed parity, and from this snapshot on benchcmp
-# normalizes that shift away), BENCH_6.json adds the sharded 10k tiers
-# (LargeField/10k-shards{2,4}: the deterministic shard merge keeps
-# per-shard heaps small, a modest single-threaded win; serial paths
-# unchanged within noise), BENCH_7.json adds the free-running parallel
+# normalizes that shift away), BENCH_6.json adds the 10k tiers of a
+# since-removed deterministic shard merge (LargeField/10k-shards{2,4}; no
+# measured win over serial — benchcmp skips benchmarks missing from the
+# new run, so those entries no longer gate), BENCH_7.json adds the free-running parallel
 # tiers (LargeField/10k-par{2,4}: statistically equivalent engine;
 # parity with serial on this single-CPU host — the window protocol's
 # speedup needs cores).

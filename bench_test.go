@@ -279,8 +279,9 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // targets crossing it on slanted lines, then advances the prebuilt network
 // by simStep of virtual time per iteration. Construction and a one-second
 // settling run (group formation, pool warm-up) happen outside the timer,
-// so ns/op and allocs/op measure steady-state tracking only.
-func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duration, shards int, parallel bool, backend string) {
+// so ns/op and allocs/op measure steady-state tracking only. parShards > 1
+// runs the field on the free-running parallel engine.
+func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duration, parShards int, backend string) {
 	b.Helper()
 	opts := []envirotrack.Option{
 		envirotrack.WithGrid(cols, rows),
@@ -291,10 +292,8 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 	if backend != "" {
 		opts = append(opts, envirotrack.WithBackend(backend))
 	}
-	if parallel {
-		opts = append(opts, envirotrack.WithParallelShards(shards))
-	} else if shards > 1 {
-		opts = append(opts, envirotrack.WithShards(shards))
+	if parShards > 1 {
+		opts = append(opts, envirotrack.WithParallelShards(parShards))
 	}
 	n, err := envirotrack.New(opts...)
 	if err != nil {
@@ -340,35 +339,26 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 // run under -race in CI.
 func BenchmarkLargeField(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 1, false, "")
-	})
-	// Sharded variants of the same field: identical results and traces
-	// (the differential battery pins that), with the event population
-	// split across per-shard heaps merged deterministically.
-	b.Run("10k-shards2", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 2, false, "")
-	})
-	b.Run("10k-shards4", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 4, false, "")
+		benchLargeField(b, 100, 100, 4, 2*time.Second, 1, "")
 	})
 	// Free-running variants: shard goroutines execute concurrently under
 	// the conservative lookahead barrier. Results are statistically
 	// equivalent to serial (the equivalence battery pins that), not
 	// byte-identical; sim_s_per_wall_s is the headline scaling metric.
 	b.Run("10k-par2", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 2, true, "")
+		benchLargeField(b, 100, 100, 4, 2*time.Second, 2, "")
 	})
 	b.Run("10k-par4", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 4, true, "")
+		benchLargeField(b, 100, 100, 4, 2*time.Second, 4, "")
 	})
 	// The same field tracked by the passive-traces backend: no leader
 	// election, no heartbeats — gossip fan-out and estimator cost replace
 	// heartbeat flooding as the protocol's radio/CPU profile.
 	b.Run("10k-passive", func(b *testing.B) {
-		benchLargeField(b, 100, 100, 4, 2*time.Second, 1, false, envirotrack.BackendPassive)
+		benchLargeField(b, 100, 100, 4, 2*time.Second, 1, envirotrack.BackendPassive)
 	})
 	b.Run("smoke", func(b *testing.B) {
-		benchLargeField(b, 30, 30, 2, time.Second, 1, false, "")
+		benchLargeField(b, 30, 30, 2, time.Second, 1, "")
 	})
 }
 

@@ -19,10 +19,11 @@
 //
 // Engines (serial is the byte-identical reference):
 //
-//	etsim -exp fig4 -shards 4           # sharded engine, results identical to serial
 //	etsim -exp fig4 -parallel-shards 4  # free-running shard goroutines: statistically
 //	                                    # equivalent, deterministic per (seed, shards);
-//	                                    # exits nonzero if any run violates lookahead
+//	                                    # exits nonzero if any run violates lookahead;
+//	                                    # with -selfprofile, adds per-shard and
+//	                                    # boundary-health tables
 //
 // Fault injection:
 //
@@ -79,7 +80,6 @@ type config struct {
 	checkInv    bool
 	backend     string
 	selfProfile bool
-	shards      int
 	parShards   int
 	stdout      io.Writer
 	stderr      io.Writer
@@ -102,8 +102,7 @@ func main() {
 	flag.BoolVar(&cfg.checkInv, "check-invariants", false, "attach the protocol invariant checker; exit nonzero on any proven violation")
 	flag.StringVar(&cfg.backend, "backend", "", "tracking backend for every run: leader (default) or passive; -exp compare always runs both")
 	flag.BoolVar(&cfg.selfProfile, "selfprofile", false, "profile the scheduler: per-subsystem event counts and wall time, printed after the run (and exported with -metrics-out)")
-	flag.IntVar(&cfg.shards, "shards", 1, "scheduler shards per run: split each run's event engine into N spatial regions merged deterministically; results and traces are identical at any setting")
-	flag.IntVar(&cfg.parShards, "parallel-shards", 0, "free-running parallel shard goroutines per run (0 = off): shards execute concurrently under a conservative lookahead barrier; results are statistically equivalent to serial (not byte-identical) and deterministic per (seed, shard count); takes precedence over -shards")
+	flag.IntVar(&cfg.parShards, "parallel-shards", 0, "free-running parallel shard goroutines per run (0 = off): shards execute concurrently under a conservative lookahead barrier; results are statistically equivalent to serial (not byte-identical) and deterministic per (seed, shard count)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulation runs per sweep (0 = one per CPU, 1 = serial); results are identical at any setting")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -247,10 +246,9 @@ func run(cfg config) error {
 		prof = envirotrack.NewSelfProfile()
 		eval.SetSelfProfile(prof)
 	}
-	eval.SetShards(cfg.shards)
 	eval.SetParallelShards(cfg.parShards)
 	var shardHealth *envirotrack.ShardHealth
-	if cfg.shards > 1 || cfg.parShards > 1 {
+	if cfg.parShards > 1 {
 		shardHealth = envirotrack.NewShardHealth()
 		eval.SetShardHealth(shardHealth)
 	}
@@ -459,8 +457,8 @@ func printSelfProfile(w io.Writer, prof *envirotrack.SelfProfile) {
 			st.Name, st.Events, time.Duration(st.WallNanos).Round(time.Microsecond),
 			pct, float64(st.WallNanos)/float64(st.Events))
 	}
-	// Sharded runs (-shards N) add a second attribution dimension: which
-	// scheduler shard executed each event.
+	// Parallel-shard runs (-parallel-shards N) add a second attribution
+	// dimension: which scheduler shard executed each event.
 	shards := prof.ShardSnapshot()
 	if len(shards) == 0 {
 		return

@@ -239,3 +239,33 @@ func TestRunRejectsMalformedChaosSpec(t *testing.T) {
 		t.Error("expected error for malformed chaos spec")
 	}
 }
+
+// TestRunSelfProfileShardTables checks the -selfprofile shard tables key
+// off -parallel-shards: a parallel-shard run prints the per-shard
+// attribution and boundary-health tables, a serial run prints neither.
+func TestRunSelfProfileShardTables(t *testing.T) {
+	var stderr bytes.Buffer
+	cfg := config{exp: "fig3", seed: 1, selfProfile: true, parShards: 2, stdout: new(bytes.Buffer), stderr: &stderr}
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"scheduler self-profile", "\nshard ", "shard boundary health (1 sharded runs"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("parallel-shard self-profile missing %q:\n%s", want, stderr.String())
+		}
+	}
+
+	stderr.Reset()
+	cfg.parShards = 0
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "scheduler self-profile") {
+		t.Errorf("serial run printed no self-profile:\n%s", stderr.String())
+	}
+	for _, unwanted := range []string{"\nshard ", "shard boundary health"} {
+		if strings.Contains(stderr.String(), unwanted) {
+			t.Errorf("serial self-profile printed %q:\n%s", unwanted, stderr.String())
+		}
+	}
+}

@@ -37,8 +37,8 @@ func TestBackendRepeatSeedByteIdentical(t *testing.T) {
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
 			sc := conformanceScenario(t, be)
-			res1, trace1 := collectRun(t, sc, false)
-			res2, trace2 := collectRun(t, sc, false)
+			res1, trace1 := collectRun(t, sc)
+			res2, trace2 := collectRun(t, sc)
 			if len(trace1) == 0 {
 				t.Fatal("run emitted no events")
 			}
@@ -55,28 +55,6 @@ func TestBackendRepeatSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBackendShardedByteIdentical extends the sharded-engine differential
-// battery across backends: the spatial partition of the event heap must
-// stay invisible no matter which tracking protocol runs on top of it.
-func TestBackendShardedByteIdentical(t *testing.T) {
-	if shardMutated {
-		t.Skip("shardmut build diverges by design; see TestShardMutationTripsDifferentialBattery")
-	}
-	for _, be := range conformanceBackends {
-		t.Run(be, func(t *testing.T) {
-			sc := conformanceScenario(t, be)
-			serialRes, serialTrace := collectShardedRun(t, sc, 1)
-			shardedRes, shardedTrace := collectShardedRun(t, sc, 4)
-			if !reflect.DeepEqual(shardedRes, serialRes) {
-				t.Errorf("results diverge:\nsharded = %+v\nserial  = %+v", shardedRes, serialRes)
-			}
-			if !bytes.Equal(shardedTrace, serialTrace) {
-				t.Errorf("JSONL traces diverge (%d vs %d bytes)", len(shardedTrace), len(serialTrace))
-			}
-		})
-	}
-}
-
 // TestBackendParallelShardsDeterministic checks the weaker contract of
 // the free-running parallel engine per backend: not byte-identical to
 // serial, but exactly reproducible for a fixed (seed, shard count).
@@ -85,8 +63,8 @@ func TestBackendParallelShardsDeterministic(t *testing.T) {
 		t.Run(be, func(t *testing.T) {
 			sc := conformanceScenario(t, be)
 			sc.ParallelShards = 3
-			res1, trace1 := collectRun(t, sc, false)
-			res2, trace2 := collectRun(t, sc, false)
+			res1, trace1 := collectRun(t, sc)
+			res2, trace2 := collectRun(t, sc)
 			if len(trace1) == 0 {
 				t.Fatal("run emitted no events")
 			}

@@ -2,7 +2,7 @@
 
 package eval
 
-// shardMutated lets the sharding differential battery's byte-identity
-// assertions skip under the -tags shardmut mutation build (where trace
-// divergence is the expected outcome, proven by the mutation tests).
+// shardMutated lets the parallel-engine battery's assertions skip under
+// the -tags shardmut mutation build (where failed runs are the expected
+// outcome, proven by the mutation tests).
 const shardMutated = false

@@ -21,10 +21,8 @@ var obsCfg struct {
 	cadence     time.Duration
 	series      []TaggedSeries
 	runs        *obs.Counter // optional runs-completed counter
-	perReceiver bool
 	selfProfile *envirotrack.SelfProfile
 	shardHealth *envirotrack.ShardHealth
-	shards      int
 	parallel    int
 	backend     string
 }
@@ -46,37 +44,16 @@ func defaultBackend() string {
 	return obsCfg.backend
 }
 
-// SetShards makes every subsequent Run execute on a spatially sharded
-// event engine with n scheduler shards (see envirotrack.WithShards);
-// n < 2 restores the serial engine. Results and traces are byte-identical
-// either way — the shard differential battery flips this to prove it.
-func SetShards(n int) {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	obsCfg.shards = n
-}
-
 // SetParallelShards makes every subsequent Run execute on the
 // free-running parallel engine with k shard goroutines (see
-// envirotrack.WithParallelShards); k < 2 restores the configuration
-// chosen by SetShards. Unlike SetShards, parallel results are not
-// byte-identical to serial — they are statistically equivalent, which
-// the equivalence battery asserts — but they stay deterministic per
-// (seed, shard count). Takes precedence over SetShards.
+// envirotrack.WithParallelShards); k < 2 restores the serial engine.
+// Parallel results are not byte-identical to serial — they are
+// statistically equivalent, which the equivalence battery asserts — but
+// they stay deterministic per (seed, shard count).
 func SetParallelShards(k int) {
 	obsCfg.mu.Lock()
 	defer obsCfg.mu.Unlock()
 	obsCfg.parallel = k
-}
-
-// SetPerReceiverDelivery makes every subsequent Run use the radio medium's
-// per-receiver reference delivery path instead of batched fan-out. The two
-// paths produce byte-identical traces; the equivalence tests flip this to
-// prove it, including under parallel sweeps.
-func SetPerReceiverDelivery(on bool) {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	obsCfg.perReceiver = on
 }
 
 // SetEventSink attaches a sink to every subsequent Run's event bus; nil
@@ -114,9 +91,9 @@ func SetSelfProfile(p *envirotrack.SelfProfile) {
 }
 
 // SetShardHealth attaches a boundary-health aggregator to every
-// subsequent Run; nil disables. Each sharded run folds its boundary
-// accounting (per-pair mailbox frames, minimum delivery slack, lookahead
-// violations) into the aggregator when it finishes; serial runs
+// subsequent Run; nil disables. Each parallel-shard run folds its
+// boundary accounting (per-pair mailbox frames, minimum delivery slack,
+// lookahead violations) into the aggregator when it finishes; serial runs
 // contribute nothing.
 func SetShardHealth(h *envirotrack.ShardHealth) {
 	obsCfg.mu.Lock()
@@ -169,17 +146,11 @@ func DrainSeries() []TaggedSeries {
 func observeRun(sc Scenario, checker *envirotrack.InvariantChecker) (opts []envirotrack.Option, onNet func(*envirotrack.Network), done func()) {
 	obsCfg.mu.Lock()
 	sink, metrics, cadence, runs := obsCfg.sink, obsCfg.metrics, obsCfg.cadence, obsCfg.runs
-	perReceiver, selfProfile := obsCfg.perReceiver, obsCfg.selfProfile
-	shards, parallel := obsCfg.shards, obsCfg.parallel
+	selfProfile, parallel := obsCfg.selfProfile, obsCfg.parallel
 	obsCfg.mu.Unlock()
 
-	if perReceiver {
-		opts = append(opts, envirotrack.WithPerReceiverDelivery())
-	}
 	if parallel > 1 {
 		opts = append(opts, envirotrack.WithParallelShards(parallel))
-	} else if shards > 1 {
-		opts = append(opts, envirotrack.WithShards(shards))
 	}
 	if selfProfile != nil {
 		opts = append(opts, envirotrack.WithSelfProfile(selfProfile))

@@ -91,7 +91,7 @@ type Scenario struct {
 	// ParallelShards > 1 executes the run on the free-running parallel
 	// engine with that many shard goroutines (statistically equivalent to
 	// serial, not byte-identical; see RunEquivalence). It overrides the
-	// package-level SetShards/SetParallelShards configuration.
+	// package-level SetParallelShards configuration.
 	ParallelShards int
 	// Backend selects the tracking backend ("leader" or "passive");
 	// empty uses the package-level SetBackend default, then leader. The

@@ -15,15 +15,15 @@
 //
 // Execution contexts: all mutable send-path state (RNG, stats, obs bus,
 // record pools, airtime memo, frame sequence) lives in a shardCtx. The
-// serial and deterministic-sharded engines use a single context (ctx0);
-// the free-running parallel engine (EnableParallel) gives every shard its
-// own, so shard goroutines never share a draw stream, a pool, or a
-// counter. In parallel mode CSMA occupancy is shard-local: a cross-shard
-// frame does not occupy or collide at remote receivers — its target
-// receptions cross through per-pair outboxes drained at the window
-// barrier (FlushBoundary), with loss drawn on the sender's stream at send
-// time. That approximation is what the statistical-equivalence battery in
-// internal/eval validates against the deterministic reference.
+// serial engine uses a single context (ctx0); the free-running parallel
+// engine (SetSharding) gives every shard its own, so shard goroutines
+// never share a draw stream, a pool, or a counter. In parallel mode CSMA
+// occupancy is shard-local: a cross-shard frame does not occupy or collide
+// at remote receivers during the window — its target receptions cross
+// through per-pair outboxes drained at the window barrier (FlushBoundary),
+// with loss drawn on the sender's stream at send time. That approximation
+// is what the statistical-equivalence battery in internal/eval validates
+// against the serial reference.
 package radio
 
 import (
@@ -109,12 +109,6 @@ type Params struct {
 	DisableCSMA bool
 	// CSMASlot is the carrier-sense backoff slot (default 1ms).
 	CSMASlot time.Duration
-	// PerReceiverDelivery schedules one scheduler event per target receiver
-	// (the pre-batching reference path) instead of one pooled delivery
-	// batch per frame. The two paths produce byte-identical traces — the
-	// equivalence tests pin this — so the flag exists only as the reference
-	// implementation for differential testing.
-	PerReceiverDelivery bool
 }
 
 func (p Params) withDefaults() Params {
@@ -163,10 +157,9 @@ func (m *Medium) SetFaultInjector(fi FaultInjector) { m.faults = fi }
 // shardCtx is one execution context's mutable send-path state: the RNG
 // stream, stats accumulator, obs bus, record pools and arenas, airtime
 // memo, frame-id counter, and (parallel mode only) the cross-shard
-// outboxes. The serial and deterministic-sharded engines run everything
-// through the medium's embedded ctx0; the parallel engine owns one
-// shardCtx per shard so nothing mutable is shared between shard
-// goroutines.
+// outboxes. The serial engine runs everything through the medium's
+// embedded ctx0; the parallel engine owns one shardCtx per shard so
+// nothing mutable is shared between shard goroutines.
 type shardCtx struct {
 	m     *Medium
 	shard int32
@@ -195,9 +188,8 @@ type shardCtx struct {
 	airtimeN    int
 
 	// frameSeq numbers actual transmissions (Frame.ID). Stamped at
-	// transmission commit in trySend — after CSMA deferral — so the
-	// counter advances identically on the batched and per-receiver
-	// delivery paths and ids are deterministic per run.
+	// transmission commit in trySend — after CSMA deferral — so ids are
+	// deterministic per run.
 	frameSeq uint64
 
 	// out[j] buffers this shard's cross-shard target receptions destined
@@ -212,8 +204,8 @@ type shardCtx struct {
 	outDirty []int32
 	outMark  []bool
 
-	// violations counts this shard's conservative-lookahead violations in
-	// parallel mode (det mode accounts on the medium).
+	// violations counts conservative-lookahead violations of frames this
+	// shard sent, found at send time or at the window barrier.
 	violations uint64
 }
 
@@ -225,7 +217,6 @@ type shardCtx struct {
 // size CommRadius, so resolving the nodes near a point costs O(found)
 // instead of a scan over the whole field.
 type Medium struct {
-	sched  *simtime.Scheduler
 	params Params
 
 	nodes map[NodeID]*nodeState
@@ -254,26 +245,18 @@ type Medium struct {
 	queryCur     []int
 	scratchIDs   []NodeID
 
-	// ctx0 is the single execution context of the serial and
-	// deterministic-sharded engines; parCtxs (nil outside parallel mode)
-	// are the per-shard contexts of the free-running parallel engine.
+	// ctx0 is the single execution context of the serial engine; parCtxs
+	// (nil in serial runs) are the per-shard contexts of the free-running
+	// parallel engine, in shard order.
 	ctx0    shardCtx
 	parCtxs []*shardCtx
 
-	// Spatial sharding (SetSharding). shardScheds routes each frame's
-	// medium events — CSMA retries, delivery batches, receptions, tx-done
-	// checks — onto the scheduler shard owning the sending node's region;
-	// shardOfPos maps a position to its shard. shardMail is the k x k
-	// per-pair mailbox accounting of boundary frames (target receptions
-	// whose sender and receiver live in different shards), and
-	// lookaheadViolations counts deliveries scheduled closer to the
-	// sender's committed horizon than one packet time (airtime +
-	// propagation) — the conservative-lookahead invariant; always zero
-	// outside the shardmut mutation build.
-	shardScheds         []*simtime.Scheduler
-	shardOfPos          func(geom.Point) int32
-	shardMail           []ShardMailbox
-	lookaheadViolations uint64
+	// Spatial sharding (SetSharding). shardOfPos maps a position to its
+	// shard; shardMail is the k x k per-pair mailbox accounting of
+	// boundary frames (target receptions whose sender and receiver live in
+	// different shards).
+	shardOfPos func(geom.Point) int32
+	shardMail  []ShardMailbox
 }
 
 // ShardMailbox accounts one ordered shard pair's boundary traffic.
@@ -330,8 +313,8 @@ type reception struct {
 
 // transmission tracks whether any receiver got a copy, for the paper's
 // "sent but never received on any other mote" loss metric. Pooled; the
-// undelivered-check event fires after every delivery of the frame (same
-// timestamp, later seq) and recycles the record.
+// frame's delivery batch runs the undelivered check after its last
+// reception and recycles the record.
 type transmission struct {
 	delivered int
 	sc        *shardCtx
@@ -350,11 +333,9 @@ type pendingSend struct {
 
 // deliveryBatch is one frame's batched fan-out: the target receptions of a
 // transmission, delivered in ascending receiver-id order by a single
-// scheduler event at arrival time (airtime is computed once and shared).
-// The old path scheduled one event per receiver; the batch keeps the exact
-// firing order those events had — they occupied a contiguous (at, seq)
-// block — and folds the trailing undelivered check in at the end, so
-// traces are byte-identical at O(receivers) fewer heap events. Pooled.
+// scheduler event at arrival time (airtime is computed once and shared),
+// followed by the sender-side undelivered check: one heap event per frame
+// instead of one per receiver. Pooled.
 type deliveryBatch struct {
 	sc   *shardCtx
 	tx   *transmission
@@ -399,7 +380,6 @@ func New(s *simtime.Scheduler, p Params, rng *rand.Rand, stats *trace.Stats) *Me
 		cellSize = 1
 	}
 	m := &Medium{
-		sched:     s,
 		params:    p,
 		nodes:     make(map[NodeID]*nodeState),
 		cells:     make(map[cellKey][]cellEntry),
@@ -420,66 +400,42 @@ func (m *Medium) Params() Params {
 
 // SetObserver attaches the observability bus the medium emits frame
 // events through. A nil bus disables emission. In parallel mode the
-// per-shard buses passed to EnableParallel take precedence.
+// per-shard buses passed to SetSharding take precedence.
 func (m *Medium) SetObserver(bus *obs.Bus) { m.ctx0.bus = bus }
 
-// SetSharding attaches the medium to a spatially sharded scheduler: each
-// frame's medium events are scheduled on the shard owning the sending
-// node's region (shardOfPos resolves a position's shard, and scheds lists
-// the shard schedulers in shard order). Target receptions whose receiver
-// lives in a different shard than the sender are classified as boundary
-// traffic and accounted in per-pair mailboxes, with their delivery slack
-// checked against the conservative lookahead of one packet time. Nodes
-// already registered are re-resolved. Passing nil scheds detaches
-// sharding.
-func (m *Medium) SetSharding(scheds []*simtime.Scheduler, shardOfPos func(geom.Point) int32) {
-	if len(scheds) == 0 {
-		m.shardScheds, m.shardOfPos, m.shardMail = nil, nil, nil
-		m.parCtxs = nil
-		m.lookaheadViolations = 0
-		for _, n := range m.nodes {
-			n.shard = 0
-		}
-		return
-	}
-	m.shardScheds = scheds
-	m.shardOfPos = shardOfPos
-	m.shardMail = make([]ShardMailbox, len(scheds)*len(scheds))
-	m.lookaheadViolations = 0
-	for _, n := range m.nodes {
-		n.shard = shardOfPos(n.pos)
-	}
-}
-
 // ShardRuntime carries one shard's execution resources for a parallel
-// (free-running) run: the shard's deterministic RNG stream (derived via
-// simtime.ShardSeed), its private stats accumulator, and its buffered
-// observability lane (nil when the run is unobserved).
+// (free-running) run: the shard's scheduler, its deterministic RNG stream
+// (derived via simtime.ShardSeed), its private stats accumulator, and its
+// buffered observability lane (nil when the run is unobserved).
 type ShardRuntime struct {
+	Sched *simtime.Scheduler
 	RNG   *rand.Rand
 	Stats *trace.Stats
 	Bus   *obs.Bus
 }
 
-// EnableParallel switches the medium into free-running parallel mode:
-// every shard gets its own execution context — RNG stream, stats, obs
-// lane, record pools, frame-id counter, and cross-shard outboxes — so
-// shard goroutines share no mutable send-path state. SetSharding must
-// have been called first, and rts must supply one runtime per shard.
-// Before the shard workers start the owner must call PrebuildNeighbors
-// (after the last AddNode) so spatial lookups are read-only during the
-// run.
-func (m *Medium) EnableParallel(rts []ShardRuntime) {
-	k := len(m.shardScheds)
-	if k == 0 || len(rts) != k {
-		panic("radio: EnableParallel needs SetSharding and one ShardRuntime per shard")
-	}
+// SetSharding switches the medium into free-running parallel mode over
+// len(rts) spatial shards: shardOfPos resolves a position's shard, and
+// every shard gets its own execution context — scheduler, RNG stream,
+// stats, obs lane, record pools, frame-id counter, and cross-shard
+// outboxes — so shard goroutines share no mutable send-path state. Each
+// frame's medium events run on the shard owning the sender; target
+// receptions whose receiver lives in another shard are classified as
+// boundary traffic, accounted in per-pair mailboxes, and checked against
+// the conservative lookahead of one packet time. Nodes already registered
+// are re-resolved. Call it before any frame is sent; before the shard
+// workers start the owner must call PrebuildNeighbors (after the last
+// AddNode) so spatial lookups are read-only during the run.
+func (m *Medium) SetSharding(shardOfPos func(geom.Point) int32, rts []ShardRuntime) {
+	k := len(rts)
+	m.shardOfPos = shardOfPos
+	m.shardMail = make([]ShardMailbox, k*k)
 	m.parCtxs = make([]*shardCtx, k)
 	for i := range rts {
 		m.parCtxs[i] = &shardCtx{
 			m:       m,
 			shard:   int32(i),
-			sched:   m.shardScheds[i],
+			sched:   rts[i].Sched,
 			rng:     rts[i].RNG,
 			stats:   rts[i].Stats,
 			bus:     rts[i].Bus,
@@ -487,11 +443,10 @@ func (m *Medium) EnableParallel(rts []ShardRuntime) {
 			outMark: make([]bool, k),
 		}
 	}
+	for _, n := range m.nodes {
+		n.shard = shardOfPos(n.pos)
+	}
 }
-
-// Parallel reports whether the medium runs per-shard execution contexts
-// (free-running parallel mode).
-func (m *Medium) Parallel() bool { return m.parCtxs != nil }
 
 // ctxOf resolves the execution context owning a shard: the shard's own
 // context in parallel mode, the shared ctx0 otherwise.
@@ -512,15 +467,6 @@ func (m *Medium) PrebuildNeighbors() {
 	}
 }
 
-// ShardCount returns the number of scheduler shards the medium routes to
-// (1 when unsharded).
-func (m *Medium) ShardCount() int {
-	if len(m.shardScheds) == 0 {
-		return 1
-	}
-	return len(m.shardScheds)
-}
-
 // NodeShard returns the shard owning a node's region (0 when unsharded
 // or unknown).
 func (m *Medium) NodeShard(id NodeID) int32 {
@@ -533,7 +479,7 @@ func (m *Medium) NodeShard(id NodeID) int32 {
 // ShardMailboxStat returns the boundary-traffic accounting for the
 // ordered shard pair (from, to).
 func (m *Medium) ShardMailboxStat(from, to int) ShardMailbox {
-	k := len(m.shardScheds)
+	k := len(m.parCtxs)
 	if k == 0 || from < 0 || to < 0 || from >= k || to >= k {
 		return ShardMailbox{}
 	}
@@ -554,11 +500,11 @@ func (m *Medium) BoundaryFrames() uint64 {
 // sending shard's committed horizon. The medium's physics make this
 // impossible — a frame cannot arrive before it has been on the air — so
 // the counter stays zero except under the shardmut mutation build, which
-// deliberately shaves the bound to prove the differential suite notices.
-// A parallel run treats any violation as fatal (the lookahead bound is
-// what licenses free-running); the network layer hard-fails the run.
+// deliberately shaves the bound to prove the checks notice. A parallel
+// run treats any violation as fatal (the lookahead bound is what licenses
+// free-running); the network layer hard-fails the run.
 func (m *Medium) LookaheadViolations() uint64 {
-	total := m.lookaheadViolations
+	var total uint64
 	for _, sc := range m.parCtxs {
 		total += sc.violations
 	}
@@ -568,11 +514,9 @@ func (m *Medium) LookaheadViolations() uint64 {
 // noteBoundary accounts one boundary target reception from shard `from`
 // to shard `to`, delivered at rxAt for a transmission committed at now;
 // bound is the frame's conservative lookahead (airtime + propagation).
-// It reports whether the delivery violates the bound; the caller
-// attributes the violation (medium-global in det mode, per-shard in
-// parallel mode).
+// It reports whether the delivery violates the bound.
 func (m *Medium) noteBoundary(from, to int32, rxAt, now, bound time.Duration) bool {
-	st := &m.shardMail[int(from)*len(m.shardScheds)+int(to)]
+	st := &m.shardMail[int(from)*len(m.parCtxs)+int(to)]
 	slack := rxAt - now
 	if st.Frames == 0 || slack < st.MinSlack {
 		st.MinSlack = slack
@@ -801,9 +745,9 @@ func (sc *shardCtx) airtime(bits int) time.Duration {
 	return d
 }
 
-// nextFrameID stamps one transmission commit. Serial and deterministic
-// sharded runs use the raw per-run counter; parallel runs pack the shard
-// index into the top bits so shard-local counters stay globally unique.
+// nextFrameID stamps one transmission commit. Serial runs use the raw
+// per-run counter; parallel runs pack the shard index into the top bits so
+// shard-local counters stay globally unique.
 func (sc *shardCtx) nextFrameID() uint64 {
 	sc.frameSeq++
 	if sc.m.parCtxs != nil {
@@ -991,17 +935,13 @@ func (m *Medium) trySend(f Frame, attempt int) {
 		f.Bits = DefaultFrameBits
 	}
 
-	// Every medium event of this frame — CSMA retry, delivery batch,
-	// receptions, tx-done — is scheduled on the shard owning the sender's
-	// region, so the sending shard's heap carries its own traffic. The
-	// execution context supplies the RNG stream, stats, bus, and pools:
-	// ctx0 for serial/det runs, the sender's shard context in parallel
-	// mode.
+	// Every medium event of this frame — CSMA retry, delivery batch — is
+	// scheduled on the shard owning the sender's region, so the sending
+	// shard's heap carries its own traffic. The execution context supplies
+	// the scheduler, RNG stream, stats, bus, and pools: ctx0 for serial
+	// runs, the sender's shard context in parallel mode.
 	sc := m.ctxOf(src.shard)
-	sched := m.sched
-	if len(m.shardScheds) > 0 {
-		sched = m.shardScheds[src.shard]
-	}
+	sched := sc.sched
 
 	now := sched.Now()
 	if !m.params.DisableCSMA && attempt < maxCSMAAttempts {
@@ -1040,19 +980,14 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	}
 
 	tx := sc.acquireTX()
-	var batch *deliveryBatch
-	if !m.params.PerReceiverDelivery {
-		batch = sc.acquireBatch()
-		batch.tx = tx
-	}
+	batch := sc.acquireBatch()
+	batch.tx = tx
 	deliverAt := end + m.params.PropDelay
 	// lookahead is the conservative bound boundary deliveries must clear:
 	// one packet time. deliverAt - now ≥ airtime + PropDelay always holds
 	// (start ≥ now), which is exactly what lets the free-running
 	// conservative executor advance a shard to the window edge.
 	lookahead := airtime + m.params.PropDelay
-	par := m.parCtxs != nil
-	crossesShard := false
 	intended := 0
 	// Neighbors is exactly the in-range receiver set in ascending id
 	// order — the same nodes the old full-field scan selected — and it is
@@ -1068,19 +1003,19 @@ func (m *Medium) trySend(f Frame, attempt int) {
 		if isTarget {
 			intended++
 		}
-		cross := len(m.shardScheds) > 0 && dst.shard != src.shard
-		if par && cross {
-			// Free-running parallel mode: CSMA occupancy is shard-local
-			// during the window, so a cross-shard frame cannot be sensed or
-			// collided with until the barrier. Target receptions cross at
-			// the window barrier: loss is drawn on the sender's stream here
-			// (still in ascending receiver-id order, so the draw sequence is
-			// reproducible) and the delivery is buffered in the per-pair
-			// outbox until FlushBoundary, which inserts the frame into the
-			// receiver's occupancy list so it collides there like a local
-			// frame. Non-target cross-shard receivers see no occupancy at
-			// all — that residual approximation is what the statistical
-			// equivalence battery validates.
+		if dst.shard != src.shard {
+			// Parallel mode, cross-shard receiver: CSMA occupancy is
+			// shard-local during the window, so a cross-shard frame cannot
+			// be sensed or collided with until the barrier. Target
+			// receptions cross at the window barrier: loss is drawn on the
+			// sender's stream here (still in ascending receiver-id order, so
+			// the draw sequence is reproducible) and the delivery is
+			// buffered in the per-pair outbox until FlushBoundary, which
+			// inserts the frame into the receiver's occupancy list so it
+			// collides there like a local frame. Non-target cross-shard
+			// receivers see no occupancy at all — that residual
+			// approximation is what the statistical equivalence battery
+			// validates.
 			if !isTarget {
 				continue
 			}
@@ -1107,21 +1042,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			})
 			continue
 		}
-		if isTarget && cross {
-			if m.noteBoundary(src.shard, dst.shard, deliverAt+shardMutSkew, now, lookahead) {
-				m.lookaheadViolations++
-			}
-			crossesShard = true
-		}
-		if rx := m.scheduleReception(sc, dst, f, tx, batch, start, end, now, isTarget); rx != nil {
-			// Per-receiver reference path: boundary receptions carry the
-			// shardmut skew (zero in nominal builds).
-			at := deliverAt
-			if cross {
-				at += shardMutSkew
-			}
-			sched.AtEventOwned(at, simtime.OwnerRadio, receptionDone, rx)
-		}
+		m.scheduleReception(sc, dst, f, tx, batch, start, end, now, isTarget)
 	}
 	if intended == 0 {
 		// Nobody could ever receive it: record immediately. No target
@@ -1131,30 +1052,14 @@ func (m *Medium) trySend(f Frame, attempt int) {
 		}
 		sc.emitUndelivered(now, f, src.pos)
 		sc.recycleTX(tx)
-		if batch != nil {
-			sc.recycleBatch(batch)
-		}
+		sc.recycleBatch(batch)
 		return
 	}
 	tx.f = f
 	tx.pos = src.pos
-	if batch != nil {
-		// One event delivers the whole batch in id order and then runs the
-		// undelivered check — the same total order the per-receiver events
-		// formed as a contiguous same-timestamp block. A batch with any
-		// boundary reception carries the shardmut skew as a whole (zero in
-		// nominal builds), mirroring the per-receiver path's divergence.
-		at := deliverAt
-		if crossesShard {
-			at += shardMutSkew
-		}
-		sched.AtEventOwned(at, simtime.OwnerRadio, batchDeliver, batch)
-		return
-	}
-	// After the last possible delivery, check whether anyone got it. The
-	// deliveries share this timestamp but were scheduled first, so they
-	// fire first and the check observes the final delivered count.
-	sched.AtEventOwned(deliverAt, simtime.OwnerRadio, transmissionDone, tx)
+	// One event delivers the whole batch in ascending receiver-id order and
+	// then runs the undelivered check.
+	sched.AtEventOwned(deliverAt, simtime.OwnerRadio, batchDeliver, batch)
 }
 
 // FlushBoundary drains every sending shard's cross-shard outboxes at a
@@ -1190,6 +1095,7 @@ func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 				r := &box[i]
 				if r.at < window {
 					violations++
+					sc.violations++
 				}
 				rx := dstCtx.acquireRX()
 				rx.start, rx.end = r.start, r.end
@@ -1204,7 +1110,6 @@ func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 		}
 		sc.outDirty = dirty[:0]
 	}
-	m.lookaheadViolations += violations
 	return violations
 }
 
@@ -1271,51 +1176,30 @@ func batchDeliver(arg any) {
 	sc.recycleBatch(b)
 }
 
-// transmissionDone runs the undelivered check after a frame's last
-// possible delivery and returns the transmission record to the pool.
-func transmissionDone(arg any) {
-	tx := arg.(*transmission)
-	sc := tx.sc
-	if tx.delivered == 0 {
-		if sc.stats != nil {
-			sc.stats.RecordUndelivered(tx.f.Kind)
-		}
-		sc.emitUndelivered(sc.sched.Now(), tx.f, tx.pos)
-	}
-	sc.recycleTX(tx)
-}
-
 // scheduleReception models the frame occupying the channel at the receiver
-// during [start, end] and queues its delivery at end+PropDelay unless the
-// receiver is not a target. On the batched path the reception joins the
-// frame's delivery batch and nil is returned; on the per-receiver
-// reference path the pending reception is returned for the caller to
-// schedule (trySend routes it to the sending shard's scheduler).
-// Non-target receivers still experience channel occupancy (their concurrent
-// receptions collide) but do not receive or account the frame.
-func (m *Medium) scheduleReception(sc *shardCtx, dst *nodeState, f Frame, tx *transmission, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) *reception {
+// during [start, end] and, when the receiver is a target, adds the
+// reception to the frame's delivery batch. Non-target receivers still
+// experience channel occupancy (their concurrent receptions collide) but
+// do not receive or account the frame.
+func (m *Medium) scheduleReception(sc *shardCtx, dst *nodeState, f Frame, tx *transmission, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
 	rx := sc.acquireRX()
 	rx.start, rx.end = start, end
 	m.occupyChannel(dst, rx, now)
 
 	if !isTarget {
-		return nil
+		return
 	}
 
 	// The loss draw stays here, at schedule time in ascending receiver-id
-	// order, on both delivery paths — RNG draw order is part of the traces'
-	// byte-identity contract. Chaos loss/partition/duplication faults are
-	// likewise applied per receiver regardless of batching.
+	// order — RNG draw order is part of the traces' byte-identity
+	// contract. Chaos loss/partition/duplication faults are likewise
+	// applied per receiver inside the batch.
 	rx.lost = sc.rng.Float64() < m.lossProbAt(start)
 	rx.dst = dst
 	rx.f = f
 	rx.tx = tx
 	rx.hasEvent = true
-	if batch != nil {
-		batch.rxs = append(batch.rxs, rx)
-		return nil
-	}
-	return rx
+	batch.rxs = append(batch.rxs, rx)
 }
 
 // occupyChannel inserts rx (spanning [rx.start, rx.end]) into dst's
@@ -1346,12 +1230,6 @@ func (m *Medium) occupyChannel(dst *nodeState, rx *reception, now time.Duration)
 	}
 	rx.inList = true
 	dst.rx = append(dst.rx, rx)
-}
-
-// receptionDone resolves one target reception on the per-receiver
-// reference path.
-func receptionDone(arg any) {
-	deliverReception(arg.(*reception))
 }
 
 // deliverReception resolves one target reception at its arrival time:

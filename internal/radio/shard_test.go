@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,15 +11,11 @@ import (
 	"envirotrack/internal/trace"
 )
 
-// newShardedMedium builds a medium on a k-shard group with the field
-// [0,width)x[0,height) split into k vertical stripes.
-func newShardedMedium(t *testing.T, k int, width float64, p Params, seed int64) (*simtime.ShardGroup, *Medium) {
-	t.Helper()
-	g := simtime.NewShardGroup(k)
-	var stats trace.Stats
-	m := New(g.Shard(0), p, rand.New(rand.NewSource(seed)), &stats)
+// stripes returns a shard mapper splitting [0,width) into k vertical
+// stripes.
+func stripes(k int, width float64) func(geom.Point) int32 {
 	stripe := width / float64(k)
-	m.SetSharding(g.Schedulers(), func(pt geom.Point) int32 {
+	return func(pt geom.Point) int32 {
 		s := int32(pt.X / stripe)
 		if s < 0 {
 			s = 0
@@ -27,8 +24,35 @@ func newShardedMedium(t *testing.T, k int, width float64, p Params, seed int64) 
 			s = int32(k) - 1
 		}
 		return s
-	})
-	return g, m
+	}
+}
+
+// shardMedium switches m to parallel mode over g's shards, each with its
+// own RNG stream and stats.
+func shardMedium(g *simtime.ShardGroup, m *Medium, shardOf func(geom.Point) int32, seed int64) {
+	rts := make([]ShardRuntime, g.Shards())
+	for i := range rts {
+		rts[i] = ShardRuntime{
+			Sched: g.Shard(i),
+			RNG:   rand.New(rand.NewSource(simtime.ShardSeed(seed, i))),
+			Stats: &trace.Stats{},
+		}
+	}
+	m.SetSharding(shardOf, rts)
+}
+
+// runSharded drives g to deadline with the medium's FlushBoundary as the
+// window barrier and delta as the lookahead window. Topology must be
+// complete: it prebuilds the neighbor cache first.
+func runSharded(t *testing.T, g *simtime.ShardGroup, m *Medium, deadline, delta time.Duration) {
+	t.Helper()
+	m.PrebuildNeighbors()
+	if err := g.RunParallel(deadline, delta, func(w time.Duration) error {
+		m.FlushBoundary(w)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShardMutSkewIsZeroInNominalBuilds pins the mutation constant: the
@@ -42,19 +66,32 @@ func TestShardMutSkewIsZeroInNominalBuilds(t *testing.T) {
 
 // TestBoundaryClassification checks nodes resolve to the shard owning
 // their region — both when registered after SetSharding and before it
-// (backfill) — and that a frame crossing the stripe boundary is
-// accounted as boundary traffic on the right (from, to) pair while
-// same-shard traffic stays out of the mailboxes.
+// (backfill) — and that on a parallel run a frame crossing the stripe
+// boundary is accounted as boundary traffic on the right (from, to) pair
+// and delivered through the barrier, while same-shard traffic stays out
+// of the mailboxes.
 func TestBoundaryClassification(t *testing.T) {
-	g, m := newShardedMedium(t, 2, 10, Params{CommRadius: 3}, 1)
-	// 4.0 is in stripe [0,5) -> shard 0; 6.0 in [5,10) -> shard 1.
-	if err := m.AddNode(1, geom.Pt(4, 0), func(Frame) {}); err != nil {
+	g := simtime.NewShardGroup(2)
+	m := New(g.Shard(0), Params{CommRadius: 3}, rand.New(rand.NewSource(1)), nil)
+	got := map[NodeID]int{}
+	var mu sync.Mutex // receivers run on their own shard's goroutine
+	recv := func(id NodeID) Receiver {
+		return func(Frame) {
+			mu.Lock()
+			got[id]++
+			mu.Unlock()
+		}
+	}
+	// 6.0 is in stripe [5,10) -> shard 1, registered before SetSharding.
+	if err := m.AddNode(2, geom.Pt(6, 0), recv(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(2, geom.Pt(6, 0), func(Frame) {}); err != nil {
+	shardMedium(g, m, stripes(2, 10), 1)
+	// 4.0 and 3.0 are in stripe [0,5) -> shard 0.
+	if err := m.AddNode(1, geom.Pt(4, 0), recv(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(3, geom.Pt(3, 0), func(Frame) {}); err != nil {
+	if err := m.AddNode(3, geom.Pt(3, 0), recv(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.NodeShard(1); got != 0 {
@@ -64,12 +101,16 @@ func TestBoundaryClassification(t *testing.T) {
 		t.Fatalf("NodeShard(2) = %d, want 1", got)
 	}
 
-	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
+	// Frames go on the air from inside callbacks, as in a real run: the
+	// executor's idle skip relies on outboxes being empty between windows.
+	g.Shard(0).AtEvent(0, func(arg any) { m.Send(arg.(Frame)) },
+		Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
+	runSharded(t, g, m, time.Second, m.Airtime(DefaultFrameBits))
 	// Node 1's broadcast targets 2 (cross: shard 0 -> 1) and 3 (same
-	// shard, unaccounted).
+	// shard, unaccounted); both receive it.
+	if got[2] != 1 || got[3] != 1 {
+		t.Fatalf("receptions = %v, want one each at nodes 2 and 3", got)
+	}
 	if st := m.ShardMailboxStat(0, 1); st.Frames != 1 {
 		t.Fatalf("ShardMailboxStat(0,1).Frames = %d, want 1", st.Frames)
 	}
@@ -86,23 +127,26 @@ func TestBoundaryClassification(t *testing.T) {
 
 // TestConservativeLookaheadInvariant is the property test of the shard
 // synchronization bound: across randomized fields, shard counts, frame
-// sizes, and send schedules (CSMA deferrals, per-receiver and batched
-// delivery, losses), no cross-shard frame is ever delivered at a
-// timestamp earlier than the sending shard's committed horizon plus one
-// packet time — every mailbox's MinSlack clears the smallest frame's
-// airtime + propagation delay, and the violation counter stays zero.
+// sizes, and send schedules (CSMA deferrals, losses), run on the parallel
+// executor with FlushBoundary as the barrier, no cross-shard frame is ever
+// delivered earlier than the sending shard's commit time plus one packet
+// time — every mailbox's MinSlack clears the smallest frame's airtime +
+// propagation delay, and the violation counter (send-time and barrier
+// checks) stays zero.
 func TestConservativeLookaheadInvariant(t *testing.T) {
+	var boundary uint64
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 100))
 		k := 2 + rng.Intn(7) // 2..8 shards
 		width := 8 + rng.Float64()*24
 		p := Params{
-			CommRadius:          1.5 + rng.Float64()*4,
-			PropDelay:           time.Duration(rng.Intn(3)) * time.Millisecond,
-			LossProb:            rng.Float64() * 0.3,
-			PerReceiverDelivery: trial%2 == 0,
+			CommRadius: 1.5 + rng.Float64()*4,
+			PropDelay:  time.Duration(rng.Intn(3)) * time.Millisecond,
+			LossProb:   rng.Float64() * 0.3,
 		}
-		g, m := newShardedMedium(t, k, width, p, int64(trial))
+		g := simtime.NewShardGroup(k)
+		m := New(g.Shard(0), p, rand.New(rand.NewSource(int64(trial))), nil)
+		shardMedium(g, m, stripes(k, width), int64(trial))
 
 		nodes := 20 + rng.Intn(40)
 		for id := 0; id < nodes; id++ {
@@ -131,14 +175,13 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 				m.Send(arg.(Frame))
 			}, f)
 		}
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
+		bound := m.Airtime(minBits) + p.PropDelay
+		runSharded(t, g, m, 10*time.Second, bound)
 
+		boundary += m.BoundaryFrames()
 		if v := m.LookaheadViolations(); v != 0 {
 			t.Fatalf("trial %d: %d lookahead violations", trial, v)
 		}
-		bound := m.Airtime(minBits) + p.PropDelay
 		for from := 0; from < k; from++ {
 			for to := 0; to < k; to++ {
 				st := m.ShardMailboxStat(from, to)
@@ -149,84 +192,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestShardedDeliveryMatchesSerial checks the medium itself (no
-// middleware above it) produces identical reception sequences serial and
-// sharded, on both delivery paths: same receivers, same timestamps, same
-// frame ids, same loss/collision accounting.
-func TestShardedDeliveryMatchesSerial(t *testing.T) {
-	type rcpt struct {
-		dst NodeID
-		src NodeID
-		id  uint64
-		at  time.Duration
-	}
-	run := func(k int, perReceiver bool) ([]rcpt, trace.KindStats) {
-		p := Params{CommRadius: 2.5, PropDelay: time.Millisecond, LossProb: 0.15, PerReceiverDelivery: perReceiver}
-		var sched *simtime.Scheduler
-		var g *simtime.ShardGroup
-		var stats trace.Stats
-		var m *Medium
-		if k > 1 {
-			g = simtime.NewShardGroup(k)
-			sched = g.Shard(0)
-		} else {
-			sched = simtime.NewScheduler()
-		}
-		m = New(sched, p, rand.New(rand.NewSource(7)), &stats)
-		if k > 1 {
-			m.SetSharding(g.Schedulers(), func(pt geom.Point) int32 {
-				s := int32(pt.X / (12.0 / float64(k)))
-				if s >= int32(k) {
-					s = int32(k) - 1
-				}
-				return s
-			})
-		}
-		var got []rcpt
-		const nodes = 30
-		rng := rand.New(rand.NewSource(99))
-		for id := 0; id < nodes; id++ {
-			dst := NodeID(id)
-			pos := geom.Pt(rng.Float64()*12, rng.Float64()*4)
-			if err := m.AddNode(dst, pos, func(f Frame) {
-				got = append(got, rcpt{dst: dst, src: f.Src, id: f.ID, at: sched.Now()})
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			src := NodeID(rng.Intn(nodes))
-			at := time.Duration(rng.Intn(1500)) * time.Millisecond
-			srcSched := sched
-			if k > 1 {
-				srcSched = g.Shard(int(m.NodeShard(src)))
-			}
-			srcSched.AtEvent(at, func(arg any) { m.Send(arg.(Frame)) },
-				Frame{Kind: trace.KindHeartbeat, Src: src, Dst: Broadcast})
-		}
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got, stats.Kind(trace.KindHeartbeat)
-	}
-
-	for _, perReceiver := range []bool{false, true} {
-		base, baseStats := run(1, perReceiver)
-		for _, k := range []int{2, 4, 8} {
-			got, gotStats := run(k, perReceiver)
-			if len(got) != len(base) {
-				t.Fatalf("perReceiver=%v k=%d: %d receptions, serial %d", perReceiver, k, len(got), len(base))
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("perReceiver=%v k=%d: reception %d = %+v, serial %+v", perReceiver, k, i, got[i], base[i])
-				}
-			}
-			if gotStats != baseStats {
-				t.Fatalf("perReceiver=%v k=%d: stats diverge from serial", perReceiver, k)
-			}
-		}
+	if boundary == 0 {
+		t.Fatal("no trial produced boundary frames; the bound check is vacuous")
 	}
 }

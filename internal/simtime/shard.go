@@ -1,49 +1,20 @@
 // Spatially sharded execution: a ShardGroup partitions one run's event
 // population across k scheduler shards — each a full clone of the pooled
-// 4-ary heap, its timer slots, and its free list — and executes them with
-// a deterministic k-way merge. The three pieces of state that define the
-// serial semantics are group-shared:
+// 4-ary heap, its timer slots, and its free list — and executes them on
+// separate goroutines. Each shard owns a local clock, sequence counter,
+// and (via the network layer) RNG stream; only the stop flag is shared.
 //
-//   - the sequence counter, so (at, seq) stays a total order over the
-//     union of the shard heaps;
-//   - the clock, so every shard observes the same "now" no matter which
-//     shard fired the last event;
-//   - the stop flag, so stopping any shard stops the run.
-//
-// Because the merge executor always fires the globally least (at, seq)
-// head, the execution (and therefore every RNG draw, stats update, and
-// observability emission) is byte-for-byte the single-heap order: a
-// sharded run's trace is identical to serial at any shard count. That is
-// the determinism contract the differential battery in internal/eval
-// pins.
-//
-// Why a deterministic merge rather than free-running shards behind a
-// conservative-lookahead barrier: the radio model gives cross-shard
-// *deliveries* a natural lookahead of one packet time (airtime plus
-// propagation — see internal/radio's mailbox accounting), but two
-// couplings have zero lookahead and pin the commit granularity to a
-// single event. First, a frame transmitted at time t occupies the channel
-// at every in-range receiver from t onward, so a boundary mote's CSMA
-// busy check or collision overlap in a neighboring shard can observe an
-// effect at the very timestamp it was caused. Second, the medium draws
-// loss and backoff randomness from one seeded stream in global event
-// order; any reordering of draws across shards changes their values, not
-// just their order. The shard layer therefore keeps the heaps, ownership,
-// horizons, and mailbox protocol of the distributed design — per-shard
-// heaps stay small and cache-dense, and cross-shard traffic is classified
-// and bounded — while the executor interleaves shards deterministically.
-// Free-running windows become possible once randomness is partitioned
-// per shard; EnableParallel switches the group into exactly that mode.
-// In parallel mode each shard owns a local clock, sequence counter, and
-// (via the network layer) RNG stream, and RunParallel executes the shards
-// on separate goroutines in conservative lookahead windows: every shard
-// fires all of its events inside [T, T+delta), a barrier drains the
-// cross-shard mailboxes (whose entries are guaranteed to land at or after
-// T+delta by the radio lookahead bound), and the window advances. This is
-// a lower-bound-on-timestamp (LBTS) protocol with a constant lookahead:
-// results are no longer byte-identical to serial — they are statistically
-// equivalent, which the internal/eval equivalence battery asserts at the
-// distribution level.
+// RunParallel runs the shards in conservative lookahead windows: every
+// shard fires all of its events inside [T, T+delta), a barrier drains the
+// cross-shard radio outboxes (whose entries are guaranteed to land at or
+// after T+delta by the radio lookahead bound of one packet time — airtime
+// plus propagation), and the window advances. This is a
+// lower-bound-on-timestamp (LBTS) protocol with a constant lookahead.
+// Because each shard draws from its own RNG stream and senses the channel
+// only locally during a window, results are not byte-identical to the
+// serial engine — they are statistically equivalent, which the
+// internal/eval equivalence battery asserts at the distribution level —
+// but they are deterministic per (seed, shard count).
 package simtime
 
 import (
@@ -53,52 +24,19 @@ import (
 	"time"
 )
 
-// ShardMailboxStat accounts one ordered shard pair's cross-shard
-// scheduling traffic: events scheduled onto shard `to` while shard `from`
-// was executing.
-type ShardMailboxStat struct {
-	// Events counts cross-shard schedulings on this pair.
-	Events uint64
-	// MinSlack is the smallest (at - now) over those schedulings: how far
-	// ahead of the sending shard's committed horizon the earliest-landing
-	// cross-shard event was placed. Zero-valued (and meaningless) while
-	// Events is 0.
-	MinSlack time.Duration
-}
-
-// ShardGroup is a deterministic sharded discrete-event executor: k
-// scheduler shards sharing one sequence counter, one clock, and one stop
-// flag, merged in (at, seq) order. It is not safe for concurrent use;
-// like the Scheduler, all protocol code runs inside event callbacks on
-// the executor's goroutine.
+// ShardGroup is the free-running parallel discrete-event executor: k
+// scheduler shards, each with its own clock, sequence counter, heap, and
+// slot pool, driven by RunParallel in conservative lookahead windows. The
+// only state the shards share is the stop flag. Outside RunParallel the
+// group is driven from one goroutine (setup, barrier work).
 type ShardGroup struct {
-	shards  []*Scheduler
-	seq     uint64
-	now     time.Duration
-	stopped bool
-	// executing is the shard whose event callback is currently running
-	// (-1 between events); schedule() uses it to classify cross-shard
-	// scheduling.
-	executing int32
-	// executed counts events fired through the group executor.
-	executed uint64
-	// horizons[i] is shard i's committed horizon: the timestamp of the
-	// last event it executed. A conservative free-running executor may
-	// safely advance shard i to min over neighbor horizons plus the
-	// cross-shard lookahead; the merge executor maintains the horizons so
-	// the invariant is observable and testable.
-	horizons []time.Duration
-	// mail is the k x k cross-shard mailbox accounting matrix, indexed
-	// from*k + to.
-	mail []ShardMailboxStat
-
-	// par marks the group as free-running parallel: shards keep local
-	// clocks and sequence counters, and RunParallel executes them on
-	// separate goroutines in conservative lookahead windows. parStop is
-	// the parallel-mode stop flag (atomic, because any shard goroutine
-	// may request a stop while others are mid-window).
-	par     bool
-	parStop atomic.Bool
+	shards []*Scheduler
+	// edge is the committed window edge: the time every shard has executed
+	// up to. RunParallel advances it at each barrier.
+	edge time.Duration
+	// stop is the group stop flag (atomic, because any shard goroutine may
+	// request a stop while others are mid-window).
+	stop atomic.Bool
 	// windowCap, when set, bounds RunParallel's idle skip: a window never
 	// extends past the earliest cap time at or after its start (barrier
 	// work such as series sampling stays on cadence). Called only on the
@@ -106,19 +44,12 @@ type ShardGroup struct {
 	windowCap func(after time.Duration) (time.Duration, bool)
 }
 
-// NewShardGroup returns a group of k empty scheduler shards (k >= 1)
-// sharing one clock and sequence source. Shard 0 is the conventional home
-// of run-global events (sensing sweep, series sampler, chaos schedule).
+// NewShardGroup returns a group of k empty scheduler shards (k >= 1).
 func NewShardGroup(k int) *ShardGroup {
 	if k < 1 {
 		k = 1
 	}
-	g := &ShardGroup{
-		shards:    make([]*Scheduler, k),
-		executing: -1,
-		horizons:  make([]time.Duration, k),
-		mail:      make([]ShardMailboxStat, k*k),
-	}
+	g := &ShardGroup{shards: make([]*Scheduler, k)}
 	for i := range g.shards {
 		s := NewScheduler()
 		s.group = g
@@ -128,18 +59,6 @@ func NewShardGroup(k int) *ShardGroup {
 	return g
 }
 
-// EnableParallel switches the group into free-running parallel mode:
-// shards keep local clocks and sequence counters, and RunParallel
-// executes them on separate goroutines. It must be called before any
-// event is scheduled on any shard — mixing group-sequenced and
-// shard-sequenced events would leave the per-shard (at, seq) order
-// inconsistent with scheduling order.
-func (g *ShardGroup) EnableParallel() { g.par = true }
-
-// Parallel reports whether the group runs the free-running parallel
-// executor rather than the deterministic single-threaded merge.
-func (g *ShardGroup) Parallel() bool { return g.par }
-
 // Shards returns the number of shards in the group.
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 
@@ -147,25 +66,19 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // their protocol timers through it.
 func (g *ShardGroup) Shard(i int) *Scheduler { return g.shards[i] }
 
-// Schedulers returns the shard schedulers in shard order. The slice is
-// shared; callers must not mutate it.
-func (g *ShardGroup) Schedulers() []*Scheduler { return g.shards }
+// Now returns the committed window edge: every shard has executed all of
+// its events before it. Callbacks needing their own shard's time use the
+// shard scheduler's Now.
+func (g *ShardGroup) Now() time.Duration { return g.edge }
 
-// Now returns the group's (shared) virtual clock.
-func (g *ShardGroup) Now() time.Duration { return g.now }
-
-// Executed returns the number of events fired through the group. In
-// parallel mode the count is per-shard and summed here; call it only
-// between windows (e.g. after a run), not while shards are executing.
+// Executed returns the number of events fired across all shards. Call it
+// only between windows (e.g. after a run), not while shards are executing.
 func (g *ShardGroup) Executed() uint64 {
-	if g.par {
-		var total uint64
-		for _, s := range g.shards {
-			total += s.executed
-		}
-		return total
+	var total uint64
+	for _, s := range g.shards {
+		total += s.executed
 	}
-	return g.executed
+	return total
 }
 
 // Len returns the number of pending events across all shards.
@@ -175,126 +88,6 @@ func (g *ShardGroup) Len() int {
 		total += s.live
 	}
 	return total
-}
-
-// Horizon returns shard i's committed horizon: the timestamp of the last
-// event it executed (zero before its first event).
-func (g *ShardGroup) Horizon(i int) time.Duration { return g.horizons[i] }
-
-// Mailbox returns the cross-shard accounting for the ordered pair
-// (from, to).
-func (g *ShardGroup) Mailbox(from, to int) ShardMailboxStat {
-	return g.mail[from*len(g.shards)+to]
-}
-
-// CrossEvents sums cross-shard scheduling counts over all pairs.
-func (g *ShardGroup) CrossEvents() uint64 {
-	var total uint64
-	for i := range g.mail {
-		total += g.mail[i].Events
-	}
-	return total
-}
-
-// noteCross records one cross-shard scheduling: an event placed on shard
-// `to` at timestamp `at` while shard `from` was executing.
-func (g *ShardGroup) noteCross(from, to int32, at time.Duration) {
-	st := &g.mail[int(from)*len(g.shards)+int(to)]
-	slack := at - g.now
-	if st.Events == 0 || slack < st.MinSlack {
-		st.MinSlack = slack
-	}
-	st.Events++
-}
-
-// pickMin returns the shard holding the globally least (at, seq) head, or
-// -1 when every shard is drained. Tombstones are discarded during the
-// scan.
-func (g *ShardGroup) pickMin() (int, event) {
-	best := -1
-	var bestEv event
-	for i, s := range g.shards {
-		ev, ok := s.peek()
-		if !ok {
-			continue
-		}
-		if best < 0 || eventLess(&ev, &bestEv) {
-			best, bestEv = i, ev
-		}
-	}
-	return best, bestEv
-}
-
-// stepShard pops and fires the head event of shard i, advancing the
-// shared clock and the shard's committed horizon. The shard-local clock
-// is kept in sync so that a parallel-mode group driven through the
-// single-threaded merge (Step from a Session, say) still gives callbacks
-// a correct local Now.
-func (g *ShardGroup) stepShard(i int, ev event) {
-	s := g.shards[i]
-	s.popTop()
-	g.now = ev.at
-	s.now = ev.at
-	g.horizons[i] = ev.at
-	g.executed++
-	g.executing = int32(i)
-	s.fire(ev)
-	g.executing = -1
-}
-
-// Step fires the globally earliest pending event across all shards. It
-// reports whether an event was executed.
-func (g *ShardGroup) Step() bool {
-	if g.Stopped() {
-		return false
-	}
-	i, ev := g.pickMin()
-	if i < 0 {
-		return false
-	}
-	g.stepShard(i, ev)
-	return true
-}
-
-// RunUntil executes events in global (at, seq) order until the clock
-// would pass the deadline or no events remain, mirroring
-// Scheduler.RunUntil: on return the clock rests at the deadline unless
-// the group was stopped.
-func (g *ShardGroup) RunUntil(deadline time.Duration) error {
-	for {
-		if g.Stopped() {
-			return ErrStopped
-		}
-		i, ev := g.pickMin()
-		if i < 0 || ev.at > deadline {
-			break
-		}
-		g.stepShard(i, ev)
-	}
-	if g.Stopped() {
-		return ErrStopped
-	}
-	if g.now < deadline {
-		g.now = deadline
-	}
-	if g.par {
-		for _, s := range g.shards {
-			if s.now < deadline {
-				s.now = deadline
-			}
-		}
-	}
-	return nil
-}
-
-// Run executes events until none remain or the group is stopped.
-func (g *ShardGroup) Run() error {
-	for g.Step() {
-	}
-	if g.Stopped() {
-		return ErrStopped
-	}
-	return nil
 }
 
 // windowJob is one lookahead window's work order for a shard worker.
@@ -311,16 +104,14 @@ type windowJob struct {
 // the window advances. delta must be a lower bound on the latency of any
 // cross-shard interaction — the radio's airtime+PropDelay bound — or the
 // barrier will observe already-late deliveries. A non-nil barrier error
-// aborts the run. The group must be in parallel mode (EnableParallel).
+// aborts the run.
 //
-// The final window is inclusive of the deadline, matching RunUntil's
-// "fire events at <= deadline" semantics; barrier-drained deliveries
-// that land at exactly the deadline get cleanup windows of their own
-// until no shard holds an event at or before it.
+// The final window is inclusive of the deadline, matching
+// Scheduler.RunUntil's "fire events at <= deadline" semantics;
+// barrier-drained deliveries that land at exactly the deadline get
+// cleanup windows of their own until no shard holds an event at or
+// before it.
 func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(window time.Duration) error) error {
-	if !g.par {
-		panic("simtime: RunParallel on a group without EnableParallel")
-	}
 	if delta <= 0 {
 		panic("simtime: RunParallel needs a positive lookahead window")
 	}
@@ -363,7 +154,7 @@ func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(win
 		}()
 	}
 
-	T := g.now
+	T := g.edge
 	for {
 		if g.Stopped() {
 			return ErrStopped
@@ -407,13 +198,10 @@ func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(win
 			g.shards[0].runWindow(W, last)
 			wg.Wait()
 		}
-		g.now = W
-		for i := range g.horizons {
-			g.horizons[i] = W
-		}
+		g.edge = W
 		if barrier != nil {
 			if err := barrier(W); err != nil {
-				g.parStop.Store(true)
+				g.stop.Store(true)
 				return err
 			}
 		}
@@ -476,22 +264,15 @@ func (g *ShardGroup) anyEventAtOrBefore(t time.Duration) bool {
 	return false
 }
 
-// Stop halts the group: no further events fire. In parallel mode it only
-// sets the atomic stop flag, so any goroutine (a shard callback, or a
-// session watcher reacting to an external stop request) may call it while
-// workers are mid-window; in deterministic mode it must be called from
-// the executing thread, like Scheduler.Stop.
-func (g *ShardGroup) Stop() {
-	if g.par {
-		g.parStop.Store(true)
-		return
-	}
-	g.stopped = true
-}
+// Stop halts the group: no further windows run. It only sets the atomic
+// stop flag, so any goroutine (a shard callback, or a session watcher
+// reacting to an external stop request) may call it while workers are
+// mid-window.
+func (g *ShardGroup) Stop() { g.stop.Store(true) }
 
 // Stopped reports whether Stop has been called (on the group or any of
 // its shards).
-func (g *ShardGroup) Stopped() bool { return g.stopped || g.parStop.Load() }
+func (g *ShardGroup) Stopped() bool { return g.stop.Load() }
 
 // SetProfile attaches a self-profile to every shard (nil detaches). When
 // the profile has a shard dimension (EnsureShards), each shard's events

@@ -1,276 +1,227 @@
 package simtime
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestShardGroupMatchesReferenceModel drives a ShardGroup and the PR 4
-// sorted-slice reference model through independently seeded random
-// schedules of interleaved At/Stop/Step operations, with every event
-// placed on a randomly drawn shard (including events that re-schedule
-// onto other shards and stop timers from inside their callbacks). The
-// merge executor must reproduce the reference's firing order, firing
-// timestamps, executed counts, and pending-length bookkeeping exactly:
-// sharding is a partition of the heap, never a reordering.
+// shardModel is one shard's half of TestShardGroupMatchesReferenceModel:
+// the shard's reference model, its own RNG, and its live timer handles.
+// Callbacks touch only the model of the shard they run on, so shard
+// goroutines share nothing.
+type shardModel struct {
+	rng   *rand.Rand
+	ref   refModel
+	live  map[int]Timer
+	ids   []int // insertion-ordered keys of live, for deterministic draws
+	fired int
+}
+
+func (m *shardModel) remove(id int) {
+	delete(m.live, id)
+	for i, v := range m.ids {
+		if v == id {
+			m.ids = append(m.ids[:i], m.ids[i+1:]...)
+			break
+		}
+	}
+}
+
+// TestShardGroupMatchesReferenceModel drives a ShardGroup through
+// RunParallel against one sorted-slice reference model per shard, over
+// independently seeded random schedules of interleaved At/Stop operations
+// and RunParallel calls with random deadlines and lookahead windows.
+// Callbacks stay on their own shard: they re-schedule successors and stop
+// sibling timers there, as the protocol layers do. Every firing must match
+// its shard's reference in order and timestamp, and between runs each
+// shard's Len, Executed, and clock must match too: windowing is a
+// partition of time, never a reordering within a shard.
 func TestShardGroupMatchesReferenceModel(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 8} {
-		for schedule := 0; schedule < 250; schedule++ {
+		for schedule := 0; schedule < 100; schedule++ {
 			rng := rand.New(rand.NewSource(int64(k*10_000+schedule) + 1))
 			g := NewShardGroup(k)
-			ref := &refModel{}
-
-			var got []firing
-			nextID := 0
-			live := map[int]Timer{}
-			ids := []int{}
-
-			removeID := func(id int) {
-				delete(live, id)
-				for i, v := range ids {
-					if v == id {
-						ids = append(ids[:i], ids[i+1:]...)
-						break
-					}
-				}
+			models := make([]*shardModel, k)
+			for i := range models {
+				models[i] = &shardModel{rng: rand.New(rand.NewSource(rng.Int63())), live: map[int]Timer{}}
 			}
+			nextID := make([]int, k) // per-shard id counters; ids are shard-scoped
 
-			var schedOne func(at time.Duration, rearm int)
-			schedOne = func(at time.Duration, rearm int) {
-				id := nextID
-				nextID++
-				shard := g.Shard(rng.Intn(k))
-				tm := shard.At(at, func() {
-					got = append(got, firing{id: id, at: g.Now()})
-					removeID(id)
+			var schedOne func(shard int, at time.Duration, rearm int)
+			schedOne = func(shard int, at time.Duration, rearm int) {
+				m, s := models[shard], g.Shard(shard)
+				id := nextID[shard]
+				nextID[shard]++
+				tm := s.At(at, func() {
+					m.fired++
+					refID, refAt, ok := m.ref.step()
+					if !ok || refID != id || refAt != s.Now() {
+						t.Errorf("k=%d schedule %d shard %d: fired (%d, %v), ref (%d, %v, %v)",
+							k, schedule, shard, id, s.Now(), refID, refAt, ok)
+					}
+					m.remove(id)
 					if rearm > 0 {
-						// Callback churn across shards: the successor lands
-						// on a random shard, possibly not the firing one.
-						schedOne(g.Now()+time.Duration(rng.Intn(50))*time.Millisecond, rearm-1)
-						if len(ids) > 0 {
-							victim := ids[rng.Intn(len(ids))]
-							sGot := live[victim].Stop()
-							refGot := ref.stop(victim)
-							if sGot != refGot {
-								t.Fatalf("k=%d schedule %d: nested Stop(%d) = %v, ref %v", k, schedule, victim, sGot, refGot)
+						schedOne(shard, s.Now()+time.Duration(m.rng.Intn(50))*time.Millisecond, rearm-1)
+						if len(m.ids) > 0 {
+							victim := m.ids[m.rng.Intn(len(m.ids))]
+							if got, want := m.live[victim].Stop(), m.ref.stop(victim); got != want {
+								t.Errorf("k=%d schedule %d shard %d: nested Stop(%d) = %v, ref %v",
+									k, schedule, shard, victim, got, want)
 							}
-							if sGot {
-								removeID(victim)
-							}
+							m.remove(victim)
 						}
 					}
 				})
-				live[id] = tm
-				ids = append(ids, id)
-				ref.schedule(at, id)
+				m.live[id] = tm
+				m.ids = append(m.ids, id)
+				m.ref.schedule(at, id)
 			}
 
 			ops := 30 + rng.Intn(120)
 			for op := 0; op < ops; op++ {
+				shard := rng.Intn(k)
+				m := models[shard]
 				switch r := rng.Float64(); {
-				case r < 0.45:
+				case r < 0.5:
 					rearm := 0
 					if rng.Float64() < 0.2 {
 						rearm = 1 + rng.Intn(2)
 					}
-					at := g.Now() + time.Duration(rng.Intn(200))*time.Millisecond
-					schedOne(at, rearm)
-				case r < 0.70:
-					if len(ids) == 0 {
+					schedOne(shard, g.Now()+time.Duration(rng.Intn(200))*time.Millisecond, rearm)
+				case r < 0.75:
+					if len(m.ids) == 0 {
 						continue
 					}
-					victim := ids[rng.Intn(len(ids))]
-					sGot := live[victim].Stop()
-					refGot := ref.stop(victim)
-					if sGot != refGot {
-						t.Fatalf("k=%d schedule %d op %d: Stop(%d) = %v, ref %v", k, schedule, op, victim, sGot, refGot)
+					victim := m.ids[rng.Intn(len(m.ids))]
+					if got, want := m.live[victim].Stop(), m.ref.stop(victim); got != want {
+						t.Fatalf("k=%d schedule %d op %d shard %d: Stop(%d) = %v, ref %v", k, schedule, op, shard, victim, got, want)
 					}
-					if sGot {
-						removeID(victim)
-					}
+					m.remove(victim)
 				default:
-					before := len(got)
-					stepped := g.Step()
-					refID, refAt, refStepped := ref.step()
-					if stepped != refStepped {
-						t.Fatalf("k=%d schedule %d op %d: Step() = %v, ref %v", k, schedule, op, stepped, refStepped)
-					}
-					if stepped {
-						if len(got) != before+1 {
-							t.Fatalf("k=%d schedule %d op %d: Step fired %d events, want 1", k, schedule, op, len(got)-before)
-						}
-						f := got[len(got)-1]
-						if f.id != refID || f.at != refAt {
-							t.Fatalf("k=%d schedule %d op %d: fired (%d, %v), ref (%d, %v)", k, schedule, op, f.id, f.at, refID, refAt)
-						}
-						if g.Now() != ref.now {
-							t.Fatalf("k=%d schedule %d op %d: Now() = %v, ref %v", k, schedule, op, g.Now(), ref.now)
-						}
+					deadline := g.Now() + time.Duration(rng.Intn(150))*time.Millisecond
+					delta := time.Duration(1+rng.Intn(30)) * time.Millisecond
+					runAndCheck(t, g, models, deadline, delta)
+				}
+				for i, m := range models {
+					if got := g.Shard(i).Len(); got != len(m.ref.events) {
+						t.Fatalf("k=%d schedule %d op %d: shard %d Len() = %d, ref %d", k, schedule, op, i, got, len(m.ref.events))
 					}
 				}
-				if g.Len() != len(ref.events) {
-					t.Fatalf("k=%d schedule %d op %d: Len() = %d, ref %d", k, schedule, op, g.Len(), len(ref.events))
+				if t.Failed() {
+					t.FailNow()
 				}
 			}
-
-			for {
-				stepped := g.Step()
-				refID, refAt, refStepped := ref.step()
-				if stepped != refStepped {
-					t.Fatalf("k=%d schedule %d drain: Step() = %v, ref %v", k, schedule, stepped, refStepped)
+			runAndCheck(t, g, models, g.Now()+time.Hour, 10*time.Millisecond)
+			for i, m := range models {
+				if len(m.ref.events) != 0 {
+					t.Fatalf("k=%d schedule %d: shard %d reference still holds %d events after drain", k, schedule, i, len(m.ref.events))
 				}
-				if !stepped {
-					break
-				}
-				f := got[len(got)-1]
-				if f.id != refID || f.at != refAt {
-					t.Fatalf("k=%d schedule %d drain: fired (%d, %v), ref (%d, %v)", k, schedule, f.id, f.at, refID, refAt)
+				if got := g.Shard(i).Executed(); got != m.ref.executed || got != uint64(m.fired) {
+					t.Fatalf("k=%d schedule %d: shard %d Executed() = %d, ref %d, fired %d", k, schedule, i, got, m.ref.executed, m.fired)
 				}
 			}
-			if g.Executed() != ref.executed {
-				t.Fatalf("k=%d schedule %d: Executed() = %d, ref %d", k, schedule, g.Executed(), ref.executed)
+			if t.Failed() {
+				t.FailNow()
 			}
 		}
 	}
 }
 
-// TestShardClockIsShared checks every shard observes the group clock:
-// after an event fires on one shard, Now() on every other shard has
-// advanced with it, and relative (After) scheduling on any shard is
-// anchored to the shared clock, not a stale local one.
-func TestShardClockIsShared(t *testing.T) {
-	g := NewShardGroup(3)
-	var order []string
-	g.Shard(1).At(10*time.Millisecond, func() {
-		order = append(order, "a")
-		// Relative scheduling from inside a shard-1 callback onto shard 2
-		// must be anchored at the shared now (10ms), not shard 2's last
-		// executed time (never).
-		g.Shard(2).After(5*time.Millisecond, func() {
-			order = append(order, "b")
-			if g.Now() != 15*time.Millisecond {
-				t.Errorf("cross-shard After fired at %v, want 15ms", g.Now())
-			}
-		})
-		for i := 0; i < g.Shards(); i++ {
-			if got := g.Shard(i).Now(); got != 10*time.Millisecond {
-				t.Errorf("shard %d Now() = %v during shard 1 callback, want 10ms", i, got)
-			}
+// runAndCheck runs g to deadline and checks every shard against its model
+// at the end: nothing at or before the deadline is left behind, and every
+// clock rests at the deadline. It also checks the barrier sees strictly
+// increasing window edges that never pass the deadline.
+func runAndCheck(t *testing.T, g *ShardGroup, models []*shardModel, deadline, delta time.Duration) {
+	t.Helper()
+	prev := g.Now()
+	err := g.RunParallel(deadline, delta, func(w time.Duration) error {
+		if w <= prev && w != deadline || w > deadline {
+			t.Errorf("barrier at %v after %v (deadline %v)", w, prev, deadline)
 		}
+		prev = w
+		return nil
 	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
+	if err != nil {
+		t.Fatalf("RunParallel: %v", err)
 	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("order = %v, want [a b]", order)
+	if g.Now() != deadline {
+		t.Fatalf("group clock %v after RunParallel(%v)", g.Now(), deadline)
 	}
-}
-
-// TestShardHorizonsMonotonic checks each shard's committed horizon only
-// advances, never exceeds the group clock, and that the group clock
-// equals the max horizon while events are flowing.
-func TestShardHorizonsMonotonic(t *testing.T) {
-	const k = 4
-	g := NewShardGroup(k)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		g.Shard(rng.Intn(k)).At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {})
-	}
-	prev := make([]time.Duration, k)
-	for g.Step() {
-		maxH := time.Duration(0)
-		for i := 0; i < k; i++ {
-			h := g.Horizon(i)
-			if h < prev[i] {
-				t.Fatalf("shard %d horizon regressed: %v -> %v", i, prev[i], h)
-			}
-			if h > g.Now() {
-				t.Fatalf("shard %d horizon %v ahead of group clock %v", i, h, g.Now())
-			}
-			prev[i] = h
-			if h > maxH {
-				maxH = h
-			}
+	for i, m := range models {
+		if len(m.ref.events) > 0 && m.ref.events[0].at <= deadline {
+			t.Fatalf("shard %d left event %d at %v unfired at deadline %v", i, m.ref.events[0].id, m.ref.events[0].at, deadline)
 		}
-		if maxH != g.Now() {
-			t.Fatalf("max horizon %v != group clock %v", maxH, g.Now())
+		m.ref.now = deadline
+		if got := g.Shard(i).Now(); got != deadline {
+			t.Fatalf("shard %d clock %v after RunParallel(%v)", i, got, deadline)
 		}
 	}
 }
 
-// TestShardMailboxAccounting checks cross-shard schedulings are counted
-// on the right (from, to) pair with the right minimum slack, and that
-// same-shard scheduling stays out of the mailboxes.
-func TestShardMailboxAccounting(t *testing.T) {
-	g := NewShardGroup(3)
-	g.Shard(0).At(10*time.Millisecond, func() {
-		g.Shard(1).After(7*time.Millisecond, func() {})  // 0 -> 1, slack 7ms
-		g.Shard(1).After(3*time.Millisecond, func() {})  // 0 -> 1, slack 3ms
-		g.Shard(2).After(20*time.Millisecond, func() {}) // 0 -> 2, slack 20ms
-		g.Shard(0).After(time.Millisecond, func() {})    // same shard: unaccounted
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := g.Mailbox(0, 1); st.Events != 2 || st.MinSlack != 3*time.Millisecond {
-		t.Fatalf("Mailbox(0,1) = %+v, want {2 3ms}", st)
-	}
-	if st := g.Mailbox(0, 2); st.Events != 1 || st.MinSlack != 20*time.Millisecond {
-		t.Fatalf("Mailbox(0,2) = %+v, want {1 20ms}", st)
-	}
-	if st := g.Mailbox(1, 0); st.Events != 0 {
-		t.Fatalf("Mailbox(1,0) = %+v, want empty", st)
-	}
-	if got := g.CrossEvents(); got != 3 {
-		t.Fatalf("CrossEvents() = %d, want 3", got)
-	}
-	// Scheduling from outside any callback (executing == -1) is run setup,
-	// not cross-shard traffic.
-	g2 := NewShardGroup(2)
-	g2.Shard(1).At(time.Millisecond, func() {})
-	if got := g2.CrossEvents(); got != 0 {
-		t.Fatalf("setup scheduling counted as cross-shard: %d", got)
-	}
-}
-
-// TestShardGroupRunUntilAndStop checks the group run loop mirrors
-// Scheduler.RunUntil semantics: the clock rests at the deadline, later
-// events stay pending, and Stop from inside a callback (on the shard or
-// the group) halts the run with ErrStopped from every shard's RunUntil.
+// TestShardGroupRunUntilAndStop checks RunParallel's deadline and stop
+// semantics: events at or before the deadline fire (inclusive, like
+// Scheduler.RunUntil), later events stay pending, every clock rests at the
+// deadline; a Stop from inside a callback is window-granular (the stopping
+// shard halts at once, siblings finish the window) and surfaces as
+// ErrStopped; and a barrier error aborts the run and stops the group.
 func TestShardGroupRunUntilAndStop(t *testing.T) {
 	g := NewShardGroup(2)
-	fired := 0
-	g.Shard(0).At(10*time.Millisecond, func() { fired++ })
-	g.Shard(1).At(30*time.Millisecond, func() { fired++ })
-	// Driving through a shard's RunUntil must drive the whole group.
-	if err := g.Shard(1).RunUntil(20 * time.Millisecond); err != nil {
+	var fired [2][]time.Duration // per shard: callbacks never share a slice
+	note := func(shard int) func() {
+		s := g.Shard(shard)
+		return func() { fired[shard] = append(fired[shard], s.Now()) }
+	}
+	g.Shard(0).At(10*time.Millisecond, note(0))
+	g.Shard(1).At(20*time.Millisecond, note(1)) // exactly at the deadline
+	g.Shard(1).At(30*time.Millisecond, note(1))
+	if err := g.RunParallel(20*time.Millisecond, 5*time.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("fired = %d after RunUntil(20ms), want 1", fired)
+	if len(fired[0]) != 1 || len(fired[1]) != 1 {
+		t.Fatalf("fired = %v after RunParallel(20ms), want one event per shard", fired)
 	}
-	if g.Now() != 20*time.Millisecond || g.Shard(0).Now() != 20*time.Millisecond {
-		t.Fatalf("clock = %v/%v, want 20ms", g.Now(), g.Shard(0).Now())
+	if g.Now() != 20*time.Millisecond || g.Shard(0).Now() != 20*time.Millisecond || g.Shard(1).Now() != 20*time.Millisecond {
+		t.Fatalf("clocks = %v/%v/%v, want 20ms", g.Now(), g.Shard(0).Now(), g.Shard(1).Now())
 	}
 	if g.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1 pending", g.Len())
 	}
 
-	g.Shard(0).At(25*time.Millisecond, func() { g.Shard(1).Stop() })
-	if err := g.RunUntil(time.Second); err != ErrStopped {
-		t.Fatalf("RunUntil after Stop = %v, want ErrStopped", err)
+	// The idle skip puts the next window at [20ms, 35ms): shard 0 stops at
+	// 25ms and skips its 27ms event; shard 1 still fires 26ms (and its 30ms
+	// event) before the barrier, but nothing from the next window.
+	g.Shard(0).At(25*time.Millisecond, func() { g.Shard(0).Stop() })
+	g.Shard(0).At(27*time.Millisecond, note(0))
+	g.Shard(1).At(26*time.Millisecond, note(1))
+	g.Shard(1).At(100*time.Millisecond, note(1))
+	if err := g.RunParallel(time.Second, 10*time.Millisecond, nil); err != ErrStopped {
+		t.Fatalf("RunParallel after Stop = %v, want ErrStopped", err)
 	}
-	if fired != 1 {
-		t.Fatalf("events fired after Stop: %d", fired)
+	want1 := []time.Duration{20 * time.Millisecond, 26 * time.Millisecond, 30 * time.Millisecond}
+	if len(fired[0]) != 1 || !slices.Equal(fired[1], want1) {
+		t.Fatalf("fired = %v, want shard 0 [10ms] and shard 1 %v", fired, want1)
 	}
-	if !g.Stopped() || !g.Shard(0).Stopped() {
+	if !g.Stopped() || !g.Shard(1).Stopped() {
 		t.Fatal("Stopped() not visible group-wide")
+	}
+
+	h := NewShardGroup(2)
+	h.Shard(1).At(5*time.Millisecond, func() {})
+	boom := errors.New("barrier failed")
+	if err := h.RunParallel(time.Second, time.Millisecond, func(time.Duration) error { return boom }); err != boom {
+		t.Fatalf("RunParallel with failing barrier = %v, want %v", err, boom)
+	}
+	if !h.Stopped() {
+		t.Fatal("barrier error did not stop the group")
 	}
 }
 
-// TestShardGroupProfileAttribution checks per-shard profile attribution:
-// every executed event is tallied under the shard that ran it.
+// TestShardGroupProfileAttribution checks per-shard profile attribution
+// under the parallel executor: every executed event is tallied under the
+// shard that ran it.
 func TestShardGroupProfileAttribution(t *testing.T) {
 	g := NewShardGroup(3)
 	p := NewProfile()
@@ -281,7 +232,7 @@ func TestShardGroupProfileAttribution(t *testing.T) {
 			shard.At(time.Duration(j+1)*time.Millisecond, func() {})
 		}
 	}
-	if err := g.Run(); err != nil {
+	if err := g.RunParallel(10*time.Millisecond, time.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
 	stats := p.ShardSnapshot()
@@ -293,8 +244,8 @@ func TestShardGroupProfileAttribution(t *testing.T) {
 			t.Fatalf("shard %d events = %d, want %d", i, st.Events, i+1)
 		}
 	}
-	if p.TotalEvents() != 6 {
-		t.Fatalf("TotalEvents = %d, want 6", p.TotalEvents())
+	if p.TotalEvents() != 6 || g.Executed() != 6 {
+		t.Fatalf("TotalEvents = %d, Executed = %d, want 6", p.TotalEvents(), g.Executed())
 	}
 }
 

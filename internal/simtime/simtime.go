@@ -155,11 +155,8 @@ type Scheduler struct {
 	labelCtxs *[NumOwners]context.Context
 
 	// group, when non-nil, makes this scheduler one spatial shard of a
-	// ShardGroup (see shard.go): the sequence counter, the clock, and the
-	// stop flag live on the group so that the merged firing order across
-	// every shard heap is the same (at, seq) total order a single heap
-	// produces. shardID is this scheduler's index within the group and
-	// tags cross-shard scheduling and the self-profiler.
+	// ShardGroup (see shard.go), whose stop flag it shares. shardID is this
+	// scheduler's index within the group and tags the self-profiler.
 	group   *ShardGroup
 	shardID int32
 }
@@ -169,17 +166,10 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{freeHead: -1}
 }
 
-// Now returns the current virtual time. Shards of a deterministic-merge
-// ShardGroup share one clock, so every shard observes the same "now"
-// regardless of which shard executed the last event. Shards of a parallel
-// group keep local clocks: a callback sees its own shard's event time,
-// which may differ from other shards' by up to the lookahead window.
-func (s *Scheduler) Now() time.Duration {
-	if g := s.group; g != nil && !g.par {
-		return g.now
-	}
-	return s.now
-}
+// Now returns the current virtual time. Shards of a ShardGroup keep local
+// clocks: a callback sees its own shard's event time, which may differ
+// from other shards' by up to the lookahead window.
+func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Executed returns the number of events that have fired so far.
 func (s *Scheduler) Executed() uint64 {
@@ -235,38 +225,21 @@ func (s *Scheduler) push(ev event) {
 // tag, callback or typed handler + payload), and push the heap entry. It
 // returns what a Timer handle needs; handle-less callers discard it.
 func (s *Scheduler) schedule(at time.Duration, owner Owner, fn Callback, pfn EventFunc, arg any) (int32, uint32, time.Duration) {
-	var seq uint64
-	if g := s.group; g != nil && !g.par {
-		// Group-shared sequence numbers keep (at, seq) a total order over
-		// the union of every shard heap: the merge executor pops exactly
-		// the sequence a single heap would.
-		if at < g.now {
-			at = g.now
-		}
-		g.seq++
-		seq = g.seq
-		if g.executing >= 0 && g.executing != s.shardID {
-			g.noteCross(g.executing, s.shardID, at)
-		}
-	} else {
-		// Serial scheduler, or a shard of a parallel group: shard-local
-		// clock and sequence counter. In parallel mode every schedule call
-		// on this shard happens on its own window goroutine (or on the
-		// coordinator at a barrier, when no window runs), so the per-shard
-		// (at, seq) order is deterministic without any shared state.
-		if at < s.now {
-			at = s.now
-		}
-		s.seq++
-		seq = s.seq
+	// The clock and sequence counter are local even on a shard: every
+	// schedule call on a shard happens on its own window goroutine (or on
+	// the coordinator at a barrier, when no window runs), so the per-shard
+	// (at, seq) order is deterministic without any shared state.
+	if at < s.now {
+		at = s.now
 	}
+	s.seq++
 	idx, gen := s.acquireSlot()
 	sl := &s.slots[idx]
 	sl.owner = owner
 	sl.fn = fn
 	sl.pfn = pfn
 	sl.arg = arg
-	s.push(event{at: at, seq: seq, slot: idx, gen: gen})
+	s.push(event{at: at, seq: s.seq, slot: idx, gen: gen})
 	return idx, gen, at
 }
 
@@ -381,8 +354,8 @@ func (s *Scheduler) popTop() event {
 }
 
 // peek returns the shard's earliest live event without popping it, after
-// draining tombstones off the top. The merge executor uses it to pick the
-// globally earliest head across shards.
+// draining tombstones off the top. The parallel executor uses it to find
+// the globally earliest pending time across shards.
 func (s *Scheduler) peek() (event, bool) {
 	if !s.drainTop() {
 		return event{}, false
@@ -412,9 +385,9 @@ func (s *Scheduler) fire(ev event) {
 // runWindow fires this shard's events with at < limit (at <= limit when
 // inclusive), advancing the shard-local clock, and leaves the clock at
 // the window end. It is the per-shard half of the parallel executor
-// (ShardGroup.RunParallel) and runs on the shard's window goroutine; the
-// shard must belong to a parallel-mode group. Events scheduled during
-// the window for times inside it fire in the same window.
+// (ShardGroup.RunParallel) and runs on the shard's window goroutine.
+// Events scheduled during the window for times inside it fire in the same
+// window.
 func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
 	for !s.stopped {
 		if !s.drainTop() {
@@ -434,13 +407,10 @@ func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
 }
 
 // Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed. On a sharded
-// scheduler it fires the earliest event of the whole group, whichever
-// shard holds it, preserving the global order.
+// timestamp. It reports whether an event was executed. A shard of a
+// ShardGroup is driven only by ShardGroup.RunParallel, never by Step,
+// RunUntil, or Run.
 func (s *Scheduler) Step() bool {
-	if g := s.group; g != nil {
-		return g.Step()
-	}
 	if s.stopped || !s.drainTop() {
 		return false
 	}
@@ -453,11 +423,7 @@ func (s *Scheduler) Step() bool {
 // RunUntil executes events in order until the clock would pass the deadline
 // or no events remain. On return the clock is set to the deadline (unless
 // stopped earlier), so subsequent After calls measure from the deadline.
-// On a sharded scheduler it drives the whole group.
 func (s *Scheduler) RunUntil(deadline time.Duration) error {
-	if g := s.group; g != nil {
-		return g.RunUntil(deadline)
-	}
 	for {
 		if s.stopped {
 			return ErrStopped
@@ -476,12 +442,8 @@ func (s *Scheduler) RunUntil(deadline time.Duration) error {
 	return nil
 }
 
-// Run executes events until none remain or the scheduler is stopped. On a
-// sharded scheduler it drives the whole group.
+// Run executes events until none remain or the scheduler is stopped.
 func (s *Scheduler) Run() error {
-	if g := s.group; g != nil {
-		return g.Run()
-	}
 	for s.Step() {
 	}
 	if s.stopped {
@@ -493,17 +455,13 @@ func (s *Scheduler) Run() error {
 // Stop halts the scheduler: no further events fire from RunUntil/Run/Step.
 // It is intended to be called from within an event callback (e.g. when an
 // experiment has observed the condition it was waiting for). Stopping any
-// shard of a group stops the whole group. Under the parallel executor the
-// stop is window-granular: this shard halts immediately, sibling shards
-// finish the current lookahead window first.
+// shard of a group stops the whole group, window-granularly: this shard
+// halts immediately, sibling shards finish the current lookahead window
+// first.
 func (s *Scheduler) Stop() {
 	s.stopped = true
 	if g := s.group; g != nil {
-		if g.par {
-			g.parStop.Store(true)
-		} else {
-			g.stopped = true
-		}
+		g.Stop()
 	}
 }
 

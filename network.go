@@ -32,7 +32,6 @@ type networkConfig struct {
 	propDelay   time.Duration
 	noCollision bool
 	noCSMA      bool
-	perReceiver bool
 	seed        int64
 	moteCfg     mote.Config
 	bounds      Rect
@@ -42,7 +41,6 @@ type networkConfig struct {
 	bus         *obs.Bus
 	selfProfile *simtime.Profile
 	shards      int
-	parallel    bool
 	backend     string
 }
 
@@ -91,15 +89,6 @@ func WithoutCollisions() Option {
 // when the channel around them is busy (an ablation of the MAC layer).
 func WithoutCSMA() Option {
 	return optionFunc(func(c *networkConfig) { c.noCSMA = true })
-}
-
-// WithPerReceiverDelivery switches the radio medium to the pre-batching
-// reference path: one scheduler event per target receiver instead of one
-// pooled delivery batch per frame. Traces are byte-identical either way
-// (the equivalence tests pin this); the option exists for differential
-// testing, not tuning.
-func WithPerReceiverDelivery() Option {
-	return optionFunc(func(c *networkConfig) { c.perReceiver = true })
 }
 
 // WithSeed makes the run deterministic under the given seed (default 1).
@@ -161,23 +150,12 @@ func WithEventBus(bus *EventBus) Option {
 	return optionFunc(func(c *networkConfig) { c.bus = bus })
 }
 
-// WithShards splits the run's event engine into n spatially sharded
-// scheduler clones: the field bounds are tiled into a near-square grid of
-// n regions, every mote's protocol timers and its outbound radio traffic
-// run on the scheduler shard owning its region, and the shards are merged
-// deterministically in global (at, seq) order. Results and traces are
-// byte-identical to serial (-shards 1, the default) at any shard count —
-// the differential battery in internal/eval pins this — while per-shard
-// heaps stay small and boundary traffic is classified and accounted
-// (Network.BoundaryFrames, Network.LookaheadViolations). n < 2 keeps the
-// serial engine.
-func WithShards(n int) Option {
-	return optionFunc(func(c *networkConfig) { c.shards = n })
-}
-
-// WithParallelShards splits the run into k spatially sharded schedulers
-// like WithShards, then executes them on separate goroutines with the
-// free-running conservative-lookahead (LBTS) engine: each shard fires its
+// WithParallelShards splits the run's event engine into k spatially
+// sharded schedulers — the field bounds are tiled into a near-square grid
+// of k regions, and every mote's protocol timers and outbound radio
+// traffic run on the shard owning its region — and executes them on
+// separate goroutines with the free-running conservative-lookahead (LBTS)
+// engine: each shard fires its
 // events inside lookahead windows of one minimum packet time
 // (airtime + PropDelay), a barrier drains the cross-shard radio
 // mailboxes, merges the buffered observability lanes, and samples series,
@@ -187,13 +165,11 @@ func WithShards(n int) Option {
 // are statistically equivalent (the internal/eval equivalence battery
 // pins the distributions) and deterministic per (seed, shard count):
 // rerunning the same configuration reproduces the run byte-for-byte.
-// Violations of the lookahead bound make Run fail with an error — a
+// Boundary traffic is classified and accounted (Network.BoundaryFrames),
+// and violations of the lookahead bound make Run fail with an error — a
 // violated bound means the run is invalid. k < 2 keeps the serial engine.
 func WithParallelShards(k int) Option {
-	return optionFunc(func(c *networkConfig) {
-		c.shards = k
-		c.parallel = k > 1
-	})
+	return optionFunc(func(c *networkConfig) { c.shards = k })
 }
 
 // WithSelfProfile attaches a scheduler self-profile: every simulation
@@ -213,9 +189,10 @@ func WithSelfProfile(p *SelfProfile) Option {
 type Network struct {
 	cfg   networkConfig
 	sched *simtime.Scheduler
-	// group is the sharded executor when WithShards(n>1) is in effect
-	// (sched is then its shard 0, the home of run-global events); shardOf
-	// maps a position to its owning shard. Both nil/unset in serial runs.
+	// group is the free-running parallel executor when
+	// WithParallelShards(k>1) is in effect (sched is then its shard 0, the
+	// home of run-global events); shardOf maps a position to its owning
+	// shard. Both nil in serial runs.
 	group   *simtime.ShardGroup
 	shardOf func(geom.Point) int32
 	medium  *radio.Medium
@@ -279,9 +256,6 @@ func New(opts ...Option) (*Network, error) {
 	if !cfg.boundsSet {
 		cfg.bounds = geom.Grid{Cols: cfg.cols, Rows: cfg.rows}.Bounds()
 	}
-	if cfg.shards < 1 {
-		cfg.shards = 1
-	}
 
 	sched := simtime.NewScheduler()
 	var shardGroup *simtime.ShardGroup
@@ -290,11 +264,6 @@ func New(opts ...Option) (*Network, error) {
 		shardGroup = simtime.NewShardGroup(cfg.shards)
 		sched = shardGroup.Shard(0)
 		shardOf = shardMapper(cfg.bounds, cfg.shards)
-		if cfg.parallel {
-			// Before any event is scheduled: parallel mode switches the
-			// shards to local clocks and sequence counters.
-			shardGroup.EnableParallel()
-		}
 	}
 	if cfg.selfProfile != nil {
 		if shardGroup != nil {
@@ -306,18 +275,14 @@ func New(opts ...Option) (*Network, error) {
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(cfg.seed))
 	medium := radio.New(sched, radio.Params{
-		CommRadius:          cfg.commRadius,
-		BitRate:             cfg.bitRate,
-		PropDelay:           cfg.propDelay,
-		LossProb:            cfg.lossProb,
-		DisableCollisions:   cfg.noCollision,
-		DisableCSMA:         cfg.noCSMA,
-		PerReceiverDelivery: cfg.perReceiver,
+		CommRadius:        cfg.commRadius,
+		BitRate:           cfg.bitRate,
+		PropDelay:         cfg.propDelay,
+		LossProb:          cfg.lossProb,
+		DisableCollisions: cfg.noCollision,
+		DisableCSMA:       cfg.noCSMA,
 	}, rng, &stats)
 	medium.SetObserver(cfg.bus)
-	if shardGroup != nil {
-		medium.SetSharding(shardGroup.Schedulers(), shardOf)
-	}
 
 	n := &Network{
 		cfg:     cfg,
@@ -343,9 +308,11 @@ func New(opts ...Option) (*Network, error) {
 		for i := 0; i < k; i++ {
 			n.shardRngs[i] = rand.New(rand.NewSource(simtime.ShardSeed(cfg.seed, i)))
 			n.shardStats[i] = &trace.Stats{}
-			rts[i] = radio.ShardRuntime{RNG: n.shardRngs[i], Stats: n.shardStats[i], Bus: n.laneBus(i)}
+			rts[i] = radio.ShardRuntime{
+				Sched: shardGroup.Shard(i), RNG: n.shardRngs[i], Stats: n.shardStats[i], Bus: n.laneBus(i),
+			}
 		}
-		medium.EnableParallel(rts)
+		medium.SetSharding(shardOf, rts)
 	}
 
 	if cfg.cols > 0 && cfg.rows > 0 {
@@ -401,7 +368,7 @@ func shardMapper(bounds geom.Rect, k int) func(geom.Point) int32 {
 }
 
 // AddMote deploys an additional mote (e.g. a base station). It must be
-// called before Run. Under sharded execution the mote's scheduler is the
+// called before Run. Under parallel execution the mote's scheduler is the
 // shard owning its region: every protocol timer it ever arms lands on
 // that shard's heap.
 func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, error) {
@@ -410,15 +377,14 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 	}
 	sched := n.sched
 	var shard int32
-	if n.group != nil {
-		shard = n.shardOf(pos)
-		sched = n.group.Shard(int(shard))
-	}
 	rng, stats, bus := n.rng, n.stats, n.bus
 	if n.parallel() {
-		// The mote draws from its shard's RNG stream, accounts into its
-		// shard's stats, and emits through its shard's buffered lane — no
-		// mutable state shared across shard goroutines.
+		// The mote runs on its shard's scheduler, draws from its shard's
+		// RNG stream, accounts into its shard's stats, and emits through
+		// its shard's buffered lane — no mutable state shared across shard
+		// goroutines.
+		shard = n.shardOf(pos)
+		sched = n.group.Shard(int(shard))
 		rng = n.shardRngs[shard]
 		stats = n.shardStats[shard]
 		bus = n.laneBus(int(shard))
@@ -616,10 +582,8 @@ func (n *Network) InjectFaults(sc chaos.Schedule) error {
 // chaosSchedFor routes a chaos victim's crash/restore events onto the
 // scheduler shard owning the victim, so in a free-running parallel run
 // the callback executes on the goroutine that owns the mote's state.
-// Routing is resolved at setup time, so in deterministic mode the global
-// (at, seq) firing order is unchanged.
 func (n *Network) chaosSchedFor(node int) *simtime.Scheduler {
-	if n.group != nil {
+	if n.parallel() {
 		if nd, ok := n.nodes[NodeID(node)]; ok {
 			return nd.mote.Scheduler()
 		}
@@ -683,8 +647,7 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 	}
 	// The ticker lives on the source mote's shard (its own scheduler in
 	// serial runs), so in parallel mode the send runs on the goroutine
-	// owning the source. Setup-time routing: the deterministic (at, seq)
-	// order is unchanged.
+	// owning the source.
 	simtime.NewTickerOwned(node.mote.Scheduler(), period, simtime.OwnerApp, func() {
 		if node.mote.Failed() {
 			return
@@ -713,9 +676,7 @@ func (n *Network) Run(d time.Duration) error {
 }
 
 // parallel reports whether the run uses the free-running parallel engine.
-func (n *Network) parallel() bool {
-	return n.group != nil && n.group.Parallel()
-}
+func (n *Network) parallel() bool { return n.group != nil }
 
 // laneBus returns shard i's buffered observability lane (nil when the run
 // is unobserved).
@@ -796,7 +757,7 @@ func (n *Network) parBarrier(w time.Duration) error {
 // group clock (the committed window edge); event callbacks needing their
 // shard's local time use Node.Now.
 func (n *Network) Now() time.Duration {
-	if n.group != nil {
+	if n.parallel() {
 		return n.group.Now()
 	}
 	return n.sched.Now()
@@ -834,7 +795,7 @@ func (n *Network) Bounds() Rect {
 // Shards returns the number of scheduler shards executing the run (1 for
 // the serial engine).
 func (n *Network) Shards() int {
-	if n.group != nil {
+	if n.parallel() {
 		return n.group.Shards()
 	}
 	return 1
@@ -848,23 +809,11 @@ func (n *Network) ShardOf(p Point) int {
 	return 0
 }
 
-// ShardHorizon returns shard i's committed horizon — the timestamp of
-// the last event it executed (the group clock itself in serial runs).
-func (n *Network) ShardHorizon(i int) time.Duration {
-	if n.group != nil {
-		return n.group.Horizon(i)
-	}
-	return n.sched.Now()
-}
-
-// CrossShardEvents counts scheduler events placed on a different shard
-// than the one executing (0 in serial runs).
-func (n *Network) CrossShardEvents() uint64 {
-	if n.group != nil {
-		return n.group.CrossEvents()
-	}
-	return 0
-}
+// CrossShardEvents always returns 0. Shards of the parallel engine never
+// schedule events on each other — cross-shard traffic travels only as
+// radio frames through the window barrier, counted by BoundaryFrames —
+// and the method stays for callers that report it.
+func (n *Network) CrossShardEvents() uint64 { return 0 }
 
 // BoundaryFrames counts radio target receptions whose sender and
 // receiver live in different shards (0 in serial runs).
@@ -877,15 +826,6 @@ func (n *Network) BoundaryFrames() uint64 {
 // zero outside the shardmut mutation build.
 func (n *Network) LookaheadViolations() uint64 {
 	return n.medium.LookaheadViolations()
-}
-
-// ParallelShards returns the number of free-running shard goroutines (0
-// when the run uses the serial or deterministic-sharded engine).
-func (n *Network) ParallelShards() int {
-	if n.parallel() {
-		return n.group.Shards()
-	}
-	return 0
 }
 
 // ShardPairStat is one ordered shard pair's boundary-traffic accounting.
