@@ -79,7 +79,7 @@ func benchTrackerContext(pursuer envirotrack.NodeID) envirotrack.ContextType {
 func BenchmarkFigure3(b *testing.B) {
 	var mean, max float64
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunFigure3(int64(i + 1))
+		res, err := eval.RunFigure3(&eval.Env{}, int64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkFigure4(b *testing.B) {
 	var rows []eval.Figure4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = eval.RunFigure4(3)
+		rows, err = eval.RunFigure4(&eval.Env{}, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkTable1(b *testing.B) {
 	var rows []eval.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = eval.RunTable1(3)
+		rows, err = eval.RunTable1(&eval.Env{}, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var points []eval.Figure5Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = eval.RunFigure5(cfg)
+		points, err = eval.RunFigure5(&eval.Env{}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkFigure6(b *testing.B) {
 	var points []eval.Figure6Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = eval.RunFigure6(cfg)
+		points, err = eval.RunFigure6(&eval.Env{}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkAblationFloodSuppression(b *testing.B) {
 	run := func(off bool) float64 {
 		sc := eval.Scenario{Seed: 1, HopsPast: 1, FloodSuppressOff: off}
-		res, err := eval.Run(sc)
+		res, err := eval.Run(&eval.Env{}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func BenchmarkAblationFloodSuppression(b *testing.B) {
 func BenchmarkAblationCSMA(b *testing.B) {
 	run := func(noCSMA bool) float64 {
 		sc := eval.Scenario{Seed: 1, HopsPast: 1, DisableCSMA: noCSMA}
-		res, err := eval.Run(sc)
+		res, err := eval.Run(&eval.Env{}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkAblationCSMA(b *testing.B) {
 func BenchmarkAblationRelinquish(b *testing.B) {
 	run := func(disable bool) float64 {
 		sc := eval.Scenario{Seed: 1, SpeedHops: 1, HopsPast: 1, DisableRelinquish: disable}
-		res, err := eval.Run(sc)
+		res, err := eval.Run(&eval.Env{}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	var simSeconds float64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		res, err := eval.Run(eval.Scenario{Seed: int64(i + 1)})
+		res, err := eval.Run(&eval.Env{}, eval.Scenario{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,34 +371,23 @@ func BenchmarkLargeField(b *testing.B) {
 // through the JSONL exporter, and "metrics" derives histograms and
 // counters from the stream.
 func BenchmarkTracingOverhead(b *testing.B) {
-	run := func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.Run(eval.Scenario{Seed: int64(i + 1)}); err != nil {
-				b.Fatal(err)
+	run := func(env *eval.Env) func(b *testing.B) {
+		return func(b *testing.B) {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval.Run(env, eval.Scenario{Seed: int64(i + 1)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if wall := time.Since(start).Seconds(); wall > 0 {
+				b.ReportMetric(float64(b.N)/wall, "runs/s")
 			}
 		}
-		if wall := time.Since(start).Seconds(); wall > 0 {
-			b.ReportMetric(float64(b.N)/wall, "runs/s")
-		}
 	}
-	b.Run("disabled", run)
-	b.Run("jsonl", func(b *testing.B) {
-		sink := envirotrack.NewJSONLSink(io.Discard)
-		eval.SetEventSink(sink)
-		defer eval.SetEventSink(nil)
-		run(b)
-	})
-	b.Run("metrics", func(b *testing.B) {
-		eval.SetMetricsRegistry(envirotrack.NewMetricsRegistry())
-		defer eval.SetMetricsRegistry(nil)
-		run(b)
-	})
-	b.Run("spans", func(b *testing.B) {
-		eval.SetEventSink(envirotrack.NewSpanSink())
-		defer eval.SetEventSink(nil)
-		run(b)
-	})
+	b.Run("disabled", run(&eval.Env{}))
+	b.Run("jsonl", run(&eval.Env{Sink: envirotrack.NewJSONLSink(io.Discard)}))
+	b.Run("metrics", run(&eval.Env{Metrics: envirotrack.NewMetricsRegistry()}))
+	b.Run("spans", run(&eval.Env{Sink: envirotrack.NewSpanSink()}))
 }
 
 // BenchmarkSweepSerialVsParallel times the same Figure 4 sweep through the
@@ -407,20 +396,17 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // TestParallelSweepsMatchSerial); only the elapsed time differs, and only
 // when more than one CPU is available.
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
-	defer eval.SetParallelism(0)
 	const trials = 2
 	var serial, parallel time.Duration
 	for i := 0; i < b.N; i++ {
-		eval.SetParallelism(1)
 		t0 := time.Now()
-		if _, err := eval.RunFigure4(trials); err != nil {
+		if _, err := eval.RunFigure4(&eval.Env{Parallel: 1}, trials); err != nil {
 			b.Fatal(err)
 		}
 		serial += time.Since(t0)
 
-		eval.SetParallelism(0)
 		t0 = time.Now()
-		if _, err := eval.RunFigure4(trials); err != nil {
+		if _, err := eval.RunFigure4(&eval.Env{}, trials); err != nil {
 			b.Fatal(err)
 		}
 		parallel += time.Since(t0)

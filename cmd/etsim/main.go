@@ -56,6 +56,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,6 +82,7 @@ type config struct {
 	backend     string
 	selfProfile bool
 	parShards   int
+	parallel    int
 	stdout      io.Writer
 	stderr      io.Writer
 }
@@ -103,16 +105,12 @@ func main() {
 	flag.StringVar(&cfg.backend, "backend", "", "tracking backend for every run: leader (default) or passive; -exp compare always runs both")
 	flag.BoolVar(&cfg.selfProfile, "selfprofile", false, "profile the scheduler: per-subsystem event counts and wall time, printed after the run (and exported with -metrics-out)")
 	flag.IntVar(&cfg.parShards, "parallel-shards", 0, "free-running parallel shard goroutines per run (0 = off): shards execute concurrently under a conservative lookahead barrier; results are statistically equivalent to serial (not byte-identical) and deterministic per (seed, shard count)")
-	parallel := flag.Int("parallel", 0, "max concurrent simulation runs per sweep (0 = one per CPU, 1 = serial); results are identical at any setting")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "max concurrent simulation runs per sweep (0 = one per CPU, 1 = serial); results are identical at any setting")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	flag.Parse()
 
-	if err := eval.SetParallelism(*parallel); err != nil {
-		fmt.Fprintln(os.Stderr, "etsim:", err)
-		os.Exit(2)
-	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -184,36 +182,24 @@ func run(cfg config) error {
 		return fmt.Errorf("unknown format %q (want text or json)", cfg.format)
 	}
 
-	// Attach the requested observability to every eval.Run, and always put
-	// the package-level configuration back so tests (and any embedding
-	// process) do not leak sinks across calls.
-	defer func() {
-		eval.SetEventSink(nil)
-		eval.SetMetricsRegistry(nil)
-		eval.SetSeriesCadence(0)
-		eval.DrainSeries()
-		eval.SetProgressWriter(nil)
-		eval.SetSelfProfile(nil)
-		eval.SetShardHealth(nil)
-		eval.SetParallelShards(0)
-		eval.SetBackend("")
-	}()
-	if cfg.backend != "" {
-		known := false
-		for _, be := range envirotrack.TrackingBackends() {
-			if be == cfg.backend {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown tracking backend %q (known: %s)",
-				cfg.backend, strings.Join(envirotrack.TrackingBackends(), ", "))
-		}
-		eval.SetBackend(cfg.backend)
+	switch {
+	case cfg.parallel < 0:
+		return fmt.Errorf("-parallel %d: must not be negative (0 means one worker per CPU)", cfg.parallel)
+	case cfg.parShards < 0:
+		return fmt.Errorf("-parallel-shards %d: must not be negative (0 means the serial engine)", cfg.parShards)
+	case cfg.seriesEvery < 0:
+		return fmt.Errorf("-series-every %v: must not be negative", cfg.seriesEvery)
 	}
+	if cfg.backend != "" && !slices.Contains(envirotrack.TrackingBackends(), cfg.backend) {
+		return fmt.Errorf("unknown tracking backend %q (known: %s)",
+			cfg.backend, strings.Join(envirotrack.TrackingBackends(), ", "))
+	}
+
+	// One Env carries every flag that shapes the runs, and collects what
+	// they leave behind, for all experiments of this invocation.
+	env := &eval.Env{Backend: cfg.backend, Shards: cfg.parShards, Parallel: cfg.parallel}
 	if cfg.progress {
-		eval.SetProgressWriter(cfg.stderr)
+		env.Progress = cfg.stderr
 	}
 	var (
 		traceFile *os.File
@@ -225,32 +211,24 @@ func run(cfg config) error {
 			return err
 		}
 		traceFile, traceSink = f, envirotrack.NewJSONLSink(f)
-		eval.SetEventSink(traceSink)
+		env.Sink = traceSink
 		defer traceFile.Close()
 	}
-	var reg *envirotrack.MetricsRegistry
 	if cfg.metricsOut != "" {
-		reg = envirotrack.NewMetricsRegistry()
-		reg.Expvar("envirotrack")
-		eval.SetMetricsRegistry(reg)
+		env.Metrics = envirotrack.NewMetricsRegistry()
+		env.Metrics.Expvar("envirotrack")
 	}
 	if cfg.seriesOut != "" {
-		every := cfg.seriesEvery
-		if every <= 0 {
-			every = 5 * time.Second
+		env.SeriesEvery = cfg.seriesEvery
+		if env.SeriesEvery == 0 {
+			env.SeriesEvery = 5 * time.Second
 		}
-		eval.SetSeriesCadence(every)
 	}
-	var prof *envirotrack.SelfProfile
 	if cfg.selfProfile {
-		prof = envirotrack.NewSelfProfile()
-		eval.SetSelfProfile(prof)
+		env.SelfProfile = envirotrack.NewSelfProfile()
 	}
-	eval.SetParallelShards(cfg.parShards)
-	var shardHealth *envirotrack.ShardHealth
 	if cfg.parShards > 1 {
-		shardHealth = envirotrack.NewShardHealth()
-		eval.SetShardHealth(shardHealth)
+		env.ShardHealth = envirotrack.NewShardHealth()
 	}
 
 	chaosSched, err := envirotrack.ParseChaosSchedule(cfg.chaosSpec)
@@ -265,7 +243,7 @@ func run(cfg config) error {
 
 	if all || cfg.exp == "fig3" {
 		ran = true
-		res, err := eval.RunFigure3Under(cfg.seed, chaosSched, cfg.checkInv)
+		res, err := eval.RunFigure3Under(env, cfg.seed, chaosSched, cfg.checkInv)
 		if err != nil {
 			return err
 		}
@@ -281,7 +259,7 @@ func run(cfg config) error {
 	}
 	if all || cfg.exp == "fig4" {
 		ran = true
-		rows, err := eval.RunFigure4(cfg.trials)
+		rows, err := eval.RunFigure4(env, cfg.trials)
 		if err != nil {
 			return err
 		}
@@ -293,7 +271,7 @@ func run(cfg config) error {
 	}
 	if all || cfg.exp == "table1" {
 		ran = true
-		rows, err := eval.RunTable1(cfg.runs)
+		rows, err := eval.RunTable1(env, cfg.runs)
 		if err != nil {
 			return err
 		}
@@ -310,7 +288,7 @@ func run(cfg config) error {
 			f5.Heartbeats = []float64{0.0625, 0.5, 2}
 			f5.Seeds = []int64{1}
 		}
-		points, err := eval.RunFigure5(f5)
+		points, err := eval.RunFigure5(env, f5)
 		if err != nil {
 			return err
 		}
@@ -328,7 +306,7 @@ func run(cfg config) error {
 			f6.Radii = []float64{1, 2}
 			f6.Seeds = []int64{1}
 		}
-		points, err := eval.RunFigure6(f6)
+		points, err := eval.RunFigure6(env, f6)
 		if err != nil {
 			return err
 		}
@@ -340,7 +318,7 @@ func run(cfg config) error {
 	}
 	if all || cfg.exp == "chaos" {
 		ran = true
-		points, err := eval.RunChaosSuite(cfg.trials)
+		points, err := eval.RunChaosSuite(env, cfg.trials)
 		if err != nil {
 			return err
 		}
@@ -353,7 +331,7 @@ func run(cfg config) error {
 	}
 	if cfg.exp == "compare" {
 		ran = true
-		points, err := eval.RunComparative(cfg.trials)
+		points, err := eval.RunComparative(env, cfg.trials)
 		if err != nil {
 			return err
 		}
@@ -387,26 +365,26 @@ func run(cfg config) error {
 		}
 	}
 	if cfg.seriesOut != "" {
-		if err := writeSeries(cfg.seriesOut); err != nil {
+		if err := writeSeries(cfg.seriesOut, env.Series()); err != nil {
 			return err
 		}
 	}
-	if prof != nil {
-		if reg != nil {
-			envirotrack.ExportSelfProfile(reg, prof)
+	if env.SelfProfile != nil {
+		if env.Metrics != nil {
+			envirotrack.ExportSelfProfile(env.Metrics, env.SelfProfile)
 		}
-		printSelfProfile(cfg.stderr, prof)
+		printSelfProfile(cfg.stderr, env.SelfProfile)
 	}
-	if shardHealth != nil {
-		if reg != nil {
-			envirotrack.ExportShardHealth(reg, shardHealth)
+	if env.ShardHealth != nil {
+		if env.Metrics != nil {
+			envirotrack.ExportShardHealth(env.Metrics, env.ShardHealth)
 		}
 		if cfg.selfProfile {
-			printShardHealth(cfg.stderr, shardHealth)
+			printShardHealth(cfg.stderr, env.ShardHealth)
 		}
 	}
-	if reg != nil {
-		if err := writeMetrics(reg, cfg.metricsOut); err != nil {
+	if env.Metrics != nil {
+		if err := writeMetrics(env.Metrics, cfg.metricsOut); err != nil {
 			return err
 		}
 	}
@@ -416,18 +394,19 @@ func run(cfg config) error {
 	return nil
 }
 
-// writeSeries drains the health series collected during the experiments
-// and writes them as a JSON array tagged with each run's seed and speed.
-func writeSeries(path string) error {
+// writeSeries writes the runs' health series as a JSON array in sweep
+// order, each tagged with its run tag (the "run" of its trace events),
+// seed and speed.
+func writeSeries(path string, collected []eval.RunSeries) error {
 	type tagged struct {
+		Run       int64               `json:"run"`
 		Seed      int64               `json:"seed"`
 		SpeedHops float64             `json:"speed_hops"`
 		Series    *envirotrack.Series `json:"series"`
 	}
-	collected := eval.DrainSeries()
 	out := make([]tagged, 0, len(collected))
-	for _, ts := range collected {
-		out = append(out, tagged{Seed: ts.Seed, SpeedHops: ts.SpeedHops, Series: ts.Series})
+	for _, rs := range collected {
+		out = append(out, tagged{Run: rs.Run, Seed: rs.Seed, SpeedHops: rs.SpeedHops, Series: rs.Series})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

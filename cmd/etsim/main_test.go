@@ -6,13 +6,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
-	"envirotrack/internal/eval"
+	"envirotrack"
 )
 
 func TestRunFig3(t *testing.T) {
+	t.Parallel()
 	var out bytes.Buffer
 	if err := run(config{exp: "fig3", seed: 1, quick: true, stdout: &out}); err != nil {
 		t.Fatal(err)
@@ -24,12 +27,133 @@ func TestRunFig3(t *testing.T) {
 
 // TestRunFig4Parallel drives an experiment the way `-parallel 2` would.
 func TestRunFig4Parallel(t *testing.T) {
-	if err := eval.SetParallelism(2); err != nil {
+	t.Parallel()
+	if err := run(config{exp: "fig4", trials: 1, quick: true, parallel: 2, stdout: new(bytes.Buffer)}); err != nil {
 		t.Fatal(err)
 	}
-	defer eval.SetParallelism(0)
-	if err := run(config{exp: "fig4", trials: 1, quick: true, stdout: new(bytes.Buffer)}); err != nil {
+}
+
+// TestRunRejectsBadFlags: every numeric flag with no meaning below zero,
+// and an unknown backend, fail in run with an error naming the flag
+// instead of running anything.
+func TestRunRejectsBadFlags(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		cfg  config
+		want string
+	}{
+		{"negative parallel", config{parallel: -3}, "-parallel -3"},
+		{"negative parallel-shards", config{parShards: -3}, "-parallel-shards -3"},
+		{"negative series-every", config{seriesEvery: -2 * time.Second}, "-series-every -2s"},
+		{"unknown backend", config{backend: "oracle"}, "oracle"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.cfg.exp = "fig3"
+			var out bytes.Buffer
+			tc.cfg.stdout = &out
+			err := run(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run = %v, want an error naming %q", err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("rejected config still printed results:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// traceAndSeries runs Figure 4 with two trials per cell at the given
+// sweep width and returns the trace and series files' bytes.
+func traceAndSeries(t *testing.T, parallel int) (trace, series []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := config{
+		exp: "fig4", trials: 2, parallel: parallel,
+		traceOut:  filepath.Join(dir, "trace.jsonl"),
+		seriesOut: filepath.Join(dir, "series.json"),
+		stdout:    new(bytes.Buffer),
+	}
+	if err := run(cfg); err != nil {
 		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(cfg.traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err = os.ReadFile(cfg.seriesOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace, series
+}
+
+// TestRunFig4TraceRunTags: Figure 4's cells reuse seeds, yet each of its
+// eight runs must carry its own trace tag, or ettrace merges their spans
+// into ones with negative or minute-long latencies.
+func TestRunFig4TraceRunTags(t *testing.T) {
+	t.Parallel()
+	trace, _ := traceAndSeries(t, 1)
+	spans := envirotrack.NewSpanSink()
+	runs := map[int64]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		ev, err := envirotrack.ParseTraceEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[ev.Run] = true
+		spans.Emit(ev)
+	}
+	if len(runs) != 8 {
+		t.Errorf("trace holds %d distinct run tags, want 8 (4 cells x 2 trials)", len(runs))
+	}
+	delivered := 0
+	for _, sp := range spans.Reports() {
+		if !sp.Delivered {
+			continue
+		}
+		delivered++
+		if sp.Latency < 0 {
+			t.Errorf("run %d span %s/%d/%d: latency %v < 0", sp.Run, sp.Label, sp.Origin, sp.Seq, sp.Latency)
+		}
+	}
+	if delivered == 0 {
+		t.Error("trace delivered no report spans")
+	}
+}
+
+// TestRunSeriesSweepOrder: -series-out lists runs in sweep order, tagged
+// by run, so the file is byte-identical at any -parallel, and the trace
+// holds the same events per run.
+func TestRunSeriesSweepOrder(t *testing.T) {
+	t.Parallel()
+	serialTrace, serial := traceAndSeries(t, 1)
+	parallelTrace, parallel := traceAndSeries(t, 4)
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("series file differs between -parallel 1 and 4 (%d vs %d bytes)", len(serial), len(parallel))
+	}
+	var runs []struct {
+		Run int64 `json:"run"`
+	}
+	if err := json.Unmarshal(serial, &runs); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 8 {
+		t.Fatalf("series file has %d runs, want 8", len(runs))
+	}
+	for i, r := range runs {
+		if r.Run != int64(i+1) {
+			t.Errorf("series entry %d has run tag %d, want %d", i, r.Run, i+1)
+		}
+	}
+	sortedLines := func(b []byte) []string {
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		slices.Sort(lines)
+		return lines
+	}
+	if !slices.Equal(sortedLines(serialTrace), sortedLines(parallelTrace)) {
+		t.Error("trace events (tags included) differ between -parallel 1 and 4")
 	}
 }
 
@@ -48,6 +172,7 @@ func TestRunRejectsUnknownFormat(t *testing.T) {
 // TestRunJSONFormat checks every experiment renders machine-readable
 // output: one top-level object keyed by experiment name.
 func TestRunJSONFormat(t *testing.T) {
+	t.Parallel()
 	var out bytes.Buffer
 	cfg := config{
 		exp: "fig3", trials: 1, runs: 1, seed: 1, quick: true,
@@ -95,6 +220,7 @@ func TestRunJSONFormat(t *testing.T) {
 // TestRunObservabilityOutputs drives -trace-out, -metrics-out and
 // -series-out together and validates each artifact parses.
 func TestRunObservabilityOutputs(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	cfg := config{
 		exp: "fig3", seed: 1, quick: true,
@@ -174,6 +300,7 @@ func TestRunChaosExperiment(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
 	}
+	t.Parallel()
 	var out bytes.Buffer
 	cfg := config{exp: "chaos", trials: 1, checkInv: true, stdout: &out}
 	if err := run(cfg); err != nil {
@@ -218,6 +345,7 @@ func TestRunFig3WithChaosSchedule(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
 	}
+	t.Parallel()
 	var out bytes.Buffer
 	cfg := config{
 		exp: "fig3", seed: 1,
@@ -244,6 +372,7 @@ func TestRunRejectsMalformedChaosSpec(t *testing.T) {
 // off -parallel-shards: a parallel-shard run prints the per-shard
 // attribution and boundary-health tables, a serial run prints neither.
 func TestRunSelfProfileShardTables(t *testing.T) {
+	t.Parallel()
 	var stderr bytes.Buffer
 	cfg := config{exp: "fig3", seed: 1, selfProfile: true, parShards: 2, stdout: new(bytes.Buffer), stderr: &stderr}
 	if err := run(cfg); err != nil {

@@ -18,6 +18,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -301,8 +302,8 @@ func (fs *fieldSet) num(key string, def float64) float64 {
 	}
 	fs.used[key] = true
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil && fs.err == nil {
-		fs.err = fmt.Errorf("field %s=%q is not a number", key, v)
+	if (err != nil || math.IsNaN(f) || math.IsInf(f, 0)) && fs.err == nil {
+		fs.err = fmt.Errorf("field %s=%q is not a finite number", key, v)
 	}
 	return f
 }

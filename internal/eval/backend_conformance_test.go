@@ -34,11 +34,13 @@ func conformanceScenario(t *testing.T, backend string) Scenario {
 // the same seeded scenario (chaos faults included) must reproduce a
 // deeply equal result and a byte-identical JSONL event stream.
 func TestBackendRepeatSeedByteIdentical(t *testing.T) {
+	t.Parallel()
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
+			t.Parallel()
 			sc := conformanceScenario(t, be)
-			res1, trace1 := collectRun(t, sc)
-			res2, trace2 := collectRun(t, sc)
+			res1, trace1 := collectRun(t, &Env{}, sc)
+			res2, trace2 := collectRun(t, &Env{}, sc)
 			if len(trace1) == 0 {
 				t.Fatal("run emitted no events")
 			}
@@ -59,12 +61,14 @@ func TestBackendRepeatSeedByteIdentical(t *testing.T) {
 // the free-running parallel engine per backend: not byte-identical to
 // serial, but exactly reproducible for a fixed (seed, shard count).
 func TestBackendParallelShardsDeterministic(t *testing.T) {
+	t.Parallel()
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
+			t.Parallel()
 			sc := conformanceScenario(t, be)
 			sc.ParallelShards = 3
-			res1, trace1 := collectRun(t, sc)
-			res2, trace2 := collectRun(t, sc)
+			res1, trace1 := collectRun(t, &Env{}, sc)
+			res2, trace2 := collectRun(t, &Env{}, sc)
 			if len(trace1) == 0 {
 				t.Fatal("run emitted no events")
 			}
@@ -90,11 +94,11 @@ func TestBackendChaosSuiteClean(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
 	}
+	t.Parallel()
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
-			SetBackend(be)
-			defer SetBackend("")
-			points, err := RunChaosSuite(1)
+			t.Parallel()
+			points, err := RunChaosSuite(&Env{Backend: be}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +124,10 @@ func TestBackendChaosSuiteClean(t *testing.T) {
 // API: attaching the same context type twice must fail identically under
 // every backend, leaving the first attachment working.
 func TestBackendDoubleAttachErrors(t *testing.T) {
+	t.Parallel()
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
+			t.Parallel()
 			net, err := envirotrack.New(
 				envirotrack.WithGrid(3, 2),
 				envirotrack.WithSensing(envirotrack.VehicleSensing("vehicle")),

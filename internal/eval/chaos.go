@@ -58,10 +58,10 @@ type ChaosPoint struct {
 }
 
 // RunChaosSuite executes every ChaosCases entry under trials seeds each
-// (seeds 1..trials), fanning the (case, seed) grid across Parallelism()
+// (seeds 1..trials), fanning the (case, seed) grid across env.Parallel
 // workers, with the invariant checker attached to every run. Results
 // come back in matrix order regardless of worker count.
-func RunChaosSuite(trials int) ([]ChaosPoint, error) {
+func RunChaosSuite(env *Env, trials int) ([]ChaosPoint, error) {
 	if trials <= 0 {
 		trials = 2
 	}
@@ -75,7 +75,8 @@ func RunChaosSuite(trials int) ([]ChaosPoint, error) {
 			cells = append(cells, cell{c: c, seed: s})
 		}
 	}
-	points, err := runpar.Map(sweepContext("chaos", "runs"), Parallelism(), len(cells),
+	first := env.tagBlock(len(cells))
+	points, err := runpar.Map(env.sweep("chaos", "runs"), env.Parallel, len(cells),
 		func(_ context.Context, i int) (ChaosPoint, error) {
 			cl := cells[i]
 			sched, err := envirotrack.ParseChaosSchedule(cl.c.Spec)
@@ -84,8 +85,8 @@ func RunChaosSuite(trials int) ([]ChaosPoint, error) {
 			}
 			sc := chaosBase(cl.seed)
 			sc.Chaos = sched
-			sc.Run = int64(i + 1) // unique bus tag: cells reuse seeds across cases
-			res, err := Run(sc)
+			sc.Run = first + int64(i)
+			res, err := Run(env, sc)
 			if err != nil {
 				return ChaosPoint{}, fmt.Errorf("eval: chaos case %q seed %d: %w", cl.c.Name, cl.seed, err)
 			}

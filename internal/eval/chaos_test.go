@@ -21,11 +21,12 @@ func TestChaosSuiteNominalHoldsInvariants(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
 	}
+	t.Parallel()
 	trials := 2
 	if testing.Short() {
 		trials = 1
 	}
-	points, err := RunChaosSuite(trials)
+	points, err := RunChaosSuite(&Env{}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,29 +48,16 @@ func TestChaosSuiteNominalHoldsInvariants(t *testing.T) {
 // identical RunResult (stats, reports, violations) and a byte-identical
 // JSONL event stream.
 func TestChaosRunDeterministic(t *testing.T) {
+	t.Parallel()
 	sched, err := envirotrack.ParseChaosSchedule(
 		"crash:node=5,at=20s,for=5s;loss:at=10s,for=10s,p=0.4;dup:at=30s,for=5s,p=0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (RunResult, []byte) {
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		SetEventSink(sink)
-		defer SetEventSink(nil)
-		sc := chaosBase(7)
-		sc.Chaos = sched
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
-	}
-	res1, trace1 := run()
-	res2, trace2 := run()
+	sc := chaosBase(7)
+	sc.Chaos = sched
+	res1, trace1 := collectRun(t, &Env{}, sc)
+	res2, trace2 := collectRun(t, &Env{}, sc)
 	if !reflect.DeepEqual(res1, res2) {
 		t.Errorf("identical chaos runs diverge:\nfirst  = %+v\nsecond = %+v", res1, res2)
 	}
@@ -91,18 +79,14 @@ func TestChaosSuiteParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite x2 is slow")
 	}
+	t.Parallel()
 	collect := func(width int) ([]ChaosPoint, map[string][]string) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
-		SetEventSink(sink)
-		defer SetEventSink(nil)
-		var points []ChaosPoint
-		withParallelism(t, width, func() {
-			var err error
-			if points, err = RunChaosSuite(1); err != nil {
-				t.Fatal(err)
-			}
-		})
+		points, err := RunChaosSuite(&Env{Sink: sink, Parallel: width}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -68,10 +68,10 @@ type CompareSummary struct {
 
 // RunComparative executes the chaos-suite matrix (ChaosCases x seeds
 // 1..trials) once per backend, fanning every (case, seed, backend) cell
-// across Parallelism() workers, with each backend checked against its
-// own invariant rule set. Cells come back zipped per (case, seed) in
-// matrix order.
-func RunComparative(trials int) ([]ComparePoint, error) {
+// across env.Parallel workers, with each backend checked against its
+// own invariant rule set. Each cell pins its backend, so env.Backend does
+// not apply. Cells come back zipped per (case, seed) in matrix order.
+func RunComparative(env *Env, trials int) ([]ComparePoint, error) {
 	if trials <= 0 {
 		trials = 2
 	}
@@ -88,7 +88,8 @@ func RunComparative(trials int) ([]ComparePoint, error) {
 			}
 		}
 	}
-	metrics, err := runpar.Map(sweepContext("compare", "runs"), Parallelism(), len(cells),
+	first := env.tagBlock(len(cells))
+	metrics, err := runpar.Map(env.sweep("compare", "runs"), env.Parallel, len(cells),
 		func(_ context.Context, i int) (BackendMetrics, error) {
 			cl := cells[i]
 			sched, err := envirotrack.ParseChaosSchedule(cl.c.Spec)
@@ -98,8 +99,8 @@ func RunComparative(trials int) ([]ComparePoint, error) {
 			sc := chaosBase(cl.seed)
 			sc.Chaos = sched
 			sc.Backend = cl.backend
-			sc.Run = int64(i + 1) // unique bus tag: cells reuse seeds
-			res, err := Run(sc)
+			sc.Run = first + int64(i)
+			res, err := Run(env, sc)
 			if err != nil {
 				return BackendMetrics{}, fmt.Errorf("eval: compare case %q seed %d backend %s: %w",
 					cl.c.Name, cl.seed, cl.backend, err)

@@ -13,15 +13,14 @@ import (
 	"envirotrack/internal/obs"
 )
 
-// collectRun executes one scenario and returns its result plus the
-// byte-exact JSONL event stream.
-func collectRun(t *testing.T, sc Scenario) (RunResult, []byte) {
+// collectRun executes one scenario under env with a JSONL sink attached
+// and returns its result plus the byte-exact event stream.
+func collectRun(t *testing.T, env *Env, sc Scenario) (RunResult, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	SetEventSink(sink)
-	defer SetEventSink(nil)
-	res, err := Run(sc)
+	env.Sink = sink
+	res, err := Run(env, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +62,7 @@ func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded on amd64; %s may round floats differently", runtime.GOARCH)
 	}
+	t.Parallel()
 	raw, err := os.ReadFile("testdata/delivery_digests.json")
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +89,12 @@ func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			want, ok := golden[tc.name]
 			if !ok {
 				t.Fatalf("no golden digest for %q", tc.name)
 			}
-			res, trace := collectRun(t, tc.sc)
+			res, trace := collectRun(t, &Env{}, tc.sc)
 			if len(res.Violations) != 0 {
 				t.Errorf("run violated invariants: %+v", res.Violations)
 			}

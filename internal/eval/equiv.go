@@ -111,20 +111,23 @@ func sampleRun(res RunResult) equivSample {
 	return s
 }
 
-// runEnsemble executes the scenario once per seed (sequentially when the
-// parallel engine is on — each parallel run already owns Parallelism()
-// worth of goroutines) and returns the metric vectors in seed order.
-func runEnsemble(base Scenario, seeds []int64, parallelShards int) ([]equivSample, error) {
-	workers := Parallelism()
-	if parallelShards > 1 {
+// runEnsemble executes the scenario once per seed on the given engine (1
+// is serial, whatever env.Shards says) and returns the metric vectors in
+// seed order. Parallel-engine runs go one at a time, since each already
+// owns a goroutine per shard.
+func runEnsemble(env *Env, base Scenario, seeds []int64, shards int) ([]equivSample, error) {
+	workers := env.Parallel
+	if shards > 1 {
 		workers = 1
 	}
+	first := env.tagBlock(len(seeds))
 	return runpar.Map(context.Background(), workers, len(seeds),
 		func(_ context.Context, i int) (equivSample, error) {
 			sc := base
 			sc.Seed = seeds[i]
-			sc.ParallelShards = parallelShards
-			res, err := Run(sc)
+			sc.ParallelShards = shards
+			sc.Run = first + int64(i)
+			res, err := Run(env, sc)
 			if err != nil {
 				return equivSample{}, err
 			}
@@ -193,8 +196,9 @@ func mean(xs []float64) float64 {
 // (Figure 2's report_function), mean tracking error (Figure 3), successful
 // handovers and labels created (Figure 4), and heartbeat loss (Table 1).
 // When the scenario carries CheckInvariants, proven invariant violations
-// on either engine fail the battery regardless of the KS outcomes.
-func RunEquivalence(base Scenario, seeds []int64, shards int) (EquivReport, error) {
+// on either engine fail the battery regardless of the KS outcomes. The
+// serial ensemble stays serial under a non-zero env.Shards.
+func RunEquivalence(env *Env, base Scenario, seeds []int64, shards int) (EquivReport, error) {
 	if len(seeds) == 0 {
 		for s := int64(1); s <= 20; s++ {
 			seeds = append(seeds, s)
@@ -203,11 +207,11 @@ func RunEquivalence(base Scenario, seeds []int64, shards int) (EquivReport, erro
 	if shards < 2 {
 		shards = 2
 	}
-	serial, err := runEnsemble(base, seeds, 0)
+	serial, err := runEnsemble(env, base, seeds, 1)
 	if err != nil {
 		return EquivReport{}, fmt.Errorf("eval: serial ensemble: %w", err)
 	}
-	par, err := runEnsemble(base, seeds, shards)
+	par, err := runEnsemble(env, base, seeds, shards)
 	if err != nil {
 		return EquivReport{}, fmt.Errorf("eval: parallel ensemble: %w", err)
 	}

@@ -33,7 +33,8 @@ func TestScenarioDefaults(t *testing.T) {
 }
 
 func TestRunBasicScenario(t *testing.T) {
-	res, err := Run(Scenario{Seed: 3})
+	t.Parallel()
+	res, err := Run(&Env{}, Scenario{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,8 @@ func TestRunBasicScenario(t *testing.T) {
 }
 
 func TestFigure3ErrorsBounded(t *testing.T) {
-	r, err := RunFigure3(1)
+	t.Parallel()
+	r, err := RunFigure3(&Env{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,8 @@ func TestFigure4Shape(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): nominal-shape assertions do not apply")
 	}
-	rows, err := RunFigure4(3)
+	t.Parallel()
+	rows, err := RunFigure4(&Env{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,8 @@ func TestTable1Shape(t *testing.T) {
 	if protocolMutated {
 		t.Skip("protocol mutated (-tags chaosmut): nominal-shape assertions do not apply")
 	}
-	rows, err := RunTable1(3)
+	t.Parallel()
+	rows, err := RunTable1(&Env{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,8 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 5 sweep is slow")
 	}
-	points, err := RunFigure5(Figure5Config{
+	t.Parallel()
+	points, err := RunFigure5(&Env{}, Figure5Config{
 		Heartbeats: []float64{0.0625, 0.5, 2},
 		Radii:      []float64{1, 2},
 		Seeds:      []int64{1},
@@ -190,7 +195,8 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 6 sweep is slow")
 	}
-	points, err := RunFigure6(Figure6Config{
+	t.Parallel()
+	points, err := RunFigure6(&Env{}, Figure6Config{
 		Ratios: []float64{0.75, 1.5, 3},
 		Radii:  []float64{1, 2},
 		Seeds:  []int64{1},
@@ -229,8 +235,9 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestCrossTrafficDoesNotBreakTracking(t *testing.T) {
+	t.Parallel()
 	sc := Scenario{Seed: 5, CrossTraffic: true}
-	res, err := Run(sc)
+	res, err := Run(&Env{}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +247,10 @@ func TestCrossTrafficDoesNotBreakTracking(t *testing.T) {
 }
 
 func TestMaxTrackableSpeedZeroWhenImpossible(t *testing.T) {
+	t.Parallel()
 	// CR:SR well below 1: tracking cannot work at any speed.
 	sc := figure6Scenario(2, 0.5)
-	speed, err := MaxTrackableSpeed(sc, []int64{1})
+	speed, err := MaxTrackableSpeed(&Env{}, sc, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +260,12 @@ func TestMaxTrackableSpeedZeroWhenImpossible(t *testing.T) {
 }
 
 func TestRunDeterministicForSeed(t *testing.T) {
-	a, err := Run(Scenario{Seed: 9})
+	t.Parallel()
+	a, err := Run(&Env{}, Scenario{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Scenario{Seed: 9})
+	b, err := Run(&Env{}, Scenario{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,18 +38,19 @@ func Figure3Scenario(seed int64) Scenario {
 }
 
 // RunFigure3 executes the trajectory experiment.
-func RunFigure3(seed int64) (Figure3Result, error) {
-	return RunFigure3Under(seed, envirotrack.ChaosSchedule{}, false)
+func RunFigure3(env *Env, seed int64) (Figure3Result, error) {
+	return RunFigure3Under(env, seed, envirotrack.ChaosSchedule{}, false)
 }
 
 // RunFigure3Under executes the trajectory experiment under a fault
 // schedule, optionally with the protocol invariant checker attached
 // (violations land in the result's Run.Violations).
-func RunFigure3Under(seed int64, sched envirotrack.ChaosSchedule, check bool) (Figure3Result, error) {
+func RunFigure3Under(env *Env, seed int64, sched envirotrack.ChaosSchedule, check bool) (Figure3Result, error) {
 	sc := Figure3Scenario(seed)
 	sc.Chaos = sched
 	sc.CheckInvariants = check
-	res, err := Run(sc)
+	sc.Run = env.seedTag(sc.withDefaults().Seed)
+	res, err := Run(env, sc)
 	if err != nil {
 		return Figure3Result{}, err
 	}
@@ -87,10 +88,10 @@ type Figure4Row struct {
 // (33 and 50 km/h) under the two heartbeat-propagation settings (h = 0:
 // heartbeats stay within the radio radius; h = 1: propagated one hop past
 // the sensing perimeter). Each cell averages `trials` seeded runs; the
-// cell×trial cross product fans across Parallelism() workers, and the
+// cell×trial cross product fans across env.Parallel workers, and the
 // per-cell averages are folded in trial order, so the rows are identical
 // to the serial sweep.
-func RunFigure4(trials int) ([]Figure4Row, error) {
+func RunFigure4(env *Env, trials int) ([]Figure4Row, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -99,10 +100,13 @@ func RunFigure4(trials int) ([]Figure4Row, error) {
 		kmh float64
 	}
 	cells := []cell{{1, 33}, {1, 50}, {0, 33}, {0, 50}}
-	rates, err := runpar.Map(sweepContext("fig4", "runs"), Parallelism(), len(cells)*trials,
+	first := env.tagBlock(len(cells) * trials)
+	rates, err := runpar.Map(env.sweep("fig4", "runs"), env.Parallel, len(cells)*trials,
 		func(_ context.Context, i int) (float64, error) {
 			c := cells[i/trials]
-			res, err := Run(figure4Scenario(c.kmh, c.h, int64(i%trials+1)))
+			sc := figure4Scenario(c.kmh, c.h, int64(i%trials+1))
+			sc.Run = first + int64(i)
+			res, err := Run(env, sc)
 			if err != nil {
 				return 0, err
 			}
@@ -178,18 +182,21 @@ type Table1Row struct {
 // RunTable1 reproduces the communication performance table: per-speed
 // heartbeat loss, member-reading loss, and worst-case link utilization,
 // averaged over `runs` independent runs of the h=1 (correct) setting. The
-// speed×run cross product fans across Parallelism() workers; per-speed
+// speed×run cross product fans across env.Parallel workers; per-speed
 // sums are folded in run order, so the rows match the serial sweep
 // exactly.
-func RunTable1(runs int) ([]Table1Row, error) {
+func RunTable1(env *Env, runs int) ([]Table1Row, error) {
 	if runs <= 0 {
 		runs = 3
 	}
 	speeds := []float64{33, 50}
 	type sample struct{ hb, msg, util float64 }
-	samples, err := runpar.Map(sweepContext("table1", "runs"), Parallelism(), len(speeds)*runs,
+	first := env.tagBlock(len(speeds) * runs)
+	samples, err := runpar.Map(env.sweep("table1", "runs"), env.Parallel, len(speeds)*runs,
 		func(_ context.Context, i int) (sample, error) {
-			res, err := Run(figure4Scenario(speeds[i/runs], 1, int64(100+i%runs)))
+			sc := figure4Scenario(speeds[i/runs], 1, int64(100+i%runs))
+			sc.Run = first + int64(i)
+			res, err := Run(env, sc)
 			if err != nil {
 				return sample{}, err
 			}

@@ -13,7 +13,8 @@ const protocolMutated = true
 // The chaos suite must prove at least one dual-leader violation — if it
 // cannot see this seeded bug, the invariant checker is vacuous.
 func TestMutationTripsDualLeader(t *testing.T) {
-	points, err := RunChaosSuite(2)
+	t.Parallel()
+	points, err := RunChaosSuite(&Env{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

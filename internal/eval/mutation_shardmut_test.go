@@ -19,6 +19,7 @@ const shardMutated = true
 // must go positive and Run must fail (and the run must report boundary
 // frames at all, or the check is vacuous).
 func TestShardMutationTripsLookaheadCounter(t *testing.T) {
+	t.Parallel()
 	net, err := envirotrack.New(
 		envirotrack.WithGrid(10, 10),
 		envirotrack.WithSeed(3),
@@ -51,7 +52,8 @@ func TestShardMutationTripsLookaheadCounter(t *testing.T) {
 // statistics from a run whose conservative-execution premise was
 // violated.
 func TestShardMutationHardFailsParallelRun(t *testing.T) {
-	_, err := Run(Scenario{Seed: 7, ParallelShards: 4})
+	t.Parallel()
+	_, err := Run(&Env{}, Scenario{Seed: 7, ParallelShards: 4})
 	if err == nil {
 		t.Fatal("parallel run with skewed boundary deliveries returned no error: lookahead violations must hard-fail the run")
 	}

@@ -11,24 +11,17 @@ import (
 	"envirotrack/internal/obs"
 )
 
-// TestRunObservabilityHooks exercises the package-level observability
-// configuration end to end: an event sink sees protocol traffic, a
-// metrics registry derives event counts and the runs-completed counter,
-// and the series cadence yields one tagged health series per run.
+// TestRunObservabilityHooks exercises an Env's observers end to end: an
+// event sink sees protocol traffic, a metrics registry derives event
+// counts and the runs-completed counter, and the series cadence yields
+// one tagged health series per run.
 func TestRunObservabilityHooks(t *testing.T) {
+	t.Parallel()
 	cs := obs.NewCounterSink()
 	reg := obs.NewRegistry()
-	SetEventSink(cs)
-	SetMetricsRegistry(reg)
-	SetSeriesCadence(5 * time.Second)
-	defer func() {
-		SetEventSink(nil)
-		SetMetricsRegistry(nil)
-		SetSeriesCadence(0)
-		DrainSeries()
-	}()
+	env := &Env{Sink: cs, Metrics: reg, SeriesEvery: 5 * time.Second}
 
-	if _, err := Run(Scenario{Seed: 3}); err != nil {
+	if _, err := Run(env, Scenario{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,19 +43,16 @@ func TestRunObservabilityHooks(t *testing.T) {
 		t.Error("registry exposition missing derived event counters")
 	}
 
-	series := DrainSeries()
+	series := env.Series()
 	if len(series) != 1 {
-		t.Fatalf("DrainSeries returned %d series, want 1", len(series))
+		t.Fatalf("Series returned %d series, want 1", len(series))
 	}
 	ts := series[0]
-	if ts.Seed != 3 {
-		t.Errorf("series tagged with seed %d, want 3", ts.Seed)
+	if ts.Seed != 3 || ts.Run != 3 {
+		t.Errorf("series tagged with seed %d run %d, want 3 and 3", ts.Seed, ts.Run)
 	}
 	if ts.Series.Len() < 2 {
 		t.Errorf("series has %d samples, want >= 2", ts.Series.Len())
-	}
-	if again := DrainSeries(); len(again) != 0 {
-		t.Errorf("second drain returned %d series, want 0", len(again))
 	}
 }
 
@@ -70,25 +60,14 @@ func TestRunObservabilityHooks(t *testing.T) {
 // injected clock: per-update carriage-return lines with rate and ETA, and
 // a final newline when the sweep completes.
 func TestSweepContextProgressFormat(t *testing.T) {
-	progressCfg.mu.Lock()
-	saved := progressCfg.now
+	t.Parallel()
 	tick := 0
-	progressCfg.now = func() time.Time {
+	now := func() time.Time {
 		tick++
 		return time.Unix(0, 0).Add(time.Duration(tick) * time.Second)
 	}
-	progressCfg.mu.Unlock()
-	defer func() {
-		progressCfg.mu.Lock()
-		progressCfg.now = saved
-		progressCfg.mu.Unlock()
-	}()
-
 	var buf bytes.Buffer
-	SetProgressWriter(&buf)
-	defer SetProgressWriter(nil)
-
-	ctx := sweepContext("figX", "runs")
+	ctx := runpar.WithProgress(context.Background(), progressLine(&buf, "figX", "runs", now))
 	if _, err := runpar.Map(ctx, 1, 3, func(_ context.Context, i int) (int, error) {
 		return i, nil
 	}); err != nil {
@@ -109,8 +88,8 @@ func TestSweepContextProgressFormat(t *testing.T) {
 // TestSweepContextDisabled: with no writer configured, sweeps must not pay
 // for progress plumbing at all.
 func TestSweepContextDisabled(t *testing.T) {
-	SetProgressWriter(nil)
-	if ctx := sweepContext("figX", "runs"); ctx != context.Background() {
-		t.Error("sweepContext without a writer should return the plain background context")
+	t.Parallel()
+	if ctx := (&Env{}).sweep("figX", "runs"); ctx != context.Background() {
+		t.Error("sweep without a progress writer should return the plain background context")
 	}
 }

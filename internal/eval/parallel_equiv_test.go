@@ -5,29 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"envirotrack/internal/obs"
 )
-
-// collectParallelRun executes one scenario on the free-running parallel
-// engine with k shard goroutines and returns its result plus the JSONL
-// event stream.
-func collectParallelRun(t *testing.T, sc Scenario, k int) (RunResult, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
-	SetEventSink(sink)
-	defer SetEventSink(nil)
-	sc.ParallelShards = k
-	res, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return res, buf.Bytes()
-}
 
 // TestParallelRunDeterministicRerun pins the parallel engine's
 // reproducibility contract: the free-running executor is not
@@ -40,6 +18,7 @@ func TestParallelRunDeterministicRerun(t *testing.T) {
 	if shardMutated {
 		t.Skip("shardmut build hard-fails parallel runs by design")
 	}
+	t.Parallel()
 	for _, tc := range []struct {
 		name string
 		sc   Scenario
@@ -48,8 +27,9 @@ func TestParallelRunDeterministicRerun(t *testing.T) {
 		{"lossy", Scenario{Seed: 11, LossProb: 0.2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res1, trace1 := collectParallelRun(t, tc.sc, 4)
-			res2, trace2 := collectParallelRun(t, tc.sc, 4)
+			t.Parallel()
+			res1, trace1 := collectRun(t, &Env{Shards: 4}, tc.sc)
+			res2, trace2 := collectRun(t, &Env{Shards: 4}, tc.sc)
 			if len(trace1) == 0 {
 				t.Fatal("parallel run emitted no events")
 			}
@@ -80,11 +60,12 @@ func TestParallelWorkerPathMatchesInline(t *testing.T) {
 	if shardMutated {
 		t.Skip("shardmut build hard-fails parallel runs by design")
 	}
+	t.Parallel()
 	sc := Scenario{Seed: 7, CheckInvariants: true}
 	prev := runtime.GOMAXPROCS(2)
-	resWorkers, traceWorkers := collectParallelRun(t, sc, 4)
+	resWorkers, traceWorkers := collectRun(t, &Env{Shards: 4}, sc)
 	runtime.GOMAXPROCS(1)
-	resInline, traceInline := collectParallelRun(t, sc, 4)
+	resInline, traceInline := collectRun(t, &Env{Shards: 4}, sc)
 	runtime.GOMAXPROCS(prev)
 	if len(traceWorkers) == 0 {
 		t.Fatal("parallel run emitted no events")
@@ -106,7 +87,8 @@ func TestParallelRunBasicHealth(t *testing.T) {
 	if shardMutated {
 		t.Skip("shardmut build hard-fails parallel runs by design")
 	}
-	res, _ := collectParallelRun(t, Scenario{Seed: 3}, 4)
+	t.Parallel()
+	res, _ := collectRun(t, &Env{Shards: 4}, Scenario{Seed: 3})
 	if len(res.Reports) == 0 {
 		t.Error("no track reports reached the pursuer")
 	}
@@ -121,7 +103,8 @@ func TestParallelEquivalenceSmoke(t *testing.T) {
 	if shardMutated {
 		t.Skip("shardmut build hard-fails parallel runs by design")
 	}
-	rep, err := RunEquivalence(Scenario{}, equivSeeds(8), 2)
+	t.Parallel()
+	rep, err := RunEquivalence(&Env{}, Scenario{}, equivSeeds(8), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +131,7 @@ func TestParallelEquivalenceBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-shard ensembles are slow")
 	}
+	t.Parallel()
 	scenarios := []struct {
 		name string
 		sc   Scenario
@@ -158,7 +142,8 @@ func TestParallelEquivalenceBattery(t *testing.T) {
 	for _, tc := range scenarios {
 		for _, shards := range []int{2, 4, 8} {
 			t.Run(tc.name, func(t *testing.T) {
-				rep, err := RunEquivalence(tc.sc, equivSeeds(20), shards)
+				t.Parallel()
+				rep, err := RunEquivalence(&Env{}, tc.sc, equivSeeds(20), shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,15 +166,11 @@ func TestParallelChaosSuiteInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite is slow")
 	}
-	SetParallelShards(4)
-	defer SetParallelShards(0)
-	var points []ChaosPoint
-	withParallelism(t, 2, func() {
-		var err error
-		if points, err = RunChaosSuite(2); err != nil {
-			t.Fatal(err)
-		}
-	})
+	t.Parallel()
+	points, err := RunChaosSuite(&Env{Shards: 4, Parallel: 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) == 0 {
 		t.Fatal("chaos suite produced no points")
 	}

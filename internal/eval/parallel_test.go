@@ -4,21 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"envirotrack"
 	"envirotrack/internal/obs"
 )
-
-// withParallelism runs fn under a fixed sweep width and restores the
-// default afterwards.
-func withParallelism(t *testing.T, n int, fn func()) {
-	t.Helper()
-	if err := SetParallelism(n); err != nil {
-		t.Fatal(err)
-	}
-	defer SetParallelism(0)
-	fn()
-}
 
 // TestParallelSweepsMatchSerial asserts the tentpole contract of the
 // parallel sweep engine: because every Run is seeded and owns its
@@ -26,6 +17,7 @@ func withParallelism(t *testing.T, n int, fn func()) {
 // rows/points to the serial loop — including the float accumulation order
 // of the per-cell averages.
 func TestParallelSweepsMatchSerial(t *testing.T) {
+	t.Parallel()
 	const trials = 2 // >= 2 seeds per cell (trial seeds 1 and 2)
 
 	// Run the whole comparison with a JSONL exporter attached: tracing is
@@ -33,29 +25,20 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 	// the serial or the parallel path.
 	var traced bytes.Buffer
 	sink := obs.NewJSONLSink(&traced)
-	SetEventSink(sink)
-	defer SetEventSink(nil)
-
-	var serialF4, parallelF4 []Figure4Row
-	var serialT1, parallelT1 []Table1Row
-	withParallelism(t, 1, func() {
-		var err error
-		if serialF4, err = RunFigure4(trials); err != nil {
+	sweeps := func(width int) ([]Figure4Row, []Table1Row) {
+		env := &Env{Sink: sink, Parallel: width}
+		f4, err := RunFigure4(env, trials)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if serialT1, err = RunTable1(trials); err != nil {
+		t1, err := RunTable1(env, trials)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	withParallelism(t, 4, func() {
-		var err error
-		if parallelF4, err = RunFigure4(trials); err != nil {
-			t.Fatal(err)
-		}
-		if parallelT1, err = RunTable1(trials); err != nil {
-			t.Fatal(err)
-		}
-	})
+		return f4, t1
+	}
+	serialF4, serialT1 := sweeps(1)
+	parallelF4, parallelT1 := sweeps(4)
 	if !reflect.DeepEqual(serialF4, parallelF4) {
 		t.Errorf("Figure4 rows diverge:\nserial   = %+v\nparallel = %+v", serialF4, parallelF4)
 	}
@@ -77,25 +60,21 @@ func TestParallelFigure5MatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speed scan is slow")
 	}
+	t.Parallel()
 	cfg := Figure5Config{
 		Heartbeats:        []float64{0.5},
 		Radii:             []float64{1},
 		Seeds:             []int64{1, 2},
 		IncludeRelinquish: true,
 	}
-	var serial, parallel []Figure5Point
-	withParallelism(t, 1, func() {
-		var err error
-		if serial, err = RunFigure5(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withParallelism(t, 4, func() {
-		var err error
-		if parallel, err = RunFigure5(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
+	serial, err := RunFigure5(&Env{Parallel: 1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunFigure5(&Env{Parallel: 4}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Figure5 points diverge:\nserial   = %+v\nparallel = %+v", serial, parallel)
 	}
@@ -105,8 +84,7 @@ func TestParallelFigure5MatchesSerial(t *testing.T) {
 // that bypasses withDefaults' backfill and would previously have panicked
 // on the relinquish index.
 func TestRunFigure5EmptyHeartbeats(t *testing.T) {
-	fn := runFigure5NoDefaults
-	_, err := fn(Figure5Config{Radii: []float64{1}, Seeds: []int64{1}, IncludeRelinquish: true})
+	_, err := runFigure5NoDefaults(&Env{}, Figure5Config{Radii: []float64{1}, Seeds: []int64{1}, IncludeRelinquish: true})
 	if err == nil {
 		t.Fatal("expected error for empty heartbeat sweep")
 	}
@@ -115,25 +93,73 @@ func TestRunFigure5EmptyHeartbeats(t *testing.T) {
 	}
 }
 
-func TestSetParallelismRejectsNegative(t *testing.T) {
-	defer SetParallelism(0)
-	if err := SetParallelism(2); err != nil {
-		t.Fatalf("SetParallelism(2) = %v, want nil", err)
+// tagSink records the distinct run tags it sees.
+type tagSink struct {
+	mu   sync.Mutex
+	runs map[int64]bool
+}
+
+func (s *tagSink) Emit(ev obs.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.runs == nil {
+		s.runs = make(map[int64]bool)
 	}
-	err := SetParallelism(-3)
-	if err == nil {
-		t.Fatal("SetParallelism(-3) = nil, want error")
+	s.runs[ev.Run] = true
+}
+
+// TestEnvRunTagsDistinct pins the run-tag ledger: a lone Figure 3 run
+// keeps its seed as tag, and every later sweep run on the same Env gets
+// a fresh tag even though Table 1's cells reuse seeds.
+func TestEnvRunTagsDistinct(t *testing.T) {
+	t.Parallel()
+	sink := &tagSink{}
+	env := &Env{Sink: sink, Parallel: 2}
+	if _, err := RunFigure3(env, 2); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "-3") {
-		t.Errorf("error %q does not name the bad value", err)
+	if _, err := RunTable1(env, 2); err != nil {
+		t.Fatal(err)
 	}
-	if Parallelism() != 2 {
-		t.Errorf("Parallelism() = %d after rejected call, want 2 (unchanged)", Parallelism())
+	want := map[int64]bool{2: true, 3: true, 4: true, 5: true, 6: true}
+	if !reflect.DeepEqual(sink.runs, want) {
+		t.Errorf("run tags = %v, want %v", sink.runs, want)
 	}
-	if err := SetParallelism(0); err != nil {
-		t.Fatalf("SetParallelism(0) = %v, want nil", err)
+	// A seed an earlier block already took is not reused.
+	if got := env.seedTag(4); got != 7 {
+		t.Errorf("seedTag(4) after tags 2..6 = %d, want 7", got)
 	}
-	if Parallelism() < 1 {
-		t.Errorf("Parallelism() = %d with default width, want >= 1", Parallelism())
+	if got := env.seedTag(100); got != 100 {
+		t.Errorf("seedTag(100) = %d, want 100", got)
+	}
+	if got := env.tagBlock(3); got != 101 {
+		t.Errorf("tagBlock after seedTag(100) = %d, want 101", got)
+	}
+}
+
+// TestEquivalenceSerialEnsembleStaysSerial: the serial side of the
+// equivalence battery must run on the serial engine even when the Env
+// asks for shards, or the battery compares the parallel engine with
+// itself.
+func TestEquivalenceSerialEnsembleStaysSerial(t *testing.T) {
+	if shardMutated {
+		t.Skip("shardmut build hard-fails parallel runs by design")
+	}
+	t.Parallel()
+	serial := envirotrack.NewShardHealth()
+	if _, err := runEnsemble(&Env{Shards: 4, ShardHealth: serial}, Scenario{}, equivSeeds(2), 1); err != nil {
+		t.Fatal(err)
+	}
+	if snap := serial.Snapshot(); snap.Runs != 0 || snap.BoundaryFrames != 0 {
+		t.Errorf("serial ensemble under Env.Shards=4: %d sharded runs, %d boundary frames; want 0 and 0",
+			snap.Runs, snap.BoundaryFrames)
+	}
+	par := envirotrack.NewShardHealth()
+	if _, err := runEnsemble(&Env{ShardHealth: par}, Scenario{}, equivSeeds(2), 4); err != nil {
+		t.Fatal(err)
+	}
+	if snap := par.Snapshot(); snap.Runs != 2 || snap.BoundaryFrames == 0 {
+		t.Errorf("parallel ensemble: %d sharded runs, %d boundary frames; want 2 and > 0",
+			snap.Runs, snap.BoundaryFrames)
 	}
 }

@@ -68,9 +68,9 @@ type Scenario struct {
 	MarginHops float64
 	// Seed makes the run deterministic.
 	Seed int64
-	// Run tags the run's events on the observability bus (so a shared
-	// sink can separate interleaved parallel runs); 0 uses Seed. Sweeps
-	// whose cells reuse seeds must set distinct tags.
+	// Run tags the run's events on the observability bus and its health
+	// series (so a shared sink can separate interleaved parallel runs); 0
+	// uses Seed. The harnesses set distinct tags from their Env.
 	Run int64
 	// SensePeriod overrides the mote scan period.
 	SensePeriod time.Duration
@@ -90,13 +90,12 @@ type Scenario struct {
 	CheckInvariants bool
 	// ParallelShards > 1 executes the run on the free-running parallel
 	// engine with that many shard goroutines (statistically equivalent to
-	// serial, not byte-identical; see RunEquivalence). It overrides the
-	// package-level SetParallelShards configuration.
+	// serial, not byte-identical; see RunEquivalence); 1 pins the serial
+	// engine; 0 uses Env.Shards.
 	ParallelShards int
 	// Backend selects the tracking backend ("leader" or "passive");
-	// empty uses the package-level SetBackend default, then leader. The
-	// invariant checker follows: leader runs get I1–I5, passive runs the
-	// passive rule set.
+	// empty uses Env.Backend, then leader. The invariant checker follows:
+	// leader runs get I1–I5, passive runs the passive rule set.
 	Backend string
 }
 
@@ -134,9 +133,6 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	if sc.Backend == "" {
-		sc.Backend = defaultBackend()
-	}
 	return sc
 }
 
@@ -170,9 +166,10 @@ type RunResult struct {
 	FramesSent uint64
 }
 
-// Run executes one tracking scenario to the end of the target's path.
-func Run(sc Scenario) (RunResult, error) {
-	sc = sc.withDefaults()
+// Run executes one tracking scenario to the end of the target's path
+// under env.
+func Run(env *Env, sc Scenario) (RunResult, error) {
+	sc = env.resolve(sc)
 
 	midY := float64(sc.Rows-1) / 2
 	// The target enters from outside the field so that sensing begins at a
@@ -203,11 +200,8 @@ func Run(sc Scenario) (RunResult, error) {
 		opts = append(opts, envirotrack.WithSensePeriod(sc.SensePeriod))
 	}
 	checker := checkerFor(sc)
-	obsOpts, onNet, obsDone := observeRun(sc, checker)
+	obsOpts, onNet := env.observe(sc, checker)
 	opts = append(opts, obsOpts...)
-	if sc.ParallelShards > 1 {
-		opts = append(opts, envirotrack.WithParallelShards(sc.ParallelShards))
-	}
 	net, err := envirotrack.New(opts...)
 	if err != nil {
 		return RunResult{}, err
@@ -264,7 +258,7 @@ func Run(sc Scenario) (RunResult, error) {
 	if err := net.Run(duration + settle); err != nil {
 		return RunResult{}, err
 	}
-	observeShardHealth(net)
+	env.finish(net)
 
 	res := RunResult{
 		Scenario: sc,
@@ -285,9 +279,6 @@ func Run(sc Scenario) (RunResult, error) {
 		checker.Finish(net.Now())
 		res.Violations = checker.Violations()
 		res.CheckedEvents = checker.Events()
-	}
-	if obsDone != nil {
-		obsDone()
 	}
 	return res, nil
 }
@@ -419,23 +410,28 @@ func suppressThreshold(off bool) int {
 var speedGrid = []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3, 4}
 
 // MaxTrackableSpeed finds the highest speed (hops/s) on the grid at which
-// the scenario remains coherent in a majority of trial seeds. It scans
-// from fast to slow and returns 0 when even the slowest speed fails. The
-// per-seed trials of each speed fan across Parallelism() workers; the
-// speed ladder itself stays sequential because each rung's majority vote
-// decides whether the scan stops.
-func MaxTrackableSpeed(base Scenario, seeds []int64) (float64, error) {
-	return maxTrackableSpeed(context.Background(), base, seeds, Parallelism())
-}
-
-// maxTrackableSpeed is MaxTrackableSpeed with explicit context and worker
-// count, so the Figure 5/6 sweeps can parallelize across sweep points and
-// run each point's seed loop inline (workers == 1) without compounding
-// concurrency.
-func maxTrackableSpeed(ctx context.Context, base Scenario, seeds []int64, workers int) (float64, error) {
+// the scenario remains coherent in a majority of trial seeds (default
+// {1, 2}). It scans from fast to slow and returns 0 when even the slowest
+// speed fails. The per-seed trials of each speed fan across env.Parallel
+// workers; the speed ladder itself stays sequential because each rung's
+// majority vote decides whether the scan stops.
+func MaxTrackableSpeed(env *Env, base Scenario, seeds []int64) (float64, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2}
 	}
+	first := env.tagBlock(scanRuns(seeds))
+	return maxTrackableSpeed(context.Background(), env, base, seeds, env.Parallel, first)
+}
+
+// scanRuns is how many run tags one speed scan reserves: one per (rung,
+// seed), whether or not the scan reaches the rung.
+func scanRuns(seeds []int64) int { return len(speedGrid) * len(seeds) }
+
+// maxTrackableSpeed is MaxTrackableSpeed with explicit context, worker
+// count and first run tag, so the Figure 5/6 sweeps can parallelize
+// across sweep points and run each point's seed loop inline (workers ==
+// 1) without compounding concurrency.
+func maxTrackableSpeed(ctx context.Context, env *Env, base Scenario, seeds []int64, workers int, firstTag int64) (float64, error) {
 	for i := len(speedGrid) - 1; i >= 0; i-- {
 		speed := speedGrid[i]
 		coherent, err := runpar.Map(ctx, workers, len(seeds),
@@ -443,7 +439,8 @@ func maxTrackableSpeed(ctx context.Context, base Scenario, seeds []int64, worker
 				sc := base
 				sc.SpeedHops = speed
 				sc.Seed = seeds[k]
-				res, err := Run(sc)
+				sc.Run = firstTag + int64(i*len(seeds)+k)
+				res, err := Run(env, sc)
 				if err != nil {
 					return false, err
 				}

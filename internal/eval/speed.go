@@ -73,17 +73,17 @@ func figure5Scenario(hbSec, radius float64, worstCase bool) Scenario {
 // RunFigure5 sweeps heartbeat period and sensing radius, measuring the
 // maximum trackable speed in the worst case (takeover-only recovery) and
 // optionally the relinquish reference. The sweep points fan across
-// Parallelism() workers; each point's speed scan runs inline on its
+// env.Parallel workers; each point's speed scan runs inline on its
 // worker, so the point list is identical to the serial sweep.
-func RunFigure5(cfg Figure5Config) ([]Figure5Point, error) {
-	return runFigure5NoDefaults(cfg.withDefaults())
+func RunFigure5(env *Env, cfg Figure5Config) ([]Figure5Point, error) {
+	return runFigure5NoDefaults(env, cfg.withDefaults())
 }
 
 // runFigure5NoDefaults executes the sweep exactly as configured. The
 // heartbeat guard lives here: withDefaults backfills an empty sweep, but
 // the relinquish branch indexes into Heartbeats, so a caller reaching this
 // with an empty slice must get an error, not a panic.
-func runFigure5NoDefaults(cfg Figure5Config) ([]Figure5Point, error) {
+func runFigure5NoDefaults(env *Env, cfg Figure5Config) ([]Figure5Point, error) {
 	if len(cfg.Heartbeats) == 0 {
 		return nil, fmt.Errorf("eval: RunFigure5: no heartbeat periods to sweep (Figure5Config.Heartbeats is empty)")
 	}
@@ -103,11 +103,13 @@ func runFigure5NoDefaults(cfg Figure5Config) ([]Figure5Point, error) {
 			jobs = append(jobs, job{hb: mid, radius: radius, mode: "relinquish"})
 		}
 	}
-	return runpar.Map(sweepContext("fig5", "points"), Parallelism(), len(jobs),
+	stride := scanRuns(cfg.Seeds)
+	first := env.tagBlock(len(jobs) * stride)
+	return runpar.Map(env.sweep("fig5", "points"), env.Parallel, len(jobs),
 		func(ctx context.Context, i int) (Figure5Point, error) {
 			j := jobs[i]
 			sc := figure5Scenario(j.hb, j.radius, j.mode == "worst-case")
-			speed, err := maxTrackableSpeed(ctx, sc, cfg.Seeds, 1)
+			speed, err := maxTrackableSpeed(ctx, env, sc, cfg.Seeds, 1, first+int64(i*stride))
 			if err != nil {
 				return Figure5Point{}, err
 			}
@@ -168,9 +170,9 @@ func (c Figure6Config) withDefaults() Figure6Config {
 // leadership-relinquish optimization enabled (as in the paper). The
 // architecture is expected to break down (speed 0) when CR:SR < 1, since
 // nodes outside the leader's radio range sense the event and form
-// spurious groups. Sweep points fan across Parallelism() workers, like
+// spurious groups. Sweep points fan across env.Parallel workers, like
 // RunFigure5.
-func RunFigure6(cfg Figure6Config) ([]Figure6Point, error) {
+func RunFigure6(env *Env, cfg Figure6Config) ([]Figure6Point, error) {
 	cfg = cfg.withDefaults()
 	type job struct{ radius, ratio float64 }
 	var jobs []job
@@ -179,10 +181,12 @@ func RunFigure6(cfg Figure6Config) ([]Figure6Point, error) {
 			jobs = append(jobs, job{radius: radius, ratio: ratio})
 		}
 	}
-	return runpar.Map(sweepContext("fig6", "points"), Parallelism(), len(jobs),
+	stride := scanRuns(cfg.Seeds)
+	first := env.tagBlock(len(jobs) * stride)
+	return runpar.Map(env.sweep("fig6", "points"), env.Parallel, len(jobs),
 		func(ctx context.Context, i int) (Figure6Point, error) {
 			j := jobs[i]
-			speed, err := maxTrackableSpeed(ctx, figure6Scenario(j.radius, j.ratio), cfg.Seeds, 1)
+			speed, err := maxTrackableSpeed(ctx, env, figure6Scenario(j.radius, j.ratio), cfg.Seeds, 1, first+int64(i*stride))
 			if err != nil {
 				return Figure6Point{}, err
 			}

@@ -64,8 +64,12 @@ func ParseEvent(line []byte) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("obs: unknown event type %q", raw.Ev)
 	}
+	us := math.Round(raw.T * 1e6)
+	if math.Abs(us) >= math.MaxInt64/float64(time.Microsecond) {
+		return Event{}, fmt.Errorf("obs: timestamp %gs is out of range", raw.T)
+	}
 	return Event{
-		At:      time.Duration(math.Round(raw.T*1e6)) * time.Microsecond,
+		At:      time.Duration(us) * time.Microsecond,
 		Type:    t,
 		Mote:    raw.Mote,
 		Peer:    raw.Peer,

@@ -75,9 +75,7 @@ func TestSpansNominalRunCompleteAndMatchOffline(t *testing.T) {
 	live := envirotrack.NewSpanSink()
 	var buf bytes.Buffer
 	jsonl := envirotrack.NewJSONLSink(&buf)
-	eval.SetEventSink(multiSink{live, jsonl})
-	defer eval.SetEventSink(nil)
-	if _, err := eval.Run(eval.Scenario{Seed: 1}); err != nil {
+	if _, err := eval.Run(&eval.Env{Sink: multiSink{live, jsonl}}, eval.Scenario{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jsonl.Flush(); err != nil {
@@ -128,9 +126,7 @@ func TestChaosSpansAttributeEveryUndelivered(t *testing.T) {
 		t.Skip("chaos suite in -short mode")
 	}
 	sink := envirotrack.NewSpanSink()
-	eval.SetEventSink(sink)
-	defer eval.SetEventSink(nil)
-	if _, err := eval.RunChaosSuite(1); err != nil {
+	if _, err := eval.RunChaosSuite(&eval.Env{Sink: sink}, 1); err != nil {
 		t.Fatal(err)
 	}
 	reports := sink.Reports()
