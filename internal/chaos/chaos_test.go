@@ -80,7 +80,7 @@ func TestInjectorCrashCallbacks(t *testing.T) {
 		Restore: func(n int) { events = append(events, "restore") },
 	}
 	sc := mustParse(t, "crash:node=3,at=2s,for=3s;crash:node=4,at=10s")
-	if _, err := NewInjector(sched, sc, hooks); err != nil {
+	if _, err := NewInjector(on(sched), sc, hooks); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.RunUntil(20 * time.Second); err != nil {
@@ -100,10 +100,10 @@ func TestInjectorCrashCallbacks(t *testing.T) {
 
 func TestInjectorRequiresHooks(t *testing.T) {
 	sched := simtime.NewScheduler()
-	if _, err := NewInjector(sched, mustParse(t, "crash:node=1,at=1s"), Hooks{}); err == nil {
+	if _, err := NewInjector(on(sched), mustParse(t, "crash:node=1,at=1s"), Hooks{}); err == nil {
 		t.Error("crash schedule without Fail/Restore hooks accepted")
 	}
-	if _, err := NewInjector(sched, mustParse(t, "partition:x=5,at=1s"), Hooks{}); err == nil {
+	if _, err := NewInjector(on(sched), mustParse(t, "partition:x=5,at=1s"), Hooks{}); err == nil {
 		t.Error("partition schedule without Position hook accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestInjectorRequiresHooks(t *testing.T) {
 func TestInjectorLossWindows(t *testing.T) {
 	sched := simtime.NewScheduler()
 	sc := mustParse(t, "loss:at=10s,for=10s,p=0.5;loss:at=15s,for=2s,p=0.9")
-	in, err := NewInjector(sched, sc, Hooks{})
+	in, err := NewInjector(on(sched), sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestInjectorLossWindows(t *testing.T) {
 
 func TestInjectorRampInterpolates(t *testing.T) {
 	sched := simtime.NewScheduler()
-	in, err := NewInjector(sched, mustParse(t, "ramp:from=0.2,to=0.6,start=10s,end=20s"), Hooks{})
+	in, err := NewInjector(on(sched), mustParse(t, "ramp:from=0.2,to=0.6,start=10s,end=20s"), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
 		p, ok := pos[n]
 		return p, ok
 	}}
-	in, err := NewInjector(sched, mustParse(t, "partition:x=5,at=10s,for=10s"), hooks)
+	in, err := NewInjector(on(sched), mustParse(t, "partition:x=5,at=10s,for=10s"), hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
 
 func TestInjectorDuplicateWindows(t *testing.T) {
 	sched := simtime.NewScheduler()
-	in, err := NewInjector(sched, mustParse(t, "dup:at=10s,for=5s,p=0.3"), Hooks{})
+	in, err := NewInjector(on(sched), mustParse(t, "dup:at=10s,for=5s,p=0.3"), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,4 +195,9 @@ func TestInjectorDuplicateWindows(t *testing.T) {
 	if got := in.DuplicateProb(15 * time.Second); got != 0 {
 		t.Errorf("after window: %v, want 0", got)
 	}
+}
+
+// on routes every crash/restore event to the one scheduler s.
+func on(s *simtime.Scheduler) func(int) *simtime.Scheduler {
+	return func(int) *simtime.Scheduler { return s }
 }

@@ -28,23 +28,15 @@ type Injector struct {
 	hooks Hooks
 }
 
-// NewInjector validates the schedule and registers its crash/restore
-// events on the scheduler. The returned injector should be attached to
-// the medium with radio.Medium.SetFaultInjector when the schedule carries
-// loss, ramp, partition, or duplication faults (attaching it always is
-// harmless).
-func NewInjector(sched *simtime.Scheduler, sc Schedule, hooks Hooks) (*Injector, error) {
-	return NewInjectorRouted(func(int) *simtime.Scheduler { return sched }, sc, hooks)
-}
-
-// NewInjectorRouted is NewInjector with per-victim event routing: each
-// crash/restore callback is registered on the scheduler schedFor returns
-// for the victim node. A sharded network routes a victim's faults onto
-// the shard owning the victim, so in a free-running parallel run the
+// NewInjector validates the schedule and registers each crash/restore
+// event on the scheduler schedFor returns for the victim node: a network
+// routes a victim's faults onto the shard owning the victim, so the
 // callback executes on the goroutine that owns the mote's state. Routing
-// happens at setup time (before any event fires), so in deterministic
-// mode it does not change the global (at, seq) firing order.
-func NewInjectorRouted(schedFor func(node int) *simtime.Scheduler, sc Schedule, hooks Hooks) (*Injector, error) {
+// happens at setup time, before any event fires. The returned injector
+// should be attached to the medium with radio.Medium.SetFaultInjector when
+// the schedule carries loss, ramp, partition, or duplication faults
+// (attaching it always is harmless).
+func NewInjector(schedFor func(node int) *simtime.Scheduler, sc Schedule, hooks Hooks) (*Injector, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	rng := rand.New(rand.NewSource(21))
 	return &world{
 		sched:  sched,
-		medium: radio.New(sched, params, rng, &stats),
+		medium: radio.New(params, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		field:  phenomena.NewField(),
 		stats:  &stats,
 		ledger: &trace.Ledger{},

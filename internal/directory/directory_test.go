@@ -28,7 +28,7 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	rng := rand.New(rand.NewSource(5))
 	// Collisions are disabled: these tests exercise directory semantics,
 	// not channel contention (covered in radio's own tests).
-	medium := radio.New(sched, radio.Params{CommRadius: commRadius, DisableCollisions: true}, rng, nil)
+	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &net{
 		sched:    sched,
@@ -164,7 +164,7 @@ func TestEntriesExpireAfterTTL(t *testing.T) {
 	// Query long after the 30 s TTL.
 	var got []Entry
 	called := false
-	n.sched.At(40*time.Second, func() {
+	n.sched.AtOwned(40*time.Second, simtime.OwnerNone, func() {
 		n.services[30].Query("car", func(es []Entry) { got, called = es, true })
 	})
 	if err := n.sched.RunUntil(50 * time.Second); err != nil {

@@ -9,6 +9,7 @@ import (
 	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
 	"envirotrack/internal/radio"
+	"envirotrack/internal/simtime"
 )
 
 func TestUnregisterRemovesEntry(t *testing.T) {
@@ -17,7 +18,7 @@ func TestUnregisterRemovesEntry(t *testing.T) {
 	if err := n.sched.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	n.sched.At(2*time.Second, func() {
+	n.sched.AtOwned(2*time.Second, simtime.OwnerNone, func() {
 		n.services[0].Unregister("car", "car/1.1")
 	})
 	if err := n.sched.RunUntil(4 * time.Second); err != nil {

@@ -31,7 +31,7 @@ func newTestNet(t *testing.T, commRadius float64) *testNet {
 	rng := rand.New(rand.NewSource(11))
 	return &testNet{
 		sched:  sched,
-		medium: radio.New(sched, radio.Params{CommRadius: commRadius}, rng, &stats),
+		medium: radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		stats:  &stats,
 		ledger: &trace.Ledger{},
 		rng:    rng,
@@ -54,7 +54,7 @@ func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config,
 
 // senseAt schedules a SetSensing call at virtual time at.
 func (n *testNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
-	n.sched.At(at, func() { n.mgrs[id].SetSensing(sensing) })
+	n.sched.AtOwned(at, simtime.OwnerNone, func() { n.mgrs[id].SetSensing(sensing) })
 }
 
 func (n *testNet) runUntil(t *testing.T, d time.Duration) {
@@ -185,7 +185,7 @@ func TestLeaderFailureTriggersTakeoverSameLabel(t *testing.T) {
 	n.runUntil(t, time.Second)
 	label := n.mgrs[1].Label()
 
-	n.sched.At(time.Second, func() { n.motes[1].Fail() })
+	n.sched.AtOwned(time.Second, simtime.OwnerNone, func() { n.motes[1].Fail() })
 	n.runUntil(t, 3*time.Second)
 
 	if n.mgrs[2].Role() != RoleLeader {
@@ -212,7 +212,7 @@ func TestTakeoverHappensAfterRoughlyTwoHeartbeats(t *testing.T) {
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
-	n.sched.At(time.Second, func() { n.motes[1].Fail() })
+	n.sched.AtOwned(time.Second, simtime.OwnerNone, func() { n.motes[1].Fail() })
 	n.runUntil(t, 3*time.Second)
 
 	if leadAt == 0 {
@@ -336,7 +336,7 @@ func TestLeaderYieldsToSameLabelHigherPriority(t *testing.T) {
 	label := mgr.Label()
 
 	// A same-label heartbeat with a higher weight arrives: node 1 yields.
-	n.sched.At(500*time.Millisecond, func() {
+	n.sched.AtOwned(500*time.Millisecond, simtime.OwnerNone, func() {
 		m2.Broadcast(trace.KindHeartbeat, 0, Heartbeat{
 			CtxType: "tracker", Label: label, Leader: 2, Weight: 50, Seq: 1,
 		})
@@ -372,11 +372,11 @@ func TestLeaderKeepsLeadingAgainstLowerPrioritySameLabel(t *testing.T) {
 	n.runUntil(t, 500*time.Millisecond)
 	label := mgr.Label()
 	// Give the leader some weight so the intruder is lower priority.
-	n.sched.At(500*time.Millisecond, func() {
+	n.sched.AtOwned(500*time.Millisecond, simtime.OwnerNone, func() {
 		m2.Send(trace.KindReading, 5, 0, Report{CtxType: "tracker", Label: label, Reporter: 2, Payload: "x"})
 	})
 	n.runUntil(t, 600*time.Millisecond)
-	n.sched.At(600*time.Millisecond, func() {
+	n.sched.AtOwned(600*time.Millisecond, simtime.OwnerNone, func() {
 		m2.Broadcast(trace.KindHeartbeat, 0, Heartbeat{
 			CtxType: "tracker", Label: label, Leader: 2, Weight: 0, Seq: 1,
 		})
@@ -483,8 +483,8 @@ func TestPersistentStateSurvivesTakeover(t *testing.T) {
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
-	n.sched.At(500*time.Millisecond, func() { n.mgrs[1].SetState([]byte("committed")) })
-	n.sched.At(time.Second, func() { n.motes[1].Fail() })
+	n.sched.AtOwned(500*time.Millisecond, simtime.OwnerNone, func() { n.mgrs[1].SetState([]byte("committed")) })
+	n.sched.AtOwned(time.Second, simtime.OwnerNone, func() { n.motes[1].Fail() })
 	n.runUntil(t, 3*time.Second)
 
 	if string(inherited) != "committed" {
@@ -625,7 +625,7 @@ func TestMemberLeaderIDAndState(t *testing.T) {
 	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
 	member := n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
 	n.senseAt(1, 0, true)
-	n.sched.At(100*time.Millisecond, func() { n.mgrs[1].SetState([]byte("committed")) })
+	n.sched.AtOwned(100*time.Millisecond, simtime.OwnerNone, func() { n.mgrs[1].SetState([]byte("committed")) })
 	n.senseAt(2, 300*time.Millisecond, true)
 	n.runUntil(t, 2*time.Second)
 	if member.Role() != RoleMember {

@@ -8,6 +8,7 @@ import (
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/radio"
+	"envirotrack/internal/simtime"
 )
 
 // checkInvariants asserts per-manager state consistency: a role always
@@ -111,7 +112,7 @@ func TestPropertyLeaderUniquenessOverTime(t *testing.T) {
 	violations := 0
 	for at := 2 * time.Second; at <= 12*time.Second; at += 350 * time.Millisecond {
 		at := at
-		n.sched.At(at, func() {
+		n.sched.AtOwned(at, simtime.OwnerNone, func() {
 			byLabel := make(map[Label][]radio.NodeID)
 			for id, g := range n.mgrs {
 				if g.Role() == RoleLeader {
@@ -147,7 +148,7 @@ func TestPropertyWeightMonotonicWithinLeadership(t *testing.T) {
 
 	var last uint64
 	for at := time.Second; at <= 10*time.Second; at += 200 * time.Millisecond {
-		n.sched.At(at, func() {
+		n.sched.AtOwned(at, simtime.OwnerNone, func() {
 			g := n.mgrs[1]
 			if g.Role() != RoleLeader {
 				return

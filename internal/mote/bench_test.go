@@ -21,7 +21,7 @@ func sweepField(tb testing.TB) (*simtime.Scheduler, *Sweep) {
 	sched := simtime.NewScheduler()
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(1))
-	medium := radio.New(sched, radio.Params{CommRadius: 2.5}, rng, &stats)
+	medium := radio.New(radio.Params{CommRadius: 2.5}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats})
 	field := phenomena.NewField()
 	for i := 0; i < 4; i++ {
 		field.Add(&phenomena.Target{

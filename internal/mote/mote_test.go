@@ -28,7 +28,7 @@ func newHarness(t *testing.T, p radio.Params) *harness {
 	rng := rand.New(rand.NewSource(1))
 	return &harness{
 		sched:  sched,
-		medium: radio.New(sched, p, rng, &stats),
+		medium: radio.New(p, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		field:  phenomena.NewField(),
 		stats:  &stats,
 		rng:    rng,

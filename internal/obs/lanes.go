@@ -51,16 +51,25 @@ func NewLaneSet(real *Bus, k int) *LaneSet {
 	return ls
 }
 
-// Bus returns shard i's lane bus. Everything owned by shard i — its
-// motes, its medium context — emits through it; only shard i's goroutine
-// may use it.
-func (ls *LaneSet) Bus(i int) *Bus { return ls.lanes[i].bus }
+// Bus returns shard i's lane bus (nil on a nil set: the run is
+// unobserved). Everything owned by shard i — its motes, its medium
+// context — emits through it; only shard i's goroutine may use it.
+func (ls *LaneSet) Bus(i int) *Bus {
+	if ls == nil {
+		return nil
+	}
+	return ls.lanes[i].bus
+}
 
 // Flush merges all buffered lane events into the real bus in stable
 // timestamp order and resets the lanes. Coordinator-only: every shard
 // worker must be parked (window barrier) when it runs. The real bus
-// stamps its own run tag on the way through.
+// stamps its own run tag on the way through. A nil set has nothing to
+// flush.
 func (ls *LaneSet) Flush() {
+	if ls == nil {
+		return
+	}
 	total := 0
 	for i := range ls.lanes {
 		total += len(ls.lanes[i].evs)

@@ -16,7 +16,7 @@ import (
 func BenchmarkBroadcastFanout(b *testing.B) {
 	s := simtime.NewScheduler()
 	rng := rand.New(rand.NewSource(1))
-	m := New(s, Params{CommRadius: 10, PropDelay: time.Microsecond}, rng, nil)
+	m := New(Params{CommRadius: 10, PropDelay: time.Microsecond}, nil, ShardRuntime{Sched: s, RNG: rng})
 	// 8x8 grid with spacing 2: every node hears every other (radius 10
 	// covers the 14x14 diagonal partially; center sees most).
 	for i := 0; i < 64; i++ {
@@ -46,7 +46,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 func BenchmarkAppendNodesNear(b *testing.B) {
 	s := simtime.NewScheduler()
 	rng := rand.New(rand.NewSource(1))
-	m := New(s, Params{CommRadius: 3}, rng, nil)
+	m := New(Params{CommRadius: 3}, nil, ShardRuntime{Sched: s, RNG: rng})
 	for i := 0; i < 400; i++ {
 		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%20), float64(i/20)), nil); err != nil {
 			b.Fatal(err)

@@ -14,10 +14,10 @@
 // insert so range queries merge instead of sorting per call.
 //
 // Execution contexts: all mutable send-path state (RNG, stats, obs bus,
-// record pools, airtime memo, frame sequence) lives in a shardCtx. The
-// serial engine uses a single context (ctx0); the free-running parallel
-// engine (SetSharding) gives every shard its own, so shard goroutines
-// never share a draw stream, a pool, or a counter. In parallel mode CSMA
+// record pools, airtime memo, frame sequence) lives in a shardCtx, one per
+// scheduler shard the medium is built over (New). A serial run has one
+// context; a parallel run gives every shard its own, so shard goroutines
+// never share a draw stream, a pool, or a counter. Across shards CSMA
 // occupancy is shard-local: a cross-shard frame does not occupy or collide
 // at remote receivers during the window — its target receptions cross
 // through per-pair outboxes drained at the window barrier (FlushBoundary),
@@ -83,9 +83,9 @@ type Frame struct {
 	// ID is the medium-stamped transmission id, assigned when the frame
 	// actually goes on the air (CSMA-deferred copies are stamped at
 	// retransmission, chaos duplicates get distinct ids). 1-based; 0
-	// means not yet transmitted. In parallel mode the shard index is
-	// packed into the top 16 bits so ids stay unique across shard-local
-	// counters.
+	// means not yet transmitted. The sending shard's index is packed
+	// into the top 16 bits so ids stay unique across shard-local counters
+	// (shard 0's ids are the plain counter).
 	ID uint64
 }
 
@@ -154,12 +154,10 @@ type FaultInjector interface {
 // it and restores nominal behaviour.
 func (m *Medium) SetFaultInjector(fi FaultInjector) { m.faults = fi }
 
-// shardCtx is one execution context's mutable send-path state: the RNG
-// stream, stats accumulator, obs bus, record pools and arenas, airtime
-// memo, frame-id counter, and (parallel mode only) the cross-shard
-// outboxes. The serial engine runs everything through the medium's
-// embedded ctx0; the parallel engine owns one shardCtx per shard so
-// nothing mutable is shared between shard goroutines.
+// shardCtx is one shard's mutable send-path state: the RNG stream, stats
+// accumulator, obs bus, record pools and arenas, airtime memo, frame-id
+// counter, and the cross-shard outboxes. Each shard owns one, so nothing
+// mutable is shared between shard goroutines.
 type shardCtx struct {
 	m     *Medium
 	shard int32
@@ -193,8 +191,8 @@ type shardCtx struct {
 	frameSeq uint64
 
 	// out[j] buffers this shard's cross-shard target receptions destined
-	// for shard j during the current parallel window; FlushBoundary drains
-	// it at the barrier. Nil outside parallel mode.
+	// for shard j during the current window; FlushBoundary drains it at the
+	// barrier.
 	out [][]crossRec
 	// outDirty lists the destination shards whose outbox went non-empty
 	// this window (outMark dedups), so FlushBoundary visits only the
@@ -210,7 +208,7 @@ type shardCtx struct {
 }
 
 // Medium is the shared channel. It is driven entirely by the simulation
-// scheduler; outside parallel mode it is not safe for concurrent use.
+// schedulers; only shards' send paths may run concurrently.
 //
 // Topology is append-only: nodes register once via AddNode and never
 // move. Spatial queries run against a uniform-grid spatial hash with cell
@@ -245,15 +243,12 @@ type Medium struct {
 	queryCur     []int
 	scratchIDs   []NodeID
 
-	// ctx0 is the single execution context of the serial engine; parCtxs
-	// (nil in serial runs) are the per-shard contexts of the free-running
-	// parallel engine, in shard order.
-	ctx0    shardCtx
-	parCtxs []*shardCtx
+	// ctxs are the per-shard execution contexts, in shard order.
+	ctxs []*shardCtx
 
-	// Spatial sharding (SetSharding). shardOfPos maps a position to its
-	// shard; shardMail is the k x k per-pair mailbox accounting of
-	// boundary frames (target receptions whose sender and receiver live in
+	// shardOfPos maps a position to its shard (nil: everything on shard
+	// 0); shardMail is the k x k per-pair mailbox accounting of boundary
+	// frames (target receptions whose sender and receiver live in
 	// different shards).
 	shardOfPos func(geom.Point) int32
 	shardMail  []ShardMailbox
@@ -284,8 +279,8 @@ type nodeState struct {
 	id   NodeID
 	pos  geom.Point
 	recv Receiver
-	// shard is the scheduler shard owning this node's region (0 when the
-	// medium is unsharded); resolved once at registration.
+	// shard is the scheduler shard owning this node's region; resolved
+	// once at registration.
 	shard int32
 	// txBusyUntil serializes a node's own transmissions: a mote has one
 	// radio and cannot transmit two frames at once.
@@ -371,25 +366,57 @@ type crossEvent struct {
 	next *crossEvent
 }
 
-// New creates a medium on the given scheduler. rng must not be nil; stats
-// may be nil to disable accounting.
-func New(s *simtime.Scheduler, p Params, rng *rand.Rand, stats *trace.Stats) *Medium {
+// ShardRuntime carries one scheduler shard's execution resources: the
+// shard's scheduler, its deterministic RNG stream, its private stats
+// accumulator (nil disables accounting), and the observability bus its
+// frame events go through (nil disables emission).
+type ShardRuntime struct {
+	Sched *simtime.Scheduler
+	RNG   *rand.Rand
+	Stats *trace.Stats
+	Bus   *obs.Bus
+}
+
+// New creates a medium over one or more scheduler shards. shardOfPos
+// resolves a registered position's shard (nil puts every node on shard 0),
+// and every shard gets its own execution context — scheduler, RNG stream,
+// stats, obs bus, record pools, frame-id counter, and cross-shard
+// outboxes — so shard goroutines share no mutable send-path state. Each
+// frame's medium events run on the shard owning the sender; target
+// receptions whose receiver lives in another shard are classified as
+// boundary traffic, accounted in per-pair mailboxes, and checked against
+// the conservative lookahead of one packet time. Before several shard
+// workers start, the owner must call PrebuildNeighbors (after the last
+// AddNode) so spatial lookups are read-only during the run.
+func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
 	p = p.withDefaults()
 	cellSize := p.CommRadius
 	if cellSize <= 0 {
 		cellSize = 1
 	}
+	k := len(rts)
 	m := &Medium{
-		params:    p,
-		nodes:     make(map[NodeID]*nodeState),
-		cells:     make(map[cellKey][]cellEntry),
-		cellSize:  cellSize,
-		neighbors: make(map[NodeID][]NodeID),
+		params:     p,
+		nodes:      make(map[NodeID]*nodeState),
+		cells:      make(map[cellKey][]cellEntry),
+		cellSize:   cellSize,
+		neighbors:  make(map[NodeID][]NodeID),
+		ctxs:       make([]*shardCtx, k),
+		shardOfPos: shardOfPos,
+		shardMail:  make([]ShardMailbox, k*k),
 	}
-	m.ctx0.m = m
-	m.ctx0.sched = s
-	m.ctx0.rng = rng
-	m.ctx0.stats = stats
+	for i, rt := range rts {
+		m.ctxs[i] = &shardCtx{
+			m:       m,
+			shard:   int32(i),
+			sched:   rt.Sched,
+			rng:     rt.RNG,
+			stats:   rt.Stats,
+			bus:     rt.Bus,
+			out:     make([][]crossRec, k),
+			outMark: make([]bool, k),
+		}
+	}
 	return m
 }
 
@@ -398,77 +425,17 @@ func (m *Medium) Params() Params {
 	return m.params
 }
 
-// SetObserver attaches the observability bus the medium emits frame
-// events through. A nil bus disables emission. In parallel mode the
-// per-shard buses passed to SetSharding take precedence.
-func (m *Medium) SetObserver(bus *obs.Bus) { m.ctx0.bus = bus }
-
-// ShardRuntime carries one shard's execution resources for a parallel
-// (free-running) run: the shard's scheduler, its deterministic RNG stream
-// (derived via simtime.ShardSeed), its private stats accumulator, and its
-// buffered observability lane (nil when the run is unobserved).
-type ShardRuntime struct {
-	Sched *simtime.Scheduler
-	RNG   *rand.Rand
-	Stats *trace.Stats
-	Bus   *obs.Bus
-}
-
-// SetSharding switches the medium into free-running parallel mode over
-// len(rts) spatial shards: shardOfPos resolves a position's shard, and
-// every shard gets its own execution context — scheduler, RNG stream,
-// stats, obs lane, record pools, frame-id counter, and cross-shard
-// outboxes — so shard goroutines share no mutable send-path state. Each
-// frame's medium events run on the shard owning the sender; target
-// receptions whose receiver lives in another shard are classified as
-// boundary traffic, accounted in per-pair mailboxes, and checked against
-// the conservative lookahead of one packet time. Nodes already registered
-// are re-resolved. Call it before any frame is sent; before the shard
-// workers start the owner must call PrebuildNeighbors (after the last
-// AddNode) so spatial lookups are read-only during the run.
-func (m *Medium) SetSharding(shardOfPos func(geom.Point) int32, rts []ShardRuntime) {
-	k := len(rts)
-	m.shardOfPos = shardOfPos
-	m.shardMail = make([]ShardMailbox, k*k)
-	m.parCtxs = make([]*shardCtx, k)
-	for i := range rts {
-		m.parCtxs[i] = &shardCtx{
-			m:       m,
-			shard:   int32(i),
-			sched:   rts[i].Sched,
-			rng:     rts[i].RNG,
-			stats:   rts[i].Stats,
-			bus:     rts[i].Bus,
-			out:     make([][]crossRec, k),
-			outMark: make([]bool, k),
-		}
-	}
-	for _, n := range m.nodes {
-		n.shard = shardOfPos(n.pos)
-	}
-}
-
-// ctxOf resolves the execution context owning a shard: the shard's own
-// context in parallel mode, the shared ctx0 otherwise.
-func (m *Medium) ctxOf(shard int32) *shardCtx {
-	if m.parCtxs != nil {
-		return m.parCtxs[shard]
-	}
-	return &m.ctx0
-}
-
 // PrebuildNeighbors resolves and caches the neighbor list of every
-// registered node. A parallel run calls it once before the shard workers
-// start: afterwards Neighbors is a pure map read, safe from concurrent
-// shard goroutines.
+// registered node. A run on several shards calls it once before the shard
+// workers start: afterwards Neighbors is a pure map read, safe from
+// concurrent shard goroutines.
 func (m *Medium) PrebuildNeighbors() {
 	for _, id := range m.order {
 		m.Neighbors(id)
 	}
 }
 
-// NodeShard returns the shard owning a node's region (0 when unsharded
-// or unknown).
+// NodeShard returns the shard owning a node's region (0 when unknown).
 func (m *Medium) NodeShard(id NodeID) int32 {
 	if n, ok := m.nodes[id]; ok {
 		return n.shard
@@ -479,8 +446,8 @@ func (m *Medium) NodeShard(id NodeID) int32 {
 // ShardMailboxStat returns the boundary-traffic accounting for the
 // ordered shard pair (from, to).
 func (m *Medium) ShardMailboxStat(from, to int) ShardMailbox {
-	k := len(m.parCtxs)
-	if k == 0 || from < 0 || to < 0 || from >= k || to >= k {
+	k := len(m.ctxs)
+	if from < 0 || to < 0 || from >= k || to >= k {
 		return ShardMailbox{}
 	}
 	return m.shardMail[from*k+to]
@@ -505,7 +472,7 @@ func (m *Medium) BoundaryFrames() uint64 {
 // free-running); the network layer hard-fails the run.
 func (m *Medium) LookaheadViolations() uint64 {
 	var total uint64
-	for _, sc := range m.parCtxs {
+	for _, sc := range m.ctxs {
 		total += sc.violations
 	}
 	return total
@@ -516,7 +483,7 @@ func (m *Medium) LookaheadViolations() uint64 {
 // bound is the frame's conservative lookahead (airtime + propagation).
 // It reports whether the delivery violates the bound.
 func (m *Medium) noteBoundary(from, to int32, rxAt, now, bound time.Duration) bool {
-	st := &m.shardMail[int(from)*len(m.parCtxs)+int(to)]
+	st := &m.shardMail[int(from)*len(m.ctxs)+int(to)]
 	slack := rxAt - now
 	if st.Frames == 0 || slack < st.MinSlack {
 		st.MinSlack = slack
@@ -719,7 +686,7 @@ func (m *Medium) InRange(a, b NodeID) bool {
 
 // Airtime returns the channel occupancy of a frame of the given size.
 // It is a pure computation (no memo) because protocol layers call it from
-// shard goroutines in parallel mode; the send path memoizes per execution
+// concurrent shard goroutines; the send path memoizes per execution
 // context instead.
 func (m *Medium) Airtime(bits int) time.Duration {
 	if bits <= 0 {
@@ -745,15 +712,12 @@ func (sc *shardCtx) airtime(bits int) time.Duration {
 	return d
 }
 
-// nextFrameID stamps one transmission commit. Serial runs use the raw
-// per-run counter; parallel runs pack the shard index into the top bits so
-// shard-local counters stay globally unique.
+// nextFrameID stamps one transmission commit: the shard index packed
+// above the shard-local counter keeps ids globally unique, and shard 0's
+// ids are the plain counter.
 func (sc *shardCtx) nextFrameID() uint64 {
 	sc.frameSeq++
-	if sc.m.parCtxs != nil {
-		return uint64(sc.shard)<<48 | sc.frameSeq
-	}
-	return sc.frameSeq
+	return uint64(sc.shard)<<48 | sc.frameSeq
 }
 
 // lossProbAt resolves the effective iid loss probability at sim time at.
@@ -886,7 +850,7 @@ func (m *Medium) Send(f Frame) {
 		if !ok {
 			return
 		}
-		sc := m.ctxOf(src.shard)
+		sc := m.ctxs[src.shard]
 		if p := m.faults.DuplicateProb(sc.sched.Now()); p > 0 && sc.rng.Float64() < p {
 			m.trySend(f, 0)
 		}
@@ -937,10 +901,9 @@ func (m *Medium) trySend(f Frame, attempt int) {
 
 	// Every medium event of this frame — CSMA retry, delivery batch — is
 	// scheduled on the shard owning the sender's region, so the sending
-	// shard's heap carries its own traffic. The execution context supplies
-	// the scheduler, RNG stream, stats, bus, and pools: ctx0 for serial
-	// runs, the sender's shard context in parallel mode.
-	sc := m.ctxOf(src.shard)
+	// shard's heap carries its own traffic. The sender's shard context
+	// supplies the scheduler, RNG stream, stats, bus, and pools.
+	sc := m.ctxs[src.shard]
 	sched := sc.sched
 
 	now := sched.Now()
@@ -1004,7 +967,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			intended++
 		}
 		if dst.shard != src.shard {
-			// Parallel mode, cross-shard receiver: CSMA occupancy is
+			// Cross-shard receiver: CSMA occupancy is
 			// shard-local during the window, so a cross-shard frame cannot
 			// be sensed or collided with until the barrier. Target
 			// receptions cross at the window barrier: loss is drawn on the
@@ -1063,7 +1026,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 }
 
 // FlushBoundary drains every sending shard's cross-shard outboxes at a
-// parallel window barrier: each buffered target reception is inserted
+// window barrier: each buffered target reception is inserted
 // into its receiver's channel-occupancy list (corrupting any overlapping
 // in-flight reception — boundary frames collide like local ones) and
 // scheduled as a crossEvent on the receiver's shard at its arrival time.
@@ -1074,7 +1037,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 // receiver shard's occupancy lists and record pools here race-free.
 func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 	var violations uint64
-	for _, sc := range m.parCtxs {
+	for _, sc := range m.ctxs {
 		if len(sc.outDirty) == 0 {
 			continue
 		}
@@ -1090,7 +1053,7 @@ func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 		for _, to := range dirty {
 			box := sc.out[to]
 			sc.outMark[to] = false
-			dstCtx := m.parCtxs[to]
+			dstCtx := m.ctxs[to]
 			for i := range box {
 				r := &box[i]
 				if r.at < window {

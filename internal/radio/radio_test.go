@@ -14,7 +14,7 @@ func newTestMedium(t *testing.T, p Params) (*simtime.Scheduler, *Medium, *trace.
 	t.Helper()
 	s := simtime.NewScheduler()
 	var stats trace.Stats
-	m := New(s, p, rand.New(rand.NewSource(42)), &stats)
+	m := New(p, nil, ShardRuntime{Sched: s, RNG: rand.New(rand.NewSource(42)), Stats: &stats})
 	return s, m, &stats
 }
 
@@ -191,7 +191,7 @@ func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
-	s.After(150*time.Millisecond, func() {
+	s.AfterOwned(150*time.Millisecond, simtime.OwnerNone, func() {
 		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
 	})
 	if err := s.Run(); err != nil {
@@ -214,7 +214,7 @@ func TestRandomLoss(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(time.Duration(i)*time.Second, func() {
+		s.AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
 			m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
 		})
 	}
@@ -319,7 +319,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Duration(i)*time.Second, func() {
+		s.AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
 			m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast, Bits: 500})
 		})
 	}

@@ -27,9 +27,9 @@ func stripes(k int, width float64) func(geom.Point) int32 {
 	}
 }
 
-// shardMedium switches m to parallel mode over g's shards, each with its
-// own RNG stream and stats.
-func shardMedium(g *simtime.ShardGroup, m *Medium, shardOf func(geom.Point) int32, seed int64) {
+// shardedMedium builds a medium over g's shards, each with its own RNG
+// stream and stats.
+func shardedMedium(g *simtime.ShardGroup, p Params, shardOf func(geom.Point) int32, seed int64) *Medium {
 	rts := make([]ShardRuntime, g.Shards())
 	for i := range rts {
 		rts[i] = ShardRuntime{
@@ -38,7 +38,7 @@ func shardMedium(g *simtime.ShardGroup, m *Medium, shardOf func(geom.Point) int3
 			Stats: &trace.Stats{},
 		}
 	}
-	m.SetSharding(shardOf, rts)
+	return New(p, shardOf, rts...)
 }
 
 // runSharded drives g to deadline with the medium's FlushBoundary as the
@@ -47,7 +47,7 @@ func shardMedium(g *simtime.ShardGroup, m *Medium, shardOf func(geom.Point) int3
 func runSharded(t *testing.T, g *simtime.ShardGroup, m *Medium, deadline, delta time.Duration) {
 	t.Helper()
 	m.PrebuildNeighbors()
-	if err := g.RunParallel(deadline, delta, func(w time.Duration) error {
+	if err := g.Run(deadline, delta, func(w time.Duration) error {
 		m.FlushBoundary(w)
 		return nil
 	}); err != nil {
@@ -65,14 +65,13 @@ func TestShardMutSkewIsZeroInNominalBuilds(t *testing.T) {
 }
 
 // TestBoundaryClassification checks nodes resolve to the shard owning
-// their region — both when registered after SetSharding and before it
-// (backfill) — and that on a parallel run a frame crossing the stripe
+// their region, and that on a parallel run a frame crossing the stripe
 // boundary is accounted as boundary traffic on the right (from, to) pair
 // and delivered through the barrier, while same-shard traffic stays out
 // of the mailboxes.
 func TestBoundaryClassification(t *testing.T) {
 	g := simtime.NewShardGroup(2)
-	m := New(g.Shard(0), Params{CommRadius: 3}, rand.New(rand.NewSource(1)), nil)
+	m := shardedMedium(g, Params{CommRadius: 3}, stripes(2, 10), 1)
 	got := map[NodeID]int{}
 	var mu sync.Mutex // receivers run on their own shard's goroutine
 	recv := func(id NodeID) Receiver {
@@ -82,11 +81,10 @@ func TestBoundaryClassification(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	// 6.0 is in stripe [5,10) -> shard 1, registered before SetSharding.
+	// 6.0 is in stripe [5,10) -> shard 1.
 	if err := m.AddNode(2, geom.Pt(6, 0), recv(2)); err != nil {
 		t.Fatal(err)
 	}
-	shardMedium(g, m, stripes(2, 10), 1)
 	// 4.0 and 3.0 are in stripe [0,5) -> shard 0.
 	if err := m.AddNode(1, geom.Pt(4, 0), recv(1)); err != nil {
 		t.Fatal(err)
@@ -103,7 +101,7 @@ func TestBoundaryClassification(t *testing.T) {
 
 	// Frames go on the air from inside callbacks, as in a real run: the
 	// executor's idle skip relies on outboxes being empty between windows.
-	g.Shard(0).AtEvent(0, func(arg any) { m.Send(arg.(Frame)) },
+	g.Shard(0).AtEventOwned(0, simtime.OwnerNone, func(arg any) { m.Send(arg.(Frame)) },
 		Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
 	runSharded(t, g, m, time.Second, m.Airtime(DefaultFrameBits))
 	// Node 1's broadcast targets 2 (cross: shard 0 -> 1) and 3 (same
@@ -145,8 +143,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 			LossProb:   rng.Float64() * 0.3,
 		}
 		g := simtime.NewShardGroup(k)
-		m := New(g.Shard(0), p, rand.New(rand.NewSource(int64(trial))), nil)
-		shardMedium(g, m, stripes(k, width), int64(trial))
+		m := shardedMedium(g, p, stripes(k, width), int64(trial))
 
 		nodes := 20 + rng.Intn(40)
 		for id := 0; id < nodes; id++ {
@@ -171,7 +168,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 			}
 			at := time.Duration(rng.Intn(2000)) * time.Millisecond
 			f := Frame{Kind: trace.KindHeartbeat, Src: src, Dst: dst, Bits: bits}
-			g.Shard(int(m.NodeShard(src))).AtEvent(at, func(arg any) {
+			g.Shard(int(m.NodeShard(src))).AtEventOwned(at, simtime.OwnerNone, func(arg any) {
 				m.Send(arg.(Frame))
 			}, f)
 		}

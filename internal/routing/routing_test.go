@@ -27,7 +27,7 @@ func newNet(t *testing.T, commRadius float64) *net {
 	rng := rand.New(rand.NewSource(3))
 	return &net{
 		sched:   sched,
-		medium:  radio.New(sched, radio.Params{CommRadius: commRadius}, rng, &stats),
+		medium:  radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		routers: make(map[radio.NodeID]*Router),
 		rng:     rng,
 	}

@@ -14,14 +14,14 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	fn := func() {}
 	// A standing population of timers keeps the heap realistically deep.
 	for i := 0; i < 256; i++ {
-		s.After(time.Duration(i+1)*time.Millisecond, fn)
+		s.AfterOwned(time.Duration(i+1)*time.Millisecond, OwnerNone, fn)
 	}
-	tm := s.After(time.Millisecond, fn)
+	tm := s.AfterOwned(time.Millisecond, OwnerNone, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Stop()
-		tm = s.After(time.Duration(1+i%7)*time.Millisecond, fn)
+		tm = s.AfterOwned(time.Duration(1+i%7)*time.Millisecond, OwnerNone, fn)
 	}
 }
 
@@ -31,12 +31,12 @@ func BenchmarkSchedulerStep(b *testing.B) {
 	s := NewScheduler()
 	var fn EventFunc = func(any) {}
 	for i := 0; i < 64; i++ {
-		s.AfterEvent(time.Duration(i+1)*time.Microsecond, fn, nil)
+		s.AfterEventOwned(time.Duration(i+1)*time.Microsecond, OwnerNone, fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AfterEvent(65*time.Microsecond, fn, nil)
+		s.AfterEventOwned(65*time.Microsecond, OwnerNone, fn, nil)
 		s.Step()
 	}
 }

@@ -22,7 +22,7 @@ func TestProfileAttributesOwners(t *testing.T) {
 	s.AfterEventOwned(4*time.Second, OwnerGroup, func(any) {}, nil)
 	s.AtEventTimerOwned(5*time.Second, OwnerDirectory, func(any) {}, nil)
 	s.AfterEventTimerOwned(6*time.Second, OwnerChaos, func(any) {}, nil)
-	s.At(7*time.Second, func() {}) // untagged
+	s.AtOwned(7*time.Second, OwnerNone, func() {}) // untagged
 
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

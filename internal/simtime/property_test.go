@@ -108,7 +108,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 		schedOne = func(at time.Duration, rearm int) {
 			id := nextID
 			nextID++
-			tm := s.At(at, func() {
+			tm := s.AtOwned(at, OwnerNone, func() {
 				got = append(got, firing{id: id, at: s.Now()})
 				removeID(id)
 				if rearm > 0 {
@@ -221,12 +221,12 @@ func TestTimerPoolABAGuard(t *testing.T) {
 	s := NewScheduler()
 
 	// Stop recycles the slot; the next At reuses it.
-	stale := s.At(10*time.Millisecond, func() { t.Fatal("stopped timer fired") })
+	stale := s.AtOwned(10*time.Millisecond, OwnerNone, func() { t.Fatal("stopped timer fired") })
 	if !stale.Stop() {
 		t.Fatal("first Stop returned false")
 	}
 	fired := false
-	successor := s.At(20*time.Millisecond, func() { fired = true })
+	successor := s.AtOwned(20*time.Millisecond, OwnerNone, func() { fired = true })
 	if stale.Stop() {
 		t.Fatal("stale handle stopped its successor")
 	}
@@ -246,7 +246,7 @@ func TestTimerPoolABAGuard(t *testing.T) {
 	// Firing also recycles the slot: a kept handle of a fired timer must
 	// not kill the slot's next tenant either.
 	s2 := NewScheduler()
-	kept := s2.At(time.Millisecond, func() {})
+	kept := s2.AtOwned(time.Millisecond, OwnerNone, func() {})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTimerPoolABAGuard(t *testing.T) {
 	count := 0
 	for i := 0; i < 100; i++ {
 		// Each iteration reuses the same pooled slot.
-		tm := s2.After(time.Millisecond, func() { count++ })
+		tm := s2.AfterOwned(time.Millisecond, OwnerNone, func() { count++ })
 		if kept.Stop() {
 			t.Fatalf("iteration %d: stale handle stopped a recycled slot", i)
 		}
@@ -280,7 +280,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	var timers []Timer
 	for i := 0; i < 500; i++ {
 		at := time.Duration(i+1) * time.Hour // far future: lazy drain never reaches them
-		timers = append(timers, s.At(at, func() {}))
+		timers = append(timers, s.AtOwned(at, OwnerNone, func() {}))
 	}
 	for i, tm := range timers {
 		if i%5 != 0 {
@@ -317,10 +317,10 @@ func TestTombstoneCompaction(t *testing.T) {
 func TestEventSchedulingInterleavesWithTimers(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(time.Millisecond, func() { order = append(order, 0) })
-	s.AtEvent(time.Millisecond, func(arg any) { order = append(order, arg.(int)) }, 1)
-	tm := s.AtEventTimer(time.Millisecond, func(arg any) { order = append(order, arg.(int)) }, 2)
-	s.AfterEvent(time.Millisecond, func(arg any) { order = append(order, arg.(int)) }, 3)
+	s.AtOwned(time.Millisecond, OwnerNone, func() { order = append(order, 0) })
+	s.AtEventOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 1)
+	tm := s.AtEventTimerOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 2)
+	s.AfterEventOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 3)
 	if !tm.Pending() {
 		t.Fatal("AtEventTimer handle not pending")
 	}
@@ -345,7 +345,7 @@ func TestEventSchedulingInterleavesWithTimers(t *testing.T) {
 func TestAtEventTimerStopPreventsFiring(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.AfterEventTimer(time.Millisecond, func(any) { fired = true }, nil)
+	tm := s.AfterEventTimerOwned(time.Millisecond, OwnerNone, func(any) { fired = true }, nil)
 	if !tm.Stop() {
 		t.Fatal("Stop returned false on pending event timer")
 	}

@@ -1,43 +1,48 @@
 // Spatially sharded execution: a ShardGroup partitions one run's event
-// population across k scheduler shards — each a full clone of the pooled
-// 4-ary heap, its timer slots, and its free list — and executes them on
-// separate goroutines. Each shard owns a local clock, sequence counter,
-// and (via the network layer) RNG stream; only the stop flag is shared.
+// population across k >= 1 scheduler shards — each a full clone of the
+// pooled 4-ary heap, its timer slots, and its free list — and executes
+// them on separate goroutines. Each shard owns a local clock, sequence
+// counter, and (via the network layer) RNG stream; only the stop flag is
+// shared. A serial run is the one-shard group.
 //
-// RunParallel runs the shards in conservative lookahead windows: every
+// Run executes several shards in conservative lookahead windows: every
 // shard fires all of its events inside [T, T+delta), a barrier drains the
 // cross-shard radio outboxes (whose entries are guaranteed to land at or
 // after T+delta by the radio lookahead bound of one packet time — airtime
 // plus propagation), and the window advances. This is a
 // lower-bound-on-timestamp (LBTS) protocol with a constant lookahead.
 // Because each shard draws from its own RNG stream and senses the channel
-// only locally during a window, results are not byte-identical to the
-// serial engine — they are statistically equivalent, which the
+// only locally during a window, results are not byte-identical to a
+// one-shard run — they are statistically equivalent, which the
 // internal/eval equivalence battery asserts at the distribution level —
-// but they are deterministic per (seed, shard count).
+// but they are deterministic per (seed, shard count). One shard has
+// nothing to exchange, so it runs the whole interval as one window: the
+// (at, seq) order of Scheduler.RunUntil.
 package simtime
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ShardGroup is the free-running parallel discrete-event executor: k
-// scheduler shards, each with its own clock, sequence counter, heap, and
-// slot pool, driven by RunParallel in conservative lookahead windows. The
-// only state the shards share is the stop flag. Outside RunParallel the
+// ShardGroup is the discrete-event executor of a run: k scheduler shards,
+// each with its own clock, sequence counter, heap, and slot pool, driven
+// by Run — in conservative lookahead windows on separate goroutines when
+// k > 1. The only state the shards share is the stop flag. Outside Run the
 // group is driven from one goroutine (setup, barrier work).
 type ShardGroup struct {
 	shards []*Scheduler
 	// edge is the committed window edge: the time every shard has executed
-	// up to. RunParallel advances it at each barrier.
+	// up to. Run advances it at each barrier.
 	edge time.Duration
-	// stop is the group stop flag (atomic, because any shard goroutine may
-	// request a stop while others are mid-window).
+	// stop is the group stop flag. It is atomic because a goroutine outside
+	// the run (a session's Stop) may set it while shards execute; each
+	// shard reads it before every event.
 	stop atomic.Bool
-	// windowCap, when set, bounds RunParallel's idle skip: a window never
+	// windowCap, when set, bounds Run's idle skip: a window never
 	// extends past the earliest cap time at or after its start (barrier
 	// work such as series sampling stays on cadence). Called only on the
 	// coordinator between windows.
@@ -66,10 +71,17 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // their protocol timers through it.
 func (g *ShardGroup) Shard(i int) *Scheduler { return g.shards[i] }
 
-// Now returns the committed window edge: every shard has executed all of
-// its events before it. Callbacks needing their own shard's time use the
-// shard scheduler's Now.
-func (g *ShardGroup) Now() time.Duration { return g.edge }
+// Now returns the group clock. With several shards it is the committed
+// window edge: every shard has executed all of its events before it, and
+// callbacks needing their own shard's time use the shard scheduler's Now.
+// A lone shard runs each interval as one window, so its own clock is the
+// group clock, live inside callbacks as on a plain Scheduler.
+func (g *ShardGroup) Now() time.Duration {
+	if len(g.shards) == 1 {
+		return g.shards[0].now
+	}
+	return g.edge
+}
 
 // Executed returns the number of events fired across all shards. Call it
 // only between windows (e.g. after a run), not while shards are executing.
@@ -96,24 +108,28 @@ type windowJob struct {
 	inclusive bool
 }
 
-// RunParallel executes the group's shards on separate goroutines in
-// conservative lookahead windows of width delta until the clock reaches
-// deadline: every shard fires all of its events inside the current
-// window, then the coordinator runs barrier (draining cross-shard
-// mailboxes, merging buffered observability lanes, sampling series) and
-// the window advances. delta must be a lower bound on the latency of any
+// Run executes the group until its clock reaches deadline. Several shards
+// run on separate goroutines in conservative lookahead windows of width
+// delta: every shard fires all of its events inside the current window,
+// then the coordinator runs barrier (draining cross-shard mailboxes,
+// merging buffered observability lanes, sampling series) and the window
+// advances. delta must be a positive lower bound on the latency of any
 // cross-shard interaction — the radio's airtime+PropDelay bound — or the
-// barrier will observe already-late deliveries. A non-nil barrier error
-// aborts the run.
+// barrier will observe already-late deliveries; a non-positive delta is an
+// error. A lone shard ignores delta and runs the whole interval as one
+// window. A non-nil barrier error aborts the run.
 //
 // The final window is inclusive of the deadline, matching
 // Scheduler.RunUntil's "fire events at <= deadline" semantics;
 // barrier-drained deliveries that land at exactly the deadline get
 // cleanup windows of their own until no shard holds an event at or
 // before it.
-func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(window time.Duration) error) error {
-	if delta <= 0 {
-		panic("simtime: RunParallel needs a positive lookahead window")
+func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time.Duration) error) error {
+	// A lone shard exchanges nothing with other shards, so no lookahead
+	// bounds its window.
+	single := len(g.shards) == 1
+	if !single && delta <= 0 {
+		return fmt.Errorf("simtime: %d shards need a positive lookahead window, got %v", len(g.shards), delta)
 	}
 
 	// Within a window the shards are independent — cross-shard effects
@@ -124,7 +140,7 @@ func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(win
 	// goroutine descheduled mid-window stalls the whole barrier. Degrade
 	// gracefully to running every shard's window inline on the
 	// coordinator.
-	inline := runtime.GOMAXPROCS(0) == 1 || len(g.shards) == 1
+	inline := runtime.GOMAXPROCS(0) == 1
 
 	// Persistent shard workers: one goroutine per shard beyond shard 0
 	// (which the coordinator runs inline), fed one windowJob per window.
@@ -183,7 +199,7 @@ func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(win
 			}
 		}
 		last := false
-		if W >= deadline {
+		if single || W >= deadline {
 			W, last = deadline, true
 		}
 		if inline {
@@ -197,6 +213,13 @@ func (g *ShardGroup) RunParallel(deadline, delta time.Duration, barrier func(win
 			}
 			g.shards[0].runWindow(W, last)
 			wg.Wait()
+		}
+		// Every worker is parked: a shard stopped by its own callback now
+		// stops the group.
+		for _, s := range g.shards {
+			if s.stopped {
+				g.stop.Store(true)
+			}
 		}
 		g.edge = W
 		if barrier != nil {
@@ -232,10 +255,10 @@ func ShardSeed(seed int64, shard int) int64 {
 	return int64(z)
 }
 
-// SetWindowCap bounds the parallel executor's idle skip: no window ends
+// SetWindowCap bounds the lookahead executor's idle skip: no window ends
 // later than the earliest cap time at or after the window's start. The
 // network layer uses it to keep barrier-driven series samplers on their
-// exact cadence; nil removes the cap. Set it before RunParallel.
+// exact cadence; nil removes the cap. Set it before Run.
 func (g *ShardGroup) SetWindowCap(f func(after time.Duration) (time.Duration, bool)) {
 	g.windowCap = f
 }
@@ -264,21 +287,22 @@ func (g *ShardGroup) anyEventAtOrBefore(t time.Duration) bool {
 	return false
 }
 
-// Stop halts the group: no further windows run. It only sets the atomic
-// stop flag, so any goroutine (a shard callback, or a session watcher
-// reacting to an external stop request) may call it while workers are
-// mid-window.
+// Stop halts the group: every shard stops before its next event and no
+// further window runs. It only sets the atomic stop flag, so any goroutine
+// (a shard callback, or a session reacting to an external stop request)
+// may call it while shards execute.
 func (g *ShardGroup) Stop() { g.stop.Store(true) }
 
-// Stopped reports whether Stop has been called (on the group or any of
-// its shards).
+// Stopped reports whether the group has stopped: Stop was called, a
+// barrier failed, or a shard's Stop reached a barrier.
 func (g *ShardGroup) Stopped() bool { return g.stop.Load() }
 
-// SetProfile attaches a self-profile to every shard (nil detaches). When
-// the profile has a shard dimension (EnsureShards), each shard's events
-// are additionally tallied under its shard index.
+// SetProfile attaches a self-profile to every shard (nil detaches). With
+// several shards the profile also gets a shard dimension (EnsureShards),
+// tallying each shard's events under its index; a lone shard adds none, so
+// a serial run's profile reports no shard table.
 func (g *ShardGroup) SetProfile(p *Profile) {
-	if p != nil {
+	if p != nil && len(g.shards) > 1 {
 		p.EnsureShards(len(g.shards))
 	}
 	for _, s := range g.shards {

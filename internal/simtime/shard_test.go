@@ -31,16 +31,16 @@ func (m *shardModel) remove(id int) {
 }
 
 // TestShardGroupMatchesReferenceModel drives a ShardGroup through
-// RunParallel against one sorted-slice reference model per shard, over
+// Run against one sorted-slice reference model per shard, over
 // independently seeded random schedules of interleaved At/Stop operations
-// and RunParallel calls with random deadlines and lookahead windows.
+// and Run calls with random deadlines and lookahead windows.
 // Callbacks stay on their own shard: they re-schedule successors and stop
 // sibling timers there, as the protocol layers do. Every firing must match
 // its shard's reference in order and timestamp, and between runs each
 // shard's Len, Executed, and clock must match too: windowing is a
 // partition of time, never a reordering within a shard.
 func TestShardGroupMatchesReferenceModel(t *testing.T) {
-	for _, k := range []int{2, 3, 4, 8} {
+	for _, k := range []int{1, 2, 3, 4, 8} {
 		for schedule := 0; schedule < 100; schedule++ {
 			rng := rand.New(rand.NewSource(int64(k*10_000+schedule) + 1))
 			g := NewShardGroup(k)
@@ -55,7 +55,7 @@ func TestShardGroupMatchesReferenceModel(t *testing.T) {
 				m, s := models[shard], g.Shard(shard)
 				id := nextID[shard]
 				nextID[shard]++
-				tm := s.At(at, func() {
+				tm := s.AtOwned(at, OwnerNone, func() {
 					m.fired++
 					refID, refAt, ok := m.ref.step()
 					if !ok || refID != id || refAt != s.Now() {
@@ -137,7 +137,7 @@ func TestShardGroupMatchesReferenceModel(t *testing.T) {
 func runAndCheck(t *testing.T, g *ShardGroup, models []*shardModel, deadline, delta time.Duration) {
 	t.Helper()
 	prev := g.Now()
-	err := g.RunParallel(deadline, delta, func(w time.Duration) error {
+	err := g.Run(deadline, delta, func(w time.Duration) error {
 		if w <= prev && w != deadline || w > deadline {
 			t.Errorf("barrier at %v after %v (deadline %v)", w, prev, deadline)
 		}
@@ -145,10 +145,10 @@ func runAndCheck(t *testing.T, g *ShardGroup, models []*shardModel, deadline, de
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("RunParallel: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if g.Now() != deadline {
-		t.Fatalf("group clock %v after RunParallel(%v)", g.Now(), deadline)
+		t.Fatalf("group clock %v after Run(%v)", g.Now(), deadline)
 	}
 	for i, m := range models {
 		if len(m.ref.events) > 0 && m.ref.events[0].at <= deadline {
@@ -156,17 +156,20 @@ func runAndCheck(t *testing.T, g *ShardGroup, models []*shardModel, deadline, de
 		}
 		m.ref.now = deadline
 		if got := g.Shard(i).Now(); got != deadline {
-			t.Fatalf("shard %d clock %v after RunParallel(%v)", i, got, deadline)
+			t.Fatalf("shard %d clock %v after Run(%v)", i, got, deadline)
 		}
 	}
 }
 
-// TestShardGroupRunUntilAndStop checks RunParallel's deadline and stop
+// TestShardGroupRunUntilAndStop checks Run's deadline and stop
 // semantics: events at or before the deadline fire (inclusive, like
 // Scheduler.RunUntil), later events stay pending, every clock rests at the
 // deadline; a Stop from inside a callback is window-granular (the stopping
 // shard halts at once, siblings finish the window) and surfaces as
-// ErrStopped; and a barrier error aborts the run and stops the group.
+// ErrStopped; a barrier error aborts the run and stops the group; several
+// shards refuse a non-positive lookahead; and a lone shard, which needs
+// none, runs the whole interval as one window whose group stop halts it
+// before the next event, with its clock as the group clock.
 func TestShardGroupRunUntilAndStop(t *testing.T) {
 	g := NewShardGroup(2)
 	var fired [2][]time.Duration // per shard: callbacks never share a slice
@@ -174,14 +177,14 @@ func TestShardGroupRunUntilAndStop(t *testing.T) {
 		s := g.Shard(shard)
 		return func() { fired[shard] = append(fired[shard], s.Now()) }
 	}
-	g.Shard(0).At(10*time.Millisecond, note(0))
-	g.Shard(1).At(20*time.Millisecond, note(1)) // exactly at the deadline
-	g.Shard(1).At(30*time.Millisecond, note(1))
-	if err := g.RunParallel(20*time.Millisecond, 5*time.Millisecond, nil); err != nil {
+	g.Shard(0).AtOwned(10*time.Millisecond, OwnerNone, note(0))
+	g.Shard(1).AtOwned(20*time.Millisecond, OwnerNone, note(1)) // exactly at the deadline
+	g.Shard(1).AtOwned(30*time.Millisecond, OwnerNone, note(1))
+	if err := g.Run(20*time.Millisecond, 5*time.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired[0]) != 1 || len(fired[1]) != 1 {
-		t.Fatalf("fired = %v after RunParallel(20ms), want one event per shard", fired)
+		t.Fatalf("fired = %v after Run(20ms), want one event per shard", fired)
 	}
 	if g.Now() != 20*time.Millisecond || g.Shard(0).Now() != 20*time.Millisecond || g.Shard(1).Now() != 20*time.Millisecond {
 		t.Fatalf("clocks = %v/%v/%v, want 20ms", g.Now(), g.Shard(0).Now(), g.Shard(1).Now())
@@ -193,12 +196,12 @@ func TestShardGroupRunUntilAndStop(t *testing.T) {
 	// The idle skip puts the next window at [20ms, 35ms): shard 0 stops at
 	// 25ms and skips its 27ms event; shard 1 still fires 26ms (and its 30ms
 	// event) before the barrier, but nothing from the next window.
-	g.Shard(0).At(25*time.Millisecond, func() { g.Shard(0).Stop() })
-	g.Shard(0).At(27*time.Millisecond, note(0))
-	g.Shard(1).At(26*time.Millisecond, note(1))
-	g.Shard(1).At(100*time.Millisecond, note(1))
-	if err := g.RunParallel(time.Second, 10*time.Millisecond, nil); err != ErrStopped {
-		t.Fatalf("RunParallel after Stop = %v, want ErrStopped", err)
+	g.Shard(0).AtOwned(25*time.Millisecond, OwnerNone, func() { g.Shard(0).Stop() })
+	g.Shard(0).AtOwned(27*time.Millisecond, OwnerNone, note(0))
+	g.Shard(1).AtOwned(26*time.Millisecond, OwnerNone, note(1))
+	g.Shard(1).AtOwned(100*time.Millisecond, OwnerNone, note(1))
+	if err := g.Run(time.Second, 10*time.Millisecond, nil); err != ErrStopped {
+		t.Fatalf("Run after Stop = %v, want ErrStopped", err)
 	}
 	want1 := []time.Duration{20 * time.Millisecond, 26 * time.Millisecond, 30 * time.Millisecond}
 	if len(fired[0]) != 1 || !slices.Equal(fired[1], want1) {
@@ -209,13 +212,37 @@ func TestShardGroupRunUntilAndStop(t *testing.T) {
 	}
 
 	h := NewShardGroup(2)
-	h.Shard(1).At(5*time.Millisecond, func() {})
+	h.Shard(1).AtOwned(5*time.Millisecond, OwnerNone, func() {})
 	boom := errors.New("barrier failed")
-	if err := h.RunParallel(time.Second, time.Millisecond, func(time.Duration) error { return boom }); err != boom {
-		t.Fatalf("RunParallel with failing barrier = %v, want %v", err, boom)
+	if err := h.Run(time.Second, time.Millisecond, func(time.Duration) error { return boom }); err != boom {
+		t.Fatalf("Run with failing barrier = %v, want %v", err, boom)
 	}
 	if !h.Stopped() {
 		t.Fatal("barrier error did not stop the group")
+	}
+
+	if err := NewShardGroup(2).Run(time.Second, 0, nil); err == nil {
+		t.Fatal("Run on 2 shards with a zero lookahead returned no error")
+	}
+	one := NewShardGroup(1)
+	s := one.Shard(0)
+	var at []time.Duration
+	for i := 1; i <= 5; i++ {
+		s.AtOwned(time.Duration(i)*time.Millisecond, OwnerNone, func() {
+			at = append(at, one.Now())
+			if len(at) == 3 {
+				one.Stop()
+			}
+		})
+	}
+	barriers := 0
+	err := one.Run(time.Second, 0, func(time.Duration) error { barriers++; return nil })
+	if err != ErrStopped {
+		t.Fatalf("one-shard Run after a group Stop = %v, want ErrStopped", err)
+	}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	if !slices.Equal(at, want) || one.Now() != 3*time.Millisecond || barriers != 1 {
+		t.Fatalf("one shard fired at %v, clock %v, %d barriers; want %v, 3ms, one barrier", at, one.Now(), barriers, want)
 	}
 }
 
@@ -229,10 +256,10 @@ func TestShardGroupProfileAttribution(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		shard := g.Shard(i)
 		for j := 0; j <= i; j++ {
-			shard.At(time.Duration(j+1)*time.Millisecond, func() {})
+			shard.AtOwned(time.Duration(j+1)*time.Millisecond, OwnerNone, func() {})
 		}
 	}
-	if err := g.RunParallel(10*time.Millisecond, time.Millisecond, nil); err != nil {
+	if err := g.Run(10*time.Millisecond, time.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
 	stats := p.ShardSnapshot()

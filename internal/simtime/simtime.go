@@ -51,11 +51,11 @@ var ErrStopped = errors.New("simtime: scheduler stopped")
 // scheduler's (single) execution thread.
 type Callback func()
 
-// EventFunc is the handler of a typed-payload event scheduled with AtEvent
-// and friends. The hot paths of the radio medium, the mote CPU, and the
-// group protocol use it to schedule work without capturing closures: the
-// handler is a package-level function and arg is a pooled record, so the
-// schedule site allocates nothing. arg must be a pointer-shaped value —
+// EventFunc is the handler of a typed-payload event scheduled with
+// AtEventOwned and friends. The hot paths of the radio medium, the mote
+// CPU, and the group protocol use it to schedule work without capturing
+// closures: the handler is a package-level function and arg is a pooled
+// record, so the schedule site allocates nothing. arg must be a pointer-shaped value —
 // storing a pointer in an interface does not allocate.
 type EventFunc func(arg any)
 
@@ -155,7 +155,7 @@ type Scheduler struct {
 	labelCtxs *[NumOwners]context.Context
 
 	// group, when non-nil, makes this scheduler one spatial shard of a
-	// ShardGroup (see shard.go), whose stop flag it shares. shardID is this
+	// ShardGroup (see shard.go), whose stop flag it obeys. shardID is this
 	// scheduler's index within the group and tags the self-profiler.
 	group   *ShardGroup
 	shardID int32
@@ -243,26 +243,17 @@ func (s *Scheduler) schedule(at time.Duration, owner Owner, fn Callback, pfn Eve
 	return idx, gen, at
 }
 
-// At schedules fn to run at absolute virtual time at. Times in the past are
-// clamped to "now" (the event fires on the next step). Events scheduled for
-// the same instant fire in scheduling order.
-func (s *Scheduler) At(at time.Duration, fn Callback) Timer {
-	return s.AtOwned(at, OwnerNone, fn)
-}
-
-// AtOwned is At with a subsystem owner tag for the self-profiler.
+// AtOwned schedules fn to run at absolute virtual time at, attributed to
+// owner by the self-profiler (OwnerNone when no subsystem claims it). Times
+// in the past are clamped to "now" (the event fires on the next step).
+// Events scheduled for the same instant fire in scheduling order.
 func (s *Scheduler) AtOwned(at time.Duration, owner Owner, fn Callback) Timer {
 	idx, gen, at := s.schedule(at, owner, fn, nil, nil)
 	return Timer{s: s, at: at, slot: idx + 1, gen: gen}
 }
 
-// After schedules fn to run d after the current virtual time. Negative
+// AfterOwned is AtOwned relative to the current virtual time. Negative
 // durations are treated as zero.
-func (s *Scheduler) After(d time.Duration, fn Callback) Timer {
-	return s.AfterOwned(d, OwnerNone, fn)
-}
-
-// AfterOwned is After with a subsystem owner tag for the self-profiler.
 func (s *Scheduler) AfterOwned(d time.Duration, owner Owner, fn Callback) Timer {
 	if d < 0 {
 		d = 0
@@ -270,27 +261,17 @@ func (s *Scheduler) AfterOwned(d time.Duration, owner Owner, fn Callback) Timer 
 	return s.AtOwned(s.Now()+d, owner, fn)
 }
 
-// AtEvent schedules a typed-payload event with no cancellation handle: fn
-// is invoked with arg at virtual time at. With a package-level fn and a
-// pooled pointer arg the call is allocation-free, which is why the radio
-// and mote hot paths use it for delivery batches, CPU completions, and
-// CSMA retries — none of which are ever cancelled.
-func (s *Scheduler) AtEvent(at time.Duration, fn EventFunc, arg any) {
-	s.schedule(at, OwnerNone, nil, fn, arg)
-}
-
-// AtEventOwned is AtEvent with a subsystem owner tag for the self-profiler.
+// AtEventOwned schedules a typed-payload event with no cancellation
+// handle: fn is invoked with arg at virtual time at. With a package-level fn
+// and a pooled pointer arg the call is allocation-free, which is why the
+// radio and mote hot paths use it for delivery batches, CPU completions,
+// and CSMA retries — none of which are ever cancelled.
 func (s *Scheduler) AtEventOwned(at time.Duration, owner Owner, fn EventFunc, arg any) {
 	s.schedule(at, owner, nil, fn, arg)
 }
 
-// AfterEvent is AtEvent relative to the current time. Negative durations
-// are treated as zero.
-func (s *Scheduler) AfterEvent(d time.Duration, fn EventFunc, arg any) {
-	s.AfterEventOwned(d, OwnerNone, fn, arg)
-}
-
-// AfterEventOwned is AfterEvent with a subsystem owner tag.
+// AfterEventOwned is AtEventOwned relative to the current time. Negative
+// durations are treated as zero.
 func (s *Scheduler) AfterEventOwned(d time.Duration, owner Owner, fn EventFunc, arg any) {
 	if d < 0 {
 		d = 0
@@ -298,25 +279,16 @@ func (s *Scheduler) AfterEventOwned(d time.Duration, owner Owner, fn EventFunc, 
 	s.schedule(s.Now()+d, owner, nil, fn, arg)
 }
 
-// AtEventTimer is AtEvent with a cancellation handle, for hot-path timers
-// that need Stop (e.g. the group protocol's pending heartbeat rebroadcast).
-func (s *Scheduler) AtEventTimer(at time.Duration, fn EventFunc, arg any) Timer {
-	return s.AtEventTimerOwned(at, OwnerNone, fn, arg)
-}
-
-// AtEventTimerOwned is AtEventTimer with a subsystem owner tag.
+// AtEventTimerOwned is AtEventOwned with a cancellation handle, for
+// hot-path timers that need Stop (e.g. the group protocol's pending
+// heartbeat rebroadcast).
 func (s *Scheduler) AtEventTimerOwned(at time.Duration, owner Owner, fn EventFunc, arg any) Timer {
 	idx, gen, at := s.schedule(at, owner, nil, fn, arg)
 	return Timer{s: s, at: at, slot: idx + 1, gen: gen}
 }
 
-// AfterEventTimer is AtEventTimer relative to the current time. Negative
-// durations are treated as zero.
-func (s *Scheduler) AfterEventTimer(d time.Duration, fn EventFunc, arg any) Timer {
-	return s.AfterEventTimerOwned(d, OwnerNone, fn, arg)
-}
-
-// AfterEventTimerOwned is AfterEventTimer with a subsystem owner tag.
+// AfterEventTimerOwned is AtEventTimerOwned relative to the current time.
+// Negative durations are treated as zero.
 func (s *Scheduler) AfterEventTimerOwned(d time.Duration, owner Owner, fn EventFunc, arg any) Timer {
 	if d < 0 {
 		d = 0
@@ -384,12 +356,17 @@ func (s *Scheduler) fire(ev event) {
 
 // runWindow fires this shard's events with at < limit (at <= limit when
 // inclusive), advancing the shard-local clock, and leaves the clock at
-// the window end. It is the per-shard half of the parallel executor
-// (ShardGroup.RunParallel) and runs on the shard's window goroutine.
-// Events scheduled during the window for times inside it fire in the same
-// window.
+// the window end. It is the per-shard half of ShardGroup.Run and runs on
+// the shard's window goroutine. Events scheduled during the window for
+// times inside it fire in the same window. It returns early, with the
+// clock at the last fired event, once this shard or the whole group is
+// stopped; the group flag is read before every event so a stop requested
+// from outside the run (a session's Stop) takes effect at once.
 func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
-	for !s.stopped {
+	for {
+		if s.stopped || s.group.stop.Load() {
+			return
+		}
 		if !s.drainTop() {
 			break
 		}
@@ -401,15 +378,15 @@ func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
 		s.now = ev.at
 		s.fire(ev)
 	}
-	if !s.stopped && s.now < limit {
+	if s.now < limit {
 		s.now = limit
 	}
 }
 
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed. A shard of a
-// ShardGroup is driven only by ShardGroup.RunParallel, never by Step,
-// RunUntil, or Run.
+// ShardGroup is driven only by ShardGroup.Run, never by Step, RunUntil,
+// or Run.
 func (s *Scheduler) Step() bool {
 	if s.stopped || !s.drainTop() {
 		return false
@@ -456,21 +433,14 @@ func (s *Scheduler) Run() error {
 // It is intended to be called from within an event callback (e.g. when an
 // experiment has observed the condition it was waiting for). Stopping any
 // shard of a group stops the whole group, window-granularly: this shard
-// halts immediately, sibling shards finish the current lookahead window
-// first.
-func (s *Scheduler) Stop() {
-	s.stopped = true
-	if g := s.group; g != nil {
-		g.Stop()
-	}
-}
+// halts immediately, sibling shards finish the current window, and the
+// group stops at the barrier.
+func (s *Scheduler) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop has been called.
+// Stopped reports whether Stop has been called on this scheduler, or, for
+// a shard, whether its group has stopped.
 func (s *Scheduler) Stopped() bool {
-	if g := s.group; g != nil {
-		return g.Stopped()
-	}
-	return s.stopped
+	return s.stopped || s.group != nil && s.group.Stopped()
 }
 
 // maybeCompact sweeps tombstones out of the heap when they outnumber live
@@ -565,14 +535,9 @@ type Ticker struct {
 	done   bool
 }
 
-// NewTicker schedules fn every period, with the first invocation one period
-// from now. A non-positive period is rejected with a nil Ticker.
-func NewTicker(s *Scheduler, period time.Duration, fn Callback) *Ticker {
-	return NewTickerOwned(s, period, OwnerNone, fn)
-}
-
-// NewTickerOwned is NewTicker with a subsystem owner tag: every tick is
-// attributed to owner by the self-profiler.
+// NewTickerOwned schedules fn every period, with the first invocation one
+// period from now; every tick is attributed to owner by the self-profiler.
+// A non-positive period is rejected with a nil Ticker.
 func NewTickerOwned(s *Scheduler, period time.Duration, owner Owner, fn Callback) *Ticker {
 	if period <= 0 {
 		return nil

@@ -13,7 +13,7 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	var got []time.Duration
 	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
 		d := d * time.Second
-		s.At(d, func() { got = append(got, d) })
+		s.AtOwned(d, OwnerNone, func() { got = append(got, d) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Second, func() { got = append(got, i) })
+		s.AtOwned(time.Second, OwnerNone, func() { got = append(got, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 func TestSchedulerClockAdvances(t *testing.T) {
 	s := NewScheduler()
 	var at time.Duration
-	s.At(7*time.Second, func() { at = s.Now() })
+	s.AtOwned(7*time.Second, OwnerNone, func() { at = s.Now() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestSchedulerClockAdvances(t *testing.T) {
 func TestSchedulerPastEventClamped(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	s.At(5*time.Second, func() {
+	s.AtOwned(5*time.Second, OwnerNone, func() {
 		// Schedule an event "in the past"; it must fire at the current time,
 		// not move the clock backwards.
-		s.At(time.Second, func() {
+		s.AtOwned(time.Second, OwnerNone, func() {
 			fired = true
 			if s.Now() != 5*time.Second {
 				t.Errorf("past event fired at %v, want 5s", s.Now())
@@ -82,7 +82,7 @@ func TestSchedulerPastEventClamped(t *testing.T) {
 func TestSchedulerNegativeAfterClamped(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	s.After(-time.Second, func() { fired = true })
+	s.AfterOwned(-time.Second, OwnerNone, func() { fired = true })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 2, 3, 4} {
 		d := d * time.Second
-		s.At(d, func() { fired = append(fired, d) })
+		s.AtOwned(d, OwnerNone, func() { fired = append(fired, d) })
 	}
 	if err := s.RunUntil(2500 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	s.At(2*time.Second, func() { fired = true })
+	s.AtOwned(2*time.Second, OwnerNone, func() { fired = true })
 	if err := s.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.At(time.Second, func() { fired = true })
+	tm := s.AtOwned(time.Second, OwnerNone, func() { fired = true })
 	if !tm.Pending() {
 		t.Error("timer should be pending before firing")
 	}
@@ -154,7 +154,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	s := NewScheduler()
-	tm := s.At(time.Second, func() {})
+	tm := s.AtOwned(time.Second, OwnerNone, func() {})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestTimerStopAfterFire(t *testing.T) {
 func TestTimerStopFromOtherEvent(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	victim := s.At(2*time.Second, func() { fired = true })
-	s.At(time.Second, func() { victim.Stop() })
+	victim := s.AtOwned(2*time.Second, OwnerNone, func() { fired = true })
+	s.AtOwned(time.Second, OwnerNone, func() { victim.Stop() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
+		s.AtOwned(time.Duration(i)*time.Second, OwnerNone, func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -205,7 +205,7 @@ func TestSchedulerStop(t *testing.T) {
 func TestTickerPeriodic(t *testing.T) {
 	s := NewScheduler()
 	var times []time.Duration
-	tk := NewTicker(s, time.Second, func() { times = append(times, s.Now()) })
+	tk := NewTickerOwned(s, time.Second, OwnerNone, func() { times = append(times, s.Now()) })
 	if tk == nil {
 		t.Fatal("NewTicker returned nil for valid period")
 	}
@@ -227,7 +227,7 @@ func TestTickerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	var tk *Ticker
-	tk = NewTicker(s, time.Second, func() {
+	tk = NewTickerOwned(s, time.Second, OwnerNone, func() {
 		count++
 		if count == 2 {
 			tk.Stop()
@@ -245,8 +245,8 @@ func TestTickerStop(t *testing.T) {
 func TestTickerReset(t *testing.T) {
 	s := NewScheduler()
 	var times []time.Duration
-	tk := NewTicker(s, time.Second, func() { times = append(times, s.Now()) })
-	s.At(2500*time.Millisecond, func() { tk.Reset(2 * time.Second) })
+	tk := NewTickerOwned(s, time.Second, OwnerNone, func() { times = append(times, s.Now()) })
+	s.AtOwned(2500*time.Millisecond, OwnerNone, func() { tk.Reset(2 * time.Second) })
 	if err := s.RunUntil(7 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +269,10 @@ func TestTickerReset(t *testing.T) {
 
 func TestTickerInvalidPeriod(t *testing.T) {
 	s := NewScheduler()
-	if tk := NewTicker(s, 0, func() {}); tk != nil {
+	if tk := NewTickerOwned(s, 0, OwnerNone, func() {}); tk != nil {
 		t.Error("NewTicker with zero period should return nil")
 	}
-	if tk := NewTicker(s, -time.Second, func() {}); tk != nil {
+	if tk := NewTickerOwned(s, -time.Second, OwnerNone, func() {}); tk != nil {
 		t.Error("NewTicker with negative period should return nil")
 	}
 }
@@ -280,7 +280,7 @@ func TestTickerInvalidPeriod(t *testing.T) {
 func TestExecutedCount(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 17; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
+		s.AfterOwned(time.Duration(i)*time.Millisecond, OwnerNone, func() {})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -310,10 +310,10 @@ func TestPropertyEventOrdering(t *testing.T) {
 		for i, r := range raw {
 			at := time.Duration(r%50) * time.Millisecond
 			i := i
-			s.At(at, func() { fired = append(fired, rec{at: at, seq: i}) })
+			s.AtOwned(at, OwnerNone, func() { fired = append(fired, rec{at: at, seq: i}) })
 			// Randomly interleave some cancelled timers to exercise heap removal.
 			if rng.Intn(3) == 0 {
-				tm := s.At(time.Duration(rng.Intn(50))*time.Millisecond, func() {
+				tm := s.AtOwned(time.Duration(rng.Intn(50))*time.Millisecond, OwnerNone, func() {
 					fired = append(fired, rec{at: -1, seq: -1})
 				})
 				tm.Stop()

@@ -74,7 +74,7 @@ func newConformNet(t *testing.T) *conformNet {
 	n := &conformNet{
 		t:        t,
 		sched:    sched,
-		medium:   radio.New(sched, radio.Params{CommRadius: 2}, rng, &stats),
+		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		backends: make(map[radio.NodeID]track.Backend),
 	}
 	return n
@@ -124,7 +124,7 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 }
 
 func (n *conformNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
-	n.sched.At(at, func() { n.backends[id].SetSensing(sensing) })
+	n.sched.AtOwned(at, simtime.OwnerNone, func() { n.backends[id].SetSensing(sensing) })
 }
 
 func (n *conformNet) runUntil(d time.Duration) {
@@ -225,7 +225,7 @@ func TestConformanceStateHandoff(t *testing.T) {
 		n.senseAt(1, 0, true)
 		n.senseAt(2, 300*time.Millisecond, true)
 		// Let mote 1 activate and publish state, then lose sensing.
-		n.sched.At(time.Second, func() {
+		n.sched.AtOwned(time.Second, simtime.OwnerNone, func() {
 			if !n.backends[1].Participating() {
 				t.Fatal("mote 1 not participating at state-set time")
 			}
@@ -261,7 +261,7 @@ func TestConformanceNoEventsAfterStop(t *testing.T) {
 		n.senseAt(1, 0, true)
 		n.senseAt(2, 0, true)
 		const stopAt = 2 * time.Second
-		n.sched.At(stopAt, func() {
+		n.sched.AtOwned(stopAt, simtime.OwnerNone, func() {
 			for _, be := range n.backends {
 				be.Stop()
 			}

@@ -96,7 +96,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 	t.Helper()
 	sched := simtime.NewScheduler()
 	rng := rand.New(rand.NewSource(9))
-	medium := radio.New(sched, radio.Params{CommRadius: 1.5, DisableCollisions: true}, rng, nil)
+	medium := radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &tnet{
 		sched:     sched,

@@ -167,7 +167,8 @@ func WithEventBus(bus *EventBus) Option {
 // rerunning the same configuration reproduces the run byte-for-byte.
 // Boundary traffic is classified and accounted (Network.BoundaryFrames),
 // and violations of the lookahead bound make Run fail with an error — a
-// violated bound means the run is invalid. k < 2 keeps the serial engine.
+// violated bound means the run is invalid. k < 2 keeps the serial engine:
+// a group of one shard that runs each interval as a single window.
 func WithParallelShards(k int) Option {
 	return optionFunc(func(c *networkConfig) { c.shards = k })
 }
@@ -187,32 +188,27 @@ func WithSelfProfile(p *SelfProfile) Option {
 // driven by a virtual clock; use Run/RunSession to advance it. A Network
 // is not safe for concurrent use except through a Session.
 type Network struct {
-	cfg   networkConfig
-	sched *simtime.Scheduler
-	// group is the free-running parallel executor when
-	// WithParallelShards(k>1) is in effect (sched is then its shard 0, the
-	// home of run-global events); shardOf maps a position to its owning
-	// shard. Both nil in serial runs.
+	cfg networkConfig
+	// group executes the run on k >= 1 scheduler shards (one for the
+	// serial engine); shardOf maps a position to its owning shard, and
+	// shards[i] holds shard i's scheduler, RNG stream, stats accumulator,
+	// and bus.
 	group   *simtime.ShardGroup
 	shardOf func(geom.Point) int32
+	shards  []radio.ShardRuntime
 	medium  *radio.Medium
 	field   *phenomena.Field
-	stats   *trace.Stats
 	ledger  *trace.Ledger
-	rng     *rand.Rand
 	bus     *obs.Bus
 
 	nodes   map[NodeID]*Node
 	started bool
 
-	// Free-running parallel state (WithParallelShards): per-shard RNG
-	// streams and stats accumulators, the buffered observability lanes
-	// merged at each window barrier, the barrier-driven series samplers,
-	// and the smallest cross-traffic frame size (which can lower the
-	// lookahead window below the default frame's packet time). All nil or
-	// zero outside parallel mode.
-	shardRngs    []*rand.Rand
-	shardStats   []*trace.Stats
+	// Parallel-only state (k > 1): the buffered observability lanes merged
+	// at each window barrier (nil when unobserved) and the barrier-driven
+	// series samplers. minCrossBits is the smallest cross-traffic frame
+	// size, which can lower the lookahead window below the default frame's
+	// packet time.
 	lanes        *obs.LaneSet
 	parSamplers  []*parSampler
 	minCrossBits int
@@ -246,74 +242,53 @@ func New(opts ...Option) (*Network, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.commRadius <= 0 {
-		return nil, fmt.Errorf("envirotrack: communication radius must be positive")
-	}
-	if cfg.backend != "" && !track.Known(cfg.backend) {
-		return nil, fmt.Errorf("envirotrack: unknown tracking backend %q (known: %s)",
-			cfg.backend, strings.Join(track.Names(), ", "))
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if !cfg.boundsSet {
 		cfg.bounds = geom.Grid{Cols: cfg.cols, Rows: cfg.rows}.Bounds()
 	}
 
-	sched := simtime.NewScheduler()
-	var shardGroup *simtime.ShardGroup
-	var shardOf func(geom.Point) int32
-	if cfg.shards > 1 {
-		shardGroup = simtime.NewShardGroup(cfg.shards)
-		sched = shardGroup.Shard(0)
-		shardOf = shardMapper(cfg.bounds, cfg.shards)
+	k := max(cfg.shards, 1)
+	n := &Network{
+		cfg:     cfg,
+		group:   simtime.NewShardGroup(k),
+		shardOf: shardMapper(cfg.bounds, k),
+		shards:  make([]radio.ShardRuntime, k),
+		field:   phenomena.NewField(),
+		ledger:  &trace.Ledger{},
+		bus:     cfg.bus,
+		nodes:   make(map[NodeID]*Node),
+		hot:     mote.NewHotState(),
 	}
-	if cfg.selfProfile != nil {
-		if shardGroup != nil {
-			shardGroup.SetProfile(cfg.selfProfile)
-		} else {
-			sched.SetProfile(cfg.selfProfile)
+	n.group.SetProfile(cfg.selfProfile)
+	if k > 1 {
+		// Shard goroutines emit into buffered lanes that each window
+		// barrier merges into the bus in timestamp order.
+		n.lanes = obs.NewLaneSet(cfg.bus, k)
+	}
+	for i := range n.shards {
+		seed, bus := cfg.seed, cfg.bus
+		if k > 1 {
+			// Each shard draws its own decorrelated stream; the serial
+			// engine keeps the raw seed.
+			seed, bus = simtime.ShardSeed(cfg.seed, i), n.lanes.Bus(i)
+		}
+		n.shards[i] = radio.ShardRuntime{
+			Sched: n.group.Shard(i),
+			RNG:   rand.New(rand.NewSource(seed)),
+			Stats: &trace.Stats{},
+			Bus:   bus,
 		}
 	}
-	var stats trace.Stats
-	rng := rand.New(rand.NewSource(cfg.seed))
-	medium := radio.New(sched, radio.Params{
+	n.medium = radio.New(radio.Params{
 		CommRadius:        cfg.commRadius,
 		BitRate:           cfg.bitRate,
 		PropDelay:         cfg.propDelay,
 		LossProb:          cfg.lossProb,
 		DisableCollisions: cfg.noCollision,
 		DisableCSMA:       cfg.noCSMA,
-	}, rng, &stats)
-	medium.SetObserver(cfg.bus)
-
-	n := &Network{
-		cfg:     cfg,
-		sched:   sched,
-		group:   shardGroup,
-		shardOf: shardOf,
-		medium:  medium,
-		field:   phenomena.NewField(),
-		stats:   &stats,
-		ledger:  &trace.Ledger{},
-		rng:     rng,
-		bus:     cfg.bus,
-		nodes:   make(map[NodeID]*Node),
-		hot:     mote.NewHotState(),
-	}
-
-	if n.parallel() {
-		k := cfg.shards
-		n.shardRngs = make([]*rand.Rand, k)
-		n.shardStats = make([]*trace.Stats, k)
-		rts := make([]radio.ShardRuntime, k)
-		n.lanes = obs.NewLaneSet(cfg.bus, k)
-		for i := 0; i < k; i++ {
-			n.shardRngs[i] = rand.New(rand.NewSource(simtime.ShardSeed(cfg.seed, i)))
-			n.shardStats[i] = &trace.Stats{}
-			rts[i] = radio.ShardRuntime{
-				Sched: shardGroup.Shard(i), RNG: n.shardRngs[i], Stats: n.shardStats[i], Bus: n.laneBus(i),
-			}
-		}
-		medium.SetSharding(shardOf, rts)
-	}
+	}, n.shardOf, n.shards...)
 
 	if cfg.cols > 0 && cfg.rows > 0 {
 		for y := 0; y < cfg.rows; y++ {
@@ -331,6 +306,26 @@ func New(opts ...Option) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// validate rejects option values no run can use. A bit rate of 0 keeps
+// the default.
+func (c *networkConfig) validate() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case !finite(c.commRadius) || c.commRadius <= 0:
+		return fmt.Errorf("envirotrack: communication radius must be positive and finite, got %v", c.commRadius)
+	case !finite(c.bitRate) || c.bitRate < 0:
+		return fmt.Errorf("envirotrack: bit rate must be finite and non-negative, got %v", c.bitRate)
+	case c.propDelay < 0:
+		return fmt.Errorf("envirotrack: propagation delay must be non-negative, got %v", c.propDelay)
+	case !(c.lossProb >= 0 && c.lossProb <= 1):
+		return fmt.Errorf("envirotrack: loss probability must be in [0,1], got %v", c.lossProb)
+	case c.backend != "" && !track.Known(c.backend):
+		return fmt.Errorf("envirotrack: unknown tracking backend %q (known: %s)",
+			c.backend, strings.Join(track.Names(), ", "))
+	}
+	return nil
 }
 
 // shardMapper returns a function mapping positions to one of k shard
@@ -368,34 +363,23 @@ func shardMapper(bounds geom.Rect, k int) func(geom.Point) int32 {
 }
 
 // AddMote deploys an additional mote (e.g. a base station). It must be
-// called before Run. Under parallel execution the mote's scheduler is the
-// shard owning its region: every protocol timer it ever arms lands on
-// that shard's heap.
+// called before Run. The mote belongs to the shard owning its region: it
+// runs on that shard's scheduler, draws from its RNG stream, accounts into
+// its stats, and emits through its bus, so no mutable state is shared
+// across shard goroutines.
 func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, error) {
 	if n.started {
 		return nil, fmt.Errorf("envirotrack: cannot add motes after the network started")
 	}
-	sched := n.sched
-	var shard int32
-	rng, stats, bus := n.rng, n.stats, n.bus
-	if n.parallel() {
-		// The mote runs on its shard's scheduler, draws from its shard's
-		// RNG stream, accounts into its shard's stats, and emits through
-		// its shard's buffered lane — no mutable state shared across shard
-		// goroutines.
-		shard = n.shardOf(pos)
-		sched = n.group.Shard(int(shard))
-		rng = n.shardRngs[shard]
-		stats = n.shardStats[shard]
-		bus = n.laneBus(int(shard))
-	}
-	m, err := mote.New(id, pos, sched, n.medium, n.field, model, n.cfg.moteCfg, rng, stats)
+	shard := n.shardOf(pos)
+	rt := n.shards[shard]
+	m, err := mote.New(id, pos, rt.Sched, n.medium, n.field, model, n.cfg.moteCfg, rt.RNG, rt.Stats)
 	if err != nil {
 		return nil, fmt.Errorf("envirotrack: %w", err)
 	}
 	idx := m.BindHot(n.hot)
 	n.hot.SetShard(idx, shard)
-	m.SetObserver(bus)
+	m.SetObserver(rt.Bus)
 	stack := core.NewStack(m, n.medium, core.StackConfig{
 		Bounds:       n.cfg.bounds,
 		UseDirectory: n.cfg.directory,
@@ -516,14 +500,14 @@ func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series
 	}, extra...)
 	sampler := obs.NewSampler(probes...)
 	sampler.Sample(n.Now())
-	if n.parallel() {
-		// No scheduler ticker in parallel mode: the probes read run-global
-		// state (ledger, hot slices, merged stats), so they sample at the
-		// window barriers, where every shard worker is parked. Each due
-		// instant in a window gets one row stamped with its due time, so
-		// the cadence matches serial; the values are the protocol state at
-		// the enclosing barrier — within one lookahead window of the due
-		// time.
+	if n.Shards() > 1 {
+		// No scheduler ticker with several shards: the probes read
+		// run-global state (ledger, hot slices, merged stats), so they
+		// sample at the window barriers, where every shard worker is
+		// parked. Each due instant in a window gets one row stamped with its
+		// due time, so the cadence matches serial; the values are the
+		// protocol state at the enclosing barrier — within one lookahead
+		// window of the due time.
 		n.parSamplers = append(n.parSamplers, &parSampler{
 			sampler: sampler,
 			every:   every,
@@ -531,8 +515,8 @@ func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series
 		})
 		return sampler.Series()
 	}
-	simtime.NewTickerOwned(n.sched, every, simtime.OwnerSeries, func() {
-		sampler.Sample(n.sched.Now())
+	simtime.NewTickerOwned(n.shards[0].Sched, every, simtime.OwnerSeries, func() {
+		sampler.Sample(n.Now())
 	})
 	return sampler.Series()
 }
@@ -559,7 +543,9 @@ func (n *Network) InjectFaults(sc chaos.Schedule) error {
 			return fmt.Errorf("envirotrack: chaos schedule crashes unknown node %d", c.Node)
 		}
 	}
-	inj, err := chaos.NewInjectorRouted(n.chaosSchedFor, sc, chaos.Hooks{
+	// Each victim's crash/restore events run on its own shard's scheduler.
+	victimSched := func(node int) *simtime.Scheduler { return n.nodes[NodeID(node)].mote.Scheduler() }
+	inj, err := chaos.NewInjector(victimSched, sc, chaos.Hooks{
 		Fail: func(node int) {
 			if nd, ok := n.nodes[NodeID(node)]; ok {
 				nd.Fail()
@@ -579,51 +565,34 @@ func (n *Network) InjectFaults(sc chaos.Schedule) error {
 	return nil
 }
 
-// chaosSchedFor routes a chaos victim's crash/restore events onto the
-// scheduler shard owning the victim, so in a free-running parallel run
-// the callback executes on the goroutine that owns the mote's state.
-func (n *Network) chaosSchedFor(node int) *simtime.Scheduler {
-	if n.parallel() {
-		if nd, ok := n.nodes[NodeID(node)]; ok {
-			return nd.mote.Scheduler()
-		}
-	}
-	return n.sched
-}
-
 // start launches the sensing scans once. All sensing motes share the one
 // SensePeriod from the network config, so instead of one ticker per mote
-// the network arms one mote.Sweep per scheduler: a single sweep in serial
-// runs, one per shard in parallel runs so every scan runs on the goroutine
-// that owns the mote's state. Each sweep scans its motes in ascending id
-// order and resolves the field once per tick into its own snapshot.
+// the network arms one mote.Sweep per shard, so every scan runs on the
+// goroutine that owns the mote's state. Each sweep scans its motes in
+// ascending id order and resolves the field once per tick into its own
+// snapshot.
 func (n *Network) start() {
 	if n.started {
 		return
 	}
 	n.started = true
-	sweeps := []*mote.Sweep{mote.NewSweep(n.sched, n.field)}
-	if n.parallel() {
-		sweeps = make([]*mote.Sweep, n.group.Shards())
-		for i := range sweeps {
-			sweeps[i] = mote.NewSweep(n.group.Shard(i), n.field)
-		}
+	sweeps := make([]*mote.Sweep, len(n.shards))
+	for i, rt := range n.shards {
+		sweeps[i] = mote.NewSweep(rt.Sched, n.field)
 	}
 	// Deterministic sweep order: map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering.
 	for _, id := range n.medium.NodeIDs() {
-		s := 0
-		if n.parallel() {
-			s = int(n.medium.NodeShard(id))
-		}
-		sweeps[s].Add(n.nodes[id].mote)
+		sweeps[n.medium.NodeShard(id)].Add(n.nodes[id].mote)
 	}
 	for _, sw := range sweeps {
 		sw.Start()
 	}
-	if n.parallel() {
+	if n.Shards() > 1 {
 		// Topology is frozen now: resolve every neighbor list so spatial
-		// lookups are pure map reads while shard goroutines execute.
+		// lookups are pure map reads while shard goroutines execute. The
+		// serial engine resolves them lazily, holding only the lists its
+		// traffic needs.
 		n.medium.PrebuildNeighbors()
 	}
 }
@@ -645,9 +614,8 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 		// the conservative lookahead window of a parallel run.
 		n.minCrossBits = bits
 	}
-	// The ticker lives on the source mote's shard (its own scheduler in
-	// serial runs), so in parallel mode the send runs on the goroutine
-	// owning the source.
+	// The ticker lives on the source mote's shard, so the send runs on the
+	// goroutine owning the source.
 	simtime.NewTickerOwned(node.mote.Scheduler(), period, simtime.OwnerApp, func() {
 		if node.mote.Failed() {
 			return
@@ -663,28 +631,13 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 }
 
 // Run advances the simulation by d of virtual time (synchronously, on the
-// calling goroutine). It can be called repeatedly. In parallel mode
-// (WithParallelShards) it drives the free-running LBTS executor and
-// returns an error if any cross-shard delivery violated the conservative
-// lookahead bound — a violated bound means the run is invalid.
+// calling goroutine). It can be called repeatedly. It returns an error if
+// any cross-shard delivery of a parallel run (WithParallelShards) violated
+// the conservative lookahead bound — a violated bound means the run is
+// invalid — or if the run's packet time leaves no positive lookahead.
 func (n *Network) Run(d time.Duration) error {
 	n.start()
-	if n.parallel() {
-		return n.runParallel(n.group.Now() + d)
-	}
-	return n.sched.RunUntil(n.sched.Now() + d)
-}
-
-// parallel reports whether the run uses the free-running parallel engine.
-func (n *Network) parallel() bool { return n.group != nil }
-
-// laneBus returns shard i's buffered observability lane (nil when the run
-// is unobserved).
-func (n *Network) laneBus(i int) *obs.Bus {
-	if n.lanes == nil {
-		return nil
-	}
-	return n.lanes.Bus(i)
+	return n.run(n.Now() + d)
 }
 
 // lookaheadDelta is the parallel window width: the conservative lower
@@ -698,15 +651,13 @@ func (n *Network) lookaheadDelta() time.Duration {
 	return n.medium.Airtime(bits) + n.medium.Params().PropDelay
 }
 
-// runParallel drives the free-running executor to the deadline. After the
-// shards stop it canonicalizes the ledger order (the event multiset is
-// deterministic per configuration; the append interleaving is not) and
-// hard-fails on any conservative-lookahead violation.
-func (n *Network) runParallel(deadline time.Duration) error {
+// run drives the shard group to the deadline and hard-fails on any
+// conservative-lookahead violation.
+func (n *Network) run(deadline time.Duration) error {
 	// Cap the executor's idle skip at the next series-sample due time so
 	// samplers keep their exact cadence: a sample taken at a barrier in
 	// an event-free gap reads the same state it would have read under
-	// per-delta windows. Samplers advance only inside parBarrier, on the
+	// per-delta windows. Samplers advance only inside barrier, on the
 	// coordinator, so the closure reads race-free.
 	if len(n.parSamplers) > 0 {
 		n.group.SetWindowCap(func(time.Duration) (time.Duration, bool) {
@@ -720,8 +671,14 @@ func (n *Network) runParallel(deadline time.Duration) error {
 			return c, ok
 		})
 	}
-	err := n.group.RunParallel(deadline, n.lookaheadDelta(), n.parBarrier)
-	n.ledger.SortDeterministic()
+	err := n.group.Run(deadline, n.lookaheadDelta(), n.barrier)
+	if n.Shards() > 1 {
+		// Shard goroutines append to the ledger concurrently: the event
+		// multiset is deterministic per configuration, the interleaving is
+		// not, so restore a canonical order. A lone shard appends in firing
+		// order, which is already deterministic.
+		n.ledger.SortDeterministic()
+	}
 	if err != nil {
 		return err
 	}
@@ -731,16 +688,14 @@ func (n *Network) runParallel(deadline time.Duration) error {
 	return nil
 }
 
-// parBarrier runs at every parallel window edge with all shard workers
-// parked: it drains the cross-shard radio outboxes onto the receiver
-// shards (failing the run on lookahead violations), merges the buffered
-// observability lanes into the real bus in timestamp order, and takes the
-// series samples that came due inside the window.
-func (n *Network) parBarrier(w time.Duration) error {
+// barrier runs at every window edge with all shard workers parked: it
+// drains the cross-shard radio outboxes onto the receiver shards (failing
+// the run on lookahead violations), merges the buffered observability
+// lanes into the real bus in timestamp order, and takes the series samples
+// that came due inside the window.
+func (n *Network) barrier(w time.Duration) error {
 	v := n.medium.FlushBoundary(w)
-	if n.lanes != nil {
-		n.lanes.Flush()
-	}
+	n.lanes.Flush()
 	if v > 0 {
 		return fmt.Errorf("envirotrack: parallel run invalid at %v: %d cross-shard deliveries violated the conservative lookahead bound", w, v)
 	}
@@ -753,28 +708,24 @@ func (n *Network) parBarrier(w time.Duration) error {
 	return nil
 }
 
-// Now returns the current virtual time. In parallel mode this is the
+// Now returns the current virtual time. With several shards this is the
 // group clock (the committed window edge); event callbacks needing their
 // shard's local time use Node.Now.
-func (n *Network) Now() time.Duration {
-	if n.parallel() {
-		return n.group.Now()
-	}
-	return n.sched.Now()
-}
+func (n *Network) Now() time.Duration { return n.group.Now() }
 
-// Stats returns the run's radio accounting. In parallel mode the
-// per-shard accumulators are merged into a fresh snapshot; call it after
-// (or between) Run calls, not from event callbacks.
+// Stats returns the run's radio accounting. A serial run returns its live
+// accumulator; with several shards the per-shard accumulators are merged
+// into a fresh snapshot, so call it after (or between) Run calls, not
+// from event callbacks.
 func (n *Network) Stats() *Stats {
-	if n.parallel() {
-		merged := &trace.Stats{}
-		for _, s := range n.shardStats {
-			merged.AddFrom(s)
-		}
-		return merged
+	if n.Shards() == 1 {
+		return n.shards[0].Stats
 	}
-	return n.stats
+	merged := &trace.Stats{}
+	for _, rt := range n.shards {
+		merged.AddFrom(rt.Stats)
+	}
+	return merged
 }
 
 // Ledger returns the context-label coherence ledger.
@@ -794,20 +745,10 @@ func (n *Network) Bounds() Rect {
 
 // Shards returns the number of scheduler shards executing the run (1 for
 // the serial engine).
-func (n *Network) Shards() int {
-	if n.parallel() {
-		return n.group.Shards()
-	}
-	return 1
-}
+func (n *Network) Shards() int { return len(n.shards) }
 
 // ShardOf returns the shard owning a position (always 0 in serial runs).
-func (n *Network) ShardOf(p Point) int {
-	if n.shardOf != nil {
-		return int(n.shardOf(p))
-	}
-	return 0
-}
+func (n *Network) ShardOf(p Point) int { return int(n.shardOf(p)) }
 
 // CrossShardEvents always returns 0. Shards of the parallel engine never
 // schedule events on each other — cross-shard traffic travels only as
@@ -839,9 +780,6 @@ type ShardPairStat struct {
 // in (From, To) order. Empty in serial runs.
 func (n *Network) ShardPairStats() []ShardPairStat {
 	k := n.Shards()
-	if k <= 1 {
-		return nil
-	}
 	var out []ShardPairStat
 	for from := 0; from < k; from++ {
 		for to := 0; to < k; to++ {

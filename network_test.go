@@ -1,6 +1,8 @@
 package envirotrack
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -144,12 +146,6 @@ func TestAddMoteAfterStartFails(t *testing.T) {
 	}
 	if _, err := n.AddMote(200, Pt(0, 0), nil); err == nil {
 		t.Error("expected error adding mote after start")
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(WithCommRadius(-1)); err == nil {
-		t.Error("expected error for negative radius")
 	}
 }
 
@@ -316,5 +312,46 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 	if c1 == 0 {
 		t.Error("no reports in determinism run")
+	}
+}
+
+// TestOneShardIsSerial pins "serial is the one-shard case": a Figure
+// 3-style run (a vehicle crossing the field, tracked to a pursuer) with
+// WithParallelShards(1) and one with no option give byte-identical JSONL
+// traces and equal Stats.
+func TestOneShardIsSerial(t *testing.T) {
+	run := func(opts ...Option) ([]byte, Stats) {
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		n := buildNet(t, append(opts, WithEventBus(NewEventBus(sink)))...)
+		if err := n.AttachContextAll(trackerContext(100, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.AddMote(100, Pt(7, 3), nil); err != nil {
+			t.Fatal(err)
+		}
+		traj, err := NewWaypoints([]Point{Pt(-1, 1), Pt(8, 1)}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.AddTarget(&Target{Name: "tank", Kind: "vehicle", Traj: traj, SignatureRadius: 1.6})
+		if err := n.Run(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), *n.Stats()
+	}
+	serialTrace, serialStats := run()
+	oneTrace, oneStats := run(WithParallelShards(1))
+	if len(serialTrace) == 0 || serialStats.BitsSent == 0 {
+		t.Fatal("the serial run produced no trace or no traffic")
+	}
+	if !bytes.Equal(serialTrace, oneTrace) {
+		t.Error("WithParallelShards(1) trace differs from the serial trace")
+	}
+	if !reflect.DeepEqual(serialStats, oneStats) {
+		t.Errorf("WithParallelShards(1) stats differ from serial:\n%+v\n%+v", oneStats, serialStats)
 	}
 }

@@ -1,9 +1,80 @@
 package envirotrack
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestNewValidation checks that New rejects option values no run can
+// use, on the serial engine and on two shards alike.
+func TestNewValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"negative radius", WithCommRadius(-1)},
+		{"zero radius", WithCommRadius(0)},
+		{"NaN radius", WithCommRadius(math.NaN())},
+		{"infinite radius", WithCommRadius(math.Inf(1))},
+		{"negative bit rate", WithBitRate(-1)},
+		{"NaN bit rate", WithBitRate(math.NaN())},
+		{"infinite bit rate", WithBitRate(math.Inf(1))},
+		{"negative prop delay", WithPropDelay(-time.Second)},
+		{"NaN loss", WithLossProb(math.NaN())},
+		{"negative loss", WithLossProb(-0.1)},
+		{"loss above one", WithLossProb(1.5)},
+		{"unknown backend", WithBackend("nope")},
+	} {
+		for _, k := range []int{0, 2} {
+			if _, err := New(WithGrid(4, 2), WithParallelShards(k), tc.opt); err == nil {
+				t.Errorf("%s, %d shards: New accepted it", tc.name, k)
+			}
+		}
+	}
+	// Boundary values stay valid: 0 b/s keeps the default bit rate.
+	for _, opt := range []Option{WithBitRate(0), WithLossProb(0), WithLossProb(1), WithPropDelay(0)} {
+		if _, err := New(WithGrid(4, 2), opt); err != nil {
+			t.Errorf("New rejected a boundary value: %v", err)
+		}
+	}
+}
+
+// TestParallelRunNeedsPositiveLookahead checks that a parallel run whose
+// packet time rounds to zero fails with an error instead of panicking —
+// from the bit rate alone, or once sub-default cross traffic shrinks the
+// smallest frame — while the serial engine, which needs no lookahead,
+// runs the same network.
+func TestParallelRunNeedsPositiveLookahead(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		bps       float64
+		crossBits int
+	}{
+		{"1 Tb/s", 1e12, 0},
+		{"10 Gb/s with 1-bit cross traffic", 1e10, 1},
+	} {
+		for _, k := range []int{0, 2} {
+			n, err := New(WithGrid(4, 2), WithCommRadius(2.5), WithBitRate(tc.bps), WithParallelShards(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.crossBits > 0 {
+				if err := n.AddCrossTraffic(0, 1, 100*time.Millisecond, tc.crossBits); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = n.Run(time.Second)
+			switch {
+			case k > 1 && (err == nil || !strings.Contains(err.Error(), "lookahead")):
+				t.Errorf("%s, %d shards: Run = %v, want a lookahead error", tc.name, k, err)
+			case k <= 1 && err != nil:
+				t.Errorf("%s, serial: Run = %v", tc.name, err)
+			}
+		}
+	}
+}
 
 func TestWithBitRateSlowsDelivery(t *testing.T) {
 	// At a very low bit rate the same scenario puts many more bits-worth

@@ -45,63 +45,39 @@ func (n *Network) RunSession(d time.Duration, subscribe ...NodeID) *Session {
 			nodeID := id
 			nd := node
 			nd.OnMessage(func(msg NodeMessage) {
-				// Runs on the delivering scheduler goroutine (the node's
-				// shard goroutine in parallel mode); blocking here paces the
-				// simulation to the consumer. The timestamp is the node's
-				// local clock — identical to the global clock outside
-				// parallel runs.
+				// Runs on the delivering shard's goroutine; blocking here
+				// paces the simulation to the consumer. The timestamp is the
+				// node's local clock. A stop while blocked halts the group
+				// before its next event.
 				select {
 				case s.events <- Event{At: nd.Now(), Node: nodeID, Msg: msg}:
 				case <-s.stop:
+					n.group.Stop()
 				}
 			})
 		}
 	}
 	n.start()
-	if n.parallel() {
-		deadline := n.Now() + d
-		// The free-running executor owns its shard goroutines; Stop requests
-		// arrive asynchronously through the group's atomic stop flag, which
-		// a watcher trips when the consumer calls Session.Stop.
-		go func() {
-			select {
-			case <-s.stop:
-				n.group.Stop()
-			case <-s.done:
-			}
-		}()
-		go func() {
-			defer close(s.done)
-			defer close(s.events)
-			err := n.runParallel(deadline)
-			select {
-			case <-s.stop:
-				s.err = ErrSessionStopped
-			default:
-				s.err = err
-			}
-		}()
-		return s
-	}
-	deadline := n.sched.Now() + d
+	deadline := n.Now() + d
+	// Stop requests arrive asynchronously through the group's atomic stop
+	// flag, which this watcher trips when the consumer calls Session.Stop;
+	// every shard halts before its next event.
+	go func() {
+		select {
+		case <-s.stop:
+			n.group.Stop()
+		case <-s.done:
+		}
+	}()
 	go func() {
 		defer close(s.done)
 		defer close(s.events)
-		for {
-			select {
-			case <-s.stop:
-				s.err = ErrSessionStopped
-				return
-			default:
-			}
-			if n.sched.Now() >= deadline || !n.sched.Step() {
-				// Advance the clock to the deadline for consistency with
-				// Network.Run semantics.
-				if err := n.sched.RunUntil(deadline); err != nil {
-					s.err = err
-				}
-				return
-			}
+		err := n.run(deadline)
+		select {
+		case <-s.stop:
+			s.err = ErrSessionStopped
+		default:
+			s.err = err
 		}
 	}()
 	return s

@@ -2,13 +2,14 @@ package envirotrack
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
 
-func sessionNet(t *testing.T) *Network {
+func sessionNet(t *testing.T, opts ...Option) *Network {
 	t.Helper()
-	n := buildNet(t)
+	n := buildNet(t, opts...)
 	spec := trackerContext(100, nil)
 	if err := n.AttachContextAll(spec); err != nil {
 		t.Fatal(err)
@@ -23,8 +24,22 @@ func sessionNet(t *testing.T) *Network {
 	return n
 }
 
+// onEachEngine runs body against a session network on the serial engine
+// and on two shards, where RunSession drives the lookahead executor's
+// worker, watcher, and group-stop path.
+func onEachEngine(t *testing.T, body func(t *testing.T, n *Network)) {
+	for _, k := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			body(t, sessionNet(t, WithParallelShards(k)))
+		})
+	}
+}
+
 func TestSessionStreamsEvents(t *testing.T) {
-	n := sessionNet(t)
+	onEachEngine(t, testSessionStreamsEvents)
+}
+
+func testSessionStreamsEvents(t *testing.T, n *Network) {
 	s := n.RunSession(10*time.Second, 100)
 	var events []Event
 	for ev := range s.Events() {
@@ -56,7 +71,10 @@ func TestSessionStreamsEvents(t *testing.T) {
 }
 
 func TestSessionStop(t *testing.T) {
-	n := sessionNet(t)
+	onEachEngine(t, testSessionStop)
+}
+
+func testSessionStop(t *testing.T, n *Network) {
 	s := n.RunSession(time.Hour, 100)
 	got := 0
 	for range s.Events() {
@@ -71,6 +89,9 @@ func TestSessionStop(t *testing.T) {
 	}
 	if got < 3 {
 		t.Errorf("events before stop = %d, want >= 3", got)
+	}
+	if now := n.Now(); now >= time.Minute {
+		t.Errorf("clock = %v after a stop at the third report, want the run cut short", now)
 	}
 	// Stop is idempotent and safe afterwards.
 	s.Stop()
@@ -87,10 +108,13 @@ func TestSessionWithoutSubscribers(t *testing.T) {
 	}
 }
 
+// TestSessionBackpressure checks that a slow consumer loses no events:
+// the simulation blocks on the channel send.
 func TestSessionBackpressure(t *testing.T) {
-	// A slow consumer must not lose events: the simulation blocks on the
-	// channel send.
-	n := sessionNet(t)
+	onEachEngine(t, testSessionBackpressure)
+}
+
+func testSessionBackpressure(t *testing.T, n *Network) {
 	s := n.RunSession(10*time.Second, 100)
 	var events []Event
 	for ev := range s.Events() {
