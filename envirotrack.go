@@ -111,11 +111,12 @@ func NewSensorModel() *SensorModel { return sensor.NewModel() }
 func NewSenseRegistry() *SenseRegistry { return sensor.NewRegistry() }
 
 // VehicleSensing returns the magnetometer preset detecting the given
-// target kind.
+// target kind; its channels are computed only when read.
 func VehicleSensing(kind string) *SensorModel { return sensor.VehicleModel(kind) }
 
 // FireSensing returns the temperature+light preset detecting the given
-// target kind over the ambient temperature.
+// target kind over the ambient temperature; its channels are computed only
+// when read.
 func FireSensing(kind string, ambient float64) *SensorModel { return sensor.FireModel(kind, ambient) }
 
 // DetectionChannel is a 0/1 channel that fires within a target's signature

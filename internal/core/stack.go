@@ -62,7 +62,8 @@ type Stack struct {
 }
 
 // NewStack builds the middleware on a mote. Context types are attached
-// afterwards with AttachContext; the mote's sensing scan drives everything.
+// afterwards with AttachContext; the mote's sensing scan drives each one.
+// The mote must already be bound to its final HotState (mote.BindHot).
 func NewStack(m *mote.Mote, medium *radio.Medium, cfg StackConfig, ledger *trace.Ledger) *Stack {
 	cfg = cfg.withDefaults()
 	router := routing.NewRouter(m, medium)
@@ -78,7 +79,6 @@ func NewStack(m *mote.Mote, medium *radio.Medium, cfg StackConfig, ledger *trace
 		ledger: ledger,
 	}
 	router.AddHandler(s.handleNodeMessage)
-	m.AddSenseListener(s.onScan)
 	return s
 }
 
@@ -153,7 +153,11 @@ func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 		return nil, err
 	}
 	rt.be = be
+	hot, idx := s.m.Hot()
+	mask, _ := hot.CtxMask(spec.Name)
+	rt.hot, rt.hotIdx, rt.hotMask = hot, int32(idx), mask
 	s.runtimes = append(s.runtimes, rt)
+	s.m.AddSenseListener(rt.onScan)
 	return rt, nil
 }
 
@@ -165,14 +169,6 @@ func (s *Stack) Runtime(name string) (*ctxRuntime, bool) {
 		}
 	}
 	return nil, false
-}
-
-// onScan drives every context runtime from the mote's periodic sensing.
-// The reading is the sensing sweep's scratch, valid for this call only.
-func (s *Stack) onScan(rd *sensor.Reading) {
-	for _, rt := range s.runtimes {
-		rt.onScan(rd)
-	}
 }
 
 // AttachStatic installs a static object (Section 3.2: "EnviroTrack also
@@ -245,6 +241,13 @@ type ctxRuntime struct {
 	spec  ContextType
 	be    track.Backend
 
+	// hot, hotIdx and hotMask locate the mote's sensing bit for this type,
+	// which the backend keeps equal to its Sensing() (see track.Backend).
+	// hotMask is 0 when the type fell past the 32-type intern table.
+	hot     *mote.HotState
+	hotIdx  int32
+	hotMask uint32
+
 	// Latest local samples per variable, refreshed on every scan while
 	// sensing (sent to the leader in reports / used directly when leading).
 	samples map[string]aggregate.Sample
@@ -282,14 +285,21 @@ func (rt *ctxRuntime) Leading() bool { return rt.ctx != nil }
 // Ctx returns the object context while leading (nil otherwise).
 func (rt *ctxRuntime) Ctx() *Ctx { return rt.ctx }
 
-// onScan evaluates the type's sensee() conditions on one scan. Only the
-// user's Activation/Deactivation predicates receive a copy of the reading.
+// onScan evaluates the type's sensee() conditions on one scan; it is the
+// mote's sense listener for this type. The reading is the sensing sweep's
+// scratch, valid for this call only, and only the user's
+// Activation/Deactivation predicates receive a copy of it.
 func (rt *ctxRuntime) onScan(rd *sensor.Reading) {
 	sensing := rt.spec.Activation(*rd)
-	if rt.be.Sensing() && rt.spec.Deactivation != nil {
+	if rt.spec.Deactivation != nil && rt.be.Sensing() {
 		sensing = !rt.spec.Deactivation(*rd)
 	}
-	rt.be.SetSensing(sensing)
+	// The backend is told only when its sensing state changes: a call that
+	// matches the mirrored bit would be a no-op. Without a bit, every scan
+	// calls.
+	if rt.hotMask == 0 || rt.hot.Sensing(int(rt.hotIdx), rt.hotMask) != sensing {
+		rt.be.SetSensing(sensing)
+	}
 
 	if sensing {
 		rt.refreshSamples(rd)

@@ -216,8 +216,10 @@ func (g *Manager) Stop() {
 	g.stopTimer(&g.creationTimer)
 }
 
-// SetSensing informs the manager of the mote's current sensee() evaluation.
-// The middleware calls it on every sensing scan; no-change calls are cheap.
+// SetSensing informs the manager of the mote's current sensee() evaluation
+// and mirrors it into the mote's HotState sensing bit, the only place that
+// bit is written. The middleware calls it when the evaluation differs from
+// that bit; no-change calls are cheap.
 func (g *Manager) SetSensing(sensing bool) {
 	if g.m.Failed() || sensing == g.sensing {
 		return

@@ -13,12 +13,16 @@ import (
 )
 
 // sweepField builds the large-field sensing tier: a 100x100 grid of
-// vehicle-sensing motes with a no-op listener, four vehicles on slanted
-// lines, and a started sweep over the motes in id order.
-func sweepField(tb testing.TB) (*simtime.Scheduler, *Sweep) {
+// vehicle-sensing motes, four vehicles on slanted lines, and a started
+// sweep over the motes in id order. Each mote's listener reads
+// magnetic_detect and thresholds it, as a vehicle tracker's activation
+// predicate does, so every scan computes the channel a tracker reads; the
+// returned counter holds the detections seen.
+func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 	tb.Helper()
 	const side = 100
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(1))
 	medium := radio.New(radio.Params{CommRadius: 2.5}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats})
@@ -31,6 +35,12 @@ func sweepField(tb testing.TB) (*simtime.Scheduler, *Sweep) {
 		})
 	}
 	model := sensor.VehicleModel("vehicle")
+	detections := new(int)
+	listen := func(rd *sensor.Reading) {
+		if v, _ := rd.Value("magnetic_detect"); v > 0.5 {
+			*detections++
+		}
+	}
 	sw := NewSweep(sched, field)
 	for id := 0; id < side*side; id++ {
 		pos := geom.Pt(float64(id%side), float64(id/side))
@@ -38,33 +48,35 @@ func sweepField(tb testing.TB) (*simtime.Scheduler, *Sweep) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		m.AddSenseListener(func(*sensor.Reading) {})
+		m.AddSenseListener(listen)
 		sw.Add(m)
 	}
 	sw.Start()
-	return sched, sw
+	return group, sw, detections
+}
+
+// sweepTick runs the group through one sensing period.
+func sweepTick(tb testing.TB, group *simtime.ShardGroup) {
+	if err := group.Run(group.Now()+DefaultSensePeriod, 0, nil); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // BenchmarkSenseSweep measures the sensing sweep on the large-field tier:
-// each op is one mote scan (sampling both VehicleModel channels against
-// the tick's snapshot and calling the listener), and ops run in whole
-// sweep ticks, so the field is resolved once per 10k scans as in a run.
-// ns/mote_scan is the per-scan cost over the ticks actually run. With the
-// snapshot and reading scratch owned by the sweep, steady state allocates
-// nothing.
+// each op is one mote scan (sampling VehicleModel against the tick's
+// snapshot and calling a listener that reads magnetic_detect), and ops
+// run in whole sweep ticks, so the field is resolved once per 10k scans as
+// in a run. ns/mote_scan is the per-scan cost over the ticks actually run.
+// With the snapshot and scan scratch owned by the sweep, steady state
+// allocates nothing.
 func BenchmarkSenseSweep(b *testing.B) {
-	sched, sw := sweepField(b)
-	tick := func() {
-		if err := sched.RunUntil(sched.Now() + DefaultSensePeriod); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tick() // warm the snapshot and value scratch
+	group, sw, _ := sweepField(b)
+	sweepTick(b, group) // warm the snapshot and scan scratch
 	ticks := (b.N + len(sw.motes) - 1) / len(sw.motes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < ticks; i++ {
-		tick()
+		sweepTick(b, group)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks*len(sw.motes)), "ns/mote_scan")
 }
@@ -73,13 +85,12 @@ func TestSweepTickAllocatesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10k-mote field")
 	}
-	sched, _ := sweepField(t)
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sched.RunUntil(sched.Now() + DefaultSensePeriod); err != nil {
-			t.Fatal(err)
-		}
-	})
+	group, _, detections := sweepField(t)
+	allocs := testing.AllocsPerRun(5, func() { sweepTick(t, group) })
 	if allocs != 0 {
 		t.Errorf("a steady-state sweep tick allocated %v times", allocs)
+	}
+	if *detections == 0 {
+		t.Error("no scan detected a vehicle: the listener read nothing")
 	}
 }

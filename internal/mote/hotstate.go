@@ -141,6 +141,10 @@ func (h *HotState) SetSensing(i int, ctxType string, on bool) {
 	}
 }
 
+// Sensing reports whether the mote's sensing bit under mask (a CtxMask
+// result) is set.
+func (h *HotState) Sensing(i int, mask uint32) bool { return h.sensing[i]&mask != 0 }
+
 // MemberCountMask counts motes whose membership word intersects mask — the
 // group_size series column, with mask the union of the attached context
 // types' bits.

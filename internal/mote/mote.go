@@ -59,7 +59,9 @@ type FrameHandler func(radio.Frame) bool
 
 // SenseListener observes each periodic sensor scan. The reading is the
 // sweep's scratch: it is valid only for the duration of the call, so
-// listeners extract what they need synchronously and never retain it.
+// listeners extract what they need synchronously and never retain it. A
+// preset channel is computed by the first listener that reads it in a scan
+// and shared by the rest; a channel nobody reads is never computed.
 type SenseListener func(*sensor.Reading)
 
 // Mote is one simulated sensor node. It is driven by the simulation
@@ -228,8 +230,10 @@ func (m *Mote) Restore() {
 func (m *Mote) Failed() bool { return m.hot.failed[m.hotIdx] }
 
 // Sense samples the sensing model immediately, against a snapshot of the
-// field resolved for this call, and returns the reading. It returns a zero
-// reading when the mote has no sensing model.
+// field resolved for this call, and returns the reading. Every channel is
+// evaluated, so the reading is self-contained: its values stay valid after
+// later scans. It returns a zero reading when the mote has no sensing
+// model.
 func (m *Mote) Sense() sensor.Reading {
 	if m.model == nil {
 		return sensor.Reading{At: m.sched.Now(), MoteID: int(m.id), Position: m.pos}

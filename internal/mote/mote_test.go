@@ -14,6 +14,7 @@ import (
 )
 
 type harness struct {
+	group  *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
 	field  *phenomena.Field
@@ -23,10 +24,12 @@ type harness struct {
 
 func newHarness(t *testing.T, p radio.Params) *harness {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(1))
 	return &harness{
+		group:  group,
 		sched:  sched,
 		medium: radio.New(p, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		field:  phenomena.NewField(),
@@ -43,6 +46,18 @@ func (h *harness) mote(t *testing.T, id radio.NodeID, pos geom.Point, model *sen
 	}
 	return m
 }
+
+// runUntil advances the one-shard group to the deadline.
+func (h *harness) runUntil(t *testing.T, deadline time.Duration) {
+	t.Helper()
+	if err := h.group.Run(deadline, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settle runs long enough for every frame in flight to be delivered and
+// processed (the tests that use it arm no periodic timers).
+func (h *harness) settle(t *testing.T) { h.runUntil(t, h.sched.Now()+time.Minute) }
 
 func TestNewDuplicateID(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
@@ -82,9 +97,7 @@ func TestSendAndDispatch(t *testing.T) {
 	})
 	a.Send(trace.KindReading, 2, 0, "first")
 	a.Send(trace.KindReading, 2, 0, "second")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if len(got) != 2 || got[0] != "h1:first" || got[1] != "h2:second" {
 		t.Errorf("dispatch order = %v", got)
 	}
@@ -99,9 +112,7 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 	c := h.mote(t, 3, geom.Pt(5, 0), nil, Config{})
 	c.AddFrameHandler(func(radio.Frame) bool { received += 100; return true })
 	a.Broadcast(trace.KindHeartbeat, 0, "hb")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if received != 1 {
 		t.Errorf("received = %d, want 1 (only in-range neighbor)", received)
 	}
@@ -114,9 +125,7 @@ func TestCPUServiceDelaysDispatch(t *testing.T) {
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{ServiceTime: 10 * time.Millisecond})
 	b.AddFrameHandler(func(radio.Frame) bool { at = h.sched.Now(); return true })
 	a.Send(trace.KindReading, 2, 8, "x")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if at < 10*time.Millisecond {
 		t.Errorf("dispatch at %v, want >= 10ms service delay", at)
 	}
@@ -133,9 +142,7 @@ func TestCPUQueueSerializes(t *testing.T) {
 	// second is processed only after the first's service completes.
 	a.Send(trace.KindReading, 2, 8, "x")
 	c.Send(trace.KindReading, 2, 8, "y")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if len(times) != 2 {
 		t.Fatalf("dispatched %d frames, want 2", len(times))
 	}
@@ -156,9 +163,7 @@ func TestCPUOverloadDropsFrames(t *testing.T) {
 	for _, s := range senders {
 		s.Send(trace.KindReading, 2, 8, "x")
 	}
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if processed > 2 {
 		t.Errorf("processed = %d, want <= queue cap 2", processed)
 	}
@@ -179,9 +184,7 @@ func TestFailedMoteDoesNotSendProcessOrSense(t *testing.T) {
 		t.Error("Failed() = false after Fail")
 	}
 	a.Send(trace.KindReading, 2, 0, "x")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if received != 0 {
 		t.Error("failed mote transmitted")
 	}
@@ -190,18 +193,14 @@ func TestFailedMoteDoesNotSendProcessOrSense(t *testing.T) {
 	b.Fail()
 	a.Restore()
 	a.Send(trace.KindReading, 2, 0, "x")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if received != 0 {
 		t.Error("failed mote processed a frame")
 	}
 
 	b.Restore()
 	a.Send(trace.KindReading, 2, 0, "x")
-	if err := h.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	h.settle(t)
 	if received != 1 {
 		t.Error("restored mote did not process")
 	}
@@ -236,9 +235,7 @@ func TestSensingScanInvokesListeners(t *testing.T) {
 		scans = append(scans, scan{rd.At, v})
 	})
 	sw := h.sweep(m)
-	if err := h.sched.RunUntil(3500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 3500*time.Millisecond)
 	if len(scans) != 3 {
 		t.Fatalf("scans = %d, want 3", len(scans))
 	}
@@ -252,9 +249,7 @@ func TestSensingScanInvokesListeners(t *testing.T) {
 	}
 	sw.Stop()
 	before := len(scans)
-	if err := h.sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 10*time.Second)
 	if len(scans) != before {
 		t.Error("scans continued after Stop")
 	}
@@ -273,9 +268,7 @@ func TestSweepScansInAddOrder(t *testing.T) {
 	}
 	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{SensePeriod: time.Second})
 	h.sweep(append(motes, relay)...)
-	if err := h.sched.RunUntil(1500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 1500*time.Millisecond)
 	if len(order) != 3 || order[0] != 3 || order[1] != 1 || order[2] != 2 {
 		t.Errorf("scan order = %v, want [3 1 2] (add order, relay skipped)", order)
 	}
@@ -290,16 +283,12 @@ func TestFailedMoteSkipsScan(t *testing.T) {
 	m.AddSenseListener(func(*sensor.Reading) { scans++ })
 	h.sweep(m)
 	m.Fail()
-	if err := h.sched.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 5*time.Second)
 	if scans != 0 {
 		t.Errorf("failed mote scanned %d times", scans)
 	}
 	m.Restore()
-	if err := h.sched.RunUntil(7500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 7500*time.Millisecond)
 	if scans != 2 {
 		t.Errorf("restored mote scanned %d times, want 2", scans)
 	}
@@ -319,9 +308,7 @@ func TestSenseWithoutModel(t *testing.T) {
 	if h.sched.Len() != 0 {
 		t.Errorf("a sweep of relay motes scheduled %d events", h.sched.Len())
 	}
-	if err := h.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, time.Second)
 }
 
 func TestSenseResolvesField(t *testing.T) {
@@ -335,12 +322,39 @@ func TestSenseResolvesField(t *testing.T) {
 	if v, _ := m.Sense().Value("magnetic_detect"); v != 0 {
 		t.Errorf("detection at t=0 = %v, want 0 (target 5 away)", v)
 	}
-	if err := h.sched.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 5*time.Second)
 	rd := m.Sense()
 	if v, _ := rd.Value("magnetic_detect"); v != 1 || rd.At != 5*time.Second {
 		t.Errorf("detection at %v = %v, want 1 at 5s", rd.At, v)
+	}
+}
+
+func TestSenseReadingOutlivesScans(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	h.field.Add(&phenomena.Target{
+		Kind:            "vehicle",
+		Traj:            phenomena.Line{Start: geom.Pt(0, 0), Dir: geom.Vec(1, 0), Speed: 1},
+		SignatureRadius: 1,
+	})
+	model := sensor.VehicleModel("vehicle")
+	m := h.mote(t, 1, geom.Pt(0.5, 0), model, Config{SensePeriod: time.Second})
+	rd := m.Sense()
+	mag, _ := rd.Value("magnetic")
+	var last float64
+	m.AddSenseListener(func(scan *sensor.Reading) {
+		last, _ = scan.Value("magnetic_detect")
+		scan.Value("magnetic")
+	})
+	h.sweep(m)
+	h.runUntil(t, 5*time.Second)
+	if last != 0 {
+		t.Fatalf("scan at 5s detected %v, want 0 (target moved on)", last)
+	}
+	if v, _ := rd.Value("magnetic_detect"); v != 1 {
+		t.Errorf("Sense detection after later scans = %v, want 1", v)
+	}
+	if v, _ := rd.Value("magnetic"); v != mag || rd.At != 0 {
+		t.Errorf("Sense intensity after later scans = %v at %v, want %v at 0", v, rd.At, mag)
 	}
 }
 
@@ -353,9 +367,7 @@ func TestStartIdempotent(t *testing.T) {
 	m.AddSenseListener(func(*sensor.Reading) { scans++ })
 	sw := h.sweep(m)
 	sw.Start()
-	if err := h.sched.RunUntil(2500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.runUntil(t, 2500*time.Millisecond)
 	if scans != 2 {
 		t.Errorf("scans = %d, want 2 (double Start must not double-tick)", scans)
 	}

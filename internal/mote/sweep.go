@@ -12,8 +12,10 @@ import (
 // scheduler ticker. Every tick it resolves the field once into a
 // sweep-owned snapshot, then samples each live sensing mote against it in
 // the order the motes were added, so the field's targets are positioned
-// once per tick rather than once per mote, channel and target. A sweep
-// runs on one scheduler and is not safe for concurrent use; a sharded
+// once per tick rather than once per mote, channel and target. Sampling
+// follows the sensor package's contract: a mote's SetChannel channels are
+// evaluated on every scan, its preset channels only when a listener reads
+// them. A sweep runs on one scheduler and is not safe for concurrent use; a sharded
 // network builds one per shard, each with its own snapshot and scratch.
 type Sweep struct {
 	sched  *simtime.Scheduler
@@ -22,12 +24,13 @@ type Sweep struct {
 	motes  []*Mote
 	ticker *simtime.Ticker
 
-	// env, rd and vals are the per-tick scratch: the resolved field, and
-	// the reading (with its value buffer) handed to each mote's listeners.
-	// Reusing them makes a steady-state tick allocation-free.
+	// env, scan and rd are the per-tick scratch: the resolved field, the
+	// scan state each mote's channels are memoised in, and the reading
+	// handed to its listeners. Reusing them makes a steady-state tick
+	// allocation-free.
 	env  phenomena.Snapshot
+	scan sensor.Scratch
 	rd   sensor.Reading
-	vals []float64
 }
 
 // NewSweep returns an empty sweep scanning motes against field on sched.
@@ -73,7 +76,7 @@ func (s *Sweep) tick() {
 		if m.hot.failed[m.hotIdx] {
 			continue
 		}
-		s.rd, s.vals = m.model.SampleInto(&s.env, int(m.id), m.pos, s.vals[:0])
+		s.rd = m.model.SampleInto(&s.env, int(m.id), m.pos, &s.scan)
 		for _, l := range m.listeners {
 			l(&s.rd)
 		}

@@ -4,11 +4,21 @@
 // Model, which derives named scalar channels ("magnetic", "temperature",
 // "light", ...) from the phenomena field, and evaluates predicates over the
 // resulting Reading.
+//
+// A scan does only the work its reading is read for. The channels a preset
+// installs (VehicleModel, FireModel) are pure functions of the snapshot, so
+// they are computed on the first Reading.Value call that names them and
+// memoised for the rest of the scan. Channels installed through SetChannel
+// may draw from an RNG (WithNoise) or keep state, so they are eager: every
+// scan evaluates each of them once, in name order, whether or not anything
+// reads it, and every random stream advances exactly as if all channels
+// were computed.
 package sensor
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,9 +26,10 @@ import (
 	"envirotrack/internal/phenomena"
 )
 
-// Reading is one sample of a mote's local environment. Readings produced
-// by Model.SampleInto are backed by the model's sorted name table and the
-// caller's value scratch (valid until the caller's next scan); the public
+// Reading is one sample of a mote's local environment. A reading from
+// Model.SampleInto is backed by the caller's Scratch and is valid only until
+// that Scratch's next scan: during a sensing sweep, only for the duration of
+// the listener call. A reading from Model.Sample owns its values. The public
 // Values map remains as a construction convenience for tests and ad-hoc
 // readings.
 type Reading struct {
@@ -26,23 +37,26 @@ type Reading struct {
 	MoteID   int
 	Position geom.Point
 	Values   map[string]float64
-	// Slice-backed representation used by the sampling hot path: parallel
-	// name/value tables, names sorted ascending.
-	names []string
-	vals  []float64
+	// scan backs a sampled reading: the model's channels and the values
+	// computed so far in this scan.
+	scan *Scratch
 }
 
-// Value returns the named channel's sample.
+// Value returns the named channel's sample. On a sampled reading the first
+// read of a preset channel computes it; later reads in the same scan
+// return the memoised value.
 func (r Reading) Value(name string) (float64, bool) {
 	if r.Values != nil {
 		v, ok := r.Values[name]
 		return v, ok
 	}
-	// The name table is sorted but tiny (a handful of channels), so a
-	// linear scan beats a binary search's branch overhead.
-	for i, n := range r.names {
-		if n == name {
-			return r.vals[i], true
+	if s := r.scan; s != nil {
+		// The name table is sorted but tiny (a handful of channels), so a
+		// linear scan beats a binary search's branch overhead.
+		for i, n := range s.m.names {
+			if n == name {
+				return s.value(i), true
+			}
 		}
 	}
 	return 0, false
@@ -53,13 +67,44 @@ func (r Reading) Channels() int {
 	if r.Values != nil {
 		return len(r.Values)
 	}
-	return len(r.names)
+	if r.scan != nil {
+		return len(r.scan.m.names)
+	}
+	return 0
+}
+
+// Scratch is the reusable state of one scan: the model, snapshot and
+// position being sampled, and each channel's value with the scan that
+// computed it. A sensing sweep owns one and samples every mote into it, so
+// steady-state scans allocate nothing. A Scratch backs one reading at a
+// time and is not safe for concurrent use.
+type Scratch struct {
+	m   *Model
+	env *phenomena.Snapshot
+	pos geom.Point
+	// gen numbers the scans; done[i] == gen marks vals[i] as computed in
+	// the current one.
+	gen  uint64
+	vals []float64
+	done []uint64
+}
+
+// value returns channel i's sample for the current scan, computing it on
+// first use.
+func (s *Scratch) value(i int) float64 {
+	if s.done[i] != s.gen {
+		s.vals[i] = s.m.fns[i](s.env, s.pos)
+		s.done[i] = s.gen
+	}
+	return s.vals[i]
 }
 
 // ChannelFunc computes a scalar channel value at a position from the
-// environment resolved at one instant. Channels are evaluated for every
-// mote every sensing period, against the snapshot the sweep resolved for
-// that tick.
+// environment resolved at one instant, the snapshot the sweep resolved for
+// that tick. How often it runs depends on how it was installed: a preset's
+// channel runs at most once per scan, and only when a reader asks for it;
+// a channel installed with SetChannel runs exactly once per scan of every
+// live sensing mote (see the package comment).
 type ChannelFunc func(env *phenomena.Snapshot, pos geom.Point) float64
 
 // DetectionChannel returns 1 when a kind-k target's signature covers the
@@ -115,6 +160,9 @@ func WithNoise(fn ChannelFunc, stddev float64, rng *rand.Rand) ChannelFunc {
 type Model struct {
 	names []string
 	fns   []ChannelFunc
+	// lazy marks the channels a preset installed: pure functions of the
+	// snapshot, computed only when read. SetChannel clears it.
+	lazy []bool
 }
 
 // NewModel returns an empty sensing model.
@@ -122,19 +170,22 @@ func NewModel() *Model {
 	return &Model{}
 }
 
-// SetChannel installs or replaces a named channel.
-func (m *Model) SetChannel(name string, fn ChannelFunc) {
+// SetChannel installs or replaces a named channel. The channel is eager:
+// every scan evaluates it once, in name order among the eager channels,
+// whether or not anything reads it, so a channel with side effects (an RNG
+// draw in WithNoise) sees the same call sequence on every run. Replacing a
+// preset's channel makes that channel eager too.
+func (m *Model) SetChannel(name string, fn ChannelFunc) { m.set(name, fn, false) }
+
+func (m *Model) set(name string, fn ChannelFunc, lazy bool) {
 	i := sort.SearchStrings(m.names, name)
 	if i < len(m.names) && m.names[i] == name {
-		m.fns[i] = fn
+		m.fns[i], m.lazy[i] = fn, lazy
 		return
 	}
-	m.names = append(m.names, "")
-	copy(m.names[i+1:], m.names[i:])
-	m.names[i] = name
-	m.fns = append(m.fns, nil)
-	copy(m.fns[i+1:], m.fns[i:])
-	m.fns[i] = fn
+	m.names = slices.Insert(m.names, i, name)
+	m.fns = slices.Insert(m.fns, i, fn)
+	m.lazy = slices.Insert(m.lazy, i, lazy)
 }
 
 // Channels returns the channel names in sorted order.
@@ -144,49 +195,62 @@ func (m *Model) Channels() []string {
 	return out
 }
 
-// NumChannels returns the number of installed channels (the capacity a
-// SampleInto scratch buffer needs).
-func (m *Model) NumChannels() int { return len(m.names) }
-
-// Sample evaluates every channel at the given position against env into
-// a freshly allocated reading.
+// Sample evaluates every channel at the given position against env into a
+// freshly allocated reading that owns its values: it stays valid after
+// later scans and never reads env again.
 func (m *Model) Sample(env *phenomena.Snapshot, moteID int, pos geom.Point) Reading {
-	rd, _ := m.SampleInto(env, moteID, pos, nil)
+	sc := new(Scratch)
+	rd := m.SampleInto(env, moteID, pos, sc)
+	for i := range m.fns {
+		sc.value(i)
+	}
+	sc.env = nil
 	return rd
 }
 
-// SampleInto evaluates every channel at the given position against env,
-// appending the values to buf (typically the previous scan's buffer
-// re-sliced to [:0]) so steady-state sampling allocates nothing. It
-// returns the reading and the extended buffer for reuse; the reading
-// aliases the buffer and is valid until the buffer's next reuse; its At is
-// env.At. Channels are evaluated in sorted name order.
-func (m *Model) SampleInto(env *phenomena.Snapshot, moteID int, pos geom.Point, buf []float64) (Reading, []float64) {
-	for _, fn := range m.fns {
-		buf = append(buf, fn(env, pos))
+// SampleInto starts a scan of the model at pos against env in sc and
+// returns the reading it backs; its At is env.At. It evaluates the eager
+// (SetChannel) channels now, in sorted name order; a preset channel is
+// computed on the reading's first Value call that names it. The reading
+// reads env and sc until sc's next scan, so both must stay unchanged while
+// the reading is in use, and the reading must not be kept past that.
+func (m *Model) SampleInto(env *phenomena.Snapshot, moteID int, pos geom.Point, sc *Scratch) Reading {
+	n := len(m.fns)
+	if cap(sc.vals) < n {
+		sc.vals, sc.done = make([]float64, n), make([]uint64, n)
 	}
-	return Reading{At: env.At, MoteID: moteID, Position: pos, names: m.names, vals: buf}, buf
+	sc.m, sc.env, sc.pos = m, env, pos
+	sc.vals, sc.done = sc.vals[:n], sc.done[:n]
+	sc.gen++
+	for i, lazy := range m.lazy {
+		if !lazy {
+			sc.value(i)
+		}
+	}
+	return Reading{At: env.At, MoteID: moteID, Position: pos, scan: sc}
 }
 
 // VehicleModel is a convenience preset: a magnetometer suite detecting
 // targets of the given phenomenon kind, exposing channels "magnetic"
-// (intensity) and "magnetic_detect" (thresholded detection).
+// (intensity) and "magnetic_detect" (thresholded detection). Both are
+// computed only when read.
 func VehicleModel(kind string) *Model {
 	m := NewModel()
-	m.SetChannel("magnetic", IntensityChannel(kind, 1))
-	m.SetChannel("magnetic_detect", DetectionChannel(kind))
+	m.set("magnetic", IntensityChannel(kind, 1), true)
+	m.set("magnetic_detect", DetectionChannel(kind), true)
 	return m
 }
 
 // FireModel is a preset for fire sensing: "temperature" is ambient plus a
-// strong contribution from fire targets; "light" detects flame.
+// strong contribution from fire targets; "light" detects flame. Both are
+// computed only when read.
 func FireModel(kind string, ambient float64) *Model {
 	m := NewModel()
-	m.SetChannel("temperature", SumChannels(
+	m.set("temperature", SumChannels(
 		ConstantChannel(ambient),
 		IntensityChannel(kind, 500),
-	))
-	m.SetChannel("light", DetectionChannel(kind))
+	), true)
+	m.set("light", DetectionChannel(kind), true)
 	return m
 }
 

@@ -3,6 +3,7 @@ package sensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,5 +235,151 @@ func TestRegistryRegisterValidation(t *testing.T) {
 	}
 	if _, ok := r.Lookup("nope"); ok {
 		t.Error("unregistered function found")
+	}
+}
+
+// counting returns a channel that yields v and counts its evaluations, and
+// appends name to order on each one.
+func counting(name string, v float64, calls *int, order *[]string) ChannelFunc {
+	return func(*phenomena.Snapshot, geom.Point) float64 {
+		*calls++
+		if order != nil {
+			*order = append(*order, name)
+		}
+		return v
+	}
+}
+
+func TestPresetChannelsAreNotComputedUnread(t *testing.T) {
+	env := vehicleField(geom.Pt(0, 0), 2)
+	for _, m := range []*Model{VehicleModel("vehicle"), FireModel("vehicle", 20)} {
+		var sc Scratch
+		rd := m.SampleInto(env, 0, geom.Pt(1, 0), &sc)
+		for i, name := range m.names {
+			if sc.done[i] == sc.gen {
+				t.Errorf("preset channel %q computed before any read", name)
+			}
+		}
+		if rd.Channels() != 2 {
+			t.Errorf("reading has %d channels, want 2", rd.Channels())
+		}
+	}
+
+	calls := 0
+	m := NewModel()
+	m.set("lazy", counting("lazy", 1, &calls, nil), true)
+	var sc Scratch
+	for i := 0; i < 3; i++ {
+		m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
+	}
+	if calls != 0 {
+		t.Errorf("unread preset channel evaluated %d times over 3 scans", calls)
+	}
+}
+
+func TestPresetChannelIsMemoisedPerScan(t *testing.T) {
+	env := snapshot(0)
+	calls := 0
+	m := NewModel()
+	m.set("lazy", counting("lazy", 4, &calls, nil), true)
+	var sc Scratch
+	for scan := 1; scan <= 3; scan++ {
+		rd := m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
+		for read := 0; read < 2; read++ {
+			if v, ok := rd.Value("lazy"); !ok || v != 4 {
+				t.Fatalf("scan %d read %d = %v, %v; want 4, true", scan, read, v, ok)
+			}
+		}
+		if calls != scan {
+			t.Fatalf("after %d scans reading the channel twice each: %d evaluations, want %d", scan, calls, scan)
+		}
+	}
+}
+
+func TestSetChannelsAreEagerInNameOrder(t *testing.T) {
+	env := snapshot(0)
+	var order []string
+	calls := 0
+	m := NewModel()
+	m.SetChannel("zeta", counting("zeta", 0, &calls, &order))
+	m.SetChannel("alpha", counting("alpha", 0, &calls, &order))
+	m.set("mid", counting("mid", 0, &calls, &order), true)
+	var sc Scratch
+	rd := m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
+	if want := []string{"alpha", "zeta"}; !slices.Equal(order, want) {
+		t.Fatalf("unread scan evaluated %v, want %v", order, want)
+	}
+	// Reading an eager channel returns the scan's value without evaluating
+	// it again.
+	rd.Value("alpha")
+	rd.Value("zeta")
+	m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
+	if want := []string{"alpha", "zeta", "alpha", "zeta"}; !slices.Equal(order, want) {
+		t.Fatalf("two scans evaluated %v, want %v", order, want)
+	}
+}
+
+func TestWithNoiseDrawsOncePerScan(t *testing.T) {
+	const scans = 5
+	env := snapshot(0)
+	rng := rand.New(rand.NewSource(3))
+	m := NewModel()
+	m.SetChannel("noisy", WithNoise(ConstantChannel(1), 0.5, rng))
+	var sc Scratch
+	for i := 0; i < scans; i++ {
+		m.SampleInto(env, 0, geom.Pt(0, 0), &sc) // never read
+	}
+	ref := rand.New(rand.NewSource(3))
+	for i := 0; i < scans; i++ {
+		ref.NormFloat64()
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Errorf("after %d unread scans the noise rng is out of step with %d direct draws", scans, scans)
+	}
+}
+
+func TestSetChannelOverPresetIsEager(t *testing.T) {
+	env := vehicleField(geom.Pt(0, 0), 2)
+	calls := 0
+	m := VehicleModel("vehicle")
+	m.SetChannel("magnetic", counting("magnetic", 9, &calls, nil))
+	var sc Scratch
+	rd := m.SampleInto(env, 0, geom.Pt(1, 0), &sc)
+	if calls != 1 {
+		t.Fatalf("replaced channel evaluated %d times by an unread scan, want 1", calls)
+	}
+	if v, _ := rd.Value("magnetic"); v != 9 || calls != 1 {
+		t.Errorf("replaced channel = %v after %d evaluations, want 9 after 1", v, calls)
+	}
+	// The other preset channel stays lazy.
+	if i := slices.Index(m.names, "magnetic_detect"); sc.done[i] == sc.gen {
+		t.Error("untouched preset channel computed without a read")
+	}
+}
+
+func TestSampleIsSelfContained(t *testing.T) {
+	field := phenomena.NewField(&phenomena.Target{
+		Kind:            "vehicle",
+		Traj:            phenomena.Line{Start: geom.Pt(0, 0), Dir: geom.Vec(1, 0), Speed: 1},
+		SignatureRadius: 2,
+	})
+	var env phenomena.Snapshot
+	field.Resolve(0, &env)
+	m := VehicleModel("vehicle")
+	rd := m.Sample(&env, 0, geom.Pt(1, 0))
+	wantMag := IntensityChannel("vehicle", 1)(&env, geom.Pt(1, 0))
+
+	// Later scans reuse the snapshot and a scratch of their own.
+	var sc Scratch
+	field.Resolve(time.Minute, &env)
+	later := m.SampleInto(&env, 0, geom.Pt(1, 0), &sc)
+	if v, _ := later.Value("magnetic_detect"); v != 0 {
+		t.Fatalf("later scan detection = %v, want 0 (target gone)", v)
+	}
+	if v, _ := rd.Value("magnetic_detect"); v != 1 {
+		t.Errorf("sampled detection after later scans = %v, want 1", v)
+	}
+	if v, _ := rd.Value("magnetic"); v != wantMag {
+		t.Errorf("sampled intensity after later scans = %v, want %v", v, wantMag)
 	}
 }

@@ -139,35 +139,11 @@ func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time
 	// parallelism to buy, only preemption noise to pay: a worker
 	// goroutine descheduled mid-window stalls the whole barrier. Degrade
 	// gracefully to running every shard's window inline on the
-	// coordinator.
-	inline := runtime.GOMAXPROCS(0) == 1
-
-	// Persistent shard workers: one goroutine per shard beyond shard 0
-	// (which the coordinator runs inline), fed one windowJob per window.
-	// A run at the 10k-mote tier executes thousands of windows, so the
-	// per-window synchronization is two channel hops and a WaitGroup
-	// instead of fresh goroutine spawns.
-	var wg sync.WaitGroup
-	jobs := make([]chan windowJob, len(g.shards))
-	if !inline {
-		for i := 1; i < len(g.shards); i++ {
-			ch := make(chan windowJob, 1)
-			jobs[i] = ch
-			s := g.shards[i]
-			go func() {
-				for job := range ch {
-					s.runWindow(job.limit, job.inclusive)
-					wg.Done()
-				}
-			}()
-		}
-		defer func() {
-			for _, ch := range jobs {
-				if ch != nil {
-					close(ch)
-				}
-			}
-		}()
+	// coordinator, as a lone shard always does.
+	var workers *shardWorkers
+	if !single && runtime.GOMAXPROCS(0) > 1 {
+		workers = startShardWorkers(g.shards)
+		defer workers.stop()
 	}
 
 	T := g.edge
@@ -202,17 +178,12 @@ func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time
 		if single || W >= deadline {
 			W, last = deadline, true
 		}
-		if inline {
+		if workers == nil {
 			for _, s := range g.shards {
 				s.runWindow(W, last)
 			}
 		} else {
-			wg.Add(len(g.shards) - 1)
-			for i := 1; i < len(g.shards); i++ {
-				jobs[i] <- windowJob{limit: W, inclusive: last}
-			}
-			g.shards[0].runWindow(W, last)
-			wg.Wait()
+			workers.window(W, last)
 		}
 		// Every worker is parked: a shard stopped by its own callback now
 		// stops the group.
@@ -235,6 +206,51 @@ func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time
 			return nil
 		}
 		T = W
+	}
+}
+
+// shardWorkers runs shards 1..k-1 of a group on persistent goroutines,
+// one per shard, fed one windowJob per window; the coordinator runs shard
+// 0 inline. A run at the 10k-mote tier executes thousands of windows, so
+// the per-window synchronization is two channel hops and a WaitGroup
+// instead of fresh goroutine spawns.
+type shardWorkers struct {
+	shards []*Scheduler
+	jobs   []chan windowJob
+	wg     sync.WaitGroup
+}
+
+func startShardWorkers(shards []*Scheduler) *shardWorkers {
+	w := &shardWorkers{shards: shards, jobs: make([]chan windowJob, len(shards))}
+	for i := 1; i < len(shards); i++ {
+		ch := make(chan windowJob, 1)
+		w.jobs[i] = ch
+		s := shards[i]
+		go func() {
+			for job := range ch {
+				s.runWindow(job.limit, job.inclusive)
+				w.wg.Done()
+			}
+		}()
+	}
+	return w
+}
+
+// window runs one window on every shard and returns when all have
+// finished it.
+func (w *shardWorkers) window(limit time.Duration, inclusive bool) {
+	w.wg.Add(len(w.shards) - 1)
+	for i := 1; i < len(w.shards); i++ {
+		w.jobs[i] <- windowJob{limit: limit, inclusive: inclusive}
+	}
+	w.shards[0].runWindow(limit, inclusive)
+	w.wg.Wait()
+}
+
+// stop releases the workers; each is parked between windows and exits.
+func (w *shardWorkers) stop() {
+	for _, ch := range w.jobs[1:] {
+		close(ch)
 	}
 }
 

@@ -216,7 +216,9 @@ func Staleness(c group.Config) time.Duration { return staleness(withGroupDefault
 
 // --- track.Backend ---
 
-// SetSensing informs the backend of the mote's sensee() evaluation.
+// SetSensing informs the backend of the mote's sensee() evaluation and
+// mirrors it into the mote's HotState sensing bit, as track.Backend
+// requires.
 func (b *Backend) SetSensing(sensing bool) {
 	if b.m.Failed() || sensing == b.sensing {
 		return

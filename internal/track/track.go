@@ -85,15 +85,19 @@ type TraceSample struct {
 }
 
 // Backend is the tracking-protocol interface the context runtime drives.
-// Inputs arrive as sensing transitions (SetSensing, called on every scan),
-// received frames (the backend registers its own mote frame handler), and
-// virtual-clock timers the backend arms itself. Outputs are the Callbacks
-// plus the obs/ledger events the backend emits; report-lifecycle events
-// must carry radio.Corr correlation headers so spans, ettrace, and the
-// invariant checker work against any backend.
+// Inputs arrive as sensing transitions (SetSensing), received frames (the
+// backend registers its own mote frame handler), and virtual-clock timers
+// the backend arms itself. Outputs are the Callbacks plus the obs/ledger
+// events the backend emits; report-lifecycle events must carry radio.Corr
+// correlation headers so spans, ettrace, and the invariant checker work
+// against any backend.
 type Backend interface {
 	// SetSensing informs the backend of the mote's current sensee()
-	// evaluation; called on every sensing scan, no-change calls are cheap.
+	// evaluation. It must record the value in the mote's HotState sensing
+	// bit for the backend's context type (mote.HotState.SetSensing), and
+	// nothing else may write that bit: the runtime compares a scan's
+	// result with the bit and calls only when they differ, or on every
+	// scan when the type has no bit (intern-table overflow).
 	SetSensing(sensing bool)
 	// Sensing returns the last value supplied to SetSensing.
 	Sensing() bool
