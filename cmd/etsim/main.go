@@ -419,11 +419,14 @@ func writeSeries(path string, collected []eval.RunSeries) error {
 // (stderr, so it composes with -format json on stdout). Wall time is
 // real time spent inside event callbacks, attributed to the subsystem
 // that scheduled each event; it aggregates every run of the sweep.
+// pushes/event is the share of events that took a heap entry of their
+// own: same-instant runs bring it below one without changing the events.
 func printSelfProfile(w io.Writer, prof *envirotrack.SelfProfile) {
 	totalEvents, totalNanos := prof.TotalEvents(), prof.TotalNanos()
 	fmt.Fprintf(w, "\nscheduler self-profile (%d events, %v wall in callbacks):\n",
 		totalEvents, time.Duration(totalNanos).Round(time.Millisecond))
-	fmt.Fprintf(w, "%-10s %12s %12s %7s %10s\n", "subsystem", "events", "wall", "%wall", "ns/event")
+	fmt.Fprintf(w, "%-10s %12s %12s %7s %10s %12s %13s\n",
+		"subsystem", "events", "wall", "%wall", "ns/event", "heap pushes", "pushes/event")
 	for _, st := range prof.Snapshot() {
 		if st.Events == 0 {
 			continue
@@ -432,9 +435,10 @@ func printSelfProfile(w io.Writer, prof *envirotrack.SelfProfile) {
 		if totalNanos > 0 {
 			pct = 100 * float64(st.WallNanos) / float64(totalNanos)
 		}
-		fmt.Fprintf(w, "%-10s %12d %12v %6.1f%% %10.0f\n",
+		fmt.Fprintf(w, "%-10s %12d %12v %6.1f%% %10.0f %12d %13.3f\n",
 			st.Name, st.Events, time.Duration(st.WallNanos).Round(time.Microsecond),
-			pct, float64(st.WallNanos)/float64(st.Events))
+			pct, float64(st.WallNanos)/float64(st.Events),
+			st.Pushes, float64(st.Pushes)/float64(st.Events))
 	}
 	// Parallel-shard runs (-parallel-shards N) add a second attribution
 	// dimension: which scheduler shard executed each event.

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -397,4 +399,37 @@ func TestRunSelfProfileShardTables(t *testing.T) {
 			t.Errorf("serial self-profile printed %q:\n%s", unwanted, stderr.String())
 		}
 	}
+}
+
+// TestRunSelfProfilePushRatio checks the -selfprofile table's heap-push
+// columns on the Figure 5 stress regime: a heartbeat lands on many idle
+// mote CPUs at once, so their completions run behind shared heap entries
+// and the mote row shows fewer pushes than events.
+func TestRunSelfProfilePushRatio(t *testing.T) {
+	t.Parallel()
+	var stderr bytes.Buffer
+	cfg := config{exp: "fig5", quick: true, selfProfile: true, stdout: new(bytes.Buffer), stderr: &stderr}
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "pushes/event") {
+		t.Fatalf("self-profile has no pushes/event column:\n%s", stderr.String())
+	}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 7 || f[0] != "mote" {
+			continue
+		}
+		events, err1 := strconv.ParseFloat(f[1], 64)
+		pushes, err2 := strconv.ParseFloat(f[5], 64)
+		ratio, err3 := strconv.ParseFloat(f[6], 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("unparseable mote row %q", line)
+		}
+		if pushes >= events || math.Abs(ratio-pushes/events) > 0.001 {
+			t.Fatalf("mote row %q: want fewer pushes than events and their ratio", line)
+		}
+		return
+	}
+	t.Fatalf("self-profile has no mote row:\n%s", stderr.String())
 }

@@ -30,7 +30,7 @@ func collectRun(t *testing.T, env *Env, sc Scenario) (RunResult, []byte) {
 	return res, buf.Bytes()
 }
 
-// runDigest is the recorded fingerprint of one serial run: byte length and
+// runDigest is the recorded fingerprint of one run: byte length and
 // SHA-256 of its JSONL trace and of its RunResult JSON.
 type runDigest struct {
 	TraceBytes   int    `json:"trace_bytes"`
@@ -47,7 +47,7 @@ func digestOf(trace, result []byte) runDigest {
 	}
 }
 
-// TestDeliveryMatchesGoldenDigests pins the serial engine's delivery
+// TestDeliveryMatchesGoldenDigests pins the engines' delivery
 // order to golden digests. The digests in testdata/delivery_digests.json
 // were recorded while the radio medium still carried a per-receiver
 // reference path (one scheduler event per target receiver) next to the
@@ -56,8 +56,14 @@ func digestOf(trace, result []byte) runDigest {
 // loss, duplication, and partition faults are included because they must
 // keep applying per receiver inside a batch. Float bits can differ on
 // architectures that fuse multiply-adds, so the test runs on amd64 only.
-// On a mismatch it prints the new digest; a deliberate behaviour change
-// must update the file by hand.
+// The cpu-leader and cpu-passive cases run a Figure 5-style corridor on
+// the constrained mote CPU (8 ms service, queue of 6), so the digests also
+// pin the order in which CPU completions and their handler chains run
+// when one heartbeat lands on dozens of idle motes at the same instant.
+// The cpu-*-2shard cases run the same corridors on the 2-shard engine,
+// whose window edges follow the earliest pending event, so they also pin
+// where its barriers fall. On a mismatch it prints the new digest; a
+// deliberate behaviour change must update the file by hand.
 func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded on amd64; %s may round floats differently", runtime.GOARCH)
@@ -86,6 +92,10 @@ func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 		{"nominal", Scenario{Seed: 7}},
 		{"lossy", Scenario{Seed: 11, LossProb: 0.2}},
 		{"chaos", chaotic},
+		{"cpu-leader", cpuCorridor(envirotrack.BackendLeader, 17)},
+		{"cpu-passive", cpuCorridor(envirotrack.BackendPassive, 19)},
+		{"cpu-leader-2shard", twoShards(cpuCorridor(envirotrack.BackendLeader, 17))},
+		{"cpu-passive-2shard", twoShards(cpuCorridor(envirotrack.BackendPassive, 19))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,4 +118,21 @@ func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cpuCorridor is a Figure 5-style stress corridor on the constrained mote
+// CPU: CR 6, 250 ms heartbeats, 8 ms service per frame, queue of 6, and
+// 5% channel loss, crossed at 0.4 hops per second.
+func cpuCorridor(backend string, seed int64) Scenario {
+	sc := figure5Scenario(0.25, 2, true)
+	sc.SpeedHops = 0.4
+	sc.Seed = seed
+	sc.Backend = backend
+	return sc
+}
+
+// twoShards runs sc on the free-running 2-shard engine.
+func twoShards(sc Scenario) Scenario {
+	sc.ParallelShards = 2
+	return sc
 }

@@ -217,7 +217,7 @@ type shardCtx struct {
 type Medium struct {
 	params Params
 
-	nodes map[NodeID]*nodeState
+	nodes map[NodeID]*Node
 	order []NodeID // node ids, kept ascending by insertion-time merge
 	// faults, when non-nil, overrides loss probability, severs partitioned
 	// links, and duplicates frames (chaos harness). Nil in nominal runs.
@@ -230,12 +230,10 @@ type Medium struct {
 	// the candidate buckets instead of sorting per call.
 	cells    map[cellKey][]cellEntry
 	cellSize float64
-	// neighbors caches Neighbors results per node. AddNode invalidates it
-	// granularly: only entries of nodes within CommRadius of the new node
-	// (the only lists the newcomer can appear in) are dropped. A parallel
-	// run pre-resolves every entry (PrebuildNeighbors) so the map is
-	// read-only while shard goroutines execute.
-	neighbors map[NodeID][]NodeID
+	// resolved counts nodes whose neighbor list is resolved. While it is
+	// zero — through a network's whole set-up — AddNode has no list to
+	// drop and skips the range query.
+	resolved int
 
 	// Query scratch, reused across calls (spatial queries run on the
 	// coordinator/setup path, never concurrently).
@@ -275,19 +273,33 @@ type cellEntry struct {
 	pos geom.Point
 }
 
-type nodeState struct {
+// Node is one registered node on the medium. Protocol layers see it
+// read-only, through Neighbors, ID, and Pos.
+type Node struct {
 	id   NodeID
 	pos  geom.Point
 	recv Receiver
 	// shard is the scheduler shard owning this node's region; resolved
 	// once at registration.
 	shard int32
+	// nbrs is the node's in-range neighbours in ascending id order, nil
+	// until first resolved and again after AddNode registers a node within
+	// range. Fan-out walks it with no per-receiver lookup. It sits behind
+	// a pointer so that a node whose list is never resolved keeps its
+	// 80-byte size class.
+	nbrs *[]*Node
 	// txBusyUntil serializes a node's own transmissions: a mote has one
 	// radio and cannot transmit two frames at once.
 	txBusyUntil time.Duration
 	// rx tracks in-flight receptions for collision detection.
 	rx []*reception
 }
+
+// ID returns the node's id.
+func (n *Node) ID() NodeID { return n.id }
+
+// Pos returns the node's position.
+func (n *Node) Pos() geom.Point { return n.pos }
 
 // reception is one frame occupying one receiver's channel. Records are
 // pooled: a reception is recycled once it is out of the receiver's rx list
@@ -300,7 +312,7 @@ type reception struct {
 	inList    bool
 	hasEvent  bool
 	sc        *shardCtx
-	dst       *nodeState
+	dst       *Node
 	f         Frame
 	tx        *transmission
 	next      *reception
@@ -346,7 +358,7 @@ type deliveryBatch struct {
 // so FlushBoundary can insert it into the receiver's channel-occupancy
 // list for collision detection.
 type crossRec struct {
-	dst        *nodeState
+	dst        *Node
 	f          Frame
 	start, end time.Duration
 	at         time.Duration
@@ -359,7 +371,7 @@ type crossRec struct {
 // its corrupted flag resolves at delivery.
 type crossEvent struct {
 	sc   *shardCtx
-	dst  *nodeState
+	dst  *Node
 	f    Frame
 	rx   *reception
 	lost bool
@@ -397,10 +409,9 @@ func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medi
 	k := len(rts)
 	m := &Medium{
 		params:     p,
-		nodes:      make(map[NodeID]*nodeState),
+		nodes:      make(map[NodeID]*Node),
 		cells:      make(map[cellKey][]cellEntry),
 		cellSize:   cellSize,
-		neighbors:  make(map[NodeID][]NodeID),
 		ctxs:       make([]*shardCtx, k),
 		shardOfPos: shardOfPos,
 		shardMail:  make([]ShardMailbox, k*k),
@@ -425,13 +436,13 @@ func (m *Medium) Params() Params {
 	return m.params
 }
 
-// PrebuildNeighbors resolves and caches the neighbor list of every
-// registered node. A run on several shards calls it once before the shard
-// workers start: afterwards Neighbors is a pure map read, safe from
-// concurrent shard goroutines.
+// PrebuildNeighbors resolves the neighbor list of every registered node.
+// A run on several shards calls it once before the shard workers start:
+// afterwards neighbor lists are only read, which is safe from concurrent
+// shard goroutines.
 func (m *Medium) PrebuildNeighbors() {
 	for _, id := range m.order {
-		m.Neighbors(id)
+		m.neighborsOf(m.nodes[id])
 	}
 }
 
@@ -496,13 +507,13 @@ func (m *Medium) noteBoundary(from, to int32, rxAt, now, bound time.Duration) bo
 // already present. Registration is the only topology mutation the medium
 // supports (nodes never move or deregister), so it inserts the node into
 // the spatial hash — keeping both the global order and its cell bucket
-// sorted by id — and invalidates exactly the cached neighbor lists the
+// sorted by id — and drops exactly the resolved neighbor lists the
 // newcomer joins: those of nodes within CommRadius of pos.
 func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 	if _, ok := m.nodes[id]; ok {
 		return fmt.Errorf("radio: node %d already registered", id)
 	}
-	n := &nodeState{id: id, pos: pos, recv: recv}
+	n := &Node{id: id, pos: pos, recv: recv}
 	if m.shardOfPos != nil {
 		n.shard = m.shardOfPos(pos)
 	}
@@ -522,9 +533,15 @@ func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 		}
 	})
 	m.cells[key] = slices.Insert(bucket, j, cellEntry{id: id, pos: pos})
+	if m.resolved == 0 {
+		return nil
+	}
 	m.scratchIDs = m.appendNodesWithin(m.scratchIDs[:0], pos, m.params.CommRadius)
 	for _, nid := range m.scratchIDs {
-		delete(m.neighbors, nid)
+		if n := m.nodes[nid]; n.nbrs != nil {
+			n.nbrs = nil
+			m.resolved--
+		}
 	}
 	return nil
 }
@@ -622,36 +639,37 @@ func (m *Medium) NodeIDs() []NodeID {
 }
 
 // Neighbors returns the nodes within communication radius of id, in
-// ascending id order. Results are cached; the cache stays correct because
-// the topology only mutates at registration time (AddNode), which drops
-// exactly the cached lists the new node appears in. Resolution goes
-// through the spatial hash, so an uncached lookup costs O(neighbors), not
-// O(total nodes). Callers must not mutate the returned slice.
-func (m *Medium) Neighbors(id NodeID) []NodeID {
-	if nb, ok := m.neighbors[id]; ok {
-		return nb
-	}
+// ascending id order, or nil for an unregistered id. Callers must not
+// mutate the returned slice.
+func (m *Medium) Neighbors(id NodeID) []*Node {
 	n, ok := m.nodes[id]
 	if !ok {
 		return nil
 	}
-	m.scratchIDs = m.appendNodesWithin(m.scratchIDs[:0], n.pos, m.params.CommRadius)
-	count := 0
-	for _, other := range m.scratchIDs {
-		if other != id {
-			count++
-		}
+	return m.neighborsOf(n)
+}
+
+// neighborsOf returns n's neighbor list, resolving it on first use. The
+// list stays correct because the topology only mutates at registration
+// time (AddNode), which drops exactly the lists the new node appears in.
+// Resolution goes through the spatial hash, so it costs O(neighbors), not
+// O(total nodes).
+func (m *Medium) neighborsOf(n *Node) []*Node {
+	if n.nbrs != nil {
+		return *n.nbrs
 	}
-	var nb []NodeID
-	if count > 0 {
-		nb = make([]NodeID, 0, count)
+	m.scratchIDs = m.appendNodesWithin(m.scratchIDs[:0], n.pos, m.params.CommRadius)
+	var nb []*Node
+	if len(m.scratchIDs) > 1 {
+		nb = make([]*Node, 0, len(m.scratchIDs)-1)
 		for _, other := range m.scratchIDs {
-			if other != id {
-				nb = append(nb, other)
+			if other != n.id {
+				nb = append(nb, m.nodes[other])
 			}
 		}
 	}
-	m.neighbors[id] = nb
+	n.nbrs = &nb
+	m.resolved++
 	return nb
 }
 
@@ -859,7 +877,7 @@ func (m *Medium) Send(f Frame) {
 
 // channelBusyUntil returns when the medium around the node goes idle: the
 // latest end among audible in-flight receptions and its own transmission.
-func (m *Medium) channelBusyUntil(n *nodeState, now time.Duration) time.Duration {
+func (m *Medium) channelBusyUntil(n *Node, now time.Duration) time.Duration {
 	busy := time.Duration(0)
 	if n.txBusyUntil > now {
 		busy = n.txBusyUntil
@@ -952,17 +970,17 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	// conservative executor advance a shard to the window edge.
 	lookahead := airtime + m.params.PropDelay
 	intended := 0
-	// Neighbors is exactly the in-range receiver set in ascending id
-	// order — the same nodes the old full-field scan selected — and it is
-	// cached, so the per-frame cost is O(receivers).
-	for _, id := range m.Neighbors(f.Src) {
-		if m.faults != nil && !m.faults.Linked(start, f.Src, id) {
+	// The neighbor list is exactly the in-range receiver set in ascending
+	// id order — the same nodes the old full-field scan selected — held as
+	// node pointers, so the per-frame cost is O(receivers) with no
+	// per-receiver lookup.
+	for _, dst := range m.neighborsOf(src) {
+		if m.faults != nil && !m.faults.Linked(start, f.Src, dst.id) {
 			// Partition fault: the link is severed, so the frame neither
 			// reaches this receiver nor occupies its channel.
 			continue
 		}
-		dst := m.nodes[id]
-		isTarget := f.Dst == Broadcast || f.Dst == id
+		isTarget := f.Dst == Broadcast || f.Dst == dst.id
 		if isTarget {
 			intended++
 		}
@@ -1144,7 +1162,7 @@ func batchDeliver(arg any) {
 // reception to the frame's delivery batch. Non-target receivers still
 // experience channel occupancy (their concurrent receptions collide) but
 // do not receive or account the frame.
-func (m *Medium) scheduleReception(sc *shardCtx, dst *nodeState, f Frame, tx *transmission, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
+func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, tx *transmission, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
 	rx := sc.acquireRX()
 	rx.start, rx.end = start, end
 	m.occupyChannel(dst, rx, now)
@@ -1170,7 +1188,7 @@ func (m *Medium) scheduleReception(sc *shardCtx, dst *nodeState, f Frame, tx *tr
 // new frame's start are pruned, and every overlapping pair is corrupted
 // (the new frame and the in-flight one both lose). Callers set rx.start
 // and rx.end first.
-func (m *Medium) occupyChannel(dst *nodeState, rx *reception, now time.Duration) {
+func (m *Medium) occupyChannel(dst *Node, rx *reception, now time.Duration) {
 	if !m.params.DisableCollisions {
 		kept := dst.rx[:0]
 		for _, other := range dst.rx {
@@ -1235,7 +1253,7 @@ func deliverReception(rx *reception) {
 
 // emitAtReceiver publishes a reception-side frame event (received/lost)
 // at the receiving node.
-func (sc *shardCtx) emitAtReceiver(t obs.EventType, dst *nodeState, f Frame, cause string) {
+func (sc *shardCtx) emitAtReceiver(t obs.EventType, dst *Node, f Frame, cause string) {
 	if bus := sc.bus; bus.Active() {
 		bus.Emit(obs.Event{
 			At: sc.sched.Now(), Type: t, Mote: int(dst.id), Peer: int(f.Src),

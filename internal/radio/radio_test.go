@@ -265,7 +265,7 @@ func TestNeighborsAndRangeQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nb := m.Neighbors(2)
+	nb := neighborIDs(m, 2)
 	want := []NodeID{1, 3}
 	if len(nb) != len(want) {
 		t.Fatalf("Neighbors(2) = %v, want %v", nb, want)

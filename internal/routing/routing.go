@@ -166,14 +166,10 @@ func (r *Router) nextHop(msg Message) (radio.NodeID, bool) {
 	best := radio.NodeID(-1)
 	bestD := self
 	for _, nb := range r.medium.Neighbors(r.m.ID()) {
-		pos, ok := r.medium.Position(nb)
-		if !ok {
-			continue
-		}
-		d := pos.Dist2(msg.Dest)
-		if d < bestD || (d == bestD && best >= 0 && nb < best) {
+		d := nb.Pos().Dist2(msg.Dest)
+		if d < bestD || (d == bestD && best >= 0 && nb.ID() < best) {
 			if d < self {
-				best, bestD = nb, d
+				best, bestD = nb.ID(), d
 			}
 		}
 	}

@@ -65,13 +65,18 @@ func Owners() []Owner {
 	return out
 }
 
-// Profile accumulates per-subsystem event counts and wall-clock time.
+// Profile accumulates per-subsystem event counts, heap pushes, and
+// wall-clock time.
 // Counters are atomic so one Profile may be shared by many schedulers
 // running on different goroutines (e.g. every run of a parallel sweep),
 // merging their attribution into a single table.
 type Profile struct {
 	counts [NumOwners]atomic.Uint64
 	nanos  [NumOwners]atomic.Int64
+	// pushes counts heap entries pushed per owner. Events that join a
+	// same-instant run fire without a push of their own, so pushes per
+	// event below one shows work batched behind shared heap entries.
+	pushes [NumOwners]atomic.Uint64
 
 	// shardCounts/shardNanos, when non-empty, additionally attribute
 	// every event to the scheduler shard that executed it (EnsureShards
@@ -137,9 +142,12 @@ func (p *Profile) ShardSnapshot() []ShardStat {
 
 // OwnerStat is one subsystem's accumulated attribution.
 type OwnerStat struct {
-	Owner     Owner
-	Name      string
-	Events    uint64
+	Owner  Owner
+	Name   string
+	Events uint64
+	// Pushes counts the scheduler heap entries the subsystem's events
+	// took: at most Events, fewer when same-instant runs shared entries.
+	Pushes    uint64
 	WallNanos int64
 }
 
@@ -153,6 +161,7 @@ func (p *Profile) Snapshot() []OwnerStat {
 			Owner:     o,
 			Name:      o.String(),
 			Events:    p.counts[i].Load(),
+			Pushes:    p.pushes[i].Load(),
 			WallNanos: p.nanos[i].Load(),
 		}
 	}
@@ -182,6 +191,7 @@ func (p *Profile) Reset() {
 	for i := range p.counts {
 		p.counts[i].Store(0)
 		p.nanos[i].Store(0)
+		p.pushes[i].Store(0)
 	}
 	for i := range p.shardCounts {
 		p.shardCounts[i].Store(0)

@@ -130,3 +130,33 @@ func TestOwnerNamesUniqueAndStable(t *testing.T) {
 		t.Error("out-of-range owner does not fall back to other")
 	}
 }
+
+// TestProfileCountsHeapPushes: the profile counts heap pushes per owner
+// beside events. A same-instant run is many events behind one push, and
+// a stopped timer is a push that never fires.
+func TestProfileCountsHeapPushes(t *testing.T) {
+	s := NewScheduler()
+	p := NewProfile()
+	s.SetProfile(p)
+	for i := 0; i < 5; i++ {
+		s.AtEventOwned(time.Second, OwnerMote, func(any) {}, nil)
+	}
+	s.AtOwned(time.Second, OwnerRadio, func() {})
+	s.AtOwned(2*time.Second, OwnerRadio, func() {}).Stop()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	for _, c := range []struct {
+		owner          Owner
+		events, pushes uint64
+	}{{OwnerMote, 5, 1}, {OwnerRadio, 1, 2}} {
+		if st := snap[c.owner]; st.Events != c.events || st.Pushes != c.pushes {
+			t.Errorf("%s: %d events, %d pushes; want %d, %d", st.Name, st.Events, st.Pushes, c.events, c.pushes)
+		}
+	}
+	p.Reset()
+	if p.Snapshot()[OwnerMote].Pushes != 0 {
+		t.Error("Reset did not zero the push counts")
+	}
+}

@@ -10,7 +10,10 @@ import (
 // refModel is the executable specification the pooled lazy-cancel
 // scheduler is checked against: a plain sorted slice of (at, seq) events
 // with eager removal on Stop. It is deliberately the simplest correct
-// implementation — O(n) everywhere, one allocation per event.
+// implementation — O(n) everywhere, one allocation per event, no runs.
+// A Deadline is modelled as what it stands in for: a no-op timer, which
+// the model passes (drops) when a later event fires or the clock is run
+// past it, and which is never counted as an executed event.
 type refModel struct {
 	events   []refEvent
 	now      time.Duration
@@ -19,17 +22,18 @@ type refModel struct {
 }
 
 type refEvent struct {
-	at  time.Duration
-	seq uint64
-	id  int
+	at       time.Duration
+	seq      uint64
+	id       int
+	deadline bool
 }
 
-func (r *refModel) schedule(at time.Duration, id int) {
+func (r *refModel) schedule(at time.Duration, id int, deadline bool) {
 	if at < r.now {
 		at = r.now
 	}
 	r.seq++
-	r.events = append(r.events, refEvent{at: at, seq: r.seq, id: id})
+	r.events = append(r.events, refEvent{at: at, seq: r.seq, id: id, deadline: deadline})
 	sort.Slice(r.events, func(i, j int) bool {
 		if r.events[i].at != r.events[j].at {
 			return r.events[i].at < r.events[j].at
@@ -57,42 +61,74 @@ func (r *refModel) pending(id int) bool {
 	return false
 }
 
-// step pops the earliest event, returning its id (or -1 when empty).
-func (r *refModel) step() (int, time.Duration, bool) {
-	if len(r.events) == 0 {
-		return -1, 0, false
+// live counts pending events, deadlines excluded (the scheduler's Len).
+func (r *refModel) live() int {
+	n := 0
+	for _, ev := range r.events {
+		if !ev.deadline {
+			n++
+		}
 	}
-	ev := r.events[0]
-	r.events = r.events[1:]
-	r.now = ev.at
-	r.executed++
-	return ev.id, ev.at, true
+	return n
 }
 
-// firing records one observed event execution.
-type firing struct {
-	id int
-	at time.Duration
+// step pops the earliest event, and every deadline before it, returning
+// its id (or -1 when no event remains).
+func (r *refModel) step() (int, time.Duration, bool) {
+	for i, ev := range r.events {
+		if ev.deadline {
+			continue
+		}
+		r.events = r.events[i+1:]
+		r.now = ev.at
+		r.executed++
+		return ev.id, ev.at, true
+	}
+	return -1, 0, false
+}
+
+// runUntil is the model's RunUntil once every event due by t has fired:
+// it passes the deadlines due by t and moves the clock to t. It returns
+// the id of an event still due, which the scheduler failed to fire.
+func (r *refModel) runUntil(t time.Duration) (int, bool) {
+	for len(r.events) > 0 && r.events[0].at <= t {
+		if !r.events[0].deadline {
+			return r.events[0].id, false
+		}
+		r.events = r.events[1:]
+	}
+	if r.now < t {
+		r.now = t
+	}
+	return 0, true
 }
 
 // TestSchedulerMatchesReferenceModel drives the scheduler and the
 // reference model through 1000 independently seeded random schedules of
-// interleaved At/After/Stop/Step operations (including events that
+// interleaved operations and requires identical firing order, firing
+// timestamps, executed counts, pending-event counts, and Stop/Pending
+// results throughout. The operations are closure timers (some of which
 // re-schedule and stop other timers from inside their callbacks, the
-// group protocol's churn pattern) and requires identical firing order,
-// firing timestamps, executed counts, pending-event counts, and
-// Stop/Pending results throughout.
+// group protocol's churn pattern), bursts of handle-less typed events at
+// one instant (which the scheduler folds into runs; owners vary so runs
+// also break), deadlines armed from outside and inside callbacks and
+// probed at their own instant, Stop, Step, and RunUntil. Times are drawn
+// on a coarse grid so that same-instant ties are common. Every firing
+// advances the model from inside its callback, so probes made there see
+// the model at that exact point of the (at, seq) order.
 func TestSchedulerMatchesReferenceModel(t *testing.T) {
+	owners := []Owner{OwnerRadio, OwnerMote}
 	for schedule := 0; schedule < 1000; schedule++ {
 		rng := rand.New(rand.NewSource(int64(schedule) + 1))
 		s := NewScheduler()
 		ref := &refModel{}
-
-		var got []firing
+		fired := 0
 		nextID := 0
-		// live maps ref event ids to scheduler handles for Stop draws.
+		// live maps ref event ids to timer handles for Stop draws.
 		live := map[int]Timer{}
 		ids := []int{} // insertion-ordered keys of live, for deterministic draws
+		deadlines := map[int]Deadline{}
+		dls := []int{} // every deadline armed so far, passed ones included
 
 		removeID := func(id int) {
 			delete(live, id)
@@ -103,19 +139,70 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 				}
 			}
 		}
+		// onFire checks a firing against the model and advances it.
+		onFire := func(id int) {
+			refID, refAt, ok := ref.step()
+			if !ok || refID != id || refAt != s.Now() {
+				t.Fatalf("schedule %d: fired (%d, %v), ref (%d, %v, %v)", schedule, id, s.Now(), refID, refAt, ok)
+			}
+			fired++
+		}
+		probeDeadline := func(where string) {
+			if len(dls) == 0 {
+				return
+			}
+			id := dls[rng.Intn(len(dls))]
+			if got, want := deadlines[id].Pending(), ref.pending(id); got != want {
+				t.Fatalf("schedule %d %s: deadline %d Pending = %v, ref %v (now %v)", schedule, where, id, got, want, s.Now())
+			}
+		}
+		armDeadline := func(d time.Duration) {
+			id := nextID
+			nextID++
+			deadlines[id] = s.DeadlineAfter(d)
+			dls = append(dls, id)
+			ref.schedule(s.Now()+d, id, true)
+		}
 
 		var schedOne func(at time.Duration, rearm int)
+		var schedBurst func(at time.Duration, n, depth int)
+		burstFire := func(arg any) {
+			b := arg.(*burstMember)
+			onFire(b.id)
+			probeDeadline("in burst")
+			if b.depth > 0 {
+				switch r := rng.Float64(); {
+				case r < 0.3: // extend the same instant's work, joining the run if it is open
+					schedBurst(s.Now(), 1+rng.Intn(3), b.depth-1)
+				case r < 0.45:
+					armDeadline(0)
+				}
+			}
+		}
+		schedBurst = func(at time.Duration, n, depth int) {
+			owner := owners[rng.Intn(len(owners))]
+			for k := 0; k < n; k++ {
+				if rng.Float64() < 0.1 {
+					owner = owners[rng.Intn(len(owners))] // a different owner breaks the run
+				}
+				id := nextID
+				nextID++
+				s.AtEventOwned(at, owner, burstFire, &burstMember{id: id, depth: depth})
+				ref.schedule(at, id, false)
+			}
+		}
 		schedOne = func(at time.Duration, rearm int) {
 			id := nextID
 			nextID++
 			tm := s.AtOwned(at, OwnerNone, func() {
-				got = append(got, firing{id: id, at: s.Now()})
+				onFire(id)
 				removeID(id)
+				probeDeadline("in timer")
 				if rearm > 0 {
 					// Callback-driven churn: re-schedule a successor and
 					// stop a random other live timer, mirroring the
 					// heartbeat-reset pattern.
-					schedOne(s.Now()+time.Duration(rng.Intn(50))*time.Millisecond, rearm-1)
+					schedOne(s.Now()+time.Duration(rng.Intn(5))*10*time.Millisecond, rearm-1)
 					if len(ids) > 0 {
 						victim := ids[rng.Intn(len(ids))]
 						sGot := live[victim].Stop()
@@ -127,24 +214,31 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 							removeID(victim)
 						}
 					}
+					if rng.Float64() < 0.5 {
+						armDeadline(time.Duration(rng.Intn(3)) * 10 * time.Millisecond)
+					}
 				}
 			})
 			live[id] = tm
 			ids = append(ids, id)
-			ref.schedule(at, id)
+			ref.schedule(at, id, false)
 		}
 
 		ops := 30 + rng.Intn(120)
 		for op := 0; op < ops; op++ {
+			at := s.Now() + time.Duration(rng.Intn(20))*10*time.Millisecond
 			switch r := rng.Float64(); {
-			case r < 0.45: // schedule, occasionally with callback churn
+			case r < 0.30: // schedule, occasionally with callback churn
 				rearm := 0
 				if rng.Float64() < 0.2 {
 					rearm = 1 + rng.Intn(2)
 				}
-				at := s.Now() + time.Duration(rng.Intn(200))*time.Millisecond
 				schedOne(at, rearm)
-			case r < 0.70: // stop a random live (or already-dead) handle
+			case r < 0.45: // a same-instant burst of typed events
+				schedBurst(at, 1+rng.Intn(6), rng.Intn(3))
+			case r < 0.52:
+				armDeadline(at - s.Now())
+			case r < 0.65: // stop a random live (or already-dead) handle
 				if len(ids) == 0 {
 					continue
 				}
@@ -157,7 +251,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 				if sGot {
 					removeID(victim)
 				}
-			case r < 0.80: // probe Pending on a random handle
+			case r < 0.72: // probe Pending on a random handle
 				if len(ids) == 0 {
 					continue
 				}
@@ -165,53 +259,55 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 				if got, want := live[id].Pending(), ref.pending(id); got != want {
 					t.Fatalf("schedule %d op %d: Pending(%d) = %v, ref %v", schedule, op, id, got, want)
 				}
-			default: // step
-				before := len(got)
-				stepped := s.Step()
-				refID, refAt, refStepped := ref.step()
-				if stepped != refStepped {
-					t.Fatalf("schedule %d op %d: Step() = %v, ref %v", schedule, op, stepped, refStepped)
+			case r < 0.78:
+				probeDeadline("between steps")
+			case r < 0.84: // run to a grid point, possibly one with events still due
+				deadline := s.Now() + time.Duration(rng.Intn(6))*10*time.Millisecond
+				if err := s.RunUntil(deadline); err != nil {
+					t.Fatal(err)
 				}
-				if stepped {
-					if len(got) != before+1 {
-						t.Fatalf("schedule %d op %d: Step fired %d events, want 1", schedule, op, len(got)-before)
-					}
-					f := got[len(got)-1]
-					if f.id != refID || f.at != refAt {
-						t.Fatalf("schedule %d op %d: fired (%d, %v), ref (%d, %v)", schedule, op, f.id, f.at, refID, refAt)
-					}
-					if s.Now() != ref.now {
-						t.Fatalf("schedule %d op %d: Now() = %v, ref %v", schedule, op, s.Now(), ref.now)
-					}
+				if id, ok := ref.runUntil(deadline); !ok {
+					t.Fatalf("schedule %d op %d: RunUntil(%v) left event %d unfired", schedule, op, deadline, id)
+				}
+				if s.Now() != ref.now {
+					t.Fatalf("schedule %d op %d: Now() = %v after RunUntil, ref %v", schedule, op, s.Now(), ref.now)
+				}
+			default: // step: exactly one event fires, run members included
+				before := fired
+				stepped := s.Step()
+				if stepped && fired != before+1 {
+					t.Fatalf("schedule %d op %d: Step fired %d events, want 1", schedule, op, fired-before)
+				}
+				if !stepped && ref.live() != 0 {
+					t.Fatalf("schedule %d op %d: Step() = false with %d events pending in ref", schedule, op, ref.live())
+				}
+				if s.Now() != ref.now {
+					t.Fatalf("schedule %d op %d: Now() = %v, ref %v", schedule, op, s.Now(), ref.now)
 				}
 			}
-			if s.Len() != len(ref.events) {
-				t.Fatalf("schedule %d op %d: Len() = %d, ref %d", schedule, op, s.Len(), len(ref.events))
+			if s.Len() != ref.live() {
+				t.Fatalf("schedule %d op %d: Len() = %d, ref %d", schedule, op, s.Len(), ref.live())
 			}
 		}
 
 		// Drain both completely and compare the full tail.
-		for {
-			stepped := s.Step()
-			refID, refAt, refStepped := ref.step()
-			if stepped != refStepped {
-				t.Fatalf("schedule %d drain: Step() = %v, ref %v", schedule, stepped, refStepped)
-			}
-			if !stepped {
-				break
-			}
-			f := got[len(got)-1]
-			if f.id != refID || f.at != refAt {
-				t.Fatalf("schedule %d drain: fired (%d, %v), ref (%d, %v)", schedule, f.id, f.at, refID, refAt)
-			}
+		for s.Step() {
 		}
-		if s.Executed() != ref.executed {
-			t.Fatalf("schedule %d: Executed() = %d, ref %d", schedule, s.Executed(), ref.executed)
+		if n := ref.live(); n != 0 {
+			t.Fatalf("schedule %d drain: %d events left in ref", schedule, n)
+		}
+		if s.Executed() != ref.executed || s.Executed() != uint64(fired) {
+			t.Fatalf("schedule %d: Executed() = %d, ref %d, fired %d", schedule, s.Executed(), ref.executed, fired)
 		}
 		if s.Len() != 0 {
 			t.Fatalf("schedule %d: Len() = %d after drain", schedule, s.Len())
 		}
 	}
+}
+
+// burstMember is the payload of one typed event in a property-test burst.
+type burstMember struct {
+	id, depth int
 }
 
 // TestTimerPoolABAGuard proves a recycled Timer handle is permanently

@@ -77,7 +77,7 @@ func TestShardGroupMatchesReferenceModel(t *testing.T) {
 				})
 				m.live[id] = tm
 				m.ids = append(m.ids, id)
-				m.ref.schedule(at, id)
+				m.ref.schedule(at, id, false)
 			}
 
 			ops := 30 + rng.Intn(120)

@@ -7,7 +7,7 @@
 // The scheduler is built to be allocation-free in steady state, because the
 // group protocol is timer-dominated: every heartbeat a member hears stops
 // and re-arms its receive timer, so a sweep-scale run cycles through tens of
-// thousands of timers. Four design choices make that churn cheap:
+// thousands of timers. Six design choices make that churn cheap:
 //
 //   - Events are stored by value in a 4-ary min-heap keyed on (at, seq);
 //     nothing is allocated per scheduled event once the heap has grown to
@@ -29,12 +29,32 @@
 //     instead of an O(log n) heap removal, and a tombstone lives at most
 //     until its original deadline (or until a compaction sweep reclaims it
 //     early when tombstones outnumber live events).
+//   - Same-instant bursts share one heap entry. Handle-less typed events
+//     (AtEventOwned, AfterEventOwned) scheduled back to back for the same
+//     instant and owner join one run: a linked list of slots behind a
+//     single heap entry keyed by the first member's (at, seq). A broadcast
+//     landing on a hundred idle mote CPUs thus costs one push instead of a
+//     hundred. When a member fires, the entry passes in place to the next
+//     member under key (at, seq+1). This is exact: a member joins only
+//     when no sequence number was drawn since the previous member, so the
+//     members' seqs are consecutive and no other event can sort between
+//     them. The handed-down key is still the heap minimum, so no sift is
+//     needed, and a stop between members leaves the unfired rest pending
+//     under the next member's key.
+//   - A Deadline is a timer without a callback. It draws one sequence
+//     number, exactly as a timer does, and occupies no slot or heap entry;
+//     Pending compares its (at, seq) against the scheduler's firing cursor.
+//     It answers as a no-op timer would, without the push, the tombstone
+//     its re-arm leaves, or the compaction sweeps those tombstones force.
+//     Being no heap event, it never sets where a ShardGroup window ends
+//     (Run's idle skip reads the earliest pending event), as a no-op
+//     timer could.
 //
 // Because tombstones are invisible to Step/RunUntil, the total firing order
 // of live events is exactly the (at, seq) order the previous eager-removal
 // scheduler produced, bit for bit — the determinism guarantees of seeded
-// runs are unaffected. TestSchedulerMatchesReferenceModel pins this against
-// a sorted-slice reference model.
+// runs are unaffected. TestSchedulerMatchesReferenceModel pins this, runs
+// and deadlines included, against a sorted-slice reference model.
 package simtime
 
 import (
@@ -125,13 +145,15 @@ type event struct {
 // callback, typed handler, and payload while its heap entry migrates
 // through sift operations. Exactly one of fn/pfn is set.
 type slotState struct {
-	gen      uint32
-	pending  bool
-	owner    Owner // scheduling subsystem, for the self-profiler
-	nextFree int32
-	fn       Callback
-	pfn      EventFunc
-	arg      any
+	gen     uint32
+	pending bool
+	owner   Owner // scheduling subsystem, for the self-profiler
+	// next links a free slot into the free list, and a pending run member
+	// to the member after it (-1 when it is the run's last or no run).
+	next int32
+	fn   Callback
+	pfn  EventFunc
+	arg  any
 }
 
 // Scheduler is a deterministic discrete-event executor. It is not safe for
@@ -144,7 +166,20 @@ type Scheduler struct {
 	tomb     int   // cancelled events still occupying heap entries
 	now      time.Duration
 	seq      uint64
-	stopped  bool
+	// firedSeq is the seq of the last event fired at now, or the cursor a
+	// window end leaves: 0 when no event at now has passed, seq when all
+	// of them have. With now it forms the (at, seq) firing cursor that
+	// Deadline.Pending compares against.
+	firedSeq uint64
+	// The open run: its last member's slot and generation, its instant,
+	// and that member's seq. A handle-less typed event joins the run when
+	// s.seq still equals runSeq (nothing was scheduled since) and the
+	// instant, owner, and tail generation match. runSeq 0 means none.
+	runTail int32
+	runGen  uint32
+	runAt   time.Duration
+	runSeq  uint64
+	stopped bool
 	// executed counts events that have fired; useful for sanity checks and
 	// run-length accounting in tests.
 	executed uint64
@@ -188,13 +223,14 @@ func (s *Scheduler) acquireSlot() (int32, uint32) {
 	var idx int32
 	if s.freeHead >= 0 {
 		idx = s.freeHead
-		s.freeHead = s.slots[idx].nextFree
+		s.freeHead = s.slots[idx].next
 	} else {
 		idx = int32(len(s.slots))
 		s.slots = append(s.slots, slotState{})
 	}
 	sl := &s.slots[idx]
 	sl.pending = true
+	sl.next = -1
 	return idx, sl.gen
 }
 
@@ -209,15 +245,19 @@ func (s *Scheduler) releaseSlot(idx int32) {
 	sl.fn = nil
 	sl.pfn = nil
 	sl.arg = nil
-	sl.nextFree = s.freeHead
+	sl.next = s.freeHead
 	s.freeHead = idx
 }
 
-// push appends ev and restores the heap invariant.
-func (s *Scheduler) push(ev event) {
+// push appends ev and restores the heap invariant. The self-profiler
+// counts the push against owner, beside the events it fires.
+func (s *Scheduler) push(ev event, owner Owner) {
 	s.heap = append(s.heap, ev)
 	s.siftUp(len(s.heap) - 1)
 	s.live++
+	if s.prof != nil {
+		s.prof.pushes[owner].Add(1)
+	}
 }
 
 // schedule is the single scheduling core behind every At/After variant:
@@ -239,8 +279,34 @@ func (s *Scheduler) schedule(at time.Duration, owner Owner, fn Callback, pfn Eve
 	sl.fn = fn
 	sl.pfn = pfn
 	sl.arg = arg
-	s.push(event{at: at, seq: s.seq, slot: idx, gen: gen})
+	s.push(event{at: at, seq: s.seq, slot: idx, gen: gen}, owner)
 	return idx, gen, at
+}
+
+// scheduleRun schedules a handle-less typed event. Back to back with the
+// open run's last member — no seq drawn since, same instant, same owner —
+// it joins that run behind the run's single heap entry; otherwise it is
+// pushed and opens a run of its own.
+func (s *Scheduler) scheduleRun(at time.Duration, owner Owner, fn EventFunc, arg any) {
+	if at < s.now {
+		at = s.now
+	}
+	if s.seq == s.runSeq && at == s.runAt && s.runSeq != 0 {
+		if tail := &s.slots[s.runTail]; tail.gen == s.runGen && tail.owner == owner {
+			s.seq++
+			idx, gen := s.acquireSlot() // may grow s.slots: tail is stale now
+			sl := &s.slots[idx]
+			sl.owner = owner
+			sl.pfn = fn
+			sl.arg = arg
+			s.slots[s.runTail].next = idx
+			s.runTail, s.runGen, s.runSeq = idx, gen, s.seq
+			s.live++
+			return
+		}
+	}
+	idx, gen, at := s.schedule(at, owner, nil, fn, arg)
+	s.runTail, s.runGen, s.runAt, s.runSeq = idx, gen, at, s.seq
 }
 
 // AtOwned schedules fn to run at absolute virtual time at, attributed to
@@ -265,9 +331,10 @@ func (s *Scheduler) AfterOwned(d time.Duration, owner Owner, fn Callback) Timer 
 // handle: fn is invoked with arg at virtual time at. With a package-level fn
 // and a pooled pointer arg the call is allocation-free, which is why the
 // radio and mote hot paths use it for delivery batches, CPU completions,
-// and CSMA retries — none of which are ever cancelled.
+// and CSMA retries — none of which are ever cancelled. Back-to-back calls
+// for the same instant and owner share one heap entry (see scheduleRun).
 func (s *Scheduler) AtEventOwned(at time.Duration, owner Owner, fn EventFunc, arg any) {
-	s.schedule(at, owner, nil, fn, arg)
+	s.scheduleRun(at, owner, fn, arg)
 }
 
 // AfterEventOwned is AtEventOwned relative to the current time. Negative
@@ -276,7 +343,7 @@ func (s *Scheduler) AfterEventOwned(d time.Duration, owner Owner, fn EventFunc, 
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.Now()+d, owner, nil, fn, arg)
+	s.scheduleRun(s.now+d, owner, fn, arg)
 }
 
 // AtEventTimerOwned is AtEventOwned with a cancellation handle, for
@@ -335,11 +402,26 @@ func (s *Scheduler) peek() (event, bool) {
 	return s.heap[0], true
 }
 
-// fire executes one popped event: the slot payload is read and the slot
-// released before the callback runs, so a callback that schedules new
-// events observes a consistent pool. The caller has already advanced the
-// clock to ev.at.
+// take removes the heap top's event for firing. A run member with a
+// successor hands the entry to it in place under key (at, seq+1): the
+// successor's seq is the next one drawn after the member's, so that key
+// still precedes every other entry and the heap needs no sift.
+func (s *Scheduler) take() event {
+	ev := s.heap[0]
+	if nx := s.slots[ev.slot].next; nx >= 0 {
+		s.heap[0] = event{at: ev.at, seq: ev.seq + 1, slot: nx, gen: s.slots[nx].gen}
+	} else {
+		s.popTop()
+	}
+	return ev
+}
+
+// fire executes one taken event: the clock and firing cursor advance to
+// it, and the slot payload is read and the slot released before the
+// callback runs, so a callback that schedules new events observes a
+// consistent pool.
 func (s *Scheduler) fire(ev event) {
+	s.now, s.firedSeq = ev.at, ev.seq
 	sl := &s.slots[ev.slot]
 	fn, pfn, arg, owner := sl.fn, sl.pfn, sl.arg, sl.owner
 	s.releaseSlot(ev.slot)
@@ -374,12 +456,21 @@ func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
 		if ev.at > limit || (!inclusive && ev.at == limit) {
 			break
 		}
-		s.popTop()
-		s.now = ev.at
-		s.fire(ev)
+		s.fire(s.take())
 	}
-	if s.now < limit {
-		s.now = limit
+	s.advanceTo(limit, inclusive)
+}
+
+// advanceTo moves the clock to limit at the end of a run interval in which
+// every event before limit (at or before it when inclusive) has fired, and
+// sets the firing cursor to match: past every seq drawn so far when the
+// events at limit have fired, before all of them when none has.
+func (s *Scheduler) advanceTo(limit time.Duration, inclusive bool) {
+	switch {
+	case inclusive && s.now <= limit:
+		s.now, s.firedSeq = limit, s.seq
+	case s.now < limit:
+		s.now, s.firedSeq = limit, 0
 	}
 }
 
@@ -391,9 +482,7 @@ func (s *Scheduler) Step() bool {
 	if s.stopped || !s.drainTop() {
 		return false
 	}
-	ev := s.popTop()
-	s.now = ev.at
-	s.fire(ev)
+	s.fire(s.take())
 	return true
 }
 
@@ -413,9 +502,7 @@ func (s *Scheduler) RunUntil(deadline time.Duration) error {
 	if s.stopped {
 		return ErrStopped
 	}
-	if s.now < deadline {
-		s.now = deadline
-	}
+	s.advanceTo(deadline, true)
 	return nil
 }
 
@@ -427,6 +514,39 @@ func (s *Scheduler) Run() error {
 		return ErrStopped
 	}
 	return nil
+}
+
+// Deadline is a callback-free timer: an instant in the scheduler's (at,
+// seq) order that reports whether the scheduler has passed it. It stands
+// in for a timer whose callback would do nothing and which is only ever
+// asked Pending, and it answers exactly as that timer would — without a
+// slot, a heap entry, or the tombstone a re-arm leaves. The zero value is
+// not pending. The one thing it does not reproduce is a no-op timer's
+// effect on ShardGroup.Run, whose idle skip ends a window one lookahead
+// after the earliest pending heap event; a deadline never is that event.
+type Deadline struct {
+	s   *Scheduler
+	at  time.Duration
+	seq uint64
+}
+
+// DeadlineAfter returns a deadline d from now. Like a timer it draws a
+// sequence number, so it ends any open run and orders against
+// same-instant events exactly as a no-op timer scheduled here would.
+// Negative durations are treated as zero.
+func (s *Scheduler) DeadlineAfter(d time.Duration) Deadline {
+	if d < 0 {
+		d = 0
+	}
+	s.seq++
+	return Deadline{s: s, at: s.now + d, seq: s.seq}
+}
+
+// Pending reports whether the scheduler has not yet reached the deadline:
+// whether a no-op timer armed in its place would still be pending.
+func (d Deadline) Pending() bool {
+	s := d.s
+	return s != nil && (d.at > s.now || d.at == s.now && d.seq > s.firedSeq)
 }
 
 // Stop halts the scheduler: no further events fire from RunUntil/Run/Step.

@@ -68,21 +68,28 @@ type KindStats struct {
 // Stats accumulates radio accounting for a run. The zero value is ready to
 // use. Stats is not safe for concurrent use; each simulation run owns one.
 type Stats struct {
-	kinds    map[Kind]*KindStats
+	// kinds holds the counters per kind in first-recorded order. A run
+	// uses a handful of kinds, so a linear scan comparing the kind strings
+	// (length first, then bytes; the constant kinds share their bytes)
+	// beats hashing them on every reception.
+	kinds    []kindEntry
 	BitsSent uint64 // total bits put on the air
 }
 
-// kindStats returns (allocating if needed) the counters for k.
+type kindEntry struct {
+	kind  Kind
+	stats KindStats
+}
+
+// kindStats returns (adding if needed) the counters for k.
 func (s *Stats) kindStats(k Kind) *KindStats {
-	if s.kinds == nil {
-		s.kinds = make(map[Kind]*KindStats)
+	for i := range s.kinds {
+		if s.kinds[i].kind == k {
+			return &s.kinds[i].stats
+		}
 	}
-	ks, ok := s.kinds[k]
-	if !ok {
-		ks = &KindStats{}
-		s.kinds[k] = ks
-	}
-	return ks
+	s.kinds = append(s.kinds, kindEntry{kind: k})
+	return &s.kinds[len(s.kinds)-1].stats
 }
 
 // RecordSend notes a transmission of the given kind and size.
@@ -120,8 +127,9 @@ func (s *Stats) RecordUndelivered(k Kind) {
 // merged totals are deterministic per configuration).
 func (s *Stats) AddFrom(o *Stats) {
 	s.BitsSent += o.BitsSent
-	for k, oks := range o.kinds {
-		ks := s.kindStats(k)
+	for i := range o.kinds {
+		oks := &o.kinds[i].stats
+		ks := s.kindStats(o.kinds[i].kind)
 		ks.Sent += oks.Sent
 		ks.Received += oks.Received
 		ks.Undelivered += oks.Undelivered
@@ -133,11 +141,10 @@ func (s *Stats) AddFrom(o *Stats) {
 
 // Kind returns a copy of the counters for k.
 func (s *Stats) Kind(k Kind) KindStats {
-	if s.kinds == nil {
-		return KindStats{}
-	}
-	if ks, ok := s.kinds[k]; ok {
-		return *ks
+	for i := range s.kinds {
+		if s.kinds[i].kind == k {
+			return s.kinds[i].stats
+		}
 	}
 	return KindStats{}
 }
@@ -145,8 +152,8 @@ func (s *Stats) Kind(k Kind) KindStats {
 // Kinds returns the recorded kinds in sorted order.
 func (s *Stats) Kinds() []Kind {
 	out := make([]Kind, 0, len(s.kinds))
-	for k := range s.kinds {
-		out = append(out, k)
+	for i := range s.kinds {
+		out = append(out, s.kinds[i].kind)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
