@@ -425,7 +425,7 @@ func BenchmarkNeighborsLargeField(b *testing.B) {
 	const cols, rows = 60, 60
 	const radius = 2.5
 	m := radio.New(radio.Params{CommRadius: radius}, nil,
-		radio.ShardRuntime{Sched: simtime.NewScheduler(), RNG: rand.New(rand.NewSource(1))})
+		radio.ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rand.New(rand.NewSource(1))})
 	pts := geom.Grid{Cols: cols, Rows: rows}.Points()
 	for i, p := range pts {
 		if err := m.AddNode(radio.NodeID(i), p, nil); err != nil {

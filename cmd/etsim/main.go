@@ -183,6 +183,10 @@ func run(cfg config) error {
 	}
 
 	switch {
+	case cfg.trials < 0:
+		return fmt.Errorf("-trials %d: must not be negative (0 means the default, 3)", cfg.trials)
+	case cfg.runs < 0:
+		return fmt.Errorf("-runs %d: must not be negative (0 means the default, 3)", cfg.runs)
 	case cfg.parallel < 0:
 		return fmt.Errorf("-parallel %d: must not be negative (0 means one worker per CPU)", cfg.parallel)
 	case cfg.parShards < 0:

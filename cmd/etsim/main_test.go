@@ -45,6 +45,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		cfg  config
 		want string
 	}{
+		{"negative trials", config{exp: "fig4", trials: -1}, "-trials -1"},
+		{"negative runs", config{exp: "table1", runs: -2}, "-runs -2"},
 		{"negative parallel", config{parallel: -3}, "-parallel -3"},
 		{"negative parallel-shards", config{parShards: -3}, "-parallel-shards -3"},
 		{"negative series-every", config{seriesEvery: -2 * time.Second}, "-series-every -2s"},
@@ -52,7 +54,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			tc.cfg.exp = "fig3"
+			if tc.cfg.exp == "" {
+				tc.cfg.exp = "fig3"
+			}
 			var out bytes.Buffer
 			tc.cfg.stdout = &out
 			err := run(tc.cfg)
@@ -404,13 +408,37 @@ func TestRunSelfProfileShardTables(t *testing.T) {
 // TestRunSelfProfilePushRatio checks the -selfprofile table's heap-push
 // columns on the Figure 5 stress regime: a heartbeat lands on many idle
 // mote CPUs at once, so their completions run behind shared heap entries
-// and the mote row shows fewer pushes than events.
+// and the mote row shows fewer pushes than events. The -metrics-out file
+// exports the same mote counts.
 func TestRunSelfProfilePushRatio(t *testing.T) {
 	t.Parallel()
 	var stderr bytes.Buffer
-	cfg := config{exp: "fig5", quick: true, selfProfile: true, stdout: new(bytes.Buffer), stderr: &stderr}
+	cfg := config{
+		exp: "fig5", quick: true, selfProfile: true,
+		metricsOut: filepath.Join(t.TempDir(), "metrics.prom"),
+		stdout:     new(bytes.Buffer), stderr: &stderr,
+	}
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
+	}
+	prom, err := os.ReadFile(cfg.metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name string) float64 {
+		t.Helper()
+		prefix := name + `{subsystem="mote"} `
+		for _, line := range strings.Split(string(prom), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("unparseable metric line %q", line)
+				}
+				return f
+			}
+		}
+		t.Fatalf("metrics file has no %s for mote:\n%s", name, prom)
+		return 0
 	}
 	if !strings.Contains(stderr.String(), "pushes/event") {
 		t.Fatalf("self-profile has no pushes/event column:\n%s", stderr.String())
@@ -428,6 +456,9 @@ func TestRunSelfProfilePushRatio(t *testing.T) {
 		}
 		if pushes >= events || math.Abs(ratio-pushes/events) > 0.001 {
 			t.Fatalf("mote row %q: want fewer pushes than events and their ratio", line)
+		}
+		if e, p := metric("envirotrack_sched_events_total"), metric("envirotrack_sched_heap_pushes_total"); e != events || p != pushes {
+			t.Fatalf("exported mote events %v, heap pushes %v; table %v, %v", e, p, events, pushes)
 		}
 		return
 	}

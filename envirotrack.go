@@ -318,25 +318,29 @@ type (
 func NewSelfProfile() *SelfProfile { return simtime.NewProfile() }
 
 // ExportSelfProfile publishes a profile snapshot into a metrics registry
-// as envirotrack_sched_events_total and
-// envirotrack_sched_wall_nanos_total, labeled by subsystem. It is
+// as envirotrack_sched_events_total, envirotrack_sched_heap_pushes_total
+// and envirotrack_sched_wall_nanos_total, labeled by subsystem. It is
 // idempotent: repeated calls advance the (monotonic) counters to the
 // latest snapshot.
 func ExportSelfProfile(reg *MetricsRegistry, p *SelfProfile) {
 	events := reg.CounterVec("envirotrack_sched_events_total",
 		"Simulation events dispatched, by owning subsystem.", "subsystem")
+	pushes := reg.CounterVec("envirotrack_sched_heap_pushes_total",
+		"Scheduler heap entries pushed, by owning subsystem; events that join a same-instant run share one.", "subsystem")
 	wall := reg.CounterVec("envirotrack_sched_wall_nanos_total",
 		"Wall-clock nanoseconds spent in simulation event callbacks, by owning subsystem.", "subsystem")
+	advance := func(vec *obs.CounterVec, name string, v uint64) {
+		if c := vec.With(name); v > c.Value() {
+			c.Add(v - c.Value())
+		}
+	}
 	for _, st := range p.Snapshot() {
-		if st.Events == 0 && st.WallNanos == 0 {
+		if st.Events == 0 && st.Pushes == 0 && st.WallNanos == 0 {
 			continue
 		}
-		if c := events.With(st.Name); st.Events > c.Value() {
-			c.Add(st.Events - c.Value())
-		}
-		if c := wall.With(st.Name); uint64(st.WallNanos) > c.Value() {
-			c.Add(uint64(st.WallNanos) - c.Value())
-		}
+		advance(events, st.Name, st.Events)
+		advance(pushes, st.Name, st.Pushes)
+		advance(wall, st.Name, uint64(st.WallNanos))
 	}
 }
 

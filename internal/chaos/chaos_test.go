@@ -73,17 +73,17 @@ func TestParseScheduleErrors(t *testing.T) {
 }
 
 func TestInjectorCrashCallbacks(t *testing.T) {
-	sched := simtime.NewScheduler()
+	g := simtime.NewShardGroup(1)
 	var events []string
 	hooks := Hooks{
 		Fail:    func(n int) { events = append(events, "fail") },
 		Restore: func(n int) { events = append(events, "restore") },
 	}
 	sc := mustParse(t, "crash:node=3,at=2s,for=3s;crash:node=4,at=10s")
-	if _, err := NewInjector(on(sched), sc, hooks); err != nil {
+	if _, err := NewInjector(on(g), sc, hooks); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.RunUntil(20 * time.Second); err != nil {
+	if err := g.Run(20*time.Second, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// node 3 fails at 2s, restores at 5s; node 4 fails permanently at 10s.
@@ -99,19 +99,19 @@ func TestInjectorCrashCallbacks(t *testing.T) {
 }
 
 func TestInjectorRequiresHooks(t *testing.T) {
-	sched := simtime.NewScheduler()
-	if _, err := NewInjector(on(sched), mustParse(t, "crash:node=1,at=1s"), Hooks{}); err == nil {
+	g := simtime.NewShardGroup(1)
+	if _, err := NewInjector(on(g), mustParse(t, "crash:node=1,at=1s"), Hooks{}); err == nil {
 		t.Error("crash schedule without Fail/Restore hooks accepted")
 	}
-	if _, err := NewInjector(on(sched), mustParse(t, "partition:x=5,at=1s"), Hooks{}); err == nil {
+	if _, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=1s"), Hooks{}); err == nil {
 		t.Error("partition schedule without Position hook accepted")
 	}
 }
 
 func TestInjectorLossWindows(t *testing.T) {
-	sched := simtime.NewScheduler()
+	g := simtime.NewShardGroup(1)
 	sc := mustParse(t, "loss:at=10s,for=10s,p=0.5;loss:at=15s,for=2s,p=0.9")
-	in, err := NewInjector(on(sched), sc, Hooks{})
+	in, err := NewInjector(on(g), sc, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestInjectorLossWindows(t *testing.T) {
 }
 
 func TestInjectorRampInterpolates(t *testing.T) {
-	sched := simtime.NewScheduler()
-	in, err := NewInjector(on(sched), mustParse(t, "ramp:from=0.2,to=0.6,start=10s,end=20s"), Hooks{})
+	g := simtime.NewShardGroup(1)
+	in, err := NewInjector(on(g), mustParse(t, "ramp:from=0.2,to=0.6,start=10s,end=20s"), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestInjectorRampInterpolates(t *testing.T) {
 }
 
 func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
-	sched := simtime.NewScheduler()
+	g := simtime.NewShardGroup(1)
 	pos := map[radio.NodeID]geom.Point{
 		1: geom.Pt(2, 0),
 		2: geom.Pt(8, 0),
@@ -159,7 +159,7 @@ func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
 		p, ok := pos[n]
 		return p, ok
 	}}
-	in, err := NewInjector(on(sched), mustParse(t, "partition:x=5,at=10s,for=10s"), hooks)
+	in, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=10s,for=10s"), hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
 }
 
 func TestInjectorDuplicateWindows(t *testing.T) {
-	sched := simtime.NewScheduler()
-	in, err := NewInjector(on(sched), mustParse(t, "dup:at=10s,for=5s,p=0.3"), Hooks{})
+	g := simtime.NewShardGroup(1)
+	in, err := NewInjector(on(g), mustParse(t, "dup:at=10s,for=5s,p=0.3"), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestInjectorDuplicateWindows(t *testing.T) {
 	}
 }
 
-// on routes every crash/restore event to the one scheduler s.
-func on(s *simtime.Scheduler) func(int) *simtime.Scheduler {
-	return func(int) *simtime.Scheduler { return s }
+// on routes every crash/restore event to the one shard of g.
+func on(g *simtime.ShardGroup) func(int) *simtime.Scheduler {
+	return func(int) *simtime.Scheduler { return g.Shard(0) }
 }

@@ -20,6 +20,7 @@ import (
 
 // world is a full-middleware test network.
 type world struct {
+	group  *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
 	field  *phenomena.Field
@@ -38,10 +39,12 @@ func newWorld(t *testing.T, commRadius float64, bounds geom.Rect) *world {
 
 func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(21))
 	return &world{
+		group:  group,
 		sched:  sched,
 		medium: radio.New(params, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		field:  phenomena.NewField(),
@@ -79,7 +82,7 @@ func (w *world) start() {
 
 func (w *world) run(t *testing.T, until time.Duration) {
 	t.Helper()
-	if err := w.sched.RunUntil(until); err != nil {
+	if err := w.group.Run(until, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 )
 
 type net struct {
+	group    *simtime.ShardGroup
 	sched    *simtime.Scheduler
 	medium   *radio.Medium
 	services map[radio.NodeID]*Service
@@ -24,13 +25,15 @@ type net struct {
 
 func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	rng := rand.New(rand.NewSource(5))
 	// Collisions are disabled: these tests exercise directory semantics,
 	// not channel contention (covered in radio's own tests).
 	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &net{
+		group:    group,
 		sched:    sched,
 		medium:   medium,
 		services: make(map[radio.NodeID]*Service),
@@ -48,6 +51,14 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 		}
 	}
 	return n
+}
+
+// runUntil advances the one-shard group to the deadline.
+func (n *net) runUntil(t *testing.T, deadline time.Duration) {
+	t.Helper()
+	if err := n.group.Run(deadline, 0, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHashPointInBounds(t *testing.T) {
@@ -76,15 +87,11 @@ func TestHashPointDeterministic(t *testing.T) {
 func TestRegisterThenQuery(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("fire", "fire/1.1", geom.Pt(2, 3), 7)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 
 	var got []Entry
 	n.services[35].Query("fire", func(es []Entry) { got = es })
-	if err := n.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 2*time.Second)
 	if len(got) != 1 {
 		t.Fatalf("query returned %d entries, want 1", len(got))
 	}
@@ -103,9 +110,7 @@ func TestQueryEmptyType(t *testing.T) {
 			t.Errorf("entries = %v, want empty", es)
 		}
 	})
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	if !called {
 		t.Error("query callback never invoked")
 	}
@@ -115,14 +120,10 @@ func TestMultipleLabelsOfSameType(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("car", "car/1.1", geom.Pt(1, 1), 1)
 	n.services[10].Register("car", "car/9.1", geom.Pt(4, 1), 9)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	var got []Entry
 	n.services[20].Query("car", func(es []Entry) { got = es })
-	if err := n.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 2*time.Second)
 	if len(got) != 2 {
 		t.Fatalf("entries = %d, want 2", len(got))
 	}
@@ -134,19 +135,13 @@ func TestMultipleLabelsOfSameType(t *testing.T) {
 func TestUpdateRefreshesLocation(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("car", "car/1.1", geom.Pt(1, 1), 1)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	// The tracked entity moved; a later update must win.
 	n.services[7].Register("car", "car/1.1", geom.Pt(5, 5), 8)
-	if err := n.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 2*time.Second)
 	var got []Entry
 	n.services[30].Query("car", func(es []Entry) { got = es })
-	if err := n.sched.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 3*time.Second)
 	if len(got) != 1 {
 		t.Fatalf("entries = %d, want 1 (update, not new entry)", len(got))
 	}
@@ -158,18 +153,14 @@ func TestUpdateRefreshesLocation(t *testing.T) {
 func TestEntriesExpireAfterTTL(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("car", "car/1.1", geom.Pt(1, 1), 1)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	// Query long after the 30 s TTL.
 	var got []Entry
 	called := false
 	n.sched.AtOwned(40*time.Second, simtime.OwnerNone, func() {
 		n.services[30].Query("car", func(es []Entry) { got, called = es, true })
 	})
-	if err := n.sched.RunUntil(50 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 50*time.Second)
 	if !called {
 		t.Fatal("query callback not invoked")
 	}
@@ -181,9 +172,7 @@ func TestEntriesExpireAfterTTL(t *testing.T) {
 func TestDirectoryStoredNearHashPoint(t *testing.T) {
 	n := newNet(t, 8, 8, 1.5)
 	n.services[0].Register("fire", "fire/1.1", geom.Pt(0, 0), 1)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	hp := HashPoint("fire", n.bounds)
 	// Find the node nearest the hash point: it must hold the entry.
 	best := radio.NodeID(-1)
@@ -215,15 +204,11 @@ func TestQueriesFromDifferentTypesAreIsolated(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("car", "car/1.1", geom.Pt(1, 1), 1)
 	n.services[0].Register("fire", "fire/2.1", geom.Pt(3, 3), 2)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	var cars, fires []Entry
 	n.services[12].Query("car", func(es []Entry) { cars = es })
 	n.services[12].Query("fire", func(es []Entry) { fires = es })
-	if err := n.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 2*time.Second)
 	if len(cars) != 1 || cars[0].CtxType != "car" {
 		t.Errorf("car query = %v", cars)
 	}

@@ -15,20 +15,14 @@ import (
 func TestUnregisterRemovesEntry(t *testing.T) {
 	n := newNet(t, 6, 6, 1.5)
 	n.services[0].Register("car", "car/1.1", geom.Pt(1, 1), 1)
-	if err := n.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, time.Second)
 	n.sched.AtOwned(2*time.Second, simtime.OwnerNone, func() {
 		n.services[0].Unregister("car", "car/1.1")
 	})
-	if err := n.sched.RunUntil(4 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 4*time.Second)
 	var got []Entry
 	n.services[30].Query("car", func(es []Entry) { got = es })
-	if err := n.sched.RunUntil(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 6*time.Second)
 	if len(got) != 0 {
 		t.Errorf("entries after unregister = %v, want none", got)
 	}
@@ -72,9 +66,7 @@ func TestQueryTimeoutInvokesNilCallback(t *testing.T) {
 	called := false
 	var result []Entry
 	n.services[0].Query("anything", func(es []Entry) { called, result = true, es })
-	if err := n.sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 10*time.Second)
 	if !called {
 		t.Fatal("query callback never invoked")
 	}
@@ -86,9 +78,7 @@ func TestQueryTimeoutInvokesNilCallback(t *testing.T) {
 func TestUnregisterRepeatsOnAir(t *testing.T) {
 	n := newNet(t, 4, 4, 1.5)
 	n.services[5].Unregister("car", "car/9.9")
-	if err := n.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	n.runUntil(t, 2*time.Second)
 	// The repetition policy sends several copies (resilience without acks);
 	// verify more than one distinct send happened by checking that every
 	// replica of the directory region saw the tombstone.

@@ -15,6 +15,7 @@ import (
 
 // testNet wires motes with group managers on a loss-free medium.
 type testNet struct {
+	group  *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
 	stats  *trace.Stats
@@ -26,10 +27,12 @@ type testNet struct {
 
 func newTestNet(t *testing.T, commRadius float64) *testNet {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(11))
 	return &testNet{
+		group:  group,
 		sched:  sched,
 		medium: radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		stats:  &stats,
@@ -59,7 +62,7 @@ func (n *testNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
 
 func (n *testNet) runUntil(t *testing.T, d time.Duration) {
 	t.Helper()
-	if err := n.sched.RunUntil(d); err != nil {
+	if err := n.group.Run(d, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -438,9 +441,7 @@ func TestHeartbeatPropagationPastPerimeter(t *testing.T) {
 		n.add(t, 2, geom.Pt(2, 0), cfg, Callbacks{})
 		n.senseAt(0, 0, true)
 		n.senseAt(2, 300*time.Millisecond, true)
-		if err := n.sched.RunUntil(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		n.runUntil(t, 2*time.Second)
 		return n.ledger.DistinctLabels("tracker")
 	}
 	if got := run(1); got != 1 {

@@ -10,12 +10,29 @@ import (
 	"envirotrack/internal/trace"
 )
 
-func newTestMedium(t *testing.T, p Params) (*simtime.Scheduler, *Medium, *trace.Stats) {
+// newTestMedium returns a medium on the serial engine: a one-shard group
+// whose scheduler the medium and the test's callbacks share.
+func newTestMedium(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, *trace.Stats) {
 	t.Helper()
-	s := simtime.NewScheduler()
+	g := simtime.NewShardGroup(1)
 	var stats trace.Stats
-	m := New(p, nil, ShardRuntime{Sched: s, RNG: rand.New(rand.NewSource(42)), Stats: &stats})
-	return s, m, &stats
+	m := New(p, nil, ShardRuntime{Sched: g.Shard(0), RNG: rand.New(rand.NewSource(42)), Stats: &stats})
+	return g, m, &stats
+}
+
+// runTo runs g until its clock reaches deadline.
+func runTo(t *testing.T, g *simtime.ShardGroup, deadline time.Duration) {
+	t.Helper()
+	if err := g.Run(deadline, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settle runs g for a simulated hour, long enough for every frame a test
+// sends to be delivered or lost.
+func settle(t *testing.T, g *simtime.ShardGroup) {
+	t.Helper()
+	runTo(t, g, g.Now()+time.Hour)
 }
 
 func TestAddNodeDuplicate(t *testing.T) {
@@ -29,7 +46,7 @@ func TestAddNodeDuplicate(t *testing.T) {
 }
 
 func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
 	got := make(map[NodeID]int)
 	mk := func(id NodeID) Receiver {
 		return func(f Frame) { got[id]++ }
@@ -44,9 +61,7 @@ func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if got[1] != 1 {
 		t.Errorf("in-range node received %d frames, want 1", got[1])
 	}
@@ -59,7 +74,7 @@ func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
 }
 
 func TestUnicastDeliversOnlyToDestination(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 5})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 5})
 	got := make(map[NodeID]int)
 	for i := NodeID(0); i < 3; i++ {
 		i := i
@@ -68,27 +83,23 @@ func TestUnicastDeliversOnlyToDestination(t *testing.T) {
 		}
 	}
 	m.Send(Frame{Kind: trace.KindTransport, Src: 0, Dst: 2})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if got[2] != 1 || got[1] != 0 {
 		t.Errorf("unicast deliveries = %v, want only node 2", got)
 	}
 }
 
 func TestDeliveryDelayIsAirtimePlusPropagation(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000, PropDelay: time.Millisecond})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000, PropDelay: time.Millisecond})
 	var at time.Duration
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { at = s.Now() }); err != nil {
+	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { at = g.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	// 100 bits at 1000 b/s = 100 ms, plus 1 ms propagation.
 	want := 101 * time.Millisecond
 	if at != want {
@@ -97,21 +108,19 @@ func TestDeliveryDelayIsAirtimePlusPropagation(t *testing.T) {
 }
 
 func TestSenderSerializesTransmissions(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000})
 	var arrivals []time.Duration
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { arrivals = append(arrivals, s.Now()) }); err != nil {
+	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { arrivals = append(arrivals, g.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	// Two back-to-back 100-bit frames: second must start after the first
 	// finishes, arriving at 200 ms rather than colliding.
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %v, want 2 deliveries", arrivals)
 	}
@@ -128,7 +137,7 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	// Hidden-terminal topology: the two senders cannot hear each other
 	// (distance 2 > radius 1.2) so carrier sensing cannot prevent their
 	// frames overlapping at the receiver between them.
-	s, m, stats := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
 	received := 0
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -141,9 +150,7 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
 	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if received != 0 {
 		t.Errorf("received %d frames, want 0 (collision)", received)
 	}
@@ -157,7 +164,7 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 }
 
 func TestCollisionsDisabled(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000, DisableCollisions: true})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000, DisableCollisions: true})
 	received := 0
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -170,16 +177,14 @@ func TestCollisionsDisabled(t *testing.T) {
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
 	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if received != 2 {
 		t.Errorf("received %d frames, want 2 with collisions disabled", received)
 	}
 }
 
 func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
-	s, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
 	received := 0
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -191,19 +196,17 @@ func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
-	s.AfterOwned(150*time.Millisecond, simtime.OwnerNone, func() {
+	g.Shard(0).AfterOwned(150*time.Millisecond, simtime.OwnerNone, func() {
 		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if received != 2 {
 		t.Errorf("received %d frames, want 2 (no overlap)", received)
 	}
 }
 
 func TestRandomLoss(t *testing.T) {
-	s, m, stats := newTestMedium(t, Params{CommRadius: 5, LossProb: 0.5})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 5, LossProb: 0.5})
 	received := 0
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -214,13 +217,11 @@ func TestRandomLoss(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		i := i
-		s.AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
+		g.Shard(0).AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
 			m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
 		})
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if received < n*4/10 || received > n*6/10 {
 		t.Errorf("received %d of %d at p=0.5, expected ~%d", received, n, n/2)
 	}
@@ -231,7 +232,7 @@ func TestRandomLoss(t *testing.T) {
 }
 
 func TestUndeliveredWhenNoReceiverInRange(t *testing.T) {
-	s, m, stats := newTestMedium(t, Params{CommRadius: 1})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 1})
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -239,20 +240,16 @@ func TestUndeliveredWhenNoReceiverInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if got := stats.Kind(trace.KindHeartbeat).Undelivered; got != 1 {
 		t.Errorf("Undelivered = %d, want 1", got)
 	}
 }
 
 func TestSendFromUnregisteredNodeIsNoop(t *testing.T) {
-	s, m, stats := newTestMedium(t, Params{CommRadius: 1})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 1})
 	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 99, Dst: Broadcast})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, g)
 	if stats.Kind(trace.KindHeartbeat).Sent != 0 {
 		t.Error("unregistered sender should not transmit")
 	}
@@ -310,7 +307,7 @@ func TestAirtime(t *testing.T) {
 }
 
 func TestLinkUtilizationAccounting(t *testing.T) {
-	s, m, stats := newTestMedium(t, Params{CommRadius: 5})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 5})
 	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +316,11 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		i := i
-		s.AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
+		g.Shard(0).AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
 			m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast, Bits: 500})
 		})
 	}
-	if err := s.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 10*time.Second)
 	// 5000 bits over 10 s on a 50 kb/s link = 1%.
 	got := stats.LinkUtilization(10*time.Second, DefaultBitRate)
 	if got < 0.0099 || got > 0.0101 {

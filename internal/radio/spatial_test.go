@@ -63,7 +63,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		radius := 0.25 + rng.Float64()*4
-		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewScheduler(), RNG: rng})
+		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
 		n := 3 + rng.Intn(120)
 		pos := make(map[NodeID]geom.Point, n)
 		for i := 0; i < n; i++ {
@@ -111,7 +111,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
 		radius := 0.25 + rng.Float64()*4
-		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewScheduler(), RNG: rng})
+		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
 		n := 3 + rng.Intn(120)
 		ids := rng.Perm(n)
 		pos := make(map[NodeID]geom.Point, n)
@@ -149,7 +149,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 // reused buffer with sufficient capacity is not reallocated.
 func TestAppendNodesNearReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewScheduler(), RNG: rng})
+	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
 	for i := 0; i < 40; i++ {
 		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%8), float64(i/8)), nil); err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 // TestNeighborsUnknownNodeNotCached preserves the pre-index contract:
 // querying an unregistered id returns nil and does not poison the cache.
 func TestNeighborsUnknownNodeNotCached(t *testing.T) {
-	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewScheduler(), RNG: rand.New(rand.NewSource(1))})
+	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rand.New(rand.NewSource(1))})
 	if nb := m.Neighbors(7); nb != nil {
 		t.Fatalf("Neighbors of unknown node = %v, want nil", nb)
 	}

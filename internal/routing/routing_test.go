@@ -14,6 +14,7 @@ import (
 )
 
 type net struct {
+	group   *simtime.ShardGroup
 	sched   *simtime.Scheduler
 	medium  *radio.Medium
 	routers map[radio.NodeID]*Router
@@ -22,10 +23,12 @@ type net struct {
 
 func newNet(t *testing.T, commRadius float64) *net {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(3))
 	return &net{
+		group:   group,
 		sched:   sched,
 		medium:  radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		routers: make(map[radio.NodeID]*Router),
@@ -44,6 +47,16 @@ func (n *net) add(t *testing.T, id radio.NodeID, pos geom.Point) *Router {
 	return r
 }
 
+// settle runs the one-shard group for a simulated minute, long enough
+// for every message a test sends to be delivered or dropped (the tests
+// arm no periodic timers).
+func (n *net) settle(t *testing.T) {
+	t.Helper()
+	if err := n.group.Run(n.sched.Now()+time.Minute, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // grid builds a cols x rows unit grid with ids cols*y + x.
 func (n *net) grid(t *testing.T, cols, rows int) {
 	t.Helper()
@@ -60,9 +73,7 @@ func TestMultiHopUnicastToSpecificNode(t *testing.T) {
 	var got []any
 	n.routers[5].SetDeliver(func(m Message) { got = append(got, m.Payload) })
 	n.routers[0].Send(Message{Dest: geom.Pt(5, 0), DestNode: 5, Payload: "hello"})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if len(got) != 1 || got[0] != "hello" {
 		t.Fatalf("delivered = %v, want [hello]", got)
 	}
@@ -78,9 +89,7 @@ func TestAnycastDeliversAtNearestNode(t *testing.T) {
 	}
 	// Coordinate (3.2, 2.1): nearest node is (3,2) = id 2*5+3 = 13.
 	n.routers[0].Send(Message{Dest: geom.Pt(3.2, 2.1), DestNode: AnyNode, Payload: 1})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if len(delivered) != 1 || delivered[13] != 1 {
 		t.Fatalf("delivered = %v, want only node 13", delivered)
 	}
@@ -92,9 +101,7 @@ func TestSelfDelivery(t *testing.T) {
 	got := 0
 	n.routers[1].SetDeliver(func(Message) { got++ })
 	n.routers[1].Send(Message{Dest: geom.Pt(1, 0), DestNode: 1, Payload: "self"})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 1 {
 		t.Errorf("self delivery count = %d, want 1", got)
 	}
@@ -106,9 +113,7 @@ func TestAnycastSelfWhenAlreadyNearest(t *testing.T) {
 	got := 0
 	n.routers[2].SetDeliver(func(Message) { got++ })
 	n.routers[2].Send(Message{Dest: geom.Pt(2.1, 0), DestNode: AnyNode})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 1 {
 		t.Errorf("anycast self delivery = %d, want 1", got)
 	}
@@ -124,9 +129,7 @@ func TestDirectNeighborShortcut(t *testing.T) {
 	n.routers[1].SetDeliver(func(Message) { got++ })
 	// Dest coordinate equals sender's position; DestNode is node 1.
 	n.routers[0].Send(Message{Dest: geom.Pt(0, 0), DestNode: 1})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 1 {
 		t.Errorf("neighbor shortcut delivery = %d, want 1", got)
 	}
@@ -142,9 +145,7 @@ func TestDeadEndDropsTowardSpecificNode(t *testing.T) {
 	got := 0
 	n.routers[9].SetDeliver(func(Message) { got++ })
 	n.routers[0].Send(Message{Dest: geom.Pt(10, 0), DestNode: 9})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 0 {
 		t.Error("message crossed a partition")
 	}
@@ -159,9 +160,7 @@ func TestTTLExhaustionDrops(t *testing.T) {
 	got := 0
 	n.routers[9].SetDeliver(func(Message) { got++ })
 	n.routers[0].Send(Message{Dest: geom.Pt(9, 0), DestNode: 9, TTL: 3})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 0 {
 		t.Error("message exceeded its TTL yet was delivered")
 	}
@@ -173,9 +172,7 @@ func TestGreedyPathLengthIsReasonable(t *testing.T) {
 	done := false
 	n.routers[63].SetDeliver(func(Message) { done = true })
 	n.routers[0].Send(Message{Dest: geom.Pt(7, 7), DestNode: 63})
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if !done {
 		t.Fatal("not delivered")
 	}
@@ -204,9 +201,7 @@ func TestUnrelatedFramesIgnored(t *testing.T) {
 	consumed := false
 	m.AddFrameHandler(func(radio.Frame) bool { consumed = true; return true })
 	n.routers[0].m.Send(trace.KindCross, 1, 0, "raw")
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if got != 0 {
 		t.Error("router delivered a non-envelope frame")
 	}
@@ -236,9 +231,7 @@ func TestDeliveryIsAsynchronousForSelfSend(t *testing.T) {
 	if delivered {
 		t.Error("self delivery happened synchronously inside Send")
 	}
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.settle(t)
 	if !delivered {
 		t.Error("self delivery never happened")
 	}
@@ -272,7 +265,7 @@ func TestAnycastAlwaysTerminatesAtNearest(t *testing.T) {
 		}
 
 		n.routers[src].Send(Message{Dest: dest, DestNode: AnyNode})
-		if err := n.sched.RunUntil(n.sched.Now() + time.Minute); err != nil {
+		if err := n.group.Run(n.sched.Now()+time.Minute, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if deliveredAt != wantNearest {

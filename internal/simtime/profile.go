@@ -1,10 +1,10 @@
 // Scheduler self-profiling: every scheduled event carries the Owner of
 // the subsystem that scheduled it, and an optional Profile accumulates
 // per-subsystem event counts and wall-clock nanoseconds spent inside
-// callbacks. The hook is designed to cost nothing when disabled — Step
-// checks a single nil pointer — and the owner tag itself is a byte that
-// rides in padding the slot already had, so tagging is free even in
-// profiled-off runs. When profiling is on, callbacks additionally run
+// callbacks. The hook is designed to cost nothing when disabled — firing
+// an event checks a single nil pointer — and the owner tag itself is a
+// byte that rides in padding the slot already had, so tagging is free
+// even in profiled-off runs. When profiling is on, callbacks additionally run
 // under runtime/pprof goroutine labels (subsystem=<owner>), so CPU
 // profiles captured with -cpuprofile can be grouped by subsystem.
 //
@@ -199,12 +199,13 @@ func (p *Profile) Reset() {
 	}
 }
 
-// SetProfile attaches (or, with nil, detaches) a profile. While
-// attached, Step times every callback with the wall clock, charges it to
-// the event's owner, and runs it under a pprof goroutine label
-// subsystem=<owner>. The label contexts are prebuilt here so the per-
-// event cost is two label swaps and one clock read.
-func (s *Scheduler) SetProfile(p *Profile) {
+// setProfile attaches (or, with nil, detaches) a profile; the group's
+// SetProfile calls it on every shard. While attached, fire times every
+// callback with the wall clock, charges it to the event's owner, and runs
+// it under a pprof goroutine label subsystem=<owner>. The label contexts
+// are prebuilt here so the per-event cost is two label swaps and one
+// clock read.
+func (s *Scheduler) setProfile(p *Profile) {
 	s.prof = p
 	if p == nil {
 		s.labelCtxs = nil
@@ -218,11 +219,8 @@ func (s *Scheduler) SetProfile(p *Profile) {
 	s.labelCtxs = ctxs
 }
 
-// Profile returns the attached profile, or nil.
-func (s *Scheduler) Profile() *Profile { return s.prof }
-
 // runProfiled executes one event under timing and pprof labels. It is
-// kept out of Step so the unprofiled path stays small.
+// kept out of fire so the unprofiled path stays small.
 func (s *Scheduler) runProfiled(owner Owner, fn Callback, pfn EventFunc, arg any) {
 	pprof.SetGoroutineLabels(s.labelCtxs[owner])
 	start := time.Now()

@@ -9,24 +9,25 @@ import (
 // callback to the right subsystem, untagged forms land in "other", and
 // wall time accumulates without touching the virtual clock.
 func TestProfileAttributesOwners(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	p := NewProfile()
-	s.SetProfile(p)
-	if s.Profile() != p {
-		t.Fatal("Profile() did not return the attached profile")
+	g.SetProfile(p)
+	if s.prof != p {
+		t.Fatal("SetProfile did not attach the profile to the shard")
+	}
+	if p.ShardSnapshot() != nil {
+		t.Fatal("a one-shard group gave the profile a shard dimension")
 	}
 
 	s.AtOwned(time.Second, OwnerRadio, func() {})
 	s.AfterOwned(2*time.Second, OwnerRadio, func() {})
 	s.AtEventOwned(3*time.Second, OwnerMote, func(any) {}, nil)
 	s.AfterEventOwned(4*time.Second, OwnerGroup, func(any) {}, nil)
-	s.AtEventTimerOwned(5*time.Second, OwnerDirectory, func(any) {}, nil)
+	s.AfterEventTimerOwned(5*time.Second, OwnerDirectory, func(any) {}, nil)
 	s.AfterEventTimerOwned(6*time.Second, OwnerChaos, func(any) {}, nil)
 	s.AtOwned(7*time.Second, OwnerNone, func() {}) // untagged
 
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 7*time.Second)
 
 	want := map[Owner]uint64{
 		OwnerRadio: 2, OwnerMote: 1, OwnerGroup: 1,
@@ -56,27 +57,21 @@ func TestProfileAttributesOwners(t *testing.T) {
 // TestProfileDetachAndTickers: tickers charge their owner every tick,
 // and detaching the profile stops accumulation.
 func TestProfileDetachAndTickers(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	p := NewProfile()
-	s.SetProfile(p)
+	g.SetProfile(p)
 
-	ticks := 0
-	tk := NewTickerOwned(s, time.Second, OwnerSense, func() {
-		ticks++
-		if ticks == 3 {
-			s.Stop()
-		}
-	})
-	// Run ends via Stop, which reports as an error by design.
-	_ = s.Run()
-	tk.Stop()
+	tk := NewTickerOwned(s, time.Second, OwnerSense, func() {})
+	runTo(t, g, 3500*time.Millisecond)
 	if got := p.Snapshot()[OwnerSense].Events; got != 3 {
 		t.Errorf("sense events = %d, want 3 ticks", got)
 	}
 
-	s.SetProfile(nil)
-	s.AtOwned(s.Now()+time.Second, OwnerSense, func() {})
-	for s.Step() {
+	g.SetProfile(nil)
+	runTo(t, g, 10*time.Second)
+	tk.Stop()
+	if s.Executed() != 10 {
+		t.Fatalf("Executed = %d, want 10 ticks", s.Executed())
 	}
 	if got := p.Snapshot()[OwnerSense].Events; got != 3 {
 		t.Errorf("detached profile still accumulated: %d events", got)
@@ -87,17 +82,15 @@ func TestProfileDetachAndTickers(t *testing.T) {
 // not change event order or the virtual timeline.
 func TestProfileIdenticalRunWithAndWithoutProfile(t *testing.T) {
 	runOrder := func(prof bool) []int {
-		s := NewScheduler()
+		g, s := oneShard()
 		if prof {
-			s.SetProfile(NewProfile())
+			g.SetProfile(NewProfile())
 		}
 		var order []int
 		s.AtOwned(2*time.Second, OwnerRadio, func() { order = append(order, 2) })
 		s.AtOwned(time.Second, OwnerGroup, func() { order = append(order, 1) })
 		s.AtEventOwned(time.Second, OwnerMote, func(any) { order = append(order, 10) }, nil)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		runTo(t, g, 2*time.Second)
 		return order
 	}
 	a, b := runOrder(false), runOrder(true)
@@ -135,17 +128,15 @@ func TestOwnerNamesUniqueAndStable(t *testing.T) {
 // beside events. A same-instant run is many events behind one push, and
 // a stopped timer is a push that never fires.
 func TestProfileCountsHeapPushes(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	p := NewProfile()
-	s.SetProfile(p)
+	g.SetProfile(p)
 	for i := 0; i < 5; i++ {
 		s.AtEventOwned(time.Second, OwnerMote, func(any) {}, nil)
 	}
 	s.AtOwned(time.Second, OwnerRadio, func() {})
 	s.AtOwned(2*time.Second, OwnerRadio, func() {}).Stop()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 2*time.Second)
 	snap := p.Snapshot()
 	for _, c := range []struct {
 		owner          Owner

@@ -72,6 +72,17 @@ func (r *refModel) live() int {
 	return n
 }
 
+// nextAt returns the instant of the earliest pending event, deadlines
+// excluded.
+func (r *refModel) nextAt() (time.Duration, bool) {
+	for _, ev := range r.events {
+		if !ev.deadline {
+			return ev.at, true
+		}
+	}
+	return 0, false
+}
+
 // step pops the earliest event, and every deadline before it, returning
 // its id (or -1 when no event remains).
 func (r *refModel) step() (int, time.Duration, bool) {
@@ -87,9 +98,10 @@ func (r *refModel) step() (int, time.Duration, bool) {
 	return -1, 0, false
 }
 
-// runUntil is the model's RunUntil once every event due by t has fired:
-// it passes the deadlines due by t and moves the clock to t. It returns
-// the id of an event still due, which the scheduler failed to fire.
+// runUntil is the model of a group Run to t once every event due by t has
+// fired: it passes the deadlines due by t and moves the clock to t. It
+// returns the id of an event still due, which the scheduler failed to
+// fire.
 func (r *refModel) runUntil(t time.Duration) (int, bool) {
 	for len(r.events) > 0 && r.events[0].at <= t {
 		if !r.events[0].deadline {
@@ -112,15 +124,18 @@ func (r *refModel) runUntil(t time.Duration) (int, bool) {
 // group protocol's churn pattern), bursts of handle-less typed events at
 // one instant (which the scheduler folds into runs; owners vary so runs
 // also break), deadlines armed from outside and inside callbacks and
-// probed at their own instant, Stop, Step, and RunUntil. Times are drawn
-// on a coarse grid so that same-instant ties are common. Every firing
-// advances the model from inside its callback, so probes made there see
-// the model at that exact point of the (at, seq) order.
+// probed at their own instant, Stop, and one-shard group Run calls to
+// chosen instants: grid points, and the next pending event's own instant,
+// which the run's inclusive end must fire with its whole same-instant
+// tail. Times are drawn on a coarse grid so that same-instant ties are
+// common. Every firing advances the model from inside its callback, so
+// probes made there see the model at that exact point of the (at, seq)
+// order.
 func TestSchedulerMatchesReferenceModel(t *testing.T) {
 	owners := []Owner{OwnerRadio, OwnerMote}
 	for schedule := 0; schedule < 1000; schedule++ {
 		rng := rand.New(rand.NewSource(int64(schedule) + 1))
-		s := NewScheduler()
+		g, s := oneShard()
 		ref := &refModel{}
 		fired := 0
 		nextID := 0
@@ -260,29 +275,18 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("schedule %d op %d: Pending(%d) = %v, ref %v", schedule, op, id, got, want)
 				}
 			case r < 0.78:
-				probeDeadline("between steps")
-			case r < 0.84: // run to a grid point, possibly one with events still due
+				probeDeadline("between runs")
+			default: // run to a grid point or to the next event's instant
 				deadline := s.Now() + time.Duration(rng.Intn(6))*10*time.Millisecond
-				if err := s.RunUntil(deadline); err != nil {
-					t.Fatal(err)
+				if at, ok := ref.nextAt(); ok && rng.Intn(2) == 0 {
+					deadline = at
 				}
+				runTo(t, g, deadline)
 				if id, ok := ref.runUntil(deadline); !ok {
-					t.Fatalf("schedule %d op %d: RunUntil(%v) left event %d unfired", schedule, op, deadline, id)
+					t.Fatalf("schedule %d op %d: Run(%v) left event %d unfired", schedule, op, deadline, id)
 				}
 				if s.Now() != ref.now {
-					t.Fatalf("schedule %d op %d: Now() = %v after RunUntil, ref %v", schedule, op, s.Now(), ref.now)
-				}
-			default: // step: exactly one event fires, run members included
-				before := fired
-				stepped := s.Step()
-				if stepped && fired != before+1 {
-					t.Fatalf("schedule %d op %d: Step fired %d events, want 1", schedule, op, fired-before)
-				}
-				if !stepped && ref.live() != 0 {
-					t.Fatalf("schedule %d op %d: Step() = false with %d events pending in ref", schedule, op, ref.live())
-				}
-				if s.Now() != ref.now {
-					t.Fatalf("schedule %d op %d: Now() = %v, ref %v", schedule, op, s.Now(), ref.now)
+					t.Fatalf("schedule %d op %d: Now() = %v after Run, ref %v", schedule, op, s.Now(), ref.now)
 				}
 			}
 			if s.Len() != ref.live() {
@@ -291,7 +295,10 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 		}
 
 		// Drain both completely and compare the full tail.
-		for s.Step() {
+		end := s.Now() + time.Hour
+		runTo(t, g, end)
+		if id, ok := ref.runUntil(end); !ok {
+			t.Fatalf("schedule %d drain: event %d left unfired", schedule, id)
 		}
 		if n := ref.live(); n != 0 {
 			t.Fatalf("schedule %d drain: %d events left in ref", schedule, n)
@@ -314,7 +321,7 @@ type burstMember struct {
 // inert: after its slot is reused by a successor, the stale handle can
 // neither stop nor observe the new tenant.
 func TestTimerPoolABAGuard(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 
 	// Stop recycles the slot; the next At reuses it.
 	stale := s.AtOwned(10*time.Millisecond, OwnerNone, func() { t.Fatal("stopped timer fired") })
@@ -332,20 +339,16 @@ func TestTimerPoolABAGuard(t *testing.T) {
 	if !successor.Pending() {
 		t.Fatal("successor not pending")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 20*time.Millisecond)
 	if !fired {
 		t.Fatal("successor did not fire")
 	}
 
 	// Firing also recycles the slot: a kept handle of a fired timer must
 	// not kill the slot's next tenant either.
-	s2 := NewScheduler()
+	g2, s2 := oneShard()
 	kept := s2.AtOwned(time.Millisecond, OwnerNone, func() {})
-	if err := s2.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g2, time.Millisecond)
 	if kept.Stop() || kept.Pending() {
 		t.Fatal("handle of fired timer still live")
 	}
@@ -359,9 +362,7 @@ func TestTimerPoolABAGuard(t *testing.T) {
 		if !tm.Pending() {
 			t.Fatalf("iteration %d: fresh timer not pending", i)
 		}
-		if err := s2.Run(); err != nil {
-			t.Fatal(err)
-		}
+		runTo(t, g2, s2.Now()+time.Millisecond)
 	}
 	if count != 100 {
 		t.Fatalf("recycled-slot timers fired %d times, want 100", count)
@@ -372,11 +373,21 @@ func TestTimerPoolABAGuard(t *testing.T) {
 // the heap holding hundreds of tombstones, and that survivors still fire
 // in exact (at, seq) order afterwards.
 func TestTombstoneCompaction(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
+	var fired []time.Duration
+	prev := time.Duration(-1)
+	record := func() {
+		now := s.Now()
+		if now <= prev {
+			t.Fatalf("out-of-order firing: %v after %v", now, prev)
+		}
+		prev = now
+		fired = append(fired, now)
+	}
 	var timers []Timer
 	for i := 0; i < 500; i++ {
 		at := time.Duration(i+1) * time.Hour // far future: lazy drain never reaches them
-		timers = append(timers, s.AtOwned(at, OwnerNone, func() {}))
+		timers = append(timers, s.AtOwned(at, OwnerNone, record))
 	}
 	for i, tm := range timers {
 		if i%5 != 0 {
@@ -393,16 +404,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	if len(s.heap) >= 200 {
 		t.Fatalf("heap holds %d entries for 100 live events; compaction did not run", len(s.heap))
 	}
-	var fired []time.Duration
-	prev := time.Duration(-1)
-	for s.Step() {
-		now := s.Now()
-		if now <= prev {
-			t.Fatalf("out-of-order firing: %v after %v", now, prev)
-		}
-		prev = now
-		fired = append(fired, now)
-	}
+	runTo(t, g, 500*time.Hour)
 	if len(fired) != 100 {
 		t.Fatalf("fired %d events, want 100", len(fired))
 	}
@@ -411,18 +413,16 @@ func TestTombstoneCompaction(t *testing.T) {
 // TestEventSchedulingInterleavesWithTimers checks the typed-payload
 // variants share the same (at, seq) order as closure events.
 func TestEventSchedulingInterleavesWithTimers(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var order []int
 	s.AtOwned(time.Millisecond, OwnerNone, func() { order = append(order, 0) })
 	s.AtEventOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 1)
-	tm := s.AtEventTimerOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 2)
+	tm := s.AfterEventTimerOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 2)
 	s.AfterEventOwned(time.Millisecond, OwnerNone, func(arg any) { order = append(order, arg.(int)) }, 3)
 	if !tm.Pending() {
-		t.Fatal("AtEventTimer handle not pending")
+		t.Fatal("AfterEventTimer handle not pending")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Millisecond)
 	if len(order) != 4 {
 		t.Fatalf("fired %d events, want 4", len(order))
 	}
@@ -432,22 +432,20 @@ func TestEventSchedulingInterleavesWithTimers(t *testing.T) {
 		}
 	}
 	if tm.Stop() {
-		t.Fatal("fired AtEventTimer handle still stoppable")
+		t.Fatal("fired AfterEventTimer handle still stoppable")
 	}
 }
 
 // TestAtEventTimerStopPreventsFiring checks typed-payload timers cancel
 // like closure timers (the pending-rebroadcast supersede path).
 func TestAtEventTimerStopPreventsFiring(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	tm := s.AfterEventTimerOwned(time.Millisecond, OwnerNone, func(any) { fired = true }, nil)
 	if !tm.Stop() {
 		t.Fatal("Stop returned false on pending event timer")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Second)
 	if fired {
 		t.Fatal("stopped event timer fired")
 	}

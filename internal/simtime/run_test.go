@@ -12,10 +12,10 @@ type pendinger interface{ Pending() bool }
 
 // deadlineProgram is a scripted run that arms one wait through arm and
 // probes it from callbacks before and after it in the (at, seq) order, at
-// its own instant and around it, and between RunUntil calls. It returns
+// its own instant and around it, and between group Run calls. It returns
 // every probe's answer in program order.
-func deadlineProgram(arm func(s *Scheduler, d time.Duration) pendinger) []bool {
-	s := NewScheduler()
+func deadlineProgram(t *testing.T, arm func(s *Scheduler, d time.Duration) pendinger) []bool {
+	g, s := oneShard()
 	var w pendinger
 	var answers []bool
 	probe := func() { answers = append(answers, w.Pending()) }
@@ -41,19 +41,13 @@ func deadlineProgram(arm func(s *Scheduler, d time.Duration) pendinger) []bool {
 		s.AtEventOwned(s.Now(), OwnerMote, probeEv, nil)
 	})
 	s.AtEventOwned(20*time.Millisecond, OwnerMote, probeEv, nil) // scheduled before the re-arm
-	if err := s.RunUntil(25 * time.Millisecond); err != nil {
-		panic(err)
-	}
+	runTo(t, g, 25*time.Millisecond)
 	probe()
-	// Armed between runs; RunUntil short of it, then exactly to it.
+	// Armed between runs; run short of it, then exactly to it.
 	w = arm(s, 5*time.Millisecond)
-	if err := s.RunUntil(29 * time.Millisecond); err != nil {
-		panic(err)
-	}
+	runTo(t, g, 29*time.Millisecond)
 	probe()
-	if err := s.RunUntil(30 * time.Millisecond); err != nil {
-		panic(err)
-	}
+	runTo(t, g, 30*time.Millisecond)
 	probe()
 	return answers
 }
@@ -64,10 +58,10 @@ func deadlineProgram(arm func(s *Scheduler, d time.Duration) pendinger) []bool {
 // before and after its seq.
 func TestDeadlineMatchesNoopTimer(t *testing.T) {
 	noop := func() {}
-	want := deadlineProgram(func(s *Scheduler, d time.Duration) pendinger {
+	want := deadlineProgram(t, func(s *Scheduler, d time.Duration) pendinger {
 		return s.AfterOwned(d, OwnerGroup, noop)
 	})
-	got := deadlineProgram(func(s *Scheduler, d time.Duration) pendinger {
+	got := deadlineProgram(t, func(s *Scheduler, d time.Duration) pendinger {
 		return s.DeadlineAfter(d)
 	})
 	if len(got) != len(want) {
@@ -116,7 +110,7 @@ func (r *burstRecorder) fire(arg any) {
 // owner hold a single heap entry; a different owner, another instant, a
 // timer, or a deadline in between opens a new one.
 func TestRunSharesOneHeapEntry(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var r burstRecorder
 	r.schedule(s, time.Millisecond, OwnerRadio, 100)
 	if len(s.heap) != 1 || s.Len() != 100 {
@@ -131,9 +125,7 @@ func TestRunSharesOneHeapEntry(t *testing.T) {
 	if len(s.heap) != 6 || s.Len() != 113 {
 		t.Fatalf("%d heap entries, Len %d; want 6, 113", len(s.heap), s.Len())
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Second)
 	if s.Executed() != 113 || len(r.order) != 112 {
 		t.Fatalf("Executed %d, typed firings %d; want 113, 112", s.Executed(), len(r.order))
 	}
@@ -144,42 +136,20 @@ func TestRunSharesOneHeapEntry(t *testing.T) {
 	}
 }
 
-// TestStepFiresOneRunMember: Step fires exactly one member of a run, and
-// each member counts as one event in Executed, Len, and the self-profile,
-// while the run costs a single heap push.
-func TestStepFiresOneRunMember(t *testing.T) {
-	s := NewScheduler()
-	p := NewProfile()
-	s.SetProfile(p)
-	var r burstRecorder
-	r.schedule(s, time.Millisecond, OwnerMote, 4)
-	for i := 0; i < 4; i++ {
-		if !s.Step() {
-			t.Fatalf("Step %d fired nothing", i)
-		}
-		if len(r.order) != i+1 || r.order[i] != i {
-			t.Fatalf("after Step %d fired %v", i, r.order)
-		}
-		if s.Executed() != uint64(i+1) || s.Len() != 3-i {
-			t.Fatalf("after Step %d: Executed %d, Len %d", i, s.Executed(), s.Len())
-		}
-	}
-	if s.Step() {
-		t.Fatal("Step fired past the run")
-	}
-	st := p.Snapshot()[OwnerMote]
-	if st.Events != 4 || st.Pushes != 1 {
-		t.Fatalf("profile: %d events, %d pushes; want 4, 1", st.Events, st.Pushes)
-	}
-}
-
-// TestStopMidRun: a Scheduler.Stop or a group Stop from a run member's
-// callback is honoured before the next member, and the unfired rest of
-// the run stays pending under the next member's key.
+// TestStopMidRun: a group Stop from a run member's callback is honoured
+// before the next member, and the unfired rest of the run stays pending
+// under the next member's key.
 func TestStopMidRun(t *testing.T) {
-	check := func(t *testing.T, s *Scheduler, r *burstRecorder, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrStopped) {
+	t.Run("group", func(t *testing.T) {
+		g, s := oneShard()
+		r := &burstRecorder{}
+		r.stop = func(i int) {
+			if i == 2 {
+				g.Stop()
+			}
+		}
+		r.schedule(s, time.Millisecond, OwnerRadio, 5)
+		if err := g.Run(time.Second, 0, nil); !errors.Is(err, ErrStopped) {
 			t.Fatalf("run returned %v, want ErrStopped", err)
 		}
 		if len(r.order) != 3 || s.Len() != 2 || s.Executed() != 3 {
@@ -189,43 +159,20 @@ func TestStopMidRun(t *testing.T) {
 		if len(s.heap) != 1 || s.heap[0].at != time.Millisecond || s.heap[0].seq != 4 {
 			t.Fatalf("heap %+v, want one entry keyed (1ms, 4)", s.heap)
 		}
-	}
-	t.Run("scheduler", func(t *testing.T) {
-		s := NewScheduler()
-		r := &burstRecorder{}
-		r.stop = func(i int) {
-			if i == 2 {
-				s.Stop()
-			}
-		}
-		r.schedule(s, time.Millisecond, OwnerRadio, 5)
-		check(t, s, r, s.RunUntil(time.Second))
-	})
-	t.Run("group", func(t *testing.T) {
-		g := NewShardGroup(1)
-		s := g.Shard(0)
-		r := &burstRecorder{}
-		r.stop = func(i int) {
-			if i == 2 {
-				g.Stop()
-			}
-		}
-		r.schedule(s, time.Millisecond, OwnerRadio, 5)
-		check(t, s, r, g.Run(time.Second, 0, nil))
 	})
 }
 
 // TestRunBurstAllocatesNothing: once the slot pool and heap have grown, a
 // same-instant burst and its firing allocate nothing.
 func TestRunBurstAllocatesNothing(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	arg := new(int)
 	fn := func(any) {}
 	burst := func() {
 		for i := 0; i < 64; i++ {
 			s.AfterEventOwned(time.Millisecond, OwnerRadio, fn, arg)
 		}
-		if err := s.RunUntil(s.Now() + time.Millisecond); err != nil {
+		if err := g.Run(g.Now()+time.Millisecond, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,8 +16,9 @@
 // one-shard run — they are statistically equivalent, which the
 // internal/eval equivalence battery asserts at the distribution level —
 // but they are deterministic per (seed, shard count). One shard has
-// nothing to exchange, so it runs the whole interval as one window: the
-// (at, seq) order of Scheduler.RunUntil.
+// nothing to exchange, so it runs the whole interval as one window, in
+// plain (at, seq) order. The group is the only way to build, run, stop,
+// or profile a scheduler.
 package simtime
 
 import (
@@ -56,10 +57,7 @@ func NewShardGroup(k int) *ShardGroup {
 	}
 	g := &ShardGroup{shards: make([]*Scheduler, k)}
 	for i := range g.shards {
-		s := NewScheduler()
-		s.group = g
-		s.shardID = int32(i)
-		g.shards[i] = s
+		g.shards[i] = newScheduler(g, int32(i))
 	}
 	return g
 }
@@ -75,7 +73,7 @@ func (g *ShardGroup) Shard(i int) *Scheduler { return g.shards[i] }
 // window edge: every shard has executed all of its events before it, and
 // callbacks needing their own shard's time use the shard scheduler's Now.
 // A lone shard runs each interval as one window, so its own clock is the
-// group clock, live inside callbacks as on a plain Scheduler.
+// group clock, live inside callbacks.
 func (g *ShardGroup) Now() time.Duration {
 	if len(g.shards) == 1 {
 		return g.shards[0].now
@@ -117,13 +115,14 @@ type windowJob struct {
 // cross-shard interaction — the radio's airtime+PropDelay bound — or the
 // barrier will observe already-late deliveries; a non-positive delta is an
 // error. A lone shard ignores delta and runs the whole interval as one
-// window. A non-nil barrier error aborts the run.
+// window. A non-nil barrier error aborts the run, and a Stop, from a
+// callback or another goroutine, ends it with ErrStopped: every shard
+// halts before its next event, and no further window runs.
 //
-// The final window is inclusive of the deadline, matching
-// Scheduler.RunUntil's "fire events at <= deadline" semantics;
-// barrier-drained deliveries that land at exactly the deadline get
-// cleanup windows of their own until no shard holds an event at or
-// before it.
+// The final window is inclusive of the deadline: every event at or
+// before it fires, and every clock ends at it. Barrier-drained deliveries
+// that land at exactly the deadline get cleanup windows of their own
+// until no shard holds an event at or before it.
 func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time.Duration) error) error {
 	// A lone shard exchanges nothing with other shards, so no lookahead
 	// bounds its window.
@@ -184,13 +183,6 @@ func (g *ShardGroup) Run(deadline, delta time.Duration, barrier func(window time
 			}
 		} else {
 			workers.window(W, last)
-		}
-		// Every worker is parked: a shard stopped by its own callback now
-		// stops the group.
-		for _, s := range g.shards {
-			if s.stopped {
-				g.stop.Store(true)
-			}
 		}
 		g.edge = W
 		if barrier != nil {
@@ -309,8 +301,8 @@ func (g *ShardGroup) anyEventAtOrBefore(t time.Duration) bool {
 // may call it while shards execute.
 func (g *ShardGroup) Stop() { g.stop.Store(true) }
 
-// Stopped reports whether the group has stopped: Stop was called, a
-// barrier failed, or a shard's Stop reached a barrier.
+// Stopped reports whether the group has stopped: Stop was called or a
+// barrier failed.
 func (g *ShardGroup) Stopped() bool { return g.stop.Load() }
 
 // SetProfile attaches a self-profile to every shard (nil detaches). With
@@ -322,6 +314,6 @@ func (g *ShardGroup) SetProfile(p *Profile) {
 		p.EnsureShards(len(g.shards))
 	}
 	for _, s := range g.shards {
-		s.SetProfile(p)
+		s.setProfile(p)
 	}
 }

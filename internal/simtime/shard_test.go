@@ -162,10 +162,10 @@ func runAndCheck(t *testing.T, g *ShardGroup, models []*shardModel, deadline, de
 }
 
 // TestShardGroupRunUntilAndStop checks Run's deadline and stop
-// semantics: events at or before the deadline fire (inclusive, like
-// Scheduler.RunUntil), later events stay pending, every clock rests at the
-// deadline; a Stop from inside a callback is window-granular (the stopping
-// shard halts at once, siblings finish the window) and surfaces as
+// semantics: events at or before the deadline fire (the final window is
+// inclusive), later events stay pending, every clock rests at the
+// deadline; a group Stop from inside a callback halts the calling shard
+// before its next event, runs no further window, and surfaces as
 // ErrStopped; a barrier error aborts the run and stops the group; several
 // shards refuse a non-positive lookahead; and a lone shard, which needs
 // none, runs the whole interval as one window whose group stop halts it
@@ -193,10 +193,11 @@ func TestShardGroupRunUntilAndStop(t *testing.T) {
 		t.Fatalf("Len() = %d, want 1 pending", g.Len())
 	}
 
-	// The idle skip puts the next window at [20ms, 35ms): shard 0 stops at
-	// 25ms and skips its 27ms event; shard 1 still fires 26ms (and its 30ms
-	// event) before the barrier, but nothing from the next window.
-	g.Shard(0).AtOwned(25*time.Millisecond, OwnerNone, func() { g.Shard(0).Stop() })
+	// The idle skip puts the next window at [20ms, 35ms): shard 0 stops
+	// the group at 25ms and skips its 27ms event. Shard 1 runs the same
+	// window concurrently, so it may fire its 26ms and 30ms events before
+	// it sees the flag, but nothing from a later window runs.
+	g.Shard(0).AtOwned(25*time.Millisecond, OwnerNone, g.Stop)
 	g.Shard(0).AtOwned(27*time.Millisecond, OwnerNone, note(0))
 	g.Shard(1).AtOwned(26*time.Millisecond, OwnerNone, note(1))
 	g.Shard(1).AtOwned(100*time.Millisecond, OwnerNone, note(1))
@@ -204,11 +205,11 @@ func TestShardGroupRunUntilAndStop(t *testing.T) {
 		t.Fatalf("Run after Stop = %v, want ErrStopped", err)
 	}
 	want1 := []time.Duration{20 * time.Millisecond, 26 * time.Millisecond, 30 * time.Millisecond}
-	if len(fired[0]) != 1 || !slices.Equal(fired[1], want1) {
-		t.Fatalf("fired = %v, want shard 0 [10ms] and shard 1 %v", fired, want1)
+	if n := len(fired[1]); len(fired[0]) != 1 || n == 0 || n > len(want1) || !slices.Equal(fired[1], want1[:n]) {
+		t.Fatalf("fired = %v, want shard 0 [10ms] and shard 1 a prefix of %v", fired, want1)
 	}
-	if !g.Stopped() || !g.Shard(1).Stopped() {
-		t.Fatal("Stopped() not visible group-wide")
+	if !g.Stopped() {
+		t.Fatal("Stopped() = false after Stop")
 	}
 
 	h := NewShardGroup(2)

@@ -50,11 +50,13 @@
 //     (Run's idle skip reads the earliest pending event), as a no-op
 //     timer could.
 //
-// Because tombstones are invisible to Step/RunUntil, the total firing order
-// of live events is exactly the (at, seq) order the previous eager-removal
-// scheduler produced, bit for bit — the determinism guarantees of seeded
-// runs are unaffected. TestSchedulerMatchesReferenceModel pins this, runs
-// and deadlines included, against a sorted-slice reference model.
+// Every scheduler is a shard of a ShardGroup (see shard.go), and
+// ShardGroup.Run is its only run loop. Because tombstones are invisible to
+// that loop, the total firing order of live events is exactly the (at,
+// seq) order an eager-removal scheduler produces, bit for bit — the
+// determinism guarantees of seeded runs are unaffected.
+// TestSchedulerMatchesReferenceModel pins this, runs and deadlines
+// included, against a sorted-slice reference model.
 package simtime
 
 import (
@@ -63,8 +65,8 @@ import (
 	"time"
 )
 
-// ErrStopped is returned by run methods when the scheduler was stopped
-// explicitly via Stop.
+// ErrStopped is returned by ShardGroup.Run when the group was stopped:
+// by ShardGroup.Stop, before or during the run.
 var ErrStopped = errors.New("simtime: scheduler stopped")
 
 // Callback is a function invoked when its event fires. It runs on the
@@ -87,7 +89,6 @@ type EventFunc func(arg any)
 // never stop or observe the slot's next occupant.
 type Timer struct {
 	s    *Scheduler
-	at   time.Duration
 	slot int32 // slot index + 1; 0 marks the inert zero value
 	gen  uint32
 }
@@ -120,11 +121,6 @@ func (t Timer) Pending() bool {
 	}
 	sl := &t.s.slots[t.slot-1]
 	return sl.gen == t.gen && sl.pending
-}
-
-// When returns the virtual time at which the timer fires (or fired).
-func (t Timer) When() time.Duration {
-	return t.at
 }
 
 // event is one heap entry, stored by value. It is a pointer-free 24-byte
@@ -179,7 +175,6 @@ type Scheduler struct {
 	runGen  uint32
 	runAt   time.Duration
 	runSeq  uint64
-	stopped bool
 	// executed counts events that have fired; useful for sanity checks and
 	// run-length accounting in tests.
 	executed uint64
@@ -189,16 +184,16 @@ type Scheduler struct {
 	prof      *Profile
 	labelCtxs *[NumOwners]context.Context
 
-	// group, when non-nil, makes this scheduler one spatial shard of a
-	// ShardGroup (see shard.go), whose stop flag it obeys. shardID is this
-	// scheduler's index within the group and tags the self-profiler.
+	// group is the ShardGroup this scheduler is a shard of (see
+	// shard.go), whose stop flag it obeys. shardID is this scheduler's
+	// index within the group and tags the self-profiler.
 	group   *ShardGroup
 	shardID int32
 }
 
-// NewScheduler returns an empty scheduler with the clock at zero.
-func NewScheduler() *Scheduler {
-	return &Scheduler{freeHead: -1}
+// newScheduler returns an empty shard of g with the clock at zero.
+func newScheduler(g *ShardGroup, shardID int32) *Scheduler {
+	return &Scheduler{freeHead: -1, group: g, shardID: shardID}
 }
 
 // Now returns the current virtual time. Shards of a ShardGroup keep local
@@ -311,11 +306,11 @@ func (s *Scheduler) scheduleRun(at time.Duration, owner Owner, fn EventFunc, arg
 
 // AtOwned schedules fn to run at absolute virtual time at, attributed to
 // owner by the self-profiler (OwnerNone when no subsystem claims it). Times
-// in the past are clamped to "now" (the event fires on the next step).
+// in the past are clamped to "now" (the event fires next).
 // Events scheduled for the same instant fire in scheduling order.
 func (s *Scheduler) AtOwned(at time.Duration, owner Owner, fn Callback) Timer {
-	idx, gen, at := s.schedule(at, owner, fn, nil, nil)
-	return Timer{s: s, at: at, slot: idx + 1, gen: gen}
+	idx, gen, _ := s.schedule(at, owner, fn, nil, nil)
+	return Timer{s: s, slot: idx + 1, gen: gen}
 }
 
 // AfterOwned is AtOwned relative to the current virtual time. Negative
@@ -346,21 +341,15 @@ func (s *Scheduler) AfterEventOwned(d time.Duration, owner Owner, fn EventFunc, 
 	s.scheduleRun(s.now+d, owner, fn, arg)
 }
 
-// AtEventTimerOwned is AtEventOwned with a cancellation handle, for
+// AfterEventTimerOwned is AfterEventOwned with a cancellation handle, for
 // hot-path timers that need Stop (e.g. the group protocol's pending
-// heartbeat rebroadcast).
-func (s *Scheduler) AtEventTimerOwned(at time.Duration, owner Owner, fn EventFunc, arg any) Timer {
-	idx, gen, at := s.schedule(at, owner, nil, fn, arg)
-	return Timer{s: s, at: at, slot: idx + 1, gen: gen}
-}
-
-// AfterEventTimerOwned is AtEventTimerOwned relative to the current time.
-// Negative durations are treated as zero.
+// heartbeat rebroadcast). Negative durations are treated as zero.
 func (s *Scheduler) AfterEventTimerOwned(d time.Duration, owner Owner, fn EventFunc, arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.AtEventTimerOwned(s.Now()+d, owner, fn, arg)
+	idx, gen, _ := s.schedule(s.now+d, owner, nil, fn, arg)
+	return Timer{s: s, slot: idx + 1, gen: gen}
 }
 
 // drainTop discards tombstones at the heap top and reports whether a live
@@ -441,12 +430,12 @@ func (s *Scheduler) fire(ev event) {
 // the window end. It is the per-shard half of ShardGroup.Run and runs on
 // the shard's window goroutine. Events scheduled during the window for
 // times inside it fire in the same window. It returns early, with the
-// clock at the last fired event, once this shard or the whole group is
-// stopped; the group flag is read before every event so a stop requested
-// from outside the run (a session's Stop) takes effect at once.
+// clock at the last fired event, once the group is stopped; the stop flag
+// is read before every event so a stop requested from a callback or from
+// outside the run (a session's Stop) takes effect at once.
 func (s *Scheduler) runWindow(limit time.Duration, inclusive bool) {
 	for {
-		if s.stopped || s.group.stop.Load() {
+		if s.group.stop.Load() {
 			return
 		}
 		if !s.drainTop() {
@@ -472,48 +461,6 @@ func (s *Scheduler) advanceTo(limit time.Duration, inclusive bool) {
 	case s.now < limit:
 		s.now, s.firedSeq = limit, 0
 	}
-}
-
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed. A shard of a
-// ShardGroup is driven only by ShardGroup.Run, never by Step, RunUntil,
-// or Run.
-func (s *Scheduler) Step() bool {
-	if s.stopped || !s.drainTop() {
-		return false
-	}
-	s.fire(s.take())
-	return true
-}
-
-// RunUntil executes events in order until the clock would pass the deadline
-// or no events remain. On return the clock is set to the deadline (unless
-// stopped earlier), so subsequent After calls measure from the deadline.
-func (s *Scheduler) RunUntil(deadline time.Duration) error {
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		if !s.drainTop() || s.heap[0].at > deadline {
-			break
-		}
-		s.Step()
-	}
-	if s.stopped {
-		return ErrStopped
-	}
-	s.advanceTo(deadline, true)
-	return nil
-}
-
-// Run executes events until none remain or the scheduler is stopped.
-func (s *Scheduler) Run() error {
-	for s.Step() {
-	}
-	if s.stopped {
-		return ErrStopped
-	}
-	return nil
 }
 
 // Deadline is a callback-free timer: an instant in the scheduler's (at,
@@ -547,20 +494,6 @@ func (s *Scheduler) DeadlineAfter(d time.Duration) Deadline {
 func (d Deadline) Pending() bool {
 	s := d.s
 	return s != nil && (d.at > s.now || d.at == s.now && d.seq > s.firedSeq)
-}
-
-// Stop halts the scheduler: no further events fire from RunUntil/Run/Step.
-// It is intended to be called from within an event callback (e.g. when an
-// experiment has observed the condition it was waiting for). Stopping any
-// shard of a group stops the whole group, window-granularly: this shard
-// halts immediately, sibling shards finish the current window, and the
-// group stops at the barrier.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop has been called on this scheduler, or, for
-// a shard, whether its group has stopped.
-func (s *Scheduler) Stopped() bool {
-	return s.stopped || s.group != nil && s.group.Stopped()
 }
 
 // maybeCompact sweeps tombstones out of the heap when they outnumber live

@@ -8,16 +8,28 @@ import (
 	"time"
 )
 
+// oneShard returns a one-shard group and its scheduler: the serial engine.
+func oneShard() (*ShardGroup, *Scheduler) {
+	g := NewShardGroup(1)
+	return g, g.Shard(0)
+}
+
+// runTo runs g until its clock reaches deadline, failing tb on an error.
+func runTo(tb testing.TB, g *ShardGroup, deadline time.Duration) {
+	tb.Helper()
+	if err := g.Run(deadline, 0, nil); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var got []time.Duration
 	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
 		d := d * time.Second
 		s.AtOwned(d, OwnerNone, func() { got = append(got, d) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	want := []time.Duration{1, 2, 3, 4, 5}
 	for i, w := range want {
 		if got[i] != w*time.Second {
@@ -27,15 +39,13 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 }
 
 func TestSchedulerFIFOAtSameInstant(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
 		s.AtOwned(time.Second, OwnerNone, func() { got = append(got, i) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant events fired out of scheduling order: %v", got)
@@ -44,22 +54,20 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 }
 
 func TestSchedulerClockAdvances(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var at time.Duration
 	s.AtOwned(7*time.Second, OwnerNone, func() { at = s.Now() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 7*time.Second)
 	if at != 7*time.Second {
 		t.Errorf("Now() inside event = %v, want 7s", at)
 	}
-	if s.Now() != 7*time.Second {
-		t.Errorf("final Now() = %v, want 7s", s.Now())
+	if s.Now() != 7*time.Second || g.Now() != 7*time.Second {
+		t.Errorf("final Now() = %v, group %v, want 7s", s.Now(), g.Now())
 	}
 }
 
 func TestSchedulerPastEventClamped(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	s.AtOwned(5*time.Second, OwnerNone, func() {
 		// Schedule an event "in the past"; it must fire at the current time,
@@ -71,38 +79,32 @@ func TestSchedulerPastEventClamped(t *testing.T) {
 			}
 		})
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	if !fired {
 		t.Error("past-scheduled event never fired")
 	}
 }
 
 func TestSchedulerNegativeAfterClamped(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	s.AfterOwned(-time.Second, OwnerNone, func() { fired = true })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 0)
 	if !fired || s.Now() != 0 {
 		t.Errorf("negative After: fired=%v now=%v", fired, s.Now())
 	}
 }
 
 func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 2, 3, 4} {
 		d := d * time.Second
 		s.AtOwned(d, OwnerNone, func() { fired = append(fired, d) })
 	}
-	if err := s.RunUntil(2500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 2500*time.Millisecond)
 	if len(fired) != 2 {
-		t.Fatalf("RunUntil fired %d events, want 2", len(fired))
+		t.Fatalf("Run fired %d events, want 2", len(fired))
 	}
 	if s.Now() != 2500*time.Millisecond {
 		t.Errorf("Now() = %v, want 2.5s", s.Now())
@@ -111,28 +113,24 @@ func TestRunUntil(t *testing.T) {
 		t.Errorf("pending = %d, want 2", s.Len())
 	}
 	// Continue to the end.
-	if err := s.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 10*time.Second)
 	if len(fired) != 4 {
 		t.Errorf("total fired = %d, want 4", len(fired))
 	}
 }
 
 func TestRunUntilInclusiveOfDeadline(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	s.AtOwned(2*time.Second, OwnerNone, func() { fired = true })
-	if err := s.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 2*time.Second)
 	if !fired {
 		t.Error("event exactly at the deadline did not fire")
 	}
 }
 
 func TestTimerStop(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	tm := s.AtOwned(time.Second, OwnerNone, func() { fired = true })
 	if !tm.Pending() {
@@ -144,20 +142,16 @@ func TestTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Error("second Stop should return false")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	if fired {
 		t.Error("stopped timer fired")
 	}
 }
 
 func TestTimerStopAfterFire(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	tm := s.AtOwned(time.Second, OwnerNone, func() {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	if tm.Pending() {
 		t.Error("fired timer still pending")
 	}
@@ -167,51 +161,50 @@ func TestTimerStopAfterFire(t *testing.T) {
 }
 
 func TestTimerStopFromOtherEvent(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	fired := false
 	victim := s.AtOwned(2*time.Second, OwnerNone, func() { fired = true })
 	s.AtOwned(time.Second, OwnerNone, func() { victim.Stop() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	if fired {
 		t.Error("timer stopped by earlier event still fired")
 	}
 }
 
 func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	count := 0
 	for i := 1; i <= 10; i++ {
 		s.AtOwned(time.Duration(i)*time.Second, OwnerNone, func() {
 			count++
 			if count == 3 {
-				s.Stop()
+				g.Stop()
 			}
 		})
 	}
-	err := s.Run()
+	err := g.Run(time.Minute, 0, nil)
 	if err != ErrStopped {
 		t.Fatalf("Run returned %v, want ErrStopped", err)
 	}
-	if count != 3 {
-		t.Errorf("executed %d events after Stop, want 3", count)
+	if count != 3 || s.Now() != 3*time.Second {
+		t.Errorf("executed %d events after Stop, clock %v; want 3, 3s", count, s.Now())
 	}
-	if !s.Stopped() {
+	if !g.Stopped() {
 		t.Error("Stopped() = false after Stop")
+	}
+	if err := g.Run(time.Minute, 0, nil); err != ErrStopped || count != 3 {
+		t.Errorf("Run on a stopped group = %v after %d events, want ErrStopped, 3", err, count)
 	}
 }
 
 func TestTickerPeriodic(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var times []time.Duration
 	tk := NewTickerOwned(s, time.Second, OwnerNone, func() { times = append(times, s.Now()) })
 	if tk == nil {
 		t.Fatal("NewTicker returned nil for valid period")
 	}
-	if err := s.RunUntil(5500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 5500*time.Millisecond)
 	if len(times) != 5 {
 		t.Fatalf("ticker fired %d times, want 5: %v", len(times), times)
 	}
@@ -224,7 +217,7 @@ func TestTickerPeriodic(t *testing.T) {
 }
 
 func TestTickerStop(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	count := 0
 	var tk *Ticker
 	tk = NewTickerOwned(s, time.Second, OwnerNone, func() {
@@ -233,9 +226,7 @@ func TestTickerStop(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	if err := s.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 10*time.Second)
 	if count != 2 {
 		t.Errorf("ticker fired %d times after Stop at 2, want 2", count)
 	}
@@ -243,13 +234,11 @@ func TestTickerStop(t *testing.T) {
 }
 
 func TestTickerReset(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	var times []time.Duration
 	tk := NewTickerOwned(s, time.Second, OwnerNone, func() { times = append(times, s.Now()) })
 	s.AtOwned(2500*time.Millisecond, OwnerNone, func() { tk.Reset(2 * time.Second) })
-	if err := s.RunUntil(7 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, 7*time.Second)
 	// Ticks at 1s, 2s, then reset at 2.5s -> 4.5s, 6.5s.
 	want := []time.Duration{
 		1 * time.Second,
@@ -268,7 +257,7 @@ func TestTickerReset(t *testing.T) {
 }
 
 func TestTickerInvalidPeriod(t *testing.T) {
-	s := NewScheduler()
+	_, s := oneShard()
 	if tk := NewTickerOwned(s, 0, OwnerNone, func() {}); tk != nil {
 		t.Error("NewTicker with zero period should return nil")
 	}
@@ -278,13 +267,11 @@ func TestTickerInvalidPeriod(t *testing.T) {
 }
 
 func TestExecutedCount(t *testing.T) {
-	s := NewScheduler()
+	g, s := oneShard()
 	for i := 0; i < 17; i++ {
 		s.AfterOwned(time.Duration(i)*time.Millisecond, OwnerNone, func() {})
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, g, time.Minute)
 	if s.Executed() != 17 {
 		t.Errorf("Executed = %d, want 17", s.Executed())
 	}
@@ -301,7 +288,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 			raw = raw[:200]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		s := NewScheduler()
+		g, s := oneShard()
 		type rec struct {
 			at  time.Duration
 			seq int
@@ -319,7 +306,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 				tm.Stop()
 			}
 		}
-		if err := s.Run(); err != nil {
+		if err := g.Run(time.Second, 0, nil); err != nil {
 			return false
 		}
 		if len(fired) != len(raw) {

@@ -59,6 +59,7 @@ var backendEvents = map[obs.EventType]bool{
 // records every callback and backend-emitted obs event.
 type conformNet struct {
 	t        *testing.T
+	group    *simtime.ShardGroup
 	sched    *simtime.Scheduler
 	medium   *radio.Medium
 	backends map[radio.NodeID]track.Backend
@@ -68,11 +69,13 @@ type conformNet struct {
 
 func newConformNet(t *testing.T) *conformNet {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	var stats trace.Stats
 	rng := rand.New(rand.NewSource(11))
 	n := &conformNet{
 		t:        t,
+		group:    group,
 		sched:    sched,
 		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		backends: make(map[radio.NodeID]track.Backend),
@@ -129,7 +132,7 @@ func (n *conformNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
 
 func (n *conformNet) runUntil(d time.Duration) {
 	n.t.Helper()
-	if err := n.sched.RunUntil(d); err != nil {
+	if err := n.group.Run(d, 0, nil); err != nil {
 		n.t.Fatal(err)
 	}
 }

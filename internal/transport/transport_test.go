@@ -85,6 +85,7 @@ func TestLeaderTableDefaultCap(t *testing.T) {
 // --- endpoint integration harness ---
 
 type tnet struct {
+	group     *simtime.ShardGroup
 	sched     *simtime.Scheduler
 	medium    *radio.Medium
 	endpoints map[radio.NodeID]*Endpoint
@@ -94,11 +95,13 @@ type tnet struct {
 
 func newTnet(t *testing.T, cols, rows int) *tnet {
 	t.Helper()
-	sched := simtime.NewScheduler()
+	group := simtime.NewShardGroup(1)
+	sched := group.Shard(0)
 	rng := rand.New(rand.NewSource(9))
 	medium := radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &tnet{
+		group:     group,
 		sched:     sched,
 		medium:    medium,
 		endpoints: make(map[radio.NodeID]*Endpoint),
@@ -123,7 +126,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 
 func (n *tnet) run(t *testing.T, until time.Duration) {
 	t.Helper()
-	if err := n.sched.RunUntil(until); err != nil {
+	if err := n.group.Run(until, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -632,9 +632,10 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 
 // Run advances the simulation by d of virtual time (synchronously, on the
 // calling goroutine). It can be called repeatedly. It returns an error if
-// any cross-shard delivery of a parallel run (WithParallelShards) violated
-// the conservative lookahead bound — a violated bound means the run is
-// invalid — or if the run's packet time leaves no positive lookahead.
+// d is negative, if any cross-shard delivery of a parallel run
+// (WithParallelShards) violated the conservative lookahead bound — a
+// violated bound means the run is invalid — or if the run's packet time
+// leaves no positive lookahead.
 func (n *Network) Run(d time.Duration) error {
 	n.start()
 	return n.run(n.Now() + d)
@@ -652,8 +653,12 @@ func (n *Network) lookaheadDelta() time.Duration {
 }
 
 // run drives the shard group to the deadline and hard-fails on any
-// conservative-lookahead violation.
+// conservative-lookahead violation. A deadline before Now is an error on
+// every engine: the clock never moves backwards.
 func (n *Network) run(deadline time.Duration) error {
+	if now := n.Now(); deadline < now {
+		return fmt.Errorf("envirotrack: run deadline %v is before the current time %v", deadline, now)
+	}
 	// Cap the executor's idle skip at the next series-sample due time so
 	// samplers keep their exact cadence: a sample taken at a barrier in
 	// an event-free gap reads the same state it would have read under

@@ -112,6 +112,36 @@ func TestRunIsIncremental(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeDuration: a negative Run or RunSession is an error
+// on both engines and leaves the clock where it was, so the next Run ends
+// at the same time serially and on two shards.
+func TestRunRejectsNegativeDuration(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		n, err := New(WithGrid(6, 6), WithSeed(7), WithParallelShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(-500 * time.Millisecond); err == nil {
+			t.Errorf("%d shards: Run(-500ms) returned no error", shards)
+		}
+		if err := n.RunSession(-time.Second).Wait(); err == nil {
+			t.Errorf("%d shards: RunSession(-1s) returned no error", shards)
+		}
+		if n.Now() != time.Second {
+			t.Errorf("%d shards: Now = %v after rejected runs, want 1s", shards, n.Now())
+		}
+		if err := n.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n.Now() != 2*time.Second {
+			t.Errorf("%d shards: Now = %v after Run(1s), want 2s", shards, n.Now())
+		}
+	}
+}
+
 // TestAddWaypointTargetBetweenParallelRuns adds a Waypoints literal, whose
 // leg table is otherwise built on first use, between two runs of a
 // 2-shard parallel network. Both shards' sensing sweeps resolve the field

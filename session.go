@@ -33,7 +33,8 @@ type Session struct {
 // RunSession starts the simulation in the background for d of virtual
 // time, streaming messages received by the subscribed nodes. The network
 // must not be used directly while the session runs; the event channel is
-// closed when the session finishes.
+// closed when the session finishes. A negative d ends the session at once,
+// and Wait returns the error.
 func (n *Network) RunSession(d time.Duration, subscribe ...NodeID) *Session {
 	s := &Session{
 		events: make(chan Event, 1),
