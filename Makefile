@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-compare profile clean
+.PHONY: all build test race vet profile clean
 
 all: build test
 
@@ -16,71 +16,6 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates every paper table/figure benchmark plus the substrate
-# micro-benchmarks, emitting the machine-readable trajectory the ROADMAP
-# tracks. -benchtime 1x keeps the sweep-heavy experiment benches bounded,
-# and -count 3 takes three samples of each: benchcmp folds duplicates
-# best-of (max for rates, min for /op costs), so one scheduling hiccup on
-# a shared machine cannot fake a >10% regression. -benchmem records
-# allocs/op and B/op so the zero-allocation core is guarded alongside
-# throughput. A second steady-state pass then re-runs the pooled
-# micro-benchmarks at high iteration counts and appends them to the same
-# snapshot: at 1x their numbers include pool warm-up allocations, and the
-# best-of parsing lets the steady-state lines (0 allocs/op) replace them
-# so the zero-alloc gate is meaningful.
-#
-# The output file is BENCH_<N+1>.json where N is the highest checked-in
-# snapshot, so every run gets a fresh number and bench-compare can always
-# diff against the newest committed baseline.
-# Numbered snapshots: BENCH_1.json predates the observability layer,
-# BENCH_2.json includes the tracing-overhead benchmark, BENCH_3.json adds
-# -benchmem plus the scheduler-churn and broadcast-fanout benches on the
-# pooled zero-allocation core, BENCH_4.json covers the batched-delivery +
-# struct-of-arrays core and the 10k-mote BenchmarkLargeField tier,
-# BENCH_5.json adds causal span correlation plus the machine-calibration
-# benchmark (recorded on a ~20% slower host than BENCH_4; interleaved
-# same-host A/B showed parity, and from this snapshot on benchcmp
-# normalizes that shift away), BENCH_6.json adds the 10k tiers of a
-# since-removed deterministic shard merge (LargeField/10k-shards{2,4}; no
-# measured win over serial — benchcmp skips benchmarks missing from the
-# new run, so those entries no longer gate), BENCH_7.json adds the free-running parallel
-# tiers (LargeField/10k-par{2,4}: statistically equivalent engine;
-# parity with serial on this single-CPU host — the window protocol's
-# speedup needs cores).
-# BenchmarkSenseSweep (one mote scan per op, run in whole 10k-mote sweep
-# ticks) joins the steady pass so the zero-alloc gate covers the sensing
-# sweep once a snapshot records it.
-BENCH_STEADY = ^(BenchmarkSchedulerStep|BenchmarkSchedulerChurn|BenchmarkBroadcastFanout|BenchmarkAppendNodesNear|BenchmarkSenseSweep)$$
-
-bench:
-	@set -e; \
-	n=$$(ls BENCH_*.json 2>/dev/null | sed -En 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1); \
-	out=BENCH_$$(( $${n:-0} + 1 )).json; \
-	echo "bench: writing $$out"; \
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 3 -benchmem -json ./... > $$out; \
-	$(GO) test -run '^$$' -bench 'LargeField/10k' -benchtime 1x -count 3 -benchmem -json . >> $$out; \
-	$(GO) test -run '^$$' -bench '$(BENCH_STEADY)' -benchtime 100000x -benchmem -json ./internal/... >> $$out
-# The extra LargeField pass doubles the scale-tier sample count: each op
-# is one 2 s sim step, so a shared-host noise stretch can swallow all
-# three main-pass samples at once; benchcmp's best-of folding only needs
-# one clean sample among the six to estimate true capability.
-
-# bench-compare snapshots the newest checked-in baseline, reruns the suite
-# (writing the next-numbered snapshot), and diffs the two with the in-repo
-# benchcmp tool (a dependency-free benchstat stand-in). It fails on >10%
-# throughput regression or on any benchmark leaving the zero-allocation
-# set.
-bench-compare:
-	@set -e; \
-	base=$$(ls BENCH_*.json 2>/dev/null | sed -En 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1); \
-	if [ -z "$$base" ]; then echo "bench-compare: no BENCH_N.json baseline found" >&2; exit 2; fi; \
-	base=BENCH_$$base.json; \
-	$(MAKE) bench; \
-	new=BENCH_$$(ls BENCH_*.json | sed -En 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1).json; \
-	echo "bench-compare: $$base -> $$new"; \
-	$(GO) run ./cmd/benchcmp -baseline $$base -new $$new \
-		-metric sim_s_per_wall_s -max-regress 0.10 -gate-zero-allocs
-
 # profile captures CPU and heap profiles of the Table 1 sweep — the
 # communication-heavy workload that exercises the scheduler and radio hot
 # paths. Inspect with: go tool pprof cpu.pprof
@@ -88,8 +23,6 @@ profile: build
 	$(GO) run ./cmd/etsim -exp table1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
-# clean removes generated profiles; the numbered BENCH_N.json snapshots
-# are version-controlled history and are left alone (git checkout restores
-# any uncommitted rerun).
+# clean removes generated profiles.
 clean:
 	rm -f cpu.pprof mem.pprof

@@ -16,15 +16,11 @@ package envirotrack_test
 
 import (
 	"io"
-	"math/rand"
 	"testing"
 	"time"
 
 	"envirotrack"
 	"envirotrack/internal/eval"
-	"envirotrack/internal/geom"
-	"envirotrack/internal/radio"
-	"envirotrack/internal/simtime"
 )
 
 // benchTrackerSource is the Figure 2 program used by the preprocessor
@@ -364,12 +360,12 @@ func BenchmarkLargeField(b *testing.B) {
 
 // BenchmarkTracingOverhead measures the cost of the observability layer
 // on the Figure 3 scenario (the same workload as
-// BenchmarkSimulationThroughput, whose BENCH_1 numbers predate the event
-// bus): "disabled" is a run with no sink attached — every emission site
-// reduces to one nil check, so its ns/op must stay within 2% of the
-// pre-observability baseline — "jsonl" streams every protocol event
-// through the JSONL exporter, and "metrics" derives histograms and
-// counters from the stream.
+// BenchmarkSimulationThroughput). Each sub-benchmark runs that scenario
+// once per op: "disabled" with no sink attached, so every emission site
+// reduces to one nil check; "jsonl" streaming every protocol event
+// through the JSONL exporter to io.Discard; "metrics" deriving
+// histograms and counters from the stream; and "spans" correlating it
+// into report and handover spans.
 func BenchmarkTracingOverhead(b *testing.B) {
 	run := func(env *eval.Env) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -418,51 +414,6 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborsLargeField compares the spatial-hash NodesNear against
-// the brute-force full-field scan it replaced, on a 60x60 (3600-mote)
-// field, reporting ns/lookup for each and the speedup.
-func BenchmarkNeighborsLargeField(b *testing.B) {
-	const cols, rows = 60, 60
-	const radius = 2.5
-	m := radio.New(radio.Params{CommRadius: radius}, nil,
-		radio.ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rand.New(rand.NewSource(1))})
-	pts := geom.Grid{Cols: cols, Rows: rows}.Points()
-	for i, p := range pts {
-		if err := m.AddNode(radio.NodeID(i), p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	brute := func(p geom.Point, r float64) []radio.NodeID {
-		var out []radio.NodeID
-		for i := range pts {
-			if pts[i].Within(p, r) {
-				out = append(out, radio.NodeID(i))
-			}
-		}
-		return out
-	}
-	query := func(i int) geom.Point { return pts[(i*7919)%len(pts)] }
-
-	var sink []radio.NodeID
-	t0 := time.Now()
-	for i := 0; i < b.N; i++ {
-		sink = m.NodesNear(query(i), radius)
-	}
-	spatial := time.Since(t0)
-	t0 = time.Now()
-	for i := 0; i < b.N; i++ {
-		sink = brute(query(i), radius)
-	}
-	bruteTime := time.Since(t0)
-	_ = sink
-
-	b.ReportMetric(float64(spatial.Nanoseconds())/float64(b.N), "ns/lookup")
-	b.ReportMetric(float64(bruteTime.Nanoseconds())/float64(b.N), "brute_ns/lookup")
-	if spatial > 0 {
-		b.ReportMetric(float64(bruteTime)/float64(spatial), "speedup_x")
-	}
-}
-
 // BenchmarkEndToEndTrackingSetup measures network construction for a
 // 20x20 field (radio registration, stacks, managers).
 func BenchmarkEndToEndTrackingSetup(b *testing.B) {
@@ -499,29 +450,6 @@ func BenchmarkGenerateGo(b *testing.B) {
 		if _, err := envirotrack.GenerateGo(benchTrackerSource, "gen"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// calibrationSink defeats dead-code elimination of the calibration loop.
-var calibrationSink uint64
-
-// BenchmarkMachineCalibration measures the host, not the simulator: a
-// fixed pure-arithmetic workload (xorshift64, no memory traffic) that
-// MUST NEVER CHANGE. benchcmp compares this benchmark between two
-// BENCH_N.json snapshots to estimate how much faster or slower the
-// machine itself was, and normalizes the throughput comparison by that
-// ratio — so CPU steal on a shared host between two `make bench` runs
-// does not read as a simulator regression (or mask a real one behind a
-// faster host).
-func BenchmarkMachineCalibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		x := uint64(2463534242)
-		for j := 0; j < 20_000_000; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		calibrationSink = x
 	}
 }
 

@@ -42,6 +42,15 @@ func TestRunGenerate(t *testing.T) {
 	if !strings.Contains(string(code), "package gen") || !strings.Contains(string(code), "BuildContexts") {
 		t.Errorf("generated code malformed:\n%s", code)
 	}
+	for _, pkg := range []string{"123", "func", "a-b"} {
+		bad := filepath.Join(t.TempDir(), "bad.go")
+		if err := run([]string{path}, pkg, bad, false, false); err == nil {
+			t.Errorf("-pkg %q: expected an invalid package name error", pkg)
+		}
+		if _, err := os.Stat(bad); !os.IsNotExist(err) {
+			t.Errorf("-pkg %q: output file written despite the error", pkg)
+		}
+	}
 }
 
 func TestRunCheck(t *testing.T) {

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -41,6 +42,16 @@ func main() {
 func run(args []string, grid string, radius, sense, speed float64, kind string, duration time.Duration, seed int64, hb time.Duration) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: etrack [flags] <program.et>")
+	}
+	switch {
+	case math.IsNaN(speed) || math.IsInf(speed, 0) || speed < 0:
+		return fmt.Errorf("-speed %v: must be finite and not negative", speed)
+	case math.IsNaN(sense) || math.IsInf(sense, 0) || sense <= 0:
+		return fmt.Errorf("-sense %v: must be finite and positive", sense)
+	case duration < 0:
+		return fmt.Errorf("-duration %v: must not be negative", duration)
+	case hb < 0:
+		return fmt.Errorf("-heartbeat %v: must not be negative (0 means the protocol default)", hb)
 	}
 	src, err := os.ReadFile(args[0])
 	if err != nil {

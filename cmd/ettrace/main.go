@@ -80,7 +80,7 @@ func run(cfg config) error {
 		return fmt.Errorf("unknown format %q (want text or json)", cfg.format)
 	}
 	if cfg.top < 0 {
-		cfg.top = 0
+		return fmt.Errorf("-top %d: must not be negative", cfg.top)
 	}
 
 	sink := envirotrack.NewSpanSink()

@@ -136,4 +136,13 @@ func TestRunRejectsCorruptTrace(t *testing.T) {
 	if err := run(config{format: "yaml", input: strings.NewReader(""), stdout: &out}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
+	out.Reset()
+	err = run(config{format: "text", top: -3, input: bytes.NewReader(synthTrace(t)), name: "synth", stdout: &out})
+	if err == nil || !strings.Contains(err.Error(), "-top") || out.Len() != 0 {
+		t.Fatalf("-top -3: err = %v with %d bytes of report, want an error naming -top and no report", err, out.Len())
+	}
+	// Zero still means no slowest-report waterfalls.
+	if err := run(config{format: "text", top: 0, input: bytes.NewReader(synthTrace(t)), name: "synth", stdout: &out}); err != nil {
+		t.Fatalf("-top 0: %v", err)
+	}
 }

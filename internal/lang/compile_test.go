@@ -246,6 +246,11 @@ func TestGenerateGoCompiles(t *testing.T) {
 			t.Errorf("generated code missing %q:\n%s", want, src)
 		}
 	}
+	for _, pkg := range []string{"123", "func", "a-b", "_", "my pkg"} {
+		if _, err := GenerateGo(prog, pkg); err == nil {
+			t.Errorf("GenerateGo(prog, %q) succeeded; want an invalid package name error", pkg)
+		}
+	}
 }
 
 func TestGenerateGoConditionAndBuiltins(t *testing.T) {

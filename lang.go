@@ -56,7 +56,7 @@ func CompileContexts(src string, env CompileEnv) ([]ContextType, error) {
 // GenerateGo translates an EnviroTrack program into Go source against this
 // package's API — the code-emitting role of the paper's preprocessor
 // (which emitted NesC). pkg is the generated package name ("main" if
-// empty).
+// empty); a name that is not a valid Go package name is an error.
 func GenerateGo(src, pkg string) (string, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {
