@@ -32,7 +32,6 @@ type Arena[T any] struct {
 	block []T
 	used  int
 	next  int
-	total int
 }
 
 // New returns a pointer to a zero T carved from the current block,
@@ -51,11 +50,5 @@ func (a *Arena[T]) New() *T {
 	}
 	p := &a.block[a.used]
 	a.used++
-	a.total++
 	return p
 }
-
-// Allocated returns the number of records handed out over the arena's
-// lifetime (a pool-growth diagnostic, not a live count — arena records are
-// never individually freed).
-func (a *Arena[T]) Allocated() int { return a.total }

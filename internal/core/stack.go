@@ -28,20 +28,30 @@ type StackConfig struct {
 	UseDirectory bool
 	// DirectoryRefresh is the registration refresh period (default 5s).
 	DirectoryRefresh time.Duration
-	// DelayEstimate is d in Pe = Le - d, the estimated in-group message
-	// delay; when zero a conservative default derived from the medium's
-	// airtime is used by the network assembly layer.
-	DelayEstimate time.Duration
 }
 
 func (c StackConfig) withDefaults() StackConfig {
 	if c.DirectoryRefresh <= 0 {
 		c.DirectoryRefresh = 5 * time.Second
 	}
-	if c.DelayEstimate <= 0 {
-		c.DelayEstimate = 100 * time.Millisecond
-	}
 	return c
+}
+
+// DelayEstimate is d in Pe = Le - d (Section 5.3), the estimated in-group
+// message delay.
+const DelayEstimate = 100 * time.Millisecond
+
+// ReportPeriod derives the member data-collection period Pe from the
+// tightest aggregate freshness Le: Pe = Le - d, or Le/2 when d leaves no
+// room. It returns zero (the group default, one heartbeat) when le <= 0.
+func ReportPeriod(le time.Duration) time.Duration {
+	if le <= 0 {
+		return 0
+	}
+	if pe := le - DelayEstimate; pe > 0 {
+		return pe
+	}
+	return le / 2
 }
 
 // Stack is the EnviroTrack middleware instance on one mote. It wires the
@@ -68,7 +78,7 @@ func NewStack(m *mote.Mote, medium *radio.Medium, cfg StackConfig, ledger *trace
 	cfg = cfg.withDefaults()
 	router := routing.NewRouter(m, medium)
 	dir := directory.NewService(m, router, directory.Config{Bounds: cfg.Bounds})
-	ep := transport.NewEndpoint(m, router, dir, transport.Config{})
+	ep := transport.NewEndpoint(m, router, dir)
 	s := &Stack{
 		m:      m,
 		medium: medium,
@@ -126,13 +136,7 @@ func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 
 	gcfg := spec.Group
 	if gcfg.ReportPeriod <= 0 {
-		if le := spec.minFreshness(); le > 0 {
-			pe := le - s.cfg.DelayEstimate
-			if pe <= 0 {
-				pe = le / 2
-			}
-			gcfg.ReportPeriod = pe
-		}
+		gcfg.ReportPeriod = ReportPeriod(spec.minFreshness())
 	}
 
 	rt := &ctxRuntime{stack: s, spec: spec}

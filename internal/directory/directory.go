@@ -22,16 +22,20 @@ import (
 	"envirotrack/internal/trace"
 )
 
-// DefaultEntryTTL is how long a registration stays valid without a refresh.
-const DefaultEntryTTL = 30 * time.Second
+// entryTTL is how long a registration stays valid without a refresh.
+const entryTTL = 30 * time.Second
 
 // Query reliability: there are no MAC acknowledgements, so queries are
 // retransmitted on a timeout until a reply arrives or the attempts are
 // exhausted (the callback then receives nil).
 const (
-	DefaultQueryTimeout = 2 * time.Second
-	DefaultQueryRetries = 3
+	queryTimeout = 2 * time.Second
+	queryRetries = 3
 )
+
+// messageBits sizes directory frames on the air (a reply adds 32 bits per
+// entry).
+const messageBits = 48 * 8
 
 // Entry is one directory record: the location of an active context label.
 type Entry struct {
@@ -87,31 +91,6 @@ type replyMsg struct {
 type Config struct {
 	// Bounds is the sensor field extent used for type-name hashing.
 	Bounds geom.Rect
-	// EntryTTL is the registration lifetime (DefaultEntryTTL if zero).
-	EntryTTL time.Duration
-	// QueryTimeout is the per-attempt reply deadline (DefaultQueryTimeout
-	// if zero) and QueryRetries the number of retransmissions
-	// (DefaultQueryRetries if zero).
-	QueryTimeout time.Duration
-	QueryRetries int
-	// MessageBits sizes directory frames on the air.
-	MessageBits int
-}
-
-func (c Config) withDefaults() Config {
-	if c.EntryTTL <= 0 {
-		c.EntryTTL = DefaultEntryTTL
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = DefaultQueryTimeout
-	}
-	if c.QueryRetries <= 0 {
-		c.QueryRetries = DefaultQueryRetries
-	}
-	if c.MessageBits <= 0 {
-		c.MessageBits = 48 * 8
-	}
-	return c
 }
 
 // Service is the per-mote directory component. Any mote may issue Register
@@ -148,7 +127,7 @@ func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
 	s := &Service{
 		m:          m,
 		router:     router,
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		entries:    make(map[string]map[group.Label]Entry),
 		tombstones: make(map[string]map[group.Label]time.Duration),
 		pending:    make(map[uint64]*pendingQuery),
@@ -172,7 +151,7 @@ func (s *Service) Register(ctxType string, label group.Label, location geom.Poin
 		Kind:      trace.KindDirectory,
 		Dest:      HashPoint(ctxType, s.cfg.Bounds),
 		DestNode:  routing.AnyNode,
-		Bits:      s.cfg.MessageBits,
+		Bits:      messageBits,
 		Payload:   registerMsg{Entry: e},
 		Corr:      radio.Corr{Origin: int32(s.m.ID()), Seq: s.m.NextCorrSeq()},
 		CorrLabel: string(label),
@@ -199,7 +178,7 @@ func (s *Service) Unregister(ctxType string, label group.Label) {
 			Kind:      trace.KindDirectory,
 			Dest:      HashPoint(ctxType, s.cfg.Bounds),
 			DestNode:  routing.AnyNode,
-			Bits:      s.cfg.MessageBits,
+			Bits:      messageBits,
 			Payload:   msg,
 			Corr:      corr,
 			CorrLabel: string(label),
@@ -233,7 +212,7 @@ func (s *Service) sendQuery(ctxType string, id uint64) {
 		Kind:     trace.KindDirectory,
 		Dest:     HashPoint(ctxType, s.cfg.Bounds),
 		DestNode: routing.AnyNode,
-		Bits:     s.cfg.MessageBits,
+		Bits:     messageBits,
 		Payload: queryMsg{
 			CtxType:   ctxType,
 			QueryID:   id,
@@ -243,12 +222,12 @@ func (s *Service) sendQuery(ctxType string, id uint64) {
 		Corr:      pq.corr,
 		CorrLabel: ctxType,
 	})
-	pq.timer = s.m.Scheduler().AfterOwned(s.cfg.QueryTimeout, simtime.OwnerDirectory, func() {
+	pq.timer = s.m.Scheduler().AfterOwned(queryTimeout, simtime.OwnerDirectory, func() {
 		cur, ok := s.pending[id]
 		if !ok || cur != pq {
 			return
 		}
-		if pq.attempts >= s.cfg.QueryRetries || s.m.Failed() {
+		if pq.attempts >= queryRetries || s.m.Failed() {
 			delete(s.pending, id)
 			pq.cb(nil)
 			return
@@ -326,7 +305,7 @@ func (s *Service) answer(q queryMsg) {
 		Kind:      trace.KindDirectory,
 		Dest:      q.ReplyTo,
 		DestNode:  q.ReplyNode,
-		Bits:      s.cfg.MessageBits + 32*len(entries),
+		Bits:      messageBits + 32*len(entries),
 		Payload:   replyMsg{QueryID: q.QueryID, Entries: entries},
 		Corr:      radio.Corr{Origin: int32(s.m.ID()), Seq: s.m.NextCorrSeq()},
 		CorrLabel: q.CtxType,
@@ -357,7 +336,7 @@ func (s *Service) freshEntries(ctxType string) []Entry {
 	if len(byLabel) == 0 {
 		return nil
 	}
-	cutoff := s.m.Scheduler().Now() - s.cfg.EntryTTL
+	cutoff := s.m.Scheduler().Now() - entryTTL
 	var out []Entry
 	for label, e := range byLabel {
 		if e.UpdatedAt < cutoff {

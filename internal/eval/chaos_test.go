@@ -2,14 +2,15 @@ package eval
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"envirotrack"
+	"envirotrack/internal/core"
 	"envirotrack/internal/obs"
+	"envirotrack/internal/trace"
 )
 
 // TestChaosSuiteNominalHoldsInvariants is the suite's core promise: on
@@ -161,10 +162,10 @@ func TestChaosScheduleRoundTrip(t *testing.T) {
 }
 
 // TestInvariantCheckerConfigDerivation documents the Pe the eval wiring
-// hands the checker: the stack derives ReportPeriod = Freshness - 100ms.
+// hands the checker: the stack's ReportPeriod = Freshness - d.
 func TestInvariantCheckerConfigDerivation(t *testing.T) {
 	sc := Scenario{CheckInvariants: true}.withDefaults()
-	if got, want := sc.Freshness-100*time.Millisecond, 900*time.Millisecond; got != want {
+	if got, want := core.ReportPeriod(sc.Freshness), 900*time.Millisecond; got != want {
 		t.Fatalf("derived Pe = %v, want %v (default freshness %v)", got, want, sc.Freshness)
 	}
 	if checkerFor(sc) == nil {
@@ -173,5 +174,27 @@ func TestInvariantCheckerConfigDerivation(t *testing.T) {
 	if checkerFor(Scenario{}.withDefaults()) != nil {
 		t.Fatal("checkerFor returned a checker without CheckInvariants")
 	}
-	_ = fmt.Sprintf // keep fmt imported alongside future debugging
+}
+
+// TestInvariantCheckerCadenceAtShortFreshness: at Freshness = d = 100ms
+// the stack reports every Le/2 = 50ms, so the checker must keep I5 on
+// with that period (bound Pe + Pe/2 + 500ms = 575ms) rather than switch
+// it off.
+func TestInvariantCheckerCadenceAtShortFreshness(t *testing.T) {
+	sc := Scenario{CheckInvariants: true, Freshness: 100 * time.Millisecond}.withDefaults()
+	c := checkerFor(sc)
+	report := func(at time.Duration) {
+		c.Emit(obs.Event{At: at, Type: obs.EvFrameSent, Mote: 3, Kind: trace.KindReading})
+	}
+	c.Emit(obs.Event{At: 500 * time.Millisecond, Type: obs.EvLabelCreated, Mote: 1, Label: "L"})
+	c.Emit(obs.Event{At: 1900 * time.Millisecond, Type: obs.EvLabelJoined, Mote: 3, Label: "L"})
+	report(2 * time.Second)
+	report(2500 * time.Millisecond) // 500ms gap: within the bound
+	if n := c.Count(); n != 0 {
+		t.Fatalf("on-cadence reports flagged: %v", c.Violations())
+	}
+	report(3400 * time.Millisecond) // 900ms gap: a stalled member
+	if got := c.Violations(); len(got) != 1 || got[0].Invariant != "report-cadence" {
+		t.Fatalf("violations = %v, want one report-cadence", got)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"envirotrack"
+	"envirotrack/internal/core"
 	"envirotrack/internal/eval/runpar"
 )
 
@@ -285,15 +286,11 @@ func Run(env *Env, sc Scenario) (RunResult, error) {
 
 // checkerFor builds the run's invariant checker (nil when disabled),
 // configured with the scenario's actual protocol timing: the member
-// report cadence is the stack's derived Pe = Le - d (freshness minus the
-// default 100ms delay estimate), not the group-config default.
+// report cadence is the stack's own derivation core.ReportPeriod
+// (Pe = Le - d), not the group-config default.
 func checkerFor(sc Scenario) *envirotrack.InvariantChecker {
 	if !sc.CheckInvariants {
 		return nil
-	}
-	pe := sc.Freshness - 100*time.Millisecond
-	if pe < 0 {
-		pe = 0
 	}
 	var parts []envirotrack.InvariantPartition
 	for _, p := range sc.Chaos.Partitions {
@@ -306,7 +303,7 @@ func checkerFor(sc Scenario) *envirotrack.InvariantChecker {
 	return envirotrack.NewInvariantChecker(envirotrack.InvariantConfig{
 		Backend:      sc.Backend,
 		Heartbeat:    sc.Heartbeat,
-		ReportPeriod: pe,
+		ReportPeriod: core.ReportPeriod(sc.Freshness),
 		CommRadius:   sc.CommRadius,
 		Partitions:   parts,
 	})

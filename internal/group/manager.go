@@ -123,7 +123,7 @@ func NewManager(m *mote.Mote, ctxType string, cfg Config, cb Callbacks, ledger *
 	g := &Manager{
 		m:         m,
 		ctxType:   ctxType,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg.WithDefaults(),
 		cb:        cb,
 		ledger:    ledger,
 		role:      RoleNone,
@@ -298,7 +298,7 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 // jitter so that leaders created at the same instant (a target appearing
 // over several motes at once) do not collide in lockstep forever.
 func (g *Manager) scheduleNextHeartbeat() {
-	jitter := 1 + g.cfg.JitterFrac*(g.m.Rand().Float64()-0.5)
+	jitter := 1 + JitterFrac*(g.m.Rand().Float64()-0.5)
 	d := time.Duration(float64(g.cfg.HeartbeatPeriod) * jitter)
 	g.hbTimer = g.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, g.hbFire)
 }
@@ -316,7 +316,7 @@ func (g *Manager) sendHeartbeat() {
 		State:     g.state,
 	}
 	corr := radio.Corr{Origin: int32(g.m.ID()), Seq: g.m.NextCorrSeq()}
-	g.m.BroadcastTraced(trace.KindHeartbeat, g.cfg.HeartbeatBits+len(g.state)*8, hb, corr)
+	g.m.BroadcastTraced(trace.KindHeartbeat, HeartbeatBits+len(g.state)*8, hb, corr)
 	g.emit(obs.EvHeartbeatSent, g.label, radio.Broadcast, g.hbSeq)
 }
 
@@ -328,7 +328,7 @@ func (g *Manager) leaderStepDown() {
 	if !g.cfg.DisableRelinquish {
 		if s, ok := g.pickSuccessor(); ok {
 			successor = s
-			g.m.Broadcast(trace.KindRelinquish, g.cfg.HeartbeatBits+len(state)*8, Relinquish{
+			g.m.Broadcast(trace.KindRelinquish, HeartbeatBits+len(state)*8, Relinquish{
 				CtxType:   g.ctxType,
 				Label:     label,
 				OldLeader: g.m.ID(),
@@ -460,7 +460,7 @@ func (g *Manager) sendReport() {
 	// opens the report span itself; the leader's accept/reject closes it.
 	corr := radio.Corr{Origin: int32(g.m.ID()), Seq: g.m.NextCorrSeq()}
 	g.emitCorr(obs.EvReportSent, g.leaderID, g.label, corr, "")
-	g.m.SendTraced(trace.KindReading, g.leaderID, g.cfg.ReportBits, rep, corr)
+	g.m.SendTraced(trace.KindReading, g.leaderID, reportBits, rep, corr)
 }
 
 func (g *Manager) stopReporting() {
@@ -611,7 +611,7 @@ func (g *Manager) forwardHeartbeat(st *hbState, hb Heartbeat, corr radio.Corr) {
 	pf.hb = hb
 	pf.hb.HopsPast = hb.HopsPast - 1
 	pf.corr = corr
-	delay := time.Duration(g.m.Rand().Float64() * float64(g.cfg.FloodJitter))
+	delay := time.Duration(g.m.Rand().Float64() * float64(floodJitter))
 	pf.timer = g.m.Scheduler().AfterEventTimerOwned(delay, simtime.OwnerGroup, pendingForwardFire, pf)
 	st.pf = pf
 }
@@ -632,7 +632,7 @@ func pendingForwardFire(arg any) {
 		return
 	}
 	label, leader, seq := pf.hb.Label, pf.hb.Leader, pf.hb.Seq
-	bits := g.cfg.HeartbeatBits + len(pf.hb.State)*8
+	bits := HeartbeatBits + len(pf.hb.State)*8
 	fwd, corr := pf.hb, pf.corr
 	g.recyclePF(pf)
 	g.m.BroadcastTraced(trace.KindHeartbeat, bits, fwd, corr)
@@ -676,7 +676,7 @@ func outranks(otherWeight, myWeight uint64, other, mine radio.NodeID) bool {
 // within a slack band the label identity breaks the tie, which is a
 // globally consistent order and therefore guarantees the groups merge.
 func (g *Manager) foreignOutranks(otherWeight, myWeight uint64, otherLabel, myLabel Label) bool {
-	slack := uint64(g.cfg.WeightSlack)
+	slack := uint64(weightSlack)
 	switch {
 	case otherWeight > myWeight+slack:
 		return true
@@ -780,7 +780,7 @@ func (g *Manager) onRelinquish(rel Relinquish) {
 }
 
 func (g *Manager) recordEvent(ty trace.LabelEventType, label Label) {
-	if ev, ok := labelObsEvents[ty]; ok {
+	if ev, ok := obs.LabelEvent(ty); ok {
 		g.emit(ev, label, radio.Broadcast, 0)
 	}
 	if g.ledger == nil {
@@ -793,16 +793,6 @@ func (g *Manager) recordEvent(ty trace.LabelEventType, label Label) {
 		CtxType: g.ctxType,
 		Mote:    int(g.m.ID()),
 	})
-}
-
-// labelObsEvents maps ledger label events onto the observability taxonomy,
-// so every coherence-relevant transition also reaches the event bus.
-var labelObsEvents = map[trace.LabelEventType]obs.EventType{
-	trace.LabelCreated:    obs.EvLabelCreated,
-	trace.LabelTakeover:   obs.EvLabelTakeover,
-	trace.LabelRelinquish: obs.EvLabelRelinquish,
-	trace.LabelYield:      obs.EvLabelYield,
-	trace.LabelDeleted:    obs.EvLabelDeleted,
 }
 
 // emitCorr publishes one report-lifecycle event for a member reading,

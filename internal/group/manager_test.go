@@ -573,12 +573,9 @@ func TestManagerStopCancelsTimers(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.HeartbeatPeriod != DefaultHeartbeatPeriod {
 		t.Errorf("HeartbeatPeriod = %v", c.HeartbeatPeriod)
-	}
-	if c.ReceiveFactor != DefaultReceiveFactor || c.WaitFactor != DefaultWaitFactor {
-		t.Errorf("factors = %v/%v", c.ReceiveFactor, c.WaitFactor)
 	}
 	if c.ReportPeriod != c.HeartbeatPeriod {
 		t.Errorf("ReportPeriod = %v, want heartbeat period", c.ReportPeriod)

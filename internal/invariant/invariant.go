@@ -12,20 +12,22 @@
 //	I1 dual-leader        At most one active leader per context label:
 //	                      two non-failed motes that both heartbeat the
 //	                      same label, within direct radio range of each
-//	                      other, for longer than DualLeaderGrace.
+//	                      other, for longer than 6 heartbeats.
 //	I2 takeover-silence   A receive-timer takeover may fire only after
-//	                      >= ReceiveFactor x heartbeat of label silence.
-//	                      Silence is bounded via per-sender heartbeat
-//	                      attribution with the protocol's own (label,
-//	                      leader, seq) dedup mirrored, so duplicated or
-//	                      flood-forwarded copies never shrink it.
+//	                      >= group.ReceiveFactor x heartbeat of label
+//	                      silence. Silence is bounded via per-sender
+//	                      heartbeat attribution with the protocol's own
+//	                      (label, leader, seq) dedup mirrored, so
+//	                      duplicated or flood-forwarded copies never
+//	                      shrink it.
 //	I3 report-after-teardown  No member keeps sending reports once its
-//	                      label has had no leader for TeardownGrace.
+//	                      label has had no leader for its members' notice
+//	                      window plus 1s.
 //	I4 directory-stale    No directory registration for a label that has
-//	                      had no leader for DirectoryGrace (eventual
-//	                      consistency of the directory service).
+//	                      had no leader for 3s (eventual consistency of
+//	                      the directory service).
 //	I5 report-cadence     A stable member reports at least every
-//	                      ReportPeriod + CadenceSlack (freshness
+//	                      1.5 x ReportPeriod + 500ms (freshness
 //	                      Pe = Le - d from Section 5.3).
 //
 // The I1–I5 rules above assume heartbeat group management and only run
@@ -43,12 +45,14 @@ import (
 	"sync"
 	"time"
 
+	"envirotrack/internal/group"
 	"envirotrack/internal/obs"
 	"envirotrack/internal/trace"
 )
 
 // Config parameterizes the checker with the protocol timing of the run
-// under observation. The zero value applies the group-config defaults.
+// under observation. The timer factors are group's protocol constants;
+// the zero value applies the group-config default heartbeat.
 type Config struct {
 	// Backend names the tracking backend of the run under observation
 	// (a track registry name; empty means "leader"). The leader rules
@@ -58,10 +62,6 @@ type Config struct {
 	// Heartbeat is the leader heartbeat period — and, for the passive
 	// backend, the trace deposit period (default 500ms).
 	Heartbeat time.Duration
-	// ReceiveFactor scales the receive timer (default 2.1).
-	ReceiveFactor float64
-	// JitterFrac is the receive-timer jitter fraction (default 0.1).
-	JitterFrac float64
 	// ReportPeriod is the expected member report cadence Pe. Zero
 	// disables the I5 cadence check.
 	ReportPeriod time.Duration
@@ -76,32 +76,6 @@ type Config struct {
 	// reachable outcome — and the pair's grace clock restarts when the
 	// partition heals.
 	Partitions []PartitionWindow
-
-	// DualLeaderGrace is how long same-label dual leadership must persist
-	// in-range before it is a violation; transient overlap is legitimate
-	// (a takeover resolves by weight-ordered yield within a couple of
-	// heartbeats). Default 6 x Heartbeat.
-	DualLeaderGrace time.Duration
-	// TeardownGrace is how long a leaderless label's members may keep
-	// reporting (their receive timers need up to
-	// ReceiveFactor x (1+JitterFrac) heartbeats to notice). Default that
-	// window plus 1s of transmission slack.
-	TeardownGrace time.Duration
-	// CadenceSlack pads the I5 report-gap bound against CSMA deferrals
-	// and first-report desynchronization. Default ReportPeriod/2 + 500ms.
-	CadenceSlack time.Duration
-	// DirectoryGrace bounds how stale a directory registration may be.
-	// Default 3s (one transport round-trip plus scheduling slack).
-	DirectoryGrace time.Duration
-	// TraceStaleness is the passive backend's trace-field staleness
-	// bound, WaitFactor x heartbeat (default 4.2 x Heartbeat, the
-	// group-config default WaitFactor). Only used when Backend is
-	// "passive"; the eval harness passes passive.Staleness here so a
-	// scenario's tuned WaitFactor flows through.
-	TraceStaleness time.Duration
-	// TraceSlack pads the passive staleness bounds against transmission
-	// and event-delivery skew. Default 1s.
-	TraceSlack time.Duration
 	// MaxViolations caps the retained violation list (the count keeps
 	// incrementing). Default 100.
 	MaxViolations int
@@ -109,33 +83,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.ReceiveFactor <= 0 {
-		c.ReceiveFactor = 2.1
-	}
-	if c.JitterFrac < 0 {
-		c.JitterFrac = 0
-	} else if c.JitterFrac == 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.DualLeaderGrace <= 0 {
-		c.DualLeaderGrace = 6 * c.Heartbeat
-	}
-	if c.TeardownGrace <= 0 {
-		c.TeardownGrace = c.noticeWindow() + time.Second
-	}
-	if c.CadenceSlack <= 0 {
-		c.CadenceSlack = c.ReportPeriod/2 + 500*time.Millisecond
-	}
-	if c.DirectoryGrace <= 0 {
-		c.DirectoryGrace = 3 * time.Second
-	}
-	if c.TraceStaleness <= 0 {
-		c.TraceStaleness = time.Duration(float64(c.Heartbeat) * 4.2)
-	}
-	if c.TraceSlack <= 0 {
-		c.TraceSlack = time.Second
+		c.Heartbeat = group.DefaultHeartbeatPeriod
 	}
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 100
@@ -152,16 +100,42 @@ type PartitionWindow struct {
 	Until time.Duration
 }
 
+// directoryGrace bounds how stale a directory registration may be: one
+// transport round-trip plus scheduling slack.
+const directoryGrace = 3 * time.Second
+
 // noticeWindow is the longest a member's receive timer can run: the
 // jittered takeover timeout.
 func (c Config) noticeWindow() time.Duration {
-	return time.Duration(float64(c.Heartbeat) * c.ReceiveFactor * (1 + c.JitterFrac))
+	return time.Duration(float64(c.Heartbeat) * group.ReceiveFactor * (1 + group.JitterFrac))
 }
 
 // minTakeoverSilence is the shortest legitimate silence before a
 // receive-timer firing (jitter only lengthens the timer).
 func (c Config) minTakeoverSilence() time.Duration {
-	return time.Duration(float64(c.Heartbeat) * c.ReceiveFactor)
+	return time.Duration(float64(c.Heartbeat) * group.ReceiveFactor)
+}
+
+// dualLeaderGrace is how long same-label dual leadership must persist
+// in-range before it is a violation; transient overlap is legitimate (a
+// takeover resolves by weight-ordered yield within a couple of
+// heartbeats).
+func (c Config) dualLeaderGrace() time.Duration { return 6 * c.Heartbeat }
+
+// teardownGrace is how long a leaderless label's members may keep
+// reporting: the notice window of their receive timers plus 1s of
+// transmission slack.
+func (c Config) teardownGrace() time.Duration { return c.noticeWindow() + time.Second }
+
+// cadenceSlack pads the I5 report-gap bound against CSMA deferrals and
+// first-report desynchronization.
+func (c Config) cadenceSlack() time.Duration { return c.ReportPeriod/2 + 500*time.Millisecond }
+
+// traceBound is the passive backend's trace-field staleness bound,
+// group.WaitFactor x heartbeat, padded by 1s against transmission and
+// event-delivery skew.
+func (c Config) traceBound() time.Duration {
+	return time.Duration(float64(c.Heartbeat)*group.WaitFactor) + time.Second
 }
 
 // Violation is one proven invariant breach.
@@ -633,7 +607,7 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 				if severed {
 					continue
 				}
-				if at-overlap < c.cfg.DualLeaderGrace {
+				if at-overlap < c.cfg.dualLeaderGrace() {
 					continue
 				}
 				if c.cfg.CommRadius > 0 && !a.pos.within(b.pos, c.cfg.CommRadius) {
@@ -647,7 +621,7 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 				c.record(Violation{
 					At: at, Invariant: DualLeader, Label: label, Mote: lo, Peer: hi, Run: c.run,
 					Detail: fmt.Sprintf("motes %d and %d both led %q in radio range for %v (grace %v)",
-						lo, hi, label, at-overlap, c.cfg.DualLeaderGrace),
+						lo, hi, label, at-overlap, c.cfg.dualLeaderGrace()),
 				})
 			}
 		}
@@ -749,12 +723,12 @@ func (c *Checker) checkReport(ev obs.Event) {
 		if mem.since > ref {
 			ref = mem.since
 		}
-		if ev.At-ref > c.cfg.TeardownGrace {
+		if ev.At-ref > c.cfg.teardownGrace() {
 			if fault, faulted := c.lastFault[ev.Mote]; !faulted || fault < ref {
 				c.record(Violation{
 					At: ev.At, Invariant: ReportAfterTeardown, Label: mem.label, Mote: ev.Mote, Run: ev.Run,
 					Detail: fmt.Sprintf("member report %v after label %q lost its last leader (grace %v)",
-						ev.At-ref, mem.label, c.cfg.TeardownGrace),
+						ev.At-ref, mem.label, c.cfg.teardownGrace()),
 				})
 			}
 		}
@@ -765,7 +739,7 @@ func (c *Checker) checkReport(ev obs.Event) {
 		if last, ok := c.lastReport[ev.Mote]; ok && last.label == mem.label && last.at >= mem.since {
 			if fault, faulted := c.lastFault[ev.Mote]; !faulted || fault < last.at {
 				gap := ev.At - last.at
-				if bound := c.cfg.ReportPeriod + c.cfg.CadenceSlack; gap > bound {
+				if bound := c.cfg.ReportPeriod + c.cfg.cadenceSlack(); gap > bound {
 					c.record(Violation{
 						At: ev.At, Invariant: ReportCadence, Label: mem.label, Mote: ev.Mote, Run: ev.Run,
 						Detail: fmt.Sprintf("report gap %v exceeds Pe+slack %v", gap, bound),
@@ -792,11 +766,11 @@ func (c *Checker) checkDirectory(ev obs.Event) {
 		})
 		return
 	}
-	if gone, ok := c.leaderGone[ev.Label]; ok && ev.At-gone > c.cfg.DirectoryGrace {
+	if gone, ok := c.leaderGone[ev.Label]; ok && ev.At-gone > directoryGrace {
 		c.record(Violation{
 			At: ev.At, Invariant: DirectoryStale, Label: ev.Label, Mote: ev.Mote, Peer: ev.Peer, Run: ev.Run,
 			Detail: fmt.Sprintf("directory registration %v after label %q lost its last leader (grace %v)",
-				ev.At-gone, ev.Label, c.cfg.DirectoryGrace),
+				ev.At-gone, ev.Label, directoryGrace),
 		})
 	}
 }

@@ -18,8 +18,8 @@ package invariant
 //	P3 estimate-stale      An active estimator whose whole trace field
 //	                       has aged past the staleness bound must have
 //	                       stepped down: once the newest deposit anywhere
-//	                       is older than TraceStaleness (+ slack), no
-//	                       mote may still be active.
+//	                       is older than group.WaitFactor x heartbeat
+//	                       (+ 1s slack), no mote may still be active.
 //
 // All rules stay sound on nominal runs via the same discipline as the
 // leader set: the stream must prove the breach, faulted motes are
@@ -172,7 +172,7 @@ func (c *Checker) checkPassiveReport(ev obs.Event) {
 	if fault, faulted := c.lastFault[ev.Mote]; faulted && fault >= last {
 		return // the crash window may have swallowed intervening activity
 	}
-	bound := c.cfg.TraceStaleness + c.cfg.TraceSlack
+	bound := c.cfg.traceBound()
 	if ev.At-last > bound {
 		c.record(Violation{
 			At: ev.At, Invariant: ReportWithoutTrace, Label: ev.Label, Mote: ev.Mote, Run: ev.Run,
@@ -191,7 +191,7 @@ func (c *Checker) sweepEstimateStale(at time.Duration) {
 	if !p.anyDeposit || len(p.active) == 0 {
 		return
 	}
-	bound := c.cfg.TraceStaleness + c.cfg.TraceSlack
+	bound := c.cfg.traceBound()
 	if at-p.lastDeposit <= bound {
 		return
 	}

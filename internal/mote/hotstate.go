@@ -58,18 +58,6 @@ func (h *HotState) SetShard(i int, shard int32) { h.shard[i] = shard }
 // serial runs).
 func (h *HotState) Shard(i int) int32 { return h.shard[i] }
 
-// ShardPopulation counts registered motes per shard over k shards (motes
-// whose shard is out of range are ignored).
-func (h *HotState) ShardPopulation(k int) []int {
-	out := make([]int, k)
-	for _, s := range h.shard {
-		if int(s) < k {
-			out[s]++
-		}
-	}
-	return out
-}
-
 // Len returns the number of registered motes.
 func (h *HotState) Len() int { return len(h.pos) }
 

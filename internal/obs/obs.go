@@ -106,13 +106,23 @@ func (t EventType) String() string {
 	return "EventType(" + strconv.Itoa(int(t)) + ")"
 }
 
-// EventTypes returns every defined event type in declaration order.
-func EventTypes() []EventType {
-	out := make([]EventType, 0, int(EvRouteDropped))
-	for t := EvHeartbeatSent; t <= EvRouteDropped; t++ {
-		out = append(out, t)
+// LabelEvent maps a coherence-ledger label event onto the event
+// taxonomy, so every coherence-relevant transition of either tracking
+// backend also reaches the event bus.
+func LabelEvent(t trace.LabelEventType) (EventType, bool) {
+	switch t {
+	case trace.LabelCreated:
+		return EvLabelCreated, true
+	case trace.LabelTakeover:
+		return EvLabelTakeover, true
+	case trace.LabelRelinquish:
+		return EvLabelRelinquish, true
+	case trace.LabelYield:
+		return EvLabelYield, true
+	case trace.LabelDeleted:
+		return EvLabelDeleted, true
 	}
-	return out
+	return 0, false
 }
 
 // Event is one structured observation. The common fields (sim time,

@@ -43,7 +43,7 @@ func TestBusStampsRunAndFansOut(t *testing.T) {
 
 func TestEventTypeNamesUniqueAndComplete(t *testing.T) {
 	seen := map[string]EventType{}
-	for _, et := range EventTypes() {
+	for et := EvHeartbeatSent; et <= EvRouteDropped; et++ {
 		name := et.String()
 		if strings.HasPrefix(name, "EventType(") {
 			t.Fatalf("event type %d has no wire name", et)
@@ -60,7 +60,7 @@ func TestEventTypeNamesUniqueAndComplete(t *testing.T) {
 		}
 	}
 	if len(seen) != named {
-		t.Fatalf("EventTypes() covers %d names, table has %d", len(seen), named)
+		t.Fatalf("event types cover %d names, table has %d", len(seen), named)
 	}
 }
 

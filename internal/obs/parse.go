@@ -22,13 +22,6 @@ var eventTypeByName = func() map[string]EventType {
 	return m
 }()
 
-// EventTypeByName resolves a stable wire name ("frame_sent") back to its
-// EventType.
-func EventTypeByName(name string) (EventType, bool) {
-	t, ok := eventTypeByName[name]
-	return t, ok
-}
-
 // eventJSON mirrors the field set appendEventJSON writes. Omitted sparse
 // fields decode as their zero values, which is exactly how they were
 // encoded.

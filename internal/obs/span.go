@@ -357,15 +357,8 @@ func (s *SpanSink) failedAt(run int64, mote int, t time.Duration) bool {
 	return false
 }
 
-// Finalize computes delivery status and root causes for every span. Call
-// it once after the run (or trace) ends; Reports and Handovers call it
-// implicitly.
-func (s *SpanSink) Finalize() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finalize()
-}
-
+// finalize computes delivery status and root causes for every span, once;
+// Reports and Handovers call it.
 func (s *SpanSink) finalize() {
 	if s.finalized {
 		return

@@ -107,19 +107,18 @@ type Params struct {
 	// radio stack carrier-senses (it lacks MAC *reliability*, not CSMA),
 	// so CSMA is on by default; hidden terminals still collide.
 	DisableCSMA bool
-	// CSMASlot is the carrier-sense backoff slot (default 1ms).
-	CSMASlot time.Duration
 }
 
 func (p Params) withDefaults() Params {
 	if p.BitRate <= 0 {
 		p.BitRate = DefaultBitRate
 	}
-	if p.CSMASlot <= 0 {
-		p.CSMASlot = time.Millisecond
-	}
 	return p
 }
+
+// csmaSlot is the carrier-sense backoff slot; the backoff window doubles
+// per deferral up to 16 slots.
+const csmaSlot = time.Millisecond
 
 // maxCSMAAttempts bounds carrier-sense deferrals; after that the frame is
 // transmitted regardless (bounded latency, like a saturated CSMA MAC).
@@ -927,7 +926,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	now := sched.Now()
 	if !m.params.DisableCSMA && attempt < maxCSMAAttempts {
 		if busyUntil := m.channelBusyUntil(src, now); busyUntil > now {
-			backoff := time.Duration(sc.rng.Float64() * float64(m.params.CSMASlot) * float64(uint(1)<<uint(min(attempt, 4))))
+			backoff := time.Duration(sc.rng.Float64() * float64(csmaSlot) * float64(uint(1)<<uint(min(attempt, 4))))
 			ps := sc.acquirePS()
 			ps.f = f
 			ps.attempt = attempt + 1

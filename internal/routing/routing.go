@@ -9,8 +9,6 @@
 package routing
 
 import (
-	"time"
-
 	"envirotrack/internal/geom"
 	"envirotrack/internal/mote"
 	"envirotrack/internal/obs"
@@ -262,12 +260,4 @@ func (r *Router) emit(t obs.EventType, peer radio.NodeID, msg Message, cause str
 		Pos: r.m.Pos(), Kind: kind, Cause: cause,
 		Label: msg.CorrLabel, Origin: int(msg.Corr.Origin), Seq: uint64(msg.Corr.Seq),
 	})
-}
-
-// RouteDelay estimates the time for a message to traverse the distance
-// between two points given the medium parameters; used by tests and for
-// coarse planning. It assumes one airtime per communication radius hop.
-func RouteDelay(m *radio.Medium, from, to geom.Point, bits int) time.Duration {
-	hops := int(from.Dist(to)/m.Params().CommRadius) + 1
-	return time.Duration(hops) * (m.Airtime(bits) + m.Params().PropDelay)
 }

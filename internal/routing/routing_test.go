@@ -210,15 +210,28 @@ func TestUnrelatedFramesIgnored(t *testing.T) {
 	}
 }
 
+// TestRouteDelayPositive times routed deliveries along a line: every
+// route takes simulated time, and a longer route takes longer.
 func TestRouteDelayPositive(t *testing.T) {
-	n := newNet(t, 2)
-	if d := RouteDelay(n.medium, geom.Pt(0, 0), geom.Pt(10, 0), 100); d <= 0 {
-		t.Errorf("RouteDelay = %v, want > 0", d)
+	n := newNet(t, 1.2)
+	n.grid(t, 21, 1) // a line: 0..20
+	routeDelay := func(dst radio.NodeID) time.Duration {
+		var at time.Duration
+		n.routers[dst].SetDeliver(func(Message) { at = n.sched.Now() })
+		sent := n.sched.Now()
+		n.routers[0].Send(Message{Dest: geom.Pt(float64(dst), 0), DestNode: dst, Bits: 100})
+		n.settle(t)
+		if at == 0 {
+			t.Fatalf("message to %d not delivered", dst)
+		}
+		return at - sent
 	}
-	short := RouteDelay(n.medium, geom.Pt(0, 0), geom.Pt(1, 0), 100)
-	long := RouteDelay(n.medium, geom.Pt(0, 0), geom.Pt(20, 0), 100)
+	short, long := routeDelay(1), routeDelay(20)
+	if short <= 0 {
+		t.Errorf("one-hop route delay = %v, want > 0", short)
+	}
 	if long <= short {
-		t.Errorf("RouteDelay not increasing with distance: %v vs %v", short, long)
+		t.Errorf("route delay not increasing with distance: %v vs %v", short, long)
 	}
 }
 

@@ -56,15 +56,6 @@ func (o Owner) String() string {
 	return "other"
 }
 
-// Owners returns every owner in taxonomy order.
-func Owners() []Owner {
-	out := make([]Owner, NumOwners)
-	for i := range out {
-		out[i] = Owner(i)
-	}
-	return out
-}
-
 // Profile accumulates per-subsystem event counts, heap pushes, and
 // wall-clock time.
 // Counters are atomic so one Profile may be shared by many schedulers

@@ -106,7 +106,7 @@ func TestProfileIdenticalRunWithAndWithoutProfile(t *testing.T) {
 
 func TestOwnerNamesUniqueAndStable(t *testing.T) {
 	seen := map[string]Owner{}
-	for _, o := range Owners() {
+	for o := range Owner(NumOwners) {
 		n := o.String()
 		if n == "" {
 			t.Errorf("owner %d has empty name", o)

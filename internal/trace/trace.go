@@ -172,17 +172,6 @@ func (s *Stats) LossFraction(k Kind) float64 {
 	return float64(lost) / float64(total)
 }
 
-// SendLossFraction returns the fraction of kind-k transmissions that were
-// received by no mote at all — the paper's method of "counting the number
-// of messages sent but never received on any other mote".
-func (s *Stats) SendLossFraction(k Kind) float64 {
-	ks := s.Kind(k)
-	if ks.Sent == 0 {
-		return 0
-	}
-	return float64(ks.Undelivered) / float64(ks.Sent)
-}
-
 // LinkUtilization returns bits-per-second on the air divided by the channel
 // capacity, over the given run duration. This mirrors the paper's worst-case
 // estimate: a broadcast model in which no two messages are concurrent.

@@ -45,20 +45,8 @@ func TestStatsLossFraction(t *testing.T) {
 	if got := s.LossFraction(KindHeartbeat); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("LossFraction = %v, want 0.25", got)
 	}
-}
-
-func TestStatsSendLossFraction(t *testing.T) {
-	var s Stats
-	if got := s.SendLossFraction(KindReading); got != 0 {
-		t.Errorf("empty SendLossFraction = %v, want 0", got)
-	}
-	for i := 0; i < 10; i++ {
-		s.RecordSend(KindReading, 10)
-	}
-	s.RecordUndelivered(KindReading)
-	s.RecordUndelivered(KindReading)
-	if got := s.SendLossFraction(KindReading); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("SendLossFraction = %v, want 0.2", got)
+	if got := s.LossFraction(KindRelinquish); got != 0 {
+		t.Errorf("LossFraction on unseen kind = %v, want 0", got)
 	}
 }
 
@@ -326,25 +314,5 @@ func TestLinkUtilizationDegenerateInputs(t *testing.T) {
 	// Sanity: the same stats over a valid window are non-zero.
 	if got := s.LinkUtilization(time.Second, 50_000); got != 1 {
 		t.Errorf("valid window: LinkUtilization = %v, want 1", got)
-	}
-}
-
-// TestSendLossFractionNoSends: a kind that never transmitted has no
-// meaningful send-loss ratio; the convention is 0, including for kinds the
-// stats map has never seen.
-func TestSendLossFractionNoSends(t *testing.T) {
-	var s Stats
-	if got := s.SendLossFraction(KindReading); got != 0 {
-		t.Errorf("SendLossFraction on empty stats = %v, want 0", got)
-	}
-	// Receives without sends (possible when only the peer's stats recorded
-	// the transmission) still must not divide by zero.
-	s.RecordReceive(KindReading)
-	s.RecordUndelivered(KindReading)
-	if got := s.SendLossFraction(KindReading); got != 0 {
-		t.Errorf("SendLossFraction with zero sends = %v, want 0", got)
-	}
-	if got := s.LossFraction(KindRelinquish); got != 0 {
-		t.Errorf("LossFraction on unseen kind = %v, want 0", got)
 	}
 }

@@ -17,12 +17,12 @@
 // the leader backend, so obs, ettrace, the metrics registry, and the
 // coherence ledger work unchanged.
 //
-// Timing derives from the shared group.Config knobs so scenarios tune
-// both backends consistently: traces are deposited every HeartbeatPeriod
-// (jittered like heartbeats), a trace is an estimator-election candidate
-// while younger than ReceiveFactor x HeartbeatPeriod, and the whole trace
-// field goes stale — forcing the estimator to step down — after
-// WaitFactor x HeartbeatPeriod.
+// Timing derives from the shared group.Config and group's timer factors,
+// so scenarios tune both backends consistently: traces are deposited every
+// HeartbeatPeriod (jittered like heartbeats), a trace is an
+// estimator-election candidate while younger than group.ReceiveFactor x
+// HeartbeatPeriod, and the whole trace field goes stale — forcing the
+// estimator to step down — after group.WaitFactor x HeartbeatPeriod.
 package passive
 
 import (
@@ -113,7 +113,7 @@ type Backend struct {
 
 // New constructs the passive backend (registered under "passive").
 func New(d track.Deps) track.Backend {
-	cfg := withGroupDefaults(d.Group)
+	cfg := d.Group.WithDefaults()
 	b := &Backend{
 		m:       d.Mote,
 		ctxType: d.CtxType,
@@ -171,48 +171,20 @@ func New(d track.Deps) track.Backend {
 	return b
 }
 
-// withGroupDefaults mirrors group.Config's defaulting for the knobs the
-// passive backend shares (the group copy is unexported).
-func withGroupDefaults(c group.Config) group.Config {
-	if c.HeartbeatPeriod <= 0 {
-		c.HeartbeatPeriod = group.DefaultHeartbeatPeriod
-	}
-	if c.ReceiveFactor <= 0 {
-		c.ReceiveFactor = group.DefaultReceiveFactor
-	}
-	if c.WaitFactor <= 0 {
-		c.WaitFactor = group.DefaultWaitFactor
-	}
-	if c.CreationBackoff <= 0 {
-		c.CreationBackoff = c.HeartbeatPeriod / 2
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.HeartbeatBits <= 0 {
-		c.HeartbeatBits = group.DefaultHeartbeatBits
-	}
-	return c
-}
-
 // depositPeriod is how often a sensing mote deposits (and gossips) a trace.
 func depositPeriod(c group.Config) time.Duration { return c.HeartbeatPeriod }
 
 // freshSlack is the estimator-election candidacy window: a mote competes
 // while its own newest trace is at most this old.
 func freshSlack(c group.Config) time.Duration {
-	return time.Duration(float64(c.HeartbeatPeriod) * c.ReceiveFactor)
+	return time.Duration(float64(c.HeartbeatPeriod) * group.ReceiveFactor)
 }
 
 // staleness is the trace-field staleness bound: traces older than this are
 // evicted, and an estimator whose whole view is older must step down.
 func staleness(c group.Config) time.Duration {
-	return time.Duration(float64(c.HeartbeatPeriod) * c.WaitFactor)
+	return time.Duration(float64(c.HeartbeatPeriod) * group.WaitFactor)
 }
-
-// Staleness exposes the trace staleness bound derived from a group config
-// (the invariant checker and docs share the derivation).
-func Staleness(c group.Config) time.Duration { return staleness(withGroupDefaults(c)) }
 
 // --- track.Backend ---
 
@@ -344,7 +316,7 @@ func (b *Backend) startDepositing() {
 }
 
 func (b *Backend) scheduleNextDeposit() {
-	jitter := 1 + b.cfg.JitterFrac*(b.m.Rand().Float64()-0.5)
+	jitter := 1 + group.JitterFrac*(b.m.Rand().Float64()-0.5)
 	d := time.Duration(float64(depositPeriod(b.cfg)) * jitter)
 	b.depositTimer = b.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, b.depositFire)
 }
@@ -357,7 +329,7 @@ func (b *Backend) deposit() {
 	b.integrate(rec)
 
 	traces := b.recentTraces(now)
-	bits := b.cfg.HeartbeatBits + len(traces)*TraceBits + len(b.state)*8
+	bits := group.HeartbeatBits + len(traces)*TraceBits + len(b.state)*8
 	b.emitCorr(obs.EvReportSent, radio.Broadcast, corr, "")
 	b.m.BroadcastTraced(trace.KindTrace, bits, Gossip{
 		CtxType: b.ctxType,
@@ -688,7 +660,7 @@ func (b *Backend) stopTimer(t *simtime.Timer) {
 }
 
 func (b *Backend) recordEvent(ty trace.LabelEventType, label group.Label) {
-	if ev, ok := labelObsEvents[ty]; ok {
+	if ev, ok := obs.LabelEvent(ty); ok {
 		b.emit(ev, label, radio.Broadcast, 0)
 	}
 	if b.ledger == nil {
@@ -701,12 +673,6 @@ func (b *Backend) recordEvent(ty trace.LabelEventType, label group.Label) {
 		CtxType: b.ctxType,
 		Mote:    int(b.m.ID()),
 	})
-}
-
-var labelObsEvents = map[trace.LabelEventType]obs.EventType{
-	trace.LabelCreated:  obs.EvLabelCreated,
-	trace.LabelTakeover: obs.EvLabelTakeover,
-	trace.LabelDeleted:  obs.EvLabelDeleted,
 }
 
 // emitCorr publishes one report-lifecycle event for a gossip frame,

@@ -9,10 +9,10 @@ import (
 	"envirotrack/internal/radio"
 )
 
-// DefaultTableCap is the default capacity of the last-known-leader table.
-// The paper notes leadership information is "retained for as long as
-// possible, given limited table sizes" with LRU replacement.
-const DefaultTableCap = 16
+// TableCap is the capacity of the last-known-leader table. The paper notes
+// leadership information is "retained for as long as possible, given
+// limited table sizes" with LRU replacement.
+const TableCap = 16
 
 // LeaderInfo is the cached last-known leadership of a remote context label.
 type LeaderInfo struct {
@@ -24,9 +24,8 @@ type LeaderInfo struct {
 // LeaderTable is an LRU cache mapping context labels to their last-known
 // leader and location.
 type LeaderTable struct {
-	capacity int
-	order    *list.List // front = most recently used; values are *tableEntry
-	byLabel  map[group.Label]*list.Element
+	order   *list.List // front = most recently used; values are *tableEntry
+	byLabel map[group.Label]*list.Element
 }
 
 type tableEntry struct {
@@ -34,15 +33,11 @@ type tableEntry struct {
 	info  LeaderInfo
 }
 
-// NewLeaderTable creates a table; capacity <= 0 means DefaultTableCap.
-func NewLeaderTable(capacity int) *LeaderTable {
-	if capacity <= 0 {
-		capacity = DefaultTableCap
-	}
+// NewLeaderTable creates an empty table of TableCap entries.
+func NewLeaderTable() *LeaderTable {
 	return &LeaderTable{
-		capacity: capacity,
-		order:    list.New(),
-		byLabel:  make(map[group.Label]*list.Element, capacity),
+		order:   list.New(),
+		byLabel: make(map[group.Label]*list.Element, TableCap),
 	}
 }
 
@@ -75,7 +70,7 @@ func (t *LeaderTable) Put(label group.Label, info LeaderInfo) {
 		t.order.MoveToFront(el)
 		return
 	}
-	if t.order.Len() >= t.capacity {
+	if t.order.Len() >= TableCap {
 		oldest := t.order.Back()
 		if oldest != nil {
 			t.order.Remove(oldest)

@@ -45,20 +45,8 @@ type Datagram struct {
 	Corr radio.Corr
 }
 
-// Config parameterizes an endpoint.
-type Config struct {
-	// TableCap bounds the last-known-leader table (DefaultTableCap if 0).
-	TableCap int
-	// MessageBits sizes MTP frames on the air.
-	MessageBits int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MessageBits <= 0 {
-		c.MessageBits = 64 * 8
-	}
-	return c
-}
+// messageBits sizes MTP frames on the air.
+const messageBits = 64 * 8
 
 // Stats counts endpoint-level outcomes.
 type Stats struct {
@@ -80,7 +68,6 @@ type Endpoint struct {
 	m      *mote.Mote
 	router *routing.Router
 	dir    *directory.Service
-	cfg    Config
 
 	table    *LeaderTable
 	handlers map[portKey]func(Datagram)
@@ -93,13 +80,12 @@ type Endpoint struct {
 // NewEndpoint attaches an MTP endpoint to the mote. dir may be nil; then
 // first-contact sends to unknown labels fail until a heartbeat or incoming
 // datagram teaches the endpoint the label's leader.
-func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service, cfg Config) *Endpoint {
+func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service) *Endpoint {
 	e := &Endpoint{
 		m:        m,
 		router:   router,
 		dir:      dir,
-		cfg:      cfg.withDefaults(),
-		table:    NewLeaderTable(cfg.TableCap),
+		table:    NewLeaderTable(),
 		handlers: make(map[portKey]func(Datagram)),
 		leading:  make(map[group.Label]bool),
 	}
@@ -131,12 +117,6 @@ func (e *Endpoint) Handle(label group.Label, port PortID, fn func(Datagram)) {
 // Unhandle removes a port handler.
 func (e *Endpoint) Unhandle(label group.Label, port PortID) {
 	delete(e.handlers, portKey{label: label, port: port})
-}
-
-// Learn records leadership information for a label (also called by the
-// heartbeat snoop).
-func (e *Endpoint) Learn(label group.Label, info LeaderInfo) {
-	e.table.Put(label, info)
 }
 
 // Table exposes the last-known-leader table (for inspection and tests).
@@ -183,7 +163,7 @@ func (e *Endpoint) routeTo(info LeaderInfo, d Datagram) {
 		Kind:      trace.KindTransport,
 		Dest:      info.Loc,
 		DestNode:  info.Leader,
-		Bits:      e.cfg.MessageBits,
+		Bits:      messageBits,
 		Payload:   d,
 		Corr:      d.Corr,
 		CorrLabel: string(d.DstLabel),

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -16,38 +17,46 @@ import (
 	"envirotrack/internal/trace"
 )
 
+// fillTable puts TableCap labels "0".."15" into a fresh table, oldest
+// first.
+func fillTable() *LeaderTable {
+	tbl := NewLeaderTable()
+	for i := 0; i < TableCap; i++ {
+		tbl.Put(tableLabel(i), LeaderInfo{Leader: radio.NodeID(i)})
+	}
+	return tbl
+}
+
+func tableLabel(i int) group.Label { return group.Label(strconv.Itoa(i)) }
+
 func TestLeaderTableLRUEviction(t *testing.T) {
-	tbl := NewLeaderTable(2)
-	tbl.Put("a", LeaderInfo{Leader: 1})
-	tbl.Put("b", LeaderInfo{Leader: 2})
-	tbl.Put("c", LeaderInfo{Leader: 3}) // evicts "a"
-	if _, ok := tbl.Get("a"); ok {
+	tbl := fillTable()
+	tbl.Put("new", LeaderInfo{Leader: 99}) // evicts "0"
+	if _, ok := tbl.Get(tableLabel(0)); ok {
 		t.Error("LRU entry not evicted")
 	}
-	if _, ok := tbl.Get("b"); !ok {
-		t.Error("entry b missing")
+	if _, ok := tbl.Get(tableLabel(1)); !ok {
+		t.Error("entry 1 missing")
 	}
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tbl.Len())
+	if tbl.Len() != TableCap {
+		t.Errorf("Len = %d, want %d", tbl.Len(), TableCap)
 	}
 }
 
 func TestLeaderTableGetRefreshesRecency(t *testing.T) {
-	tbl := NewLeaderTable(2)
-	tbl.Put("a", LeaderInfo{Leader: 1})
-	tbl.Put("b", LeaderInfo{Leader: 2})
-	tbl.Get("a")                        // a becomes most recent
-	tbl.Put("c", LeaderInfo{Leader: 3}) // evicts "b"
-	if _, ok := tbl.Get("a"); !ok {
+	tbl := fillTable()
+	tbl.Get(tableLabel(0))                 // 0 becomes most recent
+	tbl.Put("new", LeaderInfo{Leader: 99}) // evicts "1"
+	if _, ok := tbl.Get(tableLabel(0)); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if _, ok := tbl.Get("b"); ok {
+	if _, ok := tbl.Get(tableLabel(1)); ok {
 		t.Error("least recently used entry kept")
 	}
 }
 
 func TestLeaderTableNewerWins(t *testing.T) {
-	tbl := NewLeaderTable(4)
+	tbl := NewLeaderTable()
 	tbl.Put("a", LeaderInfo{Leader: 1, UpdatedAt: 10 * time.Second})
 	tbl.Put("a", LeaderInfo{Leader: 2, UpdatedAt: 5 * time.Second}) // stale
 	info, _ := tbl.Get("a")
@@ -62,7 +71,7 @@ func TestLeaderTableNewerWins(t *testing.T) {
 }
 
 func TestLeaderTableLabelsOrder(t *testing.T) {
-	tbl := NewLeaderTable(4)
+	tbl := NewLeaderTable()
 	tbl.Put("a", LeaderInfo{})
 	tbl.Put("b", LeaderInfo{})
 	tbl.Get("a")
@@ -73,12 +82,12 @@ func TestLeaderTableLabelsOrder(t *testing.T) {
 }
 
 func TestLeaderTableDefaultCap(t *testing.T) {
-	tbl := NewLeaderTable(0)
-	for i := 0; i < DefaultTableCap+5; i++ {
-		tbl.Put(group.Label(rune('a'+i)), LeaderInfo{})
+	tbl := NewLeaderTable()
+	for i := 0; i < TableCap+5; i++ {
+		tbl.Put(tableLabel(i), LeaderInfo{})
 	}
-	if tbl.Len() != DefaultTableCap {
-		t.Errorf("Len = %d, want %d", tbl.Len(), DefaultTableCap)
+	if tbl.Len() != TableCap {
+		t.Errorf("Len = %d, want %d", tbl.Len(), TableCap)
 	}
 }
 
@@ -117,7 +126,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 			}
 			r := routing.NewRouter(m, medium)
 			dir := directory.NewService(m, r, directory.Config{Bounds: bounds})
-			n.endpoints[id] = NewEndpoint(m, r, dir, Config{})
+			n.endpoints[id] = NewEndpoint(m, r, dir)
 			n.motes[id] = m
 		}
 	}
@@ -141,7 +150,7 @@ func TestSendViaLearnedLeader(t *testing.T) {
 
 	src := n.endpoints[0]
 	pos, _ := n.medium.Position(24)
-	src.Learn(label, LeaderInfo{Leader: 24, Loc: pos})
+	src.Table().Put(label, LeaderInfo{Leader: 24, Loc: pos})
 	src.Send(Datagram{SrcLabel: "base/0.1", DstLabel: label, DstPort: 7, Payload: "invoke"})
 	n.run(t, time.Second)
 
@@ -202,14 +211,14 @@ func TestForwardingAlongPastLeaderChain(t *testing.T) {
 		p, _ := n.medium.Position(id)
 		return p
 	}
-	n.endpoints[1].Learn(label, LeaderInfo{Leader: 3, Loc: pos(3), UpdatedAt: 1})
-	n.endpoints[3].Learn(label, LeaderInfo{Leader: 5, Loc: pos(5), UpdatedAt: 2})
+	n.endpoints[1].Table().Put(label, LeaderInfo{Leader: 3, Loc: pos(3), UpdatedAt: 1})
+	n.endpoints[3].Table().Put(label, LeaderInfo{Leader: 5, Loc: pos(5), UpdatedAt: 2})
 	n.endpoints[5].SetLeading(label, true)
 	delivered := 0
 	n.endpoints[5].Handle(label, 2, func(Datagram) { delivered++ })
 
 	src := n.endpoints[0]
-	src.Learn(label, LeaderInfo{Leader: 1, Loc: pos(1), UpdatedAt: 0})
+	src.Table().Put(label, LeaderInfo{Leader: 1, Loc: pos(1), UpdatedAt: 0})
 	src.Send(Datagram{DstLabel: label, DstPort: 2, Payload: "chase"})
 	n.run(t, 2*time.Second)
 
@@ -233,7 +242,7 @@ func TestReceiverLearnsSourceLeaderFromHeader(t *testing.T) {
 	src := n.endpoints[0]
 	pos, _ := n.medium.Position(4)
 	src.SetLeading(srcLabel, true)
-	src.Learn(dstLabel, LeaderInfo{Leader: 4, Loc: pos})
+	src.Table().Put(dstLabel, LeaderInfo{Leader: 4, Loc: pos})
 	src.Send(Datagram{SrcLabel: srcLabel, DstLabel: dstLabel, DstPort: 1, Payload: "hi"})
 	n.run(t, time.Second)
 
@@ -294,7 +303,7 @@ func TestNoHandlerCounted(t *testing.T) {
 
 	src := n.endpoints[0]
 	pos, _ := n.medium.Position(2)
-	src.Learn(label, LeaderInfo{Leader: 2, Loc: pos})
+	src.Table().Put(label, LeaderInfo{Leader: 2, Loc: pos})
 	src.Send(Datagram{DstLabel: label, DstPort: 5, Payload: "x"})
 	n.run(t, time.Second)
 
@@ -309,8 +318,8 @@ func TestChainLoopGuard(t *testing.T) {
 	// Nodes 0 and 1 each believe the other is the leader: a routing loop.
 	p0, _ := n.medium.Position(0)
 	p1, _ := n.medium.Position(1)
-	n.endpoints[0].Learn(label, LeaderInfo{Leader: 1, Loc: p1})
-	n.endpoints[1].Learn(label, LeaderInfo{Leader: 0, Loc: p0})
+	n.endpoints[0].Table().Put(label, LeaderInfo{Leader: 1, Loc: p1})
+	n.endpoints[1].Table().Put(label, LeaderInfo{Leader: 0, Loc: p0})
 
 	n.endpoints[0].Send(Datagram{DstLabel: label, DstPort: 1, Payload: "loop"})
 	n.run(t, 5*time.Second)
