@@ -134,6 +134,12 @@ func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 		}
 	}
 
+	hot, idx := s.m.Hot()
+	mask, ok := hot.CtxMask(spec.Name)
+	if !ok {
+		return nil, fmt.Errorf("core: context type %q exceeds the limit of %d context types", spec.Name, mote.MaxContextTypes)
+	}
+
 	gcfg := spec.Group
 	if gcfg.ReportPeriod <= 0 {
 		gcfg.ReportPeriod = ReportPeriod(spec.minFreshness())
@@ -157,8 +163,6 @@ func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 		return nil, err
 	}
 	rt.be = be
-	hot, idx := s.m.Hot()
-	mask, _ := hot.CtxMask(spec.Name)
 	rt.hot, rt.hotIdx, rt.hotMask = hot, int32(idx), mask
 	s.runtimes = append(s.runtimes, rt)
 	s.m.AddSenseListener(rt.onScan)
@@ -247,7 +251,6 @@ type ctxRuntime struct {
 
 	// hot, hotIdx and hotMask locate the mote's sensing bit for this type,
 	// which the backend keeps equal to its Sensing() (see track.Backend).
-	// hotMask is 0 when the type fell past the 32-type intern table.
 	hot     *mote.HotState
 	hotIdx  int32
 	hotMask uint32
@@ -299,9 +302,8 @@ func (rt *ctxRuntime) onScan(rd *sensor.Reading) {
 		sensing = !rt.spec.Deactivation(*rd)
 	}
 	// The backend is told only when its sensing state changes: a call that
-	// matches the mirrored bit would be a no-op. Without a bit, every scan
-	// calls.
-	if rt.hotMask == 0 || rt.hot.Sensing(int(rt.hotIdx), rt.hotMask) != sensing {
+	// matches the mirrored bit would be a no-op.
+	if rt.hot.Sensing(int(rt.hotIdx), rt.hotMask) != sensing {
 		rt.be.SetSensing(sensing)
 	}
 

@@ -12,12 +12,12 @@ import "envirotrack/internal/geom"
 // the hot slices, which are the single source of truth for the mirrored
 // fields.
 //
-// Context types are interned into bit positions (up to 32); the membership
-// word of a mote is nonzero exactly when some group manager on it holds a
-// role, which turns the group_size series probe into a scan over one
-// []uint32. Registering a 33rd context type sets the overflow flag and
-// callers fall back to the pointer-walking path, so the cap is a fast path,
-// not a limit.
+// Context types are interned into bit positions, at most MaxContextTypes
+// of them; the membership word of a mote is nonzero exactly when some
+// group manager on it holds a role, which turns the group_size series
+// probe into a scan over one []uint32. CtxMask refuses a type past the
+// cap, and core.Stack.AttachContext rejects such a type as an input
+// error, so every attached type has a bit.
 type HotState struct {
 	pos     []geom.Point
 	failed  []bool
@@ -30,9 +30,12 @@ type HotState struct {
 	// readers like the sweep and the series probes need no indirection.
 	shard []int32
 
-	ctxBits  map[string]uint32 // context type -> single-bit mask
-	overflow bool
+	ctxBits map[string]uint32 // context type -> single-bit mask
 }
+
+// MaxContextTypes is the number of context types a HotState can intern:
+// one bit each in the membership and sensing words.
+const MaxContextTypes = 32
 
 // NewHotState returns an empty hot-state arena.
 func NewHotState() *HotState {
@@ -81,14 +84,13 @@ func (h *HotState) QueuedTotal() int {
 }
 
 // CtxMask interns a context type and returns its single-bit mask. The
-// second result is false when the 32-type intern table has overflowed, in
-// which case the mask is 0 (and Set* calls with it are no-ops).
+// second result is false, with mask 0, when MaxContextTypes other types
+// are already interned.
 func (h *HotState) CtxMask(ctxType string) (uint32, bool) {
 	if m, ok := h.ctxBits[ctxType]; ok {
 		return m, true
 	}
-	if len(h.ctxBits) >= 32 {
-		h.overflow = true
+	if len(h.ctxBits) >= MaxContextTypes {
 		return 0, false
 	}
 	m := uint32(1) << uint(len(h.ctxBits))
@@ -96,18 +98,10 @@ func (h *HotState) CtxMask(ctxType string) (uint32, bool) {
 	return m, true
 }
 
-// Overflowed reports whether more than 32 context types were interned;
-// when true the member/sensing words no longer cover every type and
-// aggregate readers must fall back to walking the cold structs.
-func (h *HotState) Overflowed() bool { return h.overflow }
-
 // SetMember sets or clears the mote's membership bit for a context type
 // (set whenever its group manager holds any role).
 func (h *HotState) SetMember(i int, ctxType string, on bool) {
-	m, ok := h.CtxMask(ctxType)
-	if !ok {
-		return
-	}
+	m, _ := h.CtxMask(ctxType)
 	if on {
 		h.member[i] |= m
 	} else {
@@ -118,10 +112,7 @@ func (h *HotState) SetMember(i int, ctxType string, on bool) {
 // SetSensing sets or clears the mote's sensing bit for a context type
 // (the last sensee() evaluation its group manager was told about).
 func (h *HotState) SetSensing(i int, ctxType string, on bool) {
-	m, ok := h.CtxMask(ctxType)
-	if !ok {
-		return
-	}
+	m, _ := h.CtxMask(ctxType)
 	if on {
 		h.sensing[i] |= m
 	} else {

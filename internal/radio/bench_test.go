@@ -48,7 +48,7 @@ func appendNodesNear(tb testing.TB) func() {
 	}
 	probe := geom.Pt(10, 10)
 	var scratch []NodeID
-	query := func() { scratch = m.AppendNodesNear(scratch[:0], probe, 3) }
+	query := func() { scratch = m.appendNodesWithin(scratch[:0], probe, 3) }
 	query()
 	if len(scratch) == 0 {
 		tb.Fatal("query found nothing")
@@ -57,7 +57,7 @@ func appendNodesNear(tb testing.TB) func() {
 }
 
 // BenchmarkBroadcastFanout measures one broadcast to a 64-node
-// neighborhood, run until drained. With pooled transmission/reception
+// neighborhood, run until drained. With pooled reception and delivery-batch
 // records and typed-payload events, steady state allocates nothing.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	fanout := broadcastFanout(b)
@@ -90,6 +90,6 @@ func TestBroadcastFanoutAllocatesNothing(t *testing.T) {
 // steady state: a query into a grown scratch slice allocates nothing.
 func TestAppendNodesNearAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, appendNodesNear(t)); allocs != 0 {
-		t.Fatalf("AppendNodesNear into a grown scratch slice allocates %v times, want 0", allocs)
+		t.Fatalf("appendNodesWithin into a grown scratch slice allocates %v times, want 0", allocs)
 	}
 }

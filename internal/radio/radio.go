@@ -7,23 +7,24 @@
 //
 // The send/receive path is the hottest code in the simulator (every frame
 // fans out to O(neighbors) receptions), so it is allocation-free in steady
-// state: reception, transmission, and CSMA-retry records are pooled on
+// state: reception, delivery-batch, and CSMA-retry records are pooled on
 // intrusive free lists, their completion events are scheduled through the
 // scheduler's typed-payload API (no closure captures), spatial queries
 // append into reusable scratch, and cell buckets are kept id-sorted at
 // insert so range queries merge instead of sorting per call.
 //
 // Execution contexts: all mutable send-path state (RNG, stats, obs bus,
-// record pools, airtime memo, frame sequence) lives in a shardCtx, one per
-// scheduler shard the medium is built over (New). A serial run has one
-// context; a parallel run gives every shard its own, so shard goroutines
-// never share a draw stream, a pool, or a counter. Across shards CSMA
-// occupancy is shard-local: a cross-shard frame does not occupy or collide
-// at remote receivers during the window — its target receptions cross
-// through per-pair outboxes drained at the window barrier (FlushBoundary),
-// with loss drawn on the sender's stream at send time. That approximation
-// is what the statistical-equivalence battery in internal/eval validates
-// against the serial reference.
+// record pools, frame sequence) lives in a shardCtx, one per scheduler
+// shard the medium is built over (New). A serial run has one context; a
+// parallel run gives every shard its own, so shard goroutines never share
+// a draw stream, a pool, or a counter. Across shards CSMA occupancy is
+// shard-local: a cross-shard frame does not occupy or collide at remote
+// receivers during the window — its target receptions cross through
+// per-pair outboxes drained at the window barrier (FlushBoundary), with
+// loss drawn on the sender's stream at send time, and become ordinary
+// receptions on the receiving shard. That approximation is what the
+// statistical-equivalence battery in internal/eval validates against the
+// serial reference.
 package radio
 
 import (
@@ -154,9 +155,9 @@ type FaultInjector interface {
 func (m *Medium) SetFaultInjector(fi FaultInjector) { m.faults = fi }
 
 // shardCtx is one shard's mutable send-path state: the RNG stream, stats
-// accumulator, obs bus, record pools and arenas, airtime memo, frame-id
-// counter, and the cross-shard outboxes. Each shard owns one, so nothing
-// mutable is shared between shard goroutines.
+// accumulator, obs bus, record pools and arenas, frame-id counter, and the
+// cross-shard outboxes. Each shard owns one, so nothing mutable is shared
+// between shard goroutines.
 type shardCtx struct {
 	m     *Medium
 	shard int32
@@ -169,20 +170,11 @@ type shardCtx struct {
 	// come from context-local arenas, so a run's records occupy contiguous
 	// blocks instead of scattered heap objects.
 	rxFree  *reception
-	txFree  *transmission
 	psFree  *pendingSend
 	dbFree  *deliveryBatch
-	ceFree  *crossEvent
 	rxArena arena.Arena[reception]
-	txArena arena.Arena[transmission]
 	psArena arena.Arena[pendingSend]
 	dbArena arena.Arena[deliveryBatch]
-	ceArena arena.Arena[crossEvent]
-
-	// Airtime memo for the handful of fixed frame sizes a run uses.
-	airtimeBits [8]int
-	airtimeDur  [8]time.Duration
-	airtimeN    int
 
 	// frameSeq numbers actual transmissions (Frame.ID). Stamped at
 	// transmission commit in trySend — after CSMA deferral — so ids are
@@ -302,7 +294,9 @@ func (n *Node) Pos() geom.Point { return n.pos }
 
 // reception is one frame occupying one receiver's channel. Records are
 // pooled: a reception is recycled once it is out of the receiver's rx list
-// (inList) and its delivery event, if any, has fired (hasEvent).
+// (inList) and its delivery event, if any, has fired (hasEvent). A target
+// reception on the sender's shard belongs to the frame's batch (tx); one
+// that crossed a shard boundary has no batch and its own delivery event.
 type reception struct {
 	start     time.Duration
 	end       time.Duration
@@ -313,20 +307,8 @@ type reception struct {
 	sc        *shardCtx
 	dst       *Node
 	f         Frame
-	tx        *transmission
+	tx        *deliveryBatch
 	next      *reception
-}
-
-// transmission tracks whether any receiver got a copy, for the paper's
-// "sent but never received on any other mote" loss metric. Pooled; the
-// frame's delivery batch runs the undelivered check after its last
-// reception and recycles the record.
-type transmission struct {
-	delivered int
-	sc        *shardCtx
-	f         Frame
-	pos       geom.Point
-	next      *transmission
 }
 
 // pendingSend is a CSMA-deferred frame awaiting its backoff timer. Pooled.
@@ -337,16 +319,20 @@ type pendingSend struct {
 	next    *pendingSend
 }
 
-// deliveryBatch is one frame's batched fan-out: the target receptions of a
-// transmission, delivered in ascending receiver-id order by a single
-// scheduler event at arrival time (airtime is computed once and shared),
-// followed by the sender-side undelivered check: one heap event per frame
-// instead of one per receiver. Pooled.
+// deliveryBatch is one transmission and its batched fan-out: the target
+// receptions on the sender's shard, delivered in ascending receiver-id
+// order by a single scheduler event at arrival time (airtime is computed
+// once and shared), followed by the sender-side undelivered check for the
+// paper's "sent but never received on any other mote" loss metric: one
+// heap event per frame instead of one per receiver. delivered counts the
+// receivers that got a copy. Pooled.
 type deliveryBatch struct {
-	sc   *shardCtx
-	tx   *transmission
-	rxs  []*reception
-	next *deliveryBatch
+	sc        *shardCtx
+	f         Frame
+	pos       geom.Point
+	delivered int
+	rxs       []*reception
+	next      *deliveryBatch
 }
 
 // crossRec is one cross-shard target reception buffered in the sending
@@ -362,19 +348,6 @@ type crossRec struct {
 	start, end time.Duration
 	at         time.Duration
 	lost       bool
-}
-
-// crossEvent is the pooled receiver-shard form of a crossRec, scheduled
-// by FlushBoundary onto the receiving shard's heap at the delivery time.
-// rx is the frame's occupancy record in the receiver's in-flight list;
-// its corrupted flag resolves at delivery.
-type crossEvent struct {
-	sc   *shardCtx
-	dst  *Node
-	f    Frame
-	rx   *reception
-	lost bool
-	next *crossEvent
 }
 
 // ShardRuntime carries one scheduler shard's execution resources: the
@@ -672,22 +645,6 @@ func (m *Medium) neighborsOf(n *Node) []*Node {
 	return nb
 }
 
-// NodesNear returns node ids within radius r of point p, ascending, in a
-// freshly allocated slice. It is served by the spatial hash: cost is
-// proportional to the nodes found (plus the cell window), not the field
-// size. Hot paths should prefer AppendNodesNear with reused scratch.
-func (m *Medium) NodesNear(p geom.Point, r float64) []NodeID {
-	return m.appendNodesWithin(nil, p, r)
-}
-
-// AppendNodesNear appends the node ids within radius r of p (inclusive,
-// ascending) to dst and returns the extended slice, allocating only when
-// dst lacks capacity. It is the scratch-slice variant of NodesNear for
-// per-event callers: pass the previous call's slice re-sliced to [:0].
-func (m *Medium) AppendNodesNear(dst []NodeID, p geom.Point, r float64) []NodeID {
-	return m.appendNodesWithin(dst, p, r)
-}
-
 // InRange reports whether b is within communication radius of a.
 func (m *Medium) InRange(a, b NodeID) bool {
 	na, ok := m.nodes[a]
@@ -701,32 +658,14 @@ func (m *Medium) InRange(a, b NodeID) bool {
 	return na.pos.Within(nb.pos, m.params.CommRadius)
 }
 
-// Airtime returns the channel occupancy of a frame of the given size.
-// It is a pure computation (no memo) because protocol layers call it from
-// concurrent shard goroutines; the send path memoizes per execution
-// context instead.
+// Airtime returns the channel occupancy of a frame of the given size. It
+// is a pure computation, safe from concurrent shard goroutines; the send
+// path uses it too.
 func (m *Medium) Airtime(bits int) time.Duration {
 	if bits <= 0 {
 		bits = DefaultFrameBits
 	}
 	return time.Duration(float64(bits) / m.params.BitRate * float64(time.Second))
-}
-
-// airtime is the context-memoized airtime of the send path: a run uses a
-// handful of fixed frame sizes, so the division is memoized per context.
-func (sc *shardCtx) airtime(bits int) time.Duration {
-	for i := 0; i < sc.airtimeN; i++ {
-		if sc.airtimeBits[i] == bits {
-			return sc.airtimeDur[i]
-		}
-	}
-	d := time.Duration(float64(bits) / sc.m.params.BitRate * float64(time.Second))
-	if sc.airtimeN < len(sc.airtimeBits) {
-		sc.airtimeBits[sc.airtimeN] = bits
-		sc.airtimeDur[sc.airtimeN] = d
-		sc.airtimeN++
-	}
-	return d
 }
 
 // nextFrameID stamps one transmission commit: the shard index packed
@@ -779,23 +718,6 @@ func releaseFromList(rx *reception) {
 	}
 }
 
-func (sc *shardCtx) acquireTX() *transmission {
-	if tx := sc.txFree; tx != nil {
-		sc.txFree = tx.next
-		*tx = transmission{sc: sc}
-		return tx
-	}
-	tx := sc.txArena.New()
-	tx.sc = sc
-	return tx
-}
-
-func (sc *shardCtx) recycleTX(tx *transmission) {
-	tx.f = Frame{}
-	tx.next = sc.txFree
-	sc.txFree = tx
-}
-
 func (sc *shardCtx) acquirePS() *pendingSend {
 	if ps := sc.psFree; ps != nil {
 		sc.psFree = ps.next
@@ -825,28 +747,11 @@ func (sc *shardCtx) acquireBatch() *deliveryBatch {
 }
 
 func (sc *shardCtx) recycleBatch(b *deliveryBatch) {
-	b.tx = nil
+	b.f = Frame{}
+	b.delivered = 0
 	b.rxs = b.rxs[:0]
 	b.next = sc.dbFree
 	sc.dbFree = b
-}
-
-func (sc *shardCtx) acquireCE() *crossEvent {
-	if ce := sc.ceFree; ce != nil {
-		sc.ceFree = ce.next
-		ce.next = nil
-		return ce
-	}
-	ce := sc.ceArena.New()
-	ce.sc = sc
-	return ce
-}
-
-func (sc *shardCtx) recycleCE(ce *crossEvent) {
-	ce.dst = nil
-	ce.f = Frame{}
-	ce.next = sc.ceFree
-	sc.ceFree = ce
 }
 
 // Send transmits a frame from f.Src. The sender carrier-senses first:
@@ -944,7 +849,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil
 	}
-	airtime := sc.airtime(f.Bits)
+	airtime := m.Airtime(f.Bits)
 	end := start + airtime
 	src.txBusyUntil = end
 
@@ -959,9 +864,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 		})
 	}
 
-	tx := sc.acquireTX()
 	batch := sc.acquireBatch()
-	batch.tx = tx
 	deliverAt := end + m.params.PropDelay
 	// lookahead is the conservative bound boundary deliveries must clear:
 	// one packet time. deliverAt - now ≥ airtime + PropDelay always holds
@@ -1009,7 +912,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 				// receptions were cross-shard collisions is therefore not
 				// counted undelivered. Loss accounting at the receiver is
 				// exact.
-				tx.delivered++
+				batch.delivered++
 			}
 			if !sc.outMark[dst.shard] {
 				sc.outMark[dst.shard] = true
@@ -1022,31 +925,30 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			})
 			continue
 		}
-		m.scheduleReception(sc, dst, f, tx, batch, start, end, now, isTarget)
+		m.scheduleReception(sc, dst, f, batch, start, end, now, isTarget)
 	}
 	if intended == 0 {
 		// Nobody could ever receive it: record immediately. No target
-		// reception references tx, so it recycles here.
+		// reception references the batch, so it recycles here.
 		if sc.stats != nil {
 			sc.stats.RecordUndelivered(f.Kind)
 		}
 		sc.emitUndelivered(now, f, src.pos)
-		sc.recycleTX(tx)
 		sc.recycleBatch(batch)
 		return
 	}
-	tx.f = f
-	tx.pos = src.pos
+	batch.f = f
+	batch.pos = src.pos
 	// One event delivers the whole batch in ascending receiver-id order and
 	// then runs the undelivered check.
 	sched.AtEventOwned(deliverAt, simtime.OwnerRadio, batchDeliver, batch)
 }
 
 // FlushBoundary drains every sending shard's cross-shard outboxes at a
-// window barrier: each buffered target reception is inserted
-// into its receiver's channel-occupancy list (corrupting any overlapping
-// in-flight reception — boundary frames collide like local ones) and
-// scheduled as a crossEvent on the receiver's shard at its arrival time.
+// window barrier: each buffered target reception becomes a reception on
+// the receiver's shard, inserted into its receiver's channel-occupancy
+// list (corrupting any overlapping in-flight reception — boundary frames
+// collide like local ones) and scheduled there at its arrival time.
 // It returns the number of deliveries that landed before the barrier
 // time — conservative-lookahead violations, zero outside the shardmut
 // mutation build. Coordinator-only: all shard workers must be parked at
@@ -1079,11 +981,10 @@ func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 				}
 				rx := dstCtx.acquireRX()
 				rx.start, rx.end = r.start, r.end
+				rx.dst, rx.f, rx.lost = r.dst, r.f, r.lost
 				rx.hasEvent = true
 				m.occupyChannel(r.dst, rx, window)
-				ce := dstCtx.acquireCE()
-				ce.dst, ce.f, ce.rx, ce.lost = r.dst, r.f, rx, r.lost
-				dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, ce)
+				dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, rx)
 				*r = crossRec{}
 			}
 			sc.out[to] = box[:0]
@@ -1093,44 +994,14 @@ func (m *Medium) FlushBoundary(window time.Duration) uint64 {
 	return violations
 }
 
-// crossDeliver resolves one cross-shard reception on the receiving shard:
-// the iid loss outcome was drawn at send time on the sender's stream, and
-// collision corruption was accumulated on the occupancy record inserted
-// at the barrier, so only the resolution, receiver-side stats, emission,
-// and the callback run here. Local receptions still in flight before the
-// barrier may have delivered clean a window earlier than a serial run
-// would allow — that one-window asymmetry is part of the approximation
-// the statistical-equivalence battery validates.
-func crossDeliver(arg any) {
-	ce := arg.(*crossEvent)
-	sc, dst, f, rx, lost := ce.sc, ce.dst, ce.f, ce.rx, ce.lost
-	corrupted := rx.corrupted
-	rx.hasEvent = false
-	if !rx.inList {
-		sc.recycleRX(rx)
-	}
-	sc.recycleCE(ce)
-	switch {
-	case corrupted:
-		if sc.stats != nil {
-			sc.stats.RecordLoss(f.Kind, trace.LossCollision)
-		}
-		sc.emitAtReceiver(obs.EvFrameLost, dst, f, "collision")
-	case lost:
-		if sc.stats != nil {
-			sc.stats.RecordLoss(f.Kind, trace.LossRandom)
-		}
-		sc.emitAtReceiver(obs.EvFrameLost, dst, f, "random")
-	default:
-		if sc.stats != nil {
-			sc.stats.RecordReceive(f.Kind)
-		}
-		sc.emitAtReceiver(obs.EvFrameReceived, dst, f, "")
-		if dst.recv != nil {
-			dst.recv(f)
-		}
-	}
-}
+// crossDeliver resolves one cross-shard reception on the receiving shard.
+// Its iid loss outcome was drawn at send time on the sender's stream, and
+// its delivered count taken there, so it carries no batch. Local
+// receptions still in flight before the barrier may have delivered clean
+// a window earlier than a serial run would allow — that one-window
+// asymmetry is part of the approximation the statistical-equivalence
+// battery validates.
+func crossDeliver(arg any) { deliverReception(arg.(*reception)) }
 
 // batchDeliver resolves every target reception of one frame in ascending
 // receiver-id order, then the sender-side undelivered check. Each record's
@@ -1140,19 +1011,17 @@ func crossDeliver(arg any) {
 // batch records.
 func batchDeliver(arg any) {
 	b := arg.(*deliveryBatch)
-	sc, tx := b.sc, b.tx
+	sc := b.sc
 	for i, rx := range b.rxs {
 		b.rxs[i] = nil
 		deliverReception(rx)
 	}
-	b.rxs = b.rxs[:0]
-	if tx.delivered == 0 {
+	if b.delivered == 0 {
 		if sc.stats != nil {
-			sc.stats.RecordUndelivered(tx.f.Kind)
+			sc.stats.RecordUndelivered(b.f.Kind)
 		}
-		sc.emitUndelivered(sc.sched.Now(), tx.f, tx.pos)
+		sc.emitUndelivered(sc.sched.Now(), b.f, b.pos)
 	}
-	sc.recycleTX(tx)
 	sc.recycleBatch(b)
 }
 
@@ -1161,7 +1030,7 @@ func batchDeliver(arg any) {
 // reception to the frame's delivery batch. Non-target receivers still
 // experience channel occupancy (their concurrent receptions collide) but
 // do not receive or account the frame.
-func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, tx *transmission, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
+func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
 	rx := sc.acquireRX()
 	rx.start, rx.end = start, end
 	m.occupyChannel(dst, rx, now)
@@ -1177,7 +1046,7 @@ func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, tx *transmi
 	rx.lost = sc.rng.Float64() < m.lossProbAt(start)
 	rx.dst = dst
 	rx.f = f
-	rx.tx = tx
+	rx.tx = batch
 	rx.hasEvent = true
 	batch.rxs = append(batch.rxs, rx)
 }
@@ -1214,6 +1083,9 @@ func (m *Medium) occupyChannel(dst *Node, rx *reception, now time.Duration) {
 
 // deliverReception resolves one target reception at its arrival time:
 // collision corruption, iid loss, or delivery to the receiver callback.
+// It is the one outcome resolver, for local and cross-shard receptions
+// alike; only a local reception has a batch whose delivered count it
+// bumps.
 // Pool bookkeeping happens before the receiver callback runs, because the
 // callback may send frames that reenter the medium and prune rx lists.
 func deliverReception(rx *reception) {
@@ -1239,7 +1111,9 @@ func deliverReception(rx *reception) {
 		}
 		sc.emitAtReceiver(obs.EvFrameLost, dst, f, "random")
 	default:
-		tx.delivered++
+		if tx != nil {
+			tx.delivered++
+		}
 		if sc.stats != nil {
 			sc.stats.RecordReceive(f.Kind)
 		}

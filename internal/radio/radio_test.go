@@ -275,9 +275,9 @@ func TestNeighborsAndRangeQueries(t *testing.T) {
 	if !m.InRange(0, 1) || m.InRange(0, 2) {
 		t.Error("InRange gave wrong answers")
 	}
-	near := m.NodesNear(geom.Pt(0.4, 0), 1)
+	near := m.appendNodesWithin(nil, geom.Pt(0.4, 0), 1)
 	if len(near) != 2 || near[0] != 0 || near[1] != 1 {
-		t.Errorf("NodesNear = %v, want [0 1]", near)
+		t.Errorf("appendNodesWithin = %v, want [0 1]", near)
 	}
 	// Cached path returns the same answer.
 	nb2 := m.Neighbors(2)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"envirotrack/internal/geom"
+	"envirotrack/internal/obs"
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
 )
@@ -192,4 +193,147 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 	if boundary == 0 {
 		t.Fatal("no trial produced boundary frames; the bound check is vacuous")
 	}
+}
+
+// eventLog is an obs sink recording every event. Each shard gets its own,
+// so shard goroutines never share one.
+type eventLog []obs.Event
+
+func (l *eventLog) Emit(ev obs.Event) { *l = append(*l, ev) }
+
+// crossPair builds a 2-shard medium with sender 1 on shard 0 and receiver
+// 2 just across the stripe boundary on shard 1, plus node 3 on shard 1,
+// hidden from node 1, that can send a local frame to 2. It returns each
+// shard's stats and event log, and the receptions node 2 heard.
+func crossPair(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, [2]*trace.Stats, [2]*eventLog, *int) {
+	t.Helper()
+	g := simtime.NewShardGroup(2)
+	var stats [2]*trace.Stats
+	var logs [2]*eventLog
+	rts := make([]ShardRuntime, 2)
+	for i := range rts {
+		stats[i], logs[i] = &trace.Stats{}, &eventLog{}
+		rts[i] = ShardRuntime{
+			Sched: g.Shard(i),
+			RNG:   rand.New(rand.NewSource(simtime.ShardSeed(1, i))),
+			Stats: stats[i],
+			Bus:   obs.NewBus(logs[i]),
+		}
+	}
+	m := New(p, stripes(2, 10), rts...)
+	received := new(int)
+	for _, n := range []struct {
+		id   NodeID
+		x    float64
+		recv Receiver
+	}{
+		{1, 4.5, nil},
+		{2, 5.5, func(Frame) { *received++ }},
+		{3, 6.5, nil},
+	} {
+		if err := m.AddNode(n.id, geom.Pt(n.x, 0), n.recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.NodeShard(1) != 0 || m.NodeShard(2) != 1 || m.NodeShard(3) != 1 {
+		t.Fatal("nodes landed on the wrong shards")
+	}
+	return g, m, stats, logs, received
+}
+
+// sendAt schedules f's transmission at `at` on the shard owning its sender.
+func sendAt(g *simtime.ShardGroup, m *Medium, at time.Duration, f Frame) {
+	g.Shard(int(m.NodeShard(f.Src))).AtEventOwned(at, simtime.OwnerNone, func(arg any) {
+		m.Send(arg.(Frame))
+	}, f)
+}
+
+// atReceiver returns node 2's reception-side events in log order.
+func atReceiver(l *eventLog) []obs.Event {
+	var out []obs.Event
+	for _, ev := range *l {
+		if ev.Mote == 2 && (ev.Type == obs.EvFrameLost || ev.Type == obs.EvFrameReceived) {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestCrossShardReceptionOutcomes pins how a reception whose sender lives
+// on another shard resolves at the receiver: a collision with a local
+// frame loses both, an iid loss is a random loss, and a clean frame is
+// received with the sender counting it delivered.
+func TestCrossShardReceptionOutcomes(t *testing.T) {
+	p := Params{CommRadius: 1.2, BitRate: 1000}
+	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+
+	t.Run("collision", func(t *testing.T) {
+		g, m, stats, logs, received := crossPair(t, p)
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 2, Bits: 100})
+		runSharded(t, g, m, time.Second, packet)
+		if *received != 0 {
+			t.Fatalf("node 2 received %d frames, want 0", *received)
+		}
+		if ks := stats[1].Kind(trace.KindReading); ks.LostCollision != 2 || ks.Received != 0 {
+			t.Fatalf("receiver shard stats = %+v, want 2 collision losses", ks)
+		}
+		evs := atReceiver(logs[1])
+		if len(evs) != 2 {
+			t.Fatalf("receiver events = %+v, want 2", evs)
+		}
+		peers := map[int]bool{}
+		for _, ev := range evs {
+			if ev.Type != obs.EvFrameLost || ev.Cause != "collision" {
+				t.Fatalf("receiver event %+v, want frame_lost with cause collision", ev)
+			}
+			peers[ev.Peer] = true
+		}
+		if !peers[1] || !peers[3] {
+			t.Fatalf("collision losses from %v, want senders 1 and 3", peers)
+		}
+	})
+
+	t.Run("random", func(t *testing.T) {
+		lossy := p
+		lossy.LossProb = 1
+		g, m, stats, logs, received := crossPair(t, lossy)
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		runSharded(t, g, m, time.Second, packet)
+		if *received != 0 {
+			t.Fatalf("node 2 received %d frames, want 0", *received)
+		}
+		if ks := stats[1].Kind(trace.KindReading); ks.LostRandom != 1 || ks.LostCollision != 0 {
+			t.Fatalf("receiver shard stats = %+v, want 1 random loss", ks)
+		}
+		if got := stats[0].Kind(trace.KindReading).Undelivered; got != 1 {
+			t.Fatalf("sender Undelivered = %d, want 1", got)
+		}
+		evs := atReceiver(logs[1])
+		if len(evs) != 1 || evs[0].Type != obs.EvFrameLost || evs[0].Cause != "random" {
+			t.Fatalf("receiver events = %+v, want one frame_lost with cause random", evs)
+		}
+	})
+
+	t.Run("clean", func(t *testing.T) {
+		g, m, stats, logs, received := crossPair(t, p)
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		runSharded(t, g, m, time.Second, packet)
+		if *received != 1 {
+			t.Fatalf("node 2 received %d frames, want 1", *received)
+		}
+		if ks := stats[1].Kind(trace.KindReading); ks.Received != 1 || ks.LostRandom+ks.LostCollision != 0 {
+			t.Fatalf("receiver shard stats = %+v, want 1 reception", ks)
+		}
+		if ks := stats[0].Kind(trace.KindReading); ks.Sent != 1 || ks.Undelivered != 0 {
+			t.Fatalf("sender shard stats = %+v, want 1 send and no Undelivered", ks)
+		}
+		evs := atReceiver(logs[1])
+		if len(evs) != 1 || evs[0].Type != obs.EvFrameReceived || evs[0].Peer != 1 {
+			t.Fatalf("receiver events = %+v, want one frame_received from node 1", evs)
+		}
+		if m.BoundaryFrames() != 1 {
+			t.Fatalf("BoundaryFrames() = %d, want 1", m.BoundaryFrames())
+		}
+	})
 }

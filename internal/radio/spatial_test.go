@@ -22,7 +22,7 @@ func bruteNeighbors(pos map[NodeID]geom.Point, self NodeID, r float64) []NodeID 
 	return out
 }
 
-// bruteNear is the reference scan for NodesNear.
+// bruteNear is the reference scan for appendNodesWithin.
 func bruteNear(pos map[NodeID]geom.Point, p geom.Point, r float64) []NodeID {
 	var out []NodeID
 	for id := NodeID(0); int(id) < len(pos); id++ {
@@ -56,7 +56,7 @@ func sameIDs(a, b []NodeID) bool {
 
 // TestSpatialHashMatchesBruteForce drops random node layouts onto media
 // with random communication radii and checks that the spatial-hash
-// Neighbors and NodesNear agree with the brute-force scan — including
+// Neighbors and appendNodesWithin agree with the brute-force scan — including
 // across incremental registration, which exercises the granular cache
 // invalidation (queries are interleaved with AddNode).
 func TestSpatialHashMatchesBruteForce(t *testing.T) {
@@ -95,8 +95,8 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 			if q == 0 {
 				r = 1000 // exercise the large-radius linear fallback
 			}
-			if got, want := m.NodesNear(p, r), bruteNear(pos, p, r); !sameIDs(got, want) {
-				t.Fatalf("trial %d: NodesNear(%v, %.2f) = %v, want %v", trial, p, r, got, want)
+			if got, want := m.appendNodesWithin(nil, p, r), bruteNear(pos, p, r); !sameIDs(got, want) {
+				t.Fatalf("trial %d: appendNodesWithin(%v, %.2f) = %v, want %v", trial, p, r, got, want)
 			}
 		}
 	}
@@ -144,33 +144,36 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	}
 }
 
-// TestAppendNodesNearReusesScratch checks the scratch-slice contract: the
-// results match NodesNear, land after any existing dst contents, and a
-// reused buffer with sufficient capacity is not reallocated.
+// TestAppendNodesNearReusesScratch checks the scratch-slice contract of
+// appendNodesWithin: the results match the brute-force scan, land after
+// any existing dst contents, and a reused buffer with sufficient capacity
+// is not reallocated.
 func TestAppendNodesNearReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
+	pos := make(map[NodeID]geom.Point, 40)
 	for i := 0; i < 40; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%8), float64(i/8)), nil); err != nil {
+		pos[NodeID(i)] = geom.Pt(float64(i%8), float64(i/8))
+		if err := m.AddNode(NodeID(i), pos[NodeID(i)], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	probe := geom.Pt(3, 2)
-	want := m.NodesNear(probe, 2.5)
+	want := bruteNear(pos, probe, 2.5)
 	if len(want) == 0 {
 		t.Fatal("probe found no nodes; bad test geometry")
 	}
 
-	prefixed := m.AppendNodesNear([]NodeID{99}, probe, 2.5)
+	prefixed := m.appendNodesWithin([]NodeID{99}, probe, 2.5)
 	if prefixed[0] != 99 || !sameIDs(prefixed[1:], want) {
-		t.Fatalf("AppendNodesNear kept %v, want [99]+%v", prefixed, want)
+		t.Fatalf("appendNodesWithin kept %v, want [99]+%v", prefixed, want)
 	}
 
 	scratch := make([]NodeID, 0, len(want)+8)
 	for rep := 0; rep < 5; rep++ {
-		got := m.AppendNodesNear(scratch[:0], probe, 2.5)
+		got := m.appendNodesWithin(scratch[:0], probe, 2.5)
 		if !sameIDs(got, want) {
-			t.Fatalf("rep %d: AppendNodesNear = %v, want %v", rep, got, want)
+			t.Fatalf("rep %d: appendNodesWithin = %v, want %v", rep, got, want)
 		}
 		if &got[0] != &scratch[:1][0] {
 			t.Fatalf("rep %d: scratch with capacity %d was reallocated", rep, cap(scratch))

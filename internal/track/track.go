@@ -96,8 +96,7 @@ type Backend interface {
 	// evaluation. It must record the value in the mote's HotState sensing
 	// bit for the backend's context type (mote.HotState.SetSensing), and
 	// nothing else may write that bit: the runtime compares a scan's
-	// result with the bit and calls only when they differ, or on every
-	// scan when the type has no bit (intern-table overflow).
+	// result with the bit and calls only when they differ.
 	SetSensing(sensing bool)
 	// Sensing returns the last value supplied to SetSensing.
 	Sensing() bool

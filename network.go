@@ -463,33 +463,14 @@ func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series
 			return float64(total)
 		}},
 		{Name: "group_size", Sample: func() float64 {
-			// Fast path: membership bits live in the hot-state word slice,
-			// so the probe is one scan over []uint32. The pointer walk
-			// remains for the (unreachable in practice) >32-context case.
+			// Membership bits live in the hot-state word slice, so the
+			// probe is one scan over []uint32.
 			var mask uint32
-			ok := true
 			for _, ct := range n.ctxTypes {
-				m, found := n.hot.CtxMask(ct)
-				if !found {
-					ok = false
-					break
-				}
+				m, _ := n.hot.CtxMask(ct)
 				mask |= m
 			}
-			if ok && !n.hot.Overflowed() {
-				return float64(n.hot.MemberCountMask(mask))
-			}
-			total := 0
-			for _, id := range n.medium.NodeIDs() {
-				node := n.nodes[id]
-				for _, ct := range n.ctxTypes {
-					if rt, ok := node.stack.Runtime(ct); ok && rt.Participating() {
-						total++
-						break
-					}
-				}
-			}
-			return float64(total)
+			return float64(n.hot.MemberCountMask(mask))
 		}},
 		{Name: "cpu_queue", Sample: func() float64 {
 			return float64(n.hot.QueuedTotal())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"envirotrack/internal/mote"
 )
 
 // crossingTarget is a vehicle crossing buildNet's 8x3 field along y = 1.
@@ -64,69 +66,27 @@ func TestSensingBitMirrorsBackend(t *testing.T) {
 	}
 }
 
-// TestContextTypePastInternTableTracks attaches 33 context types, so the
-// last one falls past the 32-type hot-state intern table and has no
-// sensing bit. Its runtime must then tell the backend on every scan: after
-// every second each backend's Sensing() matches the activation predicate
-// on the mote's current reading, and the type still forms a group and
-// reports to the pursuer.
-func TestContextTypePastInternTableTracks(t *testing.T) {
+// TestAttachRejectsContextTypePastLimit attaches the most context types
+// the hot state has bits for and checks the next one is refused as an
+// input error, so no attached type is left without a sensing bit.
+func TestAttachRejectsContextTypePastLimit(t *testing.T) {
 	n := buildNet(t)
-	for i := 0; i < 32; i++ {
+	for i := 0; i < mote.MaxContextTypes; i++ {
 		spec := ContextType{
 			Name:       fmt.Sprintf("idle%02d", i),
 			Activation: func(Reading) bool { return false },
 		}
 		if err := n.AttachContextAll(spec); err != nil {
-			t.Fatal(err)
+			t.Fatalf("context type %d: %v", i, err)
 		}
 	}
 	var reports []Point
-	spec := trackerContext(100, &reports)
-	if err := n.AttachContextAll(spec); err != nil {
-		t.Fatal(err)
+	if err := n.AttachContextAll(trackerContext(100, &reports)); err == nil {
+		t.Fatalf("context type %d attached; want an error past the limit", mote.MaxContextTypes+1)
 	}
-	if _, ok := n.hot.CtxMask("tracker"); ok || !n.hot.Overflowed() {
-		t.Fatal("the 33rd context type was interned; the test no longer reaches the overflow path")
-	}
-	pursuer, err := n.AddMote(100, Pt(7, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pursuer.OnMessage(func(m NodeMessage) {
-		if p, ok := m.Payload.(Point); ok {
-			reports = append(reports, p)
+	for _, id := range n.Nodes() {
+		if _, ok := n.nodes[id].stack.Runtime("tracker"); ok {
+			t.Fatalf("mote %d runs the refused context type", id)
 		}
-	})
-	n.AddTarget(crossingTarget(t))
-	was := make(map[NodeID]bool)
-	falls := 0
-	for s := 0; s < 20; s++ {
-		if err := n.Run(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range n.Nodes() {
-			rt, ok := n.nodes[id].stack.Runtime("tracker")
-			if !ok {
-				continue
-			}
-			want := spec.Activation(n.nodes[id].mote.Sense())
-			if got := rt.Backend().Sensing(); got != want {
-				t.Fatalf("at %v mote %d: backend Sensing() %v, activation %v", n.Now(), id, got, want)
-			}
-			if was[id] && !want {
-				falls++
-			}
-			was[id] = want
-		}
-	}
-	if falls == 0 {
-		t.Error("no mote stopped sensing the target: the fallback's falling edge went unchecked")
-	}
-	if got := n.Ledger().Summarize("tracker").Created; got == 0 {
-		t.Error("the 33rd context type created no label")
-	}
-	if len(reports) == 0 {
-		t.Error("the 33rd context type delivered no report")
 	}
 }
