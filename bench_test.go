@@ -16,6 +16,7 @@ package envirotrack_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -271,14 +272,13 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 }
 
-// benchLargeField deploys a cols x rows unit grid with several concurrent
-// targets crossing it on slanted lines, then advances the prebuilt network
-// by simStep of virtual time per iteration. Construction and a one-second
-// settling run (group formation, pool warm-up) happen outside the timer,
-// so ns/op and allocs/op measure steady-state tracking only. parShards > 1
-// runs the field on the free-running parallel engine.
-func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duration, parShards int, backend string) {
-	b.Helper()
+// settledField deploys a cols x rows unit grid with several concurrent
+// targets crossing it on slanted lines and runs it for one settling second
+// (group formation, pool warm-up). parShards > 1 runs the field on the
+// free-running parallel engine. It returns the network and its live heap
+// per mote after the settle, over a baseline taken before construction.
+func settledField(tb testing.TB, cols, rows, targets, parShards int, backend string) (*envirotrack.Network, float64) {
+	tb.Helper()
 	opts := []envirotrack.Option{
 		envirotrack.WithGrid(cols, rows),
 		envirotrack.WithCommRadius(2.5),
@@ -291,12 +291,13 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 	if parShards > 1 {
 		opts = append(opts, envirotrack.WithParallelShards(parShards))
 	}
+	base := liveHeap()
 	n, err := envirotrack.New(opts...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := n.AttachContextAll(benchTrackerContext(envirotrack.NodeID(cols*rows - 1))); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for j := 0; j < targets; j++ {
 		slant := 0.2
@@ -314,8 +315,26 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 		})
 	}
 	if err := n.Run(time.Second); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return n, float64(int64(liveHeap())-int64(base)) / float64(cols*rows)
+}
+
+// liveHeap forces a collection and returns the bytes of live heap objects.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// benchLargeField advances a settledField by simStep of virtual time per
+// iteration. Construction and the settle happen outside the timer, so
+// ns/op and allocs/op measure steady-state tracking only; heap_B/mote is
+// the field's live heap per mote after the settle.
+func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duration, parShards int, backend string) {
+	b.Helper()
+	n, heap := settledField(b, cols, rows, targets, parShards, backend)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -327,6 +346,7 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 	if wall := time.Since(start).Seconds(); wall > 0 {
 		b.ReportMetric(simStep.Seconds()*float64(b.N)/wall, "sim_s_per_wall_s")
 	}
+	b.ReportMetric(heap, "heap_B/mote") // after the loop: ResetTimer drops metrics
 }
 
 // BenchmarkLargeField is the scale tier: 10k motes with four concurrent

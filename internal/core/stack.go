@@ -121,13 +121,20 @@ func (s *Stack) handleNodeMessage(msg routing.Message) bool {
 	return true
 }
 
-// AttachContext installs a context type on this mote. The group
-// data-collection period is derived as Pe = min(Le) - d unless the spec
-// overrides it.
+// AttachContext validates a context type and installs it on this mote.
+// The group data-collection period is derived as Pe = min(Le) - d unless
+// the spec overrides it.
 func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	return s.AttachShared(&spec)
+}
+
+// AttachShared installs an already validated context type on this mote.
+// The runtime only reads spec, so one spec may serve every mote of a
+// network; the caller must not modify it afterwards.
+func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 	for _, rt := range s.runtimes {
 		if rt.spec.Name == spec.Name {
 			return nil, fmt.Errorf("core: context type %q already attached", spec.Name)
@@ -246,7 +253,7 @@ func transportLabelType(l group.Label) string {
 // registration) are backend-agnostic.
 type ctxRuntime struct {
 	stack *Stack
-	spec  ContextType
+	spec  *ContextType // shared by every mote the type is attached to; read-only
 	be    track.Backend
 
 	// hot, hotIdx and hotMask locate the mote's sensing bit for this type,

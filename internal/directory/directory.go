@@ -101,6 +101,9 @@ type Service struct {
 	router *routing.Router
 	cfg    Config
 
+	// The maps stay nil until first written: most motes never store an
+	// entry or issue a query.
+	//
 	// entries is this node's replica of directory state (non-empty only on
 	// directory nodes): ctxType -> label -> entry.
 	entries map[string]map[group.Label]Entry
@@ -124,14 +127,7 @@ type pendingQuery struct {
 
 // NewService attaches a directory service to the mote's router.
 func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
-	s := &Service{
-		m:          m,
-		router:     router,
-		cfg:        cfg,
-		entries:    make(map[string]map[group.Label]Entry),
-		tombstones: make(map[string]map[group.Label]time.Duration),
-		pending:    make(map[uint64]*pendingQuery),
-	}
+	s := &Service{m: m, router: router, cfg: cfg}
 	router.AddHandler(s.handle)
 	return s
 }
@@ -198,6 +194,9 @@ func (s *Service) Unregister(ctxType string, label group.Label) {
 func (s *Service) Query(ctxType string, cb func([]Entry)) {
 	s.nextQueryID++
 	id := s.nextQueryID
+	if s.pending == nil {
+		s.pending = make(map[uint64]*pendingQuery)
+	}
 	s.pending[id] = &pendingQuery{cb: cb, corr: radio.Corr{Origin: int32(s.m.ID()), Seq: s.m.NextCorrSeq()}}
 	s.sendQuery(ctxType, id)
 }
@@ -271,6 +270,9 @@ func (s *Service) store(e Entry) {
 	}
 	byLabel, ok := s.entries[e.CtxType]
 	if !ok {
+		if s.entries == nil {
+			s.entries = make(map[string]map[group.Label]Entry)
+		}
 		byLabel = make(map[group.Label]Entry)
 		s.entries[e.CtxType] = byLabel
 	}
@@ -289,6 +291,9 @@ func (s *Service) remove(p unregisterMsg) {
 	}
 	byLabel, ok := s.tombstones[p.CtxType]
 	if !ok {
+		if s.tombstones == nil {
+			s.tombstones = make(map[string]map[group.Label]time.Duration)
+		}
 		byLabel = make(map[group.Label]time.Duration)
 		s.tombstones[p.CtxType] = byLabel
 	}

@@ -9,6 +9,7 @@ import (
 	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
 	"envirotrack/internal/radio"
+	"envirotrack/internal/routing"
 	"envirotrack/internal/simtime"
 )
 
@@ -149,5 +150,50 @@ func TestTombstonePropertyUnderChurn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFreshServiceState exercises services whose entry, tombstone and
+// query maps were never written.
+func TestFreshServiceState(t *testing.T) {
+	n := newNet(t, 4, 4, 1.5)
+	dir := n.services[radio.NodeID(nearestTo(n, HashPoint("car", n.bounds)))]
+	if es := dir.Entries("car"); es != nil {
+		t.Errorf("fresh Entries = %v, want nil", es)
+	}
+	// A reply to a query this node never issued is consumed and ignored.
+	if !dir.handle(routing.Message{Payload: replyMsg{QueryID: 7}}) {
+		t.Error("stray reply not consumed")
+	}
+
+	// The directory node answers a type it never stored at once, with no
+	// entries, rather than letting the query time out.
+	called := false
+	n.services[0].Query("car", func(es []Entry) {
+		called = true
+		if len(es) != 0 {
+			t.Errorf("entries for an unseen type = %v, want none", es)
+		}
+	})
+	n.runUntil(t, queryTimeout/2)
+	if !called {
+		t.Fatal("query for an unseen type not answered before its timeout")
+	}
+
+	// Unregister before any Register leaves a tombstone that blocks older
+	// registrations; a newer one is accepted.
+	n.services[5].Unregister("car", "car/1.1")
+	n.runUntil(t, 2*time.Second)
+	if ts, ok := dir.tombstones["car"]["car/1.1"]; !ok || ts != queryTimeout/2 {
+		t.Fatalf("tombstone = %v, %v; want %v", ts, ok, queryTimeout/2)
+	}
+	dir.store(Entry{CtxType: "car", Label: "car/1.1", UpdatedAt: 0})
+	if es := dir.Entries("car"); len(es) != 0 {
+		t.Errorf("registration older than the unregister stored: %v", es)
+	}
+	n.services[5].Register("car", "car/1.1", geom.Pt(1, 1), 5)
+	n.runUntil(t, 3*time.Second)
+	if es := dir.Entries("car"); len(es) != 1 {
+		t.Errorf("registration after the unregister = %v, want one entry", es)
 	}
 }

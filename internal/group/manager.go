@@ -10,8 +10,9 @@
 //
 // The manager is heartbeat-churn heavy (every heartbeat heard re-arms the
 // member receive timer and may schedule a jittered rebroadcast), so the
-// per-heartbeat path is allocation-free: timer callbacks are precomputed
-// once at construction, a repeat of the last (label, leader) flood pair is
+// per-heartbeat path is allocation-free: timers fire package-level typed
+// events that take the manager as their argument, so arming one captures
+// nothing, a repeat of the last (label, leader) flood pair is
 // recognised without building its dedup key, other keys are built in a
 // stack buffer and only materialized as map keys on first sight of a
 // pair, and pending rebroadcast records are pooled on a per-manager free
@@ -51,7 +52,7 @@ type Manager struct {
 	state     []byte
 	hbSeq     uint64
 	hbTimer   simtime.Timer
-	reporters map[radio.NodeID]time.Duration // member -> last report time
+	reporters map[radio.NodeID]time.Duration // member -> last report time; made by becomeLeader
 
 	// Member state.
 	leaderID     radio.NodeID
@@ -73,7 +74,8 @@ type Manager struct {
 	labelSeq      int
 
 	// seen tracks, per (label, leader) flood key, the highest heartbeat Seq
-	// received and any pending jittered rebroadcast awaiting its timer.
+	// received and any pending jittered rebroadcast awaiting its timer. It
+	// is made on the first heartbeat heard.
 	seen map[string]*hbState
 	// lastSeen is the seen entry of the last heartbeat heard. A flood
 	// repeats one (label, leader) pair, so most lookups end here: 95% of
@@ -83,15 +85,6 @@ type Manager struct {
 
 	// pfFree is the pendingForward free list (intrusive via next).
 	pfFree *pendingForward
-
-	// Timer callbacks are constructed once here rather than per arm, so the
-	// steady-state heartbeat/report/creation cycles schedule without
-	// allocating closures.
-	hbFire       simtime.Callback
-	recvFire     simtime.Callback
-	creationFire simtime.Callback
-	reportFirst  simtime.Callback
-	reportTick   simtime.Callback
 }
 
 // hbState is the per-(label, leader) flood bookkeeping.
@@ -121,48 +114,51 @@ type pendingForward struct {
 // may be nil to disable coherence tracing.
 func NewManager(m *mote.Mote, ctxType string, cfg Config, cb Callbacks, ledger *trace.Ledger) *Manager {
 	g := &Manager{
-		m:         m,
-		ctxType:   ctxType,
-		cfg:       cfg.WithDefaults(),
-		cb:        cb,
-		ledger:    ledger,
-		role:      RoleNone,
-		reporters: make(map[radio.NodeID]time.Duration),
-		seen:      make(map[string]*hbState),
-	}
-	g.hbFire = func() {
-		if g.m.Failed() || g.role != RoleLeader {
-			return
-		}
-		g.sendHeartbeat()
-		g.scheduleNextHeartbeat()
-	}
-	g.recvFire = g.onReceiveTimeout
-	g.creationFire = func() {
-		if g.m.Failed() || !g.sensing || g.role != RoleNone {
-			return
-		}
-		if g.waitUntil.Pending() {
-			g.joinWaitedLabel()
-			return
-		}
-		g.createLabel()
-	}
-	g.reportFirst = func() {
-		if g.m.Failed() || g.role != RoleMember {
-			return
-		}
-		g.sendReport()
-		g.startReportTicker()
-	}
-	g.reportTick = func() {
-		if g.m.Failed() || g.role != RoleMember {
-			return
-		}
-		g.sendReport()
+		m:       m,
+		ctxType: ctxType,
+		cfg:     cfg.WithDefaults(),
+		cb:      cb,
+		ledger:  ledger,
+		role:    RoleNone,
 	}
 	m.AddFrameHandler(g.handleFrame)
 	return g
+}
+
+// hbFire sends a leader's next heartbeat.
+func hbFire(arg any) {
+	g := arg.(*Manager)
+	if g.m.Failed() || g.role != RoleLeader {
+		return
+	}
+	g.sendHeartbeat()
+	g.scheduleNextHeartbeat()
+}
+
+// recvFire is a member's receive timeout.
+func recvFire(arg any) { arg.(*Manager).onReceiveTimeout() }
+
+// creationFire ends the label-creation backoff.
+func creationFire(arg any) {
+	g := arg.(*Manager)
+	if g.m.Failed() || !g.sensing || g.role != RoleNone {
+		return
+	}
+	if g.waitUntil.Pending() {
+		g.joinWaitedLabel()
+		return
+	}
+	g.createLabel()
+}
+
+// reportFirst sends a member's first report and starts its report cycle.
+func reportFirst(arg any) {
+	g := arg.(*Manager)
+	if g.m.Failed() || g.role != RoleMember {
+		return
+	}
+	g.sendReport()
+	g.startReportTicker()
 }
 
 // Role returns the mote's current role for this context type.
@@ -253,7 +249,7 @@ func (g *Manager) onStartSensing() {
 		return
 	}
 	backoff := time.Duration(g.m.Rand().Float64() * float64(g.cfg.CreationBackoff))
-	g.creationTimer = g.m.Scheduler().AfterOwned(backoff, simtime.OwnerGroup, g.creationFire)
+	g.creationTimer = g.m.Scheduler().AfterEventTimerOwned(backoff, simtime.OwnerGroup, creationFire, g)
 }
 
 func (g *Manager) onStopSensing() {
@@ -300,7 +296,7 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 func (g *Manager) scheduleNextHeartbeat() {
 	jitter := 1 + JitterFrac*(g.m.Rand().Float64()-0.5)
 	d := time.Duration(float64(g.cfg.HeartbeatPeriod) * jitter)
-	g.hbTimer = g.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, g.hbFire)
+	g.hbTimer = g.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
 }
 
 func (g *Manager) sendHeartbeat() {
@@ -412,7 +408,7 @@ func (g *Manager) becomeMember(label Label, leader radio.NodeID, weight uint64, 
 func (g *Manager) armReceiveTimer() {
 	g.receiveTimer.Stop()
 	d := g.cfg.receiveTimeout(g.m.Rand().Float64())
-	g.receiveTimer = g.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, g.recvFire)
+	g.receiveTimer = g.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
 }
 
 func (g *Manager) onReceiveTimeout() {
@@ -437,7 +433,7 @@ func (g *Manager) startReporting() {
 	// Desynchronize members: first report after a random fraction of the
 	// report period, then periodic.
 	first := time.Duration(g.m.Rand().Float64() * float64(g.cfg.ReportPeriod))
-	g.reportDelay = g.m.Scheduler().AfterOwned(first, simtime.OwnerGroup, g.reportFirst)
+	g.reportDelay = g.m.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
 }
 
 // startReportTicker begins the periodic report cycle, reusing the ticker
@@ -448,6 +444,14 @@ func (g *Manager) startReportTicker() {
 	} else {
 		g.reportTicker.Reset(g.cfg.ReportPeriod)
 	}
+}
+
+// reportTick sends a member's periodic report.
+func (g *Manager) reportTick() {
+	if g.m.Failed() || g.role != RoleMember {
+		return
+	}
+	g.sendReport()
 }
 
 func (g *Manager) sendReport() {
@@ -576,6 +580,9 @@ func (g *Manager) seenEntry(label Label, leader radio.NodeID) *hbState {
 	b = strconv.AppendInt(b, int64(leader), 10)
 	if st, ok := g.seen[string(b)]; ok {
 		return st
+	}
+	if g.seen == nil {
+		g.seen = make(map[string]*hbState)
 	}
 	st := &hbState{label: label, leader: leader}
 	g.seen[string(b)] = st

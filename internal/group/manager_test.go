@@ -636,3 +636,29 @@ func TestMemberLeaderIDAndState(t *testing.T) {
 		t.Errorf("member State = %q, want heartbeat-carried state", member.State())
 	}
 }
+
+// TestFreshManagerState exercises a manager that has heard no heartbeat and
+// received no report: a fresh manager has no successor to pick, and a
+// leader that stops sensing before any member reported steps down without
+// a relinquish.
+func TestFreshManagerState(t *testing.T) {
+	n := newTestNet(t, 2)
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	if id, ok := mgr.pickSuccessor(); ok {
+		t.Errorf("fresh manager picked successor %v", id)
+	}
+	mgr.Stop() // no timer was ever armed
+
+	n.senseAt(1, 0, true)
+	n.senseAt(1, 500*time.Millisecond, false)
+	n.runUntil(t, time.Second)
+	if _, ok := mgr.pickSuccessor(); ok {
+		t.Error("successor picked with no member reports")
+	}
+	if got := n.stats.Kind(trace.KindRelinquish).Sent; got != 0 {
+		t.Errorf("relinquishes sent = %d, want 0 with no reporter", got)
+	}
+	if mgr.Role() != RoleNone {
+		t.Errorf("role = %v after step-down, want none", mgr.Role())
+	}
+}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/list"
 	"time"
 
 	"envirotrack/internal/geom"
@@ -22,10 +21,14 @@ type LeaderInfo struct {
 }
 
 // LeaderTable is an LRU cache mapping context labels to their last-known
-// leader and location.
+// leader and location. The zero value is an empty table ready to use; it
+// allocates on its first Put, so a mote that never learns a leader pays
+// nothing for it.
 type LeaderTable struct {
-	order   *list.List // front = most recently used; values are *tableEntry
-	byLabel map[group.Label]*list.Element
+	// entries holds at most TableCap labels, most recently used first. At
+	// this size a linear scan beats a map, and most lookups end at the
+	// front entry anyway (see Put).
+	entries []tableEntry
 }
 
 type tableEntry struct {
@@ -33,63 +36,75 @@ type tableEntry struct {
 	info  LeaderInfo
 }
 
-// NewLeaderTable creates an empty table of TableCap entries.
+// NewLeaderTable returns an empty table, the same as new(LeaderTable).
 func NewLeaderTable() *LeaderTable {
-	return &LeaderTable{
-		order:   list.New(),
-		byLabel: make(map[group.Label]*list.Element, TableCap),
+	return &LeaderTable{}
+}
+
+// find returns the index of a label's entry, or -1.
+func (t *LeaderTable) find(label group.Label) int {
+	for i := range t.entries {
+		if t.entries[i].label == label {
+			return i
+		}
 	}
+	return -1
+}
+
+// moveToFront makes entry i the most recently used.
+func (t *LeaderTable) moveToFront(i int) {
+	if i == 0 {
+		return
+	}
+	e := t.entries[i]
+	copy(t.entries[1:i+1], t.entries[:i])
+	t.entries[0] = e
 }
 
 // Get returns the cached info for a label and marks it recently used.
 func (t *LeaderTable) Get(label group.Label) (LeaderInfo, bool) {
-	el, ok := t.byLabel[label]
-	if !ok {
+	i := t.find(label)
+	if i < 0 {
 		return LeaderInfo{}, false
 	}
-	t.order.MoveToFront(el)
-	return el.Value.(*tableEntry).info, true
+	t.moveToFront(i)
+	return t.entries[0].info, true
 }
 
 // Put inserts or refreshes a label's leadership info. Older information
 // (by UpdatedAt) never overwrites newer information. The least recently
 // used entry is evicted at capacity.
+//
+// Most Puts refresh the most recently used label with a leader's next
+// heartbeat (99.7% of them on the stress-leader benchmark workload, 94% on
+// field10k), so the scan usually ends at the front entry.
 func (t *LeaderTable) Put(label group.Label, info LeaderInfo) {
-	// Most Puts refresh the most recently used label with a leader's next
-	// heartbeat (99.7% of them on the stress-leader benchmark workload,
-	// 94% on field10k), so the front entry is checked before the map.
-	el := t.order.Front()
-	if el == nil || el.Value.(*tableEntry).label != label {
-		el = t.byLabel[label]
-	}
-	if el != nil {
-		entry := el.Value.(*tableEntry)
-		if info.UpdatedAt >= entry.info.UpdatedAt {
-			entry.info = info
+	if i := t.find(label); i >= 0 {
+		if e := &t.entries[i]; info.UpdatedAt >= e.info.UpdatedAt {
+			e.info = info
 		}
-		t.order.MoveToFront(el)
+		t.moveToFront(i)
 		return
 	}
-	if t.order.Len() >= TableCap {
-		oldest := t.order.Back()
-		if oldest != nil {
-			t.order.Remove(oldest)
-			delete(t.byLabel, oldest.Value.(*tableEntry).label)
-		}
+	if len(t.entries) < TableCap {
+		t.entries = append(t.entries, tableEntry{})
 	}
-	t.byLabel[label] = t.order.PushFront(&tableEntry{label: label, info: info})
+	// The back slot is the new one below capacity and the least recently
+	// used entry at it; either way it is overwritten.
+	copy(t.entries[1:], t.entries[:len(t.entries)-1])
+	t.entries[0] = tableEntry{label: label, info: info}
 }
 
 // Len returns the number of cached labels.
 func (t *LeaderTable) Len() int {
-	return t.order.Len()
+	return len(t.entries)
 }
 
 // Labels returns the cached labels from most to least recently used.
 func (t *LeaderTable) Labels() []group.Label {
-	out := make([]group.Label, 0, t.order.Len())
-	for el := t.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*tableEntry).label)
+	out := make([]group.Label, len(t.entries))
+	for i := range t.entries {
+		out[i] = t.entries[i].label
 	}
 	return out
 }

@@ -69,7 +69,9 @@ type Endpoint struct {
 	router *routing.Router
 	dir    *directory.Service
 
-	table    *LeaderTable
+	// The table and maps stay empty, and unallocated, until first written:
+	// most motes never lead a label, serve a port or learn a leader.
+	table    LeaderTable
 	handlers map[portKey]func(Datagram)
 	leading  map[group.Label]bool
 
@@ -81,14 +83,7 @@ type Endpoint struct {
 // first-contact sends to unknown labels fail until a heartbeat or incoming
 // datagram teaches the endpoint the label's leader.
 func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service) *Endpoint {
-	e := &Endpoint{
-		m:        m,
-		router:   router,
-		dir:      dir,
-		table:    NewLeaderTable(),
-		handlers: make(map[portKey]func(Datagram)),
-		leading:  make(map[group.Label]bool),
-	}
+	e := &Endpoint{m: m, router: router, dir: dir}
 	m.AddFrameHandler(e.snoopHeartbeat)
 	router.AddHandler(e.handleRouted)
 	return e
@@ -98,6 +93,9 @@ func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service) *
 // The middleware calls it from the group manager's leadership callbacks.
 func (e *Endpoint) SetLeading(label group.Label, leading bool) {
 	if leading {
+		if e.leading == nil {
+			e.leading = make(map[group.Label]bool)
+		}
 		e.leading[label] = true
 		return
 	}
@@ -111,6 +109,9 @@ func (e *Endpoint) Leading(label group.Label) bool {
 
 // Handle installs the handler for a (label, port) connection endpoint.
 func (e *Endpoint) Handle(label group.Label, port PortID, fn func(Datagram)) {
+	if e.handlers == nil {
+		e.handlers = make(map[portKey]func(Datagram))
+	}
 	e.handlers[portKey{label: label, port: port}] = fn
 }
 
@@ -121,7 +122,7 @@ func (e *Endpoint) Unhandle(label group.Label, port PortID) {
 
 // Table exposes the last-known-leader table (for inspection and tests).
 func (e *Endpoint) Table() *LeaderTable {
-	return e.table
+	return &e.table
 }
 
 // Send transmits a datagram from this mote toward the destination label's

@@ -361,3 +361,143 @@ func TestLabelType(t *testing.T) {
 		}
 	}
 }
+
+func TestLeaderTableZeroValue(t *testing.T) {
+	var tbl LeaderTable
+	if _, ok := tbl.Get("a"); ok {
+		t.Error("Get found a label in the zero table")
+	}
+	if tbl.Len() != 0 {
+		t.Errorf("Len = %d, want 0", tbl.Len())
+	}
+	if labels := tbl.Labels(); len(labels) != 0 {
+		t.Errorf("Labels = %v, want none", labels)
+	}
+	tbl.Put("a", LeaderInfo{Leader: 4})
+	if info, ok := tbl.Get("a"); !ok || info.Leader != 4 {
+		t.Errorf("Get after Put = %+v, %v; want leader 4", info, ok)
+	}
+}
+
+// lruModel is the reference LRU the table is checked against: labels
+// most recently used first, with their info alongside.
+type lruModel struct {
+	labels []group.Label
+	infos  []LeaderInfo
+}
+
+func (m *lruModel) find(label group.Label) int {
+	for i, l := range m.labels {
+		if l == label {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *lruModel) touch(i int) {
+	l, info := m.labels[i], m.infos[i]
+	m.labels = append([]group.Label{l}, append(m.labels[:i:i], m.labels[i+1:]...)...)
+	m.infos = append([]LeaderInfo{info}, append(m.infos[:i:i], m.infos[i+1:]...)...)
+}
+
+func (m *lruModel) get(label group.Label) (LeaderInfo, bool) {
+	i := m.find(label)
+	if i < 0 {
+		return LeaderInfo{}, false
+	}
+	m.touch(i)
+	return m.infos[0], true
+}
+
+func (m *lruModel) put(label group.Label, info LeaderInfo) {
+	if i := m.find(label); i >= 0 {
+		if info.UpdatedAt >= m.infos[i].UpdatedAt {
+			m.infos[i] = info
+		}
+		m.touch(i)
+		return
+	}
+	if len(m.labels) == TableCap {
+		m.labels, m.infos = m.labels[:TableCap-1], m.infos[:TableCap-1]
+	}
+	m.labels = append([]group.Label{label}, m.labels...)
+	m.infos = append([]LeaderInfo{info}, m.infos...)
+}
+
+// TestLeaderTableMatchesLRUModel drives the table and the reference LRU
+// with the same random Put/Get sequences over more labels than the table
+// holds, and compares every result and the whole table after each step.
+func TestLeaderTableMatchesLRUModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tbl LeaderTable
+		var model lruModel
+		for step := 0; step < 2000; step++ {
+			label := tableLabel(rng.Intn(TableCap + 8))
+			if rng.Intn(3) == 0 {
+				got, gotOK := tbl.Get(label)
+				want, wantOK := model.get(label)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: Get(%s) = %+v, %v; want %+v, %v", seed, step, label, got, gotOK, want, wantOK)
+				}
+			} else {
+				info := LeaderInfo{
+					Leader:    radio.NodeID(rng.Intn(100)),
+					Loc:       geom.Pt(float64(step), 0),
+					UpdatedAt: time.Duration(rng.Intn(50)) * time.Second,
+				}
+				tbl.Put(label, info)
+				model.put(label, info)
+			}
+			if tbl.Len() != len(model.labels) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tbl.Len(), len(model.labels))
+			}
+			labels := tbl.Labels()
+			for i := range labels {
+				if labels[i] != model.labels[i] || tbl.entries[i].info != model.infos[i] {
+					t.Fatalf("seed %d step %d: entry %d = %s %+v, want %s %+v; labels %v, want %v",
+						seed, step, i, labels[i], tbl.entries[i].info, model.labels[i], model.infos[i], labels, model.labels)
+				}
+			}
+		}
+	}
+}
+
+// TestFreshEndpointState exercises an endpoint whose label, port and
+// leader state were never written.
+func TestFreshEndpointState(t *testing.T) {
+	n := newTnet(t, 3, 1)
+	e := n.endpoints[0]
+	if e.Leading("car/1.1") {
+		t.Error("fresh endpoint leads a label")
+	}
+	e.Unhandle("car/1.1", 3)
+	e.SetLeading("car/1.1", false)
+	if e.Table().Len() != 0 {
+		t.Errorf("fresh table holds %d labels", e.Table().Len())
+	}
+
+	// Without a directory, a send to an unknown label has no route.
+	lone := newTnet(t, 1, 1)
+	bare := NewEndpoint(lone.motes[0], routing.NewRouter(lone.motes[0], lone.medium), nil)
+	bare.Send(Datagram{DstLabel: "car/9.9", DstPort: 1, Payload: "x"})
+	if bare.Stats.NoRoute != 1 {
+		t.Errorf("NoRoute = %d, want 1 without a directory", bare.Stats.NoRoute)
+	}
+
+	// A datagram reaching a fresh endpoint that neither leads its label
+	// nor knows the label's leader is dropped, and teaches the endpoint
+	// the source's leader.
+	pos, _ := n.medium.Position(2)
+	n.endpoints[0].Table().Put("car/2.1", LeaderInfo{Leader: 2, Loc: pos})
+	n.endpoints[0].Send(Datagram{SrcLabel: "base/0.1", DstLabel: "car/2.1", DstPort: 1, Payload: "x"})
+	n.run(t, time.Second)
+	dst := n.endpoints[2]
+	if dst.Stats.NoRoute != 1 || dst.Stats.Delivered != 0 {
+		t.Errorf("fresh receiver Stats = %+v, want one NoRoute", dst.Stats)
+	}
+	if _, ok := dst.Table().Get("base/0.1"); !ok {
+		t.Error("fresh receiver did not learn the source label's leader")
+	}
+}

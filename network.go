@@ -412,12 +412,16 @@ func (n *Network) AttachContextAll(spec ContextType) error {
 	if spec.Backend == "" {
 		spec.Backend = n.cfg.backend
 	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	// Every mote's runtime reads this one copy of the spec.
 	for _, id := range n.medium.NodeIDs() {
 		node := n.nodes[id]
 		if node.mote == nil {
 			continue
 		}
-		if _, err := node.stack.AttachContext(spec); err != nil {
+		if _, err := node.stack.AttachShared(&spec); err != nil {
 			return err
 		}
 	}
