@@ -202,7 +202,7 @@ const (
 	BackendPassive = track.BackendPassive
 )
 
-// TrackingBackends returns the registered tracking backend names.
+// TrackingBackends returns the tracking backend names, sorted.
 func TrackingBackends() []string { return track.Names() }
 
 // Trigger kinds.

@@ -255,14 +255,3 @@ func (w *Window) Read(now time.Duration) (Value, bool) {
 func (w *Window) Reset() {
 	w.latest = make(map[int]Sample)
 }
-
-// Merge copies the samples of another window into this one (used when a
-// relinquishing leader hands its collected state to its successor).
-func (w *Window) Merge(other *Window) {
-	if other == nil {
-		return
-	}
-	for _, s := range other.latest {
-		w.Add(s)
-	}
-}

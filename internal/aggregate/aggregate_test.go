@@ -216,7 +216,7 @@ func TestWindowLatestSampleWins(t *testing.T) {
 	}
 }
 
-func TestWindowResetAndMerge(t *testing.T) {
+func TestWindowReset(t *testing.T) {
 	w, err := NewWindow(Avg, 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -226,18 +226,6 @@ func TestWindowResetAndMerge(t *testing.T) {
 	if _, ok := w.Read(0); ok {
 		t.Error("read after Reset should be invalid")
 	}
-
-	other, err := NewWindow(Avg, 10*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other.Add(Sample{MoteID: 2, At: time.Second, Scalar: 42})
-	w.Merge(other)
-	v, ok := w.Read(time.Second)
-	if !ok || v.Scalar != 42 {
-		t.Errorf("read after Merge = %v, %v", v, ok)
-	}
-	w.Merge(nil) // must not panic
 }
 
 // Property (the Section 3.2.3 guarantee): whenever Read reports valid, the

@@ -159,8 +159,8 @@ type ContextType struct {
 	// backends derive their protocol periods from the same knobs.
 	Group group.Config
 	// Backend names the tracking backend maintaining this type's labels
-	// (see internal/track). Empty means the default leader-election
-	// backend.
+	// (see internal/track). Empty means the stack's default
+	// (StackConfig.Backend, which falls back to the leader backend).
 	Backend string
 }
 

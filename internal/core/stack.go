@@ -15,7 +15,7 @@ import (
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
 	"envirotrack/internal/track"
-	_ "envirotrack/internal/track/passive" // register the passive-traces backend
+	"envirotrack/internal/track/passive"
 	"envirotrack/internal/transport"
 )
 
@@ -28,11 +28,17 @@ type StackConfig struct {
 	UseDirectory bool
 	// DirectoryRefresh is the registration refresh period (default 5s).
 	DirectoryRefresh time.Duration
+	// Backend is the tracking backend of context types attached without
+	// one (default track.BackendLeader); a ContextType.Backend wins.
+	Backend string
 }
 
 func (c StackConfig) withDefaults() StackConfig {
 	if c.DirectoryRefresh <= 0 {
 		c.DirectoryRefresh = 5 * time.Second
+	}
+	if c.Backend == "" {
+		c.Backend = track.BackendLeader
 	}
 	return c
 }
@@ -60,11 +66,17 @@ func ReportPeriod(le time.Duration) time.Duration {
 type Stack struct {
 	m      *mote.Mote
 	medium *radio.Medium
-	cfg    StackConfig
 	router *routing.Router
 	dir    *directory.Service
 	ep     *transport.Endpoint
 	ledger *trace.Ledger
+
+	// The StackConfig values read after construction (Bounds is spent on
+	// the directory), kept as fields so a stack stays in a 128-byte
+	// allocation: there is one per mote.
+	useDirectory     bool
+	directoryRefresh time.Duration
+	backend          string
 
 	runtimes []*ctxRuntime
 
@@ -80,13 +92,15 @@ func NewStack(m *mote.Mote, medium *radio.Medium, cfg StackConfig, ledger *trace
 	dir := directory.NewService(m, router, directory.Config{Bounds: cfg.Bounds})
 	ep := transport.NewEndpoint(m, router, dir)
 	s := &Stack{
-		m:      m,
-		medium: medium,
-		cfg:    cfg,
-		router: router,
-		dir:    dir,
-		ep:     ep,
-		ledger: ledger,
+		m:                m,
+		medium:           medium,
+		router:           router,
+		dir:              dir,
+		ep:               ep,
+		ledger:           ledger,
+		useDirectory:     cfg.UseDirectory,
+		directoryRefresh: cfg.DirectoryRefresh,
+		backend:          cfg.Backend,
 	}
 	router.AddHandler(s.handleNodeMessage)
 	return s
@@ -133,7 +147,9 @@ func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
 
 // AttachShared installs an already validated context type on this mote.
 // The runtime only reads spec, so one spec may serve every mote of a
-// network; the caller must not modify it afterwards.
+// network; the caller must not modify it afterwards. A spec without a
+// Backend runs StackConfig.Backend: this is the one place a type's
+// backend is picked.
 func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 	for _, rt := range s.runtimes {
 		if rt.spec.Name == spec.Name {
@@ -152,20 +168,18 @@ func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 		gcfg.ReportPeriod = ReportPeriod(spec.minFreshness())
 	}
 
+	backend := spec.Backend
+	if backend == "" {
+		backend = s.backend
+	}
 	rt := &ctxRuntime{stack: s, spec: spec}
-	be, err := track.New(spec.Backend, track.Deps{
-		Mote:    s.m,
-		CtxType: spec.Name,
-		Group:   gcfg,
-		Callbacks: track.Callbacks{
-			ReportPayload:  rt.reportPayload,
-			OnReport:       rt.onMemberReport,
-			OnActivate:     rt.onActivate,
-			OnDeactivate:   rt.onDeactivate,
-			OnLabelDeleted: rt.onLabelDeleted,
-		},
-		Ledger: s.ledger,
-	})
+	be, err := track.New(backend, s.m, spec.Name, gcfg, group.Callbacks{
+		ReportPayload:  rt.reportPayload,
+		OnReport:       rt.onMemberReport,
+		OnActivate:     rt.onActivate,
+		OnDeactivate:   rt.onDeactivate,
+		OnLabelDeleted: rt.onLabelDeleted,
+	}, s.ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -221,12 +235,12 @@ func (s *Stack) AttachStatic(label group.Label, objects []ObjectSpec) (*Ctx, err
 			}
 		}
 	}
-	if s.cfg.UseDirectory {
+	if s.useDirectory {
 		register := func() {
 			s.dir.Register(transportLabelType(label), label, s.m.Pos(), s.m.ID())
 		}
 		register()
-		simtime.NewTickerOwned(s.m.Scheduler(), s.cfg.DirectoryRefresh, simtime.OwnerDirectory, func() {
+		simtime.NewTickerOwned(s.m.Scheduler(), s.directoryRefresh, simtime.OwnerDirectory, func() {
 			if !s.m.Failed() {
 				register()
 			}
@@ -276,15 +290,6 @@ type ctxRuntime struct {
 
 // Backend exposes the tracking backend driving this runtime.
 func (rt *ctxRuntime) Backend() track.Backend { return rt.be }
-
-// Manager exposes the group manager when the leader backend is in use
-// (for tests and experiments); nil for other backends.
-func (rt *ctxRuntime) Manager() *group.Manager {
-	if lb, ok := rt.be.(interface{ Manager() *group.Manager }); ok {
-		return lb.Manager()
-	}
-	return nil
-}
 
 // Label returns the context label this mote currently participates in.
 func (rt *ctxRuntime) Label() group.Label { return rt.be.Label() }
@@ -374,7 +379,7 @@ func (rt *ctxRuntime) reportPayload() any {
 
 // onMemberReport folds a remote mote's samples into the active mote's
 // windows. Full readings reports (the leader backend's member reports)
-// carry one sample per variable; trace samples (the passive backend's
+// carry one sample per variable; trace records (the passive backend's
 // gossiped observations) carry a position only and feed the
 // position-input variables.
 func (rt *ctxRuntime) onMemberReport(_ radio.NodeID, payload any) {
@@ -388,8 +393,8 @@ func (rt *ctxRuntime) onMemberReport(_ radio.NodeID, payload any) {
 				w.Add(smp)
 			}
 		}
-	case track.TraceSample:
-		smp := aggregate.Sample{MoteID: int(rp.MoteID), At: rp.At, Pos: rp.Pos}
+	case *passive.Rec:
+		smp := aggregate.Sample{MoteID: int(rp.Mote), At: rp.At, Pos: rp.Pos}
 		for _, v := range rt.spec.Vars {
 			if v.Input != PositionInput {
 				continue
@@ -445,12 +450,12 @@ func (rt *ctxRuntime) onActivate(label group.Label, state []byte) {
 	}
 
 	// Register the label with the directory and refresh periodically.
-	if rt.stack.cfg.UseDirectory {
+	if rt.stack.useDirectory {
 		register := func() {
 			rt.stack.dir.Register(rt.spec.Name, label, rt.stack.m.Pos(), rt.stack.m.ID())
 		}
 		register()
-		rt.dirTicker = simtime.NewTickerOwned(rt.stack.m.Scheduler(), rt.stack.cfg.DirectoryRefresh, simtime.OwnerDirectory, func() {
+		rt.dirTicker = simtime.NewTickerOwned(rt.stack.m.Scheduler(), rt.stack.directoryRefresh, simtime.OwnerDirectory, func() {
 			if !rt.stack.m.Failed() && rt.ctx != nil {
 				register()
 			}
@@ -479,7 +484,7 @@ func (rt *ctxRuntime) onDeactivate(label group.Label) {
 // onLabelDeleted withdraws the directory registration of a label this
 // mote deleted as spurious.
 func (rt *ctxRuntime) onLabelDeleted(label group.Label) {
-	if rt.stack.cfg.UseDirectory {
+	if rt.stack.useDirectory {
 		rt.stack.dir.Unregister(rt.spec.Name, label)
 	}
 }

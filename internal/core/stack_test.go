@@ -647,7 +647,7 @@ func TestDeactivationOverride(t *testing.T) {
 	// Without the deactivation override, sensing would have flipped false
 	// when the target passed 1.0 grid units; with it, the mote still
 	// senses because the intensity remains above the floor.
-	if !rt.Manager().Sensing() {
+	if !rt.Backend().Sensing() {
 		t.Error("deactivation override did not hold sensing on")
 	}
 }

@@ -305,6 +305,11 @@ func (s *Service) remove(p unregisterMsg) {
 
 func (s *Service) answer(q queryMsg) {
 	entries := s.freshEntries(q.CtxType)
+	if entries == nil {
+		// A reply is never nil: Query's callback reserves nil for "every
+		// attempt timed out".
+		entries = []Entry{}
+	}
 	s.emit(obs.EvDirectoryQuery, q.CtxType, "", int(q.ReplyNode), "")
 	s.router.Send(routing.Message{
 		Kind:      trace.KindDirectory,

@@ -101,18 +101,21 @@ func TestRegisterThenQuery(t *testing.T) {
 	}
 }
 
+// TestQueryEmptyType: a directory that holds nothing for the type replies
+// with a non-nil empty slice, before the first retry timeout, so callers
+// can tell it from an unreachable directory (nil).
 func TestQueryEmptyType(t *testing.T) {
 	n := newNet(t, 4, 4, 1.5)
 	called := false
 	n.services[0].Query("nothing", func(es []Entry) {
 		called = true
-		if len(es) != 0 {
-			t.Errorf("entries = %v, want empty", es)
+		if es == nil || len(es) != 0 {
+			t.Errorf("entries = %#v, want a non-nil empty slice", es)
 		}
 	})
-	n.runUntil(t, time.Second)
+	n.runUntil(t, queryTimeout-time.Millisecond)
 	if !called {
-		t.Error("query callback never invoked")
+		t.Error("query callback not invoked before the query timeout")
 	}
 }
 

@@ -56,23 +56,33 @@ func TestUnregisterOlderThanEntryKeepsEntry(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutInvokesNilCallback: when no directory node can answer,
+// the callback gets nil once every attempt has timed out.
 func TestQueryTimeoutInvokesNilCallback(t *testing.T) {
-	// A network of one isolated node: queries can never reach a directory
-	// for a far-away hash point... with a single node the anycast
-	// terminates locally, so instead test the retry machinery by querying
-	// from a node that is partitioned from the rest.
 	n := newNet(t, 4, 4, 1.5)
-	// Give the querier's pending entry no chance: drop by querying a type
-	// whose hash point the local node serves but through a *failed* mote.
+	// Query from the mote farthest from the type's hash point, with every
+	// other mote failed: the query's first hop is dead, so no reply comes.
+	hp := HashPoint("anything", n.bounds)
+	querier, far := radio.NodeID(0), -1.0
+	for _, id := range n.medium.NodeIDs() {
+		if pos, _ := n.medium.Position(id); pos.Dist2(hp) > far {
+			querier, far = id, pos.Dist2(hp)
+		}
+	}
+	for id, s := range n.services {
+		if id != querier {
+			s.m.Fail()
+		}
+	}
 	called := false
 	var result []Entry
-	n.services[0].Query("anything", func(es []Entry) { called, result = true, es })
-	n.runUntil(t, 10*time.Second)
+	n.services[querier].Query("anything", func(es []Entry) { called, result = true, es })
+	n.runUntil(t, queryRetries*queryTimeout+time.Second)
 	if !called {
 		t.Fatal("query callback never invoked")
 	}
-	if len(result) != 0 {
-		t.Errorf("result = %v, want empty", result)
+	if result != nil {
+		t.Errorf("result = %#v, want nil", result)
 	}
 }
 

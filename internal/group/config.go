@@ -126,22 +126,30 @@ func (r Role) String() string {
 	}
 }
 
-// Callbacks connect the group manager to the middleware layer above it.
-// Any field may be nil.
+// Callbacks connect a tracking backend (the group Manager or the passive
+// backend) to the middleware layer above it. Any field may be nil. A
+// backend "activates" the mote it selects to run the context's objects
+// (the group leader, the passive estimator) and pairs every OnActivate
+// with an eventual OnDeactivate for the same label. After Stop returns, a
+// backend invokes no further callbacks.
 type Callbacks struct {
-	// ReportPayload supplies the member's current measurements for the
-	// periodic report to the leader.
+	// ReportPayload supplies the mote's current measurements when the
+	// backend ships readings to the active mote.
 	ReportPayload func() any
-	// OnReport delivers a member report to the leader's aggregation logic.
+	// OnReport delivers a remote mote's readings to the active mote's
+	// aggregation logic.
 	OnReport func(from radio.NodeID, payload any)
-	// OnBecomeLeader fires when this mote assumes leadership of a label,
-	// with the label's persistent state (nil for a fresh label).
-	OnBecomeLeader func(label Label, state []byte)
-	// OnLoseLeadership fires when this mote stops leading a label for any
-	// reason (yield, deletion, relinquish, leaving).
-	OnLoseLeadership func(label Label)
+	// OnActivate fires when the backend selects this mote to run the
+	// context's objects for label (the group protocol: this mote assumes
+	// leadership), with the label's persistent state (nil for a fresh
+	// label).
+	OnActivate func(label Label, state []byte)
+	// OnDeactivate fires when this mote stops running the context's
+	// objects for label for any reason (yield, deletion, relinquish,
+	// leaving).
+	OnDeactivate func(label Label)
 	// OnLabelDeleted fires when this mote deletes its own spurious label
-	// after hearing a heavier same-type leader (weight suppression). The
-	// middleware uses it to withdraw directory registrations.
+	// (the group protocol's weight suppression, the passive backend's label
+	// merge). The middleware uses it to withdraw directory registrations.
 	OnLabelDeleted func(label Label)
 }

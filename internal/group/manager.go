@@ -168,6 +168,10 @@ func (g *Manager) Role() Role { return g.role }
 // (empty when RoleNone).
 func (g *Manager) Label() Label { return g.label }
 
+// Participating reports whether the mote is a member or the leader of
+// some label.
+func (g *Manager) Participating() bool { return g.role != RoleNone }
+
 // LeaderID returns the last known leader of the mote's label.
 func (g *Manager) LeaderID() radio.NodeID {
 	if g.role == RoleLeader {
@@ -283,8 +287,8 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 	g.state = state
 	g.reporters = make(map[radio.NodeID]time.Duration)
 
-	if g.cb.OnBecomeLeader != nil {
-		g.cb.OnBecomeLeader(label, state)
+	if g.cb.OnActivate != nil {
+		g.cb.OnActivate(label, state)
 	}
 	g.sendHeartbeat()
 	g.scheduleNextHeartbeat()
@@ -365,8 +369,8 @@ func (g *Manager) loseLeadership() {
 	g.stopLeaderDuties()
 	g.setRole(RoleNone)
 	g.label = ""
-	if g.cb.OnLoseLeadership != nil {
-		g.cb.OnLoseLeadership(label)
+	if g.cb.OnDeactivate != nil {
+		g.cb.OnDeactivate(label)
 	}
 }
 
@@ -388,8 +392,8 @@ func (g *Manager) becomeMember(label Label, leader radio.NodeID, weight uint64, 
 	if wasLeader {
 		oldLabel := g.label
 		g.stopLeaderDuties()
-		if g.cb.OnLoseLeadership != nil {
-			g.cb.OnLoseLeadership(oldLabel)
+		if g.cb.OnDeactivate != nil {
+			g.cb.OnDeactivate(oldLabel)
 		}
 	}
 	g.waitUntil = simtime.Deadline{}
@@ -787,18 +791,26 @@ func (g *Manager) onRelinquish(rel Relinquish) {
 }
 
 func (g *Manager) recordEvent(ty trace.LabelEventType, label Label) {
+	RecordLabelEvent(g.m, g.ctxType, g.ledger, ty, label)
+}
+
+// RecordLabelEvent publishes one label-lifecycle event of a ctxType
+// tracking backend on mote m, and records it in ledger when that is
+// non-nil. Both backends record through it, so the coherence ledger and
+// the obs stream see one event shape whichever protocol runs.
+func RecordLabelEvent(m *mote.Mote, ctxType string, ledger *trace.Ledger, ty trace.LabelEventType, label Label) {
 	if ev, ok := obs.LabelEvent(ty); ok {
-		g.emit(ev, label, radio.Broadcast, 0)
+		Emit(m, ctxType, ev, label, radio.Broadcast, 0)
 	}
-	if g.ledger == nil {
+	if ledger == nil {
 		return
 	}
-	g.ledger.Record(trace.LabelEvent{
-		At:      g.m.Scheduler().Now(),
+	ledger.Record(trace.LabelEvent{
+		At:      m.Scheduler().Now(),
 		Type:    ty,
 		Label:   string(label),
-		CtxType: g.ctxType,
-		Mote:    int(g.m.ID()),
+		CtxType: ctxType,
+		Mote:    int(m.ID()),
 	})
 }
 
@@ -823,19 +835,23 @@ func (g *Manager) emitCorr(ev obs.EventType, peer radio.NodeID, label Label, cor
 	}
 }
 
-// emit publishes one group-protocol event. peer is the other mote involved
-// (heartbeat origin, known leader, chosen successor) or radio.Broadcast
-// when there is none.
 func (g *Manager) emit(ev obs.EventType, label Label, peer radio.NodeID, seq uint64) {
-	if bus := g.m.Obs(); bus.Active() {
+	Emit(g.m, g.ctxType, ev, label, peer, seq)
+}
+
+// Emit publishes one tracking-protocol event of a ctxType backend on mote
+// m. peer is the other mote involved (heartbeat origin, known leader,
+// chosen successor) or radio.Broadcast when there is none.
+func Emit(m *mote.Mote, ctxType string, ev obs.EventType, label Label, peer radio.NodeID, seq uint64) {
+	if bus := m.Obs(); bus.Active() {
 		bus.Emit(obs.Event{
-			At:      g.m.Scheduler().Now(),
+			At:      m.Scheduler().Now(),
 			Type:    ev,
-			Mote:    int(g.m.ID()),
+			Mote:    int(m.ID()),
 			Peer:    int(peer),
 			Label:   string(label),
-			CtxType: g.ctxType,
-			Pos:     g.m.Pos(),
+			CtxType: ctxType,
+			Pos:     m.Pos(),
 			Seq:     seq,
 		})
 	}

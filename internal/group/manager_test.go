@@ -76,7 +76,7 @@ func TestSingleNodeCreatesLabelAndLeads(t *testing.T) {
 	n := newTestNet(t, 2)
 	var gotLabel Label
 	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{
-		OnBecomeLeader: func(l Label, _ []byte) { gotLabel = l },
+		OnActivate: func(l Label, _ []byte) { gotLabel = l },
 	})
 	n.senseAt(1, 0, true)
 	n.runUntil(t, time.Second)
@@ -211,7 +211,7 @@ func TestTakeoverHappensAfterRoughlyTwoHeartbeats(t *testing.T) {
 	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
 	var leadAt time.Duration
 	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{
-		OnBecomeLeader: func(Label, []byte) { leadAt = n.sched.Now() },
+		OnActivate: func(Label, []byte) { leadAt = n.sched.Now() },
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
@@ -480,7 +480,7 @@ func TestPersistentStateSurvivesTakeover(t *testing.T) {
 	var inherited []byte
 	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
 	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{
-		OnBecomeLeader: func(_ Label, state []byte) { inherited = state },
+		OnActivate: func(_ Label, state []byte) { inherited = state },
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
@@ -509,7 +509,7 @@ func TestOnLoseLeadershipFires(t *testing.T) {
 	n := newTestNet(t, 2)
 	lost := 0
 	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{
-		OnLoseLeadership: func(Label) { lost++ },
+		OnDeactivate: func(Label) { lost++ },
 	})
 	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
 	n.senseAt(1, 0, true)
@@ -517,7 +517,7 @@ func TestOnLoseLeadershipFires(t *testing.T) {
 	n.senseAt(1, time.Second, false)
 	n.runUntil(t, 2*time.Second)
 	if lost != 1 {
-		t.Errorf("OnLoseLeadership fired %d times, want 1", lost)
+		t.Errorf("OnDeactivate fired %d times, want 1", lost)
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
 	"envirotrack/internal/track"
-
-	_ "envirotrack/internal/track/passive" // register the passive backend
 )
 
 // fastCfg compresses the protocol timing so conformance runs finish in
@@ -106,19 +104,13 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 			n.log = append(n.log, cbEvent{kind: kind, mote: id, label: l, at: n.sched.Now()})
 		}
 	}
-	be, err := track.New(backend, track.Deps{
-		Mote:    m,
-		CtxType: "tracker",
-		Group:   fastCfg,
-		Callbacks: track.Callbacks{
-			OnActivate: func(l group.Label, state []byte) {
-				n.log = append(n.log, cbEvent{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
-			},
-			OnDeactivate:   record("deactivate"),
-			OnLabelDeleted: record("deleted"),
+	be, err := track.New(backend, m, "tracker", fastCfg, group.Callbacks{
+		OnActivate: func(l group.Label, state []byte) {
+			n.log = append(n.log, cbEvent{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
 		},
-		Ledger: &trace.Ledger{},
-	})
+		OnDeactivate:   record("deactivate"),
+		OnLabelDeleted: record("deleted"),
+	}, &trace.Ledger{})
 	if err != nil {
 		n.t.Fatal(err)
 	}
@@ -137,14 +129,10 @@ func (n *conformNet) runUntil(d time.Duration) {
 	}
 }
 
-// forEachBackend runs the conformance check against every registered
-// backend, so a new registration is covered automatically.
+// forEachBackend runs the conformance check against every backend New
+// builds.
 func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
-	names := track.Names()
-	if len(names) < 2 {
-		t.Fatalf("registry holds %v, want at least leader and passive", names)
-	}
-	for _, be := range names {
+	for _, be := range track.Names() {
 		t.Run(be, func(t *testing.T) { f(t, be) })
 	}
 }
@@ -290,15 +278,18 @@ func TestConformanceNoEventsAfterStop(t *testing.T) {
 	})
 }
 
-// TestRegistryRejectsUnknownAndDuplicate pins the registry error paths.
-func TestRegistryRejectsUnknownAndDuplicate(t *testing.T) {
-	if _, err := track.New("no-such-backend", track.Deps{}); err == nil {
-		t.Error("constructing an unknown backend succeeded, want error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
+// TestNewRejectsUnknownBackend: New builds only the named backends; an
+// empty name is the caller's to resolve, not a silent default.
+func TestNewRejectsUnknownBackend(t *testing.T) {
+	for _, name := range []string{"no-such-backend", ""} {
+		if _, err := track.New(name, nil, "tracker", fastCfg, group.Callbacks{}, nil); err == nil {
+			t.Errorf("New(%q) succeeded, want error", name)
 		}
-	}()
-	track.Register(track.BackendLeader, func(track.Deps) track.Backend { return nil })
+		if track.Known(name) {
+			t.Errorf("Known(%q) = true", name)
+		}
+	}
+	if got := track.Names(); len(got) != 2 || got[0] != track.BackendLeader || got[1] != track.BackendPassive {
+		t.Errorf("Names() = %v, want [%s %s]", got, track.BackendLeader, track.BackendPassive)
+	}
 }

@@ -23,6 +23,10 @@
 // estimator-election candidate while younger than group.ReceiveFactor x
 // HeartbeatPeriod, and the whole trace field goes stale — forcing the
 // estimator to step down — after group.WaitFactor x HeartbeatPeriod.
+//
+// The backend takes the group protocol's Callbacks and records label
+// events through group.RecordLabelEvent; track.New builds it for the name
+// "passive".
 package passive
 
 import (
@@ -37,12 +41,7 @@ import (
 	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
-	"envirotrack/internal/track"
 )
-
-func init() {
-	track.Register(track.BackendPassive, New)
-}
 
 // TraceBits is the on-air size of one trace record inside a gossip frame
 // (mote id, position, timestamp, sequence).
@@ -51,7 +50,9 @@ const TraceBits = 16 * 8
 // gossipFanout caps how many recent traces one gossip frame carries.
 const gossipFanout = 8
 
-// Rec is one deposited trace record as carried in gossip frames.
+// Rec is one deposited trace record as carried in gossip frames. The
+// active estimator hands each remote record to Callbacks.OnReport as a
+// *Rec into its trace field, valid for that call only.
 type Rec struct {
 	Mote radio.NodeID
 	Pos  geom.Point
@@ -75,7 +76,7 @@ type Backend struct {
 	m       *mote.Mote
 	ctxType string
 	cfg     group.Config
-	cb      track.Callbacks
+	cb      group.Callbacks
 	ledger  *trace.Ledger
 
 	sensing bool
@@ -111,15 +112,17 @@ type Backend struct {
 	scratch []Rec
 }
 
-// New constructs the passive backend (registered under "passive").
-func New(d track.Deps) track.Backend {
-	cfg := d.Group.WithDefaults()
+// New constructs the passive backend for one context type on mote m. The
+// protocol periods derive from cfg, the same timing the group protocol
+// reads.
+func New(m *mote.Mote, ctxType string, cfg group.Config, cb group.Callbacks, ledger *trace.Ledger) *Backend {
+	cfg = cfg.WithDefaults()
 	b := &Backend{
-		m:       d.Mote,
-		ctxType: d.CtxType,
+		m:       m,
+		ctxType: ctxType,
 		cfg:     cfg,
-		cb:      d.Callbacks,
-		ledger:  d.Ledger,
+		cb:      cb,
+		ledger:  ledger,
 		est:     NewEstimator(staleness(cfg)),
 	}
 	b.depositFire = func() {
@@ -167,7 +170,7 @@ func New(d track.Deps) track.Backend {
 			b.announce()
 		}
 	}
-	d.Mote.AddFrameHandler(b.handleFrame)
+	m.AddFrameHandler(b.handleFrame)
 	return b
 }
 
@@ -300,7 +303,7 @@ func (b *Backend) mintLabel() {
 	b.label = group.Label(fmt.Sprintf("%s/%d.%d", b.ctxType, b.m.ID(), b.labelSeq))
 	b.minted = true
 	b.creationActivation = true
-	b.recordEvent(trace.LabelCreated, b.label)
+	group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelCreated, b.label)
 }
 
 func (b *Backend) startDepositing() {
@@ -386,7 +389,7 @@ func (b *Backend) integrate(rec Rec) bool {
 	}
 	b.est.Add(Point{At: rec.At, Pos: rec.Pos})
 	if b.active && b.cb.OnReport != nil && rec.Mote != b.m.ID() {
-		b.cb.OnReport(rec.Mote, track.TraceSample{MoteID: rec.Mote, Pos: rec.Pos, At: rec.At})
+		b.cb.OnReport(rec.Mote, &b.traces[i])
 	}
 	return true
 }
@@ -454,7 +457,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 		b.label = label
 		b.minted = false
 		if b.sensing {
-			b.emit(obs.EvLabelJoined, label, radio.Broadcast, 0)
+			group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
 		}
 		return
 	}
@@ -469,7 +472,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 	if b.minted {
 		// Our minted label lost the merge: delete it, mirroring the group
 		// protocol's weight-based spurious-label suppression.
-		b.recordEvent(trace.LabelDeleted, old)
+		group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelDeleted, old)
 		if b.cb.OnLabelDeleted != nil {
 			b.cb.OnLabelDeleted(old)
 		}
@@ -478,7 +481,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 	b.minted = false
 	b.creationActivation = false
 	if b.sensing {
-		b.emit(obs.EvLabelJoined, label, radio.Broadcast, 0)
+		group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
 	}
 }
 
@@ -617,7 +620,7 @@ func (b *Backend) activate() {
 		b.creationActivation = false
 	} else {
 		// The estimator role moved here: a successful handover.
-		b.recordEvent(trace.LabelTakeover, b.label)
+		group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelTakeover, b.label)
 	}
 	if b.cb.OnActivate != nil {
 		b.cb.OnActivate(b.label, b.state)
@@ -625,11 +628,10 @@ func (b *Backend) activate() {
 	// Replay the live trace field into the freshly built aggregation
 	// windows, in deterministic mote-id order.
 	if b.cb.OnReport != nil {
-		for _, r := range b.traces {
-			if r.Mote == b.m.ID() {
-				continue
+		for i := range b.traces {
+			if r := &b.traces[i]; r.Mote != b.m.ID() {
+				b.cb.OnReport(r.Mote, r)
 			}
-			b.cb.OnReport(r.Mote, track.TraceSample{MoteID: r.Mote, Pos: r.Pos, At: r.At})
 		}
 	}
 	b.armStaleTimer()
@@ -639,7 +641,7 @@ func (b *Backend) deactivate() {
 	label := b.label
 	b.active = false
 	b.stopTimer(&b.staleTimer)
-	b.emit(obs.EvLeaderStepDown, label, radio.Broadcast, 0)
+	group.Emit(b.m, b.ctxType, obs.EvLeaderStepDown, label, radio.Broadcast, 0)
 	if b.cb.OnDeactivate != nil {
 		b.cb.OnDeactivate(label)
 	}
@@ -659,22 +661,6 @@ func (b *Backend) stopTimer(t *simtime.Timer) {
 	*t = simtime.Timer{}
 }
 
-func (b *Backend) recordEvent(ty trace.LabelEventType, label group.Label) {
-	if ev, ok := obs.LabelEvent(ty); ok {
-		b.emit(ev, label, radio.Broadcast, 0)
-	}
-	if b.ledger == nil {
-		return
-	}
-	b.ledger.Record(trace.LabelEvent{
-		At:      b.m.Scheduler().Now(),
-		Type:    ty,
-		Label:   string(label),
-		CtxType: b.ctxType,
-		Mote:    int(b.m.ID()),
-	})
-}
-
 // emitCorr publishes one report-lifecycle event for a gossip frame,
 // carrying its correlation key for span assembly and invariant checking.
 func (b *Backend) emitCorr(ev obs.EventType, peer radio.NodeID, corr radio.Corr, cause string) {
@@ -691,21 +677,6 @@ func (b *Backend) emitCorr(ev obs.EventType, peer radio.NodeID, corr radio.Corr,
 			Label:   string(b.label),
 			Origin:  int(corr.Origin),
 			Seq:     uint64(corr.Seq),
-		})
-	}
-}
-
-func (b *Backend) emit(ev obs.EventType, label group.Label, peer radio.NodeID, seq uint64) {
-	if bus := b.m.Obs(); bus.Active() {
-		bus.Emit(obs.Event{
-			At:      b.m.Scheduler().Now(),
-			Type:    ev,
-			Mote:    int(b.m.ID()),
-			Peer:    int(peer),
-			Label:   string(label),
-			CtxType: b.ctxType,
-			Pos:     b.m.Pos(),
-			Seq:     seq,
 		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
-	"envirotrack/internal/track"
 )
 
 // testCfg compresses the protocol timing: a deposit every 100 ms, traces
@@ -80,22 +79,16 @@ func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 			n.calls = append(n.calls, call{kind: kind, mote: id, label: l, at: n.sched.Now()})
 		}
 	}
-	b := New(track.Deps{
-		Mote:    m,
-		CtxType: "tracker",
-		Group:   testCfg,
-		Callbacks: track.Callbacks{
-			OnReport: func(from radio.NodeID, _ any) {
-				n.calls = append(n.calls, call{kind: "report", mote: id, from: from, at: n.sched.Now()})
-			},
-			OnActivate: func(l group.Label, state []byte) {
-				n.calls = append(n.calls, call{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
-			},
-			OnDeactivate:   record("deactivate"),
-			OnLabelDeleted: record("deleted"),
+	b := New(m, "tracker", testCfg, group.Callbacks{
+		OnReport: func(from radio.NodeID, _ any) {
+			n.calls = append(n.calls, call{kind: "report", mote: id, from: from, at: n.sched.Now()})
 		},
-		Ledger: n.ledger,
-	}).(*Backend)
+		OnActivate: func(l group.Label, state []byte) {
+			n.calls = append(n.calls, call{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
+		},
+		OnDeactivate:   record("deactivate"),
+		OnLabelDeleted: record("deleted"),
+	}, n.ledger)
 	n.motes[id], n.be[id] = m, b
 	return b
 }

@@ -383,6 +383,7 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 	stack := core.NewStack(m, n.medium, core.StackConfig{
 		Bounds:       n.cfg.bounds,
 		UseDirectory: n.cfg.directory,
+		Backend:      n.cfg.backend,
 	}, n.ledger)
 	node := &Node{net: n, mote: m, stack: stack}
 	n.nodes[id] = node
@@ -409,9 +410,6 @@ func (n *Network) Nodes() []NodeID {
 // spec without an explicit Backend gets the network's default (see
 // WithBackend).
 func (n *Network) AttachContextAll(spec ContextType) error {
-	if spec.Backend == "" {
-		spec.Backend = n.cfg.backend
-	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -798,7 +796,8 @@ func (nd *Node) Pos() Point { return nd.mote.Pos() }
 // free-run ahead of it.
 func (nd *Node) Now() time.Duration { return nd.mote.Scheduler().Now() }
 
-// AttachContext installs a context type on this mote.
+// AttachContext installs a context type on this mote. A spec without an
+// explicit Backend gets the network's default (see WithBackend).
 func (nd *Node) AttachContext(spec ContextType) error {
 	_, err := nd.stack.AttachContext(spec)
 	if err == nil {

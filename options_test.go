@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"envirotrack/internal/group"
+	"envirotrack/internal/track/passive"
 )
 
 // TestNewValidation checks that New rejects option values no run can
@@ -234,5 +237,45 @@ func TestPublicConstructorsExist(t *testing.T) {
 	fs := FireSensing("fire", 20)
 	if fs == nil {
 		t.Error("FireSensing returned nil")
+	}
+}
+
+// TestWithBackendReachesEveryAttach: the network's default backend runs
+// on a type attached to every mote and on a type attached to one mote
+// alike, and a spec naming its own backend still wins.
+func TestWithBackendReachesEveryAttach(t *testing.T) {
+	n := buildNet(t, WithBackend(BackendPassive))
+	nd, _ := n.Node(0)
+	spec := func(name, backend string) ContextType {
+		return ContextType{Name: name, Backend: backend, Activation: func(Reading) bool { return false }}
+	}
+	if err := n.AttachContextAll(spec("everywhere", "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.AttachContext(spec("one-mote", "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.AttachContext(spec("pinned", BackendLeader)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, want string }{
+		{"everywhere", BackendPassive},
+		{"one-mote", BackendPassive},
+		{"pinned", BackendLeader},
+	} {
+		rt, ok := nd.stack.Runtime(tc.name)
+		if !ok {
+			t.Fatalf("type %q not attached to mote 0", tc.name)
+		}
+		var got string
+		switch rt.Backend().(type) {
+		case *group.Manager:
+			got = BackendLeader
+		case *passive.Backend:
+			got = BackendPassive
+		}
+		if got != tc.want {
+			t.Errorf("type %q runs backend %q (%T), want %q", tc.name, got, rt.Backend(), tc.want)
+		}
 	}
 }
