@@ -351,8 +351,9 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 
 // BenchmarkLargeField is the scale tier: 10k motes with four concurrent
 // targets, reporting sim_s_per_wall_s and allocs/op on the prebuilt
-// network. The smoke variant (900 motes, two targets) is small enough to
-// run under -race in CI.
+// network. The smoke variants (900 motes, two targets) are small enough to
+// run under -race in CI; smoke-par2 runs two shard sweeps concurrently
+// over the shared per-type scan rows and hot-state words.
 func BenchmarkLargeField(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
 		benchLargeField(b, 100, 100, 4, 2*time.Second, 1, "")
@@ -375,6 +376,9 @@ func BenchmarkLargeField(b *testing.B) {
 	})
 	b.Run("smoke", func(b *testing.B) {
 		benchLargeField(b, 30, 30, 2, time.Second, 1, "")
+	})
+	b.Run("smoke-par2", func(b *testing.B) {
+		benchLargeField(b, 30, 30, 2, time.Second, 2, "")
 	})
 }
 

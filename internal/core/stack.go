@@ -172,7 +172,11 @@ func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 	if backend == "" {
 		backend = s.backend
 	}
-	rt := &ctxRuntime{stack: s, spec: spec}
+	tr, _ := hot.Scanner(mask).(*typeRows)
+	if tr == nil {
+		tr = &typeRows{hot: hot, mask: mask}
+	}
+	rt := &ctxRuntime{stack: s, spec: spec, rows: tr}
 	be, err := track.New(backend, s.m, spec.Name, gcfg, group.Callbacks{
 		ReportPayload:  rt.reportPayload,
 		OnReport:       rt.onMemberReport,
@@ -184,10 +188,56 @@ func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 		return nil, err
 	}
 	rt.be = be
-	rt.hot, rt.hotIdx, rt.hotMask = hot, int32(idx), mask
 	s.runtimes = append(s.runtimes, rt)
-	s.m.AddSenseListener(rt.onScan)
+	tr.set(idx, spec, rt)
+	hot.Attach(idx, mask, tr)
 	return rt, nil
+}
+
+// typeRows is the sensing-scan dispatch of one context type over one
+// HotState: the spec and runtime of every mote the type is attached to,
+// indexed by HotState row, and the type's bit in the hot words. It is the
+// type's mote.Scanner. The sweep calls it with the row only for motes that
+// carry the type, and it loads a mote's runtime only when the scan has
+// work there (see Scan). The rows are written while attaching, between
+// runs, and only read while shard sweeps run.
+type typeRows struct {
+	hot   *mote.HotState
+	mask  uint32
+	specs []*ContextType // per row; Node.AttachContext may give one mote its own spec
+	rts   []*ctxRuntime
+}
+
+// set installs a mote's spec and runtime at its row. The rows grow to
+// exactly the HotState's length: attaching a type to a network sizes them
+// once, and append slack would stay live for the whole run.
+func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
+	if n := tr.hot.Len(); len(tr.specs) < n {
+		tr.specs = append(make([]*ContextType, 0, n), tr.specs...)[:n]
+		tr.rts = append(make([]*ctxRuntime, 0, n), tr.rts...)[:n]
+	}
+	tr.specs[row], tr.rts[row] = spec, rt
+}
+
+// Scan evaluates the type's sensee() conditions on one scan of the mote
+// at row. The reading is the sensing sweep's scratch, valid for this call
+// only, and only the user's Activation/Deactivation predicates receive a
+// copy of it. The mote's sensing bit stands in for the backend's
+// Sensing(), which both backends keep equal to it. A scan that leaves the
+// mote not sensing, on a mote that was not sensing and does not lead,
+// does nothing, so the runtime is loaded only when the result is true or
+// one of the two bits is set.
+func (tr *typeRows) Scan(row int, rd *sensor.Reading) {
+	spec := tr.specs[row]
+	sensing := spec.Activation(*rd)
+	was := tr.hot.Sensing(row, tr.mask)
+	if spec.Deactivation != nil && was {
+		sensing = !spec.Deactivation(*rd)
+	}
+	if !sensing && !was && !tr.hot.Leading(row, tr.mask) {
+		return
+	}
+	tr.rts[row].onScan(rd, sensing, was)
 }
 
 // Runtime returns the runtime of an attached context type.
@@ -269,12 +319,9 @@ type ctxRuntime struct {
 	stack *Stack
 	spec  *ContextType // shared by every mote the type is attached to; read-only
 	be    track.Backend
-
-	// hot, hotIdx and hotMask locate the mote's sensing bit for this type,
-	// which the backend keeps equal to its Sensing() (see track.Backend).
-	hot     *mote.HotState
-	hotIdx  int32
-	hotMask uint32
+	// rows is the type's scan dispatch; its mask locates the mote's bits
+	// for this type in the HotState.
+	rows *typeRows
 
 	// Latest local samples per variable, refreshed on every scan while
 	// sensing (sent to the leader in reports / used directly when leading).
@@ -304,18 +351,12 @@ func (rt *ctxRuntime) Leading() bool { return rt.ctx != nil }
 // Ctx returns the object context while leading (nil otherwise).
 func (rt *ctxRuntime) Ctx() *Ctx { return rt.ctx }
 
-// onScan evaluates the type's sensee() conditions on one scan; it is the
-// mote's sense listener for this type. The reading is the sensing sweep's
-// scratch, valid for this call only, and only the user's
-// Activation/Deactivation predicates receive a copy of it.
-func (rt *ctxRuntime) onScan(rd *sensor.Reading) {
-	sensing := rt.spec.Activation(*rd)
-	if rt.spec.Deactivation != nil && rt.be.Sensing() {
-		sensing = !rt.spec.Deactivation(*rd)
-	}
+// onScan acts on one scan's sensee() result: sensing is this scan's
+// evaluation and was the mote's sensing bit before it (see typeRows.Scan).
+func (rt *ctxRuntime) onScan(rd *sensor.Reading, sensing, was bool) {
 	// The backend is told only when its sensing state changes: a call that
 	// matches the mirrored bit would be a no-op.
-	if rt.hot.Sensing(int(rt.hotIdx), rt.hotMask) != sensing {
+	if was != sensing {
 		rt.be.SetSensing(sensing)
 	}
 
@@ -416,6 +457,7 @@ func (rt *ctxRuntime) onActivate(label group.Label, state []byte) {
 		rt.windows[v.Name] = w
 	}
 	rt.ctx = &Ctx{stack: rt.stack, rt: rt, label: label}
+	rt.setLeading(true)
 	rt.stack.ep.SetLeading(label, true)
 	if state != nil {
 		rt.be.SetState(state)
@@ -478,7 +520,16 @@ func (rt *ctxRuntime) onDeactivate(label group.Label) {
 	rt.ports = nil
 	rt.stack.ep.SetLeading(label, false)
 	rt.ctx = nil
+	rt.setLeading(false)
 	rt.windows = nil
+}
+
+// setLeading mirrors whether the runtime holds a Ctx into the mote's
+// leading bit for the type, which the scan reads instead of loading the
+// runtime.
+func (rt *ctxRuntime) setLeading(on bool) {
+	hot, idx := rt.stack.m.Hot()
+	hot.SetLeading(idx, rt.rows.mask, on)
 }
 
 // onLabelDeleted withdraws the directory registration of a label this

@@ -30,6 +30,7 @@ type world struct {
 	bounds geom.Rect
 	stacks map[radio.NodeID]*Stack
 	motes  map[radio.NodeID]*mote.Mote
+	hot    *mote.HotState // every mote's arena, as in a network
 }
 
 func newWorld(t *testing.T, commRadius float64, bounds geom.Rect) *world {
@@ -54,6 +55,7 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 		bounds: bounds,
 		stacks: make(map[radio.NodeID]*Stack),
 		motes:  make(map[radio.NodeID]*mote.Mote),
+		hot:    mote.NewHotState(),
 	}
 }
 
@@ -63,6 +65,7 @@ func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *se
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.BindHot(w.hot)
 	scfg.Bounds = w.bounds
 	st := NewStack(m, w.medium, scfg, w.ledger)
 	w.stacks[id] = st

@@ -14,10 +14,11 @@ import (
 
 // sweepField builds the large-field sensing tier: a 100x100 grid of
 // vehicle-sensing motes, four vehicles on slanted lines, and a started
-// sweep over the motes in id order. Each mote's listener reads
-// magnetic_detect and thresholds it, as a vehicle tracker's activation
-// predicate does, so every scan computes the channel a tracker reads; the
-// returned counter holds the detections seen.
+// sweep over the motes in id order. The motes share one HotState and
+// carry one context type, whose scanner reads magnetic_detect and
+// thresholds it, as a vehicle tracker's activation predicate does, so
+// every scan computes the channel a tracker reads; the returned counter
+// holds the detections seen.
 func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 	tb.Helper()
 	const side = 100
@@ -36,11 +37,13 @@ func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 	}
 	model := sensor.VehicleModel("vehicle")
 	detections := new(int)
-	listen := func(rd *sensor.Reading) {
+	scan := scanFunc(func(_ int, rd *sensor.Reading) {
 		if v, _ := rd.Value("magnetic_detect"); v > 0.5 {
 			*detections++
 		}
-	}
+	})
+	hot := NewHotState()
+	mask, _ := hot.CtxMask("tracker")
 	sw := NewSweep(sched, field)
 	for id := 0; id < side*side; id++ {
 		pos := geom.Pt(float64(id%side), float64(id/side))
@@ -48,7 +51,7 @@ func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		m.AddSenseListener(listen)
+		hot.Attach(m.BindHot(hot), mask, scan)
 		sw.Add(m)
 	}
 	sw.Start()
@@ -64,21 +67,21 @@ func sweepTick(tb testing.TB, group *simtime.ShardGroup) {
 
 // BenchmarkSenseSweep measures the sensing sweep on the large-field tier:
 // each op is one mote scan (sampling VehicleModel against the tick's
-// snapshot and calling a listener that reads magnetic_detect), and ops
-// run in whole sweep ticks, so the field is resolved once per 10k scans as
-// in a run. ns/mote_scan is the per-scan cost over the ticks actually run.
+// snapshot and calling the type's scanner, which reads magnetic_detect),
+// and ops run in whole sweep ticks, so the field is resolved once per 10k
+// scans as in a run. ns/mote_scan is the per-scan cost over the ticks actually run.
 // With the snapshot and scan scratch owned by the sweep, steady state
 // allocates nothing.
 func BenchmarkSenseSweep(b *testing.B) {
 	group, sw, _ := sweepField(b)
 	sweepTick(b, group) // warm the snapshot and scan scratch
-	ticks := (b.N + len(sw.motes) - 1) / len(sw.motes)
+	ticks := (b.N + len(sw.rows) - 1) / len(sw.rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < ticks; i++ {
 		sweepTick(b, group)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks*len(sw.motes)), "ns/mote_scan")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks*len(sw.rows)), "ns/mote_scan")
 }
 
 func TestSweepTickAllocatesNothing(t *testing.T) {
@@ -91,6 +94,6 @@ func TestSweepTickAllocatesNothing(t *testing.T) {
 		t.Errorf("a steady-state sweep tick allocated %v times", allocs)
 	}
 	if *detections == 0 {
-		t.Error("no scan detected a vehicle: the listener read nothing")
+		t.Error("no scan detected a vehicle: the scanner read nothing")
 	}
 }

@@ -1,23 +1,30 @@
 package mote
 
-import "envirotrack/internal/geom"
+import (
+	"math/bits"
+
+	"envirotrack/internal/geom"
+	"envirotrack/internal/sensor"
+)
 
 // HotState is the struct-of-arrays mirror of the per-mote fields the
 // simulation touches every sensing tick and every series sample: position,
-// failure flag, CPU-queue depth, and per-context-type membership and
-// sensing bit-words. A network owns one HotState and registers every mote
-// into it, so the sensing sweep and the series probes walk dense,
-// id-ordered slices instead of chasing a map of mote pointers. The mote and
-// group structs remain the cold/API layer; their accessors read through to
-// the hot slices, which are the single source of truth for the mirrored
-// fields.
+// failure flag, CPU-queue depth, and per-context-type attachment,
+// membership, sensing and leading bit-words. A network owns one HotState
+// and registers every mote into it, so the sensing sweep and the series
+// probes walk dense, row-indexed slices; the sweep reads a mote's struct
+// only to build its rows. The mote and group structs remain the cold/API
+// layer; their accessors read through to the hot slices, which are the
+// single source of truth for the mirrored fields.
 //
 // Context types are interned into bit positions, at most MaxContextTypes
 // of them; the membership word of a mote is nonzero exactly when some
 // group manager on it holds a role, which turns the group_size series
 // probe into a scan over one []uint32. CtxMask refuses a type past the
 // cap, and core.Stack.AttachContext rejects such a type as an input
-// error, so every attached type has a bit.
+// error, so every attached type has a bit. Each attached type also
+// registers one Scanner (Attach), which the sweep calls for every mote
+// whose attached word carries the type's bit, in bit order.
 type HotState struct {
 	pos     []geom.Point
 	failed  []bool
@@ -30,11 +37,31 @@ type HotState struct {
 	// readers like the sweep and the series probes need no indirection.
 	shard []int32
 
+	// attached and leading are allocated by the first Attach, sized to the
+	// rows registered by then: a HotState no type is attached to carries
+	// neither. attached holds the bits of the types attached to a mote,
+	// leading those of the types whose label it currently leads (kept by
+	// the middleware, see SetLeading).
+	attached []uint32
+	leading  []uint32
+	// scanners holds each attached type's Scanner, indexed by bit position.
+	scanners []Scanner
+
 	ctxBits map[string]uint32 // context type -> single-bit mask
 }
 
+// A Scanner evaluates one context type on the sensing scans of the motes
+// it is attached to. Scan gets the mote's HotState row and the scan's
+// reading, which is the sweep's scratch: it is valid only for the
+// duration of the call. A preset channel is computed by the first scanner
+// that reads it in a scan and shared by the rest; a channel nobody reads
+// is never computed.
+type Scanner interface {
+	Scan(row int, rd *sensor.Reading)
+}
+
 // MaxContextTypes is the number of context types a HotState can intern:
-// one bit each in the membership and sensing words.
+// one bit each in the attached, membership, sensing and leading words.
 const MaxContextTypes = 32
 
 // NewHotState returns an empty hot-state arena.
@@ -51,6 +78,10 @@ func (h *HotState) Register(pos geom.Point) int {
 	h.member = append(h.member, 0)
 	h.sensing = append(h.sensing, 0)
 	h.shard = append(h.shard, 0)
+	if h.attached != nil {
+		h.attached = append(h.attached, 0)
+		h.leading = append(h.leading, 0)
+	}
 	return idx
 }
 
@@ -123,6 +154,50 @@ func (h *HotState) SetSensing(i int, ctxType string, on bool) {
 // Sensing reports whether the mote's sensing bit under mask (a CtxMask
 // result) is set.
 func (h *HotState) Sensing(i int, mask uint32) bool { return h.sensing[i]&mask != 0 }
+
+// Attach marks the mote at index i as carrying the context type whose
+// CtxMask is mask, and installs sc as that type's scanner. Every row of a
+// type shares one scanner: a later Attach of the type replaces it for all
+// of them. It must not run while a sweep over h is scanning.
+func (h *HotState) Attach(i int, mask uint32, sc Scanner) {
+	if n := len(h.pos); len(h.attached) < n {
+		// Sized exactly: append slack would stay live for the whole run.
+		h.attached = append(make([]uint32, 0, n), h.attached...)[:n]
+		h.leading = append(make([]uint32, 0, n), h.leading...)[:n]
+	}
+	b := bits.TrailingZeros32(mask)
+	if len(h.scanners) <= b {
+		h.scanners = append(h.scanners, make([]Scanner, b+1-len(h.scanners))...)
+	}
+	h.scanners[b] = sc
+	h.attached[i] |= mask
+}
+
+// Scanner returns the scanner installed for the context type whose
+// CtxMask is mask, or nil when no mote carries the type.
+func (h *HotState) Scanner(mask uint32) Scanner {
+	if b := bits.TrailingZeros32(mask); b < len(h.scanners) {
+		return h.scanners[b]
+	}
+	return nil
+}
+
+// SetLeading sets or clears the mote's leading bit for the type whose
+// CtxMask is mask. The middleware keeps it set exactly while the mote
+// leads a label of the type, so a scan can tell that the type's runtime
+// has leader work without loading it. The row must carry the type.
+func (h *HotState) SetLeading(i int, mask uint32, on bool) {
+	if on {
+		h.leading[i] |= mask
+	} else {
+		h.leading[i] &^= mask
+	}
+}
+
+// Leading reports whether the mote's leading bit under mask is set.
+func (h *HotState) Leading(i int, mask uint32) bool {
+	return i < len(h.leading) && h.leading[i]&mask != 0
+}
 
 // MemberCountMask counts motes whose membership word intersects mask — the
 // group_size series column, with mask the union of the attached context

@@ -57,13 +57,6 @@ func (c Config) withDefaults() Config {
 // was recognized; dispatch stops at the first handler that consumes it.
 type FrameHandler func(radio.Frame) bool
 
-// SenseListener observes each periodic sensor scan. The reading is the
-// sweep's scratch: it is valid only for the duration of the call, so
-// listeners extract what they need synchronously and never retain it. A
-// preset channel is computed by the first listener that reads it in a scan
-// and shared by the rest; a channel nobody reads is never computed.
-type SenseListener func(*sensor.Reading)
-
 // Mote is one simulated sensor node. It is driven by the simulation
 // scheduler and is not safe for concurrent use.
 type Mote struct {
@@ -78,8 +71,7 @@ type Mote struct {
 	stats  *trace.Stats
 	bus    *obs.Bus
 
-	handlers  []FrameHandler
-	listeners []SenseListener
+	handlers []FrameHandler
 
 	// hot is the struct-of-arrays home of the mote's failure flag and
 	// CPU-queue depth (see HotState); hotIdx is this mote's row. A
@@ -192,11 +184,6 @@ func (m *Mote) Queued() int { return m.hot.Queued(m.hotIdx) }
 // order until one consumes the frame.
 func (m *Mote) AddFrameHandler(h FrameHandler) {
 	m.handlers = append(m.handlers, h)
-}
-
-// AddSenseListener appends a listener invoked on every periodic scan.
-func (m *Mote) AddSenseListener(l SenseListener) {
-	m.listeners = append(m.listeners, l)
 }
 
 // Fail kills the mote: it stops sensing, processing, and transmitting until

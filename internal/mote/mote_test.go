@@ -1,7 +1,9 @@
 package mote
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,6 +22,7 @@ type harness struct {
 	field  *phenomena.Field
 	stats  *trace.Stats
 	rng    *rand.Rand
+	hot    *HotState
 }
 
 func newHarness(t *testing.T, p radio.Params) *harness {
@@ -35,6 +38,7 @@ func newHarness(t *testing.T, p radio.Params) *harness {
 		field:  phenomena.NewField(),
 		stats:  &stats,
 		rng:    rng,
+		hot:    NewHotState(),
 	}
 }
 
@@ -44,7 +48,23 @@ func (h *harness) mote(t *testing.T, id radio.NodeID, pos geom.Point, model *sen
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.BindHot(h.hot)
 	return m
+}
+
+// scanFunc adapts a function to a Scanner.
+type scanFunc func(row int, rd *sensor.Reading)
+
+func (f scanFunc) Scan(row int, rd *sensor.Reading) { f(row, rd) }
+
+// attach attaches the context type ctxType to the motes, with fn as the
+// type's scanner.
+func attach(ctxType string, fn func(rd *sensor.Reading), motes ...*Mote) {
+	for _, m := range motes {
+		h, i := m.Hot()
+		mask, _ := h.CtxMask(ctxType)
+		h.Attach(i, mask, scanFunc(func(_ int, rd *sensor.Reading) { fn(rd) }))
+	}
 }
 
 // runUntil advances the one-shard group to the deadline.
@@ -216,7 +236,7 @@ func (h *harness) sweep(motes ...*Mote) *Sweep {
 	return sw
 }
 
-func TestSensingScanInvokesListeners(t *testing.T) {
+func TestSensingScanInvokesScanners(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	h.field.Add(&phenomena.Target{
 		Kind:            "vehicle",
@@ -230,10 +250,10 @@ func TestSensingScanInvokesListeners(t *testing.T) {
 		detect float64
 	}
 	var scans []scan
-	m.AddSenseListener(func(rd *sensor.Reading) {
+	attach("tracker", func(rd *sensor.Reading) {
 		v, _ := rd.Value("magnetic_detect")
 		scans = append(scans, scan{rd.At, v})
-	})
+	}, m)
 	sw := h.sweep(m)
 	h.runUntil(t, 3500*time.Millisecond)
 	if len(scans) != 3 {
@@ -263,7 +283,7 @@ func TestSweepScansInAddOrder(t *testing.T) {
 	var motes []*Mote
 	for _, id := range []radio.NodeID{3, 1, 2} {
 		m := h.mote(t, id, geom.Pt(float64(id), 0), model, Config{SensePeriod: time.Second})
-		m.AddSenseListener(func(rd *sensor.Reading) { order = append(order, rd.MoteID) })
+		attach("t", func(rd *sensor.Reading) { order = append(order, rd.MoteID) }, m)
 		motes = append(motes, m)
 	}
 	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{SensePeriod: time.Second})
@@ -274,13 +294,63 @@ func TestSweepScansInAddOrder(t *testing.T) {
 	}
 }
 
+func TestSweepScansTypesInBitOrder(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	model := sensor.NewModel()
+	model.SetChannel("x", sensor.ConstantChannel(1))
+	a := h.mote(t, 1, geom.Pt(1, 0), model, Config{SensePeriod: time.Second})
+	b := h.mote(t, 2, geom.Pt(2, 0), model, Config{SensePeriod: time.Second})
+	c := h.mote(t, 3, geom.Pt(3, 0), model, Config{SensePeriod: time.Second})
+	var got []string
+	scanner := func(ctxType string) Scanner {
+		return scanFunc(func(row int, rd *sensor.Reading) {
+			got = append(got, fmt.Sprintf("%s@%d/%d", ctxType, rd.MoteID, row))
+		})
+	}
+	first, _ := h.hot.CtxMask("first")
+	second, _ := h.hot.CtxMask("second")
+	_, ia := a.Hot()
+	_, ib := b.Hot()
+	_, ic := c.Hot()
+	h.hot.Attach(ia, first, scanner("first"))
+	h.hot.Attach(ia, second, scanner("second"))
+	// b gets the types in the opposite order; c carries only one.
+	h.hot.Attach(ib, second, scanner("second"))
+	h.hot.Attach(ib, first, scanner("first"))
+	h.hot.Attach(ic, second, scanner("second"))
+	h.sweep(a, b, c)
+	h.runUntil(t, 1500*time.Millisecond)
+	want := []string{"first@1/0", "second@1/0", "first@2/1", "second@2/1", "second@3/2"}
+	if !slices.Equal(got, want) {
+		t.Errorf("scans = %v, want %v (add order, then type-bit order)", got, want)
+	}
+}
+
+func TestSweepRejectsMotesOfAnotherHotState(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	model := sensor.NewModel()
+	a := h.mote(t, 1, geom.Pt(1, 0), model, Config{})
+	b, err := New(2, geom.Pt(2, 0), h.sched, h.medium, h.field, model, Config{}, h.rng, h.stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSweep(h.sched, h.field)
+	sw.Add(a)
+	defer func() {
+		if recover() == nil {
+			t.Error("a sweep accepted a mote of another HotState")
+		}
+	}()
+	sw.Add(b)
+}
+
 func TestFailedMoteSkipsScan(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	model := sensor.NewModel()
 	model.SetChannel("x", sensor.ConstantChannel(1))
 	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
 	scans := 0
-	m.AddSenseListener(func(*sensor.Reading) { scans++ })
+	attach("t", func(*sensor.Reading) { scans++ }, m)
 	h.sweep(m)
 	m.Fail()
 	h.runUntil(t, 5*time.Second)
@@ -341,10 +411,10 @@ func TestSenseReadingOutlivesScans(t *testing.T) {
 	rd := m.Sense()
 	mag, _ := rd.Value("magnetic")
 	var last float64
-	m.AddSenseListener(func(scan *sensor.Reading) {
+	attach("t", func(scan *sensor.Reading) {
 		last, _ = scan.Value("magnetic_detect")
 		scan.Value("magnetic")
-	})
+	}, m)
 	h.sweep(m)
 	h.runUntil(t, 5*time.Second)
 	if last != 0 {
@@ -364,7 +434,7 @@ func TestStartIdempotent(t *testing.T) {
 	model.SetChannel("x", sensor.ConstantChannel(1))
 	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
 	scans := 0
-	m.AddSenseListener(func(*sensor.Reading) { scans++ })
+	attach("t", func(*sensor.Reading) { scans++ }, m)
 	sw := h.sweep(m)
 	sw.Start()
 	h.runUntil(t, 2500*time.Millisecond)

@@ -1,9 +1,12 @@
 package mote
 
 import (
+	"fmt"
+	"math/bits"
 	"time"
 
 	"envirotrack/internal/phenomena"
+	"envirotrack/internal/radio"
 	"envirotrack/internal/sensor"
 	"envirotrack/internal/simtime"
 )
@@ -12,21 +15,34 @@ import (
 // scheduler ticker. Every tick it resolves the field once into a
 // sweep-owned snapshot, then samples each live sensing mote against it in
 // the order the motes were added, so the field's targets are positioned
-// once per tick rather than once per mote, channel and target. Sampling
-// follows the sensor package's contract: a mote's SetChannel channels are
-// evaluated on every scan, its preset channels only when a listener reads
-// them. A sweep runs on one scheduler and is not safe for concurrent use; a sharded
-// network builds one per shard, each with its own snapshot and scratch.
+// once per tick rather than once per mote, channel and target. After
+// sampling a mote it calls the Scanner of each context type attached to
+// it (HotState.Attach), in type-bit order. Sampling follows the sensor
+// package's contract: a mote's SetChannel channels are evaluated on every
+// scan, its preset channels only when a scanner reads them.
+//
+// The sweep holds no mote pointers. It walks dense rows built by Add (the
+// motes' HotState rows, ids and models) and reads position, failure flag
+// and attached word from the motes' shared HotState, so a scan touches
+// only slices. A sweep runs on one scheduler and is not safe for
+// concurrent use; a sharded network builds one per shard, each with its
+// own snapshot and scratch.
 type Sweep struct {
 	sched  *simtime.Scheduler
 	field  *phenomena.Field
 	period time.Duration
-	motes  []*Mote
 	ticker *simtime.Ticker
+
+	// hot is the arena every added mote is registered in; rows, ids and
+	// models are parallel, one entry per sensing mote in add order.
+	hot    *HotState
+	rows   []int32
+	ids    []radio.NodeID
+	models []*sensor.Model
 
 	// env, scan and rd are the per-tick scratch: the resolved field, the
 	// scan state each mote's channels are memoised in, and the reading
-	// handed to its listeners. Reusing them makes a steady-state tick
+	// handed to its scanners. Reusing them makes a steady-state tick
 	// allocation-free.
 	env  phenomena.Snapshot
 	scan sensor.Scratch
@@ -40,26 +56,43 @@ func NewSweep(sched *simtime.Scheduler, field *phenomena.Field) *Sweep {
 
 // Add appends a mote to the sweep; motes are scanned in the order they are
 // added (networks add them in ascending id order). Motes without a sensing
-// model are pure relays and are skipped. The sweep ticks at the
+// model are pure relays and are skipped. Every mote of one sweep must be
+// registered in the same HotState (Mote.BindHot). The sweep ticks at the
 // SensePeriod of the first sensing mote added: the motes of one sweep
 // share one configuration.
 func (s *Sweep) Add(m *Mote) {
 	if m.model == nil {
 		return
 	}
-	if len(s.motes) == 0 {
+	if len(s.rows) == 0 {
 		s.period = m.cfg.SensePeriod
+		s.hot = m.hot
+	} else if m.hot != s.hot {
+		panic(fmt.Sprintf("mote: sweep: mote %d is registered in another HotState", m.id))
 	}
-	s.motes = append(s.motes, m)
+	s.rows = append(s.rows, int32(m.hotIdx))
+	s.ids = append(s.ids, m.id)
+	s.models = append(s.models, m.model)
 }
 
 // Start arms the sweep's ticker; the first scan runs one period from now.
-// It is idempotent, and a sweep with no sensing motes arms nothing.
+// It is idempotent, and a sweep with no sensing motes arms nothing. Start
+// trims the rows to their length: append slack would stay live for the
+// whole run.
 func (s *Sweep) Start() {
-	if s.ticker != nil || len(s.motes) == 0 {
+	if s.ticker != nil || len(s.rows) == 0 {
 		return
 	}
+	s.rows, s.ids, s.models = exact(s.rows), exact(s.ids), exact(s.models)
 	s.ticker = simtime.NewTickerOwned(s.sched, s.period, simtime.OwnerSense, s.tick)
+}
+
+// exact returns xs in a slice of capacity len(xs).
+func exact[T any](xs []T) []T {
+	if cap(xs) == len(xs) {
+		return xs
+	}
+	return append(make([]T, 0, len(xs)), xs...)
 }
 
 // Stop halts the sweep's scans.
@@ -72,13 +105,20 @@ func (s *Sweep) Stop() {
 // scheduler's current time.
 func (s *Sweep) tick() {
 	s.field.Resolve(s.sched.Now(), &s.env)
-	for _, m := range s.motes {
-		if m.hot.failed[m.hotIdx] {
+	h := s.hot
+	// Reslicing to len(rows) lets the compiler drop the per-row bounds
+	// checks on ids and models.
+	ids, models := s.ids[:len(s.rows)], s.models[:len(s.rows)]
+	for k, row := range s.rows {
+		if h.failed[row] {
 			continue
 		}
-		s.rd = m.model.SampleInto(&s.env, int(m.id), m.pos, &s.scan)
-		for _, l := range m.listeners {
-			l(&s.rd)
+		s.rd = models[k].SampleInto(&s.env, int(ids[k]), h.pos[row], &s.scan)
+		if h.attached == nil {
+			continue
+		}
+		for w := h.attached[row]; w != 0; w &= w - 1 {
+			h.scanners[bits.TrailingZeros32(w)].Scan(int(row), &s.rd)
 		}
 	}
 }

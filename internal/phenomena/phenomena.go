@@ -200,18 +200,22 @@ func (f *Field) Targets() []*Target {
 
 // Resolve fills s with the field as it stands at time t: one row per
 // target active at t, in field order, holding its kind, position,
-// signature radius and effective amplitude. It reuses s's storage, so a
-// snapshot resolved every sensing period allocates only when the number of
-// active targets exceeds every earlier resolve's.
+// signature radius and effective amplitude. Kinds are interned: the
+// snapshot lists each distinct kind once, and a row holds its kind's
+// index, so a query compares the kind string once per distinct kind, not
+// once per row. It reuses s's storage, so a snapshot resolved every
+// sensing period allocates only when the number of active targets or
+// kinds exceeds every earlier resolve's.
 func (f *Field) Resolve(t time.Duration, s *Snapshot) {
 	s.At = t
 	s.rows = s.rows[:0]
+	s.kinds = s.kinds[:0]
 	for _, tg := range f.targets {
 		if !tg.Active(t) {
 			continue
 		}
 		s.rows = append(s.rows, snapRow{
-			kind:   tg.Kind,
+			kind:   s.intern(tg.Kind),
 			pos:    tg.PositionAt(t),
 			radius: tg.SignatureRadius,
 			amp:    tg.amplitude(),
@@ -224,24 +228,49 @@ func (f *Field) Resolve(t time.Duration, s *Snapshot) {
 // channels read them. The zero value is an empty field at time 0.
 type Snapshot struct {
 	// At is the instant the snapshot was resolved at.
-	At   time.Duration
-	rows []snapRow
+	At time.Duration
+	// kinds holds the distinct kinds of the rows, in first-seen order.
+	kinds []string
+	rows  []snapRow
 }
 
 // snapRow is one active target at the snapshot's instant.
 type snapRow struct {
-	kind   string
+	kind   int // index into Snapshot.kinds
 	pos    geom.Point
 	radius float64
 	amp    float64
 }
 
+// intern returns kind's index in s.kinds, adding it when new.
+func (s *Snapshot) intern(kind string) int {
+	if k := s.kindIndex(kind); k >= 0 {
+		return k
+	}
+	s.kinds = append(s.kinds, kind)
+	return len(s.kinds) - 1
+}
+
+// kindIndex returns kind's index in s.kinds, or -1 when no row has it.
+func (s *Snapshot) kindIndex(kind string) int {
+	for k, kd := range s.kinds {
+		if kd == kind {
+			return k
+		}
+	}
+	return -1
+}
+
 // DetectsAny reports whether any kind-k target's signature covers position
 // pos.
 func (s *Snapshot) DetectsAny(kind string, pos geom.Point) bool {
+	k := s.kindIndex(kind)
+	if k < 0 {
+		return false
+	}
 	for i := range s.rows {
 		r := &s.rows[i]
-		if r.kind == kind && r.pos.Within(pos, r.radius) {
+		if r.kind == k && r.pos.Within(pos, r.radius) {
 			return true
 		}
 	}
@@ -251,12 +280,17 @@ func (s *Snapshot) DetectsAny(kind string, pos geom.Point) bool {
 // Intensity returns the summed sensory intensity of kind-k targets at
 // position pos, using an inverse-cube law (the attenuation of magnetic
 // disturbances cited in Section 6.1). Intensity at distances below 1 grid
-// unit is clamped to the amplitude to avoid singularities.
+// unit is clamped to the amplitude to avoid singularities. Rows are summed
+// in field order.
 func (s *Snapshot) Intensity(kind string, pos geom.Point) float64 {
 	var total float64
+	k := s.kindIndex(kind)
+	if k < 0 {
+		return total
+	}
 	for i := range s.rows {
 		r := &s.rows[i]
-		if r.kind != kind {
+		if r.kind != k {
 			continue
 		}
 		d := r.pos.Dist(pos)

@@ -3,6 +3,7 @@ package phenomena
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -211,7 +212,7 @@ func TestFieldTargetsOfKind(t *testing.T) {
 	ofKind := func(s *Snapshot, kind string) int {
 		n := 0
 		for _, r := range s.rows {
-			if r.kind == kind {
+			if s.kinds[r.kind] == kind {
 				n++
 			}
 		}
@@ -222,6 +223,31 @@ func TestFieldTargetsOfKind(t *testing.T) {
 	}
 	if got := ofKind(resolve(f, 2*time.Minute), "x"); got != 2 {
 		t.Errorf("kind-x rows at 2m = %d, want 2", got)
+	}
+}
+
+// TestSnapshotReuseInternsPerResolve resolves one snapshot at instants
+// with different kinds present: each resolve interns only the kinds
+// active then, so a reused snapshot answers nothing for a kind that has
+// left the field.
+func TestSnapshotReuseInternsPerResolve(t *testing.T) {
+	fire := &Target{Kind: "fire", Traj: Stationary{}, SignatureRadius: 1, DisappearsAt: time.Minute}
+	tank := &Target{Kind: "vehicle", Traj: Stationary{}, SignatureRadius: 1, AppearsAt: time.Second}
+	f := NewField(fire, tank)
+	var s Snapshot
+	f.Resolve(0, &s)
+	if !s.DetectsAny("fire", geom.Pt(0, 0)) || s.DetectsAny("vehicle", geom.Pt(0, 0)) {
+		t.Fatal("at 0 only the fire should be detected")
+	}
+	f.Resolve(2*time.Minute, &s)
+	if s.DetectsAny("fire", geom.Pt(0, 0)) || s.Intensity("fire", geom.Pt(0, 0)) != 0 {
+		t.Error("a reused snapshot still sees the fire that left the field")
+	}
+	if !s.DetectsAny("vehicle", geom.Pt(0, 0)) || s.Intensity("vehicle", geom.Pt(0, 0)) != 1 {
+		t.Error("the vehicle present at 2m is not seen")
+	}
+	if want := []string{"vehicle"}; !slices.Equal(s.kinds, want) {
+		t.Errorf("kinds at 2m = %v, want %v", s.kinds, want)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 // Reading is one sample of a mote's local environment. A reading from
 // Model.SampleInto is backed by the caller's Scratch and is valid only until
 // that Scratch's next scan: during a sensing sweep, only for the duration of
-// the listener call. A reading from Model.Sample owns its values. The public
+// the scanner call. A reading from Model.Sample owns its values. The public
 // Values map remains as a construction convenience for tests and ad-hoc
 // readings.
 type Reading struct {
