@@ -98,7 +98,7 @@ func (c *Ctx) Send(dst group.Label, port transport.PortID, payload any) {
 // message is geographically routed; the receiving mote's Stack delivers it
 // to OnNodeMessage handlers.
 func (c *Ctx) SendNode(dst radio.NodeID, payload any) {
-	pos, ok := c.stack.medium.Position(dst)
+	pos, ok := c.stack.m.Medium().Position(dst)
 	if !ok {
 		return
 	}

@@ -71,7 +71,7 @@ func TestContextToContextMessaging(t *testing.T) {
 		return m
 	}
 	for x := 0; x < 12; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), model(), StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), model(), StackConfig{UseDirectory: true})
 		if _, err := st.AttachContext(sirenSpec); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestCtxQueryDirectory(t *testing.T) {
 	w := newWorld(t, 2.5, bounds)
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < 5; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}

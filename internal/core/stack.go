@@ -26,22 +26,14 @@ type StackConfig struct {
 	// UseDirectory enables directory registration of led labels; the
 	// stress experiments disable it to match the paper's traffic mix.
 	UseDirectory bool
-	// DirectoryRefresh is the registration refresh period (default 5s).
-	DirectoryRefresh time.Duration
 	// Backend is the tracking backend of context types attached without
 	// one (default track.BackendLeader); a ContextType.Backend wins.
 	Backend string
 }
 
-func (c StackConfig) withDefaults() StackConfig {
-	if c.DirectoryRefresh <= 0 {
-		c.DirectoryRefresh = 5 * time.Second
-	}
-	if c.Backend == "" {
-		c.Backend = track.BackendLeader
-	}
-	return c
-}
+// directoryRefresh is the period at which a leader refreshes its
+// directory registration; the first registration is immediate.
+const directoryRefresh = 5 * time.Second
 
 // DelayEstimate is d in Pe = Le - d (Section 5.3), the estimated in-group
 // message delay.
@@ -65,42 +57,41 @@ func ReportPeriod(le time.Duration) time.Duration {
 // the directory service, and one context runtime per declared type.
 type Stack struct {
 	m      *mote.Mote
-	medium *radio.Medium
 	router *routing.Router
 	dir    *directory.Service
 	ep     *transport.Endpoint
 	ledger *trace.Ledger
 
 	// The StackConfig values read after construction (Bounds is spent on
-	// the directory), kept as fields so a stack stays in a 128-byte
-	// allocation: there is one per mote.
-	useDirectory     bool
-	directoryRefresh time.Duration
-	backend          string
+	// the directory), kept as fields so a stack stays small: there is one
+	// per mote.
+	useDirectory bool
+	backend      string
 
 	runtimes []*ctxRuntime
 
 	nodeMsgHandlers []func(NodeMessage)
 }
 
-// NewStack builds the middleware on a mote. Context types are attached
-// afterwards with AttachContext; the mote's sensing scan drives each one.
-// The mote must already be bound to its final HotState (mote.BindHot).
-func NewStack(m *mote.Mote, medium *radio.Medium, cfg StackConfig, ledger *trace.Ledger) *Stack {
-	cfg = cfg.withDefaults()
-	router := routing.NewRouter(m, medium)
+// NewStack builds the middleware on a mote; the router, directory and
+// transport reach the radio medium through the mote's env. Context types
+// are attached afterwards with AttachContext; the mote's sensing scan
+// drives each one.
+func NewStack(m *mote.Mote, cfg StackConfig, ledger *trace.Ledger) *Stack {
+	if cfg.Backend == "" {
+		cfg.Backend = track.BackendLeader
+	}
+	router := routing.NewRouter(m)
 	dir := directory.NewService(m, router, directory.Config{Bounds: cfg.Bounds})
 	ep := transport.NewEndpoint(m, router, dir)
 	s := &Stack{
-		m:                m,
-		medium:           medium,
-		router:           router,
-		dir:              dir,
-		ep:               ep,
-		ledger:           ledger,
-		useDirectory:     cfg.UseDirectory,
-		directoryRefresh: cfg.DirectoryRefresh,
-		backend:          cfg.Backend,
+		m:            m,
+		router:       router,
+		dir:          dir,
+		ep:           ep,
+		ledger:       ledger,
+		useDirectory: cfg.UseDirectory,
+		backend:      cfg.Backend,
 	}
 	router.AddHandler(s.handleNodeMessage)
 	return s
@@ -222,8 +213,8 @@ func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
 // Scan evaluates the type's sensee() conditions on one scan of the mote
 // at row. The reading is the sensing sweep's scratch, valid for this call
 // only, and only the user's Activation/Deactivation predicates receive a
-// copy of it. The mote's sensing bit stands in for the backend's
-// Sensing(), which both backends keep equal to it. A scan that leaves the
+// copy of it. The mote's sensing bit is the backend's sensing state:
+// both backends' Sensing() read it. A scan that leaves the
 // mote not sensing, on a mote that was not sensing and does not lead,
 // does nothing, so the runtime is loaded only when the result is true or
 // one of the two bits is set.
@@ -290,7 +281,7 @@ func (s *Stack) AttachStatic(label group.Label, objects []ObjectSpec) (*Ctx, err
 			s.dir.Register(transportLabelType(label), label, s.m.Pos(), s.m.ID())
 		}
 		register()
-		simtime.NewTickerOwned(s.m.Scheduler(), s.directoryRefresh, simtime.OwnerDirectory, func() {
+		simtime.NewTickerOwned(s.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
 			if !s.m.Failed() {
 				register()
 			}
@@ -355,7 +346,7 @@ func (rt *ctxRuntime) Ctx() *Ctx { return rt.ctx }
 // evaluation and was the mote's sensing bit before it (see typeRows.Scan).
 func (rt *ctxRuntime) onScan(rd *sensor.Reading, sensing, was bool) {
 	// The backend is told only when its sensing state changes: a call that
-	// matches the mirrored bit would be a no-op.
+	// matches the sensing bit would be a no-op.
 	if was != sensing {
 		rt.be.SetSensing(sensing)
 	}
@@ -497,7 +488,7 @@ func (rt *ctxRuntime) onActivate(label group.Label, state []byte) {
 			rt.stack.dir.Register(rt.spec.Name, label, rt.stack.m.Pos(), rt.stack.m.ID())
 		}
 		register()
-		rt.dirTicker = simtime.NewTickerOwned(rt.stack.m.Scheduler(), rt.stack.directoryRefresh, simtime.OwnerDirectory, func() {
+		rt.dirTicker = simtime.NewTickerOwned(rt.stack.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
 			if !rt.stack.m.Failed() && rt.ctx != nil {
 				register()
 			}

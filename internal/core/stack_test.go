@@ -24,13 +24,11 @@ type world struct {
 	sched  *simtime.Scheduler
 	medium *radio.Medium
 	field  *phenomena.Field
-	stats  *trace.Stats
+	env    *mote.Env // every mote's env, as on one network shard
 	ledger *trace.Ledger
-	rng    *rand.Rand
 	bounds geom.Rect
 	stacks map[radio.NodeID]*Stack
 	motes  map[radio.NodeID]*mote.Mote
-	hot    *mote.HotState // every mote's arena, as in a network
 }
 
 func newWorld(t *testing.T, commRadius float64, bounds geom.Rect) *world {
@@ -42,32 +40,30 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	var stats trace.Stats
-	rng := rand.New(rand.NewSource(21))
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(21)), Stats: &trace.Stats{}}
+	medium := radio.New(params, nil, rt)
+	field := phenomena.NewField()
 	return &world{
 		group:  group,
 		sched:  sched,
-		medium: radio.New(params, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
-		field:  phenomena.NewField(),
-		stats:  &stats,
+		medium: medium,
+		field:  field,
+		env:    mote.NewEnv(rt, medium, field, mote.Config{}, mote.NewHotState()),
 		ledger: &trace.Ledger{},
-		rng:    rng,
 		bounds: bounds,
 		stacks: make(map[radio.NodeID]*Stack),
 		motes:  make(map[radio.NodeID]*mote.Mote),
-		hot:    mote.NewHotState(),
 	}
 }
 
 func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *sensor.Model, scfg StackConfig) *Stack {
 	t.Helper()
-	m, err := mote.New(id, pos, w.sched, w.medium, w.field, model, mote.Config{}, w.rng, w.stats)
+	m, err := mote.New(id, pos, model, w.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.BindHot(w.hot)
 	scfg.Bounds = w.bounds
-	st := NewStack(m, w.medium, scfg, w.ledger)
+	st := NewStack(m, scfg, w.ledger)
 	w.stacks[id] = st
 	w.motes[id] = m
 	return st
@@ -76,7 +72,7 @@ func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *se
 func (w *world) start() {
 	// Deterministic scan order (map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering).
-	sw := mote.NewSweep(w.sched, w.field)
+	sw := mote.NewSweep(w.env)
 	for _, id := range w.medium.NodeIDs() {
 		sw.Add(w.motes[id])
 	}
@@ -304,12 +300,12 @@ func TestMessageTriggeredMethod(t *testing.T) {
 		Group: fastGroup,
 	}
 	for x := 0; x < 4; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true})
 
 	w.field.Add(&phenomena.Target{
 		Name: "tank", Kind: "vehicle",
@@ -383,8 +379,8 @@ func TestConditionTriggeredMethod(t *testing.T) {
 func TestStaticObjectTimerAndPort(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(4, 1)}
 	w := newWorld(t, 2.5, bounds)
-	st0 := w.addMote(t, 0, geom.Pt(0, 0), nil, StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
-	st1 := w.addMote(t, 1, geom.Pt(1, 0), nil, StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+	st0 := w.addMote(t, 0, geom.Pt(0, 0), nil, StackConfig{UseDirectory: true})
+	st1 := w.addMote(t, 1, geom.Pt(1, 0), nil, StackConfig{UseDirectory: true})
 
 	ticks := 0
 	var pings []any
@@ -417,12 +413,12 @@ func TestDirectoryRegistrationOfTrackedLabel(t *testing.T) {
 	w := newWorld(t, 2.5, bounds)
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < 5; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true, DirectoryRefresh: time.Second})
+	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true})
 	w.field.Add(&phenomena.Target{
 		Name: "tank", Kind: "vehicle",
 		Traj: phenomena.Stationary{At: geom.Pt(2, 0)}, SignatureRadius: 1.4,

@@ -27,10 +27,11 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rng := rand.New(rand.NewSource(5))
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(5))}
 	// Collisions are disabled: these tests exercise directory semantics,
 	// not channel contention (covered in radio's own tests).
-	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
+	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, rt)
+	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &net{
 		group:    group,
@@ -42,11 +43,11 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			id := radio.NodeID(y*cols + x)
-			m, err := mote.New(id, geom.Pt(float64(x), float64(y)), sched, medium, phenomena.NewField(), nil, mote.Config{}, rng, nil)
+			m, err := mote.New(id, geom.Pt(float64(x), float64(y)), nil, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := routing.NewRouter(m, medium)
+			r := routing.NewRouter(m)
 			n.services[id] = NewService(m, r, Config{Bounds: bounds})
 		}
 	}

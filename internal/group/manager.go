@@ -43,9 +43,11 @@ type Manager struct {
 	cb      Callbacks
 	ledger  *trace.Ledger
 
-	sensing bool
-	role    Role
-	label   Label
+	// mask is ctxType's bit in the mote's HotState words, whose sensing
+	// bit is the manager's sensing state.
+	mask  uint32
+	role  Role
+	label Label
 
 	// Leader state.
 	weight    uint64
@@ -119,6 +121,7 @@ func NewManager(m *mote.Mote, ctxType string, cfg Config, cb Callbacks, ledger *
 		cfg:     cfg.WithDefaults(),
 		cb:      cb,
 		ledger:  ledger,
+		mask:    MustCtxMask(m, ctxType),
 		role:    RoleNone,
 	}
 	m.AddFrameHandler(g.handleFrame)
@@ -141,7 +144,7 @@ func recvFire(arg any) { arg.(*Manager).onReceiveTimeout() }
 // creationFire ends the label-creation backoff.
 func creationFire(arg any) {
 	g := arg.(*Manager)
-	if g.m.Failed() || !g.sensing || g.role != RoleNone {
+	if g.m.Failed() || !g.Sensing() || g.role != RoleNone {
 		return
 	}
 	if g.waitUntil.Pending() {
@@ -184,7 +187,10 @@ func (g *Manager) LeaderID() radio.NodeID {
 func (g *Manager) Weight() uint64 { return g.weight }
 
 // Sensing returns the last sensing state supplied via SetSensing.
-func (g *Manager) Sensing() bool { return g.sensing }
+func (g *Manager) Sensing() bool {
+	h, i := g.m.Hot()
+	return h.Sensing(i, g.mask)
+}
 
 // CtxType returns the context type this manager maintains.
 func (g *Manager) CtxType() string { return g.ctxType }
@@ -220,17 +226,15 @@ func (g *Manager) Stop() {
 }
 
 // SetSensing informs the manager of the mote's current sensee() evaluation
-// and mirrors it into the mote's HotState sensing bit, the only place that
+// and stores it as the mote's HotState sensing bit, the only place that
 // bit is written. The middleware calls it when the evaluation differs from
 // that bit; no-change calls are cheap.
 func (g *Manager) SetSensing(sensing bool) {
-	if g.m.Failed() || sensing == g.sensing {
+	if g.m.Failed() || sensing == g.Sensing() {
 		return
 	}
-	g.sensing = sensing
-	if h, i := g.m.Hot(); h != nil {
-		h.SetSensing(i, g.ctxType, sensing)
-	}
+	h, i := g.m.Hot()
+	h.SetSensing(i, g.mask, sensing)
 	if sensing {
 		g.onStartSensing()
 	} else {
@@ -421,7 +425,7 @@ func (g *Manager) onReceiveTimeout() {
 	}
 	g.emit(obs.EvReceiveTimerFired, g.label, g.leaderID, 0)
 	label, weight, state := g.label, g.lastWeight, g.lastState
-	if !g.sensing {
+	if !g.Sensing() {
 		g.leaveMembership()
 		return
 	}
@@ -507,9 +511,8 @@ func (g *Manager) rememberLabel(label Label, leader radio.NodeID, weight uint64,
 // role, which is what the group_size series probe counts).
 func (g *Manager) setRole(r Role) {
 	g.role = r
-	if h, i := g.m.Hot(); h != nil {
-		h.SetMember(i, g.ctxType, r != RoleNone)
-	}
+	h, i := g.m.Hot()
+	h.SetMember(i, g.mask, r != RoleNone)
 }
 
 // stopTimer cancels a timer and resets the handle to the inert zero value.
@@ -719,7 +722,7 @@ func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 		if g.cb.OnLabelDeleted != nil {
 			g.cb.OnLabelDeleted(g.label)
 		}
-		if g.sensing {
+		if g.Sensing() {
 			g.becomeMember(hb.Label, hb.Leader, hb.Weight, hb.State)
 		} else {
 			g.loseLeadership()
@@ -750,7 +753,7 @@ func (g *Manager) idleOnHeartbeat(hb Heartbeat) {
 		return
 	}
 	g.rememberLabel(hb.Label, hb.Leader, hb.Weight, hb.State)
-	if g.sensing {
+	if g.Sensing() {
 		// Sensing during creation backoff: join right away.
 		g.joinWaitedLabel()
 	}
@@ -776,7 +779,7 @@ func (g *Manager) onReport(rep Report, corr radio.Corr) {
 }
 
 func (g *Manager) onRelinquish(rel Relinquish) {
-	if rel.NewLeader == g.m.ID() && g.sensing && g.role != RoleLeader {
+	if rel.NewLeader == g.m.ID() && g.Sensing() && g.role != RoleLeader {
 		g.recordEvent(trace.LabelRelinquish, rel.Label)
 		g.becomeLeader(rel.Label, rel.Weight, rel.State)
 		return
@@ -792,6 +795,19 @@ func (g *Manager) onRelinquish(rel Relinquish) {
 
 func (g *Manager) recordEvent(ty trace.LabelEventType, label Label) {
 	RecordLabelEvent(g.m, g.ctxType, g.ledger, ty, label)
+}
+
+// MustCtxMask returns ctxType's bit in the mote's HotState words, which a
+// tracking backend interns once at construction. It panics when the
+// HotState has no bit left: core.Stack rejects such a type before it
+// builds a backend.
+func MustCtxMask(m *mote.Mote, ctxType string) uint32 {
+	h, _ := m.Hot()
+	mask, ok := h.CtxMask(ctxType)
+	if !ok {
+		panic(fmt.Sprintf("group: context type %q exceeds the limit of %d context types", ctxType, mote.MaxContextTypes))
+	}
+	return mask
 }
 
 // RecordLabelEvent publishes one label-lifecycle event of a ctxType

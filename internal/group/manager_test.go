@@ -18,9 +18,9 @@ type testNet struct {
 	group  *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
+	env    *mote.Env
 	stats  *trace.Stats
 	ledger *trace.Ledger
-	rng    *rand.Rand
 	motes  map[radio.NodeID]*mote.Mote
 	mgrs   map[radio.NodeID]*Manager
 }
@@ -30,14 +30,15 @@ func newTestNet(t *testing.T, commRadius float64) *testNet {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rng := rand.New(rand.NewSource(11))
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(11)), Stats: &stats}
+	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
 	return &testNet{
 		group:  group,
 		sched:  sched,
-		medium: radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
+		medium: medium,
+		env:    mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState()),
 		stats:  &stats,
 		ledger: &trace.Ledger{},
-		rng:    rng,
 		motes:  make(map[radio.NodeID]*mote.Mote),
 		mgrs:   make(map[radio.NodeID]*Manager),
 	}
@@ -45,7 +46,7 @@ func newTestNet(t *testing.T, commRadius float64) *testNet {
 
 func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config, cb Callbacks) *Manager {
 	t.Helper()
-	m, err := mote.New(id, pos, n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, n.rng, n.stats)
+	m, err := mote.New(id, pos, nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestLeaderYieldsToSameLabelHigherPriority(t *testing.T) {
 	n := newTestNet(t, 2)
 	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
 	// Node 2 is a raw mote used to inject a crafted heartbeat.
-	m2, err := mote.New(2, geom.Pt(1, 0), n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, n.rng, n.stats)
+	m2, err := mote.New(2, geom.Pt(1, 0), nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestLeaderYieldsToSameLabelHigherPriority(t *testing.T) {
 func TestLeaderKeepsLeadingAgainstLowerPrioritySameLabel(t *testing.T) {
 	n := newTestNet(t, 2)
 	mgr := n.add(t, 5, geom.Pt(0, 0), fastCfg, Callbacks{})
-	m2, err := mote.New(2, geom.Pt(1, 0), n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, n.rng, n.stats)
+	m2, err := mote.New(2, geom.Pt(1, 0), nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}

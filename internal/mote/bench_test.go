@@ -23,10 +23,9 @@ func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 	tb.Helper()
 	const side = 100
 	group := simtime.NewShardGroup(1)
-	sched := group.Shard(0)
 	var stats trace.Stats
-	rng := rand.New(rand.NewSource(1))
-	medium := radio.New(radio.Params{CommRadius: 2.5}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats})
+	rt := radio.ShardRuntime{Sched: group.Shard(0), RNG: rand.New(rand.NewSource(1)), Stats: &stats}
+	medium := radio.New(radio.Params{CommRadius: 2.5}, nil, rt)
 	field := phenomena.NewField()
 	for i := 0; i < 4; i++ {
 		field.Add(&phenomena.Target{
@@ -42,16 +41,16 @@ func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *int) {
 			*detections++
 		}
 	})
-	hot := NewHotState()
-	mask, _ := hot.CtxMask("tracker")
-	sw := NewSweep(sched, field)
+	env := NewEnv(rt, medium, field, Config{}, NewHotState())
+	mask, _ := env.Hot.CtxMask("tracker")
+	sw := NewSweep(env)
 	for id := 0; id < side*side; id++ {
 		pos := geom.Pt(float64(id%side), float64(id/side))
-		m, err := New(radio.NodeID(id), pos, sched, medium, field, model, Config{}, rng, &stats)
+		m, err := New(radio.NodeID(id), pos, model, env)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		hot.Attach(m.BindHot(hot), mask, scan)
+		env.Hot.Attach(int(m.row), mask, scan)
 		sw.Add(m)
 	}
 	sw.Start()

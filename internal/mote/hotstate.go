@@ -7,15 +7,16 @@ import (
 	"envirotrack/internal/sensor"
 )
 
-// HotState is the struct-of-arrays mirror of the per-mote fields the
+// HotState is the struct-of-arrays home of the per-mote fields the
 // simulation touches every sensing tick and every series sample: position,
 // failure flag, CPU-queue depth, and per-context-type attachment,
-// membership, sensing and leading bit-words. A network owns one HotState
-// and registers every mote into it, so the sensing sweep and the series
-// probes walk dense, row-indexed slices; the sweep reads a mote's struct
-// only to build its rows. The mote and group structs remain the cold/API
-// layer; their accessors read through to the hot slices, which are the
-// single source of truth for the mirrored fields.
+// membership, sensing and leading bit-words. A network owns one HotState,
+// shared by the Envs of all its shards, and New registers each mote's one
+// row in it, so the sensing sweep and the series probes walk dense,
+// row-indexed slices; the sweep reads a mote's struct only to build its
+// rows. The mote and tracking-backend structs remain the cold/API layer;
+// their accessors read the hot slices, which are the single source of
+// truth for these fields.
 //
 // Context types are interned into bit positions, at most MaxContextTypes
 // of them; the membership word of a mote is nonzero exactly when some
@@ -31,11 +32,6 @@ type HotState struct {
 	queued  []int32
 	member  []uint32
 	sensing []uint32
-	// shard is the scheduler shard owning each mote's region under sharded
-	// execution (all zero in serial runs). The hot state stays one
-	// id-indexed arena — shards own motes, not slices — so cross-shard
-	// readers like the sweep and the series probes need no indirection.
-	shard []int32
 
 	// attached and leading are allocated by the first Attach, sized to the
 	// rows registered by then: a HotState no type is attached to carries
@@ -69,28 +65,20 @@ func NewHotState() *HotState {
 	return &HotState{ctxBits: make(map[string]uint32)}
 }
 
-// Register adds a mote at the given position and returns its dense index.
-func (h *HotState) Register(pos geom.Point) int {
+// register adds a mote at the given position and returns its dense index.
+func (h *HotState) register(pos geom.Point) int {
 	idx := len(h.pos)
 	h.pos = append(h.pos, pos)
 	h.failed = append(h.failed, false)
 	h.queued = append(h.queued, 0)
 	h.member = append(h.member, 0)
 	h.sensing = append(h.sensing, 0)
-	h.shard = append(h.shard, 0)
 	if h.attached != nil {
 		h.attached = append(h.attached, 0)
 		h.leading = append(h.leading, 0)
 	}
 	return idx
 }
-
-// SetShard records the scheduler shard owning the mote at index i.
-func (h *HotState) SetShard(i int, shard int32) { h.shard[i] = shard }
-
-// Shard returns the scheduler shard owning the mote at index i (0 in
-// serial runs).
-func (h *HotState) Shard(i int) int32 { return h.shard[i] }
 
 // Len returns the number of registered motes.
 func (h *HotState) Len() int { return len(h.pos) }
@@ -129,10 +117,10 @@ func (h *HotState) CtxMask(ctxType string) (uint32, bool) {
 	return m, true
 }
 
-// SetMember sets or clears the mote's membership bit for a context type
-// (set whenever its group manager holds any role).
-func (h *HotState) SetMember(i int, ctxType string, on bool) {
-	m, _ := h.CtxMask(ctxType)
+// SetMember sets or clears the mote's membership bit for the context
+// type whose CtxMask is m (set whenever its tracking backend holds any
+// role).
+func (h *HotState) SetMember(i int, m uint32, on bool) {
 	if on {
 		h.member[i] |= m
 	} else {
@@ -140,10 +128,10 @@ func (h *HotState) SetMember(i int, ctxType string, on bool) {
 	}
 }
 
-// SetSensing sets or clears the mote's sensing bit for a context type
-// (the last sensee() evaluation its group manager was told about).
-func (h *HotState) SetSensing(i int, ctxType string, on bool) {
-	m, _ := h.CtxMask(ctxType)
+// SetSensing sets or clears the mote's sensing bit for the context type
+// whose CtxMask is m. The bit is the type's sensing state on the mote: the
+// last sensee() evaluation its tracking backend was told about.
+func (h *HotState) SetSensing(i int, m uint32, on bool) {
 	if on {
 		h.sensing[i] |= m
 	} else {

@@ -53,32 +53,39 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Env is what the motes of one scheduler shard share: the shard's
+// runtime (scheduler, RNG stream, stats, bus), the network's medium and
+// field, the motes' configuration and the network's HotState. A network
+// builds one per shard; a mote reads all of them through its env.
+type Env struct {
+	radio.ShardRuntime
+	Medium *radio.Medium
+	Field  *phenomena.Field
+	// Config has its defaults applied.
+	Config Config
+	Hot    *HotState
+}
+
+// NewEnv returns the environment of motes running on rt's shard.
+func NewEnv(rt radio.ShardRuntime, medium *radio.Medium, field *phenomena.Field, cfg Config, hot *HotState) *Env {
+	return &Env{ShardRuntime: rt, Medium: medium, Field: field, Config: cfg.withDefaults(), Hot: hot}
+}
+
 // FrameHandler consumes a received frame. It returns true when the frame
 // was recognized; dispatch stops at the first handler that consumes it.
 type FrameHandler func(radio.Frame) bool
 
-// Mote is one simulated sensor node. It is driven by the simulation
-// scheduler and is not safe for concurrent use.
+// Mote is one simulated sensor node. It holds only its own state; what
+// it shares with the other motes of its shard lives in its Env, and its
+// position, failure flag and CPU-queue depth in its row of the env's
+// HotState. It is driven by the simulation scheduler and is not safe for
+// concurrent use.
 type Mote struct {
-	id     radio.NodeID
-	pos    geom.Point
-	sched  *simtime.Scheduler
-	medium *radio.Medium
-	field  *phenomena.Field
-	model  *sensor.Model
-	cfg    Config
-	rng    *rand.Rand
-	stats  *trace.Stats
-	bus    *obs.Bus
+	id    radio.NodeID
+	env   *Env
+	model *sensor.Model
 
 	handlers []FrameHandler
-
-	// hot is the struct-of-arrays home of the mote's failure flag and
-	// CPU-queue depth (see HotState); hotIdx is this mote's row. A
-	// standalone mote owns a private single-row HotState; BindHot moves the
-	// mote into a network-owned shared one.
-	hot    *HotState
-	hotIdx int
 
 	// CPU state.
 	busyUntil time.Duration
@@ -88,6 +95,8 @@ type Mote struct {
 	taskFree  *cpuTask
 	taskArena arena.Arena[cpuTask]
 
+	// row is the mote's row in env.Hot.
+	row int32
 	// corrSeq numbers correlated messages originated by this mote. All
 	// layers mint from this one counter, so (origin, seq) identifies a
 	// message uniquely within a run regardless of kind or label.
@@ -102,61 +111,35 @@ type cpuTask struct {
 	next *cpuTask
 }
 
-// New registers a mote on the medium at the given position. The sensing
-// model may be nil for a pure relay node.
-func New(
-	id radio.NodeID,
-	pos geom.Point,
-	sched *simtime.Scheduler,
-	medium *radio.Medium,
-	field *phenomena.Field,
-	model *sensor.Model,
-	cfg Config,
-	rng *rand.Rand,
-	stats *trace.Stats,
-) (*Mote, error) {
-	m := &Mote{
-		id:     id,
-		pos:    pos,
-		sched:  sched,
-		medium: medium,
-		field:  field,
-		model:  model,
-		cfg:    cfg.withDefaults(),
-		rng:    rng,
-		stats:  stats,
-	}
-	m.hot = NewHotState()
-	m.hotIdx = m.hot.Register(pos)
-	if err := medium.AddNode(id, pos, m.onFrame); err != nil {
+// New registers a mote at the given position on env's medium and in its
+// HotState. The sensing model may be nil for a pure relay node. It must be
+// called before the simulation starts.
+func New(id radio.NodeID, pos geom.Point, model *sensor.Model, env *Env) (*Mote, error) {
+	m := &Mote{id: id, env: env, model: model}
+	if err := env.Medium.AddNode(id, pos, m.onFrame); err != nil {
 		return nil, fmt.Errorf("mote %d: %w", id, err)
 	}
+	m.row = int32(env.Hot.register(pos))
 	return m, nil
 }
 
-// BindHot re-registers the mote into a shared (network-owned) HotState and
-// returns its row index. It must be called before the simulation starts;
-// the mote's hot fields start from their zero state in the new arena.
-func (m *Mote) BindHot(h *HotState) int {
-	m.hot = h
-	m.hotIdx = h.Register(m.pos)
-	return m.hotIdx
-}
-
 // Hot returns the mote's hot-state arena and its row index in it.
-func (m *Mote) Hot() (*HotState, int) { return m.hot, m.hotIdx }
+func (m *Mote) Hot() (*HotState, int) { return m.env.Hot, int(m.row) }
 
 // ID returns the mote's node id.
 func (m *Mote) ID() radio.NodeID { return m.id }
 
 // Pos returns the mote's position.
-func (m *Mote) Pos() geom.Point { return m.pos }
+func (m *Mote) Pos() geom.Point { return m.env.Hot.pos[m.row] }
 
 // Scheduler exposes the simulation scheduler for protocol timers.
-func (m *Mote) Scheduler() *simtime.Scheduler { return m.sched }
+func (m *Mote) Scheduler() *simtime.Scheduler { return m.env.Sched }
+
+// Medium returns the radio medium the mote transmits on.
+func (m *Mote) Medium() *radio.Medium { return m.env.Medium }
 
 // Rand returns the mote's deterministic random source (for jitter).
-func (m *Mote) Rand() *rand.Rand { return m.rng }
+func (m *Mote) Rand() *rand.Rand { return m.env.RNG }
 
 // NextCorrSeq returns a fresh correlation sequence number (1-based) for a
 // message originated by this mote. Relays and rebroadcasts must preserve
@@ -167,18 +150,15 @@ func (m *Mote) NextCorrSeq() uint32 {
 }
 
 // Config returns the mote's resource configuration (defaults applied).
-func (m *Mote) Config() Config { return m.cfg }
-
-// SetObserver attaches the observability bus. A nil bus disables emission.
-func (m *Mote) SetObserver(bus *obs.Bus) { m.bus = bus }
+func (m *Mote) Config() Config { return m.env.Config }
 
 // Obs returns the mote's observability bus; protocol layers built on the
 // mote (group, transport, directory) emit through it. May be nil.
-func (m *Mote) Obs() *obs.Bus { return m.bus }
+func (m *Mote) Obs() *obs.Bus { return m.env.Bus }
 
 // Queued returns the number of frames waiting in the CPU queue (series
 // probe for the cpu_queue column).
-func (m *Mote) Queued() int { return m.hot.Queued(m.hotIdx) }
+func (m *Mote) Queued() int { return m.env.Hot.Queued(int(m.row)) }
 
 // AddFrameHandler appends a frame handler; handlers run in registration
 // order until one consumes the frame.
@@ -189,32 +169,34 @@ func (m *Mote) AddFrameHandler(h FrameHandler) {
 // Fail kills the mote: it stops sensing, processing, and transmitting until
 // Restore is called. Used for fault injection (Figure 5's worst case).
 func (m *Mote) Fail() {
-	if m.hot.failed[m.hotIdx] {
+	h := m.env.Hot
+	if h.failed[m.row] {
 		return
 	}
-	m.hot.failed[m.hotIdx] = true
-	if bus := m.bus; bus.Active() {
+	h.failed[m.row] = true
+	if bus := m.env.Bus; bus.Active() {
 		bus.Emit(obs.Event{
-			At: m.sched.Now(), Type: obs.EvMoteFailed, Mote: int(m.id), Pos: m.pos,
+			At: m.env.Sched.Now(), Type: obs.EvMoteFailed, Mote: int(m.id), Pos: h.pos[m.row],
 		})
 	}
 }
 
 // Restore revives a failed mote.
 func (m *Mote) Restore() {
-	if !m.hot.failed[m.hotIdx] {
+	h := m.env.Hot
+	if !h.failed[m.row] {
 		return
 	}
-	m.hot.failed[m.hotIdx] = false
-	if bus := m.bus; bus.Active() {
+	h.failed[m.row] = false
+	if bus := m.env.Bus; bus.Active() {
 		bus.Emit(obs.Event{
-			At: m.sched.Now(), Type: obs.EvMoteRestored, Mote: int(m.id), Pos: m.pos,
+			At: m.env.Sched.Now(), Type: obs.EvMoteRestored, Mote: int(m.id), Pos: h.pos[m.row],
 		})
 	}
 }
 
 // Failed reports whether the mote is currently failed.
-func (m *Mote) Failed() bool { return m.hot.failed[m.hotIdx] }
+func (m *Mote) Failed() bool { return m.env.Hot.failed[m.row] }
 
 // Sense samples the sensing model immediately, against a snapshot of the
 // field resolved for this call, and returns the reading. Every channel is
@@ -222,12 +204,13 @@ func (m *Mote) Failed() bool { return m.hot.failed[m.hotIdx] }
 // later scans. It returns a zero reading when the mote has no sensing
 // model.
 func (m *Mote) Sense() sensor.Reading {
+	now, pos := m.env.Sched.Now(), m.Pos()
 	if m.model == nil {
-		return sensor.Reading{At: m.sched.Now(), MoteID: int(m.id), Position: m.pos}
+		return sensor.Reading{At: now, MoteID: int(m.id), Position: pos}
 	}
-	var env phenomena.Snapshot
-	m.field.Resolve(m.sched.Now(), &env)
-	return m.model.Sample(&env, int(m.id), m.pos)
+	var snap phenomena.Snapshot
+	m.env.Field.Resolve(now, &snap)
+	return m.model.Sample(&snap, int(m.id), pos)
 }
 
 // Send transmits a frame from this mote. Failed motes transmit nothing.
@@ -239,10 +222,10 @@ func (m *Mote) Send(kind trace.Kind, dst radio.NodeID, bits int, payload any) {
 // the transmission produces carries corr's (origin, seq) key, so span
 // sinks can tie the hop to its logical message.
 func (m *Mote) SendTraced(kind trace.Kind, dst radio.NodeID, bits int, payload any, corr radio.Corr) {
-	if m.hot.failed[m.hotIdx] {
+	if m.Failed() {
 		return
 	}
-	m.medium.Send(radio.Frame{Kind: kind, Src: m.id, Dst: dst, Bits: bits, Payload: payload, Corr: corr})
+	m.env.Medium.Send(radio.Frame{Kind: kind, Src: m.id, Dst: dst, Bits: bits, Payload: payload, Corr: corr})
 }
 
 // Broadcast transmits a frame to every node in range.
@@ -257,37 +240,37 @@ func (m *Mote) BroadcastTraced(kind trace.Kind, bits int, payload any, corr radi
 
 // onFrame is the radio reception callback: it feeds the CPU queue.
 func (m *Mote) onFrame(f radio.Frame) {
-	if m.hot.failed[m.hotIdx] {
+	env, h := m.env, m.env.Hot
+	if h.failed[m.row] {
 		return
 	}
-	if m.cfg.ServiceTime <= 0 {
+	if env.Config.ServiceTime <= 0 {
 		m.dispatch(f)
 		return
 	}
-	if m.hot.Queued(m.hotIdx) >= m.cfg.QueueCap {
-		if m.stats != nil {
-			m.stats.RecordLoss(f.Kind, trace.LossOverload)
+	if int(h.queued[m.row]) >= env.Config.QueueCap {
+		if env.Stats != nil {
+			env.Stats.RecordLoss(f.Kind, trace.LossOverload)
 		}
-		if bus := m.bus; bus.Active() {
+		if bus := env.Bus; bus.Active() {
 			bus.Emit(obs.Event{
-				At: m.sched.Now(), Type: obs.EvCPUOverload, Mote: int(m.id),
-				Peer: int(f.Src), Pos: m.pos, Kind: f.Kind, Bits: f.Bits,
+				At: env.Sched.Now(), Type: obs.EvCPUOverload, Mote: int(m.id),
+				Peer: int(f.Src), Pos: h.pos[m.row], Kind: f.Kind, Bits: f.Bits,
 				Origin: int(f.Corr.Origin), Seq: uint64(f.Corr.Seq), Frame: f.ID,
 			})
 		}
 		return
 	}
-	m.hot.queued[m.hotIdx]++
-	now := m.sched.Now()
-	start := now
+	h.queued[m.row]++
+	start := env.Sched.Now()
 	if m.busyUntil > start {
 		start = m.busyUntil
 	}
-	done := start + m.cfg.ServiceTime
+	done := start + env.Config.ServiceTime
 	m.busyUntil = done
 	t := m.acquireTask()
 	t.f = f
-	m.sched.AtEventOwned(done, simtime.OwnerMote, cpuTaskDone, t)
+	env.Sched.AtEventOwned(done, simtime.OwnerMote, cpuTaskDone, t)
 }
 
 // cpuTaskDone completes one frame's CPU service: the record is recycled
@@ -298,8 +281,8 @@ func cpuTaskDone(arg any) {
 	t.f = radio.Frame{}
 	t.next = m.taskFree
 	m.taskFree = t
-	m.hot.queued[m.hotIdx]--
-	if m.hot.failed[m.hotIdx] {
+	m.env.Hot.queued[m.row]--
+	if m.Failed() {
 		return
 	}
 	m.dispatch(f)

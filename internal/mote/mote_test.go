@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/phenomena"
@@ -18,11 +19,12 @@ import (
 type harness struct {
 	group  *simtime.ShardGroup
 	sched  *simtime.Scheduler
+	rt     radio.ShardRuntime
 	medium *radio.Medium
 	field  *phenomena.Field
 	stats  *trace.Stats
-	rng    *rand.Rand
 	hot    *HotState
+	envs   map[Config]*Env
 }
 
 func newHarness(t *testing.T, p radio.Params) *harness {
@@ -30,25 +32,34 @@ func newHarness(t *testing.T, p radio.Params) *harness {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rng := rand.New(rand.NewSource(1))
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(1)), Stats: &stats}
 	return &harness{
 		group:  group,
 		sched:  sched,
-		medium: radio.New(p, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
+		rt:     rt,
+		medium: radio.New(p, nil, rt),
 		field:  phenomena.NewField(),
 		stats:  &stats,
-		rng:    rng,
 		hot:    NewHotState(),
+		envs:   make(map[Config]*Env),
 	}
+}
+
+// env returns the harness's env for motes configured with cfg; every env
+// shares the harness's shard, medium, field and HotState.
+func (h *harness) env(cfg Config) *Env {
+	if h.envs[cfg] == nil {
+		h.envs[cfg] = NewEnv(h.rt, h.medium, h.field, cfg, h.hot)
+	}
+	return h.envs[cfg]
 }
 
 func (h *harness) mote(t *testing.T, id radio.NodeID, pos geom.Point, model *sensor.Model, cfg Config) *Mote {
 	t.Helper()
-	m, err := New(id, pos, h.sched, h.medium, h.field, model, cfg, h.rng, h.stats)
+	m, err := New(id, pos, model, h.env(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.BindHot(h.hot)
 	return m
 }
 
@@ -82,8 +93,49 @@ func (h *harness) settle(t *testing.T) { h.runUntil(t, h.sched.Now()+time.Minute
 func TestNewDuplicateID(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
-	if _, err := New(1, geom.Pt(1, 1), h.sched, h.medium, h.field, nil, Config{}, h.rng, h.stats); err == nil {
+	if _, err := New(1, geom.Pt(1, 1), nil, h.env(Config{})); err == nil {
 		t.Fatal("expected duplicate-id error")
+	}
+	if n := h.hot.Len(); n != 1 {
+		t.Errorf("HotState rows = %d after a rejected New, want 1", n)
+	}
+}
+
+func TestNewRegistersOneHotRowPerMote(t *testing.T) {
+	h := newHarness(t, radio.Params{CommRadius: 2})
+	env := h.env(Config{})
+	const n = 5
+	motes := make([]*Mote, n)
+	for i := range motes {
+		m, err := New(radio.NodeID(i), geom.Pt(float64(i), 2), nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		motes[i] = m
+	}
+	if got := env.Hot.Len(); got != n {
+		t.Fatalf("HotState rows = %d after %d New calls, want %d", got, n, n)
+	}
+	motes[3].Fail()
+	for i, m := range motes {
+		hot, row := m.Hot()
+		if hot != env.Hot || row != i {
+			t.Errorf("mote %d: Hot() = (%p, %d), want (%p, %d)", i, hot, row, env.Hot, i)
+		}
+		if m.Pos() != env.Hot.Pos(row) || m.Pos() != geom.Pt(float64(i), 2) {
+			t.Errorf("mote %d: Pos() = %v, row position %v", i, m.Pos(), env.Hot.Pos(row))
+		}
+		if m.Failed() != env.Hot.Failed(row) || m.Failed() != (i == 3) {
+			t.Errorf("mote %d: Failed() = %v, row flag %v", i, m.Failed(), env.Hot.Failed(row))
+		}
+	}
+}
+
+func TestMoteSize(t *testing.T) {
+	// One Mote per node: it holds only the node's own state and reads
+	// the shard-wide rest through its env.
+	if size := unsafe.Sizeof(Mote{}); size > 128 {
+		t.Errorf("unsafe.Sizeof(Mote{}) = %d B, want <= 128", size)
 	}
 }
 
@@ -228,7 +280,7 @@ func TestFailedMoteDoesNotSendProcessOrSense(t *testing.T) {
 
 // sweep returns a started sweep over the given motes.
 func (h *harness) sweep(motes ...*Mote) *Sweep {
-	sw := NewSweep(h.sched, h.field)
+	sw := NewSweep(motes[0].env)
 	for _, m := range motes {
 		sw.Add(m)
 	}
@@ -330,11 +382,12 @@ func TestSweepRejectsMotesOfAnotherHotState(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	model := sensor.NewModel()
 	a := h.mote(t, 1, geom.Pt(1, 0), model, Config{})
-	b, err := New(2, geom.Pt(2, 0), h.sched, h.medium, h.field, model, Config{}, h.rng, h.stats)
+	other := NewEnv(h.rt, h.medium, h.field, Config{}, NewHotState())
+	b, err := New(2, geom.Pt(2, 0), model, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSweep(h.sched, h.field)
+	sw := NewSweep(a.env)
 	sw.Add(a)
 	defer func() {
 		if recover() == nil {

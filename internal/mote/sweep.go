@@ -3,7 +3,6 @@ package mote
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
@@ -11,66 +10,60 @@ import (
 	"envirotrack/internal/simtime"
 )
 
-// Sweep drives the periodic sensing scan of a set of motes from one
-// scheduler ticker. Every tick it resolves the field once into a
-// sweep-owned snapshot, then samples each live sensing mote against it in
-// the order the motes were added, so the field's targets are positioned
-// once per tick rather than once per mote, channel and target. After
-// sampling a mote it calls the Scanner of each context type attached to
-// it (HotState.Attach), in type-bit order. Sampling follows the sensor
+// Sweep drives the periodic sensing scan of the motes of one Env from one
+// ticker on the env's scheduler. Every tick it resolves the field once
+// into a sweep-owned snapshot, then samples each live sensing mote against
+// it in the order the motes were added, so the field's targets are
+// positioned once per tick rather than once per mote, channel and target.
+// After sampling a mote it calls the Scanner of each context type attached
+// to it (HotState.Attach), in type-bit order. Sampling follows the sensor
 // package's contract: a mote's SetChannel channels are evaluated on every
 // scan, its preset channels only when a scanner reads them.
 //
 // The sweep holds no mote pointers. It walks dense rows built by Add (the
 // motes' HotState rows, ids and models) and reads position, failure flag
-// and attached word from the motes' shared HotState, so a scan touches
-// only slices. A sweep runs on one scheduler and is not safe for
+// and attached word from the env's HotState, so a scan touches only
+// slices. A sweep runs on its env's scheduler and is not safe for
 // concurrent use; a sharded network builds one per shard, each with its
 // own snapshot and scratch.
 type Sweep struct {
-	sched  *simtime.Scheduler
-	field  *phenomena.Field
-	period time.Duration
+	env    *Env
 	ticker *simtime.Ticker
 
-	// hot is the arena every added mote is registered in; rows, ids and
-	// models are parallel, one entry per sensing mote in add order.
-	hot    *HotState
+	// rows, ids and models are parallel, one entry per sensing mote in add
+	// order.
 	rows   []int32
 	ids    []radio.NodeID
 	models []*sensor.Model
 
-	// env, scan and rd are the per-tick scratch: the resolved field, the
+	// snap, scan and rd are the per-tick scratch: the resolved field, the
 	// scan state each mote's channels are memoised in, and the reading
 	// handed to its scanners. Reusing them makes a steady-state tick
 	// allocation-free.
-	env  phenomena.Snapshot
+	snap phenomena.Snapshot
 	scan sensor.Scratch
 	rd   sensor.Reading
 }
 
-// NewSweep returns an empty sweep scanning motes against field on sched.
-func NewSweep(sched *simtime.Scheduler, field *phenomena.Field) *Sweep {
-	return &Sweep{sched: sched, field: field}
+// NewSweep returns an empty sweep scanning motes of env against its field,
+// every env.Config.SensePeriod.
+func NewSweep(env *Env) *Sweep {
+	return &Sweep{env: env}
 }
 
 // Add appends a mote to the sweep; motes are scanned in the order they are
 // added (networks add them in ascending id order). Motes without a sensing
-// model are pure relays and are skipped. Every mote of one sweep must be
-// registered in the same HotState (Mote.BindHot). The sweep ticks at the
-// SensePeriod of the first sensing mote added: the motes of one sweep
-// share one configuration.
+// model are pure relays and are skipped. Every mote of a sweep must be
+// built on the sweep's env, so it runs on the sweep's scheduler and has a
+// row in the env's HotState.
 func (s *Sweep) Add(m *Mote) {
 	if m.model == nil {
 		return
 	}
-	if len(s.rows) == 0 {
-		s.period = m.cfg.SensePeriod
-		s.hot = m.hot
-	} else if m.hot != s.hot {
-		panic(fmt.Sprintf("mote: sweep: mote %d is registered in another HotState", m.id))
+	if m.env != s.env {
+		panic(fmt.Sprintf("mote: sweep: mote %d is built on another env", m.id))
 	}
-	s.rows = append(s.rows, int32(m.hotIdx))
+	s.rows = append(s.rows, m.row)
 	s.ids = append(s.ids, m.id)
 	s.models = append(s.models, m.model)
 }
@@ -84,7 +77,7 @@ func (s *Sweep) Start() {
 		return
 	}
 	s.rows, s.ids, s.models = exact(s.rows), exact(s.ids), exact(s.models)
-	s.ticker = simtime.NewTickerOwned(s.sched, s.period, simtime.OwnerSense, s.tick)
+	s.ticker = simtime.NewTickerOwned(s.env.Sched, s.env.Config.SensePeriod, simtime.OwnerSense, s.tick)
 }
 
 // exact returns xs in a slice of capacity len(xs).
@@ -104,8 +97,8 @@ func (s *Sweep) Stop() {
 // tick runs one scan of every live mote against the field resolved at the
 // scheduler's current time.
 func (s *Sweep) tick() {
-	s.field.Resolve(s.sched.Now(), &s.env)
-	h := s.hot
+	s.env.Field.Resolve(s.env.Sched.Now(), &s.snap)
+	h := s.env.Hot
 	// Reslicing to len(rows) lets the compiler drop the per-row bounds
 	// checks on ids and models.
 	ids, models := s.ids[:len(s.rows)], s.models[:len(s.rows)]
@@ -113,7 +106,7 @@ func (s *Sweep) tick() {
 		if h.failed[row] {
 			continue
 		}
-		s.rd = models[k].SampleInto(&s.env, int(ids[k]), h.pos[row], &s.scan)
+		s.rd = models[k].SampleInto(&s.snap, int(ids[k]), h.pos[row], &s.scan)
 		if h.attached == nil {
 			continue
 		}

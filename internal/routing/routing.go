@@ -65,7 +65,6 @@ type Handler func(Message) bool
 // Router provides greedy geographic forwarding on one mote.
 type Router struct {
 	m        *mote.Mote
-	medium   *radio.Medium
 	handlers []Handler
 	// Drops counts messages this node discarded (TTL exhausted or a
 	// dead-end toward a specific node).
@@ -97,8 +96,8 @@ func localDeliveryFire(arg any) {
 
 // NewRouter attaches a router to the mote. Delivery consumers are added
 // with AddHandler or SetDeliver.
-func NewRouter(m *mote.Mote, medium *radio.Medium) *Router {
-	r := &Router{m: m, medium: medium}
+func NewRouter(m *mote.Mote) *Router {
+	r := &Router{m: m}
 	m.AddFrameHandler(r.handleFrame)
 	return r
 }
@@ -163,7 +162,7 @@ func (r *Router) nextHop(msg Message) (radio.NodeID, bool) {
 	self := r.m.Pos().Dist2(msg.Dest)
 	best := radio.NodeID(-1)
 	bestD := self
-	for _, nb := range r.medium.Neighbors(r.m.ID()) {
+	for _, nb := range r.m.Medium().Neighbors(r.m.ID()) {
 		d := nb.Pos().Dist2(msg.Dest)
 		if d < bestD || (d == bestD && best >= 0 && nb.ID() < best) {
 			if d < self {
@@ -181,7 +180,7 @@ func (r *Router) forward(env envelope) {
 	msg := env.Msg
 	// A specific destination that happens to be a direct neighbor is sent
 	// to directly, even if it is not geographically closer.
-	if msg.DestNode != AnyNode && r.medium.InRange(r.m.ID(), msg.DestNode) {
+	if msg.DestNode != AnyNode && r.m.Medium().InRange(r.m.ID(), msg.DestNode) {
 		r.transmit(msg.DestNode, env)
 		return
 	}

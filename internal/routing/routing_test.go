@@ -17,8 +17,8 @@ type net struct {
 	group   *simtime.ShardGroup
 	sched   *simtime.Scheduler
 	medium  *radio.Medium
+	env     *mote.Env
 	routers map[radio.NodeID]*Router
-	rng     *rand.Rand
 }
 
 func newNet(t *testing.T, commRadius float64) *net {
@@ -26,23 +26,24 @@ func newNet(t *testing.T, commRadius float64) *net {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rng := rand.New(rand.NewSource(3))
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(3)), Stats: &stats}
+	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
 	return &net{
 		group:   group,
 		sched:   sched,
-		medium:  radio.New(radio.Params{CommRadius: commRadius}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
+		medium:  medium,
+		env:     mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState()),
 		routers: make(map[radio.NodeID]*Router),
-		rng:     rng,
 	}
 }
 
 func (n *net) add(t *testing.T, id radio.NodeID, pos geom.Point) *Router {
 	t.Helper()
-	m, err := mote.New(id, pos, n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, n.rng, nil)
+	m, err := mote.New(id, pos, nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(m, n.medium)
+	r := NewRouter(m)
 	n.routers[id] = r
 	return r
 }
@@ -190,11 +191,11 @@ func TestGreedyPathLengthIsReasonable(t *testing.T) {
 func TestUnrelatedFramesIgnored(t *testing.T) {
 	n := newNet(t, 2)
 	n.add(t, 0, geom.Pt(0, 0))
-	m, err := mote.New(1, geom.Pt(1, 0), n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, n.rng, nil)
+	m, err := mote.New(1, geom.Pt(1, 0), nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(m, n.medium)
+	r := NewRouter(m)
 	got := 0
 	r.SetDeliver(func(Message) { got++ })
 	// A non-envelope frame must pass through untouched.

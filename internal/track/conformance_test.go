@@ -60,6 +60,7 @@ type conformNet struct {
 	group    *simtime.ShardGroup
 	sched    *simtime.Scheduler
 	medium   *radio.Medium
+	hot      *mote.HotState
 	backends map[radio.NodeID]track.Backend
 	log      []cbEvent
 	obsLog   []obs.Event
@@ -76,6 +77,7 @@ func newConformNet(t *testing.T) *conformNet {
 		group:    group,
 		sched:    sched,
 		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
+		hot:      mote.NewHotState(),
 		backends: make(map[radio.NodeID]track.Backend),
 	}
 	return n
@@ -92,13 +94,12 @@ func (r obsRecorder) Emit(ev obs.Event) {
 
 func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.Backend {
 	n.t.Helper()
-	var stats trace.Stats
-	rng := rand.New(rand.NewSource(100 + int64(id)))
-	m, err := mote.New(id, pos, n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, rng, &stats)
+	// Each mote draws from its own RNG stream and emits into the net.
+	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(obsRecorder{n})}
+	m, err := mote.New(id, pos, nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	m.SetObserver(obs.NewBus(obsRecorder{n}))
 	record := func(kind string) func(group.Label) {
 		return func(l group.Label) {
 			n.log = append(n.log, cbEvent{kind: kind, mote: id, label: l, at: n.sched.Now()})

@@ -79,10 +79,12 @@ type Backend struct {
 	cb      group.Callbacks
 	ledger  *trace.Ledger
 
-	sensing bool
-	label   group.Label
-	minted  bool // label was minted by this mote (for deletion accounting)
-	active  bool
+	// mask is ctxType's bit in the mote's HotState words, whose sensing
+	// bit is the backend's sensing state.
+	mask   uint32
+	label  group.Label
+	minted bool // label was minted by this mote (for deletion accounting)
+	active bool
 	// creationActivation marks the next activation as the minting one, so
 	// it records LabelCreated alone rather than a takeover.
 	creationActivation bool
@@ -123,23 +125,24 @@ func New(m *mote.Mote, ctxType string, cfg group.Config, cb group.Callbacks, led
 		cfg:     cfg,
 		cb:      cb,
 		ledger:  ledger,
+		mask:    group.MustCtxMask(m, ctxType),
 		est:     NewEstimator(staleness(cfg)),
 	}
 	b.depositFire = func() {
 		if b.stopped {
 			return
 		}
-		if !b.m.Failed() && b.sensing && b.label != "" {
+		if !b.m.Failed() && b.Sensing() && b.label != "" {
 			b.deposit()
 		}
 		// Keep the chain alive through failures so a restored mote resumes
 		// depositing; it dies only when sensing stops or the backend stops.
-		if b.sensing {
+		if b.Sensing() {
 			b.scheduleNextDeposit()
 		}
 	}
 	b.creationFire = func() {
-		if b.stopped || b.m.Failed() || !b.sensing {
+		if b.stopped || b.m.Failed() || !b.Sensing() {
 			return
 		}
 		if b.label == "" {
@@ -192,16 +195,13 @@ func staleness(c group.Config) time.Duration {
 // --- track.Backend ---
 
 // SetSensing informs the backend of the mote's sensee() evaluation and
-// mirrors it into the mote's HotState sensing bit, as track.Backend
-// requires.
+// stores it as the mote's HotState sensing bit, as track.Backend requires.
 func (b *Backend) SetSensing(sensing bool) {
-	if b.m.Failed() || sensing == b.sensing {
+	if b.m.Failed() || sensing == b.Sensing() {
 		return
 	}
-	b.sensing = sensing
-	if h, i := b.m.Hot(); h != nil {
-		h.SetSensing(i, b.ctxType, sensing)
-	}
+	h, i := b.m.Hot()
+	h.SetSensing(i, b.mask, sensing)
 	if sensing {
 		b.onStartSensing()
 	} else {
@@ -210,7 +210,17 @@ func (b *Backend) SetSensing(sensing bool) {
 }
 
 // Sensing returns the last sensing state supplied via SetSensing.
-func (b *Backend) Sensing() bool { return b.sensing }
+func (b *Backend) Sensing() bool {
+	h, i := b.m.Hot()
+	return h.Sensing(i, b.mask)
+}
+
+// setMember sets or clears the mote's HotState membership bit for the
+// type.
+func (b *Backend) setMember(on bool) {
+	h, i := b.m.Hot()
+	h.SetMember(i, b.mask, on)
+}
 
 // Label returns the context label this mote currently knows for the type.
 func (b *Backend) Label() group.Label {
@@ -224,7 +234,7 @@ func (b *Backend) Label() group.Label {
 // is depositing traces for a label (sensing) or still active as the
 // estimator.
 func (b *Backend) Participating() bool {
-	return b.label != "" && (b.sensing || b.active)
+	return b.label != "" && (b.Sensing() || b.active)
 }
 
 // SetState stores label state; only the active estimator's state is
@@ -266,9 +276,7 @@ func (b *Backend) onStartSensing() {
 		b.minted = false
 		b.creationActivation = false
 	}
-	if h, i := b.m.Hot(); h != nil {
-		h.SetMember(i, b.ctxType, b.label != "")
-	}
+	b.setMember(b.label != "")
 	if b.label != "" {
 		// A label is already known (gossip memory or a previous episode):
 		// start depositing immediately.
@@ -288,9 +296,7 @@ func (b *Backend) onStopSensing() {
 	b.stopTimer(&b.depositTimer)
 	b.stopTimer(&b.creationTimer)
 	b.stopTimer(&b.takeoverTimer)
-	if h, i := b.m.Hot(); h != nil {
-		h.SetMember(i, b.ctxType, false)
-	}
+	b.setMember(false)
 	if b.active {
 		b.deactivate()
 	}
@@ -307,9 +313,7 @@ func (b *Backend) mintLabel() {
 }
 
 func (b *Backend) startDepositing() {
-	if h, i := b.m.Hot(); h != nil {
-		h.SetMember(i, b.ctxType, true)
-	}
+	b.setMember(true)
 	if b.depositTimer.Pending() {
 		return
 	}
@@ -438,7 +442,7 @@ func (b *Backend) onGossip(g Gossip, corr radio.Corr) {
 	}
 	// Gossip while sensing but before the creation backoff fired: the
 	// label exists, start depositing against it right away.
-	if b.sensing && !b.depositTimer.Pending() && b.label != "" && !b.m.Failed() {
+	if b.Sensing() && !b.depositTimer.Pending() && b.label != "" && !b.m.Failed() {
 		b.stopTimer(&b.creationTimer)
 		b.startDepositing()
 		return // startDepositing deposited, which reevaluated
@@ -456,7 +460,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 	if b.label == "" {
 		b.label = label
 		b.minted = false
-		if b.sensing {
+		if b.Sensing() {
 			group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
 		}
 		return
@@ -480,7 +484,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 	b.label = label
 	b.minted = false
 	b.creationActivation = false
-	if b.sensing {
+	if b.Sensing() {
 		group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
 	}
 }
@@ -505,13 +509,13 @@ func (b *Backend) reevaluate() {
 	b.evictStale(now)
 
 	if b.active {
-		ownOK := b.sensing && b.label != "" && !b.m.Failed() && b.ownFresh(now)
+		ownOK := b.Sensing() && b.label != "" && !b.m.Failed() && b.ownFresh(now)
 		if !ownOK {
 			b.deactivate()
 		}
 		return
 	}
-	if b.creationActivation && b.sensing && b.label != "" && !b.m.Failed() {
+	if b.creationActivation && b.Sensing() && b.label != "" && !b.m.Failed() {
 		b.activate()
 		return
 	}
@@ -543,7 +547,7 @@ func (b *Backend) ownFresh(now time.Duration) bool {
 // trace, while the closest mote keeps the role for about half a sensing
 // window.
 func (b *Backend) eligible(now time.Duration) bool {
-	if b.active || !b.sensing || b.label == "" || b.m.Failed() {
+	if b.active || !b.Sensing() || b.label == "" || b.m.Failed() {
 		return false
 	}
 	if b.haveActivePeer && now-b.lastActiveAt <= freshSlack(b.cfg) {
@@ -568,7 +572,7 @@ func (b *Backend) armTakeoverTimer() {
 // candidates before their own backoffs fire, instead of waiting out the
 // rest of the jittered deposit period.
 func (b *Backend) announce() {
-	if b.m.Failed() || !b.sensing || b.label == "" {
+	if b.m.Failed() || !b.Sensing() || b.label == "" {
 		return
 	}
 	b.deposit()

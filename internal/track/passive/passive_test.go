@@ -39,6 +39,7 @@ type testNet struct {
 	g      *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
+	hot    *mote.HotState
 	ledger *trace.Ledger
 	motes  map[radio.NodeID]*mote.Mote
 	be     map[radio.NodeID]*Backend
@@ -56,6 +57,7 @@ func newTestNet(t *testing.T) *testNet {
 		g:      g,
 		sched:  sched,
 		medium: radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng}),
+		hot:    mote.NewHotState(),
 		ledger: &trace.Ledger{},
 		motes:  make(map[radio.NodeID]*mote.Mote),
 		be:     make(map[radio.NodeID]*Backend),
@@ -67,13 +69,12 @@ func (n *testNet) Emit(ev obs.Event) { n.events = append(n.events, ev) }
 
 func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 	n.t.Helper()
-	var stats trace.Stats
-	rng := rand.New(rand.NewSource(100 + int64(id)))
-	m, err := mote.New(id, pos, n.sched, n.medium, phenomena.NewField(), nil, mote.Config{}, rng, &stats)
+	// Each mote draws from its own RNG stream and emits into the net.
+	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
+	m, err := mote.New(id, pos, nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	m.SetObserver(obs.NewBus(n))
 	record := func(kind string) func(group.Label) {
 		return func(l group.Label) {
 			n.calls = append(n.calls, call{kind: kind, mote: id, label: l, at: n.sched.Now()})

@@ -106,8 +106,9 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rng := rand.New(rand.NewSource(9))
-	medium := radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, radio.ShardRuntime{Sched: sched, RNG: rng})
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(9))}
+	medium := radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, rt)
+	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &tnet{
 		group:     group,
@@ -120,11 +121,11 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			id := radio.NodeID(y*cols + x)
-			m, err := mote.New(id, geom.Pt(float64(x), float64(y)), sched, medium, phenomena.NewField(), nil, mote.Config{}, rng, nil)
+			m, err := mote.New(id, geom.Pt(float64(x), float64(y)), nil, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := routing.NewRouter(m, medium)
+			r := routing.NewRouter(m)
 			dir := directory.NewService(m, r, directory.Config{Bounds: bounds})
 			n.endpoints[id] = NewEndpoint(m, r, dir)
 			n.motes[id] = m
@@ -172,7 +173,7 @@ func TestFirstContactViaDirectory(t *testing.T) {
 
 	// The label registers itself in the directory (as a leader would).
 	pos, _ := n.medium.Position(24)
-	dirOnLeader := directory.NewService(n.motes[24], routing.NewRouter(n.motes[24], n.medium), directory.Config{Bounds: n.bounds})
+	dirOnLeader := directory.NewService(n.motes[24], routing.NewRouter(n.motes[24]), directory.Config{Bounds: n.bounds})
 	_ = dirOnLeader
 	// Use node 24's existing directory registration path: register from any node.
 	n.endpoints[24].dir.Register("car", label, pos, 24)
@@ -480,7 +481,7 @@ func TestFreshEndpointState(t *testing.T) {
 
 	// Without a directory, a send to an unknown label has no route.
 	lone := newTnet(t, 1, 1)
-	bare := NewEndpoint(lone.motes[0], routing.NewRouter(lone.motes[0], lone.medium), nil)
+	bare := NewEndpoint(lone.motes[0], routing.NewRouter(lone.motes[0]), nil)
 	bare.Send(Datagram{DstLabel: "car/9.9", DstPort: 1, Payload: "x"})
 	if bare.Stats.NoRoute != 1 {
 		t.Errorf("NoRoute = %d, want 1 without a directory", bare.Stats.NoRoute)

@@ -191,11 +191,12 @@ type Network struct {
 	cfg networkConfig
 	// group executes the run on k >= 1 scheduler shards (one for the
 	// serial engine); shardOf maps a position to its owning shard, and
-	// shards[i] holds shard i's scheduler, RNG stream, stats accumulator,
-	// and bus.
+	// envs[i] is the environment of shard i's motes: its scheduler, RNG
+	// stream, stats accumulator and bus, and the network's medium, field,
+	// mote configuration and HotState.
 	group   *simtime.ShardGroup
 	shardOf func(geom.Point) int32
-	shards  []radio.ShardRuntime
+	envs    []*mote.Env
 	medium  *radio.Medium
 	field   *phenomena.Field
 	ledger  *trace.Ledger
@@ -213,10 +214,10 @@ type Network struct {
 	parSamplers  []*parSampler
 	minCrossBits int
 
-	// hot is the struct-of-arrays mirror of the per-mote hot fields
-	// (position, failure, CPU queue, membership/sensing words); every
-	// deployed mote is registered into it, so the sensing sweep and the
-	// series probes walk dense slices instead of the nodes map.
+	// hot is the struct-of-arrays home of the per-mote hot fields
+	// (position, failure, CPU queue, membership/sensing words), shared by
+	// every env; each deployed mote has a row in it, so the sensing sweep
+	// and the series probes walk dense slices instead of the nodes map.
 	hot *mote.HotState
 
 	// ctxTypes are the attached context type names in attach order, for
@@ -254,7 +255,7 @@ func New(opts ...Option) (*Network, error) {
 		cfg:     cfg,
 		group:   simtime.NewShardGroup(k),
 		shardOf: shardMapper(cfg.bounds, k),
-		shards:  make([]radio.ShardRuntime, k),
+		envs:    make([]*mote.Env, k),
 		field:   phenomena.NewField(),
 		ledger:  &trace.Ledger{},
 		bus:     cfg.bus,
@@ -267,14 +268,15 @@ func New(opts ...Option) (*Network, error) {
 		// barrier merges into the bus in timestamp order.
 		n.lanes = obs.NewLaneSet(cfg.bus, k)
 	}
-	for i := range n.shards {
+	rts := make([]radio.ShardRuntime, k)
+	for i := range rts {
 		seed, bus := cfg.seed, cfg.bus
 		if k > 1 {
 			// Each shard draws its own decorrelated stream; the serial
 			// engine keeps the raw seed.
 			seed, bus = simtime.ShardSeed(cfg.seed, i), n.lanes.Bus(i)
 		}
-		n.shards[i] = radio.ShardRuntime{
+		rts[i] = radio.ShardRuntime{
 			Sched: n.group.Shard(i),
 			RNG:   rand.New(rand.NewSource(seed)),
 			Stats: &trace.Stats{},
@@ -288,7 +290,10 @@ func New(opts ...Option) (*Network, error) {
 		LossProb:          cfg.lossProb,
 		DisableCollisions: cfg.noCollision,
 		DisableCSMA:       cfg.noCSMA,
-	}, n.shardOf, n.shards...)
+	}, n.shardOf, rts...)
+	for i, rt := range rts {
+		n.envs[i] = mote.NewEnv(rt, n.medium, n.field, cfg.moteCfg, n.hot)
+	}
 
 	if cfg.cols > 0 && cfg.rows > 0 {
 		for y := 0; y < cfg.rows; y++ {
@@ -363,24 +368,19 @@ func shardMapper(bounds geom.Rect, k int) func(geom.Point) int32 {
 }
 
 // AddMote deploys an additional mote (e.g. a base station). It must be
-// called before Run. The mote belongs to the shard owning its region: it
-// runs on that shard's scheduler, draws from its RNG stream, accounts into
-// its stats, and emits through its bus, so no mutable state is shared
-// across shard goroutines.
+// called before Run. The mote is built on the env of the shard owning its
+// region: it runs on that shard's scheduler, draws from its RNG stream,
+// accounts into its stats, and emits through its bus, so no mutable state
+// is shared across shard goroutines.
 func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, error) {
 	if n.started {
 		return nil, fmt.Errorf("envirotrack: cannot add motes after the network started")
 	}
-	shard := n.shardOf(pos)
-	rt := n.shards[shard]
-	m, err := mote.New(id, pos, rt.Sched, n.medium, n.field, model, n.cfg.moteCfg, rt.RNG, rt.Stats)
+	m, err := mote.New(id, pos, model, n.envs[n.shardOf(pos)])
 	if err != nil {
 		return nil, fmt.Errorf("envirotrack: %w", err)
 	}
-	idx := m.BindHot(n.hot)
-	n.hot.SetShard(idx, shard)
-	m.SetObserver(rt.Bus)
-	stack := core.NewStack(m, n.medium, core.StackConfig{
+	stack := core.NewStack(m, core.StackConfig{
 		Bounds:       n.cfg.bounds,
 		UseDirectory: n.cfg.directory,
 		Backend:      n.cfg.backend,
@@ -498,7 +498,7 @@ func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series
 		})
 		return sampler.Series()
 	}
-	simtime.NewTickerOwned(n.shards[0].Sched, every, simtime.OwnerSeries, func() {
+	simtime.NewTickerOwned(n.envs[0].Sched, every, simtime.OwnerSeries, func() {
 		sampler.Sample(n.Now())
 	})
 	return sampler.Series()
@@ -559,9 +559,9 @@ func (n *Network) start() {
 		return
 	}
 	n.started = true
-	sweeps := make([]*mote.Sweep, len(n.shards))
-	for i, rt := range n.shards {
-		sweeps[i] = mote.NewSweep(rt.Sched, n.field)
+	sweeps := make([]*mote.Sweep, len(n.envs))
+	for i, env := range n.envs {
+		sweeps[i] = mote.NewSweep(env)
 	}
 	// Deterministic sweep order: map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering.
@@ -707,11 +707,11 @@ func (n *Network) Now() time.Duration { return n.group.Now() }
 // from event callbacks.
 func (n *Network) Stats() *Stats {
 	if n.Shards() == 1 {
-		return n.shards[0].Stats
+		return n.envs[0].Stats
 	}
 	merged := &trace.Stats{}
-	for _, rt := range n.shards {
-		merged.AddFrom(rt.Stats)
+	for _, env := range n.envs {
+		merged.AddFrom(env.Stats)
 	}
 	return merged
 }
@@ -733,7 +733,7 @@ func (n *Network) Bounds() Rect {
 
 // Shards returns the number of scheduler shards executing the run (1 for
 // the serial engine).
-func (n *Network) Shards() int { return len(n.shards) }
+func (n *Network) Shards() int { return len(n.envs) }
 
 // ShardOf returns the shard owning a position (always 0 in serial runs).
 func (n *Network) ShardOf(p Point) int { return int(n.shardOf(p)) }
