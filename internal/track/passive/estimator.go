@@ -15,8 +15,12 @@ type Point struct {
 // Estimator interpolates the target position from the trace field: a
 // least-squares linear fit of position against time over the live trace
 // window, evaluated at the query instant. It is incremental — Add and
-// Evict adjust running sums instead of refitting from scratch — so the
-// per-gossip cost is O(1) and eviction is O(evicted). The brute-force
+// Evict adjust running sums instead of refitting from scratch — and it
+// keeps the oldest and newest live timestamps, so Add, Newest and an
+// Evict that finds nothing stale are O(1). An Evict that does remove
+// points makes one pass over the live set, which also finds the new
+// oldest point; only an Add past maxPoints scans twice (to pick the
+// oldest point to drop and to find its successor). The brute-force
 // reference refit lives in the property test, which bounds the
 // accumulated floating-point drift of the incremental sums.
 //
@@ -31,10 +35,15 @@ type Point struct {
 type Estimator struct {
 	window time.Duration
 	epoch  time.Duration // time origin of the running sums
-	pts    []Point       // insertion order; eviction scans the whole slice
+	// oldest and newest are the extreme At over pts; meaningless when
+	// pts is empty.
+	oldest, newest time.Duration
+	// pts holds the live points in insertion order, disturbed only by
+	// remove's swap with the last point. The running sums are updated in
+	// this order, so it fixes their floating-point rounding.
+	pts []Point
 
 	// Running sums over live points, times in seconds since epoch.
-	n                         int
 	st, st2, sx, sy, stx, sty float64
 }
 
@@ -49,26 +58,20 @@ func NewEstimator(window time.Duration) *Estimator {
 }
 
 // Len returns the number of live points.
-func (e *Estimator) Len() int { return e.n }
+func (e *Estimator) Len() int { return len(e.pts) }
 
 // Newest returns the timestamp of the most recent live point (zero, false
 // when empty).
 func (e *Estimator) Newest() (time.Duration, bool) {
-	if e.n == 0 {
+	if len(e.pts) == 0 {
 		return 0, false
 	}
-	newest := e.pts[0].At
-	for _, p := range e.pts[1:] {
-		if p.At > newest {
-			newest = p.At
-		}
-	}
-	return newest, true
+	return e.newest, true
 }
 
 // Add integrates one trace point.
 func (e *Estimator) Add(p Point) {
-	if e.n >= maxPoints {
+	if len(e.pts) >= maxPoints {
 		oldest := 0
 		for i, q := range e.pts {
 			if q.At < e.pts[oldest].At {
@@ -76,13 +79,23 @@ func (e *Estimator) Add(p Point) {
 			}
 		}
 		e.remove(oldest)
+		// The dropped point held the minimum: find its successor. The
+		// newest At stays (the drop takes it only when all points share
+		// it).
+		e.oldest = e.pts[0].At
+		for _, q := range e.pts[1:] {
+			e.oldest = min(e.oldest, q.At)
+		}
 	}
-	if e.n == 0 {
+	if len(e.pts) == 0 {
 		e.epoch = p.At
+		e.oldest, e.newest = p.At, p.At
+	} else {
+		e.oldest = min(e.oldest, p.At)
+		e.newest = max(e.newest, p.At)
 	}
 	e.pts = append(e.pts, p)
 	t := (p.At - e.epoch).Seconds()
-	e.n++
 	e.st += t
 	e.st2 += t * t
 	e.sx += p.Pos.X
@@ -92,16 +105,28 @@ func (e *Estimator) Add(p Point) {
 	e.maybeRebase()
 }
 
-// Evict drops points older than the staleness window before now.
+// Evict drops points older than the staleness window before now. With
+// the oldest live point inside the window it returns at once: nothing is
+// stale, and the epoch already passed maybeRebase's check after the last
+// change to the live set.
 func (e *Estimator) Evict(now time.Duration) {
 	horizon := now - e.window
+	if len(e.pts) == 0 || e.oldest >= horizon {
+		return
+	}
+	// The removed points are the oldest, so the newest survives unless
+	// the set empties; the pass visits each survivor once to find the
+	// new oldest.
+	oldest := e.newest
 	for i := 0; i < len(e.pts); {
 		if e.pts[i].At < horizon {
 			e.remove(i)
 			continue
 		}
+		oldest = min(oldest, e.pts[i].At)
 		i++
 	}
+	e.oldest = oldest
 	e.maybeRebase()
 }
 
@@ -111,19 +136,10 @@ func (e *Estimator) Evict(now time.Duration) {
 // times stay on the order of the window) and bounds the incremental
 // sums' floating-point drift to what accumulates between rebases.
 func (e *Estimator) maybeRebase() {
-	if e.n == 0 {
+	if len(e.pts) == 0 || e.oldest-e.epoch <= 4*e.window {
 		return
 	}
-	oldest := e.pts[0].At
-	for _, p := range e.pts[1:] {
-		if p.At < oldest {
-			oldest = p.At
-		}
-	}
-	if oldest-e.epoch <= 4*e.window {
-		return
-	}
-	e.epoch = oldest
+	e.epoch = e.oldest
 	e.st, e.st2, e.sx, e.sy, e.stx, e.sty = 0, 0, 0, 0, 0, 0
 	for _, p := range e.pts {
 		t := (p.At - e.epoch).Seconds()
@@ -140,7 +156,6 @@ func (e *Estimator) maybeRebase() {
 func (e *Estimator) remove(i int) {
 	p := e.pts[i]
 	t := (p.At - e.epoch).Seconds()
-	e.n--
 	e.st -= t
 	e.st2 -= t * t
 	e.sx -= p.Pos.X
@@ -158,10 +173,10 @@ func (e *Estimator) remove(i int) {
 // half a window past the newest trace so a stale field cannot fling the
 // estimate along an old velocity vector.
 func (e *Estimator) Estimate(now time.Duration) (geom.Point, bool) {
-	if e.n == 0 {
+	if len(e.pts) == 0 {
 		return geom.Point{}, false
 	}
-	n := float64(e.n)
+	n := float64(len(e.pts))
 	cx, cy := e.sx/n, e.sy/n
 	denom := n*e.st2 - e.st*e.st
 	// Degenerate spread: the fit is ill-conditioned, use the centroid.

@@ -177,3 +177,243 @@ func TestEstimatorEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("degenerate-spread estimate = %v, want centroid (3,1)", got)
 	}
 }
+
+// scanEstimator is the scan-always form of Estimator, kept as the
+// differential baseline: every Add and Evict rescans the live set for
+// the oldest point, Evict always scans, and Newest scans. The fast paths
+// must reproduce its live set, order and running sums bit for bit,
+// because the passive traces fix the sums' rounding.
+type scanEstimator struct {
+	window                    time.Duration
+	epoch                     time.Duration
+	pts                       []Point
+	n                         int
+	st, st2, sx, sy, stx, sty float64
+}
+
+func (e *scanEstimator) newest() (time.Duration, bool) {
+	if e.n == 0 {
+		return 0, false
+	}
+	newest := e.pts[0].At
+	for _, p := range e.pts[1:] {
+		if p.At > newest {
+			newest = p.At
+		}
+	}
+	return newest, true
+}
+
+func (e *scanEstimator) add(p Point) {
+	if e.n >= maxPoints {
+		oldest := 0
+		for i, q := range e.pts {
+			if q.At < e.pts[oldest].At {
+				oldest = i
+			}
+		}
+		e.remove(oldest)
+	}
+	if e.n == 0 {
+		e.epoch = p.At
+	}
+	e.pts = append(e.pts, p)
+	t := (p.At - e.epoch).Seconds()
+	e.n++
+	e.st += t
+	e.st2 += t * t
+	e.sx += p.Pos.X
+	e.sy += p.Pos.Y
+	e.stx += t * p.Pos.X
+	e.sty += t * p.Pos.Y
+	e.maybeRebase()
+}
+
+func (e *scanEstimator) evict(now time.Duration) {
+	horizon := now - e.window
+	for i := 0; i < len(e.pts); {
+		if e.pts[i].At < horizon {
+			e.remove(i)
+			continue
+		}
+		i++
+	}
+	e.maybeRebase()
+}
+
+func (e *scanEstimator) maybeRebase() {
+	if e.n == 0 {
+		return
+	}
+	oldest := e.pts[0].At
+	for _, p := range e.pts[1:] {
+		if p.At < oldest {
+			oldest = p.At
+		}
+	}
+	if oldest-e.epoch <= 4*e.window {
+		return
+	}
+	e.epoch = oldest
+	e.st, e.st2, e.sx, e.sy, e.stx, e.sty = 0, 0, 0, 0, 0, 0
+	for _, p := range e.pts {
+		t := (p.At - e.epoch).Seconds()
+		e.st += t
+		e.st2 += t * t
+		e.sx += p.Pos.X
+		e.sy += p.Pos.Y
+		e.stx += t * p.Pos.X
+		e.sty += t * p.Pos.Y
+	}
+}
+
+func (e *scanEstimator) remove(i int) {
+	p := e.pts[i]
+	t := (p.At - e.epoch).Seconds()
+	e.n--
+	e.st -= t
+	e.st2 -= t * t
+	e.sx -= p.Pos.X
+	e.sy -= p.Pos.Y
+	e.stx -= t * p.Pos.X
+	e.sty -= t * p.Pos.Y
+	last := len(e.pts) - 1
+	e.pts[i] = e.pts[last]
+	e.pts = e.pts[:last]
+}
+
+func (e *scanEstimator) estimate(now time.Duration) (geom.Point, bool) {
+	if e.n == 0 {
+		return geom.Point{}, false
+	}
+	n := float64(e.n)
+	cx, cy := e.sx/n, e.sy/n
+	denom := n*e.st2 - e.st*e.st
+	if denom < 1e-9 {
+		return geom.Point{X: cx, Y: cy}, true
+	}
+	bx := (n*e.stx - e.st*e.sx) / denom
+	by := (n*e.sty - e.st*e.sy) / denom
+	t := now
+	if newest, ok := e.newest(); ok && t > newest+e.window/2 {
+		t = newest + e.window/2
+	}
+	dt := (t - e.epoch).Seconds() - e.st/n
+	return geom.Point{X: cx + bx*dt, Y: cy + by*dt}, true
+}
+
+// sameBits reports whether two floats are the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestEstimatorMatchesScanBitExact drives Estimator and scanEstimator
+// with the same random schedules — out-of-order adds, bursts at one
+// instant, bursts past maxPoints, sub-window clock steps with eviction,
+// evictions with the oldest point exactly on the horizon or one
+// nanosecond past it, and jumps that evict everything — and requires the same live points
+// in the same order, the same epoch, bit-identical running sums and
+// estimates, and the same newest point after every operation. It also
+// checks the schedules reached every path: overflow, rebase and a full
+// eviction.
+func TestEstimatorMatchesScanBitExact(t *testing.T) {
+	const (
+		window = 2100 * time.Millisecond
+		trials = 20
+		steps  = 2000
+	)
+	var overflows, rebases, emptied int
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		est := NewEstimator(window)
+		ref := &scanEstimator{window: window}
+		now := time.Duration(rng.Int63n(int64(time.Hour)))
+		add := func(at time.Duration) {
+			p := Point{At: at, Pos: geom.Pt(rng.Float64()*100, rng.Float64()*100)}
+			if ref.n == maxPoints {
+				overflows++
+			}
+			epoch, n := ref.epoch, ref.n
+			est.Add(p)
+			ref.add(p)
+			if n > 0 && ref.epoch != epoch {
+				rebases++
+			}
+		}
+		evict := func() {
+			epoch, n := ref.epoch, ref.n
+			est.Evict(now)
+			ref.evict(now)
+			if ref.n > 0 && ref.epoch != epoch {
+				rebases++
+			}
+			if n > 0 && ref.n == 0 {
+				emptied++
+			}
+		}
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(20); {
+			case op < 8: // an add anywhere in the last window and a half, often out of order
+				add(now - time.Duration(rng.Int63n(int64(3*window/2))))
+			case op < 12: // a burst at one instant, occasionally past the cap
+				k := 1 + rng.Intn(8)
+				if rng.Intn(25) == 0 {
+					k = maxPoints + rng.Intn(64)
+				}
+				at := now - time.Duration(rng.Int63n(int64(window/4)))
+				for ; k > 0; k-- {
+					add(at)
+				}
+			case op < 19: // a sub-window clock step, then eviction
+				now += time.Duration(rng.Int63n(int64(window / 3)))
+				evict()
+			default: // eviction on the oldest point's horizon, or after a jump that empties the set
+				if rng.Intn(3) == 0 {
+					now += 2 * window
+				} else if ref.n > 0 {
+					oldest := ref.pts[0].At
+					for _, p := range ref.pts {
+						oldest = min(oldest, p.At)
+					}
+					// The oldest point sits on the horizon (kept) or
+					// one nanosecond past it (evicted).
+					now = max(now, oldest+window+time.Duration(rng.Intn(2)))
+				}
+				evict()
+			}
+
+			if est.Len() != ref.n || len(est.pts) != len(ref.pts) {
+				t.Fatalf("trial %d step %d: live points = %d, scan = %d", trial, step, est.Len(), ref.n)
+			}
+			for i := range ref.pts {
+				p, q := est.pts[i], ref.pts[i]
+				if p.At != q.At || !sameBits(p.Pos.X, q.Pos.X) || !sameBits(p.Pos.Y, q.Pos.Y) {
+					t.Fatalf("trial %d step %d: pts[%d] = %+v, scan %+v", trial, step, i, p, q)
+				}
+			}
+			if est.epoch != ref.epoch {
+				t.Fatalf("trial %d step %d: epoch %v, scan %v", trial, step, est.epoch, ref.epoch)
+			}
+			got := [...]float64{est.st, est.st2, est.sx, est.sy, est.stx, est.sty}
+			want := [...]float64{ref.st, ref.st2, ref.sx, ref.sy, ref.stx, ref.sty}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("trial %d step %d: sum %d = %v, scan %v", trial, step, i, got[i], want[i])
+				}
+			}
+			gn, gok := est.Newest()
+			wn, wok := ref.newest()
+			if gn != wn || gok != wok {
+				t.Fatalf("trial %d step %d: newest %v %t, scan %v %t", trial, step, gn, gok, wn, wok)
+			}
+			q := now + time.Duration(rng.Int63n(int64(window)))
+			gp, gok := est.Estimate(q)
+			wp, wok := ref.estimate(q)
+			if gok != wok || !sameBits(gp.X, wp.X) || !sameBits(gp.Y, wp.Y) {
+				t.Fatalf("trial %d step %d: estimate %v %t, scan %v %t", trial, step, gp, gok, wp, wok)
+			}
+		}
+	}
+	if overflows == 0 || rebases == 0 || emptied == 0 {
+		t.Errorf("schedules missed a path: %d overflows, %d rebases, %d full evictions", overflows, rebases, emptied)
+	}
+	t.Logf("%d overflows, %d rebases, %d full evictions", overflows, rebases, emptied)
+}

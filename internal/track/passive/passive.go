@@ -31,7 +31,7 @@ package passive
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"envirotrack/internal/geom"
@@ -79,39 +79,34 @@ type Backend struct {
 	cb      group.Callbacks
 	ledger  *trace.Ledger
 
+	label group.Label
 	// mask is ctxType's bit in the mote's HotState words, whose sensing
-	// bit is the backend's sensing state.
+	// bit is the backend's sensing state. The flags share its word.
 	mask   uint32
-	label  group.Label
 	minted bool // label was minted by this mote (for deletion accounting)
 	active bool
 	// creationActivation marks the next activation as the minting one, so
 	// it records LabelCreated alone rather than a takeover.
 	creationActivation bool
-	labelSeq           int
-	state              []byte
+	stopped            bool // set by Stop; every timer and frame is ignored
+	labelSeq           int32
+	// haveActivePeer is set once gossip has carried another mote's
+	// active flag, last at lastActiveAt; a fresh foreign flag suppresses
+	// activation (stickiness).
+	haveActivePeer bool
+	lastActiveAt   time.Duration
+	state          []byte
 
 	traces []Rec // latest record per mote, sorted by mote id
-	est    *Estimator
-
-	// lastActiveAt is when gossip last carried another mote's active
-	// flag; a fresh foreign flag suppresses activation (stickiness).
-	lastActiveAt   time.Duration
-	haveActivePeer bool
+	// tracesFloor is at most the oldest At in traces: evictStale skips
+	// its scan while the horizon has not passed it.
+	tracesFloor time.Duration
+	est         Estimator
 
 	depositTimer  simtime.Timer
 	creationTimer simtime.Timer
 	staleTimer    simtime.Timer
 	takeoverTimer simtime.Timer
-	stopped       bool
-
-	depositFire  simtime.Callback
-	creationFire simtime.Callback
-	staleFire    simtime.Callback
-	takeoverFire simtime.Callback
-
-	// scratch is the gossip-assembly buffer, reused across deposits.
-	scratch []Rec
 }
 
 // New constructs the passive backend for one context type on mote m. The
@@ -126,55 +121,67 @@ func New(m *mote.Mote, ctxType string, cfg group.Config, cb group.Callbacks, led
 		cb:      cb,
 		ledger:  ledger,
 		mask:    group.MustCtxMask(m, ctxType),
-		est:     NewEstimator(staleness(cfg)),
-	}
-	b.depositFire = func() {
-		if b.stopped {
-			return
-		}
-		if !b.m.Failed() && b.Sensing() && b.label != "" {
-			b.deposit()
-		}
-		// Keep the chain alive through failures so a restored mote resumes
-		// depositing; it dies only when sensing stops or the backend stops.
-		if b.Sensing() {
-			b.scheduleNextDeposit()
-		}
-	}
-	b.creationFire = func() {
-		if b.stopped || b.m.Failed() || !b.Sensing() {
-			return
-		}
-		if b.label == "" {
-			b.mintLabel()
-		}
-		b.startDepositing()
-	}
-	b.staleFire = func() {
-		if b.stopped {
-			return
-		}
-		b.reevaluate()
-		if b.active {
-			b.armStaleTimer()
-		}
-	}
-	b.takeoverFire = func() {
-		if b.stopped {
-			return
-		}
-		// Re-check eligibility at fire time: a fresh foreign active flag
-		// (another candidate won the race backoff) or an aged-out own
-		// trace calls the takeover off.
-		now := b.m.Scheduler().Now()
-		b.evictStale(now)
-		if b.eligible(now) {
-			b.activate()
-			b.announce()
-		}
+		est:     Estimator{window: staleness(cfg)},
 	}
 	m.AddFrameHandler(b.handleFrame)
 	return b
+}
+
+// depositFire deposits the next periodic trace.
+func depositFire(arg any) {
+	b := arg.(*Backend)
+	if b.stopped {
+		return
+	}
+	if !b.m.Failed() && b.Sensing() && b.label != "" {
+		b.deposit()
+	}
+	// Keep the chain alive through failures so a restored mote resumes
+	// depositing; it dies only when sensing stops or the backend stops.
+	if b.Sensing() {
+		b.scheduleNextDeposit()
+	}
+}
+
+// creationFire ends the label-creation backoff.
+func creationFire(arg any) {
+	b := arg.(*Backend)
+	if b.stopped || b.m.Failed() || !b.Sensing() {
+		return
+	}
+	if b.label == "" {
+		b.mintLabel()
+	}
+	b.startDepositing()
+}
+
+// staleFire is the active estimator's trace-field staleness check.
+func staleFire(arg any) {
+	b := arg.(*Backend)
+	if b.stopped {
+		return
+	}
+	b.reevaluate()
+	if b.active {
+		b.armStaleTimer()
+	}
+}
+
+// takeoverFire ends a candidate's takeover backoff.
+func takeoverFire(arg any) {
+	b := arg.(*Backend)
+	if b.stopped {
+		return
+	}
+	// Re-check eligibility at fire time: a fresh foreign active flag
+	// (another candidate won the race backoff) or an aged-out own trace
+	// calls the takeover off.
+	now := b.m.Scheduler().Now()
+	b.evictStale(now)
+	if b.eligible(now) {
+		b.activate()
+		b.announce()
+	}
 }
 
 // depositPeriod is how often a sensing mote deposits (and gossips) a trace.
@@ -289,7 +296,7 @@ func (b *Backend) onStartSensing() {
 		return
 	}
 	backoff := time.Duration(b.m.Rand().Float64() * float64(b.cfg.CreationBackoff))
-	b.creationTimer = b.m.Scheduler().AfterOwned(backoff, simtime.OwnerGroup, b.creationFire)
+	b.creationTimer = b.m.Scheduler().AfterEventTimerOwned(backoff, simtime.OwnerGroup, creationFire, b)
 }
 
 func (b *Backend) onStopSensing() {
@@ -325,7 +332,7 @@ func (b *Backend) startDepositing() {
 func (b *Backend) scheduleNextDeposit() {
 	jitter := 1 + group.JitterFrac*(b.m.Rand().Float64()-0.5)
 	d := time.Duration(float64(depositPeriod(b.cfg)) * jitter)
-	b.depositTimer = b.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, b.depositFire)
+	b.depositTimer = b.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
 }
 
 // deposit records a fresh own trace and gossips the recent trace field.
@@ -352,35 +359,58 @@ func (b *Backend) deposit() {
 	}
 }
 
-// recentTraces assembles the gossip payload: the freshest records in the
-// live window, newest first (ties by mote id), own record always included.
+// recentTraces assembles the gossip payload: the gossipFanout freshest
+// records in the live window, newest first (ties by mote id), own record
+// always included. Mote ids are unique in the field, so the order is
+// total and the selection below yields what a full sort would.
 func (b *Backend) recentTraces(now time.Duration) []Rec {
 	horizon := now - staleness(b.cfg)
-	b.scratch = b.scratch[:0]
+	var top [gossipFanout]Rec
+	n := 0
 	for _, r := range b.traces {
-		if r.At >= horizon {
-			b.scratch = append(b.scratch, r)
+		if r.At < horizon || (n == gossipFanout && !newer(r, top[n-1])) {
+			continue
 		}
-	}
-	sort.Slice(b.scratch, func(i, j int) bool {
-		if b.scratch[i].At != b.scratch[j].At {
-			return b.scratch[i].At > b.scratch[j].At
+		if n < gossipFanout {
+			n++
 		}
-		return b.scratch[i].Mote < b.scratch[j].Mote
-	})
-	n := len(b.scratch)
-	if n > gossipFanout {
-		n = gossipFanout
+		// Insert r into top[:n], dropping the oldest when full.
+		j := n - 1
+		for ; j > 0 && newer(r, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = r
 	}
 	out := make([]Rec, n)
-	copy(out, b.scratch[:n])
+	copy(out, top[:n])
 	return out
+}
+
+// newer is the gossip payload order: later At first, ties to the lower
+// mote id.
+func newer(a, b Rec) bool {
+	return a.At > b.At || (a.At == b.At && a.Mote < b.Mote)
+}
+
+// findRec returns the index of mote id's record in the id-sorted traces,
+// or where it would be inserted.
+func findRec(traces []Rec, id radio.NodeID) int {
+	lo, hi := 0, len(traces)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if traces[h].Mote < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // integrate merges one trace record into the local field; returns true
 // when the record was new (fresher than the known record for its mote).
 func (b *Backend) integrate(rec Rec) bool {
-	i := sort.Search(len(b.traces), func(i int) bool { return b.traces[i].Mote >= rec.Mote })
+	i := findRec(b.traces, rec.Mote)
 	if i < len(b.traces) && b.traces[i].Mote == rec.Mote {
 		if rec.Seq <= b.traces[i].Seq {
 			return false
@@ -391,6 +421,7 @@ func (b *Backend) integrate(rec Rec) bool {
 		copy(b.traces[i+1:], b.traces[i:])
 		b.traces[i] = rec
 	}
+	b.tracesFloor = min(b.tracesFloor, rec.At)
 	b.est.Add(Point{At: rec.At, Pos: rec.Pos})
 	if b.active && b.cb.OnReport != nil && rec.Mote != b.m.ID() {
 		b.cb.OnReport(rec.Mote, &b.traces[i])
@@ -529,13 +560,9 @@ func (b *Backend) reevaluate() {
 // ownFresh reports whether this mote's own trace is inside the
 // estimator-candidacy window.
 func (b *Backend) ownFresh(now time.Duration) bool {
-	slackHorizon := now - freshSlack(b.cfg)
-	for _, r := range b.traces {
-		if r.Mote == b.m.ID() {
-			return r.At >= slackHorizon
-		}
-	}
-	return false
+	id := b.m.ID()
+	i := findRec(b.traces, id)
+	return i < len(b.traces) && b.traces[i].Mote == id && b.traces[i].At >= now-freshSlack(b.cfg)
 }
 
 // eligible is the inactive-candidate condition: sensing against a label,
@@ -564,7 +591,7 @@ func (b *Backend) armTakeoverTimer() {
 		return
 	}
 	d := time.Duration(b.m.Rand().Float64() * float64(b.cfg.CreationBackoff))
-	b.takeoverTimer = b.m.Scheduler().AfterOwned(d, simtime.OwnerGroup, b.takeoverFire)
+	b.takeoverTimer = b.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, takeoverFire, b)
 }
 
 // announce deposits (and therefore gossips) immediately after a
@@ -603,16 +630,25 @@ func (b *Backend) bestCandidate(now time.Duration) radio.NodeID {
 	return best
 }
 
-// evictStale drops trace records past the staleness bound.
+// evictStale drops trace records past the staleness bound. It scans the
+// field only once the horizon passes tracesFloor, moves records only
+// from the first stale one on, and leaves tracesFloor exact.
 func (b *Backend) evictStale(now time.Duration) {
-	horizon := now - staleness(b.cfg)
-	keep := b.traces[:0]
-	for _, r := range b.traces {
-		if r.At >= horizon {
-			keep = append(keep, r)
+	if horizon := now - staleness(b.cfg); b.tracesFloor < horizon {
+		floor := time.Duration(math.MaxInt64)
+		n := 0
+		for i, r := range b.traces {
+			if r.At < horizon {
+				continue
+			}
+			if n < i {
+				b.traces[n] = r
+			}
+			n++
+			floor = min(floor, r.At)
 		}
+		b.traces, b.tracesFloor = b.traces[:n], floor
 	}
-	b.traces = keep
 	b.est.Evict(now)
 }
 
@@ -655,7 +691,7 @@ func (b *Backend) deactivate() {
 // trace field ages past the staleness bound, the estimator steps down.
 func (b *Backend) armStaleTimer() {
 	b.stopTimer(&b.staleTimer)
-	b.staleTimer = b.m.Scheduler().AfterOwned(staleness(b.cfg), simtime.OwnerGroup, b.staleFire)
+	b.staleTimer = b.m.Scheduler().AfterEventTimerOwned(staleness(b.cfg), simtime.OwnerGroup, staleFire, b)
 }
 
 // --- bookkeeping ---

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
@@ -35,7 +36,7 @@ type call struct {
 // testNet wires passive backends onto a loss-free medium of radius 2 and
 // records their callbacks, obs events and label ledger.
 type testNet struct {
-	t      *testing.T
+	t      testing.TB
 	g      *simtime.ShardGroup
 	sched  *simtime.Scheduler
 	medium *radio.Medium
@@ -47,7 +48,7 @@ type testNet struct {
 	events []obs.Event
 }
 
-func newTestNet(t *testing.T) *testNet {
+func newTestNet(t testing.TB) *testNet {
 	t.Helper()
 	g := simtime.NewShardGroup(1)
 	sched := g.Shard(0)
@@ -276,6 +277,60 @@ func TestGossipSpanAndRecordMerge(t *testing.T) {
 	}
 }
 
+// TestEvictStaleMatchesFilter drives integrate and evictStale with
+// random records — some older than the field's oldest, some stale on
+// arrival — evictions with the oldest record exactly on the horizon or
+// one nanosecond past it, and clock jumps that empty the field. After
+// every eviction it checks the field against a plain filter of the
+// latest record per mote: evictStale's skipped scans must never keep a
+// stale record.
+func TestEvictStaleMatchesFilter(t *testing.T) {
+	n := newTestNet(t)
+	b := n.add(1, geom.Pt(0, 0))
+	stale := staleness(b.cfg)
+	rng := rand.New(rand.NewSource(3))
+	latest := map[radio.NodeID]Rec{}
+	now, seq := time.Duration(0), uint64(0)
+	for step := 0; step < 5000; step++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			seq++
+			rec := Rec{Mote: radio.NodeID(rng.Intn(40)), At: now - time.Duration(rng.Int63n(int64(3*stale/2))), Seq: seq}
+			b.integrate(rec)
+			latest[rec.Mote] = rec
+		}
+		now += time.Duration(rng.Int63n(int64(stale / 4)))
+		switch rng.Intn(100) {
+		case 0:
+			now += 2 * stale
+		case 1, 2, 3, 4, 5, 6, 7, 8:
+			// Put the oldest record on the horizon (kept) or one
+			// nanosecond past it (dropped).
+			if len(b.traces) > 0 {
+				oldest := b.traces[0].At
+				for _, r := range b.traces {
+					oldest = min(oldest, r.At)
+				}
+				now = max(now, oldest+stale+time.Duration(rng.Intn(2)))
+			}
+		}
+		b.evictStale(now)
+		var want []Rec
+		for id := radio.NodeID(0); id < 40; id++ {
+			if r, ok := latest[id]; ok && r.At >= now-stale {
+				want = append(want, r)
+			}
+		}
+		if len(b.traces) != len(want) {
+			t.Fatalf("step %d: field holds %d records, want %d", step, len(b.traces), len(want))
+		}
+		for i := range want {
+			if b.traces[i] != want[i] {
+				t.Fatalf("step %d: traces[%d] = %+v, want %+v", step, i, b.traces[i], want[i])
+			}
+		}
+	}
+}
+
 // TestLabelMergeDeletesMintedLabel checks two motes that minted labels
 // independently converge on the smaller one: the loser steps down,
 // deletes its own label, and joins the winner's; a larger label is
@@ -439,5 +494,105 @@ func TestStopSilencesBackend(t *testing.T) {
 	}
 	if len(n.eventsOf(obs.EvReportSent, 2)) < 15 {
 		t.Error("the surviving mote stopped depositing")
+	}
+}
+
+// TestBackendSize pins the per-mote backend to its allocation size class:
+// one Backend per mote and context type, with the estimator embedded and
+// the timers scheduled through package-level handlers rather than
+// per-mote closures.
+func TestBackendSize(t *testing.T) {
+	if size := unsafe.Sizeof(Backend{}); size > 384 {
+		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 384 (its size class)", size)
+	}
+}
+
+// gossipFeed replays one prebuilt gossip frame into a bystander backend
+// (a mote that hears the gossip but does not sense). Every feedStep of
+// sim time it refreshes the frame's records in place — the next
+// gossipFanout motes of a ring of feedRing, stamped now with a new
+// sequence number — so every delivery teaches the backend something and
+// both the trace field and the estimator keep rolling over: records
+// come back every feedRing/gossipFanout steps, later than the staleness
+// bound, so each delivery also evicts.
+type gossipFeed struct {
+	n     *testNet
+	b     *Backend
+	frame radio.Frame
+	recs  []Rec // the frame payload's Traces, refreshed in place
+	seq   uint64
+}
+
+const (
+	feedStep = 40 * time.Millisecond
+	feedRing = 96
+)
+
+func newGossipFeed(tb testing.TB) *gossipFeed {
+	tb.Helper()
+	n := newTestNet(tb)
+	// No obs bus: the receive path then records nothing anywhere.
+	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(1)), Stats: &trace.Stats{}}
+	m, err := mote.New(1, geom.Pt(0, 0), nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([]Rec, gossipFanout)
+	f := &gossipFeed{
+		n:    n,
+		b:    New(m, "tracker", testCfg, group.Callbacks{}, n.ledger),
+		recs: recs,
+		frame: radio.Frame{
+			Payload: Gossip{CtxType: "tracker", Label: "tracker/10.1", From: 10, Traces: recs},
+			Corr:    radio.Corr{Origin: 10, Seq: 1},
+		},
+	}
+	// Warm up until the field, the estimator and the scheduler's pools
+	// hold their steady-state sizes.
+	for i := 0; i < 4*feedRing; i++ {
+		f.step()
+	}
+	return f
+}
+
+// feedFire delivers the refreshed gossip frame.
+func feedFire(arg any) {
+	f := arg.(*gossipFeed)
+	now := f.b.m.Scheduler().Now()
+	f.seq++
+	for i := range f.recs {
+		id := int(f.seq*gossipFanout+uint64(i)) % feedRing
+		f.recs[i] = Rec{Mote: radio.NodeID(10 + id), Pos: geom.Pt(float64(id), float64(f.seq%7)), At: now, Seq: f.seq}
+	}
+	f.b.handleFrame(f.frame)
+}
+
+// step advances sim time by feedStep and delivers one gossip frame.
+func (f *gossipFeed) step() {
+	at := f.n.sched.Now() + feedStep
+	f.n.sched.AtEventOwned(at, simtime.OwnerNone, feedFire, f)
+	f.n.run(at)
+}
+
+// TestGossipReceiveAllocatesNothing checks a warm backend merges a
+// gossip frame — record lookup and insertion, trace-field and estimator
+// eviction, the estimator update and re-evaluation — without allocating.
+func TestGossipReceiveAllocatesNothing(t *testing.T) {
+	f := newGossipFeed(t)
+	if got := testing.AllocsPerRun(200, f.step); got != 0 {
+		t.Errorf("receiving a gossip frame allocates %v times, want 0", got)
+	}
+	if len(f.b.traces) == 0 || len(f.b.traces) == feedRing || f.b.est.Len() == 0 {
+		t.Errorf("feed does not roll the field over: %d records, %d estimator points", len(f.b.traces), f.b.est.Len())
+	}
+}
+
+// BenchmarkGossipReceive times one gossip delivery to a warm bystander
+// backend, including the scheduler step that delivers it.
+func BenchmarkGossipReceive(b *testing.B) {
+	f := newGossipFeed(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		f.step()
 	}
 }
