@@ -268,7 +268,7 @@ func run(cfg config) error {
 			return err
 		}
 		if jsonOut {
-			results["fig4"] = fig4View(rows)
+			results["fig4"] = rows
 		} else {
 			fmt.Fprintln(cfg.stdout, eval.RenderFigure4(rows))
 		}
@@ -280,7 +280,7 @@ func run(cfg config) error {
 			return err
 		}
 		if jsonOut {
-			results["table1"] = table1View(rows)
+			results["table1"] = rows
 		} else {
 			fmt.Fprintln(cfg.stdout, eval.RenderTable1(rows))
 		}
@@ -297,7 +297,7 @@ func run(cfg config) error {
 			return err
 		}
 		if jsonOut {
-			results["fig5"] = fig5View(points)
+			results["fig5"] = points
 		} else {
 			fmt.Fprintln(cfg.stdout, eval.RenderFigure5(points))
 		}
@@ -315,7 +315,7 @@ func run(cfg config) error {
 			return err
 		}
 		if jsonOut {
-			results["fig6"] = fig6View(points)
+			results["fig6"] = points
 		} else {
 			fmt.Fprintln(cfg.stdout, eval.RenderFigure6(points))
 		}
@@ -499,6 +499,9 @@ func writeMetrics(reg *envirotrack.MetricsRegistry, path string) error {
 }
 
 // --- JSON views: stable lower-case keys, seconds instead of durations ---
+//
+// The fig4, table1, fig5, fig6 and compare results carry their own JSON
+// tags and are encoded as they are.
 
 func fig3View(res eval.Figure3Result) any {
 	type point struct {
@@ -522,49 +525,6 @@ func fig3View(res eval.Figure3Result) any {
 		Labels    int     `json:"labels"`
 		Points    []point `json:"points"`
 	}{res.MeanError, res.MaxError, res.Run.Labels, points}
-}
-
-func fig4View(rows []eval.Figure4Row) any {
-	type row struct {
-		SpeedKmh   float64 `json:"speed_kmh"`
-		HopsPast   int     `json:"hops_past"`
-		SuccessPct float64 `json:"success_pct"`
-		Trials     int     `json:"trials"`
-	}
-	out := make([]row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, row{r.SpeedKmh, r.HopsPast, r.SuccessPct, r.Trials})
-	}
-	return out
-}
-
-func table1View(rows []eval.Table1Row) any {
-	type row struct {
-		SpeedKmh    float64 `json:"speed_kmh"`
-		HBLossPct   float64 `json:"hb_loss_pct"`
-		MsgLossPct  float64 `json:"msg_loss_pct"`
-		LinkUtilPct float64 `json:"link_util_pct"`
-		Runs        int     `json:"runs"`
-	}
-	out := make([]row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, row{r.SpeedKmh, r.HBLossPct, r.MsgLossPct, r.LinkUtilPct, r.Runs})
-	}
-	return out
-}
-
-func fig5View(points []eval.Figure5Point) any {
-	type point struct {
-		HeartbeatS    float64 `json:"heartbeat_s"`
-		SensingRadius float64 `json:"sensing_radius"`
-		Mode          string  `json:"mode"`
-		MaxSpeedHops  float64 `json:"max_speed_hops"`
-	}
-	out := make([]point, 0, len(points))
-	for _, p := range points {
-		out = append(out, point{p.HeartbeatSec, p.SensingRadius, p.Mode, p.MaxSpeedHops})
-	}
-	return out
 }
 
 func chaosView(points []eval.ChaosPoint) any {
@@ -610,17 +570,4 @@ func compareView(points []eval.ComparePoint, summary []eval.CompareSummary) any 
 		Points  []eval.ComparePoint   `json:"points"`
 		Summary []eval.CompareSummary `json:"summary"`
 	}{points, summary}
-}
-
-func fig6View(points []eval.Figure6Point) any {
-	type point struct {
-		Ratio         float64 `json:"ratio"`
-		SensingRadius float64 `json:"sensing_radius"`
-		MaxSpeedHops  float64 `json:"max_speed_hops"`
-	}
-	out := make([]point, 0, len(points))
-	for _, p := range points {
-		out = append(out, point{p.Ratio, p.SensingRadius, p.MaxSpeedHops})
-	}
-	return out
 }

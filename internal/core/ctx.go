@@ -19,11 +19,15 @@ import (
 // persistent state. Method bodies receive it as their first argument, the
 // analogue of the implicit context access the preprocessor generates.
 type Ctx struct {
-	stack  *Stack
-	rt     *ctxRuntime // nil for static objects
-	label  group.Label
-	static bool
+	stack *Stack
+	rt    *ctxRuntime // nil for static objects
+	label group.Label
 }
+
+// live reports whether the context still serves its objects: a static
+// object's always does, a tracking object's while its runtime holds it
+// (from activation to deactivation).
+func (c *Ctx) live() bool { return c.rt == nil || c.rt.ctx == c }
 
 // Label returns the enclosing context label (self:label).
 func (c *Ctx) Label() group.Label { return c.label }

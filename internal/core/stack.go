@@ -13,7 +13,6 @@ import (
 	"envirotrack/internal/routing"
 	"envirotrack/internal/sensor"
 	"envirotrack/internal/simtime"
-	"envirotrack/internal/trace"
 	"envirotrack/internal/track"
 	"envirotrack/internal/track/passive"
 	"envirotrack/internal/transport"
@@ -60,7 +59,6 @@ type Stack struct {
 	router *routing.Router
 	dir    *directory.Service
 	ep     *transport.Endpoint
-	ledger *trace.Ledger
 
 	// The StackConfig values read after construction (Bounds is spent on
 	// the directory), kept as fields so a stack stays small: there is one
@@ -74,10 +72,10 @@ type Stack struct {
 }
 
 // NewStack builds the middleware on a mote; the router, directory and
-// transport reach the radio medium through the mote's env. Context types
-// are attached afterwards with AttachContext; the mote's sensing scan
-// drives each one.
-func NewStack(m *mote.Mote, cfg StackConfig, ledger *trace.Ledger) *Stack {
+// transport reach the radio medium through the mote's env, and the
+// tracking backends its coherence ledger. Context types are attached
+// afterwards with AttachContext; the mote's sensing scan drives each one.
+func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
 	if cfg.Backend == "" {
 		cfg.Backend = track.BackendLeader
 	}
@@ -89,7 +87,6 @@ func NewStack(m *mote.Mote, cfg StackConfig, ledger *trace.Ledger) *Stack {
 		router:       router,
 		dir:          dir,
 		ep:           ep,
-		ledger:       ledger,
 		useDirectory: cfg.UseDirectory,
 		backend:      cfg.Backend,
 	}
@@ -168,13 +165,7 @@ func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 		tr = &typeRows{hot: hot, mask: mask}
 	}
 	rt := &ctxRuntime{stack: s, spec: spec, rows: tr}
-	be, err := track.New(backend, s.m, spec.Name, gcfg, group.Callbacks{
-		ReportPayload:  rt.reportPayload,
-		OnReport:       rt.onMemberReport,
-		OnActivate:     rt.onActivate,
-		OnDeactivate:   rt.onDeactivate,
-		OnLabelDeleted: rt.onLabelDeleted,
-	}, s.ledger)
+	be, err := track.New(backend, s.m, spec.Name, gcfg, rt)
 	if err != nil {
 		return nil, err
 	}
@@ -253,41 +244,56 @@ func (s *Stack) AttachStatic(label group.Label, objects []ObjectSpec) (*Ctx, err
 			return nil, err
 		}
 	}
-	ctx := &Ctx{stack: s, label: label, static: true}
+	ctx := &Ctx{stack: s, label: label}
 	s.ep.SetLeading(label, true)
+	s.serve(ctx, transportLabelType(label), objects)
+	return ctx, nil
+}
+
+// serve installs objects on this mote under ctx: each method's port
+// handler and timer ticker, in declaration order, then, with the
+// directory on, a registration of ctx's label under typ and the ticker
+// that refreshes it. Handlers and tickers do nothing once ctx is retired
+// (see Ctx.live) or, for timers, while the mote is failed. It returns the
+// ports and tickers, for the caller to remove.
+func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []transport.PortID, tickers []*simtime.Ticker) {
+	label := ctx.label
 	for _, obj := range objects {
 		for _, m := range obj.Methods {
 			method := m
 			if method.Port != 0 {
+				ports = append(ports, method.Port)
 				s.ep.Handle(label, method.Port, func(d transport.Datagram) {
-					method.Body(ctx, Trigger{Kind: TriggerMessage, Msg: &d})
+					if ctx.live() {
+						method.Body(ctx, Trigger{Kind: TriggerMessage, Msg: &d})
+					}
 				})
 			}
 			if method.Period > 0 {
-				simtime.NewTickerOwned(s.m.Scheduler(), method.Period, simtime.OwnerApp, func() {
-					if s.m.Failed() {
+				tickers = append(tickers, simtime.NewTickerOwned(s.m.Scheduler(), method.Period, simtime.OwnerApp, func() {
+					if !ctx.live() || s.m.Failed() {
 						return
 					}
 					if method.Condition != nil && !method.Condition(ctx) {
 						return
 					}
 					method.Body(ctx, Trigger{Kind: TriggerTimer})
-				})
+				}))
 			}
 		}
 	}
 	if s.useDirectory {
 		register := func() {
-			s.dir.Register(transportLabelType(label), label, s.m.Pos(), s.m.ID())
+			s.dir.Register(typ, label, s.m.Pos(), s.m.ID())
 		}
 		register()
-		simtime.NewTickerOwned(s.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
-			if !s.m.Failed() {
+		tickers = append(tickers, simtime.NewTickerOwned(s.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
+			if !s.m.Failed() && ctx.live() {
 				register()
 			}
-		})
+		}))
 	}
-	return ctx, nil
+	return ports, tickers
 }
 
 // transportLabelType mirrors transport's label-type derivation for static
@@ -302,9 +308,10 @@ func transportLabelType(l group.Label) string {
 	return s
 }
 
-// ctxRuntime is the per-mote runtime state of one context type. It talks
-// to the tracking protocol only through the track.Backend interface; the
-// middleware concerns here (aggregate windows, object methods, directory
+// ctxRuntime is the per-mote runtime state of one context type: the
+// group.Runtime its tracking backend drives. It talks to the tracking
+// protocol only through the track.Backend interface; the middleware
+// concerns here (aggregate windows, object methods, directory
 // registration) are backend-agnostic.
 type ctxRuntime struct {
 	stack *Stack
@@ -318,12 +325,12 @@ type ctxRuntime struct {
 	// sensing (sent to the leader in reports / used directly when leading).
 	samples map[string]aggregate.Sample
 
-	// Leader-only state.
-	ctx       *Ctx
-	windows   map[string]*aggregate.Window
-	tickers   []*simtime.Ticker
-	dirTicker *simtime.Ticker
-	ports     []transport.PortID
+	// Leader-only state: the object context, the aggregate windows, and
+	// the ports and tickers (directory refresh last) serving the objects.
+	ctx     *Ctx
+	windows map[string]*aggregate.Window
+	tickers []*simtime.Ticker
+	ports   []transport.PortID
 }
 
 // Backend exposes the tracking backend driving this runtime.
@@ -397,8 +404,8 @@ func (rt *ctxRuntime) refreshSamples(rd *sensor.Reading) {
 	}
 }
 
-// reportPayload is the member's periodic report content.
-func (rt *ctxRuntime) reportPayload() any {
+// ReportPayload is the member's periodic report content.
+func (rt *ctxRuntime) ReportPayload() any {
 	if len(rt.samples) == 0 {
 		return readingsPayload{}
 	}
@@ -409,12 +416,12 @@ func (rt *ctxRuntime) reportPayload() any {
 	return readingsPayload{Samples: out}
 }
 
-// onMemberReport folds a remote mote's samples into the active mote's
+// OnReport folds a remote mote's samples into the active mote's
 // windows. Full readings reports (the leader backend's member reports)
 // carry one sample per variable; trace records (the passive backend's
 // gossiped observations) carry a position only and feed the
 // position-input variables.
-func (rt *ctxRuntime) onMemberReport(_ radio.NodeID, payload any) {
+func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
 	if rt.windows == nil {
 		return
 	}
@@ -438,7 +445,9 @@ func (rt *ctxRuntime) onMemberReport(_ radio.NodeID, payload any) {
 	}
 }
 
-func (rt *ctxRuntime) onActivate(label group.Label, state []byte) {
+// OnActivate builds the aggregate windows and the object context, and
+// serves the type's objects under label.
+func (rt *ctxRuntime) OnActivate(label group.Label, state []byte) {
 	rt.windows = make(map[string]*aggregate.Window, len(rt.spec.Vars))
 	for _, v := range rt.spec.Vars {
 		w, err := aggregate.NewWindow(v.Func, v.Freshness, v.CriticalMass)
@@ -453,58 +462,16 @@ func (rt *ctxRuntime) onActivate(label group.Label, state []byte) {
 	if state != nil {
 		rt.be.SetState(state)
 	}
-
-	// Install message-triggered methods and timer methods.
-	for _, obj := range rt.spec.Objects {
-		for _, m := range obj.Methods {
-			method := m
-			if method.Port != 0 {
-				rt.ports = append(rt.ports, method.Port)
-				rt.stack.ep.Handle(label, method.Port, func(d transport.Datagram) {
-					if rt.ctx == nil {
-						return
-					}
-					method.Body(rt.ctx, Trigger{Kind: TriggerMessage, Msg: &d})
-				})
-			}
-			if method.Period > 0 {
-				tk := simtime.NewTickerOwned(rt.stack.m.Scheduler(), method.Period, simtime.OwnerApp, func() {
-					if rt.ctx == nil || rt.stack.m.Failed() {
-						return
-					}
-					if method.Condition != nil && !method.Condition(rt.ctx) {
-						return
-					}
-					method.Body(rt.ctx, Trigger{Kind: TriggerTimer})
-				})
-				rt.tickers = append(rt.tickers, tk)
-			}
-		}
-	}
-
-	// Register the label with the directory and refresh periodically.
-	if rt.stack.useDirectory {
-		register := func() {
-			rt.stack.dir.Register(rt.spec.Name, label, rt.stack.m.Pos(), rt.stack.m.ID())
-		}
-		register()
-		rt.dirTicker = simtime.NewTickerOwned(rt.stack.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
-			if !rt.stack.m.Failed() && rt.ctx != nil {
-				register()
-			}
-		})
-	}
+	rt.ports, rt.tickers = rt.stack.serve(rt.ctx, rt.spec.Name, rt.spec.Objects)
 }
 
-func (rt *ctxRuntime) onDeactivate(label group.Label) {
+// OnDeactivate retires the object context: it stops the tickers, removes
+// the port handlers and drops the windows.
+func (rt *ctxRuntime) OnDeactivate(label group.Label) {
 	for _, tk := range rt.tickers {
 		tk.Stop()
 	}
 	rt.tickers = nil
-	if rt.dirTicker != nil {
-		rt.dirTicker.Stop()
-		rt.dirTicker = nil
-	}
 	for _, p := range rt.ports {
 		rt.stack.ep.Unhandle(label, p)
 	}
@@ -523,9 +490,9 @@ func (rt *ctxRuntime) setLeading(on bool) {
 	hot.SetLeading(idx, rt.rows.mask, on)
 }
 
-// onLabelDeleted withdraws the directory registration of a label this
+// OnLabelDeleted withdraws the directory registration of a label this
 // mote deleted as spurious.
-func (rt *ctxRuntime) onLabelDeleted(label group.Label) {
+func (rt *ctxRuntime) OnLabelDeleted(label group.Label) {
 	if rt.stack.useDirectory {
 		rt.stack.dir.Unregister(rt.spec.Name, label)
 	}

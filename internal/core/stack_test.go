@@ -43,13 +43,15 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(21)), Stats: &trace.Stats{}}
 	medium := radio.New(params, nil, rt)
 	field := phenomena.NewField()
+	env := mote.NewEnv(rt, medium, field, mote.Config{}, mote.NewHotState())
+	env.Ledger = &trace.Ledger{}
 	return &world{
 		group:  group,
 		sched:  sched,
 		medium: medium,
 		field:  field,
-		env:    mote.NewEnv(rt, medium, field, mote.Config{}, mote.NewHotState()),
-		ledger: &trace.Ledger{},
+		env:    env,
+		ledger: env.Ledger,
 		bounds: bounds,
 		stacks: make(map[radio.NodeID]*Stack),
 		motes:  make(map[radio.NodeID]*mote.Mote),
@@ -63,7 +65,7 @@ func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *se
 		t.Fatal(err)
 	}
 	scfg.Bounds = w.bounds
-	st := NewStack(m, scfg, w.ledger)
+	st := NewStack(m, scfg)
 	w.stacks[id] = st
 	w.motes[id] = m
 	return st

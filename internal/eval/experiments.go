@@ -78,10 +78,10 @@ func (f Figure3Result) Render() string {
 
 // Figure4Row is one bar of Figure 4.
 type Figure4Row struct {
-	SpeedKmh   float64
-	HopsPast   int
-	SuccessPct float64
-	Trials     int
+	SpeedKmh   float64 `json:"speed_kmh"`
+	HopsPast   int     `json:"hops_past"`
+	SuccessPct float64 `json:"success_pct"`
+	Trials     int     `json:"trials"`
 }
 
 // RunFigure4 measures handover success for the two emulated tank speeds
@@ -172,11 +172,11 @@ func RenderFigure4(rows []Figure4Row) string {
 
 // Table1Row is one row of Table 1.
 type Table1Row struct {
-	SpeedKmh    float64
-	HBLossPct   float64
-	MsgLossPct  float64
-	LinkUtilPct float64
-	Runs        int
+	SpeedKmh    float64 `json:"speed_kmh"`
+	HBLossPct   float64 `json:"hb_loss_pct"`
+	MsgLossPct  float64 `json:"msg_loss_pct"`
+	LinkUtilPct float64 `json:"link_util_pct"`
+	Runs        int     `json:"runs"`
 }
 
 // RunTable1 reproduces the communication performance table: per-speed

@@ -13,12 +13,12 @@ import (
 
 // Figure5Point is one point of the Figure 5 curves.
 type Figure5Point struct {
-	HeartbeatSec  float64
-	SensingRadius float64
+	HeartbeatSec  float64 `json:"heartbeat_s"`
+	SensingRadius float64 `json:"sensing_radius"`
 	// Mode is "worst-case" (leader failure, takeover-only recovery) or
 	// "relinquish" (explicit handoff).
-	Mode         string
-	MaxSpeedHops float64
+	Mode         string  `json:"mode"`
+	MaxSpeedHops float64 `json:"max_speed_hops"`
 }
 
 // Figure5Config bounds the sweep so callers can trade fidelity for time.
@@ -138,9 +138,9 @@ func RenderFigure5(points []Figure5Point) string {
 
 // Figure6Point is one point of the Figure 6 curves.
 type Figure6Point struct {
-	Ratio         float64 // CR : SR
-	SensingRadius float64
-	MaxSpeedHops  float64
+	Ratio         float64 `json:"ratio"` // CR : SR
+	SensingRadius float64 `json:"sensing_radius"`
+	MaxSpeedHops  float64 `json:"max_speed_hops"`
 }
 
 // Figure6Config bounds the sweep.

@@ -1,10 +1,6 @@
 package group
 
-import (
-	"time"
-
-	"envirotrack/internal/radio"
-)
+import "time"
 
 // Protocol timing, following Section 6.2: "best results are achieved when
 // the receive and wait timers are set to 2.1 and 4.2 times the leader
@@ -124,32 +120,4 @@ func (r Role) String() string {
 	default:
 		return "invalid"
 	}
-}
-
-// Callbacks connect a tracking backend (the group Manager or the passive
-// backend) to the middleware layer above it. Any field may be nil. A
-// backend "activates" the mote it selects to run the context's objects
-// (the group leader, the passive estimator) and pairs every OnActivate
-// with an eventual OnDeactivate for the same label. After Stop returns, a
-// backend invokes no further callbacks.
-type Callbacks struct {
-	// ReportPayload supplies the mote's current measurements when the
-	// backend ships readings to the active mote.
-	ReportPayload func() any
-	// OnReport delivers a remote mote's readings to the active mote's
-	// aggregation logic.
-	OnReport func(from radio.NodeID, payload any)
-	// OnActivate fires when the backend selects this mote to run the
-	// context's objects for label (the group protocol: this mote assumes
-	// leadership), with the label's persistent state (nil for a fresh
-	// label).
-	OnActivate func(label Label, state []byte)
-	// OnDeactivate fires when this mote stops running the context's
-	// objects for label for any reason (yield, deletion, relinquish,
-	// leaving).
-	OnDeactivate func(label Label)
-	// OnLabelDeleted fires when this mote deletes its own spurious label
-	// (the group protocol's weight suppression, the passive backend's label
-	// merge). The middleware uses it to withdraw directory registrations.
-	OnLabelDeleted func(label Label)
 }

@@ -22,7 +22,6 @@ package group
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -37,15 +36,8 @@ import (
 // mote. It is driven by the simulation scheduler via the mote's frame
 // handlers and its own timers.
 type Manager struct {
-	m       *mote.Mote
-	ctxType string
-	cfg     Config
-	cb      Callbacks
-	ledger  *trace.Ledger
+	Base
 
-	// mask is ctxType's bit in the mote's HotState words, whose sensing
-	// bit is the manager's sensing state.
-	mask  uint32
 	role  Role
 	label Label
 
@@ -70,10 +62,6 @@ type Manager struct {
 	waitLeader radio.NodeID
 	waitWeight uint64
 	waitState  []byte
-
-	// Label-creation backoff.
-	creationTimer simtime.Timer
-	labelSeq      int
 
 	// seen tracks, per (label, leader) flood key, the highest heartbeat Seq
 	// received and any pending jittered rebroadcast awaiting its timer. It
@@ -112,18 +100,10 @@ type pendingForward struct {
 	next  *pendingForward
 }
 
-// NewManager attaches a group manager for ctxType to the mote. The ledger
-// may be nil to disable coherence tracing.
-func NewManager(m *mote.Mote, ctxType string, cfg Config, cb Callbacks, ledger *trace.Ledger) *Manager {
-	g := &Manager{
-		m:       m,
-		ctxType: ctxType,
-		cfg:     cfg.WithDefaults(),
-		cb:      cb,
-		ledger:  ledger,
-		mask:    MustCtxMask(m, ctxType),
-		role:    RoleNone,
-	}
+// NewManager attaches a group manager for ctxType to the mote; it records
+// label events in the ledger of the mote's env.
+func NewManager(m *mote.Mote, ctxType string, cfg Config, rt Runtime) *Manager {
+	g := &Manager{Base: NewBase(m, ctxType, cfg, rt), role: RoleNone}
 	m.AddFrameHandler(g.handleFrame)
 	return g
 }
@@ -131,7 +111,7 @@ func NewManager(m *mote.Mote, ctxType string, cfg Config, cb Callbacks, ledger *
 // hbFire sends a leader's next heartbeat.
 func hbFire(arg any) {
 	g := arg.(*Manager)
-	if g.m.Failed() || g.role != RoleLeader {
+	if g.Mote.Failed() || g.role != RoleLeader {
 		return
 	}
 	g.sendHeartbeat()
@@ -144,20 +124,20 @@ func recvFire(arg any) { arg.(*Manager).onReceiveTimeout() }
 // creationFire ends the label-creation backoff.
 func creationFire(arg any) {
 	g := arg.(*Manager)
-	if g.m.Failed() || !g.Sensing() || g.role != RoleNone {
+	if g.Mote.Failed() || !g.Sensing() || g.role != RoleNone {
 		return
 	}
 	if g.waitUntil.Pending() {
 		g.joinWaitedLabel()
 		return
 	}
-	g.createLabel()
+	g.becomeLeader(g.MintLabel(), 0, nil)
 }
 
 // reportFirst sends a member's first report and starts its report cycle.
 func reportFirst(arg any) {
 	g := arg.(*Manager)
-	if g.m.Failed() || g.role != RoleMember {
+	if g.Mote.Failed() || g.role != RoleMember {
 		return
 	}
 	g.sendReport()
@@ -178,22 +158,13 @@ func (g *Manager) Participating() bool { return g.role != RoleNone }
 // LeaderID returns the last known leader of the mote's label.
 func (g *Manager) LeaderID() radio.NodeID {
 	if g.role == RoleLeader {
-		return g.m.ID()
+		return g.Mote.ID()
 	}
 	return g.leaderID
 }
 
 // Weight returns the leader weight (meaningful when leading).
 func (g *Manager) Weight() uint64 { return g.weight }
-
-// Sensing returns the last sensing state supplied via SetSensing.
-func (g *Manager) Sensing() bool {
-	h, i := g.m.Hot()
-	return h.Sensing(i, g.mask)
-}
-
-// CtxType returns the context type this manager maintains.
-func (g *Manager) CtxType() string { return g.ctxType }
 
 // SetState updates the label's persistent state; it is piggybacked on
 // subsequent heartbeats so that a successor leader resumes from it. Only a
@@ -222,7 +193,7 @@ func (g *Manager) Stop() {
 	g.stopLeaderDuties()
 	g.stopMemberDuties()
 	g.waitUntil = simtime.Deadline{}
-	g.stopTimer(&g.creationTimer)
+	g.CreationTimer.Stop()
 }
 
 // SetSensing informs the manager of the mote's current sensee() evaluation
@@ -230,11 +201,9 @@ func (g *Manager) Stop() {
 // bit is written. The middleware calls it when the evaluation differs from
 // that bit; no-change calls are cheap.
 func (g *Manager) SetSensing(sensing bool) {
-	if g.m.Failed() || sensing == g.Sensing() {
+	if !g.WriteSensing(sensing) {
 		return
 	}
-	h, i := g.m.Hot()
-	h.SetSensing(i, g.mask, sensing)
 	if sensing {
 		g.onStartSensing()
 	} else {
@@ -253,11 +222,7 @@ func (g *Manager) onStartSensing() {
 	}
 	// Otherwise back off briefly in case a heartbeat is in flight, then
 	// create a fresh label.
-	if g.creationTimer.Pending() {
-		return
-	}
-	backoff := time.Duration(g.m.Rand().Float64() * float64(g.cfg.CreationBackoff))
-	g.creationTimer = g.m.Scheduler().AfterEventTimerOwned(backoff, simtime.OwnerGroup, creationFire, g)
+	g.ArmBackoff(&g.CreationTimer, creationFire, g)
 }
 
 func (g *Manager) onStopSensing() {
@@ -267,23 +232,16 @@ func (g *Manager) onStopSensing() {
 	case RoleMember:
 		g.leaveMembership()
 	default:
-		g.stopTimer(&g.creationTimer)
+		g.CreationTimer.Stop()
 	}
 }
 
 // --- label creation and leadership ---
 
-func (g *Manager) createLabel() {
-	g.labelSeq++
-	label := Label(fmt.Sprintf("%s/%d.%d", g.ctxType, g.m.ID(), g.labelSeq))
-	g.recordEvent(trace.LabelCreated, label)
-	g.becomeLeader(label, 0, nil)
-}
-
 func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 	g.stopMemberDuties()
 	g.waitUntil = simtime.Deadline{}
-	g.stopTimer(&g.creationTimer)
+	g.CreationTimer.Stop()
 
 	g.setRole(RoleLeader)
 	g.label = label
@@ -291,9 +249,7 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 	g.state = state
 	g.reporters = make(map[radio.NodeID]time.Duration)
 
-	if g.cb.OnActivate != nil {
-		g.cb.OnActivate(label, state)
-	}
+	g.Runtime.OnActivate(label, state)
 	g.sendHeartbeat()
 	g.scheduleNextHeartbeat()
 }
@@ -302,26 +258,26 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 // jitter so that leaders created at the same instant (a target appearing
 // over several motes at once) do not collide in lockstep forever.
 func (g *Manager) scheduleNextHeartbeat() {
-	jitter := 1 + JitterFrac*(g.m.Rand().Float64()-0.5)
-	d := time.Duration(float64(g.cfg.HeartbeatPeriod) * jitter)
-	g.hbTimer = g.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
+	jitter := 1 + JitterFrac*(g.Mote.Rand().Float64()-0.5)
+	d := time.Duration(float64(g.Config.HeartbeatPeriod) * jitter)
+	g.hbTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
 }
 
 func (g *Manager) sendHeartbeat() {
 	g.hbSeq++
 	hb := Heartbeat{
-		CtxType:   g.ctxType,
+		CtxType:   g.CtxType,
 		Label:     g.label,
-		Leader:    g.m.ID(),
-		LeaderLoc: g.m.Pos(),
+		Leader:    g.Mote.ID(),
+		LeaderLoc: g.Mote.Pos(),
 		Weight:    g.weight,
 		Seq:       g.hbSeq,
-		HopsPast:  g.cfg.HopsPast,
+		HopsPast:  g.Config.HopsPast,
 		State:     g.state,
 	}
-	corr := radio.Corr{Origin: int32(g.m.ID()), Seq: g.m.NextCorrSeq()}
-	g.m.BroadcastTraced(trace.KindHeartbeat, HeartbeatBits+len(g.state)*8, hb, corr)
-	g.emit(obs.EvHeartbeatSent, g.label, radio.Broadcast, g.hbSeq)
+	corr := radio.Corr{Origin: int32(g.Mote.ID()), Seq: g.Mote.NextCorrSeq()}
+	g.Mote.BroadcastTraced(trace.KindHeartbeat, HeartbeatBits+len(g.state)*8, hb, corr)
+	g.Emit(obs.EvHeartbeatSent, g.label, radio.Broadcast, g.hbSeq)
 }
 
 // leaderStepDown handles a leader that stopped sensing: explicit
@@ -329,20 +285,20 @@ func (g *Manager) sendHeartbeat() {
 func (g *Manager) leaderStepDown() {
 	label, weight, state := g.label, g.weight, g.state
 	successor := radio.Broadcast
-	if !g.cfg.DisableRelinquish {
+	if !g.Config.DisableRelinquish {
 		if s, ok := g.pickSuccessor(); ok {
 			successor = s
-			g.m.Broadcast(trace.KindRelinquish, HeartbeatBits+len(state)*8, Relinquish{
-				CtxType:   g.ctxType,
+			g.Mote.Broadcast(trace.KindRelinquish, HeartbeatBits+len(state)*8, Relinquish{
+				CtxType:   g.CtxType,
 				Label:     label,
-				OldLeader: g.m.ID(),
+				OldLeader: g.Mote.ID(),
 				NewLeader: successor,
 				Weight:    weight,
 				State:     state,
 			})
 		}
 	}
-	g.emit(obs.EvLeaderStepDown, label, successor, 0)
+	g.Emit(obs.EvLeaderStepDown, label, successor, 0)
 	g.loseLeadership()
 	// Remember the label so that re-sensing rejoins rather than respawns.
 	g.rememberLabel(label, radio.Broadcast, weight, state)
@@ -351,7 +307,7 @@ func (g *Manager) leaderStepDown() {
 // pickSuccessor chooses the member with the most recent report (ties broken
 // by lowest id) that reported within two report periods.
 func (g *Manager) pickSuccessor() (radio.NodeID, bool) {
-	horizon := g.m.Scheduler().Now() - 2*g.cfg.ReportPeriod
+	horizon := g.Mote.Scheduler().Now() - 2*g.Config.ReportPeriod
 	best := radio.NodeID(-1)
 	var bestAt time.Duration = -1
 	for id, at := range g.reporters {
@@ -373,19 +329,17 @@ func (g *Manager) loseLeadership() {
 	g.stopLeaderDuties()
 	g.setRole(RoleNone)
 	g.label = ""
-	if g.cb.OnDeactivate != nil {
-		g.cb.OnDeactivate(label)
-	}
+	g.Runtime.OnDeactivate(label)
 }
 
 func (g *Manager) stopLeaderDuties() {
-	g.stopTimer(&g.hbTimer)
+	g.hbTimer.Stop()
 }
 
 // --- membership ---
 
 func (g *Manager) joinWaitedLabel() {
-	g.stopTimer(&g.creationTimer)
+	g.CreationTimer.Stop()
 	label, leader, weight, state := g.waitLabel, g.waitLeader, g.waitWeight, g.waitState
 	g.waitUntil = simtime.Deadline{}
 	g.becomeMember(label, leader, weight, state)
@@ -396,34 +350,32 @@ func (g *Manager) becomeMember(label Label, leader radio.NodeID, weight uint64, 
 	if wasLeader {
 		oldLabel := g.label
 		g.stopLeaderDuties()
-		if g.cb.OnDeactivate != nil {
-			g.cb.OnDeactivate(oldLabel)
-		}
+		g.Runtime.OnDeactivate(oldLabel)
 	}
 	g.waitUntil = simtime.Deadline{}
-	g.stopTimer(&g.creationTimer)
+	g.CreationTimer.Stop()
 
 	g.setRole(RoleMember)
 	g.label = label
 	g.leaderID = leader
 	g.lastWeight = weight
 	g.lastState = state
-	g.emit(obs.EvLabelJoined, label, leader, 0)
+	g.Emit(obs.EvLabelJoined, label, leader, 0)
 	g.armReceiveTimer()
 	g.startReporting()
 }
 
 func (g *Manager) armReceiveTimer() {
 	g.receiveTimer.Stop()
-	d := g.cfg.receiveTimeout(g.m.Rand().Float64())
-	g.receiveTimer = g.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
+	d := g.Config.receiveTimeout(g.Mote.Rand().Float64())
+	g.receiveTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
 }
 
 func (g *Manager) onReceiveTimeout() {
-	if g.m.Failed() || g.role != RoleMember {
+	if g.Mote.Failed() || g.role != RoleMember {
 		return
 	}
-	g.emit(obs.EvReceiveTimerFired, g.label, g.leaderID, 0)
+	g.Emit(obs.EvReceiveTimerFired, g.label, g.leaderID, 0)
 	label, weight, state := g.label, g.lastWeight, g.lastState
 	if !g.Sensing() {
 		g.leaveMembership()
@@ -432,7 +384,7 @@ func (g *Manager) onReceiveTimeout() {
 	// Leadership takeover: continue the same label with the inherited
 	// weight and persistent state.
 	g.stopMemberDuties()
-	g.recordEvent(trace.LabelTakeover, label)
+	g.RecordEvent(trace.LabelTakeover, label)
 	g.becomeLeader(label, weight, state)
 }
 
@@ -440,43 +392,39 @@ func (g *Manager) startReporting() {
 	g.stopReporting()
 	// Desynchronize members: first report after a random fraction of the
 	// report period, then periodic.
-	first := time.Duration(g.m.Rand().Float64() * float64(g.cfg.ReportPeriod))
-	g.reportDelay = g.m.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
+	first := time.Duration(g.Mote.Rand().Float64() * float64(g.Config.ReportPeriod))
+	g.reportDelay = g.Mote.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
 }
 
 // startReportTicker begins the periodic report cycle, reusing the ticker
 // object across membership episodes.
 func (g *Manager) startReportTicker() {
 	if g.reportTicker == nil {
-		g.reportTicker = simtime.NewTickerOwned(g.m.Scheduler(), g.cfg.ReportPeriod, simtime.OwnerGroup, g.reportTick)
+		g.reportTicker = simtime.NewTickerOwned(g.Mote.Scheduler(), g.Config.ReportPeriod, simtime.OwnerGroup, g.reportTick)
 	} else {
-		g.reportTicker.Reset(g.cfg.ReportPeriod)
+		g.reportTicker.Reset(g.Config.ReportPeriod)
 	}
 }
 
 // reportTick sends a member's periodic report.
 func (g *Manager) reportTick() {
-	if g.m.Failed() || g.role != RoleMember {
+	if g.Mote.Failed() || g.role != RoleMember {
 		return
 	}
 	g.sendReport()
 }
 
 func (g *Manager) sendReport() {
-	var payload any
-	if g.cb.ReportPayload != nil {
-		payload = g.cb.ReportPayload()
-	}
-	rep := Report{CtxType: g.ctxType, Label: g.label, Reporter: g.m.ID(), Payload: payload}
+	rep := Report{CtxType: g.CtxType, Label: g.label, Reporter: g.Mote.ID(), Payload: g.Runtime.ReportPayload()}
 	// Member readings are single-hop (no router involved), so the manager
 	// opens the report span itself; the leader's accept/reject closes it.
-	corr := radio.Corr{Origin: int32(g.m.ID()), Seq: g.m.NextCorrSeq()}
-	g.emitCorr(obs.EvReportSent, g.leaderID, g.label, corr, "")
-	g.m.SendTraced(trace.KindReading, g.leaderID, reportBits, rep, corr)
+	corr := radio.Corr{Origin: int32(g.Mote.ID()), Seq: g.Mote.NextCorrSeq()}
+	g.EmitCorr(obs.EvReportSent, trace.KindReading, g.leaderID, g.label, corr, "")
+	g.Mote.SendTraced(trace.KindReading, g.leaderID, reportBits, rep, corr)
 }
 
 func (g *Manager) stopReporting() {
-	g.stopTimer(&g.reportDelay)
+	g.reportDelay.Stop()
 	if g.reportTicker != nil {
 		g.reportTicker.Stop()
 	}
@@ -492,18 +440,18 @@ func (g *Manager) leaveMembership() {
 }
 
 func (g *Manager) stopMemberDuties() {
-	g.stopTimer(&g.receiveTimer)
+	g.receiveTimer.Stop()
 	g.stopReporting()
 }
 
 // rememberLabel stores wait memory of a nearby label.
 func (g *Manager) rememberLabel(label Label, leader radio.NodeID, weight uint64, state []byte) {
-	g.emit(obs.EvWaitTimerArmed, label, leader, 0)
+	g.Emit(obs.EvWaitTimerArmed, label, leader, 0)
 	g.waitLabel = label
 	g.waitLeader = leader
 	g.waitWeight = weight
 	g.waitState = state
-	g.waitUntil = g.m.Scheduler().DeadlineAfter(g.cfg.waitTimeout())
+	g.waitUntil = g.Mote.Scheduler().DeadlineAfter(g.Config.waitTimeout())
 }
 
 // setRole records a role transition, mirroring it into the mote's
@@ -511,14 +459,7 @@ func (g *Manager) rememberLabel(label Label, leader radio.NodeID, weight uint64,
 // role, which is what the group_size series probe counts).
 func (g *Manager) setRole(r Role) {
 	g.role = r
-	h, i := g.m.Hot()
-	h.SetMember(i, g.mask, r != RoleNone)
-}
-
-// stopTimer cancels a timer and resets the handle to the inert zero value.
-func (g *Manager) stopTimer(t *simtime.Timer) {
-	t.Stop()
-	*t = simtime.Timer{}
+	g.SetMember(r != RoleNone)
 }
 
 // --- frame handling ---
@@ -526,19 +467,19 @@ func (g *Manager) stopTimer(t *simtime.Timer) {
 func (g *Manager) handleFrame(f radio.Frame) bool {
 	switch msg := f.Payload.(type) {
 	case Heartbeat:
-		if msg.CtxType != g.ctxType {
+		if msg.CtxType != g.CtxType {
 			return false
 		}
 		g.onHeartbeat(msg, f.Corr)
 		return true
 	case Report:
-		if msg.CtxType != g.ctxType {
+		if msg.CtxType != g.CtxType {
 			return false
 		}
 		g.onReport(msg, f.Corr)
 		return true
 	case Relinquish:
-		if msg.CtxType != g.ctxType {
+		if msg.CtxType != g.CtxType {
 			return false
 		}
 		g.onRelinquish(msg)
@@ -605,7 +546,7 @@ func (g *Manager) seenEntry(label Label, leader radio.NodeID) *hbState {
 // broadcast-storm suppression cancels a pending rebroadcast when enough
 // copies are overheard first.
 func (g *Manager) forwardHeartbeat(st *hbState, hb Heartbeat, corr radio.Corr) {
-	if hb.Leader == g.m.ID() {
+	if hb.Leader == g.Mote.ID() {
 		return
 	}
 	if hb.HopsPast <= 0 {
@@ -625,8 +566,8 @@ func (g *Manager) forwardHeartbeat(st *hbState, hb Heartbeat, corr radio.Corr) {
 	pf.hb = hb
 	pf.hb.HopsPast = hb.HopsPast - 1
 	pf.corr = corr
-	delay := time.Duration(g.m.Rand().Float64() * float64(floodJitter))
-	pf.timer = g.m.Scheduler().AfterEventTimerOwned(delay, simtime.OwnerGroup, pendingForwardFire, pf)
+	delay := time.Duration(g.Mote.Rand().Float64() * float64(floodJitter))
+	pf.timer = g.Mote.Scheduler().AfterEventTimerOwned(delay, simtime.OwnerGroup, pendingForwardFire, pf)
 	st.pf = pf
 }
 
@@ -636,12 +577,12 @@ func pendingForwardFire(arg any) {
 	pf := arg.(*pendingForward)
 	g := pf.g
 	pf.st.pf = nil
-	if g.m.Failed() {
+	if g.Mote.Failed() {
 		g.recyclePF(pf)
 		return
 	}
-	if pf.dups >= g.cfg.FloodSuppress {
-		g.emit(obs.EvHeartbeatSuppressed, pf.hb.Label, pf.hb.Leader, pf.hb.Seq)
+	if pf.dups >= g.Config.FloodSuppress {
+		g.Emit(obs.EvHeartbeatSuppressed, pf.hb.Label, pf.hb.Leader, pf.hb.Seq)
 		g.recyclePF(pf)
 		return
 	}
@@ -649,8 +590,8 @@ func pendingForwardFire(arg any) {
 	bits := HeartbeatBits + len(pf.hb.State)*8
 	fwd, corr := pf.hb, pf.corr
 	g.recyclePF(pf)
-	g.m.BroadcastTraced(trace.KindHeartbeat, bits, fwd, corr)
-	g.emit(obs.EvHeartbeatForwarded, label, leader, seq)
+	g.Mote.BroadcastTraced(trace.KindHeartbeat, bits, fwd, corr)
+	g.Emit(obs.EvHeartbeatForwarded, label, leader, seq)
 }
 
 func (g *Manager) acquirePF() *pendingForward {
@@ -703,14 +644,14 @@ func (g *Manager) foreignOutranks(otherWeight, myWeight uint64, otherLabel, myLa
 
 func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 	if hb.Label == g.label {
-		if hb.Leader == g.m.ID() {
+		if hb.Leader == g.Mote.ID() {
 			return
 		}
 		// Two leaders within one context label: the lower-priority one
 		// yields immediately to prevent redundant behavior. (The chaosmut
 		// build suppresses the yield to prove the invariant checker.)
-		if !mutationSuppressYield && outranks(hb.Weight, g.weight, hb.Leader, g.m.ID()) {
-			g.recordEvent(trace.LabelYield, g.label)
+		if !mutationSuppressYield && outranks(hb.Weight, g.weight, hb.Leader, g.Mote.ID()) {
+			g.RecordEvent(trace.LabelYield, g.label)
 			g.becomeMember(hb.Label, hb.Leader, hb.Weight, hb.State)
 		}
 		return
@@ -718,10 +659,8 @@ func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 	// A different label of the same type: the smaller-weight label is
 	// spurious — delete it and join the heavier group.
 	if g.foreignOutranks(hb.Weight, g.weight, hb.Label, g.label) {
-		g.recordEvent(trace.LabelDeleted, g.label)
-		if g.cb.OnLabelDeleted != nil {
-			g.cb.OnLabelDeleted(g.label)
-		}
+		g.RecordEvent(trace.LabelDeleted, g.label)
+		g.Runtime.OnLabelDeleted(g.label)
 		if g.Sensing() {
 			g.becomeMember(hb.Label, hb.Leader, hb.Weight, hb.State)
 		} else {
@@ -764,23 +703,21 @@ func (g *Manager) onReport(rep Report, corr radio.Corr) {
 		// The reading reached a mote that is not (or no longer) the leader
 		// of its label — a handover or step-down raced the report cycle.
 		if corr.Seq != 0 {
-			g.emitCorr(obs.EvRouteDropped, rep.Reporter, rep.Label, corr, "stale_leader")
+			g.EmitCorr(obs.EvRouteDropped, trace.KindReading, rep.Reporter, rep.Label, corr, "stale_leader")
 		}
 		return
 	}
 	if corr.Seq != 0 {
-		g.emitCorr(obs.EvRouteDelivered, rep.Reporter, rep.Label, corr, "")
+		g.EmitCorr(obs.EvRouteDelivered, trace.KindReading, rep.Reporter, rep.Label, corr, "")
 	}
 	g.weight++
-	g.reporters[rep.Reporter] = g.m.Scheduler().Now()
-	if g.cb.OnReport != nil {
-		g.cb.OnReport(rep.Reporter, rep.Payload)
-	}
+	g.reporters[rep.Reporter] = g.Mote.Scheduler().Now()
+	g.Runtime.OnReport(rep.Reporter, rep.Payload)
 }
 
 func (g *Manager) onRelinquish(rel Relinquish) {
-	if rel.NewLeader == g.m.ID() && g.Sensing() && g.role != RoleLeader {
-		g.recordEvent(trace.LabelRelinquish, rel.Label)
+	if rel.NewLeader == g.Mote.ID() && g.Sensing() && g.role != RoleLeader {
+		g.RecordEvent(trace.LabelRelinquish, rel.Label)
 		g.becomeLeader(rel.Label, rel.Weight, rel.State)
 		return
 	}
@@ -790,85 +727,5 @@ func (g *Manager) onRelinquish(rel Relinquish) {
 		g.lastWeight = rel.Weight
 		g.lastState = rel.State
 		g.armReceiveTimer()
-	}
-}
-
-func (g *Manager) recordEvent(ty trace.LabelEventType, label Label) {
-	RecordLabelEvent(g.m, g.ctxType, g.ledger, ty, label)
-}
-
-// MustCtxMask returns ctxType's bit in the mote's HotState words, which a
-// tracking backend interns once at construction. It panics when the
-// HotState has no bit left: core.Stack rejects such a type before it
-// builds a backend.
-func MustCtxMask(m *mote.Mote, ctxType string) uint32 {
-	h, _ := m.Hot()
-	mask, ok := h.CtxMask(ctxType)
-	if !ok {
-		panic(fmt.Sprintf("group: context type %q exceeds the limit of %d context types", ctxType, mote.MaxContextTypes))
-	}
-	return mask
-}
-
-// RecordLabelEvent publishes one label-lifecycle event of a ctxType
-// tracking backend on mote m, and records it in ledger when that is
-// non-nil. Both backends record through it, so the coherence ledger and
-// the obs stream see one event shape whichever protocol runs.
-func RecordLabelEvent(m *mote.Mote, ctxType string, ledger *trace.Ledger, ty trace.LabelEventType, label Label) {
-	if ev, ok := obs.LabelEvent(ty); ok {
-		Emit(m, ctxType, ev, label, radio.Broadcast, 0)
-	}
-	if ledger == nil {
-		return
-	}
-	ledger.Record(trace.LabelEvent{
-		At:      m.Scheduler().Now(),
-		Type:    ty,
-		Label:   string(label),
-		CtxType: ctxType,
-		Mote:    int(m.ID()),
-	})
-}
-
-// emitCorr publishes one report-lifecycle event for a member reading,
-// carrying the reading's correlation key so the span assembler can stitch
-// it to the radio frames.
-func (g *Manager) emitCorr(ev obs.EventType, peer radio.NodeID, label Label, corr radio.Corr, cause string) {
-	if bus := g.m.Obs(); bus.Active() {
-		bus.Emit(obs.Event{
-			At:      g.m.Scheduler().Now(),
-			Type:    ev,
-			Mote:    int(g.m.ID()),
-			Peer:    int(peer),
-			CtxType: g.ctxType,
-			Pos:     g.m.Pos(),
-			Kind:    trace.KindReading,
-			Cause:   cause,
-			Label:   string(label),
-			Origin:  int(corr.Origin),
-			Seq:     uint64(corr.Seq),
-		})
-	}
-}
-
-func (g *Manager) emit(ev obs.EventType, label Label, peer radio.NodeID, seq uint64) {
-	Emit(g.m, g.ctxType, ev, label, peer, seq)
-}
-
-// Emit publishes one tracking-protocol event of a ctxType backend on mote
-// m. peer is the other mote involved (heartbeat origin, known leader,
-// chosen successor) or radio.Broadcast when there is none.
-func Emit(m *mote.Mote, ctxType string, ev obs.EventType, label Label, peer radio.NodeID, seq uint64) {
-	if bus := m.Obs(); bus.Active() {
-		bus.Emit(obs.Event{
-			At:      m.Scheduler().Now(),
-			Type:    ev,
-			Mote:    int(m.ID()),
-			Peer:    int(peer),
-			Label:   string(label),
-			CtxType: ctxType,
-			Pos:     m.Pos(),
-			Seq:     seq,
-		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/mote"
@@ -32,25 +33,67 @@ func newTestNet(t *testing.T, commRadius float64) *testNet {
 	var stats trace.Stats
 	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(11)), Stats: &stats}
 	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
+	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
+	env.Ledger = &trace.Ledger{}
 	return &testNet{
 		group:  group,
 		sched:  sched,
 		medium: medium,
-		env:    mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState()),
+		env:    env,
 		stats:  &stats,
-		ledger: &trace.Ledger{},
+		ledger: env.Ledger,
 		motes:  make(map[radio.NodeID]*mote.Mote),
 		mgrs:   make(map[radio.NodeID]*Manager),
 	}
 }
 
-func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config, cb Callbacks) *Manager {
+// hooks is a Runtime built from optional funcs; a nil one does nothing.
+type hooks struct {
+	payload    func() any
+	report     func(from radio.NodeID, payload any)
+	activate   func(label Label, state []byte)
+	deactivate func(label Label)
+	deleted    func(label Label)
+}
+
+func (h hooks) ReportPayload() any {
+	if h.payload == nil {
+		return nil
+	}
+	return h.payload()
+}
+
+func (h hooks) OnReport(from radio.NodeID, payload any) {
+	if h.report != nil {
+		h.report(from, payload)
+	}
+}
+
+func (h hooks) OnActivate(label Label, state []byte) {
+	if h.activate != nil {
+		h.activate(label, state)
+	}
+}
+
+func (h hooks) OnDeactivate(label Label) {
+	if h.deactivate != nil {
+		h.deactivate(label)
+	}
+}
+
+func (h hooks) OnLabelDeleted(label Label) {
+	if h.deleted != nil {
+		h.deleted(label)
+	}
+}
+
+func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config, rt hooks) *Manager {
 	t.Helper()
 	m, err := mote.New(id, pos, nil, n.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(m, "tracker", cfg, cb, n.ledger)
+	mgr := NewManager(m, "tracker", cfg, rt)
 	n.motes[id] = m
 	n.mgrs[id] = mgr
 	return mgr
@@ -76,8 +119,8 @@ var fastCfg = Config{
 func TestSingleNodeCreatesLabelAndLeads(t *testing.T) {
 	n := newTestNet(t, 2)
 	var gotLabel Label
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{
-		OnActivate: func(l Label, _ []byte) { gotLabel = l },
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{
+		activate: func(l Label, _ []byte) { gotLabel = l },
 	})
 	n.senseAt(1, 0, true)
 	n.runUntil(t, time.Second)
@@ -102,8 +145,8 @@ func TestSingleNodeCreatesLabelAndLeads(t *testing.T) {
 
 func TestSecondSensorJoinsExistingLabel(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 500*time.Millisecond, true)
 	n.runUntil(t, 2*time.Second)
@@ -128,7 +171,7 @@ func TestSecondSensorJoinsExistingLabel(t *testing.T) {
 func TestSimultaneousSensingConvergesToOneLabel(t *testing.T) {
 	n := newTestNet(t, 3)
 	for i := radio.NodeID(1); i <= 4; i++ {
-		n.add(t, i, geom.Pt(float64(i)*0.5, 0), fastCfg, Callbacks{})
+		n.add(t, i, geom.Pt(float64(i)*0.5, 0), fastCfg, hooks{})
 		n.senseAt(i, 0, true)
 	}
 	n.runUntil(t, 3*time.Second)
@@ -157,16 +200,16 @@ func TestSimultaneousSensingConvergesToOneLabel(t *testing.T) {
 func TestMemberReportsReachLeaderAndIncreaseWeight(t *testing.T) {
 	n := newTestNet(t, 2)
 	var reports []radio.NodeID
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{
-		OnReport: func(from radio.NodeID, payload any) {
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{
+		report: func(from radio.NodeID, payload any) {
 			reports = append(reports, from)
 			if payload != "data-2" {
 				t.Errorf("payload = %v, want data-2", payload)
 			}
 		},
 	})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{
-		ReportPayload: func() any { return "data-2" },
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{
+		payload: func() any { return "data-2" },
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 300*time.Millisecond, true)
@@ -182,8 +225,8 @@ func TestMemberReportsReachLeaderAndIncreaseWeight(t *testing.T) {
 
 func TestLeaderFailureTriggersTakeoverSameLabel(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.runUntil(t, time.Second)
@@ -209,10 +252,10 @@ func TestLeaderFailureTriggersTakeoverSameLabel(t *testing.T) {
 
 func TestTakeoverHappensAfterRoughlyTwoHeartbeats(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
 	var leadAt time.Duration
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{
-		OnActivate: func(Label, []byte) { leadAt = n.sched.Now() },
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{
+		activate: func(Label, []byte) { leadAt = n.sched.Now() },
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
@@ -233,8 +276,8 @@ func TestTakeoverHappensAfterRoughlyTwoHeartbeats(t *testing.T) {
 
 func TestRelinquishHandsLeadershipToReporter(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.runUntil(t, time.Second)
@@ -263,8 +306,8 @@ func TestRelinquishDisabledFallsBackToTakeover(t *testing.T) {
 	cfg := fastCfg
 	cfg.DisableRelinquish = true
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), cfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), cfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), cfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), cfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.runUntil(t, time.Second)
@@ -285,9 +328,9 @@ func TestWeightSuppressionDeletesSpuriousLabel(t *testing.T) {
 	// Two isolated groups form; then a bridge node lets them hear each
 	// other. The lighter label must be deleted.
 	n := newTestNet(t, 1.5)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{ReportPayload: func() any { return "x" }})
-	n.add(t, 3, geom.Pt(4, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{payload: func() any { return "x" }})
+	n.add(t, 3, geom.Pt(4, 0), fastCfg, hooks{})
 
 	// Group A (nodes 1,2) accumulates weight via reports; group B (node 3)
 	// stays weight 0.
@@ -307,7 +350,7 @@ func TestWeightSuppressionDeletesSpuriousLabel(t *testing.T) {
 
 	// Bridge: node 4 in range of both 3 and the A group, sensing, so it
 	// floods heartbeats across.
-	n.add(t, 4, geom.Pt(2.5, 0), fastCfg, Callbacks{})
+	n.add(t, 4, geom.Pt(2.5, 0), fastCfg, hooks{})
 	n.senseAt(4, 2*time.Second, true)
 	n.runUntil(t, 5*time.Second)
 
@@ -329,7 +372,7 @@ func TestLeaderYieldsToSameLabelHigherPriority(t *testing.T) {
 		t.Skip("protocol mutated (-tags chaosmut): yield rule is off")
 	}
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
 	// Node 2 is a raw mote used to inject a crafted heartbeat.
 	m2, err := mote.New(2, geom.Pt(1, 0), nil, n.env)
 	if err != nil {
@@ -367,7 +410,7 @@ func TestLeaderYieldsToSameLabelHigherPriority(t *testing.T) {
 
 func TestLeaderKeepsLeadingAgainstLowerPrioritySameLabel(t *testing.T) {
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 5, geom.Pt(0, 0), fastCfg, Callbacks{})
+	mgr := n.add(t, 5, geom.Pt(0, 0), fastCfg, hooks{})
 	m2, err := mote.New(2, geom.Pt(1, 0), nil, n.env)
 	if err != nil {
 		t.Fatal(err)
@@ -393,8 +436,8 @@ func TestLeaderKeepsLeadingAgainstLowerPrioritySameLabel(t *testing.T) {
 
 func TestWaitTimerJoinPreventsNewLabel(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	// Node 2 hears heartbeats while not sensing; it senses within the wait
 	// window (4.2 x 100 ms) of the last heartbeat and must join.
@@ -413,8 +456,8 @@ func TestWaitTimerJoinPreventsNewLabel(t *testing.T) {
 
 func TestNewLabelAfterWaitTimerExpiry(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(1, 200*time.Millisecond, false) // label dies with its only sensor
 	// Node 2 senses long after the 420 ms wait timer expired.
@@ -437,9 +480,9 @@ func TestHeartbeatPropagationPastPerimeter(t *testing.T) {
 		cfg := fastCfg
 		cfg.HopsPast = h
 		n := newTestNet(t, 1.2)
-		n.add(t, 0, geom.Pt(0, 0), cfg, Callbacks{})
-		n.add(t, 1, geom.Pt(1, 0), cfg, Callbacks{}) // relay, never senses
-		n.add(t, 2, geom.Pt(2, 0), cfg, Callbacks{})
+		n.add(t, 0, geom.Pt(0, 0), cfg, hooks{})
+		n.add(t, 1, geom.Pt(1, 0), cfg, hooks{}) // relay, never senses
+		n.add(t, 2, geom.Pt(2, 0), cfg, hooks{})
 		n.senseAt(0, 0, true)
 		n.senseAt(2, 300*time.Millisecond, true)
 		n.runUntil(t, 2*time.Second)
@@ -460,9 +503,9 @@ func TestGroupFloodingReachesMultiHopMembers(t *testing.T) {
 	cfg := fastCfg
 	cfg.HopsPast = 1
 	n := newTestNet(t, 1.2)
-	n.add(t, 0, geom.Pt(0, 0), cfg, Callbacks{})
-	n.add(t, 1, geom.Pt(1, 0), cfg, Callbacks{})
-	n.add(t, 2, geom.Pt(2, 0), cfg, Callbacks{})
+	n.add(t, 0, geom.Pt(0, 0), cfg, hooks{})
+	n.add(t, 1, geom.Pt(1, 0), cfg, hooks{})
+	n.add(t, 2, geom.Pt(2, 0), cfg, hooks{})
 	n.senseAt(0, 0, true)
 	n.senseAt(1, 300*time.Millisecond, true)
 	n.senseAt(2, 600*time.Millisecond, true)
@@ -479,9 +522,9 @@ func TestGroupFloodingReachesMultiHopMembers(t *testing.T) {
 func TestPersistentStateSurvivesTakeover(t *testing.T) {
 	n := newTestNet(t, 2)
 	var inherited []byte
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{
-		OnActivate: func(_ Label, state []byte) { inherited = state },
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{
+		activate: func(_ Label, state []byte) { inherited = state },
 	})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
@@ -499,7 +542,7 @@ func TestPersistentStateSurvivesTakeover(t *testing.T) {
 
 func TestSetStateIgnoredForNonLeader(t *testing.T) {
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
 	mgr.SetState([]byte("nope"))
 	if mgr.State() != nil {
 		t.Error("non-leader SetState should be ignored")
@@ -509,10 +552,10 @@ func TestSetStateIgnoredForNonLeader(t *testing.T) {
 func TestOnLoseLeadershipFires(t *testing.T) {
 	n := newTestNet(t, 2)
 	lost := 0
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{
-		OnDeactivate: func(Label) { lost++ },
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{
+		deactivate: func(Label) { lost++ },
 	})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.senseAt(1, time.Second, false)
@@ -524,8 +567,8 @@ func TestOnLoseLeadershipFires(t *testing.T) {
 
 func TestMemberLeavesWhenSensingStops(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.runUntil(t, time.Second)
@@ -560,9 +603,18 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
+// TestManagerSize pins the per-mote manager to its allocation size class:
+// one Manager per mote and context type, holding its runtime as one
+// interface value and reading the ledger from the mote's env.
+func TestManagerSize(t *testing.T) {
+	if size := unsafe.Sizeof(Manager{}); size > 384 {
+		t.Errorf("unsafe.Sizeof(Manager{}) = %d B, want <= 384 (its size class)", size)
+	}
+}
+
 func TestManagerStopCancelsTimers(t *testing.T) {
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.runUntil(t, 500*time.Millisecond)
 	mgr.Stop()
@@ -599,9 +651,9 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestManagerAccessors(t *testing.T) {
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	if mgr.CtxType() != "tracker" {
-		t.Errorf("CtxType = %q", mgr.CtxType())
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	if mgr.CtxType != "tracker" {
+		t.Errorf("CtxType = %q", mgr.CtxType)
 	}
 	if mgr.Sensing() {
 		t.Error("Sensing true before any SetSensing")
@@ -621,8 +673,8 @@ func TestManagerAccessors(t *testing.T) {
 
 func TestMemberLeaderIDAndState(t *testing.T) {
 	n := newTestNet(t, 2)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	member := n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	member := n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
 	n.senseAt(1, 0, true)
 	n.sched.AtOwned(100*time.Millisecond, simtime.OwnerNone, func() { n.mgrs[1].SetState([]byte("committed")) })
 	n.senseAt(2, 300*time.Millisecond, true)
@@ -644,7 +696,7 @@ func TestMemberLeaderIDAndState(t *testing.T) {
 // a relinquish.
 func TestFreshManagerState(t *testing.T) {
 	n := newTestNet(t, 2)
-	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
+	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
 	if id, ok := mgr.pickSuccessor(); ok {
 		t.Errorf("fresh manager picked successor %v", id)
 	}

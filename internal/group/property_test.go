@@ -53,7 +53,7 @@ func TestPropertyRandomSensingChurn(t *testing.T) {
 			n := newTestNet(t, 10) // clique: everyone hears everyone
 			const motes = 6
 			for i := 0; i < motes; i++ {
-				n.add(t, radio.NodeID(i), geom.Pt(float64(i), 0), fastCfg, Callbacks{})
+				n.add(t, radio.NodeID(i), geom.Pt(float64(i), 0), fastCfg, hooks{})
 			}
 			// Random churn for 10 virtual seconds.
 			for i := 0; i < 60; i++ {
@@ -104,7 +104,7 @@ func TestPropertyLeaderUniquenessOverTime(t *testing.T) {
 	n := newTestNet(t, 10)
 	const motes = 5
 	for i := 0; i < motes; i++ {
-		n.add(t, radio.NodeID(i), geom.Pt(float64(i)*0.5, 0), fastCfg, Callbacks{})
+		n.add(t, radio.NodeID(i), geom.Pt(float64(i)*0.5, 0), fastCfg, hooks{})
 		n.senseAt(radio.NodeID(i), 0, true)
 	}
 	// Sample every 350ms (between heartbeats; transient duels span at most
@@ -139,9 +139,9 @@ func TestPropertyLeaderUniquenessOverTime(t *testing.T) {
 // never decreases while a single mote holds leadership.
 func TestPropertyWeightMonotonicWithinLeadership(t *testing.T) {
 	n := newTestNet(t, 10)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, Callbacks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, Callbacks{ReportPayload: func() any { return "x" }})
-	n.add(t, 3, geom.Pt(0.5, 0.5), fastCfg, Callbacks{ReportPayload: func() any { return "y" }})
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{payload: func() any { return "x" }})
+	n.add(t, 3, geom.Pt(0.5, 0.5), fastCfg, hooks{payload: func() any { return "y" }})
 	n.senseAt(1, 0, true)
 	n.senseAt(2, 200*time.Millisecond, true)
 	n.senseAt(3, 300*time.Millisecond, true)
@@ -174,7 +174,7 @@ func TestManyTargetsManyGroups(t *testing.T) {
 	id := radio.NodeID(0)
 	for _, base := range clusterAt {
 		for i := 0; i < 3; i++ {
-			n.add(t, id, geom.Pt(base+float64(i)*0.5, 0), fastCfg, Callbacks{})
+			n.add(t, id, geom.Pt(base+float64(i)*0.5, 0), fastCfg, hooks{})
 			n.senseAt(id, 0, true)
 			id++
 		}

@@ -55,8 +55,9 @@ func (c Config) withDefaults() Config {
 
 // Env is what the motes of one scheduler shard share: the shard's
 // runtime (scheduler, RNG stream, stats, bus), the network's medium and
-// field, the motes' configuration and the network's HotState. A network
-// builds one per shard; a mote reads all of them through its env.
+// field, the motes' configuration, the network's HotState and its
+// coherence ledger. A network builds one per shard; a mote reads all of
+// them through its env.
 type Env struct {
 	radio.ShardRuntime
 	Medium *radio.Medium
@@ -64,6 +65,9 @@ type Env struct {
 	// Config has its defaults applied.
 	Config Config
 	Hot    *HotState
+	// Ledger records the tracking backends' label events; nil turns
+	// recording off.
+	Ledger *trace.Ledger
 }
 
 // NewEnv returns the environment of motes running on rt's shard.
@@ -151,6 +155,10 @@ func (m *Mote) NextCorrSeq() uint32 {
 
 // Config returns the mote's resource configuration (defaults applied).
 func (m *Mote) Config() Config { return m.env.Config }
+
+// Ledger returns the coherence ledger of the mote's env (nil when label
+// events go unrecorded).
+func (m *Mote) Ledger() *trace.Ledger { return m.env.Ledger }
 
 // Obs returns the mote's observability bus; protocol layers built on the
 // mote (group, transport, directory) emit through it. May be nil.

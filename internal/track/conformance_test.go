@@ -23,7 +23,7 @@ var fastCfg = group.Config{
 	CreationBackoff: 10 * time.Millisecond,
 }
 
-// cbEvent is one recorded Callbacks invocation.
+// cbEvent is one recorded Runtime call.
 type cbEvent struct {
 	kind  string // "activate" | "deactivate" | "deleted"
 	mote  radio.NodeID
@@ -62,8 +62,11 @@ type conformNet struct {
 	medium   *radio.Medium
 	hot      *mote.HotState
 	backends map[radio.NodeID]track.Backend
-	log      []cbEvent
-	obsLog   []obs.Event
+	// ledgers gives a mote's env its coherence ledger; motes absent from
+	// it record no label events.
+	ledgers map[radio.NodeID]*trace.Ledger
+	log     []cbEvent
+	obsLog  []obs.Event
 }
 
 func newConformNet(t *testing.T) *conformNet {
@@ -96,28 +99,36 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 	n.t.Helper()
 	// Each mote draws from its own RNG stream and emits into the net.
 	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(obsRecorder{n})}
-	m, err := mote.New(id, pos, nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
+	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
+	env.Ledger = n.ledgers[id]
+	m, err := mote.New(id, pos, nil, env)
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	record := func(kind string) func(group.Label) {
-		return func(l group.Label) {
-			n.log = append(n.log, cbEvent{kind: kind, mote: id, label: l, at: n.sched.Now()})
-		}
-	}
-	be, err := track.New(backend, m, "tracker", fastCfg, group.Callbacks{
-		OnActivate: func(l group.Label, state []byte) {
-			n.log = append(n.log, cbEvent{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
-		},
-		OnDeactivate:   record("deactivate"),
-		OnLabelDeleted: record("deleted"),
-	}, &trace.Ledger{})
+	be, err := track.New(backend, m, "tracker", fastCfg, recorder{n, id})
 	if err != nil {
 		n.t.Fatal(err)
 	}
 	n.backends[id] = be
 	return be
 }
+
+// recorder is mote id's Runtime: it logs activations, deactivations and
+// deletions into the net.
+type recorder struct {
+	n  *conformNet
+	id radio.NodeID
+}
+
+func (r recorder) record(kind string, l group.Label, state []byte) {
+	r.n.log = append(r.n.log, cbEvent{kind: kind, mote: r.id, label: l, state: state, at: r.n.sched.Now()})
+}
+
+func (r recorder) ReportPayload() any                     { return nil }
+func (r recorder) OnReport(radio.NodeID, any)             {}
+func (r recorder) OnActivate(l group.Label, state []byte) { r.record("activate", l, state) }
+func (r recorder) OnDeactivate(l group.Label)             { r.record("deactivate", l, nil) }
+func (r recorder) OnLabelDeleted(l group.Label)           { r.record("deleted", l, nil) }
 
 func (n *conformNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
 	n.sched.AtOwned(at, simtime.OwnerNone, func() { n.backends[id].SetSensing(sensing) })
@@ -279,11 +290,67 @@ func TestConformanceNoEventsAfterStop(t *testing.T) {
 	})
 }
 
+// TestConformanceLedgerFromEnv: a backend records every label event it
+// publishes in the coherence ledger of its mote's env, and records none
+// when that env has no ledger. Only mote 1's env has one; the handover
+// gives both motes label events.
+func TestConformanceLedgerFromEnv(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		n := newConformNet(t)
+		ledger := &trace.Ledger{}
+		n.ledgers = map[radio.NodeID]*trace.Ledger{1: ledger}
+		n.add(backend, 1, geom.Pt(0, 0))
+		n.add(backend, 2, geom.Pt(1, 0))
+		n.senseAt(1, 0, true)
+		n.senseAt(2, 300*time.Millisecond, true)
+		n.senseAt(1, 2*time.Second, false)
+		n.runUntil(5 * time.Second)
+
+		type labelEvent struct {
+			at    time.Duration
+			ty    obs.EventType
+			label string
+			mote  int
+		}
+		var published []labelEvent
+		unrecorded := 0
+		for _, ev := range n.obsLog {
+			switch ev.Type {
+			case obs.EvLabelCreated, obs.EvLabelTakeover, obs.EvLabelRelinquish, obs.EvLabelYield, obs.EvLabelDeleted:
+				if ev.Mote == 1 {
+					published = append(published, labelEvent{ev.At, ev.Type, ev.Label, ev.Mote})
+				} else {
+					unrecorded++
+				}
+			}
+		}
+		var recorded []labelEvent
+		for _, ev := range ledger.Events {
+			ty, ok := obs.LabelEvent(ev.Type)
+			if !ok || ev.CtxType != "tracker" {
+				t.Fatalf("ledger holds %+v, not a tracker label event", ev)
+			}
+			recorded = append(recorded, labelEvent{ev.At, ty, ev.Label, ev.Mote})
+		}
+		if len(published) == 0 || unrecorded == 0 {
+			t.Fatalf("mote 1 published %d label events, mote 2 %d; the run should give both some", len(published), unrecorded)
+		}
+		if len(recorded) != len(published) {
+			t.Fatalf("ledger holds %d events %+v, want mote 1's %d %+v", len(recorded), recorded, len(published), published)
+		}
+		for i := range published {
+			if recorded[i] != published[i] {
+				t.Errorf("ledger event %d = %+v, want %+v", i, recorded[i], published[i])
+			}
+		}
+	})
+}
+
 // TestNewRejectsUnknownBackend: New builds only the named backends; an
 // empty name is the caller's to resolve, not a silent default.
 func TestNewRejectsUnknownBackend(t *testing.T) {
 	for _, name := range []string{"no-such-backend", ""} {
-		if _, err := track.New(name, nil, "tracker", fastCfg, group.Callbacks{}, nil); err == nil {
+		if _, err := track.New(name, nil, "tracker", fastCfg, nil); err == nil {
 			t.Errorf("New(%q) succeeded, want error", name)
 		}
 		if track.Known(name) {

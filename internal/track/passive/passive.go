@@ -24,13 +24,12 @@
 // HeartbeatPeriod, and the whole trace field goes stale — forcing the
 // estimator to step down — after group.WaitFactor x HeartbeatPeriod.
 //
-// The backend takes the group protocol's Callbacks and records label
-// events through group.RecordLabelEvent; track.New builds it for the name
-// "passive".
+// The backend embeds the group protocol's per-mote plumbing (group.Base):
+// it drives the same group.Runtime and records label events the same way.
+// track.New builds it for the name "passive".
 package passive
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -51,7 +50,7 @@ const TraceBits = 16 * 8
 const gossipFanout = 8
 
 // Rec is one deposited trace record as carried in gossip frames. The
-// active estimator hands each remote record to Callbacks.OnReport as a
+// active estimator hands each remote record to Runtime.OnReport as a
 // *Rec into its trace field, valid for that call only.
 type Rec struct {
 	Mote radio.NodeID
@@ -73,23 +72,15 @@ type Gossip struct {
 
 // Backend is the per-mote passive-traces protocol instance.
 type Backend struct {
-	m       *mote.Mote
-	ctxType string
-	cfg     group.Config
-	cb      group.Callbacks
-	ledger  *trace.Ledger
+	group.Base
 
-	label group.Label
-	// mask is ctxType's bit in the mote's HotState words, whose sensing
-	// bit is the backend's sensing state. The flags share its word.
-	mask   uint32
+	label  group.Label
 	minted bool // label was minted by this mote (for deletion accounting)
 	active bool
 	// creationActivation marks the next activation as the minting one, so
 	// it records LabelCreated alone rather than a takeover.
 	creationActivation bool
 	stopped            bool // set by Stop; every timer and frame is ignored
-	labelSeq           int32
 	// haveActivePeer is set once gossip has carried another mote's
 	// active flag, last at lastActiveAt; a fresh foreign flag suppresses
 	// activation (stickiness).
@@ -104,25 +95,16 @@ type Backend struct {
 	est         Estimator
 
 	depositTimer  simtime.Timer
-	creationTimer simtime.Timer
 	staleTimer    simtime.Timer
 	takeoverTimer simtime.Timer
 }
 
 // New constructs the passive backend for one context type on mote m. The
 // protocol periods derive from cfg, the same timing the group protocol
-// reads.
-func New(m *mote.Mote, ctxType string, cfg group.Config, cb group.Callbacks, ledger *trace.Ledger) *Backend {
-	cfg = cfg.WithDefaults()
-	b := &Backend{
-		m:       m,
-		ctxType: ctxType,
-		cfg:     cfg,
-		cb:      cb,
-		ledger:  ledger,
-		mask:    group.MustCtxMask(m, ctxType),
-		est:     Estimator{window: staleness(cfg)},
-	}
+// reads; label events go to the ledger of the mote's env.
+func New(m *mote.Mote, ctxType string, cfg group.Config, rt group.Runtime) *Backend {
+	b := &Backend{Base: group.NewBase(m, ctxType, cfg, rt)}
+	b.est.window = staleness(b.Config)
 	m.AddFrameHandler(b.handleFrame)
 	return b
 }
@@ -133,7 +115,7 @@ func depositFire(arg any) {
 	if b.stopped {
 		return
 	}
-	if !b.m.Failed() && b.Sensing() && b.label != "" {
+	if !b.Mote.Failed() && b.Sensing() && b.label != "" {
 		b.deposit()
 	}
 	// Keep the chain alive through failures so a restored mote resumes
@@ -146,7 +128,7 @@ func depositFire(arg any) {
 // creationFire ends the label-creation backoff.
 func creationFire(arg any) {
 	b := arg.(*Backend)
-	if b.stopped || b.m.Failed() || !b.Sensing() {
+	if b.stopped || b.Mote.Failed() || !b.Sensing() {
 		return
 	}
 	if b.label == "" {
@@ -176,7 +158,7 @@ func takeoverFire(arg any) {
 	// Re-check eligibility at fire time: a fresh foreign active flag
 	// (another candidate won the race backoff) or an aged-out own trace
 	// calls the takeover off.
-	now := b.m.Scheduler().Now()
+	now := b.Mote.Scheduler().Now()
 	b.evictStale(now)
 	if b.eligible(now) {
 		b.activate()
@@ -204,29 +186,14 @@ func staleness(c group.Config) time.Duration {
 // SetSensing informs the backend of the mote's sensee() evaluation and
 // stores it as the mote's HotState sensing bit, as track.Backend requires.
 func (b *Backend) SetSensing(sensing bool) {
-	if b.m.Failed() || sensing == b.Sensing() {
+	if !b.WriteSensing(sensing) {
 		return
 	}
-	h, i := b.m.Hot()
-	h.SetSensing(i, b.mask, sensing)
 	if sensing {
 		b.onStartSensing()
 	} else {
 		b.onStopSensing()
 	}
-}
-
-// Sensing returns the last sensing state supplied via SetSensing.
-func (b *Backend) Sensing() bool {
-	h, i := b.m.Hot()
-	return h.Sensing(i, b.mask)
-}
-
-// setMember sets or clears the mote's HotState membership bit for the
-// type.
-func (b *Backend) setMember(on bool) {
-	h, i := b.m.Hot()
-	h.SetMember(i, b.mask, on)
 }
 
 // Label returns the context label this mote currently knows for the type.
@@ -259,10 +226,10 @@ func (b *Backend) State() []byte { return b.state }
 // Stop tears down all timers and silences the backend.
 func (b *Backend) Stop() {
 	b.stopped = true
-	b.stopTimer(&b.depositTimer)
-	b.stopTimer(&b.creationTimer)
-	b.stopTimer(&b.staleTimer)
-	b.stopTimer(&b.takeoverTimer)
+	b.depositTimer.Stop()
+	b.CreationTimer.Stop()
+	b.staleTimer.Stop()
+	b.takeoverTimer.Stop()
 }
 
 // Estimate interpolates the target position from this mote's view of the
@@ -277,13 +244,13 @@ func (b *Backend) onStartSensing() {
 	// Forget a fully evaporated label: with no live trace and no active
 	// episode the old label identity is stale memory, and a new detection
 	// is a new entity (the group protocol's expired wait timer).
-	b.evictStale(b.m.Scheduler().Now())
+	b.evictStale(b.Mote.Scheduler().Now())
 	if b.label != "" && len(b.traces) == 0 && !b.active {
 		b.label = ""
 		b.minted = false
 		b.creationActivation = false
 	}
-	b.setMember(b.label != "")
+	b.SetMember(b.label != "")
 	if b.label != "" {
 		// A label is already known (gossip memory or a previous episode):
 		// start depositing immediately.
@@ -291,19 +258,15 @@ func (b *Backend) onStartSensing() {
 		return
 	}
 	// No label known: back off briefly in case gossip is in flight, then
-	// mint one (the group protocol's creation backoff, same RNG shape).
-	if b.creationTimer.Pending() {
-		return
-	}
-	backoff := time.Duration(b.m.Rand().Float64() * float64(b.cfg.CreationBackoff))
-	b.creationTimer = b.m.Scheduler().AfterEventTimerOwned(backoff, simtime.OwnerGroup, creationFire, b)
+	// mint one (the group protocol's creation backoff).
+	b.ArmBackoff(&b.CreationTimer, creationFire, b)
 }
 
 func (b *Backend) onStopSensing() {
-	b.stopTimer(&b.depositTimer)
-	b.stopTimer(&b.creationTimer)
-	b.stopTimer(&b.takeoverTimer)
-	b.setMember(false)
+	b.depositTimer.Stop()
+	b.CreationTimer.Stop()
+	b.takeoverTimer.Stop()
+	b.SetMember(false)
 	if b.active {
 		b.deactivate()
 	}
@@ -312,15 +275,13 @@ func (b *Backend) onStopSensing() {
 // --- depositing and gossip ---
 
 func (b *Backend) mintLabel() {
-	b.labelSeq++
-	b.label = group.Label(fmt.Sprintf("%s/%d.%d", b.ctxType, b.m.ID(), b.labelSeq))
+	b.label = b.MintLabel()
 	b.minted = true
 	b.creationActivation = true
-	group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelCreated, b.label)
 }
 
 func (b *Backend) startDepositing() {
-	b.setMember(true)
+	b.SetMember(true)
 	if b.depositTimer.Pending() {
 		return
 	}
@@ -330,25 +291,25 @@ func (b *Backend) startDepositing() {
 }
 
 func (b *Backend) scheduleNextDeposit() {
-	jitter := 1 + group.JitterFrac*(b.m.Rand().Float64()-0.5)
-	d := time.Duration(float64(depositPeriod(b.cfg)) * jitter)
-	b.depositTimer = b.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
+	jitter := 1 + group.JitterFrac*(b.Mote.Rand().Float64()-0.5)
+	d := time.Duration(float64(depositPeriod(b.Config)) * jitter)
+	b.depositTimer = b.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
 }
 
 // deposit records a fresh own trace and gossips the recent trace field.
 func (b *Backend) deposit() {
-	now := b.m.Scheduler().Now()
-	corr := radio.Corr{Origin: int32(b.m.ID()), Seq: b.m.NextCorrSeq()}
-	rec := Rec{Mote: b.m.ID(), Pos: b.m.Pos(), At: now, Seq: uint64(corr.Seq)}
+	now := b.Mote.Scheduler().Now()
+	corr := radio.Corr{Origin: int32(b.Mote.ID()), Seq: b.Mote.NextCorrSeq()}
+	rec := Rec{Mote: b.Mote.ID(), Pos: b.Mote.Pos(), At: now, Seq: uint64(corr.Seq)}
 	b.integrate(rec)
 
 	traces := b.recentTraces(now)
 	bits := group.HeartbeatBits + len(traces)*TraceBits + len(b.state)*8
-	b.emitCorr(obs.EvReportSent, radio.Broadcast, corr, "")
-	b.m.BroadcastTraced(trace.KindTrace, bits, Gossip{
-		CtxType: b.ctxType,
+	b.EmitCorr(obs.EvReportSent, trace.KindTrace, radio.Broadcast, b.label, corr, "")
+	b.Mote.BroadcastTraced(trace.KindTrace, bits, Gossip{
+		CtxType: b.CtxType,
 		Label:   b.label,
-		From:    b.m.ID(),
+		From:    b.Mote.ID(),
 		Active:  b.active,
 		State:   b.state,
 		Traces:  traces,
@@ -364,7 +325,7 @@ func (b *Backend) deposit() {
 // always included. Mote ids are unique in the field, so the order is
 // total and the selection below yields what a full sort would.
 func (b *Backend) recentTraces(now time.Duration) []Rec {
-	horizon := now - staleness(b.cfg)
+	horizon := now - staleness(b.Config)
 	var top [gossipFanout]Rec
 	n := 0
 	for _, r := range b.traces {
@@ -393,18 +354,15 @@ func newer(a, b Rec) bool {
 }
 
 // findRec returns the index of mote id's record in the id-sorted traces,
-// or where it would be inserted.
+// or where it would be inserted. The field holds about a dozen records,
+// where a linear scan beats a binary search.
 func findRec(traces []Rec, id radio.NodeID) int {
-	lo, hi := 0, len(traces)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if traces[h].Mote < id {
-			lo = h + 1
-		} else {
-			hi = h
+	for i := range traces {
+		if traces[i].Mote >= id {
+			return i
 		}
 	}
-	return lo
+	return len(traces)
 }
 
 // integrate merges one trace record into the local field; returns true
@@ -423,8 +381,8 @@ func (b *Backend) integrate(rec Rec) bool {
 	}
 	b.tracesFloor = min(b.tracesFloor, rec.At)
 	b.est.Add(Point{At: rec.At, Pos: rec.Pos})
-	if b.active && b.cb.OnReport != nil && rec.Mote != b.m.ID() {
-		b.cb.OnReport(rec.Mote, &b.traces[i])
+	if b.active && rec.Mote != b.Mote.ID() {
+		b.Runtime.OnReport(rec.Mote, &b.traces[i])
 	}
 	return true
 }
@@ -433,7 +391,7 @@ func (b *Backend) integrate(rec Rec) bool {
 
 func (b *Backend) handleFrame(f radio.Frame) bool {
 	g, ok := f.Payload.(Gossip)
-	if !ok || g.CtxType != b.ctxType {
+	if !ok || g.CtxType != b.CtxType {
 		return false
 	}
 	b.onGossip(g, f.Corr)
@@ -448,10 +406,10 @@ func (b *Backend) onGossip(g Gossip, corr radio.Corr) {
 	if g.State != nil && (g.Active || b.state == nil) {
 		b.state = g.State
 	}
-	if g.Active && g.From != b.m.ID() {
-		b.lastActiveAt = b.m.Scheduler().Now()
+	if g.Active && g.From != b.Mote.ID() {
+		b.lastActiveAt = b.Mote.Scheduler().Now()
 		b.haveActivePeer = true
-		if b.active && g.From < b.m.ID() {
+		if b.active && g.From < b.Mote.ID() {
 			// Concurrent estimators converge by id: the higher yields.
 			b.deactivate()
 		}
@@ -466,15 +424,15 @@ func (b *Backend) onGossip(g Gossip, corr radio.Corr) {
 	// as stale otherwise (the passive analogue of "stale_leader").
 	if corr.Seq != 0 {
 		if fresh > 0 {
-			b.emitCorr(obs.EvRouteDelivered, g.From, corr, "")
+			b.EmitCorr(obs.EvRouteDelivered, trace.KindTrace, g.From, b.label, corr, "")
 		} else {
-			b.emitCorr(obs.EvRouteDropped, g.From, corr, "stale_trace")
+			b.EmitCorr(obs.EvRouteDropped, trace.KindTrace, g.From, b.label, corr, "stale_trace")
 		}
 	}
 	// Gossip while sensing but before the creation backoff fired: the
 	// label exists, start depositing against it right away.
-	if b.Sensing() && !b.depositTimer.Pending() && b.label != "" && !b.m.Failed() {
-		b.stopTimer(&b.creationTimer)
+	if b.Sensing() && !b.depositTimer.Pending() && b.label != "" && !b.Mote.Failed() {
+		b.CreationTimer.Stop()
 		b.startDepositing()
 		return // startDepositing deposited, which reevaluated
 	}
@@ -492,7 +450,7 @@ func (b *Backend) adoptLabel(label group.Label) {
 		b.label = label
 		b.minted = false
 		if b.Sensing() {
-			group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
+			b.Emit(obs.EvLabelJoined, label, radio.Broadcast, 0)
 		}
 		return
 	}
@@ -507,16 +465,14 @@ func (b *Backend) adoptLabel(label group.Label) {
 	if b.minted {
 		// Our minted label lost the merge: delete it, mirroring the group
 		// protocol's weight-based spurious-label suppression.
-		group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelDeleted, old)
-		if b.cb.OnLabelDeleted != nil {
-			b.cb.OnLabelDeleted(old)
-		}
+		b.RecordEvent(trace.LabelDeleted, old)
+		b.Runtime.OnLabelDeleted(old)
 	}
 	b.label = label
 	b.minted = false
 	b.creationActivation = false
 	if b.Sensing() {
-		group.Emit(b.m, b.ctxType, obs.EvLabelJoined, label, radio.Broadcast, 0)
+		b.Emit(obs.EvLabelJoined, label, radio.Broadcast, 0)
 	}
 }
 
@@ -536,33 +492,35 @@ func (b *Backend) adoptLabel(label group.Label) {
 // exception: it activates synchronously, since by construction it minted
 // because no gossip reached it — there is no one to race.
 func (b *Backend) reevaluate() {
-	now := b.m.Scheduler().Now()
+	now := b.Mote.Scheduler().Now()
 	b.evictStale(now)
 
 	if b.active {
-		ownOK := b.Sensing() && b.label != "" && !b.m.Failed() && b.ownFresh(now)
+		ownOK := b.Sensing() && b.label != "" && !b.Mote.Failed() && b.ownFresh(now)
 		if !ownOK {
 			b.deactivate()
 		}
 		return
 	}
-	if b.creationActivation && b.Sensing() && b.label != "" && !b.m.Failed() {
+	if b.creationActivation && b.Sensing() && b.label != "" && !b.Mote.Failed() {
 		b.activate()
 		return
 	}
+	// A pending backoff is left to run: re-arming on every gossip would
+	// push the fire time around and re-randomize the race.
 	if b.eligible(now) {
-		b.armTakeoverTimer()
+		b.ArmBackoff(&b.takeoverTimer, takeoverFire, b)
 	} else {
-		b.stopTimer(&b.takeoverTimer)
+		b.takeoverTimer.Stop()
 	}
 }
 
 // ownFresh reports whether this mote's own trace is inside the
 // estimator-candidacy window.
 func (b *Backend) ownFresh(now time.Duration) bool {
-	id := b.m.ID()
+	id := b.Mote.ID()
 	i := findRec(b.traces, id)
-	return i < len(b.traces) && b.traces[i].Mote == id && b.traces[i].At >= now-freshSlack(b.cfg)
+	return i < len(b.traces) && b.traces[i].Mote == id && b.traces[i].At >= now-freshSlack(b.Config)
 }
 
 // eligible is the inactive-candidate condition: sensing against a label,
@@ -574,24 +532,13 @@ func (b *Backend) ownFresh(now time.Duration) bool {
 // trace, while the closest mote keeps the role for about half a sensing
 // window.
 func (b *Backend) eligible(now time.Duration) bool {
-	if b.active || !b.Sensing() || b.label == "" || b.m.Failed() {
+	if b.active || !b.Sensing() || b.label == "" || b.Mote.Failed() {
 		return false
 	}
-	if b.haveActivePeer && now-b.lastActiveAt <= freshSlack(b.cfg) {
+	if b.haveActivePeer && now-b.lastActiveAt <= freshSlack(b.Config) {
 		return false
 	}
-	return b.ownFresh(now) && b.bestCandidate(now) == b.m.ID()
-}
-
-// armTakeoverTimer schedules the takeover re-check after a fresh random
-// backoff; a pending backoff is left to run (re-arming on every gossip
-// would push the fire time around and re-randomize the race).
-func (b *Backend) armTakeoverTimer() {
-	if b.takeoverTimer.Pending() {
-		return
-	}
-	d := time.Duration(b.m.Rand().Float64() * float64(b.cfg.CreationBackoff))
-	b.takeoverTimer = b.m.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, takeoverFire, b)
+	return b.ownFresh(now) && b.bestCandidate(now) == b.Mote.ID()
 }
 
 // announce deposits (and therefore gossips) immediately after a
@@ -599,7 +546,7 @@ func (b *Backend) armTakeoverTimer() {
 // candidates before their own backoffs fire, instead of waiting out the
 // rest of the jittered deposit period.
 func (b *Backend) announce() {
-	if b.m.Failed() || !b.Sensing() || b.label == "" {
+	if b.Mote.Failed() || !b.Sensing() || b.label == "" {
 		return
 	}
 	b.deposit()
@@ -614,7 +561,7 @@ func (b *Backend) bestCandidate(now time.Duration) radio.NodeID {
 	if !ok {
 		return -1
 	}
-	slackHorizon := now - freshSlack(b.cfg)
+	slackHorizon := now - freshSlack(b.Config)
 	best := radio.NodeID(-1)
 	bestDist := 0.0
 	for _, r := range b.traces {
@@ -634,7 +581,7 @@ func (b *Backend) bestCandidate(now time.Duration) radio.NodeID {
 // field only once the horizon passes tracesFloor, moves records only
 // from the first stale one on, and leaves tracesFloor exact.
 func (b *Backend) evictStale(now time.Duration) {
-	if horizon := now - staleness(b.cfg); b.tracesFloor < horizon {
+	if horizon := now - staleness(b.Config); b.tracesFloor < horizon {
 		floor := time.Duration(math.MaxInt64)
 		n := 0
 		for i, r := range b.traces {
@@ -654,24 +601,20 @@ func (b *Backend) evictStale(now time.Duration) {
 
 func (b *Backend) activate() {
 	b.active = true
-	b.stopTimer(&b.takeoverTimer)
+	b.takeoverTimer.Stop()
 	if b.creationActivation {
 		// The minting activation: LabelCreated was already recorded.
 		b.creationActivation = false
 	} else {
 		// The estimator role moved here: a successful handover.
-		group.RecordLabelEvent(b.m, b.ctxType, b.ledger, trace.LabelTakeover, b.label)
+		b.RecordEvent(trace.LabelTakeover, b.label)
 	}
-	if b.cb.OnActivate != nil {
-		b.cb.OnActivate(b.label, b.state)
-	}
+	b.Runtime.OnActivate(b.label, b.state)
 	// Replay the live trace field into the freshly built aggregation
 	// windows, in deterministic mote-id order.
-	if b.cb.OnReport != nil {
-		for i := range b.traces {
-			if r := &b.traces[i]; r.Mote != b.m.ID() {
-				b.cb.OnReport(r.Mote, r)
-			}
+	for i := range b.traces {
+		if r := &b.traces[i]; r.Mote != b.Mote.ID() {
+			b.Runtime.OnReport(r.Mote, r)
 		}
 	}
 	b.armStaleTimer()
@@ -680,43 +623,14 @@ func (b *Backend) activate() {
 func (b *Backend) deactivate() {
 	label := b.label
 	b.active = false
-	b.stopTimer(&b.staleTimer)
-	group.Emit(b.m, b.ctxType, obs.EvLeaderStepDown, label, radio.Broadcast, 0)
-	if b.cb.OnDeactivate != nil {
-		b.cb.OnDeactivate(label)
-	}
+	b.staleTimer.Stop()
+	b.Emit(obs.EvLeaderStepDown, label, radio.Broadcast, 0)
+	b.Runtime.OnDeactivate(label)
 }
 
 // armStaleTimer schedules the estimate-staleness check: if the whole
 // trace field ages past the staleness bound, the estimator steps down.
 func (b *Backend) armStaleTimer() {
-	b.stopTimer(&b.staleTimer)
-	b.staleTimer = b.m.Scheduler().AfterEventTimerOwned(staleness(b.cfg), simtime.OwnerGroup, staleFire, b)
-}
-
-// --- bookkeeping ---
-
-func (b *Backend) stopTimer(t *simtime.Timer) {
-	t.Stop()
-	*t = simtime.Timer{}
-}
-
-// emitCorr publishes one report-lifecycle event for a gossip frame,
-// carrying its correlation key for span assembly and invariant checking.
-func (b *Backend) emitCorr(ev obs.EventType, peer radio.NodeID, corr radio.Corr, cause string) {
-	if bus := b.m.Obs(); bus.Active() {
-		bus.Emit(obs.Event{
-			At:      b.m.Scheduler().Now(),
-			Type:    ev,
-			Mote:    int(b.m.ID()),
-			Peer:    int(peer),
-			CtxType: b.ctxType,
-			Pos:     b.m.Pos(),
-			Kind:    trace.KindTrace,
-			Cause:   cause,
-			Label:   string(b.label),
-			Origin:  int(corr.Origin),
-			Seq:     uint64(corr.Seq),
-		})
-	}
+	b.staleTimer.Stop()
+	b.staleTimer = b.Mote.Scheduler().AfterEventTimerOwned(staleness(b.Config), simtime.OwnerGroup, staleFire, b)
 }

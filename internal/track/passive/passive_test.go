@@ -2,6 +2,7 @@ package passive
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 	"unsafe"
@@ -23,7 +24,7 @@ var testCfg = group.Config{
 	CreationBackoff: 10 * time.Millisecond,
 }
 
-// call is one recorded Callbacks invocation.
+// call is one recorded Runtime call.
 type call struct {
 	kind  string // "activate" | "deactivate" | "deleted" | "report"
 	mote  radio.NodeID
@@ -72,28 +73,37 @@ func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 	n.t.Helper()
 	// Each mote draws from its own RNG stream and emits into the net.
 	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
-	m, err := mote.New(id, pos, nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
+	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
+	env.Ledger = n.ledger
+	m, err := mote.New(id, pos, nil, env)
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	record := func(kind string) func(group.Label) {
-		return func(l group.Label) {
-			n.calls = append(n.calls, call{kind: kind, mote: id, label: l, at: n.sched.Now()})
-		}
-	}
-	b := New(m, "tracker", testCfg, group.Callbacks{
-		OnReport: func(from radio.NodeID, _ any) {
-			n.calls = append(n.calls, call{kind: "report", mote: id, from: from, at: n.sched.Now()})
-		},
-		OnActivate: func(l group.Label, state []byte) {
-			n.calls = append(n.calls, call{kind: "activate", mote: id, label: l, state: state, at: n.sched.Now()})
-		},
-		OnDeactivate:   record("deactivate"),
-		OnLabelDeleted: record("deleted"),
-	}, n.ledger)
+	b := New(m, "tracker", testCfg, recorder{n, id})
 	n.motes[id], n.be[id] = m, b
 	return b
 }
+
+// recorder is mote id's Runtime: it records every call into the net.
+type recorder struct {
+	n  *testNet
+	id radio.NodeID
+}
+
+func (r recorder) record(c call) {
+	c.mote, c.at = r.id, r.n.sched.Now()
+	r.n.calls = append(r.n.calls, c)
+}
+
+func (r recorder) ReportPayload() any { return nil }
+func (r recorder) OnReport(from radio.NodeID, _ any) {
+	r.record(call{kind: "report", from: from})
+}
+func (r recorder) OnActivate(l group.Label, state []byte) {
+	r.record(call{kind: "activate", label: l, state: state})
+}
+func (r recorder) OnDeactivate(l group.Label)   { r.record(call{kind: "deactivate", label: l}) }
+func (r recorder) OnLabelDeleted(l group.Label) { r.record(call{kind: "deleted", label: l}) }
 
 // at runs fn at sim time d.
 func (n *testNet) at(d time.Duration, fn func()) {
@@ -221,10 +231,10 @@ func TestGossipAdoptsLabelAndMergesTraces(t *testing.T) {
 	}
 	for _, be := range []*Backend{a, b} {
 		if len(be.traces) != 2 || be.traces[0].Mote != 1 || be.traces[1].Mote != 2 {
-			t.Fatalf("mote %d trace field %+v, want one record each from motes 1 and 2", be.m.ID(), be.traces)
+			t.Fatalf("mote %d trace field %+v, want one record each from motes 1 and 2", be.Mote.ID(), be.traces)
 		}
 		if _, ok := be.Estimate(n.sched.Now()); !ok {
-			t.Errorf("mote %d has live traces but no estimate", be.m.ID())
+			t.Errorf("mote %d has live traces but no estimate", be.Mote.ID())
 		}
 	}
 	reports := n.callsOf("report", 1)
@@ -283,14 +293,17 @@ func TestGossipSpanAndRecordMerge(t *testing.T) {
 // one nanosecond past it, and clock jumps that empty the field. After
 // every eviction it checks the field against a plain filter of the
 // latest record per mote: evictStale's skipped scans must never keep a
-// stale record.
+// stale record. It also checks findRec against sort.Search on every
+// field it builds, the empty one included, for every id from one below
+// the smallest to one past the largest: first, last and absent ids.
 func TestEvictStaleMatchesFilter(t *testing.T) {
 	n := newTestNet(t)
 	b := n.add(1, geom.Pt(0, 0))
-	stale := staleness(b.cfg)
+	stale := staleness(b.Config)
 	rng := rand.New(rand.NewSource(3))
 	latest := map[radio.NodeID]Rec{}
 	now, seq := time.Duration(0), uint64(0)
+	empty := 0
 	for step := 0; step < 5000; step++ {
 		for k := rng.Intn(4); k > 0; k-- {
 			seq++
@@ -328,6 +341,18 @@ func TestEvictStaleMatchesFilter(t *testing.T) {
 				t.Fatalf("step %d: traces[%d] = %+v, want %+v", step, i, b.traces[i], want[i])
 			}
 		}
+		if len(b.traces) == 0 {
+			empty++
+		}
+		for id := radio.NodeID(-1); id <= 40; id++ {
+			want := sort.Search(len(b.traces), func(i int) bool { return b.traces[i].Mote >= id })
+			if got := findRec(b.traces, id); got != want {
+				t.Fatalf("step %d: findRec(%d) = %d, want %d in %+v", step, id, got, want, b.traces)
+			}
+		}
+	}
+	if empty == 0 {
+		t.Error("no step emptied the field")
 	}
 }
 
@@ -478,7 +503,7 @@ func TestStopSilencesBackend(t *testing.T) {
 	n.at(stopAt, func() { a.Stop() })
 	n.run(2 * time.Second)
 
-	for _, tm := range []*simtime.Timer{&a.depositTimer, &a.creationTimer, &a.staleTimer, &a.takeoverTimer} {
+	for _, tm := range []*simtime.Timer{&a.depositTimer, &a.CreationTimer, &a.staleTimer, &a.takeoverTimer} {
 		if tm.Pending() {
 			t.Fatal("a timer is still pending after Stop")
 		}
@@ -498,12 +523,12 @@ func TestStopSilencesBackend(t *testing.T) {
 }
 
 // TestBackendSize pins the per-mote backend to its allocation size class:
-// one Backend per mote and context type, with the estimator embedded and
-// the timers scheduled through package-level handlers rather than
-// per-mote closures.
+// one Backend per mote and context type, with the estimator embedded, the
+// runtime held as one interface value, and the timers scheduled through
+// package-level handlers rather than per-mote closures.
 func TestBackendSize(t *testing.T) {
-	if size := unsafe.Sizeof(Backend{}); size > 384 {
-		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 384 (its size class)", size)
+	if size := unsafe.Sizeof(Backend{}); size > 352 {
+		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 352 (its size class)", size)
 	}
 }
 
@@ -540,7 +565,7 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 	recs := make([]Rec, gossipFanout)
 	f := &gossipFeed{
 		n:    n,
-		b:    New(m, "tracker", testCfg, group.Callbacks{}, n.ledger),
+		b:    New(m, "tracker", testCfg, recorder{n, 1}),
 		recs: recs,
 		frame: radio.Frame{
 			Payload: Gossip{CtxType: "tracker", Label: "tracker/10.1", From: 10, Traces: recs},
@@ -558,7 +583,7 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 // feedFire delivers the refreshed gossip frame.
 func feedFire(arg any) {
 	f := arg.(*gossipFeed)
-	now := f.b.m.Scheduler().Now()
+	now := f.b.Mote.Scheduler().Now()
 	f.seq++
 	for i := range f.recs {
 		id := int(f.seq*gossipFanout+uint64(i)) % feedRing

@@ -20,7 +20,6 @@ import (
 
 	"envirotrack/internal/group"
 	"envirotrack/internal/mote"
-	"envirotrack/internal/trace"
 	"envirotrack/internal/track/passive"
 )
 
@@ -37,10 +36,11 @@ const (
 // Backend is the tracking-protocol interface the context runtime drives.
 // Inputs arrive as sensing transitions (SetSensing), received frames (the
 // backend registers its own mote frame handler), and virtual-clock timers
-// the backend arms itself. Outputs are the group.Callbacks plus the
-// obs/ledger events the backend emits; report-lifecycle events must carry
-// radio.Corr correlation headers so spans, ettrace, and the invariant
-// checker work against any backend.
+// the backend arms itself. Outputs are calls on the group.Runtime the
+// backend was built with, and the obs events and coherence-ledger records
+// of its embedded group.Base; report-lifecycle events carry radio.Corr
+// correlation headers so spans, ettrace, and the invariant checker work
+// against any backend.
 type Backend interface {
 	// SetSensing informs the backend of the mote's current sensee()
 	// evaluation. It must record the value in the mote's HotState sensing
@@ -71,14 +71,15 @@ var (
 	_ Backend = (*passive.Backend)(nil)
 )
 
-// New constructs the named backend for one context type on mote m. The
-// caller resolves an empty name to its default before calling.
-func New(name string, m *mote.Mote, ctxType string, cfg group.Config, cb group.Callbacks, ledger *trace.Ledger) (Backend, error) {
+// New constructs the named backend for one context type on mote m,
+// driving rt; label events go to the ledger of the mote's env. The caller
+// resolves an empty name to its default before calling.
+func New(name string, m *mote.Mote, ctxType string, cfg group.Config, rt group.Runtime) (Backend, error) {
 	switch name {
 	case BackendLeader:
-		return group.NewManager(m, ctxType, cfg, cb, ledger), nil
+		return group.NewManager(m, ctxType, cfg, rt), nil
 	case BackendPassive:
-		return passive.New(m, ctxType, cfg, cb, ledger), nil
+		return passive.New(m, ctxType, cfg, rt), nil
 	}
 	return nil, fmt.Errorf("track: unknown backend %q (have %v)", name, Names())
 }

@@ -193,7 +193,7 @@ type Network struct {
 	// serial engine); shardOf maps a position to its owning shard, and
 	// envs[i] is the environment of shard i's motes: its scheduler, RNG
 	// stream, stats accumulator and bus, and the network's medium, field,
-	// mote configuration and HotState.
+	// mote configuration, HotState and ledger.
 	group   *simtime.ShardGroup
 	shardOf func(geom.Point) int32
 	envs    []*mote.Env
@@ -293,6 +293,7 @@ func New(opts ...Option) (*Network, error) {
 	}, n.shardOf, rts...)
 	for i, rt := range rts {
 		n.envs[i] = mote.NewEnv(rt, n.medium, n.field, cfg.moteCfg, n.hot)
+		n.envs[i].Ledger = n.ledger
 	}
 
 	if cfg.cols > 0 && cfg.rows > 0 {
@@ -384,7 +385,7 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 		Bounds:       n.cfg.bounds,
 		UseDirectory: n.cfg.directory,
 		Backend:      n.cfg.backend,
-	}, n.ledger)
+	})
 	node := &Node{net: n, mote: m, stack: stack}
 	n.nodes[id] = node
 	return node, nil
