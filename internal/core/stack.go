@@ -51,9 +51,11 @@ func ReportPeriod(le time.Duration) time.Duration {
 	return le / 2
 }
 
-// Stack is the EnviroTrack middleware instance on one mote. It wires the
-// transport endpoint (which must snoop frames before the group managers),
-// the directory service, and one context runtime per declared type.
+// Stack is the EnviroTrack middleware instance on one mote: the router,
+// the directory service, the transport endpoint and one context runtime
+// per declared type. It is the mote's receiver and its router's target,
+// so the order in which the layers see a frame or a routed message is
+// written here alone (see Receive and Deliver).
 type Stack struct {
 	m      *mote.Mote
 	router *routing.Router
@@ -79,19 +81,43 @@ func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
 	if cfg.Backend == "" {
 		cfg.Backend = track.BackendLeader
 	}
-	router := routing.NewRouter(m)
-	dir := directory.NewService(m, router, directory.Config{Bounds: cfg.Bounds})
-	ep := transport.NewEndpoint(m, router, dir)
-	s := &Stack{
-		m:            m,
-		router:       router,
-		dir:          dir,
-		ep:           ep,
-		useDirectory: cfg.UseDirectory,
-		backend:      cfg.Backend,
-	}
-	router.AddHandler(s.handleNodeMessage)
+	s := &Stack{m: m, useDirectory: cfg.UseDirectory, backend: cfg.Backend}
+	s.router = routing.NewRouter(m, s)
+	s.dir = directory.NewService(m, s.router, directory.Config{Bounds: cfg.Bounds})
+	s.ep = transport.NewEndpoint(m, s.router, s.dir)
+	m.SetReceiver(s)
 	return s
+}
+
+// Receive is the mote's frame dispatch. The router takes routed frames.
+// Any other frame is then offered to the transport endpoint, which reads
+// heartbeats without consuming them, so it learns a leader even from a
+// heartbeat a backend consumes. Last, the attached types' backends see
+// the frame in attach order, until one consumes it.
+func (s *Stack) Receive(f radio.Frame) {
+	if s.router.HandleFrame(f) {
+		return
+	}
+	s.ep.SnoopHeartbeat(f)
+	for _, rt := range s.runtimes {
+		if rt.be.HandleFrame(f) {
+			return
+		}
+	}
+}
+
+// Deliver is the dispatch of the routed messages that terminate at this
+// mote: the directory first, then transport, then the node-message
+// handlers.
+func (s *Stack) Deliver(msg routing.Message) {
+	if s.dir.Handle(msg) || s.ep.HandleRouted(msg) {
+		return
+	}
+	if nm, ok := msg.Payload.(NodeMessage); ok {
+		for _, fn := range s.nodeMsgHandlers {
+			fn(nm)
+		}
+	}
 }
 
 // Mote returns the underlying mote.
@@ -110,17 +136,6 @@ func (s *Stack) Router() *routing.Router { return s.router }
 // mote by object code (Ctx.SendNode) — the pursuer/base-station pattern.
 func (s *Stack) OnNodeMessage(fn func(NodeMessage)) {
 	s.nodeMsgHandlers = append(s.nodeMsgHandlers, fn)
-}
-
-func (s *Stack) handleNodeMessage(msg routing.Message) bool {
-	nm, ok := msg.Payload.(NodeMessage)
-	if !ok {
-		return false
-	}
-	for _, fn := range s.nodeMsgHandlers {
-		fn(nm)
-	}
-	return true
 }
 
 // AttachContext validates a context type and installs it on this mote.
@@ -246,7 +261,7 @@ func (s *Stack) AttachStatic(label group.Label, objects []ObjectSpec) (*Ctx, err
 	}
 	ctx := &Ctx{stack: s, label: label}
 	s.ep.SetLeading(label, true)
-	s.serve(ctx, transportLabelType(label), objects)
+	s.serve(ctx, label.Type(), objects)
 	return ctx, nil
 }
 
@@ -294,18 +309,6 @@ func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []trans
 		}))
 	}
 	return ports, tickers
-}
-
-// transportLabelType mirrors transport's label-type derivation for static
-// labels of the canonical "type/..." form.
-func transportLabelType(l group.Label) string {
-	s := string(l)
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			return s[:i]
-		}
-	}
-	return s
 }
 
 // ctxRuntime is the per-mote runtime state of one context type: the

@@ -12,9 +12,11 @@ import (
 	"envirotrack/internal/mote"
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
+	"envirotrack/internal/routing"
 	"envirotrack/internal/sensor"
 	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
+	"envirotrack/internal/track"
 	"envirotrack/internal/transport"
 )
 
@@ -650,5 +652,61 @@ func TestDeactivationOverride(t *testing.T) {
 	// senses because the intensity remains above the floor.
 	if !rt.Backend().Sensing() {
 		t.Error("deactivation override did not hold sensing on")
+	}
+}
+
+// spyBackend counts the frames the stack offers a backend and those the
+// backend consumed.
+type spyBackend struct {
+	track.Backend
+	frames, consumed int
+}
+
+func (s *spyBackend) HandleFrame(f radio.Frame) bool {
+	s.frames++
+	ok := s.Backend.HandleFrame(f)
+	if ok {
+		s.consumed++
+	}
+	return ok
+}
+
+// TestReceiveDispatchOrder pins the stack's frame dispatch: the endpoint
+// reads a heartbeat that the backend consumes, and a routed frame reaches
+// the router alone, never a backend.
+func TestReceiveDispatchOrder(t *testing.T) {
+	w := newWorld(t, 2, geom.Rect{Max: geom.Pt(4, 4)})
+	st := w.addMote(t, 1, geom.Pt(0, 0), nil, StackConfig{})
+	src := w.addMote(t, 2, geom.Pt(1, 0), nil, StackConfig{})
+	rt, err := st.AttachContext(trackerSpec(0, group.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &spyBackend{Backend: rt.be}
+	rt.be = spy
+
+	const label = group.Label("tracker/2.1")
+	st.Receive(radio.Frame{Kind: trace.KindHeartbeat, Src: 2, Dst: radio.Broadcast, Payload: group.Heartbeat{
+		CtxType: "tracker", Label: label, Leader: 2, LeaderLoc: geom.Pt(1, 0), Seq: 1,
+	}})
+	if spy.consumed != 1 {
+		t.Fatalf("backend consumed %d of %d heartbeats, want 1", spy.consumed, spy.frames)
+	}
+	if info, ok := st.Endpoint().Table().Get(label); !ok || info.Leader != 2 {
+		t.Errorf("endpoint leader table for %q = %+v, %t; want leader 2", label, info, ok)
+	}
+
+	var got []NodeMessage
+	st.OnNodeMessage(func(nm NodeMessage) { got = append(got, nm) })
+	src.Router().Send(routing.Message{
+		Kind: trace.KindReport, Dest: geom.Pt(0, 0), DestNode: 1,
+		Payload: NodeMessage{From: 2, Payload: "ping"},
+	})
+	w.run(t, time.Second)
+	if len(got) != 1 || got[0].Payload != "ping" {
+		t.Fatalf("node messages delivered = %+v, want the one ping", got)
+	}
+	if spy.frames != 1 {
+		t.Errorf("backend was offered %d frames, want only the heartbeat", spy.frames)
 	}
 }

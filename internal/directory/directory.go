@@ -125,11 +125,11 @@ type pendingQuery struct {
 	corr radio.Corr
 }
 
-// NewService attaches a directory service to the mote's router.
+// NewService builds the directory service of mote m, sending through the
+// mote's router. The messages the router delivers at the mote reach the
+// service through Handle.
 func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
-	s := &Service{m: m, router: router, cfg: cfg}
-	router.AddHandler(s.handle)
-	return s
+	return &Service{m: m, router: router, cfg: cfg}
 }
 
 // Register announces (or refreshes) a context label's location to the
@@ -241,7 +241,9 @@ func (s *Service) Entries(ctxType string) []Entry {
 	return s.freshEntries(ctxType)
 }
 
-func (s *Service) handle(msg routing.Message) bool {
+// Handle consumes a directory message that terminated at this node. It
+// returns false for any other payload.
+func (s *Service) Handle(msg routing.Message) bool {
 	switch p := msg.Payload.(type) {
 	case registerMsg:
 		s.store(p.Entry)

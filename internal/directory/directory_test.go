@@ -23,6 +23,17 @@ type net struct {
 	bounds   geom.Rect
 }
 
+// node is a test mote's receiver and its router's target: frames go to
+// the router, and delivered messages to the directory service.
+type node struct {
+	r *routing.Router
+	s *Service
+}
+
+func (nd *node) Receive(f radio.Frame) { nd.r.HandleFrame(f) }
+
+func (nd *node) Deliver(msg routing.Message) { nd.s.Handle(msg) }
+
 func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
@@ -47,8 +58,11 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := routing.NewRouter(m)
-			n.services[id] = NewService(m, r, Config{Bounds: bounds})
+			nd := &node{}
+			nd.r = routing.NewRouter(m, nd)
+			nd.s = NewService(m, nd.r, Config{Bounds: bounds})
+			m.SetReceiver(nd)
+			n.services[id] = nd.s
 		}
 	}
 	return n

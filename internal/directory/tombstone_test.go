@@ -172,7 +172,7 @@ func TestFreshServiceState(t *testing.T) {
 		t.Errorf("fresh Entries = %v, want nil", es)
 	}
 	// A reply to a query this node never issued is consumed and ignored.
-	if !dir.handle(routing.Message{Payload: replyMsg{QueryID: 7}}) {
+	if !dir.Handle(routing.Message{Payload: replyMsg{QueryID: 7}}) {
 		t.Error("stray reply not consumed")
 	}
 

@@ -1,0 +1,86 @@
+package eval
+
+import (
+	"fmt"
+	"testing"
+)
+
+// checkedFigureGrid is the invariant-checked grid of the Figure 4 and
+// Figure 6 scenarios at seeds 1-20: Figure 4 at both speeds and both
+// heartbeat budgets, Figure 6 at sensing radii 1-3 and CR:SR 0.5 and 1,
+// with the target at 1 hop/s.
+func checkedFigureGrid() []Scenario {
+	var grid []Scenario
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, kmh := range []float64{33, 50} {
+			for _, hopsPast := range []int{0, 1} {
+				grid = append(grid, figure4Scenario(kmh, hopsPast, seed))
+			}
+		}
+		for _, radius := range []float64{1, 2, 3} {
+			for _, ratio := range []float64{0.5, 1} {
+				sc := figure6Scenario(radius, ratio)
+				sc.SpeedHops, sc.Seed = 1, seed
+				grid = append(grid, sc)
+			}
+		}
+	}
+	return grid
+}
+
+// checkedRun runs sc on backend with the invariant checker attached and
+// fails the test on every violation it proves.
+func checkedRun(t *testing.T, sc Scenario, backend string) {
+	t.Helper()
+	sc.Backend, sc.CheckInvariants = backend, true
+	res, err := Run(&Env{}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CheckedEvents == 0 {
+		t.Errorf("%s: the invariant checker saw no events", describe(sc))
+	}
+	for _, v := range res.Violations {
+		t.Errorf("%s: %s violation at %v by mote %d: %s", describe(sc), v.Invariant, v.At, v.Mote, v.Detail)
+	}
+}
+
+func describe(sc Scenario) string {
+	return fmt.Sprintf("%s backend, %dx%d field, CR %.2f, SR %.2f, %.2f hops/s, h=%d, seed %d",
+		sc.Backend, sc.Cols, sc.Rows, sc.CommRadius, sc.SensingRadius, sc.SpeedHops, sc.HopsPast, sc.Seed)
+}
+
+// TestFigureGridHoldsInvariants runs the Figure 4 and Figure 6 grid on
+// both backends under the checker: the protocol holds every invariant.
+func TestFigureGridHoldsInvariants(t *testing.T) {
+	if protocolMutated {
+		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
+	}
+	for _, backend := range []string{"leader", "passive"} {
+		t.Run(backend, func(t *testing.T) {
+			t.Parallel()
+			for _, sc := range checkedFigureGrid() {
+				checkedRun(t, sc, backend)
+			}
+		})
+	}
+}
+
+// TestTakeoverSilenceReproducers pins the two Figure 6 runs whose
+// receive-timer firings the checker once misread as early (I2). In the
+// first, a member hears the first copy of another label's heartbeat,
+// joins it, and drops a later copy as a duplicate. In the second, a mote's
+// radio puts a forward on air before its own older heartbeat.
+func TestTakeoverSilenceReproducers(t *testing.T) {
+	if protocolMutated {
+		t.Skip("protocol mutated (-tags chaosmut): violations are the expected outcome")
+	}
+	for _, c := range []struct {
+		radius, ratio float64
+		seed          int64
+	}{{1, 1, 6}, {3, 0.5, 19}} {
+		sc := figure6Scenario(c.radius, c.ratio)
+		sc.SpeedHops, sc.Seed = 1, c.seed
+		checkedRun(t, sc, "leader")
+	}
+}

@@ -2,6 +2,7 @@ package group
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"envirotrack/internal/mote"
@@ -104,6 +105,16 @@ func (b *Base) MintLabel() Label {
 	label := Label(fmt.Sprintf("%s/%d.%d", b.CtxType, b.Mote.ID(), b.labelSeq))
 	b.RecordEvent(trace.LabelCreated, label)
 	return label
+}
+
+// Type returns the context type of a label of the "<type>/..." form
+// MintLabel mints; a label without a '/' is its own type.
+func (l Label) Type() string {
+	s := string(l)
+	if i := strings.IndexByte(s, '/'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }
 
 // ArmBackoff schedules fire(arg) on *t after a random fraction of the

@@ -103,9 +103,7 @@ type pendingForward struct {
 // NewManager attaches a group manager for ctxType to the mote; it records
 // label events in the ledger of the mote's env.
 func NewManager(m *mote.Mote, ctxType string, cfg Config, rt Runtime) *Manager {
-	g := &Manager{Base: NewBase(m, ctxType, cfg, rt), role: RoleNone}
-	m.AddFrameHandler(g.handleFrame)
-	return g
+	return &Manager{Base: NewBase(m, ctxType, cfg, rt), role: RoleNone}
 }
 
 // hbFire sends a leader's next heartbeat.
@@ -464,7 +462,9 @@ func (g *Manager) setRole(r Role) {
 
 // --- frame handling ---
 
-func (g *Manager) handleFrame(f radio.Frame) bool {
+// HandleFrame consumes a heartbeat, report or relinquish frame of the
+// manager's context type and returns false for any other frame.
+func (g *Manager) HandleFrame(f radio.Frame) bool {
 	switch msg := f.Payload.(type) {
 	case Heartbeat:
 		if msg.CtxType != g.CtxType {

@@ -94,10 +94,17 @@ func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config,
 		t.Fatal(err)
 	}
 	mgr := NewManager(m, "tracker", cfg, rt)
+	m.SetReceiver(managerRx{mgr})
 	n.motes[id] = m
 	n.mgrs[id] = mgr
 	return mgr
 }
+
+// managerRx is a test mote's receiver: it hands every frame to the
+// mote's manager.
+type managerRx struct{ g *Manager }
+
+func (r managerRx) Receive(f radio.Frame) { r.g.HandleFrame(f) }
 
 // senseAt schedules a SetSensing call at virtual time at.
 func (n *testNet) senseAt(id radio.NodeID, at time.Duration, sensing bool) {
@@ -599,6 +606,22 @@ func TestRoleString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.r.String(); got != tt.want {
 			t.Errorf("String = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+func TestLabelType(t *testing.T) {
+	tests := []struct {
+		label Label
+		want  string
+	}{
+		{"car/3.1", "car"},
+		{"fire/12.7", "fire"},
+		{"plain", "plain"},
+	}
+	for _, tt := range tests {
+		if got := tt.label.Type(); got != tt.want {
+			t.Errorf("Label(%q).Type() = %q, want %q", tt.label, got, tt.want)
 		}
 	}
 }

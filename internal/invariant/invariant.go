@@ -188,6 +188,12 @@ type hbSend struct {
 	at     time.Duration
 }
 
+// floodKey is a heartbeat flood: a label and its originating leader.
+type floodKey struct {
+	label  string
+	origin int
+}
+
 // attrib keeps a sender's last two transmissions of a kind so a
 // reception can be matched to the transmission in flight (with zero
 // propagation delay a send at the same instant as a reception cannot be
@@ -202,21 +208,21 @@ func (a *attrib) push(s hbSend) {
 	a.n++
 }
 
-// lookup resolves the transmission a reception at time t came from, or
-// ok=false when the sender's recent sends are ambiguous (two different
-// labels in flight — the conservative answer is "unknown").
-func (a *attrib) lookup(t time.Duration) (hbSend, bool) {
-	if a == nil || a.n == 0 {
+// lookup resolves the transmission from origin that a reception at time
+// t came from: the newer of the two sends that match, or ok=false when
+// neither does. A heartbeat frame names its originating leader in its
+// correlation header, which forwards keep, and the sender's radio may put
+// an older frame on air after a newer one, so the origin, not the send
+// time, picks between them. A relinquish carries no correlation; its
+// origin is the sender itself.
+func (a *attrib) lookup(t time.Duration, origin int) (hbSend, bool) {
+	if a == nil {
 		return hbSend{}, false
 	}
-	if a.cur.at < t {
+	if a.n >= 1 && a.cur.at < t && a.cur.origin == origin {
 		return a.cur, true
 	}
-	if a.n >= 2 && a.prev.at < t {
-		if a.prev.label != a.cur.label || a.prev.origin != a.cur.origin {
-			// Two distinct in-flight candidates: don't guess.
-			return hbSend{}, false
-		}
+	if a.n >= 2 && a.prev.at < t && a.prev.origin == origin {
 		return a.prev, true
 	}
 	return hbSend{}, false
@@ -249,10 +255,10 @@ type Checker struct {
 
 	members  map[int]*memberRec
 	rearms   map[int]rearmRec
-	seen     map[int]map[string]uint64 // receiver -> label/origin -> max seq (protocol dedup mirror)
-	hbSends  map[int]*attrib           // sender -> recent heartbeat transmissions
-	relSends map[int]*attrib           // sender -> recent relinquish transmissions
-	stepDown map[int]string            // sender -> label of last step-down
+	seen     map[int]map[floodKey]uint64 // receiver -> flood -> max seq (protocol dedup mirror)
+	hbSends  map[int]*attrib             // sender -> recent heartbeat transmissions
+	relSends map[int]*attrib             // sender -> recent relinquish transmissions
+	stepDown map[int]string              // sender -> label of last step-down
 
 	failedNow  map[int]bool
 	lastFault  map[int]time.Duration // last fail or restore event
@@ -283,7 +289,7 @@ func New(cfg Config) *Checker {
 		flagged:    make(map[string]bool),
 		members:    make(map[int]*memberRec),
 		rearms:     make(map[int]rearmRec),
-		seen:       make(map[int]map[string]uint64),
+		seen:       make(map[int]map[floodKey]uint64),
 		hbSends:    make(map[int]*attrib),
 		relSends:   make(map[int]*attrib),
 		stepDown:   make(map[int]string),
@@ -635,38 +641,37 @@ func (c *Checker) onReception(ev obs.Event) {
 	if c.failedNow[ev.Mote] {
 		return // the mote drops the frame before dispatch
 	}
-	mem, ok := c.members[ev.Mote]
-	if !ok {
-		return
-	}
 	switch ev.Kind {
 	case trace.KindHeartbeat:
-		send, ok := c.hbSends[ev.Peer].lookup(ev.At)
-		if !ok || send.label != mem.label {
+		send, ok := c.hbSends[ev.Peer].lookup(ev.At, ev.Origin)
+		if !ok {
 			return
 		}
-		// Mirror the protocol's flood dedup: only a strictly newer
-		// sequence for (label, origin) re-arms the receive timer, so a
-		// duplicated or forwarded copy of an already-seen heartbeat never
-		// shrinks the measured silence.
-		key := send.label + "/" + fmt.Sprint(send.origin)
+		// Mirror the protocol's flood dedup, which runs on every
+		// heartbeat before any role logic: only a strictly newer sequence
+		// for (label, origin) re-arms the receive timer, so a duplicated
+		// or forwarded copy of an already-seen heartbeat never shrinks the
+		// measured silence, even when the first copy came while the mote
+		// followed another label.
+		key := floodKey{label: send.label, origin: send.origin}
 		seen := c.seen[ev.Mote]
 		if seen == nil {
-			seen = make(map[string]uint64)
+			seen = make(map[floodKey]uint64)
 			c.seen[ev.Mote] = seen
 		}
 		if send.seq <= seen[key] {
 			return
 		}
 		seen[key] = send.seq
-		c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
-	case trace.KindRelinquish:
-		send, ok := c.relSends[ev.Peer].lookup(ev.At)
-		if !ok || send.label != mem.label {
-			return
+		if mem, ok := c.members[ev.Mote]; ok && send.label == mem.label {
+			c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
 		}
+	case trace.KindRelinquish:
 		// A same-label relinquish always re-arms the member's timer.
-		c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
+		send, ok := c.relSends[ev.Peer].lookup(ev.At, ev.Peer)
+		if mem, member := c.members[ev.Mote]; ok && member && send.label == mem.label {
+			c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
+		}
 	}
 }
 

@@ -158,7 +158,19 @@ func join(c *Checker, tm time.Duration, mote, leader int, label string) {
 
 func rearm(c *Checker, tm time.Duration, mote, leader int, label string, seq uint64) {
 	beat(c, tm-time.Millisecond, leader, label, seq)
-	c.Emit(obs.Event{At: tm, Type: obs.EvFrameReceived, Mote: mote, Peer: leader,
+	hear(c, tm, mote, leader, leader)
+}
+
+// forward emits mote's rebroadcast of origin's heartbeat seq of label.
+func forward(c *Checker, tm time.Duration, mote, origin int, label string, seq uint64) {
+	c.Emit(obs.Event{At: tm, Type: obs.EvHeartbeatForwarded, Mote: mote, Peer: origin, Label: label, Seq: seq})
+}
+
+// hear emits mote's reception of a heartbeat frame sent by peer. Like the
+// radio's frame_received, it carries the frame's correlation origin: the
+// leader whose heartbeat it is, which forwards preserve.
+func hear(c *Checker, tm time.Duration, mote, peer, origin int) {
+	c.Emit(obs.Event{At: tm, Type: obs.EvFrameReceived, Mote: mote, Peer: peer, Origin: origin,
 		Kind: trace.KindHeartbeat})
 }
 
@@ -193,7 +205,7 @@ func TestTakeoverSilenceDuplicateCopyDoesNotRearm(t *testing.T) {
 	rearm(c, at(2), 3, 1, "L", 1)
 	// A duplicated copy of the same seq=1 heartbeat arrives later; the
 	// protocol dedups it, so it must not shrink the measured silence.
-	c.Emit(obs.Event{At: at(2.5), Type: obs.EvFrameReceived, Mote: 3, Peer: 1,
+	c.Emit(obs.Event{At: at(2.5), Type: obs.EvFrameReceived, Mote: 3, Peer: 1, Origin: 1,
 		Kind: trace.KindHeartbeat})
 	c.Emit(obs.Event{At: at(3.2), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
 	if got := violationsOf(c, TakeoverSilence); len(got) != 0 {
@@ -209,6 +221,74 @@ func TestTakeoverSilenceDuplicateCopyDoesNotRearm(t *testing.T) {
 	c2.Emit(obs.Event{At: at(3.2), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
 	if got := violationsOf(c2, TakeoverSilence); len(got) != 1 {
 		t.Errorf("fresh-seq re-arm not honored: %d violations, want 1", len(got))
+	}
+}
+
+// TestTakeoverSilenceCrossLabelFirstCopy: the protocol dedups a
+// heartbeat before any role logic, so the first copy of label B's
+// heartbeat counts as seen even though mote 3 followed label A when it
+// came. That copy makes mote 3 join B; a second copy, relayed later,
+// re-arms nothing.
+func TestTakeoverSilenceCrossLabelFirstCopy(t *testing.T) {
+	stream := func(relayedSeq uint64) *Checker {
+		c := New(Config{})
+		lead(c, at(0.5), 1, "A", 0)
+		lead(c, at(0.5), 6, "B", 5)
+		join(c, at(1), 3, 1, "A")
+		rearm(c, at(2), 3, 1, "A", 1)
+		beat(c, at(6.999), 6, "B", 1)
+		hear(c, at(7), 3, 6, 6)
+		join(c, at(7), 3, 6, "B")
+		if relayedSeq > 1 {
+			beat(c, at(7.04), 6, "B", relayedSeq)
+		}
+		forward(c, at(7.05), 7, 6, "B", relayedSeq)
+		hear(c, at(7.08), 3, 7, 6)
+		c.Emit(obs.Event{At: at(8.1), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "B"})
+		return c
+	}
+	// 1.1s after the join: legitimate.
+	if got := violationsOf(stream(1), TakeoverSilence); len(got) != 0 {
+		t.Errorf("relayed duplicate of a first copy heard under another label re-armed: %v", got)
+	}
+	// Control: a relayed fresh seq 2 re-arms at 7.08s, so the 8.1s firing
+	// is 1.02s after it, early.
+	if got := violationsOf(stream(2), TakeoverSilence); len(got) != 1 {
+		t.Errorf("fresh relayed heartbeat: %d violations, want 1", len(got))
+	}
+}
+
+// TestTakeoverSilenceSendsOnAirOutOfOrder: mote 56 queues its own heartbeat
+// of L, then a forward of mote 80's heartbeat of M, but its radio puts the
+// forward on air first. Each reception is credited by the frame's
+// correlation origin, not to the newest send, so mote 32's later relay of
+// 56's heartbeat is a duplicate.
+func TestTakeoverSilenceSendsOnAirOutOfOrder(t *testing.T) {
+	stream := func(relayedSeq uint64) *Checker {
+		c := New(Config{})
+		lead(c, at(0.5), 56, "L", 0)
+		lead(c, at(0.5), 80, "M", 9)
+		join(c, at(1), 33, 56, "L")
+		beat(c, at(10.052), 56, "L", 5)
+		forward(c, at(10.069), 56, 80, "M", 3)
+		hear(c, at(10.075), 33, 56, 80) // the forward, on air first
+		hear(c, at(10.08), 33, 56, 56)  // 56's own heartbeat
+		if relayedSeq > 5 {
+			beat(c, at(10.12), 56, "L", relayedSeq)
+		}
+		forward(c, at(10.13), 32, 56, "L", relayedSeq)
+		hear(c, at(10.1355), 33, 32, 56)
+		c.Emit(obs.Event{At: at(11.1548), Type: obs.EvReceiveTimerFired, Mote: 33, Label: "L"})
+		return c
+	}
+	// 1.0748s after 56's own heartbeat: legitimate.
+	if got := violationsOf(stream(5), TakeoverSilence); len(got) != 0 {
+		t.Errorf("relayed duplicate re-armed after an out-of-order reception: %v", got)
+	}
+	// Control: a relayed fresh seq 6 re-arms at 10.1355s, 1.0193s before
+	// the firing.
+	if got := violationsOf(stream(6), TakeoverSilence); len(got) != 1 {
+		t.Errorf("fresh relayed heartbeat: %d violations, want 1", len(got))
 	}
 }
 

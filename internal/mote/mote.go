@@ -75,9 +75,12 @@ func NewEnv(rt radio.ShardRuntime, medium *radio.Medium, field *phenomena.Field,
 	return &Env{ShardRuntime: rt, Medium: medium, Field: field, Config: cfg.withDefaults(), Hot: hot}
 }
 
-// FrameHandler consumes a received frame. It returns true when the frame
-// was recognized; dispatch stops at the first handler that consumes it.
-type FrameHandler func(radio.Frame) bool
+// Receiver consumes the frames a mote's CPU dispatches. It is the
+// protocol stack on the mote, the one place that decides which layer a
+// frame is for.
+type Receiver interface {
+	Receive(radio.Frame)
+}
 
 // Mote is one simulated sensor node. It holds only its own state; what
 // it shares with the other motes of its shard lives in its Env, and its
@@ -88,8 +91,7 @@ type Mote struct {
 	id    radio.NodeID
 	env   *Env
 	model *sensor.Model
-
-	handlers []FrameHandler
+	rx    Receiver
 
 	// CPU state.
 	busyUntil time.Duration
@@ -168,11 +170,10 @@ func (m *Mote) Obs() *obs.Bus { return m.env.Bus }
 // probe for the cpu_queue column).
 func (m *Mote) Queued() int { return m.env.Hot.Queued(int(m.row)) }
 
-// AddFrameHandler appends a frame handler; handlers run in registration
-// order until one consumes the frame.
-func (m *Mote) AddFrameHandler(h FrameHandler) {
-	m.handlers = append(m.handlers, h)
-}
+// SetReceiver installs the receiver of the frames the mote dispatches.
+// It is set once, before the simulation starts; until then the mote
+// drops what it receives.
+func (m *Mote) SetReceiver(rx Receiver) { m.rx = rx }
 
 // Fail kills the mote: it stops sensing, processing, and transmitting until
 // Restore is called. Used for fault injection (Figure 5's worst case).
@@ -308,9 +309,7 @@ func (m *Mote) acquireTask() *cpuTask {
 }
 
 func (m *Mote) dispatch(f radio.Frame) {
-	for _, h := range m.handlers {
-		if h(f) {
-			return
-		}
+	if m.rx != nil {
+		m.rx.Receive(f)
 	}
 }

@@ -63,6 +63,11 @@ func (h *harness) mote(t *testing.T, id radio.NodeID, pos geom.Point, model *sen
 	return m
 }
 
+// rxFunc adapts a function to a Receiver.
+type rxFunc func(radio.Frame)
+
+func (f rxFunc) Receive(fr radio.Frame) { f(fr) }
+
 // scanFunc adapts a function to a Scanner.
 type scanFunc func(row int, rd *sensor.Reading)
 
@@ -156,21 +161,11 @@ func TestSendAndDispatch(t *testing.T) {
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{})
 	var got []string
-	b.AddFrameHandler(func(f radio.Frame) bool {
-		if s, ok := f.Payload.(string); ok && s == "first" {
-			got = append(got, "h1:"+s)
-			return true
-		}
-		return false
-	})
-	b.AddFrameHandler(func(f radio.Frame) bool {
-		got = append(got, "h2:"+f.Payload.(string))
-		return true
-	})
+	b.SetReceiver(rxFunc(func(f radio.Frame) { got = append(got, f.Payload.(string)) }))
 	a.Send(trace.KindReading, 2, 0, "first")
 	a.Send(trace.KindReading, 2, 0, "second")
 	h.settle(t)
-	if len(got) != 2 || got[0] != "h1:first" || got[1] != "h2:second" {
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
 		t.Errorf("dispatch order = %v", got)
 	}
 }
@@ -180,9 +175,9 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	received := 0
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{})
-	b.AddFrameHandler(func(radio.Frame) bool { received++; return true })
+	b.SetReceiver(rxFunc(func(radio.Frame) { received++ }))
 	c := h.mote(t, 3, geom.Pt(5, 0), nil, Config{})
-	c.AddFrameHandler(func(radio.Frame) bool { received += 100; return true })
+	c.SetReceiver(rxFunc(func(radio.Frame) { received += 100 }))
 	a.Broadcast(trace.KindHeartbeat, 0, "hb")
 	h.settle(t)
 	if received != 1 {
@@ -195,7 +190,7 @@ func TestCPUServiceDelaysDispatch(t *testing.T) {
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	var at time.Duration
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{ServiceTime: 10 * time.Millisecond})
-	b.AddFrameHandler(func(radio.Frame) bool { at = h.sched.Now(); return true })
+	b.SetReceiver(rxFunc(func(radio.Frame) { at = h.sched.Now() }))
 	a.Send(trace.KindReading, 2, 8, "x")
 	h.settle(t)
 	if at < 10*time.Millisecond {
@@ -209,7 +204,7 @@ func TestCPUQueueSerializes(t *testing.T) {
 	c := h.mote(t, 3, geom.Pt(0, 1), nil, Config{})
 	var times []time.Duration
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{ServiceTime: 10 * time.Millisecond, QueueCap: 10})
-	b.AddFrameHandler(func(radio.Frame) bool { times = append(times, h.sched.Now()); return true })
+	b.SetReceiver(rxFunc(func(radio.Frame) { times = append(times, h.sched.Now()) }))
 	// Two frames from different senders arriving almost simultaneously: the
 	// second is processed only after the first's service completes.
 	a.Send(trace.KindReading, 2, 8, "x")
@@ -231,7 +226,7 @@ func TestCPUOverloadDropsFrames(t *testing.T) {
 	}
 	processed := 0
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{ServiceTime: 100 * time.Millisecond, QueueCap: 2})
-	b.AddFrameHandler(func(radio.Frame) bool { processed++; return true })
+	b.SetReceiver(rxFunc(func(radio.Frame) { processed++ }))
 	for _, s := range senders {
 		s.Send(trace.KindReading, 2, 8, "x")
 	}
@@ -249,7 +244,7 @@ func TestFailedMoteDoesNotSendProcessOrSense(t *testing.T) {
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	received := 0
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{})
-	b.AddFrameHandler(func(radio.Frame) bool { received++; return true })
+	b.SetReceiver(rxFunc(func(radio.Frame) { received++ }))
 
 	a.Fail()
 	if !a.Failed() {

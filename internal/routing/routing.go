@@ -55,17 +55,15 @@ type envelope struct {
 	Hops int
 }
 
-// DeliverFunc receives messages that terminate at this node.
-type DeliverFunc func(Message)
-
-// Handler consumes a delivered message; it returns true when the message
-// was recognized, stopping the handler chain.
-type Handler func(Message) bool
+// Target consumes the messages that terminate at a router's node.
+type Target interface {
+	Deliver(Message)
+}
 
 // Router provides greedy geographic forwarding on one mote.
 type Router struct {
-	m        *mote.Mote
-	handlers []Handler
+	m      *mote.Mote
+	target Target
 	// Drops counts messages this node discarded (TTL exhausted or a
 	// dead-end toward a specific node).
 	Drops uint64
@@ -94,27 +92,11 @@ func localDeliveryFire(arg any) {
 	r.deliverLocal(msg)
 }
 
-// NewRouter attaches a router to the mote. Delivery consumers are added
-// with AddHandler or SetDeliver.
-func NewRouter(m *mote.Mote) *Router {
-	r := &Router{m: m}
-	m.AddFrameHandler(r.handleFrame)
-	return r
-}
-
-// AddHandler appends a delivery handler; handlers run in registration
-// order until one consumes the message.
-func (r *Router) AddHandler(h Handler) {
-	r.handlers = append(r.handlers, h)
-}
-
-// SetDeliver installs a catch-all delivery callback (a handler that
-// consumes every message).
-func (r *Router) SetDeliver(fn DeliverFunc) {
-	r.AddHandler(func(m Message) bool {
-		fn(m)
-		return true
-	})
+// NewRouter builds the router of mote m, which delivers the messages that
+// terminate at the mote to target. The mote's receiver hands the router
+// its frames (see HandleFrame).
+func NewRouter(m *mote.Mote, target Target) *Router {
+	return &Router{m: m, target: target}
 }
 
 // Send routes a message from this node. If this node is itself the
@@ -210,7 +192,10 @@ func (r *Router) transmit(to radio.NodeID, env envelope) {
 	r.m.SendTraced(kind, to, env.Msg.Bits, env, env.Msg.Corr)
 }
 
-func (r *Router) handleFrame(f radio.Frame) bool {
+// HandleFrame consumes a routed frame: it delivers the message at its
+// destination and forwards or drops it elsewhere. It returns false, and
+// does nothing, for a frame that carries no routed message.
+func (r *Router) HandleFrame(f radio.Frame) bool {
 	env, ok := f.Payload.(envelope)
 	if !ok {
 		return false
@@ -235,11 +220,7 @@ func (r *Router) deliverLocal(msg Message) {
 	if msg.Corr.Seq != 0 {
 		r.emit(obs.EvRouteDelivered, radio.NodeID(msg.Corr.Origin), msg, "")
 	}
-	for _, h := range r.handlers {
-		if h(msg) {
-			return
-		}
-	}
+	r.target.Deliver(msg)
 }
 
 // emit publishes one routed-lifecycle event carrying the message's

@@ -19,6 +19,22 @@ type net struct {
 	medium  *radio.Medium
 	env     *mote.Env
 	routers map[radio.NodeID]*Router
+	nodes   map[radio.NodeID]*node
+}
+
+// node is a test mote's receiver and its router's target: frames go to
+// the router, and delivered messages to deliver, when it is set.
+type node struct {
+	r       *Router
+	deliver func(Message)
+}
+
+func (nd *node) Receive(f radio.Frame) { nd.r.HandleFrame(f) }
+
+func (nd *node) Deliver(msg Message) {
+	if nd.deliver != nil {
+		nd.deliver(msg)
+	}
 }
 
 func newNet(t *testing.T, commRadius float64) *net {
@@ -34,6 +50,7 @@ func newNet(t *testing.T, commRadius float64) *net {
 		medium:  medium,
 		env:     mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState()),
 		routers: make(map[radio.NodeID]*Router),
+		nodes:   make(map[radio.NodeID]*node),
 	}
 }
 
@@ -43,9 +60,11 @@ func (n *net) add(t *testing.T, id radio.NodeID, pos geom.Point) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(m)
-	n.routers[id] = r
-	return r
+	nd := &node{}
+	nd.r = NewRouter(m, nd)
+	m.SetReceiver(nd)
+	n.routers[id], n.nodes[id] = nd.r, nd
+	return nd.r
 }
 
 // settle runs the one-shard group for a simulated minute, long enough
@@ -72,7 +91,7 @@ func TestMultiHopUnicastToSpecificNode(t *testing.T) {
 	n := newNet(t, 1.2)
 	n.grid(t, 6, 1) // a line: 0..5
 	var got []any
-	n.routers[5].SetDeliver(func(m Message) { got = append(got, m.Payload) })
+	n.nodes[5].deliver = func(m Message) { got = append(got, m.Payload) }
 	n.routers[0].Send(Message{Dest: geom.Pt(5, 0), DestNode: 5, Payload: "hello"})
 	n.settle(t)
 	if len(got) != 1 || got[0] != "hello" {
@@ -84,9 +103,8 @@ func TestAnycastDeliversAtNearestNode(t *testing.T) {
 	n := newNet(t, 1.5)
 	n.grid(t, 5, 5)
 	delivered := make(map[radio.NodeID]int)
-	for id, r := range n.routers {
-		id := id
-		r.SetDeliver(func(Message) { delivered[id]++ })
+	for id, nd := range n.nodes {
+		nd.deliver = func(Message) { delivered[id]++ }
 	}
 	// Coordinate (3.2, 2.1): nearest node is (3,2) = id 2*5+3 = 13.
 	n.routers[0].Send(Message{Dest: geom.Pt(3.2, 2.1), DestNode: AnyNode, Payload: 1})
@@ -100,7 +118,7 @@ func TestSelfDelivery(t *testing.T) {
 	n := newNet(t, 1.2)
 	n.grid(t, 3, 1)
 	got := 0
-	n.routers[1].SetDeliver(func(Message) { got++ })
+	n.nodes[1].deliver = func(Message) { got++ }
 	n.routers[1].Send(Message{Dest: geom.Pt(1, 0), DestNode: 1, Payload: "self"})
 	n.settle(t)
 	if got != 1 {
@@ -112,7 +130,7 @@ func TestAnycastSelfWhenAlreadyNearest(t *testing.T) {
 	n := newNet(t, 1.2)
 	n.grid(t, 3, 1)
 	got := 0
-	n.routers[2].SetDeliver(func(Message) { got++ })
+	n.nodes[2].deliver = func(Message) { got++ }
 	n.routers[2].Send(Message{Dest: geom.Pt(2.1, 0), DestNode: AnyNode})
 	n.settle(t)
 	if got != 1 {
@@ -127,7 +145,7 @@ func TestDirectNeighborShortcut(t *testing.T) {
 	n.add(t, 0, geom.Pt(0, 0))
 	n.add(t, 1, geom.Pt(1.5, 0))
 	got := 0
-	n.routers[1].SetDeliver(func(Message) { got++ })
+	n.nodes[1].deliver = func(Message) { got++ }
 	// Dest coordinate equals sender's position; DestNode is node 1.
 	n.routers[0].Send(Message{Dest: geom.Pt(0, 0), DestNode: 1})
 	n.settle(t)
@@ -144,7 +162,7 @@ func TestDeadEndDropsTowardSpecificNode(t *testing.T) {
 	n.add(t, 1, geom.Pt(1, 0))
 	n.add(t, 9, geom.Pt(10, 0))
 	got := 0
-	n.routers[9].SetDeliver(func(Message) { got++ })
+	n.nodes[9].deliver = func(Message) { got++ }
 	n.routers[0].Send(Message{Dest: geom.Pt(10, 0), DestNode: 9})
 	n.settle(t)
 	if got != 0 {
@@ -159,7 +177,7 @@ func TestTTLExhaustionDrops(t *testing.T) {
 	n := newNet(t, 1.2)
 	n.grid(t, 10, 1)
 	got := 0
-	n.routers[9].SetDeliver(func(Message) { got++ })
+	n.nodes[9].deliver = func(Message) { got++ }
 	n.routers[0].Send(Message{Dest: geom.Pt(9, 0), DestNode: 9, TTL: 3})
 	n.settle(t)
 	if got != 0 {
@@ -171,7 +189,7 @@ func TestGreedyPathLengthIsReasonable(t *testing.T) {
 	n := newNet(t, 1.5)
 	n.grid(t, 8, 8)
 	done := false
-	n.routers[63].SetDeliver(func(Message) { done = true })
+	n.nodes[63].deliver = func(Message) { done = true }
 	n.routers[0].Send(Message{Dest: geom.Pt(7, 7), DestNode: 63})
 	n.settle(t)
 	if !done {
@@ -191,23 +209,15 @@ func TestGreedyPathLengthIsReasonable(t *testing.T) {
 func TestUnrelatedFramesIgnored(t *testing.T) {
 	n := newNet(t, 2)
 	n.add(t, 0, geom.Pt(0, 0))
-	m, err := mote.New(1, geom.Pt(1, 0), nil, n.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRouter(m)
 	got := 0
-	r.SetDeliver(func(Message) { got++ })
-	// A non-envelope frame must pass through untouched.
-	consumed := false
-	m.AddFrameHandler(func(radio.Frame) bool { consumed = true; return true })
-	n.routers[0].m.Send(trace.KindCross, 1, 0, "raw")
+	n.nodes[0].deliver = func(Message) { got++ }
+	// A non-envelope frame is not the router's: it leaves it untouched.
+	if n.routers[0].HandleFrame(radio.Frame{Kind: trace.KindCross, Src: 1, Dst: 0, Payload: "raw"}) {
+		t.Error("router consumed a non-envelope frame")
+	}
 	n.settle(t)
 	if got != 0 {
 		t.Error("router delivered a non-envelope frame")
-	}
-	if !consumed {
-		t.Error("non-envelope frame was not passed to later handlers")
 	}
 }
 
@@ -218,7 +228,7 @@ func TestRouteDelayPositive(t *testing.T) {
 	n.grid(t, 21, 1) // a line: 0..20
 	routeDelay := func(dst radio.NodeID) time.Duration {
 		var at time.Duration
-		n.routers[dst].SetDeliver(func(Message) { at = n.sched.Now() })
+		n.nodes[dst].deliver = func(Message) { at = n.sched.Now() }
 		sent := n.sched.Now()
 		n.routers[0].Send(Message{Dest: geom.Pt(float64(dst), 0), DestNode: dst, Bits: 100})
 		n.settle(t)
@@ -240,7 +250,7 @@ func TestDeliveryIsAsynchronousForSelfSend(t *testing.T) {
 	n := newNet(t, 1.2)
 	n.grid(t, 2, 1)
 	delivered := false
-	n.routers[0].SetDeliver(func(Message) { delivered = true })
+	n.nodes[0].deliver = func(Message) { delivered = true }
 	n.routers[0].Send(Message{Dest: geom.Pt(0, 0), DestNode: 0})
 	if delivered {
 		t.Error("self delivery happened synchronously inside Send")
@@ -257,9 +267,8 @@ func TestAnycastAlwaysTerminatesAtNearest(t *testing.T) {
 	n := newNet(t, 1.5)
 	n.grid(t, 6, 6)
 	deliveredAt := radio.NodeID(-1)
-	for id, r := range n.routers {
-		id := id
-		r.SetDeliver(func(Message) { deliveredAt = id })
+	for id, nd := range n.nodes {
+		nd.deliver = func(Message) { deliveredAt = id }
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {

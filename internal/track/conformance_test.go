@@ -109,9 +109,16 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 	if err != nil {
 		n.t.Fatal(err)
 	}
+	m.SetReceiver(backendRx{be})
 	n.backends[id] = be
 	return be
 }
+
+// backendRx is a test mote's receiver: it hands every frame to the
+// mote's backend.
+type backendRx struct{ be track.Backend }
+
+func (r backendRx) Receive(f radio.Frame) { r.be.HandleFrame(f) }
 
 // recorder is mote id's Runtime: it logs activations, deactivations and
 // deletions into the net.

@@ -105,7 +105,6 @@ type Backend struct {
 func New(m *mote.Mote, ctxType string, cfg group.Config, rt group.Runtime) *Backend {
 	b := &Backend{Base: group.NewBase(m, ctxType, cfg, rt)}
 	b.est.window = staleness(b.Config)
-	m.AddFrameHandler(b.handleFrame)
 	return b
 }
 
@@ -389,7 +388,9 @@ func (b *Backend) integrate(rec Rec) bool {
 
 // --- frames ---
 
-func (b *Backend) handleFrame(f radio.Frame) bool {
+// HandleFrame consumes a gossip frame of the backend's context type and
+// returns false for any other frame.
+func (b *Backend) HandleFrame(f radio.Frame) bool {
 	g, ok := f.Payload.(Gossip)
 	if !ok || g.CtxType != b.CtxType {
 		return false

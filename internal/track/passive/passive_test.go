@@ -80,9 +80,16 @@ func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 		n.t.Fatal(err)
 	}
 	b := New(m, "tracker", testCfg, recorder{n, id})
+	m.SetReceiver(backendRx{b})
 	n.motes[id], n.be[id] = m, b
 	return b
 }
+
+// backendRx is a test mote's receiver: it hands every frame to the
+// mote's backend.
+type backendRx struct{ b *Backend }
+
+func (r backendRx) Receive(f radio.Frame) { r.b.HandleFrame(f) }
 
 // recorder is mote id's Runtime: it records every call into the net.
 type recorder struct {
@@ -282,7 +289,7 @@ func TestGossipSpanAndRecordMerge(t *testing.T) {
 	if b.label != "tracker/7.1" || b.Participating() {
 		t.Fatalf("non-sensing mote: label %q Participating %v, want the label remembered but no participation", b.label, b.Participating())
 	}
-	if b.handleFrame(radio.Frame{Payload: Gossip{CtxType: "other"}}) {
+	if b.HandleFrame(radio.Frame{Payload: Gossip{CtxType: "other"}}) {
 		t.Error("gossip of another context type was handled")
 	}
 }
@@ -563,9 +570,11 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 		tb.Fatal(err)
 	}
 	recs := make([]Rec, gossipFanout)
+	b := New(m, "tracker", testCfg, recorder{n, 1})
+	m.SetReceiver(backendRx{b})
 	f := &gossipFeed{
 		n:    n,
-		b:    New(m, "tracker", testCfg, recorder{n, 1}),
+		b:    b,
 		recs: recs,
 		frame: radio.Frame{
 			Payload: Gossip{CtxType: "tracker", Label: "tracker/10.1", From: 10, Traces: recs},
@@ -589,7 +598,7 @@ func feedFire(arg any) {
 		id := int(f.seq*gossipFanout+uint64(i)) % feedRing
 		f.recs[i] = Rec{Mote: radio.NodeID(10 + id), Pos: geom.Pt(float64(id), float64(f.seq%7)), At: now, Seq: f.seq}
 	}
-	f.b.handleFrame(f.frame)
+	f.b.HandleFrame(f.frame)
 }
 
 // step advances sim time by feedStep and delivers one gossip frame.

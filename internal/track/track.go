@@ -20,6 +20,7 @@ import (
 
 	"envirotrack/internal/group"
 	"envirotrack/internal/mote"
+	"envirotrack/internal/radio"
 	"envirotrack/internal/track/passive"
 )
 
@@ -34,9 +35,9 @@ const (
 )
 
 // Backend is the tracking-protocol interface the context runtime drives.
-// Inputs arrive as sensing transitions (SetSensing), received frames (the
-// backend registers its own mote frame handler), and virtual-clock timers
-// the backend arms itself. Outputs are calls on the group.Runtime the
+// Inputs arrive as sensing transitions (SetSensing), received frames
+// (HandleFrame, called by the mote's stack), and virtual-clock timers the
+// backend arms itself. Outputs are calls on the group.Runtime the
 // backend was built with, and the obs events and coherence-ledger records
 // of its embedded group.Base; report-lifecycle events carry radio.Corr
 // correlation headers so spans, ettrace, and the invariant checker work
@@ -50,6 +51,10 @@ type Backend interface {
 	SetSensing(sensing bool)
 	// Sensing returns the last value supplied to SetSensing.
 	Sensing() bool
+	// HandleFrame consumes a received frame of the backend's protocol and
+	// context type, and returns false for any other frame, which the
+	// stack then offers to the next type's backend.
+	HandleFrame(f radio.Frame) bool
 	// Label returns the context label the mote currently participates in
 	// (empty when none).
 	Label() group.Label

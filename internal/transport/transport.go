@@ -8,8 +8,6 @@
 package transport
 
 import (
-	"strings"
-
 	"envirotrack/internal/directory"
 	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
@@ -61,9 +59,7 @@ type portKey struct {
 	port  PortID
 }
 
-// Endpoint is the per-mote MTP component. IMPORTANT: because it snoops
-// group heartbeats without consuming them, it must be attached to the mote
-// *before* the group.Manager in frame-handler order.
+// Endpoint is the per-mote MTP component.
 type Endpoint struct {
 	m      *mote.Mote
 	router *routing.Router
@@ -79,14 +75,13 @@ type Endpoint struct {
 	Stats Stats
 }
 
-// NewEndpoint attaches an MTP endpoint to the mote. dir may be nil; then
-// first-contact sends to unknown labels fail until a heartbeat or incoming
-// datagram teaches the endpoint the label's leader.
+// NewEndpoint builds the MTP endpoint of mote m, sending through the
+// mote's router. dir may be nil; then first-contact sends to unknown
+// labels fail until a heartbeat or incoming datagram teaches the endpoint
+// the label's leader. The endpoint receives through HandleRouted and
+// SnoopHeartbeat.
 func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service) *Endpoint {
-	e := &Endpoint{m: m, router: router, dir: dir}
-	m.AddFrameHandler(e.snoopHeartbeat)
-	router.AddHandler(e.handleRouted)
-	return e
+	return &Endpoint{m: m, router: router, dir: dir}
 }
 
 // SetLeading tells the endpoint whether this mote currently leads a label.
@@ -144,7 +139,7 @@ func (e *Endpoint) Send(d Datagram) {
 		e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "no_directory")
 		return
 	}
-	ctxType := labelType(d.DstLabel)
+	ctxType := d.DstLabel.Type()
 	e.dir.Query(ctxType, func(entries []directory.Entry) {
 		for _, ent := range entries {
 			if ent.Label == d.DstLabel {
@@ -171,8 +166,9 @@ func (e *Endpoint) routeTo(info LeaderInfo, d Datagram) {
 	})
 }
 
-// handleRouted processes a datagram that terminated at this node.
-func (e *Endpoint) handleRouted(msg routing.Message) bool {
+// HandleRouted processes a datagram that terminated at this node. It
+// returns false for any other payload.
+func (e *Endpoint) HandleRouted(msg routing.Message) bool {
 	d, ok := msg.Payload.(Datagram)
 	if !ok {
 		return false
@@ -229,7 +225,7 @@ func (e *Endpoint) emit(ev obs.EventType, d Datagram, peer int, cause string) {
 			Mote:    int(e.m.ID()),
 			Peer:    peer,
 			Label:   string(d.DstLabel),
-			CtxType: labelType(d.DstLabel),
+			CtxType: d.DstLabel.Type(),
 			Pos:     e.m.Pos(),
 			Kind:    trace.KindTransport,
 			Seq:     uint64(d.Corr.Seq),
@@ -239,10 +235,10 @@ func (e *Endpoint) emit(ev obs.EventType, d Datagram, peer int, cause string) {
 	}
 }
 
-// snoopHeartbeat watches group heartbeats (without consuming them) to keep
-// the leader table current; past leaders near a moving group keep fresh
-// forwarding state this way.
-func (e *Endpoint) snoopHeartbeat(f radio.Frame) bool {
+// SnoopHeartbeat watches a received frame for a group heartbeat, which it
+// reads without consuming, to keep the leader table current; past leaders
+// near a moving group keep fresh forwarding state this way.
+func (e *Endpoint) SnoopHeartbeat(f radio.Frame) {
 	if hb, ok := f.Payload.(group.Heartbeat); ok {
 		e.table.Put(hb.Label, LeaderInfo{
 			Leader:    hb.Leader,
@@ -250,15 +246,4 @@ func (e *Endpoint) snoopHeartbeat(f radio.Frame) bool {
 			UpdatedAt: e.m.Scheduler().Now(),
 		})
 	}
-	return false // never consume: the group manager handles heartbeats
-}
-
-// labelType extracts the context type from a label of the canonical
-// "type/mote.seq" form.
-func labelType(l group.Label) string {
-	s := string(l)
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -99,7 +99,27 @@ type tnet struct {
 	medium    *radio.Medium
 	endpoints map[radio.NodeID]*Endpoint
 	motes     map[radio.NodeID]*mote.Mote
-	bounds    geom.Rect
+}
+
+// node is a test mote's receiver and its router's target. It dispatches
+// as the middleware stack does: frames to the router, then heartbeats to
+// the endpoint; routed messages to the directory, then the endpoint.
+type node struct {
+	r   *routing.Router
+	dir *directory.Service
+	ep  *Endpoint
+}
+
+func (nd *node) Receive(f radio.Frame) {
+	if !nd.r.HandleFrame(f) {
+		nd.ep.SnoopHeartbeat(f)
+	}
+}
+
+func (nd *node) Deliver(msg routing.Message) {
+	if !nd.dir.Handle(msg) {
+		nd.ep.HandleRouted(msg)
+	}
 }
 
 func newTnet(t *testing.T, cols, rows int) *tnet {
@@ -116,7 +136,6 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 		medium:    medium,
 		endpoints: make(map[radio.NodeID]*Endpoint),
 		motes:     make(map[radio.NodeID]*mote.Mote),
-		bounds:    bounds,
 	}
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
@@ -125,9 +144,12 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := routing.NewRouter(m)
-			dir := directory.NewService(m, r, directory.Config{Bounds: bounds})
-			n.endpoints[id] = NewEndpoint(m, r, dir)
+			nd := &node{}
+			nd.r = routing.NewRouter(m, nd)
+			nd.dir = directory.NewService(m, nd.r, directory.Config{Bounds: bounds})
+			nd.ep = NewEndpoint(m, nd.r, nd.dir)
+			m.SetReceiver(nd)
+			n.endpoints[id] = nd.ep
 			n.motes[id] = m
 		}
 	}
@@ -173,8 +195,6 @@ func TestFirstContactViaDirectory(t *testing.T) {
 
 	// The label registers itself in the directory (as a leader would).
 	pos, _ := n.medium.Position(24)
-	dirOnLeader := directory.NewService(n.motes[24], routing.NewRouter(n.motes[24]), directory.Config{Bounds: n.bounds})
-	_ = dirOnLeader
 	// Use node 24's existing directory registration path: register from any node.
 	n.endpoints[24].dir.Register("car", label, pos, 24)
 	n.run(t, time.Second)
@@ -347,22 +367,6 @@ func TestSetLeadingToggle(t *testing.T) {
 	}
 }
 
-func TestLabelType(t *testing.T) {
-	tests := []struct {
-		label group.Label
-		want  string
-	}{
-		{"car/3.1", "car"},
-		{"fire/12.7", "fire"},
-		{"plain", "plain"},
-	}
-	for _, tt := range tests {
-		if got := labelType(tt.label); got != tt.want {
-			t.Errorf("labelType(%q) = %q, want %q", tt.label, got, tt.want)
-		}
-	}
-}
-
 func TestLeaderTableZeroValue(t *testing.T) {
 	var tbl LeaderTable
 	if _, ok := tbl.Get("a"); ok {
@@ -481,7 +485,7 @@ func TestFreshEndpointState(t *testing.T) {
 
 	// Without a directory, a send to an unknown label has no route.
 	lone := newTnet(t, 1, 1)
-	bare := NewEndpoint(lone.motes[0], routing.NewRouter(lone.motes[0]), nil)
+	bare := NewEndpoint(lone.motes[0], lone.endpoints[0].router, nil)
 	bare.Send(Datagram{DstLabel: "car/9.9", DstPort: 1, Payload: "x"})
 	if bare.Stats.NoRoute != 1 {
 		t.Errorf("NoRoute = %d, want 1 without a directory", bare.Stats.NoRoute)
