@@ -470,6 +470,7 @@ func (g *Manager) HandleFrame(f radio.Frame) bool {
 		if msg.CtxType != g.CtxType {
 			return false
 		}
+		g.emitHeard(trace.KindHeartbeat, msg.Label, msg.Leader, msg.Seq)
 		g.onHeartbeat(msg, f.Corr)
 		return true
 	case Report:
@@ -482,10 +483,32 @@ func (g *Manager) HandleFrame(f radio.Frame) bool {
 		if msg.CtxType != g.CtxType {
 			return false
 		}
+		g.emitHeard(trace.KindRelinquish, msg.Label, msg.OldLeader, 0)
 		g.onRelinquish(msg)
 		return true
 	default:
 		return false
+	}
+}
+
+// emitHeard publishes that the manager took a heartbeat or relinquish of
+// its type off the mote's queue, before dedup and role logic, so every
+// copy is published: the moment the protocol hears it, which the radio's
+// frame_received precedes by the CPU queue wait. origin is the heartbeat's
+// leader or the relinquishing one.
+func (g *Manager) emitHeard(kind trace.Kind, label Label, origin radio.NodeID, seq uint64) {
+	if bus := g.Mote.Obs(); bus.Active() {
+		bus.Emit(obs.Event{
+			At:      g.Mote.Scheduler().Now(),
+			Type:    obs.EvHeartbeatHeard,
+			Mote:    int(g.Mote.ID()),
+			Peer:    int(origin),
+			Label:   string(label),
+			CtxType: g.CtxType,
+			Pos:     g.Mote.Pos(),
+			Kind:    kind,
+			Seq:     seq,
+		})
 	}
 }
 

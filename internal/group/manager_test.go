@@ -8,6 +8,7 @@ import (
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/mote"
+	"envirotrack/internal/obs"
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
@@ -523,6 +524,52 @@ func TestGroupFloodingReachesMultiHopMembers(t *testing.T) {
 	}
 	if n.mgrs[2].Label() != n.mgrs[0].Label() {
 		t.Error("multi-hop member not in the leader's group")
+	}
+}
+
+// heardSink keeps the heartbeat_heard events of a run.
+type heardSink struct{ evs []obs.Event }
+
+func (s *heardSink) Emit(ev obs.Event) {
+	if ev.Type == obs.EvHeartbeatHeard {
+		s.evs = append(s.evs, ev)
+	}
+}
+
+// TestHandleFrameEmitsHeartbeatHeard: the manager publishes one
+// heartbeat_heard for every heartbeat or relinquish of its context type it
+// handles, a duplicate copy included, and none for another type's frame
+// or for a report.
+func TestHandleFrameEmitsHeartbeatHeard(t *testing.T) {
+	n := newTestNet(t, 2)
+	var sink heardSink
+	n.env.Bus = obs.NewBus(&sink)
+	g := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	hb := Heartbeat{CtxType: "tracker", Label: "tracker/2.1", Leader: 2, Seq: 3}
+	other := Heartbeat{CtxType: "fire", Label: "fire/6.1", Leader: 6, Seq: 1}
+	for _, f := range []radio.Frame{
+		{Kind: trace.KindHeartbeat, Src: 2, Payload: hb},
+		{Kind: trace.KindHeartbeat, Src: 5, Payload: hb}, // a relayed duplicate
+		{Kind: trace.KindRelinquish, Src: 2, Payload: Relinquish{CtxType: "tracker", Label: "tracker/2.1", OldLeader: 2, NewLeader: 4}},
+		{Kind: trace.KindHeartbeat, Src: 6, Payload: other},
+		{Kind: trace.KindRelinquish, Src: 6, Payload: Relinquish{CtxType: "fire", Label: "fire/6.1", OldLeader: 6, NewLeader: 1}},
+		{Kind: trace.KindReading, Src: 7, Payload: Report{CtxType: "tracker", Label: "tracker/2.1", Reporter: 7}},
+	} {
+		g.HandleFrame(f)
+	}
+	want := []struct {
+		kind trace.Kind
+		seq  uint64
+	}{{trace.KindHeartbeat, 3}, {trace.KindHeartbeat, 3}, {trace.KindRelinquish, 0}}
+	if len(sink.evs) != len(want) {
+		t.Fatalf("heartbeat_heard events = %d (%+v), want %d", len(sink.evs), sink.evs, len(want))
+	}
+	for i, ev := range sink.evs {
+		if ev.Kind != want[i].kind || ev.Seq != want[i].seq || ev.Mote != 1 || ev.Peer != 2 ||
+			ev.Label != "tracker/2.1" || ev.CtxType != "tracker" {
+			t.Errorf("event %d = %+v, want %s seq %d heard by mote 1 from origin 2 of tracker/2.1",
+				i, ev, want[i].kind, want[i].seq)
+		}
 	}
 }
 

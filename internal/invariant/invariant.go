@@ -2,10 +2,10 @@
 // an obs.Sink that replays the structured event stream of one run and
 // mechanically checks group-management invariants the paper's aggregate
 // metrics never examine. It is built to be sound on nominal runs — every
-// rule only fires when the event stream *proves* a violation, using
-// conservative attribution and grace windows — so a non-empty violation
-// list always means a protocol bug (or an injected mutation), never
-// simulator noise.
+// rule only fires when the event stream *proves* a violation, reading what
+// each mote's protocol layer handled and allowing grace windows — so a
+// non-empty violation list always means a protocol bug (or an injected
+// mutation), never simulator noise.
 //
 // The checked invariants:
 //
@@ -15,11 +15,11 @@
 //	                      other, for longer than 6 heartbeats.
 //	I2 takeover-silence   A receive-timer takeover may fire only after
 //	                      >= group.ReceiveFactor x heartbeat of label
-//	                      silence. Silence is bounded via per-sender
-//	                      heartbeat attribution with the protocol's own
-//	                      (label, leader, seq) dedup mirrored, so
-//	                      duplicated or flood-forwarded copies never
-//	                      shrink it.
+//	                      silence. Silence runs from the last heartbeat
+//	                      the member's manager heard (heartbeat_heard)
+//	                      with the protocol's own (label, leader, seq)
+//	                      dedup mirrored, so duplicated or flood-forwarded
+//	                      copies never shrink it.
 //	I3 report-after-teardown  No member keeps sending reports once its
 //	                      label has had no leader for its members' notice
 //	                      window plus 1s.
@@ -55,7 +55,7 @@ import (
 // the zero value applies the group-config default heartbeat.
 type Config struct {
 	// Backend names the tracking backend of the run under observation
-	// (a track registry name; empty means "leader"). The leader rules
+	// ("leader" or "passive"; empty means "leader"). The leader rules
 	// I1–I5 assume heartbeat group management; "passive" selects the
 	// passive-traces rule set instead.
 	Backend string
@@ -179,53 +179,16 @@ func (p obsPos) within(q obsPos, r float64) bool {
 	return dx*dx+dy*dy <= r*r
 }
 
-// hbSend is one attributable heartbeat transmission by a sender: the
-// label, originating leader, and sequence number it carried.
-type hbSend struct {
-	label  string
-	origin int
-	seq    uint64
-	at     time.Duration
-}
-
 // floodKey is a heartbeat flood: a label and its originating leader.
 type floodKey struct {
 	label  string
 	origin int
 }
 
-// attrib keeps a sender's last two transmissions of a kind so a
-// reception can be matched to the transmission in flight (with zero
-// propagation delay a send at the same instant as a reception cannot be
-// its source, hence the strict < in lookup).
-type attrib struct {
-	prev, cur hbSend
-	n         int
-}
-
-func (a *attrib) push(s hbSend) {
-	a.prev, a.cur = a.cur, s
-	a.n++
-}
-
-// lookup resolves the transmission from origin that a reception at time
-// t came from: the newer of the two sends that match, or ok=false when
-// neither does. A heartbeat frame names its originating leader in its
-// correlation header, which forwards keep, and the sender's radio may put
-// an older frame on air after a newer one, so the origin, not the send
-// time, picks between them. A relinquish carries no correlation; its
-// origin is the sender itself.
-func (a *attrib) lookup(t time.Duration, origin int) (hbSend, bool) {
-	if a == nil {
-		return hbSend{}, false
-	}
-	if a.n >= 1 && a.cur.at < t && a.cur.origin == origin {
-		return a.cur, true
-	}
-	if a.n >= 2 && a.prev.at < t && a.prev.origin == origin {
-		return a.prev, true
-	}
-	return hbSend{}, false
+// pairKey is an unordered dual-leader pair of a label (a < b).
+type pairKey struct {
+	label string
+	a, b  int
 }
 
 // memberRec is the checker's view of one mote's membership.
@@ -234,8 +197,8 @@ type memberRec struct {
 	since time.Duration
 }
 
-// rearmRec is the latest reception proven to have re-armed a member's
-// receive timer.
+// rearmRec is the latest heard heartbeat or relinquish that re-armed a
+// member's receive timer.
 type rearmRec struct {
 	label string
 	at    time.Duration
@@ -251,18 +214,14 @@ type Checker struct {
 
 	leaders map[string]map[int]*leaderRec // label -> mote -> rec
 	multi   map[string]bool               // labels with >= 2 leader recs
-	flagged map[string]bool               // dedup: label|a|b dual-leader pairs
+	flagged map[pairKey]bool              // dual-leader pairs already reported
+	live    []*leaderRec                  // checkDualLeaders scratch
 
-	members  map[int]*memberRec
-	rearms   map[int]rearmRec
-	seen     map[int]map[floodKey]uint64 // receiver -> flood -> max seq (protocol dedup mirror)
-	hbSends  map[int]*attrib             // sender -> recent heartbeat transmissions
-	relSends map[int]*attrib             // sender -> recent relinquish transmissions
-	stepDown map[int]string              // sender -> label of last step-down
+	members map[int]*memberRec
+	rearms  map[int]rearmRec
+	seen    map[int]map[floodKey]uint64 // mote -> flood -> max seq heard (protocol dedup mirror)
 
-	failedNow  map[int]bool
-	lastFault  map[int]time.Duration // last fail or restore event
-	overloaded map[int]bool
+	lastFault map[int]time.Duration // last fail or restore event
 
 	everLed    map[string]bool
 	leaderGone map[string]time.Duration // label -> when its last live leader vanished
@@ -286,16 +245,11 @@ func New(cfg Config) *Checker {
 		cfg:        cfg.withDefaults(),
 		leaders:    make(map[string]map[int]*leaderRec),
 		multi:      make(map[string]bool),
-		flagged:    make(map[string]bool),
+		flagged:    make(map[pairKey]bool),
 		members:    make(map[int]*memberRec),
 		rearms:     make(map[int]rearmRec),
 		seen:       make(map[int]map[floodKey]uint64),
-		hbSends:    make(map[int]*attrib),
-		relSends:   make(map[int]*attrib),
-		stepDown:   make(map[int]string),
-		failedNow:  make(map[int]bool),
 		lastFault:  make(map[int]time.Duration),
-		overloaded: make(map[int]bool),
 		everLed:    make(map[string]bool),
 		leaderGone: make(map[string]time.Duration),
 		lastReport: make(map[int]rearmRec),
@@ -330,7 +284,6 @@ func (c *Checker) emitLeader(ev obs.Event) {
 
 	switch ev.Type {
 	case obs.EvMoteFailed:
-		c.failedNow[ev.Mote] = true
 		c.lastFault[ev.Mote] = ev.At
 		delete(c.rearms, ev.Mote)
 		for label, recs := range c.leaders {
@@ -341,7 +294,6 @@ func (c *Checker) emitLeader(ev obs.Event) {
 		}
 
 	case obs.EvMoteRestored:
-		c.failedNow[ev.Mote] = false
 		c.lastFault[ev.Mote] = ev.At
 		for label, recs := range c.leaders {
 			if rec, ok := recs[ev.Mote]; ok && rec.failed {
@@ -355,9 +307,6 @@ func (c *Checker) emitLeader(ev obs.Event) {
 		c.startLeadership(ev.Mote, ev.Label, ev.At, pos)
 
 	case obs.EvLabelYield, obs.EvLabelDeleted, obs.EvLeaderStepDown:
-		if ev.Type == obs.EvLeaderStepDown {
-			c.stepDown[ev.Mote] = ev.Label
-		}
 		c.endLeadership(ev.Mote, ev.Label, ev.At)
 
 	case obs.EvLabelJoined:
@@ -380,32 +329,20 @@ func (c *Checker) emitLeader(ev obs.Event) {
 		delete(c.lastReport, ev.Mote)
 
 	case obs.EvHeartbeatSent:
-		c.attrib(c.hbSends, ev.Mote).push(hbSend{label: ev.Label, origin: ev.Mote, seq: ev.Seq, at: ev.At})
 		if rec := c.leaderOf(ev.Mote, ev.Label); rec != nil {
 			rec.lastHB = ev.At
 		}
 
-	case obs.EvHeartbeatForwarded:
-		c.attrib(c.hbSends, ev.Mote).push(hbSend{label: ev.Label, origin: ev.Peer, seq: ev.Seq, at: ev.At})
+	case obs.EvHeartbeatHeard:
+		c.onHeard(ev)
 
 	case obs.EvReceiveTimerFired:
 		c.checkTakeoverSilence(ev)
 
-	case obs.EvCPUOverload:
-		c.overloaded[ev.Mote] = true
-
 	case obs.EvFrameSent:
-		switch ev.Kind {
-		case trace.KindRelinquish:
-			if label, ok := c.stepDown[ev.Mote]; ok {
-				c.attrib(c.relSends, ev.Mote).push(hbSend{label: label, origin: ev.Mote, at: ev.At})
-			}
-		case trace.KindReading:
+		if ev.Kind == trace.KindReading {
 			c.checkReport(ev)
 		}
-
-	case obs.EvFrameReceived:
-		c.onReception(ev)
 
 	case obs.EvDirectoryUpdated:
 		if ev.Cause == "register" {
@@ -464,15 +401,6 @@ func (c *Checker) record(v Violation) {
 	}
 }
 
-func (c *Checker) attrib(m map[int]*attrib, mote int) *attrib {
-	a, ok := m[mote]
-	if !ok {
-		a = &attrib{}
-		m[mote] = a
-	}
-	return a
-}
-
 func (c *Checker) leaderOf(mote int, label string) *leaderRec {
 	if recs, ok := c.leaders[label]; ok {
 		return recs[mote]
@@ -517,7 +445,7 @@ func (c *Checker) endLeadership(mote int, label string, at time.Duration) {
 	c.refreshLeaderGone(label, at)
 	// A fresh overlap episode gets a fresh verdict.
 	for key := range c.flagged {
-		if keyLabel(key) == label {
+		if key.label == label {
 			delete(c.flagged, key)
 		}
 	}
@@ -540,26 +468,6 @@ func (c *Checker) refreshLeaderGone(label string, at time.Duration) {
 	}
 }
 
-func pairKey(label string, a, b int) string {
-	if a > b {
-		a, b = b, a
-	}
-	return fmt.Sprintf("%s|%d|%d", label, a, b)
-}
-
-func keyLabel(key string) string {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '|' {
-			for j := i - 1; j >= 0; j-- {
-				if key[j] == '|' {
-					return key[:j]
-				}
-			}
-		}
-	}
-	return key
-}
-
 // checkDualLeaders scans labels with >= 2 leader records. A pair is a
 // violation only when both motes are live, both have heartbeated the
 // label recently (a crashed-and-restored "zombie" leader that never
@@ -572,9 +480,8 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 	}
 	activeWin := c.cfg.noticeWindow()
 	for label := range c.multi {
-		recs := c.leaders[label]
-		var live []*leaderRec
-		for _, rec := range recs {
+		live := c.live[:0]
+		for _, rec := range c.leaders[label] {
 			if rec.failed {
 				continue
 			}
@@ -583,13 +490,18 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 			}
 			live = append(live, rec)
 		}
+		c.live = live
 		if len(live) < 2 {
 			continue
 		}
 		for i := 0; i < len(live); i++ {
 			for j := i + 1; j < len(live); j++ {
 				a, b := live[i], live[j]
-				key := pairKey(label, a.mote, b.mote)
+				lo, hi := a.mote, b.mote
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				key := pairKey{label: label, a: lo, b: hi}
 				if c.flagged[key] {
 					continue
 				}
@@ -620,10 +532,6 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 					continue
 				}
 				c.flagged[key] = true
-				lo, hi := a.mote, b.mote
-				if lo > hi {
-					lo, hi = hi, lo
-				}
 				c.record(Violation{
 					At: at, Invariant: DualLeader, Label: label, Mote: lo, Peer: hi, Run: c.run,
 					Detail: fmt.Sprintf("motes %d and %d both led %q in radio range for %v (grace %v)",
@@ -634,65 +542,43 @@ func (c *Checker) checkDualLeaders(at time.Duration) {
 	}
 }
 
-// onReception records proven receive-timer re-arms: a heartbeat or
-// relinquish reception attributed (unambiguously) to the receiving
-// member's own label, passing the protocol's (label, origin, seq) dedup.
-func (c *Checker) onReception(ev obs.Event) {
-	if c.failedNow[ev.Mote] {
-		return // the mote drops the frame before dispatch
-	}
+// onHeard records receive-timer re-arms from what a mote's manager
+// heard. It mirrors the manager's flood dedup, which runs on every
+// heartbeat before any role logic: only a strictly newer sequence for
+// (label, origin) re-arms, so a duplicated or forwarded copy never shrinks
+// the measured silence, even when the first copy came while the mote
+// followed another label. A heard heartbeat of a member's own label
+// re-arms its timer, and so does a relinquish of that label.
+func (c *Checker) onHeard(ev obs.Event) {
 	switch ev.Kind {
 	case trace.KindHeartbeat:
-		send, ok := c.hbSends[ev.Peer].lookup(ev.At, ev.Origin)
-		if !ok {
-			return
-		}
-		// Mirror the protocol's flood dedup, which runs on every
-		// heartbeat before any role logic: only a strictly newer sequence
-		// for (label, origin) re-arms the receive timer, so a duplicated
-		// or forwarded copy of an already-seen heartbeat never shrinks the
-		// measured silence, even when the first copy came while the mote
-		// followed another label.
-		key := floodKey{label: send.label, origin: send.origin}
+		key := floodKey{label: ev.Label, origin: ev.Peer}
 		seen := c.seen[ev.Mote]
 		if seen == nil {
 			seen = make(map[floodKey]uint64)
 			c.seen[ev.Mote] = seen
 		}
-		if send.seq <= seen[key] {
+		if ev.Seq <= seen[key] {
 			return
 		}
-		seen[key] = send.seq
-		if mem, ok := c.members[ev.Mote]; ok && send.label == mem.label {
-			c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
-		}
+		seen[key] = ev.Seq
 	case trace.KindRelinquish:
-		// A same-label relinquish always re-arms the member's timer.
-		send, ok := c.relSends[ev.Peer].lookup(ev.At, ev.Peer)
-		if mem, member := c.members[ev.Mote]; ok && member && send.label == mem.label {
-			c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
-		}
+	default:
+		return
+	}
+	if mem, ok := c.members[ev.Mote]; ok && ev.Label == mem.label {
+		c.rearms[ev.Mote] = rearmRec{label: mem.label, at: ev.At}
 	}
 }
 
 // checkTakeoverSilence (I2): the receive timer is never shorter than
-// ReceiveFactor x heartbeat, so a firing within that window of a proven
-// re-arm is a bug. Re-arm records are lower bounds on the true re-arm
-// time (reception precedes dispatch), so the measured silence is an
-// upper bound on the true silence and the check cannot false-positive.
+// ReceiveFactor x heartbeat, so a firing within that window of its last
+// re-arm is a bug. Re-arms are dated when the manager heard the frame,
+// the same instant the protocol re-armed its timer, and a failure clears
+// the record, so no firing is exempt.
 func (c *Checker) checkTakeoverSilence(ev obs.Event) {
-	if c.overloaded[ev.Mote] {
-		// CPU-overloaded motes drop frames after the radio delivered
-		// them; re-arm records are then unreliable.
-		return
-	}
 	r, ok := c.rearms[ev.Mote]
 	if !ok || r.label != ev.Label {
-		return
-	}
-	if fault, ok := c.lastFault[ev.Mote]; ok && fault >= r.at {
-		// A crash window between the re-arm and the firing may have
-		// swallowed the dispatch.
 		return
 	}
 	silence := ev.At - r.at

@@ -150,28 +150,36 @@ func TestDualLeaderSameSideOfPartitionStillFlagged(t *testing.T) {
 	}
 }
 
-// join makes mote a member of label under the given leader, with a
-// proven heartbeat re-arm at rearm (the leader's send precedes it by 1ms).
+// join makes mote a member of label under the given leader.
 func join(c *Checker, tm time.Duration, mote, leader int, label string) {
 	c.Emit(obs.Event{At: tm, Type: obs.EvLabelJoined, Mote: mote, Label: label})
 }
 
+// rearm has leader send heartbeat seq of label 1ms before mote's manager
+// hears it at tm.
 func rearm(c *Checker, tm time.Duration, mote, leader int, label string, seq uint64) {
 	beat(c, tm-time.Millisecond, leader, label, seq)
-	hear(c, tm, mote, leader, leader)
+	hear(c, tm, mote, leader, label, seq)
 }
 
-// forward emits mote's rebroadcast of origin's heartbeat seq of label.
-func forward(c *Checker, tm time.Duration, mote, origin int, label string, seq uint64) {
-	c.Emit(obs.Event{At: tm, Type: obs.EvHeartbeatForwarded, Mote: mote, Peer: origin, Label: label, Seq: seq})
+// hear emits mote's manager handling heartbeat seq of label from its
+// originating leader, as group.Manager's heartbeat_heard does for every
+// copy, forwarded and duplicated ones included.
+func hear(c *Checker, tm time.Duration, mote, origin int, label string, seq uint64) {
+	c.Emit(obs.Event{At: tm, Type: obs.EvHeartbeatHeard, Mote: mote, Peer: origin, Label: label,
+		Kind: trace.KindHeartbeat, Seq: seq})
 }
 
-// hear emits mote's reception of a heartbeat frame sent by peer. Like the
-// radio's frame_received, it carries the frame's correlation origin: the
-// leader whose heartbeat it is, which forwards preserve.
-func hear(c *Checker, tm time.Duration, mote, peer, origin int) {
-	c.Emit(obs.Event{At: tm, Type: obs.EvFrameReceived, Mote: mote, Peer: peer, Origin: origin,
+// receive emits the radio's frame_received of a heartbeat frame origin
+// sent, which reaches the mote's CPU queue, not yet its manager.
+func receive(c *Checker, tm time.Duration, mote, origin int) {
+	c.Emit(obs.Event{At: tm, Type: obs.EvFrameReceived, Mote: mote, Peer: origin, Origin: origin,
 		Kind: trace.KindHeartbeat})
+}
+
+// fire emits mote's receive-timer firing for label.
+func fire(c *Checker, tm time.Duration, mote int, label string) {
+	c.Emit(obs.Event{At: tm, Type: obs.EvReceiveTimerFired, Mote: mote, Label: label})
 }
 
 func TestTakeoverSilenceViolation(t *testing.T) {
@@ -179,8 +187,8 @@ func TestTakeoverSilenceViolation(t *testing.T) {
 	lead(c, at(0.5), 1, "L", 0)
 	join(c, at(1), 3, 1, "L")
 	rearm(c, at(2), 3, 1, "L", 1)
-	// Timer fires 0.5s after a proven re-arm: impossibly early (min 1.05s).
-	c.Emit(obs.Event{At: at(2.5), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
+	// Timer fires 0.5s after a heard heartbeat: impossibly early (min 1.05s).
+	fire(c, at(2.5), 3, "L")
 	if got := violationsOf(c, TakeoverSilence); len(got) != 1 {
 		t.Fatalf("takeover-silence violations = %d (%v), want 1", len(got), got)
 	}
@@ -192,7 +200,7 @@ func TestTakeoverSilenceLegitimateFiring(t *testing.T) {
 	join(c, at(1), 3, 1, "L")
 	rearm(c, at(2), 3, 1, "L", 1)
 	// 1.2s of silence exceeds the 1.05s minimum: legitimate.
-	c.Emit(obs.Event{At: at(3.2), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
+	fire(c, at(3.2), 3, "L")
 	if got := violationsOf(c, TakeoverSilence); len(got) != 0 {
 		t.Errorf("legitimate takeover flagged: %v", got)
 	}
@@ -203,11 +211,10 @@ func TestTakeoverSilenceDuplicateCopyDoesNotRearm(t *testing.T) {
 	lead(c, at(0.5), 1, "L", 0)
 	join(c, at(1), 3, 1, "L")
 	rearm(c, at(2), 3, 1, "L", 1)
-	// A duplicated copy of the same seq=1 heartbeat arrives later; the
+	// A duplicated copy of the same seq=1 heartbeat is heard later; the
 	// protocol dedups it, so it must not shrink the measured silence.
-	c.Emit(obs.Event{At: at(2.5), Type: obs.EvFrameReceived, Mote: 3, Peer: 1, Origin: 1,
-		Kind: trace.KindHeartbeat})
-	c.Emit(obs.Event{At: at(3.2), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
+	hear(c, at(2.5), 3, 1, "L", 1)
+	fire(c, at(3.2), 3, "L")
 	if got := violationsOf(c, TakeoverSilence); len(got) != 0 {
 		t.Errorf("dup heartbeat copy shrank measured silence: %v", got)
 	}
@@ -218,7 +225,7 @@ func TestTakeoverSilenceDuplicateCopyDoesNotRearm(t *testing.T) {
 	join(c2, at(1), 3, 1, "L")
 	rearm(c2, at(2), 3, 1, "L", 1)
 	rearm(c2, at(2.5), 3, 1, "L", 2)
-	c2.Emit(obs.Event{At: at(3.2), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
+	fire(c2, at(3.2), 3, "L")
 	if got := violationsOf(c2, TakeoverSilence); len(got) != 1 {
 		t.Errorf("fresh-seq re-arm not honored: %d violations, want 1", len(got))
 	}
@@ -236,15 +243,13 @@ func TestTakeoverSilenceCrossLabelFirstCopy(t *testing.T) {
 		lead(c, at(0.5), 6, "B", 5)
 		join(c, at(1), 3, 1, "A")
 		rearm(c, at(2), 3, 1, "A", 1)
-		beat(c, at(6.999), 6, "B", 1)
-		hear(c, at(7), 3, 6, 6)
+		rearm(c, at(7), 3, 6, "B", 1)
 		join(c, at(7), 3, 6, "B")
 		if relayedSeq > 1 {
 			beat(c, at(7.04), 6, "B", relayedSeq)
 		}
-		forward(c, at(7.05), 7, 6, "B", relayedSeq)
-		hear(c, at(7.08), 3, 7, 6)
-		c.Emit(obs.Event{At: at(8.1), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "B"})
+		hear(c, at(7.08), 3, 6, "B", relayedSeq) // relayed by mote 7
+		fire(c, at(8.1), 3, "B")
 		return c
 	}
 	// 1.1s after the join: legitimate.
@@ -258,52 +263,111 @@ func TestTakeoverSilenceCrossLabelFirstCopy(t *testing.T) {
 	}
 }
 
-// TestTakeoverSilenceSendsOnAirOutOfOrder: mote 56 queues its own heartbeat
-// of L, then a forward of mote 80's heartbeat of M, but its radio puts the
-// forward on air first. Each reception is credited by the frame's
-// correlation origin, not to the newest send, so mote 32's later relay of
-// 56's heartbeat is a duplicate.
-func TestTakeoverSilenceSendsOnAirOutOfOrder(t *testing.T) {
-	stream := func(relayedSeq uint64) *Checker {
+// TestTakeoverSilenceQueuedHeartbeat: leader 81's heartbeat reaches member
+// 33's radio 0.4ms before 33's receive timer fires, but waits 8ms in the
+// mote's CPU queue, so the manager hears it only after the firing. The
+// timer ran its full course, which only the manager's clock shows.
+func TestTakeoverSilenceQueuedHeartbeat(t *testing.T) {
+	stream := func(heard time.Duration) *Checker {
 		c := New(Config{})
-		lead(c, at(0.5), 56, "L", 0)
-		lead(c, at(0.5), 80, "M", 9)
-		join(c, at(1), 33, 56, "L")
-		beat(c, at(10.052), 56, "L", 5)
-		forward(c, at(10.069), 56, 80, "M", 3)
-		hear(c, at(10.075), 33, 56, 80) // the forward, on air first
-		hear(c, at(10.08), 33, 56, 56)  // 56's own heartbeat
-		if relayedSeq > 5 {
-			beat(c, at(10.12), 56, "L", relayedSeq)
+		lead(c, at(0.5), 81, "L", 0)
+		join(c, at(1), 33, 81, "L")
+		rearm(c, at(10.78), 33, 81, "L", 20)
+		beat(c, at(11.83), 81, "L", 21)
+		receive(c, at(11.831626), 33, 81)
+		if heard < at(11.832018) {
+			hear(c, heard, 33, 81, "L", 21)
 		}
-		forward(c, at(10.13), 32, 56, "L", relayedSeq)
-		hear(c, at(10.1355), 33, 32, 56)
-		c.Emit(obs.Event{At: at(11.1548), Type: obs.EvReceiveTimerFired, Mote: 33, Label: "L"})
+		fire(c, at(11.832018), 33, "L")
+		c.Emit(obs.Event{At: at(11.832018), Type: obs.EvLabelTakeover, Mote: 33, Label: "L", Pos: geom.Pt(1, 0)})
+		if heard > at(11.832018) {
+			hear(c, heard, 33, 81, "L", 21)
+		}
 		return c
 	}
-	// 1.0748s after 56's own heartbeat: legitimate.
-	if got := violationsOf(stream(5), TakeoverSilence); len(got) != 0 {
-		t.Errorf("relayed duplicate re-armed after an out-of-order reception: %v", got)
+	// Heard 8ms after the reception: the firing came 1.052s after the last
+	// heard heartbeat, legitimate.
+	if got := violationsOf(stream(at(11.839626)), TakeoverSilence); len(got) != 0 {
+		t.Errorf("heartbeat still queued at the firing re-armed: %v", got)
 	}
-	// Control: a relayed fresh seq 6 re-arms at 10.1355s, 1.0193s before
-	// the firing.
-	if got := violationsOf(stream(6), TakeoverSilence); len(got) != 1 {
-		t.Errorf("fresh relayed heartbeat: %d violations, want 1", len(got))
+	// Control: heard before the firing, the same firing is early.
+	if got := violationsOf(stream(at(11.8318)), TakeoverSilence); len(got) != 1 {
+		t.Errorf("heartbeat heard before the firing: %d violations, want 1", len(got))
 	}
 }
 
+// TestTakeoverSilenceRadioReceptionDoesNotRearm: frame_received only
+// says a frame reached the mote's CPU queue, so a stream of receptions
+// without heartbeat_heard re-arms nothing.
+func TestTakeoverSilenceRadioReceptionDoesNotRearm(t *testing.T) {
+	stream := func(heard bool) *Checker {
+		c := New(Config{})
+		lead(c, at(0.5), 1, "L", 0)
+		join(c, at(1), 3, 1, "L")
+		for seq, tm := uint64(1), at(1.5); tm <= at(3); tm += hb {
+			beat(c, tm-time.Millisecond, 1, "L", seq)
+			receive(c, tm, 3, 1)
+			if heard {
+				hear(c, tm, 3, 1, "L", seq)
+			}
+			seq++
+		}
+		fire(c, at(3.1), 3, "L")
+		return c
+	}
+	// 2.1s after the join and no heard heartbeat since: legitimate.
+	if got := violationsOf(stream(false), TakeoverSilence); len(got) != 0 {
+		t.Errorf("radio receptions re-armed the timer: %v", got)
+	}
+	// Control: the same heartbeats heard make the 3.1s firing early.
+	if got := violationsOf(stream(true), TakeoverSilence); len(got) != 1 {
+		t.Errorf("heard heartbeats: %d violations, want 1", len(got))
+	}
+}
+
+// TestTakeoverSilenceRelinquishRearms: a member's manager re-arms its
+// receive timer on a relinquish of its own label, and only of its own.
+func TestTakeoverSilenceRelinquishRearms(t *testing.T) {
+	stream := func(label string) *Checker {
+		c := New(Config{})
+		lead(c, at(0.5), 1, "L", 0)
+		join(c, at(1), 3, 1, "L")
+		c.Emit(obs.Event{At: at(1.5), Type: obs.EvHeartbeatHeard, Mote: 3, Peer: 1, Label: label,
+			Kind: trace.KindRelinquish})
+		fire(c, at(2.1), 3, "L")
+		return c
+	}
+	if got := violationsOf(stream("L"), TakeoverSilence); len(got) != 1 {
+		t.Errorf("same-label relinquish: %d violations, want 1", len(got))
+	}
+	if got := violationsOf(stream("M"), TakeoverSilence); len(got) != 0 {
+		t.Errorf("other label's relinquish re-armed: %v", got)
+	}
+}
+
+// TestTakeoverSilenceFaultWindowExempt: a crash clears the member's re-arm
+// record, since the restored mote's timer state is not the one the record
+// dated; the first heartbeat heard after the restore re-arms it again.
 func TestTakeoverSilenceFaultWindowExempt(t *testing.T) {
-	c := New(Config{})
-	lead(c, at(0.5), 1, "L", 0)
-	join(c, at(1), 3, 1, "L")
-	rearm(c, at(2), 3, 1, "L", 1)
-	// A crash-restore between re-arm and firing may have swallowed the
-	// dispatch; the early firing is unprovable.
-	c.Emit(obs.Event{At: at(2.1), Type: obs.EvMoteFailed, Mote: 3})
-	c.Emit(obs.Event{At: at(2.2), Type: obs.EvMoteRestored, Mote: 3})
-	c.Emit(obs.Event{At: at(2.5), Type: obs.EvReceiveTimerFired, Mote: 3, Label: "L"})
-	if got := violationsOf(c, TakeoverSilence); len(got) != 0 {
-		t.Errorf("faulted mote's early fire flagged: %v", got)
+	stream := func(heardAfterRestore bool) *Checker {
+		c := New(Config{})
+		lead(c, at(0.5), 1, "L", 0)
+		join(c, at(1), 3, 1, "L")
+		rearm(c, at(2), 3, 1, "L", 1)
+		c.Emit(obs.Event{At: at(2.1), Type: obs.EvMoteFailed, Mote: 3})
+		c.Emit(obs.Event{At: at(2.2), Type: obs.EvMoteRestored, Mote: 3})
+		if heardAfterRestore {
+			rearm(c, at(2.3), 3, 1, "L", 2)
+		}
+		fire(c, at(2.5), 3, "L")
+		return c
+	}
+	if got := violationsOf(stream(false), TakeoverSilence); len(got) != 0 {
+		t.Errorf("re-arm from before the crash checked: %v", got)
+	}
+	// Control: a heartbeat heard after the restore is checked again.
+	if got := violationsOf(stream(true), TakeoverSilence); len(got) != 1 {
+		t.Errorf("re-arm after the restore: %d violations, want 1", len(got))
 	}
 }
 

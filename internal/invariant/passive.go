@@ -40,6 +40,8 @@ type passiveState struct {
 	lastOwn  map[int]time.Duration // mote -> last own trace deposit
 	lastAct  map[int]time.Duration // mote -> last trace activity (deposit or integration)
 
+	failed map[int]bool // motes currently crashed
+
 	lastDeposit time.Duration // newest trace deposit anywhere
 	anyDeposit  bool
 
@@ -56,6 +58,7 @@ type estimatorRec struct {
 func newPassiveState() *passiveState {
 	return &passiveState{
 		traceSeq: make(map[int]uint64),
+		failed:   make(map[int]bool),
 		lastOwn:  make(map[int]time.Duration),
 		lastAct:  make(map[int]time.Duration),
 		active:   make(map[int]*estimatorRec),
@@ -67,11 +70,11 @@ func (c *Checker) emitPassive(ev obs.Event) {
 	p := c.passive
 	switch ev.Type {
 	case obs.EvMoteFailed:
-		c.failedNow[ev.Mote] = true
+		p.failed[ev.Mote] = true
 		c.lastFault[ev.Mote] = ev.At
 
 	case obs.EvMoteRestored:
-		c.failedNow[ev.Mote] = false
+		p.failed[ev.Mote] = false
 		c.lastFault[ev.Mote] = ev.At
 
 	case obs.EvReportSent:
@@ -85,7 +88,7 @@ func (c *Checker) emitPassive(ev obs.Event) {
 	case obs.EvRouteDelivered:
 		// A delivered gossip span means the receiver integrated at least
 		// one fresh trace record.
-		if ev.Kind == trace.KindTrace && !c.failedNow[ev.Mote] {
+		if ev.Kind == trace.KindTrace && !p.failed[ev.Mote] {
 			p.lastAct[ev.Mote] = ev.At
 		}
 
@@ -158,7 +161,7 @@ func (c *Checker) checkTakeoverFreshness(ev obs.Event) {
 // activity within the staleness bound.
 func (c *Checker) checkPassiveReport(ev obs.Event) {
 	p := c.passive
-	if c.failedNow[ev.Mote] {
+	if p.failed[ev.Mote] {
 		return
 	}
 	last, ok := p.lastAct[ev.Mote]
@@ -196,7 +199,7 @@ func (c *Checker) sweepEstimateStale(at time.Duration) {
 		return
 	}
 	for mote, rec := range p.active {
-		if rec.flagged || c.failedNow[mote] {
+		if rec.flagged || p.failed[mote] {
 			continue
 		}
 		if fault, faulted := c.lastFault[mote]; faulted && fault >= p.lastDeposit {

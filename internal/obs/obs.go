@@ -29,6 +29,7 @@ const (
 	EvHeartbeatSent       EventType = iota + 1 // leader heartbeat broadcast
 	EvHeartbeatForwarded                       // member rebroadcast (h-hop flood)
 	EvHeartbeatSuppressed                      // rebroadcast cancelled by storm suppression
+	EvHeartbeatHeard                           // manager handled a heartbeat or relinquish of its type
 	EvReceiveTimerFired                        // member receive timer expired
 	EvWaitTimerArmed                           // non-member remembered a nearby label
 	EvLabelCreated                             // new context label spawned
@@ -71,6 +72,7 @@ var eventNames = [...]string{
 	EvHeartbeatSent:       "heartbeat_sent",
 	EvHeartbeatForwarded:  "heartbeat_forwarded",
 	EvHeartbeatSuppressed: "heartbeat_suppressed",
+	EvHeartbeatHeard:      "heartbeat_heard",
 	EvReceiveTimerFired:   "receive_timer_fired",
 	EvWaitTimerArmed:      "wait_timer_armed",
 	EvLabelCreated:        "label_created",
@@ -134,8 +136,7 @@ func LabelEvent(t trace.LabelEventType) (EventType, bool) {
 //
 // Correlated messages additionally carry the causal span key the
 // SpanSink and ettrace reassemble lifecycles from: (Label, Origin, Seq)
-// identifies one logical message end to end (the same keying the
-// invariant checker uses for heartbeat dedup), and Frame ties frame-
+// identifies one logical message end to end, and Frame ties frame-
 // level events (sent/received/lost/overload) to one physical
 // transmission, distinguishing retransmissions and duplicates of the
 // same logical message.

@@ -62,6 +62,9 @@ func TestEventTypeNamesUniqueAndComplete(t *testing.T) {
 	if len(seen) != named {
 		t.Fatalf("event types cover %d names, table has %d", len(seen), named)
 	}
+	if et := seen["heartbeat_heard"]; et != EvHeartbeatHeard {
+		t.Fatalf("heartbeat_heard names event type %d, want EvHeartbeatHeard (%d)", et, EvHeartbeatHeard)
+	}
 }
 
 func TestJSONLSinkEmitsValidJSON(t *testing.T) {
