@@ -10,7 +10,8 @@ import (
 // (-check semantic compilation, -fmt canonical formatting, and Go code
 // generation) over arbitrary input. Malformed programs — unterminated
 // begin context blocks above all — must come back as errors, never
-// panics.
+// panics, and code generation must accept exactly the programs -check
+// accepts.
 func FuzzPreprocess(f *testing.F) {
 	seeds := []string{
 		"",
@@ -29,15 +30,19 @@ func FuzzPreprocess(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// -check path: permissive bindings, so only syntactic/semantic
 		// errors in the program itself surface.
-		if _, err := envirotrack.CompileContexts(src, env); err != nil {
-			return // rejected cleanly; the other stages would reject too
+		_, compileErr := envirotrack.CompileContexts(src, env)
+		// Code generation runs the same semantic pass: it succeeds exactly
+		// when -check does.
+		_, genErr := envirotrack.GenerateGo(src, "fuzz")
+		if (compileErr == nil) != (genErr == nil) {
+			t.Fatalf("CompileContexts error %v but GenerateGo error %v\n%s", compileErr, genErr, src)
 		}
-		// A compilable program must survive -fmt and code generation.
+		if compileErr != nil {
+			return
+		}
+		// A compilable program must survive -fmt.
 		if _, err := envirotrack.FormatSource(src); err != nil {
 			t.Fatalf("compilable program fails FormatSource: %v\n%s", err, src)
-		}
-		if _, err := envirotrack.GenerateGo(src, "fuzz"); err != nil {
-			t.Fatalf("compilable program fails GenerateGo: %v\n%s", err, src)
 		}
 	})
 }

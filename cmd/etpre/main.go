@@ -1,8 +1,14 @@
 // Command etpre is the EnviroTrack preprocessor: it parses a context
 // description file (the Section 4 declaration language) and either emits
-// Go source that reconstructs the declared context types against the
-// envirotrack API (the analogue of the paper's NesC emitter), checks the
-// program, or pretty-prints it.
+// Go source against the envirotrack API (the analogue of the paper's NesC
+// emitter), checks the program, or pretty-prints it. The emitted file
+// embeds the program and declares
+//
+//	func BuildContexts(env envirotrack.CompileEnv) ([]envirotrack.ContextType, error)
+//
+// which compiles it with envirotrack.CompileContexts. Generation runs the
+// same semantic pass as -check, so it accepts exactly the programs -check
+// accepts.
 //
 // Usage:
 //

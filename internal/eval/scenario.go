@@ -73,8 +73,6 @@ type Scenario struct {
 	// series (so a shared sink can separate interleaved parallel runs); 0
 	// uses Seed. The harnesses set distinct tags from their Env.
 	Run int64
-	// SensePeriod overrides the mote scan period.
-	SensePeriod time.Duration
 	// CrossTraffic enables background traffic between non-participating
 	// motes (the Section 6.2 bottleneck experiment).
 	CrossTraffic bool
@@ -196,9 +194,6 @@ func Run(env *Env, sc Scenario) (RunResult, error) {
 	}
 	if sc.DisableCSMA {
 		opts = append(opts, envirotrack.WithoutCSMA())
-	}
-	if sc.SensePeriod > 0 {
-		opts = append(opts, envirotrack.WithSensePeriod(sc.SensePeriod))
 	}
 	checker := checkerFor(sc)
 	obsOpts, onNet := env.observe(sc, checker)

@@ -13,11 +13,11 @@
 // per-heartbeat path is allocation-free: timers fire package-level typed
 // events that take the manager as their argument, so arming one captures
 // nothing, a repeat of the last (label, leader) flood pair is
-// recognised without building its dedup key, other keys are built in a
-// stack buffer and only materialized as map keys on first sight of a
-// pair, and pending rebroadcast records are pooled on a per-manager free
-// list. The non-member wait is a callback-free simtime.Deadline, so the
-// re-arm on every heartbeat a non-member hears touches no heap.
+// recognised without a map lookup, other pairs are looked up by a
+// (label, leader) struct key, and pending rebroadcast records are pooled
+// on a per-manager free list. The non-member wait is a callback-free
+// simtime.Deadline, so the re-arm on every heartbeat a non-member hears
+// touches no heap.
 package group
 
 import (
@@ -66,7 +66,7 @@ type Manager struct {
 	// seen tracks, per (label, leader) flood key, the highest heartbeat Seq
 	// received and any pending jittered rebroadcast awaiting its timer. It
 	// is made on the first heartbeat heard.
-	seen map[string]*hbState
+	seen map[floodKey]*hbState
 	// lastSeen is the seen entry of the last heartbeat heard. A flood
 	// repeats one (label, leader) pair, so most lookups end here: 95% of
 	// heartbeats heard on the stress-leader benchmark workload, 75% on
@@ -77,12 +77,17 @@ type Manager struct {
 	pfFree *pendingForward
 }
 
-// hbState is the per-(label, leader) flood bookkeeping.
-type hbState struct {
+// floodKey names one heartbeat flood: a label and its originating leader.
+type floodKey struct {
 	label  Label
 	leader radio.NodeID
-	seq    uint64          // highest heartbeat Seq received
-	pf     *pendingForward // scheduled rebroadcast, nil when none pending
+}
+
+// hbState is the per-(label, leader) flood bookkeeping.
+type hbState struct {
+	floodKey
+	seq uint64          // highest heartbeat Seq received
+	pf  *pendingForward // scheduled rebroadcast, nil when none pending
 }
 
 // pendingForward is a jittered heartbeat rebroadcast awaiting its timer;
@@ -541,22 +546,17 @@ func (g *Manager) onHeartbeat(hb Heartbeat, corr radio.Corr) {
 }
 
 // seenEntry returns the flood bookkeeping of a (label, leader) pair,
-// creating it on first sight. The key "<label>/<leader>" is assembled in
-// a stack buffer; Go's map-lookup-by-converted-byte-slice idiom keeps the
-// already-seen path allocation-free.
+// creating it on first sight.
 func (g *Manager) seenEntry(label Label, leader radio.NodeID) *hbState {
-	var buf [64]byte
-	b := append(buf[:0], label...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(leader), 10)
-	if st, ok := g.seen[string(b)]; ok {
+	key := floodKey{label, leader}
+	if st, ok := g.seen[key]; ok {
 		return st
 	}
 	if g.seen == nil {
-		g.seen = make(map[string]*hbState)
+		g.seen = make(map[floodKey]*hbState)
 	}
-	st := &hbState{label: label, leader: leader}
-	g.seen[string(b)] = st
+	st := &hbState{floodKey: key}
+	g.seen[key] = st
 	return st
 }
 

@@ -42,7 +42,8 @@ type Env struct {
 	Logf func(format string, args ...any)
 	// AllowUnbound makes unknown send() destinations and actions compile
 	// to no-ops instead of errors (used by the preprocessor's -check
-	// mode, where runtime bindings are not yet known).
+	// mode, where runtime bindings are not yet known). Their arguments
+	// are still checked.
 	AllowUnbound bool
 	// Group is the group-management configuration applied to compiled
 	// context types.
@@ -358,16 +359,16 @@ func compileStmt(st *CallStmt, vars map[string]*VarDecl, env Env) (compiledStmt,
 		if dest.Kind != ArgIdent {
 			return nil, cerrf(st.Pos, "%s destination must be an identifier", st.Name)
 		}
+		evalArgs, err := compileArgs(st.Args[1:], st.Pos, vars)
+		if err != nil {
+			return nil, err
+		}
 		node, ok := env.Destinations[dest.Text]
 		if !ok {
 			if env.AllowUnbound {
 				return func(*core.Ctx) bool { return true }, nil
 			}
 			return nil, cerrf(st.Pos, "unknown destination %q (bind it in the compile environment)", dest.Text)
-		}
-		evalArgs, err := compileArgs(st.Args[1:], st.Pos, vars)
-		if err != nil {
-			return nil, err
 		}
 		return func(ctx *core.Ctx) bool {
 			vals, ok := evalArgs(ctx)
@@ -407,16 +408,16 @@ func compileStmt(st *CallStmt, vars map[string]*VarDecl, env Env) (compiledStmt,
 			return true
 		}, nil
 	default:
+		evalArgs, err := compileArgs(st.Args, st.Pos, vars)
+		if err != nil {
+			return nil, err
+		}
 		action, ok := env.Actions[st.Name]
 		if !ok {
 			if env.AllowUnbound {
 				return func(*core.Ctx) bool { return true }, nil
 			}
 			return nil, cerrf(st.Pos, "unknown action %q (builtins: send, log, setstate)", st.Name)
-		}
-		evalArgs, err := compileArgs(st.Args, st.Pos, vars)
-		if err != nil {
-			return nil, err
 		}
 		return func(ctx *core.Ctx) bool {
 			vals, ok := evalArgs(ctx)

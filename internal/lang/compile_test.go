@@ -226,63 +226,16 @@ func nilCtx(t *testing.T) *core.Ctx {
 }
 
 func TestGenerateGoCompiles(t *testing.T) {
-	prog, err := Parse(figure2)
+	src, err := GenerateGo(figure2, "generated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GenerateGo(prog, "generated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"package generated",
-		"func BuildContexts",
-		`Name: "tracker"`,
-		"envirotrack.Centroid",
-		"CriticalMass: 2",
-		"ctx.SendNode",
-	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("generated code missing %q:\n%s", want, src)
-		}
+	if !strings.Contains(src, "package generated\n") {
+		t.Errorf("generated code names the wrong package:\n%s", src)
 	}
 	for _, pkg := range []string{"123", "func", "a-b", "_", "my pkg"} {
-		if _, err := GenerateGo(prog, pkg); err == nil {
-			t.Errorf("GenerateGo(prog, %q) succeeded; want an invalid package name error", pkg)
-		}
-	}
-}
-
-func TestGenerateGoConditionAndBuiltins(t *testing.T) {
-	src := `
-begin context fire
-    activation: temperature > 180
-    heat : avg(temperature) confidence=2, freshness=2s
-    begin object alarm
-        invocation: heat > 300
-        alarm_function() {
-            log("hot", heat);
-            setstate("alarmed");
-        }
-    end
-end context
-`
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := GenerateGo(prog, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Condition: func(ctx *envirotrack.Ctx) bool",
-		"ctx.ReadScalar",
-		"fmt.Println",
-		"ctx.SetState",
-	} {
-		if !strings.Contains(gen, want) {
-			t.Errorf("generated code missing %q", want)
+		if _, err := GenerateGo(figure2, pkg); err == nil {
+			t.Errorf("GenerateGo(figure2, %q) succeeded; want an invalid package name error", pkg)
 		}
 	}
 }
@@ -378,6 +331,15 @@ end context
 	}
 	if _, err := CompileSource(src, Env{}); err == nil {
 		t.Error("strict compile should fail")
+	}
+	// An unbound call's arguments are still checked: binding the name
+	// later cannot make an undeclared variable resolve.
+	for _, body := range []string{"send(mars, ghost);", "explode(ghost);"} {
+		bad := strings.Replace(src, "send(mars); explode();", body, 1)
+		_, err := CompileSource(bad, Env{AllowUnbound: true})
+		if err == nil || !strings.Contains(err.Error(), `undeclared variable "ghost"`) {
+			t.Errorf("%s: err = %v, want undeclared variable", body, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +39,52 @@ func TestBusStampsRunAndFansOut(t *testing.T) {
 	evs := b.Events()
 	if len(evs) != 1 || evs[0].Run != 42 {
 		t.Fatalf("ring sink got %+v, want one event with Run=42", evs)
+	}
+}
+
+// TestCounterSinkConcurrentEmit: tallies taken from concurrent emitters
+// (and read while they run) match a map counted serially from the same
+// streams. Run under -race, it also checks the sink needs no lock.
+func TestCounterSinkConcurrentEmit(t *testing.T) {
+	const emitters, perEmitter = 4, 5000
+	stream := func(e, i int) EventType { return EventType((e*7 + i*i) % 256) }
+	want := map[EventType]uint64{}
+	for e := 0; e < emitters; e++ {
+		for i := 0; i < perEmitter; i++ {
+			want[stream(e, i)]++
+		}
+	}
+
+	s := NewCounterSink()
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perEmitter; i++ {
+				s.Emit(Event{Type: stream(e, i)})
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // a reader racing the emitters
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = s.Counts()
+			_ = s.Count(EvHeartbeatSent)
+		}
+	}()
+	wg.Wait()
+
+	got := s.Counts()
+	if len(got) != len(want) {
+		t.Errorf("Counts has %d types, want the %d non-zero ones", len(got), len(want))
+	}
+	for et := 0; et < 256; et++ {
+		typ := EventType(et)
+		if n := s.Count(typ); n != want[typ] || got[typ] != want[typ] {
+			t.Errorf("type %d: Count %d, Counts %d, want %d", et, n, got[typ], want[typ])
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"envirotrack/internal/trace"
 )
@@ -153,38 +154,34 @@ func (s *RingSink) Dump() string {
 	return string(b)
 }
 
-// CounterSink tallies events by type — the cheapest always-on sink.
+// CounterSink tallies events by type — the cheapest always-on sink. It
+// is safe for concurrent use: each type's tally is one atomic counter.
 type CounterSink struct {
-	mu     sync.Mutex
-	counts map[EventType]uint64
+	counts [256]atomic.Uint64 // indexed by EventType
 }
 
 // NewCounterSink builds an empty counter sink.
 func NewCounterSink() *CounterSink {
-	return &CounterSink{counts: make(map[EventType]uint64)}
+	return &CounterSink{}
 }
 
 // Emit implements Sink.
 func (s *CounterSink) Emit(ev Event) {
-	s.mu.Lock()
-	s.counts[ev.Type]++
-	s.mu.Unlock()
+	s.counts[ev.Type].Add(1)
 }
 
 // Count returns the tally for one event type.
 func (s *CounterSink) Count(t EventType) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[t]
+	return s.counts[t].Load()
 }
 
-// Counts returns a copy of all tallies.
+// Counts returns a copy of the non-zero tallies.
 func (s *CounterSink) Counts() map[EventType]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[EventType]uint64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
+	out := make(map[EventType]uint64)
+	for t := range s.counts {
+		if n := s.counts[t].Load(); n != 0 {
+			out[EventType(t)] = n
+		}
 	}
 	return out
 }

@@ -1,9 +1,6 @@
 package envirotrack
 
-import (
-	"envirotrack/internal/core"
-	"envirotrack/internal/lang"
-)
+import "envirotrack/internal/lang"
 
 // LangMessage is the payload produced by the declaration language's
 // send()/MySend() builtin: the originating context label followed by the
@@ -30,7 +27,7 @@ type CompileEnv struct {
 	Group GroupConfig
 	// AllowUnbound makes unknown destinations and actions compile to
 	// no-ops instead of errors (syntax/semantic checking without runtime
-	// bindings).
+	// bindings); their arguments are still checked.
 	AllowUnbound bool
 }
 
@@ -53,16 +50,15 @@ func CompileContexts(src string, env CompileEnv) ([]ContextType, error) {
 	})
 }
 
-// GenerateGo translates an EnviroTrack program into Go source against this
-// package's API — the code-emitting role of the paper's preprocessor
-// (which emitted NesC). pkg is the generated package name ("main" if
-// empty); a name that is not a valid Go package name is an error.
+// GenerateGo emits Go source against this package's API — the
+// code-emitting role of the paper's preprocessor (which emitted NesC).
+// The file declares BuildContexts(env CompileEnv), which runs
+// CompileContexts on the embedded program, so it accepts exactly the
+// programs CompileContexts accepts with AllowUnbound. pkg is the generated
+// package name ("main" if empty); a name that is not a valid Go package
+// name is an error.
 func GenerateGo(src, pkg string) (string, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return lang.GenerateGo(prog, pkg)
+	return lang.GenerateGo(src, pkg)
 }
 
 // FormatSource parses a program and renders it back in canonical form.
@@ -73,5 +69,3 @@ func FormatSource(src string) (string, error) {
 	}
 	return prog.Format(), nil
 }
-
-var _ = core.PositionInput // anchor: core is the compile target

@@ -1,6 +1,11 @@
 package envirotrack
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +146,78 @@ func TestGenerateGoPublic(t *testing.T) {
 	}
 	if !strings.Contains(src, "BuildContexts") {
 		t.Error("missing BuildContexts")
+	}
+}
+
+// generatedProgram returns the source embedded in GenerateGo's output:
+// the value of its program const.
+func generatedProgram(t *testing.T, code string) string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "gen.go", code, 0)
+	if err != nil {
+		t.Fatalf("generated code does not parse: %v\n%s", err, code)
+	}
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Names) != 1 || vs.Names[0].Name != "program" || len(vs.Values) != 1 {
+				continue
+			}
+			lit, ok := vs.Values[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Fatalf("program const is not a string literal:\n%s", code)
+			}
+			src, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+	}
+	t.Fatalf("generated code declares no program const:\n%s", code)
+	return ""
+}
+
+// TestGeneratedGoCarriesTheProgram: the generated file embeds the source
+// byte for byte, and compiling that embedded copy keeps every clause —
+// the backend one included.
+func TestGeneratedGoCarriesTheProgram(t *testing.T) {
+	read := func(name string) string {
+		raw, err := os.ReadFile("examples/programs/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	const activation = "    activation: magnetic_sensor_reading()\n"
+	tracker := read("tracker.et")
+	if !strings.Contains(tracker, activation) {
+		t.Fatalf("tracker.et has no %q line", activation)
+	}
+	passive := strings.Replace(tracker, activation, activation+"    backend: passive\n", 1)
+	embedded := map[string]string{}
+	for name, src := range map[string]string{"tracker.et+passive": passive, "fire.et": read("fire.et")} {
+		code, err := GenerateGo(src, "gen")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		embedded[name] = generatedProgram(t, code)
+		if embedded[name] != src {
+			t.Errorf("%s: embedded program differs from the input:\n%q\nwant\n%q", name, embedded[name], src)
+		}
+	}
+	specs, err := CompileContexts(embedded["tracker.et+passive"], CompileEnv{
+		Destinations: map[string]NodeID{"pursuer": 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 1 || specs[0].Backend != "passive" {
+		t.Errorf("compiled embedded tracker = %+v, want one passive context", specs)
 	}
 }
 
