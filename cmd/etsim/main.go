@@ -14,8 +14,9 @@
 // Tracking backends (default is the paper's leader protocol):
 //
 //	etsim -exp fig3 -backend passive   # passive-traces backend, no leaders
-//	etsim -exp compare -trials 2       # leader vs passive side by side,
-//	                                   # each checked against its own invariants
+//	etsim -exp compare -trials 2       # the chaos matrix, leader vs passive side
+//	                                   # by side, each checked against its own
+//	                                   # invariants
 //
 // Engines (serial is the byte-identical reference):
 //
@@ -27,7 +28,7 @@
 //
 // Fault injection:
 //
-//	etsim -exp chaos                          # fault-matrix suite, invariant-checked
+//	etsim -exp chaos                          # fault matrix on one backend, invariant-checked
 //	etsim -exp chaos -check-invariants        # same, nonzero exit on any violation
 //	etsim -exp fig3 -chaos "crash:node=5,at=300s,for=60s" -check-invariants
 //
@@ -90,7 +91,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.exp, "exp", "all", "experiment: fig3, fig4, table1, fig5, fig6, chaos, compare, all")
-	flag.IntVar(&cfg.trials, "trials", 3, "trials per Figure 4 cell")
+	flag.IntVar(&cfg.trials, "trials", 3, "trials per Figure 4 cell; seeds per chaos/compare case")
 	flag.IntVar(&cfg.runs, "runs", 3, "runs per Table 1 row")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for Figure 3")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweeps for Figures 5 and 6")
@@ -320,33 +321,22 @@ func run(cfg config) error {
 			fmt.Fprintln(cfg.stdout, eval.RenderFigure6(points))
 		}
 	}
-	if all || cfg.exp == "chaos" {
+	if all || cfg.exp == "chaos" || cfg.exp == "compare" {
+		// chaos runs the fault matrix on the env's backend, compare on both.
 		ran = true
-		points, err := eval.RunChaosSuite(env, cfg.trials)
+		key, backends := "chaos", []string(nil)
+		if cfg.exp == "compare" {
+			key, backends = "compare", eval.CompareBackends
+		}
+		rep, err := eval.RunChaos(env, cfg.trials, backends...)
 		if err != nil {
 			return err
 		}
-		violations += eval.TotalViolations(points)
+		violations += rep.Violations()
 		if jsonOut {
-			results["chaos"] = chaosView(points)
+			results[key] = rep
 		} else {
-			fmt.Fprintln(cfg.stdout, eval.RenderChaos(points))
-		}
-	}
-	if cfg.exp == "compare" {
-		ran = true
-		points, err := eval.RunComparative(env, cfg.trials)
-		if err != nil {
-			return err
-		}
-		summary := eval.SummarizeComparison(points)
-		for _, s := range summary {
-			violations += s.Violations
-		}
-		if jsonOut {
-			results["compare"] = compareView(points, summary)
-		} else {
-			fmt.Fprintln(cfg.stdout, eval.RenderComparative(points))
+			fmt.Fprintln(cfg.stdout, rep.Render())
 		}
 	}
 	if !ran {
@@ -500,8 +490,8 @@ func writeMetrics(reg *envirotrack.MetricsRegistry, path string) error {
 
 // --- JSON views: stable lower-case keys, seconds instead of durations ---
 //
-// The fig4, table1, fig5, fig6 and compare results carry their own JSON
-// tags and are encoded as they are.
+// The fig4, table1, fig5, fig6, chaos and compare results carry their own
+// JSON tags and are encoded as they are.
 
 func fig3View(res eval.Figure3Result) any {
 	type point struct {
@@ -525,49 +515,4 @@ func fig3View(res eval.Figure3Result) any {
 		Labels    int     `json:"labels"`
 		Points    []point `json:"points"`
 	}{res.MeanError, res.MaxError, res.Run.Labels, points}
-}
-
-func chaosView(points []eval.ChaosPoint) any {
-	type violation struct {
-		At        float64 `json:"at_s"`
-		Invariant string  `json:"invariant"`
-		Label     string  `json:"label,omitempty"`
-		Mote      int     `json:"mote"`
-		Peer      int     `json:"peer,omitempty"`
-		Detail    string  `json:"detail"`
-	}
-	type point struct {
-		Case          string      `json:"case"`
-		Seed          int64       `json:"seed"`
-		Coherent      bool        `json:"coherent"`
-		TrackedOK     bool        `json:"tracked_ok"`
-		Labels        int         `json:"labels"`
-		HBLossPct     float64     `json:"hb_loss_pct"`
-		CheckedEvents uint64      `json:"checked_events"`
-		Violations    []violation `json:"violations,omitempty"`
-	}
-	out := make([]point, 0, len(points))
-	for _, p := range points {
-		pt := point{
-			Case: p.Case, Seed: p.Seed, Coherent: p.Coherent, TrackedOK: p.TrackedOK,
-			Labels: p.Labels, HBLossPct: 100 * p.HBLoss, CheckedEvents: p.CheckedEvents,
-		}
-		for _, v := range p.Violations {
-			pt.Violations = append(pt.Violations, violation{
-				At: v.At.Seconds(), Invariant: v.Invariant, Label: v.Label,
-				Mote: v.Mote, Peer: v.Peer, Detail: v.Detail,
-			})
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// compareView keeps the comparative matrix's own JSON tags (they are the
-// schema CI smoke-checks) and adds the per-backend summary.
-func compareView(points []eval.ComparePoint, summary []eval.CompareSummary) any {
-	return struct {
-		Points  []eval.ComparePoint   `json:"points"`
-		Summary []eval.CompareSummary `json:"summary"`
-	}{points, summary}
 }

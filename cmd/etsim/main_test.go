@@ -326,21 +326,77 @@ func TestRunChaosExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Chaos []struct {
-			Case          string `json:"case"`
-			CheckedEvents uint64 `json:"checked_events"`
+		Chaos struct {
+			Points []struct {
+				Case     string `json:"case"`
+				Backends []struct {
+					CheckedEvents uint64 `json:"checked_events"`
+				} `json:"backends"`
+			} `json:"points"`
+			Summary []struct {
+				Backend string `json:"backend"`
+			} `json:"summary"`
 		} `json:"chaos"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("chaos JSON: %v\n%s", err, out.String())
 	}
-	if len(doc.Chaos) != 9 {
-		t.Errorf("chaos JSON has %d cells, want 9", len(doc.Chaos))
+	if len(doc.Chaos.Points) != 9 {
+		t.Errorf("chaos JSON has %d cells, want 9", len(doc.Chaos.Points))
 	}
-	for _, c := range doc.Chaos {
-		if c.CheckedEvents == 0 {
-			t.Errorf("case %q: checker saw no events", c.Case)
+	for _, c := range doc.Chaos.Points {
+		if len(c.Backends) != 1 || c.Backends[0].CheckedEvents == 0 {
+			t.Errorf("case %q: want one backend whose checker saw events, got %+v", c.Case, c.Backends)
 		}
+	}
+	if len(doc.Chaos.Summary) != 1 || doc.Chaos.Summary[0].Backend != "leader" {
+		t.Errorf("chaos JSON summary = %+v, want one leader row", doc.Chaos.Summary)
+	}
+}
+
+// TestRunChaosJSONKeepsViolationRunTags runs -exp chaos on the seeded
+// protocol bug (-tags chaosmut) and requires every violation in the JSON
+// report to carry the run tag of its cell: the tag README's "Reproducing
+// a violation" recipe cuts the -trace-out file by. The nominal protocol
+// proves no violations, so the test needs the mutated build.
+func TestRunChaosJSONKeepsViolationRunTags(t *testing.T) {
+	if !protocolMutated {
+		t.Skip("needs violations: run with -tags chaosmut")
+	}
+	t.Parallel()
+	var out bytes.Buffer
+	cfg := config{exp: "chaos", trials: 1, format: "json", stdout: &out}
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Chaos struct {
+			Points []struct {
+				Case     string `json:"case"`
+				Backends []struct {
+					ViolationList []struct {
+						Invariant string `json:"invariant"`
+						Run       int64  `json:"run"`
+					} `json:"violation_list"`
+				} `json:"backends"`
+			} `json:"points"`
+		} `json:"chaos"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("chaos JSON: %v", err)
+	}
+	found := 0
+	// One seed, one backend: the i-th cell runs under tag i+1.
+	for i, p := range doc.Chaos.Points {
+		for _, v := range p.Backends[0].ViolationList {
+			found++
+			if v.Run != int64(i+1) {
+				t.Errorf("case %q: %s violation carries run %d, want %d", p.Case, v.Invariant, v.Run, i+1)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("yield-suppressed build proved no violations")
 	}
 }
 

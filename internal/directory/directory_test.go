@@ -13,6 +13,7 @@ import (
 	"envirotrack/internal/radio"
 	"envirotrack/internal/routing"
 	"envirotrack/internal/simtime"
+	"envirotrack/internal/trace"
 )
 
 type net struct {
@@ -38,7 +39,7 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(5))}
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(5)), Stats: &trace.Stats{}}
 	// Collisions are disabled: these tests exercise directory semantics,
 	// not channel contention (covered in radio's own tests).
 	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, rt)

@@ -98,22 +98,27 @@ func TestBackendChaosSuiteClean(t *testing.T) {
 	for _, be := range conformanceBackends {
 		t.Run(be, func(t *testing.T) {
 			t.Parallel()
-			points, err := RunChaosSuite(&Env{Backend: be}, 1)
+			rep, err := RunChaos(&Env{Backend: be}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(points) == 0 {
+			if len(rep.Points) == 0 {
 				t.Fatal("chaos suite produced no points")
 			}
-			for _, p := range points {
-				if p.CheckedEvents == 0 {
-					t.Errorf("case %q seed %d: invariant checker saw no events", p.Case, p.Seed)
-				}
-				if !p.TrackedOK {
-					t.Errorf("case %q seed %d: tracking died", p.Case, p.Seed)
-				}
-				for _, v := range p.Violations {
-					t.Errorf("case %q seed %d: %s violation at %v: %s", p.Case, p.Seed, v.Invariant, v.At, v.Detail)
+			for _, p := range rep.Points {
+				for _, m := range p.Backends {
+					if m.Backend != be {
+						t.Errorf("case %q seed %d: cell ran %q, want the env's %q", p.Case, p.Seed, m.Backend, be)
+					}
+					if m.CheckedEvents == 0 {
+						t.Errorf("case %q seed %d: invariant checker saw no events", p.Case, p.Seed)
+					}
+					if !m.TrackedOK {
+						t.Errorf("case %q seed %d: tracking died", p.Case, p.Seed)
+					}
+					for _, v := range m.ViolationList {
+						t.Errorf("case %q seed %d: %s violation at %v: %s", p.Case, p.Seed, v.Invariant, v.At, v.Detail)
+					}
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,20 +28,27 @@ func TestChaosSuiteNominalHoldsInvariants(t *testing.T) {
 	if testing.Short() {
 		trials = 1
 	}
-	points, err := RunChaosSuite(&Env{}, trials)
+	rep, err := RunChaos(&Env{}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(ChaosCases) * trials; len(points) != want {
-		t.Fatalf("suite returned %d points, want %d", len(points), want)
+	if want := len(ChaosCases) * trials; len(rep.Points) != want {
+		t.Fatalf("suite returned %d points, want %d", len(rep.Points), want)
 	}
-	for _, p := range points {
-		if p.CheckedEvents == 0 {
+	for _, p := range rep.Points {
+		if len(p.Backends) != 1 {
+			t.Fatalf("case %q seed %d: %d backend cells, want 1", p.Case, p.Seed, len(p.Backends))
+		}
+		m := p.Backends[0]
+		if m.CheckedEvents == 0 {
 			t.Errorf("case %q seed %d: invariant checker saw no events", p.Case, p.Seed)
 		}
-		for _, v := range p.Violations {
+		for _, v := range m.ViolationList {
 			t.Errorf("case %q seed %d: %s violation at %v: %s", p.Case, p.Seed, v.Invariant, v.At, v.Detail)
 		}
+	}
+	if len(rep.Summary) != 1 || rep.Summary[0].Backend != envirotrack.BackendLeader || rep.Summary[0].Cells != len(rep.Points) {
+		t.Errorf("summary = %+v, want one leader row over %d cells", rep.Summary, len(rep.Points))
 	}
 }
 
@@ -81,17 +89,17 @@ func TestChaosSuiteParallelMatchesSerial(t *testing.T) {
 		t.Skip("chaos suite x2 is slow")
 	}
 	t.Parallel()
-	collect := func(width int) ([]ChaosPoint, map[string][]string) {
+	collect := func(width int) (ChaosReport, map[string][]string) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
-		points, err := RunChaosSuite(&Env{Sink: sink, Parallel: width}, 1)
+		rep, err := RunChaos(&Env{Sink: sink, Parallel: width}, 1, CompareBackends...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return points, bucketByRun(buf.String())
+		return rep, bucketByRun(buf.String())
 	}
 	serialPoints, serialTraces := collect(1)
 	parallelPoints, parallelTraces := collect(4)
@@ -104,6 +112,28 @@ func TestChaosSuiteParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serialTraces, parallelTraces) {
 		t.Errorf("per-run JSONL streams diverge between serial and parallel suites (%d vs %d runs)",
 			len(serialTraces), len(parallelTraces))
+	}
+}
+
+// TestBackendMetricsKeepViolations pins what a matrix cell carries beyond
+// the comparison axes: heartbeat loss, checked events, and every proven
+// violation with its run tag, through to the report's JSON.
+func TestBackendMetricsKeepViolations(t *testing.T) {
+	v := envirotrack.InvariantViolation{At: 29500 * time.Millisecond, Invariant: "dual-leader", Mote: 4, Peer: 5, Run: 7}
+	m := backendMetrics(RunResult{HBLoss: 0.25, CheckedEvents: 9, Violations: []envirotrack.InvariantViolation{v}})
+	if m.Backend != envirotrack.BackendLeader || m.HBLossPct != 25 || m.CheckedEvents != 9 || m.Violations != 1 {
+		t.Errorf("cell = %+v, want leader, 25%% hb loss, 9 events, 1 violation", m)
+	}
+	raw, err := json.Marshal(ChaosReport{Points: []ComparePoint{{Case: "c", Seed: 1, Backends: []BackendMetrics{m}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ChaosReport
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Points[0].Backends[0].ViolationList; len(got) != 1 || got[0] != v {
+		t.Errorf("violation after JSON round trip = %+v, want %+v\n%s", got, v, raw)
 	}
 }
 

@@ -31,7 +31,8 @@ func collectRun(t *testing.T, env *Env, sc Scenario) (RunResult, []byte) {
 }
 
 // runDigest is the recorded fingerprint of one run: byte length and
-// SHA-256 of its JSONL trace and of its RunResult JSON.
+// SHA-256 of its JSONL trace and of its RunResult JSON without the
+// Scenario (see outcomeJSON).
 type runDigest struct {
 	TraceBytes   int    `json:"trace_bytes"`
 	TraceSHA256  string `json:"trace_sha256"`
@@ -108,16 +109,34 @@ func TestDeliveryMatchesGoldenDigests(t *testing.T) {
 			if len(res.Violations) != 0 {
 				t.Errorf("run violated invariants: %+v", res.Violations)
 			}
-			result, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
+			result := outcomeJSON(t, res)
 			if got := digestOf(trace, result); got != want {
 				gotJSON, _ := json.MarshalIndent(got, "", "  ")
 				t.Errorf("run diverges from the recorded digest\ngot  %s\nwant %+v", gotJSON, want)
 			}
 		})
 	}
+}
+
+// outcomeJSON is res as JSON minus its Scenario. The scenario is the
+// run's input, so renaming or deleting one of its fields must not move a
+// digest; every simulated field stays pinned.
+func outcomeJSON(t *testing.T, res RunResult) []byte {
+	t.Helper()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "Scenario")
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // cpuCorridor is a Figure 5-style stress corridor on the constrained mote

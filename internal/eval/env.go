@@ -114,6 +114,22 @@ func (e *Env) seedTag(seed int64) int64 {
 	return seed
 }
 
+// runAll runs scs as one sweep: the i-th under run tag first+i, all of
+// them fanned across workers by runpar.Map under ctx. Results come back in
+// scs order at any width. Every harness runs its scenarios through here,
+// so a sweep's tags and traces follow from its scenario list alone.
+func (e *Env) runAll(ctx context.Context, workers int, first int64, scs []Scenario) ([]RunResult, error) {
+	return runpar.Map(ctx, workers, len(scs), func(_ context.Context, i int) (RunResult, error) {
+		sc := scs[i]
+		sc.Run = first + int64(i)
+		res, err := Run(e, sc)
+		if err != nil {
+			return RunResult{}, fmt.Errorf("run %d: %w", sc.Run, err)
+		}
+		return res, nil
+	})
+}
+
 // resolve applies sc's defaults, then the Env's backend and shard count
 // where sc leaves them zero. A scenario's own ParallelShards wins, so 1
 // pins the serial engine whatever Env.Shards says.

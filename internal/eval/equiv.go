@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"envirotrack/internal/eval/runpar"
 )
 
 // Statistical equivalence between the serial reference engine and the
@@ -120,19 +118,21 @@ func runEnsemble(env *Env, base Scenario, seeds []int64, shards int) ([]equivSam
 	if shards > 1 {
 		workers = 1
 	}
-	first := env.tagBlock(len(seeds))
-	return runpar.Map(context.Background(), workers, len(seeds),
-		func(_ context.Context, i int) (equivSample, error) {
-			sc := base
-			sc.Seed = seeds[i]
-			sc.ParallelShards = shards
-			sc.Run = first + int64(i)
-			res, err := Run(env, sc)
-			if err != nil {
-				return equivSample{}, err
-			}
-			return sampleRun(res), nil
-		})
+	scs := make([]Scenario, len(seeds))
+	for i, seed := range seeds {
+		scs[i] = base
+		scs[i].Seed = seed
+		scs[i].ParallelShards = shards
+	}
+	results, err := env.runAll(context.Background(), workers, env.tagBlock(len(scs)), scs)
+	if err != nil {
+		return nil, err
+	}
+	samples := make([]equivSample, len(results))
+	for i, res := range results {
+		samples[i] = sampleRun(res)
+	}
+	return samples, nil
 }
 
 // ksStatistic returns the two-sample Kolmogorov-Smirnov statistic: the

@@ -1,13 +1,11 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"envirotrack"
-	"envirotrack/internal/eval/runpar"
 )
 
 // --- Figure 3: tracked tank trajectory ---
@@ -100,26 +98,21 @@ func RunFigure4(env *Env, trials int) ([]Figure4Row, error) {
 		kmh float64
 	}
 	cells := []cell{{1, 33}, {1, 50}, {0, 33}, {0, 50}}
-	first := env.tagBlock(len(cells) * trials)
-	rates, err := runpar.Map(env.sweep("fig4", "runs"), env.Parallel, len(cells)*trials,
-		func(_ context.Context, i int) (float64, error) {
-			c := cells[i/trials]
-			sc := figure4Scenario(c.kmh, c.h, int64(i%trials+1))
-			sc.Run = first + int64(i)
-			res, err := Run(env, sc)
-			if err != nil {
-				return 0, err
-			}
-			return res.Handover.StrictSuccessRate(), nil
-		})
+	scs := make([]Scenario, 0, len(cells)*trials)
+	for _, c := range cells {
+		for trial := 1; trial <= trials; trial++ {
+			scs = append(scs, figure4Scenario(c.kmh, c.h, int64(trial)))
+		}
+	}
+	results, err := env.runAll(env.sweep("fig4", "runs"), env.Parallel, env.tagBlock(len(scs)), scs)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure4Row, 0, len(cells))
 	for ci, c := range cells {
 		var sum float64
-		for trial := 0; trial < trials; trial++ {
-			sum += rates[ci*trials+trial]
+		for _, res := range results[ci*trials : (ci+1)*trials] {
+			sum += res.Handover.StrictSuccessRate()
 		}
 		rows = append(rows, Figure4Row{
 			SpeedKmh:   c.kmh,
@@ -190,29 +183,23 @@ func RunTable1(env *Env, runs int) ([]Table1Row, error) {
 		runs = 3
 	}
 	speeds := []float64{33, 50}
-	type sample struct{ hb, msg, util float64 }
-	first := env.tagBlock(len(speeds) * runs)
-	samples, err := runpar.Map(env.sweep("table1", "runs"), env.Parallel, len(speeds)*runs,
-		func(_ context.Context, i int) (sample, error) {
-			sc := figure4Scenario(speeds[i/runs], 1, int64(100+i%runs))
-			sc.Run = first + int64(i)
-			res, err := Run(env, sc)
-			if err != nil {
-				return sample{}, err
-			}
-			return sample{hb: res.HBLoss, msg: res.MsgLoss, util: res.LinkUtil}, nil
-		})
+	scs := make([]Scenario, 0, len(speeds)*runs)
+	for _, kmh := range speeds {
+		for r := 0; r < runs; r++ {
+			scs = append(scs, figure4Scenario(kmh, 1, int64(100+r)))
+		}
+	}
+	results, err := env.runAll(env.sweep("table1", "runs"), env.Parallel, env.tagBlock(len(scs)), scs)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table1Row, 0, len(speeds))
 	for si, kmh := range speeds {
 		var hb, msg, util float64
-		for r := 0; r < runs; r++ {
-			s := samples[si*runs+r]
-			hb += s.hb
-			msg += s.msg
-			util += s.util
+		for _, res := range results[si*runs : (si+1)*runs] {
+			hb += res.HBLoss
+			msg += res.MsgLoss
+			util += res.LinkUtil
 		}
 		rows = append(rows, Table1Row{
 			SpeedKmh:    kmh,

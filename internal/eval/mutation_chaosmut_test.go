@@ -14,16 +14,16 @@ const protocolMutated = true
 // cannot see this seeded bug, the invariant checker is vacuous.
 func TestMutationTripsDualLeader(t *testing.T) {
 	t.Parallel()
-	points, err := RunChaosSuite(&Env{}, 2)
+	rep, err := RunChaos(&Env{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dual := 0
-	for _, p := range points {
-		for _, v := range p.Violations {
+	for _, p := range rep.Points {
+		for _, v := range p.Backends[0].ViolationList {
 			if v.Invariant == "dual-leader" {
 				dual++
-				t.Logf("case %q seed %d: %s at %v: %s", p.Case, p.Seed, v.Invariant, v.At, v.Detail)
+				t.Logf("case %q seed %d run %d: %s at %v: %s", p.Case, p.Seed, v.Run, v.Invariant, v.At, v.Detail)
 			}
 		}
 	}

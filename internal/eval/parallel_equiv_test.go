@@ -167,18 +167,19 @@ func TestParallelChaosSuiteInvariants(t *testing.T) {
 		t.Skip("chaos suite is slow")
 	}
 	t.Parallel()
-	points, err := RunChaosSuite(&Env{Shards: 4, Parallel: 2}, 2)
+	rep, err := RunChaos(&Env{Shards: 4, Parallel: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) == 0 {
+	if len(rep.Points) == 0 {
 		t.Fatal("chaos suite produced no points")
 	}
-	for _, p := range points {
-		if p.CheckedEvents == 0 {
+	for _, p := range rep.Points {
+		m := p.Backends[0]
+		if m.CheckedEvents == 0 {
 			t.Errorf("case %q seed %d: invariant checker saw no events", p.Case, p.Seed)
 		}
-		for _, v := range p.Violations {
+		for _, v := range m.ViolationList {
 			t.Errorf("case %q seed %d: %s violation at %v: %s", p.Case, p.Seed, v.Invariant, v.At, v.Detail)
 		}
 	}

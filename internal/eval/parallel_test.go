@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -77,19 +76,6 @@ func TestParallelFigure5MatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Figure5 points diverge:\nserial   = %+v\nparallel = %+v", serial, parallel)
-	}
-}
-
-// TestRunFigure5EmptyHeartbeats pins the descriptive error for a config
-// that bypasses withDefaults' backfill and would previously have panicked
-// on the relinquish index.
-func TestRunFigure5EmptyHeartbeats(t *testing.T) {
-	_, err := runFigure5NoDefaults(&Env{}, Figure5Config{Radii: []float64{1}, Seeds: []int64{1}, IncludeRelinquish: true})
-	if err == nil {
-		t.Fatal("expected error for empty heartbeat sweep")
-	}
-	if !strings.Contains(err.Error(), "Heartbeats") {
-		t.Errorf("error %q does not name the empty field", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"envirotrack"
 	"envirotrack/internal/core"
-	"envirotrack/internal/eval/runpar"
 )
 
 // Paper constants: grid spacing is one "hop" = 140 m, so speed conversions
@@ -425,30 +424,24 @@ func scanRuns(seeds []int64) int { return len(speedGrid) * len(seeds) }
 // 1) without compounding concurrency.
 func maxTrackableSpeed(ctx context.Context, env *Env, base Scenario, seeds []int64, workers int, firstTag int64) (float64, error) {
 	for i := len(speedGrid) - 1; i >= 0; i-- {
-		speed := speedGrid[i]
-		coherent, err := runpar.Map(ctx, workers, len(seeds),
-			func(_ context.Context, k int) (bool, error) {
-				sc := base
-				sc.SpeedHops = speed
-				sc.Seed = seeds[k]
-				sc.Run = firstTag + int64(i*len(seeds)+k)
-				res, err := Run(env, sc)
-				if err != nil {
-					return false, err
-				}
-				return res.Coherent(), nil
-			})
+		scs := make([]Scenario, len(seeds))
+		for k, seed := range seeds {
+			scs[k] = base
+			scs[k].SpeedHops = speedGrid[i]
+			scs[k].Seed = seed
+		}
+		results, err := env.runAll(ctx, workers, firstTag+int64(i*len(seeds)), scs)
 		if err != nil {
 			return 0, err
 		}
 		ok := 0
-		for _, c := range coherent {
-			if c {
+		for _, res := range results {
+			if res.Coherent() {
 				ok++
 			}
 		}
 		if ok*2 > len(seeds) {
-			return speed, nil
+			return speedGrid[i], nil
 		}
 	}
 	return 0, nil

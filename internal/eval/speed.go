@@ -76,17 +76,7 @@ func figure5Scenario(hbSec, radius float64, worstCase bool) Scenario {
 // env.Parallel workers; each point's speed scan runs inline on its
 // worker, so the point list is identical to the serial sweep.
 func RunFigure5(env *Env, cfg Figure5Config) ([]Figure5Point, error) {
-	return runFigure5NoDefaults(env, cfg.withDefaults())
-}
-
-// runFigure5NoDefaults executes the sweep exactly as configured. The
-// heartbeat guard lives here: withDefaults backfills an empty sweep, but
-// the relinquish branch indexes into Heartbeats, so a caller reaching this
-// with an empty slice must get an error, not a panic.
-func runFigure5NoDefaults(env *Env, cfg Figure5Config) ([]Figure5Point, error) {
-	if len(cfg.Heartbeats) == 0 {
-		return nil, fmt.Errorf("eval: RunFigure5: no heartbeat periods to sweep (Figure5Config.Heartbeats is empty)")
-	}
+	cfg = cfg.withDefaults()
 	type job struct {
 		hb, radius float64
 		mode       string

@@ -128,20 +128,18 @@ func (b *Base) ArmBackoff(t *simtime.Timer, fire simtime.EventFunc, arg any) {
 }
 
 // RecordEvent publishes one label-lifecycle event and records it in the
-// coherence ledger of the mote's env, when there is one.
+// coherence ledger of the mote's env.
 func (b *Base) RecordEvent(ty trace.LabelEventType, label Label) {
 	if ev, ok := obs.LabelEvent(ty); ok {
 		b.Emit(ev, label, radio.Broadcast, 0)
 	}
-	if ledger := b.Mote.Ledger(); ledger != nil {
-		ledger.Record(trace.LabelEvent{
-			At:      b.Mote.Scheduler().Now(),
-			Type:    ty,
-			Label:   string(label),
-			CtxType: b.CtxType,
-			Mote:    int(b.Mote.ID()),
-		})
-	}
+	b.Mote.Ledger().Record(trace.LabelEvent{
+		At:      b.Mote.Scheduler().Now(),
+		Type:    ty,
+		Label:   string(label),
+		CtxType: b.CtxType,
+		Mote:    int(b.Mote.ID()),
+	})
 }
 
 // Emit publishes one tracking-protocol event. peer is the other mote

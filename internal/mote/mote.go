@@ -65,8 +65,7 @@ type Env struct {
 	// Config has its defaults applied.
 	Config Config
 	Hot    *HotState
-	// Ledger records the tracking backends' label events; nil turns
-	// recording off.
+	// Ledger records the tracking backends' label events (required).
 	Ledger *trace.Ledger
 }
 
@@ -158,8 +157,7 @@ func (m *Mote) NextCorrSeq() uint32 {
 // Config returns the mote's resource configuration (defaults applied).
 func (m *Mote) Config() Config { return m.env.Config }
 
-// Ledger returns the coherence ledger of the mote's env (nil when label
-// events go unrecorded).
+// Ledger returns the coherence ledger of the mote's env.
 func (m *Mote) Ledger() *trace.Ledger { return m.env.Ledger }
 
 // Obs returns the mote's observability bus; protocol layers built on the
@@ -258,9 +256,7 @@ func (m *Mote) onFrame(f radio.Frame) {
 		return
 	}
 	if int(h.queued[m.row]) >= env.Config.QueueCap {
-		if env.Stats != nil {
-			env.Stats.RecordLoss(f.Kind, trace.LossOverload)
-		}
+		env.Stats.RecordLoss(f.Kind, trace.LossOverload)
 		if bus := env.Bus; bus.Active() {
 			bus.Emit(obs.Event{
 				At: env.Sched.Now(), Type: obs.EvCPUOverload, Mote: int(m.id),

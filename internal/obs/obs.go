@@ -49,7 +49,7 @@ const (
 	// transport (MTP)
 	EvTransportHop       // datagram forwarded along the past-leader chain
 	EvTransportDelivered // datagram handed to a port handler
-	EvTransportNoRoute   // datagram dropped: no leader known
+	EvTransportNoRoute   // datagram dropped: no leader known, or no handler at it
 	// directory
 	EvDirectoryUpdated // directory replica applied a register/unregister
 	EvDirectoryQuery   // directory node answered a query

@@ -7,6 +7,7 @@ import (
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/simtime"
+	"envirotrack/internal/trace"
 )
 
 // broadcastFanout returns one broadcast fanning out to a dense
@@ -15,7 +16,7 @@ import (
 func broadcastFanout(tb testing.TB) func() {
 	g := simtime.NewShardGroup(1)
 	rng := rand.New(rand.NewSource(1))
-	m := New(Params{CommRadius: 10, PropDelay: time.Microsecond}, nil, ShardRuntime{Sched: g.Shard(0), RNG: rng})
+	m := New(Params{CommRadius: 10, PropDelay: time.Microsecond}, nil, ShardRuntime{Sched: g.Shard(0), RNG: rng, Stats: &trace.Stats{}})
 	// 8x8 grid with spacing 2: every node hears every other (radius 10
 	// covers the 14x14 diagonal partially; center sees most).
 	for i := 0; i < 64; i++ {
@@ -40,7 +41,7 @@ func broadcastFanout(tb testing.TB) func() {
 // The scratch slice has grown to the result's size.
 func appendNodesNear(tb testing.TB) func() {
 	rng := rand.New(rand.NewSource(1))
-	m := New(Params{CommRadius: 3}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
+	m := New(Params{CommRadius: 3}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng, Stats: &trace.Stats{}})
 	for i := 0; i < 400; i++ {
 		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%20), float64(i/20)), nil); err != nil {
 			tb.Fatal(err)

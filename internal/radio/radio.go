@@ -352,8 +352,8 @@ type crossRec struct {
 
 // ShardRuntime carries one scheduler shard's execution resources: the
 // shard's scheduler, its deterministic RNG stream, its private stats
-// accumulator (nil disables accounting), and the observability bus its
-// frame events go through (nil disables emission).
+// accumulator (required), and the observability bus its frame events go
+// through (nil disables emission).
 type ShardRuntime struct {
 	Sched *simtime.Scheduler
 	RNG   *rand.Rand
@@ -853,9 +853,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	end := start + airtime
 	src.txBusyUntil = end
 
-	if sc.stats != nil {
-		sc.stats.RecordSend(f.Kind, f.Bits)
-	}
+	sc.stats.RecordSend(f.Kind, f.Bits)
 	if bus := sc.bus; bus.Active() {
 		bus.Emit(obs.Event{
 			At: start, Type: obs.EvFrameSent, Mote: int(f.Src), Peer: int(f.Dst),
@@ -930,9 +928,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	if intended == 0 {
 		// Nobody could ever receive it: record immediately. No target
 		// reception references the batch, so it recycles here.
-		if sc.stats != nil {
-			sc.stats.RecordUndelivered(f.Kind)
-		}
+		sc.stats.RecordUndelivered(f.Kind)
 		sc.emitUndelivered(now, f, src.pos)
 		sc.recycleBatch(batch)
 		return
@@ -1017,9 +1013,7 @@ func batchDeliver(arg any) {
 		deliverReception(rx)
 	}
 	if b.delivered == 0 {
-		if sc.stats != nil {
-			sc.stats.RecordUndelivered(b.f.Kind)
-		}
+		sc.stats.RecordUndelivered(b.f.Kind)
 		sc.emitUndelivered(sc.sched.Now(), b.f, b.pos)
 	}
 	sc.recycleBatch(b)
@@ -1101,22 +1095,16 @@ func deliverReception(rx *reception) {
 	}
 	switch {
 	case corrupted:
-		if sc.stats != nil {
-			sc.stats.RecordLoss(f.Kind, trace.LossCollision)
-		}
+		sc.stats.RecordLoss(f.Kind, trace.LossCollision)
 		sc.emitAtReceiver(obs.EvFrameLost, dst, f, "collision")
 	case lost:
-		if sc.stats != nil {
-			sc.stats.RecordLoss(f.Kind, trace.LossRandom)
-		}
+		sc.stats.RecordLoss(f.Kind, trace.LossRandom)
 		sc.emitAtReceiver(obs.EvFrameLost, dst, f, "random")
 	default:
 		if tx != nil {
 			tx.delivered++
 		}
-		if sc.stats != nil {
-			sc.stats.RecordReceive(f.Kind)
-		}
+		sc.stats.RecordReceive(f.Kind)
 		sc.emitAtReceiver(obs.EvFrameReceived, dst, f, "")
 		if dst.recv != nil {
 			dst.recv(f)

@@ -6,6 +6,7 @@ import (
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/simtime"
+	"envirotrack/internal/trace"
 )
 
 // bruteNeighbors is the reference O(n) scan the spatial hash replaced.
@@ -63,7 +64,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		radius := 0.25 + rng.Float64()*4
-		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
+		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng, Stats: &trace.Stats{}})
 		n := 3 + rng.Intn(120)
 		pos := make(map[NodeID]geom.Point, n)
 		for i := 0; i < n; i++ {
@@ -111,7 +112,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
 		radius := 0.25 + rng.Float64()*4
-		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
+		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng, Stats: &trace.Stats{}})
 		n := 3 + rng.Intn(120)
 		ids := rng.Perm(n)
 		pos := make(map[NodeID]geom.Point, n)
@@ -150,7 +151,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 // is not reallocated.
 func TestAppendNodesNearReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng})
+	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rng, Stats: &trace.Stats{}})
 	pos := make(map[NodeID]geom.Point, 40)
 	for i := 0; i < 40; i++ {
 		pos[NodeID(i)] = geom.Pt(float64(i%8), float64(i/8))
@@ -184,7 +185,7 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 // TestNeighborsUnknownNodeNotCached preserves the pre-index contract:
 // querying an unregistered id returns nil and does not poison the cache.
 func TestNeighborsUnknownNodeNotCached(t *testing.T) {
-	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rand.New(rand.NewSource(1))})
+	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), RNG: rand.New(rand.NewSource(1)), Stats: &trace.Stats{}})
 	if nb := m.Neighbors(7); nb != nil {
 		t.Fatalf("Neighbors of unknown node = %v, want nil", nb)
 	}

@@ -62,8 +62,7 @@ type conformNet struct {
 	medium   *radio.Medium
 	hot      *mote.HotState
 	backends map[radio.NodeID]track.Backend
-	// ledgers gives a mote's env its coherence ledger; motes absent from
-	// it record no label events.
+	// ledgers holds each mote env's own coherence ledger.
 	ledgers map[radio.NodeID]*trace.Ledger
 	log     []cbEvent
 	obsLog  []obs.Event
@@ -82,6 +81,7 @@ func newConformNet(t *testing.T) *conformNet {
 		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
 		hot:      mote.NewHotState(),
 		backends: make(map[radio.NodeID]track.Backend),
+		ledgers:  make(map[radio.NodeID]*trace.Ledger),
 	}
 	return n
 }
@@ -100,7 +100,8 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 	// Each mote draws from its own RNG stream and emits into the net.
 	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(obsRecorder{n})}
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
-	env.Ledger = n.ledgers[id]
+	env.Ledger = &trace.Ledger{}
+	n.ledgers[id] = env.Ledger
 	m, err := mote.New(id, pos, nil, env)
 	if err != nil {
 		n.t.Fatal(err)
@@ -298,14 +299,12 @@ func TestConformanceNoEventsAfterStop(t *testing.T) {
 }
 
 // TestConformanceLedgerFromEnv: a backend records every label event it
-// publishes in the coherence ledger of its mote's env, and records none
-// when that env has no ledger. Only mote 1's env has one; the handover
-// gives both motes label events.
+// publishes in the coherence ledger of its mote's env, and nothing else.
+// Each mote's env has its own ledger; the handover gives both motes label
+// events.
 func TestConformanceLedgerFromEnv(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		n := newConformNet(t)
-		ledger := &trace.Ledger{}
-		n.ledgers = map[radio.NodeID]*trace.Ledger{1: ledger}
 		n.add(backend, 1, geom.Pt(0, 0))
 		n.add(backend, 2, geom.Pt(1, 0))
 		n.senseAt(1, 0, true)
@@ -319,35 +318,33 @@ func TestConformanceLedgerFromEnv(t *testing.T) {
 			label string
 			mote  int
 		}
-		var published []labelEvent
-		unrecorded := 0
+		published := map[int][]labelEvent{}
 		for _, ev := range n.obsLog {
 			switch ev.Type {
 			case obs.EvLabelCreated, obs.EvLabelTakeover, obs.EvLabelRelinquish, obs.EvLabelYield, obs.EvLabelDeleted:
-				if ev.Mote == 1 {
-					published = append(published, labelEvent{ev.At, ev.Type, ev.Label, ev.Mote})
-				} else {
-					unrecorded++
+				published[ev.Mote] = append(published[ev.Mote], labelEvent{ev.At, ev.Type, ev.Label, ev.Mote})
+			}
+		}
+		if len(published[1]) == 0 || len(published[2]) == 0 {
+			t.Fatalf("mote 1 published %d label events, mote 2 %d; the run should give both some", len(published[1]), len(published[2]))
+		}
+		for id, ledger := range n.ledgers {
+			var recorded []labelEvent
+			for _, ev := range ledger.Events {
+				ty, ok := obs.LabelEvent(ev.Type)
+				if !ok || ev.CtxType != "tracker" {
+					t.Fatalf("mote %d's ledger holds %+v, not a tracker label event", id, ev)
 				}
+				recorded = append(recorded, labelEvent{ev.At, ty, ev.Label, ev.Mote})
 			}
-		}
-		var recorded []labelEvent
-		for _, ev := range ledger.Events {
-			ty, ok := obs.LabelEvent(ev.Type)
-			if !ok || ev.CtxType != "tracker" {
-				t.Fatalf("ledger holds %+v, not a tracker label event", ev)
+			want := published[int(id)]
+			if len(recorded) != len(want) {
+				t.Fatalf("mote %d's ledger holds %d events %+v, want its own %d %+v", id, len(recorded), recorded, len(want), want)
 			}
-			recorded = append(recorded, labelEvent{ev.At, ty, ev.Label, ev.Mote})
-		}
-		if len(published) == 0 || unrecorded == 0 {
-			t.Fatalf("mote 1 published %d label events, mote 2 %d; the run should give both some", len(published), unrecorded)
-		}
-		if len(recorded) != len(published) {
-			t.Fatalf("ledger holds %d events %+v, want mote 1's %d %+v", len(recorded), recorded, len(published), published)
-		}
-		for i := range published {
-			if recorded[i] != published[i] {
-				t.Errorf("ledger event %d = %+v, want %+v", i, recorded[i], published[i])
+			for i := range want {
+				if recorded[i] != want[i] {
+					t.Errorf("mote %d's ledger event %d = %+v, want %+v", id, i, recorded[i], want[i])
+				}
 			}
 		}
 	})

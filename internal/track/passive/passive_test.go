@@ -58,7 +58,7 @@ func newTestNet(t testing.TB) *testNet {
 		t:      t,
 		g:      g,
 		sched:  sched,
-		medium: radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng}),
+		medium: radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &trace.Stats{}}),
 		hot:    mote.NewHotState(),
 		ledger: &trace.Ledger{},
 		motes:  make(map[radio.NodeID]*mote.Mote),
@@ -565,7 +565,9 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 	n := newTestNet(tb)
 	// No obs bus: the receive path then records nothing anywhere.
 	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(1)), Stats: &trace.Stats{}}
-	m, err := mote.New(1, geom.Pt(0, 0), nil, mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot))
+	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
+	env.Ledger = n.ledger
+	m, err := mote.New(1, geom.Pt(0, 0), nil, env)
 	if err != nil {
 		tb.Fatal(err)
 	}

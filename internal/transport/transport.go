@@ -46,14 +46,6 @@ type Datagram struct {
 // messageBits sizes MTP frames on the air.
 const messageBits = 64 * 8
 
-// Stats counts endpoint-level outcomes.
-type Stats struct {
-	Delivered      uint64 // datagrams handed to a local port handler
-	ChainForwarded uint64 // datagrams forwarded along past leaders
-	NoRoute        uint64 // datagrams dropped: no leader known anywhere
-	NoHandler      uint64 // datagrams that reached a leader without a handler
-}
-
 type portKey struct {
 	label group.Label
 	port  PortID
@@ -70,9 +62,6 @@ type Endpoint struct {
 	table    LeaderTable
 	handlers map[portKey]func(Datagram)
 	leading  map[group.Label]bool
-
-	// Stats exposes delivery accounting for tests and experiments.
-	Stats Stats
 }
 
 // NewEndpoint builds the MTP endpoint of mote m, sending through the
@@ -135,7 +124,6 @@ func (e *Endpoint) Send(d Datagram) {
 		return
 	}
 	if e.dir == nil {
-		e.Stats.NoRoute++
 		e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "no_directory")
 		return
 	}
@@ -149,7 +137,6 @@ func (e *Endpoint) Send(d Datagram) {
 				return
 			}
 		}
-		e.Stats.NoRoute++
 		e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "label_unknown")
 	})
 }
@@ -184,11 +171,10 @@ func (e *Endpoint) HandleRouted(msg routing.Message) bool {
 
 	if e.leading[d.DstLabel] {
 		if fn, ok := e.handlers[portKey{label: d.DstLabel, port: d.DstPort}]; ok {
-			e.Stats.Delivered++
 			e.emit(obs.EvTransportDelivered, d, int(d.SrcLeader), "")
 			fn(d)
 		} else {
-			e.Stats.NoHandler++
+			e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "no_handler")
 		}
 		return true
 	}
@@ -196,18 +182,15 @@ func (e *Endpoint) HandleRouted(msg routing.Message) bool {
 	// Not the current leader: forward along the past-leader chain if we
 	// know a fresher leader.
 	if d.Chain >= MaxForwardChain {
-		e.Stats.NoRoute++
 		e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "chain_exhausted")
 		return true
 	}
 	if info, ok := e.table.Get(d.DstLabel); ok && info.Leader != e.m.ID() {
 		d.Chain++
-		e.Stats.ChainForwarded++
 		e.emit(obs.EvTransportHop, d, int(info.Leader), "")
 		e.routeTo(info, d)
 		return true
 	}
-	e.Stats.NoRoute++
 	e.emit(obs.EvTransportNoRoute, d, int(d.SrcLeader), "no_leader_known")
 	return true
 }

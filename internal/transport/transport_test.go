@@ -5,11 +5,13 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"envirotrack/internal/directory"
 	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
 	"envirotrack/internal/mote"
+	"envirotrack/internal/obs"
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
 	"envirotrack/internal/routing"
@@ -99,6 +101,22 @@ type tnet struct {
 	medium    *radio.Medium
 	endpoints map[radio.NodeID]*Endpoint
 	motes     map[radio.NodeID]*mote.Mote
+	events    []obs.Event // everything the motes emitted
+}
+
+// Emit records every obs event of every mote.
+func (n *tnet) Emit(ev obs.Event) { n.events = append(n.events, ev) }
+
+// count returns how many ty events mote id emitted with the given cause
+// ("" matches any).
+func (n *tnet) count(ty obs.EventType, id radio.NodeID, cause string) int {
+	c := 0
+	for _, ev := range n.events {
+		if ev.Type == ty && ev.Mote == int(id) && (cause == "" || ev.Cause == cause) {
+			c++
+		}
+	}
+	return c
 }
 
 // node is a test mote's receiver and its router's target. It dispatches
@@ -126,17 +144,17 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(9))}
-	medium := radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, rt)
-	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
-	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	n := &tnet{
 		group:     group,
 		sched:     sched,
-		medium:    medium,
 		endpoints: make(map[radio.NodeID]*Endpoint),
 		motes:     make(map[radio.NodeID]*mote.Mote),
 	}
+	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(9)), Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
+	n.medium = radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, rt)
+	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
+	env.Ledger = &trace.Ledger{}
+	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			id := radio.NodeID(y*cols + x)
@@ -180,8 +198,8 @@ func TestSendViaLearnedLeader(t *testing.T) {
 	if len(got) != 1 || got[0] != "invoke" {
 		t.Fatalf("delivered = %v, want [invoke]", got)
 	}
-	if dst.Stats.Delivered != 1 {
-		t.Errorf("Delivered = %d, want 1", dst.Stats.Delivered)
+	if c := n.count(obs.EvTransportDelivered, 24, ""); c != 1 {
+		t.Errorf("transport_delivered events = %d, want 1", c)
 	}
 }
 
@@ -217,8 +235,8 @@ func TestNoRouteWhenUnknownAndUnregistered(t *testing.T) {
 	src := n.endpoints[0]
 	src.Send(Datagram{DstLabel: "ghost/9.9", DstPort: 1, Payload: "x"})
 	n.run(t, 2*time.Second)
-	if src.Stats.NoRoute != 1 {
-		t.Errorf("NoRoute = %d, want 1", src.Stats.NoRoute)
+	if c := n.count(obs.EvTransportNoRoute, 0, "label_unknown"); c != 1 {
+		t.Errorf("label_unknown drops = %d, want 1", c)
 	}
 }
 
@@ -246,9 +264,8 @@ func TestForwardingAlongPastLeaderChain(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1 (via forwarding chain)", delivered)
 	}
-	if n.endpoints[1].Stats.ChainForwarded != 1 || n.endpoints[3].Stats.ChainForwarded != 1 {
-		t.Errorf("chain forwards = %d/%d, want 1/1",
-			n.endpoints[1].Stats.ChainForwarded, n.endpoints[3].Stats.ChainForwarded)
+	if c1, c3 := n.count(obs.EvTransportHop, 1, ""), n.count(obs.EvTransportHop, 3, ""); c1 != 1 || c3 != 1 {
+		t.Errorf("chain forwards = %d/%d, want 1/1", c1, c3)
 	}
 }
 
@@ -328,8 +345,29 @@ func TestNoHandlerCounted(t *testing.T) {
 	src.Send(Datagram{DstLabel: label, DstPort: 5, Payload: "x"})
 	n.run(t, time.Second)
 
-	if dst.Stats.NoHandler != 1 {
-		t.Errorf("NoHandler = %d, want 1", dst.Stats.NoHandler)
+	if c := n.count(obs.EvTransportNoRoute, 2, "no_handler"); c != 1 {
+		t.Errorf("no_handler drops = %d, want 1", c)
+	}
+	if c := n.count(obs.EvTransportDelivered, 2, ""); c != 0 {
+		t.Errorf("transport_delivered events = %d, want 0 without a handler", c)
+	}
+	// The drop carries the datagram's correlation key, so a span sink can
+	// attribute it.
+	for _, ev := range n.events {
+		if ev.Type == obs.EvTransportNoRoute && (ev.Origin != 0 || ev.Seq == 0 || ev.Label != string(label)) {
+			t.Errorf("no_handler drop = %+v, want origin 0, a sequence and label %s", ev, label)
+		}
+	}
+}
+
+// TestEndpointSize pins the per-mote endpoint at 64 bytes on 64-bit
+// hosts: one is built for every mote of a field.
+func TestEndpointSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Endpoint{}); got > 64 {
+		t.Errorf("Endpoint is %d bytes, want at most 64", got)
 	}
 }
 
@@ -345,12 +383,12 @@ func TestChainLoopGuard(t *testing.T) {
 	n.endpoints[0].Send(Datagram{DstLabel: label, DstPort: 1, Payload: "loop"})
 	n.run(t, 5*time.Second)
 
-	total := n.endpoints[0].Stats.ChainForwarded + n.endpoints[1].Stats.ChainForwarded
+	total := n.count(obs.EvTransportHop, 0, "") + n.count(obs.EvTransportHop, 1, "")
 	if total > MaxForwardChain {
 		t.Errorf("chain forwards = %d, want <= %d (loop guard)", total, MaxForwardChain)
 	}
-	if n.endpoints[0].Stats.NoRoute+n.endpoints[1].Stats.NoRoute == 0 {
-		t.Error("loop not terminated with a NoRoute drop")
+	if n.count(obs.EvTransportNoRoute, 0, "chain_exhausted")+n.count(obs.EvTransportNoRoute, 1, "chain_exhausted") == 0 {
+		t.Error("loop not terminated with a chain_exhausted drop")
 	}
 }
 
@@ -487,8 +525,8 @@ func TestFreshEndpointState(t *testing.T) {
 	lone := newTnet(t, 1, 1)
 	bare := NewEndpoint(lone.motes[0], lone.endpoints[0].router, nil)
 	bare.Send(Datagram{DstLabel: "car/9.9", DstPort: 1, Payload: "x"})
-	if bare.Stats.NoRoute != 1 {
-		t.Errorf("NoRoute = %d, want 1 without a directory", bare.Stats.NoRoute)
+	if c := lone.count(obs.EvTransportNoRoute, 0, "no_directory"); c != 1 {
+		t.Errorf("no_directory drops = %d, want 1 without a directory", c)
 	}
 
 	// A datagram reaching a fresh endpoint that neither leads its label
@@ -499,8 +537,8 @@ func TestFreshEndpointState(t *testing.T) {
 	n.endpoints[0].Send(Datagram{SrcLabel: "base/0.1", DstLabel: "car/2.1", DstPort: 1, Payload: "x"})
 	n.run(t, time.Second)
 	dst := n.endpoints[2]
-	if dst.Stats.NoRoute != 1 || dst.Stats.Delivered != 0 {
-		t.Errorf("fresh receiver Stats = %+v, want one NoRoute", dst.Stats)
+	if c, d := n.count(obs.EvTransportNoRoute, 2, "no_leader_known"), n.count(obs.EvTransportDelivered, 2, ""); c != 1 || d != 0 {
+		t.Errorf("fresh receiver: %d no_leader_known drops, %d deliveries; want 1, 0", c, d)
 	}
 	if _, ok := dst.Table().Get("base/0.1"); !ok {
 		t.Error("fresh receiver did not learn the source label's leader")

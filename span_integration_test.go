@@ -126,7 +126,7 @@ func TestChaosSpansAttributeEveryUndelivered(t *testing.T) {
 		t.Skip("chaos suite in -short mode")
 	}
 	sink := envirotrack.NewSpanSink()
-	if _, err := eval.RunChaosSuite(&eval.Env{Sink: sink}, 1); err != nil {
+	if _, err := eval.RunChaos(&eval.Env{Sink: sink}, 1); err != nil {
 		t.Fatal(err)
 	}
 	reports := sink.Reports()
