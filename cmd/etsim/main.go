@@ -192,6 +192,8 @@ func run(cfg config) error {
 		return fmt.Errorf("-parallel %d: must not be negative (0 means one worker per CPU)", cfg.parallel)
 	case cfg.parShards < 0:
 		return fmt.Errorf("-parallel-shards %d: must not be negative (0 means the serial engine)", cfg.parShards)
+	case cfg.parShards > envirotrack.MaxParallelShards:
+		return fmt.Errorf("-parallel-shards %d: must be at most %d", cfg.parShards, envirotrack.MaxParallelShards)
 	case cfg.seriesEvery < 0:
 		return fmt.Errorf("-series-every %v: must not be negative", cfg.seriesEvery)
 	}
@@ -231,9 +233,6 @@ func run(cfg config) error {
 	}
 	if cfg.selfProfile {
 		env.SelfProfile = envirotrack.NewSelfProfile()
-	}
-	if cfg.parShards > 1 {
-		env.ShardHealth = envirotrack.NewShardHealth()
 	}
 
 	chaosSched, err := envirotrack.ParseChaosSchedule(cfg.chaosSpec)
@@ -369,14 +368,6 @@ func run(cfg config) error {
 		}
 		printSelfProfile(cfg.stderr, env.SelfProfile)
 	}
-	if env.ShardHealth != nil {
-		if env.Metrics != nil {
-			envirotrack.ExportShardHealth(env.Metrics, env.ShardHealth)
-		}
-		if cfg.selfProfile {
-			printShardHealth(cfg.stderr, env.ShardHealth)
-		}
-	}
 	if env.Metrics != nil {
 		if err := writeMetrics(env.Metrics, cfg.metricsOut); err != nil {
 			return err
@@ -451,27 +442,6 @@ func printSelfProfile(w io.Writer, prof *envirotrack.SelfProfile) {
 		}
 		fmt.Fprintf(w, "%-10d %12d %12v %6.1f%%\n",
 			st.Shard, st.Events, time.Duration(st.WallNanos).Round(time.Microsecond), pct)
-	}
-}
-
-// printShardHealth renders the sharded runs' boundary-protocol accounting
-// on w (stderr, alongside the self-profile): per shard pair the mailbox
-// frame count and the tightest delivery slack over the sending shard's
-// committed horizon, plus the lookahead-violation total — which is always
-// zero here, because a parallel run with violations already failed.
-func printShardHealth(w io.Writer, h *envirotrack.ShardHealth) {
-	snap := h.Snapshot()
-	if snap.Runs == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nshard boundary health (%d sharded runs, %d boundary frames, %d lookahead violations):\n",
-		snap.Runs, snap.BoundaryFrames, snap.LookaheadViolations)
-	if len(snap.Pairs) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "%-10s %12s %14s\n", "pair", "frames", "min slack")
-	for _, p := range snap.Pairs {
-		fmt.Fprintf(w, "%3d -> %-3d %12d %14v\n", p.From, p.To, p.Frames, p.MinSlack)
 	}
 }
 

@@ -44,11 +44,6 @@ type Env struct {
 	// SelfProfile, when set, attributes every run's scheduler work. Its
 	// counters are atomic, so one profile aggregates a parallel sweep.
 	SelfProfile *envirotrack.SelfProfile
-	// ShardHealth, when set, folds each parallel-shard run's boundary
-	// accounting (per-pair mailbox frames, minimum delivery slack,
-	// lookahead violations) into the aggregator; serial runs contribute
-	// nothing.
-	ShardHealth *envirotrack.ShardHealth
 	// SeriesEvery > 0 samples a health series from every run on that
 	// sim-time cadence; Series returns them.
 	SeriesEvery time.Duration
@@ -184,16 +179,6 @@ func (e *Env) observe(sc Scenario, checker *envirotrack.InvariantChecker) (opts 
 		}
 	}
 	return opts, onNet
-}
-
-// finish folds one completed run into the Env's aggregate observers.
-func (e *Env) finish(net *envirotrack.Network) {
-	if e.ShardHealth != nil {
-		e.ShardHealth.Observe(net)
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("eval_runs_total", "Simulation runs completed.").Inc()
-	}
 }
 
 // sweep returns the context a harness hands to runpar.Map: background,

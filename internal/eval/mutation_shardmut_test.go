@@ -3,6 +3,7 @@
 package eval
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,14 +12,14 @@ import (
 
 const shardMutated = true
 
-// TestShardMutationTripsLookaheadCounter is the lookahead checks'
+// TestShardMutationFailsRunWithLookaheadError is the lookahead rule's
 // self-test: built with -tags shardmut, cross-shard radio deliveries land
 // one nanosecond early (shardMutSkew in internal/radio), closer to the
 // sending shard's commit time than one packet time. On a parallel run
-// with cross-boundary traffic the medium's LookaheadViolations counter
-// must go positive and Run must fail (and the run must report boundary
-// frames at all, or the check is vacuous).
-func TestShardMutationTripsLookaheadCounter(t *testing.T) {
+// with cross-boundary traffic Run must fail with an error naming the
+// lookahead bound (and the run must report boundary frames at all, or
+// the check is vacuous).
+func TestShardMutationFailsRunWithLookaheadError(t *testing.T) {
 	t.Parallel()
 	net, err := envirotrack.New(
 		envirotrack.WithGrid(10, 10),
@@ -34,14 +35,12 @@ func TestShardMutationTripsLookaheadCounter(t *testing.T) {
 	if err := net.AddCrossTraffic(44, 45, 100*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Run(5 * time.Second); err == nil {
-		t.Error("parallel run with skewed boundary deliveries returned no error")
-	}
+	err = net.Run(5 * time.Second)
 	if bf := net.BoundaryFrames(); bf == 0 {
 		t.Fatal("no boundary frames crossed shards; the violation check is vacuous")
 	}
-	if v := net.LookaheadViolations(); v == 0 {
-		t.Error("skewed build produced no lookahead violations: the counter cannot detect its target bug")
+	if err == nil || !strings.Contains(err.Error(), "lookahead bound") {
+		t.Errorf("parallel run with skewed boundary deliveries returned %v, want an error naming the lookahead bound", err)
 	}
 }
 
@@ -54,7 +53,7 @@ func TestShardMutationTripsLookaheadCounter(t *testing.T) {
 func TestShardMutationHardFailsParallelRun(t *testing.T) {
 	t.Parallel()
 	_, err := Run(&Env{}, Scenario{Seed: 7, ParallelShards: 4})
-	if err == nil {
-		t.Fatal("parallel run with skewed boundary deliveries returned no error: lookahead violations must hard-fail the run")
+	if err == nil || !strings.Contains(err.Error(), "lookahead bound") {
+		t.Fatalf("parallel run with skewed boundary deliveries returned %v: lookahead violations must hard-fail the run", err)
 	}
 }

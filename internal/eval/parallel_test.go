@@ -132,20 +132,27 @@ func TestEquivalenceSerialEnsembleStaysSerial(t *testing.T) {
 		t.Skip("shardmut build hard-fails parallel runs by design")
 	}
 	t.Parallel()
-	serial := envirotrack.NewShardHealth()
-	if _, err := runEnsemble(&Env{Shards: 4, ShardHealth: serial}, Scenario{}, equivSeeds(2), 1); err != nil {
+	serial := envirotrack.NewSelfProfile()
+	if _, err := runEnsemble(&Env{Shards: 4, SelfProfile: serial}, Scenario{}, equivSeeds(2), 1); err != nil {
 		t.Fatal(err)
 	}
-	if snap := serial.Snapshot(); snap.Runs != 0 || snap.BoundaryFrames != 0 {
-		t.Errorf("serial ensemble under Env.Shards=4: %d sharded runs, %d boundary frames; want 0 and 0",
-			snap.Runs, snap.BoundaryFrames)
+	if serial.TotalEvents() == 0 {
+		t.Fatal("serial ensemble profiled no events")
 	}
-	par := envirotrack.NewShardHealth()
-	if _, err := runEnsemble(&Env{ShardHealth: par}, Scenario{}, equivSeeds(2), 4); err != nil {
+	if shards := serial.ShardSnapshot(); shards != nil {
+		t.Errorf("serial ensemble under Env.Shards=4 ran on a sharded engine: %+v", shards)
+	}
+	par := envirotrack.NewSelfProfile()
+	if _, err := runEnsemble(&Env{SelfProfile: par}, Scenario{}, equivSeeds(2), 4); err != nil {
 		t.Fatal(err)
 	}
-	if snap := par.Snapshot(); snap.Runs != 2 || snap.BoundaryFrames == 0 {
-		t.Errorf("parallel ensemble: %d sharded runs, %d boundary frames; want 2 and > 0",
-			snap.Runs, snap.BoundaryFrames)
+	shards := par.ShardSnapshot()
+	if len(shards) != 4 {
+		t.Fatalf("parallel ensemble profiled %d shards, want 4", len(shards))
+	}
+	for _, st := range shards {
+		if st.Events == 0 {
+			t.Errorf("parallel ensemble: shard %d executed no events", st.Shard)
+		}
 	}
 }

@@ -253,7 +253,9 @@ func Run(env *Env, sc Scenario) (RunResult, error) {
 	if err := net.Run(duration + settle); err != nil {
 		return RunResult{}, err
 	}
-	env.finish(net)
+	if env.Metrics != nil {
+		env.Metrics.Counter("eval_runs_total", "Simulation runs completed.").Inc()
+	}
 
 	res := RunResult{
 		Scenario: sc,

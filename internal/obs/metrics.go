@@ -115,19 +115,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	return v
 }
 
-// GaugeVec returns the named gauge family keyed by one label, creating it
-// on first use.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	m := r.register(name, func() metric {
-		return &GaugeVec{help: help, label: label, children: make(map[string]*Gauge)}
-	})
-	v, ok := m.(*GaugeVec)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q is a %T, not a gauge vec", name, m))
-	}
-	return v
-}
-
 // WriteProm renders every metric in Prometheus text exposition format,
 // in registration order.
 func (r *Registry) WriteProm(w io.Writer) error {
@@ -417,76 +404,6 @@ func (v *CounterVec) writeProm(w io.Writer, name, help string) error {
 	}
 	for i, val := range values {
 		if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", name, label, promEscapeLabel(val), children[i].Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- gauge vec ---
-
-// GaugeVec is a family of gauges distinguished by one label value
-// (e.g. shard_mailbox_min_slack_seconds{pair="0->1"}).
-type GaugeVec struct {
-	help     string
-	label    string
-	mu       sync.Mutex
-	order    []string
-	children map[string]*Gauge
-}
-
-// With returns the child gauge for the given label value, creating it on
-// first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[value]
-	if !ok {
-		g = &Gauge{}
-		v.children[value] = g
-		v.order = append(v.order, value)
-		sort.Strings(v.order)
-	}
-	return g
-}
-
-// Value returns the gauge value for a label value (0 when absent).
-func (v *GaugeVec) Value(value string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children[value]; ok {
-		return g.Value()
-	}
-	return 0
-}
-
-func (v *GaugeVec) helpText() string { return v.help }
-
-func (v *GaugeVec) snapshot() any {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]float64, len(v.children))
-	for k, g := range v.children {
-		out[k] = g.Value()
-	}
-	return out
-}
-
-func (v *GaugeVec) writeProm(w io.Writer, name, help string) error {
-	v.mu.Lock()
-	values := append([]string(nil), v.order...)
-	children := make([]*Gauge, len(values))
-	for i, val := range values {
-		children[i] = v.children[val]
-	}
-	label := v.label
-	v.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, promEscapeHelp(help), name); err != nil {
-		return err
-	}
-	for i, val := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %s\n", name, label, promEscapeLabel(val),
-			strconv.FormatFloat(children[i].Value(), 'g', -1, 64)); err != nil {
 			return err
 		}
 	}

@@ -159,7 +159,7 @@ func TestJSONLSinkEmitsValidJSON(t *testing.T) {
 	}
 }
 
-func TestRingSinkWrapsAndDumps(t *testing.T) {
+func TestRingSinkWraps(t *testing.T) {
 	s := NewRingSink(3)
 	for i := 1; i <= 5; i++ {
 		s.Emit(Event{Type: EvHeartbeatSent, Mote: i})
@@ -170,9 +170,6 @@ func TestRingSinkWrapsAndDumps(t *testing.T) {
 	evs := s.Events()
 	if len(evs) != 3 || evs[0].Mote != 3 || evs[2].Mote != 5 {
 		t.Fatalf("ring retained %+v, want motes 3,4,5 oldest-first", evs)
-	}
-	if n := strings.Count(s.Dump(), "\n"); n != 3 {
-		t.Fatalf("Dump has %d lines, want 3", n)
 	}
 }
 

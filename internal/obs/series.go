@@ -76,13 +76,6 @@ func (s *Series) Columns() []string {
 	return append([]string(nil), s.names...)
 }
 
-// Times returns a copy of the time column.
-func (s *Series) Times() []time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration(nil), s.times...)
-}
-
 // Column returns a copy of one named column, or nil if absent.
 func (s *Series) Column(name string) []float64 {
 	s.mu.Lock()

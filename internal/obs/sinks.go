@@ -143,17 +143,6 @@ func (s *RingSink) Events() []Event {
 	return out
 }
 
-// Dump renders the retained events as JSONL (for crash reports and test
-// failure output).
-func (s *RingSink) Dump() string {
-	var b []byte
-	for _, ev := range s.Events() {
-		b = appendEventJSON(b, ev)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
 // CounterSink tallies events by type — the cheapest always-on sink. It
 // is safe for concurrent use: each type's tally is one atomic counter.
 type CounterSink struct {

@@ -19,12 +19,15 @@
 // parallel run gives every shard its own, so shard goroutines never share
 // a draw stream, a pool, or a counter. Across shards CSMA occupancy is
 // shard-local: a cross-shard frame does not occupy or collide at remote
-// receivers during the window — its target receptions cross through
-// per-pair outboxes drained at the window barrier (FlushBoundary), with
-// loss drawn on the sender's stream at send time, and become ordinary
+// receivers during the window — its target receptions cross through the
+// sending shard's outbox, drained at the window barrier (FlushBoundary),
+// with loss drawn on the sender's stream at send time, and become ordinary
 // receptions on the receiving shard. That approximation is what the
 // statistical-equivalence battery in internal/eval validates against the
-// serial reference.
+// serial reference. One lookahead rule guards the crossing: a boundary
+// delivery must land at least one packet time after its send and no
+// earlier than the barrier that drains it; FlushBoundary fails the run at
+// the first barrier after either check trips.
 package radio
 
 import (
@@ -156,7 +159,7 @@ func (m *Medium) SetFaultInjector(fi FaultInjector) { m.faults = fi }
 
 // shardCtx is one shard's mutable send-path state: the RNG stream, stats
 // accumulator, obs bus, record pools and arenas, frame-id counter, and the
-// cross-shard outboxes. Each shard owns one, so nothing mutable is shared
+// cross-shard outbox. Each shard owns one, so nothing mutable is shared
 // between shard goroutines.
 type shardCtx struct {
 	m     *Medium
@@ -181,21 +184,17 @@ type shardCtx struct {
 	// deterministic per run.
 	frameSeq uint64
 
-	// out[j] buffers this shard's cross-shard target receptions destined
-	// for shard j during the current window; FlushBoundary drains it at the
-	// barrier.
-	out [][]crossRec
-	// outDirty lists the destination shards whose outbox went non-empty
-	// this window (outMark dedups), so FlushBoundary visits only the
-	// (sender, receiver) pairs that actually buffered frames instead of
-	// scanning all k^2 outboxes. Drained ascending to preserve the full
-	// scan's deterministic order.
-	outDirty []int32
-	outMark  []bool
-
-	// violations counts conservative-lookahead violations of frames this
-	// shard sent, found at send time or at the window barrier.
-	violations uint64
+	// out buffers this shard's cross-shard target receptions, in send
+	// order, during the current window; FlushBoundary drains it at the
+	// barrier. Draining a record touches only its destination shard, so
+	// every destination sees its records in the order per-destination
+	// boxes would give.
+	out []crossRec
+	// boundary counts the cross-shard target receptions this shard sent;
+	// late counts those that broke the lookahead rule, at send time or at
+	// the barrier.
+	boundary uint64
+	late     uint64
 }
 
 // Medium is the shared channel. It is driven entirely by the simulation
@@ -236,23 +235,8 @@ type Medium struct {
 	ctxs []*shardCtx
 
 	// shardOfPos maps a position to its shard (nil: everything on shard
-	// 0); shardMail is the k x k per-pair mailbox accounting of boundary
-	// frames (target receptions whose sender and receiver live in
-	// different shards).
+	// 0).
 	shardOfPos func(geom.Point) int32
-	shardMail  []ShardMailbox
-}
-
-// ShardMailbox accounts one ordered shard pair's boundary traffic.
-type ShardMailbox struct {
-	// Frames counts target receptions sent from the pair's first shard
-	// to a receiver owned by its second.
-	Frames uint64
-	// MinSlack is the smallest (delivery time - transmission commit time)
-	// over those receptions: the margin by which the earliest boundary
-	// delivery cleared the sending shard's committed horizon. Meaningless
-	// while Frames is 0.
-	MinSlack time.Duration
 }
 
 // cellKey addresses one bucket of the spatial hash.
@@ -365,11 +349,11 @@ type ShardRuntime struct {
 // resolves a registered position's shard (nil puts every node on shard 0),
 // and every shard gets its own execution context — scheduler, RNG stream,
 // stats, obs bus, record pools, frame-id counter, and cross-shard
-// outboxes — so shard goroutines share no mutable send-path state. Each
+// outbox — so shard goroutines share no mutable send-path state. Each
 // frame's medium events run on the shard owning the sender; target
 // receptions whose receiver lives in another shard are classified as
-// boundary traffic, accounted in per-pair mailboxes, and checked against
-// the conservative lookahead of one packet time. Before several shard
+// boundary traffic, counted, and checked against the conservative
+// lookahead of one packet time. Before several shard
 // workers start, the owner must call PrebuildNeighbors (after the last
 // AddNode) so spatial lookups are read-only during the run.
 func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
@@ -386,18 +370,15 @@ func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medi
 		cellSize:   cellSize,
 		ctxs:       make([]*shardCtx, k),
 		shardOfPos: shardOfPos,
-		shardMail:  make([]ShardMailbox, k*k),
 	}
 	for i, rt := range rts {
 		m.ctxs[i] = &shardCtx{
-			m:       m,
-			shard:   int32(i),
-			sched:   rt.Sched,
-			rng:     rt.RNG,
-			stats:   rt.Stats,
-			bus:     rt.Bus,
-			out:     make([][]crossRec, k),
-			outMark: make([]bool, k),
+			m:     m,
+			shard: int32(i),
+			sched: rt.Sched,
+			rng:   rt.RNG,
+			stats: rt.Stats,
+			bus:   rt.Bus,
 		}
 	}
 	return m
@@ -426,53 +407,14 @@ func (m *Medium) NodeShard(id NodeID) int32 {
 	return 0
 }
 
-// ShardMailboxStat returns the boundary-traffic accounting for the
-// ordered shard pair (from, to).
-func (m *Medium) ShardMailboxStat(from, to int) ShardMailbox {
-	k := len(m.ctxs)
-	if from < 0 || to < 0 || from >= k || to >= k {
-		return ShardMailbox{}
-	}
-	return m.shardMail[from*k+to]
-}
-
-// BoundaryFrames sums boundary target receptions over all shard pairs.
+// BoundaryFrames counts boundary target receptions: those whose sender
+// and receiver live in different shards.
 func (m *Medium) BoundaryFrames() uint64 {
 	var total uint64
-	for i := range m.shardMail {
-		total += m.shardMail[i].Frames
-	}
-	return total
-}
-
-// LookaheadViolations counts boundary deliveries scheduled less than one
-// packet time (the frame's airtime plus propagation delay) after the
-// sending shard's committed horizon. The medium's physics make this
-// impossible — a frame cannot arrive before it has been on the air — so
-// the counter stays zero except under the shardmut mutation build, which
-// deliberately shaves the bound to prove the checks notice. A parallel
-// run treats any violation as fatal (the lookahead bound is what licenses
-// free-running); the network layer hard-fails the run.
-func (m *Medium) LookaheadViolations() uint64 {
-	var total uint64
 	for _, sc := range m.ctxs {
-		total += sc.violations
+		total += sc.boundary
 	}
 	return total
-}
-
-// noteBoundary accounts one boundary target reception from shard `from`
-// to shard `to`, delivered at rxAt for a transmission committed at now;
-// bound is the frame's conservative lookahead (airtime + propagation).
-// It reports whether the delivery violates the bound.
-func (m *Medium) noteBoundary(from, to int32, rxAt, now, bound time.Duration) bool {
-	st := &m.shardMail[int(from)*len(m.ctxs)+int(to)]
-	slack := rxAt - now
-	if st.Frames == 0 || slack < st.MinSlack {
-		st.MinSlack = slack
-	}
-	st.Frames++
-	return slack < bound
 }
 
 // AddNode registers a stationary node. It returns an error if the id is
@@ -891,7 +833,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			// receptions cross at the window barrier: loss is drawn on the
 			// sender's stream here (still in ascending receiver-id order, so
 			// the draw sequence is reproducible) and the delivery is
-			// buffered in the per-pair outbox until FlushBoundary, which
+			// buffered in the sender's outbox until FlushBoundary, which
 			// inserts the frame into the receiver's occupancy list so it
 			// collides there like a local frame. Non-target cross-shard
 			// receivers see no occupancy at all — that residual
@@ -900,8 +842,9 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			if !isTarget {
 				continue
 			}
-			if m.noteBoundary(src.shard, dst.shard, deliverAt+shardMutSkew, now, lookahead) {
-				sc.violations++
+			sc.boundary++
+			if deliverAt+shardMutSkew-now < lookahead {
+				sc.late++
 			}
 			lost := sc.rng.Float64() < m.lossProbAt(start)
 			if !lost {
@@ -912,11 +855,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 				// exact.
 				batch.delivered++
 			}
-			if !sc.outMark[dst.shard] {
-				sc.outMark[dst.shard] = true
-				sc.outDirty = append(sc.outDirty, dst.shard)
-			}
-			sc.out[dst.shard] = append(sc.out[dst.shard], crossRec{
+			sc.out = append(sc.out, crossRec{
 				dst: dst, f: f,
 				start: start + shardMutSkew, end: end + shardMutSkew,
 				at: deliverAt + shardMutSkew, lost: lost,
@@ -940,54 +879,44 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	sched.AtEventOwned(deliverAt, simtime.OwnerRadio, batchDeliver, batch)
 }
 
-// FlushBoundary drains every sending shard's cross-shard outboxes at a
-// window barrier: each buffered target reception becomes a reception on
-// the receiver's shard, inserted into its receiver's channel-occupancy
-// list (corrupting any overlapping in-flight reception — boundary frames
-// collide like local ones) and scheduled there at its arrival time.
-// It returns the number of deliveries that landed before the barrier
-// time — conservative-lookahead violations, zero outside the shardmut
-// mutation build. Coordinator-only: all shard workers must be parked at
-// the barrier when it runs, which is also what makes touching the
-// receiver shard's occupancy lists and record pools here race-free.
-func (m *Medium) FlushBoundary(window time.Duration) uint64 {
-	var violations uint64
+// FlushBoundary drains every sending shard's cross-shard outbox at a
+// window barrier, in shard order and then send order: each buffered target
+// reception becomes a reception on the receiver's shard, inserted into its
+// receiver's channel-occupancy list (corrupting any overlapping in-flight
+// reception — boundary frames collide like local ones) and scheduled there
+// at its arrival time. It also enforces the lookahead rule: a delivery
+// that lands before the barrier time is late, as is one that Send found
+// less than one packet time after its commit, and once any delivery has
+// been late FlushBoundary returns an error — the bound is what licenses
+// free-running, so the run is invalid. The medium's physics keep the
+// bound; only the shardmut mutation build breaks it. Coordinator-only: all
+// shard workers must be parked at the barrier when it runs, which is also
+// what makes touching the receiver shard's occupancy lists and record
+// pools here race-free.
+func (m *Medium) FlushBoundary(window time.Duration) error {
+	var late uint64
 	for _, sc := range m.ctxs {
-		if len(sc.outDirty) == 0 {
-			continue
-		}
-		// Insertion-sort the dirty list ascending: it is short (bounded by
-		// the shard's neighbor count), and ascending destination order
-		// reproduces the full scan's drain order byte for byte.
-		dirty := sc.outDirty
-		for i := 1; i < len(dirty); i++ {
-			for j := i; j > 0 && dirty[j] < dirty[j-1]; j-- {
-				dirty[j], dirty[j-1] = dirty[j-1], dirty[j]
+		for i := range sc.out {
+			r := &sc.out[i]
+			if r.at < window {
+				sc.late++
 			}
+			dstCtx := m.ctxs[r.dst.shard]
+			rx := dstCtx.acquireRX()
+			rx.start, rx.end = r.start, r.end
+			rx.dst, rx.f, rx.lost = r.dst, r.f, r.lost
+			rx.hasEvent = true
+			m.occupyChannel(r.dst, rx, window)
+			dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, rx)
+			*r = crossRec{}
 		}
-		for _, to := range dirty {
-			box := sc.out[to]
-			sc.outMark[to] = false
-			dstCtx := m.ctxs[to]
-			for i := range box {
-				r := &box[i]
-				if r.at < window {
-					violations++
-					sc.violations++
-				}
-				rx := dstCtx.acquireRX()
-				rx.start, rx.end = r.start, r.end
-				rx.dst, rx.f, rx.lost = r.dst, r.f, r.lost
-				rx.hasEvent = true
-				m.occupyChannel(r.dst, rx, window)
-				dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, rx)
-				*r = crossRec{}
-			}
-			sc.out[to] = box[:0]
-		}
-		sc.outDirty = dirty[:0]
+		sc.out = sc.out[:0]
+		late += sc.late
 	}
-	return violations
+	if late > 0 {
+		return fmt.Errorf("radio: %d cross-shard deliveries violated the conservative lookahead bound of one packet time (barrier at %v)", late, window)
+	}
+	return nil
 }
 
 // crossDeliver resolves one cross-shard reception on the receiving shard.

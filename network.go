@@ -155,23 +155,32 @@ func WithEventBus(bus *EventBus) Option {
 // of k regions, and every mote's protocol timers and outbound radio
 // traffic run on the shard owning its region — and executes them on
 // separate goroutines with the free-running conservative-lookahead (LBTS)
-// engine: each shard fires its
-// events inside lookahead windows of one minimum packet time
-// (airtime + PropDelay), a barrier drains the cross-shard radio
-// mailboxes, merges the buffered observability lanes, and samples series,
-// and the window advances. Each shard owns a deterministic RNG stream
-// derived from the run seed (simtime.ShardSeed) and CSMA occupancy is
-// shard-local, so results are no longer byte-identical to serial — they
-// are statistically equivalent (the internal/eval equivalence battery
-// pins the distributions) and deterministic per (seed, shard count):
-// rerunning the same configuration reproduces the run byte-for-byte.
-// Boundary traffic is classified and accounted (Network.BoundaryFrames),
-// and violations of the lookahead bound make Run fail with an error — a
-// violated bound means the run is invalid. k < 2 keeps the serial engine:
-// a group of one shard that runs each interval as a single window.
+// engine: each shard fires its events inside lookahead windows of one
+// minimum packet time (airtime + PropDelay), a barrier drains each
+// shard's cross-shard radio outbox, merges the buffered observability
+// lanes, and samples series, and the window advances. Each shard owns a
+// deterministic RNG stream derived from the run seed (simtime.ShardSeed)
+// and CSMA occupancy is shard-local, so results are no longer
+// byte-identical to serial — they are statistically equivalent (the
+// internal/eval equivalence battery pins the distributions) and
+// deterministic per (seed, shard count): rerunning the same configuration
+// reproduces the run byte-for-byte. Boundary traffic is counted
+// (Network.BoundaryFrames), and a cross-shard delivery that lands less
+// than one packet time after its send, or before the barrier that drains
+// it, makes Run fail with an error at that barrier — a violated bound
+// means the run is invalid. k < 2 keeps the serial engine: a group of
+// one shard that runs each interval as a single window. New rejects k
+// above MaxParallelShards.
 func WithParallelShards(k int) Option {
 	return optionFunc(func(c *networkConfig) { c.shards = k })
 }
+
+// MaxParallelShards bounds WithParallelShards. Each shard costs a
+// scheduler, an RNG stream, an observability lane and, while a run
+// executes, a goroutine; the bound, well above the 2 to 8 shards the
+// engine is measured at, keeps a mistyped count from allocating those by
+// the million. New rejects a larger count before it builds anything.
+const MaxParallelShards = 64
 
 // WithSelfProfile attaches a scheduler self-profile: every simulation
 // event is timed and attributed to its owning subsystem (radio, group,
@@ -314,8 +323,8 @@ func New(opts ...Option) (*Network, error) {
 	return n, nil
 }
 
-// validate rejects option values no run can use. A bit rate of 0 keeps
-// the default.
+// validate rejects option values no run can use, before New builds
+// anything. A bit rate of 0 keeps the default.
 func (c *networkConfig) validate() error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
@@ -327,6 +336,8 @@ func (c *networkConfig) validate() error {
 		return fmt.Errorf("envirotrack: propagation delay must be non-negative, got %v", c.propDelay)
 	case !(c.lossProb >= 0 && c.lossProb <= 1):
 		return fmt.Errorf("envirotrack: loss probability must be in [0,1], got %v", c.lossProb)
+	case c.shards > MaxParallelShards:
+		return fmt.Errorf("envirotrack: %d parallel shards exceed the maximum of %d", c.shards, MaxParallelShards)
 	case c.backend != "" && !track.Known(c.backend):
 		return fmt.Errorf("envirotrack: unknown tracking backend %q (known: %s)",
 			c.backend, strings.Join(track.Names(), ", "))
@@ -636,9 +647,9 @@ func (n *Network) lookaheadDelta() time.Duration {
 	return n.medium.Airtime(bits) + n.medium.Params().PropDelay
 }
 
-// run drives the shard group to the deadline and hard-fails on any
-// conservative-lookahead violation. A deadline before Now is an error on
-// every engine: the clock never moves backwards.
+// run drives the shard group to the deadline; a barrier error (a
+// conservative-lookahead violation) ends it. A deadline before Now is an
+// error on every engine: the clock never moves backwards.
 func (n *Network) run(deadline time.Duration) error {
 	if now := n.Now(); deadline < now {
 		return fmt.Errorf("envirotrack: run deadline %v is before the current time %v", deadline, now)
@@ -668,25 +679,19 @@ func (n *Network) run(deadline time.Duration) error {
 		// order, which is already deterministic.
 		n.ledger.SortDeterministic()
 	}
-	if err != nil {
-		return err
-	}
-	if v := n.medium.LookaheadViolations(); v > 0 {
-		return fmt.Errorf("envirotrack: parallel run invalid: %d cross-shard deliveries violated the conservative lookahead bound", v)
-	}
-	return nil
+	return err
 }
 
 // barrier runs at every window edge with all shard workers parked: it
 // drains the cross-shard radio outboxes onto the receiver shards (failing
-// the run on lookahead violations), merges the buffered observability
+// the run on a lookahead violation), merges the buffered observability
 // lanes into the real bus in timestamp order, and takes the series samples
 // that came due inside the window.
 func (n *Network) barrier(w time.Duration) error {
-	v := n.medium.FlushBoundary(w)
+	err := n.medium.FlushBoundary(w)
 	n.lanes.Flush()
-	if v > 0 {
-		return fmt.Errorf("envirotrack: parallel run invalid at %v: %d cross-shard deliveries violated the conservative lookahead bound", w, v)
+	if err != nil {
+		return fmt.Errorf("envirotrack: parallel run invalid: %w", err)
 	}
 	for _, ps := range n.parSamplers {
 		for ps.next <= w {
@@ -749,37 +754,6 @@ func (n *Network) CrossShardEvents() uint64 { return 0 }
 // receiver live in different shards (0 in serial runs).
 func (n *Network) BoundaryFrames() uint64 {
 	return n.medium.BoundaryFrames()
-}
-
-// LookaheadViolations counts cross-shard deliveries that landed closer
-// to the sending shard's committed horizon than one packet time. Always
-// zero outside the shardmut mutation build.
-func (n *Network) LookaheadViolations() uint64 {
-	return n.medium.LookaheadViolations()
-}
-
-// ShardPairStat is one ordered shard pair's boundary-traffic accounting.
-type ShardPairStat struct {
-	From, To int
-	Frames   uint64        // boundary target receptions From -> To
-	MinSlack time.Duration // tightest margin over the sender's horizon
-}
-
-// ShardPairStats lists every shard pair that exchanged boundary frames,
-// in (From, To) order. Empty in serial runs.
-func (n *Network) ShardPairStats() []ShardPairStat {
-	k := n.Shards()
-	var out []ShardPairStat
-	for from := 0; from < k; from++ {
-		for to := 0; to < k; to++ {
-			mb := n.medium.ShardMailboxStat(from, to)
-			if mb.Frames == 0 {
-				continue
-			}
-			out = append(out, ShardPairStat{From: from, To: to, Frames: mb.Frames, MinSlack: mb.MinSlack})
-		}
-	}
-	return out
 }
 
 // --- Node methods ---

@@ -29,6 +29,8 @@ func TestNewValidation(t *testing.T) {
 		{"negative loss", WithLossProb(-0.1)},
 		{"loss above one", WithLossProb(1.5)},
 		{"unknown backend", WithBackend("nope")},
+		{"one shard past the bound", WithParallelShards(MaxParallelShards + 1)},
+		{"2^30 shards", WithParallelShards(1 << 30)},
 	} {
 		for _, k := range []int{0, 2} {
 			if _, err := New(WithGrid(4, 2), WithParallelShards(k), tc.opt); err == nil {
@@ -37,7 +39,7 @@ func TestNewValidation(t *testing.T) {
 		}
 	}
 	// Boundary values stay valid: 0 b/s keeps the default bit rate.
-	for _, opt := range []Option{WithBitRate(0), WithLossProb(0), WithLossProb(1), WithPropDelay(0)} {
+	for _, opt := range []Option{WithBitRate(0), WithLossProb(0), WithLossProb(1), WithPropDelay(0), WithParallelShards(MaxParallelShards)} {
 		if _, err := New(WithGrid(4, 2), opt); err != nil {
 			t.Errorf("New rejected a boundary value: %v", err)
 		}
