@@ -146,10 +146,15 @@ type ContextType struct {
 	// Name is the context type name ("tracker", "fire").
 	Name string
 	// Activation is the sensee() condition creating and maintaining
-	// membership.
+	// membership. Like every sensor.Func it must be a deterministic,
+	// side-effect-free function of what it reads from the Reading: the
+	// sensing sweep skips a mote whose scan an earlier scan of the type
+	// proves quiet (see mote.Sweep), so it is not called on every mote
+	// every period.
 	Activation sensor.Func
 	// Deactivation optionally overrides the default "inverse of
-	// activation" leave condition.
+	// activation" leave condition. It is evaluated only on motes that are
+	// sensing, under the same contract as Activation.
 	Deactivation sensor.Func
 	// Vars are the aggregate state variables.
 	Vars []AggVarSpec

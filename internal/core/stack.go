@@ -203,6 +203,10 @@ type typeRows struct {
 	mask  uint32
 	specs []*ContextType // per row; Node.AttachContext may give one mote its own spec
 	rts   []*ctxRuntime
+	// shared is the one spec every row carries, nil once two rows carry
+	// different ones; mixed records that they did.
+	shared *ContextType
+	mixed  bool
 }
 
 // set installs a mote's spec and runtime at its row. The rows grow to
@@ -214,6 +218,11 @@ func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
 		tr.rts = append(make([]*ctxRuntime, 0, n), tr.rts...)[:n]
 	}
 	tr.specs[row], tr.rts[row] = spec, rt
+	if tr.shared == nil && !tr.mixed {
+		tr.shared = spec
+	} else if tr.shared != spec {
+		tr.shared, tr.mixed = nil, true
+	}
 }
 
 // Scan evaluates the type's sensee() conditions on one scan of the mote
@@ -223,8 +232,10 @@ func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
 // both backends' Sensing() read it. A scan that leaves the
 // mote not sensing, on a mote that was not sensing and does not lead,
 // does nothing, so the runtime is loaded only when the result is true or
-// one of the two bits is set.
-func (tr *typeRows) Scan(row int, rd *sensor.Reading) {
+// one of the two bits is set. Such a scan is quiet when every row carries
+// the one spec, whose Activation is then the one function of the reading
+// the type evaluates wherever it is attached.
+func (tr *typeRows) Scan(row int, rd *sensor.Reading) (quiet bool) {
 	spec := tr.specs[row]
 	sensing := spec.Activation(*rd)
 	was := tr.hot.Sensing(row, tr.mask)
@@ -232,9 +243,10 @@ func (tr *typeRows) Scan(row int, rd *sensor.Reading) {
 		sensing = !spec.Deactivation(*rd)
 	}
 	if !sensing && !was && !tr.hot.Leading(row, tr.mask) {
-		return
+		return tr.shared != nil
 	}
 	tr.rts[row].onScan(rd, sensing, was)
+	return false
 }
 
 // Runtime returns the runtime of an attached context type.
@@ -392,9 +404,9 @@ func (rt *ctxRuntime) refreshSamples(rd *sensor.Reading) {
 	}
 	for _, v := range rt.spec.Vars {
 		smp := aggregate.Sample{
-			MoteID: rd.MoteID,
-			At:     rd.At,
-			Pos:    rd.Position,
+			MoteID: rd.MoteID(),
+			At:     rd.At(),
+			Pos:    rd.Position(),
 		}
 		if v.Input != PositionInput {
 			val, ok := rd.Value(v.Input)

@@ -42,6 +42,9 @@ type HotState struct {
 	leading  []uint32
 	// scanners holds each attached type's Scanner, indexed by bit position.
 	scanners []Scanner
+	// attaches counts Attach calls: a sweep drops the skip proofs it
+	// learned under an earlier count.
+	attaches uint64
 
 	ctxBits map[string]uint32 // context type -> single-bit mask
 }
@@ -52,8 +55,15 @@ type HotState struct {
 // duration of the call. A preset channel is computed by the first scanner
 // that reads it in a scan and shared by the rest; a channel nobody reads
 // is never computed.
+//
+// Scan reports whether the scan was quiet: the type did nothing at the
+// row, and it evaluates the same side-effect-free function of the reading
+// at every row it is attached to, so any row whose scan reads the same
+// values, with its sensing and leading bits for the type clear, would be
+// quiet too. The sweep skips a row only on a proof built from quiet scans
+// (see Sweep).
 type Scanner interface {
-	Scan(row int, rd *sensor.Reading)
+	Scan(row int, rd *sensor.Reading) (quiet bool)
 }
 
 // MaxContextTypes is the number of context types a HotState can intern:
@@ -159,6 +169,7 @@ func (h *HotState) Attach(i int, mask uint32, sc Scanner) {
 	}
 	h.scanners[b] = sc
 	h.attached[i] |= mask
+	h.attaches++
 }
 
 // Scanner returns the scanner installed for the context type whose

@@ -205,21 +205,6 @@ func (m *Mote) Restore() {
 // Failed reports whether the mote is currently failed.
 func (m *Mote) Failed() bool { return m.env.Hot.failed[m.row] }
 
-// Sense samples the sensing model immediately, against a snapshot of the
-// field resolved for this call, and returns the reading. Every channel is
-// evaluated, so the reading is self-contained: its values stay valid after
-// later scans. It returns a zero reading when the mote has no sensing
-// model.
-func (m *Mote) Sense() sensor.Reading {
-	now, pos := m.env.Sched.Now(), m.Pos()
-	if m.model == nil {
-		return sensor.Reading{At: now, MoteID: int(m.id), Position: pos}
-	}
-	var snap phenomena.Snapshot
-	m.env.Field.Resolve(now, &snap)
-	return m.model.Sample(&snap, int(m.id), pos)
-}
-
 // Send transmits a frame from this mote. Failed motes transmit nothing.
 func (m *Mote) Send(kind trace.Kind, dst radio.NodeID, bits int, payload any) {
 	m.SendTraced(kind, dst, bits, payload, radio.Corr{})

@@ -68,18 +68,23 @@ type rxFunc func(radio.Frame)
 
 func (f rxFunc) Receive(fr radio.Frame) { f(fr) }
 
-// scanFunc adapts a function to a Scanner.
-type scanFunc func(row int, rd *sensor.Reading)
+// scanFunc adapts a function to a Scanner that reports the function's
+// result as the scan's quietness.
+type scanFunc func(row int, rd *sensor.Reading) (quiet bool)
 
-func (f scanFunc) Scan(row int, rd *sensor.Reading) { f(row, rd) }
+func (f scanFunc) Scan(row int, rd *sensor.Reading) bool { return f(row, rd) }
 
 // attach attaches the context type ctxType to the motes, with fn as the
-// type's scanner.
+// type's scanner. The scanner never reports a quiet scan, so the sweep
+// scans every live mote the type is attached to.
 func attach(ctxType string, fn func(rd *sensor.Reading), motes ...*Mote) {
 	for _, m := range motes {
 		h, i := m.Hot()
 		mask, _ := h.CtxMask(ctxType)
-		h.Attach(i, mask, scanFunc(func(_ int, rd *sensor.Reading) { fn(rd) }))
+		h.Attach(i, mask, scanFunc(func(_ int, rd *sensor.Reading) bool {
+			fn(rd)
+			return false
+		}))
 	}
 }
 
@@ -299,7 +304,7 @@ func TestSensingScanInvokesScanners(t *testing.T) {
 	var scans []scan
 	attach("tracker", func(rd *sensor.Reading) {
 		v, _ := rd.Value("magnetic_detect")
-		scans = append(scans, scan{rd.At, v})
+		scans = append(scans, scan{rd.At(), v})
 	}, m)
 	sw := h.sweep(m)
 	h.runUntil(t, 3500*time.Millisecond)
@@ -330,7 +335,7 @@ func TestSweepScansInAddOrder(t *testing.T) {
 	var motes []*Mote
 	for _, id := range []radio.NodeID{3, 1, 2} {
 		m := h.mote(t, id, geom.Pt(float64(id), 0), model, Config{SensePeriod: time.Second})
-		attach("t", func(rd *sensor.Reading) { order = append(order, rd.MoteID) }, m)
+		attach("t", func(rd *sensor.Reading) { order = append(order, rd.MoteID()) }, m)
 		motes = append(motes, m)
 	}
 	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{SensePeriod: time.Second})
@@ -350,8 +355,9 @@ func TestSweepScansTypesInBitOrder(t *testing.T) {
 	c := h.mote(t, 3, geom.Pt(3, 0), model, Config{SensePeriod: time.Second})
 	var got []string
 	scanner := func(ctxType string) Scanner {
-		return scanFunc(func(row int, rd *sensor.Reading) {
-			got = append(got, fmt.Sprintf("%s@%d/%d", ctxType, rd.MoteID, row))
+		return scanFunc(func(row int, rd *sensor.Reading) bool {
+			got = append(got, fmt.Sprintf("%s@%d/%d", ctxType, rd.MoteID(), row))
+			return false
 		})
 	}
 	first, _ := h.hot.CtxMask("first")
@@ -412,68 +418,14 @@ func TestFailedMoteSkipsScan(t *testing.T) {
 	}
 }
 
-func TestSenseWithoutModel(t *testing.T) {
+func TestSweepOfRelaysArmsNothing(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	m := h.mote(t, 7, geom.Pt(2, 3), nil, Config{})
-	rd := m.Sense()
-	if rd.MoteID != 7 || rd.Position != geom.Pt(2, 3) {
-		t.Errorf("reading = %+v", rd)
-	}
-	if rd.Channels() != 0 {
-		t.Errorf("model-less reading has %d channels", rd.Channels())
-	}
 	h.sweep(m) // should not panic or schedule a ticker
 	if h.sched.Len() != 0 {
 		t.Errorf("a sweep of relay motes scheduled %d events", h.sched.Len())
 	}
 	h.runUntil(t, time.Second)
-}
-
-func TestSenseResolvesField(t *testing.T) {
-	h := newHarness(t, radio.Params{CommRadius: 2})
-	h.field.Add(&phenomena.Target{
-		Kind:            "vehicle",
-		Traj:            phenomena.Line{Start: geom.Pt(0, 0), Dir: geom.Vec(1, 0), Speed: 1},
-		SignatureRadius: 1,
-	})
-	m := h.mote(t, 1, geom.Pt(5, 0), sensor.VehicleModel("vehicle"), Config{})
-	if v, _ := m.Sense().Value("magnetic_detect"); v != 0 {
-		t.Errorf("detection at t=0 = %v, want 0 (target 5 away)", v)
-	}
-	h.runUntil(t, 5*time.Second)
-	rd := m.Sense()
-	if v, _ := rd.Value("magnetic_detect"); v != 1 || rd.At != 5*time.Second {
-		t.Errorf("detection at %v = %v, want 1 at 5s", rd.At, v)
-	}
-}
-
-func TestSenseReadingOutlivesScans(t *testing.T) {
-	h := newHarness(t, radio.Params{CommRadius: 2})
-	h.field.Add(&phenomena.Target{
-		Kind:            "vehicle",
-		Traj:            phenomena.Line{Start: geom.Pt(0, 0), Dir: geom.Vec(1, 0), Speed: 1},
-		SignatureRadius: 1,
-	})
-	model := sensor.VehicleModel("vehicle")
-	m := h.mote(t, 1, geom.Pt(0.5, 0), model, Config{SensePeriod: time.Second})
-	rd := m.Sense()
-	mag, _ := rd.Value("magnetic")
-	var last float64
-	attach("t", func(scan *sensor.Reading) {
-		last, _ = scan.Value("magnetic_detect")
-		scan.Value("magnetic")
-	}, m)
-	h.sweep(m)
-	h.runUntil(t, 5*time.Second)
-	if last != 0 {
-		t.Fatalf("scan at 5s detected %v, want 0 (target moved on)", last)
-	}
-	if v, _ := rd.Value("magnetic_detect"); v != 1 {
-		t.Errorf("Sense detection after later scans = %v, want 1", v)
-	}
-	if v, _ := rd.Value("magnetic"); v != mag || rd.At != 0 {
-		t.Errorf("Sense intensity after later scans = %v at %v, want %v at 0", v, rd.At, mag)
-	}
 }
 
 func TestStartIdempotent(t *testing.T) {

@@ -1,0 +1,171 @@
+package mote
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"envirotrack/internal/geom"
+	"envirotrack/internal/phenomena"
+	"envirotrack/internal/radio"
+	"envirotrack/internal/sensor"
+)
+
+// cullLine is a row of 20 vehicle-sensing motes at x = 0..19, rows 0..19,
+// with a vehicle parked over mote 0, carrying one type whose scanner
+// detects like a tracker's: quiet unless magnetic_detect fires. It logs
+// the rows it scans by the row argument, since reading the reading's
+// MoteID would make every scan unprovable.
+type cullLine struct {
+	h       *harness
+	model   *sensor.Model
+	motes   []*Mote
+	mask    uint32
+	scanned []int
+}
+
+func newCullLine(t *testing.T) *cullLine {
+	t.Helper()
+	c := &cullLine{h: newHarness(t, radio.Params{CommRadius: 2}), model: sensor.VehicleModel("vehicle")}
+	c.h.field.Add(&phenomena.Target{
+		Kind: "vehicle", Traj: phenomena.Stationary{At: geom.Pt(0, 0)}, SignatureRadius: 1.2,
+	})
+	c.mask, _ = c.h.hot.CtxMask("tracker")
+	for id := 0; id < 20; id++ {
+		m := c.h.mote(t, radio.NodeID(id), geom.Pt(float64(id), 0), c.model, Config{SensePeriod: time.Second})
+		_, row := m.Hot()
+		c.h.hot.Attach(row, c.mask, scanFunc(c.scan))
+		c.motes = append(c.motes, m)
+	}
+	c.h.sweep(c.motes...)
+	return c
+}
+
+func (c *cullLine) scan(row int, rd *sensor.Reading) bool {
+	c.scanned = append(c.scanned, row)
+	v, _ := rd.Value("magnetic_detect")
+	return v < 0.5
+}
+
+// tick runs one sensing period and returns the rows scanned in it.
+func (c *cullLine) tick(t *testing.T) []int {
+	t.Helper()
+	c.scanned = c.scanned[:0]
+	c.h.runUntil(t, c.h.sched.Now()+time.Second)
+	return slices.Clone(c.scanned)
+}
+
+// reached is what a tick of cullLine scans once the cull fires: the rows
+// in the grid cells the vehicle's disc overlaps.
+var reached = []int{0, 1}
+
+// TestSweepScansMotesWithBitsSet checks that a mote outside every
+// signature disc, proven quiet, is scanned on every tick that finds its
+// sensing or leading bit set, and skipped again once both are clear; a
+// failed mote is never scanned.
+func TestSweepScansMotesWithBitsSet(t *testing.T) {
+	c := newCullLine(t)
+	if got := c.tick(t); len(got) != 20 {
+		t.Fatalf("first tick scanned rows %v, want all 20", got)
+	}
+	if got := c.tick(t); !slices.Equal(got, reached) {
+		t.Fatalf("second tick scanned rows %v, want %v", got, reached)
+	}
+	hot := c.h.hot
+	hot.SetLeading(10, c.mask, true)
+	if got, want := c.tick(t), []int{0, 1, 10}; !slices.Equal(got, want) {
+		t.Errorf("with mote 10 leading, a tick scanned rows %v, want %v", got, want)
+	}
+	hot.SetLeading(10, c.mask, false)
+	hot.SetSensing(15, c.mask, true)
+	if got, want := c.tick(t), []int{0, 1, 15}; !slices.Equal(got, want) {
+		t.Errorf("with mote 15 sensing, a tick scanned rows %v, want %v", got, want)
+	}
+	c.motes[15].Fail()
+	if got := c.tick(t); !slices.Equal(got, reached) {
+		t.Errorf("with sensing mote 15 failed, a tick scanned rows %v, want %v", got, reached)
+	}
+	c.motes[15].Restore()
+	hot.SetSensing(15, c.mask, false)
+	if got := c.tick(t); !slices.Equal(got, reached) {
+		t.Errorf("with every bit clear again, a tick scanned rows %v, want %v", got, reached)
+	}
+}
+
+// TestSweepForgetsProofsOnChange checks that the proofs go when what they
+// were learned under changes: attaching a type makes the next tick scan
+// every mote, and so does a new channel in the model, which, being eager,
+// keeps every later tick scanning every mote too.
+func TestSweepForgetsProofsOnChange(t *testing.T) {
+	c := newCullLine(t)
+	c.tick(t)
+	if got := c.tick(t); !slices.Equal(got, reached) {
+		t.Fatalf("second tick scanned rows %v, want %v", got, reached)
+	}
+	other, _ := c.h.hot.CtxMask("other")
+	c.h.hot.Attach(7, other, scanFunc(func(int, *sensor.Reading) bool { return true }))
+	if got := c.tick(t); len(got) != 20 {
+		t.Errorf("the tick after an attach scanned rows %v, want all 20", got)
+	}
+	if got := c.tick(t); !slices.Equal(got, reached) {
+		t.Errorf("the next tick scanned rows %v, want %v", got, reached)
+	}
+	c.model.SetChannel("hum", sensor.ConstantChannel(0))
+	for i := 0; i < 2; i++ {
+		if got := c.tick(t); len(got) != 20 {
+			t.Errorf("tick %d after SetChannel scanned rows %v, want all 20", i+1, got)
+		}
+	}
+}
+
+// TestGridCoversEveryPositionInADisc draws random discs, negative radii
+// included, over a grid of random positions and checks that every
+// position geom.Point.Within puts in a disc lies in a cell the disc's
+// cover overlaps. A spread too wide for float64 makes one cell.
+func TestGridCoversEveryPositionInADisc(t *testing.T) {
+	wide := newGrid([]geom.Point{geom.Pt(-1e308, 0), geom.Pt(1e308, 1)}, []int32{0, 1})
+	if wide.nx*wide.ny != 1 || len(wide.idx) != 2 {
+		t.Fatalf("a grid spanning ±1e308 has %dx%d cells holding %d rows, want one cell holding both", wide.nx, wide.ny, len(wide.idx))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(7)-2))
+		pos := make([]geom.Point, 1+rng.Intn(300))
+		rows := make([]int32, len(pos))
+		for i := range pos {
+			pos[i] = geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+			if trial%3 == 0 {
+				pos[i].Y = 0 // a line
+			}
+			rows[i] = int32(i)
+		}
+		g := newGrid(pos, rows)
+		if cells := g.nx * g.ny; cells > 2*len(pos)+1 {
+			t.Fatalf("trial %d: %d cells for %d rows", trial, cells, len(pos))
+		}
+		for d := 0; d < 20; d++ {
+			c := pos[rng.Intn(len(pos))]
+			c.X += rng.NormFloat64() * scale / 4
+			r := rng.ExpFloat64() * scale / 2
+			if d%4 == 0 {
+				r = -r
+			}
+			x0, y0, x1, y1, ok := g.cover(c, r)
+			if !ok {
+				t.Fatalf("trial %d: finite disc %v r=%v not placed", trial, c, r)
+			}
+			for cell := range g.nx * g.ny {
+				cx, cy := cell%g.nx, cell/g.nx
+				in := cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1
+				for _, k := range g.idx[g.start[cell]:g.start[cell+1]] {
+					if !in && pos[k].Within(c, r) {
+						t.Fatalf("trial %d: %v lies in the disc %v r=%v but its cell (%d,%d) is outside the cover [%d..%d]x[%d..%d]",
+							trial, pos[k], c, r, cx, cy, x0, x1, y0, y1)
+					}
+				}
+			}
+		}
+	}
+}

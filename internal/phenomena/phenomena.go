@@ -261,6 +261,16 @@ func (s *Snapshot) kindIndex(kind string) int {
 	return -1
 }
 
+// Targets returns the number of active targets in the snapshot.
+func (s *Snapshot) Targets() int { return len(s.rows) }
+
+// Disc returns the center and radius of the signature disc of the
+// snapshot's i-th active target, in field order: DetectsAny finds the
+// target at exactly the positions p with p.Within(center, radius).
+func (s *Snapshot) Disc(i int) (center geom.Point, radius float64) {
+	return s.rows[i].pos, s.rows[i].radius
+}
+
 // DetectsAny reports whether any kind-k target's signature covers position
 // pos.
 func (s *Snapshot) DetectsAny(kind string, pos geom.Point) bool {

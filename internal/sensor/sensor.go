@@ -31,15 +31,42 @@ import (
 // that Scratch's next scan: during a sensing sweep, only for the duration of
 // the scanner call. A reading from Model.Sample owns its values. The public
 // Values map remains as a construction convenience for tests and ad-hoc
-// readings.
+// readings. The instant, mote and position of a sampled reading are read
+// through At, MoteID and Position, which its Scratch logs.
 type Reading struct {
-	At       time.Duration
-	MoteID   int
-	Position geom.Point
-	Values   map[string]float64
+	Values map[string]float64
+	at     time.Duration
+	moteID int
+	pos    geom.Point
 	// scan backs a sampled reading: the model's channels and the values
 	// computed so far in this scan.
 	scan *Scratch
+}
+
+// At returns the instant the reading was sampled at.
+func (r Reading) At() time.Duration {
+	r.place()
+	return r.at
+}
+
+// MoteID returns the id of the sampled mote.
+func (r Reading) MoteID() int {
+	r.place()
+	return r.moteID
+}
+
+// Position returns the sampled mote's position.
+func (r Reading) Position() geom.Point {
+	r.place()
+	return r.pos
+}
+
+// place logs, on a sampled reading, that the scan read where or when it
+// was taken.
+func (r Reading) place() {
+	if r.scan != nil {
+		r.scan.placed = true
+	}
 }
 
 // Value returns the named channel's sample. On a sampled reading the first
@@ -87,6 +114,27 @@ type Scratch struct {
 	gen  uint64
 	vals []float64
 	done []uint64
+	// placed records that the current scan's reading had its At, MoteID
+	// or Position read.
+	placed bool
+}
+
+// Unreached reports whether the current scan read only what it would read
+// on any mote that no target's signature disc reaches, at any instant: the
+// reading's At, MoteID and Position were not read, and every channel
+// computed in the scan is a bounded preset channel that read 0. A scan of
+// a model with an eager channel never qualifies, since every scan computes
+// its eager channels.
+func (s *Scratch) Unreached() bool {
+	if s.placed {
+		return false
+	}
+	for i, d := range s.done {
+		if d == s.gen && (s.m.kinds[i] != bounded || s.vals[i] != 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // value returns channel i's sample for the current scan, computing it on
@@ -109,7 +157,8 @@ type ChannelFunc func(env *phenomena.Snapshot, pos geom.Point) float64
 
 // DetectionChannel returns 1 when a kind-k target's signature covers the
 // position and 0 otherwise — the idealized threshold detector used in the
-// paper's testbed.
+// paper's testbed. A preset built on it declares it bounded: it is 0
+// outside every kind-k signature disc.
 func DetectionChannel(kind string) ChannelFunc {
 	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
 		if env.DetectsAny(kind, pos) {
@@ -160,10 +209,27 @@ func WithNoise(fn ChannelFunc, stddev float64, rng *rand.Rand) ChannelFunc {
 type Model struct {
 	names []string
 	fns   []ChannelFunc
-	// lazy marks the channels a preset installed: pure functions of the
-	// snapshot, computed only when read. SetChannel clears it.
-	lazy []bool
+	kinds []chanKind
+	// rev counts the channels installed, so a proof learned from scans of
+	// the model can tell that it is stale.
+	rev uint64
 }
+
+// chanKind is how a model computes a channel and what it knows of the
+// channel's support.
+type chanKind uint8
+
+const (
+	// eager channels were installed by SetChannel: computed on every scan,
+	// support unknown.
+	eager chanKind = iota
+	// lazy channels are a preset's pure functions of the snapshot,
+	// computed only when read, with unbounded support.
+	lazy
+	// bounded channels are lazy and 0 at every position outside every
+	// target's signature disc (DetectionChannel).
+	bounded
+)
 
 // NewModel returns an empty sensing model.
 func NewModel() *Model {
@@ -175,18 +241,23 @@ func NewModel() *Model {
 // whether or not anything reads it, so a channel with side effects (an RNG
 // draw in WithNoise) sees the same call sequence on every run. Replacing a
 // preset's channel makes that channel eager too.
-func (m *Model) SetChannel(name string, fn ChannelFunc) { m.set(name, fn, false) }
+func (m *Model) SetChannel(name string, fn ChannelFunc) { m.set(name, fn, eager) }
 
-func (m *Model) set(name string, fn ChannelFunc, lazy bool) {
+func (m *Model) set(name string, fn ChannelFunc, kind chanKind) {
+	m.rev++
 	i := sort.SearchStrings(m.names, name)
 	if i < len(m.names) && m.names[i] == name {
-		m.fns[i], m.lazy[i] = fn, lazy
+		m.fns[i], m.kinds[i] = fn, kind
 		return
 	}
 	m.names = slices.Insert(m.names, i, name)
 	m.fns = slices.Insert(m.fns, i, fn)
-	m.lazy = slices.Insert(m.lazy, i, lazy)
+	m.kinds = slices.Insert(m.kinds, i, kind)
 }
+
+// Revision counts the channels ever installed in the model: it changes
+// whenever SetChannel does.
+func (m *Model) Revision() uint64 { return m.rev }
 
 // Channels returns the channel names in sorted order.
 func (m *Model) Channels() []string {
@@ -222,40 +293,44 @@ func (m *Model) SampleInto(env *phenomena.Snapshot, moteID int, pos geom.Point, 
 	sc.m, sc.env, sc.pos = m, env, pos
 	sc.vals, sc.done = sc.vals[:n], sc.done[:n]
 	sc.gen++
-	for i, lazy := range m.lazy {
-		if !lazy {
+	sc.placed = false
+	for i, kind := range m.kinds {
+		if kind == eager {
 			sc.value(i)
 		}
 	}
-	return Reading{At: env.At, MoteID: moteID, Position: pos, scan: sc}
+	return Reading{at: env.At, moteID: moteID, pos: pos, scan: sc}
 }
 
 // VehicleModel is a convenience preset: a magnetometer suite detecting
 // targets of the given phenomenon kind, exposing channels "magnetic"
 // (intensity) and "magnetic_detect" (thresholded detection). Both are
-// computed only when read.
+// computed only when read; magnetic_detect is bounded.
 func VehicleModel(kind string) *Model {
 	m := NewModel()
-	m.set("magnetic", IntensityChannel(kind, 1), true)
-	m.set("magnetic_detect", DetectionChannel(kind), true)
+	m.set("magnetic", IntensityChannel(kind, 1), lazy)
+	m.set("magnetic_detect", DetectionChannel(kind), bounded)
 	return m
 }
 
 // FireModel is a preset for fire sensing: "temperature" is ambient plus a
 // strong contribution from fire targets; "light" detects flame. Both are
-// computed only when read.
+// computed only when read; light is bounded.
 func FireModel(kind string, ambient float64) *Model {
 	m := NewModel()
 	m.set("temperature", SumChannels(
 		ConstantChannel(ambient),
 		IntensityChannel(kind, 500),
-	), true)
-	m.set("light", DetectionChannel(kind), true)
+	), lazy)
+	m.set("light", DetectionChannel(kind), bounded)
 	return m
 }
 
 // Func is a named boolean sensing condition — the sensee() predicate of
-// Section 3.1 — evaluated over a mote's local Reading.
+// Section 3.1 — evaluated over a mote's local Reading. It must be a
+// deterministic, side-effect-free function of what it reads from the
+// reading (see the package comment): a sensing sweep may skip a call whose
+// result an earlier scan already proves.
 type Func func(Reading) bool
 
 // Registry maps sensing-function names (as they appear in EnviroTrack

@@ -88,8 +88,8 @@ func TestModelSample(t *testing.T) {
 	m.SetChannel("magnetic_detect", DetectionChannel("vehicle"))
 	m.SetChannel("ambient", ConstantChannel(20))
 	rd := m.Sample(f, 7, geom.Pt(1, 0))
-	if rd.MoteID != 7 || rd.At != 3*time.Second || rd.Position != geom.Pt(1, 0) {
-		t.Errorf("reading metadata = %+v", rd)
+	if rd.MoteID() != 7 || rd.At() != 3*time.Second || rd.Position() != geom.Pt(1, 0) {
+		t.Errorf("reading metadata = %v %v %v", rd.MoteID(), rd.At(), rd.Position())
 	}
 	if v, ok := rd.Value("magnetic_detect"); !ok || v != 1 {
 		t.Errorf("magnetic_detect = %v, %v", v, ok)
@@ -267,7 +267,7 @@ func TestPresetChannelsAreNotComputedUnread(t *testing.T) {
 
 	calls := 0
 	m := NewModel()
-	m.set("lazy", counting("lazy", 1, &calls, nil), true)
+	m.set("lazy", counting("lazy", 1, &calls, nil), lazy)
 	var sc Scratch
 	for i := 0; i < 3; i++ {
 		m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
@@ -281,7 +281,7 @@ func TestPresetChannelIsMemoisedPerScan(t *testing.T) {
 	env := snapshot(0)
 	calls := 0
 	m := NewModel()
-	m.set("lazy", counting("lazy", 4, &calls, nil), true)
+	m.set("lazy", counting("lazy", 4, &calls, nil), lazy)
 	var sc Scratch
 	for scan := 1; scan <= 3; scan++ {
 		rd := m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
@@ -303,7 +303,7 @@ func TestSetChannelsAreEagerInNameOrder(t *testing.T) {
 	m := NewModel()
 	m.SetChannel("zeta", counting("zeta", 0, &calls, &order))
 	m.SetChannel("alpha", counting("alpha", 0, &calls, &order))
-	m.set("mid", counting("mid", 0, &calls, &order), true)
+	m.set("mid", counting("mid", 0, &calls, &order), lazy)
 	var sc Scratch
 	rd := m.SampleInto(env, 0, geom.Pt(0, 0), &sc)
 	if want := []string{"alpha", "zeta"}; !slices.Equal(order, want) {
@@ -381,5 +381,50 @@ func TestSampleIsSelfContained(t *testing.T) {
 	}
 	if v, _ := rd.Value("magnetic"); v != wantMag {
 		t.Errorf("sampled intensity after later scans = %v, want %v", v, wantMag)
+	}
+}
+
+func TestScratchUnreached(t *testing.T) {
+	env := vehicleField(geom.Pt(0, 0), 2)
+	far, near := geom.Pt(10, 0), geom.Pt(1, 0)
+	for _, tt := range []struct {
+		name  string
+		model *Model
+		pos   geom.Point
+		read  func(Reading)
+		want  bool
+		eager bool
+	}{
+		{"nothing read", VehicleModel("vehicle"), far, func(Reading) {}, true, false},
+		{"bounded channel at 0", VehicleModel("vehicle"), far, func(rd Reading) { rd.Value("magnetic_detect") }, true, false},
+		{"absent channel", VehicleModel("vehicle"), far, func(rd Reading) { rd.Value("motion") }, true, false},
+		{"bounded channel at 1", VehicleModel("vehicle"), near, func(rd Reading) { rd.Value("magnetic_detect") }, false, false},
+		{"unbounded channel", VehicleModel("vehicle"), far, func(rd Reading) { rd.Value("magnetic") }, false, false},
+		{"fire's bounded light", FireModel("vehicle", 20), far, func(rd Reading) { rd.Value("light") }, true, false},
+		{"fire's temperature", FireModel("vehicle", 20), far, func(rd Reading) { rd.Value("temperature") }, false, false},
+		{"At", VehicleModel("vehicle"), far, func(rd Reading) { rd.At() }, false, false},
+		{"MoteID", VehicleModel("vehicle"), far, func(rd Reading) { rd.MoteID() }, false, false},
+		{"Position", VehicleModel("vehicle"), far, func(rd Reading) { rd.Position() }, false, false},
+		{"eager channel", func() *Model {
+			m := VehicleModel("vehicle")
+			m.SetChannel("hum", ConstantChannel(0))
+			return m
+		}(), far, func(Reading) {}, false, true},
+		{"preset replaced by SetChannel", func() *Model {
+			m := VehicleModel("vehicle")
+			m.SetChannel("magnetic_detect", DetectionChannel("vehicle"))
+			return m
+		}(), far, func(Reading) {}, false, true},
+	} {
+		var sc Scratch
+		tt.read(tt.model.SampleInto(env, 3, tt.pos, &sc))
+		if got := sc.Unreached(); got != tt.want {
+			t.Errorf("%s: Unreached = %v, want %v", tt.name, got, tt.want)
+		}
+		// The next scan starts a fresh log.
+		tt.model.SampleInto(env, 3, far, &sc)
+		if got := sc.Unreached(); got == tt.eager {
+			t.Errorf("%s: the next scan, reading nothing, is unreached %v, want %v", tt.name, got, !tt.eager)
+		}
 	}
 }

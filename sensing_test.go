@@ -87,7 +87,7 @@ type scanLog []string
 
 func (l *scanLog) activation(name string) func(Reading) bool {
 	return func(rd Reading) bool {
-		*l = append(*l, fmt.Sprintf("%s@%d@%v", name, rd.MoteID, rd.At))
+		*l = append(*l, fmt.Sprintf("%s@%d@%v", name, rd.MoteID(), rd.At()))
 		return false
 	}
 }
