@@ -20,8 +20,9 @@
 //
 // Engines (serial is the byte-identical reference):
 //
-//	etsim -exp fig4 -parallel-shards 4  # free-running shard goroutines: statistically
-//	                                    # equivalent, deterministic per (seed, shards);
+//	etsim -exp fig4 -parallel-shards 4  # free-running shard goroutines: serial until
+//	                                    # the first boundary frame, statistically
+//	                                    # equivalent after it, deterministic;
 //	                                    # exits nonzero if any run violates lookahead;
 //	                                    # with -selfprofile, adds per-shard and
 //	                                    # boundary-health tables
@@ -105,7 +106,7 @@ func main() {
 	flag.BoolVar(&cfg.checkInv, "check-invariants", false, "attach the protocol invariant checker; exit nonzero on any proven violation")
 	flag.StringVar(&cfg.backend, "backend", "", "tracking backend for every run: leader (default) or passive; -exp compare always runs both")
 	flag.BoolVar(&cfg.selfProfile, "selfprofile", false, "profile the scheduler: per-subsystem event counts and wall time, printed after the run (and exported with -metrics-out)")
-	flag.IntVar(&cfg.parShards, "parallel-shards", 0, "free-running parallel shard goroutines per run (0 = off): shards execute concurrently under a conservative lookahead barrier; results are statistically equivalent to serial (not byte-identical) and deterministic per (seed, shard count)")
+	flag.IntVar(&cfg.parShards, "parallel-shards", 0, "free-running parallel shard goroutines per run (0 = off): shards execute concurrently under a conservative lookahead barrier; a run is the serial run until its first boundary frame and statistically equivalent to serial after it; reruns are byte-identical")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "max concurrent simulation runs per sweep (0 = one per CPU, 1 = serial); results are identical at any setting")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")

@@ -21,8 +21,8 @@ type Hooks struct {
 // Injector replays a Schedule on a simulation scheduler. Crash faults
 // become scheduler callbacks at their onset/restore instants; loss, ramp,
 // partition, and duplication faults are evaluated lazily against sim time
-// through the radio.FaultInjector interface, so the injector never draws
-// randomness and cannot perturb a run's RNG stream by itself.
+// through the radio.FaultInjector interface, so the injector itself never
+// draws randomness.
 type Injector struct {
 	sc    Schedule
 	hooks Hooks

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -42,7 +41,7 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(21)), Stats: &trace.Stats{}}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 21, Stats: &trace.Stats{}}
 	medium := radio.New(params, nil, rt)
 	field := phenomena.NewField()
 	env := mote.NewEnv(rt, medium, field, mote.Config{}, mote.NewHotState())
@@ -430,9 +429,13 @@ func TestDirectoryRegistrationOfTrackedLabel(t *testing.T) {
 	w.start()
 	w.run(t, 3*time.Second)
 
+	// The query's first attempt, sent at 3 s, collides at the directory
+	// node (mote 3) with a heartbeat relay from mote 1, which the base
+	// cannot hear (a hidden terminal). Run past one query timeout, so the
+	// retry at 5 s is answered.
 	var got []directory.Entry
 	base.Directory().Query("tracker", func(es []directory.Entry) { got = es })
-	w.run(t, 5*time.Second)
+	w.run(t, 6*time.Second)
 
 	if len(got) != 1 {
 		t.Fatalf("directory entries = %d, want 1", len(got))

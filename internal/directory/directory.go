@@ -182,7 +182,7 @@ func (s *Service) Unregister(ctxType string, label group.Label) {
 	}
 	send()
 	for i := 1; i < unregisterRepeats; i++ {
-		delay := time.Duration(float64(i)*150+s.m.Rand().Float64()*100) * time.Millisecond
+		delay := time.Duration(float64(i)*150+s.m.Draw()*100) * time.Millisecond
 		s.m.Scheduler().AfterOwned(delay, simtime.OwnerDirectory, send)
 	}
 }

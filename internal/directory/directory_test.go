@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,7 +38,7 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(5)), Stats: &trace.Stats{}}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 5, Stats: &trace.Stats{}}
 	// Collisions are disabled: these tests exercise directory semantics,
 	// not channel contention (covered in radio's own tests).
 	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, rt)

@@ -30,8 +30,8 @@ type Env struct {
 	// Shards > 1 runs scenarios that don't pin ParallelShards on the
 	// free-running parallel engine with that many shard goroutines (see
 	// envirotrack.WithParallelShards); 0 or 1 is the serial engine.
-	// Parallel results are statistically equivalent to serial, not
-	// byte-identical, and deterministic per (seed, shard count).
+	// A parallel run is the serial run until its first boundary frame and
+	// statistically equivalent to it after; reruns are byte-identical.
 	Shards int
 	// Sink receives every run's events, tagged with the run's tag. It
 	// must be safe for concurrent use when sweeps run in parallel (every

@@ -9,12 +9,12 @@ import (
 )
 
 // Statistical equivalence between the serial reference engine and the
-// free-running parallel engine. The parallel executor reorders RNG draws
-// (per-shard streams) and approximates boundary CSMA, so its runs are not
-// byte-identical to serial; the contract is weaker and distributional:
-// over an ensemble of seeds, every headline metric of the paper's
-// evaluation must be drawn from the same distribution. The harness runs
-// N-seed ensembles on both engines and applies a two-sample
+// free-running parallel engine. A parallel run is the serial run until a
+// frame reaches another shard; from there it approximates boundary CSMA,
+// so it is not byte-identical to serial and the contract is
+// distributional: over an ensemble of seeds, every headline metric of the
+// paper's evaluation must be drawn from the same distribution. The
+// harness runs N-seed ensembles on both engines and applies a two-sample
 // Kolmogorov-Smirnov test per metric.
 
 // EquivMetric is one headline metric's two-sample comparison.

@@ -8,11 +8,11 @@ import (
 )
 
 // TestParallelRunDeterministicRerun pins the parallel engine's
-// reproducibility contract: the free-running executor is not
-// byte-identical to serial, but for a fixed (seed, shard count) it is a
-// deterministic function — rerunning must reproduce the result deeply
-// and the JSONL event stream byte-for-byte. Everything order-dependent
-// in the engine (per-shard RNG streams, barrier-merged observability
+// reproducibility contract: past its first boundary frame the
+// free-running executor is not byte-identical to serial, but for a fixed
+// (seed, shard count) it is a deterministic function — rerunning must
+// reproduce the result deeply and the JSONL event stream byte-for-byte.
+// Everything order-dependent in the engine (barrier-merged observability
 // lanes, canonical ledger sort) exists to make this hold.
 func TestParallelRunDeterministicRerun(t *testing.T) {
 	if shardMutated {

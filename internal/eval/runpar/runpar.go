@@ -1,6 +1,6 @@
 // Package runpar is the parallel sweep engine behind the eval harnesses:
 // a bounded worker pool that fans independent, deterministic simulation
-// runs across CPUs. Each eval.Run owns its scheduler and seeded RNG, so
+// runs across CPUs. Each eval.Run owns its scheduler and its seed, so
 // runs may execute concurrently without sharing state; the pool only has
 // to guarantee order-stable result collection and prompt cancellation on
 // the first error, which keeps parallel sweeps bit-identical to serial

@@ -87,9 +87,9 @@ type Scenario struct {
 	// proven violations land in RunResult.Violations.
 	CheckInvariants bool
 	// ParallelShards > 1 executes the run on the free-running parallel
-	// engine with that many shard goroutines (statistically equivalent to
-	// serial, not byte-identical; see RunEquivalence); 1 pins the serial
-	// engine; 0 uses Env.Shards.
+	// engine with that many shard goroutines (the serial run until its
+	// first boundary frame, statistically equivalent after it; see
+	// RunEquivalence); 1 pins the serial engine; 0 uses Env.Shards.
 	ParallelShards int
 	// Backend selects the tracking backend ("leader" or "passive");
 	// empty uses Env.Backend, then leader. The invariant checker follows:

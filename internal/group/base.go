@@ -123,7 +123,7 @@ func (b *Base) ArmBackoff(t *simtime.Timer, fire simtime.EventFunc, arg any) {
 	if t.Pending() {
 		return
 	}
-	d := time.Duration(b.Mote.Rand().Float64() * float64(b.Config.CreationBackoff))
+	d := time.Duration(b.Mote.Draw() * float64(b.Config.CreationBackoff))
 	*t = b.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, fire, arg)
 }
 

@@ -261,7 +261,7 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 // jitter so that leaders created at the same instant (a target appearing
 // over several motes at once) do not collide in lockstep forever.
 func (g *Manager) scheduleNextHeartbeat() {
-	jitter := 1 + JitterFrac*(g.Mote.Rand().Float64()-0.5)
+	jitter := 1 + JitterFrac*(g.Mote.Draw()-0.5)
 	d := time.Duration(float64(g.Config.HeartbeatPeriod) * jitter)
 	g.hbTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
 }
@@ -370,7 +370,7 @@ func (g *Manager) becomeMember(label Label, leader radio.NodeID, weight uint64, 
 
 func (g *Manager) armReceiveTimer() {
 	g.receiveTimer.Stop()
-	d := g.Config.receiveTimeout(g.Mote.Rand().Float64())
+	d := g.Config.receiveTimeout(g.Mote.Draw())
 	g.receiveTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
 }
 
@@ -395,7 +395,7 @@ func (g *Manager) startReporting() {
 	g.stopReporting()
 	// Desynchronize members: first report after a random fraction of the
 	// report period, then periodic.
-	first := time.Duration(g.Mote.Rand().Float64() * float64(g.Config.ReportPeriod))
+	first := time.Duration(g.Mote.Draw() * float64(g.Config.ReportPeriod))
 	g.reportDelay = g.Mote.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
 }
 
@@ -589,7 +589,7 @@ func (g *Manager) forwardHeartbeat(st *hbState, hb Heartbeat, corr radio.Corr) {
 	pf.hb = hb
 	pf.hb.HopsPast = hb.HopsPast - 1
 	pf.corr = corr
-	delay := time.Duration(g.Mote.Rand().Float64() * float64(floodJitter))
+	delay := time.Duration(g.Mote.Draw() * float64(floodJitter))
 	pf.timer = g.Mote.Scheduler().AfterEventTimerOwned(delay, simtime.OwnerGroup, pendingForwardFire, pf)
 	st.pf = pf
 }

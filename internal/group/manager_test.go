@@ -1,7 +1,6 @@
 package group
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 	"unsafe"
@@ -32,7 +31,7 @@ func newTestNet(t *testing.T, commRadius float64) *testNet {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(11)), Stats: &stats}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 11, Stats: &stats}
 	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
 	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	env.Ledger = &trace.Ledger{}
@@ -334,11 +333,31 @@ func TestRelinquishDisabledFallsBackToTakeover(t *testing.T) {
 
 func TestWeightSuppressionDeletesSpuriousLabel(t *testing.T) {
 	// Two isolated groups form; then a bridge node lets them hear each
-	// other. The lighter label must be deleted.
+	// other. The lighter label must be deleted. The bridge is in range of
+	// A's member 2, not of its leader 1.
+	checkWeightSuppression(t, geom.Pt(0, 0), geom.Pt(1, 0), fastCfg)
+}
+
+func TestWeightSuppressionReachesPastTheBridge(t *testing.T) {
+	// The bridge hears A's leader 1 itself. Whichever label B's node 3
+	// leads by then, only A's heartbeat, relayed one hop past the group
+	// by the bridge, reaches it: with h = 0 node 3 takes over the label
+	// the bridge deleted and leads it on.
+	cfg := fastCfg
+	cfg.HopsPast = 1
+	checkWeightSuppression(t, geom.Pt(1, 0), geom.Pt(0, 0), cfg)
+}
+
+// checkWeightSuppression runs the weight-suppression scenario: group A
+// (leader 1 and reporter 2 at the given points) and group B (node 3 at
+// x=4) form apart, then bridge 4 at x=2.5, in range of 3 and of the A mote
+// at x=1, starts sensing. At 5 s only A's label may be live or led.
+func checkWeightSuppression(t *testing.T, leader, reporter geom.Point, cfg Config) {
+	t.Helper()
 	n := newTestNet(t, 1.5)
-	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
-	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{payload: func() any { return "x" }})
-	n.add(t, 3, geom.Pt(4, 0), fastCfg, hooks{})
+	n.add(t, 1, leader, cfg, hooks{})
+	n.add(t, 2, reporter, cfg, hooks{payload: func() any { return "x" }})
+	n.add(t, 3, geom.Pt(4, 0), cfg, hooks{})
 
 	// Group A (nodes 1,2) accumulates weight via reports; group B (node 3)
 	// stays weight 0.
@@ -358,7 +377,7 @@ func TestWeightSuppressionDeletesSpuriousLabel(t *testing.T) {
 
 	// Bridge: node 4 in range of both 3 and the A group, sensing, so it
 	// floods heartbeats across.
-	n.add(t, 4, geom.Pt(2.5, 0), fastCfg, hooks{})
+	n.add(t, 4, geom.Pt(2.5, 0), cfg, hooks{})
 	n.senseAt(4, 2*time.Second, true)
 	n.runUntil(t, 5*time.Second)
 
@@ -372,6 +391,16 @@ func TestWeightSuppressionDeletesSpuriousLabel(t *testing.T) {
 	live := n.ledger.LiveLabels("tracker")
 	if len(live) != 1 || live[0] != string(labelA) {
 		t.Errorf("live labels = %v, want [%s]", live, labelA)
+	}
+	for id, g := range n.mgrs {
+		if g.Role() == RoleLeader && g.Label() != labelA {
+			t.Errorf("node %d leads %q at 5 s, want only %q led", id, g.Label(), labelA)
+		}
+	}
+	if t.Failed() {
+		for _, ev := range n.ledger.Events {
+			t.Logf("%v mote %d %v %s", ev.At, ev.Mote, ev.Type, ev.Label)
+		}
 	}
 }
 

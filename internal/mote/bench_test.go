@@ -1,7 +1,6 @@
 package mote
 
 import (
-	"math/rand"
 	"testing"
 
 	"envirotrack/internal/geom"
@@ -26,7 +25,7 @@ func sweepField(tb testing.TB) (*simtime.ShardGroup, *Sweep, *sweepCounts) {
 	const side = 100
 	group := simtime.NewShardGroup(1)
 	var stats trace.Stats
-	rt := radio.ShardRuntime{Sched: group.Shard(0), RNG: rand.New(rand.NewSource(1)), Stats: &stats}
+	rt := radio.ShardRuntime{Sched: group.Shard(0), Seed: 1, Stats: &stats}
 	medium := radio.New(radio.Params{CommRadius: 2.5}, nil, rt)
 	field := phenomena.NewField()
 	for i := 0; i < 4; i++ {

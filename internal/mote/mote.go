@@ -8,7 +8,6 @@ package mote
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"envirotrack/internal/arena"
@@ -54,7 +53,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Env is what the motes of one scheduler shard share: the shard's
-// runtime (scheduler, RNG stream, stats, bus), the network's medium and
+// runtime (scheduler, run seed, stats, bus), the network's medium and
 // field, the motes' configuration, the network's HotState and its
 // coherence ledger. A network builds one per shard; a mote reads all of
 // them through its env.
@@ -106,6 +105,8 @@ type Mote struct {
 	// layers mint from this one counter, so (origin, seq) identifies a
 	// message uniquely within a run regardless of kind or label.
 	corrSeq uint32
+	// draws counts the mote's protocol draws, keying the next (Draw).
+	draws uint32
 }
 
 // cpuTask is one queued frame awaiting its CPU service-time completion.
@@ -143,8 +144,12 @@ func (m *Mote) Scheduler() *simtime.Scheduler { return m.env.Sched }
 // Medium returns the radio medium the mote transmits on.
 func (m *Mote) Medium() *radio.Medium { return m.env.Medium }
 
-// Rand returns the mote's deterministic random source (for jitter).
-func (m *Mote) Rand() *rand.Rand { return m.env.RNG }
+// Draw returns the mote's next protocol draw in [0, 1), keyed by its id
+// and draw count: no shard layout or other mote's draw moves it.
+func (m *Mote) Draw() float64 {
+	m.draws++
+	return simtime.Draw(m.env.Seed, simtime.DrawMote, uint64(uint32(m.id))<<32|uint64(m.draws))
+}
 
 // NextCorrSeq returns a fresh correlation sequence number (1-based) for a
 // message originated by this mote. Relays and rebroadcasts must preserve

@@ -2,7 +2,6 @@ package mote
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -32,7 +31,7 @@ func newHarness(t *testing.T, p radio.Params) *harness {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(1)), Stats: &stats}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 1, Stats: &stats}
 	return &harness{
 		group:  group,
 		sched:  sched,
@@ -455,7 +454,16 @@ func TestAccessors(t *testing.T) {
 	if m.Scheduler() != h.sched {
 		t.Error("Scheduler mismatch")
 	}
-	if m.Rand() == nil {
-		t.Error("Rand is nil")
+	// A draw is keyed by (seed, mote, count): another mote's draws in
+	// between do not move this mote's sequence.
+	other := h.mote(t, 10, geom.Pt(5, 5), nil, Config{})
+	first := m.Draw()
+	other.Draw()
+	second := m.Draw()
+	for i, got := range []float64{first, second} {
+		want := simtime.Draw(1, simtime.DrawMote, 9<<32|uint64(i+1))
+		if got != want || got < 0 || got >= 1 {
+			t.Errorf("draw %d of mote 9 = %v, want %v in [0, 1)", i+1, got, want)
+		}
 	}
 }

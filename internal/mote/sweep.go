@@ -33,8 +33,7 @@ import (
 // the skipped scan would have read the same values and done nothing. The
 // proofs are dropped whenever a type is attached (HotState.Attach) or a
 // model's channels change. A visited mote gets exactly the work of a full
-// sweep, in the same order, so skipping changes no event, RNG draw or
-// trace.
+// sweep, in the same order, so skipping changes no event or trace.
 //
 // The sweep holds no mote pointers. It walks dense rows built by Add (the
 // motes' HotState rows, ids and models) and reads position, failure flag

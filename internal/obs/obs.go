@@ -8,8 +8,8 @@
 // The bus is designed so that a disabled observer is free on the hot
 // path: every emission site guards with Bus.Active(), which on a nil bus
 // is a single nil check, and event construction is skipped entirely.
-// Sinks only observe — they never draw from the simulation RNG or touch
-// the scheduler — so attaching any sink cannot perturb a seeded run.
+// Sinks only observe — they never draw randomness or touch the
+// scheduler — so attaching any sink cannot perturb a seeded run.
 package obs
 
 import (
@@ -158,7 +158,8 @@ type Event struct {
 	// round-trips through the omit-zero JSONL encoding unambiguously
 	// because span keys always include the label).
 	Origin int
-	// Frame is the medium-stamped transmission id (1-based; 0 = none).
+	// Frame is the medium-stamped transmission id: the sender in the high
+	// 32 bits, its send count in the low 32 (0 = none).
 	Frame uint64
 	// Run tags the event with the run it came from (the scenario seed, in
 	// the eval harnesses); stamped by the bus so sinks shared across a

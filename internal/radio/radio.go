@@ -13,27 +13,28 @@
 // append into reusable scratch, and cell buckets are kept id-sorted at
 // insert so range queries merge instead of sorting per call.
 //
-// Execution contexts: all mutable send-path state (RNG, stats, obs bus,
-// record pools, frame sequence) lives in a shardCtx, one per scheduler
-// shard the medium is built over (New). A serial run has one context; a
-// parallel run gives every shard its own, so shard goroutines never share
-// a draw stream, a pool, or a counter. Across shards CSMA occupancy is
+// Execution contexts: all mutable send-path state (stats, obs bus, record
+// pools, outbox) lives in a shardCtx, one per scheduler shard the medium
+// is built over (New). A serial run has one context; a parallel run gives
+// every shard its own, so shard goroutines never share a pool or a
+// counter. Every draw is a simtime.Draw keyed by the transmission id,
+// which names the sender and its send count, so no draw and no id depends
+// on the shard layout or on event order. Across shards CSMA occupancy is
 // shard-local: a cross-shard frame does not occupy or collide at remote
 // receivers during the window — its target receptions cross through the
 // sending shard's outbox, drained at the window barrier (FlushBoundary),
-// with loss drawn on the sender's stream at send time, and become ordinary
-// receptions on the receiving shard. That approximation is what the
-// statistical-equivalence battery in internal/eval validates against the
-// serial reference. One lookahead rule guards the crossing: a boundary
-// delivery must land at least one packet time after its send and no
-// earlier than the barrier that drains it; FlushBoundary fails the run at
-// the first barrier after either check trips.
+// and become ordinary receptions on the receiving shard. That
+// approximation is what the statistical-equivalence battery in
+// internal/eval validates against the serial reference. One lookahead rule
+// guards the crossing: a boundary delivery must land at least one packet
+// time after its send and no earlier than the barrier that drains it;
+// FlushBoundary fails the run at the first barrier after either check
+// trips.
 package radio
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -84,12 +85,10 @@ type Frame struct {
 	// Corr is the correlation header of the logical message this frame
 	// carries (zero for uncorrelated traffic).
 	Corr Corr
-	// ID is the medium-stamped transmission id, assigned when the frame
-	// actually goes on the air (CSMA-deferred copies are stamped at
-	// retransmission, chaos duplicates get distinct ids). 1-based; 0
-	// means not yet transmitted. The sending shard's index is packed
-	// into the top 16 bits so ids stay unique across shard-local counters
-	// (shard 0's ids are the plain counter).
+	// ID is the medium-stamped transmission id, assigned by Send: the
+	// sender's id in the high 32 bits and its send count (1-based; a
+	// chaos duplicate is a send of its own) in the low 32, so it names one
+	// transmission on every shard layout. 0 means not yet sent.
 	ID uint64
 }
 
@@ -133,11 +132,9 @@ const maxCSMAAttempts = 6
 type Receiver func(Frame)
 
 // FaultInjector lets a fault-injection harness perturb the medium while a
-// run executes. All methods are consulted on the scheduler thread. The
-// contract that keeps nominal runs bit-identical: with no injector
-// attached the medium draws exactly the same RNG sequence as before the
-// hook existed, and an attached injector only adds draws when
-// DuplicateProb returns > 0. In parallel mode the methods are called from
+// run executes. All methods are consulted on the scheduler thread. Draws
+// are keyed by the frame they decide, so an injector moves only the
+// outcomes it changes. In parallel mode the methods are called from
 // concurrent shard goroutines, so implementations must be read-only over
 // immutable schedule data (internal/chaos's injector is).
 type FaultInjector interface {
@@ -148,8 +145,7 @@ type FaultInjector interface {
 	// now; false models a network partition severing the link.
 	Linked(now time.Duration, src, dst NodeID) bool
 	// DuplicateProb returns the probability that a frame transmission is
-	// duplicated (sent twice) at sim time now. Zero disables duplication
-	// without consuming randomness.
+	// duplicated (sent twice) at sim time now. Zero disables duplication.
 	DuplicateProb(now time.Duration) float64
 }
 
@@ -157,15 +153,13 @@ type FaultInjector interface {
 // it and restores nominal behaviour.
 func (m *Medium) SetFaultInjector(fi FaultInjector) { m.faults = fi }
 
-// shardCtx is one shard's mutable send-path state: the RNG stream, stats
-// accumulator, obs bus, record pools and arenas, frame-id counter, and the
-// cross-shard outbox. Each shard owns one, so nothing mutable is shared
-// between shard goroutines.
+// shardCtx is one shard's mutable send-path state: the stats accumulator,
+// obs bus, record pools and arenas, and the cross-shard outbox. Each shard
+// owns one, so nothing mutable is shared between shard goroutines.
 type shardCtx struct {
 	m     *Medium
-	shard int32
 	sched *simtime.Scheduler
-	rng   *rand.Rand
+	seed  int64
 	stats *trace.Stats
 	bus   *obs.Bus
 
@@ -178,11 +172,6 @@ type shardCtx struct {
 	rxArena arena.Arena[reception]
 	psArena arena.Arena[pendingSend]
 	dbArena arena.Arena[deliveryBatch]
-
-	// frameSeq numbers actual transmissions (Frame.ID). Stamped at
-	// transmission commit in trySend — after CSMA deferral — so ids are
-	// deterministic per run.
-	frameSeq uint64
 
 	// out buffers this shard's cross-shard target receptions, in send
 	// order, during the current window; FlushBoundary drains it at the
@@ -257,6 +246,9 @@ type Node struct {
 	// shard is the scheduler shard owning this node's region; resolved
 	// once at registration.
 	shard int32
+	// sends counts the node's sends (nextID); each commits one
+	// transmission.
+	sends uint32
 	// nbrs is the node's in-range neighbours in ascending id order, nil
 	// until first resolved and again after AddNode registers a node within
 	// range. Fan-out walks it with no per-receiver lookup. It sits behind
@@ -321,11 +313,10 @@ type deliveryBatch struct {
 
 // crossRec is one cross-shard target reception buffered in the sending
 // shard's outbox during a parallel window: the loss outcome is already
-// drawn (on the sender's stream, in ascending receiver-id order), so only
-// the receiver-side occupancy, accounting, and callback remain to run on
-// the receiving shard. start/end span the frame's airtime at the receiver
-// so FlushBoundary can insert it into the receiver's channel-occupancy
-// list for collision detection.
+// drawn, so only the receiver-side occupancy, accounting, and callback
+// remain to run on the receiving shard. start/end span the frame's airtime
+// at the receiver so FlushBoundary can insert it into the receiver's
+// channel-occupancy list for collision detection.
 type crossRec struct {
 	dst        *Node
 	f          Frame
@@ -335,25 +326,24 @@ type crossRec struct {
 }
 
 // ShardRuntime carries one scheduler shard's execution resources: the
-// shard's scheduler, its deterministic RNG stream, its private stats
-// accumulator (required), and the observability bus its frame events go
-// through (nil disables emission).
+// shard's scheduler, the run seed every keyed draw mixes in, its private
+// stats accumulator (required), and the observability bus its frame
+// events go through (nil disables emission).
 type ShardRuntime struct {
 	Sched *simtime.Scheduler
-	RNG   *rand.Rand
+	Seed  int64
 	Stats *trace.Stats
 	Bus   *obs.Bus
 }
 
 // New creates a medium over one or more scheduler shards. shardOfPos
 // resolves a registered position's shard (nil puts every node on shard 0),
-// and every shard gets its own execution context — scheduler, RNG stream,
-// stats, obs bus, record pools, frame-id counter, and cross-shard
-// outbox — so shard goroutines share no mutable send-path state. Each
-// frame's medium events run on the shard owning the sender; target
-// receptions whose receiver lives in another shard are classified as
-// boundary traffic, counted, and checked against the conservative
-// lookahead of one packet time. Before several shard
+// and every shard gets its own execution context — scheduler, stats, obs
+// bus, record pools, and cross-shard outbox — so shard goroutines share no
+// mutable send-path state. Each frame's medium events run on the shard
+// owning the sender; target receptions whose receiver lives in another
+// shard are classified as boundary traffic, counted, and checked against
+// the conservative lookahead of one packet time. Before several shard
 // workers start, the owner must call PrebuildNeighbors (after the last
 // AddNode) so spatial lookups are read-only during the run.
 func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
@@ -374,9 +364,8 @@ func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medi
 	for i, rt := range rts {
 		m.ctxs[i] = &shardCtx{
 			m:     m,
-			shard: int32(i),
 			sched: rt.Sched,
-			rng:   rt.RNG,
+			seed:  rt.Seed,
 			stats: rt.Stats,
 			bus:   rt.Bus,
 		}
@@ -418,12 +407,16 @@ func (m *Medium) BoundaryFrames() uint64 {
 }
 
 // AddNode registers a stationary node. It returns an error if the id is
-// already present. Registration is the only topology mutation the medium
-// supports (nodes never move or deregister), so it inserts the node into
-// the spatial hash — keeping both the global order and its cell bucket
-// sorted by id — and drops exactly the resolved neighbor lists the
-// newcomer joins: those of nodes within CommRadius of pos.
+// taken or outside [0, 2^32), the 32 bits a transmission id keeps of it.
+// Registration is the only topology mutation (nodes never move or
+// deregister), so it inserts the node into the spatial hash — keeping both
+// the global order and its cell bucket sorted by id — and drops exactly
+// the resolved neighbor lists the newcomer joins: those of nodes within
+// CommRadius of pos.
 func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
+	if id < 0 || uint64(id) > math.MaxUint32 {
+		return fmt.Errorf("radio: node id %d outside [0, 2^32)", id)
+	}
 	if _, ok := m.nodes[id]; ok {
 		return fmt.Errorf("radio: node %d already registered", id)
 	}
@@ -610,24 +603,14 @@ func (m *Medium) Airtime(bits int) time.Duration {
 	return time.Duration(float64(bits) / m.params.BitRate * float64(time.Second))
 }
 
-// nextFrameID stamps one transmission commit: the shard index packed
-// above the shard-local counter keeps ids globally unique, and shard 0's
-// ids are the plain counter.
-func (sc *shardCtx) nextFrameID() uint64 {
-	sc.frameSeq++
-	return uint64(sc.shard)<<48 | sc.frameSeq
-}
-
-// lossProbAt resolves the effective iid loss probability at sim time at.
-func (m *Medium) lossProbAt(at time.Duration) float64 {
-	p := m.params.LossProb
-	if m.faults != nil {
-		// The override changes only the threshold, never the draw count,
-		// so runs with and without step/ramp loss faults stay comparable
-		// draw-for-draw until the first divergent outcome.
-		p = m.faults.LossProb(at, p)
+// lost draws the iid loss at dst of transmission id, whose airtime starts
+// at start; a fault override moves only the threshold.
+func (sc *shardCtx) lost(id uint64, dst NodeID, start time.Duration) bool {
+	p := sc.m.params.LossProb
+	if sc.m.faults != nil {
+		p = sc.m.faults.LossProb(start, p)
 	}
-	return p
+	return p > 0 && simtime.Draw(sc.seed, simtime.DrawLoss, id, uint64(dst)) < p
 }
 
 // --- record pools ---
@@ -703,22 +686,28 @@ func (sc *shardCtx) recycleBatch(b *deliveryBatch) {
 // airtime plus propagation delay, subject to loss and collisions (hidden
 // terminals still collide). Sending from an unregistered node is a no-op.
 func (m *Medium) Send(f Frame) {
-	m.trySend(f, 0)
-	// Message-duplication fault: occasionally transmit a second copy of
-	// the frame. The copy contends for the channel like any transmission
-	// (it serializes behind the original via txBusyUntil). Randomness is
-	// drawn only when the injector is live and returns a positive
-	// probability, so nominal runs consume an unchanged RNG sequence.
+	src, ok := m.nodes[f.Src]
+	if !ok {
+		return
+	}
+	f.ID = src.nextID()
+	m.trySend(src, f, 0)
+	// Message-duplication fault: occasionally transmit a second copy of the
+	// frame, as a send of its own that serializes behind the original.
 	if m.faults != nil {
-		src, ok := m.nodes[f.Src]
-		if !ok {
-			return
-		}
 		sc := m.ctxs[src.shard]
-		if p := m.faults.DuplicateProb(sc.sched.Now()); p > 0 && sc.rng.Float64() < p {
-			m.trySend(f, 0)
+		if p := m.faults.DuplicateProb(sc.sched.Now()); p > 0 &&
+			simtime.Draw(sc.seed, simtime.DrawDuplicate, f.ID) < p {
+			f.ID = src.nextID()
+			m.trySend(src, f, 0)
 		}
 	}
+}
+
+// nextID counts one send of n and returns its transmission id.
+func (n *Node) nextID() uint64 {
+	n.sends++
+	return uint64(uint32(n.id))<<32 | uint64(n.sends)
 }
 
 // channelBusyUntil returns when the medium around the node goes idle: the
@@ -751,14 +740,10 @@ func pendingSendFire(arg any) {
 	ps := arg.(*pendingSend)
 	sc, f, attempt := ps.sc, ps.f, ps.attempt
 	sc.recyclePS(ps)
-	sc.m.trySend(f, attempt)
+	sc.m.trySend(sc.m.nodes[f.Src], f, attempt)
 }
 
-func (m *Medium) trySend(f Frame, attempt int) {
-	src, ok := m.nodes[f.Src]
-	if !ok {
-		return
-	}
+func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 	if f.Bits <= 0 {
 		f.Bits = DefaultFrameBits
 	}
@@ -766,14 +751,15 @@ func (m *Medium) trySend(f Frame, attempt int) {
 	// Every medium event of this frame — CSMA retry, delivery batch — is
 	// scheduled on the shard owning the sender's region, so the sending
 	// shard's heap carries its own traffic. The sender's shard context
-	// supplies the scheduler, RNG stream, stats, bus, and pools.
+	// supplies the scheduler, stats, bus, and pools.
 	sc := m.ctxs[src.shard]
 	sched := sc.sched
 
 	now := sched.Now()
 	if !m.params.DisableCSMA && attempt < maxCSMAAttempts {
 		if busyUntil := m.channelBusyUntil(src, now); busyUntil > now {
-			backoff := time.Duration(sc.rng.Float64() * float64(csmaSlot) * float64(uint(1)<<uint(min(attempt, 4))))
+			u := simtime.Draw(sc.seed, simtime.DrawCSMA, f.ID, uint64(attempt))
+			backoff := time.Duration(u * float64(csmaSlot) * float64(uint(1)<<uint(min(attempt, 4))))
 			ps := sc.acquirePS()
 			ps.f = f
 			ps.attempt = attempt + 1
@@ -781,11 +767,6 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			return
 		}
 	}
-
-	// Transmission commit: the frame is definitely going on the air now,
-	// so it gets its transmission id (deferred copies above carry ID 0
-	// until they come back through here).
-	f.ID = sc.nextFrameID()
 
 	start := now
 	if src.txBusyUntil > start {
@@ -827,12 +808,10 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			intended++
 		}
 		if dst.shard != src.shard {
-			// Cross-shard receiver: CSMA occupancy is
-			// shard-local during the window, so a cross-shard frame cannot
-			// be sensed or collided with until the barrier. Target
-			// receptions cross at the window barrier: loss is drawn on the
-			// sender's stream here (still in ascending receiver-id order, so
-			// the draw sequence is reproducible) and the delivery is
+			// Cross-shard receiver: CSMA occupancy is shard-local during
+			// the window, so a cross-shard frame cannot be sensed or
+			// collided with until the barrier. Target receptions cross at
+			// the window barrier: loss is drawn here and the delivery is
 			// buffered in the sender's outbox until FlushBoundary, which
 			// inserts the frame into the receiver's occupancy list so it
 			// collides there like a local frame. Non-target cross-shard
@@ -846,7 +825,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			if deliverAt+shardMutSkew-now < lookahead {
 				sc.late++
 			}
-			lost := sc.rng.Float64() < m.lossProbAt(start)
+			lost := sc.lost(f.ID, dst.id, start)
 			if !lost {
 				// The sender-side delivered count cannot see a collision
 				// resolved later on the receiver's shard; a frame whose only
@@ -862,7 +841,7 @@ func (m *Medium) trySend(f Frame, attempt int) {
 			})
 			continue
 		}
-		m.scheduleReception(sc, dst, f, batch, start, end, now, isTarget)
+		m.scheduleReception(sc, dst, f, batch, start, end, now, isTarget, isTarget && sc.lost(f.ID, dst.id, start))
 	}
 	if intended == 0 {
 		// Nobody could ever receive it: record immediately. No target
@@ -920,7 +899,7 @@ func (m *Medium) FlushBoundary(window time.Duration) error {
 }
 
 // crossDeliver resolves one cross-shard reception on the receiving shard.
-// Its iid loss outcome was drawn at send time on the sender's stream, and
+// Its iid loss outcome was drawn at send time, and
 // its delivered count taken there, so it carries no batch. Local
 // receptions still in flight before the barrier may have delivered clean
 // a window earlier than a serial run would allow — that one-window
@@ -952,8 +931,8 @@ func batchDeliver(arg any) {
 // during [start, end] and, when the receiver is a target, adds the
 // reception to the frame's delivery batch. Non-target receivers still
 // experience channel occupancy (their concurrent receptions collide) but
-// do not receive or account the frame.
-func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deliveryBatch, start, end, now time.Duration, isTarget bool) {
+// do not receive or account the frame. lost is a target's drawn iid loss.
+func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deliveryBatch, start, end, now time.Duration, isTarget, lost bool) {
 	rx := sc.acquireRX()
 	rx.start, rx.end = start, end
 	m.occupyChannel(dst, rx, now)
@@ -962,11 +941,7 @@ func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deli
 		return
 	}
 
-	// The loss draw stays here, at schedule time in ascending receiver-id
-	// order — RNG draw order is part of the traces' byte-identity
-	// contract. Chaos loss/partition/duplication faults are likewise
-	// applied per receiver inside the batch.
-	rx.lost = sc.rng.Float64() < m.lossProbAt(start)
+	rx.lost = lost
 	rx.dst = dst
 	rx.f = f
 	rx.tx = batch

@@ -1,7 +1,7 @@
 package radio
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 	"time"
 
@@ -16,7 +16,7 @@ func newTestMedium(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, *trace
 	t.Helper()
 	g := simtime.NewShardGroup(1)
 	var stats trace.Stats
-	m := New(p, nil, ShardRuntime{Sched: g.Shard(0), RNG: rand.New(rand.NewSource(42)), Stats: &stats})
+	m := New(p, nil, ShardRuntime{Sched: g.Shard(0), Seed: 42, Stats: &stats})
 	return g, m, &stats
 }
 
@@ -42,6 +42,18 @@ func TestAddNodeDuplicate(t *testing.T) {
 	}
 	if err := m.AddNode(1, geom.Pt(1, 1), nil); err == nil {
 		t.Fatal("expected error on duplicate node id")
+	}
+}
+
+func TestAddNodeRejectsIDsOutside32Bits(t *testing.T) {
+	_, m, _ := newTestMedium(t, Params{CommRadius: 1})
+	for _, id := range []NodeID{-1, math.MaxUint32 + 1} {
+		if err := m.AddNode(id, geom.Pt(0, 0), nil); err == nil {
+			t.Errorf("AddNode(%d) = nil, want an error", id)
+		}
+	}
+	if err := m.AddNode(math.MaxUint32, geom.Pt(0, 0), nil); err != nil {
+		t.Errorf("AddNode(2^32-1) = %v, want nil", err)
 	}
 }
 

@@ -29,14 +29,14 @@ func stripes(k int, width float64) func(geom.Point) int32 {
 	}
 }
 
-// shardedMedium builds a medium over g's shards, each with its own RNG
-// stream and stats.
+// shardedMedium builds a medium over g's shards, each with its own
+// stats, drawing under the run seed.
 func shardedMedium(g *simtime.ShardGroup, p Params, shardOf func(geom.Point) int32, seed int64) *Medium {
 	rts := make([]ShardRuntime, g.Shards())
 	for i := range rts {
 		rts[i] = ShardRuntime{
 			Sched: g.Shard(i),
-			RNG:   rand.New(rand.NewSource(simtime.ShardSeed(seed, i))),
+			Seed:  seed,
 			Stats: &trace.Stats{},
 		}
 	}
@@ -222,7 +222,7 @@ func crossPair(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, [2]*trace.
 		stats[i], logs[i] = &trace.Stats{}, &eventLog{}
 		rts[i] = ShardRuntime{
 			Sched: g.Shard(i),
-			RNG:   rand.New(rand.NewSource(simtime.ShardSeed(1, i))),
+			Seed:  1,
 			Stats: stats[i],
 			Bus:   obs.NewBus(logs[i]),
 		}

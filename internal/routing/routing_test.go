@@ -42,7 +42,7 @@ func newNet(t *testing.T, commRadius float64) *net {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(3)), Stats: &stats}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 3, Stats: &stats}
 	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
 	return &net{
 		group:   group,

@@ -9,21 +9,21 @@
 // installs (VehicleModel, FireModel) are pure functions of the snapshot, so
 // they are computed on the first Reading.Value call that names them and
 // memoised for the rest of the scan. Channels installed through SetChannel
-// may draw from an RNG (WithNoise) or keep state, so they are eager: every
-// scan evaluates each of them once, in name order, whether or not anything
-// reads it, and every random stream advances exactly as if all channels
-// were computed.
+// are the caller's functions, whose support the model does not know and
+// which may keep state, so they are eager: every scan evaluates each of
+// them once, in name order, whether or not anything reads it.
 package sensor
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"slices"
 	"sort"
 	"time"
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/phenomena"
+	"envirotrack/internal/simtime"
 )
 
 // Reading is one sample of a mote's local environment. A reading from
@@ -194,10 +194,16 @@ func SumChannels(fns ...ChannelFunc) ChannelFunc {
 }
 
 // WithNoise adds zero-mean Gaussian noise with the given standard deviation
-// to a channel, drawn from rng.
-func WithNoise(fn ChannelFunc, stddev float64, rng *rand.Rand) ChannelFunc {
+// to a channel, keyed by (seed, position, snapshot instant): it holds no
+// state, so one noisy model can serve every shard of a run. Its key names
+// no channel or mote, so give each noisy channel its own seed.
+func WithNoise(fn ChannelFunc, stddev float64, seed int64) ChannelFunc {
 	return func(env *phenomena.Snapshot, pos geom.Point) float64 {
-		return fn(env, pos) + rng.NormFloat64()*stddev
+		x, y, at := math.Float64bits(pos.X), math.Float64bits(pos.Y), uint64(env.At)
+		u := simtime.Draw(seed, simtime.DrawNoise, x, y, at, 0)
+		v := simtime.Draw(seed, simtime.DrawNoise, x, y, at, 1)
+		// Box-Muller; 1-u lies in (0, 1], so the logarithm is finite.
+		return fn(env, pos) + math.Sqrt(-2*math.Log(1-u))*math.Cos(2*math.Pi*v)*stddev
 	}
 }
 
@@ -238,9 +244,9 @@ func NewModel() *Model {
 
 // SetChannel installs or replaces a named channel. The channel is eager:
 // every scan evaluates it once, in name order among the eager channels,
-// whether or not anything reads it, so a channel with side effects (an RNG
-// draw in WithNoise) sees the same call sequence on every run. Replacing a
-// preset's channel makes that channel eager too.
+// whether or not anything reads it, so a channel that keeps state sees one
+// call per scan. Replacing a preset's channel makes that channel eager
+// too.
 func (m *Model) SetChannel(name string, fn ChannelFunc) { m.set(name, fn, eager) }
 
 func (m *Model) set(name string, fn ChannelFunc, kind chanKind) {

@@ -2,7 +2,6 @@ package sensor
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -65,16 +64,42 @@ func TestConstantAndSumChannels(t *testing.T) {
 
 func TestWithNoiseIsZeroMean(t *testing.T) {
 	f := snapshot(0)
-	rng := rand.New(rand.NewSource(7))
-	ch := WithNoise(ConstantChannel(100), 1, rng)
-	var sum float64
+	ch := WithNoise(ConstantChannel(100), 1, 7)
+	var sum, sq float64
 	const n = 10000
 	for i := 0; i < n; i++ {
-		sum += ch(f, geom.Pt(0, 0))
+		d := ch(f, geom.Pt(float64(i%100), float64(i/100))) - 100
+		sum += d
+		sq += d * d
 	}
-	mean := sum / n
-	if math.Abs(mean-100) > 0.1 {
-		t.Errorf("noisy mean = %v, want ~100", mean)
+	mean, sd := sum/n, math.Sqrt(sq/n-(sum/n)*(sum/n))
+	if math.Abs(mean) > 0.05 || math.Abs(sd-1) > 0.05 {
+		t.Errorf("noise over %d positions has mean %v and sd %v, want ~0 and ~1", n, mean, sd)
+	}
+}
+
+// TestWithNoiseIsKeyed pins the noise as a function of (seed, position,
+// instant): the same key reads the same noise, even through another
+// channel built with that seed, and each part of the key moves it.
+func TestWithNoiseIsKeyed(t *testing.T) {
+	ch := WithNoise(ConstantChannel(0), 1, 7)
+	at0, at1 := snapshot(0), snapshot(time.Second)
+	p, q := geom.Pt(1, 2), geom.Pt(2, 1)
+	base := ch(at0, p)
+	if again := ch(at0, p); again != base {
+		t.Fatalf("noise at one position and instant read %v then %v", base, again)
+	}
+	if twin := WithNoise(ConstantChannel(0), 1, 7)(at0, p); twin != base {
+		t.Errorf("a second channel with seed 7 read %v, want the shared %v", twin, base)
+	}
+	for name, other := range map[string]float64{
+		"position": ch(at0, q),
+		"instant":  ch(at1, p),
+		"seed":     WithNoise(ConstantChannel(0), 1, 8)(at0, p),
+	} {
+		if other == base {
+			t.Errorf("changing the %s left the noise at %v", name, base)
+		}
 	}
 }
 
@@ -322,19 +347,15 @@ func TestSetChannelsAreEagerInNameOrder(t *testing.T) {
 func TestWithNoiseDrawsOncePerScan(t *testing.T) {
 	const scans = 5
 	env := snapshot(0)
-	rng := rand.New(rand.NewSource(3))
+	calls := 0
 	m := NewModel()
-	m.SetChannel("noisy", WithNoise(ConstantChannel(1), 0.5, rng))
+	m.SetChannel("noisy", WithNoise(counting("noisy", 1, &calls, nil), 0.5, 3))
 	var sc Scratch
 	for i := 0; i < scans; i++ {
 		m.SampleInto(env, 0, geom.Pt(0, 0), &sc) // never read
 	}
-	ref := rand.New(rand.NewSource(3))
-	for i := 0; i < scans; i++ {
-		ref.NormFloat64()
-	}
-	if rng.Int63() != ref.Int63() {
-		t.Errorf("after %d unread scans the noise rng is out of step with %d direct draws", scans, scans)
+	if calls != scans {
+		t.Errorf("%d unread scans evaluated the noisy channel %d times, want %d", scans, calls, scans)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 // Wall-clock measurement never feeds back into the simulation (the
 // virtual clock is untouched), so profiling cannot perturb a run's
-// event order or its RNG stream.
+// event order or its draws.
 package simtime
 
 import (

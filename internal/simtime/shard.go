@@ -1,9 +1,9 @@
 // Spatially sharded execution: a ShardGroup partitions one run's event
 // population across k >= 1 scheduler shards — each a full clone of the
 // pooled 4-ary heap, its timer slots, and its free list — and executes
-// them on separate goroutines. Each shard owns a local clock, sequence
-// counter, and (via the network layer) RNG stream; only the stop flag is
-// shared. A serial run is the one-shard group.
+// them on separate goroutines. Each shard owns a local clock and sequence
+// counter; only the stop flag is shared. A serial run is the one-shard
+// group.
 //
 // Run executes several shards in conservative lookahead windows: every
 // shard fires all of its events inside [T, T+delta), a barrier drains the
@@ -11,13 +11,12 @@
 // after T+delta by the radio lookahead bound of one packet time — airtime
 // plus propagation), and the window advances. This is a
 // lower-bound-on-timestamp (LBTS) protocol with a constant lookahead.
-// Because each shard draws from its own RNG stream and senses the channel
-// only locally during a window, results are not byte-identical to a
-// one-shard run — they are statistically equivalent, which the
-// internal/eval equivalence battery asserts at the distribution level —
-// but they are deterministic per (seed, shard count). One shard has
-// nothing to exchange, so it runs the whole interval as one window, in
-// plain (at, seq) order. The group is the only way to build, run, stop,
+// Every random draw is keyed by who draws it (Draw), so a k-shard run
+// makes the serial run's draws; it leaves the serial run only where a
+// shard senses the channel locally during a window, in the causal future
+// of its first frame that reaches another shard. Reruns of one
+// configuration are byte-identical. One shard has nothing to exchange,
+// so it runs the whole interval as one window, in plain (at, seq) order. The group is the only way to build, run, stop,
 // or profile a scheduler.
 package simtime
 
@@ -246,21 +245,46 @@ func (w *shardWorkers) stop() {
 	}
 }
 
-// ShardSeed derives the RNG stream seed for one shard of a parallel run
-// from the run seed: the shard index advances a SplitMix64 counter
-// (golden-gamma increments) and the SplitMix64 finalizer mixes it, so
-// streams for different shards of the same run are decorrelated, every
-// (seed, shard) pair maps to the same stream at any shard count, and
-// shard 0 of a 2-way run draws the same stream as shard 0 of an 8-way
-// run. The serial engine keeps using the raw seed.
-func ShardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
+// DrawSite tags a place that draws; each passes its own, so no two sites
+// share a key. The comments name the key each site passes; a transmission
+// id (radio.Frame.ID) packs the sender and its send count, and a mote's
+// key packs its id and draw count the same way.
+type DrawSite uint64
+
+const (
+	DrawMote      DrawSite = iota + 1 // protocol timers: (mote << 32 | draw count)
+	DrawCSMA                          // backoff: (transmission id, attempt)
+	DrawLoss                          // iid loss: (transmission id, receiver)
+	DrawDuplicate                     // chaos duplication: (transmission id)
+	DrawNoise                         // sensor noise: (x bits, y bits, instant, pair half)
+)
+
+// Draw is the one random draw of a run: a uniform value in [0, 1), a pure
+// function of the run seed, the site and the key of the one who draws.
+// The SplitMix64 finalizer mixes the seed and site, then each key word
+// (one golden-gamma step per word). With no stream position to depend
+// on, a draw is the same on every shard layout and in every event order,
+// and a perturbed run differs from its parent only in the causal future
+// of the perturbation.
+func Draw(seed int64, site DrawSite, key ...uint64) float64 {
+	z := mix64(uint64(seed) + golden*uint64(site))
+	for _, k := range key {
+		z = mix64(z + golden ^ k)
+	}
+	return float64(z>>11) * 0x1p-53
+}
+
+// golden is the SplitMix64 increment (2^64 / phi).
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is the SplitMix64 finalizer.
+func mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
-	return int64(z)
+	return z
 }
 
 // SetWindowCap bounds the lookahead executor's idle skip: no window ends

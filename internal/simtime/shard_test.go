@@ -277,44 +277,38 @@ func TestShardGroupProfileAttribution(t *testing.T) {
 	}
 }
 
-// TestShardSeedStreams pins the per-shard RNG stream derivation: the
-// mapping is a pure function of (seed, shard) — invariant across shard
-// counts by construction, so shard 0 of a 2-way run and shard 0 of an
-// 8-way run draw the same stream — distinct across shards of one run,
-// distinct from the raw run seed, and decorrelated enough that the
-// leading draws of neighboring streams share no prefix.
-func TestShardSeedStreams(t *testing.T) {
-	seen := map[int64]int{}
-	for shard := 0; shard < 16; shard++ {
-		s := ShardSeed(42, shard)
-		if s == 42 {
-			t.Errorf("shard %d stream seed equals the run seed", shard)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Errorf("shards %d and %d derive the same stream seed %d", prev, shard, s)
-		}
-		seen[s] = shard
-		if again := ShardSeed(42, shard); again != s {
-			t.Errorf("shard %d seed not stable: %d then %d", shard, s, again)
+// TestDrawIsKeyed pins the keyed draw: a pure function of (seed, site,
+// key), in [0, 1), moved by every part of its input, and spread evenly
+// enough that consecutive keys of one site do not track each other.
+func TestDrawIsKeyed(t *testing.T) {
+	base := Draw(42, DrawMote, 3, 1)
+	if again := Draw(42, DrawMote, 3, 1); again != base {
+		t.Fatalf("draw not stable: %v then %v", base, again)
+	}
+	for name, other := range map[string]float64{
+		"seed":       Draw(43, DrawMote, 3, 1),
+		"site":       Draw(42, DrawCSMA, 3, 1),
+		"first key":  Draw(42, DrawMote, 4, 1),
+		"second key": Draw(42, DrawMote, 3, 2),
+		"key length": Draw(42, DrawMote, 3, 1, 0),
+		"key order":  Draw(42, DrawMote, 1, 3),
+	} {
+		if other == base {
+			t.Errorf("changing the %s left the draw at %v", name, base)
 		}
 	}
-	// Different run seeds must move every shard's stream.
-	for shard := 0; shard < 16; shard++ {
-		if ShardSeed(42, shard) == ShardSeed(43, shard) {
-			t.Errorf("shard %d stream identical across run seeds 42 and 43", shard)
+	// Uniformity smoke: 10 equal bins over 10000 consecutive counts.
+	var bins [10]int
+	for n := uint64(0); n < 10000; n++ {
+		u := Draw(7, DrawLoss, 5, n, 9)
+		if u < 0 || u >= 1 {
+			t.Fatalf("draw %d = %v, outside [0, 1)", n, u)
 		}
+		bins[int(u*10)]++
 	}
-	// Stream independence smoke: adjacent shards' generators must not
-	// track each other over their first draws.
-	a := rand.New(rand.NewSource(ShardSeed(7, 0)))
-	b := rand.New(rand.NewSource(ShardSeed(7, 1)))
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
+	for i, c := range bins {
+		if c < 900 || c > 1100 {
+			t.Errorf("bin %d holds %d of 10000 draws, want about 1000", i, c)
 		}
-	}
-	if same != 0 {
-		t.Errorf("adjacent shard streams collided on %d of 64 draws", same)
 	}
 }

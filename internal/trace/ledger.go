@@ -68,9 +68,9 @@ func (l *Ledger) Record(ev LabelEvent) {
 
 // SortDeterministic re-orders the ledger into the canonical (At, CtxType,
 // Label, Type, Mote) order. A parallel run calls it once after the shards
-// stop: the event *multiset* is deterministic per (seed, shard count) but
-// the append interleaving is not, and sorting restores rerun
-// byte-identity for order-sensitive readers (LiveLabels, trace dumps).
+// stop: the event *multiset* of a run is deterministic but the order in
+// which shards append is not, and sorting restores rerun byte-identity
+// for order-sensitive readers (LiveLabels, trace dumps).
 func (l *Ledger) SortDeterministic() {
 	l.mu.Lock()
 	sort.SliceStable(l.Events, func(i, j int) bool {
@@ -191,8 +191,8 @@ func (l *Ledger) DistinctLabels(ctxType string) int {
 	return len(seen)
 }
 
-// LiveLabels returns the labels of the context type that were created but
-// never deleted, in creation order.
+// LiveLabels returns the labels of the context type whose latest event is
+// not a deletion, in creation order: a takeover revives a deleted label.
 func (l *Ledger) LiveLabels(ctxType string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -202,15 +202,10 @@ func (l *Ledger) LiveLabels(ctxType string) []string {
 		if ev.CtxType != ctxType {
 			continue
 		}
-		switch ev.Type {
-		case LabelCreated:
-			if !live[ev.Label] {
-				live[ev.Label] = true
-				order = append(order, ev.Label)
-			}
-		case LabelDeleted:
-			live[ev.Label] = false
+		if _, seen := live[ev.Label]; !seen && ev.Type == LabelCreated {
+			order = append(order, ev.Label)
 		}
+		live[ev.Label] = ev.Type != LabelDeleted
 	}
 	var out []string
 	for _, lb := range order {

@@ -208,6 +208,26 @@ func TestLedgerDistinctAndLiveLabels(t *testing.T) {
 	}
 }
 
+func TestLiveLabelsCountsATakeoverAfterDeletion(t *testing.T) {
+	// Mote 4 deletes its label under weight suppression; its member 3,
+	// which no longer hears it, takes the label over and leads it again.
+	var l Ledger
+	l.Record(LabelEvent{Type: LabelCreated, Label: "a", CtxType: "x", Mote: 1})
+	l.Record(LabelEvent{Type: LabelCreated, Label: "b", CtxType: "x", Mote: 4})
+	l.Record(LabelEvent{Type: LabelDeleted, Label: "b", CtxType: "x", Mote: 4})
+	if live := l.LiveLabels("x"); len(live) != 1 || live[0] != "a" {
+		t.Fatalf("LiveLabels after deletion = %v, want [a]", live)
+	}
+	l.Record(LabelEvent{Type: LabelTakeover, Label: "b", CtxType: "x", Mote: 3})
+	if live := l.LiveLabels("x"); len(live) != 2 || live[0] != "a" || live[1] != "b" {
+		t.Fatalf("LiveLabels after takeover = %v, want [a b]", live)
+	}
+	l.Record(LabelEvent{Type: LabelDeleted, Label: "b", CtxType: "x", Mote: 3})
+	if live := l.LiveLabels("x"); len(live) != 1 || live[0] != "a" {
+		t.Errorf("LiveLabels after second deletion = %v, want [a]", live)
+	}
+}
+
 func TestLabelEventTypeString(t *testing.T) {
 	tests := []struct {
 		ty   LabelEventType

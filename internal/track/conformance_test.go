@@ -1,7 +1,6 @@
 package track_test
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -73,12 +72,11 @@ func newConformNet(t *testing.T) *conformNet {
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
 	var stats trace.Stats
-	rng := rand.New(rand.NewSource(11))
 	n := &conformNet{
 		t:        t,
 		group:    group,
 		sched:    sched,
-		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &stats}),
+		medium:   radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, Seed: 11, Stats: &stats}),
 		hot:      mote.NewHotState(),
 		backends: make(map[radio.NodeID]track.Backend),
 		ledgers:  make(map[radio.NodeID]*trace.Ledger),
@@ -97,8 +95,8 @@ func (r obsRecorder) Emit(ev obs.Event) {
 
 func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.Backend {
 	n.t.Helper()
-	// Each mote draws from its own RNG stream and emits into the net.
-	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(obsRecorder{n})}
+	// Each mote emits into the net.
+	rt := radio.ShardRuntime{Sched: n.sched, Seed: 100, Stats: &trace.Stats{}, Bus: obs.NewBus(obsRecorder{n})}
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
 	env.Ledger = &trace.Ledger{}
 	n.ledgers[id] = env.Ledger

@@ -290,7 +290,7 @@ func (b *Backend) startDepositing() {
 }
 
 func (b *Backend) scheduleNextDeposit() {
-	jitter := 1 + group.JitterFrac*(b.Mote.Rand().Float64()-0.5)
+	jitter := 1 + group.JitterFrac*(b.Mote.Draw()-0.5)
 	d := time.Duration(float64(depositPeriod(b.Config)) * jitter)
 	b.depositTimer = b.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
 }

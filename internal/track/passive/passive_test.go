@@ -53,12 +53,11 @@ func newTestNet(t testing.TB) *testNet {
 	t.Helper()
 	g := simtime.NewShardGroup(1)
 	sched := g.Shard(0)
-	rng := rand.New(rand.NewSource(5))
 	return &testNet{
 		t:      t,
 		g:      g,
 		sched:  sched,
-		medium: radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, RNG: rng, Stats: &trace.Stats{}}),
+		medium: radio.New(radio.Params{CommRadius: 2}, nil, radio.ShardRuntime{Sched: sched, Seed: 5, Stats: &trace.Stats{}}),
 		hot:    mote.NewHotState(),
 		ledger: &trace.Ledger{},
 		motes:  make(map[radio.NodeID]*mote.Mote),
@@ -71,8 +70,8 @@ func (n *testNet) Emit(ev obs.Event) { n.events = append(n.events, ev) }
 
 func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 	n.t.Helper()
-	// Each mote draws from its own RNG stream and emits into the net.
-	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(100 + int64(id))), Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
+	// Each mote emits into the net.
+	rt := radio.ShardRuntime{Sched: n.sched, Seed: 100, Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
 	env.Ledger = n.ledger
 	m, err := mote.New(id, pos, nil, env)
@@ -425,10 +424,15 @@ func TestTakeoverAfterEstimatorStepsDown(t *testing.T) {
 	if len(take) != 1 || take[0].Mote != 2 || take[0].Label != "tracker/1.1" {
 		t.Fatalf("LabelTakeover = %+v, want mote 2 taking tracker/1.1", take)
 	}
-	// The active flag last heard at about 1s stays fresh for 210 ms; the
-	// takeover follows a deposit and a backoff of under 10 ms.
-	if at := take[0].At; at < time.Second+freshSlack(testCfg) || at > time.Second+freshSlack(testCfg)+testCfg.HeartbeatPeriod+2*testCfg.CreationBackoff {
-		t.Errorf("takeover at %v", at)
+	// The active flag mote 2 last heard, from mote 1's last deposit before
+	// 1s, stays fresh for 210 ms; the takeover follows a deposit and a
+	// backoff of under 10 ms.
+	heard := b.lastActiveAt
+	if heard < time.Second-testCfg.HeartbeatPeriod-testCfg.CreationBackoff {
+		t.Errorf("mote 2 last heard the active flag at %v, more than a deposit period before 1s", heard)
+	}
+	if at, fresh := take[0].At, heard+freshSlack(testCfg); at < fresh || at > fresh+testCfg.HeartbeatPeriod+2*testCfg.CreationBackoff {
+		t.Errorf("takeover at %v, flag last heard at %v", at, heard)
 	}
 	act := n.callsOf("activate", 2)
 	if len(act) != 1 || string(act[0].state) != "s" {
@@ -564,7 +568,7 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 	tb.Helper()
 	n := newTestNet(tb)
 	// No obs bus: the receive path then records nothing anywhere.
-	rt := radio.ShardRuntime{Sched: n.sched, RNG: rand.New(rand.NewSource(1)), Stats: &trace.Stats{}}
+	rt := radio.ShardRuntime{Sched: n.sched, Seed: 1, Stats: &trace.Stats{}}
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, n.hot)
 	env.Ledger = n.ledger
 	m, err := mote.New(1, geom.Pt(0, 0), nil, env)

@@ -150,7 +150,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 		endpoints: make(map[radio.NodeID]*Endpoint),
 		motes:     make(map[radio.NodeID]*mote.Mote),
 	}
-	rt := radio.ShardRuntime{Sched: sched, RNG: rand.New(rand.NewSource(9)), Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 9, Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
 	n.medium = radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, rt)
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	env.Ledger = &trace.Ledger{}

@@ -3,7 +3,6 @@ package envirotrack
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -158,12 +157,12 @@ func WithEventBus(bus *EventBus) Option {
 // engine: each shard fires its events inside lookahead windows of one
 // minimum packet time (airtime + PropDelay), a barrier drains each
 // shard's cross-shard radio outbox, merges the buffered observability
-// lanes, and samples series, and the window advances. Each shard owns a
-// deterministic RNG stream derived from the run seed (simtime.ShardSeed)
-// and CSMA occupancy is shard-local, so results are no longer
-// byte-identical to serial — they are statistically equivalent (the
-// internal/eval equivalence battery pins the distributions) and
-// deterministic per (seed, shard count): rerunning the same configuration
+// lanes, and samples series, and the window advances. Every random draw
+// is keyed by who draws it, so the shards make the serial run's draws:
+// a run is the serial run until its first frame that reaches another
+// shard. From there CSMA occupancy is shard-local, so results are
+// statistically equivalent to serial (the internal/eval equivalence
+// battery pins the distributions), and rerunning the same configuration
 // reproduces the run byte-for-byte. Boundary traffic is counted
 // (Network.BoundaryFrames), and a cross-shard delivery that lands less
 // than one packet time after its send, or before the barrier that drains
@@ -176,7 +175,7 @@ func WithParallelShards(k int) Option {
 }
 
 // MaxParallelShards bounds WithParallelShards. Each shard costs a
-// scheduler, an RNG stream, an observability lane and, while a run
+// scheduler, an observability lane and, while a run
 // executes, a goroutine; the bound, well above the 2 to 8 shards the
 // engine is measured at, keeps a mistyped count from allocating those by
 // the million. New rejects a larger count before it builds anything.
@@ -200,8 +199,8 @@ type Network struct {
 	cfg networkConfig
 	// group executes the run on k >= 1 scheduler shards (one for the
 	// serial engine); shardOf maps a position to its owning shard, and
-	// envs[i] is the environment of shard i's motes: its scheduler, RNG
-	// stream, stats accumulator and bus, and the network's medium, field,
+	// envs[i] is the environment of shard i's motes: its scheduler, run
+	// seed, stats accumulator and bus, and the network's medium, field,
 	// mote configuration, HotState and ledger.
 	group   *simtime.ShardGroup
 	shardOf func(geom.Point) int32
@@ -279,17 +278,9 @@ func New(opts ...Option) (*Network, error) {
 	}
 	rts := make([]radio.ShardRuntime, k)
 	for i := range rts {
-		seed, bus := cfg.seed, cfg.bus
+		rts[i] = radio.ShardRuntime{Sched: n.group.Shard(i), Seed: cfg.seed, Stats: &trace.Stats{}, Bus: cfg.bus}
 		if k > 1 {
-			// Each shard draws its own decorrelated stream; the serial
-			// engine keeps the raw seed.
-			seed, bus = simtime.ShardSeed(cfg.seed, i), n.lanes.Bus(i)
-		}
-		rts[i] = radio.ShardRuntime{
-			Sched: n.group.Shard(i),
-			RNG:   rand.New(rand.NewSource(seed)),
-			Stats: &trace.Stats{},
-			Bus:   bus,
+			rts[i].Bus = n.lanes.Bus(i)
 		}
 	}
 	n.medium = radio.New(radio.Params{
@@ -381,9 +372,9 @@ func shardMapper(bounds geom.Rect, k int) func(geom.Point) int32 {
 
 // AddMote deploys an additional mote (e.g. a base station). It must be
 // called before Run. The mote is built on the env of the shard owning its
-// region: it runs on that shard's scheduler, draws from its RNG stream,
-// accounts into its stats, and emits through its bus, so no mutable state
-// is shared across shard goroutines.
+// region: it runs on that shard's scheduler, accounts into its stats, and
+// emits through its bus, so no mutable state is shared across shard
+// goroutines.
 func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, error) {
 	if n.started {
 		return nil, fmt.Errorf("envirotrack: cannot add motes after the network started")
@@ -462,7 +453,7 @@ func (n *Network) EventBus() *EventBus {
 
 // StartSeries samples simulation health every `every` of sim time into a
 // columnar Series and returns it. The built-in columns are live_labels
-// (labels created but not yet deleted, over all attached context types),
+// (labels led and not deleted since, over all attached context types),
 // group_size (motes currently participating in any label), cpu_queue
 // (frames waiting in mote CPU queues), and link_util (cumulative channel
 // utilization in [0,1]). Extra probes append their own columns. Sampling

@@ -2,7 +2,6 @@ package envirotrack
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -231,8 +230,8 @@ func TestSweepSkipsOnlyProvenQuietMotes(t *testing.T) {
 // model and the context type "probe".
 type cullCase struct {
 	name string
-	// model builds each mote's sensing model; nil gives each mote a
-	// vehicle model with its own noisy SetChannel channel.
+	// model builds the sensing model every mote shares; nil shares a
+	// vehicle model with a noisy SetChannel channel.
 	model func() *SensorModel
 	// attach attaches the "probe" context type.
 	attach func(*Network) error
@@ -243,17 +242,12 @@ type cullCase struct {
 func (c cullCase) scanCounts(t *testing.T, shards int) (scans, motes int) {
 	t.Helper()
 	const side = 12
-	// One RNG per mote: a channel's RNG is drawn from by the shard that
-	// scans the mote.
-	sensing := WithSensingFunc(func(id NodeID, _ Point) *SensorModel {
-		m := VehicleSensing("vehicle")
-		m.SetChannel("hum", sensor.WithNoise(ConstantChannel(0), 1, rand.New(rand.NewSource(int64(id)))))
-		return m
-	})
+	model := VehicleSensing("vehicle")
+	model.SetChannel("hum", sensor.WithNoise(ConstantChannel(0), 1, 3))
 	if c.model != nil {
-		sensing = WithSensing(c.model())
+		model = c.model()
 	}
-	n, err := New(WithGrid(side, side), WithCommRadius(2.5), sensing, WithSeed(3), WithParallelShards(shards))
+	n, err := New(WithGrid(side, side), WithCommRadius(2.5), WithSensing(model), WithSeed(3), WithParallelShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}

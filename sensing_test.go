@@ -1,12 +1,14 @@
 package envirotrack
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"envirotrack/internal/mote"
+	"envirotrack/internal/sensor"
 )
 
 // crossingTarget is a vehicle crossing buildNet's 8x3 field along y = 1.
@@ -194,5 +196,45 @@ func TestAttachRejectsContextTypePastLimit(t *testing.T) {
 		if _, ok := n.nodes[id].stack.Runtime("tracker"); ok {
 			t.Fatalf("mote %d runs the refused context type", id)
 		}
+	}
+}
+
+// TestSharedNoisyModelAcrossShards shares one sensing model with a
+// WithNoise channel among every mote of a 2-shard run, so both shards'
+// sweeps evaluate the channel at once: it must hold no state (run under
+// go test -race), and a rerun must give a byte-identical trace. The
+// tracker's activation reads the noisy channel.
+func TestSharedNoisyModelAcrossShards(t *testing.T) {
+	run := func() []byte {
+		model := VehicleSensing("vehicle")
+		model.SetChannel("noisy_detect", sensor.WithNoise(DetectionChannel("vehicle"), 0.1, 9))
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		n := buildNet(t, WithSensing(model), WithParallelShards(2), WithEventBus(NewEventBus(sink)))
+		spec := trackerContext(100, nil)
+		spec.Activation = func(rd Reading) bool {
+			v, _ := rd.Value("noisy_detect")
+			return v > 0.5
+		}
+		if err := n.AttachContextAll(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.AddMote(100, Pt(7, 3), nil); err != nil {
+			t.Fatal(err)
+		}
+		n.AddTarget(crossingTarget(t))
+		if err := n.Run(12 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n.Ledger().Summarize("tracker").Created == 0 {
+			t.Fatal("no label was created: the noisy channel never activated the tracker")
+		}
+		return buf.Bytes()
+	}
+	if first, second := run(), run(); !bytes.Equal(first, second) {
+		t.Errorf("reruns with a shared noisy model diverge (%d vs %d trace bytes)", len(first), len(second))
 	}
 }
