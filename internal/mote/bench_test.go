@@ -77,20 +77,30 @@ func sweepTick(tb testing.TB, group *simtime.ShardGroup) {
 // only the motes a vehicle can reach, and the field is resolved once per
 // tick as in a run. ns/mote_scan is the cost of a tick over the motes in
 // the field, as the bench's sense layer reports it, and scans/tick the
-// motes a tick visits. With the snapshot, scan scratch, grid and skip set
-// owned by the sweep, steady state allocates nothing.
+// motes a tick visits. The first vehicle leaves the field after about 470
+// ticks, so the benchmark times windows of sweepWindow ticks, each on a
+// field rebuilt outside the timer, and every timed tick has all four
+// vehicles on the field. With the snapshot, scan scratch, grid and skip
+// set owned by the sweep, steady state allocates nothing.
 func BenchmarkSenseSweep(b *testing.B) {
-	group, sw, counts := sweepField(b)
-	sweepTick(b, group) // warm the snapshot and scan scratch, learn the skips
-	ticks := (b.N + len(sw.rows) - 1) / len(sw.rows)
-	scans := counts.scans
+	const sweepWindow = 400
+	ticks, scans, motes := 0, 0, 0
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < ticks; i++ {
-		sweepTick(b, group)
+	for ticks*motes < b.N {
+		b.StopTimer()
+		group, sw, counts := sweepField(b)
+		sweepTick(b, group) // warm the snapshot and scan scratch, learn the skips
+		motes = len(sw.rows)
+		before := counts.scans
+		b.StartTimer()
+		for i := 0; i < sweepWindow && ticks*motes < b.N; i++ {
+			sweepTick(b, group)
+			ticks++
+		}
+		scans += counts.scans - before
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks*len(sw.rows)), "ns/mote_scan")
-	b.ReportMetric(float64(counts.scans-scans)/float64(ticks), "scans/tick")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks*motes), "ns/mote_scan")
+	b.ReportMetric(float64(scans)/float64(ticks), "scans/tick")
 }
 
 func TestSweepTickAllocatesNothing(t *testing.T) {

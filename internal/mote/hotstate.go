@@ -46,6 +46,14 @@ type HotState struct {
 	// learned under an earlier count.
 	attaches uint64
 
+	// busy holds the sweeps' busy sets, one word-aligned window per
+	// started sweep (Sweep.Start): bit slot[i] is set exactly when row i
+	// has a sensing or leading bit set. slot is -1 for a row no started
+	// sweep holds, and nil until the first sweep starts. Since no two
+	// sweeps share a word, each sweep's shard writes only its own words.
+	busy []uint64
+	slot []int32
+
 	ctxBits map[string]uint32 // context type -> single-bit mask
 }
 
@@ -86,6 +94,9 @@ func (h *HotState) register(pos geom.Point) int {
 	if h.attached != nil {
 		h.attached = append(h.attached, 0)
 		h.leading = append(h.leading, 0)
+	}
+	if h.slot != nil {
+		h.slot = append(h.slot, -1)
 	}
 	return idx
 }
@@ -147,6 +158,7 @@ func (h *HotState) SetSensing(i int, m uint32, on bool) {
 	} else {
 		h.sensing[i] &^= m
 	}
+	h.markBusy(i)
 }
 
 // Sensing reports whether the mote's sensing bit under mask (a CtxMask
@@ -191,11 +203,57 @@ func (h *HotState) SetLeading(i int, mask uint32, on bool) {
 	} else {
 		h.leading[i] &^= mask
 	}
+	h.markBusy(i)
 }
 
 // Leading reports whether the mote's leading bit under mask is set.
-func (h *HotState) Leading(i int, mask uint32) bool {
-	return i < len(h.leading) && h.leading[i]&mask != 0
+func (h *HotState) Leading(i int, mask uint32) bool { return h.leadingWord(i)&mask != 0 }
+
+// markBusy sets row i's bit in its sweep's busy set when the row has a
+// sensing or leading bit set, and clears it otherwise.
+func (h *HotState) markBusy(i int) {
+	if i >= len(h.slot) || h.slot[i] < 0 {
+		return
+	}
+	b := h.slot[i]
+	if h.sensing[i]|h.leadingWord(i) != 0 {
+		h.busy[b>>6] |= 1 << (b & 63)
+	} else {
+		h.busy[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// leadingWord returns row i's leading word, 0 when no type is attached.
+func (h *HotState) leadingWord(i int) uint32 {
+	if i < len(h.leading) {
+		return h.leading[i]
+	}
+	return 0
+}
+
+// addBusy opens a busy window of len(rows) bits for a sweep whose k-th
+// row is rows[k], sets each bit from the row's current sensing and
+// leading bits, and returns the window's first word. It must not run
+// while a sweep over h is scanning.
+func (h *HotState) addBusy(rows []int32) int {
+	if n := len(h.pos); len(h.slot) < n {
+		slot := make([]int32, n)
+		for i := range slot {
+			slot[i] = -1
+		}
+		copy(slot, h.slot)
+		h.slot = slot
+	}
+	off := len(h.busy)
+	// Sized exactly: append slack would stay live for the whole run.
+	busy := make([]uint64, off+(len(rows)+63)/64)
+	copy(busy, h.busy)
+	h.busy = busy
+	for k, row := range rows {
+		h.slot[row] = int32(off<<6 + k)
+		h.markBusy(int(row))
+	}
+	return off
 }
 
 // MemberCountMask counts motes whose membership word intersects mask — the

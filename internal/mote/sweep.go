@@ -25,7 +25,9 @@ import (
 //
 // Reach. A tick visits only the motes whose scan can do something: those
 // in a grid cell that some target's signature disc overlaps, those with a
-// sensing or leading bit set, and those nothing yet proves quiet. A mote
+// sensing or leading bit set (the sweep's busy set, which HotState keeps),
+// and those nothing yet proves quiet. It finds them a word of 64 sweep
+// indices at a time, as the set bits of ^(skip &^ reach) | busy. A mote
 // is proven quiet once an earlier scan, of another mote with the same
 // model, found every type attached to the mote quiet (Scanner) while
 // reading only what the sensor package calls unreached
@@ -36,9 +38,9 @@ import (
 // sweep, in the same order, so skipping changes no event or trace.
 //
 // The sweep holds no mote pointers. It walks dense rows built by Add (the
-// motes' HotState rows, ids and models) and reads position, failure flag
-// and the attached, sensing and leading words of its own rows from the
-// env's HotState, so a scan touches only slices. A sweep runs on its env's
+// motes' HotState rows, ids and models) and reads its busy set and the
+// position, failure flag and attached word of its own rows from the env's
+// HotState, so a scan touches only slices. A sweep runs on its env's
 // scheduler and is not safe for concurrent use; a sharded network builds
 // one per shard, each with its own snapshot, scratch, grid and proofs.
 type Sweep struct {
@@ -65,6 +67,10 @@ type Sweep struct {
 	// set of rows in a cell that a signature disc overlaps.
 	skip, reach bitset
 	skipping    bool
+	// busy is the first word of the sweep's busy set in the HotState
+	// (HotState.addBusy), which has bit k set while row k has a sensing or
+	// leading bit set.
+	busy int
 
 	// snap, scan and rd are the per-tick scratch: the resolved field, the
 	// scan state each mote's channels are memoised in, and the reading
@@ -112,7 +118,9 @@ func (s *Sweep) Add(m *Mote) {
 // Start arms the sweep's ticker; the first scan runs one period from now.
 // It is idempotent, and a sweep with no sensing motes arms nothing. Start
 // trims the rows to their length, since append slack would stay live for
-// the whole run, and buckets them into the reach grid.
+// the whole run, buckets them into the reach grid and opens the sweep's
+// busy set in the HotState. It must not run while another sweep over the
+// same HotState is scanning.
 func (s *Sweep) Start() {
 	if s.ticker != nil || len(s.rows) == 0 {
 		return
@@ -120,6 +128,7 @@ func (s *Sweep) Start() {
 	s.rows, s.ids, s.models = exact(s.rows), exact(s.ids), exact(s.models)
 	s.grid = newGrid(s.env.Hot.pos, s.rows)
 	s.skip, s.reach = newBitset(len(s.rows)), newBitset(len(s.rows))
+	s.busy = s.env.Hot.addBusy(s.rows)
 	s.ticker = simtime.NewTickerOwned(s.env.Sched, s.env.Config.SensePeriod, simtime.OwnerSense, s.tick)
 }
 
@@ -147,29 +156,24 @@ func (s *Sweep) tick() {
 		s.forget()
 	}
 	all := !s.skipping || !s.markReach()
-	// A HotState no type is attached to has no leading word; its sensing
-	// word is all clear then and stands in for it.
-	sensing, leading := h.sensing, h.leading
-	if leading == nil {
-		leading = sensing
-	}
-	// The rows go by in blocks of 64, one word of the skip and reach sets:
-	// pass holds the block's rows that may be passed over if their sensing
-	// and leading bits are clear, in its low bit the current row's.
+	// The rows go by one word of the skip, reach and busy sets at a time:
+	// a row must be visited unless it may be passed over (skip, not reach)
+	// and is not busy, or on every row when nothing is proven.
 	rows, skip, reach := s.rows, s.skip, s.reach
+	busy := h.busy[s.busy : s.busy+len(skip)]
 	for j := range skip {
-		lo := j << 6
-		hi := min(lo+64, len(rows))
-		var pass uint64
+		must := ^uint64(0)
 		if !all {
-			pass = skip[j] &^ reach[j]
+			must = ^(skip[j] &^ reach[j])
 		}
-		for k := lo; k < hi; k, pass = k+1, pass>>1 {
-			row := rows[k]
-			if pass&1 != 0 && sensing[row]|leading[row] == 0 {
-				continue
-			}
-			s.visit(k, row)
+		if n := len(rows) - j<<6; n < 64 {
+			must &= 1<<n - 1
+		}
+		for w := must | busy[j]; w != 0; {
+			b := bits.TrailingZeros64(w)
+			s.visit(j<<6+b, rows[j<<6+b])
+			// A scan may set or clear a later row's busy bit.
+			w = (must | busy[j]) &^ (2<<b - 1)
 		}
 	}
 	if !all {

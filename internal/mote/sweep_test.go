@@ -1,6 +1,7 @@
 package mote
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
 	"envirotrack/internal/sensor"
+	"envirotrack/internal/simtime"
+	"envirotrack/internal/trace"
 )
 
 // cullLine is a row of 20 vehicle-sensing motes at x = 0..19, rows 0..19,
@@ -168,4 +171,141 @@ func TestGridCoversEveryPositionInADisc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepVisitsWhatThePerRowRuleVisits runs the word-wide pass against
+// the per-row rule it replaces. A row is visited unless it is failed, or
+// it is proven quiet, outside every signature disc's cells, and has no
+// sensing or leading bit set. The motes are built in a shuffled id order,
+// so a row's HotState index differs from its index in its sweep, and they
+// are split over k shards, one sweep each, sharing one HotState, as a
+// sharded network is. Between ticks each shard flips the sensing, leading
+// and failed bits of random rows of its own; every tick must visit, in
+// add order, exactly the rows the per-row rule visits.
+func TestSweepVisitsWhatThePerRowRuleVisits(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) { testSweepPerRowRule(t, k) })
+	}
+}
+
+func testSweepPerRowRule(t *testing.T, k int) {
+	const side, period, ticks = 20, time.Second, 40
+	group := simtime.NewShardGroup(k)
+	shardOf := func(p geom.Point) int32 { return int32(p.X) * int32(k) / side }
+	rts := make([]radio.ShardRuntime, k)
+	for i := range rts {
+		rts[i] = radio.ShardRuntime{Sched: group.Shard(i), Seed: 1, Stats: &trace.Stats{}}
+	}
+	medium := radio.New(radio.Params{CommRadius: 2}, shardOf, rts...)
+	field := phenomena.NewField()
+	field.Add(&phenomena.Target{
+		Kind: "vehicle", Traj: phenomena.Stationary{At: geom.Pt(3, 4)}, SignatureRadius: 1.5,
+	})
+	field.Add(&phenomena.Target{
+		Kind: "vehicle", Traj: phenomena.Line{Start: geom.Pt(0, 9), Dir: geom.Vec(1, 0.1), Speed: 0.5}, SignatureRadius: 1.5,
+	})
+	hot := NewHotState()
+	mask, _ := hot.CtxMask("tracker")
+	envs := make([]*Env, k)
+	sweeps := make([]*Sweep, k)
+	for i := range envs {
+		envs[i] = NewEnv(rts[i], medium, field, Config{SensePeriod: period}, hot)
+		sweeps[i] = NewSweep(envs[i])
+	}
+	// Each shard logs the rows its sweep scans, and flips bits of its own
+	// rows only, so no two shard goroutines share a log or a row.
+	logs := make([][]int, k)
+	rowShard := make([]int, side*side)
+	shardRows := make([][]int, k)
+	scan := scanFunc(func(row int, rd *sensor.Reading) bool {
+		s := rowShard[row]
+		logs[s] = append(logs[s], row)
+		v, _ := rd.Value("magnetic_detect")
+		return v < 0.5
+	})
+	model := sensor.VehicleModel("vehicle")
+	motes := make([]*Mote, side*side)
+	for _, id := range rand.New(rand.NewSource(7)).Perm(side * side) {
+		pos := geom.Pt(float64(id%side), float64(id/side))
+		s := int(shardOf(pos))
+		m, err := New(radio.NodeID(id), pos, model, envs[s])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot.Attach(int(m.row), mask, scan)
+		rowShard[m.row] = s
+		shardRows[s] = append(shardRows[s], int(m.row))
+		motes[id] = m
+	}
+	for _, m := range motes {
+		sweeps[rowShard[m.row]].Add(m)
+	}
+	for _, sw := range sweeps {
+		sw.Start()
+	}
+	if motes[0].row == 0 && motes[1].row == 1 {
+		t.Fatal("the shuffled build order left rows in id order")
+	}
+	for s := range k {
+		rng := rand.New(rand.NewSource(int64(s)))
+		flip := func(any) {
+			for range 6 {
+				row := shardRows[s][rng.Intn(len(shardRows[s]))]
+				switch rng.Intn(3) {
+				case 0:
+					hot.SetSensing(row, mask, rng.Intn(3) == 0)
+				case 1:
+					hot.SetLeading(row, mask, rng.Intn(3) == 0)
+				default:
+					hot.failed[row] = rng.Intn(4) == 0
+				}
+			}
+		}
+		for n := range ticks {
+			group.Shard(s).AtEventOwned(time.Duration(n)*period+period/2, simtime.OwnerNone, flip, nil)
+		}
+	}
+	run := func(deadline time.Duration) {
+		if err := group.Run(deadline, time.Millisecond, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	visited := 0
+	for n := 1; n <= ticks; n++ {
+		run(time.Duration(n)*period - period/4)
+		want := make([][]int, k)
+		for s, sw := range sweeps {
+			want[s] = sw.perRowRule(time.Duration(n) * period)
+			logs[s] = logs[s][:0]
+		}
+		run(time.Duration(n)*period + period/4)
+		for s := range sweeps {
+			if !slices.Equal(logs[s], want[s]) {
+				t.Fatalf("tick %d, shard %d: scanned rows %v, the per-row rule visits %v", n, s, logs[s], want[s])
+			}
+			visited += len(logs[s])
+		}
+	}
+	if visited >= ticks*side*side/2 {
+		t.Errorf("the ticks visited %d rows of %d: the cull hardly fired", visited, ticks*side*side)
+	}
+}
+
+// perRowRule returns the rows a tick of s at time at visits by the
+// per-row rule, in add order. It must run between ticks.
+func (s *Sweep) perRowRule(at time.Duration) []int {
+	h := s.env.Hot
+	s.env.Field.Resolve(at, &s.snap)
+	all := !s.skipping || !s.markReach()
+	var rows []int
+	for k, row := range s.rows {
+		if h.failed[row] {
+			continue
+		}
+		if all || !s.skip.has(k) || s.reach.has(k) || h.sensing[row]|h.leading[row] != 0 {
+			rows = append(rows, int(row))
+		}
+	}
+	s.reach.clear()
+	return rows
 }

@@ -9,10 +9,14 @@ import (
 	"envirotrack/internal/trace"
 )
 
-// broadcastFanout returns one broadcast fanning out to a dense
-// neighborhood, run until every resulting reception is resolved — the
-// radio hot path. The neighbor cache and the record pools are warm.
-func broadcastFanout(tb testing.TB) func() {
+// fanoutTarget is a neighbour of fanout's sender, the target of its
+// unicast.
+const fanoutTarget NodeID = 28
+
+// fanout returns one frame to dst fanning out to a dense neighborhood,
+// run until every resulting reception is resolved — the radio hot path.
+// The neighbor cache and the record pools are warm.
+func fanout(tb testing.TB, dst NodeID) func() {
 	g := simtime.NewShardGroup(1)
 	m := New(Params{CommRadius: 10, PropDelay: time.Microsecond}, nil, ShardRuntime{Sched: g.Shard(0), Stats: &trace.Stats{}})
 	// 8x8 grid with spacing 2: every node hears every other (radius 10
@@ -23,15 +27,15 @@ func broadcastFanout(tb testing.TB) func() {
 		}
 	}
 	src := NodeID(27) // interior node with a full neighborhood
-	f := Frame{Src: src, Dst: Broadcast, Bits: 256}
-	fanout := func() {
+	f := Frame{Src: src, Dst: dst, Bits: 256}
+	send := func() {
 		m.Send(f)
 		if err := g.Run(g.Now()+time.Second, 0, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	fanout()
-	return fanout
+	send()
+	return send
 }
 
 // appendNodesNear returns one scratch-slice spatial query, as the
@@ -58,11 +62,22 @@ func appendNodesNear(tb testing.TB) func() {
 // neighborhood, run until drained. With pooled reception and delivery-batch
 // records and typed-payload events, steady state allocates nothing.
 func BenchmarkBroadcastFanout(b *testing.B) {
-	fanout := broadcastFanout(b)
+	benchFanout(b, Broadcast)
+}
+
+// BenchmarkUnicastFanout measures one unicast that the same neighborhood
+// overhears, as a routing relay is: one target reception, and occupancy
+// without a record at every other receiver.
+func BenchmarkUnicastFanout(b *testing.B) {
+	benchFanout(b, fanoutTarget)
+}
+
+func benchFanout(b *testing.B, dst NodeID) {
+	send := fanout(b, dst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fanout()
+		send()
 	}
 }
 
@@ -79,8 +94,16 @@ func BenchmarkAppendNodesNear(b *testing.B) {
 // TestBroadcastFanoutAllocatesNothing pins BenchmarkBroadcastFanout's
 // steady state.
 func TestBroadcastFanoutAllocatesNothing(t *testing.T) {
-	if allocs := testing.AllocsPerRun(100, broadcastFanout(t)); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, fanout(t, Broadcast)); allocs != 0 {
 		t.Fatalf("broadcast fan-out allocates %v times, want 0", allocs)
+	}
+}
+
+// TestUnicastFanoutAllocatesNothing pins BenchmarkUnicastFanout's steady
+// state.
+func TestUnicastFanoutAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, fanout(t, fanoutTarget)); allocs != 0 {
+		t.Fatalf("unicast fan-out allocates %v times, want 0", allocs)
 	}
 }
 

@@ -6,8 +6,10 @@
 // MICA motes"; collisions therefore grow with offered traffic.
 //
 // The send/receive path is the hottest code in the simulator (every frame
-// fans out to O(neighbors) receptions), so it is allocation-free in steady
-// state: reception, delivery-batch, and CSMA-retry records are pooled on
+// occupies the channel of O(neighbors) receivers), so it is
+// allocation-free in steady state: a receiver that only overhears a frame
+// records its airtime by value in its occupancy list and takes no record;
+// target reception, delivery-batch, and CSMA-retry records are pooled on
 // intrusive free lists, their completion events are scheduled through the
 // scheduler's typed-payload API (no closure captures), spatial queries
 // append into reusable scratch, and cell buckets are kept id-sorted at
@@ -258,8 +260,21 @@ type Node struct {
 	// txBusyUntil serializes a node's own transmissions: a mote has one
 	// radio and cannot transmit two frames at once.
 	txBusyUntil time.Duration
-	// rx tracks in-flight receptions for collision detection.
-	rx []*reception
+	// rx is the node's channel occupancy: one entry per frame on the air
+	// around it, kept for collision detection and carrier sense. Pruning
+	// leaves the entries past its length as they are: they point only at
+	// pooled records, which live as long as the medium.
+	rx []occupancy
+}
+
+// occupancy is one frame occupying a receiver's channel during
+// [start, end]. r is the frame's target reception at the receiver, nil
+// when the receiver only overhears it: an overheard frame corrupts the
+// receptions it overlaps and keeps the channel busy, but nothing of its
+// own can be lost, so it needs no record.
+type occupancy struct {
+	start, end time.Duration
+	r          *reception
 }
 
 // ID returns the node's id.
@@ -268,14 +283,13 @@ func (n *Node) ID() NodeID { return n.id }
 // Pos returns the node's position.
 func (n *Node) Pos() geom.Point { return n.pos }
 
-// reception is one frame occupying one receiver's channel. Records are
-// pooled: a reception is recycled once it is out of the receiver's rx list
-// (inList) and its delivery event, if any, has fired (hasEvent). A target
-// reception on the sender's shard belongs to the frame's batch (tx); one
-// that crossed a shard boundary has no batch and its own delivery event.
+// reception is one frame's delivery to one of its targets. Records are
+// pooled: a reception is recycled once its occupancy is out of the
+// receiver's rx list (inList) and its delivery event has fired
+// (hasEvent). A target reception on the sender's shard belongs to the
+// frame's batch (tx); one that crossed a shard boundary has no batch and
+// its own delivery event.
 type reception struct {
-	start     time.Duration
-	end       time.Duration
 	corrupted bool
 	lost      bool // iid loss, drawn at schedule time
 	inList    bool
@@ -634,12 +648,14 @@ func (sc *shardCtx) recycleRX(rx *reception) {
 	sc.rxFree = rx
 }
 
-// releaseFromList is called when a reception leaves its receiver's rx
-// list; the record recycles once the delivery event (if any) has fired.
-func releaseFromList(rx *reception) {
-	rx.inList = false
-	if !rx.hasEvent {
-		rx.sc.recycleRX(rx)
+// release is called when o leaves its receiver's rx list; a target
+// reception's record recycles once its delivery event has fired too.
+func (o occupancy) release() {
+	if rx := o.r; rx != nil {
+		rx.inList = false
+		if !rx.hasEvent {
+			rx.sc.recycleRX(rx)
+		}
 	}
 }
 
@@ -718,18 +734,15 @@ func (m *Medium) channelBusyUntil(n *Node, now time.Duration) time.Duration {
 		busy = n.txBusyUntil
 	}
 	kept := n.rx[:0]
-	for _, r := range n.rx {
-		if r.end <= now {
-			releaseFromList(r)
+	for _, o := range n.rx {
+		if o.end <= now {
+			o.release()
 			continue
 		}
-		kept = append(kept, r)
-		if r.start <= now && r.end > busy {
-			busy = r.end
+		kept = append(kept, o)
+		if o.start <= now && o.end > busy {
+			busy = o.end
 		}
-	}
-	for i := len(kept); i < len(n.rx); i++ {
-		n.rx[i] = nil
 	}
 	n.rx = kept
 	return busy
@@ -882,10 +895,9 @@ func (m *Medium) FlushBoundary(window time.Duration) error {
 			}
 			dstCtx := m.ctxs[r.dst.shard]
 			rx := dstCtx.acquireRX()
-			rx.start, rx.end = r.start, r.end
 			rx.dst, rx.f, rx.lost = r.dst, r.f, r.lost
 			rx.hasEvent = true
-			m.occupyChannel(r.dst, rx, window)
+			m.occupyChannel(r.dst, occupancy{start: r.start, end: r.end, r: rx}, window)
 			dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, rx)
 			*r = crossRec{}
 		}
@@ -928,55 +940,59 @@ func batchDeliver(arg any) {
 }
 
 // scheduleReception models the frame occupying the channel at the receiver
-// during [start, end] and, when the receiver is a target, adds the
+// during [start, end] and, when the receiver is a target, adds a
 // reception to the frame's delivery batch. Non-target receivers still
 // experience channel occupancy (their concurrent receptions collide) but
-// do not receive or account the frame. lost is a target's drawn iid loss.
+// do not receive or account the frame, so they take no record. lost is a
+// target's drawn iid loss.
 func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deliveryBatch, start, end, now time.Duration, isTarget, lost bool) {
-	rx := sc.acquireRX()
-	rx.start, rx.end = start, end
-	m.occupyChannel(dst, rx, now)
-
 	if !isTarget {
+		m.occupyChannel(dst, occupancy{start: start, end: end}, now)
 		return
 	}
-
+	rx := sc.acquireRX()
 	rx.lost = lost
 	rx.dst = dst
 	rx.f = f
 	rx.tx = batch
 	rx.hasEvent = true
+	m.occupyChannel(dst, occupancy{start: start, end: end, r: rx}, now)
 	batch.rxs = append(batch.rxs, rx)
 }
 
-// occupyChannel inserts rx (spanning [rx.start, rx.end]) into dst's
-// in-flight reception list: entries that ended before now and before the
-// new frame's start are pruned, and every overlapping pair is corrupted
-// (the new frame and the in-flight one both lose). Callers set rx.start
-// and rx.end first.
-func (m *Medium) occupyChannel(dst *Node, rx *reception, now time.Duration) {
+// occupyChannel inserts o into dst's occupancy list: entries that ended
+// before now and before o's start are pruned, and every overlapping pair
+// is corrupted (the new frame and the in-flight one both lose; an
+// overheard frame has no reception to lose).
+func (m *Medium) occupyChannel(dst *Node, o occupancy, now time.Duration) {
 	if !m.params.DisableCollisions {
+		// One pass prunes and checks overlap: a pruned entry ended before
+		// o starts, so it overlaps nothing of o.
 		kept := dst.rx[:0]
 		for _, other := range dst.rx {
-			if other.end > now || other.end >= rx.start {
-				kept = append(kept, other)
-			} else {
-				releaseFromList(other)
+			if other.end <= now && other.end < o.start {
+				other.release()
+				continue
 			}
-		}
-		for i := len(kept); i < len(dst.rx); i++ {
-			dst.rx[i] = nil
+			kept = append(kept, other)
+			if other.start < o.end && o.start < other.end {
+				other.corrupt()
+				o.corrupt()
+			}
 		}
 		dst.rx = kept
-		for _, other := range dst.rx {
-			if other.start < rx.end && rx.start < other.end {
-				other.corrupted = true
-				rx.corrupted = true
-			}
-		}
 	}
-	rx.inList = true
-	dst.rx = append(dst.rx, rx)
+	if o.r != nil {
+		o.r.inList = true
+	}
+	dst.rx = append(dst.rx, o)
+}
+
+// corrupt marks o's target reception, if any, as lost to a collision.
+func (o occupancy) corrupt() {
+	if o.r != nil {
+		o.r.corrupted = true
+	}
 }
 
 // deliverReception resolves one target reception at its arrival time:

@@ -355,3 +355,66 @@ func TestNodeIDsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestOverheardFrameDefersSend checks that carrier sense hears a frame
+// addressed to someone else: node 3 overhears node 1's unicast to node
+// 2, so its own send, 10 ms into that frame, waits for the channel.
+func TestOverheardFrameDefersSend(t *testing.T) {
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	var arrived time.Duration
+	if err := m.AddNode(1, geom.Pt(0, 0), func(f Frame) {
+		if f.Src == 3 {
+			arrived = g.Now()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []struct {
+		id NodeID
+		x  float64
+	}{{2, 1}, {3, 0.5}} {
+		if err := m.AddNode(n.id, geom.Pt(n.x, 0), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+	runTo(t, g, 10*time.Millisecond)
+	m.Send(Frame{Kind: trace.KindReading, Src: 3, Dst: 1, Bits: 100})
+	settle(t, g)
+	// Node 3 waits out node 1's frame and one backoff slot at most, then
+	// takes one packet time on the air.
+	if arrived < 2*packet || arrived > 2*packet+csmaSlot {
+		t.Fatalf("node 3's frame arrived at %v, want in [%v, %v]: it did not defer", arrived, 2*packet, 2*packet+csmaSlot)
+	}
+}
+
+// TestUnicastTakesOneReceptionRecord checks that a unicast acquires a
+// reception record for its target only: node 4's eight neighbours all
+// hold the frame's occupancy, and only node 1, its target, holds a
+// record; the free list is empty, so no other record was made.
+func TestUnicastTakesOneReceptionRecord(t *testing.T) {
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
+	for i := 0; i < 9; i++ {
+		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%3), float64(i/3)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const center, target = 4, 1
+	if n := len(m.Neighbors(center)); n != 8 {
+		t.Fatalf("node %d has %d neighbours, want 8", center, n)
+	}
+	m.Send(Frame{Kind: trace.KindReading, Src: center, Dst: target})
+	settle(t, g)
+	for _, n := range m.Neighbors(center) {
+		if len(n.rx) != 1 {
+			t.Fatalf("node %d holds %d occupancies, want 1", n.id, len(n.rx))
+		}
+		if hasRecord := n.rx[0].r != nil; hasRecord != (n.id == target) {
+			t.Errorf("node %d holds a reception record: %v, want %v", n.id, hasRecord, n.id == target)
+		}
+	}
+	if m.ctxs[0].rxFree != nil {
+		t.Error("the free list holds a reception record: the send made more than one")
+	}
+}

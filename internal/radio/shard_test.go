@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -343,4 +344,47 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 			t.Fatalf("BoundaryFrames() = %d, want 1", m.BoundaryFrames())
 		}
 	})
+}
+
+// TestHiddenUnicastCorruptsTargetReception checks that a frame a receiver
+// only overhears still collides there: node 1 sends to node 2 while node
+// 3, hidden from node 1, sends to node 4, and node 2 hears both. Node 2
+// loses node 1's frame to the collision, and node 4, which hears only
+// node 3, gets its frame. On k shards node 1 sits alone on shard 0, so
+// its frame reaches node 2 through the barrier and meets node 3's
+// overheard frame in node 2's occupancy list there.
+func TestHiddenUnicastCorruptsTargetReception(t *testing.T) {
+	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			g := simtime.NewShardGroup(k)
+			m := shardedMedium(g, Params{CommRadius: 1.2, BitRate: 1000}, func(p geom.Point) int32 {
+				if p.X < 0.5 {
+					return 0
+				}
+				return int32(k - 1)
+			}, 1)
+			received := make([]int, 5) // node 2 and node 4 run on shard k-1
+			for id := NodeID(1); id <= 4; id++ {
+				if err := m.AddNode(id, geom.Pt(float64(id-1), 0), func(Frame) { received[id]++ }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+			sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 4, Bits: 100})
+			runSharded(t, g, m, time.Second, packet)
+			if received[2] != 0 || received[4] != 1 {
+				t.Fatalf("node 2 received %d frames and node 4 %d, want 0 and 1", received[2], received[4])
+			}
+			var lost, got uint64
+			for _, sc := range m.ctxs {
+				ks := sc.stats.Kind(trace.KindReading)
+				lost += ks.LostCollision
+				got += ks.Received
+			}
+			if lost != 1 || got != 1 {
+				t.Fatalf("%d collision losses and %d receptions, want 1 and 1", lost, got)
+			}
+		})
+	}
 }
