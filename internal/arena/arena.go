@@ -5,7 +5,9 @@
 // so the records of one run are laid out in a handful of contiguous blocks
 // instead of scattered one-object heap allocations. That keeps free-list
 // walks and record access cache-dense and cuts allocator pressure during a
-// run's warm-up, when pools are still growing to their working size.
+// run's warm-up, when pools are still growing to their working size. A
+// Slab does the same for variable-length runs of records, such as the
+// radio medium's neighbor lists.
 //
 // Ownership rules: an Arena belongs to exactly one owner — one radio
 // Medium, one mote — and is therefore confined to that owner's run.
@@ -51,4 +53,36 @@ func (a *Arena[T]) New() *T {
 	p := &a.block[a.used]
 	a.used++
 	return p
+}
+
+// maxSlabBlock caps a Slab's block. A slab carves runs of records, so its
+// blocks grow past maxBlock: at the cap one allocation serves hundreds of
+// runs.
+const maxSlabBlock = 16 * maxBlock
+
+// Slab is a chunked allocator for runs of T: Make carves a slice from the
+// current block, and blocks grow like an Arena's, doubling from minBlock
+// up to maxSlabBlock. A run longer than the next block gets a block of
+// its own; the unused tail of a block is left behind. The zero value is
+// ready to use, and the Arena's single-owner rules apply.
+type Slab[T any] struct {
+	free []T // the current block's uncarved tail
+	next int
+}
+
+// Make returns a zeroed slice of length and capacity n carved from the
+// current block, growing the slab by a fresh block when the run does not
+// fit. Appending to the result reallocates it rather than overrunning the
+// next run.
+func (s *Slab[T]) Make(n int) []T {
+	if n > len(s.free) {
+		size := max(s.next, minBlock)
+		if size < maxSlabBlock {
+			s.next = size * 2
+		}
+		s.free = make([]T, max(size, n))
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -38,9 +39,9 @@ func fanout(tb testing.TB, dst NodeID) func() {
 	return send
 }
 
-// appendNodesNear returns one scratch-slice spatial query, as the
-// broadcast fan-out and neighbor-cache misses make it, on a 20x20 grid.
-// The scratch slice has grown to the result's size.
+// appendNodesNear returns one spatial query, as a neighbor-cache miss
+// makes it, on a 20x20 grid. The medium's query scratch has grown to the
+// result's size.
 func appendNodesNear(tb testing.TB) func() {
 	m := New(Params{CommRadius: 3}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	for i := 0; i < 400; i++ {
@@ -49,13 +50,47 @@ func appendNodesNear(tb testing.TB) func() {
 		}
 	}
 	probe := geom.Pt(10, 10)
-	var scratch []NodeID
-	query := func() { scratch = m.appendNodesWithin(scratch[:0], probe, 3) }
-	query()
-	if len(scratch) == 0 {
+	if len(m.nodesWithin(probe, 3)) == 0 {
 		tb.Fatal("query found nothing")
 	}
-	return query
+	return func() { m.nodesWithin(probe, 3) }
+}
+
+// resolveSide and resolveRadius shape the field the neighbour-resolution
+// benchmark and its allocation test resolve: a 100x100 grid at unit
+// spacing with the field10k workload's communication radius, about 20
+// neighbours a mote.
+const (
+	resolveSide   = 100
+	resolveRadius = 2.5
+)
+
+// resolveField returns a fresh resolveSide² field with no list resolved.
+func resolveField(tb testing.TB) *Medium {
+	m := New(Params{CommRadius: resolveRadius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
+	for i := 0; i < resolveSide*resolveSide; i++ {
+		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%resolveSide), float64(i/resolveSide)), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m
+}
+
+// BenchmarkResolveNeighbors resolves every neighbour list of a fresh
+// field, as a run's first contact with each mote does, and reports the
+// cost per list. Registering the field is outside the timer; building
+// the spatial index, if the medium defers it to the first query, is in.
+func BenchmarkResolveNeighbors(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := resolveField(b)
+		b.StartTimer()
+		for _, n := range m.order {
+			m.neighborsOf(n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*resolveSide*resolveSide), "ns/list")
 }
 
 // BenchmarkBroadcastFanout measures one broadcast to a 64-node
@@ -81,7 +116,7 @@ func benchFanout(b *testing.B, dst NodeID) {
 	}
 }
 
-// BenchmarkAppendNodesNear measures the scratch-slice spatial query.
+// BenchmarkAppendNodesNear measures the spatial query.
 func BenchmarkAppendNodesNear(b *testing.B) {
 	query := appendNodesNear(b)
 	b.ReportAllocs()
@@ -108,9 +143,26 @@ func TestUnicastFanoutAllocatesNothing(t *testing.T) {
 }
 
 // TestAppendNodesNearAllocatesNothing pins BenchmarkAppendNodesNear's
-// steady state: a query into a grown scratch slice allocates nothing.
+// steady state: a query into grown scratch allocates nothing.
 func TestAppendNodesNearAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, appendNodesNear(t)); allocs != 0 {
-		t.Fatalf("appendNodesWithin into a grown scratch slice allocates %v times, want 0", allocs)
+		t.Fatalf("nodesWithin into grown scratch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestNeighborResolutionAllocatesNothing pins resolution's slab: once the
+// grid and the query scratch are warm, resolving every list of a field
+// averages under one allocation per 100 lists (the slab's block refills).
+func TestNeighborResolutionAllocatesNothing(t *testing.T) {
+	m := resolveField(t)
+	m.neighborsOf(m.order[len(m.order)/2]) // builds the grid, grows the scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, n := range m.order {
+		m.neighborsOf(n)
+	}
+	runtime.ReadMemStats(&after)
+	if allocs, lists := after.Mallocs-before.Mallocs, uint64(len(m.order)); allocs*100 >= lists {
+		t.Fatalf("resolving %d lists allocated %d times, want under one per 100 lists", lists, allocs)
 	}
 }

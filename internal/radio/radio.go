@@ -12,8 +12,9 @@
 // target reception, delivery-batch, and CSMA-retry records are pooled on
 // intrusive free lists, their completion events are scheduled through the
 // scheduler's typed-payload API (no closure captures), spatial queries
-// append into reusable scratch, and cell buckets are kept id-sorted at
-// insert so range queries merge instead of sorting per call.
+// read node pointers straight from a dense grid of buckets and append
+// into reusable scratch, and neighbor lists are carved from per-medium
+// slabs.
 //
 // Execution contexts: all mutable send-path state (stats, obs bus, record
 // pools, outbox) lives in a shardCtx, one per scheduler shard the medium
@@ -35,6 +36,7 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -192,35 +194,39 @@ type shardCtx struct {
 // schedulers; only shards' send paths may run concurrently.
 //
 // Topology is append-only: nodes register once via AddNode and never
-// move. Spatial queries run against a uniform-grid spatial hash with cell
-// size CommRadius, so resolving the nodes near a point costs O(found)
-// instead of a scan over the whole field.
+// move. Spatial queries run against a dense grid of buckets (see grid), so
+// resolving the nodes near a point costs O(found) instead of a scan over
+// the whole field.
 type Medium struct {
 	params Params
 
 	nodes map[NodeID]*Node
-	order []NodeID // node ids, kept ascending by insertion-time merge
+	order []*Node // registered nodes, kept in ascending id order
 	// faults, when non-nil, overrides loss probability, severs partitioned
 	// links, and duplicates frames (chaos harness). Nil in nominal runs.
 	faults FaultInjector
 
-	// cells is the spatial hash: nodes bucketed by grid cell of size
-	// cellSize (= CommRadius, or 1 when CommRadius is unset). Entries
-	// carry the position so range filtering never touches the nodes map,
-	// and each bucket is kept id-sorted at insert so queries k-way merge
-	// the candidate buckets instead of sorting per call.
-	cells    map[cellKey][]cellEntry
-	cellSize float64
+	// grid is the spatial index, nil until the first spatial query: a
+	// network registers its whole field before it asks for a neighbour,
+	// so the grid is built once over the final layout.
+	grid *grid
+	// baseCell is the finest grid cell: CommRadius, or 1 when CommRadius
+	// is unset.
+	baseCell float64
 	// resolved counts nodes whose neighbor list is resolved. While it is
 	// zero — through a network's whole set-up — AddNode has no list to
 	// drop and skips the range query.
 	resolved int
+	// lists and listHdrs hold every resolved neighbour list and its
+	// header, so resolution allocates only when a slab block fills.
+	lists    arena.Slab[*Node]
+	listHdrs arena.Arena[[]*Node]
 
 	// Query scratch, reused across calls (spatial queries run on the
-	// coordinator/setup path, never concurrently).
-	queryBuckets [][]cellEntry
-	queryCur     []int
-	scratchIDs   []NodeID
+	// coordinator/setup path, never concurrently): the nodes a query
+	// found, in scan order, and their sort keys.
+	cand []*Node
+	keys []uint64
 
 	// ctxs are the per-shard execution contexts, in shard order.
 	ctxs []*shardCtx
@@ -230,13 +236,31 @@ type Medium struct {
 	shardOfPos func(geom.Point) int32
 }
 
-// cellKey addresses one bucket of the spatial hash.
-type cellKey struct{ x, y int }
+// gridCellsPerNode bounds the grid's size: a layout whose bounding box
+// would need more than this many cells per node at the finest cell size
+// gets coarser cells instead, so the grid is O(nodes) on any layout.
+const gridCellsPerNode = 4
 
-// cellEntry is one node in a spatial-hash bucket.
-type cellEntry struct {
-	id  NodeID
+// grid is a dense nx×ny array of buckets over the box [x0,x1]×[y0,y1],
+// with square cells of side cell: CommRadius times the smallest power of
+// two that keeps nx·ny within gridCellsPerNode cells per node. Every
+// registered node with finite coordinates lies in the box; a node with a
+// non-finite coordinate, in range of no finite point, sits in a clamped
+// edge bucket. Buckets are unordered: a range query sorts what it finds.
+type grid struct {
+	x0, y0, x1, y1 float64
+	cell           float64
+	nx, ny         int
+	buckets        [][]gridEntry // row-major, nx·ny
+}
+
+// gridEntry is one node in a grid bucket. The id and position are copied
+// from the node, so filtering and ordering a bucket's nodes read the
+// bucket alone.
+type gridEntry struct {
 	pos geom.Point
+	n   *Node
+	id  NodeID
 }
 
 // Node is one registered node on the medium. Protocol layers see it
@@ -301,9 +325,11 @@ type reception struct {
 	next      *reception
 }
 
-// pendingSend is a CSMA-deferred frame awaiting its backoff timer. Pooled.
+// pendingSend is a CSMA-deferred frame from src awaiting its backoff
+// timer. Pooled.
 type pendingSend struct {
 	sc      *shardCtx
+	src     *Node
 	f       Frame
 	attempt int
 	next    *pendingSend
@@ -362,16 +388,15 @@ type ShardRuntime struct {
 // AddNode) so spatial lookups are read-only during the run.
 func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
 	p = p.withDefaults()
-	cellSize := p.CommRadius
-	if cellSize <= 0 {
-		cellSize = 1
+	baseCell := p.CommRadius
+	if baseCell <= 0 {
+		baseCell = 1
 	}
 	k := len(rts)
 	m := &Medium{
 		params:     p,
 		nodes:      make(map[NodeID]*Node),
-		cells:      make(map[cellKey][]cellEntry),
-		cellSize:   cellSize,
+		baseCell:   baseCell,
 		ctxs:       make([]*shardCtx, k),
 		shardOfPos: shardOfPos,
 	}
@@ -392,13 +417,14 @@ func (m *Medium) Params() Params {
 	return m.params
 }
 
-// PrebuildNeighbors resolves the neighbor list of every registered node.
-// A run on several shards calls it once before the shard workers start:
-// afterwards neighbor lists are only read, which is safe from concurrent
-// shard goroutines.
+// PrebuildNeighbors resolves the neighbor list of every registered node,
+// through the same path as the serial engine's lazy resolution. A run on
+// several shards calls it once before the shard workers start: afterwards
+// the grid and the neighbor lists are only read, which is safe from
+// concurrent shard goroutines.
 func (m *Medium) PrebuildNeighbors() {
-	for _, id := range m.order {
-		m.neighborsOf(m.nodes[id])
+	for _, n := range m.order {
+		m.neighborsOf(n)
 	}
 }
 
@@ -423,10 +449,10 @@ func (m *Medium) BoundaryFrames() uint64 {
 // AddNode registers a stationary node. It returns an error if the id is
 // taken or outside [0, 2^32), the 32 bits a transmission id keeps of it.
 // Registration is the only topology mutation (nodes never move or
-// deregister), so it inserts the node into the spatial hash — keeping both
-// the global order and its cell bucket sorted by id — and drops exactly
-// the resolved neighbor lists the newcomer joins: those of nodes within
-// CommRadius of pos.
+// deregister). Once the grid is built it inserts the node into its bucket,
+// or rebuilds the grid over a padded box when the node lands outside it,
+// and drops exactly the resolved neighbor lists the newcomer joins: those
+// of nodes within CommRadius of pos.
 func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 	if id < 0 || uint64(id) > math.MaxUint32 {
 		return fmt.Errorf("radio: node id %d outside [0, 2^32)", id)
@@ -439,108 +465,166 @@ func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 		n.shard = m.shardOfPos(pos)
 	}
 	m.nodes[id] = n
-	i, _ := slices.BinarySearch(m.order, id)
-	m.order = slices.Insert(m.order, i, id)
-	key := m.cellOf(pos)
-	bucket := m.cells[key]
-	j, _ := slices.BinarySearchFunc(bucket, id, func(e cellEntry, id NodeID) int {
-		switch {
-		case e.id < id:
-			return -1
-		case e.id > id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	m.cells[key] = slices.Insert(bucket, j, cellEntry{id: id, pos: pos})
+	i, _ := slices.BinarySearchFunc(m.order, id, byID)
+	m.order = slices.Insert(m.order, i, n)
+	if g := m.grid; g != nil && !g.insert(n) {
+		m.grid = m.buildGrid(true)
+	}
 	if m.resolved == 0 {
 		return nil
 	}
-	m.scratchIDs = m.appendNodesWithin(m.scratchIDs[:0], pos, m.params.CommRadius)
-	for _, nid := range m.scratchIDs {
-		if n := m.nodes[nid]; n.nbrs != nil {
-			n.nbrs = nil
+	for _, k := range m.nodesWithin(pos, m.params.CommRadius) {
+		if o := m.cand[uint32(k)]; o.nbrs != nil {
+			o.nbrs = nil
 			m.resolved--
 		}
 	}
 	return nil
 }
 
-// cellOf maps a position to its spatial-hash bucket.
-func (m *Medium) cellOf(p geom.Point) cellKey {
-	return cellKey{
-		x: int(math.Floor(p.X / m.cellSize)),
-		y: int(math.Floor(p.Y / m.cellSize)),
+// byID orders nodes against an id, for binary search over ascending ids.
+func byID(n *Node, id NodeID) int { return cmp.Compare(n.id, id) }
+
+// buildGrid returns a grid holding every registered node. Its box is the
+// nodes' bounding box, widened on every side by the box's larger extent
+// when pad is set: a rebuild forced by a node outside the old box is
+// padded, so a field that keeps growing rebuilds only each time it
+// outgrows a box several times its size. Non-finite coordinates do not
+// widen the box; such nodes sit in a clamped edge bucket.
+func (m *Medium) buildGrid(pad bool) *grid {
+	g := &grid{
+		x0: math.Inf(1), y0: math.Inf(1), x1: math.Inf(-1), y1: math.Inf(-1),
+		cell: m.baseCell,
+	}
+	for _, n := range m.order {
+		if p := n.pos; finite(p) {
+			g.x0, g.x1 = min(g.x0, p.X), max(g.x1, p.X)
+			g.y0, g.y1 = min(g.y0, p.Y), max(g.y1, p.Y)
+		}
+	}
+	if g.x0 > g.x1 {
+		g.x0, g.y0, g.x1, g.y1 = 0, 0, 0, 0
+	}
+	if pad {
+		d := max(g.x1-g.x0, g.y1-g.y0, m.baseCell)
+		g.x0, g.y0, g.x1, g.y1 = g.x0-d, g.y0-d, g.x1+d, g.y1+d
+	}
+	// Coarsen the cell until the box fits the size bound. A box too wide
+	// for any finite cell gets one bucket.
+	limit := float64(gridCellsPerNode * len(m.order))
+	for {
+		fx := math.Floor((g.x1-g.x0)/g.cell) + 1
+		fy := math.Floor((g.y1-g.y0)/g.cell) + 1
+		if fx*fy <= limit {
+			g.nx, g.ny = int(fx), int(fy)
+			break
+		}
+		if g.cell *= 2; math.IsInf(g.cell, 1) {
+			g.nx, g.ny = 1, 1
+			break
+		}
+	}
+	// Count, then carve every bucket from one array. Each bucket's
+	// capacity ends at its length, so a later insert reallocates that
+	// bucket alone.
+	counts := make([]int, g.nx*g.ny+1)
+	for _, n := range m.order {
+		counts[g.bucketOf(n.pos)+1]++
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	entries := make([]gridEntry, len(m.order))
+	g.buckets = make([][]gridEntry, g.nx*g.ny)
+	for b := range g.buckets {
+		g.buckets[b] = entries[counts[b]:counts[b]:counts[b+1]]
+	}
+	for _, n := range m.order {
+		b := g.bucketOf(n.pos)
+		g.buckets[b] = append(g.buckets[b], gridEntry{pos: n.pos, n: n, id: n.id})
+	}
+	return g
+}
+
+// col maps an x coordinate to its grid column, clamped to the grid.
+func (g *grid) col(x float64) int { return clampCell(math.Floor((x-g.x0)/g.cell), g.nx) }
+
+// row maps a y coordinate to its grid row, clamped to the grid.
+func (g *grid) row(y float64) int { return clampCell(math.Floor((y-g.y0)/g.cell), g.ny) }
+
+// clampCell clamps a floored cell coordinate into [0, n); NaN maps to 0.
+func clampCell(f float64, n int) int {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= float64(n-1):
+		return n - 1
+	default:
+		return int(f)
 	}
 }
 
-// appendNodesWithin appends all node ids within radius r of p (inclusive),
-// in ascending id order, to dst and returns the extended slice. It scans
-// only the spatial-hash cells intersecting the query disk; because buckets
-// are id-sorted at insert and a node lives in exactly one bucket, the
-// results come out of a k-way merge with no per-call sort. When the query
-// radius is so large that the cell window exceeds the node count, it falls
-// back to the linear scan over the (sorted) global order, bounding the
-// cost at O(n).
-func (m *Medium) appendNodesWithin(dst []NodeID, p geom.Point, r float64) []NodeID {
-	if r < 0 {
-		return dst
+// bucketOf returns the index of the bucket holding position p.
+func (g *grid) bucketOf(p geom.Point) int { return g.row(p.Y)*g.nx + g.col(p.X) }
+
+// insert adds n to its bucket and reports true, or reports false,
+// changing nothing, when n has finite coordinates outside the box.
+func (g *grid) insert(n *Node) bool {
+	p := n.pos
+	if finite(p) && (p.X < g.x0 || p.X > g.x1 || p.Y < g.y0 || p.Y > g.y1) {
+		return false
 	}
-	x0 := int(math.Floor((p.X - r) / m.cellSize))
-	x1 := int(math.Floor((p.X + r) / m.cellSize))
-	y0 := int(math.Floor((p.Y - r) / m.cellSize))
-	y1 := int(math.Floor((p.Y + r) / m.cellSize))
-	spanX, spanY := x1-x0+1, y1-y0+1
-	if spanX > len(m.order) || spanY > len(m.order) || spanX*spanY > len(m.order) {
-		for _, id := range m.order {
-			if m.nodes[id].pos.Within(p, r) {
-				dst = append(dst, id)
+	b := g.bucketOf(p)
+	g.buckets[b] = append(g.buckets[b], gridEntry{pos: p, n: n, id: n.id})
+	return true
+}
+
+// finite reports whether both of p's coordinates are finite.
+func finite(p geom.Point) bool {
+	return !math.IsInf(p.X, 0) && !math.IsNaN(p.X) && !math.IsInf(p.Y, 0) && !math.IsNaN(p.Y)
+}
+
+// nodesWithin finds all nodes within radius r of p (inclusive). It leaves
+// them in the m.cand scratch and returns their keys in ascending order: a
+// key holds a node's id over its index in m.cand, so the keys order the
+// nodes by id. It scans only the grid buckets intersecting the query disk
+// (clamped to the grid, whose box holds every node) and sorts what it
+// finds, in O(k log k) for k found. When the query radius is so large
+// that the cell window exceeds the node count, it falls back to the
+// linear scan over the global order, which finds the nodes in id order.
+func (m *Medium) nodesWithin(p geom.Point, r float64) []uint64 {
+	if r < 0 || len(m.order) == 0 {
+		return nil
+	}
+	if m.grid == nil {
+		m.grid = m.buildGrid(false)
+	}
+	g := m.grid
+	c0, c1 := g.col(p.X-r), g.col(p.X+r)
+	r0, r1 := g.row(p.Y-r), g.row(p.Y+r)
+	cand, keys := m.cand[:0], m.keys[:0]
+	if (c1-c0+1)*(r1-r0+1) > len(m.order) {
+		for _, n := range m.order {
+			if n.pos.Within(p, r) {
+				keys = append(keys, uint64(n.id)<<32|uint64(len(cand)))
+				cand = append(cand, n)
 			}
 		}
-		return dst
-	}
-	buckets, cur := m.queryBuckets[:0], m.queryCur[:0]
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			if c := m.cells[cellKey{x: x, y: y}]; len(c) > 0 {
-				buckets = append(buckets, c)
-				cur = append(cur, 0)
+	} else {
+		for y := r0; y <= r1; y++ {
+			for _, bucket := range g.buckets[y*g.nx+c0 : y*g.nx+c1+1] {
+				for _, e := range bucket {
+					if e.pos.Within(p, r) {
+						keys = append(keys, uint64(e.id)<<32|uint64(len(cand)))
+						cand = append(cand, e.n)
+					}
+				}
 			}
 		}
+		slices.Sort(keys)
 	}
-	m.queryBuckets, m.queryCur = buckets, cur
-	// Each cursor rests on its bucket's next in-range entry (or past the
-	// end), so Within is evaluated exactly once per candidate.
-	for i := range buckets {
-		for cur[i] < len(buckets[i]) && !buckets[i][cur[i]].pos.Within(p, r) {
-			cur[i]++
-		}
-	}
-	for {
-		best := -1
-		for i := range buckets {
-			if cur[i] < len(buckets[i]) &&
-				(best < 0 || buckets[i][cur[i]].id < buckets[best][cur[best]].id) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		dst = append(dst, buckets[best][cur[best]].id)
-		cur[best]++
-		for cur[best] < len(buckets[best]) && !buckets[best][cur[best]].pos.Within(p, r) {
-			cur[best]++
-		}
-	}
-	// Drop the bucket references so retained scratch can't pin stale views
-	// of buckets that later inserts reallocate.
-	for i := range buckets {
-		buckets[i] = nil
-	}
-	m.queryBuckets = buckets[:0]
-	return dst
+	m.cand, m.keys = cand, keys
+	return keys
 }
 
 // Position returns a node's location.
@@ -555,7 +639,9 @@ func (m *Medium) Position(id NodeID) (geom.Point, bool) {
 // NodeIDs returns all registered node ids in ascending order.
 func (m *Medium) NodeIDs() []NodeID {
 	out := make([]NodeID, len(m.order))
-	copy(out, m.order)
+	for i, n := range m.order {
+		out[i] = n.id
+	}
 	return out
 }
 
@@ -573,38 +659,31 @@ func (m *Medium) Neighbors(id NodeID) []*Node {
 // neighborsOf returns n's neighbor list, resolving it on first use. The
 // list stays correct because the topology only mutates at registration
 // time (AddNode), which drops exactly the lists the new node appears in.
-// Resolution goes through the spatial hash, so it costs O(neighbors), not
-// O(total nodes).
+// Resolution goes through the grid, so it costs O(neighbors), not
+// O(total nodes), and the list and its header are carved from the
+// medium's slabs.
 func (m *Medium) neighborsOf(n *Node) []*Node {
 	if n.nbrs != nil {
 		return *n.nbrs
 	}
-	m.scratchIDs = m.appendNodesWithin(m.scratchIDs[:0], n.pos, m.params.CommRadius)
+	keys := m.nodesWithin(n.pos, m.params.CommRadius)
+	// n is in its own range unless its position is not finite; its key is
+	// the first at or above its id.
+	self, _ := slices.BinarySearch(keys, uint64(n.id)<<32)
+	if self < len(keys) && m.cand[uint32(keys[self])] == n {
+		keys = slices.Delete(keys, self, self+1)
+	}
 	var nb []*Node
-	if len(m.scratchIDs) > 1 {
-		nb = make([]*Node, 0, len(m.scratchIDs)-1)
-		for _, other := range m.scratchIDs {
-			if other != n.id {
-				nb = append(nb, m.nodes[other])
-			}
+	if len(keys) > 0 {
+		nb = m.lists.Make(len(keys))
+		for i, k := range keys {
+			nb[i] = m.cand[uint32(k)]
 		}
 	}
-	n.nbrs = &nb
+	n.nbrs = m.listHdrs.New()
+	*n.nbrs = nb
 	m.resolved++
 	return nb
-}
-
-// InRange reports whether b is within communication radius of a.
-func (m *Medium) InRange(a, b NodeID) bool {
-	na, ok := m.nodes[a]
-	if !ok {
-		return false
-	}
-	nb, ok := m.nodes[b]
-	if !ok {
-		return false
-	}
-	return na.pos.Within(nb.pos, m.params.CommRadius)
 }
 
 // Airtime returns the channel occupancy of a frame of the given size. It
@@ -671,6 +750,7 @@ func (sc *shardCtx) acquirePS() *pendingSend {
 }
 
 func (sc *shardCtx) recyclePS(ps *pendingSend) {
+	ps.src = nil
 	ps.f = Frame{}
 	ps.next = sc.psFree
 	sc.psFree = ps
@@ -751,9 +831,9 @@ func (m *Medium) channelBusyUntil(n *Node, now time.Duration) time.Duration {
 // pendingSendFire retries a CSMA-deferred frame when its backoff expires.
 func pendingSendFire(arg any) {
 	ps := arg.(*pendingSend)
-	sc, f, attempt := ps.sc, ps.f, ps.attempt
+	sc, src, f, attempt := ps.sc, ps.src, ps.f, ps.attempt
 	sc.recyclePS(ps)
-	sc.m.trySend(sc.m.nodes[f.Src], f, attempt)
+	sc.m.trySend(src, f, attempt)
 }
 
 func (m *Medium) trySend(src *Node, f Frame, attempt int) {
@@ -774,6 +854,7 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 			u := simtime.Draw(sc.seed, simtime.DrawCSMA, f.ID, uint64(attempt))
 			backoff := time.Duration(u * float64(csmaSlot) * float64(uint(1)<<uint(min(attempt, 4))))
 			ps := sc.acquirePS()
+			ps.src = src
 			ps.f = f
 			ps.attempt = attempt + 1
 			sched.AtEventOwned(busyUntil+backoff, simtime.OwnerRadio, pendingSendFire, ps)
@@ -961,27 +1042,28 @@ func (m *Medium) scheduleReception(sc *shardCtx, dst *Node, f Frame, batch *deli
 }
 
 // occupyChannel inserts o into dst's occupancy list: entries that ended
-// before now and before o's start are pruned, and every overlapping pair
-// is corrupted (the new frame and the in-flight one both lose; an
-// overheard frame has no reception to lose).
+// before now and before o's start are pruned, and with collisions on every
+// overlapping pair is corrupted (the new frame and the in-flight one both
+// lose; an overheard frame has no reception to lose).
 func (m *Medium) occupyChannel(dst *Node, o occupancy, now time.Duration) {
-	if !m.params.DisableCollisions {
-		// One pass prunes and checks overlap: a pruned entry ended before
-		// o starts, so it overlaps nothing of o.
-		kept := dst.rx[:0]
-		for _, other := range dst.rx {
-			if other.end <= now && other.end < o.start {
-				other.release()
-				continue
-			}
-			kept = append(kept, other)
-			if other.start < o.end && o.start < other.end {
-				other.corrupt()
-				o.corrupt()
-			}
+	// One pass prunes and, with collisions on, checks overlap: a pruned
+	// entry ended before o starts, so it overlaps nothing of o. Pruning
+	// runs in both modes, or a receiver that never sends would keep every
+	// occupancy and target record it was ever given.
+	collide := !m.params.DisableCollisions
+	kept := dst.rx[:0]
+	for _, other := range dst.rx {
+		if other.end <= now && other.end < o.start {
+			other.release()
+			continue
 		}
-		dst.rx = kept
+		kept = append(kept, other)
+		if collide && other.start < o.end && o.start < other.end {
+			other.corrupt()
+			o.corrupt()
+		}
 	}
+	dst.rx = kept
 	if o.r != nil {
 		o.r.inList = true
 	}

@@ -284,12 +284,11 @@ func TestNeighborsAndRangeQueries(t *testing.T) {
 			t.Fatalf("Neighbors(2) = %v, want %v", nb, want)
 		}
 	}
-	if !m.InRange(0, 1) || m.InRange(0, 2) {
-		t.Error("InRange gave wrong answers")
+	if got := neighborIDs(m, 0); !sameIDs(got, []NodeID{1}) {
+		t.Errorf("Neighbors(0) = %v, want [1]", got)
 	}
-	near := m.appendNodesWithin(nil, geom.Pt(0.4, 0), 1)
-	if len(near) != 2 || near[0] != 0 || near[1] != 1 {
-		t.Errorf("appendNodesWithin = %v, want [0 1]", near)
+	if near := nearIDs(m, geom.Pt(0.4, 0), 1); !sameIDs(near, []NodeID{0, 1}) {
+		t.Errorf("nodesWithin = %v, want [0 1]", near)
 	}
 	// Cached path returns the same answer.
 	nb2 := m.Neighbors(2)
@@ -416,5 +415,38 @@ func TestUnicastTakesOneReceptionRecord(t *testing.T) {
 	}
 	if m.ctxs[0].rxFree != nil {
 		t.Error("the free list holds a reception record: the send made more than one")
+	}
+}
+
+// TestOccupancyPrunedWithoutCollisions checks that a receiver that never
+// sends still sheds the occupancies of frames long off the air when
+// collisions and carrier sense are off, and that their target records go
+// back to the pool: a thousand unicasts a second apart leave one entry,
+// and the medium made no more than two records for them.
+func TestOccupancyPrunedWithoutCollisions(t *testing.T) {
+	g, m, stats := newTestMedium(t, Params{CommRadius: 2, DisableCollisions: true, DisableCSMA: true})
+	for i := 0; i < 2; i++ {
+		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), 0), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sends = 1000
+	for i := 0; i < sends; i++ {
+		m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
+		runTo(t, g, g.Now()+time.Second)
+	}
+	if got := stats.Kind(trace.KindReading).Received; got != sends {
+		t.Fatalf("receiver got %d frames, want %d", got, sends)
+	}
+	rcv := m.nodes[1]
+	if len(rcv.rx) > 1 {
+		t.Fatalf("silent receiver holds %d occupancies, want at most 1", len(rcv.rx))
+	}
+	records := len(rcv.rx)
+	for rx := m.ctxs[0].rxFree; rx != nil; rx = rx.next {
+		records++
+	}
+	if records > 2 {
+		t.Fatalf("%d unicasts made %d reception records, want at most 2", sends, records)
 	}
 }

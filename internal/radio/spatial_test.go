@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"envirotrack/internal/trace"
 )
 
-// bruteNeighbors is the reference O(n) scan the spatial hash replaced.
+// bruteNeighbors is the reference O(n) scan the spatial index replaces.
 func bruteNeighbors(pos map[NodeID]geom.Point, self NodeID, r float64) []NodeID {
 	var out []NodeID
 	for id := NodeID(0); int(id) < len(pos); id++ {
@@ -23,7 +24,7 @@ func bruteNeighbors(pos map[NodeID]geom.Point, self NodeID, r float64) []NodeID 
 	return out
 }
 
-// bruteNear is the reference scan for appendNodesWithin.
+// bruteNear is the reference scan for nodesWithin.
 func bruteNear(pos map[NodeID]geom.Point, p geom.Point, r float64) []NodeID {
 	var out []NodeID
 	for id := NodeID(0); int(id) < len(pos); id++ {
@@ -36,11 +37,25 @@ func bruteNear(pos map[NodeID]geom.Point, p geom.Point, r float64) []NodeID {
 
 // neighborIDs returns the ids of m.Neighbors(id), in list order.
 func neighborIDs(m *Medium, id NodeID) []NodeID {
-	var ids []NodeID
-	for _, n := range m.Neighbors(id) {
-		ids = append(ids, n.ID())
+	return ids(m.Neighbors(id))
+}
+
+// ids returns the ids of nodes, in order.
+func ids(nodes []*Node) []NodeID {
+	var out []NodeID
+	for _, n := range nodes {
+		out = append(out, n.ID())
 	}
-	return ids
+	return out
+}
+
+// nearIDs returns the ids of m.nodesWithin(p, r), in key order.
+func nearIDs(m *Medium, p geom.Point, r float64) []NodeID {
+	var out []NodeID
+	for _, k := range m.nodesWithin(p, r) {
+		out = append(out, m.cand[uint32(k)].ID())
+	}
+	return out
 }
 
 func sameIDs(a, b []NodeID) bool {
@@ -55,59 +70,167 @@ func sameIDs(a, b []NodeID) bool {
 	return true
 }
 
+// layouts are the node placements the brute-force tests drop onto a
+// medium: each returns the position of the next node.
+var layouts = []struct {
+	name  string
+	place func(rng *rand.Rand, pos map[NodeID]geom.Point, radius float64) geom.Point
+	// probe returns a query point; sparse layouts aim at a node, or most
+	// queries would find nothing.
+	probe func(rng *rand.Rand, pos map[NodeID]geom.Point) geom.Point
+}{
+	{
+		name: "dense",
+		place: func(rng *rand.Rand, _ map[NodeID]geom.Point, _ float64) geom.Point {
+			return geom.Pt(rng.Float64()*24-8, rng.Float64()*24-8)
+		},
+		probe: func(rng *rand.Rand, _ map[NodeID]geom.Point) geom.Point {
+			return geom.Pt(rng.Float64()*30-12, rng.Float64()*30-12)
+		},
+	},
+	{
+		// Clusters about ±1e6 apart, some at negative coordinates: the
+		// bounding box is far too sparse for CommRadius cells.
+		name: "sparse",
+		place: func(rng *rand.Rand, pos map[NodeID]geom.Point, radius float64) geom.Point {
+			if len(pos) > 0 && rng.Intn(3) > 0 {
+				c := pos[NodeID(rng.Intn(len(pos)))]
+				return geom.Pt(c.X+(rng.Float64()-0.5)*3*radius, c.Y+(rng.Float64()-0.5)*3*radius)
+			}
+			return geom.Pt(float64(rng.Intn(5)-2)*1e6, float64(rng.Intn(5)-2)*1e6)
+		},
+		probe: func(rng *rand.Rand, pos map[NodeID]geom.Point) geom.Point {
+			c := pos[NodeID(rng.Intn(len(pos)))]
+			return geom.Pt(c.X+rng.Float64()*4-2, c.Y+rng.Float64()*4-2)
+		},
+	},
+}
+
 // TestSpatialHashMatchesBruteForce drops random node layouts onto media
-// with random communication radii and checks that the spatial-hash
-// Neighbors and appendNodesWithin agree with the brute-force scan — including
-// across incremental registration, which exercises the granular cache
-// invalidation (queries are interleaved with AddNode).
+// with random communication radii and checks that the grid's Neighbors
+// and nodesWithin agree with the brute-force scan — including across
+// incremental registration, which exercises bucket insertion, the padded
+// rebuild after a node lands outside the grid, and the granular cache
+// invalidation (queries are interleaved with AddNode). However sparse the
+// layout, the grid holds at most gridCellsPerNode buckets per node.
 func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		radius := 0.25 + rng.Float64()*4
-		m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
-		n := 3 + rng.Intn(120)
-		pos := make(map[NodeID]geom.Point, n)
-		for i := 0; i < n; i++ {
-			id := NodeID(i)
-			// Cluster around a few hotspots so cells are unevenly filled;
-			// allow negative coordinates.
-			p := geom.Pt(rng.Float64()*24-8, rng.Float64()*24-8)
-			if err := m.AddNode(id, p, nil); err != nil {
-				t.Fatal(err)
+	for _, lay := range layouts {
+		for trial := 0; trial < 25; trial++ {
+			radius := 0.25 + rng.Float64()*4
+			m := New(Params{CommRadius: radius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
+			n := 3 + rng.Intn(120)
+			pos := make(map[NodeID]geom.Point, n)
+			checkSize := func() {
+				if cells, limit := len(m.grid.buckets), gridCellsPerNode*len(m.order); cells > limit {
+					t.Fatalf("%s trial %d: grid has %d buckets for %d nodes, want at most %d",
+						lay.name, trial, cells, len(m.order), limit)
+				}
 			}
-			pos[id] = p
-			// Query mid-registration: a stale cached list here means the
-			// invalidation missed a node the newcomer is in range of.
-			probe := NodeID(rng.Intn(i + 1))
-			if !sameIDs(neighborIDs(m, probe), bruteNeighbors(pos, probe, radius)) {
-				t.Fatalf("trial %d: Neighbors(%d) diverged from brute force after %d registrations",
-					trial, probe, i+1)
+			for i := 0; i < n; i++ {
+				id := NodeID(i)
+				p := lay.place(rng, pos, radius)
+				if err := m.AddNode(id, p, nil); err != nil {
+					t.Fatal(err)
+				}
+				pos[id] = p
+				// Query mid-registration: a stale cached list here means the
+				// invalidation missed a node the newcomer is in range of.
+				probe := NodeID(rng.Intn(i + 1))
+				if !sameIDs(neighborIDs(m, probe), bruteNeighbors(pos, probe, radius)) {
+					t.Fatalf("%s trial %d: Neighbors(%d) diverged from brute force after %d registrations",
+						lay.name, trial, probe, i+1)
+				}
+				checkSize()
+			}
+			for i := 0; i < n; i++ {
+				id := NodeID(i)
+				if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
+					t.Fatalf("%s trial %d: Neighbors(%d) = %v, want %v", lay.name, trial, id, got, want)
+				}
+			}
+			for q := 0; q < 40; q++ {
+				p := lay.probe(rng, pos)
+				r := rng.Float64() * 6
+				switch q {
+				case 0:
+					r = 1000 // exercise the large-radius linear fallback
+				case 1:
+					r = 3e6 // a disk covering every layout
+				}
+				if got, want := nearIDs(m, p, r), bruteNear(pos, p, r); !sameIDs(got, want) {
+					t.Fatalf("%s trial %d: nodesWithin(%v, %.2f) = %v, want %v", lay.name, trial, p, r, got, want)
+				}
+			}
+			checkSize()
+		}
+	}
+}
+
+// TestGridRebuildsRarelyAsFieldGrows registers a line of nodes walking
+// away from the first one, querying after every registration, so every
+// newcomer lands outside the grid built so far. The padded rebuild keeps
+// the rebuilds logarithmic in the field's extent, not one per node.
+func TestGridRebuildsRarelyAsFieldGrows(t *testing.T) {
+	m := New(Params{CommRadius: 1.5}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
+	const n = 2000
+	var builds int
+	var last *grid
+	for i := 0; i < n; i++ {
+		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), float64(-i)/2), nil); err != nil {
+			t.Fatal(err)
+		}
+		want := []NodeID{NodeID(i - 1)}
+		if i == 0 {
+			want = nil
+		}
+		if got := neighborIDs(m, NodeID(i)); !sameIDs(got, want) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", i, got, want)
+		}
+		if m.grid != last {
+			builds++
+			last = m.grid
+		}
+	}
+	if builds > 16 {
+		t.Fatalf("%d registrations rebuilt the grid %d times, want at most 16", n, builds)
+	}
+}
+
+// TestGridToleratesNonFinitePositions registers nodes at infinite and NaN
+// coordinates among finite ones: the grid still builds, and every list
+// and query agrees with the brute-force scan.
+func TestGridToleratesNonFinitePositions(t *testing.T) {
+	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
+	inf, nan := math.Inf(1), math.NaN()
+	layout := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(inf, 0), geom.Pt(nan, 1), geom.Pt(-1e308, 1e308),
+		geom.Pt(1e308, -1e308), geom.Pt(0, -inf), geom.Pt(2, 1), geom.Pt(1e308, 1e308),
+	}
+	pos := make(map[NodeID]geom.Point, len(layout))
+	for i, p := range layout {
+		if err := m.AddNode(NodeID(i), p, nil); err != nil {
+			t.Fatal(err)
+		}
+		pos[NodeID(i)] = p
+		for id := NodeID(0); int(id) <= i; id++ {
+			if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, 2); !sameIDs(got, want) {
+				t.Fatalf("after %d registrations: Neighbors(%d) = %v, want %v", i+1, id, got, want)
 			}
 		}
-		for i := 0; i < n; i++ {
-			id := NodeID(i)
-			if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
-				t.Fatalf("trial %d: Neighbors(%d) = %v, want %v", trial, id, got, want)
-			}
-		}
-		for q := 0; q < 40; q++ {
-			p := geom.Pt(rng.Float64()*30-12, rng.Float64()*30-12)
-			r := rng.Float64() * 6
-			if q == 0 {
-				r = 1000 // exercise the large-radius linear fallback
-			}
-			if got, want := m.appendNodesWithin(nil, p, r), bruteNear(pos, p, r); !sameIDs(got, want) {
-				t.Fatalf("trial %d: appendNodesWithin(%v, %.2f) = %v, want %v", trial, p, r, got, want)
-			}
+	}
+	for _, r := range []float64{0.5, 3, 1e200, inf} {
+		if got, want := nearIDs(m, geom.Pt(1, 0), r), bruteNear(pos, geom.Pt(1, 0), r); !sameIDs(got, want) {
+			t.Fatalf("nodesWithin((1,0), %g) = %v, want %v", r, got, want)
 		}
 	}
 }
 
 // TestSpatialHashOutOfOrderRegistration registers ids in shuffled order,
-// exercising the sorted-insert path of both the global order and the cell
-// buckets (ascending registration only ever appends). Bucket sortedness is
-// what lets queries merge instead of sorting per call, so it is asserted
-// directly alongside the brute-force equivalence.
+// exercising the sorted insert into the global order; the second half
+// registers after the grid is built, so it lands in the grid's buckets
+// out of id order. Lists must still come out in ascending id order (the
+// brute-force scan's), since queries sort what they find.
 func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -116,24 +239,19 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 		n := 3 + rng.Intn(120)
 		ids := rng.Perm(n)
 		pos := make(map[NodeID]geom.Point, n)
-		for _, i := range ids {
+		for k, i := range ids {
 			id := NodeID(i)
 			p := geom.Pt(rng.Float64()*24-8, rng.Float64()*24-8)
 			if err := m.AddNode(id, p, nil); err != nil {
 				t.Fatal(err)
 			}
 			pos[id] = p
-		}
-		for key, bucket := range m.cells {
-			for i := 1; i < len(bucket); i++ {
-				if bucket[i-1].id >= bucket[i].id {
-					t.Fatalf("trial %d: bucket %v not id-sorted: %v then %v",
-						trial, key, bucket[i-1].id, bucket[i].id)
-				}
+			if k == n/2 {
+				m.PrebuildNeighbors() // builds the grid mid-registration
 			}
 		}
 		for i := 1; i < len(m.order); i++ {
-			if m.order[i-1] >= m.order[i] {
+			if m.order[i-1].id >= m.order[i].id {
 				t.Fatalf("trial %d: order not sorted at %d", trial, i)
 			}
 		}
@@ -145,10 +263,10 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	}
 }
 
-// TestAppendNodesNearReusesScratch checks the scratch-slice contract of
-// appendNodesWithin: the results match the brute-force scan, land after
-// any existing dst contents, and a reused buffer with sufficient capacity
-// is not reallocated.
+// TestAppendNodesNearReusesScratch checks the scratch contract of
+// nodesWithin: the results match the brute-force scan, and a repeated
+// query reuses the medium's key and node scratch instead of reallocating
+// it.
 func TestAppendNodesNearReusesScratch(t *testing.T) {
 	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	pos := make(map[NodeID]geom.Point, 40)
@@ -163,20 +281,14 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("probe found no nodes; bad test geometry")
 	}
-
-	prefixed := m.appendNodesWithin([]NodeID{99}, probe, 2.5)
-	if prefixed[0] != 99 || !sameIDs(prefixed[1:], want) {
-		t.Fatalf("appendNodesWithin kept %v, want [99]+%v", prefixed, want)
-	}
-
-	scratch := make([]NodeID, 0, len(want)+8)
+	first := m.nodesWithin(probe, 2.5)
+	firstCand := m.cand
 	for rep := 0; rep < 5; rep++ {
-		got := m.appendNodesWithin(scratch[:0], probe, 2.5)
-		if !sameIDs(got, want) {
-			t.Fatalf("rep %d: appendNodesWithin = %v, want %v", rep, got, want)
+		if got := nearIDs(m, probe, 2.5); !sameIDs(got, want) {
+			t.Fatalf("rep %d: nodesWithin = %v, want %v", rep, got, want)
 		}
-		if &got[0] != &scratch[:1][0] {
-			t.Fatalf("rep %d: scratch with capacity %d was reallocated", rep, cap(scratch))
+		if &m.keys[0] != &first[0] || &m.cand[0] != &firstCand[0] {
+			t.Fatalf("rep %d: the query scratch was reallocated", rep)
 		}
 	}
 }

@@ -139,12 +139,17 @@ func (r *Router) isDestination(msg Message) bool {
 }
 
 // nextHop picks the neighbor strictly closest to the destination (closer
-// than this node), breaking ties by id.
+// than this node), breaking ties by id. A specific destination that is a
+// direct neighbor is the next hop, even if it is not geographically
+// closer.
 func (r *Router) nextHop(msg Message) (radio.NodeID, bool) {
 	self := r.m.Pos().Dist2(msg.Dest)
 	best := radio.NodeID(-1)
 	bestD := self
 	for _, nb := range r.m.Medium().Neighbors(r.m.ID()) {
+		if nb.ID() == msg.DestNode {
+			return nb.ID(), true
+		}
 		d := nb.Pos().Dist2(msg.Dest)
 		if d < bestD || (d == bestD && best >= 0 && nb.ID() < best) {
 			if d < self {
@@ -160,12 +165,6 @@ func (r *Router) nextHop(msg Message) (radio.NodeID, bool) {
 
 func (r *Router) forward(env envelope) {
 	msg := env.Msg
-	// A specific destination that happens to be a direct neighbor is sent
-	// to directly, even if it is not geographically closer.
-	if msg.DestNode != AnyNode && r.m.Medium().InRange(r.m.ID(), msg.DestNode) {
-		r.transmit(msg.DestNode, env)
-		return
-	}
 	next, ok := r.nextHop(msg)
 	if !ok {
 		r.Drops++
