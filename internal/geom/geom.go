@@ -166,8 +166,3 @@ func (g Grid) Bounds() Rect {
 		Max: Point{X: float64(g.Cols - 1), Y: float64(g.Rows - 1)},
 	}
 }
-
-// Size returns the number of grid positions.
-func (g Grid) Size() int {
-	return g.Cols * g.Rows
-}

@@ -80,7 +80,7 @@ func sweepTick(tb testing.TB, group *simtime.ShardGroup) {
 // motes a tick visits. The first vehicle leaves the field after about 470
 // ticks, so the benchmark times windows of sweepWindow ticks, each on a
 // field rebuilt outside the timer, and every timed tick has all four
-// vehicles on the field. With the snapshot, scan scratch, grid and skip
+// vehicles on the field. With the snapshot, scan scratch, index and skip
 // set owned by the sweep, steady state allocates nothing.
 func BenchmarkSenseSweep(b *testing.B) {
 	const sweepWindow = 400

@@ -2,7 +2,6 @@ package mote
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"envirotrack/internal/geom"
@@ -24,7 +23,8 @@ import (
 // them.
 //
 // Reach. A tick visits only the motes whose scan can do something: those
-// in a grid cell that some target's signature disc overlaps, those with a
+// in a cell of the sweep's geom.CellIndex that some target's signature
+// disc covers (the radio's range queries use the same type), those with a
 // sensing or leading bit set (the sweep's busy set, which HotState keeps),
 // and those nothing yet proves quiet. It finds them a word of 64 sweep
 // indices at a time, as the set bits of ^(skip &^ reach) | busy. A mote
@@ -42,7 +42,7 @@ import (
 // position, failure flag and attached word of its own rows from the env's
 // HotState, so a scan touches only slices. A sweep runs on its env's
 // scheduler and is not safe for concurrent use; a sharded network builds
-// one per shard, each with its own snapshot, scratch, grid and proofs.
+// one per shard, each with its own snapshot, scratch, index and proofs.
 type Sweep struct {
 	env    *Env
 	ticker *simtime.Ticker
@@ -53,9 +53,9 @@ type Sweep struct {
 	ids    []radio.NodeID
 	models []*sensor.Model
 
-	// grid buckets the sweep indices of the rows with a finite position
-	// into uniform cells, built by Start.
-	grid grid
+	// cells indexes the rows' positions by sweep index, with about one
+	// row per cell; built by Start.
+	cells *geom.CellIndex
 	// attaches is the HotState attach count the proofs were learned under.
 	attaches uint64
 	// proofs holds, per model, the types a quiet unreached scan proved
@@ -118,7 +118,7 @@ func (s *Sweep) Add(m *Mote) {
 // Start arms the sweep's ticker; the first scan runs one period from now.
 // It is idempotent, and a sweep with no sensing motes arms nothing. Start
 // trims the rows to their length, since append slack would stay live for
-// the whole run, buckets them into the reach grid and opens the sweep's
+// the whole run, indexes their positions and opens the sweep's
 // busy set in the HotState. It must not run while another sweep over the
 // same HotState is scanning.
 func (s *Sweep) Start() {
@@ -126,7 +126,11 @@ func (s *Sweep) Start() {
 		return
 	}
 	s.rows, s.ids, s.models = exact(s.rows), exact(s.ids), exact(s.models)
-	s.grid = newGrid(s.env.Hot.pos, s.rows)
+	pts := make([]geom.Point, len(s.rows))
+	for k, row := range s.rows {
+		pts[k] = s.env.Hot.pos[row]
+	}
+	s.cells = geom.NewCellIndex(pts, 0)
 	s.skip, s.reach = newBitset(len(s.rows)), newBitset(len(s.rows))
 	s.busy = s.env.Hot.addBusy(s.rows)
 	s.ticker = simtime.NewTickerOwned(s.env.Sched, s.env.Config.SensePeriod, simtime.OwnerSense, s.tick)
@@ -241,7 +245,8 @@ func (s *Sweep) learn(m *sensor.Model, quiet uint32) {
 
 // prove rebuilds the skip set from the proofs: a row may be skipped when
 // its model has a proof covering every type attached to it and its
-// position is finite, so the grid holds it.
+// position is finite: the index keeps a non-finite one in a clamped edge
+// cell, which says nothing of the discs it lies in.
 func (s *Sweep) prove() {
 	s.learned, s.skipping = false, false
 	h := s.env.Hot
@@ -261,7 +266,7 @@ func (s *Sweep) prove() {
 		if h.attached != nil {
 			attached = h.attached[row]
 		}
-		if p == nil || attached&^p.types != 0 || !finite(h.pos[row]) {
+		if p == nil || attached&^p.types != 0 || !h.pos[row].Finite() {
 			s.skip.unset(k)
 			continue
 		}
@@ -272,129 +277,22 @@ func (s *Sweep) prove() {
 
 // markReach sets the reach bit of every row in a cell that some active
 // target's signature disc overlaps. It reports false, marking nothing
-// more, when a disc covers the whole grid or cannot be placed on it: every
-// row is in reach then.
+// more, when a disc covers every cell: every row is in reach then.
 func (s *Sweep) markReach() bool {
-	g := &s.grid
+	nx, ny := s.cells.Dims()
 	for i := 0; i < s.snap.Targets(); i++ {
-		x0, y0, x1, y1, ok := g.cover(s.snap.Disc(i))
-		if !ok || (x0 == 0 && y0 == 0 && x1 == g.nx-1 && y1 == g.ny-1) {
+		x0, y0, x1, y1 := s.cells.Cover(s.snap.Disc(i))
+		if x0 == 0 && y0 == 0 && x1 == nx-1 && y1 == ny-1 {
 			s.reach.clear()
 			return false
 		}
 		for y := y0; y <= y1; y++ {
-			for c := y*g.nx + x0; c <= y*g.nx+x1; c++ {
-				for _, k := range g.idx[g.start[c]:g.start[c+1]] {
-					s.reach.set(int(k))
-				}
+			for _, e := range s.cells.Strip(y, x0, x1) {
+				s.reach.set(int(e.I))
 			}
 		}
 	}
 	return true
-}
-
-// grid buckets sweep indices into uniform square cells over the bounding
-// box of their rows' positions, in the radio's spatial-hash idiom but
-// stored CSR-style: cell c = cx + cy*nx holds idx[start[c]:start[c+1]],
-// ascending. The side is chosen for about one row per cell.
-type grid struct {
-	minX, minY, side float64
-	nx, ny           int
-	start, idx       []int32
-}
-
-// newGrid buckets the rows whose position in pos is finite; the rest are
-// in no cell.
-func newGrid(pos []geom.Point, rows []int32) grid {
-	g := grid{minX: math.Inf(1), minY: math.Inf(1)}
-	maxX, maxY, n := math.Inf(-1), math.Inf(-1), 0
-	for _, row := range rows {
-		p := pos[row]
-		if !finite(p) {
-			continue
-		}
-		g.minX, g.minY = min(g.minX, p.X), min(g.minY, p.Y)
-		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
-		n++
-	}
-	if n == 0 {
-		return grid{}
-	}
-	// About one row per cell over an area, or per side-length over a
-	// line; the cell count stays within 2n+1 either way. A single point,
-	// or a spread too wide for float64, makes one cell.
-	w, h := maxX-g.minX, maxY-g.minY
-	g.side = max(math.Sqrt(w*h/float64(n)), (w+h)/float64(n))
-	g.nx, g.ny = 1, 1
-	if g.side > 0 && !math.IsInf(g.side, 0) {
-		g.nx, g.ny = int(w/g.side)+1, int(h/g.side)+1
-	} else {
-		g.side = 1
-	}
-	g.start = make([]int32, g.nx*g.ny+1)
-	cells := make([]int32, len(rows))
-	for k, row := range rows {
-		cells[k] = -1
-		if p := pos[row]; finite(p) {
-			cells[k] = int32(g.cell(p.X-g.minX, g.nx) + g.cell(p.Y-g.minY, g.ny)*g.nx)
-			g.start[cells[k]+1]++
-		}
-	}
-	for c := 1; c < len(g.start); c++ {
-		g.start[c] += g.start[c-1]
-	}
-	g.idx = make([]int32, n)
-	fill := append([]int32(nil), g.start[:len(g.start)-1]...)
-	for k, c := range cells {
-		if c >= 0 {
-			g.idx[fill[c]] = int32(k)
-			fill[c]++
-		}
-	}
-	return g
-}
-
-// cell returns the index, along an axis of n cells, of the cell holding
-// offset d >= 0 from the grid's minimum.
-func (g *grid) cell(d float64, n int) int {
-	return int(min(d/g.side, float64(n-1)))
-}
-
-// cover returns the cell ranges, inclusive, that the bounding box of the
-// disc overlaps. The box is padded well past the rounding of
-// geom.Point.Within, which compares squared distances, so every finite
-// position that Within puts in the disc lies in a covered cell. ok is
-// false when the disc is not finite; an empty range (x0 > x1) means it
-// lies off the grid.
-func (g *grid) cover(c geom.Point, r float64) (x0, y0, x1, y1 int, ok bool) {
-	r = math.Abs(r) // Within squares the radius
-	r += 1e-9 * (1 + r + math.Abs(c.X) + math.Abs(c.Y))
-	if !finite(c) || math.IsNaN(r) || math.IsInf(r, 0) {
-		return 0, 0, 0, 0, false
-	}
-	x0, x1 = g.span(c.X-r-g.minX, c.X+r-g.minX, g.nx)
-	y0, y1 = g.span(c.Y-r-g.minY, c.Y+r-g.minY, g.ny)
-	return x0, y0, x1, y1, true
-}
-
-// span returns the cells, along an axis of n cells, that the offsets
-// lo..hi from the grid's minimum overlap; empty (first > last) when none.
-func (g *grid) span(lo, hi float64, n int) (first, last int) {
-	if n == 0 || hi < 0 || lo/g.side >= float64(n) {
-		return 1, 0
-	}
-	first, last = 0, n-1
-	if lo > 0 {
-		first = int(lo / g.side)
-	}
-	if hi/g.side < float64(n) {
-		last = int(hi / g.side)
-	}
-	return first, last
-}
-
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // bitset is a fixed-size set of sweep indices.

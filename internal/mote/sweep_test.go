@@ -123,53 +123,49 @@ func TestSweepForgetsProofsOnChange(t *testing.T) {
 	}
 }
 
-// TestGridCoversEveryPositionInADisc draws random discs, negative radii
-// included, over a grid of random positions and checks that every
-// position geom.Point.Within puts in a disc lies in a cell the disc's
-// cover overlaps. A spread too wide for float64 makes one cell.
-func TestGridCoversEveryPositionInADisc(t *testing.T) {
-	wide := newGrid([]geom.Point{geom.Pt(-1e308, 0), geom.Pt(1e308, 1)}, []int32{0, 1})
-	if wide.nx*wide.ny != 1 || len(wide.idx) != 2 {
-		t.Fatalf("a grid spanning ±1e308 has %dx%d cells holding %d rows, want one cell holding both", wide.nx, wide.ny, len(wide.idx))
-	}
+// TestSweepReachMarksEveryRowInADisc places sensing motes at random,
+// some on a line, with stationary targets among them, and checks the
+// reach a tick computes: unless it finds every row in reach, it marks
+// every row whose position geom.Point.Within puts in a signature disc.
+// The index's own cover is checked in geom.
+func TestSweepReachMarksEveryRowInADisc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
+	model := sensor.VehicleModel("vehicle")
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
+		h := newHarness(t, radio.Params{CommRadius: 2})
 		scale := math.Pow(10, float64(rng.Intn(7)-2))
-		pos := make([]geom.Point, 1+rng.Intn(300))
-		rows := make([]int32, len(pos))
-		for i := range pos {
-			pos[i] = geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+		motes := make([]*Mote, 1+rng.Intn(150))
+		for i := range motes {
+			p := geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
 			if trial%3 == 0 {
-				pos[i].Y = 0 // a line
+				p.Y = 0 // a line
 			}
-			rows[i] = int32(i)
+			motes[i] = h.mote(t, radio.NodeID(i), p, model, Config{SensePeriod: time.Second})
 		}
-		g := newGrid(pos, rows)
-		if cells := g.nx * g.ny; cells > 2*len(pos)+1 {
-			t.Fatalf("trial %d: %d cells for %d rows", trial, cells, len(pos))
-		}
-		for d := 0; d < 20; d++ {
-			c := pos[rng.Intn(len(pos))]
+		for range 1 + rng.Intn(3) {
+			c := motes[rng.Intn(len(motes))].Pos()
 			c.X += rng.NormFloat64() * scale / 4
-			r := rng.ExpFloat64() * scale / 2
-			if d%4 == 0 {
-				r = -r
-			}
-			x0, y0, x1, y1, ok := g.cover(c, r)
-			if !ok {
-				t.Fatalf("trial %d: finite disc %v r=%v not placed", trial, c, r)
-			}
-			for cell := range g.nx * g.ny {
-				cx, cy := cell%g.nx, cell/g.nx
-				in := cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1
-				for _, k := range g.idx[g.start[cell]:g.start[cell+1]] {
-					if !in && pos[k].Within(c, r) {
-						t.Fatalf("trial %d: %v lies in the disc %v r=%v but its cell (%d,%d) is outside the cover [%d..%d]x[%d..%d]",
-							trial, pos[k], c, r, cx, cy, x0, x1, y0, y1)
-					}
+			h.field.Add(&phenomena.Target{
+				Kind: "vehicle", Traj: phenomena.Stationary{At: c}, SignatureRadius: rng.ExpFloat64() * scale / 2,
+			})
+		}
+		sw := h.sweep(motes...)
+		sw.env.Field.Resolve(0, &sw.snap)
+		if !sw.markReach() {
+			continue
+		}
+		checked++
+		for k, row := range sw.rows {
+			for i := 0; i < sw.snap.Targets(); i++ {
+				if c, r := sw.snap.Disc(i); h.hot.pos[row].Within(c, r) && !sw.reach.has(k) {
+					t.Fatalf("trial %d: row %d at %v lies in the disc %v r=%v but is not in reach", trial, row, h.hot.pos[row], c, r)
 				}
 			}
 		}
+	}
+	if checked < 30 {
+		t.Errorf("only %d of 60 trials left some row out of reach", checked)
 	}
 }
 

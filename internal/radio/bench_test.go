@@ -151,11 +151,11 @@ func TestAppendNodesNearAllocatesNothing(t *testing.T) {
 }
 
 // TestNeighborResolutionAllocatesNothing pins resolution's slab: once the
-// grid and the query scratch are warm, resolving every list of a field
+// index and the query scratch are warm, resolving every list of a field
 // averages under one allocation per 100 lists (the slab's block refills).
 func TestNeighborResolutionAllocatesNothing(t *testing.T) {
 	m := resolveField(t)
-	m.neighborsOf(m.order[len(m.order)/2]) // builds the grid, grows the scratch
+	m.neighborsOf(m.order[len(m.order)/2]) // builds the index, grows the scratch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, n := range m.order {

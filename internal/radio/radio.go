@@ -12,9 +12,8 @@
 // target reception, delivery-batch, and CSMA-retry records are pooled on
 // intrusive free lists, their completion events are scheduled through the
 // scheduler's typed-payload API (no closure captures), spatial queries
-// read node pointers straight from a dense grid of buckets and append
-// into reusable scratch, and neighbor lists are carved from per-medium
-// slabs.
+// filter the cells of a geom.CellIndex into reusable scratch, and
+// neighbor lists are carved from per-medium slabs.
 //
 // Execution contexts: all mutable send-path state (stats, obs bus, record
 // pools, outbox) lives in a shardCtx, one per scheduler shard the medium
@@ -194,9 +193,9 @@ type shardCtx struct {
 // schedulers; only shards' send paths may run concurrently.
 //
 // Topology is append-only: nodes register once via AddNode and never
-// move. Spatial queries run against a dense grid of buckets (see grid), so
-// resolving the nodes near a point costs O(found) instead of a scan over
-// the whole field.
+// move. Spatial queries run against a geom.CellIndex over the registered
+// nodes, so resolving the nodes near a point costs O(found) instead of a
+// scan over the whole field.
 type Medium struct {
 	params Params
 
@@ -206,13 +205,11 @@ type Medium struct {
 	// links, and duplicates frames (chaos harness). Nil in nominal runs.
 	faults FaultInjector
 
-	// grid is the spatial index, nil until the first spatial query: a
-	// network registers its whole field before it asks for a neighbour,
-	// so the grid is built once over the final layout.
-	grid *grid
-	// baseCell is the finest grid cell: CommRadius, or 1 when CommRadius
-	// is unset.
-	baseCell float64
+	// index is the spatial index over order, with cells at least
+	// CommRadius wide, nil until the first spatial query: a network
+	// registers its whole field before it asks for a neighbour, so the
+	// index is built once over the final layout. AddNode drops it.
+	index *geom.CellIndex
 	// resolved counts nodes whose neighbor list is resolved. While it is
 	// zero — through a network's whole set-up — AddNode has no list to
 	// drop and skips the range query.
@@ -222,11 +219,10 @@ type Medium struct {
 	lists    arena.Slab[*Node]
 	listHdrs arena.Arena[[]*Node]
 
-	// Query scratch, reused across calls (spatial queries run on the
-	// coordinator/setup path, never concurrently): the nodes a query
-	// found, in scan order, and their sort keys.
-	cand []*Node
-	keys []uint64
+	// found is the query scratch, reused across calls (spatial queries
+	// run on the coordinator/setup path, never concurrently): the indices
+	// into order of the nodes a query found.
+	found []int32
 
 	// ctxs are the per-shard execution contexts, in shard order.
 	ctxs []*shardCtx
@@ -234,33 +230,6 @@ type Medium struct {
 	// shardOfPos maps a position to its shard (nil: everything on shard
 	// 0).
 	shardOfPos func(geom.Point) int32
-}
-
-// gridCellsPerNode bounds the grid's size: a layout whose bounding box
-// would need more than this many cells per node at the finest cell size
-// gets coarser cells instead, so the grid is O(nodes) on any layout.
-const gridCellsPerNode = 4
-
-// grid is a dense nx×ny array of buckets over the box [x0,x1]×[y0,y1],
-// with square cells of side cell: CommRadius times the smallest power of
-// two that keeps nx·ny within gridCellsPerNode cells per node. Every
-// registered node with finite coordinates lies in the box; a node with a
-// non-finite coordinate, in range of no finite point, sits in a clamped
-// edge bucket. Buckets are unordered: a range query sorts what it finds.
-type grid struct {
-	x0, y0, x1, y1 float64
-	cell           float64
-	nx, ny         int
-	buckets        [][]gridEntry // row-major, nx·ny
-}
-
-// gridEntry is one node in a grid bucket. The id and position are copied
-// from the node, so filtering and ordering a bucket's nodes read the
-// bucket alone.
-type gridEntry struct {
-	pos geom.Point
-	n   *Node
-	id  NodeID
 }
 
 // Node is one registered node on the medium. Protocol layers see it
@@ -388,15 +357,10 @@ type ShardRuntime struct {
 // AddNode) so spatial lookups are read-only during the run.
 func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
 	p = p.withDefaults()
-	baseCell := p.CommRadius
-	if baseCell <= 0 {
-		baseCell = 1
-	}
 	k := len(rts)
 	m := &Medium{
 		params:     p,
 		nodes:      make(map[NodeID]*Node),
-		baseCell:   baseCell,
 		ctxs:       make([]*shardCtx, k),
 		shardOfPos: shardOfPos,
 	}
@@ -420,7 +384,7 @@ func (m *Medium) Params() Params {
 // PrebuildNeighbors resolves the neighbor list of every registered node,
 // through the same path as the serial engine's lazy resolution. A run on
 // several shards calls it once before the shard workers start: afterwards
-// the grid and the neighbor lists are only read, which is safe from
+// the index and the neighbor lists are only read, which is safe from
 // concurrent shard goroutines.
 func (m *Medium) PrebuildNeighbors() {
 	for _, n := range m.order {
@@ -449,10 +413,10 @@ func (m *Medium) BoundaryFrames() uint64 {
 // AddNode registers a stationary node. It returns an error if the id is
 // taken or outside [0, 2^32), the 32 bits a transmission id keeps of it.
 // Registration is the only topology mutation (nodes never move or
-// deregister). Once the grid is built it inserts the node into its bucket,
-// or rebuilds the grid over a padded box when the node lands outside it,
-// and drops exactly the resolved neighbor lists the newcomer joins: those
-// of nodes within CommRadius of pos.
+// deregister). It drops exactly the resolved neighbor lists the newcomer
+// joins, those of nodes within CommRadius of pos, which it finds through
+// the index before the insert, and then drops the index, whose entries
+// name positions in the old order.
 func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 	if id < 0 || uint64(id) > math.MaxUint32 {
 		return fmt.Errorf("radio: node id %d outside [0, 2^32)", id)
@@ -460,6 +424,15 @@ func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 	if _, ok := m.nodes[id]; ok {
 		return fmt.Errorf("radio: node %d already registered", id)
 	}
+	if m.resolved > 0 {
+		for _, i := range m.nodesWithin(pos, m.params.CommRadius) {
+			if o := m.order[i]; o.nbrs != nil {
+				o.nbrs = nil
+				m.resolved--
+			}
+		}
+	}
+	m.index = nil
 	n := &Node{id: id, pos: pos, recv: recv}
 	if m.shardOfPos != nil {
 		n.shard = m.shardOfPos(pos)
@@ -467,164 +440,40 @@ func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 	m.nodes[id] = n
 	i, _ := slices.BinarySearchFunc(m.order, id, byID)
 	m.order = slices.Insert(m.order, i, n)
-	if g := m.grid; g != nil && !g.insert(n) {
-		m.grid = m.buildGrid(true)
-	}
-	if m.resolved == 0 {
-		return nil
-	}
-	for _, k := range m.nodesWithin(pos, m.params.CommRadius) {
-		if o := m.cand[uint32(k)]; o.nbrs != nil {
-			o.nbrs = nil
-			m.resolved--
-		}
-	}
 	return nil
 }
 
 // byID orders nodes against an id, for binary search over ascending ids.
 func byID(n *Node, id NodeID) int { return cmp.Compare(n.id, id) }
 
-// buildGrid returns a grid holding every registered node. Its box is the
-// nodes' bounding box, widened on every side by the box's larger extent
-// when pad is set: a rebuild forced by a node outside the old box is
-// padded, so a field that keeps growing rebuilds only each time it
-// outgrows a box several times its size. Non-finite coordinates do not
-// widen the box; such nodes sit in a clamped edge bucket.
-func (m *Medium) buildGrid(pad bool) *grid {
-	g := &grid{
-		x0: math.Inf(1), y0: math.Inf(1), x1: math.Inf(-1), y1: math.Inf(-1),
-		cell: m.baseCell,
-	}
-	for _, n := range m.order {
-		if p := n.pos; finite(p) {
-			g.x0, g.x1 = min(g.x0, p.X), max(g.x1, p.X)
-			g.y0, g.y1 = min(g.y0, p.Y), max(g.y1, p.Y)
-		}
-	}
-	if g.x0 > g.x1 {
-		g.x0, g.y0, g.x1, g.y1 = 0, 0, 0, 0
-	}
-	if pad {
-		d := max(g.x1-g.x0, g.y1-g.y0, m.baseCell)
-		g.x0, g.y0, g.x1, g.y1 = g.x0-d, g.y0-d, g.x1+d, g.y1+d
-	}
-	// Coarsen the cell until the box fits the size bound. A box too wide
-	// for any finite cell gets one bucket.
-	limit := float64(gridCellsPerNode * len(m.order))
-	for {
-		fx := math.Floor((g.x1-g.x0)/g.cell) + 1
-		fy := math.Floor((g.y1-g.y0)/g.cell) + 1
-		if fx*fy <= limit {
-			g.nx, g.ny = int(fx), int(fy)
-			break
-		}
-		if g.cell *= 2; math.IsInf(g.cell, 1) {
-			g.nx, g.ny = 1, 1
-			break
-		}
-	}
-	// Count, then carve every bucket from one array. Each bucket's
-	// capacity ends at its length, so a later insert reallocates that
-	// bucket alone.
-	counts := make([]int, g.nx*g.ny+1)
-	for _, n := range m.order {
-		counts[g.bucketOf(n.pos)+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	entries := make([]gridEntry, len(m.order))
-	g.buckets = make([][]gridEntry, g.nx*g.ny)
-	for b := range g.buckets {
-		g.buckets[b] = entries[counts[b]:counts[b]:counts[b+1]]
-	}
-	for _, n := range m.order {
-		b := g.bucketOf(n.pos)
-		g.buckets[b] = append(g.buckets[b], gridEntry{pos: n.pos, n: n, id: n.id})
-	}
-	return g
-}
-
-// col maps an x coordinate to its grid column, clamped to the grid.
-func (g *grid) col(x float64) int { return clampCell(math.Floor((x-g.x0)/g.cell), g.nx) }
-
-// row maps a y coordinate to its grid row, clamped to the grid.
-func (g *grid) row(y float64) int { return clampCell(math.Floor((y-g.y0)/g.cell), g.ny) }
-
-// clampCell clamps a floored cell coordinate into [0, n); NaN maps to 0.
-func clampCell(f float64, n int) int {
-	switch {
-	case !(f > 0):
-		return 0
-	case f >= float64(n-1):
-		return n - 1
-	default:
-		return int(f)
-	}
-}
-
-// bucketOf returns the index of the bucket holding position p.
-func (g *grid) bucketOf(p geom.Point) int { return g.row(p.Y)*g.nx + g.col(p.X) }
-
-// insert adds n to its bucket and reports true, or reports false,
-// changing nothing, when n has finite coordinates outside the box.
-func (g *grid) insert(n *Node) bool {
-	p := n.pos
-	if finite(p) && (p.X < g.x0 || p.X > g.x1 || p.Y < g.y0 || p.Y > g.y1) {
-		return false
-	}
-	b := g.bucketOf(p)
-	g.buckets[b] = append(g.buckets[b], gridEntry{pos: p, n: n, id: n.id})
-	return true
-}
-
-// finite reports whether both of p's coordinates are finite.
-func finite(p geom.Point) bool {
-	return !math.IsInf(p.X, 0) && !math.IsNaN(p.X) && !math.IsInf(p.Y, 0) && !math.IsNaN(p.Y)
-}
-
-// nodesWithin finds all nodes within radius r of p (inclusive). It leaves
-// them in the m.cand scratch and returns their keys in ascending order: a
-// key holds a node's id over its index in m.cand, so the keys order the
-// nodes by id. It scans only the grid buckets intersecting the query disk
-// (clamped to the grid, whose box holds every node) and sorts what it
-// finds, in O(k log k) for k found. When the query radius is so large
-// that the cell window exceeds the node count, it falls back to the
-// linear scan over the global order, which finds the nodes in id order.
-func (m *Medium) nodesWithin(p geom.Point, r float64) []uint64 {
+// nodesWithin finds all nodes within radius r of p (inclusive) and returns
+// their indices into order, ascending and so in id order, in the m.found
+// scratch. It builds the index at the first query, scans only the
+// cells the query disc covers and sorts what it finds, in O(k log k) for
+// k found.
+func (m *Medium) nodesWithin(p geom.Point, r float64) []int32 {
 	if r < 0 || len(m.order) == 0 {
 		return nil
 	}
-	if m.grid == nil {
-		m.grid = m.buildGrid(false)
+	if m.index == nil {
+		pts := make([]geom.Point, len(m.order))
+		for i, n := range m.order {
+			pts[i] = n.pos
+		}
+		m.index = geom.NewCellIndex(pts, m.params.CommRadius)
 	}
-	g := m.grid
-	c0, c1 := g.col(p.X-r), g.col(p.X+r)
-	r0, r1 := g.row(p.Y-r), g.row(p.Y+r)
-	cand, keys := m.cand[:0], m.keys[:0]
-	if (c1-c0+1)*(r1-r0+1) > len(m.order) {
-		for _, n := range m.order {
-			if n.pos.Within(p, r) {
-				keys = append(keys, uint64(n.id)<<32|uint64(len(cand)))
-				cand = append(cand, n)
+	found := m.found[:0]
+	x0, y0, x1, y1 := m.index.Cover(p, r)
+	for y := y0; y <= y1; y++ {
+		for _, e := range m.index.Strip(y, x0, x1) {
+			if e.P.Within(p, r) {
+				found = append(found, e.I)
 			}
 		}
-	} else {
-		for y := r0; y <= r1; y++ {
-			for _, bucket := range g.buckets[y*g.nx+c0 : y*g.nx+c1+1] {
-				for _, e := range bucket {
-					if e.pos.Within(p, r) {
-						keys = append(keys, uint64(e.id)<<32|uint64(len(cand)))
-						cand = append(cand, e.n)
-					}
-				}
-			}
-		}
-		slices.Sort(keys)
 	}
-	m.cand, m.keys = cand, keys
-	return keys
+	slices.Sort(found)
+	m.found = found
+	return found
 }
 
 // Position returns a node's location.
@@ -659,25 +508,26 @@ func (m *Medium) Neighbors(id NodeID) []*Node {
 // neighborsOf returns n's neighbor list, resolving it on first use. The
 // list stays correct because the topology only mutates at registration
 // time (AddNode), which drops exactly the lists the new node appears in.
-// Resolution goes through the grid, so it costs O(neighbors), not
+// Resolution goes through the index, so it costs O(neighbors), not
 // O(total nodes), and the list and its header are carved from the
 // medium's slabs.
 func (m *Medium) neighborsOf(n *Node) []*Node {
 	if n.nbrs != nil {
 		return *n.nbrs
 	}
-	keys := m.nodesWithin(n.pos, m.params.CommRadius)
-	// n is in its own range unless its position is not finite; its key is
-	// the first at or above its id.
-	self, _ := slices.BinarySearch(keys, uint64(n.id)<<32)
-	if self < len(keys) && m.cand[uint32(keys[self])] == n {
-		keys = slices.Delete(keys, self, self+1)
+	found := m.nodesWithin(n.pos, m.params.CommRadius)
+	// n is in its own range unless its position is not finite.
+	size := len(found)
+	if n.pos.Within(n.pos, m.params.CommRadius) {
+		size--
 	}
 	var nb []*Node
-	if len(keys) > 0 {
-		nb = m.lists.Make(len(keys))
-		for i, k := range keys {
-			nb[i] = m.cand[uint32(k)]
+	if size > 0 {
+		nb = m.lists.Make(size)[:0]
+		for _, i := range found {
+			if o := m.order[i]; o != n {
+				nb = append(nb, o)
+			}
 		}
 	}
 	n.nbrs = m.listHdrs.New()

@@ -49,11 +49,11 @@ func ids(nodes []*Node) []NodeID {
 	return out
 }
 
-// nearIDs returns the ids of m.nodesWithin(p, r), in key order.
+// nearIDs returns the ids of m.nodesWithin(p, r), in the order found.
 func nearIDs(m *Medium, p geom.Point, r float64) []NodeID {
 	var out []NodeID
-	for _, k := range m.nodesWithin(p, r) {
-		out = append(out, m.cand[uint32(k)].ID())
+	for _, i := range m.nodesWithin(p, r) {
+		out = append(out, m.order[i].ID())
 	}
 	return out
 }
@@ -107,12 +107,12 @@ var layouts = []struct {
 }
 
 // TestSpatialHashMatchesBruteForce drops random node layouts onto media
-// with random communication radii and checks that the grid's Neighbors
-// and nodesWithin agree with the brute-force scan — including across
-// incremental registration, which exercises bucket insertion, the padded
-// rebuild after a node lands outside the grid, and the granular cache
-// invalidation (queries are interleaved with AddNode). However sparse the
-// layout, the grid holds at most gridCellsPerNode buckets per node.
+// with random communication radii and checks that Neighbors and
+// nodesWithin agree with the brute-force scan — including across
+// incremental registration, which exercises the index being dropped and
+// rebuilt and the granular cache invalidation (queries are interleaved
+// with AddNode). However sparse the layout, the index holds at most 2n+1
+// cells for n nodes.
 func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, lay := range layouts {
@@ -122,9 +122,12 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 			n := 3 + rng.Intn(120)
 			pos := make(map[NodeID]geom.Point, n)
 			checkSize := func() {
-				if cells, limit := len(m.grid.buckets), gridCellsPerNode*len(m.order); cells > limit {
-					t.Fatalf("%s trial %d: grid has %d buckets for %d nodes, want at most %d",
-						lay.name, trial, cells, len(m.order), limit)
+				if m.index == nil {
+					return
+				}
+				if nx, ny := m.index.Dims(); nx*ny > 2*len(m.order)+1 {
+					t.Fatalf("%s trial %d: the index has %d cells for %d nodes, want at most %d",
+						lay.name, trial, nx*ny, len(m.order), 2*len(m.order)+1)
 				}
 			}
 			for i := 0; i < n; i++ {
@@ -154,7 +157,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 				r := rng.Float64() * 6
 				switch q {
 				case 0:
-					r = 1000 // exercise the large-radius linear fallback
+					r = 1000 // a disc over many cells
 				case 1:
 					r = 3e6 // a disk covering every layout
 				}
@@ -167,15 +170,13 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestGridRebuildsRarelyAsFieldGrows registers a line of nodes walking
+// TestSpatialIndexTracksAGrowingField registers a line of nodes walking
 // away from the first one, querying after every registration, so every
-// newcomer lands outside the grid built so far. The padded rebuild keeps
-// the rebuilds logarithmic in the field's extent, not one per node.
-func TestGridRebuildsRarelyAsFieldGrows(t *testing.T) {
+// newcomer lands outside the box the index was built over: each list
+// must still name exactly the newcomer's predecessor.
+func TestSpatialIndexTracksAGrowingField(t *testing.T) {
 	m := New(Params{CommRadius: 1.5}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	const n = 2000
-	var builds int
-	var last *grid
 	for i := 0; i < n; i++ {
 		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), float64(-i)/2), nil); err != nil {
 			t.Fatal(err)
@@ -187,20 +188,13 @@ func TestGridRebuildsRarelyAsFieldGrows(t *testing.T) {
 		if got := neighborIDs(m, NodeID(i)); !sameIDs(got, want) {
 			t.Fatalf("Neighbors(%d) = %v, want %v", i, got, want)
 		}
-		if m.grid != last {
-			builds++
-			last = m.grid
-		}
-	}
-	if builds > 16 {
-		t.Fatalf("%d registrations rebuilt the grid %d times, want at most 16", n, builds)
 	}
 }
 
-// TestGridToleratesNonFinitePositions registers nodes at infinite and NaN
-// coordinates among finite ones: the grid still builds, and every list
-// and query agrees with the brute-force scan.
-func TestGridToleratesNonFinitePositions(t *testing.T) {
+// TestSpatialIndexToleratesNonFinitePositions registers nodes at infinite
+// and NaN coordinates among finite ones: the index still builds, and every
+// list and query agrees with the brute-force scan.
+func TestSpatialIndexToleratesNonFinitePositions(t *testing.T) {
 	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	inf, nan := math.Inf(1), math.NaN()
 	layout := []geom.Point{
@@ -228,9 +222,9 @@ func TestGridToleratesNonFinitePositions(t *testing.T) {
 
 // TestSpatialHashOutOfOrderRegistration registers ids in shuffled order,
 // exercising the sorted insert into the global order; the second half
-// registers after the grid is built, so it lands in the grid's buckets
-// out of id order. Lists must still come out in ascending id order (the
-// brute-force scan's), since queries sort what they find.
+// registers after lists are resolved, so each newcomer drops the lists
+// it joins and the index. Lists must still come out in ascending id order
+// (the brute-force scan's).
 func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -247,7 +241,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 			}
 			pos[id] = p
 			if k == n/2 {
-				m.PrebuildNeighbors() // builds the grid mid-registration
+				m.PrebuildNeighbors() // builds the index mid-registration
 			}
 		}
 		for i := 1; i < len(m.order); i++ {
@@ -265,8 +259,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 
 // TestAppendNodesNearReusesScratch checks the scratch contract of
 // nodesWithin: the results match the brute-force scan, and a repeated
-// query reuses the medium's key and node scratch instead of reallocating
-// it.
+// query reuses the medium's scratch instead of reallocating it.
 func TestAppendNodesNearReusesScratch(t *testing.T) {
 	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	pos := make(map[NodeID]geom.Point, 40)
@@ -282,12 +275,11 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 		t.Fatal("probe found no nodes; bad test geometry")
 	}
 	first := m.nodesWithin(probe, 2.5)
-	firstCand := m.cand
 	for rep := 0; rep < 5; rep++ {
 		if got := nearIDs(m, probe, 2.5); !sameIDs(got, want) {
 			t.Fatalf("rep %d: nodesWithin = %v, want %v", rep, got, want)
 		}
-		if &m.keys[0] != &first[0] || &m.cand[0] != &firstCand[0] {
+		if &m.found[0] != &first[0] {
 			t.Fatalf("rep %d: the query scratch was reallocated", rep)
 		}
 	}

@@ -36,11 +36,6 @@ type tableEntry struct {
 	info  LeaderInfo
 }
 
-// NewLeaderTable returns an empty table, the same as new(LeaderTable).
-func NewLeaderTable() *LeaderTable {
-	return &LeaderTable{}
-}
-
 // find returns the index of a label's entry, or -1.
 func (t *LeaderTable) find(label group.Label) int {
 	for i := range t.entries {

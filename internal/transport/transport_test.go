@@ -22,7 +22,7 @@ import (
 // fillTable puts TableCap labels "0".."15" into a fresh table, oldest
 // first.
 func fillTable() *LeaderTable {
-	tbl := NewLeaderTable()
+	tbl := &LeaderTable{}
 	for i := 0; i < TableCap; i++ {
 		tbl.Put(tableLabel(i), LeaderInfo{Leader: radio.NodeID(i)})
 	}
@@ -58,7 +58,7 @@ func TestLeaderTableGetRefreshesRecency(t *testing.T) {
 }
 
 func TestLeaderTableNewerWins(t *testing.T) {
-	tbl := NewLeaderTable()
+	tbl := &LeaderTable{}
 	tbl.Put("a", LeaderInfo{Leader: 1, UpdatedAt: 10 * time.Second})
 	tbl.Put("a", LeaderInfo{Leader: 2, UpdatedAt: 5 * time.Second}) // stale
 	info, _ := tbl.Get("a")
@@ -73,7 +73,7 @@ func TestLeaderTableNewerWins(t *testing.T) {
 }
 
 func TestLeaderTableLabelsOrder(t *testing.T) {
-	tbl := NewLeaderTable()
+	tbl := &LeaderTable{}
 	tbl.Put("a", LeaderInfo{})
 	tbl.Put("b", LeaderInfo{})
 	tbl.Get("a")
@@ -84,7 +84,7 @@ func TestLeaderTableLabelsOrder(t *testing.T) {
 }
 
 func TestLeaderTableDefaultCap(t *testing.T) {
-	tbl := NewLeaderTable()
+	tbl := &LeaderTable{}
 	for i := 0; i < TableCap+5; i++ {
 		tbl.Put(tableLabel(i), LeaderInfo{})
 	}
