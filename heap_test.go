@@ -3,6 +3,8 @@ package envirotrack_test
 import (
 	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
 	"envirotrack"
 )
@@ -13,16 +15,19 @@ import (
 const fieldHeapBudget = 1480
 
 func TestFieldHeapPerMote(t *testing.T) {
-	if _, perMote := settledField(t, 100, 100, 4, 1, ""); perMote > fieldHeapBudget {
-		t.Errorf("live heap %.0f B per mote after settle, budget %d B", perMote, fieldHeapBudget)
+	_, perMote := settledField(t, 100, 100, 4, 1, "")
+	t.Logf("live heap %.1f B per mote after settle, budget %d B", perMote, fieldHeapBudget)
+	if perMote > fieldHeapBudget {
+		t.Error("over budget")
 	}
 }
 
 // fieldAllocsBudget caps the heap allocations per mote of building a
-// 10k-mote field and attaching a context type to every mote. Each layer
-// of a mote's stack is one object; wiring the layers together allocates
-// nothing.
-const fieldAllocsBudget = 12
+// 10k-mote field and attaching a context type to every mote. A mote's
+// record (its CPU, radio node and stack) is one object, and attaching a
+// type adds the type's runtime and tracking backend; wiring the layers
+// together allocates nothing.
+const fieldAllocsBudget = 4
 
 func TestFieldAllocsPerMote(t *testing.T) {
 	const cols, rows = 100, 100
@@ -41,7 +46,85 @@ func TestFieldAllocsPerMote(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if perMote := float64(after.Mallocs-before.Mallocs) / (cols * rows); perMote > fieldAllocsBudget {
-		t.Errorf("building and attaching the field made %.2f allocations per mote, budget %d", perMote, fieldAllocsBudget)
+	perMote := float64(after.Mallocs-before.Mallocs) / (cols * rows)
+	t.Logf("building and attaching the field made %.2f allocations per mote, budget %d", perMote, fieldAllocsBudget)
+	if perMote > fieldAllocsBudget {
+		t.Error("over budget")
 	}
+}
+
+// smallFieldHeapBudgets cap, per tracking backend, the live heap per mote
+// of a freshly built small field: the stress layout, 24x5 motes at
+// communication radius 6 with a constrained CPU, the tracker attached to
+// every mote and a pursuer past the top edge. Each budget sits just above
+// the measured figure, so a change that costs a field this small even a
+// few dozen bytes per mote, such as per-layer blocks each rounded up to
+// whole pages, breaks it.
+var smallFieldHeapBudgets = []struct {
+	backend string
+	budget  float64
+}{
+	{envirotrack.BackendLeader, 1165},
+	{envirotrack.BackendPassive, 1135},
+}
+
+func TestSmallFieldHeapPerMote(t *testing.T) {
+	for _, b := range smallFieldHeapBudgets {
+		perMote := smallFieldHeap(t, b.backend)
+		t.Logf("%s: live heap %.1f B per mote after set-up, budget %.0f B", b.backend, perMote, b.budget)
+		if perMote > b.budget {
+			t.Errorf("%s: over budget", b.backend)
+		}
+	}
+}
+
+// smallFieldHeap builds the small stress field on backend and returns its
+// live heap per mote, pursuer included, over a baseline taken before
+// construction.
+func smallFieldHeap(t *testing.T, backend string) float64 {
+	t.Helper()
+	const cols, rows = 24, 5
+	pursuer := envirotrack.NodeID(cols * rows)
+	base := settledHeap()
+	n, err := envirotrack.New(
+		envirotrack.WithGrid(cols, rows),
+		envirotrack.WithCommRadius(6),
+		envirotrack.WithSensing(envirotrack.VehicleSensing("vehicle")),
+		envirotrack.WithSeed(1),
+		envirotrack.WithLossProb(0.05),
+		envirotrack.WithMoteCPU(8*time.Millisecond, 6),
+		envirotrack.WithBackend(backend),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AttachContextAll(benchTrackerContext(pursuer)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AddMote(pursuer, envirotrack.Pt(cols-1, rows), nil); err != nil {
+		t.Fatal(err)
+	}
+	perMote := float64(int64(settledHeap())-int64(base)) / (cols*rows + 1)
+	runtime.KeepAlive(n)
+	return perMote
+}
+
+// TestNodeRecordSize keeps a mote's record in its 480-byte size class on
+// 64-bit hosts: every deployed mote is one record.
+func TestNodeRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if size := unsafe.Sizeof(envirotrack.Node{}); size > 480 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 480 (its size class)", size)
+	}
+}
+
+// settledHeap returns the bytes of live heap objects after two
+// collections: objects parked in sync.Pool caches survive one collection
+// in the pools' victim caches, and on a field this small they would move
+// the figure by tens of bytes per mote.
+func settledHeap() uint64 {
+	runtime.GC()
+	return liveHeap()
 }

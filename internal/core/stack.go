@@ -55,12 +55,14 @@ func ReportPeriod(le time.Duration) time.Duration {
 // the directory service, the transport endpoint and one context runtime
 // per declared type. It is the mote's receiver and its router's target,
 // so the order in which the layers see a frame or a routed message is
-// written here alone (see Receive and Deliver).
+// written here alone (see Receive and Deliver). It holds the router,
+// directory and endpoint by value, and its first runtime in place, so a
+// stack is one object; a network keeps it in the mote's record.
 type Stack struct {
 	m      *mote.Mote
-	router *routing.Router
-	dir    *directory.Service
-	ep     *transport.Endpoint
+	router routing.Router
+	dir    directory.Service
+	ep     transport.Endpoint
 
 	// The StackConfig values read after construction (Bounds is spent on
 	// the directory), kept as fields so a stack stays small: there is one
@@ -68,25 +70,35 @@ type Stack struct {
 	useDirectory bool
 	backend      string
 
+	// runtimes starts in rt1: most motes carry one context type.
 	runtimes []*ctxRuntime
+	rt1      [1]*ctxRuntime
 
 	nodeMsgHandlers []func(NodeMessage)
 }
 
-// NewStack builds the middleware on a mote; the router, directory and
+// NewStack allocates a stack and initialises it on m (Init).
+func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
+	s := new(Stack)
+	s.Init(m, cfg)
+	return s
+}
+
+// Init builds the middleware on a mote in s, which the caller allocates
+// and must not copy or reuse afterwards; the router, directory and
 // transport reach the radio medium through the mote's env, and the
 // tracking backends its coherence ledger. Context types are attached
 // afterwards with AttachContext; the mote's sensing scan drives each one.
-func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
+func (s *Stack) Init(m *mote.Mote, cfg StackConfig) {
 	if cfg.Backend == "" {
 		cfg.Backend = track.BackendLeader
 	}
-	s := &Stack{m: m, useDirectory: cfg.UseDirectory, backend: cfg.Backend}
-	s.router = routing.NewRouter(m, s)
-	s.dir = directory.NewService(m, s.router, directory.Config{Bounds: cfg.Bounds})
-	s.ep = transport.NewEndpoint(m, s.router, s.dir)
+	*s = Stack{m: m, useDirectory: cfg.UseDirectory, backend: cfg.Backend}
+	s.runtimes = s.rt1[:0]
+	s.router.Init(m, s)
+	s.dir.Init(m, &s.router, directory.Config{Bounds: cfg.Bounds})
+	s.ep.Init(m, &s.router, &s.dir)
 	m.SetReceiver(s)
-	return s
 }
 
 // Receive is the mote's frame dispatch. The router takes routed frames.
@@ -124,13 +136,13 @@ func (s *Stack) Deliver(msg routing.Message) {
 func (s *Stack) Mote() *mote.Mote { return s.m }
 
 // Endpoint returns the transport endpoint (for tests and advanced use).
-func (s *Stack) Endpoint() *transport.Endpoint { return s.ep }
+func (s *Stack) Endpoint() *transport.Endpoint { return &s.ep }
 
 // Directory returns the directory service.
-func (s *Stack) Directory() *directory.Service { return s.dir }
+func (s *Stack) Directory() *directory.Service { return &s.dir }
 
 // Router returns the routing layer.
-func (s *Stack) Router() *routing.Router { return s.router }
+func (s *Stack) Router() *routing.Router { return &s.router }
 
 // OnNodeMessage registers a handler for messages sent directly to this
 // mote by object code (Ctx.SendNode) — the pursuer/base-station pattern.

@@ -125,11 +125,18 @@ type pendingQuery struct {
 	corr radio.Corr
 }
 
-// NewService builds the directory service of mote m, sending through the
+// NewService allocates a directory service and initialises it (Init).
+func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
+	s := new(Service)
+	s.Init(m, router, cfg)
+	return s
+}
+
+// Init makes s the directory service of mote m, sending through the
 // mote's router. The messages the router delivers at the mote reach the
 // service through Handle.
-func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
-	return &Service{m: m, router: router, cfg: cfg}
+func (s *Service) Init(m *mote.Mote, router *routing.Router, cfg Config) {
+	*s = Service{m: m, router: router, cfg: cfg}
 }
 
 // Register announces (or refreshes) a context label's location to the

@@ -9,22 +9,18 @@ func (p Point) Finite() bool {
 
 // CellIndex is a static spatial index over a set of points: uniform square
 // cells over the bounding box of the finite points, stored CSR-style. Cell
-// c = cx + cy*nx holds entries[start[c]:start[c+1]], in input order, and a
-// row of cells is contiguous, so the cells x0..x1 of row y are one slice
-// (Strip). A point with a non-finite coordinate sits in a clamped edge
-// cell. A CellIndex is read-only once built and safe for concurrent reads.
+// c = cx + cy*nx holds entries[start[c]:start[c+1]], the indices of its
+// points in the slice the index was built from, in input order; a row of
+// cells is contiguous, so the cells x0..x1 of row y are one slice (Strip).
+// The index keeps no positions: a caller that filters a cell by distance
+// reads them from its own points. A point with a non-finite coordinate
+// sits in a clamped edge cell. A CellIndex is read-only once built and
+// safe for concurrent reads.
 type CellIndex struct {
 	minX, minY, side float64
 	nx, ny           int
 	start            []int32
-	entries          []CellEntry
-}
-
-// CellEntry is one indexed point: its position and its index in the
-// points the index was built from.
-type CellEntry struct {
-	P Point
-	I int32
+	entries          []int32
 }
 
 // NewCellIndex builds the index of pts with cells of side
@@ -69,10 +65,10 @@ func NewCellIndex(pts []Point, minSide float64) *CellIndex {
 	for c := 1; c < len(x.start); c++ {
 		x.start[c] += x.start[c-1]
 	}
-	x.entries = make([]CellEntry, len(pts))
+	x.entries = make([]int32, len(pts))
 	fill := append([]int32(nil), x.start[:len(x.start)-1]...)
 	for i, c := range cells {
-		x.entries[fill[c]] = CellEntry{P: pts[i], I: int32(i)}
+		x.entries[fill[c]] = int32(i)
 		fill[c]++
 	}
 	return x
@@ -121,7 +117,7 @@ func (x *CellIndex) span(lo, hi float64, n int) (first, last int) {
 	return x.axis(lo, n), x.axis(hi, n)
 }
 
-// Strip returns the entries of cells x0..x1 of row y, cell by cell.
-func (x *CellIndex) Strip(y, x0, x1 int) []CellEntry {
+// Strip returns the point indices of cells x0..x1 of row y, cell by cell.
+func (x *CellIndex) Strip(y, x0, x1 int) []int32 {
 	return x.entries[x.start[y*x.nx+x0]:x.start[y*x.nx+x1+1]]
 }

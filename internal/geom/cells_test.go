@@ -77,11 +77,11 @@ func TestCellIndexCoversEveryPointInADisc(t *testing.T) {
 				cellOf[i] = -1
 			}
 			for c := 0; c < nx*ny; c++ {
-				for _, e := range x.Strip(c/nx, c%nx, c%nx) {
-					if p := pts[e.I]; cellOf[e.I] >= 0 || !sameBits(e.P.X, p.X) || !sameBits(e.P.Y, p.Y) {
-						t.Fatalf("%s trial %d: entry %+v is held twice or not at point %d's position %v", lay.name, trial, e, e.I, p)
+				for _, i := range x.Strip(c/nx, c%nx, c%nx) {
+					if cellOf[i] >= 0 {
+						t.Fatalf("%s trial %d: point %d (%v) is held twice", lay.name, trial, i, pts[i])
 					}
-					cellOf[e.I] = c
+					cellOf[i] = c
 				}
 			}
 			for i, c := range cellOf {
@@ -113,5 +113,3 @@ func TestCellIndexCoversEveryPointInADisc(t *testing.T) {
 		}
 	}
 }
-
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -73,13 +73,6 @@ func NewEnv(rt radio.ShardRuntime, medium *radio.Medium, field *phenomena.Field,
 	return &Env{ShardRuntime: rt, Medium: medium, Field: field, Config: cfg.withDefaults(), Hot: hot}
 }
 
-// Receiver consumes the frames a mote's CPU dispatches. It is the
-// protocol stack on the mote, the one place that decides which layer a
-// frame is for.
-type Receiver interface {
-	Receive(radio.Frame)
-}
-
 // Mote is one simulated sensor node. It holds only its own state; what
 // it shares with the other motes of its shard lives in its Env, and its
 // position, failure flag and CPU-queue depth in its row of the env's
@@ -89,7 +82,9 @@ type Mote struct {
 	id    radio.NodeID
 	env   *Env
 	model *sensor.Model
-	rx    Receiver
+	// rx consumes the frames the CPU dispatches: the protocol stack on
+	// the mote, the one place that decides which layer a frame is for.
+	rx radio.Receiver
 
 	// CPU state.
 	busyUntil time.Duration
@@ -117,16 +112,28 @@ type cpuTask struct {
 	next *cpuTask
 }
 
-// New registers a mote at the given position on env's medium and in its
-// HotState. The sensing model may be nil for a pure relay node. It must be
-// called before the simulation starts.
+// New allocates a mote and its radio node and initialises them (Init).
 func New(id radio.NodeID, pos geom.Point, model *sensor.Model, env *Env) (*Mote, error) {
-	m := &Mote{id: id, env: env, model: model}
-	if err := env.Medium.AddNode(id, pos, m.onFrame); err != nil {
-		return nil, fmt.Errorf("mote %d: %w", id, err)
+	m := new(Mote)
+	if err := m.Init(new(radio.Node), id, pos, model, env); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Init makes m a mote at the given position: it registers rn, the mote's
+// radio node, on env's medium with m as its receiver, and gives m a row in
+// env's HotState. The caller allocates m and rn, typically in one record,
+// and must not copy or reuse either afterwards. The sensing model may be
+// nil for a pure relay node. It must be called before the simulation
+// starts.
+func (m *Mote) Init(rn *radio.Node, id radio.NodeID, pos geom.Point, model *sensor.Model, env *Env) error {
+	*m = Mote{id: id, env: env, model: model}
+	if err := env.Medium.AddNode(rn, id, pos, m); err != nil {
+		return fmt.Errorf("mote %d: %w", id, err)
 	}
 	m.row = int32(env.Hot.register(pos))
-	return m, nil
+	return nil
 }
 
 // Hot returns the mote's hot-state arena and its row index in it.
@@ -176,7 +183,7 @@ func (m *Mote) Queued() int { return m.env.Hot.Queued(int(m.row)) }
 // SetReceiver installs the receiver of the frames the mote dispatches.
 // It is set once, before the simulation starts; until then the mote
 // drops what it receives.
-func (m *Mote) SetReceiver(rx Receiver) { m.rx = rx }
+func (m *Mote) SetReceiver(rx radio.Receiver) { m.rx = rx }
 
 // Fail kills the mote: it stops sensing, processing, and transmitting until
 // Restore is called. Used for fault injection (Figure 5's worst case).
@@ -235,8 +242,9 @@ func (m *Mote) BroadcastTraced(kind trace.Kind, bits int, payload any, corr radi
 	m.SendTraced(kind, radio.Broadcast, bits, payload, corr)
 }
 
-// onFrame is the radio reception callback: it feeds the CPU queue.
-func (m *Mote) onFrame(f radio.Frame) {
+// Receive is the mote's radio reception: the medium hands it every frame
+// the mote receives, and it feeds the CPU queue.
+func (m *Mote) Receive(f radio.Frame) {
 	env, h := m.env, m.env.Hot
 	if h.failed[m.row] {
 		return

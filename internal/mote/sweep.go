@@ -287,8 +287,8 @@ func (s *Sweep) markReach() bool {
 			return false
 		}
 		for y := y0; y <= y1; y++ {
-			for _, e := range s.cells.Strip(y, x0, x1) {
-				s.reach.set(int(e.I))
+			for _, k := range s.cells.Strip(y, x0, x1) {
+				s.reach.set(int(k))
 			}
 		}
 	}

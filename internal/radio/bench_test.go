@@ -23,7 +23,7 @@ func fanout(tb testing.TB, dst NodeID) func() {
 	// 8x8 grid with spacing 2: every node hears every other (radius 10
 	// covers the 14x14 diagonal partially; center sees most).
 	for i := 0; i < 64; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%8)*2, float64(i/8)*2), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i%8)*2, float64(i/8)*2), nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func fanout(tb testing.TB, dst NodeID) func() {
 func appendNodesNear(tb testing.TB) func() {
 	m := New(Params{CommRadius: 3}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	for i := 0; i < 400; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%20), float64(i/20)), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i%20), float64(i/20)), nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ const (
 func resolveField(tb testing.TB) *Medium {
 	m := New(Params{CommRadius: resolveRadius}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	for i := 0; i < resolveSide*resolveSide; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%resolveSide), float64(i/resolveSide)), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i%resolveSide), float64(i/resolveSide)), nil); err != nil {
 			tb.Fatal(err)
 		}
 	}

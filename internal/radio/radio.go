@@ -130,9 +130,11 @@ const csmaSlot = time.Millisecond
 // transmitted regardless (bounded latency, like a saturated CSMA MAC).
 const maxCSMAAttempts = 6
 
-// Receiver is the callback invoked on successful frame reception. It runs
+// Receiver takes the frames a node receives successfully. Receive runs
 // on the scheduler thread at the frame's arrival time.
-type Receiver func(Frame)
+type Receiver interface {
+	Receive(Frame)
+}
 
 // FaultInjector lets a fault-injection harness perturb the medium while a
 // run executes. All methods are consulted on the scheduler thread. Draws
@@ -206,10 +208,15 @@ type Medium struct {
 	faults FaultInjector
 
 	// index is the spatial index over order, with cells at least
-	// CommRadius wide, nil until the first spatial query: a network
+	// CommRadius wide, and pts holds the positions of order, which a
+	// query reads for the indices the index yields. Both are nil until
+	// the first spatial query: a network
 	// registers its whole field before it asks for a neighbour, so the
-	// index is built once over the final layout. AddNode drops it.
+	// index is built once over the final layout. AddNode drops them, and
+	// so does the resolution of the last unresolved neighbour list, since
+	// no query follows it until AddNode adds a node.
 	index *geom.CellIndex
+	pts   []geom.Point
 	// resolved counts nodes whose neighbor list is resolved. While it is
 	// zero — through a network's whole set-up — AddNode has no list to
 	// drop and skips the range query.
@@ -247,8 +254,8 @@ type Node struct {
 	// nbrs is the node's in-range neighbours in ascending id order, nil
 	// until first resolved and again after AddNode registers a node within
 	// range. Fan-out walks it with no per-receiver lookup. It sits behind
-	// a pointer so that a node whose list is never resolved keeps its
-	// 80-byte size class.
+	// a pointer so that a node whose list is never resolved spends 8 bytes
+	// on it, not a 24-byte slice header.
 	nbrs *[]*Node
 	// txBusyUntil serializes a node's own transmissions: a mote has one
 	// radio and cannot transmit two frames at once.
@@ -410,14 +417,16 @@ func (m *Medium) BoundaryFrames() uint64 {
 	return total
 }
 
-// AddNode registers a stationary node. It returns an error if the id is
+// AddNode registers a stationary node in n, which the caller allocates
+// (a mote keeps its node in its own record) and must not copy or reuse
+// afterwards. It returns an error, leaving n unregistered, if the id is
 // taken or outside [0, 2^32), the 32 bits a transmission id keeps of it.
 // Registration is the only topology mutation (nodes never move or
 // deregister). It drops exactly the resolved neighbor lists the newcomer
 // joins, those of nodes within CommRadius of pos, which it finds through
 // the index before the insert, and then drops the index, whose entries
 // name positions in the old order.
-func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
+func (m *Medium) AddNode(n *Node, id NodeID, pos geom.Point, recv Receiver) error {
 	if id < 0 || uint64(id) > math.MaxUint32 {
 		return fmt.Errorf("radio: node id %d outside [0, 2^32)", id)
 	}
@@ -432,8 +441,8 @@ func (m *Medium) AddNode(id NodeID, pos geom.Point, recv Receiver) error {
 			}
 		}
 	}
-	m.index = nil
-	n := &Node{id: id, pos: pos, recv: recv}
+	m.index, m.pts = nil, nil
+	*n = Node{id: id, pos: pos, recv: recv}
 	if m.shardOfPos != nil {
 		n.shard = m.shardOfPos(pos)
 	}
@@ -456,18 +465,18 @@ func (m *Medium) nodesWithin(p geom.Point, r float64) []int32 {
 		return nil
 	}
 	if m.index == nil {
-		pts := make([]geom.Point, len(m.order))
+		m.pts = make([]geom.Point, len(m.order))
 		for i, n := range m.order {
-			pts[i] = n.pos
+			m.pts[i] = n.pos
 		}
-		m.index = geom.NewCellIndex(pts, m.params.CommRadius)
+		m.index = geom.NewCellIndex(m.pts, m.params.CommRadius)
 	}
-	found := m.found[:0]
+	found, pts := m.found[:0], m.pts
 	x0, y0, x1, y1 := m.index.Cover(p, r)
 	for y := y0; y <= y1; y++ {
-		for _, e := range m.index.Strip(y, x0, x1) {
-			if e.P.Within(p, r) {
-				found = append(found, e.I)
+		for _, i := range m.index.Strip(y, x0, x1) {
+			if pts[i].Within(p, r) {
+				found = append(found, i)
 			}
 		}
 	}
@@ -532,7 +541,9 @@ func (m *Medium) neighborsOf(n *Node) []*Node {
 	}
 	n.nbrs = m.listHdrs.New()
 	*n.nbrs = nb
-	m.resolved++
+	if m.resolved++; m.resolved == len(m.order) {
+		m.index, m.pts = nil, nil
+	}
 	return nb
 }
 
@@ -959,7 +970,7 @@ func deliverReception(rx *reception) {
 		sc.stats.RecordReceive(f.Kind)
 		sc.emitAtReceiver(obs.EvFrameReceived, dst, f, "")
 		if dst.recv != nil {
-			dst.recv(f)
+			dst.recv.Receive(f)
 		}
 	}
 }

@@ -20,6 +20,11 @@ func newTestMedium(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, *trace
 	return g, m, &stats
 }
 
+// recvFunc adapts a function to a Receiver.
+type recvFunc func(Frame)
+
+func (fn recvFunc) Receive(f Frame) { fn(f) }
+
 // runTo runs g until its clock reaches deadline.
 func runTo(t *testing.T, g *simtime.ShardGroup, deadline time.Duration) {
 	t.Helper()
@@ -37,10 +42,10 @@ func settle(t *testing.T, g *simtime.ShardGroup) {
 
 func TestAddNodeDuplicate(t *testing.T) {
 	_, m, _ := newTestMedium(t, Params{CommRadius: 1})
-	if err := m.AddNode(1, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 1), nil); err == nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 1), nil); err == nil {
 		t.Fatal("expected error on duplicate node id")
 	}
 }
@@ -48,11 +53,11 @@ func TestAddNodeDuplicate(t *testing.T) {
 func TestAddNodeRejectsIDsOutside32Bits(t *testing.T) {
 	_, m, _ := newTestMedium(t, Params{CommRadius: 1})
 	for _, id := range []NodeID{-1, math.MaxUint32 + 1} {
-		if err := m.AddNode(id, geom.Pt(0, 0), nil); err == nil {
+		if err := m.AddNode(new(Node), id, geom.Pt(0, 0), nil); err == nil {
 			t.Errorf("AddNode(%d) = nil, want an error", id)
 		}
 	}
-	if err := m.AddNode(math.MaxUint32, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), math.MaxUint32, geom.Pt(0, 0), nil); err != nil {
 		t.Errorf("AddNode(2^32-1) = %v, want nil", err)
 	}
 }
@@ -61,15 +66,15 @@ func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
 	got := make(map[NodeID]int)
 	mk := func(id NodeID) Receiver {
-		return func(f Frame) { got[id]++ }
+		return recvFunc(func(f Frame) { got[id]++ })
 	}
-	if err := m.AddNode(0, geom.Pt(0, 0), mk(0)); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), mk(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), mk(1)); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), mk(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(2, geom.Pt(3, 0), mk(2)); err != nil {
+	if err := m.AddNode(new(Node), 2, geom.Pt(3, 0), mk(2)); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
@@ -90,7 +95,7 @@ func TestUnicastDeliversOnlyToDestination(t *testing.T) {
 	got := make(map[NodeID]int)
 	for i := NodeID(0); i < 3; i++ {
 		i := i
-		if err := m.AddNode(i, geom.Pt(float64(i), 0), func(f Frame) { got[i]++ }); err != nil {
+		if err := m.AddNode(new(Node), i, geom.Pt(float64(i), 0), recvFunc(func(f Frame) { got[i]++ })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,10 +109,10 @@ func TestUnicastDeliversOnlyToDestination(t *testing.T) {
 func TestDeliveryDelayIsAirtimePlusPropagation(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000, PropDelay: time.Millisecond})
 	var at time.Duration
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { at = g.Now() }); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), recvFunc(func(f Frame) { at = g.Now() })); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
@@ -122,10 +127,10 @@ func TestDeliveryDelayIsAirtimePlusPropagation(t *testing.T) {
 func TestSenderSerializesTransmissions(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000})
 	var arrivals []time.Duration
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { arrivals = append(arrivals, g.Now()) }); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), recvFunc(func(f Frame) { arrivals = append(arrivals, g.Now()) })); err != nil {
 		t.Fatal(err)
 	}
 	// Two back-to-back 100-bit frames: second must start after the first
@@ -151,13 +156,13 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	// frames overlapping at the receiver between them.
 	g, m, stats := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
 	received := 0
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(2, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(2, geom.Pt(1, 0), func(f Frame) { received++ }); err != nil {
+	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
@@ -178,13 +183,13 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 func TestCollisionsDisabled(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000, DisableCollisions: true})
 	received := 0
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(2, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(2, geom.Pt(1, 0), func(f Frame) { received++ }); err != nil {
+	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
@@ -198,13 +203,13 @@ func TestCollisionsDisabled(t *testing.T) {
 func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
 	received := 0
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(2, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(2, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(2, geom.Pt(1, 0), func(f Frame) { received++ }); err != nil {
+	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
@@ -220,10 +225,10 @@ func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 func TestRandomLoss(t *testing.T) {
 	g, m, stats := newTestMedium(t, Params{CommRadius: 5, LossProb: 0.5})
 	received := 0
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), func(f Frame) { received++ }); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
@@ -245,10 +250,10 @@ func TestRandomLoss(t *testing.T) {
 
 func TestUndeliveredWhenNoReceiverInRange(t *testing.T) {
 	g, m, stats := newTestMedium(t, Params{CommRadius: 1})
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(10, 10), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(10, 10), nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
@@ -270,7 +275,7 @@ func TestSendFromUnregisteredNodeIsNoop(t *testing.T) {
 func TestNeighborsAndRangeQueries(t *testing.T) {
 	_, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
 	for i := 0; i < 5; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), 0), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i), 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,10 +324,10 @@ func TestAirtime(t *testing.T) {
 
 func TestLinkUtilizationAccounting(t *testing.T) {
 	g, m, stats := newTestMedium(t, Params{CommRadius: 5})
-	if err := m.AddNode(0, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(1, geom.Pt(1, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -342,7 +347,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 func TestNodeIDsSorted(t *testing.T) {
 	_, m, _ := newTestMedium(t, Params{CommRadius: 1})
 	for _, id := range []NodeID{5, 1, 3} {
-		if err := m.AddNode(id, geom.Pt(float64(id), 0), nil); err != nil {
+		if err := m.AddNode(new(Node), id, geom.Pt(float64(id), 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,18 +366,18 @@ func TestNodeIDsSorted(t *testing.T) {
 func TestOverheardFrameDefersSend(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
 	var arrived time.Duration
-	if err := m.AddNode(1, geom.Pt(0, 0), func(f Frame) {
+	if err := m.AddNode(new(Node), 1, geom.Pt(0, 0), recvFunc(func(f Frame) {
 		if f.Src == 3 {
 			arrived = g.Now()
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []struct {
 		id NodeID
 		x  float64
 	}{{2, 1}, {3, 0.5}} {
-		if err := m.AddNode(n.id, geom.Pt(n.x, 0), nil); err != nil {
+		if err := m.AddNode(new(Node), n.id, geom.Pt(n.x, 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +400,7 @@ func TestOverheardFrameDefersSend(t *testing.T) {
 func TestUnicastTakesOneReceptionRecord(t *testing.T) {
 	g, m, _ := newTestMedium(t, Params{CommRadius: 1.5})
 	for i := 0; i < 9; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i%3), float64(i/3)), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i%3), float64(i/3)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +431,7 @@ func TestUnicastTakesOneReceptionRecord(t *testing.T) {
 func TestOccupancyPrunedWithoutCollisions(t *testing.T) {
 	g, m, stats := newTestMedium(t, Params{CommRadius: 2, DisableCollisions: true, DisableCSMA: true})
 	for i := 0; i < 2; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), 0), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i), 0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,21 +75,21 @@ func TestBoundaryClassification(t *testing.T) {
 	got := map[NodeID]int{}
 	var mu sync.Mutex // receivers run on their own shard's goroutine
 	recv := func(id NodeID) Receiver {
-		return func(Frame) {
+		return recvFunc(func(Frame) {
 			mu.Lock()
 			got[id]++
 			mu.Unlock()
-		}
+		})
 	}
 	// 6.0 is in stripe [5,10) -> shard 1.
-	if err := m.AddNode(2, geom.Pt(6, 0), recv(2)); err != nil {
+	if err := m.AddNode(new(Node), 2, geom.Pt(6, 0), recv(2)); err != nil {
 		t.Fatal(err)
 	}
 	// 4.0 and 3.0 are in stripe [0,5) -> shard 0.
-	if err := m.AddNode(1, geom.Pt(4, 0), recv(1)); err != nil {
+	if err := m.AddNode(new(Node), 1, geom.Pt(4, 0), recv(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(3, geom.Pt(3, 0), recv(3)); err != nil {
+	if err := m.AddNode(new(Node), 3, geom.Pt(3, 0), recv(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.NodeShard(1); got != 0 {
@@ -139,7 +139,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 		nodes := 20 + rng.Intn(40)
 		for id := 0; id < nodes; id++ {
 			pos := geom.Pt(rng.Float64()*width, rng.Float64()*10)
-			if err := m.AddNode(NodeID(id), pos, func(Frame) {}); err != nil {
+			if err := m.AddNode(new(Node), NodeID(id), pos, recvFunc(func(Frame) {})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,10 +236,10 @@ func crossPair(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, [2]*trace.
 		recv Receiver
 	}{
 		{1, 4.5, nil},
-		{2, 5.5, func(Frame) { *received++ }},
+		{2, 5.5, recvFunc(func(Frame) { *received++ })},
 		{3, 6.5, nil},
 	} {
-		if err := m.AddNode(n.id, geom.Pt(n.x, 0), n.recv); err != nil {
+		if err := m.AddNode(new(Node), n.id, geom.Pt(n.x, 0), n.recv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestHiddenUnicastCorruptsTargetReception(t *testing.T) {
 			}, 1)
 			received := make([]int, 5) // node 2 and node 4 run on shard k-1
 			for id := NodeID(1); id <= 4; id++ {
-				if err := m.AddNode(id, geom.Pt(float64(id-1), 0), func(Frame) { received[id]++ }); err != nil {
+				if err := m.AddNode(new(Node), id, geom.Pt(float64(id-1), 0), recvFunc(func(Frame) { received[id]++ })); err != nil {
 					t.Fatal(err)
 				}
 			}

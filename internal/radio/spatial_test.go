@@ -133,7 +133,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 			for i := 0; i < n; i++ {
 				id := NodeID(i)
 				p := lay.place(rng, pos, radius)
-				if err := m.AddNode(id, p, nil); err != nil {
+				if err := m.AddNode(new(Node), id, p, nil); err != nil {
 					t.Fatal(err)
 				}
 				pos[id] = p
@@ -178,7 +178,7 @@ func TestSpatialIndexTracksAGrowingField(t *testing.T) {
 	m := New(Params{CommRadius: 1.5}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Stats: &trace.Stats{}})
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := m.AddNode(NodeID(i), geom.Pt(float64(i), float64(-i)/2), nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), geom.Pt(float64(i), float64(-i)/2), nil); err != nil {
 			t.Fatal(err)
 		}
 		want := []NodeID{NodeID(i - 1)}
@@ -203,7 +203,7 @@ func TestSpatialIndexToleratesNonFinitePositions(t *testing.T) {
 	}
 	pos := make(map[NodeID]geom.Point, len(layout))
 	for i, p := range layout {
-		if err := m.AddNode(NodeID(i), p, nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), p, nil); err != nil {
 			t.Fatal(err)
 		}
 		pos[NodeID(i)] = p
@@ -222,9 +222,10 @@ func TestSpatialIndexToleratesNonFinitePositions(t *testing.T) {
 
 // TestSpatialHashOutOfOrderRegistration registers ids in shuffled order,
 // exercising the sorted insert into the global order; the second half
-// registers after lists are resolved, so each newcomer drops the lists
-// it joins and the index. Lists must still come out in ascending id order
-// (the brute-force scan's).
+// registers after every list is resolved, which drops the index, so the
+// first newcomer rebuilds it, and each newcomer drops the lists it joins
+// and the index. Lists must still come out in ascending id order (the
+// brute-force scan's).
 func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -236,12 +237,15 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 		for k, i := range ids {
 			id := NodeID(i)
 			p := geom.Pt(rng.Float64()*24-8, rng.Float64()*24-8)
-			if err := m.AddNode(id, p, nil); err != nil {
+			if err := m.AddNode(new(Node), id, p, nil); err != nil {
 				t.Fatal(err)
 			}
 			pos[id] = p
 			if k == n/2 {
 				m.PrebuildNeighbors() // builds the index mid-registration
+				if m.index != nil || m.pts != nil {
+					t.Fatalf("trial %d: the index outlived the last list it resolved", trial)
+				}
 			}
 		}
 		for i := 1; i < len(m.order); i++ {
@@ -265,7 +269,7 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 	pos := make(map[NodeID]geom.Point, 40)
 	for i := 0; i < 40; i++ {
 		pos[NodeID(i)] = geom.Pt(float64(i%8), float64(i/8))
-		if err := m.AddNode(NodeID(i), pos[NodeID(i)], nil); err != nil {
+		if err := m.AddNode(new(Node), NodeID(i), pos[NodeID(i)], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,10 +296,10 @@ func TestNeighborsUnknownNodeNotCached(t *testing.T) {
 	if nb := m.Neighbors(7); nb != nil {
 		t.Fatalf("Neighbors of unknown node = %v, want nil", nb)
 	}
-	if err := m.AddNode(7, geom.Pt(0, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 7, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddNode(8, geom.Pt(1, 0), nil); err != nil {
+	if err := m.AddNode(new(Node), 8, geom.Pt(1, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := neighborIDs(m, 7); !sameIDs(got, []NodeID{8}) {

@@ -64,11 +64,6 @@ type Target interface {
 type Router struct {
 	m      *mote.Mote
 	target Target
-	// Drops counts messages this node discarded (TTL exhausted or a
-	// dead-end toward a specific node).
-	Drops uint64
-	// Forwards counts messages this node relayed.
-	Forwards uint64
 	// ldFree pools local-delivery records (intrusive list).
 	ldFree *localDelivery
 }
@@ -92,11 +87,18 @@ func localDeliveryFire(arg any) {
 	r.deliverLocal(msg)
 }
 
-// NewRouter builds the router of mote m, which delivers the messages that
+// NewRouter allocates a router and initialises it (Init).
+func NewRouter(m *mote.Mote, target Target) *Router {
+	r := new(Router)
+	r.Init(m, target)
+	return r
+}
+
+// Init makes r the router of mote m, which delivers the messages that
 // terminate at the mote to target. The mote's receiver hands the router
 // its frames (see HandleFrame).
-func NewRouter(m *mote.Mote, target Target) *Router {
-	return &Router{m: m, target: target}
+func (r *Router) Init(m *mote.Mote, target Target) {
+	*r = Router{m: m, target: target}
 }
 
 // Send routes a message from this node. If this node is itself the
@@ -167,7 +169,6 @@ func (r *Router) forward(env envelope) {
 	msg := env.Msg
 	next, ok := r.nextHop(msg)
 	if !ok {
-		r.Drops++
 		if msg.Corr.Seq != 0 {
 			r.emit(obs.EvRouteDropped, msg.DestNode, msg, "dead_end")
 		}
@@ -178,7 +179,6 @@ func (r *Router) forward(env envelope) {
 
 func (r *Router) transmit(to radio.NodeID, env envelope) {
 	env.Hops++
-	r.Forwards++
 	kind := env.Msg.Kind
 	if kind == "" {
 		kind = trace.KindTransport
@@ -205,7 +205,6 @@ func (r *Router) HandleFrame(f radio.Frame) bool {
 		return true
 	}
 	if env.Hops >= msg.TTL {
-		r.Drops++
 		if msg.Corr.Seq != 0 {
 			r.emit(obs.EvRouteDropped, msg.DestNode, msg, "ttl")
 		}

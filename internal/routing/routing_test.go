@@ -7,6 +7,7 @@ import (
 
 	"envirotrack/internal/geom"
 	"envirotrack/internal/mote"
+	"envirotrack/internal/obs"
 	"envirotrack/internal/phenomena"
 	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
@@ -20,6 +21,22 @@ type net struct {
 	env     *mote.Env
 	routers map[radio.NodeID]*Router
 	nodes   map[radio.NodeID]*node
+	events  []obs.Event
+}
+
+// Emit records the events the routers emit; they emit only for
+// correlated messages.
+func (n *net) Emit(ev obs.Event) { n.events = append(n.events, ev) }
+
+// count returns the number of events of type typ recorded so far.
+func (n *net) count(typ obs.EventType) int {
+	c := 0
+	for _, ev := range n.events {
+		if ev.Type == typ {
+			c++
+		}
+	}
+	return c
 }
 
 // node is a test mote's receiver and its router's target: frames go to
@@ -41,17 +58,16 @@ func newNet(t *testing.T, commRadius float64) *net {
 	t.Helper()
 	group := simtime.NewShardGroup(1)
 	sched := group.Shard(0)
-	var stats trace.Stats
-	rt := radio.ShardRuntime{Sched: sched, Seed: 3, Stats: &stats}
-	medium := radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
-	return &net{
+	n := &net{
 		group:   group,
 		sched:   sched,
-		medium:  medium,
-		env:     mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState()),
 		routers: make(map[radio.NodeID]*Router),
 		nodes:   make(map[radio.NodeID]*node),
 	}
+	rt := radio.ShardRuntime{Sched: sched, Seed: 3, Stats: &trace.Stats{}, Bus: obs.NewBus(n)}
+	n.medium = radio.New(radio.Params{CommRadius: commRadius}, nil, rt)
+	n.env = mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
+	return n
 }
 
 func (n *net) add(t *testing.T, id radio.NodeID, pos geom.Point) *Router {
@@ -163,12 +179,12 @@ func TestDeadEndDropsTowardSpecificNode(t *testing.T) {
 	n.add(t, 9, geom.Pt(10, 0))
 	got := 0
 	n.nodes[9].deliver = func(Message) { got++ }
-	n.routers[0].Send(Message{Dest: geom.Pt(10, 0), DestNode: 9})
+	n.routers[0].Send(Message{Dest: geom.Pt(10, 0), DestNode: 9, Corr: radio.Corr{Origin: 0, Seq: 1}})
 	n.settle(t)
 	if got != 0 {
 		t.Error("message crossed a partition")
 	}
-	if n.routers[1].Drops == 0 && n.routers[0].Drops == 0 {
+	if n.count(obs.EvRouteDropped) == 0 {
 		t.Error("no drop recorded at the dead end")
 	}
 }
@@ -190,19 +206,18 @@ func TestGreedyPathLengthIsReasonable(t *testing.T) {
 	n.grid(t, 8, 8)
 	done := false
 	n.nodes[63].deliver = func(Message) { done = true }
-	n.routers[0].Send(Message{Dest: geom.Pt(7, 7), DestNode: 63})
+	n.routers[0].Send(Message{Dest: geom.Pt(7, 7), DestNode: 63, Corr: radio.Corr{Origin: 0, Seq: 1}})
 	n.settle(t)
 	if !done {
 		t.Fatal("not delivered")
 	}
-	var totalForwards uint64
-	for _, r := range n.routers {
-		totalForwards += r.Forwards
-	}
+	// Every hop is one transmission: the origin's, which report_sent
+	// marks, and one per route_forward relay.
+	hops := n.count(obs.EvReportSent) + n.count(obs.EvRouteForward)
 	// Straight-line distance ~9.9, comm radius 1.5 (diagonal steps are in
 	// range): expect on the order of 7 hops, certainly <= 14.
-	if totalForwards > 14 {
-		t.Errorf("path used %d forwards, want <= 14", totalForwards)
+	if hops > 14 {
+		t.Errorf("path used %d forwards, want <= 14", hops)
 	}
 }
 

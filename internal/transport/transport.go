@@ -64,13 +64,19 @@ type Endpoint struct {
 	leading  map[group.Label]bool
 }
 
-// NewEndpoint builds the MTP endpoint of mote m, sending through the
-// mote's router. dir may be nil; then first-contact sends to unknown
-// labels fail until a heartbeat or incoming datagram teaches the endpoint
-// the label's leader. The endpoint receives through HandleRouted and
-// SnoopHeartbeat.
+// NewEndpoint allocates an MTP endpoint and initialises it (Init).
 func NewEndpoint(m *mote.Mote, router *routing.Router, dir *directory.Service) *Endpoint {
-	return &Endpoint{m: m, router: router, dir: dir}
+	e := new(Endpoint)
+	e.Init(m, router, dir)
+	return e
+}
+
+// Init makes e the MTP endpoint of mote m, sending through the mote's
+// router. dir may be nil; then first-contact sends to unknown labels fail
+// until a heartbeat or incoming datagram teaches the endpoint the label's
+// leader. The endpoint receives through HandleRouted and SnoopHeartbeat.
+func (e *Endpoint) Init(m *mote.Mote, router *routing.Router, dir *directory.Service) {
+	*e = Endpoint{m: m, router: router, dir: dir}
 }
 
 // SetLeading tells the endpoint whether this mote currently leads a label.

@@ -233,11 +233,17 @@ type Network struct {
 	ctxTypes []string
 }
 
-// Node is one deployed mote with its middleware stack.
+// Node is one deployed mote with its middleware stack. It is the mote's
+// record: the mote's CPU, its radio node and its stack (router, directory
+// and endpoint included) live in it by value, so deploying a mote makes
+// one allocation for all of them. Each record is its own heap object,
+// sized to fit one allocation size class. The layers point into it, so a
+// Node must not be copied.
 type Node struct {
 	net   *Network
-	mote  *mote.Mote
-	stack *core.Stack
+	mote  mote.Mote
+	radio radio.Node
+	stack core.Stack
 }
 
 // New builds a network. With WithGrid, motes 0..cols*rows-1 are deployed
@@ -379,16 +385,15 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 	if n.started {
 		return nil, fmt.Errorf("envirotrack: cannot add motes after the network started")
 	}
-	m, err := mote.New(id, pos, model, n.envs[n.shardOf(pos)])
-	if err != nil {
+	node := &Node{net: n}
+	if err := node.mote.Init(&node.radio, id, pos, model, n.envs[n.shardOf(pos)]); err != nil {
 		return nil, fmt.Errorf("envirotrack: %w", err)
 	}
-	stack := core.NewStack(m, core.StackConfig{
+	node.stack.Init(&node.mote, core.StackConfig{
 		Bounds:       n.cfg.bounds,
 		UseDirectory: n.cfg.directory,
 		Backend:      n.cfg.backend,
 	})
-	node := &Node{net: n, mote: m, stack: stack}
 	n.nodes[id] = node
 	return node, nil
 }
@@ -418,11 +423,7 @@ func (n *Network) AttachContextAll(spec ContextType) error {
 	}
 	// Every mote's runtime reads this one copy of the spec.
 	for _, id := range n.medium.NodeIDs() {
-		node := n.nodes[id]
-		if node.mote == nil {
-			continue
-		}
-		if _, err := node.stack.AttachShared(&spec); err != nil {
+		if _, err := n.nodes[id].stack.AttachShared(&spec); err != nil {
 			return err
 		}
 	}
@@ -569,7 +570,7 @@ func (n *Network) start() {
 	// Deterministic sweep order: map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering.
 	for _, id := range n.medium.NodeIDs() {
-		sweeps[n.medium.NodeShard(id)].Add(n.nodes[id].mote)
+		sweeps[n.medium.NodeShard(id)].Add(&n.nodes[id].mote)
 	}
 	for _, sw := range sweeps {
 		sw.Start()
