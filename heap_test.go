@@ -9,10 +9,11 @@ import (
 	"envirotrack"
 )
 
-// fieldHeapBudget caps the live heap per mote of a settled 10k-mote field.
-// Most motes never lead, learn a leader or hold a directory entry, so
-// their protocol state must cost nothing until it is first written.
-const fieldHeapBudget = 1480
+// fieldHeapBudget caps the live heap per mote of a settled 10k-mote field,
+// about 3% above the measured 1077 B. Most motes never lead, learn a
+// leader or hold a directory entry, so their protocol state must cost
+// nothing until it is first written.
+const fieldHeapBudget = 1110
 
 func TestFieldHeapPerMote(t *testing.T) {
 	_, perMote := settledField(t, 100, 100, 4, 1, "")
@@ -64,13 +65,20 @@ var smallFieldHeapBudgets = []struct {
 	backend string
 	budget  float64
 }{
-	{envirotrack.BackendLeader, 1165},
-	{envirotrack.BackendPassive, 1135},
+	{envirotrack.BackendLeader, 1070},
+	{envirotrack.BackendPassive, 1040},
 }
 
+// TestSmallFieldHeapPerMote reads the least figure of three builds per
+// backend: about one fresh test process in ten reads some 45 B per mote
+// more on one build, at every commit, while repeated builds in one
+// process read the same figure to the byte.
 func TestSmallFieldHeapPerMote(t *testing.T) {
 	for _, b := range smallFieldHeapBudgets {
 		perMote := smallFieldHeap(t, b.backend)
+		for i := 0; i < 2; i++ {
+			perMote = min(perMote, smallFieldHeap(t, b.backend))
+		}
 		t.Logf("%s: live heap %.1f B per mote after set-up, budget %.0f B", b.backend, perMote, b.budget)
 		if perMote > b.budget {
 			t.Errorf("%s: over budget", b.backend)
@@ -109,14 +117,14 @@ func smallFieldHeap(t *testing.T, backend string) float64 {
 	return perMote
 }
 
-// TestNodeRecordSize keeps a mote's record in its 480-byte size class on
+// TestNodeRecordSize keeps a mote's record in its 416-byte size class on
 // 64-bit hosts: every deployed mote is one record.
 func TestNodeRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit hosts")
 	}
-	if size := unsafe.Sizeof(envirotrack.Node{}); size > 480 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 480 (its size class)", size)
+	if size := unsafe.Sizeof(envirotrack.Node{}); size > 416 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 416 (its size class)", size)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 func TestContextToContextMessaging(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, -1), Max: geom.Pt(16, 2)}
 	w := newWorld(t, 2.5, bounds)
+	w.env.UseDirectory = true
 
 	received := make(map[group.Label]int)
 	// Context "watch" tracks vehicles and pings context "siren" labels.
@@ -71,7 +72,7 @@ func TestContextToContextMessaging(t *testing.T) {
 		return m
 	}
 	for x := 0; x < 12; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), model(), StackConfig{UseDirectory: true})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), model())
 		if _, err := st.AttachContext(sirenSpec); err != nil {
 			t.Fatal(err)
 		}
@@ -144,9 +145,10 @@ func TestCtxAccessorsAndFreshCount(t *testing.T) {
 func TestCtxQueryDirectory(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, -1), Max: geom.Pt(6, 1)}
 	w := newWorld(t, 2.5, bounds)
+	w.env.UseDirectory = true
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < 5; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +176,7 @@ func TestCtxQueryDirectory(t *testing.T) {
 func TestStaticCtxReadsAreInvalid(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(2, 1)}
 	w := newWorld(t, 2, bounds)
-	st := w.addMote(t, 0, geom.Pt(0, 0), nil, StackConfig{})
+	st := w.addMote(t, 0, geom.Pt(0, 0), nil)
 	ctx, err := st.AttachStatic("sink/0.1", []ObjectSpec{{
 		Name:    "s",
 		Methods: []MethodSpec{{Name: "m", Period: time.Second, Body: func(*Ctx, Trigger) {}}},
@@ -213,7 +215,7 @@ func TestTrackingDegradesGracefullyUnderLoss(t *testing.T) {
 		w := newWorldWithLoss(t, 2.5, geom.Rect{Min: geom.Pt(0, -1), Max: geom.Pt(8, 1)}, loss)
 		spec := trackerSpec(100, fastGroup)
 		for x := 0; x < 8; x++ {
-			st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{})
+			st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 			if _, err := st.AttachContext(spec); err != nil {
 				t.Fatal(err)
 			}

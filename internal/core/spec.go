@@ -164,8 +164,8 @@ type ContextType struct {
 	// backends derive their protocol periods from the same knobs.
 	Group group.Config
 	// Backend names the tracking backend maintaining this type's labels
-	// (see internal/track). Empty means the stack's default
-	// (StackConfig.Backend, which falls back to the leader backend).
+	// (see internal/track). Empty means the default of the mote's env
+	// (mote.Env.Backend, which falls back to the leader backend).
 	Backend string
 }
 

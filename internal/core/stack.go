@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"envirotrack/internal/aggregate"
 	"envirotrack/internal/directory"
-	"envirotrack/internal/geom"
 	"envirotrack/internal/group"
 	"envirotrack/internal/mote"
 	"envirotrack/internal/radio"
@@ -17,18 +17,6 @@ import (
 	"envirotrack/internal/track/passive"
 	"envirotrack/internal/transport"
 )
-
-// StackConfig parameterizes the per-mote middleware stack.
-type StackConfig struct {
-	// Bounds is the sensor field extent (for directory hashing).
-	Bounds geom.Rect
-	// UseDirectory enables directory registration of led labels; the
-	// stress experiments disable it to match the paper's traffic mix.
-	UseDirectory bool
-	// Backend is the tracking backend of context types attached without
-	// one (default track.BackendLeader); a ContextType.Backend wins.
-	Backend string
-}
 
 // directoryRefresh is the period at which a leader refreshes its
 // directory registration; the first registration is immediate.
@@ -57,18 +45,15 @@ func ReportPeriod(le time.Duration) time.Duration {
 // so the order in which the layers see a frame or a routed message is
 // written here alone (see Receive and Deliver). It holds the router,
 // directory and endpoint by value, and its first runtime in place, so a
-// stack is one object; a network keeps it in the mote's record.
+// stack is one object; a network keeps it in the mote's record. The
+// network-wide settings (field bounds, directory switch, default
+// backend) are read from the mote's env, and each type's from its shared
+// Type, so a stack keeps no copy of either.
 type Stack struct {
 	m      *mote.Mote
 	router routing.Router
 	dir    directory.Service
 	ep     transport.Endpoint
-
-	// The StackConfig values read after construction (Bounds is spent on
-	// the directory), kept as fields so a stack stays small: there is one
-	// per mote.
-	useDirectory bool
-	backend      string
 
 	// runtimes starts in rt1: most motes carry one context type.
 	runtimes []*ctxRuntime
@@ -78,9 +63,9 @@ type Stack struct {
 }
 
 // NewStack allocates a stack and initialises it on m (Init).
-func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
+func NewStack(m *mote.Mote) *Stack {
 	s := new(Stack)
-	s.Init(m, cfg)
+	s.Init(m)
 	return s
 }
 
@@ -88,15 +73,13 @@ func NewStack(m *mote.Mote, cfg StackConfig) *Stack {
 // and must not copy or reuse afterwards; the router, directory and
 // transport reach the radio medium through the mote's env, and the
 // tracking backends its coherence ledger. Context types are attached
-// afterwards with AttachContext; the mote's sensing scan drives each one.
-func (s *Stack) Init(m *mote.Mote, cfg StackConfig) {
-	if cfg.Backend == "" {
-		cfg.Backend = track.BackendLeader
-	}
-	*s = Stack{m: m, useDirectory: cfg.UseDirectory, backend: cfg.Backend}
+// afterwards with AttachContext or Attach; the mote's sensing scan drives
+// each one.
+func (s *Stack) Init(m *mote.Mote) {
+	*s = Stack{m: m}
 	s.runtimes = s.rt1[:0]
 	s.router.Init(m, s)
-	s.dir.Init(m, &s.router, directory.Config{Bounds: cfg.Bounds})
+	s.dir.Init(m, &s.router)
 	s.ep.Init(m, &s.router, &s.dir)
 	m.SetReceiver(s)
 }
@@ -150,61 +133,77 @@ func (s *Stack) OnNodeMessage(fn func(NodeMessage)) {
 	s.nodeMsgHandlers = append(s.nodeMsgHandlers, fn)
 }
 
-// AttachContext validates a context type and installs it on this mote.
-// The group data-collection period is derived as Pe = min(Le) - d unless
-// the spec overrides it.
-func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
+// Type is one validated context type as motes run it: its spec, the
+// record every mote's tracking backend reads (group.Type) and the
+// backend's constructor. NewType builds it once; every mote it is
+// attached to points at it, and nothing modifies it afterwards.
+type Type struct {
+	group.Type
+	spec       ContextType
+	newBackend track.Constructor
+}
+
+// NewType validates spec and settles, once for every mote the type will
+// be attached to in env's network, what they share: the type's HotState
+// bit, whose lookup is the one check of the MaxContextTypes limit; the
+// backend, spec.Backend or else env.Backend or else the leader backend;
+// and the group timing with its defaults, where the data-collection
+// period is Pe = min(Le) - d unless the spec sets it.
+func NewType(spec ContextType, env *mote.Env) (*Type, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return s.AttachShared(&spec)
-}
-
-// AttachShared installs an already validated context type on this mote.
-// The runtime only reads spec, so one spec may serve every mote of a
-// network; the caller must not modify it afterwards. A spec without a
-// Backend runs StackConfig.Backend: this is the one place a type's
-// backend is picked.
-func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
-	for _, rt := range s.runtimes {
-		if rt.spec.Name == spec.Name {
-			return nil, fmt.Errorf("core: context type %q already attached", spec.Name)
-		}
+	newBackend, err := track.Lookup(cmp.Or(spec.Backend, env.Backend, track.BackendLeader))
+	if err != nil {
+		return nil, err
 	}
-
-	hot, idx := s.m.Hot()
-	mask, ok := hot.CtxMask(spec.Name)
+	mask, ok := env.Hot.CtxMask(spec.Name)
 	if !ok {
 		return nil, fmt.Errorf("core: context type %q exceeds the limit of %d context types", spec.Name, mote.MaxContextTypes)
 	}
-
 	gcfg := spec.Group
 	if gcfg.ReportPeriod <= 0 {
 		gcfg.ReportPeriod = ReportPeriod(spec.minFreshness())
 	}
+	return &Type{
+		Type:       group.Type{Name: spec.Name, Config: gcfg.WithDefaults(), Mask: mask},
+		spec:       spec,
+		newBackend: newBackend,
+	}, nil
+}
 
-	backend := spec.Backend
-	if backend == "" {
-		backend = s.backend
-	}
-	tr, _ := hot.Scanner(mask).(*typeRows)
-	if tr == nil {
-		tr = &typeRows{hot: hot, mask: mask}
-	}
-	rt := &ctxRuntime{stack: s, spec: spec, rows: tr}
-	be, err := track.New(backend, s.m, spec.Name, gcfg, rt)
+// AttachContext validates a context type and installs it on this mote
+// alone, with a Type of its own.
+func (s *Stack) AttachContext(spec ContextType) (*ctxRuntime, error) {
+	t, err := NewType(spec, s.m.Env())
 	if err != nil {
 		return nil, err
 	}
-	rt.be = be
+	return s.Attach(t)
+}
+
+// Attach installs t, built for this mote's network, on this mote. The
+// runtime and the backend only read t, so one Type serves every mote of a
+// network.
+func (s *Stack) Attach(t *Type) (*ctxRuntime, error) {
+	if _, ok := s.Runtime(t.Name); ok {
+		return nil, fmt.Errorf("core: context type %q already attached", t.Name)
+	}
+	hot, idx := s.m.Hot()
+	tr, _ := hot.Scanner(t.Mask).(*typeRows)
+	if tr == nil {
+		tr = &typeRows{hot: hot, mask: t.Mask}
+	}
+	rt := &ctxRuntime{stack: s, typ: t}
+	rt.be = t.newBackend(s.m, &t.Type, rt)
 	s.runtimes = append(s.runtimes, rt)
-	tr.set(idx, spec, rt)
-	hot.Attach(idx, mask, tr)
+	tr.set(idx, t, rt)
+	hot.Attach(idx, t.Mask, tr)
 	return rt, nil
 }
 
 // typeRows is the sensing-scan dispatch of one context type over one
-// HotState: the spec and runtime of every mote the type is attached to,
+// HotState: the Type and runtime of every mote the type is attached to,
 // indexed by HotState row, and the type's bit in the hot words. It is the
 // type's mote.Scanner. The sweep calls it with the row only for motes that
 // carry the type, and it loads a mote's runtime only when the scan has
@@ -213,26 +212,26 @@ func (s *Stack) AttachShared(spec *ContextType) (*ctxRuntime, error) {
 type typeRows struct {
 	hot   *mote.HotState
 	mask  uint32
-	specs []*ContextType // per row; Node.AttachContext may give one mote its own spec
+	types []*Type // per row; Node.AttachContext may give one mote its own Type
 	rts   []*ctxRuntime
-	// shared is the one spec every row carries, nil once two rows carry
+	// shared is the one Type every row carries, nil once two rows carry
 	// different ones; mixed records that they did.
-	shared *ContextType
+	shared *Type
 	mixed  bool
 }
 
-// set installs a mote's spec and runtime at its row. The rows grow to
+// set installs a mote's Type and runtime at its row. The rows grow to
 // exactly the HotState's length: attaching a type to a network sizes them
 // once, and append slack would stay live for the whole run.
-func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
-	if n := tr.hot.Len(); len(tr.specs) < n {
-		tr.specs = append(make([]*ContextType, 0, n), tr.specs...)[:n]
+func (tr *typeRows) set(row int, t *Type, rt *ctxRuntime) {
+	if n := tr.hot.Len(); len(tr.types) < n {
+		tr.types = append(make([]*Type, 0, n), tr.types...)[:n]
 		tr.rts = append(make([]*ctxRuntime, 0, n), tr.rts...)[:n]
 	}
-	tr.specs[row], tr.rts[row] = spec, rt
+	tr.types[row], tr.rts[row] = t, rt
 	if tr.shared == nil && !tr.mixed {
-		tr.shared = spec
-	} else if tr.shared != spec {
+		tr.shared = t
+	} else if tr.shared != t {
 		tr.shared, tr.mixed = nil, true
 	}
 }
@@ -245,10 +244,10 @@ func (tr *typeRows) set(row int, spec *ContextType, rt *ctxRuntime) {
 // mote not sensing, on a mote that was not sensing and does not lead,
 // does nothing, so the runtime is loaded only when the result is true or
 // one of the two bits is set. Such a scan is quiet when every row carries
-// the one spec, whose Activation is then the one function of the reading
+// the one Type, whose Activation is then the one function of the reading
 // the type evaluates wherever it is attached.
 func (tr *typeRows) Scan(row int, rd *sensor.Reading) (quiet bool) {
-	spec := tr.specs[row]
+	spec := &tr.types[row].spec
 	sensing := spec.Activation(*rd)
 	was := tr.hot.Sensing(row, tr.mask)
 	if spec.Deactivation != nil && was {
@@ -264,7 +263,7 @@ func (tr *typeRows) Scan(row int, rd *sensor.Reading) (quiet bool) {
 // Runtime returns the runtime of an attached context type.
 func (s *Stack) Runtime(name string) (*ctxRuntime, bool) {
 	for _, rt := range s.runtimes {
-		if rt.spec.Name == name {
+		if rt.typ.Name == name {
 			return rt, true
 		}
 	}
@@ -321,7 +320,7 @@ func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []trans
 			}
 		}
 	}
-	if s.useDirectory {
+	if s.m.Env().UseDirectory {
 		register := func() {
 			s.dir.Register(typ, label, s.m.Pos(), s.m.ID())
 		}
@@ -342,11 +341,8 @@ func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []trans
 // registration) are backend-agnostic.
 type ctxRuntime struct {
 	stack *Stack
-	spec  *ContextType // shared by every mote the type is attached to; read-only
+	typ   *Type // shared by every mote the type is attached to; read-only
 	be    track.Backend
-	// rows is the type's scan dispatch; its mask locates the mote's bits
-	// for this type in the HotState.
-	rows *typeRows
 
 	// Latest local samples per variable, refreshed on every scan while
 	// sensing (sent to the leader in reports / used directly when leading).
@@ -401,7 +397,7 @@ func (rt *ctxRuntime) onScan(rd *sensor.Reading, sensing, was bool) {
 			}
 		}
 	}
-	for _, obj := range rt.spec.Objects {
+	for _, obj := range rt.typ.spec.Objects {
 		for _, m := range obj.Methods {
 			if m.Period == 0 && m.Port == 0 && m.Condition != nil && m.Condition(rt.ctx) {
 				m.Body(rt.ctx, Trigger{Kind: TriggerCondition})
@@ -412,9 +408,9 @@ func (rt *ctxRuntime) onScan(rd *sensor.Reading, sensing, was bool) {
 
 func (rt *ctxRuntime) refreshSamples(rd *sensor.Reading) {
 	if rt.samples == nil {
-		rt.samples = make(map[string]aggregate.Sample, len(rt.spec.Vars))
+		rt.samples = make(map[string]aggregate.Sample, len(rt.typ.spec.Vars))
 	}
-	for _, v := range rt.spec.Vars {
+	for _, v := range rt.typ.spec.Vars {
 		smp := aggregate.Sample{
 			MoteID: rd.MoteID(),
 			At:     rd.At(),
@@ -461,7 +457,7 @@ func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
 		}
 	case *passive.Rec:
 		smp := aggregate.Sample{MoteID: int(rp.Mote), At: rp.At, Pos: rp.Pos}
-		for _, v := range rt.spec.Vars {
+		for _, v := range rt.typ.spec.Vars {
 			if v.Input != PositionInput {
 				continue
 			}
@@ -475,8 +471,8 @@ func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
 // OnActivate builds the aggregate windows and the object context, and
 // serves the type's objects under label.
 func (rt *ctxRuntime) OnActivate(label group.Label, state []byte) {
-	rt.windows = make(map[string]*aggregate.Window, len(rt.spec.Vars))
-	for _, v := range rt.spec.Vars {
+	rt.windows = make(map[string]*aggregate.Window, len(rt.typ.spec.Vars))
+	for _, v := range rt.typ.spec.Vars {
 		w, err := aggregate.NewWindow(v.Func, v.Freshness, v.CriticalMass)
 		if err != nil {
 			continue // validated at attach; defensive
@@ -489,7 +485,7 @@ func (rt *ctxRuntime) OnActivate(label group.Label, state []byte) {
 	if state != nil {
 		rt.be.SetState(state)
 	}
-	rt.ports, rt.tickers = rt.stack.serve(rt.ctx, rt.spec.Name, rt.spec.Objects)
+	rt.ports, rt.tickers = rt.stack.serve(rt.ctx, rt.typ.Name, rt.typ.spec.Objects)
 }
 
 // OnDeactivate retires the object context: it stops the tickers, removes
@@ -514,13 +510,13 @@ func (rt *ctxRuntime) OnDeactivate(label group.Label) {
 // runtime.
 func (rt *ctxRuntime) setLeading(on bool) {
 	hot, idx := rt.stack.m.Hot()
-	hot.SetLeading(idx, rt.rows.mask, on)
+	hot.SetLeading(idx, rt.typ.Mask, on)
 }
 
 // OnLabelDeleted withdraws the directory registration of a label this
 // mote deleted as spurious.
 func (rt *ctxRuntime) OnLabelDeleted(label group.Label) {
-	if rt.stack.useDirectory {
-		rt.stack.dir.Unregister(rt.spec.Name, label)
+	if rt.stack.m.Env().UseDirectory {
+		rt.stack.dir.Unregister(rt.typ.Name, label)
 	}
 }

@@ -27,7 +27,6 @@ type world struct {
 	field  *phenomena.Field
 	env    *mote.Env // every mote's env, as on one network shard
 	ledger *trace.Ledger
-	bounds geom.Rect
 	stacks map[radio.NodeID]*Stack
 	motes  map[radio.NodeID]*mote.Mote
 }
@@ -46,6 +45,7 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 	field := phenomena.NewField()
 	env := mote.NewEnv(rt, medium, field, mote.Config{}, mote.NewHotState())
 	env.Ledger = &trace.Ledger{}
+	env.Bounds = bounds
 	return &world{
 		group:  group,
 		sched:  sched,
@@ -53,20 +53,18 @@ func newWorldP(t *testing.T, params radio.Params, bounds geom.Rect) *world {
 		field:  field,
 		env:    env,
 		ledger: env.Ledger,
-		bounds: bounds,
 		stacks: make(map[radio.NodeID]*Stack),
 		motes:  make(map[radio.NodeID]*mote.Mote),
 	}
 }
 
-func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *sensor.Model, scfg StackConfig) *Stack {
+func (w *world) addMote(t *testing.T, id radio.NodeID, pos geom.Point, model *sensor.Model) *Stack {
 	t.Helper()
 	m, err := mote.New(id, pos, model, w.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg.Bounds = w.bounds
-	st := NewStack(m, scfg)
+	st := NewStack(m)
 	w.stacks[id] = st
 	w.motes[id] = m
 	return st
@@ -139,12 +137,12 @@ func buildTrackingWorld(t *testing.T, cols int) (*world, *[]trackReport) {
 	w := newWorld(t, 2.5, bounds)
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < cols; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := w.addMote(t, 100, geom.Pt(float64(cols-1), 1), nil, StackConfig{})
+	base := w.addMote(t, 100, geom.Pt(float64(cols-1), 1), nil)
 	reports := &[]trackReport{}
 	base.OnNodeMessage(func(nm NodeMessage) {
 		if tr, ok := nm.Payload.(trackReport); ok {
@@ -245,12 +243,12 @@ func TestTwoTargetsTwoLabels(t *testing.T) {
 	w := newWorld(t, 2.0, bounds)
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < 20; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.addMote(t, 100, geom.Pt(19, 1), nil, StackConfig{})
+	w.addMote(t, 100, geom.Pt(19, 1), nil)
 	// Two tanks far apart: physically separated groups must get distinct
 	// labels.
 	w.field.Add(&phenomena.Target{
@@ -282,6 +280,7 @@ func TestTwoTargetsTwoLabels(t *testing.T) {
 func TestMessageTriggeredMethod(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(6, 1)}
 	w := newWorld(t, 2.5, bounds)
+	w.env.UseDirectory = true
 	var invoked []any
 	spec := ContextType{
 		Name:       "tracker",
@@ -303,12 +302,12 @@ func TestMessageTriggeredMethod(t *testing.T) {
 		Group: fastGroup,
 	}
 	for x := 0; x < 4; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true})
+	base := w.addMote(t, 100, geom.Pt(5, 0), nil)
 
 	w.field.Add(&phenomena.Target{
 		Name: "tank", Kind: "vehicle",
@@ -362,7 +361,7 @@ func TestConditionTriggeredMethod(t *testing.T) {
 		Group: fastGroup,
 	}
 	for x := 0; x < 3; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -382,8 +381,9 @@ func TestConditionTriggeredMethod(t *testing.T) {
 func TestStaticObjectTimerAndPort(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(4, 1)}
 	w := newWorld(t, 2.5, bounds)
-	st0 := w.addMote(t, 0, geom.Pt(0, 0), nil, StackConfig{UseDirectory: true})
-	st1 := w.addMote(t, 1, geom.Pt(1, 0), nil, StackConfig{UseDirectory: true})
+	w.env.UseDirectory = true
+	st0 := w.addMote(t, 0, geom.Pt(0, 0), nil)
+	st1 := w.addMote(t, 1, geom.Pt(1, 0), nil)
 
 	ticks := 0
 	var pings []any
@@ -414,14 +414,15 @@ func TestStaticObjectTimerAndPort(t *testing.T) {
 func TestDirectoryRegistrationOfTrackedLabel(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(6, 1)}
 	w := newWorld(t, 2.5, bounds)
+	w.env.UseDirectory = true
 	spec := trackerSpec(100, fastGroup)
 	for x := 0; x < 5; x++ {
-		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"), StackConfig{UseDirectory: true})
+		st := w.addMote(t, radio.NodeID(x), geom.Pt(float64(x), 0), sensor.VehicleModel("vehicle"))
 		if _, err := st.AttachContext(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := w.addMote(t, 100, geom.Pt(5, 0), nil, StackConfig{UseDirectory: true})
+	base := w.addMote(t, 100, geom.Pt(5, 0), nil)
 	w.field.Add(&phenomena.Target{
 		Name: "tank", Kind: "vehicle",
 		Traj: phenomena.Stationary{At: geom.Pt(2, 0)}, SignatureRadius: 1.4,
@@ -452,7 +453,7 @@ func TestDirectoryRegistrationOfTrackedLabel(t *testing.T) {
 func TestAttachContextValidation(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(2, 1)}
 	w := newWorld(t, 2, bounds)
-	st := w.addMote(t, 0, geom.Pt(0, 0), nil, StackConfig{})
+	st := w.addMote(t, 0, geom.Pt(0, 0), nil)
 	if _, err := st.AttachContext(ContextType{}); err == nil {
 		t.Error("expected validation error for empty spec")
 	}
@@ -631,7 +632,7 @@ func TestDeactivationOverride(t *testing.T) {
 		},
 		Group: fastGroup,
 	}
-	st := w.addMote(t, 0, geom.Pt(0, 0), sensor.VehicleModel("vehicle"), StackConfig{})
+	st := w.addMote(t, 0, geom.Pt(0, 0), sensor.VehicleModel("vehicle"))
 	rt, err := st.AttachContext(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -679,8 +680,8 @@ func (s *spyBackend) HandleFrame(f radio.Frame) bool {
 // the router alone, never a backend.
 func TestReceiveDispatchOrder(t *testing.T) {
 	w := newWorld(t, 2, geom.Rect{Max: geom.Pt(4, 4)})
-	st := w.addMote(t, 1, geom.Pt(0, 0), nil, StackConfig{})
-	src := w.addMote(t, 2, geom.Pt(1, 0), nil, StackConfig{})
+	st := w.addMote(t, 1, geom.Pt(0, 0), nil)
+	src := w.addMote(t, 2, geom.Pt(1, 0), nil)
 	rt, err := st.AttachContext(trackerSpec(0, group.Config{}))
 	if err != nil {
 		t.Fatal(err)

@@ -87,19 +87,12 @@ type replyMsg struct {
 	Entries []Entry
 }
 
-// Config parameterizes the directory service.
-type Config struct {
-	// Bounds is the sensor field extent used for type-name hashing.
-	Bounds geom.Rect
-}
-
 // Service is the per-mote directory component. Any mote may issue Register
 // and Query; motes that happen to sit nearest a type's hash coordinate
 // store that type's entries.
 type Service struct {
 	m      *mote.Mote
 	router *routing.Router
-	cfg    Config
 
 	// The maps stay nil until first written: most motes never store an
 	// entry or issue a query.
@@ -126,17 +119,18 @@ type pendingQuery struct {
 }
 
 // NewService allocates a directory service and initialises it (Init).
-func NewService(m *mote.Mote, router *routing.Router, cfg Config) *Service {
+func NewService(m *mote.Mote, router *routing.Router) *Service {
 	s := new(Service)
-	s.Init(m, router, cfg)
+	s.Init(m, router)
 	return s
 }
 
 // Init makes s the directory service of mote m, sending through the
-// mote's router. The messages the router delivers at the mote reach the
-// service through Handle.
-func (s *Service) Init(m *mote.Mote, router *routing.Router, cfg Config) {
-	*s = Service{m: m, router: router, cfg: cfg}
+// mote's router. It hashes type names into the field bounds of the mote's
+// env. The messages the router delivers at the mote reach the service
+// through Handle.
+func (s *Service) Init(m *mote.Mote, router *routing.Router) {
+	*s = Service{m: m, router: router}
 }
 
 // Register announces (or refreshes) a context label's location to the
@@ -152,7 +146,7 @@ func (s *Service) Register(ctxType string, label group.Label, location geom.Poin
 	}
 	s.router.Send(routing.Message{
 		Kind:      trace.KindDirectory,
-		Dest:      HashPoint(ctxType, s.cfg.Bounds),
+		Dest:      HashPoint(ctxType, s.m.Env().Bounds),
 		DestNode:  routing.AnyNode,
 		Bits:      messageBits,
 		Payload:   registerMsg{Entry: e},
@@ -179,7 +173,7 @@ func (s *Service) Unregister(ctxType string, label group.Label) {
 		}
 		s.router.Send(routing.Message{
 			Kind:      trace.KindDirectory,
-			Dest:      HashPoint(ctxType, s.cfg.Bounds),
+			Dest:      HashPoint(ctxType, s.m.Env().Bounds),
 			DestNode:  routing.AnyNode,
 			Bits:      messageBits,
 			Payload:   msg,
@@ -216,7 +210,7 @@ func (s *Service) sendQuery(ctxType string, id uint64) {
 	pq.attempts++
 	s.router.Send(routing.Message{
 		Kind:     trace.KindDirectory,
-		Dest:     HashPoint(ctxType, s.cfg.Bounds),
+		Dest:     HashPoint(ctxType, s.m.Env().Bounds),
 		DestNode: routing.AnyNode,
 		Bits:     messageBits,
 		Payload: queryMsg{

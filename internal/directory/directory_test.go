@@ -44,6 +44,7 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 	medium := radio.New(radio.Params{CommRadius: commRadius, DisableCollisions: true}, nil, rt)
 	env := mote.NewEnv(rt, medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
+	env.Bounds = bounds
 	n := &net{
 		group:    group,
 		sched:    sched,
@@ -60,7 +61,7 @@ func newNet(t *testing.T, cols, rows int, commRadius float64) *net {
 			}
 			nd := &node{}
 			nd.r = routing.NewRouter(m, nd)
-			nd.s = NewService(m, nd.r, Config{Bounds: bounds})
+			nd.s = NewService(m, nd.r)
 			m.SetReceiver(nd)
 			n.services[id] = nd.s
 		}

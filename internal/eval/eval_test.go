@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -250,7 +251,8 @@ func TestMaxTrackableSpeedZeroWhenImpossible(t *testing.T) {
 	t.Parallel()
 	// CR:SR well below 1: tracking cannot work at any speed.
 	sc := figure6Scenario(2, 0.5)
-	speed, err := MaxTrackableSpeed(&Env{}, sc, []int64{1})
+	env, seeds := &Env{}, []int64{1}
+	speed, err := maxTrackableSpeed(context.Background(), env, sc, seeds, 1, env.tagBlock(scanRuns(seeds)))
 	if err != nil {
 		t.Fatal(err)
 	}

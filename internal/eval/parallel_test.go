@@ -53,7 +53,7 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 }
 
 // TestParallelFigure5MatchesSerial covers the sweep-point fan-out of
-// RunFigure5 (and, via MaxTrackableSpeed, the per-seed fan) on a reduced
+// RunFigure5 (and, via maxTrackableSpeed, the per-seed fan) on a reduced
 // two-seed configuration.
 func TestParallelFigure5MatchesSerial(t *testing.T) {
 	if testing.Short() {

@@ -402,28 +402,19 @@ func suppressThreshold(off bool) int {
 // maximum-trackable-speed search.
 var speedGrid = []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3, 4}
 
-// MaxTrackableSpeed finds the highest speed (hops/s) on the grid at which
-// the scenario remains coherent in a majority of trial seeds (default
-// {1, 2}). It scans from fast to slow and returns 0 when even the slowest
-// speed fails. The per-seed trials of each speed fan across env.Parallel
-// workers; the speed ladder itself stays sequential because each rung's
-// majority vote decides whether the scan stops.
-func MaxTrackableSpeed(env *Env, base Scenario, seeds []int64) (float64, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2}
-	}
-	first := env.tagBlock(scanRuns(seeds))
-	return maxTrackableSpeed(context.Background(), env, base, seeds, env.Parallel, first)
-}
-
 // scanRuns is how many run tags one speed scan reserves: one per (rung,
 // seed), whether or not the scan reaches the rung.
 func scanRuns(seeds []int64) int { return len(speedGrid) * len(seeds) }
 
-// maxTrackableSpeed is MaxTrackableSpeed with explicit context, worker
-// count and first run tag, so the Figure 5/6 sweeps can parallelize
-// across sweep points and run each point's seed loop inline (workers ==
-// 1) without compounding concurrency.
+// maxTrackableSpeed finds the highest speed (hops/s) on the grid at which
+// the scenario remains coherent in a majority of trial seeds. It scans
+// from fast to slow and returns 0 when even the slowest speed fails. The
+// per-seed trials of each speed fan across workers, starting at run tag
+// firstTag (a block of scanRuns(seeds) tags); the speed ladder itself
+// stays sequential because each rung's majority vote decides whether the
+// scan stops. The Figure 5/6 sweeps parallelize across sweep points and
+// run each point's seed loop inline (workers == 1) without compounding
+// concurrency.
 func maxTrackableSpeed(ctx context.Context, env *Env, base Scenario, seeds []int64, workers int, firstTag int64) (float64, error) {
 	for i := len(speedGrid) - 1; i >= 0; i-- {
 		scs := make([]Scenario, len(seeds))

@@ -41,42 +41,43 @@ type Runtime interface {
 	OnLabelDeleted(label Label)
 }
 
+// Type is what every backend of one attached context type reads: the
+// type's name, its bit in the HotState words and its protocol timing.
+// The middleware builds one per attached spec and every mote the spec is
+// attached to points at it; it is read-only once built.
+type Type struct {
+	Name string
+	// Config has its defaults applied.
+	Config Config
+	// Mask is the type's bit in the HotState words, whose sensing bit is
+	// the backend's sensing state.
+	Mask uint32
+}
+
 // Base is the per-mote plumbing both tracking backends embed: the mote,
-// the context type and its timing, the runtime above, the type's HotState
-// bits, label minting and the label-creation backoff, and the obs and
-// coherence-ledger events, so both protocols publish one event shape.
+// the shared record of its context type, the runtime above, label minting
+// and the label-creation backoff, and the obs and coherence-ledger
+// events, so both protocols publish one event shape.
 type Base struct {
-	// Mote, CtxType, Config (defaults applied) and Runtime are set by
-	// NewBase and read-only afterwards.
-	Mote    *mote.Mote
-	CtxType string
-	Config  Config
+	// Mote, Type and Runtime are set by NewBase and read-only afterwards.
+	Mote *mote.Mote
+	*Type
 	Runtime Runtime
 	// CreationTimer is the label-creation backoff (see ArmBackoff).
 	CreationTimer simtime.Timer
 
-	// mask is CtxType's bit in the mote's HotState words, whose sensing
-	// bit is the backend's sensing state.
-	mask     uint32
 	labelSeq int32
 }
 
-// NewBase returns the plumbing of a ctxType backend on mote m. It panics
-// when the mote's HotState has no context-type bit left: core.Stack
-// rejects such a type before it builds a backend.
-func NewBase(m *mote.Mote, ctxType string, cfg Config, rt Runtime) Base {
-	h, _ := m.Hot()
-	mask, ok := h.CtxMask(ctxType)
-	if !ok {
-		panic(fmt.Sprintf("group: context type %q exceeds the limit of %d context types", ctxType, mote.MaxContextTypes))
-	}
-	return Base{Mote: m, CtxType: ctxType, Config: cfg.WithDefaults(), Runtime: rt, mask: mask}
+// NewBase returns the plumbing of a backend of context type t on mote m.
+func NewBase(m *mote.Mote, t *Type, rt Runtime) Base {
+	return Base{Mote: m, Type: t, Runtime: rt}
 }
 
 // Sensing returns the last sensing state supplied via SetSensing.
 func (b *Base) Sensing() bool {
 	h, i := b.Mote.Hot()
-	return h.Sensing(i, b.mask)
+	return h.Sensing(i, b.Mask)
 }
 
 // WriteSensing stores sensing as the mote's HotState sensing bit, the only
@@ -87,7 +88,7 @@ func (b *Base) WriteSensing(sensing bool) bool {
 		return false
 	}
 	h, i := b.Mote.Hot()
-	h.SetSensing(i, b.mask, sensing)
+	h.SetSensing(i, b.Mask, sensing)
 	return true
 }
 
@@ -95,14 +96,14 @@ func (b *Base) WriteSensing(sensing bool) bool {
 // type, which the group_size series probe counts.
 func (b *Base) SetMember(on bool) {
 	h, i := b.Mote.Hot()
-	h.SetMember(i, b.mask, on)
+	h.SetMember(i, b.Mask, on)
 }
 
 // MintLabel returns a fresh label "<type>/<mote>.<n>" and records its
 // creation.
 func (b *Base) MintLabel() Label {
 	b.labelSeq++
-	label := Label(fmt.Sprintf("%s/%d.%d", b.CtxType, b.Mote.ID(), b.labelSeq))
+	label := Label(fmt.Sprintf("%s/%d.%d", b.Name, b.Mote.ID(), b.labelSeq))
 	b.RecordEvent(trace.LabelCreated, label)
 	return label
 }
@@ -137,7 +138,7 @@ func (b *Base) RecordEvent(ty trace.LabelEventType, label Label) {
 		At:      b.Mote.Scheduler().Now(),
 		Type:    ty,
 		Label:   string(label),
-		CtxType: b.CtxType,
+		CtxType: b.Name,
 		Mote:    int(b.Mote.ID()),
 	})
 }
@@ -153,7 +154,7 @@ func (b *Base) Emit(ev obs.EventType, label Label, peer radio.NodeID, seq uint64
 			Mote:    int(b.Mote.ID()),
 			Peer:    int(peer),
 			Label:   string(label),
-			CtxType: b.CtxType,
+			CtxType: b.Name,
 			Pos:     b.Mote.Pos(),
 			Seq:     seq,
 		})
@@ -170,7 +171,7 @@ func (b *Base) EmitCorr(ev obs.EventType, kind trace.Kind, peer radio.NodeID, la
 			Type:    ev,
 			Mote:    int(b.Mote.ID()),
 			Peer:    int(peer),
-			CtxType: b.CtxType,
+			CtxType: b.Name,
 			Pos:     b.Mote.Pos(),
 			Kind:    kind,
 			Cause:   cause,

@@ -105,10 +105,10 @@ type pendingForward struct {
 	next  *pendingForward
 }
 
-// NewManager attaches a group manager for ctxType to the mote; it records
-// label events in the ledger of the mote's env.
-func NewManager(m *mote.Mote, ctxType string, cfg Config, rt Runtime) *Manager {
-	return &Manager{Base: NewBase(m, ctxType, cfg, rt), role: RoleNone}
+// NewManager attaches a group manager for context type t to the mote; it
+// records label events in the ledger of the mote's env.
+func NewManager(m *mote.Mote, t *Type, rt Runtime) *Manager {
+	return &Manager{Base: NewBase(m, t, rt), role: RoleNone}
 }
 
 // hbFire sends a leader's next heartbeat.
@@ -269,7 +269,7 @@ func (g *Manager) scheduleNextHeartbeat() {
 func (g *Manager) sendHeartbeat() {
 	g.hbSeq++
 	hb := Heartbeat{
-		CtxType:   g.CtxType,
+		CtxType:   g.Name,
 		Label:     g.label,
 		Leader:    g.Mote.ID(),
 		LeaderLoc: g.Mote.Pos(),
@@ -292,7 +292,7 @@ func (g *Manager) leaderStepDown() {
 		if s, ok := g.pickSuccessor(); ok {
 			successor = s
 			g.Mote.Broadcast(trace.KindRelinquish, HeartbeatBits+len(state)*8, Relinquish{
-				CtxType:   g.CtxType,
+				CtxType:   g.Name,
 				Label:     label,
 				OldLeader: g.Mote.ID(),
 				NewLeader: successor,
@@ -418,7 +418,7 @@ func (g *Manager) reportTick() {
 }
 
 func (g *Manager) sendReport() {
-	rep := Report{CtxType: g.CtxType, Label: g.label, Reporter: g.Mote.ID(), Payload: g.Runtime.ReportPayload()}
+	rep := Report{CtxType: g.Name, Label: g.label, Reporter: g.Mote.ID(), Payload: g.Runtime.ReportPayload()}
 	// Member readings are single-hop (no router involved), so the manager
 	// opens the report span itself; the leader's accept/reject closes it.
 	corr := radio.Corr{Origin: int32(g.Mote.ID()), Seq: g.Mote.NextCorrSeq()}
@@ -472,20 +472,20 @@ func (g *Manager) setRole(r Role) {
 func (g *Manager) HandleFrame(f radio.Frame) bool {
 	switch msg := f.Payload.(type) {
 	case Heartbeat:
-		if msg.CtxType != g.CtxType {
+		if msg.CtxType != g.Name {
 			return false
 		}
 		g.emitHeard(trace.KindHeartbeat, msg.Label, msg.Leader, msg.Seq)
 		g.onHeartbeat(msg, f.Corr)
 		return true
 	case Report:
-		if msg.CtxType != g.CtxType {
+		if msg.CtxType != g.Name {
 			return false
 		}
 		g.onReport(msg, f.Corr)
 		return true
 	case Relinquish:
-		if msg.CtxType != g.CtxType {
+		if msg.CtxType != g.Name {
 			return false
 		}
 		g.emitHeard(trace.KindRelinquish, msg.Label, msg.OldLeader, 0)
@@ -509,7 +509,7 @@ func (g *Manager) emitHeard(kind trace.Kind, label Label, origin radio.NodeID, s
 			Mote:    int(g.Mote.ID()),
 			Peer:    int(origin),
 			Label:   string(label),
-			CtxType: g.CtxType,
+			CtxType: g.Name,
 			Pos:     g.Mote.Pos(),
 			Kind:    kind,
 			Seq:     seq,

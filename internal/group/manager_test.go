@@ -93,7 +93,8 @@ func (n *testNet) add(t *testing.T, id radio.NodeID, pos geom.Point, cfg Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(m, "tracker", cfg, rt)
+	mask, _ := n.env.Hot.CtxMask("tracker")
+	mgr := NewManager(m, &Type{Name: "tracker", Config: cfg.WithDefaults(), Mask: mask}, rt)
 	m.SetReceiver(managerRx{mgr})
 	n.motes[id] = m
 	n.mgrs[id] = mgr
@@ -704,10 +705,11 @@ func TestLabelType(t *testing.T) {
 
 // TestManagerSize pins the per-mote manager to its allocation size class:
 // one Manager per mote and context type, holding its runtime as one
-// interface value and reading the ledger from the mote's env.
+// interface value, reading the ledger from the mote's env and its type's
+// name and timing from the type's shared record.
 func TestManagerSize(t *testing.T) {
-	if size := unsafe.Sizeof(Manager{}); size > 384 {
-		t.Errorf("unsafe.Sizeof(Manager{}) = %d B, want <= 384 (its size class)", size)
+	if size := unsafe.Sizeof(Manager{}); size > 352 {
+		t.Errorf("unsafe.Sizeof(Manager{}) = %d B, want <= 352 (its size class)", size)
 	}
 }
 
@@ -751,8 +753,8 @@ func TestConfigDefaults(t *testing.T) {
 func TestManagerAccessors(t *testing.T) {
 	n := newTestNet(t, 2)
 	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
-	if mgr.CtxType != "tracker" {
-		t.Errorf("CtxType = %q", mgr.CtxType)
+	if mgr.Name != "tracker" {
+		t.Errorf("Name = %q", mgr.Name)
 	}
 	if mgr.Sensing() {
 		t.Error("Sensing true before any SetSensing")

@@ -54,9 +54,10 @@ func (c Config) withDefaults() Config {
 
 // Env is what the motes of one scheduler shard share: the shard's
 // runtime (scheduler, run seed, stats, bus), the network's medium and
-// field, the motes' configuration, the network's HotState and its
-// coherence ledger. A network builds one per shard; a mote reads all of
-// them through its env.
+// field, the motes' configuration, the network's HotState, its coherence
+// ledger and the settings of the middleware stack on every mote. A
+// network builds one per shard; a mote, and every layer on it, reads all
+// of them through its env, so no mote keeps a copy.
 type Env struct {
 	radio.ShardRuntime
 	Medium *radio.Medium
@@ -66,6 +67,15 @@ type Env struct {
 	Hot    *HotState
 	// Ledger records the tracking backends' label events (required).
 	Ledger *trace.Ledger
+
+	// Bounds is the field extent the directory hashes type names into.
+	Bounds geom.Rect
+	// UseDirectory enables directory registration of led labels; the
+	// stress experiments disable it to match the paper's traffic mix.
+	UseDirectory bool
+	// Backend is the tracking backend of context types attached without
+	// one; empty means the leader backend.
+	Backend string
 }
 
 // NewEnv returns the environment of motes running on rt's shard.
@@ -135,6 +145,9 @@ func (m *Mote) Init(rn *radio.Node, id radio.NodeID, pos geom.Point, model *sens
 	m.row = int32(env.Hot.register(pos))
 	return nil
 }
+
+// Env returns the environment the mote shares with its shard.
+func (m *Mote) Env() *Env { return m.env }
 
 // Hot returns the mote's hot-state arena and its row index in it.
 func (m *Mote) Hot() (*HotState, int) { return m.env.Hot, int(m.row) }

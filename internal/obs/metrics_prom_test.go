@@ -170,22 +170,38 @@ func TestRuntimeGaugesReportLiveProcess(t *testing.T) {
 
 func at(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
 
+// sinkHistograms fetches the handover-latency and leader-tenure
+// histograms a MetricsSink registered on reg by name, as a scrape would.
+func sinkHistograms(t *testing.T, reg *Registry) (handover, tenure *Histogram) {
+	t.Helper()
+	const handoverName, tenureName = "envirotrack_handover_latency_seconds", "envirotrack_leader_tenure_seconds"
+	snap := reg.Snapshot()
+	for _, name := range []string{handoverName, tenureName} {
+		if _, ok := snap[name]; !ok {
+			t.Fatalf("registry has no %s", name)
+		}
+	}
+	return reg.Histogram(handoverName, "", nil), reg.Histogram(tenureName, "", nil)
+}
+
 // TestMetricsSinkLeaderCrashMidTenure: a crashed leader emits no
 // step-down; the tenure stays open until the takeover closes it, and the
 // handover gap runs from the last heartbeat (not the crash).
 func TestMetricsSinkLeaderCrashMidTenure(t *testing.T) {
-	s := NewMetricsSink(NewRegistry())
+	reg := NewRegistry()
+	s := NewMetricsSink(reg)
+	handover, tenure := sinkHistograms(t, reg)
 	s.Emit(Event{Type: EvLabelCreated, Label: "L", Mote: 2, At: at(0)})
 	s.Emit(Event{Type: EvHeartbeatSent, Label: "L", Mote: 2, At: at(3)})
 	s.Emit(Event{Type: EvMoteFailed, Label: "L", Mote: 2, At: at(3.5)})
 	s.Emit(Event{Type: EvLabelTakeover, Label: "L", Mote: 5, At: at(5)})
-	if got := s.HandoverLatency().Sum(); got != 2 {
+	if got := handover.Sum(); got != 2 {
 		t.Errorf("handover gap = %v, want 2 (last heartbeat to takeover)", got)
 	}
-	if got := s.LeaderTenure().Sum(); got != 5 {
+	if got := tenure.Sum(); got != 5 {
 		t.Errorf("tenure = %v, want 5 (creation to takeover)", got)
 	}
-	if got := s.LeaderTenure().Count(); got != 1 {
+	if got := tenure.Count(); got != 1 {
 		t.Errorf("tenure count = %d, want 1", got)
 	}
 }
@@ -194,7 +210,9 @@ func TestMetricsSinkLeaderCrashMidTenure(t *testing.T) {
 // a mote_restored followed by re-creation starts fresh — the dead period
 // must not leak into the new tenure or a phantom handover.
 func TestMetricsSinkRestartAfterRestore(t *testing.T) {
-	s := NewMetricsSink(NewRegistry())
+	reg := NewRegistry()
+	s := NewMetricsSink(reg)
+	handover, tenure := sinkHistograms(t, reg)
 	s.Emit(Event{Type: EvLabelCreated, Label: "L", Mote: 2, At: at(0)})
 	s.Emit(Event{Type: EvHeartbeatSent, Label: "L", Mote: 2, At: at(1)})
 	s.Emit(Event{Type: EvMoteFailed, Label: "L", Mote: 2, At: at(1.5)})
@@ -202,10 +220,10 @@ func TestMetricsSinkRestartAfterRestore(t *testing.T) {
 	s.Emit(Event{Type: EvMoteRestored, Mote: 2, At: at(60)})
 	s.Emit(Event{Type: EvLabelCreated, Label: "L", Mote: 2, At: at(61)})
 	s.Emit(Event{Type: EvLabelYield, Label: "L", Mote: 2, At: at(64)})
-	if got := s.HandoverLatency().Count(); got != 0 {
+	if got := handover.Count(); got != 0 {
 		t.Errorf("handovers = %d, want 0 (restart is not a takeover)", got)
 	}
-	if got, want := s.LeaderTenure().Sum(), 2.0+3.0; got != want {
+	if got, want := tenure.Sum(), 2.0+3.0; got != want {
 		t.Errorf("tenure sum = %v, want %v (2s first life + 3s second)", got, want)
 	}
 }
@@ -214,7 +232,9 @@ func TestMetricsSinkRestartAfterRestore(t *testing.T) {
 // parallel sweep keys state by (run, label), so interleaved event
 // streams from different runs and labels never cross-contaminate.
 func TestMetricsSinkInterleavedLabelsAcrossRuns(t *testing.T) {
-	s := NewMetricsSink(NewRegistry())
+	reg := NewRegistry()
+	s := NewMetricsSink(reg)
+	handover, tenure := sinkHistograms(t, reg)
 	emit := func(run int64, label string, typ EventType, mote int, sec float64) {
 		s.Emit(Event{Type: typ, Label: label, Mote: mote, Run: run, At: at(sec)})
 	}
@@ -230,13 +250,13 @@ func TestMetricsSinkInterleavedLabelsAcrossRuns(t *testing.T) {
 	emit(2, "A", EvLabelTakeover, 8, 13)  // gap 1, tenure 3
 	emit(1, "B", EvLabelTakeover, 5, 3.5) // gap 0.5, tenure 1.5
 
-	if got := s.HandoverLatency().Count(); got != 3 {
+	if got := handover.Count(); got != 3 {
 		t.Fatalf("handover count = %d, want 3", got)
 	}
-	if got, want := s.HandoverLatency().Sum(), 3.0+1.0+0.5; got != want {
+	if got, want := handover.Sum(), 3.0+1.0+0.5; got != want {
 		t.Errorf("handover gaps sum = %v, want %v", got, want)
 	}
-	if got, want := s.LeaderTenure().Sum(), 4.0+3.0+1.5; got != want {
+	if got, want := tenure.Sum(), 4.0+3.0+1.5; got != want {
 		t.Errorf("tenure sum = %v, want %v", got, want)
 	}
 }

@@ -95,11 +95,5 @@ func (s *MetricsSink) endTenure(k runLabel, at time.Duration) {
 	}
 }
 
-// HandoverLatency returns the underlying handover-latency histogram.
-func (s *MetricsSink) HandoverLatency() *Histogram { return s.handover }
-
-// LeaderTenure returns the underlying leader-tenure histogram.
-func (s *MetricsSink) LeaderTenure() *Histogram { return s.tenure }
-
 // Events returns the per-type event counter vector.
 func (s *MetricsSink) Events() *CounterVec { return s.events }

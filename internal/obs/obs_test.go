@@ -282,27 +282,28 @@ func TestRegistrySnapshotShapes(t *testing.T) {
 func TestMetricsSinkHandoverAndTenure(t *testing.T) {
 	reg := NewRegistry()
 	s := NewMetricsSink(reg)
+	handover, tenure := sinkHistograms(t, reg)
 	at := func(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
 	// Label born at t=0, heartbeats until t=4, leader dies; takeover at t=5.5.
 	s.Emit(Event{Type: EvLabelCreated, Label: "L1", At: at(0)})
 	s.Emit(Event{Type: EvHeartbeatSent, Label: "L1", At: at(2)})
 	s.Emit(Event{Type: EvHeartbeatSent, Label: "L1", At: at(4)})
 	s.Emit(Event{Type: EvLabelTakeover, Label: "L1", At: at(5.5)})
-	if got := s.HandoverLatency().Count(); got != 1 {
+	if got := handover.Count(); got != 1 {
 		t.Fatalf("handover count = %d, want 1", got)
 	}
-	if got := s.HandoverLatency().Sum(); got != 1.5 {
+	if got := handover.Sum(); got != 1.5 {
 		t.Fatalf("handover latency = %vs, want 1.5", got)
 	}
-	if got := s.LeaderTenure().Sum(); got != 5.5 {
+	if got := tenure.Sum(); got != 5.5 {
 		t.Fatalf("first tenure = %vs, want 5.5", got)
 	}
 	// Deletion ends the second span at t=8.
 	s.Emit(Event{Type: EvLabelDeleted, Label: "L1", At: at(8)})
-	if got, want := s.LeaderTenure().Sum(), 5.5+2.5; got != want {
+	if got, want := tenure.Sum(), 5.5+2.5; got != want {
 		t.Fatalf("tenure sum = %v, want %v", got, want)
 	}
-	if got := s.LeaderTenure().Count(); got != 2 {
+	if got := tenure.Count(); got != 2 {
 		t.Fatalf("tenure count = %d, want 2", got)
 	}
 	// Per-type counter vector sees every event.
@@ -312,7 +313,7 @@ func TestMetricsSinkHandoverAndTenure(t *testing.T) {
 	// Same label in a different run is independent state.
 	s.Emit(Event{Type: EvLabelCreated, Label: "L1", Run: 1, At: at(100)})
 	s.Emit(Event{Type: EvLabelYield, Label: "L1", Run: 1, At: at(101)})
-	if got, want := s.LeaderTenure().Sum(), 5.5+2.5+1.0; got != want {
+	if got, want := tenure.Sum(), 5.5+2.5+1.0; got != want {
 		t.Fatalf("tenure sum after run-1 yield = %v, want %v", got, want)
 	}
 }

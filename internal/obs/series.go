@@ -71,11 +71,6 @@ func (s *Series) Len() int {
 	return len(s.times)
 }
 
-// Columns returns the probe names in declaration order.
-func (s *Series) Columns() []string {
-	return append([]string(nil), s.names...)
-}
-
 // Column returns a copy of one named column, or nil if absent.
 func (s *Series) Column(name string) []float64 {
 	s.mu.Lock()

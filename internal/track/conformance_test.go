@@ -104,10 +104,12 @@ func (n *conformNet) add(backend string, id radio.NodeID, pos geom.Point) track.
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	be, err := track.New(backend, m, "tracker", fastCfg, recorder{n, id})
+	newBackend, err := track.Lookup(backend)
 	if err != nil {
 		n.t.Fatal(err)
 	}
+	mask, _ := n.hot.CtxMask("tracker")
+	be := newBackend(m, &group.Type{Name: "tracker", Config: fastCfg.WithDefaults(), Mask: mask}, recorder{n, id})
 	m.SetReceiver(backendRx{be})
 	n.backends[id] = be
 	return be
@@ -348,12 +350,12 @@ func TestConformanceLedgerFromEnv(t *testing.T) {
 	})
 }
 
-// TestNewRejectsUnknownBackend: New builds only the named backends; an
+// TestNewRejectsUnknownBackend: Lookup has only the named backends; an
 // empty name is the caller's to resolve, not a silent default.
 func TestNewRejectsUnknownBackend(t *testing.T) {
 	for _, name := range []string{"no-such-backend", ""} {
-		if _, err := track.New(name, nil, "tracker", fastCfg, nil); err == nil {
-			t.Errorf("New(%q) succeeded, want error", name)
+		if _, err := track.Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) succeeded, want error", name)
 		}
 		if track.Known(name) {
 			t.Errorf("Known(%q) = true", name)

@@ -26,7 +26,7 @@
 //
 // The backend embeds the group protocol's per-mote plumbing (group.Base):
 // it drives the same group.Runtime and records label events the same way.
-// track.New builds it for the name "passive".
+// track.Lookup returns its constructor for the name "passive".
 package passive
 
 import (
@@ -99,11 +99,11 @@ type Backend struct {
 	takeoverTimer simtime.Timer
 }
 
-// New constructs the passive backend for one context type on mote m. The
-// protocol periods derive from cfg, the same timing the group protocol
-// reads; label events go to the ledger of the mote's env.
-func New(m *mote.Mote, ctxType string, cfg group.Config, rt group.Runtime) *Backend {
-	b := &Backend{Base: group.NewBase(m, ctxType, cfg, rt)}
+// New constructs the passive backend for context type t on mote m. The
+// protocol periods derive from t.Config, the same timing the group
+// protocol reads; label events go to the ledger of the mote's env.
+func New(m *mote.Mote, t *group.Type, rt group.Runtime) *Backend {
+	b := &Backend{Base: group.NewBase(m, t, rt)}
 	b.est.window = staleness(b.Config)
 	return b
 }
@@ -306,7 +306,7 @@ func (b *Backend) deposit() {
 	bits := group.HeartbeatBits + len(traces)*TraceBits + len(b.state)*8
 	b.EmitCorr(obs.EvReportSent, trace.KindTrace, radio.Broadcast, b.label, corr, "")
 	b.Mote.BroadcastTraced(trace.KindTrace, bits, Gossip{
-		CtxType: b.CtxType,
+		CtxType: b.Name,
 		Label:   b.label,
 		From:    b.Mote.ID(),
 		Active:  b.active,
@@ -392,7 +392,7 @@ func (b *Backend) integrate(rec Rec) bool {
 // returns false for any other frame.
 func (b *Backend) HandleFrame(f radio.Frame) bool {
 	g, ok := f.Payload.(Gossip)
-	if !ok || g.CtxType != b.CtxType {
+	if !ok || g.CtxType != b.Name {
 		return false
 	}
 	b.onGossip(g, f.Corr)

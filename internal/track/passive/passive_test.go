@@ -24,6 +24,12 @@ var testCfg = group.Config{
 	CreationBackoff: 10 * time.Millisecond,
 }
 
+// testType returns a "tracker" type record on hot with testCfg timing.
+func testType(hot *mote.HotState) *group.Type {
+	mask, _ := hot.CtxMask("tracker")
+	return &group.Type{Name: "tracker", Config: testCfg.WithDefaults(), Mask: mask}
+}
+
 // call is one recorded Runtime call.
 type call struct {
 	kind  string // "activate" | "deactivate" | "deleted" | "report"
@@ -78,7 +84,7 @@ func (n *testNet) add(id radio.NodeID, pos geom.Point) *Backend {
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	b := New(m, "tracker", testCfg, recorder{n, id})
+	b := New(m, testType(n.hot), recorder{n, id})
 	m.SetReceiver(backendRx{b})
 	n.motes[id], n.be[id] = m, b
 	return b
@@ -535,11 +541,12 @@ func TestStopSilencesBackend(t *testing.T) {
 
 // TestBackendSize pins the per-mote backend to its allocation size class:
 // one Backend per mote and context type, with the estimator embedded, the
-// runtime held as one interface value, and the timers scheduled through
-// package-level handlers rather than per-mote closures.
+// runtime held as one interface value, the type's name and timing read
+// from its shared record, and the timers scheduled through package-level
+// handlers rather than per-mote closures.
 func TestBackendSize(t *testing.T) {
-	if size := unsafe.Sizeof(Backend{}); size > 352 {
-		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 352 (its size class)", size)
+	if size := unsafe.Sizeof(Backend{}); size > 320 {
+		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 320 (its size class)", size)
 	}
 }
 
@@ -576,7 +583,7 @@ func newGossipFeed(tb testing.TB) *gossipFeed {
 		tb.Fatal(err)
 	}
 	recs := make([]Rec, gossipFanout)
-	b := New(m, "tracker", testCfg, recorder{n, 1})
+	b := New(m, testType(n.hot), recorder{n, 1})
 	m.SetReceiver(backendRx{b})
 	f := &gossipFeed{
 		n:    n,

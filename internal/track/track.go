@@ -1,11 +1,11 @@
 // Package track defines the tracking-backend seam: the protocol interface
-// the per-mote context runtime (internal/core) drives, and New, which
-// switches over the two backend names to build one. A backend owns the
-// distributed part of entity tracking — discovering the tracked entity,
-// maintaining a context label over the sensing group, and deciding which
-// mote runs the context's objects — while the core runtime owns the
-// middleware part (aggregate windows, object methods, directory
-// registration), which is backend-agnostic.
+// the per-mote context runtime (internal/core) drives, and Lookup, which
+// switches over the two backend names to pick a constructor. A backend
+// owns the distributed part of entity tracking — discovering the tracked
+// entity, maintaining a context label over the sensing group, and
+// deciding which mote runs the context's objects — while the core
+// runtime owns the middleware part (aggregate windows, object methods,
+// directory registration), which is backend-agnostic.
 //
 // Backend A ("leader") is the EnviroTrack group-management protocol of
 // internal/group (leader election, heartbeats, receive/wait timers):
@@ -76,23 +76,31 @@ var (
 	_ Backend = (*passive.Backend)(nil)
 )
 
-// New constructs the named backend for one context type on mote m,
-// driving rt; label events go to the ledger of the mote's env. The caller
-// resolves an empty name to its default before calling.
-func New(name string, m *mote.Mote, ctxType string, cfg group.Config, rt group.Runtime) (Backend, error) {
+// Constructor builds a backend of context type t on mote m, driving rt;
+// label events go to the ledger of the mote's env.
+type Constructor func(m *mote.Mote, t *group.Type, rt group.Runtime) Backend
+
+// Lookup returns the constructor of the named backend. The caller
+// resolves an empty name to its default before calling, once per context
+// type, not per mote.
+func Lookup(name string) (Constructor, error) {
 	switch name {
 	case BackendLeader:
-		return group.NewManager(m, ctxType, cfg, rt), nil
+		return func(m *mote.Mote, t *group.Type, rt group.Runtime) Backend {
+			return group.NewManager(m, t, rt)
+		}, nil
 	case BackendPassive:
-		return passive.New(m, ctxType, cfg, rt), nil
+		return func(m *mote.Mote, t *group.Type, rt group.Runtime) Backend {
+			return passive.New(m, t, rt)
+		}, nil
 	}
 	return nil, fmt.Errorf("track: unknown backend %q (have %v)", name, Names())
 }
 
-// Known reports whether New builds a backend of this name.
+// Known reports whether Lookup has a backend of this name.
 func Known(name string) bool {
 	return name == BackendLeader || name == BackendPassive
 }
 
-// Names returns the backend names New builds, sorted.
+// Names returns the backend names Lookup has, sorted.
 func Names() []string { return []string{BackendLeader, BackendPassive} }

@@ -154,7 +154,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 	n.medium = radio.New(radio.Params{CommRadius: 1.5, DisableCollisions: true}, nil, rt)
 	env := mote.NewEnv(rt, n.medium, phenomena.NewField(), mote.Config{}, mote.NewHotState())
 	env.Ledger = &trace.Ledger{}
-	bounds := geom.Grid{Cols: cols, Rows: rows}.Bounds()
+	env.Bounds = geom.Grid{Cols: cols, Rows: rows}.Bounds()
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			id := radio.NodeID(y*cols + x)
@@ -164,7 +164,7 @@ func newTnet(t *testing.T, cols, rows int) *tnet {
 			}
 			nd := &node{}
 			nd.r = routing.NewRouter(m, nd)
-			nd.dir = directory.NewService(m, nd.r, directory.Config{Bounds: bounds})
+			nd.dir = directory.NewService(m, nd.r)
 			nd.ep = NewEndpoint(m, nd.r, nd.dir)
 			m.SetReceiver(nd)
 			n.endpoints[id] = nd.ep

@@ -298,8 +298,10 @@ func New(opts ...Option) (*Network, error) {
 		DisableCSMA:       cfg.noCSMA,
 	}, n.shardOf, rts...)
 	for i, rt := range rts {
-		n.envs[i] = mote.NewEnv(rt, n.medium, n.field, cfg.moteCfg, n.hot)
-		n.envs[i].Ledger = n.ledger
+		env := mote.NewEnv(rt, n.medium, n.field, cfg.moteCfg, n.hot)
+		env.Ledger = n.ledger
+		env.Bounds, env.UseDirectory, env.Backend = cfg.bounds, cfg.directory, cfg.backend
+		n.envs[i] = env
 	}
 
 	if cfg.cols > 0 && cfg.rows > 0 {
@@ -389,11 +391,7 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 	if err := node.mote.Init(&node.radio, id, pos, model, n.envs[n.shardOf(pos)]); err != nil {
 		return nil, fmt.Errorf("envirotrack: %w", err)
 	}
-	node.stack.Init(&node.mote, core.StackConfig{
-		Bounds:       n.cfg.bounds,
-		UseDirectory: n.cfg.directory,
-		Backend:      n.cfg.backend,
-	})
+	node.stack.Init(&node.mote)
 	n.nodes[id] = node
 	return node, nil
 }
@@ -418,12 +416,13 @@ func (n *Network) Nodes() []NodeID {
 // spec without an explicit Backend gets the network's default (see
 // WithBackend).
 func (n *Network) AttachContextAll(spec ContextType) error {
-	if err := spec.Validate(); err != nil {
+	// Every mote's runtime and backend read this one Type.
+	t, err := core.NewType(spec, n.envs[0])
+	if err != nil {
 		return err
 	}
-	// Every mote's runtime reads this one copy of the spec.
 	for _, id := range n.medium.NodeIDs() {
-		if _, err := n.nodes[id].stack.AttachShared(&spec); err != nil {
+		if _, err := n.nodes[id].stack.Attach(t); err != nil {
 			return err
 		}
 	}
@@ -434,11 +433,6 @@ func (n *Network) AttachContextAll(spec ContextType) error {
 // noteCtxType records an attached context type name (once) for the series
 // probes.
 func (n *Network) noteCtxType(name string) {
-	// Intern the type's hot-state bit now, at setup: the first SetMember /
-	// SetSensing otherwise inserts it lazily mid-run, which under the
-	// free-running parallel engine would mutate the shared intern map from
-	// whichever shard goroutine touches the type first.
-	n.hot.CtxMask(name)
 	for _, ct := range n.ctxTypes {
 		if ct == name {
 			return

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"envirotrack/internal/core"
+	"envirotrack/internal/group"
+	"envirotrack/internal/track/passive"
 )
 
 // trackerContext builds the Figure 2 vehicle-tracking context for tests.
@@ -203,6 +207,66 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if _, ok := n.Node(999); ok {
 		t.Error("unknown node found")
+	}
+}
+
+// typeRecord returns the type record the backend of nd's context type
+// name reads.
+func typeRecord(t *testing.T, nd *Node, name string) *group.Type {
+	t.Helper()
+	rt, ok := nd.stack.Runtime(name)
+	if !ok {
+		t.Fatalf("mote %d does not run %q", nd.ID(), name)
+	}
+	switch be := rt.Backend().(type) {
+	case *group.Manager:
+		return be.Type
+	case *passive.Backend:
+		return be.Type
+	}
+	t.Fatalf("mote %d runs %q on an unknown backend %T", nd.ID(), name, rt.Backend())
+	return nil
+}
+
+// TestAttachSharesOneTypeRecord checks that a context type's settings
+// have one home: every mote AttachContextAll reaches reads one type
+// record, while each spec Node.AttachContext installs gets a record of
+// its own, with its own report period Pe = Le - d.
+func TestAttachSharesOneTypeRecord(t *testing.T) {
+	for _, backend := range TrackingBackends() {
+		n := buildNet(t, WithBackend(backend))
+		var reports []Point
+		if err := n.AttachContextAll(trackerContext(100, &reports)); err != nil {
+			t.Fatal(err)
+		}
+		ids := n.Nodes()
+		shared := typeRecord(t, n.nodes[ids[0]], "tracker")
+		for _, id := range ids {
+			if got := typeRecord(t, n.nodes[id], "tracker"); got != shared {
+				t.Fatalf("%s: mote %d reads its own type record, want the shared one", backend, id)
+			}
+		}
+		if shared.Name != "tracker" || shared.Config.ReportPeriod != 900*time.Millisecond {
+			t.Errorf("%s: shared record %q has Pe %v, want \"tracker\" with 900ms", backend, shared.Name, shared.Config.ReportPeriod)
+		}
+
+		pe := map[NodeID]time.Duration{ids[0]: 1900 * time.Millisecond, ids[1]: 400 * time.Millisecond}
+		for id, want := range pe {
+			spec := trackerContext(100, &reports)
+			spec.Name = "fire"
+			spec.Vars[0].Freshness = want + core.DelayEstimate
+			if err := n.nodes[id].AttachContext(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := typeRecord(t, n.nodes[ids[0]], "fire"), typeRecord(t, n.nodes[ids[1]], "fire")
+		if a == b || a == shared || b == shared {
+			t.Errorf("%s: Node.AttachContext shares a type record", backend)
+		}
+		if a.Config.ReportPeriod != pe[ids[0]] || b.Config.ReportPeriod != pe[ids[1]] {
+			t.Errorf("%s: own records have Pe %v and %v, want %v and %v", backend,
+				a.Config.ReportPeriod, b.Config.ReportPeriod, pe[ids[0]], pe[ids[1]])
+		}
 	}
 }
 

@@ -176,7 +176,9 @@ func TestAttachBetweenRunsScansOwnSpec(t *testing.T) {
 
 // TestAttachRejectsContextTypePastLimit attaches the most context types
 // the hot state has bits for and checks the next one is refused as an
-// input error, so no attached type is left without a sensing bit.
+// input error, so no attached type is left without a sensing bit. Core
+// refuses it, through the network and through one node, before it builds
+// any backend.
 func TestAttachRejectsContextTypePastLimit(t *testing.T) {
 	n := buildNet(t)
 	for i := 0; i < mote.MaxContextTypes; i++ {
@@ -189,8 +191,12 @@ func TestAttachRejectsContextTypePastLimit(t *testing.T) {
 		}
 	}
 	var reports []Point
-	if err := n.AttachContextAll(trackerContext(100, &reports)); err == nil {
-		t.Fatalf("context type %d attached; want an error past the limit", mote.MaxContextTypes+1)
+	want := fmt.Sprintf("core: context type %q exceeds the limit of %d context types", "tracker", mote.MaxContextTypes)
+	if err := n.AttachContextAll(trackerContext(100, &reports)); err == nil || err.Error() != want {
+		t.Fatalf("context type %d attached with error %v; want %q", mote.MaxContextTypes+1, err, want)
+	}
+	if err := n.nodes[0].AttachContext(trackerContext(100, &reports)); err == nil || err.Error() != want {
+		t.Fatalf("Node.AttachContext past the limit: error %v; want %q", err, want)
 	}
 	for _, id := range n.Nodes() {
 		if _, ok := n.nodes[id].stack.Runtime("tracker"); ok {
