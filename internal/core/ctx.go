@@ -9,6 +9,7 @@ import (
 	"envirotrack/internal/group"
 	"envirotrack/internal/radio"
 	"envirotrack/internal/routing"
+	"envirotrack/internal/simtime"
 	"envirotrack/internal/trace"
 	"envirotrack/internal/transport"
 )
@@ -22,6 +23,13 @@ type Ctx struct {
 	stack *Stack
 	rt    *ctxRuntime // nil for static objects
 	label group.Label
+
+	// windows holds a tracking object's aggregate state variables, nil
+	// for static objects and once the context is retired; ports and
+	// tickers (directory refresh last) serve the objects.
+	windows map[string]*aggregate.Window
+	tickers []*simtime.Ticker
+	ports   []transport.PortID
 }
 
 // live reports whether the context still serves its objects: a static
@@ -45,10 +53,7 @@ func (c *Ctx) MotePos() geom.Point { return c.stack.m.Pos() }
 // flag: false when the critical mass of fresh readings is not met (the
 // "null flag" of Section 3.2.3) or when the variable does not exist.
 func (c *Ctx) Read(varName string) (aggregate.Value, bool) {
-	if c.rt == nil || c.rt.windows == nil {
-		return aggregate.Value{}, false
-	}
-	w, ok := c.rt.windows[varName]
+	w, ok := c.windows[varName]
 	if !ok {
 		return aggregate.Value{}, false
 	}
@@ -76,10 +81,7 @@ func (c *Ctx) ReadScalar(varName string) (float64, bool) {
 // FreshCount returns how many distinct sensors currently contribute fresh
 // readings to a variable (0 for unknown variables).
 func (c *Ctx) FreshCount(varName string) int {
-	if c.rt == nil || c.rt.windows == nil {
-		return 0
-	}
-	w, ok := c.rt.windows[varName]
+	w, ok := c.windows[varName]
 	if !ok {
 		return 0
 	}

@@ -292,15 +292,15 @@ func (s *Stack) AttachStatic(label group.Label, objects []ObjectSpec) (*Ctx, err
 // handler and timer ticker, in declaration order, then, with the
 // directory on, a registration of ctx's label under typ and the ticker
 // that refreshes it. Handlers and tickers do nothing once ctx is retired
-// (see Ctx.live) or, for timers, while the mote is failed. It returns the
-// ports and tickers, for the caller to remove.
-func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []transport.PortID, tickers []*simtime.Ticker) {
+// (see Ctx.live) or, for timers, while the mote is failed. It records the
+// ports and tickers in ctx, for the runtime to remove.
+func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) {
 	label := ctx.label
 	for _, obj := range objects {
 		for _, m := range obj.Methods {
 			method := m
 			if method.Port != 0 {
-				ports = append(ports, method.Port)
+				ctx.ports = append(ctx.ports, method.Port)
 				s.ep.Handle(label, method.Port, func(d transport.Datagram) {
 					if ctx.live() {
 						method.Body(ctx, Trigger{Kind: TriggerMessage, Msg: &d})
@@ -308,7 +308,7 @@ func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []trans
 				})
 			}
 			if method.Period > 0 {
-				tickers = append(tickers, simtime.NewTickerOwned(s.m.Scheduler(), method.Period, simtime.OwnerApp, func() {
+				ctx.tickers = append(ctx.tickers, simtime.NewTickerOwned(s.m.Scheduler(), method.Period, simtime.OwnerApp, func() {
 					if !ctx.live() || s.m.Failed() {
 						return
 					}
@@ -325,13 +325,12 @@ func (s *Stack) serve(ctx *Ctx, typ string, objects []ObjectSpec) (ports []trans
 			s.dir.Register(typ, label, s.m.Pos(), s.m.ID())
 		}
 		register()
-		tickers = append(tickers, simtime.NewTickerOwned(s.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
+		ctx.tickers = append(ctx.tickers, simtime.NewTickerOwned(s.m.Scheduler(), directoryRefresh, simtime.OwnerDirectory, func() {
 			if !s.m.Failed() && ctx.live() {
 				register()
 			}
 		}))
 	}
-	return ports, tickers
 }
 
 // ctxRuntime is the per-mote runtime state of one context type: the
@@ -348,12 +347,9 @@ type ctxRuntime struct {
 	// sensing (sent to the leader in reports / used directly when leading).
 	samples map[string]aggregate.Sample
 
-	// Leader-only state: the object context, the aggregate windows, and
-	// the ports and tickers (directory refresh last) serving the objects.
-	ctx     *Ctx
-	windows map[string]*aggregate.Window
-	tickers []*simtime.Ticker
-	ports   []transport.PortID
+	// ctx is the object context while leading, nil otherwise; it holds
+	// the leader-only state (aggregate windows, ports and tickers).
+	ctx *Ctx
 }
 
 // Backend exposes the tracking backend driving this runtime.
@@ -392,7 +388,7 @@ func (rt *ctxRuntime) onScan(rd *sensor.Reading, sensing, was bool) {
 	// check condition-driven methods (the outer timer loop of Section 5.1).
 	if sensing {
 		for name, smp := range rt.samples {
-			if w, ok := rt.windows[name]; ok {
+			if w, ok := rt.ctx.windows[name]; ok {
 				w.Add(smp)
 			}
 		}
@@ -445,13 +441,14 @@ func (rt *ctxRuntime) ReportPayload() any {
 // gossiped observations) carry a position only and feed the
 // position-input variables.
 func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
-	if rt.windows == nil {
+	if rt.ctx == nil {
 		return
 	}
+	windows := rt.ctx.windows
 	switch rp := payload.(type) {
 	case readingsPayload:
 		for name, smp := range rp.Samples {
-			if w, ok := rt.windows[name]; ok {
+			if w, ok := windows[name]; ok {
 				w.Add(smp)
 			}
 		}
@@ -461,7 +458,7 @@ func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
 			if v.Input != PositionInput {
 				continue
 			}
-			if w, ok := rt.windows[v.Name]; ok {
+			if w, ok := windows[v.Name]; ok {
 				w.Add(smp)
 			}
 		}
@@ -471,38 +468,37 @@ func (rt *ctxRuntime) OnReport(_ radio.NodeID, payload any) {
 // OnActivate builds the aggregate windows and the object context, and
 // serves the type's objects under label.
 func (rt *ctxRuntime) OnActivate(label group.Label, state []byte) {
-	rt.windows = make(map[string]*aggregate.Window, len(rt.typ.spec.Vars))
+	windows := make(map[string]*aggregate.Window, len(rt.typ.spec.Vars))
 	for _, v := range rt.typ.spec.Vars {
 		w, err := aggregate.NewWindow(v.Func, v.Freshness, v.CriticalMass)
 		if err != nil {
 			continue // validated at attach; defensive
 		}
-		rt.windows[v.Name] = w
+		windows[v.Name] = w
 	}
-	rt.ctx = &Ctx{stack: rt.stack, rt: rt, label: label}
+	rt.ctx = &Ctx{stack: rt.stack, rt: rt, label: label, windows: windows}
 	rt.setLeading(true)
 	rt.stack.ep.SetLeading(label, true)
 	if state != nil {
 		rt.be.SetState(state)
 	}
-	rt.ports, rt.tickers = rt.stack.serve(rt.ctx, rt.typ.Name, rt.typ.spec.Objects)
+	rt.stack.serve(rt.ctx, rt.typ.Name, rt.typ.spec.Objects)
 }
 
 // OnDeactivate retires the object context: it stops the tickers, removes
 // the port handlers and drops the windows.
 func (rt *ctxRuntime) OnDeactivate(label group.Label) {
-	for _, tk := range rt.tickers {
+	ctx := rt.ctx
+	for _, tk := range ctx.tickers {
 		tk.Stop()
 	}
-	rt.tickers = nil
-	for _, p := range rt.ports {
+	for _, p := range ctx.ports {
 		rt.stack.ep.Unhandle(label, p)
 	}
-	rt.ports = nil
+	ctx.windows, ctx.tickers, ctx.ports = nil, nil, nil
 	rt.stack.ep.SetLeading(label, false)
 	rt.ctx = nil
 	rt.setLeading(false)
-	rt.windows = nil
 }
 
 // setLeading mirrors whether the runtime holds a Ctx into the mote's

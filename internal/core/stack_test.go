@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"envirotrack/internal/aggregate"
 	"envirotrack/internal/directory"
@@ -712,5 +713,15 @@ func TestReceiveDispatchOrder(t *testing.T) {
 	}
 	if spy.frames != 1 {
 		t.Errorf("backend was offered %d frames, want only the heartbeat", spy.frames)
+	}
+}
+
+// TestRuntimeSize pins the per-mote runtime of a context type to its
+// 48-byte size class on 64-bit hosts: every mote a type is attached to
+// carries one, and the leader-only windows, ports and tickers live in the
+// Ctx that activation makes.
+func TestRuntimeSize(t *testing.T) {
+	if size := unsafe.Sizeof(ctxRuntime{}); size > 48 {
+		t.Errorf("unsafe.Sizeof(ctxRuntime{}) = %d B, want <= 48 (its size class)", size)
 	}
 }

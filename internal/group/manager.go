@@ -17,7 +17,9 @@
 // (label, leader) struct key, and pending rebroadcast records are pooled
 // on a per-manager free list. The non-member wait is a callback-free
 // simtime.Deadline, so the re-arm on every heartbeat a non-member hears
-// touches no heap.
+// touches no heap. All of that state lives in one role record per
+// manager, made when the mote first hears a heartbeat or leads, so the
+// many motes that never take part carry none of it.
 package group
 
 import (
@@ -34,19 +36,31 @@ import (
 
 // Manager runs the group-management protocol for one context type on one
 // mote. It is driven by the simulation scheduler via the mote's frame
-// handlers and its own timers.
+// handlers and its own timers. A mote that never takes part in the
+// protocol holds only its role, its label and a nil role record.
 type Manager struct {
 	Base
 
 	role  Role
 	label Label
 
+	// rs is the state of a mote that takes part in the protocol, made on
+	// first use (see roles) and kept for the mote's lifetime; nil means
+	// nothing remembered.
+	rs *roleState
+}
+
+// roleState is what the protocol remembers on a mote that has heard a
+// heartbeat or led a label: its leader, member, wait and flood state.
+// Most motes of a large field never get one, and a mote that changes
+// roles reuses its own.
+type roleState struct {
 	// Leader state.
 	weight    uint64
 	state     []byte
 	hbSeq     uint64
 	hbTimer   simtime.Timer
-	reporters map[radio.NodeID]time.Duration // member -> last report time; made by becomeLeader
+	reporters map[radio.NodeID]time.Duration // member -> last report time; cleared by becomeLeader
 
 	// Member state.
 	leaderID     radio.NodeID
@@ -111,6 +125,21 @@ func NewManager(m *mote.Mote, t *Type, rt Runtime) *Manager {
 	return &Manager{Base: NewBase(m, t, rt), role: RoleNone}
 }
 
+// roles returns the mote's role record, making it on first use: the
+// first heartbeat heard, or the first leadership (a label the mote
+// creates, or one a relinquish hands it).
+func (g *Manager) roles() *roleState {
+	if g.rs == nil {
+		g.rs = new(roleState)
+	}
+	return g.rs
+}
+
+// waitPending reports whether the mote remembers a nearby label.
+func (g *Manager) waitPending() bool {
+	return g.rs != nil && g.rs.waitUntil.Pending()
+}
+
 // hbFire sends a leader's next heartbeat.
 func hbFire(arg any) {
 	g := arg.(*Manager)
@@ -130,7 +159,7 @@ func creationFire(arg any) {
 	if g.Mote.Failed() || !g.Sensing() || g.role != RoleNone {
 		return
 	}
-	if g.waitUntil.Pending() {
+	if g.waitPending() {
 		g.joinWaitedLabel()
 		return
 	}
@@ -163,11 +192,19 @@ func (g *Manager) LeaderID() radio.NodeID {
 	if g.role == RoleLeader {
 		return g.Mote.ID()
 	}
-	return g.leaderID
+	if g.rs == nil {
+		return 0
+	}
+	return g.rs.leaderID
 }
 
 // Weight returns the leader weight (meaningful when leading).
-func (g *Manager) Weight() uint64 { return g.weight }
+func (g *Manager) Weight() uint64 {
+	if g.rs == nil {
+		return 0
+	}
+	return g.rs.weight
+}
 
 // SetState updates the label's persistent state; it is piggybacked on
 // subsequent heartbeats so that a successor leader resumes from it. Only a
@@ -176,16 +213,16 @@ func (g *Manager) SetState(state []byte) {
 	if g.role != RoleLeader {
 		return
 	}
-	g.state = append([]byte(nil), state...)
+	g.rs.state = append([]byte(nil), state...)
 }
 
 // State returns the current persistent state known for the label.
 func (g *Manager) State() []byte {
 	switch g.role {
 	case RoleLeader:
-		return g.state
+		return g.rs.state
 	case RoleMember:
-		return g.lastState
+		return g.rs.lastState
 	default:
 		return nil
 	}
@@ -193,9 +230,11 @@ func (g *Manager) State() []byte {
 
 // Stop tears down all timers (end of simulation cleanup).
 func (g *Manager) Stop() {
-	g.stopLeaderDuties()
-	g.stopMemberDuties()
-	g.waitUntil = simtime.Deadline{}
+	if g.rs != nil {
+		g.stopLeaderDuties()
+		g.stopMemberDuties()
+		g.rs.waitUntil = simtime.Deadline{}
+	}
 	g.CreationTimer.Stop()
 }
 
@@ -219,7 +258,7 @@ func (g *Manager) onStartSensing() {
 		return
 	}
 	// A nearby label is remembered: join it rather than spawning a new one.
-	if g.waitUntil.Pending() {
+	if g.waitPending() {
 		g.joinWaitedLabel()
 		return
 	}
@@ -242,15 +281,21 @@ func (g *Manager) onStopSensing() {
 // --- label creation and leadership ---
 
 func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
+	rs := g.roles()
 	g.stopMemberDuties()
-	g.waitUntil = simtime.Deadline{}
+	rs.waitUntil = simtime.Deadline{}
 	g.CreationTimer.Stop()
 
 	g.setRole(RoleLeader)
 	g.label = label
-	g.weight = weight
-	g.state = state
-	g.reporters = make(map[radio.NodeID]time.Duration)
+	rs.weight = weight
+	rs.state = state
+	// Only this leadership's reporters may succeed it.
+	if rs.reporters == nil {
+		rs.reporters = make(map[radio.NodeID]time.Duration)
+	} else {
+		clear(rs.reporters)
+	}
 
 	g.Runtime.OnActivate(label, state)
 	g.sendHeartbeat()
@@ -263,30 +308,31 @@ func (g *Manager) becomeLeader(label Label, weight uint64, state []byte) {
 func (g *Manager) scheduleNextHeartbeat() {
 	jitter := 1 + JitterFrac*(g.Mote.Draw()-0.5)
 	d := time.Duration(float64(g.Config.HeartbeatPeriod) * jitter)
-	g.hbTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
+	g.rs.hbTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, hbFire, g)
 }
 
 func (g *Manager) sendHeartbeat() {
-	g.hbSeq++
+	rs := g.rs
+	rs.hbSeq++
 	hb := Heartbeat{
 		CtxType:   g.Name,
 		Label:     g.label,
 		Leader:    g.Mote.ID(),
 		LeaderLoc: g.Mote.Pos(),
-		Weight:    g.weight,
-		Seq:       g.hbSeq,
+		Weight:    rs.weight,
+		Seq:       rs.hbSeq,
 		HopsPast:  g.Config.HopsPast,
-		State:     g.state,
+		State:     rs.state,
 	}
 	corr := radio.Corr{Origin: int32(g.Mote.ID()), Seq: g.Mote.NextCorrSeq()}
-	g.Mote.BroadcastTraced(trace.KindHeartbeat, HeartbeatBits+len(g.state)*8, hb, corr)
-	g.Emit(obs.EvHeartbeatSent, g.label, radio.Broadcast, g.hbSeq)
+	g.Mote.BroadcastTraced(trace.KindHeartbeat, HeartbeatBits+len(rs.state)*8, hb, corr)
+	g.Emit(obs.EvHeartbeatSent, g.label, radio.Broadcast, rs.hbSeq)
 }
 
 // leaderStepDown handles a leader that stopped sensing: explicit
 // relinquish when enabled, silent departure otherwise.
 func (g *Manager) leaderStepDown() {
-	label, weight, state := g.label, g.weight, g.state
+	label, weight, state := g.label, g.rs.weight, g.rs.state
 	successor := radio.Broadcast
 	if !g.Config.DisableRelinquish {
 		if s, ok := g.pickSuccessor(); ok {
@@ -313,7 +359,7 @@ func (g *Manager) pickSuccessor() (radio.NodeID, bool) {
 	horizon := g.Mote.Scheduler().Now() - 2*g.Config.ReportPeriod
 	best := radio.NodeID(-1)
 	var bestAt time.Duration = -1
-	for id, at := range g.reporters {
+	for id, at := range g.rs.reporters {
 		if at < horizon {
 			continue
 		}
@@ -336,15 +382,16 @@ func (g *Manager) loseLeadership() {
 }
 
 func (g *Manager) stopLeaderDuties() {
-	g.hbTimer.Stop()
+	g.rs.hbTimer.Stop()
 }
 
 // --- membership ---
 
 func (g *Manager) joinWaitedLabel() {
+	rs := g.rs
 	g.CreationTimer.Stop()
-	label, leader, weight, state := g.waitLabel, g.waitLeader, g.waitWeight, g.waitState
-	g.waitUntil = simtime.Deadline{}
+	label, leader, weight, state := rs.waitLabel, rs.waitLeader, rs.waitWeight, rs.waitState
+	rs.waitUntil = simtime.Deadline{}
 	g.becomeMember(label, leader, weight, state)
 }
 
@@ -355,31 +402,32 @@ func (g *Manager) becomeMember(label Label, leader radio.NodeID, weight uint64, 
 		g.stopLeaderDuties()
 		g.Runtime.OnDeactivate(oldLabel)
 	}
-	g.waitUntil = simtime.Deadline{}
+	rs := g.rs
+	rs.waitUntil = simtime.Deadline{}
 	g.CreationTimer.Stop()
 
 	g.setRole(RoleMember)
 	g.label = label
-	g.leaderID = leader
-	g.lastWeight = weight
-	g.lastState = state
+	rs.leaderID = leader
+	rs.lastWeight = weight
+	rs.lastState = state
 	g.Emit(obs.EvLabelJoined, label, leader, 0)
 	g.armReceiveTimer()
 	g.startReporting()
 }
 
 func (g *Manager) armReceiveTimer() {
-	g.receiveTimer.Stop()
+	g.rs.receiveTimer.Stop()
 	d := g.Config.receiveTimeout(g.Mote.Draw())
-	g.receiveTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
+	g.rs.receiveTimer = g.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, recvFire, g)
 }
 
 func (g *Manager) onReceiveTimeout() {
 	if g.Mote.Failed() || g.role != RoleMember {
 		return
 	}
-	g.Emit(obs.EvReceiveTimerFired, g.label, g.leaderID, 0)
-	label, weight, state := g.label, g.lastWeight, g.lastState
+	g.Emit(obs.EvReceiveTimerFired, g.label, g.rs.leaderID, 0)
+	label, weight, state := g.label, g.rs.lastWeight, g.rs.lastState
 	if !g.Sensing() {
 		g.leaveMembership()
 		return
@@ -396,16 +444,17 @@ func (g *Manager) startReporting() {
 	// Desynchronize members: first report after a random fraction of the
 	// report period, then periodic.
 	first := time.Duration(g.Mote.Draw() * float64(g.Config.ReportPeriod))
-	g.reportDelay = g.Mote.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
+	g.rs.reportDelay = g.Mote.Scheduler().AfterEventTimerOwned(first, simtime.OwnerGroup, reportFirst, g)
 }
 
 // startReportTicker begins the periodic report cycle, reusing the ticker
 // object across membership episodes.
 func (g *Manager) startReportTicker() {
-	if g.reportTicker == nil {
-		g.reportTicker = simtime.NewTickerOwned(g.Mote.Scheduler(), g.Config.ReportPeriod, simtime.OwnerGroup, g.reportTick)
+	rs := g.rs
+	if rs.reportTicker == nil {
+		rs.reportTicker = simtime.NewTickerOwned(g.Mote.Scheduler(), g.Config.ReportPeriod, simtime.OwnerGroup, g.reportTick)
 	} else {
-		g.reportTicker.Reset(g.Config.ReportPeriod)
+		rs.reportTicker.Reset(g.Config.ReportPeriod)
 	}
 }
 
@@ -422,39 +471,41 @@ func (g *Manager) sendReport() {
 	// Member readings are single-hop (no router involved), so the manager
 	// opens the report span itself; the leader's accept/reject closes it.
 	corr := radio.Corr{Origin: int32(g.Mote.ID()), Seq: g.Mote.NextCorrSeq()}
-	g.EmitCorr(obs.EvReportSent, trace.KindReading, g.leaderID, g.label, corr, "")
-	g.Mote.SendTraced(trace.KindReading, g.leaderID, reportBits, rep, corr)
+	g.EmitCorr(obs.EvReportSent, trace.KindReading, g.rs.leaderID, g.label, corr, "")
+	g.Mote.SendTraced(trace.KindReading, g.rs.leaderID, reportBits, rep, corr)
 }
 
 func (g *Manager) stopReporting() {
-	g.reportDelay.Stop()
-	if g.reportTicker != nil {
-		g.reportTicker.Stop()
+	g.rs.reportDelay.Stop()
+	if g.rs.reportTicker != nil {
+		g.rs.reportTicker.Stop()
 	}
 }
 
 func (g *Manager) leaveMembership() {
-	label, weight, state := g.label, g.lastWeight, g.lastState
+	rs := g.rs
+	label, weight, state := g.label, rs.lastWeight, rs.lastState
 	g.stopMemberDuties()
 	g.setRole(RoleNone)
 	g.label = ""
 	// Keep memory of the label so a quick re-sense rejoins it.
-	g.rememberLabel(label, g.leaderID, weight, state)
+	g.rememberLabel(label, rs.leaderID, weight, state)
 }
 
 func (g *Manager) stopMemberDuties() {
-	g.receiveTimer.Stop()
+	g.rs.receiveTimer.Stop()
 	g.stopReporting()
 }
 
 // rememberLabel stores wait memory of a nearby label.
 func (g *Manager) rememberLabel(label Label, leader radio.NodeID, weight uint64, state []byte) {
+	rs := g.rs
 	g.Emit(obs.EvWaitTimerArmed, label, leader, 0)
-	g.waitLabel = label
-	g.waitLeader = leader
-	g.waitWeight = weight
-	g.waitState = state
-	g.waitUntil = g.Mote.Scheduler().DeadlineAfter(g.Config.waitTimeout())
+	rs.waitLabel = label
+	rs.waitLeader = leader
+	rs.waitWeight = weight
+	rs.waitState = state
+	rs.waitUntil = g.Mote.Scheduler().DeadlineAfter(g.Config.waitTimeout())
 }
 
 // setRole records a role transition, mirroring it into the mote's
@@ -520,10 +571,11 @@ func (g *Manager) emitHeard(kind trace.Kind, label Label, origin radio.NodeID, s
 func (g *Manager) onHeartbeat(hb Heartbeat, corr radio.Corr) {
 	// Deduplicate flood copies; duplicates feed the broadcast-storm
 	// suppression counter of a pending rebroadcast.
-	st := g.lastSeen
+	rs := g.roles()
+	st := rs.lastSeen
 	if st == nil || st.leader != hb.Leader || st.label != hb.Label {
-		st = g.seenEntry(hb.Label, hb.Leader)
-		g.lastSeen = st
+		st = rs.seenEntry(hb.Label, hb.Leader)
+		rs.lastSeen = st
 	}
 	if hb.Seq <= st.seq {
 		if st.pf != nil && st.pf.seq == hb.Seq {
@@ -547,16 +599,16 @@ func (g *Manager) onHeartbeat(hb Heartbeat, corr radio.Corr) {
 
 // seenEntry returns the flood bookkeeping of a (label, leader) pair,
 // creating it on first sight.
-func (g *Manager) seenEntry(label Label, leader radio.NodeID) *hbState {
+func (rs *roleState) seenEntry(label Label, leader radio.NodeID) *hbState {
 	key := floodKey{label, leader}
-	if st, ok := g.seen[key]; ok {
+	if st, ok := rs.seen[key]; ok {
 		return st
 	}
-	if g.seen == nil {
-		g.seen = make(map[floodKey]*hbState)
+	if rs.seen == nil {
+		rs.seen = make(map[floodKey]*hbState)
 	}
 	st := &hbState{floodKey: key}
-	g.seen[key] = st
+	rs.seen[key] = st
 	return st
 }
 
@@ -579,9 +631,9 @@ func (g *Manager) forwardHeartbeat(st *hbState, hb Heartbeat, corr radio.Corr) {
 		// A newer heartbeat supersedes the older pending rebroadcast.
 		old.timer.Stop()
 		st.pf = nil
-		g.recyclePF(old)
+		g.rs.recyclePF(old)
 	}
-	pf := g.acquirePF()
+	pf := g.rs.acquirePF()
 	pf.g = g
 	pf.st = st
 	pf.seq = hb.Seq
@@ -601,38 +653,38 @@ func pendingForwardFire(arg any) {
 	g := pf.g
 	pf.st.pf = nil
 	if g.Mote.Failed() {
-		g.recyclePF(pf)
+		g.rs.recyclePF(pf)
 		return
 	}
 	if pf.dups >= g.Config.FloodSuppress {
 		g.Emit(obs.EvHeartbeatSuppressed, pf.hb.Label, pf.hb.Leader, pf.hb.Seq)
-		g.recyclePF(pf)
+		g.rs.recyclePF(pf)
 		return
 	}
 	label, leader, seq := pf.hb.Label, pf.hb.Leader, pf.hb.Seq
 	bits := HeartbeatBits + len(pf.hb.State)*8
 	fwd, corr := pf.hb, pf.corr
-	g.recyclePF(pf)
+	g.rs.recyclePF(pf)
 	g.Mote.BroadcastTraced(trace.KindHeartbeat, bits, fwd, corr)
 	g.Emit(obs.EvHeartbeatForwarded, label, leader, seq)
 }
 
-func (g *Manager) acquirePF() *pendingForward {
-	if pf := g.pfFree; pf != nil {
-		g.pfFree = pf.next
+func (rs *roleState) acquirePF() *pendingForward {
+	if pf := rs.pfFree; pf != nil {
+		rs.pfFree = pf.next
 		pf.next = nil
 		return pf
 	}
 	return &pendingForward{}
 }
 
-func (g *Manager) recyclePF(pf *pendingForward) {
+func (rs *roleState) recyclePF(pf *pendingForward) {
 	pf.st = nil
 	pf.hb = Heartbeat{}
 	pf.corr = radio.Corr{}
 	pf.timer = simtime.Timer{}
-	pf.next = g.pfFree
-	g.pfFree = pf
+	pf.next = rs.pfFree
+	rs.pfFree = pf
 }
 
 // outranks reports whether the (weight, id) pair of a foreign leadership
@@ -673,7 +725,7 @@ func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 		// Two leaders within one context label: the lower-priority one
 		// yields immediately to prevent redundant behavior. (The chaosmut
 		// build suppresses the yield to prove the invariant checker.)
-		if !mutationSuppressYield && outranks(hb.Weight, g.weight, hb.Leader, g.Mote.ID()) {
+		if !mutationSuppressYield && outranks(hb.Weight, g.rs.weight, hb.Leader, g.Mote.ID()) {
 			g.RecordEvent(trace.LabelYield, g.label)
 			g.becomeMember(hb.Label, hb.Leader, hb.Weight, hb.State)
 		}
@@ -681,7 +733,7 @@ func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 	}
 	// A different label of the same type: the smaller-weight label is
 	// spurious — delete it and join the heavier group.
-	if g.foreignOutranks(hb.Weight, g.weight, hb.Label, g.label) {
+	if g.foreignOutranks(hb.Weight, g.rs.weight, hb.Label, g.label) {
 		g.RecordEvent(trace.LabelDeleted, g.label)
 		g.Runtime.OnLabelDeleted(g.label)
 		if g.Sensing() {
@@ -694,15 +746,16 @@ func (g *Manager) leaderOnHeartbeat(hb Heartbeat) {
 }
 
 func (g *Manager) memberOnHeartbeat(hb Heartbeat) {
+	rs := g.rs
 	if hb.Label == g.label {
-		g.leaderID = hb.Leader
-		g.lastWeight = hb.Weight
-		g.lastState = hb.State
+		rs.leaderID = hb.Leader
+		rs.lastWeight = hb.Weight
+		rs.lastState = hb.State
 		g.armReceiveTimer()
 		return
 	}
 	// Prefer the heavier label (ignore leaders with smaller weight).
-	if g.foreignOutranks(hb.Weight, g.lastWeight, hb.Label, g.label) {
+	if g.foreignOutranks(hb.Weight, rs.lastWeight, hb.Label, g.label) {
 		g.becomeMember(hb.Label, hb.Leader, hb.Weight, hb.State)
 	}
 }
@@ -710,8 +763,9 @@ func (g *Manager) memberOnHeartbeat(hb Heartbeat) {
 func (g *Manager) idleOnHeartbeat(hb Heartbeat) {
 	// Remember the nearest (heaviest) label; if we sense the condition
 	// before the wait timer expires we join instead of spawning.
-	if g.waitUntil.Pending() && hb.Label != g.waitLabel &&
-		!g.foreignOutranks(hb.Weight, g.waitWeight, hb.Label, g.waitLabel) {
+	rs := g.rs
+	if rs.waitUntil.Pending() && hb.Label != rs.waitLabel &&
+		!g.foreignOutranks(hb.Weight, rs.waitWeight, hb.Label, rs.waitLabel) {
 		return
 	}
 	g.rememberLabel(hb.Label, hb.Leader, hb.Weight, hb.State)
@@ -733,8 +787,8 @@ func (g *Manager) onReport(rep Report, corr radio.Corr) {
 	if corr.Seq != 0 {
 		g.EmitCorr(obs.EvRouteDelivered, trace.KindReading, rep.Reporter, rep.Label, corr, "")
 	}
-	g.weight++
-	g.reporters[rep.Reporter] = g.Mote.Scheduler().Now()
+	g.rs.weight++
+	g.rs.reporters[rep.Reporter] = g.Mote.Scheduler().Now()
 	g.Runtime.OnReport(rep.Reporter, rep.Payload)
 }
 
@@ -746,9 +800,10 @@ func (g *Manager) onRelinquish(rel Relinquish) {
 	}
 	if g.role == RoleMember && rel.Label == g.label {
 		// Expect the successor's heartbeat shortly; refresh our view.
-		g.leaderID = rel.NewLeader
-		g.lastWeight = rel.Weight
-		g.lastState = rel.State
+		rs := g.rs
+		rs.leaderID = rel.NewLeader
+		rs.lastWeight = rel.Weight
+		rs.lastState = rel.State
 		g.armReceiveTimer()
 	}
 }

@@ -706,10 +706,11 @@ func TestLabelType(t *testing.T) {
 // TestManagerSize pins the per-mote manager to its allocation size class:
 // one Manager per mote and context type, holding its runtime as one
 // interface value, reading the ledger from the mote's env and its type's
-// name and timing from the type's shared record.
+// name and timing from the type's shared record, and its leader, member,
+// wait and flood state through one role record made on first use.
 func TestManagerSize(t *testing.T) {
-	if size := unsafe.Sizeof(Manager{}); size > 352 {
-		t.Errorf("unsafe.Sizeof(Manager{}) = %d B, want <= 352 (its size class)", size)
+	if size := unsafe.Sizeof(Manager{}); size > 96 {
+		t.Errorf("unsafe.Sizeof(Manager{}) = %d B, want <= 96 (its size class)", size)
 	}
 }
 
@@ -792,14 +793,14 @@ func TestMemberLeaderIDAndState(t *testing.T) {
 }
 
 // TestFreshManagerState exercises a manager that has heard no heartbeat and
-// received no report: a fresh manager has no successor to pick, and a
-// leader that stops sensing before any member reported steps down without
-// a relinquish.
+// received no report: a fresh manager has no role record, so no
+// successor to pick, and a leader that stops sensing before any member
+// reported steps down without a relinquish.
 func TestFreshManagerState(t *testing.T) {
 	n := newTestNet(t, 2)
 	mgr := n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
-	if id, ok := mgr.pickSuccessor(); ok {
-		t.Errorf("fresh manager picked successor %v", id)
+	if mgr.rs != nil {
+		t.Error("fresh manager has a role record")
 	}
 	mgr.Stop() // no timer was ever armed
 
@@ -814,5 +815,113 @@ func TestFreshManagerState(t *testing.T) {
 	}
 	if mgr.Role() != RoleNone {
 		t.Errorf("role = %v after step-down, want none", mgr.Role())
+	}
+}
+
+// TestSilentManagerHasNoRoleRecord runs a label beside a mote that is out
+// of range and never senses: the mote hears nothing, so it makes no role
+// record, its accessors read as "nothing remembered" and Stop is safe.
+func TestSilentManagerHasNoRoleRecord(t *testing.T) {
+	n := newTestNet(t, 2)
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{})
+	far := n.add(t, 3, geom.Pt(50, 0), fastCfg, hooks{})
+	n.senseAt(1, 0, true)
+	n.senseAt(2, 300*time.Millisecond, true)
+	n.runUntil(t, 2*time.Second)
+	if n.mgrs[1].rs == nil || n.mgrs[2].rs == nil {
+		t.Fatal("motes that took part have no role record")
+	}
+
+	if far.rs != nil {
+		t.Error("a mote that heard nothing has a role record")
+	}
+	if far.Role() != RoleNone || far.Participating() || far.Label() != "" {
+		t.Errorf("role %v, label %q, want none", far.Role(), far.Label())
+	}
+	if far.LeaderID() != 0 || far.Weight() != 0 || far.State() != nil {
+		t.Errorf("LeaderID %v, Weight %d, State %q, want zero values", far.LeaderID(), far.Weight(), far.State())
+	}
+	far.SetState([]byte("ignored"))
+	far.Stop()
+	if far.rs != nil {
+		t.Error("SetState or Stop made a role record")
+	}
+}
+
+// TestRoleRecordOutlivesRoles repeats a wait -> member -> leader ->
+// step-down -> rejoin cycle on two motes: once both have taken part,
+// every later role change reuses each mote's one role record.
+func TestRoleRecordOutlivesRoles(t *testing.T) {
+	n := newTestNet(t, 2)
+	var led, joined int
+	n.add(t, 1, geom.Pt(0, 0), fastCfg, hooks{})
+	n.add(t, 2, geom.Pt(1, 0), fastCfg, hooks{
+		activate: func(Label, []byte) { led++ },
+	})
+	const cycles = 5
+	for c := range cycles {
+		at := time.Duration(c) * 2 * time.Second
+		n.senseAt(1, at, true)
+		// Mote 2 remembers mote 1's label from its heartbeats and joins it.
+		n.senseAt(2, at+300*time.Millisecond, true)
+		n.sched.AtOwned(at+800*time.Millisecond, simtime.OwnerNone, func() {
+			if n.mgrs[2].Role() == RoleMember {
+				joined++
+			}
+		})
+		// Mote 1 hands the label to its reporter, which then steps down.
+		n.senseAt(1, at+time.Second, false)
+		n.senseAt(2, at+1500*time.Millisecond, false)
+	}
+	n.runUntil(t, 2*time.Second)
+	first := [2]*roleState{n.mgrs[1].rs, n.mgrs[2].rs}
+	if first[0] == nil || first[1] == nil {
+		t.Fatal("no role record after the first cycle")
+	}
+	n.runUntil(t, cycles*2*time.Second)
+
+	if joined != cycles || led != cycles {
+		t.Fatalf("mote 2 joined %d and led %d times in %d cycles", joined, led, cycles)
+	}
+	if n.mgrs[1].rs != first[0] || n.mgrs[2].rs != first[1] {
+		t.Error("a later cycle made a new role record")
+	}
+}
+
+// TestSecondLeadershipIgnoresFirstReporters hands a leader's label to its
+// reporter, which then fails, and makes the old leader take the label
+// back within two report periods of that reporter's last report. When the
+// old leader steps down again, only its second leadership's reporters
+// (none) may succeed it: a relinquish to the failed mote would mean the
+// first leadership's reporters were kept.
+func TestSecondLeadershipIgnoresFirstReporters(t *testing.T) {
+	cfg := fastCfg
+	cfg.ReportPeriod = time.Second // horizon 2 s, well past the takeover
+	n := newTestNet(t, 2)
+	var led int
+	leader := n.add(t, 1, geom.Pt(0, 0), cfg, hooks{
+		activate: func(Label, []byte) { led++ },
+	})
+	n.add(t, 2, geom.Pt(1, 0), cfg, hooks{})
+	n.senseAt(1, 0, true)
+	n.senseAt(2, 200*time.Millisecond, true)
+	const handover = 2500 * time.Millisecond
+	n.sched.AtOwned(handover, simtime.OwnerNone, func() {
+		n.motes[2].Fail()
+		// The step-down relinquishes to mote 2; the re-sense rejoins the
+		// remembered label, and the missed heartbeats make mote 1 take
+		// it over.
+		leader.SetSensing(false)
+		leader.SetSensing(true)
+	})
+	n.senseAt(1, handover+500*time.Millisecond, false)
+	n.runUntil(t, handover+time.Second)
+
+	if led != 2 {
+		t.Fatalf("mote 1 led %d times, want 2", led)
+	}
+	if got := n.stats.Kind(trace.KindRelinquish).Sent; got != 1 {
+		t.Errorf("relinquishes sent = %d, want 1 (the first step-down only)", got)
 	}
 }

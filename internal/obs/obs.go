@@ -61,7 +61,10 @@ const (
 	EvReportSent     // correlated message originated at its source mote
 	EvRouteForward   // routed message relayed one hop toward its destination
 	EvRouteDelivered // routed message terminated at its destination node
-	EvRouteDropped   // routed message discarded (cause: ttl/dead_end)
+	// EvRouteDropped: a routed message discarded (cause: ttl/dead_end),
+	// or a member reading that reached a mote no longer leading its label
+	// (cause: stale_leader, emitted by the group manager)
+	EvRouteDropped
 )
 
 // eventNames maps types to their stable wire names (used in JSONL export
