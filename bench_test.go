@@ -331,10 +331,21 @@ func liveHeap() uint64 {
 // benchLargeField advances a settledField by simStep of virtual time per
 // iteration. Construction and the settle happen outside the timer, so
 // ns/op and allocs/op measure steady-state tracking only; heap_B/mote is
-// the field's live heap per mote after the settle.
+// the field's live heap per mote after the settle, and gc/op the garbage
+// collections that ran inside the timed loop, per iteration.
+//
+// The loop starts right after settledField's forced collection, so at a
+// small -benchtime Nx whether a GC cycle falls inside the window depends
+// on how far the live heap is from its next GC goal: a change that
+// shrinks the heap can move a cycle into the window and read slower per
+// op. Read ns/op of short Nx runs beside gc/op, and compare runs only
+// when their gc/op agree.
 func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duration, parShards int, backend string) {
 	b.Helper()
 	n, heap := settledField(b, cols, rows, targets, parShards, backend)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gcBefore := ms.NumGC
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -343,10 +354,15 @@ func benchLargeField(b *testing.B, cols, rows, targets int, simStep time.Duratio
 			b.Fatal(err)
 		}
 	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
+	wall := time.Since(start).Seconds()
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	if wall > 0 {
 		b.ReportMetric(simStep.Seconds()*float64(b.N)/wall, "sim_s_per_wall_s")
 	}
-	b.ReportMetric(heap, "heap_B/mote") // after the loop: ResetTimer drops metrics
+	// After the loop: ResetTimer drops metrics.
+	b.ReportMetric(heap, "heap_B/mote")
+	b.ReportMetric(float64(ms.NumGC-gcBefore)/float64(b.N), "gc/op")
 }
 
 // BenchmarkLargeField is the scale tier: 10k motes with four concurrent

@@ -125,6 +125,6 @@ func run(args []string, grid string, radius, sense, speed float64, kind string, 
 	fmt.Printf("\nlabels created=%d takeovers=%d relinquishes=%d coherence violations=%d\n",
 		sum.Created, sum.Takeovers, sum.Relinquish, sum.CoherenceViolations())
 	fmt.Printf("link utilization %.2f%% of 50 kb/s\n",
-		100*net.Stats().LinkUtilization(duration, 50_000))
+		100*net.Stats().LinkUtilization(duration, envirotrack.BitRate))
 	return nil
 }

@@ -192,6 +192,10 @@ type (
 // reporting mote's position.
 const PositionInput = core.PositionInput
 
+// BitRate is the channel capacity in bits per second (the MICA mote
+// radio), the rate to pass Stats.LinkUtilization.
+const BitRate = radio.BitRate
+
 // Tracking backend names, for ContextType.Backend and WithBackend.
 const (
 	// BackendLeader is the paper's group-management protocol: heartbeat

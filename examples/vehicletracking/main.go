@@ -120,6 +120,6 @@ func run() error {
 		sum.Created, sum.Successful, sum.CoherenceViolations())
 	fmt.Printf("heartbeat loss %.1f%%, link utilization %.2f%% of 50 kb/s\n",
 		100*net.Stats().LossFraction("heartbeat"),
-		100*net.Stats().LinkUtilization(duration, 50_000))
+		100*net.Stats().LinkUtilization(duration, envirotrack.BitRate))
 	return nil
 }

@@ -265,7 +265,7 @@ func Run(env *Env, sc Scenario) (RunResult, error) {
 		Handover: net.Ledger().Summarize("tracker"),
 		HBLoss:   net.Stats().LossFraction("heartbeat"),
 		MsgLoss:  net.Stats().LossFraction("reading"),
-		LinkUtil: net.Stats().LinkUtilization(net.Now(), 50_000),
+		LinkUtil: net.Stats().LinkUtilization(net.Now(), envirotrack.BitRate),
 		Labels:   net.Ledger().DistinctLabels("tracker"),
 	}
 	for _, k := range net.Stats().Kinds() {

@@ -66,7 +66,7 @@ type sweepCounts struct{ scans, detections int }
 
 // sweepTick runs the group through one sensing period.
 func sweepTick(tb testing.TB, group *simtime.ShardGroup) {
-	if err := group.Run(group.Now()+DefaultSensePeriod, 0, nil); err != nil {
+	if err := group.Run(group.Now()+SensePeriod, 0, nil); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -29,25 +29,17 @@ type Config struct {
 	// beyond it are dropped (accounted as overload loss). Zero means
 	// DefaultQueueCap.
 	QueueCap int
-	// SensePeriod is the interval between sensor scans. Zero means
-	// DefaultSensePeriod.
-	SensePeriod time.Duration
 }
 
-// Default resource parameters. The service time approximates a few
-// milliseconds of protocol processing on a 4 MHz MICA-class CPU; the queue
-// capacity matches a small TinyOS task/message queue.
-const (
-	DefaultQueueCap    = 8
-	DefaultSensePeriod = 100 * time.Millisecond
-)
+// DefaultQueueCap matches a small TinyOS task/message queue.
+const DefaultQueueCap = 8
+
+// SensePeriod is the interval between sensor scans.
+const SensePeriod = 100 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap
-	}
-	if c.SensePeriod <= 0 {
-		c.SensePeriod = DefaultSensePeriod
 	}
 	return c
 }

@@ -155,9 +155,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.QueueCap != DefaultQueueCap {
 		t.Errorf("QueueCap = %d, want default %d", cfg.QueueCap, DefaultQueueCap)
 	}
-	if cfg.SensePeriod != DefaultSensePeriod {
-		t.Errorf("SensePeriod = %v, want default %v", cfg.SensePeriod, DefaultSensePeriod)
-	}
 }
 
 func TestSendAndDispatch(t *testing.T) {
@@ -190,7 +187,7 @@ func TestBroadcastReachesNeighbors(t *testing.T) {
 }
 
 func TestCPUServiceDelaysDispatch(t *testing.T) {
-	h := newHarness(t, radio.Params{CommRadius: 2, BitRate: 1e9})
+	h := newHarness(t, radio.Params{CommRadius: 2})
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	var at time.Duration
 	b := h.mote(t, 2, geom.Pt(1, 0), nil, Config{ServiceTime: 10 * time.Millisecond})
@@ -203,7 +200,7 @@ func TestCPUServiceDelaysDispatch(t *testing.T) {
 }
 
 func TestCPUQueueSerializes(t *testing.T) {
-	h := newHarness(t, radio.Params{CommRadius: 2, BitRate: 1e9, DisableCollisions: true})
+	h := newHarness(t, radio.Params{CommRadius: 2, DisableCollisions: true})
 	a := h.mote(t, 1, geom.Pt(0, 0), nil, Config{})
 	c := h.mote(t, 3, geom.Pt(0, 1), nil, Config{})
 	var times []time.Duration
@@ -223,7 +220,7 @@ func TestCPUQueueSerializes(t *testing.T) {
 }
 
 func TestCPUOverloadDropsFrames(t *testing.T) {
-	h := newHarness(t, radio.Params{CommRadius: 2, BitRate: 1e9, DisableCollisions: true})
+	h := newHarness(t, radio.Params{CommRadius: 2, DisableCollisions: true})
 	senders := make([]*Mote, 5)
 	for i := range senders {
 		senders[i] = h.mote(t, radio.NodeID(10+i), geom.Pt(0, float64(i)*0.1), nil, Config{})
@@ -295,7 +292,7 @@ func TestSensingScanInvokesScanners(t *testing.T) {
 		SignatureRadius: 1,
 	})
 	model := sensor.VehicleModel("vehicle")
-	m := h.mote(t, 1, geom.Pt(0.5, 0), model, Config{SensePeriod: time.Second})
+	m := h.mote(t, 1, geom.Pt(0.5, 0), model, Config{})
 	type scan struct {
 		at     time.Duration
 		detect float64
@@ -306,12 +303,12 @@ func TestSensingScanInvokesScanners(t *testing.T) {
 		scans = append(scans, scan{rd.At(), v})
 	}, m)
 	sw := h.sweep(m)
-	h.runUntil(t, 3500*time.Millisecond)
+	h.runUntil(t, 35*SensePeriod/10)
 	if len(scans) != 3 {
 		t.Fatalf("scans = %d, want 3", len(scans))
 	}
 	for i, sc := range scans {
-		if want := time.Duration(i+1) * time.Second; sc.at != want {
+		if want := time.Duration(i+1) * SensePeriod; sc.at != want {
 			t.Errorf("scan %d at %v, want %v", i, sc.at, want)
 		}
 		if sc.detect != 1 {
@@ -320,7 +317,7 @@ func TestSensingScanInvokesScanners(t *testing.T) {
 	}
 	sw.Stop()
 	before := len(scans)
-	h.runUntil(t, 10*time.Second)
+	h.runUntil(t, 10*SensePeriod)
 	if len(scans) != before {
 		t.Error("scans continued after Stop")
 	}
@@ -333,13 +330,13 @@ func TestSweepScansInAddOrder(t *testing.T) {
 	var order []int
 	var motes []*Mote
 	for _, id := range []radio.NodeID{3, 1, 2} {
-		m := h.mote(t, id, geom.Pt(float64(id), 0), model, Config{SensePeriod: time.Second})
+		m := h.mote(t, id, geom.Pt(float64(id), 0), model, Config{})
 		attach("t", func(rd *sensor.Reading) { order = append(order, rd.MoteID()) }, m)
 		motes = append(motes, m)
 	}
-	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{SensePeriod: time.Second})
+	relay := h.mote(t, 9, geom.Pt(9, 0), nil, Config{})
 	h.sweep(append(motes, relay)...)
-	h.runUntil(t, 1500*time.Millisecond)
+	h.runUntil(t, 15*SensePeriod/10)
 	if len(order) != 3 || order[0] != 3 || order[1] != 1 || order[2] != 2 {
 		t.Errorf("scan order = %v, want [3 1 2] (add order, relay skipped)", order)
 	}
@@ -349,9 +346,9 @@ func TestSweepScansTypesInBitOrder(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	model := sensor.NewModel()
 	model.SetChannel("x", sensor.ConstantChannel(1))
-	a := h.mote(t, 1, geom.Pt(1, 0), model, Config{SensePeriod: time.Second})
-	b := h.mote(t, 2, geom.Pt(2, 0), model, Config{SensePeriod: time.Second})
-	c := h.mote(t, 3, geom.Pt(3, 0), model, Config{SensePeriod: time.Second})
+	a := h.mote(t, 1, geom.Pt(1, 0), model, Config{})
+	b := h.mote(t, 2, geom.Pt(2, 0), model, Config{})
+	c := h.mote(t, 3, geom.Pt(3, 0), model, Config{})
 	var got []string
 	scanner := func(ctxType string) Scanner {
 		return scanFunc(func(row int, rd *sensor.Reading) bool {
@@ -371,7 +368,7 @@ func TestSweepScansTypesInBitOrder(t *testing.T) {
 	h.hot.Attach(ib, first, scanner("first"))
 	h.hot.Attach(ic, second, scanner("second"))
 	h.sweep(a, b, c)
-	h.runUntil(t, 1500*time.Millisecond)
+	h.runUntil(t, 15*SensePeriod/10)
 	want := []string{"first@1/0", "second@1/0", "first@2/1", "second@2/1", "second@3/2"}
 	if !slices.Equal(got, want) {
 		t.Errorf("scans = %v, want %v (add order, then type-bit order)", got, want)
@@ -401,17 +398,17 @@ func TestFailedMoteSkipsScan(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	model := sensor.NewModel()
 	model.SetChannel("x", sensor.ConstantChannel(1))
-	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
+	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{})
 	scans := 0
 	attach("t", func(*sensor.Reading) { scans++ }, m)
 	h.sweep(m)
 	m.Fail()
-	h.runUntil(t, 5*time.Second)
+	h.runUntil(t, 5*SensePeriod)
 	if scans != 0 {
 		t.Errorf("failed mote scanned %d times", scans)
 	}
 	m.Restore()
-	h.runUntil(t, 7500*time.Millisecond)
+	h.runUntil(t, 75*SensePeriod/10)
 	if scans != 2 {
 		t.Errorf("restored mote scanned %d times, want 2", scans)
 	}
@@ -431,12 +428,12 @@ func TestStartIdempotent(t *testing.T) {
 	h := newHarness(t, radio.Params{CommRadius: 2})
 	model := sensor.NewModel()
 	model.SetChannel("x", sensor.ConstantChannel(1))
-	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{SensePeriod: time.Second})
+	m := h.mote(t, 1, geom.Pt(0, 0), model, Config{})
 	scans := 0
 	attach("t", func(*sensor.Reading) { scans++ }, m)
 	sw := h.sweep(m)
 	sw.Start()
-	h.runUntil(t, 2500*time.Millisecond)
+	h.runUntil(t, 25*SensePeriod/10)
 	if scans != 2 {
 		t.Errorf("scans = %d, want 2 (double Start must not double-tick)", scans)
 	}

@@ -90,7 +90,7 @@ type proof struct {
 }
 
 // NewSweep returns an empty sweep scanning motes of env against its field,
-// every env.Config.SensePeriod.
+// every SensePeriod.
 func NewSweep(env *Env) *Sweep {
 	return &Sweep{env: env}
 }
@@ -133,7 +133,7 @@ func (s *Sweep) Start() {
 	s.cells = geom.NewCellIndex(pts, 0)
 	s.skip, s.reach = newBitset(len(s.rows)), newBitset(len(s.rows))
 	s.busy = s.env.Hot.addBusy(s.rows)
-	s.ticker = simtime.NewTickerOwned(s.env.Sched, s.env.Config.SensePeriod, simtime.OwnerSense, s.tick)
+	s.ticker = simtime.NewTickerOwned(s.env.Sched, SensePeriod, simtime.OwnerSense, s.tick)
 }
 
 // exact returns xs in a slice of capacity len(xs).

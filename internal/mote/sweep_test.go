@@ -37,7 +37,7 @@ func newCullLine(t *testing.T) *cullLine {
 	})
 	c.mask, _ = c.h.hot.CtxMask("tracker")
 	for id := 0; id < 20; id++ {
-		m := c.h.mote(t, radio.NodeID(id), geom.Pt(float64(id), 0), c.model, Config{SensePeriod: time.Second})
+		m := c.h.mote(t, radio.NodeID(id), geom.Pt(float64(id), 0), c.model, Config{})
 		_, row := m.Hot()
 		c.h.hot.Attach(row, c.mask, scanFunc(c.scan))
 		c.motes = append(c.motes, m)
@@ -56,7 +56,7 @@ func (c *cullLine) scan(row int, rd *sensor.Reading) bool {
 func (c *cullLine) tick(t *testing.T) []int {
 	t.Helper()
 	c.scanned = c.scanned[:0]
-	c.h.runUntil(t, c.h.sched.Now()+time.Second)
+	c.h.runUntil(t, c.h.sched.Now()+SensePeriod)
 	return slices.Clone(c.scanned)
 }
 
@@ -141,7 +141,7 @@ func TestSweepReachMarksEveryRowInADisc(t *testing.T) {
 			if trial%3 == 0 {
 				p.Y = 0 // a line
 			}
-			motes[i] = h.mote(t, radio.NodeID(i), p, model, Config{SensePeriod: time.Second})
+			motes[i] = h.mote(t, radio.NodeID(i), p, model, Config{})
 		}
 		for range 1 + rng.Intn(3) {
 			c := motes[rng.Intn(len(motes))].Pos()
@@ -185,7 +185,7 @@ func TestSweepVisitsWhatThePerRowRuleVisits(t *testing.T) {
 }
 
 func testSweepPerRowRule(t *testing.T, k int) {
-	const side, period, ticks = 20, time.Second, 40
+	const side, period, ticks = 20, SensePeriod, 40
 	group := simtime.NewShardGroup(k)
 	shardOf := func(p geom.Point) int32 { return int32(p.X) * int32(k) / side }
 	rts := make([]radio.ShardRuntime, k)
@@ -198,14 +198,16 @@ func testSweepPerRowRule(t *testing.T, k int) {
 		Kind: "vehicle", Traj: phenomena.Stationary{At: geom.Pt(3, 4)}, SignatureRadius: 1.5,
 	})
 	field.Add(&phenomena.Target{
-		Kind: "vehicle", Traj: phenomena.Line{Start: geom.Pt(0, 9), Dir: geom.Vec(1, 0.1), Speed: 0.5}, SignatureRadius: 1.5,
+		// Half a grid unit per sensing period: the target crosses the
+		// field in the test's 40 ticks.
+		Kind: "vehicle", Traj: phenomena.Line{Start: geom.Pt(0, 9), Dir: geom.Vec(1, 0.1), Speed: 5}, SignatureRadius: 1.5,
 	})
 	hot := NewHotState()
 	mask, _ := hot.CtxMask("tracker")
 	envs := make([]*Env, k)
 	sweeps := make([]*Sweep, k)
 	for i := range envs {
-		envs[i] = NewEnv(rts[i], medium, field, Config{SensePeriod: period}, hot)
+		envs[i] = NewEnv(rts[i], medium, field, Config{}, hot)
 		sweeps[i] = NewSweep(envs[i])
 	}
 	// Each shard logs the rows its sweep scans, and flips bits of its own

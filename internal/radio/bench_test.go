@@ -19,7 +19,7 @@ const fanoutTarget NodeID = 28
 // The neighbor cache and the record pools are warm.
 func fanout(tb testing.TB, dst NodeID) func() {
 	g := simtime.NewShardGroup(1)
-	m := New(Params{CommRadius: 10, PropDelay: time.Microsecond}, nil, ShardRuntime{Sched: g.Shard(0), Stats: &trace.Stats{}})
+	m := New(Params{CommRadius: 10}, nil, ShardRuntime{Sched: g.Shard(0), Stats: &trace.Stats{}})
 	// 8x8 grid with spacing 2: every node hears every other (radius 10
 	// covers the 14x14 diagonal partially; center sees most).
 	for i := 0; i < 64; i++ {

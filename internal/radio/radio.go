@@ -1,9 +1,9 @@
 // Package radio simulates the shared wireless medium of a mote network: a
-// disk-connectivity broadcast channel with finite bit rate (50 kb/s for MICA
-// motes), propagation delay, iid channel loss, and receiver-side collision
-// corruption. There is no MAC-layer reliability, matching the paper's
-// observation that "no reliability is implemented in the MAC layer of the
-// MICA motes"; collisions therefore grow with offered traffic.
+// disk-connectivity broadcast channel at the MICA motes' 50 kb/s, iid
+// channel loss, and receiver-side collision corruption. There is no
+// MAC-layer reliability, matching the paper's observation that "no
+// reliability is implemented in the MAC layer of the MICA motes";
+// collisions therefore grow with offered traffic.
 //
 // The send/receive path is the hottest code in the simulator (every frame
 // occupies the channel of O(neighbors) receivers), so it is
@@ -55,8 +55,8 @@ type NodeID int
 // in communication range.
 const Broadcast NodeID = -1
 
-// DefaultBitRate is the MICA mote channel capacity in bits per second.
-const DefaultBitRate = 50_000.0
+// BitRate is the MICA mote channel capacity in bits per second.
+const BitRate = 50_000.0
 
 // DefaultFrameBits approximates a small TinyOS active message (36-byte
 // frame) on the air.
@@ -99,11 +99,6 @@ type Frame struct {
 type Params struct {
 	// CommRadius is the communication radius in grid units.
 	CommRadius float64
-	// BitRate is the channel capacity in bits/second (DefaultBitRate if 0).
-	BitRate float64
-	// PropDelay is the fixed propagation + modem turnaround delay added to
-	// each frame's airtime.
-	PropDelay time.Duration
 	// LossProb is the iid per-receiver frame loss probability in [0,1].
 	LossProb float64
 	// DisableCollisions turns off the receiver-side collision model.
@@ -113,13 +108,6 @@ type Params struct {
 	// radio stack carrier-senses (it lacks MAC *reliability*, not CSMA),
 	// so CSMA is on by default; hidden terminals still collide.
 	DisableCSMA bool
-}
-
-func (p Params) withDefaults() Params {
-	if p.BitRate <= 0 {
-		p.BitRate = DefaultBitRate
-	}
-	return p
 }
 
 // csmaSlot is the carrier-sense backoff slot; the backoff window doubles
@@ -332,12 +320,11 @@ type deliveryBatch struct {
 // drawn, so only the receiver-side occupancy, accounting, and callback
 // remain to run on the receiving shard. start/end span the frame's airtime
 // at the receiver so FlushBoundary can insert it into the receiver's
-// channel-occupancy list for collision detection.
+// channel-occupancy list for collision detection; it arrives at end.
 type crossRec struct {
 	dst        *Node
 	f          Frame
 	start, end time.Duration
-	at         time.Duration
 	lost       bool
 }
 
@@ -363,7 +350,6 @@ type ShardRuntime struct {
 // workers start, the owner must call PrebuildNeighbors (after the last
 // AddNode) so spatial lookups are read-only during the run.
 func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medium {
-	p = p.withDefaults()
 	k := len(rts)
 	m := &Medium{
 		params:     p,
@@ -383,7 +369,7 @@ func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medi
 	return m
 }
 
-// Params returns the medium configuration (with defaults applied).
+// Params returns the medium configuration.
 func (m *Medium) Params() Params {
 	return m.params
 }
@@ -547,14 +533,14 @@ func (m *Medium) neighborsOf(n *Node) []*Node {
 	return nb
 }
 
-// Airtime returns the channel occupancy of a frame of the given size. It
-// is a pure computation, safe from concurrent shard goroutines; the send
-// path uses it too.
-func (m *Medium) Airtime(bits int) time.Duration {
+// Airtime returns the channel occupancy of a frame of the given size at
+// BitRate; a size <= 0 is a DefaultFrameBits frame. The send path uses it
+// too.
+func Airtime(bits int) time.Duration {
 	if bits <= 0 {
 		bits = DefaultFrameBits
 	}
-	return time.Duration(float64(bits) / m.params.BitRate * float64(time.Second))
+	return time.Duration(float64(bits) / BitRate * float64(time.Second))
 }
 
 // lost draws the iid loss at dst of transmission id, whose airtime starts
@@ -639,8 +625,8 @@ func (sc *shardCtx) recycleBatch(b *deliveryBatch) {
 // Send transmits a frame from f.Src. The sender carrier-senses first:
 // while the channel around it is busy (its own transmission or an audible
 // reception in progress) the frame is deferred with random backoff, up to
-// maxCSMAAttempts times. Delivery to in-range receivers happens after
-// airtime plus propagation delay, subject to loss and collisions (hidden
+// maxCSMAAttempts times. Delivery to in-range receivers happens when the
+// frame's airtime ends, subject to loss and collisions (hidden
 // terminals still collide). Sending from an unregistered node is a no-op.
 func (m *Medium) Send(f Frame) {
 	src, ok := m.nodes[f.Src]
@@ -727,7 +713,7 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil
 	}
-	airtime := m.Airtime(f.Bits)
+	airtime := Airtime(f.Bits)
 	end := start + airtime
 	src.txBusyUntil = end
 
@@ -741,12 +727,10 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 	}
 
 	batch := sc.acquireBatch()
-	deliverAt := end + m.params.PropDelay
-	// lookahead is the conservative bound boundary deliveries must clear:
-	// one packet time. deliverAt - now ≥ airtime + PropDelay always holds
-	// (start ≥ now), which is exactly what lets the free-running
+	// The frame arrives as its airtime ends. Boundary deliveries must clear
+	// the conservative bound of one packet time: end - now ≥ airtime always
+	// holds (start ≥ now), which is exactly what lets the free-running
 	// conservative executor advance a shard to the window edge.
-	lookahead := airtime + m.params.PropDelay
 	intended := 0
 	// The neighbor list is exactly the in-range receiver set in ascending
 	// id order — the same nodes the old full-field scan selected — held as
@@ -777,7 +761,7 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 				continue
 			}
 			sc.boundary++
-			if deliverAt+shardMutSkew-now < lookahead {
+			if end+shardMutSkew-now < airtime {
 				sc.late++
 			}
 			lost := sc.lost(f.ID, dst.id, start)
@@ -791,8 +775,7 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 			}
 			sc.out = append(sc.out, crossRec{
 				dst: dst, f: f,
-				start: start + shardMutSkew, end: end + shardMutSkew,
-				at: deliverAt + shardMutSkew, lost: lost,
+				start: start + shardMutSkew, end: end + shardMutSkew, lost: lost,
 			})
 			continue
 		}
@@ -810,7 +793,7 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 	batch.pos = src.pos
 	// One event delivers the whole batch in ascending receiver-id order and
 	// then runs the undelivered check.
-	sched.AtEventOwned(deliverAt, simtime.OwnerRadio, batchDeliver, batch)
+	sched.AtEventOwned(end, simtime.OwnerRadio, batchDeliver, batch)
 }
 
 // FlushBoundary drains every sending shard's cross-shard outbox at a
@@ -832,7 +815,7 @@ func (m *Medium) FlushBoundary(window time.Duration) error {
 	for _, sc := range m.ctxs {
 		for i := range sc.out {
 			r := &sc.out[i]
-			if r.at < window {
+			if r.end < window {
 				sc.late++
 			}
 			dstCtx := m.ctxs[r.dst.shard]
@@ -840,7 +823,7 @@ func (m *Medium) FlushBoundary(window time.Duration) error {
 			rx.dst, rx.f, rx.lost = r.dst, r.f, r.lost
 			rx.hasEvent = true
 			m.occupyChannel(r.dst, occupancy{start: r.start, end: r.end, r: rx}, window)
-			dstCtx.sched.AtEventOwned(r.at, simtime.OwnerRadio, crossDeliver, rx)
+			dstCtx.sched.AtEventOwned(r.end, simtime.OwnerRadio, crossDeliver, rx)
 			*r = crossRec{}
 		}
 		sc.out = sc.out[:0]

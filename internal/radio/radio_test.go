@@ -106,26 +106,8 @@ func TestUnicastDeliversOnlyToDestination(t *testing.T) {
 	}
 }
 
-func TestDeliveryDelayIsAirtimePlusPropagation(t *testing.T) {
-	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000, PropDelay: time.Millisecond})
-	var at time.Duration
-	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), recvFunc(func(f Frame) { at = g.Now() })); err != nil {
-		t.Fatal(err)
-	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
-	settle(t, g)
-	// 100 bits at 1000 b/s = 100 ms, plus 1 ms propagation.
-	want := 101 * time.Millisecond
-	if at != want {
-		t.Errorf("delivery at %v, want %v", at, want)
-	}
-}
-
 func TestSenderSerializesTransmissions(t *testing.T) {
-	g, m, _ := newTestMedium(t, Params{CommRadius: 5, BitRate: 1000})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 5})
 	var arrivals []time.Duration
 	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -133,10 +115,10 @@ func TestSenderSerializesTransmissions(t *testing.T) {
 	if err := m.AddNode(new(Node), 1, geom.Pt(1, 0), recvFunc(func(f Frame) { arrivals = append(arrivals, g.Now()) })); err != nil {
 		t.Fatal(err)
 	}
-	// Two back-to-back 100-bit frames: second must start after the first
+	// Two back-to-back 5000-bit (100 ms) frames: second must start after the first
 	// finishes, arriving at 200 ms rather than colliding.
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 100})
+	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
+	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
 	settle(t, g)
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %v, want 2 deliveries", arrivals)
@@ -154,7 +136,7 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	// Hidden-terminal topology: the two senders cannot hear each other
 	// (distance 2 > radius 1.2) so carrier sensing cannot prevent their
 	// frames overlapping at the receiver between them.
-	g, m, stats := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	g, m, stats := newTestMedium(t, Params{CommRadius: 1.2})
 	received := 0
 	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -165,8 +147,8 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
+	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	settle(t, g)
 	if received != 0 {
 		t.Errorf("received %d frames, want 0 (collision)", received)
@@ -181,7 +163,7 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 }
 
 func TestCollisionsDisabled(t *testing.T) {
-	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000, DisableCollisions: true})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, DisableCollisions: true})
 	received := 0
 	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -192,8 +174,8 @@ func TestCollisionsDisabled(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
+	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	settle(t, g)
 	if received != 2 {
 		t.Errorf("received %d frames, want 2 with collisions disabled", received)
@@ -201,7 +183,7 @@ func TestCollisionsDisabled(t *testing.T) {
 }
 
 func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
-	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2})
 	received := 0
 	if err := m.AddNode(new(Node), 0, geom.Pt(0, 0), nil); err != nil {
 		t.Fatal(err)
@@ -212,9 +194,9 @@ func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 100})
+	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
 	g.Shard(0).AfterOwned(150*time.Millisecond, simtime.OwnerNone, func() {
-		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	})
 	settle(t, g)
 	if received != 2 {
@@ -313,11 +295,10 @@ func TestNeighborsUnknownNode(t *testing.T) {
 }
 
 func TestAirtime(t *testing.T) {
-	_, m, _ := newTestMedium(t, Params{CommRadius: 1, BitRate: 50000})
-	if got := m.Airtime(50000); got != time.Second {
-		t.Errorf("Airtime(50000) = %v, want 1s", got)
+	if got := Airtime(int(BitRate)); got != time.Second {
+		t.Errorf("Airtime(%v) = %v, want 1s", BitRate, got)
 	}
-	if got := m.Airtime(0); got != m.Airtime(DefaultFrameBits) {
+	if got := Airtime(0); got != Airtime(DefaultFrameBits) {
 		t.Errorf("Airtime(0) should use the default frame size")
 	}
 }
@@ -338,7 +319,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	}
 	runTo(t, g, 10*time.Second)
 	// 5000 bits over 10 s on a 50 kb/s link = 1%.
-	got := stats.LinkUtilization(10*time.Second, DefaultBitRate)
+	got := stats.LinkUtilization(10*time.Second, BitRate)
 	if got < 0.0099 || got > 0.0101 {
 		t.Errorf("LinkUtilization = %v, want ~0.01", got)
 	}
@@ -364,7 +345,7 @@ func TestNodeIDsSorted(t *testing.T) {
 // addressed to someone else: node 3 overhears node 1's unicast to node
 // 2, so its own send, 10 ms into that frame, waits for the channel.
 func TestOverheardFrameDefersSend(t *testing.T) {
-	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2, BitRate: 1000})
+	g, m, _ := newTestMedium(t, Params{CommRadius: 1.2})
 	var arrived time.Duration
 	if err := m.AddNode(new(Node), 1, geom.Pt(0, 0), recvFunc(func(f Frame) {
 		if f.Src == 3 {
@@ -381,10 +362,10 @@ func TestOverheardFrameDefersSend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+	const packet = 100 * time.Millisecond // a 5000-bit frame at 50 kb/s
+	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	runTo(t, g, 10*time.Millisecond)
-	m.Send(Frame{Kind: trace.KindReading, Src: 3, Dst: 1, Bits: 100})
+	m.Send(Frame{Kind: trace.KindReading, Src: 3, Dst: 1, Bits: 5000})
 	settle(t, g)
 	// Node 3 waits out node 1's frame and one backoff slot at most, then
 	// takes one packet time on the air.

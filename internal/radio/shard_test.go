@@ -103,7 +103,7 @@ func TestBoundaryClassification(t *testing.T) {
 	// executor's idle skip relies on outboxes being empty between windows.
 	g.Shard(0).AtEventOwned(0, simtime.OwnerNone, func(arg any) { m.Send(arg.(Frame)) },
 		Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
-	runSharded(t, g, m, time.Second, m.Airtime(DefaultFrameBits))
+	runSharded(t, g, m, time.Second, Airtime(DefaultFrameBits))
 	// Node 1's broadcast targets 2 (cross: shard 0 -> 1) and 3 (same
 	// shard, unaccounted); both receive it.
 	if got[2] != 1 || got[3] != 1 {
@@ -120,8 +120,8 @@ func TestBoundaryClassification(t *testing.T) {
 // executor with FlushBoundary as the barrier, every barrier returns nil:
 // no cross-shard frame is ever delivered earlier than its commit time plus
 // its own packet time (the send-time check), nor before the barrier that
-// drains it when the window is the smallest frame's airtime + propagation
-// delay (the barrier check).
+// drains it when the window is the smallest frame's airtime (the barrier
+// check).
 func TestConservativeLookaheadInvariant(t *testing.T) {
 	var boundary uint64
 	for trial := 0; trial < 40; trial++ {
@@ -130,7 +130,6 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 		width := 8 + rng.Float64()*24
 		p := Params{
 			CommRadius: 1.5 + rng.Float64()*4,
-			PropDelay:  time.Duration(rng.Intn(3)) * time.Millisecond,
 			LossProb:   rng.Float64() * 0.3,
 		}
 		g := simtime.NewShardGroup(k)
@@ -163,7 +162,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 				m.Send(arg.(Frame))
 			}, f)
 		}
-		bound := m.Airtime(minBits) + p.PropDelay
+		bound := Airtime(minBits)
 		runSharded(t, g, m, 10*time.Second, bound)
 
 		boundary += m.BoundaryFrames()
@@ -178,8 +177,8 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 // at a window edge past its arrival time must fail the barrier, while
 // draining it at its arrival time is fine.
 func TestFlushBoundaryRejectsLateDelivery(t *testing.T) {
-	p := Params{CommRadius: 1.2, BitRate: 1000}
-	const arrival = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+	p := Params{CommRadius: 1.2}
+	const arrival = 100 * time.Millisecond // a 5000-bit frame at 50 kb/s
 	for _, tc := range []struct {
 		window time.Duration
 		late   bool
@@ -189,7 +188,7 @@ func TestFlushBoundaryRejectsLateDelivery(t *testing.T) {
 	} {
 		_, m, _, _, _ := crossPair(t, p)
 		m.PrebuildNeighbors()
-		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		err := m.FlushBoundary(tc.window)
 		if tc.late && (err == nil || !strings.Contains(err.Error(), "lookahead")) {
 			t.Errorf("FlushBoundary(%v) = %v, want a lookahead error for a delivery at %v", tc.window, err, arrival)
@@ -272,13 +271,13 @@ func atReceiver(l *eventLog) []obs.Event {
 // frame loses both, an iid loss is a random loss, and a clean frame is
 // received with the sender counting it delivered.
 func TestCrossShardReceptionOutcomes(t *testing.T) {
-	p := Params{CommRadius: 1.2, BitRate: 1000}
-	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+	p := Params{CommRadius: 1.2}
+	const packet = 100 * time.Millisecond // a 5000-bit frame at 50 kb/s
 
 	t.Run("collision", func(t *testing.T) {
 		g, m, stats, logs, received := crossPair(t, p)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
-		sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 2, Bits: 100})
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 0 {
 			t.Fatalf("node 2 received %d frames, want 0", *received)
@@ -306,7 +305,7 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 		lossy := p
 		lossy.LossProb = 1
 		g, m, stats, logs, received := crossPair(t, lossy)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 0 {
 			t.Fatalf("node 2 received %d frames, want 0", *received)
@@ -325,7 +324,7 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		g, m, stats, logs, received := crossPair(t, p)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
+		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 1 {
 			t.Fatalf("node 2 received %d frames, want 1", *received)
@@ -354,11 +353,11 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 // its frame reaches node 2 through the barrier and meets node 3's
 // overheard frame in node 2's occupancy list there.
 func TestHiddenUnicastCorruptsTargetReception(t *testing.T) {
-	const packet = 100 * time.Millisecond // a 100-bit frame at 1000 b/s
+	const packet = 100 * time.Millisecond // a 5000-bit frame at 50 kb/s
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			g := simtime.NewShardGroup(k)
-			m := shardedMedium(g, Params{CommRadius: 1.2, BitRate: 1000}, func(p geom.Point) int32 {
+			m := shardedMedium(g, Params{CommRadius: 1.2}, func(p geom.Point) int32 {
 				if p.X < 0.5 {
 					return 0
 				}
@@ -370,8 +369,8 @@ func TestHiddenUnicastCorruptsTargetReception(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 100})
-			sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 4, Bits: 100})
+			sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+			sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 4, Bits: 5000})
 			runSharded(t, g, m, time.Second, packet)
 			if received[2] != 0 || received[4] != 1 {
 				t.Fatalf("node 2 received %d frames and node 4 %d, want 0 and 1", received[2], received[4])

@@ -3,6 +3,7 @@ package simtime
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // schedulerChurn returns one iteration of the heartbeat-reset pattern
@@ -82,5 +83,13 @@ func TestSchedulerStepAllocatesNothing(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Fatalf("schedule plus fire allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSlotStateSize pins the pooled event slot at 40 B: one typed handler
+// and its payload, with a closure event stored as callFunc's payload.
+func TestSlotStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(slotState{}); size > 40 {
+		t.Errorf("unsafe.Sizeof(slotState{}) = %d B, want <= 40", size)
 	}
 }

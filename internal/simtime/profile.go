@@ -212,14 +212,10 @@ func (s *Scheduler) setProfile(p *Profile) {
 
 // runProfiled executes one event under timing and pprof labels. It is
 // kept out of fire so the unprofiled path stays small.
-func (s *Scheduler) runProfiled(owner Owner, fn Callback, pfn EventFunc, arg any) {
+func (s *Scheduler) runProfiled(owner Owner, fn EventFunc, arg any) {
 	pprof.SetGoroutineLabels(s.labelCtxs[owner])
 	start := time.Now()
-	if fn != nil {
-		fn()
-	} else if pfn != nil {
-		pfn(arg)
-	}
+	fn(arg)
 	d := time.Since(start)
 	s.prof.add(owner, d)
 	s.prof.addShard(s.shardID, d)

@@ -8,8 +8,8 @@
 // Run executes several shards in conservative lookahead windows: every
 // shard fires all of its events inside [T, T+delta), a barrier drains the
 // cross-shard radio outboxes (whose entries are guaranteed to land at or
-// after T+delta by the radio lookahead bound of one packet time — airtime
-// plus propagation), and the window advances. This is a
+// after T+delta by the radio lookahead bound of one packet time — the
+// smallest frame's airtime), and the window advances. This is a
 // lower-bound-on-timestamp (LBTS) protocol with a constant lookahead.
 // Every random draw is keyed by who draws it (Draw), so a k-shard run
 // makes the serial run's draws; it leaves the serial run only where a
@@ -111,7 +111,7 @@ type windowJob struct {
 // then the coordinator runs barrier (draining cross-shard mailboxes,
 // merging buffered observability lanes, sampling series) and the window
 // advances. delta must be a positive lower bound on the latency of any
-// cross-shard interaction — the radio's airtime+PropDelay bound — or the
+// cross-shard interaction — the radio's airtime bound — or the
 // barrier will observe already-late deliveries; a non-positive delta is an
 // error. A lone shard ignores delta and runs the whole interval as one
 // window. A non-nil barrier error aborts the run, and a Stop, from a

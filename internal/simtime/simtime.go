@@ -77,9 +77,15 @@ type Callback func()
 // AtEventOwned and friends. The hot paths of the radio medium, the mote
 // CPU, and the group protocol use it to schedule work without capturing
 // closures: the handler is a package-level function and arg is a pooled
-// record, so the schedule site allocates nothing. arg must be a pointer-shaped value —
-// storing a pointer in an interface does not allocate.
+// record, so the schedule site allocates nothing. arg must be a
+// pointer-shaped value — storing a pointer in an interface does not
+// allocate.
 type EventFunc func(arg any)
+
+// callFunc is the typed handler of a closure event (AtOwned and friends):
+// arg is the Callback itself, and a func value is pointer-shaped, so
+// storing it in the slot allocates nothing.
+func callFunc(arg any) { arg.(Callback)() }
 
 // Timer is a handle to a scheduled event. It is a small value: copying it
 // is cheap and the zero value is inert (Stop and Pending return false).
@@ -137,9 +143,9 @@ type event struct {
 	gen uint32
 }
 
-// slotState is one pooled event slot: the stable home of an event's
-// callback, typed handler, and payload while its heap entry migrates
-// through sift operations. Exactly one of fn/pfn is set.
+// slotState is one pooled event slot: the stable home of an event's typed
+// handler and payload while its heap entry migrates through sift
+// operations.
 type slotState struct {
 	gen     uint32
 	pending bool
@@ -147,8 +153,7 @@ type slotState struct {
 	// next links a free slot into the free list, and a pending run member
 	// to the member after it (-1 when it is the run's last or no run).
 	next int32
-	fn   Callback
-	pfn  EventFunc
+	fn   EventFunc
 	arg  any
 }
 
@@ -238,7 +243,6 @@ func (s *Scheduler) releaseSlot(idx int32) {
 	sl.pending = false
 	sl.gen++
 	sl.fn = nil
-	sl.pfn = nil
 	sl.arg = nil
 	sl.next = s.freeHead
 	s.freeHead = idx
@@ -257,9 +261,9 @@ func (s *Scheduler) push(ev event, owner Owner) {
 
 // schedule is the single scheduling core behind every At/After variant:
 // clamp the deadline, draw a sequence number, fill a pooled slot (owner
-// tag, callback or typed handler + payload), and push the heap entry. It
-// returns what a Timer handle needs; handle-less callers discard it.
-func (s *Scheduler) schedule(at time.Duration, owner Owner, fn Callback, pfn EventFunc, arg any) (int32, uint32, time.Duration) {
+// tag, typed handler and payload), and push the heap entry. It returns
+// what a Timer handle needs; handle-less callers discard it.
+func (s *Scheduler) schedule(at time.Duration, owner Owner, fn EventFunc, arg any) (int32, uint32, time.Duration) {
 	// The clock and sequence counter are local even on a shard: every
 	// schedule call on a shard happens on its own window goroutine (or on
 	// the coordinator at a barrier, when no window runs), so the per-shard
@@ -272,7 +276,6 @@ func (s *Scheduler) schedule(at time.Duration, owner Owner, fn Callback, pfn Eve
 	sl := &s.slots[idx]
 	sl.owner = owner
 	sl.fn = fn
-	sl.pfn = pfn
 	sl.arg = arg
 	s.push(event{at: at, seq: s.seq, slot: idx, gen: gen}, owner)
 	return idx, gen, at
@@ -292,7 +295,7 @@ func (s *Scheduler) scheduleRun(at time.Duration, owner Owner, fn EventFunc, arg
 			idx, gen := s.acquireSlot() // may grow s.slots: tail is stale now
 			sl := &s.slots[idx]
 			sl.owner = owner
-			sl.pfn = fn
+			sl.fn = fn
 			sl.arg = arg
 			s.slots[s.runTail].next = idx
 			s.runTail, s.runGen, s.runSeq = idx, gen, s.seq
@@ -300,7 +303,7 @@ func (s *Scheduler) scheduleRun(at time.Duration, owner Owner, fn EventFunc, arg
 			return
 		}
 	}
-	idx, gen, at := s.schedule(at, owner, nil, fn, arg)
+	idx, gen, at := s.schedule(at, owner, fn, arg)
 	s.runTail, s.runGen, s.runAt, s.runSeq = idx, gen, at, s.seq
 }
 
@@ -309,7 +312,7 @@ func (s *Scheduler) scheduleRun(at time.Duration, owner Owner, fn EventFunc, arg
 // in the past are clamped to "now" (the event fires next).
 // Events scheduled for the same instant fire in scheduling order.
 func (s *Scheduler) AtOwned(at time.Duration, owner Owner, fn Callback) Timer {
-	idx, gen, _ := s.schedule(at, owner, fn, nil, nil)
+	idx, gen, _ := s.schedule(at, owner, callFunc, fn)
 	return Timer{s: s, slot: idx + 1, gen: gen}
 }
 
@@ -348,7 +351,7 @@ func (s *Scheduler) AfterEventTimerOwned(d time.Duration, owner Owner, fn EventF
 	if d < 0 {
 		d = 0
 	}
-	idx, gen, _ := s.schedule(s.now+d, owner, nil, fn, arg)
+	idx, gen, _ := s.schedule(s.now+d, owner, fn, arg)
 	return Timer{s: s, slot: idx + 1, gen: gen}
 }
 
@@ -412,16 +415,14 @@ func (s *Scheduler) take() event {
 func (s *Scheduler) fire(ev event) {
 	s.now, s.firedSeq = ev.at, ev.seq
 	sl := &s.slots[ev.slot]
-	fn, pfn, arg, owner := sl.fn, sl.pfn, sl.arg, sl.owner
+	fn, arg, owner := sl.fn, sl.arg, sl.owner
 	s.releaseSlot(ev.slot)
 	s.live--
 	s.executed++
 	if s.prof != nil {
-		s.runProfiled(owner, fn, pfn, arg)
-	} else if fn != nil {
-		fn()
-	} else if pfn != nil {
-		pfn(arg)
+		s.runProfiled(owner, fn, arg)
+	} else {
+		fn(arg)
 	}
 }
 
@@ -576,14 +577,13 @@ func (s *Scheduler) siftDown(i int) {
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped. It
 // is the virtual-time analogue of time.Ticker and is used for heartbeats,
-// sensing scans, and report periods. The re-arm closure is created once at
-// construction, so a running ticker allocates nothing per tick.
+// sensing scans, and report periods. Each tick is a typed event whose
+// payload is the ticker, so a running ticker allocates nothing per tick.
 type Ticker struct {
 	s      *Scheduler
 	period time.Duration
 	owner  Owner
 	fn     Callback
-	fire   Callback
 	timer  Timer
 	done   bool
 }
@@ -596,21 +596,24 @@ func NewTickerOwned(s *Scheduler, period time.Duration, owner Owner, fn Callback
 		return nil
 	}
 	t := &Ticker{s: s, period: period, owner: owner, fn: fn}
-	t.fire = func() {
-		if t.done {
-			return
-		}
-		t.fn()
-		if !t.done { // fn may have stopped the ticker
-			t.arm()
-		}
-	}
 	t.arm()
 	return t
 }
 
 func (t *Ticker) arm() {
-	t.timer = t.s.AfterOwned(t.period, t.owner, t.fire)
+	t.timer = t.s.AfterEventTimerOwned(t.period, t.owner, tickerFire, t)
+}
+
+// tickerFire is the typed handler of a ticker's tick.
+func tickerFire(arg any) {
+	t := arg.(*Ticker)
+	if t.done {
+		return
+	}
+	t.fn()
+	if !t.done { // fn may have stopped the ticker
+		t.arm()
+	}
 }
 
 // Stop cancels future invocations. It is idempotent.

@@ -18,24 +18,15 @@ import (
 	"envirotrack/internal/track"
 )
 
-// ModelFunc assigns a sensing model to each deployed mote; returning nil
-// deploys a pure relay node.
-type ModelFunc func(id NodeID, pos Point) *SensorModel
-
 // networkConfig collects the options of New.
 type networkConfig struct {
 	cols, rows  int
 	commRadius  float64
-	bitRate     float64
 	lossProb    float64
-	propDelay   time.Duration
-	noCollision bool
 	noCSMA      bool
 	seed        int64
 	moteCfg     mote.Config
-	bounds      Rect
-	boundsSet   bool
-	modelFn     ModelFunc
+	model       *SensorModel
 	directory   bool
 	bus         *obs.Bus
 	selfProfile *simtime.Profile
@@ -63,25 +54,9 @@ func WithCommRadius(r float64) Option {
 	return optionFunc(func(c *networkConfig) { c.commRadius = r })
 }
 
-// WithBitRate sets the channel capacity in bits/second (default 50 kb/s,
-// the MICA mote radio).
-func WithBitRate(bps float64) Option {
-	return optionFunc(func(c *networkConfig) { c.bitRate = bps })
-}
-
 // WithLossProb sets the iid per-receiver frame loss probability.
 func WithLossProb(p float64) Option {
 	return optionFunc(func(c *networkConfig) { c.lossProb = p })
-}
-
-// WithPropDelay sets the fixed per-frame propagation delay.
-func WithPropDelay(d time.Duration) Option {
-	return optionFunc(func(c *networkConfig) { c.propDelay = d })
-}
-
-// WithoutCollisions disables the receiver-side collision model.
-func WithoutCollisions() Option {
-	return optionFunc(func(c *networkConfig) { c.noCollision = true })
 }
 
 // WithoutCSMA disables carrier sensing: senders transmit immediately even
@@ -104,28 +79,9 @@ func WithMoteCPU(serviceTime time.Duration, queueCap int) Option {
 	})
 }
 
-// WithSensePeriod sets the sensor scan period (default 100 ms).
-func WithSensePeriod(d time.Duration) Option {
-	return optionFunc(func(c *networkConfig) { c.moteCfg.SensePeriod = d })
-}
-
-// WithSensing assigns the same sensing model constructor to every grid
-// mote.
+// WithSensing assigns the same sensing model to every grid mote.
 func WithSensing(model *SensorModel) Option {
-	return optionFunc(func(c *networkConfig) {
-		c.modelFn = func(NodeID, Point) *SensorModel { return model }
-	})
-}
-
-// WithSensingFunc assigns sensing models per mote.
-func WithSensingFunc(fn ModelFunc) Option {
-	return optionFunc(func(c *networkConfig) { c.modelFn = fn })
-}
-
-// WithBounds overrides the field bounds used for directory hashing
-// (default: the grid bounds).
-func WithBounds(r Rect) Option {
-	return optionFunc(func(c *networkConfig) { c.bounds, c.boundsSet = r, true })
+	return optionFunc(func(c *networkConfig) { c.model = model })
 }
 
 // WithDirectory enables the object naming and directory services.
@@ -155,7 +111,7 @@ func WithEventBus(bus *EventBus) Option {
 // traffic run on the shard owning its region — and executes them on
 // separate goroutines with the free-running conservative-lookahead (LBTS)
 // engine: each shard fires its events inside lookahead windows of one
-// minimum packet time (airtime + PropDelay), a barrier drains each
+// minimum packet time (the smallest frame's airtime), a barrier drains each
 // shard's cross-shard radio outbox, merges the buffered observability
 // lanes, and samples series, and the window advances. Every random draw
 // is keyed by who draws it, so the shards make the serial run's draws:
@@ -196,7 +152,9 @@ func WithSelfProfile(p *SelfProfile) Option {
 // driven by a virtual clock; use Run/RunSession to advance it. A Network
 // is not safe for concurrent use except through a Session.
 type Network struct {
-	cfg networkConfig
+	// bounds is the grid's extent: the shard regions tile it and the
+	// directory hashes type names into it.
+	bounds Rect
 	// group executes the run on k >= 1 scheduler shards (one for the
 	// serial engine); shardOf maps a position to its owning shard, and
 	// envs[i] is the environment of shard i's motes: its scheduler, run
@@ -260,15 +218,13 @@ func New(opts ...Option) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.boundsSet {
-		cfg.bounds = geom.Grid{Cols: cfg.cols, Rows: cfg.rows}.Bounds()
-	}
+	bounds := geom.Grid{Cols: cfg.cols, Rows: cfg.rows}.Bounds()
 
 	k := max(cfg.shards, 1)
 	n := &Network{
-		cfg:     cfg,
+		bounds:  bounds,
 		group:   simtime.NewShardGroup(k),
-		shardOf: shardMapper(cfg.bounds, k),
+		shardOf: shardMapper(bounds, k),
 		envs:    make([]*mote.Env, k),
 		field:   phenomena.NewField(),
 		ledger:  &trace.Ledger{},
@@ -290,17 +246,14 @@ func New(opts ...Option) (*Network, error) {
 		}
 	}
 	n.medium = radio.New(radio.Params{
-		CommRadius:        cfg.commRadius,
-		BitRate:           cfg.bitRate,
-		PropDelay:         cfg.propDelay,
-		LossProb:          cfg.lossProb,
-		DisableCollisions: cfg.noCollision,
-		DisableCSMA:       cfg.noCSMA,
+		CommRadius:  cfg.commRadius,
+		LossProb:    cfg.lossProb,
+		DisableCSMA: cfg.noCSMA,
 	}, n.shardOf, rts...)
 	for i, rt := range rts {
 		env := mote.NewEnv(rt, n.medium, n.field, cfg.moteCfg, n.hot)
 		env.Ledger = n.ledger
-		env.Bounds, env.UseDirectory, env.Backend = cfg.bounds, cfg.directory, cfg.backend
+		env.Bounds, env.UseDirectory, env.Backend = bounds, cfg.directory, cfg.backend
 		n.envs[i] = env
 	}
 
@@ -308,12 +261,7 @@ func New(opts ...Option) (*Network, error) {
 		for y := 0; y < cfg.rows; y++ {
 			for x := 0; x < cfg.cols; x++ {
 				id := NodeID(y*cfg.cols + x)
-				pos := Pt(float64(x), float64(y))
-				var model *SensorModel
-				if cfg.modelFn != nil {
-					model = cfg.modelFn(id, pos)
-				}
-				if _, err := n.AddMote(id, pos, model); err != nil {
+				if _, err := n.AddMote(id, Pt(float64(x), float64(y)), cfg.model); err != nil {
 					return nil, err
 				}
 			}
@@ -323,16 +271,12 @@ func New(opts ...Option) (*Network, error) {
 }
 
 // validate rejects option values no run can use, before New builds
-// anything. A bit rate of 0 keeps the default.
+// anything.
 func (c *networkConfig) validate() error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
 	case !finite(c.commRadius) || c.commRadius <= 0:
 		return fmt.Errorf("envirotrack: communication radius must be positive and finite, got %v", c.commRadius)
-	case !finite(c.bitRate) || c.bitRate < 0:
-		return fmt.Errorf("envirotrack: bit rate must be finite and non-negative, got %v", c.bitRate)
-	case c.propDelay < 0:
-		return fmt.Errorf("envirotrack: propagation delay must be non-negative, got %v", c.propDelay)
 	case !(c.lossProb >= 0 && c.lossProb <= 1):
 		return fmt.Errorf("envirotrack: loss probability must be in [0,1], got %v", c.lossProb)
 	case c.shards > MaxParallelShards:
@@ -452,7 +396,9 @@ func (n *Network) EventBus() *EventBus {
 // group_size (motes currently participating in any label), cpu_queue
 // (frames waiting in mote CPU queues), and link_util (cumulative channel
 // utilization in [0,1]). Extra probes append their own columns. Sampling
-// only reads protocol state, so it does not perturb a seeded run.
+// only reads protocol state, so it does not perturb a seeded run. A
+// cadence every <= 0 takes the one sample at the current time and arms
+// nothing, on every engine.
 func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series {
 	probes := append([]obs.Probe{
 		{Name: "live_labels", Sample: func() float64 {
@@ -476,11 +422,14 @@ func (n *Network) StartSeries(every time.Duration, extra ...SeriesProbe) *Series
 			return float64(n.hot.QueuedTotal())
 		}},
 		{Name: "link_util", Sample: func() float64 {
-			return n.Stats().LinkUtilization(n.Now(), n.medium.Params().BitRate)
+			return n.Stats().LinkUtilization(n.Now(), radio.BitRate)
 		}},
 	}, extra...)
 	sampler := obs.NewSampler(probes...)
 	sampler.Sample(n.Now())
+	if every <= 0 {
+		return sampler.Series()
+	}
 	if n.Shards() > 1 {
 		// No scheduler ticker with several shards: the probes read
 		// run-global state (ledger, hot slices, merged stats), so they
@@ -546,8 +495,8 @@ func (n *Network) InjectFaults(sc chaos.Schedule) error {
 	return nil
 }
 
-// start launches the sensing scans once. All sensing motes share the one
-// SensePeriod from the network config, so instead of one ticker per mote
+// start launches the sensing scans once. All sensing motes scan every
+// mote.SensePeriod, so instead of one ticker per mote
 // the network arms one mote.Sweep per shard, so every scan runs on the
 // goroutine that owns the mote's state. Each sweep scans its motes in
 // ascending id order and resolves the field once per tick into its own
@@ -613,10 +562,9 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 
 // Run advances the simulation by d of virtual time (synchronously, on the
 // calling goroutine). It can be called repeatedly. It returns an error if
-// d is negative, if any cross-shard delivery of a parallel run
+// d is negative or if any cross-shard delivery of a parallel run
 // (WithParallelShards) violated the conservative lookahead bound — a
-// violated bound means the run is invalid — or if the run's packet time
-// leaves no positive lookahead.
+// violated bound means the run is invalid.
 func (n *Network) Run(d time.Duration) error {
 	n.start()
 	return n.run(n.Now() + d)
@@ -624,13 +572,13 @@ func (n *Network) Run(d time.Duration) error {
 
 // lookaheadDelta is the parallel window width: the conservative lower
 // bound on any cross-shard interaction latency — the airtime of the
-// smallest frame a run can put on the air, plus propagation delay.
+// smallest frame a run can put on the air.
 func (n *Network) lookaheadDelta() time.Duration {
 	bits := radio.DefaultFrameBits
 	if n.minCrossBits > 0 && n.minCrossBits < bits {
 		bits = n.minCrossBits
 	}
-	return n.medium.Airtime(bits) + n.medium.Params().PropDelay
+	return radio.Airtime(bits)
 }
 
 // run drives the shard group to the deadline; a barrier error (a
@@ -720,7 +668,7 @@ func (n *Network) TargetPosition(t *Target) Point {
 
 // Bounds returns the field bounds.
 func (n *Network) Bounds() Rect {
-	return n.cfg.bounds
+	return n.bounds
 }
 
 // Shards returns the number of scheduler shards executing the run (1 for

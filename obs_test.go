@@ -120,6 +120,35 @@ func seriesColumns(t *testing.T, s *Series) []string {
 	return names
 }
 
+// TestStartSeriesWithoutCadenceTakesOneSample checks that a series with
+// a cadence <= 0 takes its one sample at the start and arms nothing, on
+// the serial engine and on two shards alike: the run returns, under a
+// deadline, with one row.
+func TestStartSeriesWithoutCadenceTakesOneSample(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		for _, every := range []time.Duration{0, -time.Second} {
+			n, err := New(WithGrid(6, 2), WithParallelShards(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			series := n.StartSeries(every)
+			done := make(chan error, 1)
+			go func() { done <- n.Run(2 * time.Second) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%d shards, every %v: %v", k, every, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d shards, every %v: Run did not return within 10 s", k, every)
+			}
+			if got := series.Len(); got != 1 {
+				t.Errorf("%d shards, every %v: series has %d rows, want 1", k, every, got)
+			}
+		}
+	}
+}
+
 func TestStartSeriesSamplesHealth(t *testing.T) {
 	n := buildNet(t)
 	var reports []Point

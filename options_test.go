@@ -2,7 +2,6 @@ package envirotrack
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,10 +20,6 @@ func TestNewValidation(t *testing.T) {
 		{"zero radius", WithCommRadius(0)},
 		{"NaN radius", WithCommRadius(math.NaN())},
 		{"infinite radius", WithCommRadius(math.Inf(1))},
-		{"negative bit rate", WithBitRate(-1)},
-		{"NaN bit rate", WithBitRate(math.NaN())},
-		{"infinite bit rate", WithBitRate(math.Inf(1))},
-		{"negative prop delay", WithPropDelay(-time.Second)},
 		{"NaN loss", WithLossProb(math.NaN())},
 		{"negative loss", WithLossProb(-0.1)},
 		{"loss above one", WithLossProb(1.5)},
@@ -38,113 +33,30 @@ func TestNewValidation(t *testing.T) {
 			}
 		}
 	}
-	// Boundary values stay valid: 0 b/s keeps the default bit rate.
-	for _, opt := range []Option{WithBitRate(0), WithLossProb(0), WithLossProb(1), WithPropDelay(0), WithParallelShards(MaxParallelShards)} {
+	// Boundary values stay valid.
+	for _, opt := range []Option{WithLossProb(0), WithLossProb(1), WithParallelShards(MaxParallelShards)} {
 		if _, err := New(WithGrid(4, 2), opt); err != nil {
 			t.Errorf("New rejected a boundary value: %v", err)
 		}
 	}
 }
 
-// TestParallelRunNeedsPositiveLookahead checks that a parallel run whose
-// packet time rounds to zero fails with an error instead of panicking —
-// from the bit rate alone, or once sub-default cross traffic shrinks the
-// smallest frame — while the serial engine, which needs no lookahead,
-// runs the same network.
-func TestParallelRunNeedsPositiveLookahead(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		bps       float64
-		crossBits int
-	}{
-		{"1 Tb/s", 1e12, 0},
-		{"10 Gb/s with 1-bit cross traffic", 1e10, 1},
-	} {
-		for _, k := range []int{0, 2} {
-			n, err := New(WithGrid(4, 2), WithCommRadius(2.5), WithBitRate(tc.bps), WithParallelShards(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.crossBits > 0 {
-				if err := n.AddCrossTraffic(0, 1, 100*time.Millisecond, tc.crossBits); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err = n.Run(time.Second)
-			switch {
-			case k > 1 && (err == nil || !strings.Contains(err.Error(), "lookahead")):
-				t.Errorf("%s, %d shards: Run = %v, want a lookahead error", tc.name, k, err)
-			case k <= 1 && err != nil:
-				t.Errorf("%s, serial: Run = %v", tc.name, err)
-			}
-		}
-	}
-}
-
-func TestWithBitRateSlowsDelivery(t *testing.T) {
-	// At a very low bit rate the same scenario puts many more bits-worth
-	// of airtime on the channel; verify runs complete and differ.
-	build := func(bps float64) uint64 {
-		n, err := New(
-			WithGrid(6, 2),
-			WithCommRadius(2.5),
-			WithBitRate(bps),
-			WithSensing(VehicleSensing("vehicle")),
-			WithSeed(3),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.AttachContextAll(trackerContext(99, nil)); err != nil {
-			t.Fatal(err)
-		}
-		n.AddTarget(&Target{Kind: "vehicle", Traj: Stationary{At: Pt(2.5, 0.5)}, SignatureRadius: 1.6})
-		if err := n.Run(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		return n.Stats().BitsSent
-	}
-	fast := build(250_000)
-	slow := build(10_000)
-	if fast == 0 || slow == 0 {
-		t.Error("no traffic recorded")
-	}
-}
-
-func TestWithPropDelayAndBounds(t *testing.T) {
-	n, err := New(
-		WithGrid(4, 2),
-		WithCommRadius(2.5),
-		WithPropDelay(2*time.Millisecond),
-		WithBounds(Rect{Min: Pt(-5, -5), Max: Pt(20, 20)}),
-		WithSensing(VehicleSensing("vehicle")),
-	)
+// TestRelayMotesNeverLead deploys a line of motes by hand, with sensors on
+// the even ones and none on the odd ones: a label forms from the sensing
+// motes only, and no relay ever leads it.
+func TestRelayMotesNeverLead(t *testing.T) {
+	n, err := New(WithCommRadius(2.5), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Bounds().Max != Pt(20, 20) {
-		t.Errorf("Bounds = %v", n.Bounds())
-	}
-	if err := n.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWithSensingFuncPerMote(t *testing.T) {
-	// Only even motes get sensors; odd motes are relays.
-	n, err := New(
-		WithGrid(6, 1),
-		WithCommRadius(2.5),
-		WithSensingFunc(func(id NodeID, _ Point) *SensorModel {
-			if id%2 == 0 {
-				return VehicleSensing("vehicle")
-			}
-			return nil
-		}),
-		WithSeed(5),
-	)
-	if err != nil {
-		t.Fatal(err)
+	for id := NodeID(0); id < 6; id++ {
+		var model *SensorModel
+		if id%2 == 0 {
+			model = VehicleSensing("vehicle")
+		}
+		if _, err := n.AddMote(id, Pt(float64(id), 0), model); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := n.AttachContextAll(trackerContext(99, nil)); err != nil {
 		t.Fatal(err)
@@ -153,7 +65,6 @@ func TestWithSensingFuncPerMote(t *testing.T) {
 	if err := n.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// A label forms from the sensing motes only.
 	labels := n.Ledger().LiveLabels("tracker")
 	if len(labels) != 1 {
 		t.Errorf("live labels = %v, want 1", labels)
@@ -166,16 +77,20 @@ func TestWithSensingFuncPerMote(t *testing.T) {
 	}
 }
 
-func TestWithoutCollisionsAndCSMA(t *testing.T) {
+// TestWithoutCSMA checks that the option reaches the radio and that a
+// network without carrier sense still forms its label.
+func TestWithoutCSMA(t *testing.T) {
 	n, err := New(
 		WithGrid(4, 2),
 		WithCommRadius(2.5),
-		WithoutCollisions(),
 		WithoutCSMA(),
 		WithSensing(VehicleSensing("vehicle")),
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !n.medium.Params().DisableCSMA {
+		t.Fatal("WithoutCSMA did not reach the radio")
 	}
 	if err := n.AttachContextAll(trackerContext(99, nil)); err != nil {
 		t.Fatal(err)
@@ -184,9 +99,8 @@ func TestWithoutCollisionsAndCSMA(t *testing.T) {
 	if err := n.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	hb := n.Stats().Kind("heartbeat")
-	if hb.LostCollision != 0 {
-		t.Errorf("collisions recorded with the model disabled: %d", hb.LostCollision)
+	if labels := n.Ledger().LiveLabels("tracker"); len(labels) != 1 {
+		t.Errorf("live labels = %v, want 1", labels)
 	}
 }
 
