@@ -33,7 +33,7 @@ type Point struct {
 // (an O(n) resummation, n <= maxPoints) also discards whatever drift
 // the incremental add/remove arithmetic accumulated since the last one.
 type Estimator struct {
-	window time.Duration
+	window time.Duration // live window: the trace-field staleness bound
 	epoch  time.Duration // time origin of the running sums
 	// oldest and newest are the extreme At over pts; meaningless when
 	// pts is empty.
@@ -50,12 +50,6 @@ type Estimator struct {
 // maxPoints bounds the live set so a dense neighborhood cannot grow the
 // estimator without limit; the oldest point is evicted beyond it.
 const maxPoints = 256
-
-// NewEstimator builds an estimator whose live window is the given trace
-// staleness horizon.
-func NewEstimator(window time.Duration) *Estimator {
-	return &Estimator{window: window}
-}
 
 // Len returns the number of live points.
 func (e *Estimator) Len() int { return len(e.pts) }

@@ -102,7 +102,7 @@ func TestEstimatorMatchesReference(t *testing.T) {
 	)
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		est := NewEstimator(window)
+		est := Estimator{window: window}
 		ref := &refEstimator{window: window}
 		now := time.Duration(0)
 		for step := 0; step < steps; step++ {
@@ -148,7 +148,7 @@ func TestEstimatorMatchesReference(t *testing.T) {
 // TestEstimatorCapacityBound floods the estimator past maxPoints and
 // checks the cap holds by evicting the oldest point first.
 func TestEstimatorCapacityBound(t *testing.T) {
-	est := NewEstimator(time.Hour)
+	est := Estimator{window: time.Hour}
 	for i := 0; i < maxPoints+50; i++ {
 		est.Add(Point{At: time.Duration(i) * time.Millisecond, Pos: geom.Pt(float64(i), 0)})
 	}
@@ -163,7 +163,7 @@ func TestEstimatorCapacityBound(t *testing.T) {
 // TestEstimatorEmptyAndDegenerate pins the edge cases: no points means
 // no estimate; a single instant's points mean the centroid.
 func TestEstimatorEmptyAndDegenerate(t *testing.T) {
-	est := NewEstimator(time.Second)
+	est := Estimator{window: time.Second}
 	if _, ok := est.Estimate(0); ok {
 		t.Error("empty estimator produced an estimate")
 	}
@@ -323,7 +323,7 @@ func TestEstimatorMatchesScanBitExact(t *testing.T) {
 	var overflows, rebases, emptied int
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		est := NewEstimator(window)
+		est := Estimator{window: window}
 		ref := &scanEstimator{window: window}
 		now := time.Duration(rng.Int63n(int64(time.Hour)))
 		add := func(at time.Duration) {

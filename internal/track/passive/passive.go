@@ -26,7 +26,10 @@
 //
 // The backend embeds the group protocol's per-mote plumbing (group.Base):
 // it drives the same group.Runtime and records label events the same way.
-// track.Lookup returns its constructor for the name "passive".
+// Its trace field, estimator, gossip memory and timers live in one trace
+// record, made when the mote first senses or hears gossip, so the many
+// motes that never take part carry none of it. track.Lookup returns its
+// constructor for the name "passive".
 package passive
 
 import (
@@ -70,7 +73,9 @@ type Gossip struct {
 	Traces  []Rec
 }
 
-// Backend is the per-mote passive-traces protocol instance.
+// Backend is the per-mote passive-traces protocol instance. A mote that
+// never senses and never hears gossip holds only its label, its flags
+// and a nil trace record.
 type Backend struct {
 	group.Base
 
@@ -81,18 +86,30 @@ type Backend struct {
 	// it records LabelCreated alone rather than a takeover.
 	creationActivation bool
 	stopped            bool // set by Stop; every timer and frame is ignored
-	// haveActivePeer is set once gossip has carried another mote's
-	// active flag, last at lastActiveAt; a fresh foreign flag suppresses
-	// activation (stickiness).
-	haveActivePeer bool
-	lastActiveAt   time.Duration
-	state          []byte
 
+	// ts is the state of a mote that takes part in the protocol, made on
+	// first use (see traceRec) and kept for the mote's lifetime; nil
+	// means nothing remembered.
+	ts *traceState
+}
+
+// traceState is what the protocol remembers on a mote that has sensed or
+// heard gossip: its trace field, estimator, gossip memory and timers.
+// Motes far from every target never get one, and a mote that keeps
+// changing state reuses its own.
+type traceState struct {
 	traces []Rec // latest record per mote, sorted by mote id
 	// tracesFloor is at most the oldest At in traces: evictStale skips
 	// its scan while the horizon has not passed it.
 	tracesFloor time.Duration
 	est         Estimator
+
+	state []byte
+	// haveActivePeer is set once gossip has carried another mote's
+	// active flag, last at lastActiveAt; a fresh foreign flag suppresses
+	// activation (stickiness).
+	haveActivePeer bool
+	lastActiveAt   time.Duration
 
 	depositTimer  simtime.Timer
 	staleTimer    simtime.Timer
@@ -103,9 +120,16 @@ type Backend struct {
 // protocol periods derive from t.Config, the same timing the group
 // protocol reads; label events go to the ledger of the mote's env.
 func New(m *mote.Mote, t *group.Type, rt group.Runtime) *Backend {
-	b := &Backend{Base: group.NewBase(m, t, rt)}
-	b.est.window = staleness(b.Config)
-	return b
+	return &Backend{Base: group.NewBase(m, t, rt)}
+}
+
+// traceRec returns the mote's trace record, making it on first use: the
+// first gossip heard or the first sensing episode.
+func (b *Backend) traceRec() *traceState {
+	if b.ts == nil {
+		b.ts = &traceState{est: Estimator{window: staleness(b.Config)}}
+	}
+	return b.ts
 }
 
 // depositFire deposits the next periodic trace.
@@ -216,25 +240,26 @@ func (b *Backend) SetState(state []byte) {
 	if !b.active {
 		return
 	}
-	b.state = append([]byte(nil), state...)
+	b.ts.state = append([]byte(nil), state...)
 }
 
 // State returns the label persistent state as known by this mote.
-func (b *Backend) State() []byte { return b.state }
+func (b *Backend) State() []byte {
+	if b.ts == nil {
+		return nil
+	}
+	return b.ts.state
+}
 
 // Stop tears down all timers and silences the backend.
 func (b *Backend) Stop() {
 	b.stopped = true
-	b.depositTimer.Stop()
 	b.CreationTimer.Stop()
-	b.staleTimer.Stop()
-	b.takeoverTimer.Stop()
-}
-
-// Estimate interpolates the target position from this mote's view of the
-// trace field (diagnostics and tests).
-func (b *Backend) Estimate(now time.Duration) (geom.Point, bool) {
-	return b.est.Estimate(now)
+	if ts := b.ts; ts != nil {
+		ts.depositTimer.Stop()
+		ts.staleTimer.Stop()
+		ts.takeoverTimer.Stop()
+	}
 }
 
 // --- sensing transitions ---
@@ -243,8 +268,9 @@ func (b *Backend) onStartSensing() {
 	// Forget a fully evaporated label: with no live trace and no active
 	// episode the old label identity is stale memory, and a new detection
 	// is a new entity (the group protocol's expired wait timer).
+	ts := b.traceRec()
 	b.evictStale(b.Mote.Scheduler().Now())
-	if b.label != "" && len(b.traces) == 0 && !b.active {
+	if b.label != "" && len(ts.traces) == 0 && !b.active {
 		b.label = ""
 		b.minted = false
 		b.creationActivation = false
@@ -262,9 +288,11 @@ func (b *Backend) onStartSensing() {
 }
 
 func (b *Backend) onStopSensing() {
-	b.depositTimer.Stop()
 	b.CreationTimer.Stop()
-	b.takeoverTimer.Stop()
+	if ts := b.ts; ts != nil {
+		ts.depositTimer.Stop()
+		ts.takeoverTimer.Stop()
+	}
 	b.SetMember(false)
 	if b.active {
 		b.deactivate()
@@ -281,7 +309,7 @@ func (b *Backend) mintLabel() {
 
 func (b *Backend) startDepositing() {
 	b.SetMember(true)
-	if b.depositTimer.Pending() {
+	if b.ts.depositTimer.Pending() {
 		return
 	}
 	// First trace immediately (detection latency), then jittered periodic.
@@ -292,7 +320,7 @@ func (b *Backend) startDepositing() {
 func (b *Backend) scheduleNextDeposit() {
 	jitter := 1 + group.JitterFrac*(b.Mote.Draw()-0.5)
 	d := time.Duration(float64(depositPeriod(b.Config)) * jitter)
-	b.depositTimer = b.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
+	b.ts.depositTimer = b.Mote.Scheduler().AfterEventTimerOwned(d, simtime.OwnerGroup, depositFire, b)
 }
 
 // deposit records a fresh own trace and gossips the recent trace field.
@@ -303,14 +331,15 @@ func (b *Backend) deposit() {
 	b.integrate(rec)
 
 	traces := b.recentTraces(now)
-	bits := group.HeartbeatBits + len(traces)*TraceBits + len(b.state)*8
+	state := b.ts.state
+	bits := group.HeartbeatBits + len(traces)*TraceBits + len(state)*8
 	b.EmitCorr(obs.EvReportSent, trace.KindTrace, radio.Broadcast, b.label, corr, "")
 	b.Mote.BroadcastTraced(trace.KindTrace, bits, Gossip{
 		CtxType: b.Name,
 		Label:   b.label,
 		From:    b.Mote.ID(),
 		Active:  b.active,
-		State:   b.state,
+		State:   state,
 		Traces:  traces,
 	}, corr)
 	b.reevaluate()
@@ -327,7 +356,7 @@ func (b *Backend) recentTraces(now time.Duration) []Rec {
 	horizon := now - staleness(b.Config)
 	var top [gossipFanout]Rec
 	n := 0
-	for _, r := range b.traces {
+	for _, r := range b.ts.traces {
 		if r.At < horizon || (n == gossipFanout && !newer(r, top[n-1])) {
 			continue
 		}
@@ -367,21 +396,22 @@ func findRec(traces []Rec, id radio.NodeID) int {
 // integrate merges one trace record into the local field; returns true
 // when the record was new (fresher than the known record for its mote).
 func (b *Backend) integrate(rec Rec) bool {
-	i := findRec(b.traces, rec.Mote)
-	if i < len(b.traces) && b.traces[i].Mote == rec.Mote {
-		if rec.Seq <= b.traces[i].Seq {
+	ts := b.ts
+	i := findRec(ts.traces, rec.Mote)
+	if i < len(ts.traces) && ts.traces[i].Mote == rec.Mote {
+		if rec.Seq <= ts.traces[i].Seq {
 			return false
 		}
-		b.traces[i] = rec
+		ts.traces[i] = rec
 	} else {
-		b.traces = append(b.traces, Rec{})
-		copy(b.traces[i+1:], b.traces[i:])
-		b.traces[i] = rec
+		ts.traces = append(ts.traces, Rec{})
+		copy(ts.traces[i+1:], ts.traces[i:])
+		ts.traces[i] = rec
 	}
-	b.tracesFloor = min(b.tracesFloor, rec.At)
-	b.est.Add(Point{At: rec.At, Pos: rec.Pos})
+	ts.tracesFloor = min(ts.tracesFloor, rec.At)
+	ts.est.Add(Point{At: rec.At, Pos: rec.Pos})
 	if b.active && rec.Mote != b.Mote.ID() {
-		b.Runtime.OnReport(rec.Mote, &b.traces[i])
+		b.Runtime.OnReport(rec.Mote, &ts.traces[i])
 	}
 	return true
 }
@@ -403,13 +433,14 @@ func (b *Backend) onGossip(g Gossip, corr radio.Corr) {
 	if b.stopped {
 		return
 	}
+	ts := b.traceRec()
 	b.adoptLabel(g.Label)
-	if g.State != nil && (g.Active || b.state == nil) {
-		b.state = g.State
+	if g.State != nil && (g.Active || ts.state == nil) {
+		ts.state = g.State
 	}
 	if g.Active && g.From != b.Mote.ID() {
-		b.lastActiveAt = b.Mote.Scheduler().Now()
-		b.haveActivePeer = true
+		ts.lastActiveAt = b.Mote.Scheduler().Now()
+		ts.haveActivePeer = true
 		if b.active && g.From < b.Mote.ID() {
 			// Concurrent estimators converge by id: the higher yields.
 			b.deactivate()
@@ -432,7 +463,7 @@ func (b *Backend) onGossip(g Gossip, corr radio.Corr) {
 	}
 	// Gossip while sensing but before the creation backoff fired: the
 	// label exists, start depositing against it right away.
-	if b.Sensing() && !b.depositTimer.Pending() && b.label != "" && !b.Mote.Failed() {
+	if b.Sensing() && !ts.depositTimer.Pending() && b.label != "" && !b.Mote.Failed() {
 		b.CreationTimer.Stop()
 		b.startDepositing()
 		return // startDepositing deposited, which reevaluated
@@ -510,9 +541,9 @@ func (b *Backend) reevaluate() {
 	// A pending backoff is left to run: re-arming on every gossip would
 	// push the fire time around and re-randomize the race.
 	if b.eligible(now) {
-		b.ArmBackoff(&b.takeoverTimer, takeoverFire, b)
+		b.ArmBackoff(&b.ts.takeoverTimer, takeoverFire, b)
 	} else {
-		b.takeoverTimer.Stop()
+		b.ts.takeoverTimer.Stop()
 	}
 }
 
@@ -520,8 +551,9 @@ func (b *Backend) reevaluate() {
 // estimator-candidacy window.
 func (b *Backend) ownFresh(now time.Duration) bool {
 	id := b.Mote.ID()
-	i := findRec(b.traces, id)
-	return i < len(b.traces) && b.traces[i].Mote == id && b.traces[i].At >= now-freshSlack(b.Config)
+	traces := b.ts.traces
+	i := findRec(traces, id)
+	return i < len(traces) && traces[i].Mote == id && traces[i].At >= now-freshSlack(b.Config)
 }
 
 // eligible is the inactive-candidate condition: sensing against a label,
@@ -536,7 +568,7 @@ func (b *Backend) eligible(now time.Duration) bool {
 	if b.active || !b.Sensing() || b.label == "" || b.Mote.Failed() {
 		return false
 	}
-	if b.haveActivePeer && now-b.lastActiveAt <= freshSlack(b.Config) {
+	if ts := b.ts; ts.haveActivePeer && now-ts.lastActiveAt <= freshSlack(b.Config) {
 		return false
 	}
 	return b.ownFresh(now) && b.bestCandidate(now) == b.Mote.ID()
@@ -558,14 +590,14 @@ func (b *Backend) announce() {
 // estimate falls back to the freshest candidates' centroid implicitly:
 // Estimate always returns a point once any trace is live.
 func (b *Backend) bestCandidate(now time.Duration) radio.NodeID {
-	target, ok := b.est.Estimate(now)
+	target, ok := b.ts.est.Estimate(now)
 	if !ok {
 		return -1
 	}
 	slackHorizon := now - freshSlack(b.Config)
 	best := radio.NodeID(-1)
 	bestDist := 0.0
-	for _, r := range b.traces {
+	for _, r := range b.ts.traces {
 		if r.At < slackHorizon {
 			continue
 		}
@@ -580,29 +612,35 @@ func (b *Backend) bestCandidate(now time.Duration) radio.NodeID {
 
 // evictStale drops trace records past the staleness bound. It scans the
 // field only once the horizon passes tracesFloor, moves records only
-// from the first stale one on, and leaves tracesFloor exact.
+// from the first stale one on, and leaves tracesFloor exact. A mote with
+// no trace record has nothing to drop.
 func (b *Backend) evictStale(now time.Duration) {
-	if horizon := now - staleness(b.Config); b.tracesFloor < horizon {
+	ts := b.ts
+	if ts == nil {
+		return
+	}
+	if horizon := now - staleness(b.Config); ts.tracesFloor < horizon {
 		floor := time.Duration(math.MaxInt64)
 		n := 0
-		for i, r := range b.traces {
+		for i, r := range ts.traces {
 			if r.At < horizon {
 				continue
 			}
 			if n < i {
-				b.traces[n] = r
+				ts.traces[n] = r
 			}
 			n++
 			floor = min(floor, r.At)
 		}
-		b.traces, b.tracesFloor = b.traces[:n], floor
+		ts.traces, ts.tracesFloor = ts.traces[:n], floor
 	}
-	b.est.Evict(now)
+	ts.est.Evict(now)
 }
 
 func (b *Backend) activate() {
+	ts := b.ts
 	b.active = true
-	b.takeoverTimer.Stop()
+	ts.takeoverTimer.Stop()
 	if b.creationActivation {
 		// The minting activation: LabelCreated was already recorded.
 		b.creationActivation = false
@@ -610,11 +648,11 @@ func (b *Backend) activate() {
 		// The estimator role moved here: a successful handover.
 		b.RecordEvent(trace.LabelTakeover, b.label)
 	}
-	b.Runtime.OnActivate(b.label, b.state)
+	b.Runtime.OnActivate(b.label, ts.state)
 	// Replay the live trace field into the freshly built aggregation
 	// windows, in deterministic mote-id order.
-	for i := range b.traces {
-		if r := &b.traces[i]; r.Mote != b.Mote.ID() {
+	for i := range ts.traces {
+		if r := &ts.traces[i]; r.Mote != b.Mote.ID() {
 			b.Runtime.OnReport(r.Mote, r)
 		}
 	}
@@ -624,7 +662,7 @@ func (b *Backend) activate() {
 func (b *Backend) deactivate() {
 	label := b.label
 	b.active = false
-	b.staleTimer.Stop()
+	b.ts.staleTimer.Stop()
 	b.Emit(obs.EvLeaderStepDown, label, radio.Broadcast, 0)
 	b.Runtime.OnDeactivate(label)
 }
@@ -632,6 +670,6 @@ func (b *Backend) deactivate() {
 // armStaleTimer schedules the estimate-staleness check: if the whole
 // trace field ages past the staleness bound, the estimator steps down.
 func (b *Backend) armStaleTimer() {
-	b.staleTimer.Stop()
-	b.staleTimer = b.Mote.Scheduler().AfterEventTimerOwned(staleness(b.Config), simtime.OwnerGroup, staleFire, b)
+	b.ts.staleTimer.Stop()
+	b.ts.staleTimer = b.Mote.Scheduler().AfterEventTimerOwned(staleness(b.Config), simtime.OwnerGroup, staleFire, b)
 }

@@ -242,10 +242,10 @@ func TestGossipAdoptsLabelAndMergesTraces(t *testing.T) {
 		t.Fatalf("mote 2: label %q active %v, want tracker/1.1 as a depositor", b.Label(), b.active)
 	}
 	for _, be := range []*Backend{a, b} {
-		if len(be.traces) != 2 || be.traces[0].Mote != 1 || be.traces[1].Mote != 2 {
-			t.Fatalf("mote %d trace field %+v, want one record each from motes 1 and 2", be.Mote.ID(), be.traces)
+		if len(be.ts.traces) != 2 || be.ts.traces[0].Mote != 1 || be.ts.traces[1].Mote != 2 {
+			t.Fatalf("mote %d trace field %+v, want one record each from motes 1 and 2", be.Mote.ID(), be.ts.traces)
 		}
-		if _, ok := be.Estimate(n.sched.Now()); !ok {
+		if _, ok := be.ts.est.Estimate(n.sched.Now()); !ok {
 			t.Errorf("mote %d has live traces but no estimate", be.Mote.ID())
 		}
 	}
@@ -272,6 +272,7 @@ func TestGossipAdoptsLabelAndMergesTraces(t *testing.T) {
 func TestGossipSpanAndRecordMerge(t *testing.T) {
 	n := newTestNet(t)
 	b := n.add(2, geom.Pt(0, 0))
+	ts := b.traceRec()
 	rec := Rec{Mote: 7, Pos: geom.Pt(1, 1), At: 0, Seq: 2}
 	if !b.integrate(rec) {
 		t.Fatal("a new mote's record was not integrated")
@@ -279,8 +280,8 @@ func TestGossipSpanAndRecordMerge(t *testing.T) {
 	if b.integrate(Rec{Mote: 7, Seq: 1}) || b.integrate(rec) {
 		t.Fatal("an older or repeated record was integrated")
 	}
-	if !b.integrate(Rec{Mote: 7, Pos: geom.Pt(2, 2), Seq: 3}) || b.traces[0].Pos != geom.Pt(2, 2) {
-		t.Fatalf("a newer record did not replace the old one: %+v", b.traces)
+	if !b.integrate(Rec{Mote: 7, Pos: geom.Pt(2, 2), Seq: 3}) || ts.traces[0].Pos != geom.Pt(2, 2) {
+		t.Fatalf("a newer record did not replace the old one: %+v", ts.traces)
 	}
 
 	g := Gossip{CtxType: "tracker", Label: "tracker/7.1", From: 7, Traces: []Rec{{Mote: 8, Seq: 1}}}
@@ -311,6 +312,7 @@ func TestGossipSpanAndRecordMerge(t *testing.T) {
 func TestEvictStaleMatchesFilter(t *testing.T) {
 	n := newTestNet(t)
 	b := n.add(1, geom.Pt(0, 0))
+	ts := b.traceRec()
 	stale := staleness(b.Config)
 	rng := rand.New(rand.NewSource(3))
 	latest := map[radio.NodeID]Rec{}
@@ -330,9 +332,9 @@ func TestEvictStaleMatchesFilter(t *testing.T) {
 		case 1, 2, 3, 4, 5, 6, 7, 8:
 			// Put the oldest record on the horizon (kept) or one
 			// nanosecond past it (dropped).
-			if len(b.traces) > 0 {
-				oldest := b.traces[0].At
-				for _, r := range b.traces {
+			if len(ts.traces) > 0 {
+				oldest := ts.traces[0].At
+				for _, r := range ts.traces {
 					oldest = min(oldest, r.At)
 				}
 				now = max(now, oldest+stale+time.Duration(rng.Intn(2)))
@@ -345,21 +347,21 @@ func TestEvictStaleMatchesFilter(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		if len(b.traces) != len(want) {
-			t.Fatalf("step %d: field holds %d records, want %d", step, len(b.traces), len(want))
+		if len(ts.traces) != len(want) {
+			t.Fatalf("step %d: field holds %d records, want %d", step, len(ts.traces), len(want))
 		}
 		for i := range want {
-			if b.traces[i] != want[i] {
-				t.Fatalf("step %d: traces[%d] = %+v, want %+v", step, i, b.traces[i], want[i])
+			if ts.traces[i] != want[i] {
+				t.Fatalf("step %d: traces[%d] = %+v, want %+v", step, i, ts.traces[i], want[i])
 			}
 		}
-		if len(b.traces) == 0 {
+		if len(ts.traces) == 0 {
 			empty++
 		}
 		for id := radio.NodeID(-1); id <= 40; id++ {
-			want := sort.Search(len(b.traces), func(i int) bool { return b.traces[i].Mote >= id })
-			if got := findRec(b.traces, id); got != want {
-				t.Fatalf("step %d: findRec(%d) = %d, want %d in %+v", step, id, got, want, b.traces)
+			want := sort.Search(len(ts.traces), func(i int) bool { return ts.traces[i].Mote >= id })
+			if got := findRec(ts.traces, id); got != want {
+				t.Fatalf("step %d: findRec(%d) = %d, want %d in %+v", step, id, got, want, ts.traces)
 			}
 		}
 	}
@@ -433,7 +435,7 @@ func TestTakeoverAfterEstimatorStepsDown(t *testing.T) {
 	// The active flag mote 2 last heard, from mote 1's last deposit before
 	// 1s, stays fresh for 210 ms; the takeover follows a deposit and a
 	// backoff of under 10 ms.
-	heard := b.lastActiveAt
+	heard := b.ts.lastActiveAt
 	if heard < time.Second-testCfg.HeartbeatPeriod-testCfg.CreationBackoff {
 		t.Errorf("mote 2 last heard the active flag at %v, more than a deposit period before 1s", heard)
 	}
@@ -520,7 +522,7 @@ func TestStopSilencesBackend(t *testing.T) {
 	n.at(stopAt, func() { a.Stop() })
 	n.run(2 * time.Second)
 
-	for _, tm := range []*simtime.Timer{&a.depositTimer, &a.CreationTimer, &a.staleTimer, &a.takeoverTimer} {
+	for _, tm := range []*simtime.Timer{&a.ts.depositTimer, &a.CreationTimer, &a.ts.staleTimer, &a.ts.takeoverTimer} {
 		if tm.Pending() {
 			t.Fatal("a timer is still pending after Stop")
 		}
@@ -540,13 +542,60 @@ func TestStopSilencesBackend(t *testing.T) {
 }
 
 // TestBackendSize pins the per-mote backend to its allocation size class:
-// one Backend per mote and context type, with the estimator embedded, the
-// runtime held as one interface value, the type's name and timing read
-// from its shared record, and the timers scheduled through package-level
-// handlers rather than per-mote closures.
+// one Backend per mote and context type, with the runtime held as one
+// interface value, the type's name and timing read from its shared
+// record, the timers scheduled through package-level handlers rather
+// than per-mote closures, and the trace field, estimator, gossip memory
+// and timers in one trace record made on first use.
 func TestBackendSize(t *testing.T) {
-	if size := unsafe.Sizeof(Backend{}); size > 320 {
-		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 320 (its size class)", size)
+	if size := unsafe.Sizeof(Backend{}); size > 96 {
+		t.Errorf("unsafe.Sizeof(Backend{}) = %d B, want <= 96 (its size class)", size)
+	}
+}
+
+// TestSilentBackendHasNoTraceRecord runs a label beside two motes that
+// never sense: a bystander in range makes a trace record on the first
+// gossip it hears and holds the sender's trace in it, while a mote out of
+// range hears nothing, so it makes no record, its accessors read as
+// "nothing remembered" and SetState and Stop make none. The sensing mote
+// keeps its one record from its first episode to its second.
+func TestSilentBackendHasNoTraceRecord(t *testing.T) {
+	n := newTestNet(t)
+	a := n.add(1, geom.Pt(0, 0))
+	by := n.add(2, geom.Pt(1, 0))
+	far := n.add(3, geom.Pt(50, 0))
+	var first *traceState
+	n.at(0, func() { a.SetSensing(true) })
+	n.at(500*time.Millisecond, func() {
+		first = a.ts
+		a.SetSensing(false)
+	})
+	n.at(time.Second, func() { a.SetSensing(true) })
+	n.run(1500 * time.Millisecond)
+	if first == nil || a.ts != first {
+		t.Error("the sensing mote made no record on its first episode, or a second one later")
+	}
+
+	if by.ts == nil {
+		t.Fatal("a bystander that heard gossip has no trace record")
+	}
+	if len(by.ts.traces) != 1 || by.ts.traces[0].Mote != 1 {
+		t.Errorf("bystander trace field %+v, want the sender's record alone", by.ts.traces)
+	}
+	if by.Participating() || by.Label() != "" {
+		t.Errorf("bystander: Participating %v, Label %q, want none", by.Participating(), by.Label())
+	}
+
+	if far.ts != nil {
+		t.Error("a mote that heard nothing has a trace record")
+	}
+	if far.Participating() || far.Label() != "" || far.State() != nil {
+		t.Errorf("Participating %v, Label %q, State %q, want zero values", far.Participating(), far.Label(), far.State())
+	}
+	far.SetState([]byte("ignored"))
+	far.Stop()
+	if far.ts != nil {
+		t.Error("SetState or Stop made a trace record")
 	}
 }
 
@@ -629,8 +678,8 @@ func TestGossipReceiveAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(200, f.step); got != 0 {
 		t.Errorf("receiving a gossip frame allocates %v times, want 0", got)
 	}
-	if len(f.b.traces) == 0 || len(f.b.traces) == feedRing || f.b.est.Len() == 0 {
-		t.Errorf("feed does not roll the field over: %d records, %d estimator points", len(f.b.traces), f.b.est.Len())
+	if ts := f.b.ts; len(ts.traces) == 0 || len(ts.traces) == feedRing || ts.est.Len() == 0 {
+		t.Errorf("feed does not roll the field over: %d records, %d estimator points", len(ts.traces), ts.est.Len())
 	}
 }
 
