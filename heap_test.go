@@ -10,16 +10,16 @@ import (
 )
 
 // fieldHeapBudgets cap, per tracking backend, the live heap per mote of
-// a settled 10k-mote field, about 3% above the measured figures (762 B
-// leader, 772 B passive). Most motes never lead, hear a heartbeat or
+// a settled 10k-mote field, about 3% above the measured figures (712 B
+// leader, 722 B passive). Most motes never lead, hear a heartbeat or
 // gossip, sense, learn a leader or hold a directory entry, so their
 // protocol state must cost nothing until it is first written.
 var fieldHeapBudgets = []struct {
 	backend string
 	budget  float64
 }{
-	{envirotrack.BackendLeader, 785},
-	{envirotrack.BackendPassive, 795},
+	{envirotrack.BackendLeader, 733},
+	{envirotrack.BackendPassive, 744},
 }
 
 func TestFieldHeapPerMote(t *testing.T) {
@@ -33,7 +33,7 @@ func TestFieldHeapPerMote(t *testing.T) {
 }
 
 // fieldObjectsBudget caps the live heap objects per mote of a settled
-// 10k-mote field, just above the measured 3.17: a mote's record, its
+// 10k-mote field, just above the measured 3.16: a mote's record, its
 // type's runtime and tracking backend, and the role records, flood
 // entries and leaders' state of the few motes near a target.
 const fieldObjectsBudget = 3.2
@@ -88,7 +88,7 @@ func TestFieldAllocsPerMote(t *testing.T) {
 // of a freshly built small field: the stress layout, 24x5 motes at
 // communication radius 6 with a constrained CPU, the tracker attached to
 // every mote and a pursuer past the top edge. Each budget sits about 3%
-// above the measured figure (734.9 B on either backend: no mote has
+// above the measured figure (662.7 B on either backend: no mote has
 // sensed, heard a heartbeat or heard gossip yet, so no mote holds a
 // group manager's role record or a passive backend's trace record), so a
 // change that costs a field this small even a few dozen bytes per mote,
@@ -97,8 +97,8 @@ var smallFieldHeapBudgets = []struct {
 	backend string
 	budget  float64
 }{
-	{envirotrack.BackendLeader, 760},
-	{envirotrack.BackendPassive, 757},
+	{envirotrack.BackendLeader, 683},
+	{envirotrack.BackendPassive, 683},
 }
 
 // TestSmallFieldHeapPerMote reads the least figure of three builds per

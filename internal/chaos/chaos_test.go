@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"envirotrack/internal/geom"
-	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
 )
 
@@ -103,8 +102,9 @@ func TestInjectorRequiresHooks(t *testing.T) {
 	if _, err := NewInjector(on(g), mustParse(t, "crash:node=1,at=1s"), Hooks{}); err == nil {
 		t.Error("crash schedule without Fail/Restore hooks accepted")
 	}
-	if _, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=1s"), Hooks{}); err == nil {
-		t.Error("partition schedule without Position hook accepted")
+	// Partitions read the positions the medium passes to Linked.
+	if _, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=1s"), Hooks{}); err != nil {
+		t.Errorf("partition schedule without hooks: %v", err)
 	}
 }
 
@@ -150,32 +150,24 @@ func TestInjectorRampInterpolates(t *testing.T) {
 
 func TestInjectorPartitionSeversAcrossLine(t *testing.T) {
 	g := simtime.NewShardGroup(1)
-	pos := map[radio.NodeID]geom.Point{
-		1: geom.Pt(2, 0),
-		2: geom.Pt(8, 0),
-		3: geom.Pt(3, 5),
-	}
-	hooks := Hooks{Position: func(n radio.NodeID) (geom.Point, bool) {
-		p, ok := pos[n]
-		return p, ok
-	}}
-	in, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=10s,for=10s"), hooks)
+	p1, p2, p3 := geom.Pt(2, 0), geom.Pt(8, 0), geom.Pt(3, 5)
+	in, err := NewInjector(on(g), mustParse(t, "partition:x=5,at=10s,for=10s"), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Linked(5*time.Second, 1, 2) != true {
+	if in.Linked(5*time.Second, p1, p2) != true {
 		t.Error("link severed before partition onset")
 	}
-	if in.Linked(15*time.Second, 1, 2) != false {
+	if in.Linked(15*time.Second, p1, p2) != false {
 		t.Error("cross-partition link alive during partition")
 	}
-	if in.Linked(15*time.Second, 1, 3) != true {
+	if in.Linked(15*time.Second, p2, p1) != false {
+		t.Error("cross-partition link alive in the other direction")
+	}
+	if in.Linked(15*time.Second, p1, p3) != true {
 		t.Error("same-side link severed during partition")
 	}
-	if in.Linked(15*time.Second, 1, 99) != true {
-		t.Error("link with unknown-position node severed")
-	}
-	if in.Linked(20*time.Second, 1, 2) != true {
+	if in.Linked(20*time.Second, p1, p2) != true {
 		t.Error("link still severed after partition heals")
 	}
 }

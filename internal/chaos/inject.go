@@ -5,17 +5,14 @@ import (
 	"time"
 
 	"envirotrack/internal/geom"
-	"envirotrack/internal/radio"
 	"envirotrack/internal/simtime"
 )
 
 // Hooks connects the injector to the network under test: Fail/Restore
-// crash and revive a node (the existing Mote.Fail/Restore), Position
-// resolves a node's location for partition-side tests.
+// crash and revive a node (the existing Mote.Fail/Restore).
 type Hooks struct {
-	Fail     func(node int)
-	Restore  func(node int)
-	Position func(node radio.NodeID) (geom.Point, bool)
+	Fail    func(node int)
+	Restore func(node int)
 }
 
 // Injector replays a Schedule on a simulation scheduler. Crash faults
@@ -42,9 +39,6 @@ func NewInjector(schedFor func(node int) *simtime.Scheduler, sc Schedule, hooks 
 	}
 	if len(sc.Crashes) > 0 && (hooks.Fail == nil || hooks.Restore == nil) {
 		return nil, fmt.Errorf("chaos: schedule has crash faults but no Fail/Restore hooks")
-	}
-	if len(sc.Partitions) > 0 && hooks.Position == nil {
-		return nil, fmt.Errorf("chaos: schedule has partition faults but no Position hook")
 	}
 	in := &Injector{sc: sc, hooks: hooks}
 	for _, c := range sc.Crashes {
@@ -83,19 +77,10 @@ func (in *Injector) LossProb(now time.Duration, base float64) float64 {
 }
 
 // Linked implements radio.FaultInjector: a link is severed while any
-// active partition line runs between its endpoints. Nodes with unknown
-// positions are treated as unpartitioned.
-func (in *Injector) Linked(now time.Duration, src, dst radio.NodeID) bool {
+// active partition line runs between its endpoints' positions.
+func (in *Injector) Linked(now time.Duration, src, dst geom.Point) bool {
 	for _, part := range in.sc.Partitions {
-		if !active(part.At, part.For, now) {
-			continue
-		}
-		a, okA := in.hooks.Position(src)
-		b, okB := in.hooks.Position(dst)
-		if !okA || !okB {
-			continue
-		}
-		if (a.X < part.X) != (b.X < part.X) {
+		if active(part.At, part.For, now) && (src.X < part.X) != (dst.X < part.X) {
 			return false
 		}
 	}

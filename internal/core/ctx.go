@@ -104,13 +104,13 @@ func (c *Ctx) Send(dst group.Label, port transport.PortID, payload any) {
 // message is geographically routed; the receiving mote's Stack delivers it
 // to OnNodeMessage handlers.
 func (c *Ctx) SendNode(dst radio.NodeID, payload any) {
-	pos, ok := c.stack.m.Medium().Position(dst)
+	node, ok := c.stack.m.Medium().Lookup(dst)
 	if !ok {
 		return
 	}
 	c.stack.router.Send(routing.Message{
 		Kind:     trace.KindReport,
-		Dest:     pos,
+		Dest:     node.Pos(),
 		DestNode: dst,
 		Payload: NodeMessage{
 			From:      int(c.stack.m.ID()),

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -75,7 +77,7 @@ func (w *world) start() {
 	// Deterministic scan order (map iteration order would leak into the
 	// scheduler's same-instant FIFO ordering).
 	sw := mote.NewSweep(w.env)
-	for _, id := range w.medium.NodeIDs() {
+	for _, id := range slices.Sorted(maps.Keys(w.motes)) {
 		sw.Add(w.motes[id])
 	}
 	sw.Start()

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,9 +198,8 @@ func TestDirectoryStoredNearHashPoint(t *testing.T) {
 	// Find the node nearest the hash point: it must hold the entry.
 	best := radio.NodeID(-1)
 	bestD := 1e18
-	for _, id := range n.medium.NodeIDs() {
-		pos, _ := n.medium.Position(id)
-		if d := pos.Dist2(hp); d < bestD {
+	for _, id := range slices.Sorted(maps.Keys(n.services)) {
+		if d := n.services[id].m.Pos().Dist2(hp); d < bestD {
 			bestD, best = d, id
 		}
 	}
@@ -208,9 +209,8 @@ func TestDirectoryStoredNearHashPoint(t *testing.T) {
 	// A node far from the hash point holds nothing.
 	farthest := radio.NodeID(-1)
 	farD := -1.0
-	for _, id := range n.medium.NodeIDs() {
-		pos, _ := n.medium.Position(id)
-		if d := pos.Dist2(hp); d > farD {
+	for _, id := range slices.Sorted(maps.Keys(n.services)) {
+		if d := n.services[id].m.Pos().Dist2(hp); d > farD {
 			farD, farthest = d, id
 		}
 	}

@@ -3,6 +3,7 @@ package directory
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,9 +65,9 @@ func TestQueryTimeoutInvokesNilCallback(t *testing.T) {
 	// other mote failed: the query's first hop is dead, so no reply comes.
 	hp := HashPoint("anything", n.bounds)
 	querier, far := radio.NodeID(0), -1.0
-	for _, id := range n.medium.NodeIDs() {
-		if pos, _ := n.medium.Position(id); pos.Dist2(hp) > far {
-			querier, far = id, pos.Dist2(hp)
+	for _, id := range slices.Sorted(maps.Keys(n.services)) {
+		if d := n.services[id].m.Pos().Dist2(hp); d > far {
+			querier, far = id, d
 		}
 	}
 	for id, s := range n.services {
@@ -102,9 +103,8 @@ func TestUnregisterRepeatsOnAir(t *testing.T) {
 
 func nearestTo(n *net, p geom.Point) (best int) {
 	bestD := 1e18
-	for _, id := range n.medium.NodeIDs() {
-		pos, _ := n.medium.Position(id)
-		if d := pos.Dist2(p); d < bestD {
+	for _, id := range slices.Sorted(maps.Keys(n.services)) {
+		if d := n.services[id].m.Pos().Dist2(p); d < bestD {
 			bestD, best = d, int(id)
 		}
 	}

@@ -81,7 +81,8 @@ func NewEnv(rt radio.ShardRuntime, medium *radio.Medium, field *phenomena.Field,
 // HotState. It is driven by the simulation scheduler and is not safe for
 // concurrent use.
 type Mote struct {
-	id    radio.NodeID
+	// node is the mote's radio node, which holds its id and position.
+	node  *radio.Node
 	env   *Env
 	model *sensor.Model
 	// rx consumes the frames the CPU dispatches: the protocol stack on
@@ -130,7 +131,7 @@ func New(id radio.NodeID, pos geom.Point, model *sensor.Model, env *Env) (*Mote,
 // nil for a pure relay node. It must be called before the simulation
 // starts.
 func (m *Mote) Init(rn *radio.Node, id radio.NodeID, pos geom.Point, model *sensor.Model, env *Env) error {
-	*m = Mote{id: id, env: env, model: model}
+	*m = Mote{node: rn, env: env, model: model}
 	if err := env.Medium.AddNode(rn, id, pos, m); err != nil {
 		return fmt.Errorf("mote %d: %w", id, err)
 	}
@@ -145,7 +146,7 @@ func (m *Mote) Env() *Env { return m.env }
 func (m *Mote) Hot() (*HotState, int) { return m.env.Hot, int(m.row) }
 
 // ID returns the mote's node id.
-func (m *Mote) ID() radio.NodeID { return m.id }
+func (m *Mote) ID() radio.NodeID { return m.node.ID() }
 
 // Pos returns the mote's position.
 func (m *Mote) Pos() geom.Point { return m.env.Hot.pos[m.row] }
@@ -156,11 +157,15 @@ func (m *Mote) Scheduler() *simtime.Scheduler { return m.env.Sched }
 // Medium returns the radio medium the mote transmits on.
 func (m *Mote) Medium() *radio.Medium { return m.env.Medium }
 
+// Neighbors returns the radio nodes in the mote's communication range, in
+// ascending id order. Callers must not mutate the returned slice.
+func (m *Mote) Neighbors() []*radio.Node { return m.env.Medium.Neighbors(m.node) }
+
 // Draw returns the mote's next protocol draw in [0, 1), keyed by its id
 // and draw count: no shard layout or other mote's draw moves it.
 func (m *Mote) Draw() float64 {
 	m.draws++
-	return simtime.Draw(m.env.Seed, simtime.DrawMote, uint64(uint32(m.id))<<32|uint64(m.draws))
+	return simtime.Draw(m.env.Seed, simtime.DrawMote, uint64(uint32(m.ID()))<<32|uint64(m.draws))
 }
 
 // NextCorrSeq returns a fresh correlation sequence number (1-based) for a
@@ -200,7 +205,7 @@ func (m *Mote) Fail() {
 	h.failed[m.row] = true
 	if bus := m.env.Bus; bus.Active() {
 		bus.Emit(obs.Event{
-			At: m.env.Sched.Now(), Type: obs.EvMoteFailed, Mote: int(m.id), Pos: h.pos[m.row],
+			At: m.env.Sched.Now(), Type: obs.EvMoteFailed, Mote: int(m.ID()), Pos: h.pos[m.row],
 		})
 	}
 }
@@ -214,7 +219,7 @@ func (m *Mote) Restore() {
 	h.failed[m.row] = false
 	if bus := m.env.Bus; bus.Active() {
 		bus.Emit(obs.Event{
-			At: m.env.Sched.Now(), Type: obs.EvMoteRestored, Mote: int(m.id), Pos: h.pos[m.row],
+			At: m.env.Sched.Now(), Type: obs.EvMoteRestored, Mote: int(m.ID()), Pos: h.pos[m.row],
 		})
 	}
 }
@@ -234,7 +239,7 @@ func (m *Mote) SendTraced(kind trace.Kind, dst radio.NodeID, bits int, payload a
 	if m.Failed() {
 		return
 	}
-	m.env.Medium.Send(radio.Frame{Kind: kind, Src: m.id, Dst: dst, Bits: bits, Payload: payload, Corr: corr})
+	m.env.Medium.Send(m.node, radio.Frame{Kind: kind, Dst: dst, Bits: bits, Payload: payload, Corr: corr})
 }
 
 // Broadcast transmits a frame to every node in range.
@@ -262,7 +267,7 @@ func (m *Mote) Receive(f radio.Frame) {
 		env.Stats.RecordLoss(f.Kind, trace.LossOverload)
 		if bus := env.Bus; bus.Active() {
 			bus.Emit(obs.Event{
-				At: env.Sched.Now(), Type: obs.EvCPUOverload, Mote: int(m.id),
+				At: env.Sched.Now(), Type: obs.EvCPUOverload, Mote: int(m.ID()),
 				Peer: int(f.Src), Pos: h.pos[m.row], Kind: f.Kind, Bits: f.Bits,
 				Origin: int(f.Corr.Origin), Seq: uint64(f.Corr.Seq), Frame: f.ID,
 			})

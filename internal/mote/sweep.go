@@ -105,13 +105,13 @@ func (s *Sweep) Add(m *Mote) {
 		return
 	}
 	if m.env != s.env {
-		panic(fmt.Sprintf("mote: sweep: mote %d is built on another env", m.id))
+		panic(fmt.Sprintf("mote: sweep: mote %d is built on another env", m.ID()))
 	}
 	if s.ticker != nil {
-		panic(fmt.Sprintf("mote: sweep: mote %d added after Start", m.id))
+		panic(fmt.Sprintf("mote: sweep: mote %d added after Start", m.ID()))
 	}
 	s.rows = append(s.rows, m.row)
-	s.ids = append(s.ids, m.id)
+	s.ids = append(s.ids, m.ID())
 	s.models = append(s.models, m.model)
 }
 

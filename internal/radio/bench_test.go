@@ -27,10 +27,10 @@ func fanout(tb testing.TB, dst NodeID) func() {
 			tb.Fatal(err)
 		}
 	}
-	src := NodeID(27) // interior node with a full neighborhood
-	f := Frame{Src: src, Dst: dst, Bits: 256}
+	src := node(tb, m, 27) // interior node with a full neighborhood
+	f := Frame{Dst: dst, Bits: 256}
 	send := func() {
-		m.Send(f)
+		m.Send(src, f)
 		if err := g.Run(g.Now()+time.Second, 0, nil); err != nil {
 			tb.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkResolveNeighbors(b *testing.B) {
 		m := resolveField(b)
 		b.StartTimer()
 		for _, n := range m.order {
-			m.neighborsOf(n)
+			m.Neighbors(n)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*resolveSide*resolveSide), "ns/list")
@@ -155,11 +155,11 @@ func TestAppendNodesNearAllocatesNothing(t *testing.T) {
 // averages under one allocation per 100 lists (the slab's block refills).
 func TestNeighborResolutionAllocatesNothing(t *testing.T) {
 	m := resolveField(t)
-	m.neighborsOf(m.order[len(m.order)/2]) // builds the index, grows the scratch
+	m.Neighbors(m.order[len(m.order)/2]) // builds the index, grows the scratch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, n := range m.order {
-		m.neighborsOf(n)
+		m.Neighbors(n)
 	}
 	runtime.ReadMemStats(&after)
 	if allocs, lists := after.Mallocs-before.Mallocs, uint64(len(m.order)); allocs*100 >= lists {

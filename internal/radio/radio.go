@@ -134,9 +134,10 @@ type FaultInjector interface {
 	// LossProb returns the effective iid per-receiver loss probability at
 	// sim time now, given the configured base probability.
 	LossProb(now time.Duration, base float64) float64
-	// Linked reports whether a frame from src can reach dst at sim time
-	// now; false models a network partition severing the link.
-	Linked(now time.Duration, src, dst NodeID) bool
+	// Linked reports whether a frame from a sender at src can reach a
+	// receiver at dst at sim time now; false models a network partition
+	// severing the link.
+	Linked(now time.Duration, src, dst geom.Point) bool
 	// DuplicateProb returns the probability that a frame transmission is
 	// duplicated (sent twice) at sim time now. Zero disables duplication.
 	DuplicateProb(now time.Duration) float64
@@ -185,12 +186,14 @@ type shardCtx struct {
 // Topology is append-only: nodes register once via AddNode and never
 // move. Spatial queries run against a geom.CellIndex over the registered
 // nodes, so resolving the nodes near a point costs O(found) instead of a
-// scan over the whole field.
+// scan over the whole field. The send path and neighbour queries take the
+// sender's *Node, so no hot path looks a node up by id.
 type Medium struct {
 	params Params
 
-	nodes map[NodeID]*Node
-	order []*Node // registered nodes, kept in ascending id order
+	// order is the registered nodes in ascending id order, the medium's
+	// one index: Lookup and AddNode binary-search it.
+	order []*Node
 	// faults, when non-nil, overrides loss probability, severs partitioned
 	// links, and duplicates frames (chaos harness). Nil in nominal runs.
 	faults FaultInjector
@@ -228,7 +231,7 @@ type Medium struct {
 }
 
 // Node is one registered node on the medium. Protocol layers see it
-// read-only, through Neighbors, ID, and Pos.
+// read-only, through ID and Pos, and hand it to Send and Neighbors.
 type Node struct {
 	id   NodeID
 	pos  geom.Point
@@ -353,7 +356,6 @@ func New(p Params, shardOfPos func(geom.Point) int32, rts ...ShardRuntime) *Medi
 	k := len(rts)
 	m := &Medium{
 		params:     p,
-		nodes:      make(map[NodeID]*Node),
 		ctxs:       make([]*shardCtx, k),
 		shardOfPos: shardOfPos,
 	}
@@ -381,16 +383,8 @@ func (m *Medium) Params() Params {
 // concurrent shard goroutines.
 func (m *Medium) PrebuildNeighbors() {
 	for _, n := range m.order {
-		m.neighborsOf(n)
+		m.Neighbors(n)
 	}
-}
-
-// NodeShard returns the shard owning a node's region (0 when unknown).
-func (m *Medium) NodeShard(id NodeID) int32 {
-	if n, ok := m.nodes[id]; ok {
-		return n.shard
-	}
-	return 0
 }
 
 // BoundaryFrames counts boundary target receptions: those whose sender
@@ -416,7 +410,8 @@ func (m *Medium) AddNode(n *Node, id NodeID, pos geom.Point, recv Receiver) erro
 	if id < 0 || uint64(id) > math.MaxUint32 {
 		return fmt.Errorf("radio: node id %d outside [0, 2^32)", id)
 	}
-	if _, ok := m.nodes[id]; ok {
+	i, taken := slices.BinarySearchFunc(m.order, id, byID)
+	if taken {
 		return fmt.Errorf("radio: node %d already registered", id)
 	}
 	if m.resolved > 0 {
@@ -432,10 +427,19 @@ func (m *Medium) AddNode(n *Node, id NodeID, pos geom.Point, recv Receiver) erro
 	if m.shardOfPos != nil {
 		n.shard = m.shardOfPos(pos)
 	}
-	m.nodes[id] = n
-	i, _ := slices.BinarySearchFunc(m.order, id, byID)
 	m.order = slices.Insert(m.order, i, n)
 	return nil
+}
+
+// Lookup returns the registered node with the given id, by binary search
+// over the id-ordered registrations. It serves callers that name a node
+// by id; the send path and neighbour queries take the *Node itself.
+func (m *Medium) Lookup(id NodeID) (*Node, bool) {
+	i, ok := slices.BinarySearchFunc(m.order, id, byID)
+	if !ok {
+		return nil, false
+	}
+	return m.order[i], true
 }
 
 // byID orders nodes against an id, for binary search over ascending ids.
@@ -471,42 +475,14 @@ func (m *Medium) nodesWithin(p geom.Point, r float64) []int32 {
 	return found
 }
 
-// Position returns a node's location.
-func (m *Medium) Position(id NodeID) (geom.Point, bool) {
-	n, ok := m.nodes[id]
-	if !ok {
-		return geom.Point{}, false
-	}
-	return n.pos, true
-}
-
-// NodeIDs returns all registered node ids in ascending order.
-func (m *Medium) NodeIDs() []NodeID {
-	out := make([]NodeID, len(m.order))
-	for i, n := range m.order {
-		out[i] = n.id
-	}
-	return out
-}
-
-// Neighbors returns the nodes within communication radius of id, in
-// ascending id order, or nil for an unregistered id. Callers must not
-// mutate the returned slice.
-func (m *Medium) Neighbors(id NodeID) []*Node {
-	n, ok := m.nodes[id]
-	if !ok {
-		return nil
-	}
-	return m.neighborsOf(n)
-}
-
-// neighborsOf returns n's neighbor list, resolving it on first use. The
-// list stays correct because the topology only mutates at registration
-// time (AddNode), which drops exactly the lists the new node appears in.
-// Resolution goes through the index, so it costs O(neighbors), not
-// O(total nodes), and the list and its header are carved from the
-// medium's slabs.
-func (m *Medium) neighborsOf(n *Node) []*Node {
+// Neighbors returns the nodes within communication radius of n, a node
+// registered on m, in ascending id order. Callers must not mutate the
+// returned slice. The list is resolved on first use and stays correct
+// because the topology only mutates at registration time (AddNode), which
+// drops exactly the lists the new node appears in. Resolution goes
+// through the index, so it costs O(neighbors), not O(total nodes), and
+// the list and its header are carved from the medium's slabs.
+func (m *Medium) Neighbors(n *Node) []*Node {
 	if n.nbrs != nil {
 		return *n.nbrs
 	}
@@ -622,17 +598,15 @@ func (sc *shardCtx) recycleBatch(b *deliveryBatch) {
 	sc.dbFree = b
 }
 
-// Send transmits a frame from f.Src. The sender carrier-senses first:
-// while the channel around it is busy (its own transmission or an audible
-// reception in progress) the frame is deferred with random backoff, up to
+// Send transmits a frame from src, a node registered on m, and sets
+// f.Src to its id. The sender carrier-senses first: while the channel
+// around it is busy (its own transmission or an audible reception in
+// progress) the frame is deferred with random backoff, up to
 // maxCSMAAttempts times. Delivery to in-range receivers happens when the
 // frame's airtime ends, subject to loss and collisions (hidden
-// terminals still collide). Sending from an unregistered node is a no-op.
-func (m *Medium) Send(f Frame) {
-	src, ok := m.nodes[f.Src]
-	if !ok {
-		return
-	}
+// terminals still collide).
+func (m *Medium) Send(src *Node, f Frame) {
+	f.Src = src.id
 	f.ID = src.nextID()
 	m.trySend(src, f, 0)
 	// Message-duplication fault: occasionally transmit a second copy of the
@@ -736,8 +710,8 @@ func (m *Medium) trySend(src *Node, f Frame, attempt int) {
 	// id order — the same nodes the old full-field scan selected — held as
 	// node pointers, so the per-frame cost is O(receivers) with no
 	// per-receiver lookup.
-	for _, dst := range m.neighborsOf(src) {
-		if m.faults != nil && !m.faults.Linked(start, f.Src, dst.id) {
+	for _, dst := range m.Neighbors(src) {
+		if m.faults != nil && !m.faults.Linked(start, src.pos, dst.pos) {
 			// Partition fault: the link is severed, so the frame neither
 			// reaches this receiver nor occupies its channel.
 			continue

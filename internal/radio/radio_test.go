@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,6 +32,23 @@ func runTo(t *testing.T, g *simtime.ShardGroup, deadline time.Duration) {
 	if err := g.Run(deadline, 0, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// node returns the node registered under id, failing the test if there
+// is none.
+func node(t testing.TB, m *Medium, id NodeID) *Node {
+	t.Helper()
+	n, ok := m.Lookup(id)
+	if !ok {
+		t.Fatalf("no node %d registered", id)
+	}
+	return n
+}
+
+// send transmits f from the node registered under f.Src.
+func send(t testing.TB, m *Medium, f Frame) {
+	t.Helper()
+	m.Send(node(t, m, f.Src), f)
 }
 
 // settle runs g for a simulated hour, long enough for every frame a test
@@ -77,7 +95,7 @@ func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(3, 0), mk(2)); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
+	send(t, m, Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
 	settle(t, g)
 	if got[1] != 1 {
 		t.Errorf("in-range node received %d frames, want 1", got[1])
@@ -99,7 +117,7 @@ func TestUnicastDeliversOnlyToDestination(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Send(Frame{Kind: trace.KindTransport, Src: 0, Dst: 2})
+	send(t, m, Frame{Kind: trace.KindTransport, Src: 0, Dst: 2})
 	settle(t, g)
 	if got[2] != 1 || got[1] != 0 {
 		t.Errorf("unicast deliveries = %v, want only node 2", got)
@@ -117,8 +135,8 @@ func TestSenderSerializesTransmissions(t *testing.T) {
 	}
 	// Two back-to-back 5000-bit (100 ms) frames: second must start after the first
 	// finishes, arriving at 200 ms rather than colliding.
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 1, Bits: 5000})
 	settle(t, g)
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %v, want 2 deliveries", arrivals)
@@ -147,8 +165,8 @@ func TestCollisionCorruptsOverlappingFrames(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	settle(t, g)
 	if received != 0 {
 		t.Errorf("received %d frames, want 0 (collision)", received)
@@ -174,8 +192,8 @@ func TestCollisionsDisabled(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	settle(t, g)
 	if received != 2 {
 		t.Errorf("received %d frames, want 2 with collisions disabled", received)
@@ -194,9 +212,9 @@ func TestNonOverlappingFramesDoNotCollide(t *testing.T) {
 	if err := m.AddNode(new(Node), 2, geom.Pt(1, 0), recvFunc(func(f Frame) { received++ })); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 2, Bits: 5000})
 	g.Shard(0).AfterOwned(150*time.Millisecond, simtime.OwnerNone, func() {
-		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		send(t, m, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	})
 	settle(t, g)
 	if received != 2 {
@@ -217,7 +235,7 @@ func TestRandomLoss(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		g.Shard(0).AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
-			m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
+			send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
 		})
 	}
 	settle(t, g)
@@ -238,19 +256,10 @@ func TestUndeliveredWhenNoReceiverInRange(t *testing.T) {
 	if err := m.AddNode(new(Node), 1, geom.Pt(10, 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
+	send(t, m, Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast})
 	settle(t, g)
 	if got := stats.Kind(trace.KindHeartbeat).Undelivered; got != 1 {
 		t.Errorf("Undelivered = %d, want 1", got)
-	}
-}
-
-func TestSendFromUnregisteredNodeIsNoop(t *testing.T) {
-	g, m, stats := newTestMedium(t, Params{CommRadius: 1})
-	m.Send(Frame{Kind: trace.KindHeartbeat, Src: 99, Dst: Broadcast})
-	settle(t, g)
-	if stats.Kind(trace.KindHeartbeat).Sent != 0 {
-		t.Error("unregistered sender should not transmit")
 	}
 }
 
@@ -261,7 +270,7 @@ func TestNeighborsAndRangeQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nb := neighborIDs(m, 2)
+	nb := neighborIDs(t, m, 2)
 	want := []NodeID{1, 3}
 	if len(nb) != len(want) {
 		t.Fatalf("Neighbors(2) = %v, want %v", nb, want)
@@ -271,26 +280,16 @@ func TestNeighborsAndRangeQueries(t *testing.T) {
 			t.Fatalf("Neighbors(2) = %v, want %v", nb, want)
 		}
 	}
-	if got := neighborIDs(m, 0); !sameIDs(got, []NodeID{1}) {
+	if got := neighborIDs(t, m, 0); !sameIDs(got, []NodeID{1}) {
 		t.Errorf("Neighbors(0) = %v, want [1]", got)
 	}
 	if near := nearIDs(m, geom.Pt(0.4, 0), 1); !sameIDs(near, []NodeID{0, 1}) {
 		t.Errorf("nodesWithin = %v, want [0 1]", near)
 	}
 	// Cached path returns the same answer.
-	nb2 := m.Neighbors(2)
+	nb2 := m.Neighbors(node(t, m, 2))
 	if len(nb2) != 2 {
 		t.Errorf("cached Neighbors(2) = %v", nb2)
-	}
-}
-
-func TestNeighborsUnknownNode(t *testing.T) {
-	_, m, _ := newTestMedium(t, Params{CommRadius: 1})
-	if nb := m.Neighbors(42); nb != nil {
-		t.Errorf("Neighbors of unknown node = %v, want nil", nb)
-	}
-	if _, ok := m.Position(42); ok {
-		t.Error("Position of unknown node should report !ok")
 	}
 }
 
@@ -314,7 +313,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		g.Shard(0).AtOwned(time.Duration(i)*time.Second, simtime.OwnerNone, func() {
-			m.Send(Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast, Bits: 500})
+			send(t, m, Frame{Kind: trace.KindHeartbeat, Src: 0, Dst: Broadcast, Bits: 500})
 		})
 	}
 	runTo(t, g, 10*time.Second)
@@ -332,11 +331,53 @@ func TestNodeIDsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := m.NodeIDs()
-	want := []NodeID{1, 3, 5}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("NodeIDs = %v, want %v", ids, want)
+	if got, want := ids(m.order), []NodeID{1, 3, 5}; !sameIDs(got, want) {
+		t.Fatalf("registration order = %v, want %v", got, want)
+	}
+}
+
+// TestLookupMatchesLinearScan registers ids, the extremes 0 and 2^32-1
+// among them, in random orders and checks that Lookup finds exactly the
+// node a linear scan over the registrations finds, for registered ids,
+// ids between them and ids outside [0, 2^32). Duplicate and out-of-range
+// registrations are rejected and leave Lookup unchanged.
+func TestLookupMatchesLinearScan(t *testing.T) {
+	ids := []NodeID{0, 1, 2, 9, 10, 500, 1 << 16, math.MaxUint32 - 1, math.MaxUint32}
+	probes := append([]NodeID{-1, 3, 8, 11, 499, 501, math.MaxUint32 - 2, math.MaxUint32 + 1}, ids...)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		_, m, _ := newTestMedium(t, Params{CommRadius: 1})
+		var added []*Node
+		scan := func(id NodeID) *Node {
+			for _, n := range added {
+				if n.ID() == id {
+					return n
+				}
+			}
+			return nil
+		}
+		check := func() {
+			t.Helper()
+			for _, id := range probes {
+				got, ok := m.Lookup(id)
+				if want := scan(id); got != want || ok != (want != nil) {
+					t.Fatalf("trial %d, %d registered: Lookup(%d) = %p, %v, want %p", trial, len(added), id, got, ok, want)
+				}
+			}
+		}
+		for _, i := range rng.Perm(len(ids)) {
+			n := new(Node)
+			if err := m.AddNode(n, ids[i], geom.Pt(float64(i), 0), nil); err != nil {
+				t.Fatal(err)
+			}
+			added = append(added, n)
+			check()
+		}
+		for _, id := range []NodeID{ids[rng.Intn(len(ids))], -1, math.MaxUint32 + 1} {
+			if err := m.AddNode(new(Node), id, geom.Pt(0, 0), nil); err == nil {
+				t.Fatalf("trial %d: AddNode(%d) accepted", trial, id)
+			}
+			check()
 		}
 	}
 }
@@ -363,9 +404,9 @@ func TestOverheardFrameDefersSend(t *testing.T) {
 		}
 	}
 	const packet = 100 * time.Millisecond // a 5000-bit frame at 50 kb/s
-	m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 	runTo(t, g, 10*time.Millisecond)
-	m.Send(Frame{Kind: trace.KindReading, Src: 3, Dst: 1, Bits: 5000})
+	send(t, m, Frame{Kind: trace.KindReading, Src: 3, Dst: 1, Bits: 5000})
 	settle(t, g)
 	// Node 3 waits out node 1's frame and one backoff slot at most, then
 	// takes one packet time on the air.
@@ -386,12 +427,12 @@ func TestUnicastTakesOneReceptionRecord(t *testing.T) {
 		}
 	}
 	const center, target = 4, 1
-	if n := len(m.Neighbors(center)); n != 8 {
+	if n := len(m.Neighbors(node(t, m, center))); n != 8 {
 		t.Fatalf("node %d has %d neighbours, want 8", center, n)
 	}
-	m.Send(Frame{Kind: trace.KindReading, Src: center, Dst: target})
+	send(t, m, Frame{Kind: trace.KindReading, Src: center, Dst: target})
 	settle(t, g)
-	for _, n := range m.Neighbors(center) {
+	for _, n := range m.Neighbors(node(t, m, center)) {
 		if len(n.rx) != 1 {
 			t.Fatalf("node %d holds %d occupancies, want 1", n.id, len(n.rx))
 		}
@@ -418,13 +459,13 @@ func TestOccupancyPrunedWithoutCollisions(t *testing.T) {
 	}
 	const sends = 1000
 	for i := 0; i < sends; i++ {
-		m.Send(Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
+		send(t, m, Frame{Kind: trace.KindReading, Src: 0, Dst: 1})
 		runTo(t, g, g.Now()+time.Second)
 	}
 	if got := stats.Kind(trace.KindReading).Received; got != sends {
 		t.Fatalf("receiver got %d frames, want %d", got, sends)
 	}
-	rcv := m.nodes[1]
+	rcv := node(t, m, 1)
 	if len(rcv.rx) > 1 {
 		t.Fatalf("silent receiver holds %d occupancies, want at most 1", len(rcv.rx))
 	}

@@ -92,17 +92,16 @@ func TestBoundaryClassification(t *testing.T) {
 	if err := m.AddNode(new(Node), 3, geom.Pt(3, 0), recv(3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.NodeShard(1); got != 0 {
-		t.Fatalf("NodeShard(1) = %d, want 0", got)
+	if got := node(t, m, 1).shard; got != 0 {
+		t.Fatalf("node 1's shard = %d, want 0", got)
 	}
-	if got := m.NodeShard(2); got != 1 {
-		t.Fatalf("NodeShard(2) = %d, want 1", got)
+	if got := node(t, m, 2).shard; got != 1 {
+		t.Fatalf("node 2's shard = %d, want 1", got)
 	}
 
 	// Frames go on the air from inside callbacks, as in a real run: the
 	// executor's idle skip relies on outboxes being empty between windows.
-	g.Shard(0).AtEventOwned(0, simtime.OwnerNone, func(arg any) { m.Send(arg.(Frame)) },
-		Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
+	sendAt(t, g, m, 0, Frame{Kind: trace.KindHeartbeat, Src: 1, Dst: Broadcast})
 	runSharded(t, g, m, time.Second, Airtime(DefaultFrameBits))
 	// Node 1's broadcast targets 2 (cross: shard 0 -> 1) and 3 (same
 	// shard, unaccounted); both receive it.
@@ -157,10 +156,7 @@ func TestConservativeLookaheadInvariant(t *testing.T) {
 				}
 			}
 			at := time.Duration(rng.Intn(2000)) * time.Millisecond
-			f := Frame{Kind: trace.KindHeartbeat, Src: src, Dst: dst, Bits: bits}
-			g.Shard(int(m.NodeShard(src))).AtEventOwned(at, simtime.OwnerNone, func(arg any) {
-				m.Send(arg.(Frame))
-			}, f)
+			sendAt(t, g, m, at, Frame{Kind: trace.KindHeartbeat, Src: src, Dst: dst, Bits: bits})
 		}
 		bound := Airtime(minBits)
 		runSharded(t, g, m, 10*time.Second, bound)
@@ -188,7 +184,7 @@ func TestFlushBoundaryRejectsLateDelivery(t *testing.T) {
 	} {
 		_, m, _, _, _ := crossPair(t, p)
 		m.PrebuildNeighbors()
-		m.Send(Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		send(t, m, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		err := m.FlushBoundary(tc.window)
 		if tc.late && (err == nil || !strings.Contains(err.Error(), "lookahead")) {
 			t.Errorf("FlushBoundary(%v) = %v, want a lookahead error for a delivery at %v", tc.window, err, arrival)
@@ -242,16 +238,19 @@ func crossPair(t *testing.T, p Params) (*simtime.ShardGroup, *Medium, [2]*trace.
 			t.Fatal(err)
 		}
 	}
-	if m.NodeShard(1) != 0 || m.NodeShard(2) != 1 || m.NodeShard(3) != 1 {
+	if node(t, m, 1).shard != 0 || node(t, m, 2).shard != 1 || node(t, m, 3).shard != 1 {
 		t.Fatal("nodes landed on the wrong shards")
 	}
 	return g, m, stats, logs, received
 }
 
-// sendAt schedules f's transmission at `at` on the shard owning its sender.
-func sendAt(g *simtime.ShardGroup, m *Medium, at time.Duration, f Frame) {
-	g.Shard(int(m.NodeShard(f.Src))).AtEventOwned(at, simtime.OwnerNone, func(arg any) {
-		m.Send(arg.(Frame))
+// sendAt schedules f's transmission from the node registered under f.Src
+// at `at`, on the shard owning the sender, as a run's callbacks send.
+func sendAt(t testing.TB, g *simtime.ShardGroup, m *Medium, at time.Duration, f Frame) {
+	t.Helper()
+	src := node(t, m, f.Src)
+	g.Shard(int(src.shard)).AtEventOwned(at, simtime.OwnerNone, func(arg any) {
+		m.Send(src, arg.(Frame))
 	}, f)
 }
 
@@ -276,8 +275,8 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 
 	t.Run("collision", func(t *testing.T) {
 		g, m, stats, logs, received := crossPair(t, p)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
-		sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 2, Bits: 5000})
+		sendAt(t, g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		sendAt(t, g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 0 {
 			t.Fatalf("node 2 received %d frames, want 0", *received)
@@ -305,7 +304,7 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 		lossy := p
 		lossy.LossProb = 1
 		g, m, stats, logs, received := crossPair(t, lossy)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		sendAt(t, g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 0 {
 			t.Fatalf("node 2 received %d frames, want 0", *received)
@@ -324,7 +323,7 @@ func TestCrossShardReceptionOutcomes(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		g, m, stats, logs, received := crossPair(t, p)
-		sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+		sendAt(t, g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
 		runSharded(t, g, m, time.Second, packet)
 		if *received != 1 {
 			t.Fatalf("node 2 received %d frames, want 1", *received)
@@ -369,8 +368,8 @@ func TestHiddenUnicastCorruptsTargetReception(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sendAt(g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
-			sendAt(g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 4, Bits: 5000})
+			sendAt(t, g, m, 0, Frame{Kind: trace.KindReading, Src: 1, Dst: 2, Bits: 5000})
+			sendAt(t, g, m, packet/2, Frame{Kind: trace.KindReading, Src: 3, Dst: 4, Bits: 5000})
 			runSharded(t, g, m, time.Second, packet)
 			if received[2] != 0 || received[4] != 1 {
 				t.Fatalf("node 2 received %d frames and node 4 %d, want 0 and 1", received[2], received[4])

@@ -35,9 +35,11 @@ func bruteNear(pos map[NodeID]geom.Point, p geom.Point, r float64) []NodeID {
 	return out
 }
 
-// neighborIDs returns the ids of m.Neighbors(id), in list order.
-func neighborIDs(m *Medium, id NodeID) []NodeID {
-	return ids(m.Neighbors(id))
+// neighborIDs returns the ids of the neighbours of the node registered
+// under id, in list order.
+func neighborIDs(t testing.TB, m *Medium, id NodeID) []NodeID {
+	t.Helper()
+	return ids(m.Neighbors(node(t, m, id)))
 }
 
 // ids returns the ids of nodes, in order.
@@ -140,7 +142,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 				// Query mid-registration: a stale cached list here means the
 				// invalidation missed a node the newcomer is in range of.
 				probe := NodeID(rng.Intn(i + 1))
-				if !sameIDs(neighborIDs(m, probe), bruteNeighbors(pos, probe, radius)) {
+				if !sameIDs(neighborIDs(t, m, probe), bruteNeighbors(pos, probe, radius)) {
 					t.Fatalf("%s trial %d: Neighbors(%d) diverged from brute force after %d registrations",
 						lay.name, trial, probe, i+1)
 				}
@@ -148,7 +150,7 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				id := NodeID(i)
-				if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
+				if got, want := neighborIDs(t, m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
 					t.Fatalf("%s trial %d: Neighbors(%d) = %v, want %v", lay.name, trial, id, got, want)
 				}
 			}
@@ -185,7 +187,7 @@ func TestSpatialIndexTracksAGrowingField(t *testing.T) {
 		if i == 0 {
 			want = nil
 		}
-		if got := neighborIDs(m, NodeID(i)); !sameIDs(got, want) {
+		if got := neighborIDs(t, m, NodeID(i)); !sameIDs(got, want) {
 			t.Fatalf("Neighbors(%d) = %v, want %v", i, got, want)
 		}
 	}
@@ -208,7 +210,7 @@ func TestSpatialIndexToleratesNonFinitePositions(t *testing.T) {
 		}
 		pos[NodeID(i)] = p
 		for id := NodeID(0); int(id) <= i; id++ {
-			if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, 2); !sameIDs(got, want) {
+			if got, want := neighborIDs(t, m, id), bruteNeighbors(pos, id, 2); !sameIDs(got, want) {
 				t.Fatalf("after %d registrations: Neighbors(%d) = %v, want %v", i+1, id, got, want)
 			}
 		}
@@ -254,7 +256,7 @@ func TestSpatialHashOutOfOrderRegistration(t *testing.T) {
 			}
 		}
 		for id := NodeID(0); int(id) < n; id++ {
-			if got, want := neighborIDs(m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
+			if got, want := neighborIDs(t, m, id), bruteNeighbors(pos, id, radius); !sameIDs(got, want) {
 				t.Fatalf("trial %d: Neighbors(%d) = %v, want %v", trial, id, got, want)
 			}
 		}
@@ -286,23 +288,5 @@ func TestAppendNodesNearReusesScratch(t *testing.T) {
 		if &m.found[0] != &first[0] {
 			t.Fatalf("rep %d: the query scratch was reallocated", rep)
 		}
-	}
-}
-
-// TestNeighborsUnknownNodeNotCached preserves the pre-index contract:
-// querying an unregistered id returns nil and does not poison the cache.
-func TestNeighborsUnknownNodeNotCached(t *testing.T) {
-	m := New(Params{CommRadius: 2}, nil, ShardRuntime{Sched: simtime.NewShardGroup(1).Shard(0), Seed: 1, Stats: &trace.Stats{}})
-	if nb := m.Neighbors(7); nb != nil {
-		t.Fatalf("Neighbors of unknown node = %v, want nil", nb)
-	}
-	if err := m.AddNode(new(Node), 7, geom.Pt(0, 0), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddNode(new(Node), 8, geom.Pt(1, 0), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := neighborIDs(m, 7); !sameIDs(got, []NodeID{8}) {
-		t.Fatalf("Neighbors(7) = %v, want [8]", got)
 	}
 }

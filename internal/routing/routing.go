@@ -148,7 +148,7 @@ func (r *Router) nextHop(msg Message) (radio.NodeID, bool) {
 	self := r.m.Pos().Dist2(msg.Dest)
 	best := radio.NodeID(-1)
 	bestD := self
-	for _, nb := range r.m.Medium().Neighbors(r.m.ID()) {
+	for _, nb := range r.m.Neighbors() {
 		if nb.ID() == msg.DestNode {
 			return nb.ID(), true
 		}

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -294,9 +296,8 @@ func TestAnycastAlwaysTerminatesAtNearest(t *testing.T) {
 		// Find expected nearest node.
 		wantNearest := radio.NodeID(-1)
 		bestD := 1e18
-		for _, id := range n.medium.NodeIDs() {
-			pos, _ := n.medium.Position(id)
-			if d := pos.Dist2(dest); d < bestD {
+		for _, id := range slices.Sorted(maps.Keys(n.routers)) {
+			if d := n.routers[id].m.Pos().Dist2(dest); d < bestD {
 				bestD = d
 				wantNearest = id
 			}

@@ -190,7 +190,7 @@ func TestSendViaLearnedLeader(t *testing.T) {
 	dst.Handle(label, 7, func(d Datagram) { got = append(got, d.Payload) })
 
 	src := n.endpoints[0]
-	pos, _ := n.medium.Position(24)
+	pos := n.endpoints[24].m.Pos()
 	src.Table().Put(label, LeaderInfo{Leader: 24, Loc: pos})
 	src.Send(Datagram{SrcLabel: "base/0.1", DstLabel: label, DstPort: 7, Payload: "invoke"})
 	n.run(t, time.Second)
@@ -212,7 +212,7 @@ func TestFirstContactViaDirectory(t *testing.T) {
 	dst.Handle(label, 1, func(Datagram) { delivered++ })
 
 	// The label registers itself in the directory (as a leader would).
-	pos, _ := n.medium.Position(24)
+	pos := n.endpoints[24].m.Pos()
 	// Use node 24's existing directory registration path: register from any node.
 	n.endpoints[24].dir.Register("car", label, pos, 24)
 	n.run(t, time.Second)
@@ -247,8 +247,7 @@ func TestForwardingAlongPastLeaderChain(t *testing.T) {
 	// Leadership has moved 1 -> 3 -> 5. Node 1 knows node 3 led later;
 	// node 3 knows node 5 is current. The sender still believes node 1.
 	pos := func(id radio.NodeID) geom.Point {
-		p, _ := n.medium.Position(id)
-		return p
+		return n.endpoints[id].m.Pos()
 	}
 	n.endpoints[1].Table().Put(label, LeaderInfo{Leader: 3, Loc: pos(3), UpdatedAt: 1})
 	n.endpoints[3].Table().Put(label, LeaderInfo{Leader: 5, Loc: pos(5), UpdatedAt: 2})
@@ -278,7 +277,7 @@ func TestReceiverLearnsSourceLeaderFromHeader(t *testing.T) {
 	dst.Handle(dstLabel, 1, func(Datagram) {})
 
 	src := n.endpoints[0]
-	pos, _ := n.medium.Position(4)
+	pos := n.endpoints[4].m.Pos()
 	src.SetLeading(srcLabel, true)
 	src.Table().Put(dstLabel, LeaderInfo{Leader: 4, Loc: pos})
 	src.Send(Datagram{SrcLabel: srcLabel, DstLabel: dstLabel, DstPort: 1, Payload: "hi"})
@@ -340,7 +339,7 @@ func TestNoHandlerCounted(t *testing.T) {
 	dst.SetLeading(label, true) // leads, but no handler for port 5
 
 	src := n.endpoints[0]
-	pos, _ := n.medium.Position(2)
+	pos := n.endpoints[2].m.Pos()
 	src.Table().Put(label, LeaderInfo{Leader: 2, Loc: pos})
 	src.Send(Datagram{DstLabel: label, DstPort: 5, Payload: "x"})
 	n.run(t, time.Second)
@@ -375,8 +374,8 @@ func TestChainLoopGuard(t *testing.T) {
 	n := newTnet(t, 2, 1)
 	const label = group.Label("car/9.9")
 	// Nodes 0 and 1 each believe the other is the leader: a routing loop.
-	p0, _ := n.medium.Position(0)
-	p1, _ := n.medium.Position(1)
+	p0 := n.endpoints[0].m.Pos()
+	p1 := n.endpoints[1].m.Pos()
 	n.endpoints[0].Table().Put(label, LeaderInfo{Leader: 1, Loc: p1})
 	n.endpoints[1].Table().Put(label, LeaderInfo{Leader: 0, Loc: p0})
 
@@ -532,7 +531,7 @@ func TestFreshEndpointState(t *testing.T) {
 	// A datagram reaching a fresh endpoint that neither leads its label
 	// nor knows the label's leader is dropped, and teaches the endpoint
 	// the source's leader.
-	pos, _ := n.medium.Position(2)
+	pos := n.endpoints[2].m.Pos()
 	n.endpoints[0].Table().Put("car/2.1", LeaderInfo{Leader: 2, Loc: pos})
 	n.endpoints[0].Send(Datagram{SrcLabel: "base/0.1", DstLabel: "car/2.1", DstPort: 1, Payload: "x"})
 	n.run(t, time.Second)

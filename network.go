@@ -1,8 +1,10 @@
 package envirotrack
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -168,7 +170,9 @@ type Network struct {
 	ledger  *trace.Ledger
 	bus     *obs.Bus
 
-	nodes   map[NodeID]*Node
+	// nodes is the deployed motes in ascending id order, the network's
+	// one id index: Node binary-searches it.
+	nodes   []*Node
 	started bool
 
 	// Parallel-only state (k > 1): the buffered observability lanes merged
@@ -183,7 +187,7 @@ type Network struct {
 	// hot is the struct-of-arrays home of the per-mote hot fields
 	// (position, failure, CPU queue, membership/sensing words), shared by
 	// every env; each deployed mote has a row in it, so the sensing sweep
-	// and the series probes walk dense slices instead of the nodes map.
+	// and the series probes walk dense slices instead of the node records.
 	hot *mote.HotState
 
 	// ctxTypes are the attached context type names in attach order, for
@@ -229,7 +233,6 @@ func New(opts ...Option) (*Network, error) {
 		field:   phenomena.NewField(),
 		ledger:  &trace.Ledger{},
 		bus:     cfg.bus,
-		nodes:   make(map[NodeID]*Node),
 		hot:     mote.NewHotState(),
 	}
 	n.group.SetProfile(cfg.selfProfile)
@@ -336,9 +339,14 @@ func (n *Network) AddMote(id NodeID, pos Point, model *SensorModel) (*Node, erro
 		return nil, fmt.Errorf("envirotrack: %w", err)
 	}
 	node.stack.Init(&node.mote)
-	n.nodes[id] = node
+	i, _ := slices.BinarySearchFunc(n.nodes, id, byID)
+	n.nodes = slices.Insert(n.nodes, i, node)
 	return node, nil
 }
+
+// byID orders node records against an id, for binary search over
+// ascending ids.
+func byID(nd *Node, id NodeID) int { return cmp.Compare(nd.radio.ID(), id) }
 
 // AddTarget places a physical entity in the environment.
 func (n *Network) AddTarget(t *Target) {
@@ -347,13 +355,20 @@ func (n *Network) AddTarget(t *Target) {
 
 // Node returns a deployed mote by id.
 func (n *Network) Node(id NodeID) (*Node, bool) {
-	node, ok := n.nodes[id]
-	return node, ok
+	i, ok := slices.BinarySearchFunc(n.nodes, id, byID)
+	if !ok {
+		return nil, false
+	}
+	return n.nodes[i], true
 }
 
 // Nodes returns all deployed node ids in ascending order.
 func (n *Network) Nodes() []NodeID {
-	return n.medium.NodeIDs()
+	ids := make([]NodeID, len(n.nodes))
+	for i, nd := range n.nodes {
+		ids[i] = nd.ID()
+	}
+	return ids
 }
 
 // AttachContextAll attaches a context type to every sensing mote. A
@@ -365,8 +380,8 @@ func (n *Network) AttachContextAll(spec ContextType) error {
 	if err != nil {
 		return err
 	}
-	for _, id := range n.medium.NodeIDs() {
-		if _, err := n.nodes[id].stack.Attach(t); err != nil {
+	for _, nd := range n.nodes {
+		if _, err := nd.stack.Attach(t); err != nil {
 			return err
 		}
 	}
@@ -469,24 +484,19 @@ func (n *Network) InjectFaults(sc chaos.Schedule) error {
 		return nil
 	}
 	for _, c := range sc.Crashes {
-		if _, ok := n.nodes[NodeID(c.Node)]; !ok {
+		if _, ok := n.Node(NodeID(c.Node)); !ok {
 			return fmt.Errorf("envirotrack: chaos schedule crashes unknown node %d", c.Node)
 		}
 	}
-	// Each victim's crash/restore events run on its own shard's scheduler.
-	victimSched := func(node int) *simtime.Scheduler { return n.nodes[NodeID(node)].mote.Scheduler() }
-	inj, err := chaos.NewInjector(victimSched, sc, chaos.Hooks{
-		Fail: func(node int) {
-			if nd, ok := n.nodes[NodeID(node)]; ok {
-				nd.Fail()
-			}
-		},
-		Restore: func(node int) {
-			if nd, ok := n.nodes[NodeID(node)]; ok {
-				nd.Restore()
-			}
-		},
-		Position: n.medium.Position,
+	// Every victim is deployed, checked above. Its crash/restore events
+	// run on its own shard's scheduler.
+	victim := func(node int) *Node {
+		nd, _ := n.Node(NodeID(node))
+		return nd
+	}
+	inj, err := chaos.NewInjector(func(node int) *simtime.Scheduler { return victim(node).mote.Scheduler() }, sc, chaos.Hooks{
+		Fail:    func(node int) { victim(node).Fail() },
+		Restore: func(node int) { victim(node).Restore() },
 	})
 	if err != nil {
 		return fmt.Errorf("envirotrack: %w", err)
@@ -510,17 +520,17 @@ func (n *Network) start() {
 	for i, env := range n.envs {
 		sweeps[i] = mote.NewSweep(env)
 	}
-	// Deterministic sweep order: map iteration order would leak into the
-	// scheduler's same-instant FIFO ordering.
-	for _, id := range n.medium.NodeIDs() {
-		sweeps[n.medium.NodeShard(id)].Add(&n.nodes[id].mote)
+	// Each sweep takes its motes in ascending id order, the order of
+	// n.nodes, and the shard a mote's position maps to built its env.
+	for _, nd := range n.nodes {
+		sweeps[n.shardOf(nd.Pos())].Add(&nd.mote)
 	}
 	for _, sw := range sweeps {
 		sw.Start()
 	}
 	if n.Shards() > 1 {
 		// Topology is frozen now: resolve every neighbor list so spatial
-		// lookups are pure map reads while shard goroutines execute. The
+		// lookups are pure reads while shard goroutines execute. The
 		// serial engine resolves them lazily, holding only the lists its
 		// traffic needs.
 		n.medium.PrebuildNeighbors()
@@ -529,15 +539,18 @@ func (n *Network) start() {
 
 // AddCrossTraffic schedules periodic background frames from src to dst
 // that do not participate in any protocol ("background noise", used by the
-// Section 6.2 bottleneck experiment). Bits <= 0 uses the default frame
-// size.
+// Section 6.2 bottleneck experiment). dst is a deployed mote or
+// radio.Broadcast. Bits <= 0 uses the default frame size.
 func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits int) error {
 	if period <= 0 {
 		return fmt.Errorf("envirotrack: cross-traffic period must be positive")
 	}
-	node, ok := n.nodes[src]
+	node, ok := n.Node(src)
 	if !ok {
 		return fmt.Errorf("envirotrack: unknown cross-traffic source %d", src)
+	}
+	if _, ok := n.Node(dst); !ok && dst != radio.Broadcast {
+		return fmt.Errorf("envirotrack: unknown cross-traffic destination %d", dst)
 	}
 	if bits > 0 && bits < radio.DefaultFrameBits && (n.minCrossBits == 0 || bits < n.minCrossBits) {
 		// Sub-default frames shrink the minimum packet time, and with it
@@ -550,9 +563,8 @@ func (n *Network) AddCrossTraffic(src, dst NodeID, period time.Duration, bits in
 		if node.mote.Failed() {
 			return
 		}
-		n.medium.Send(radio.Frame{
+		n.medium.Send(&node.radio, radio.Frame{
 			Kind: trace.KindCross,
-			Src:  src,
 			Dst:  dst,
 			Bits: bits,
 		})
@@ -675,9 +687,6 @@ func (n *Network) Bounds() Rect {
 // the serial engine).
 func (n *Network) Shards() int { return len(n.envs) }
 
-// ShardOf returns the shard owning a position (always 0 in serial runs).
-func (n *Network) ShardOf(p Point) int { return int(n.shardOf(p)) }
-
 // CrossShardEvents always returns 0. Shards of the parallel engine never
 // schedule events on each other — cross-shard traffic travels only as
 // radio frames through the window barrier, counted by BoundaryFrames —
@@ -693,7 +702,7 @@ func (n *Network) BoundaryFrames() uint64 {
 // --- Node methods ---
 
 // ID returns the node id.
-func (nd *Node) ID() NodeID { return nd.mote.ID() }
+func (nd *Node) ID() NodeID { return nd.radio.ID() }
 
 // Pos returns the node position.
 func (nd *Node) Pos() Point { return nd.mote.Pos() }

@@ -2,7 +2,9 @@ package envirotrack
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,6 +60,17 @@ func buildNet(t *testing.T, opts ...Option) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// mustNode returns the deployed mote id, failing the test if there is
+// none.
+func mustNode(t *testing.T, n *Network, id NodeID) *Node {
+	t.Helper()
+	nd, ok := n.Node(id)
+	if !ok {
+		t.Fatalf("no mote %d deployed", id)
+	}
+	return nd
 }
 
 func TestEndToEndTracking(t *testing.T) {
@@ -210,6 +223,38 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
+// TestNodeLookupAfterOutOfOrderAddMote deploys motes in shuffled id order
+// and checks that Nodes lists them ascending and Node finds each one, and
+// none of the ids between, before or after them.
+func TestNodeLookupAfterOutOfOrderAddMote(t *testing.T) {
+	ids := []NodeID{0, 1, 7, 8, 40, 41, 1000, 1 << 20, 1<<32 - 1}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 5; trial++ {
+		n, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rng.Perm(len(ids)) {
+			if _, err := n.AddMote(ids[i], Pt(float64(i), 0), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := n.Nodes(); !slices.Equal(got, ids) {
+			t.Fatalf("trial %d: Nodes = %v, want %v", trial, got, ids)
+		}
+		for _, id := range ids {
+			if nd, ok := n.Node(id); !ok || nd.ID() != id {
+				t.Fatalf("trial %d: Node(%d) = %v, %v", trial, id, nd, ok)
+			}
+		}
+		for _, id := range []NodeID{-1, 2, 6, 9, 39, 999, 1001, 1<<32 - 2, 1 << 32} {
+			if nd, ok := n.Node(id); ok {
+				t.Fatalf("trial %d: Node(%d) found mote %d", trial, id, nd.ID())
+			}
+		}
+	}
+}
+
 // typeRecord returns the type record the backend of nd's context type
 // name reads.
 func typeRecord(t *testing.T, nd *Node, name string) *group.Type {
@@ -240,10 +285,10 @@ func TestAttachSharesOneTypeRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := n.Nodes()
-		shared := typeRecord(t, n.nodes[ids[0]], "tracker")
-		for _, id := range ids {
-			if got := typeRecord(t, n.nodes[id], "tracker"); got != shared {
-				t.Fatalf("%s: mote %d reads its own type record, want the shared one", backend, id)
+		shared := typeRecord(t, n.nodes[0], "tracker")
+		for _, nd := range n.nodes {
+			if got := typeRecord(t, nd, "tracker"); got != shared {
+				t.Fatalf("%s: mote %d reads its own type record, want the shared one", backend, nd.ID())
 			}
 		}
 		if shared.Name != "tracker" || shared.Config.ReportPeriod != 900*time.Millisecond {
@@ -255,11 +300,11 @@ func TestAttachSharesOneTypeRecord(t *testing.T) {
 			spec := trackerContext(100, &reports)
 			spec.Name = "fire"
 			spec.Vars[0].Freshness = want + core.DelayEstimate
-			if err := n.nodes[id].AttachContext(spec); err != nil {
+			if err := mustNode(t, n, id).AttachContext(spec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		a, b := typeRecord(t, n.nodes[ids[0]], "fire"), typeRecord(t, n.nodes[ids[1]], "fire")
+		a, b := typeRecord(t, mustNode(t, n, ids[0]), "fire"), typeRecord(t, mustNode(t, n, ids[1]), "fire")
 		if a == b || a == shared || b == shared {
 			t.Errorf("%s: Node.AttachContext shares a type record", backend)
 		}

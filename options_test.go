@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"envirotrack/internal/group"
+	"envirotrack/internal/radio"
 	"envirotrack/internal/track/passive"
 )
 
@@ -114,6 +115,14 @@ func TestAddCrossTraffic(t *testing.T) {
 	}
 	if err := n.AddCrossTraffic(12345, 1, time.Second, 0); err == nil {
 		t.Error("expected error for unknown source")
+	}
+	for _, dst := range []NodeID{12345, -2} {
+		if err := n.AddCrossTraffic(0, dst, time.Second, 0); err == nil {
+			t.Errorf("expected error for unknown destination %d", dst)
+		}
+	}
+	if err := n.AddCrossTraffic(1, radio.Broadcast, time.Second, 0); err != nil {
+		t.Errorf("broadcast cross traffic: %v", err)
 	}
 	if err := n.Run(2 * time.Second); err != nil {
 		t.Fatal(err)

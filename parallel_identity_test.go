@@ -186,11 +186,11 @@ func TestParallelMatchesSerialUntilFirstBoundaryFrame(t *testing.T) {
 func firstBoundarySend(n *Network, events []obs.Event) time.Duration {
 	r := n.medium.Params().CommRadius
 	boundary := map[int]bool{}
-	for _, a := range n.Nodes() {
-		pa := n.nodes[a].Pos()
-		for _, b := range n.Nodes() {
-			if pb := n.nodes[b].Pos(); pa.Within(pb, r) && n.ShardOf(pa) != n.ShardOf(pb) {
-				boundary[int(a)] = true
+	for _, a := range n.nodes {
+		pa := a.Pos()
+		for _, b := range n.nodes {
+			if pb := b.Pos(); pa.Within(pb, r) && n.shardOf(pa) != n.shardOf(pb) {
+				boundary[int(a.ID())] = true
 				break
 			}
 		}

@@ -44,8 +44,7 @@ func watchScans(t *testing.T, n *Network, ctxType string) *visitLog {
 		last:   make([]time.Duration, h.Len()),
 	}
 	carrier := -1
-	for _, id := range n.Nodes() {
-		nd := n.nodes[id]
+	for _, nd := range n.nodes {
 		_, row := nd.mote.Hot()
 		l.scheds[row] = nd.mote.Scheduler()
 		if _, ok := nd.stack.Runtime(ctxType); ok {
@@ -172,13 +171,13 @@ func TestSweepSkipsOnlyProvenQuietMotes(t *testing.T) {
 					shard: make(map[int]int),
 					ticks: make([]int, shards), sensed: make([]int, shards), led: make([]int, shards)}
 				o.mask, _ = n.hot.CtxMask("tracker")
-				for _, id := range n.Nodes() {
-					if id == pursuer {
+				for _, nd := range n.nodes {
+					if nd.ID() == pursuer {
 						continue
 					}
-					s := n.medium.NodeShard(id)
-					_, row := n.nodes[id].mote.Hot()
-					o.rows[s], o.ids[s] = append(o.rows[s], row), append(o.ids[s], id)
+					s := n.shardOf(nd.Pos())
+					_, row := nd.mote.Hot()
+					o.rows[s], o.ids[s] = append(o.rows[s], row), append(o.ids[s], nd.ID())
 					o.shard[row] = int(s)
 				}
 				anchor := ContextType{Name: "anchor", Activation: func(rd Reading) bool {
@@ -193,7 +192,7 @@ func TestSweepSkipsOnlyProvenQuietMotes(t *testing.T) {
 				o.log = watchScans(t, n, "tracker")
 				amask, _ := n.hot.CtxMask("anchor")
 				o.inner = n.hot.Scanner(amask)
-				_, arow := n.nodes[o.ids[0][len(o.ids[0])-1]].mote.Hot()
+				_, arow := mustNode(t, n, o.ids[0][len(o.ids[0])-1]).mote.Hot()
 				n.hot.Attach(arow, amask, o)
 
 				const ticks = 120

@@ -46,23 +46,23 @@ func TestSensingBitMirrorsBackend(t *testing.T) {
 					if err := n.Run(250 * time.Millisecond); err != nil {
 						t.Fatal(err)
 					}
-					for _, id := range n.Nodes() {
-						rt, ok := n.nodes[id].stack.Runtime("tracker")
+					for _, nd := range n.nodes {
+						rt, ok := nd.stack.Runtime("tracker")
 						if !ok {
 							continue
 						}
-						h, i := n.nodes[id].mote.Hot()
+						h, i := nd.mote.Hot()
 						mask, ok := h.CtxMask("tracker")
 						if !ok {
 							t.Fatal("the tracker type has no hot-state bit")
 						}
 						bit, be := h.Sensing(i, mask), rt.Backend().Sensing()
 						if bit != be {
-							t.Fatalf("at %v mote %d: sensing bit %v, backend Sensing() %v", n.Now(), id, bit, be)
+							t.Fatalf("at %v mote %d: sensing bit %v, backend Sensing() %v", n.Now(), nd.ID(), bit, be)
 						}
 						lead, ctx := h.Leading(i, mask), rt.Ctx() != nil
 						if lead != ctx {
-							t.Fatalf("at %v mote %d: leading bit %v, runtime holds a Ctx %v", n.Now(), id, lead, ctx)
+							t.Fatalf("at %v mote %d: leading bit %v, runtime holds a Ctx %v", n.Now(), nd.ID(), lead, ctx)
 						}
 						if bit {
 							sensed++
@@ -195,12 +195,12 @@ func TestAttachRejectsContextTypePastLimit(t *testing.T) {
 	if err := n.AttachContextAll(trackerContext(100, &reports)); err == nil || err.Error() != want {
 		t.Fatalf("context type %d attached with error %v; want %q", mote.MaxContextTypes+1, err, want)
 	}
-	if err := n.nodes[0].AttachContext(trackerContext(100, &reports)); err == nil || err.Error() != want {
+	if err := mustNode(t, n, 0).AttachContext(trackerContext(100, &reports)); err == nil || err.Error() != want {
 		t.Fatalf("Node.AttachContext past the limit: error %v; want %q", err, want)
 	}
-	for _, id := range n.Nodes() {
-		if _, ok := n.nodes[id].stack.Runtime("tracker"); ok {
-			t.Fatalf("mote %d runs the refused context type", id)
+	for _, nd := range n.nodes {
+		if _, ok := nd.stack.Runtime("tracker"); ok {
+			t.Fatalf("mote %d runs the refused context type", nd.ID())
 		}
 	}
 }

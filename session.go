@@ -2,6 +2,7 @@ package envirotrack
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -33,30 +34,38 @@ type Session struct {
 // RunSession starts the simulation in the background for d of virtual
 // time, streaming messages received by the subscribed nodes. The network
 // must not be used directly while the session runs; the event channel is
-// closed when the session finishes. A negative d ends the session at once,
-// and Wait returns the error.
+// closed when the session finishes. A negative d, or a subscriber id that
+// names no deployed mote, ends the session at once, and Wait returns the
+// error.
 func (n *Network) RunSession(d time.Duration, subscribe ...NodeID) *Session {
 	s := &Session{
 		events: make(chan Event, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	for _, id := range subscribe {
-		if node, ok := n.nodes[id]; ok {
-			nodeID := id
-			nd := node
-			nd.OnMessage(func(msg NodeMessage) {
-				// Runs on the delivering shard's goroutine; blocking here
-				// paces the simulation to the consumer. The timestamp is the
-				// node's local clock. A stop while blocked halts the group
-				// before its next event.
-				select {
-				case s.events <- Event{At: nd.Now(), Node: nodeID, Msg: msg}:
-				case <-s.stop:
-					n.group.Stop()
-				}
-			})
+	nodes := make([]*Node, len(subscribe))
+	for i, id := range subscribe {
+		nd, ok := n.Node(id)
+		if !ok {
+			s.err = fmt.Errorf("envirotrack: session subscribes unknown node %d", id)
+			close(s.events)
+			close(s.done)
+			return s
 		}
+		nodes[i] = nd
+	}
+	for _, nd := range nodes {
+		nd.OnMessage(func(msg NodeMessage) {
+			// Runs on the delivering shard's goroutine; blocking here
+			// paces the simulation to the consumer. The timestamp is the
+			// node's local clock. A stop while blocked halts the group
+			// before its next event.
+			select {
+			case s.events <- Event{At: nd.Now(), Node: nd.ID(), Msg: msg}:
+			case <-s.stop:
+				n.group.Stop()
+			}
+		})
 	}
 	n.start()
 	deadline := n.Now() + d

@@ -3,6 +3,7 @@ package envirotrack
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,6 +95,25 @@ func testSessionStop(t *testing.T, n *Network) {
 		t.Errorf("clock = %v after a stop at the third report, want the run cut short", now)
 	}
 	// Stop is idempotent and safe afterwards.
+	s.Stop()
+}
+
+// TestSessionRejectsUnknownSubscriber checks that a subscriber id naming
+// no mote ends the session at once: no event, the clock unmoved, and Wait
+// returns an error naming the id.
+func TestSessionRejectsUnknownSubscriber(t *testing.T) {
+	n := sessionNet(t)
+	s := n.RunSession(2*time.Second, 100, 4242)
+	for range s.Events() {
+		t.Error("event from a session with an unknown subscriber")
+	}
+	err := s.Wait()
+	if err == nil || !strings.Contains(err.Error(), "4242") {
+		t.Fatalf("Wait = %v, want an error naming node 4242", err)
+	}
+	if n.Now() != 0 {
+		t.Errorf("Now = %v after the rejected session, want 0", n.Now())
+	}
 	s.Stop()
 }
 
